@@ -3,7 +3,8 @@
 //! Every hot kernel in this crate (`matmul_transb_into`,
 //! `matmul_xposed_into`, `matmul_transb_batched`, the fused
 //! log-softmax+top-k max and exp-sum passes, the attention core
-//! (`attn_scores_into` / `softmax_into` / `attn_weighted_sum_into`),
+//! (`attn_scores_into` / `softmax_into` / `attn_weighted_sum_into` and
+//! its query-tile form `attn_weighted_sum_tile_into`),
 //! `layer_norm_into`, activation quantization (`quantize_row_i8`), and
 //! the int8 `qmatmul_transb_into`) routes through this module. An ISA
 //! tier is selected once at startup — VNNI on x86-64 hosts with
@@ -293,6 +294,33 @@ pub fn set_tier(tier: IsaTier) -> IsaTier {
 
 /// Lane count of the shared accumulation semantics (see module docs).
 pub const LANES: usize = 8;
+
+/// Query rows [`attn_weighted_sum_tile_into`] accumulates in registers at
+/// once (measured best on AVX2: `4 rows × 2 chunks` fills half the
+/// register file). Callers size their score scratch to `ATTN_TILE` rows.
+pub const ATTN_TILE: usize = 4;
+
+/// The query-tile weighted sum as one call of a tier's per-row kernel
+/// per query: the tile kernel's definition on the scalar tier, and what
+/// a tier without a tile body of its own runs.
+#[allow(clippy::too_many_arguments)]
+fn weighted_sum_by_rows(
+    row_kernel: fn(&[f32], &[f32], usize, &mut [f32]),
+    probs: &[f32],
+    n: usize,
+    values: &[f32],
+    stride: usize,
+    ctx: &mut [f32],
+    cstride: usize,
+    dh: usize,
+) {
+    if n == 0 {
+        return;
+    }
+    for (r, prow) in probs.chunks_exact(n).enumerate() {
+        row_kernel(prow, values, stride, &mut ctx[r * cstride..r * cstride + dh]);
+    }
+}
 
 /// Fixed binary-tree reduction of the 8 lane partials — the order an
 /// AVX2 split-and-add horizontal reduce performs.
@@ -719,6 +747,31 @@ pub mod scalar {
                 *c += w * v;
             }
         }
+    }
+
+    /// Query-tile weighted sum — scalar tier, and the definition of the
+    /// tile kernel: row `r` of the tile is exactly
+    /// [`attn_weighted_sum_into`] of `probs[r * n..(r + 1) * n]` into
+    /// `ctx[r * cstride..r * cstride + dh]`.
+    pub fn attn_weighted_sum_tile_into(
+        probs: &[f32],
+        n: usize,
+        values: &[f32],
+        stride: usize,
+        ctx: &mut [f32],
+        cstride: usize,
+        dh: usize,
+    ) {
+        super::weighted_sum_by_rows(
+            attn_weighted_sum_into,
+            probs,
+            n,
+            values,
+            stride,
+            ctx,
+            cstride,
+            dh,
+        )
     }
 
     /// One layer-norm row — scalar tier: lane-split-by-8 sums for mean
@@ -1568,9 +1621,19 @@ pub mod avx2 {
         let n = scores.len();
         assert!(n == 0 || keys.len() >= (n - 1) * stride + dh);
         assert_avx2();
+        // SAFETY: AVX2 is present and every key row is in bounds (both
+        // asserted above).
         unsafe { attn_scores_avx2(q, keys, stride, scale, scores) }
     }
 
+    /// All-ones for the first `8 - offset` lanes when loaded at `offset`:
+    /// the load mask of a `dh % 8` tail.
+    const TAIL_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// # Safety
+    ///
+    /// Requires AVX2 and, when `scores` is non-empty, `keys.len() >=
+    /// (scores.len() - 1) * stride + q.len()`.
     #[target_feature(enable = "avx2")]
     unsafe fn attn_scores_avx2(
         q: &[f32],
@@ -1579,58 +1642,89 @@ pub mod avx2 {
         scale: f32,
         scores: &mut [f32],
     ) {
+        let n = scores.len();
+        let kp = keys.as_ptr();
+        let mut si = 0usize;
+        while si + 8 <= n {
+            let rows: [*const f32; 8] = std::array::from_fn(|r| kp.add((si + r) * stride));
+            _mm256_storeu_ps(scores.as_mut_ptr().add(si), scores8_avx2(q, rows, scale));
+            si += 8;
+        }
+        if si < n {
+            // Rows past the end alias the last key row and their scores
+            // are dropped, so the ragged last group runs the same body.
+            let rows: [*const f32; 8] =
+                std::array::from_fn(|r| kp.add((si + r).min(n - 1) * stride));
+            let mut last = [0.0f32; 8];
+            _mm256_storeu_ps(last.as_mut_ptr(), scores8_avx2(q, rows, scale));
+            scores[si..].copy_from_slice(&last[..n - si]);
+        }
+    }
+
+    /// `[lo(a) + hi(a) | hi(b) + lo(b)]`: the first level of `reduce8`'s
+    /// tree for two lane accumulators at once.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn fold_halves(a: __m256, b: __m256) -> __m256 {
+        _mm256_add_ps(_mm256_blend_ps(a, b, 0xF0), _mm256_permute2f128_ps(a, b, 0x21))
+    }
+
+    /// Scaled dots of `q` with eight key rows, in row order: one lane
+    /// accumulator per row (the query chunk is loaded once; per-element
+    /// accumulation as in `dot8`), then `reduce8`'s tree on all eight in
+    /// registers, then one `* scale`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `q.len()` readable floats behind every pointer
+    /// of `rows`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn scores8_avx2(q: &[f32], rows: [*const f32; 8], scale: f32) -> __m256 {
         let dh = q.len();
         let chunks = dh / 8;
         let tail = dh % 8;
-        let base = chunks * 8;
         let qp = q.as_ptr();
-        let n = scores.len();
-        // Four key rows at a time: the query chunk is loaded once and
-        // each row keeps its own lane accumulator (per-element
-        // accumulation unchanged; independent add chains hide latency).
-        let mut si = 0usize;
-        while si + 4 <= n {
-            let k0 = keys.as_ptr().add(si * stride);
-            let k1 = keys.as_ptr().add((si + 1) * stride);
-            let k2 = keys.as_ptr().add((si + 2) * stride);
-            let k3 = keys.as_ptr().add((si + 3) * stride);
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut acc2 = _mm256_setzero_ps();
-            let mut acc3 = _mm256_setzero_ps();
-            for ch in 0..chunks {
-                let qv = _mm256_loadu_ps(qp.add(ch * 8));
-                acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(qv, _mm256_loadu_ps(k0.add(ch * 8))));
-                acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(qv, _mm256_loadu_ps(k1.add(ch * 8))));
-                acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(qv, _mm256_loadu_ps(k2.add(ch * 8))));
-                acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(qv, _mm256_loadu_ps(k3.add(ch * 8))));
+        let mut acc = [_mm256_setzero_ps(); 8];
+        for ch in 0..chunks {
+            let qv = _mm256_loadu_ps(qp.add(ch * 8));
+            for (a, k) in acc.iter_mut().zip(rows) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, _mm256_loadu_ps(k.add(ch * 8))));
             }
-            for (col, acc) in [acc0, acc1, acc2, acc3].into_iter().enumerate() {
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-                let kr = keys.as_ptr().add((si + col) * stride);
-                for (l, lane) in lanes.iter_mut().enumerate().take(tail) {
-                    *lane += *qp.add(base + l) * *kr.add(base + l);
-                }
-                scores[si + col] = reduce8(&lanes) * scale;
-            }
-            si += 4;
         }
-        while si < n {
-            let kr = keys.as_ptr().add(si * stride);
-            let mut acc = _mm256_setzero_ps();
-            for ch in 0..chunks {
-                let qv = _mm256_loadu_ps(qp.add(ch * 8));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(qv, _mm256_loadu_ps(kr.add(ch * 8))));
+        if tail != 0 {
+            // A masked-off lane contributes `acc + (+0.0 * +0.0)`, which
+            // leaves `acc` unchanged: every accumulator starts at `+0.0`
+            // and a sum is `-0.0` only when both operands are, so no lane
+            // ever holds the one value (`-0.0`) that adding `+0.0` alters.
+            let mask = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - tail) as *const __m256i);
+            let qt = _mm256_maskload_ps(qp.add(chunks * 8), mask);
+            for (a, k) in acc.iter_mut().zip(rows) {
+                let kt = _mm256_maskload_ps(k.add(chunks * 8), mask);
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(qt, kt));
             }
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-            for (l, lane) in lanes.iter_mut().enumerate().take(tail) {
-                *lane += *qp.add(base + l) * *kr.add(base + l);
-            }
-            scores[si] = reduce8(&lanes) * scale;
-            si += 1;
         }
+        // Rows r and r+4 share a register from here on: per half
+        // (l0+l4, l1+l5, l2+l6, l3+l7) ...
+        let b0 = fold_halves(acc[0], acc[4]);
+        let b1 = fold_halves(acc[1], acc[5]);
+        let b2 = fold_halves(acc[2], acc[6]);
+        let b3 = fold_halves(acc[3], acc[7]);
+        // ... then ((l0+l4)+(l2+l6), (l1+l5)+(l3+l7)) for two rows per
+        // half ...
+        let c01 =
+            _mm256_add_ps(_mm256_shuffle_ps(b0, b1, 0x44), _mm256_shuffle_ps(b0, b1, 0xEE));
+        let c23 =
+            _mm256_add_ps(_mm256_shuffle_ps(b2, b3, 0x44), _mm256_shuffle_ps(b2, b3, 0xEE));
+        // ... then the root add: rows 0..4 in the low half, 4..8 in the
+        // high half.
+        let dots =
+            _mm256_add_ps(_mm256_shuffle_ps(c01, c23, 0x88), _mm256_shuffle_ps(c01, c23, 0xDD));
+        _mm256_mul_ps(dots, _mm256_set1_ps(scale))
     }
 
     /// In-place softmax over one row — AVX2 tier, bit-identical to
@@ -1674,9 +1768,8 @@ pub mod avx2 {
         }
     }
 
-    /// Softmax-weighted V accumulation — AVX2 tier (see
-    /// [`scalar::attn_weighted_sum_into`]; elementwise over `j` with
-    /// `si` ascending, so bit-identical by construction).
+    /// Softmax-weighted V accumulation — AVX2 tier: the one-row case of
+    /// [`attn_weighted_sum_tile_into`].
     pub fn attn_weighted_sum_into(
         probs: &[f32],
         values: &[f32],
@@ -1684,30 +1777,166 @@ pub mod avx2 {
         ctx: &mut [f32],
     ) {
         let dh = ctx.len();
-        assert!(probs.is_empty() || values.len() >= (probs.len() - 1) * stride + dh);
-        assert_avx2();
-        unsafe { weighted_sum_avx2(probs, values, stride, ctx) }
+        attn_weighted_sum_tile_into(probs, probs.len(), values, stride, ctx, dh, dh)
     }
 
+    /// Query-tile weighted sum — AVX2 tier (see
+    /// [`scalar::attn_weighted_sum_tile_into`]). The context rows of up to
+    /// [`ATTN_TILE`](super::ATTN_TILE) queries stay in registers over the
+    /// whole key loop and each V row is loaded once for all of them. Per
+    /// context element nothing changes — `si` ascending, a rounded multiply
+    /// then a rounded add, zero weights skipped per row — so the tile is
+    /// bit-identical to the per-row kernel by construction.
+    pub fn attn_weighted_sum_tile_into(
+        probs: &[f32],
+        n: usize,
+        values: &[f32],
+        stride: usize,
+        ctx: &mut [f32],
+        cstride: usize,
+        dh: usize,
+    ) {
+        if n == 0 || probs.len() < n {
+            return;
+        }
+        let t = probs.len() / n;
+        assert!(values.len() >= (n - 1) * stride + dh);
+        assert!(ctx.len() >= (t - 1) * cstride + dh);
+        assert_avx2();
+        // SAFETY: AVX2 is present (asserted); `probs` is exactly `t` rows of
+        // `n`, and the two asserts above bound every `values` and `ctx` row
+        // the body touches.
+        unsafe { weighted_sum_tile_avx2(&probs[..t * n], n, values, stride, ctx, cstride, dh) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2, `n > 0`, `probs.len() = t * n`, `values.len() >=
+    /// (n - 1) * stride + dh` and `ctx.len() >= (t - 1) * cstride + dh`.
     #[target_feature(enable = "avx2")]
-    unsafe fn weighted_sum_avx2(probs: &[f32], values: &[f32], stride: usize, ctx: &mut [f32]) {
-        let dh = ctx.len();
+    unsafe fn weighted_sum_tile_avx2(
+        probs: &[f32],
+        n: usize,
+        values: &[f32],
+        stride: usize,
+        ctx: &mut [f32],
+        cstride: usize,
+        dh: usize,
+    ) {
         let chunks = dh / 8;
+        let t = probs.len() / n;
+        let mut r = 0usize;
+        while r < t {
+            let rows = (t - r).min(super::ATTN_TILE);
+            let p = probs.as_ptr().add(r * n);
+            let c = ctx.as_mut_ptr().add(r * cstride);
+            let v = values.as_ptr();
+            match rows {
+                1 => weighted_sum_rows_avx2::<1>(p, n, v, stride, c, cstride, chunks),
+                2 => weighted_sum_rows_avx2::<2>(p, n, v, stride, c, cstride, chunks),
+                3 => weighted_sum_rows_avx2::<3>(p, n, v, stride, c, cstride, chunks),
+                _ => weighted_sum_rows_avx2::<4>(p, n, v, stride, c, cstride, chunks),
+            }
+            r += rows;
+        }
         let base = chunks * 8;
-        let cp = ctx.as_mut_ptr();
-        for (si, &w) in probs.iter().enumerate() {
-            if w == 0.0 {
-                continue;
+        if base < dh {
+            super::scalar::attn_weighted_sum_tile_into(
+                probs,
+                n,
+                &values[base..],
+                stride,
+                &mut ctx[base..],
+                cstride,
+                dh - base,
+            );
+        }
+    }
+
+    /// `R` context rows, two 8-lane column chunks at a time (then an odd
+    /// last one): `2 * R ≤ 8` accumulators, the V chunks and one
+    /// broadcast weight fit the 16 registers.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and, for `r < R`, `si < n`: `probs[r * n + si]`,
+    /// `values[si * stride..][..chunks * 8]` and
+    /// `ctx[r * cstride..][..chunks * 8]` in bounds of their allocations.
+    #[target_feature(enable = "avx2")]
+    unsafe fn weighted_sum_rows_avx2<const R: usize>(
+        probs: *const f32,
+        n: usize,
+        values: *const f32,
+        stride: usize,
+        ctx: *mut f32,
+        cstride: usize,
+        chunks: usize,
+    ) {
+        let mut ch = 0usize;
+        while ch + 2 <= chunks {
+            weighted_sum_block_avx2::<R, 2>(
+                probs,
+                n,
+                values.add(ch * 8),
+                stride,
+                ctx.add(ch * 8),
+                cstride,
+            );
+            ch += 2;
+        }
+        if ch < chunks {
+            weighted_sum_block_avx2::<R, 1>(
+                probs,
+                n,
+                values.add(ch * 8),
+                stride,
+                ctx.add(ch * 8),
+                cstride,
+            );
+        }
+    }
+
+    /// One `R × C`-register block of [`weighted_sum_rows_avx2`], held in
+    /// registers from the first key to the last.
+    ///
+    /// # Safety
+    ///
+    /// As [`weighted_sum_rows_avx2`], with `C` chunks from `values` / `ctx`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn weighted_sum_block_avx2<const R: usize, const C: usize>(
+        probs: *const f32,
+        n: usize,
+        values: *const f32,
+        stride: usize,
+        ctx: *mut f32,
+        cstride: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (j, a) in row.iter_mut().enumerate() {
+                *a = _mm256_loadu_ps(ctx.add(r * cstride + j * 8));
             }
-            let wv = _mm256_set1_ps(w);
-            let vr = values.as_ptr().add(si * stride);
-            for ch in 0..chunks {
-                let c = _mm256_loadu_ps(cp.add(ch * 8));
-                let v = _mm256_loadu_ps(vr.add(ch * 8));
-                _mm256_storeu_ps(cp.add(ch * 8), _mm256_add_ps(c, _mm256_mul_ps(wv, v)));
+        }
+        for si in 0..n {
+            let mut v = [_mm256_setzero_ps(); C];
+            for (j, vj) in v.iter_mut().enumerate() {
+                *vj = _mm256_loadu_ps(values.add(si * stride + j * 8));
             }
-            for (j, c) in ctx[base..].iter_mut().enumerate() {
-                *c += w * *vr.add(base + j);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let w = *probs.add(r * n + si);
+                if w == 0.0 {
+                    continue;
+                }
+                let wv = _mm256_set1_ps(w);
+                for (a, vj) in row.iter_mut().zip(v) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, vj));
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (j, a) in row.iter().enumerate() {
+                _mm256_storeu_ps(ctx.add(r * cstride + j * 8), *a);
             }
         }
     }
@@ -2560,16 +2789,48 @@ pub fn softmax_into(row: &mut [f32]) {
 /// probs[si] * values[si*stride + j]`, `si` ascending, zero weights
 /// skipped on every tier. Elementwise over `j`, so tiers are
 /// bit-identical by construction. `ctx` is accumulated into (callers
-/// zero or seed it).
+/// zero or seed it). The one-row case of
+/// [`attn_weighted_sum_tile_into`].
 pub fn attn_weighted_sum_into(probs: &[f32], values: &[f32], stride: usize, ctx: &mut [f32]) {
+    let dh = ctx.len();
+    attn_weighted_sum_tile_into(probs, probs.len(), values, stride, ctx, dh, dh)
+}
+
+/// Dispatched weighted sum for a tile of queries over the same `n`
+/// value rows: row `r` accumulates `probs[r*n..(r+1)*n]` into
+/// `ctx[r*cstride..r*cstride + dh]` exactly as
+/// [`attn_weighted_sum_into`] would, for `probs.len() / n` rows. The
+/// AVX2 tier keeps [`ATTN_TILE`] context rows in registers and loads
+/// each value row once for all of them; the other tiers run their
+/// per-row body per query.
+pub fn attn_weighted_sum_tile_into(
+    probs: &[f32],
+    n: usize,
+    values: &[f32],
+    stride: usize,
+    ctx: &mut [f32],
+    cstride: usize,
+    dh: usize,
+) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 | IsaTier::Vnni => {
-            avx2::attn_weighted_sum_into(probs, values, stride, ctx)
+            avx2::attn_weighted_sum_tile_into(probs, n, values, stride, ctx, cstride, dh)
         }
+        // NEON keeps its per-row body: a register-tile body there would
+        // be unsafe code no CI job can run.
         #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon => neon::attn_weighted_sum_into(probs, values, stride, ctx),
-        _ => scalar::attn_weighted_sum_into(probs, values, stride, ctx),
+        IsaTier::Neon => weighted_sum_by_rows(
+            neon::attn_weighted_sum_into,
+            probs,
+            n,
+            values,
+            stride,
+            ctx,
+            cstride,
+            dh,
+        ),
+        _ => scalar::attn_weighted_sum_tile_into(probs, n, values, stride, ctx, cstride, dh),
     }
 }
 

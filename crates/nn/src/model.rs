@@ -11,6 +11,7 @@
 //! tape — the architecture is fixed, so this is less machinery, and every
 //! layer is finite-difference checked in the tests.
 
+use crate::kernels::ATTN_TILE;
 use crate::math::*;
 use crate::store::{PId, ParamStore, QuantizedTensor};
 use rand::SeedableRng;
@@ -294,11 +295,12 @@ impl Seq2Seq {
 
     // ---- forward primitives (shared by train and inference) ----
 
-    fn embed_seq(&self, ids: &[u32]) -> Vec<f32> {
+    /// Token + position embeddings of `ids` (positions from 0) into the
+    /// `ids.len() × d_model` rows of `out`.
+    fn embed_into(&self, ids: &[u32], out: &mut [f32]) {
         let d = self.cfg.d_model;
         let e = self.store.data(self.embed);
         let p = self.store.data(self.pos);
-        let mut out = vec![0.0f32; ids.len() * d];
         for (t, &id) in ids.iter().enumerate() {
             let row = (id as usize).min(self.cfg.vocab - 1) * d;
             let prow = t.min(self.cfg.max_len - 1) * d;
@@ -306,6 +308,11 @@ impl Seq2Seq {
                 out[t * d + j] = e[row + j] + p[prow + j];
             }
         }
+    }
+
+    fn embed_seq(&self, ids: &[u32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; ids.len() * self.cfg.d_model];
+        self.embed_into(ids, &mut out);
         out
     }
 
@@ -957,16 +964,17 @@ impl Seq2Seq {
     /// Batched encoder forward: packs all sequences into one row matrix so
     /// every projection runs as a single matmul over `Σ lengths` rows
     /// (weights stream through the cache once per batch instead of once
-    /// per sequence), while attention stays per-sequence — which makes
-    /// ragged lengths exact without padding or masking. Returns one
-    /// encoder memory per input, numerically identical to
-    /// [`Seq2Seq::encode`] on each sequence.
+    /// per sequence), while attention runs per sequence, a tile of
+    /// [`ATTN_TILE`] consecutive query rows at a time ([`attend_tile`]) —
+    /// which makes ragged lengths exact without padding or masking, and
+    /// keeps every buffer linear in the source length. Returns one encoder
+    /// memory per input, numerically identical to [`Seq2Seq::encode`] on
+    /// each sequence.
     pub fn encode_batch(&self, srcs: &[&[u32]]) -> Vec<Vec<f32>> {
         let _timer = slade_obs::StageTimer::start(slade_obs::StageHist::Encode);
         let d = self.cfg.d_model;
         let h = self.cfg.n_heads;
         let dh = d / h;
-        let scale = 1.0 / (dh as f32).sqrt();
         let lens: Vec<usize> = srcs.iter().map(|s| s.len()).collect();
         let mut offsets = Vec::with_capacity(srcs.len());
         let mut total = 0usize;
@@ -979,8 +987,7 @@ impl Seq2Seq {
         // sequence, as in the scalar path).
         let mut hbuf = vec![0.0f32; total * d];
         for (si, src) in srcs.iter().enumerate() {
-            let rows = self.embed_seq(src);
-            hbuf[offsets[si] * d..(offsets[si] + lens[si]) * d].copy_from_slice(&rows);
+            self.embed_into(src, &mut hbuf[offsets[si] * d..(offsets[si] + lens[si]) * d]);
         }
         let mut ln = vec![0.0f32; total * d];
         let mut q = vec![0.0f32; total * d];
@@ -991,7 +998,7 @@ impl Seq2Seq {
         let dff = self.cfg.d_ff;
         let mut hidden = vec![0.0f32; total * dff];
         let max_t = lens.iter().copied().max().unwrap_or(0);
-        let mut probs = vec![0.0f32; max_t * max_t];
+        let mut scores = vec![0.0f32; ATTN_TILE * max_t];
         // Weights materialized once per batch in the backend's inference
         // format (transposed f32 or per-row int8); amortized over `total`
         // rows.
@@ -1017,36 +1024,13 @@ impl Seq2Seq {
             self.project_into(&xw[0], a.bq, &ln, &mut q, total, d, d, &mut quant);
             self.project_into(&xw[1], a.bk, &ln, &mut k, total, d, d, &mut quant);
             self.project_into(&xw[2], a.bv, &ln, &mut v, total, d, d, &mut quant);
-            ctx.iter_mut().for_each(|c| *c = 0.0);
             for (si, &t) in lens.iter().enumerate() {
-                if t == 0 {
-                    continue;
-                }
-                let off = offsets[si] * d;
-                let qs = &q[off..off + t * d];
-                let ks = &k[off..off + t * d];
-                let vs = &v[off..off + t * d];
-                let cs = &mut ctx[off..off + t * d];
-                for head in 0..h {
-                    let ho = head * dh;
-                    let p = &mut probs[..t * t];
-                    for ti in 0..t {
-                        let prow = &mut p[ti * t..(ti + 1) * t];
-                        crate::kernels::attn_scores_into(
-                            &qs[ti * d + ho..ti * d + ho + dh],
-                            &ks[ho..],
-                            d,
-                            scale,
-                            prow,
-                        );
-                        crate::kernels::softmax_into(prow);
-                        crate::kernels::attn_weighted_sum_into(
-                            prow,
-                            &vs[ho..],
-                            d,
-                            &mut cs[ti * d + ho..ti * d + ho + dh],
-                        );
-                    }
+                let rows = offsets[si] * d..(offsets[si] + t) * d;
+                let (qs, ks, vs) = (&q[rows.clone()], &k[rows.clone()], &v[rows.clone()]);
+                for (qt, ct) in
+                    qs.chunks(ATTN_TILE * d).zip(ctx[rows].chunks_mut(ATTN_TILE * d))
+                {
+                    attend_tile(qt, ks, vs, t, h, dh, &mut scores, ct);
                 }
             }
             self.project_into(&xw[3], a.bo, &ctx, &mut proj, total, d, d, &mut quant);
@@ -1149,7 +1133,9 @@ impl Seq2Seq {
             cap_lanes: cap_lanes.max(1),
             xposed,
             embed_t,
-            scratch: StepScratch::default(),
+            // Self-attention scores one lane over at most `cap_pos` cached
+            // positions; cross-attention grows this per registered source.
+            scratch: StepScratch { scores: vec![0.0; cap_pos.max(1)], ..Default::default() },
         }
     }
 
@@ -1157,9 +1143,11 @@ impl Seq2Seq {
     /// `[lanes, vocab]` next-token logits, numerically identical to
     /// running [`Seq2Seq::decode_step`] on each lane's own
     /// [`DecoderState`]. Every projection (Q/K/V/out, both FFN layers, and
-    /// the vocabulary logits) runs as **one** matmul over all live lanes;
-    /// only the attention reductions — `O(position · d_model)` per lane —
-    /// remain per-lane, because lanes attend over different-length caches.
+    /// the vocabulary logits) runs as **one** matmul over all live lanes.
+    /// Self-attention stays per lane, because lanes attend over their own
+    /// different-length caches; cross-attention takes the adjacent lanes
+    /// of one request as a tile ([`attend_tile`]), since they read the
+    /// same K/V.
     ///
     /// # Panics
     ///
@@ -1190,8 +1178,7 @@ impl Seq2Seq {
         let dff = self.cfg.d_ff;
         let vocab = self.cfg.vocab;
         let st = &mut *state;
-        let max_s = st.cross.iter().map(|c| c.s).max().unwrap_or(0);
-        st.scratch.ensure(n, d, dff, vocab, st.cap_pos.max(max_s));
+        st.scratch.ensure(n, d, dff, vocab);
         // Embed each lane's token at the lane's own position.
         let e = self.store.data(self.embed);
         let pe = self.store.data(self.pos);
@@ -1243,6 +1230,8 @@ impl Seq2Seq {
                 d,
                 &mut st.scratch.quant,
             );
+            // One attention per lane, here and in the cross-attention below.
+            slade_obs::obs().count(slade_obs::KernelCtr::AttendCalls, 2 * n as u64);
             for lane in 0..n {
                 let p = st.lane_pos[lane];
                 let base = lane * stride;
@@ -1250,7 +1239,7 @@ impl Seq2Seq {
                     .copy_from_slice(&st.scratch.k[lane * d..(lane + 1) * d]);
                 st.self_v[l][base + p * d..base + (p + 1) * d]
                     .copy_from_slice(&st.scratch.v[lane * d..(lane + 1) * d]);
-                attend_into(
+                attend_tile(
                     &st.scratch.q[lane * d..(lane + 1) * d],
                     &st.self_k[l][base..base + (p + 1) * d],
                     &st.self_v[l][base..base + (p + 1) * d],
@@ -1290,18 +1279,28 @@ impl Seq2Seq {
                 d,
                 &mut st.scratch.quant,
             );
-            for lane in 0..n {
-                let mem = &st.cross[st.lane_cross[lane]];
-                attend_into(
-                    &st.scratch.q[lane * d..(lane + 1) * d],
+            // Consecutive lanes of one request read the same K/V: they
+            // attend as one tile (the engine keeps a request's lanes
+            // adjacent).
+            let mut lane = 0usize;
+            while lane < n {
+                let id = st.lane_cross[lane];
+                let run = st.lane_cross[lane..n.min(lane + ATTN_TILE)]
+                    .iter()
+                    .take_while(|&&c| c == id)
+                    .count();
+                let mem = &st.cross[id];
+                attend_tile(
+                    &st.scratch.q[lane * d..(lane + run) * d],
                     &mem.k[l],
                     &mem.v[l],
                     mem.s,
                     h,
                     dh,
                     &mut st.scratch.scores,
-                    &mut st.scratch.ctx[lane * d..(lane + 1) * d],
+                    &mut st.scratch.ctx[lane * d..(lane + run) * d],
                 );
+                lane += run;
             }
             self.project_into(
                 &xw.cross_wo,
@@ -1390,6 +1389,11 @@ impl Seq2Seq {
             let a = &layer.cross_attn;
             k.push(self.linear(a.wk, a.bk, mem, s, d, d));
             v.push(self.linear(a.wv, a.bv, mem, s, d, d));
+        }
+        // Score rows for one tile of this request's lanes, grown here so
+        // a step never sizes anything by the source.
+        if state.scratch.scores.len() < ATTN_TILE * s {
+            state.scratch.scores.resize(ATTN_TILE * s, 0.0);
         }
         if let Some(id) = state.cross_free.pop() {
             state.cross[id] = CrossMemory { k, v, s };
@@ -1668,7 +1672,7 @@ struct StepScratch {
 }
 
 impl StepScratch {
-    fn ensure(&mut self, n: usize, d: usize, dff: usize, vocab: usize, cap_pos: usize) {
+    fn ensure(&mut self, n: usize, d: usize, dff: usize, vocab: usize) {
         let rows = n * d;
         if self.x.len() < rows {
             self.x.resize(rows, 0.0);
@@ -1684,9 +1688,6 @@ impl StepScratch {
         }
         if self.logits.len() < n * vocab {
             self.logits.resize(n * vocab, 0.0);
-        }
-        if self.scores.len() < cap_pos {
-            self.scores.resize(cap_pos, 0.0);
         }
     }
 }
@@ -1820,12 +1821,18 @@ impl BatchedDecoderState {
     }
 }
 
-/// Single-query attention over `n` cached key/value rows, writing the
-/// context into `ctx` (zeroed here) using a caller-provided score buffer —
-/// the allocation-free twin of [`attend_single`], with identical
-/// arithmetic.
+/// Multi-head attention of a tile of queries — the `q.len() / d` rows of
+/// `q`; callers pass at most [`ATTN_TILE`], which is what they size
+/// `scores` (`rows × n` floats) for — over the same `n` key/value rows,
+/// writing one context row per query into `ctx` (zeroed here). Every
+/// attention on the inference path is this function: a tile of
+/// consecutive source positions in the encoder, the beam lanes of one
+/// request in cross-attention, a single lane over its own cache in
+/// decoder self-attention. Each query's scores, softmax and context are
+/// computed exactly as for a tile of one, so the result does not depend
+/// on how queries are grouped.
 #[allow(clippy::too_many_arguments)]
-fn attend_into(
+fn attend_tile(
     q: &[f32],
     keys: &[f32],
     values: &[f32],
@@ -1835,7 +1842,6 @@ fn attend_into(
     scores: &mut [f32],
     ctx: &mut [f32],
 ) {
-    slade_obs::obs().count(slade_obs::KernelCtr::AttendCalls, 1);
     let d = h * dh;
     let scale = 1.0 / (dh as f32).sqrt();
     ctx.iter_mut().for_each(|c| *c = 0.0);
@@ -1843,22 +1849,33 @@ fn attend_into(
         // Degenerate empty memory: nothing to attend over, context is 0.
         return;
     }
-    let scores = &mut scores[..n];
+    let scores = &mut scores[..q.len() / d * n];
     for head in 0..h {
         let off = head * dh;
-        crate::kernels::attn_scores_into(&q[off..off + dh], &keys[off..], d, scale, scores);
-        crate::kernels::softmax_into(scores);
-        crate::kernels::attn_weighted_sum_into(
+        for (qrow, srow) in q.chunks_exact(d).zip(scores.chunks_exact_mut(n)) {
+            crate::kernels::attn_scores_into(
+                &qrow[off..off + dh],
+                &keys[off..],
+                d,
+                scale,
+                srow,
+            );
+            crate::kernels::softmax_into(srow);
+        }
+        crate::kernels::attn_weighted_sum_tile_into(
             scores,
+            n,
             &values[off..],
             d,
-            &mut ctx[off..off + dh],
+            &mut ctx[off..],
+            d,
+            dh,
         );
     }
 }
 
 /// Single-query attention over `n` cached key/value rows — allocating
-/// wrapper over [`attend_into`], so the scalar and batched decode paths
+/// wrapper over [`attend_tile`], so the scalar and batched decode paths
 /// share one arithmetic implementation by construction.
 fn attend_single(
     q: &[f32],
@@ -1868,10 +1885,11 @@ fn attend_single(
     h: usize,
     dh: usize,
 ) -> Vec<f32> {
+    slade_obs::obs().count(slade_obs::KernelCtr::AttendCalls, 1);
     let d = h * dh;
     let mut ctx = vec![0.0f32; d];
     let mut scores = vec![0.0f32; n];
-    attend_into(q, keys, values, n, h, dh, &mut scores, &mut ctx);
+    attend_tile(q, keys, values, n, h, dh, &mut scores, &mut ctx);
     ctx
 }
 

@@ -433,32 +433,113 @@ fn avx2_quantize_edge_rows_match_scalar() {
     }
 }
 
+/// The AVX2 score body takes eight key rows per iteration and reduces
+/// their lane accumulators in registers; every `dh` shape (0-4 chunks,
+/// with and without a tail) meets every group shape (`n < 8`, exactly 8,
+/// `n % 8 != 0` past one and several groups, and `n = 0`).
 #[cfg(target_arch = "x86_64")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn avx2_attn_scores_is_bit_identical_to_scalar(
-        dh in 1usize..33,
-        n in 1usize..12,
-        seed in 0u64..1_000,
-    ) {
-        if !has_avx2() {
-            return Ok(());
-        }
-        // `stride > dh` mirrors the model's head-offset slicing (keys
-        // rows are d-strided, the query spans one head). `n = 1` is the
-        // single-token decode shape, larger `n` the batched-prefill one.
+#[test]
+fn avx2_attn_scores_is_bit_identical_to_scalar() {
+    if !has_avx2() {
+        return;
+    }
+    for dh in 1usize..=33 {
+        // `stride > dh` mirrors the model's head-offset slicing (key rows
+        // are d-strided, the query spans one head).
         let stride = dh + 3;
-        let q = seeded(seed, dh);
-        let keys = seeded(seed ^ 0x21, n * stride);
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut ss = vec![0.0f32; n];
-        let mut sv = vec![0.0f32; n];
-        scalar::attn_scores_into(&q, &keys, stride, scale, &mut ss);
-        kernels::avx2::attn_scores_into(&q, &keys, stride, scale, &mut sv);
-        for (s, v) in ss.iter().zip(&sv) {
-            prop_assert_eq!(s.to_bits(), v.to_bits(), "dh {} n {}", dh, n);
+        for n in 0usize..=70 {
+            let seed = (dh * 71 + n) as u64;
+            let keys = seeded(seed ^ 0x21, n * stride);
+            // An all `-0.0` query makes every product `±0.0`: the dot is
+            // `+0.0` only if the first `0.0 + q*k` add is kept.
+            for q in [seeded(seed, dh), vec![-0.0f32; dh]] {
+                let mut ss = vec![0.0f32; n];
+                let mut sv = vec![0.0f32; n];
+                scalar::attn_scores_into(&q, &keys, stride, scale, &mut ss);
+                kernels::avx2::attn_scores_into(&q, &keys, stride, scale, &mut sv);
+                for (si, (s, v)) in ss.iter().zip(&sv).enumerate() {
+                    assert_eq!(s.to_bits(), v.to_bits(), "dh {dh} n {n} key {si}");
+                }
+            }
+        }
+    }
+}
+
+/// The tile weighted sum against the per-row scalar kernel — the spec —
+/// for every tile height through two register tiles (`t = 1` is the
+/// kernel `attn_weighted_sum_into` now is; 5..=8 end in a ragged tile),
+/// every column shape (odd and even chunk counts, tails) and key count.
+/// Weights are real softmax rows with `-inf` scores, so they hold exact
+/// `+0.0`s at row-dependent places; V holds `-0.0` and huge values; the
+/// context is seeded with `-0.0`, which survives only if a zero weight
+/// skips the row instead of adding `0.0 * v`.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
+    if !has_avx2() {
+        return;
+    }
+    for dh in [4usize, 8, 12, 16, 24, 32] {
+        let stride = dh + 5;
+        let cstride = dh + 2;
+        for n in 0usize..=70 {
+            let seed = (dh * 71 + n) as u64;
+            let mut values = seeded(seed, n * stride);
+            for (i, v) in values.iter_mut().enumerate() {
+                match i % 11 {
+                    3 => *v = -0.0,
+                    7 => *v *= 1e30,
+                    _ => {}
+                }
+            }
+            for t in 1usize..=8 {
+                let mut probs = seeded(seed ^ 0x22, t * n);
+                for (r, row) in probs.chunks_exact_mut(n.max(1)).enumerate() {
+                    // The first row of every register tile is all zeros;
+                    // the others mask keys at a row-dependent period.
+                    if r % 4 == 0 {
+                        row.fill(0.0);
+                        continue;
+                    }
+                    for p in row.iter_mut().skip(1).step_by(r + 2) {
+                        *p = f32::NEG_INFINITY;
+                    }
+                    scalar::softmax_into(row);
+                }
+                let seed_ctx: Vec<f32> = (0..t * cstride)
+                    .map(|i| if i % 3 == 0 { -0.0 } else { 0.25 * i as f32 })
+                    .collect();
+                let mut cs = seed_ctx.clone();
+                let mut cv = seed_ctx.clone();
+                let mut cd = seed_ctx.clone();
+                for r in 0..t {
+                    scalar::attn_weighted_sum_into(
+                        &probs[r * n..(r + 1) * n],
+                        &values,
+                        stride,
+                        &mut cs[r * cstride..r * cstride + dh],
+                    );
+                }
+                kernels::avx2::attn_weighted_sum_tile_into(
+                    &probs, n, &values, stride, &mut cv, cstride, dh,
+                );
+                // The dispatched entry point, whatever tier is active.
+                kernels::attn_weighted_sum_tile_into(
+                    &probs, n, &values, stride, &mut cd, cstride, dh,
+                );
+                for (i, ((s, v), d)) in cs.iter().zip(&cv).zip(&cd).enumerate() {
+                    assert_eq!(s.to_bits(), v.to_bits(), "avx2: dh {dh} n {n} t {t} at {i}");
+                    assert_eq!(
+                        s.to_bits(),
+                        d.to_bits(),
+                        "dispatch: dh {dh} n {n} t {t} at {i}"
+                    );
+                }
+                if n > 0 {
+                    assert_eq!(cs[0].to_bits(), (-0.0f32).to_bits(), "all-zero row kept -0.0");
+                }
+            }
         }
     }
 }
