@@ -1,4 +1,8 @@
-//! Benchmark crate: see `benches/micro.rs` (Criterion micro-benchmarks) and
-//! `benches/figures.rs` (full figure/table regeneration harness).
+//! Micro-benchmarks and paper figures: `benches/micro.rs` (Criterion
+//! kernel/decode micro-benchmarks), `benches/serve_throughput.rs`,
+//! `benches/figures.rs` and `benches/ablations.rs` (figure/table
+//! regeneration). End-to-end and per-layer numbers — what a performance
+//! claim is judged on — come from `slade-bench/` at the repository root
+//! (`BENCHMARK.json`), not from here.
 
 #![warn(missing_docs)]

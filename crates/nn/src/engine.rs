@@ -6,8 +6,8 @@
 //! The engine interleaves the live beam lanes of **multiple independent
 //! requests** into one decode batch (continuous-batching style): every
 //! projection matmul runs once over all live lanes of all requests, lanes
-//! of finished requests are compacted away by the arena gather, and each
-//! request stops under its own policy. The per-hypothesis reference path
+//! of finished requests are compacted away by the survivor reorder, and
+//! each request stops under its own policy. The per-hypothesis reference path
 //! ([`InferenceEngine::decode_scalar`]) keeps the pre-refactor shape
 //! (one [`crate::DecoderState`] per hypothesis, cloned per survivor) and
 //! is property-tested to return identical hypotheses — see
@@ -16,7 +16,7 @@
 //! Scoring fixes relative to the pre-engine implementation, both also
 //! applied to the scalar reference:
 //! - log-probabilities come from a fused log-softmax + top-k
-//!   ([`crate::math::log_softmax_topk`]) — one `logsumexp` pass and a
+//!   ([`crate::math::log_softmax_topk_into`]) — one `logsumexp` pass and a
 //!   k-slot selection instead of materializing a softmax over the whole
 //!   vocabulary, sorting all of it, and clamping with `max(1e-12).ln()`;
 //! - a request keeps decoding while any live hypothesis currently
@@ -26,7 +26,7 @@
 //!   weak short ones (see [`beam_converged`] for the heuristic's
 //!   remaining limit).
 
-use crate::math::log_softmax_topk;
+use crate::math::{log_softmax_topk, log_softmax_topk_into};
 use crate::model::{DecoderState, Seq2Seq};
 
 /// One decode job: source tokens plus decode parameters.
@@ -89,9 +89,15 @@ fn beam_converged(
     if done.len() < beam {
         return false;
     }
-    let mut norms: Vec<f32> = done.iter().map(|(t, s)| norm_score(*s, t.len())).collect();
-    norms.sort_by(|a, b| b.total_cmp(a));
-    let kth = norms[beam - 1];
+    // The `beam`-th best finished norm is the largest one that at least
+    // `beam` of them reach. Counting beats a sorted copy per request per
+    // step: `done` is a handful of entries (at most `beam` finish per
+    // step, and only while a live hypothesis still beats this norm).
+    let norms = || done.iter().map(|(t, s)| norm_score(*s, t.len()));
+    let kth = norms()
+        .filter(|v| norms().filter(|n| n.total_cmp(v).is_ge()).count() >= beam)
+        .max_by(f32::total_cmp)
+        .expect("the lowest norm is reached by all of done.len() >= beam");
     let best_live = live_norms.fold(f32::NEG_INFINITY, f32::max);
     best_live <= kth
 }
@@ -125,7 +131,7 @@ impl<'m> InferenceEngine<'m> {
     /// Opens a [`DecodeSession`] — the continuous-batching front-end:
     /// requests are admitted (possibly while other requests are
     /// mid-decode), stepped together, and returned as they finish.
-    /// `cap_lanes` bounds concurrent beam lanes (the arena allocation);
+    /// `cap_lanes` bounds concurrent beam lanes (the KV pool allocation);
     /// `cap_pos` bounds tokens decodable per lane (clamped to the model's
     /// positional table).
     pub fn session(&self, cap_lanes: usize, cap_pos: usize) -> DecodeSession<'m> {
@@ -140,6 +146,10 @@ impl<'m> InferenceEngine<'m> {
             reserved: 0,
             next_ticket: 0,
             decoded_tokens: 0,
+            tokens: Vec::new(),
+            parents: Vec::new(),
+            cands: Vec::new(),
+            best: Vec::new(),
         }
     }
 
@@ -147,8 +157,8 @@ impl<'m> InferenceEngine<'m> {
     /// sources are encoded together ([`Seq2Seq::encode_batch`]), all live
     /// beam lanes step together through [`Seq2Seq::decode_step_batch`],
     /// and each request applies its own beam policy and stops
-    /// independently (its lanes are compacted out of the arena, shrinking
-    /// the batch). Returns, per request, up to `beam` hypotheses, best
+    /// independently (its lanes are compacted out, shrinking the
+    /// batch). Returns, per request, up to `beam` hypotheses, best
     /// first, without BOS/EOS.
     ///
     /// This is the admit-everything-up-front special case of a
@@ -240,9 +250,9 @@ impl<'m> InferenceEngine<'m> {
 /// including while other requests are mid-decode — call
 /// [`DecodeSession::step`] to advance every live lane one token, and
 /// collect finished requests from the step's return value. Lanes of a
-/// finished request are compacted out by the arena gather and its
-/// cross-memory slot is recycled, so a shard can serve an unbounded
-/// request stream at bounded memory.
+/// finished request are compacted out by the survivor reorder, its KV
+/// blocks return to the pool and its cross-memory slot is recycled, so a
+/// shard can serve an unbounded request stream at bounded memory.
 ///
 /// Results are **independent of batch composition**: every kernel on the
 /// step path computes each lane's row with the same summation order as
@@ -262,6 +272,15 @@ pub struct DecodeSession<'m> {
     reserved: usize,
     next_ticket: u64,
     decoded_tokens: u64,
+    /// Per-step buffers of [`DecodeSession::step`], kept so a step
+    /// allocates only for the hypotheses that survive it: the token each
+    /// lane consumes, each surviving lane's parent, one request's
+    /// `(token, score, parent hypothesis)` candidates, and the top-k slots
+    /// of one lane.
+    tokens: Vec<u32>,
+    parents: Vec<usize>,
+    cands: Vec<(u32, f32, usize)>,
+    best: Vec<(usize, f32)>,
 }
 
 impl<'m> DecodeSession<'m> {
@@ -373,7 +392,7 @@ impl<'m> DecodeSession<'m> {
     /// Advances every live lane one decode step and returns the requests
     /// that finished on it as `(ticket, hypotheses)` — up to `beam`
     /// hypotheses each, best first, without BOS/EOS. Finished requests'
-    /// lanes are compacted out of the arena and their reservations and
+    /// lanes are compacted out and their reservations, KV blocks and
     /// cross memories freed, so [`DecodeSession::can_admit`] may turn true
     /// for a waiting request. No-op (empty vec) when idle.
     pub fn step(&mut self) -> Vec<(u64, Vec<Vec<u32>>)> {
@@ -382,62 +401,62 @@ impl<'m> DecodeSession<'m> {
         }
         let m = self.model;
         let vocab = m.cfg.vocab;
-        let mut tokens: Vec<u32> = Vec::with_capacity(self.state.num_lanes());
+        self.tokens.clear();
         for slot in &self.slots {
             for hyp in &slot.live {
-                tokens.push(*hyp.tokens.last().unwrap());
+                self.tokens.push(*hyp.tokens.last().unwrap());
             }
         }
-        let logits = m.decode_step_batch(&mut self.state, &tokens);
-        self.decoded_tokens += tokens.len() as u64;
+        let logits = m.decode_step_batch(&mut self.state, &self.tokens);
+        self.decoded_tokens += self.tokens.len() as u64;
         // Times the whole scoring section (top-k + survivor selection for
-        // every slot) as one sample; per-call timing of log_softmax_topk
-        // would cost more than the kernel itself.
+        // every slot) as one sample; per-call timing of the top-k would
+        // cost more than the kernel itself.
         let score_timer = slade_obs::StageTimer::start(slade_obs::StageHist::Score);
-        let mut parents: Vec<usize> = Vec::with_capacity(tokens.len());
+        self.parents.clear();
         let mut lane_base = 0usize;
         for slot in self.slots.iter_mut() {
             let lanes = slot.live.len();
-            let mut cands: Vec<(Vec<u32>, f32, usize)> = Vec::with_capacity(lanes * slot.beam);
+            // Candidates name their parent hypothesis; only the `beam`
+            // that survive the cut get a token vector of their own.
+            self.cands.clear();
             for (i, hyp) in slot.live.iter().enumerate() {
                 let row = &logits[(lane_base + i) * vocab..(lane_base + i + 1) * vocab];
-                for (tok, lp) in log_softmax_topk(row, slot.beam) {
-                    let mut t = hyp.tokens.clone();
-                    t.push(tok as u32);
-                    cands.push((t, hyp.score + lp, lane_base + i));
-                }
+                log_softmax_topk_into(row, slot.beam, &mut self.best);
+                self.cands
+                    .extend(self.best.iter().map(|&(tok, lp)| (tok as u32, hyp.score + lp, i)));
             }
-            cands.sort_by(|a, b| b.1.total_cmp(&a.1));
-            cands.truncate(slot.beam);
-            let mut survivors: Vec<(Hyp, usize)> = Vec::new();
-            for (t, sc, parent) in cands {
-                if *t.last().unwrap() == slot.eos {
-                    slot.done.push((t, sc));
+            self.cands.sort_by(|a, b| b.1.total_cmp(&a.1));
+            self.cands.truncate(slot.beam);
+            let first_parent = self.parents.len();
+            let mut survivors: Vec<Hyp> = Vec::with_capacity(slot.beam);
+            for &(tok, score, parent) in &self.cands {
+                let mut tokens = Vec::with_capacity(slot.live[parent].tokens.len() + 1);
+                tokens.extend_from_slice(&slot.live[parent].tokens);
+                tokens.push(tok);
+                if tok == slot.eos {
+                    slot.done.push((tokens, score));
                 } else {
-                    survivors.push((Hyp { tokens: t, score: sc }, parent));
+                    survivors.push(Hyp { tokens, score });
+                    self.parents.push(lane_base + parent);
                 }
             }
             slot.steps += 1;
             let converged = beam_converged(
                 &slot.done,
                 slot.beam,
-                survivors.iter().map(|(h, _)| norm_score(h.score, h.tokens.len())),
+                survivors.iter().map(|h| norm_score(h.score, h.tokens.len())),
             );
             if survivors.is_empty() || slot.steps >= slot.budget || converged {
                 // Unfinished survivors still compete in the ranking,
                 // matching the scalar reference.
-                slot.done.extend(survivors.into_iter().map(|(h, _)| (h.tokens, h.score)));
-                slot.live = Vec::new();
-            } else {
-                slot.live = Vec::with_capacity(survivors.len());
-                for (h, parent) in survivors {
-                    parents.push(parent);
-                    slot.live.push(h);
-                }
+                slot.done.extend(survivors.drain(..).map(|h| (h.tokens, h.score)));
+                self.parents.truncate(first_parent);
             }
+            slot.live = survivors;
             lane_base += lanes;
         }
-        self.state.reorder(&parents);
+        self.state.reorder(&self.parents);
         drop(score_timer);
         let mut finished = Vec::new();
         let mut i = 0usize;
@@ -572,5 +591,50 @@ mod tests {
         assert!(!beam_converged(&done, 1, [-1.0f32].into_iter())); // live -1.0 beats -2.0
         assert!(beam_converged(&done, 1, [-3.0f32].into_iter()));
         assert!(!beam_converged(&done, 2, [-3.0f32].into_iter())); // not enough done
+    }
+
+    #[test]
+    fn kth_best_finished_norm_is_found_without_sorting() {
+        // Norms -2.0, -1.0, -1.0, -3.0: ranks are -1, -1, -2, -3.
+        let done = vec![
+            (vec![1, 7, 2], -6.0f32),
+            (vec![1, 2], -2.0),
+            (vec![1, 8, 9, 2], -4.0),
+            (vec![1, 2], -6.0),
+        ];
+        for (beam, kth) in [(1usize, -1.0f32), (2, -1.0), (3, -2.0), (4, -3.0)] {
+            assert!(beam_converged(&done, beam, [kth].into_iter()), "beam {beam}");
+            assert!(!beam_converged(&done, beam, [kth + 0.25].into_iter()), "beam {beam}");
+        }
+    }
+
+    #[test]
+    fn long_lived_session_returns_every_kv_block() {
+        // A serve shard's life: 500 admissions of mixed beams and budgets
+        // through 10 lanes, new requests joining while others are
+        // mid-decode. Every block must be back on the free list whenever
+        // the session drains, or the shard would exhaust its pool.
+        let m =
+            Seq2Seq::new(TransformerConfig { max_len: 40, ..TransformerConfig::tiny(16) }, 5);
+        let engine = InferenceEngine::new(&m);
+        let mut session = engine.session(10, 36);
+        let (mut admitted, mut finished) = (0usize, 0usize);
+        while finished < 500 {
+            while admitted < 500 {
+                let beam = 1 + admitted % 5;
+                if !session.can_admit(beam) {
+                    break;
+                }
+                let src = vec![4 + (admitted % 9) as u32, 5, 6];
+                let max_len = 2 + admitted * 7 % 35;
+                session.admit(&DecodeRequest { src, bos: 1, eos: 2, max_len, beam });
+                admitted += 1;
+            }
+            finished += session.step().len();
+            session.state.check_kv_pool();
+        }
+        assert!(session.is_idle());
+        let (free, total) = session.state.check_kv_pool();
+        assert_eq!(free, total, "KV blocks leaked");
     }
 }

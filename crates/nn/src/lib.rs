@@ -17,7 +17,7 @@
 //!   optional seeded dropout (for the paper's §V-C ablation), forward-only
 //!   evaluation ([`Seq2Seq::eval_loss`]), KV-cached incremental
 //!   decoding ([`Seq2Seq::begin_decode`]/[`Seq2Seq::decode_step`]) that is
-//!   bit-identical to full recomputation, and the arena-backed batched
+//!   bit-identical to full recomputation, and the block-paged batched
 //!   decode path ([`Seq2Seq::encode_batch`]/[`Seq2Seq::decode_step_batch`]);
 //! - [`engine`] — the batched [`InferenceEngine`]: beam-search scheduling,
 //!   scoring and early-stop policy, interleaving many requests into one

@@ -187,12 +187,13 @@ pub fn log_softmax_rows(x: &mut [f32], rows: usize, cols: usize) {
 /// the max, one that accumulates `Σ exp(x - max)` while maintaining the k
 /// best raw logits by linear insertion (k is the beam width, ≤ 8 in
 /// practice, so the `O(cols · k)` worst case beats `O(cols · log cols)`
-/// sorting by a wide margin and allocates only the k-slot output).
+/// sorting by a wide margin).
 ///
-/// Returns `(token, log_prob)` pairs in descending log-prob order; ties
-/// resolve to the lower index, matching what a stable descending sort of
-/// the full vocabulary would select.
-pub fn log_softmax_topk(row: &[f32], k: usize) -> Vec<(usize, f32)> {
+/// Leaves `(token, log_prob)` pairs in `best` (cleared first; it grows to
+/// `k + 1` slots once and is then reused without allocating) in
+/// descending log-prob order; ties resolve to the lower index, matching
+/// what a stable descending sort of the full vocabulary would select.
+pub fn log_softmax_topk_into(row: &[f32], k: usize, best: &mut Vec<(usize, f32)>) {
     slade_obs::obs().count(slade_obs::KernelCtr::TopkCalls, 1);
     let k = k.max(1).min(row.len());
     // The max and exp-sum passes dispatch to the SIMD tier (the exp-sum
@@ -204,7 +205,8 @@ pub fn log_softmax_topk(row: &[f32], k: usize) -> Vec<(usize, f32)> {
     let sum = kernels::sum_exp(row, max);
     // `best` is kept sorted descending by logit; ties keep earlier indices
     // first because later candidates only displace strictly smaller ones.
-    let mut best: Vec<(usize, f32)> = Vec::with_capacity(k + 1);
+    best.clear();
+    best.reserve(k + 1);
     for (i, &v) in row.iter().enumerate() {
         if best.len() < k || v > best[best.len() - 1].1 {
             let pos = best.partition_point(|&(_, bv)| bv >= v);
@@ -215,7 +217,17 @@ pub fn log_softmax_topk(row: &[f32], k: usize) -> Vec<(usize, f32)> {
         }
     }
     let lse = max + sum.ln();
-    best.iter().map(|&(i, v)| (i, v - lse)).collect()
+    for b in best.iter_mut() {
+        b.1 -= lse;
+    }
+}
+
+/// Allocating wrapper over [`log_softmax_topk_into`]: the same pairs in
+/// the same order, in a fresh `Vec`.
+pub fn log_softmax_topk(row: &[f32], k: usize) -> Vec<(usize, f32)> {
+    let mut best = Vec::new();
+    log_softmax_topk_into(row, k, &mut best);
+    best
 }
 
 /// GELU activation (tanh approximation, as BART uses). Delegates to the

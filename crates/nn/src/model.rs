@@ -1030,7 +1030,7 @@ impl Seq2Seq {
                 for (qt, ct) in
                     qs.chunks(ATTN_TILE * d).zip(ctx[rows].chunks_mut(ATTN_TILE * d))
                 {
-                    attend_tile(qt, ks, vs, t, h, dh, &mut scores, ct);
+                    attend_tile(qt, &KvRows::contiguous(ks, vs, t), h, dh, &mut scores, ct);
                 }
             }
             self.project_into(&xw[3], a.bo, &ctx, &mut proj, total, d, d, &mut quant);
@@ -1093,17 +1093,21 @@ impl Seq2Seq {
     }
 
     /// Creates an empty [`BatchedDecoderState`] with room for `cap_lanes`
-    /// concurrent hypotheses of up to `cap_pos` decoded tokens each. All
-    /// arenas are allocated up front and the decoder weights the batched
-    /// step needs are materialized once here (transposed and packed for
-    /// the f32 backend, per-row quantized for int8); the per-step decode
-    /// path then allocates nothing. The state snapshots the weights, so it must
-    /// not outlive parameter updates.
+    /// concurrent hypotheses of up to `cap_pos` decoded tokens each. The
+    /// self-attention block pool is allocated up front and the decoder
+    /// weights the batched step needs are materialized once here
+    /// (transposed and packed for the f32 backend, per-row quantized for
+    /// int8); the per-step decode path then allocates nothing. The state
+    /// snapshots the weights, so it must not outlive parameter updates.
     pub fn begin_decode_batch(&self, cap_lanes: usize, cap_pos: usize) -> BatchedDecoderState {
         let layers = self.dec.len();
         let d = self.cfg.d_model;
         let dff = self.cfg.d_ff;
-        let arena = cap_lanes.max(1) * cap_pos.max(1) * d;
+        let (cap_lanes, cap_pos) = (cap_lanes.max(1), cap_pos.max(1));
+        // Enough for every lane to own its whole history: sharing only
+        // ever lowers the demand.
+        let table_stride = cap_pos.div_ceil(KV_BLOCK);
+        let pool = cap_lanes * table_stride;
         let xposed = self
             .dec
             .iter()
@@ -1121,21 +1125,26 @@ impl Seq2Seq {
         let embed_t = self.proj_weight(self.embed, self.cfg.vocab, d);
         BatchedDecoderState {
             d,
-            cap_pos: cap_pos.max(1),
-            self_k: vec![vec![0.0; arena]; layers],
-            self_v: vec![vec![0.0; arena]; layers],
-            gather_k: vec![vec![0.0; arena]; layers],
-            gather_v: vec![vec![0.0; arena]; layers],
+            cap_pos,
+            self_k: vec![vec![0.0; pool * KV_BLOCK * d]; layers],
+            self_v: vec![vec![0.0; pool * KV_BLOCK * d]; layers],
+            block_refs: vec![0; pool],
+            // Popped from the back: low ids first, and a block just freed
+            // (still in cache) is the next one taken.
+            free_blocks: (0..pool as u32).rev().collect(),
+            table_stride,
+            lane_blocks: vec![0; pool],
+            next_blocks: vec![0; pool],
             cross: Vec::new(),
             cross_free: Vec::new(),
             lane_pos: Vec::new(),
             lane_cross: Vec::new(),
-            cap_lanes: cap_lanes.max(1),
+            cap_lanes,
             xposed,
             embed_t,
             // Self-attention scores one lane over at most `cap_pos` cached
             // positions; cross-attention grows this per registered source.
-            scratch: StepScratch { scores: vec![0.0; cap_pos.max(1)], ..Default::default() },
+            scratch: StepScratch { scores: vec![0.0; cap_pos], ..Default::default() },
         }
     }
 
@@ -1152,8 +1161,8 @@ impl Seq2Seq {
     /// # Panics
     ///
     /// Panics when `tokens.len()` differs from the live lane count, or
-    /// when any lane has already consumed `cap_pos` tokens (the arena
-    /// capacity chosen at [`Seq2Seq::begin_decode_batch`]).
+    /// when any lane has already consumed `cap_pos` tokens (the capacity
+    /// chosen at [`Seq2Seq::begin_decode_batch`]).
     pub fn decode_step_batch<'a>(
         &self,
         state: &'a mut BatchedDecoderState,
@@ -1163,14 +1172,21 @@ impl Seq2Seq {
         let n = tokens.len();
         assert_eq!(n, state.lane_pos.len(), "one token per live lane");
         slade_obs::obs().count(slade_obs::KernelCtr::DecodeLaneTokens, n as u64);
-        // Checked in release too: an overflowing lane would otherwise write
-        // into the *next lane's* arena rows and silently corrupt its cache.
-        for (lane, &p) in state.lane_pos.iter().enumerate() {
+        // Checked in release too: an overflowing lane would otherwise run
+        // past its block table into the *next lane's* entries. A lane
+        // whose tail block is full (or that has none yet) takes a fresh
+        // one for the row this step writes.
+        for lane in 0..n {
+            let p = state.lane_pos[lane];
             assert!(
                 p < state.cap_pos,
-                "lane {lane} overflowed the arena (pos {p}, cap_pos {})",
+                "lane {lane} overflowed its block table (pos {p}, cap_pos {})",
                 state.cap_pos
             );
+            if p.is_multiple_of(KV_BLOCK) {
+                let fresh = state.take_block();
+                state.lane_blocks[lane * state.table_stride + p / KV_BLOCK] = fresh;
+            }
         }
         let d = self.cfg.d_model;
         let h = self.cfg.n_heads;
@@ -1189,9 +1205,8 @@ impl Seq2Seq {
                 st.scratch.x[lane * d + j] = e[row + j] + pe[prow + j];
             }
         }
-        let stride = st.cap_pos * d;
         for (l, layer) in self.dec.iter().enumerate() {
-            // Self-attention against the lane-strided KV arena.
+            // Self-attention against each lane's blocks of the KV pool.
             self.layer_norm_into(
                 &layer.ln1,
                 &st.scratch.x[..n * d],
@@ -1234,16 +1249,23 @@ impl Seq2Seq {
             slade_obs::obs().count(slade_obs::KernelCtr::AttendCalls, 2 * n as u64);
             for lane in 0..n {
                 let p = st.lane_pos[lane];
-                let base = lane * stride;
-                st.self_k[l][base + p * d..base + (p + 1) * d]
+                let table = &st.lane_blocks[lane * st.table_stride..][..p / KV_BLOCK + 1];
+                let tail = table[p / KV_BLOCK] as usize;
+                debug_assert_eq!(st.block_refs[tail], 1, "lane {lane} writes a shared block");
+                let row = (tail * KV_BLOCK + p % KV_BLOCK) * d;
+                st.self_k[l][row..row + d]
                     .copy_from_slice(&st.scratch.k[lane * d..(lane + 1) * d]);
-                st.self_v[l][base + p * d..base + (p + 1) * d]
+                st.self_v[l][row..row + d]
                     .copy_from_slice(&st.scratch.v[lane * d..(lane + 1) * d]);
                 attend_tile(
                     &st.scratch.q[lane * d..(lane + 1) * d],
-                    &st.self_k[l][base..base + (p + 1) * d],
-                    &st.self_v[l][base..base + (p + 1) * d],
-                    p + 1,
+                    &KvRows {
+                        keys: &st.self_k[l],
+                        values: &st.self_v[l],
+                        table,
+                        seg: KV_BLOCK,
+                        n: p + 1,
+                    },
                     h,
                     dh,
                     &mut st.scratch.scores,
@@ -1292,9 +1314,7 @@ impl Seq2Seq {
                 let mem = &st.cross[id];
                 attend_tile(
                     &st.scratch.q[lane * d..(lane + run) * d],
-                    &mem.k[l],
-                    &mem.v[l],
-                    mem.s,
+                    &KvRows::contiguous(&mem.k[l], &mem.v[l], mem.s),
                     h,
                     dh,
                     &mut st.scratch.scores,
@@ -1692,13 +1712,20 @@ impl StepScratch {
     }
 }
 
-/// Arena-backed decoder state for **all** live beam lanes of one decode
-/// batch, possibly spanning several independent requests (continuous-
-/// batching style). Per layer, the self-attention keys/values of every
-/// lane live contiguously in one lane-strided arena (`lane · cap_pos · d`
-/// offsets), so growing a lane is a row write and reordering survivors
-/// after a beam step is a bounded `memcpy` gather — not a per-survivor
-/// clone of a [`DecoderState`] (which reallocates every K/V vector).
+/// Rows per self-attention KV block. Small enough that the one partially
+/// filled tail a forking beam copies is cheap, large enough that a lane's
+/// attention makes few kernel calls per head (8 / 16 / 32 measured; see
+/// CHANGES.md, PR 14).
+const KV_BLOCK: usize = 16;
+
+/// Decoder state for **all** live beam lanes of one decode batch, possibly
+/// spanning several independent requests (continuous-batching style).
+/// Per layer, self-attention keys/values live in one pool of
+/// [`KV_BLOCK`]-row blocks; a lane is a table of block ids, one per
+/// `KV_BLOCK` positions of its history. Beam survivors that continue the
+/// same parent share its blocks by reference, so reordering after a beam
+/// step moves block ids, not history (see DESIGN.md §7.2 for the
+/// invariants).
 ///
 /// Built by [`Seq2Seq::begin_decode_batch`]; stepped by
 /// [`Seq2Seq::decode_step_batch`]; lanes are reshuffled with
@@ -1708,13 +1735,25 @@ pub struct BatchedDecoderState {
     d: usize,
     cap_pos: usize,
     cap_lanes: usize,
-    /// Per layer: lane-strided self-attention key arena.
+    /// Per layer: self-attention key blocks, `KV_BLOCK × d_model` floats
+    /// per block id.
     self_k: Vec<Vec<f32>>,
-    /// Per layer: lane-strided self-attention value arena.
+    /// Per layer: self-attention value blocks, same ids.
     self_v: Vec<Vec<f32>>,
-    /// Gather targets for [`BatchedDecoderState::reorder`] (ping-pong).
-    gather_k: Vec<Vec<f32>>,
-    gather_v: Vec<Vec<f32>>,
+    /// Per block id (one id names that block in every layer and both
+    /// tensors): how many lane-table entries hold it.
+    block_refs: Vec<u32>,
+    /// Block ids no table holds.
+    free_blocks: Vec<u32>,
+    /// Table entries per lane: `⌈cap_pos / KV_BLOCK⌉`.
+    table_stride: usize,
+    /// Lane tables, `table_stride` entries each: entry `i` of a lane is
+    /// the block holding its positions `i·KV_BLOCK..`, valid for the
+    /// `⌈lane_pos / KV_BLOCK⌉` blocks the lane has reached.
+    lane_blocks: Vec<u32>,
+    /// Where [`BatchedDecoderState::reorder`] builds the survivors'
+    /// tables before swapping them in.
+    next_blocks: Vec<u32>,
     /// Registered per-request cross projections.
     cross: Vec<CrossMemory>,
     /// Slots in `cross` released by finished requests, reused by the next
@@ -1763,40 +1802,116 @@ impl BatchedDecoderState {
         self.lane_pos.len() - 1
     }
 
+    /// Where in `lane_blocks` the table entries `lane` has reached sit.
+    fn table_at(&self, lane: usize) -> std::ops::Range<usize> {
+        let first = lane * self.table_stride;
+        first..first + self.lane_pos[lane].div_ceil(KV_BLOCK)
+    }
+
+    /// Takes a block off the free list for one table entry.
+    fn take_block(&mut self) -> u32 {
+        // Cannot fail while lanes ≤ cap_lanes and positions ≤ cap_pos: the
+        // pool holds a full table for every lane.
+        let b = self.free_blocks.pop().expect("block pool exhausted");
+        self.block_refs[b as usize] = 1;
+        b
+    }
+
     /// Reorders lanes so that new lane `i` continues old lane
-    /// `parents[i]` — the beam-survivor gather. A parent may appear any
-    /// number of times (fan-out) or not at all (pruned lane; its arena
-    /// rows are simply abandoned). The identity mapping is detected and
-    /// costs nothing (the copy-on-write fast path that makes greedy and
-    /// already-ordered beams free); otherwise each surviving lane costs
-    /// one `pos × d_model` memcpy per layer per tensor into the gather
-    /// arena, which is then swapped in — no allocation either way.
+    /// `parents[i]` — the beam-survivor step. A parent may appear any
+    /// number of times (fan-out) or not at all (pruned, or its request
+    /// finished: blocks nobody else holds return to the free list). No
+    /// history is copied: a survivor takes its parent's block *table*.
+    /// Full blocks are never written again and stay shared; a partially
+    /// filled tail block is where the next step writes, so every holder
+    /// but the last copies its filled rows into a block of its own — a
+    /// sole surviving child, or a lane that merely keeps its place, copies
+    /// nothing. Returns the rows copied per layer per tensor (what
+    /// `KernelCtr::KvCowRows` counts).
     ///
     /// # Panics
     ///
     /// Panics if a parent index is out of range or capacity is exceeded.
-    pub fn reorder(&mut self, parents: &[usize]) {
+    pub fn reorder(&mut self, parents: &[usize]) -> usize {
         let n_old = self.lane_pos.len();
         assert!(parents.len() <= self.cap_lanes, "lane capacity exceeded");
-        if parents.len() == n_old && parents.iter().enumerate().all(|(i, &p)| i == p) {
-            return;
-        }
-        let stride = self.cap_pos * self.d;
-        let layers = self.self_k.len();
-        for l in 0..layers {
-            for (i, &p) in parents.iter().enumerate() {
-                assert!(p < n_old, "parent {p} out of range ({n_old} lanes)");
-                let rows = self.lane_pos[p] * self.d;
-                self.gather_k[l][i * stride..i * stride + rows]
-                    .copy_from_slice(&self.self_k[l][p * stride..p * stride + rows]);
-                self.gather_v[l][i * stride..i * stride + rows]
-                    .copy_from_slice(&self.self_v[l][p * stride..p * stride + rows]);
+        // Survivors take references before the old tables drop theirs, so
+        // no block a survivor needs passes through the free list.
+        for (i, &p) in parents.iter().enumerate() {
+            assert!(p < n_old, "parent {p} out of range ({n_old} lanes)");
+            let table = &self.lane_blocks[self.table_at(p)];
+            for &b in table {
+                self.block_refs[b as usize] += 1;
             }
-            std::mem::swap(&mut self.self_k[l], &mut self.gather_k[l]);
-            std::mem::swap(&mut self.self_v[l], &mut self.gather_v[l]);
+            self.next_blocks[i * self.table_stride..][..table.len()].copy_from_slice(table);
         }
+        for lane in 0..n_old {
+            for entry in self.table_at(lane) {
+                let b = self.lane_blocks[entry];
+                self.block_refs[b as usize] -= 1;
+                if self.block_refs[b as usize] == 0 {
+                    self.free_blocks.push(b);
+                }
+            }
+        }
+        std::mem::swap(&mut self.lane_blocks, &mut self.next_blocks);
         self.lane_pos = parents.iter().map(|&p| self.lane_pos[p]).collect();
         self.lane_cross = parents.iter().map(|&p| self.lane_cross[p]).collect();
+        let mut copied = 0usize;
+        for lane in 0..parents.len() {
+            let fill = self.lane_pos[lane] % KV_BLOCK;
+            if fill == 0 {
+                continue;
+            }
+            let tail = self.table_at(lane).end - 1;
+            let shared = self.lane_blocks[tail] as usize;
+            if self.block_refs[shared] == 1 {
+                continue;
+            }
+            // A free block exists: the shared tail is held at least twice,
+            // so the tables name fewer distinct blocks than the pool has.
+            let own = self.take_block();
+            let block = KV_BLOCK * self.d;
+            let rows = shared * block..shared * block + fill * self.d;
+            for pool in self.self_k.iter_mut().chain(self.self_v.iter_mut()) {
+                pool.copy_within(rows.clone(), own as usize * block);
+            }
+            self.block_refs[shared] -= 1;
+            self.lane_blocks[tail] = own;
+            copied += fill;
+        }
+        slade_obs::obs().count(slade_obs::KernelCtr::KvCowRows, copied as u64);
+        copied
+    }
+
+    /// Test hook: panics unless the block pool's books balance — every
+    /// block is either free or held, refcounts sum to the lanes' table
+    /// entries, and every partially filled tail block (the one its lane
+    /// writes next) has exactly one holder. Returns `(free, total)`
+    /// blocks.
+    pub fn check_kv_pool(&self) -> (usize, usize) {
+        let mut held = vec![0u32; self.block_refs.len()];
+        for lane in 0..self.lane_pos.len() {
+            let table = &self.lane_blocks[self.table_at(lane)];
+            for &b in table {
+                held[b as usize] += 1;
+            }
+            if !self.lane_pos[lane].is_multiple_of(KV_BLOCK) {
+                let tail = *table.last().expect("a partial tail is a block");
+                assert_eq!(self.block_refs[tail as usize], 1, "lane {lane} shares its tail");
+            }
+        }
+        assert_eq!(held, self.block_refs, "refcounts differ from the lane tables");
+        for &b in &self.free_blocks {
+            assert_eq!(held[b as usize], 0, "block {b} is both free and held");
+        }
+        let in_use = held.iter().filter(|&&c| c > 0).count();
+        assert_eq!(
+            self.free_blocks.len() + in_use,
+            held.len(),
+            "a block is neither free nor held"
+        );
+        (self.free_blocks.len(), held.len())
     }
 
     /// Releases a cross-memory registration once the request that owned it
@@ -1821,28 +1936,58 @@ impl BatchedDecoderState {
     }
 }
 
+/// The `n` key/value rows one attention reads, in position order, as
+/// segments of `seg` rows: segment `i` holds positions `i·seg..` and
+/// starts at row `table[i]·seg` of `keys` / `values` (`d_model` floats
+/// per row).
+struct KvRows<'a> {
+    keys: &'a [f32],
+    values: &'a [f32],
+    table: &'a [u32],
+    seg: usize,
+    n: usize,
+}
+
+impl<'a> KvRows<'a> {
+    /// `n` rows stored back to back: the one-segment case.
+    fn contiguous(keys: &'a [f32], values: &'a [f32], n: usize) -> Self {
+        KvRows { keys, values, table: &[0], seg: n, n }
+    }
+
+    /// `(first row in keys/values, first position, positions)` per
+    /// segment, in position order.
+    fn segments(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        self.table.iter().enumerate().map(|(i, &b)| {
+            let at = i * self.seg;
+            (b as usize * self.seg, at, self.seg.min(self.n - at))
+        })
+    }
+}
+
 /// Multi-head attention of a tile of queries — the `q.len() / d` rows of
 /// `q`; callers pass at most [`ATTN_TILE`], which is what they size
-/// `scores` (`rows × n` floats) for — over the same `n` key/value rows,
-/// writing one context row per query into `ctx` (zeroed here). Every
-/// attention on the inference path is this function: a tile of
+/// `scores` (`rows × n` floats) for — over the same `kv.n` key/value
+/// rows, writing one context row per query into `ctx` (zeroed here).
+/// Every attention on the inference path is this function: a tile of
 /// consecutive source positions in the encoder, the beam lanes of one
-/// request in cross-attention, a single lane over its own cache in
-/// decoder self-attention. Each query's scores, softmax and context are
-/// computed exactly as for a tile of one, so the result does not depend
-/// on how queries are grouped.
-#[allow(clippy::too_many_arguments)]
+/// request in cross-attention, a single lane over the blocks of its own
+/// history in decoder self-attention. Each query's scores, softmax and
+/// context are computed exactly as for a tile of one, so the result does
+/// not depend on how queries are grouped — nor on how the rows are
+/// segmented: each score is its own reduction, the softmax runs over the
+/// whole row, and the weighted sum adds `w·v` into `ctx` one key at a
+/// time in position order whether a kernel call ends between two keys or
+/// not.
 fn attend_tile(
     q: &[f32],
-    keys: &[f32],
-    values: &[f32],
-    n: usize,
+    kv: &KvRows,
     h: usize,
     dh: usize,
     scores: &mut [f32],
     ctx: &mut [f32],
 ) {
     let d = h * dh;
+    let n = kv.n;
     let scale = 1.0 / (dh as f32).sqrt();
     ctx.iter_mut().for_each(|c| *c = 0.0);
     if n == 0 {
@@ -1853,24 +1998,44 @@ fn attend_tile(
     for head in 0..h {
         let off = head * dh;
         for (qrow, srow) in q.chunks_exact(d).zip(scores.chunks_exact_mut(n)) {
-            crate::kernels::attn_scores_into(
-                &qrow[off..off + dh],
-                &keys[off..],
-                d,
-                scale,
-                srow,
-            );
+            for (row, at, len) in kv.segments() {
+                crate::kernels::attn_scores_into(
+                    &qrow[off..off + dh],
+                    &kv.keys[row * d + off..],
+                    d,
+                    scale,
+                    &mut srow[at..at + len],
+                );
+            }
             crate::kernels::softmax_into(srow);
         }
-        crate::kernels::attn_weighted_sum_tile_into(
-            scores,
-            n,
-            &values[off..],
-            d,
-            &mut ctx[off..],
-            d,
-            dh,
-        );
+        // One segment: the whole tile shares each V row. Several: the tile
+        // kernel has no probs row stride, so each query walks them alone.
+        if let [block] = kv.table {
+            crate::kernels::attn_weighted_sum_tile_into(
+                scores,
+                n,
+                &kv.values[*block as usize * kv.seg * d + off..],
+                d,
+                &mut ctx[off..],
+                d,
+                dh,
+            );
+            continue;
+        }
+        for (srow, crow) in scores.chunks_exact(n).zip(ctx.chunks_exact_mut(d)) {
+            for (row, at, len) in kv.segments() {
+                crate::kernels::attn_weighted_sum_tile_into(
+                    &srow[at..at + len],
+                    len,
+                    &kv.values[row * d + off..],
+                    d,
+                    &mut crow[off..],
+                    d,
+                    dh,
+                );
+            }
+        }
     }
 }
 
@@ -1889,7 +2054,7 @@ fn attend_single(
     let d = h * dh;
     let mut ctx = vec![0.0f32; d];
     let mut scores = vec![0.0f32; n];
-    attend_tile(q, keys, values, n, h, dh, &mut scores, &mut ctx);
+    attend_tile(q, &KvRows::contiguous(keys, values, n), h, dh, &mut scores, &mut ctx);
     ctx
 }
 
@@ -2241,5 +2406,153 @@ mod tests {
         }
         let acc = m.eval_token_accuracy(&src, &dec_input, &labels);
         assert!(acc > 0.99, "memorized pair should be perfectly predicted: {acc}");
+    }
+
+    /// A batched state and one scalar [`DecoderState`] per lane, stepped
+    /// and reordered together: every step compares the logits bit for bit
+    /// and every step and reorder audits the block pool.
+    struct Paired<'m> {
+        m: &'m Seq2Seq,
+        state: BatchedDecoderState,
+        scalar: Vec<DecoderState>,
+        steps: u32,
+    }
+
+    impl<'m> Paired<'m> {
+        fn new(m: &'m Seq2Seq, cap_lanes: usize, cap_pos: usize) -> Self {
+            Paired {
+                m,
+                state: m.begin_decode_batch(cap_lanes, cap_pos),
+                scalar: Vec::new(),
+                steps: 0,
+            }
+        }
+
+        fn admit(&mut self, src: &[u32], lanes: usize) {
+            let mem = self.m.encode(src);
+            let cross = self.m.register_cross_memory(&mut self.state, &mem, src.len());
+            for _ in 0..lanes {
+                self.state.add_lane(cross);
+                self.scalar.push(self.m.begin_decode(&mem, src.len()));
+            }
+        }
+
+        /// One step; each lane consumes a different token, so histories
+        /// that fork diverge from here on.
+        fn step(&mut self) {
+            let v = self.m.cfg.vocab;
+            let tokens: Vec<u32> = (0..self.scalar.len() as u32)
+                .map(|lane| (3 + 5 * lane + 7 * self.steps) % v as u32)
+                .collect();
+            let batched = self.m.decode_step_batch(&mut self.state, &tokens).to_vec();
+            for (lane, (st, &tok)) in self.scalar.iter_mut().zip(&tokens).enumerate() {
+                let want = self.m.decode_step(st, tok);
+                for (x, y) in batched[lane * v..(lane + 1) * v].iter().zip(&want) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "step {} lane {lane}", self.steps);
+                }
+            }
+            self.steps += 1;
+            self.state.check_kv_pool();
+        }
+
+        fn reorder(&mut self, parents: &[usize]) -> usize {
+            let copied = self.state.reorder(parents);
+            self.scalar = parents.iter().map(|&p| self.scalar[p].clone()).collect();
+            self.state.check_kv_pool();
+            copied
+        }
+    }
+
+    /// A lane forked five ways with its tail block filled to 0, 1 and
+    /// `KV_BLOCK − 1` rows (and mid-block), then all but one child pruned:
+    /// the fork copies the filled rows for four of the five children, the
+    /// prune copies nothing, and every lane keeps decoding what its own
+    /// scalar state decodes.
+    #[test]
+    fn forks_at_block_edges_match_scalar_and_copy_only_shared_tails() {
+        let cfg = TransformerConfig { max_len: 3 * KV_BLOCK, ..TransformerConfig::tiny(16) };
+        let m = Seq2Seq::new(cfg, 23);
+        for pos in [KV_BLOCK - 1, KV_BLOCK, KV_BLOCK + 1, KV_BLOCK + 5, 2 * KV_BLOCK] {
+            let mut p = Paired::new(&m, 6, pos + 3);
+            p.admit(&[4, 5, 6], 1);
+            p.admit(&[7, 8], 1);
+            for _ in 0..pos {
+                p.step();
+            }
+            let fill = pos % KV_BLOCK;
+            // Lane 1 keeps its place next to the five-way fork of lane 0.
+            assert_eq!(p.reorder(&[0, 0, 0, 0, 0, 1]), 4 * fill, "fork at pos {pos}");
+            p.step();
+            assert_eq!(p.reorder(&[5, 2]), 0, "prune at pos {pos}");
+            p.step();
+            p.step();
+            assert_eq!(p.reorder(&[]), 0);
+            let (free, total) = p.state.check_kv_pool();
+            assert_eq!(free, total, "blocks leaked at pos {pos}");
+        }
+    }
+
+    /// One request's survivor order does not cost its neighbors anything:
+    /// with request A on the identity and request B on `[0,0,1,2,3]`, the
+    /// only rows copied are the filled tail rows B's two children of lane
+    /// 0 shared, and A's tables still name the blocks they named.
+    #[test]
+    fn reorder_of_one_request_copies_nothing_for_another() {
+        let m = Seq2Seq::new(TransformerConfig::tiny(16), 29);
+        let mut p = Paired::new(&m, 10, 8);
+        p.admit(&[4, 5, 6], 1);
+        p.admit(&[7, 8], 1);
+        p.step();
+        p.reorder(&[0, 0, 0, 0, 0, 1, 1, 1, 1, 1]);
+        for _ in 0..2 {
+            p.step();
+        }
+        let a_tables: Vec<Vec<u32>> =
+            (0..5).map(|lane| p.state.lane_blocks[p.state.table_at(lane)].to_vec()).collect();
+        let copied = p.reorder(&[0, 1, 2, 3, 4, 5, 5, 6, 7, 8]);
+        assert_eq!(copied, 3, "only B's one shared tail of 3 rows");
+        for (lane, table) in a_tables.iter().enumerate() {
+            assert_eq!(
+                p.state.lane_blocks[p.state.table_at(lane)],
+                table[..],
+                "A's lane {lane} moved"
+            );
+        }
+        p.step();
+    }
+
+    /// The pool is sized for the case with nothing to share: every lane
+    /// at `cap_pos` with a history of its own (tables rotated every step
+    /// so blocks also change hands), and a fork taken while the pool is
+    /// full.
+    #[test]
+    fn pool_holds_every_lane_at_capacity_without_sharing() {
+        let cfg = TransformerConfig { max_len: 2 * KV_BLOCK, ..TransformerConfig::tiny(16) };
+        let m = Seq2Seq::new(cfg, 31);
+        let lanes = 6usize;
+        for (cap_pos, fork) in
+            [(KV_BLOCK + 3, false), (KV_BLOCK + 3, true), (2 * KV_BLOCK, false)]
+        {
+            let mut p = Paired::new(&m, lanes, cap_pos);
+            p.admit(&[4, 5, 6], lanes);
+            for step in 0..cap_pos {
+                p.step();
+                if step == KV_BLOCK {
+                    // Two blocks per lane, all held.
+                    assert_eq!(p.state.check_kv_pool().0, 0);
+                    if fork {
+                        // The copy fits: the dropped lane's blocks are
+                        // free by then.
+                        assert_eq!(p.reorder(&[0, 0, 1, 2, 3, 4]), 1);
+                    }
+                }
+                p.reorder(&[1, 2, 3, 4, 5, 0]);
+            }
+            // The forked pair shares its full first block.
+            assert_eq!(p.state.check_kv_pool().0, usize::from(fork));
+            for lane in 0..lanes {
+                assert_eq!(p.state.lane_len(lane), cap_pos);
+            }
+        }
     }
 }

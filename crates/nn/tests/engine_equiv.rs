@@ -1,9 +1,10 @@
 //! Property tests for the batched inference engine's equivalence
 //! guarantees: across random tiny models, random sources and random beam
 //! widths, the batched path must reproduce the scalar path —
-//! `encode_batch` ≡ `encode`, `decode_step_batch` ≡ `decode_step`, and
-//! engine beam search ≡ the per-hypothesis reference — plus the
-//! `greedy == beam_search(k = 1)` head regression.
+//! `encode_batch` ≡ `encode`, `decode_step_batch` ≡ `decode_step` (also
+//! under adversarial lane reorders), and engine beam search ≡ the
+//! per-hypothesis reference — plus the `greedy == beam_search(k = 1)`
+//! head regression.
 
 use proptest::prelude::*;
 use slade_nn::{DecodeRequest, InferenceEngine, Seq2Seq, TransformerConfig};
@@ -126,9 +127,88 @@ proptest! {
         prop_assert_eq!(state.lane_len(scalar.len() - 1), after);
     }
 
+    /// `BatchedDecoderState::reorder` under parent vectors no beam search
+    /// would pick — duplicates, drops, permutations, a lane forked five
+    /// ways and all but one child pruned on the next step, every lane
+    /// dropped — with the lanes of two requests at different positions in
+    /// one pool: after every reorder each lane still decodes, bit for bit,
+    /// what a scalar `DecoderState` cloned along the same parents decodes,
+    /// and the block pool's books balance after every step and reorder.
+    /// 36 steps cross two block boundaries at either request's offset, so
+    /// forks land on every fill of a tail block.
+    #[test]
+    fn reorder_matches_cloned_scalar_states(
+        shape in 0usize..2,
+        seed in 0u64..500,
+        late in 0usize..5,
+        ops in proptest::collection::vec(0usize..7000, 36),
+    ) {
+        const LANES: usize = 8;
+        let m = model(shape, seed);
+        let v = m.cfg.vocab;
+        let mut state = m.begin_decode_batch(LANES, ops.len());
+        let mut scalar = Vec::new();
+        let admit = |state: &mut _, scalar: &mut Vec<_>, salt: u32| {
+            let src = source(3 + 9 * salt as usize, salt);
+            let mem = m.encode(&src);
+            let cross = m.register_cross_memory(state, &mem, src.len());
+            state.add_lane(cross);
+            scalar.push(m.begin_decode(&mem, src.len()));
+        };
+        admit(&mut state, &mut scalar, 0);
+        let mut forked = false;
+        for (step, (op, r)) in ops.iter().map(|x| (x % 7, x / 7)).enumerate() {
+            if step == late || scalar.len() < 2 {
+                // Another request joins mid-decode, at position 0 next to
+                // lanes further along.
+                state.reorder(&(0..scalar.len().min(LANES - 1)).collect::<Vec<_>>());
+                scalar.truncate(LANES - 1);
+                admit(&mut state, &mut scalar, 1 + step as u32 % 3);
+            }
+            let n = scalar.len();
+            let tokens: Vec<u32> =
+                (0..n as u32).map(|lane| (3 + 5 * lane + 7 * step as u32) % 16).collect();
+            let batched = m.decode_step_batch(&mut state, &tokens).to_vec();
+            for (lane, (st, &tok)) in scalar.iter_mut().zip(&tokens).enumerate() {
+                let want = m.decode_step(st, tok);
+                for (i, (x, y)) in batched[lane * v..(lane + 1) * v].iter().zip(&want).enumerate() {
+                    prop_assert_eq!(
+                        x.to_bits(), y.to_bits(),
+                        "step {} lane {} logit {}: {} vs {}", step, lane, i, x, y
+                    );
+                }
+            }
+            state.check_kv_pool();
+            let pick = r % n;
+            let parents: Vec<usize> = match op {
+                // A fork's children are pruned to one on the next step.
+                _ if forked => vec![r % n.min(5)],
+                0 => (0..n).collect(),
+                1 => (0..n).rev().collect(),
+                2 => (0..n).map(|i| (i + pick) % n).collect(),
+                // Five children of one lane, then the other lanes.
+                3 => std::iter::repeat_n(pick, 5)
+                    .chain((0..n).filter(|&i| i != pick))
+                    .take(LANES)
+                    .collect(),
+                // Each new lane continues an arbitrary old one.
+                4 => (0..1 + r % LANES).map(|i| (r / (i + 1) + i * i) % n).collect(),
+                5 => (0..n).filter(|i| (r >> i) & 1 == 0).collect(),
+                _ => Vec::new(),
+            };
+            forked = op == 3 && !forked;
+            state.reorder(&parents);
+            scalar = parents.iter().map(|&p| scalar[p].clone()).collect();
+            state.check_kv_pool();
+        }
+        state.reorder(&[]);
+        let (free, total) = state.check_kv_pool();
+        prop_assert_eq!(free, total, "blocks leaked");
+    }
+
     /// Batched beam search returns exactly the ranked hypotheses of the
     /// per-hypothesis reference, across random models, sources and widths
-    /// — including the lane-reorder (gather) machinery at beam > 1.
+    /// — including the lane-reorder machinery at beam > 1.
     #[test]
     fn batched_beam_matches_scalar_reference(
         seed in 0u64..200,

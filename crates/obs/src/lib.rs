@@ -106,9 +106,12 @@ pub enum KernelCtr {
     DecodeLaneTokens = 5,
     /// Requests that exceeded the `SLADE_SLOW_MS` threshold.
     SlowRequests = 6,
+    /// Self-attention K/V rows (per layer per tensor) a beam reorder
+    /// copied: the filled rows of tail blocks two survivors shared.
+    KvCowRows = 7,
 }
 
-const KERNEL_CTRS: usize = 7;
+const KERNEL_CTRS: usize = 8;
 
 impl KernelCtr {
     /// All counters, in index order.
@@ -120,6 +123,7 @@ impl KernelCtr {
         KernelCtr::EncodeRows,
         KernelCtr::DecodeLaneTokens,
         KernelCtr::SlowRequests,
+        KernelCtr::KvCowRows,
     ];
 
     /// Exporter label.
@@ -132,6 +136,7 @@ impl KernelCtr {
             KernelCtr::EncodeRows => "encode_rows",
             KernelCtr::DecodeLaneTokens => "decode_lane_tokens",
             KernelCtr::SlowRequests => "slow_requests",
+            KernelCtr::KvCowRows => "kv_cow_rows",
         }
     }
 }

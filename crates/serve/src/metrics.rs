@@ -276,6 +276,7 @@ fn ctr_metric(c: KernelCtr) -> &'static str {
         KernelCtr::EncodeRows => "slade_kernel_encode_rows_total",
         KernelCtr::DecodeLaneTokens => "slade_kernel_decode_lane_tokens_total",
         KernelCtr::SlowRequests => "slade_slow_requests_total",
+        KernelCtr::KvCowRows => "slade_kernel_kv_cow_rows_total",
     }
 }
 
@@ -288,6 +289,9 @@ fn ctr_help(c: KernelCtr) -> &'static str {
         KernelCtr::EncodeRows => "Sequence rows through the encoder.",
         KernelCtr::DecodeLaneTokens => "Lane-tokens advanced by decode steps.",
         KernelCtr::SlowRequests => "Requests over the SLADE_SLOW_MS threshold.",
+        KernelCtr::KvCowRows => {
+            "Self-attention K/V rows copied by beam reorders (shared tail blocks)."
+        }
     }
 }
 

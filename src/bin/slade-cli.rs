@@ -385,10 +385,11 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
             100.0 * s.lane_occupancy()
         );
         put!(
-            "decode       {} tokens ({}, {})",
+            "decode       {} tokens ({}, {}), {} KV rows copied by beam reorders",
             s.decode_tokens,
             s.kernel_isa_status,
-            s.backend
+            s.backend,
+            slade_obs::obs().counter(slade_obs::KernelCtr::KvCowRows)
         );
         put!(
             "latency ms   p50 {:.2}  p95 {:.2}  p99 {:.2}",
