@@ -71,8 +71,8 @@ fn bench_model_forward(c: &mut Criterion) {
     let src: Vec<u32> = (4..20).collect();
     c.bench_function("transformer_encode_16tok", |b| b.iter(|| model.encode(&src)));
     c.bench_function("transformer_greedy_decode", |b| b.iter(|| model.greedy(&src, 1, 2, 16)));
-    // KV-cached vs full-recompute decoding of a 24-token prefix: the
-    // incremental path is what makes beam-5 evaluation tractable.
+    // Full-recompute decoding of a 24-token prefix — the reference
+    // forward the KV-cached engine rows below are tested against.
     let mem = model.encode(&src);
     let prefix: Vec<u32> = (1..25).collect();
     c.bench_function("decode_prefix24_full_recompute", |b| {
@@ -84,26 +84,12 @@ fn bench_model_forward(c: &mut Criterion) {
             last
         })
     });
-    c.bench_function("decode_prefix24_kv_cached", |b| {
-        b.iter(|| {
-            let mut state = model.begin_decode(&mem, src.len());
-            let mut last = Vec::new();
-            for &tok in &prefix {
-                last = model.decode_step(&mut state, tok);
-            }
-            last
-        })
-    });
     c.bench_function("beam5_decode_16tok", |b| b.iter(|| model.beam_search(&src, 1, 2, 16, 5)));
 }
 
-/// Decode throughput, batch = 1 vs batch = 8, on the `small` profile: the
-/// sequential loop decodes the 8 requests one at a time on the
-/// per-hypothesis reference path (one cloned `DecoderState` per surviving
-/// beam — the pre-engine shape), the batched row runs all 8 through one
-/// `InferenceEngine::decode_batch` call. Both decode the same token
-/// budget, so ns/iter compares directly; the engine's acceptance target
-/// is ≥ 2× throughput at batch = 8.
+/// Decode throughput, batch = 8 vs batch = 1, on the `small` profile:
+/// eight requests through one `InferenceEngine::decode_batch` call, and
+/// the first of them alone.
 fn bench_batched_decode(c: &mut Criterion) {
     use slade_nn::{DecodeRequest, InferenceEngine, Seq2Seq, TransformerConfig};
     let model = Seq2Seq::new(TransformerConfig::small(512), 7);
@@ -117,9 +103,6 @@ fn bench_batched_decode(c: &mut Criterion) {
             beam: 5,
         })
         .collect();
-    c.bench_function("decode8_sequential_scalar", |b| {
-        b.iter(|| requests.iter().map(|r| engine.decode_scalar(r).len()).sum::<usize>())
-    });
     c.bench_function("decode8_batched_engine", |b| {
         b.iter(|| engine.decode_batch(&requests).len())
     });
@@ -251,14 +234,13 @@ fn bench_kernels() {
     let detected = kernels::detected_tier();
     println!("kernels: detected isa {}, comparing against forced scalar", detected.name());
 
-    // Decode-path shapes on the small profile: lane projections
-    // (lanes x d @ d x d), FFN (d x dff), and the logits projection
-    // (lanes x d @ d x vocab) — the three matmul shapes one engine step
-    // is made of, at 8 requests x beam 5 = 40 lanes.
-    let (lanes, d, dff, vocab) = (40usize, 64usize, 128usize, 512usize);
+    // Decode-path shapes on the small profile: a lane projection
+    // (lanes x d @ d x d) and the logits projection (lanes x d @ d x
+    // vocab), the largest matmul of an engine step, at 8 requests x
+    // beam 5 = 40 lanes.
+    let (lanes, d, vocab) = (40usize, 64usize, 512usize);
     let a = vec![0.37f32; lanes * d];
     let w_dd = vec![0.11f32; d * d];
-    let w_dff = vec![0.07f32; d * dff];
     let w_vocab = vec![0.05f32; d * vocab];
     let mut out = vec![0.0f32; lanes * vocab];
 
@@ -275,18 +257,9 @@ fn bench_kernels() {
         );
         rows.push(KernelRow { name, scalar_ns, simd_ns, speedup: scalar_ns / simd_ns });
     };
-    run(format!("xposed_{lanes}x{d}x{d}"), 200, &mut || {
-        kernels::matmul_xposed_into(&a, &w_dd, &mut out[..lanes * d], lanes, d, d);
-    });
-    run(format!("xposed_{lanes}x{d}x{dff}"), 200, &mut || {
-        kernels::matmul_xposed_into(&a, &w_dff, &mut out[..lanes * dff], lanes, d, dff);
-    });
-    run(format!("xposed_{lanes}x{d}x{vocab}"), 50, &mut || {
-        kernels::matmul_xposed_into(&a, &w_vocab, &mut out[..lanes * vocab], lanes, d, vocab);
-    });
-    // Packed j-block layout (what ProjWeight::F32 actually stores): the
-    // sequential slabs dodge the L1 set conflicts the plain transposed
-    // layout hits at the 2 KB row stride of the vocab projection.
+    // Packed j-block layout (what ProjWeight::F32 stores): sequential
+    // slabs dodge the L1 set conflicts a plain transposed layout hits at
+    // the 2 KB row stride of the vocab projection.
     let w_vocab_packed = kernels::pack_xposed_blocks(&w_vocab, d, vocab);
     run(format!("xpacked_{lanes}x{d}x{vocab}"), 50, &mut || {
         kernels::matmul_xpacked_into(

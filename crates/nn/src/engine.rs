@@ -7,14 +7,13 @@
 //! requests** into one decode batch (continuous-batching style): every
 //! projection matmul runs once over all live lanes of all requests, lanes
 //! of finished requests are compacted away by the survivor reorder, and
-//! each request stops under its own policy. The per-hypothesis reference path
-//! ([`InferenceEngine::decode_scalar`]) keeps the pre-refactor shape
-//! (one [`crate::DecoderState`] per hypothesis, cloned per survivor) and
-//! is property-tested to return identical hypotheses — see
-//! `tests/engine_equiv.rs`.
+//! each request stops under its own policy. The per-hypothesis reference
+//! ([`InferenceEngine::decode_reference`]) re-runs the training forward
+//! over every hypothesis's whole prefix and is property-tested to return
+//! identical hypotheses — see `tests/engine_equiv.rs`.
 //!
 //! Scoring fixes relative to the pre-engine implementation, both also
-//! applied to the scalar reference:
+//! applied to the reference:
 //! - log-probabilities come from a fused log-softmax + top-k
 //!   ([`crate::math::log_softmax_topk_into`]) — one `logsumexp` pass and a
 //!   k-slot selection instead of materializing a softmax over the whole
@@ -27,7 +26,7 @@
 //!   remaining limit).
 
 use crate::math::{log_softmax_topk, log_softmax_topk_into};
-use crate::model::{DecoderState, Seq2Seq};
+use crate::model::Seq2Seq;
 
 /// One decode job: source tokens plus decode parameters.
 #[derive(Debug, Clone)]
@@ -186,56 +185,47 @@ impl<'m> InferenceEngine<'m> {
             .collect()
     }
 
-    /// Per-hypothesis reference decode: one KV-cached [`DecoderState`] per
-    /// hypothesis, cloned for each survivor — the pre-refactor decode
-    /// shape, kept under the same scoring and stop policy as
-    /// [`InferenceEngine::decode_batch`] so the two paths are directly
+    /// Per-hypothesis reference decode: [`Seq2Seq::encode`] once, then
+    /// [`Seq2Seq::decode_last_logits`] over each live hypothesis's whole
+    /// prefix every step — the training forward's arithmetic, no KV cache
+    /// — under the same scoring and stop policy as
+    /// [`InferenceEngine::decode_batch`], so the two are directly
     /// comparable (and property-tested identical).
-    pub fn decode_scalar(&self, request: &DecodeRequest) -> Vec<Vec<u32>> {
+    pub fn decode_reference(&self, request: &DecodeRequest) -> Vec<Vec<u32>> {
         let m = self.model;
         let beam = request.beam.max(1);
-        let src: Vec<u32> = request.src.iter().take(m.cfg.max_len).copied().collect();
-        let mem = m.encode(&src);
-        let s = src.len();
+        let src = &request.src[..request.src.len().min(m.cfg.max_len)];
+        let mem = m.encode(src);
         let budget = request.max_len.min(m.cfg.max_len - 1).max(1);
-        let mut live: Vec<(Vec<u32>, f32, DecoderState)> =
-            vec![(vec![request.bos], 0.0, m.begin_decode(&mem, s))];
+        let mut live: Vec<(Vec<u32>, f32)> = vec![(vec![request.bos], 0.0)];
         let mut done: Vec<(Vec<u32>, f32)> = Vec::new();
         let mut step = 0usize;
         loop {
-            let mut cands: Vec<(Vec<u32>, f32, usize)> = Vec::with_capacity(live.len() * beam);
-            for (parent, (prefix, score, state)) in live.iter_mut().enumerate() {
-                let logits = m.decode_step(state, *prefix.last().unwrap());
+            let mut cands: Vec<(Vec<u32>, f32)> = Vec::with_capacity(live.len() * beam);
+            for (prefix, score) in &live {
+                let logits = m.decode_last_logits(&mem, src.len(), prefix);
                 for (tok, lp) in log_softmax_topk(&logits, beam) {
                     let mut t = prefix.clone();
                     t.push(tok as u32);
-                    cands.push((t, *score + lp, parent));
+                    cands.push((t, score + lp));
                 }
             }
             step += 1;
             cands.sort_by(|a, b| b.1.total_cmp(&a.1));
             cands.truncate(beam);
-            let mut survivors: Vec<(Vec<u32>, f32, usize)> = Vec::new();
-            for (t, sc, parent) in cands {
-                if *t.last().unwrap() == request.eos {
-                    done.push((t, sc));
-                } else {
-                    survivors.push((t, sc, parent));
-                }
-            }
+            let (finished, survivors): (Vec<_>, Vec<_>) =
+                cands.into_iter().partition(|(t, _)| t.last() == Some(&request.eos));
+            done.extend(finished);
             let converged = beam_converged(
                 &done,
                 beam,
-                survivors.iter().map(|(t, sc, _)| norm_score(*sc, t.len())),
+                survivors.iter().map(|(t, sc)| norm_score(*sc, t.len())),
             );
             if survivors.is_empty() || step >= budget || converged {
-                done.extend(survivors.into_iter().map(|(t, sc, _)| (t, sc)));
+                done.extend(survivors);
                 break;
             }
-            live = survivors
-                .into_iter()
-                .map(|(t, sc, parent)| (t, sc, live[parent].2.clone()))
-                .collect();
+            live = survivors;
         }
         rank(done, beam, request.bos, request.eos)
     }
@@ -260,7 +250,7 @@ impl<'m> InferenceEngine<'m> {
 /// own cache, and the beam policy runs per request on a per-request step
 /// counter — so a request decoded alongside any mix of neighbors, or
 /// admitted at any point of a running batch, returns exactly the
-/// hypotheses [`InferenceEngine::decode_scalar`] would.
+/// hypotheses [`InferenceEngine::decode_reference`] would.
 pub struct DecodeSession<'m> {
     model: &'m Seq2Seq,
     state: crate::model::BatchedDecoderState,
@@ -356,12 +346,9 @@ impl<'m> DecodeSession<'m> {
             self.reserved,
             self.cap_lanes
         );
-        let srcs: Vec<Vec<u32>> = requests
-            .iter()
-            .map(|r| r.src.iter().take(m.cfg.max_len).copied().collect())
-            .collect();
-        let src_refs: Vec<&[u32]> = srcs.iter().map(|s| s.as_slice()).collect();
-        let mems = m.encode_batch(&src_refs);
+        let srcs: Vec<&[u32]> =
+            requests.iter().map(|r| &r.src[..r.src.len().min(m.cfg.max_len)]).collect();
+        let mems = m.encode_batch(&srcs);
         requests
             .iter()
             .zip(&mems)
@@ -449,7 +436,7 @@ impl<'m> DecodeSession<'m> {
             );
             if survivors.is_empty() || slot.steps >= slot.budget || converged {
                 // Unfinished survivors still compete in the ranking,
-                // matching the scalar reference.
+                // matching the reference.
                 slot.done.extend(survivors.drain(..).map(|h| (h.tokens, h.score)));
                 self.parents.truncate(first_parent);
             }
@@ -502,7 +489,7 @@ mod tests {
         let engine = InferenceEngine::new(&m);
         for beam in [1usize, 2, 5] {
             let req = DecodeRequest { src: vec![4, 5, 6], bos: 1, eos: 2, max_len: 10, beam };
-            assert_eq!(engine.decode(&req), engine.decode_scalar(&req), "beam {beam}");
+            assert_eq!(engine.decode(&req), engine.decode_reference(&req), "beam {beam}");
         }
     }
 
@@ -521,7 +508,7 @@ mod tests {
         .collect();
         let batched = engine.decode_batch(&reqs);
         for (req, got) in reqs.iter().zip(&batched) {
-            assert_eq!(got, &engine.decode_scalar(req), "src {:?}", req.src);
+            assert_eq!(got, &engine.decode_reference(req), "src {:?}", req.src);
         }
     }
 
@@ -554,7 +541,7 @@ mod tests {
         }
         for (ticket, req) in [(ta, &a), (tb, &b), (tc, &c)] {
             let got = &results.iter().find(|(t, _)| *t == ticket).unwrap().1;
-            assert_eq!(got, &engine.decode_scalar(req), "src {:?}", req.src);
+            assert_eq!(got, &engine.decode_reference(req), "src {:?}", req.src);
         }
     }
 
@@ -565,7 +552,7 @@ mod tests {
         let req = DecodeRequest { src: vec![4, 5, 6], bos: 1, eos: 2, max_len: 6, beam: 5 };
         // Capacity for exactly one beam-5 request at a time.
         let mut session = engine.session(5, 6);
-        let expected = engine.decode_scalar(&req);
+        let expected = engine.decode_reference(&req);
         for round in 0..3 {
             assert!(session.can_admit(req.beam), "round {round} should have free lanes");
             let ticket = session.admit(&req);

@@ -1,10 +1,9 @@
 //! Runtime-dispatched SIMD kernel layer.
 //!
 //! Every hot kernel in this crate (`matmul_transb_into`,
-//! `matmul_xposed_into`, `matmul_transb_batched`, the fused
-//! log-softmax+top-k max and exp-sum passes, the attention core
-//! (`attn_scores_into` / `softmax_into` / `attn_weighted_sum_into` and
-//! its query-tile form `attn_weighted_sum_tile_into`),
+//! `matmul_xpacked_into`, the fused log-softmax+top-k max and exp-sum
+//! passes, the attention core (`attn_scores_into` / `softmax_into` /
+//! `attn_weighted_sum_into` and its query-tile form `attn_weighted_sum_tile_into`),
 //! `layer_norm_into`, activation quantization (`quantize_row_i8`), and
 //! the int8 `qmatmul_transb_into`) routes through this module. An ISA
 //! tier is selected once at startup — VNNI on x86-64 hosts with
@@ -21,10 +20,10 @@
 //! # Bit-identity contract
 //!
 //! All f32 tiers of a kernel produce **bit-identical** output. This is
-//! load-bearing: the engine's `decode_scalar ≡ decode_batch` equivalence
-//! and the serving runtime's `runtime ≡ sequential` property both assume
-//! logits do not depend on which code path (or batch composition)
-//! produced them. The shared accumulation semantics, per output element:
+//! load-bearing: the engine's `decode_reference ≡ decode_batch`
+//! equivalence and the serving runtime's `runtime ≡ sequential`
+//! property both assume logits do not depend on which code path (or
+//! batch composition) produced them. The shared accumulation semantics, per output element:
 //!
 //! - the reduction index `p` is split into 8 lanes by `p mod 8`;
 //! - each lane accumulates its products in ascending `p` order
@@ -36,11 +35,12 @@
 //!   `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, the order an AVX2
 //!   128-bit-split horizontal add performs.
 //!
-//! Both matmul orientations (`transb`: B rows contiguous over `k`;
-//! `xposed`: B transposed, columns contiguous) implement these exact
-//! per-element semantics, so projecting through a weight matrix yields
-//! the same bits regardless of orientation — the scalar decode path
-//! (transb) and the batched decode path (xposed) stay interchangeable.
+//! Both f32 matmul layouts (`transb`: B rows contiguous over `k`;
+//! `xpacked`: B transposed and packed into 8-column slabs by
+//! [`pack_xposed_blocks`]) implement these exact per-element semantics,
+//! so projecting through a weight matrix yields the same bits in either
+//! — the training forward (transb) is the reference the inference path
+//! (xpacked) is tested against under `to_bits`.
 //!
 //! The int8 kernels accumulate in exact i32 arithmetic (products are
 //! bounded by 127², far from overflow for any model dimension here), so
@@ -462,18 +462,6 @@ pub mod scalar {
         reduce8(&lanes)
     }
 
-    /// Lane-split dot of row `ar` against column `j` of `bt` (`bt` is
-    /// `k x n`, so the column is strided by `n`). Shared by the xposed
-    /// column-tail of every tier.
-    #[inline]
-    pub(crate) fn dot8_col(ar: &[f32], bt: &[f32], n: usize, j: usize) -> f32 {
-        let mut lanes = [0.0f32; 8];
-        for (p, &av) in ar.iter().enumerate() {
-            lanes[p & 7] += av * bt[p * n + j];
-        }
-        reduce8(&lanes)
-    }
-
     /// `C = A * B^T` into `c` — scalar tier.
     /// `a` is `m x k`, `b` is `n x k` (rows contiguous over `k`),
     /// `c` is `m x n`.
@@ -494,55 +482,11 @@ pub mod scalar {
         }
     }
 
-    /// `C = A * B` into `c` where `bt` is B pre-transposed to `k x n`
-    /// (output columns contiguous) — scalar tier. Accumulates an
-    /// 8-lane x 8-column tile so the column loop auto-vectorizes.
-    pub fn matmul_xposed_into(
-        a: &[f32],
-        bt: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let nblocks = n / 8;
-        for i in 0..m {
-            let ar = &a[i * k..(i + 1) * k];
-            let crow = &mut c[i * n..(i + 1) * n];
-            for jb in 0..nblocks {
-                let j0 = jb * 8;
-                // acc[lane][col]: lane = p mod 8, col within the j-block.
-                let mut acc = [[0.0f32; 8]; 8];
-                for (p, &av) in ar.iter().enumerate() {
-                    let brow = &bt[p * n + j0..p * n + j0 + 8];
-                    for (q, &bv) in acc[p & 7].iter_mut().zip(brow) {
-                        *q += av * bv;
-                    }
-                }
-                for (col, cv) in crow[j0..j0 + 8].iter_mut().enumerate() {
-                    let lanes = [
-                        acc[0][col],
-                        acc[1][col],
-                        acc[2][col],
-                        acc[3][col],
-                        acc[4][col],
-                        acc[5][col],
-                        acc[6][col],
-                        acc[7][col],
-                    ];
-                    *cv = reduce8(&lanes);
-                }
-            }
-            for (j, cv) in crow.iter_mut().enumerate().skip(nblocks * 8) {
-                *cv = dot8_col(ar, bt, n, j);
-            }
-        }
-    }
-
     /// `C = A * B` with `bp` = B packed by [`super::pack_xposed_blocks`]
     /// — scalar tier. Identical per-element accumulation to
-    /// [`matmul_xposed_into`]; only the addresses the reduction walks
-    /// differ (sequential slabs instead of `n`-strided columns).
+    /// [`matmul_transb_into`]; only the addresses the reduction walks
+    /// differ (an 8-lane x 8-column tile per sequential slab, so the
+    /// column loop auto-vectorizes).
     pub fn matmul_xpacked_into(
         a: &[f32],
         bp: &[f32],
@@ -581,7 +525,7 @@ pub mod scalar {
             }
             for (jt, cv) in crow.iter_mut().skip(nblocks * 8).enumerate() {
                 // Tail columns are stored contiguously, so the plain
-                // lane-split dot applies (same semantics as dot8_col).
+                // lane-split dot applies.
                 *cv = dot8(ar, &bp[tail_base + jt * k..tail_base + (jt + 1) * k]);
             }
         }
@@ -810,7 +754,7 @@ pub mod scalar {
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     use super::reduce8;
-    use super::scalar::{dot8_col, qdot};
+    use super::scalar::qdot;
     use std::arch::x86_64::*;
 
     #[inline]
@@ -894,180 +838,6 @@ pub mod avx2 {
                 }
                 c[i * n + j] = reduce8(&lanes);
                 j += 1;
-            }
-        }
-    }
-
-    /// `C = A * B` with pre-transposed `bt` — AVX2 tier (see
-    /// [`scalar::matmul_xposed_into`]).
-    pub fn matmul_xposed_into(
-        a: &[f32],
-        bt: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        assert!(a.len() >= m * k && bt.len() >= k * n && c.len() >= m * n);
-        assert_avx2();
-        unsafe { xposed_avx2(a, bt, c, m, k, n) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn xposed_avx2(a: &[f32], bt: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        let nblocks = n / 8;
-        let chunks = k / 8;
-        let ktail = k % 8;
-        let base = chunks * 8;
-        // j-block outer so the `k x 8` slab of `bt` this block reads
-        // stays cache-hot across all `m` rows of `a` (the loop
-        // interchange reorders whole output elements, never the
-        // accumulation inside one, so bit-identity is unaffected).
-        for jb in 0..nblocks {
-            let j0 = jb * 8;
-            for i in 0..m {
-                let ar = a.as_ptr().add(i * k);
-                // One named accumulator per lane (p mod 8): a dynamic
-                // `acc[p & 7]` would force the array into memory; named
-                // registers keep the whole rotation in ymm.
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut acc2 = _mm256_setzero_ps();
-                let mut acc3 = _mm256_setzero_ps();
-                let mut acc4 = _mm256_setzero_ps();
-                let mut acc5 = _mm256_setzero_ps();
-                let mut acc6 = _mm256_setzero_ps();
-                let mut acc7 = _mm256_setzero_ps();
-                for ch in 0..chunks {
-                    let p = ch * 8;
-                    let col = bt.as_ptr().add(p * n + j0);
-                    let av = ar.add(p);
-                    acc0 = _mm256_add_ps(
-                        acc0,
-                        _mm256_mul_ps(_mm256_set1_ps(*av), _mm256_loadu_ps(col)),
-                    );
-                    acc1 = _mm256_add_ps(
-                        acc1,
-                        _mm256_mul_ps(_mm256_set1_ps(*av.add(1)), _mm256_loadu_ps(col.add(n))),
-                    );
-                    acc2 = _mm256_add_ps(
-                        acc2,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(2)),
-                            _mm256_loadu_ps(col.add(2 * n)),
-                        ),
-                    );
-                    acc3 = _mm256_add_ps(
-                        acc3,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(3)),
-                            _mm256_loadu_ps(col.add(3 * n)),
-                        ),
-                    );
-                    acc4 = _mm256_add_ps(
-                        acc4,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(4)),
-                            _mm256_loadu_ps(col.add(4 * n)),
-                        ),
-                    );
-                    acc5 = _mm256_add_ps(
-                        acc5,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(5)),
-                            _mm256_loadu_ps(col.add(5 * n)),
-                        ),
-                    );
-                    acc6 = _mm256_add_ps(
-                        acc6,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(6)),
-                            _mm256_loadu_ps(col.add(6 * n)),
-                        ),
-                    );
-                    acc7 = _mm256_add_ps(
-                        acc7,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(7)),
-                            _mm256_loadu_ps(col.add(7 * n)),
-                        ),
-                    );
-                }
-                // k tail: ascending p into lanes 0..ktail only.
-                let col = bt.as_ptr().add(base * n + j0);
-                let av = ar.add(base);
-                if ktail > 0 {
-                    acc0 = _mm256_add_ps(
-                        acc0,
-                        _mm256_mul_ps(_mm256_set1_ps(*av), _mm256_loadu_ps(col)),
-                    );
-                }
-                if ktail > 1 {
-                    acc1 = _mm256_add_ps(
-                        acc1,
-                        _mm256_mul_ps(_mm256_set1_ps(*av.add(1)), _mm256_loadu_ps(col.add(n))),
-                    );
-                }
-                if ktail > 2 {
-                    acc2 = _mm256_add_ps(
-                        acc2,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(2)),
-                            _mm256_loadu_ps(col.add(2 * n)),
-                        ),
-                    );
-                }
-                if ktail > 3 {
-                    acc3 = _mm256_add_ps(
-                        acc3,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(3)),
-                            _mm256_loadu_ps(col.add(3 * n)),
-                        ),
-                    );
-                }
-                if ktail > 4 {
-                    acc4 = _mm256_add_ps(
-                        acc4,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(4)),
-                            _mm256_loadu_ps(col.add(4 * n)),
-                        ),
-                    );
-                }
-                if ktail > 5 {
-                    acc5 = _mm256_add_ps(
-                        acc5,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(5)),
-                            _mm256_loadu_ps(col.add(5 * n)),
-                        ),
-                    );
-                }
-                if ktail > 6 {
-                    acc6 = _mm256_add_ps(
-                        acc6,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(6)),
-                            _mm256_loadu_ps(col.add(6 * n)),
-                        ),
-                    );
-                }
-                // Element-wise tree over the 8 lane vectors — the same
-                // tree reduce8 performs per element.
-                let s04 = _mm256_add_ps(acc0, acc4);
-                let s26 = _mm256_add_ps(acc2, acc6);
-                let s15 = _mm256_add_ps(acc1, acc5);
-                let s37 = _mm256_add_ps(acc3, acc7);
-                let even = _mm256_add_ps(s04, s26);
-                let odd = _mm256_add_ps(s15, s37);
-                _mm256_storeu_ps(c.as_mut_ptr().add(i * n + j0), _mm256_add_ps(even, odd));
-            }
-        }
-        for i in 0..m {
-            let ar = &a[i * k..(i + 1) * k];
-            for j in nblocks * 8..n {
-                c[i * n + j] = dot8_col(ar, bt, n, j);
             }
         }
     }
@@ -2015,7 +1785,7 @@ pub mod avx2 {
 #[cfg(target_arch = "aarch64")]
 pub mod neon {
     use super::reduce8;
-    use super::scalar::{dot8_col, qdot};
+    use super::scalar::qdot;
     use std::arch::aarch64::*;
 
     /// `C = A * B^T` into `c` — NEON tier (see [`scalar::matmul_transb_into`]).
@@ -2059,54 +1829,6 @@ pub mod neon {
                     lanes[l] += *ar.add(base + l) * *br.add(base + l);
                 }
                 c[i * n + j] = reduce8(&lanes);
-            }
-        }
-    }
-
-    /// `C = A * B` with pre-transposed `bt` — NEON tier (see
-    /// [`scalar::matmul_xposed_into`]).
-    pub fn matmul_xposed_into(
-        a: &[f32],
-        bt: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        assert!(a.len() >= m * k && bt.len() >= k * n && c.len() >= m * n);
-        unsafe { xposed_neon(a, bt, c, m, k, n) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn xposed_neon(a: &[f32], bt: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        let nblocks = n / 8;
-        for i in 0..m {
-            let ar = &a[i * k..(i + 1) * k];
-            for jb in 0..nblocks {
-                let j0 = jb * 8;
-                // acc[lane] = (cols 0-3, cols 4-7) of this j-block.
-                let mut acc = [(vdupq_n_f32(0.0), vdupq_n_f32(0.0)); 8];
-                for (p, &av) in ar.iter().enumerate() {
-                    let avv = vdupq_n_f32(av);
-                    let blo = vld1q_f32(bt.as_ptr().add(p * n + j0));
-                    let bhi = vld1q_f32(bt.as_ptr().add(p * n + j0 + 4));
-                    let l = p & 7;
-                    acc[l].0 = vaddq_f32(acc[l].0, vmulq_f32(avv, blo));
-                    acc[l].1 = vaddq_f32(acc[l].1, vmulq_f32(avv, bhi));
-                }
-                let e_lo =
-                    vaddq_f32(vaddq_f32(acc[0].0, acc[4].0), vaddq_f32(acc[2].0, acc[6].0));
-                let o_lo =
-                    vaddq_f32(vaddq_f32(acc[1].0, acc[5].0), vaddq_f32(acc[3].0, acc[7].0));
-                let e_hi =
-                    vaddq_f32(vaddq_f32(acc[0].1, acc[4].1), vaddq_f32(acc[2].1, acc[6].1));
-                let o_hi =
-                    vaddq_f32(vaddq_f32(acc[1].1, acc[5].1), vaddq_f32(acc[3].1, acc[7].1));
-                vst1q_f32(c.as_mut_ptr().add(i * n + j0), vaddq_f32(e_lo, o_lo));
-                vst1q_f32(c.as_mut_ptr().add(i * n + j0 + 4), vaddq_f32(e_hi, o_hi));
-            }
-            for j in nblocks * 8..n {
-                c[i * n + j] = dot8_col(ar, bt, n, j);
             }
         }
     }
@@ -2610,17 +2332,6 @@ pub fn matmul_transb_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
     }
 }
 
-/// Dispatched `C = A * B` with `bt` = B pre-transposed to `k x n`.
-pub fn matmul_xposed_into(a: &[f32], bt: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    match active_tier() {
-        #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::matmul_xposed_into(a, bt, c, m, k, n),
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon => neon::matmul_xposed_into(a, bt, c, m, k, n),
-        _ => scalar::matmul_xposed_into(a, bt, c, m, k, n),
-    }
-}
-
 /// Packs a pre-transposed `k x n` matrix (`bt`, output columns
 /// contiguous) into the layout the `matmul_xpacked_into` kernels read:
 /// one sequential `k x 8` slab per full j-block (slab row `p` holds the
@@ -2649,9 +2360,9 @@ pub fn pack_xposed_blocks(bt: &[f32], k: usize, n: usize) -> Vec<f32> {
 }
 
 /// Dispatched `C = A * B` with `bp` = B packed by
-/// [`pack_xposed_blocks`]. Bit-identical to [`matmul_xposed_into`] on
-/// the unpacked matrix — same per-element accumulation, cache-friendly
-/// addresses.
+/// [`pack_xposed_blocks`]. Bit-identical to [`matmul_transb_into`]
+/// against the untransposed `B^T` — same per-element accumulation,
+/// addresses that stream.
 pub fn matmul_xpacked_into(a: &[f32], bp: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
@@ -2659,37 +2370,6 @@ pub fn matmul_xpacked_into(a: &[f32], bp: &[f32], c: &mut [f32], m: usize, k: us
         #[cfg(target_arch = "aarch64")]
         IsaTier::Neon => neon::matmul_xpacked_into(a, bp, c, m, k, n),
         _ => scalar::matmul_xpacked_into(a, bp, c, m, k, n),
-    }
-}
-
-/// Dispatched batched `C = A * B^T` over `batch` independent problems at
-/// the given strides. Per-element arithmetic is identical to the
-/// unbatched kernel (the batch loop only selects offsets).
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_transb_batched(
-    a: &[f32],
-    a_stride: usize,
-    b: &[f32],
-    b_stride: usize,
-    c: &mut [f32],
-    c_stride: usize,
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let tier = active_tier();
-    for bi in 0..batch {
-        let av = &a[bi * a_stride..];
-        let bv = &b[bi * b_stride..];
-        let cv = &mut c[bi * c_stride..];
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            IsaTier::Avx2 | IsaTier::Vnni => avx2::matmul_transb_into(av, bv, cv, m, k, n),
-            #[cfg(target_arch = "aarch64")]
-            IsaTier::Neon => neon::matmul_transb_into(av, bv, cv, m, k, n),
-            _ => scalar::matmul_transb_into(av, bv, cv, m, k, n),
-        }
     }
 }
 
@@ -2948,8 +2628,8 @@ mod tests {
     #[test]
     fn transb_and_xposed_orientations_agree_bitwise() {
         // Same projection through both weight orientations must give the
-        // same bits: the scalar decode path uses transb, the batched
-        // path uses xposed.
+        // same bits: training and the reference forward use transb, the
+        // inference path the packed transpose.
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (2, 7, 5), (3, 16, 8), (4, 19, 13)] {
             let a = fill(1, m * k);
             let w = fill(2, n * k); // n x k, transb orientation
@@ -2962,7 +2642,7 @@ mod tests {
             let mut c1 = vec![0.0f32; m * n];
             let mut c2 = vec![0.0f32; m * n];
             scalar::matmul_transb_into(&a, &w, &mut c1, m, k, n);
-            scalar::matmul_xposed_into(&a, &wt, &mut c2, m, k, n);
+            scalar::matmul_xpacked_into(&a, &pack_xposed_blocks(&wt, k, n), &mut c2, m, k, n);
             for (x, y) in c1.iter().zip(&c2) {
                 assert_eq!(x.to_bits(), y.to_bits(), "shape ({m},{k},{n})");
             }

@@ -15,10 +15,10 @@
 //!   plus per-row symmetric int8 quantization ([`QuantizedTensor`]);
 //! - [`model`] — the seq2seq Transformer with hand-written backward passes,
 //!   optional seeded dropout (for the paper's §V-C ablation), forward-only
-//!   evaluation ([`Seq2Seq::eval_loss`]), KV-cached incremental
-//!   decoding ([`Seq2Seq::begin_decode`]/[`Seq2Seq::decode_step`]) that is
-//!   bit-identical to full recomputation, and the block-paged batched
-//!   decode path ([`Seq2Seq::encode_batch`]/[`Seq2Seq::decode_step_batch`]);
+//!   evaluation ([`Seq2Seq::eval_loss`]), and the one KV-cached inference
+//!   path ([`Seq2Seq::encode_batch`]/[`Seq2Seq::decode_step_batch`]),
+//!   bit-identical on the f32 backend to its reference, the training
+//!   forward ([`Seq2Seq::encode`]/[`Seq2Seq::decode_last_logits`]);
 //! - [`engine`] — the batched [`InferenceEngine`]: beam-search scheduling,
 //!   scoring and early-stop policy, interleaving many requests into one
 //!   decode batch.
@@ -46,5 +46,5 @@ pub mod store;
 
 pub use engine::{DecodeRequest, InferenceEngine};
 pub use kernels::IsaTier;
-pub use model::{Backend, BatchedDecoderState, DecoderState, Seq2Seq, TransformerConfig};
+pub use model::{Backend, BatchedDecoderState, Seq2Seq, TransformerConfig};
 pub use store::{ParamStore, ParamTensor, QuantizedTensor};

@@ -1,10 +1,9 @@
 //! Dense math kernels used by the Transformer (single-threaded f32).
 //!
-//! The hot kernels (`matmul_transb_into`, `matmul_xposed_into`,
-//! `matmul_transb_batched`, and the max pass of [`log_softmax_topk`])
-//! dispatch through [`crate::kernels`] to the best ISA tier the host
-//! supports (AVX2 / NEON / scalar), all tiers bit-identical. The
-//! training-only kernels below stay plain scalar code.
+//! The hot kernels (`matmul_transb_into` and the max and exp-sum passes
+//! of [`log_softmax_topk`]) dispatch through [`crate::kernels`] to the
+//! best ISA tier the host supports (AVX2 / NEON / scalar), all tiers
+//! bit-identical. The training-only kernels below stay plain scalar code.
 
 use crate::kernels;
 
@@ -31,23 +30,6 @@ pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     }
 }
 
-/// `c[m,n] = a[m,k] @ b[k,n]` — allocating wrapper over [`matmul_into`],
-/// kept for tests; non-test callers provide their own buffer.
-pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    matmul_into(a, b, &mut c, m, k, n);
-    c
-}
-
-/// `c[m,n] = a[m,k] @ b[n,k]ᵀ` — allocating wrapper over
-/// [`matmul_transb_into`], kept for tests; non-test callers provide
-/// their own buffer.
-pub fn matmul_transb(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    matmul_transb_into(a, b, &mut c, m, k, n);
-    c
-}
-
 /// Writes `c[m,n] = a[k,m]ᵀ @ b[k,n]` — the weight-gradient shape —
 /// into a caller-provided buffer (zeroed first; skips zero `a` entries).
 pub fn matmul_transa_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
@@ -68,14 +50,6 @@ pub fn matmul_transa_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usiz
             }
         }
     }
-}
-
-/// `c[m,n] = a[k,m]ᵀ @ b[k,n]` — allocating wrapper over
-/// [`matmul_transa_into`], kept for tests.
-pub fn matmul_transa(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    matmul_transa_into(a, b, &mut c, k, m, n);
-    c
 }
 
 /// In-place row-wise softmax over an `[rows, cols]` matrix.
@@ -101,8 +75,7 @@ pub fn softmax_rows(x: &mut [f32], rows: usize, cols: usize) {
 }
 
 /// Writes `c[m,n] = a[m,k] @ b[n,k]ᵀ` into a caller-provided buffer —
-/// the allocation-free variant of [`matmul_transb`], and the kernel the
-/// batched decode path lives on.
+/// the projection of training and of the reference forward.
 ///
 /// Dispatches through [`crate::kernels`] to the active ISA tier. Every
 /// tier implements the same lane-split accumulation semantics (8 lanes
@@ -125,43 +98,6 @@ pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
             dst[c * rows + r] = src[r * cols + c];
         }
     }
-}
-
-/// `c[m,n] = a[m,k] @ bt[k,n]` with `bt` already transposed — the
-/// orientation the batched decode path uses with pre-transposed weights
-/// (output columns contiguous, so vector lanes span columns).
-///
-/// Dispatches through [`crate::kernels`]. All tiers implement the same
-/// lane-split accumulation semantics as [`matmul_transb_into`], so
-/// projecting through `bt` here yields **bit-identical** results to
-/// `matmul_transb` against the untransposed weights — the invariant
-/// that keeps scalar and batched decode interchangeable.
-pub fn matmul_xposed_into(a: &[f32], bt: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(bt.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    kernels::matmul_xposed_into(a, bt, c, m, k, n);
-}
-
-/// Batched matmul over independent operand pairs living in strided arenas:
-/// for each `bi < batch`, `c[bi][m,n] = a[bi][m,k] @ b[bi][n,k]ᵀ`, where
-/// `a[bi]` starts at `a[bi * a_stride]`, and likewise for `b` and `c`.
-/// Strides may exceed the matrix sizes (arena layouts with headroom).
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_transb_batched(
-    a: &[f32],
-    a_stride: usize,
-    b: &[f32],
-    b_stride: usize,
-    c: &mut [f32],
-    c_stride: usize,
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert!(a_stride >= m * k && b_stride >= n * k && c_stride >= m * n);
-    kernels::matmul_transb_batched(a, a_stride, b, b_stride, c, c_stride, batch, m, k, n);
 }
 
 /// In-place row-wise log-softmax over an `[rows, cols]` matrix: the proper
@@ -256,7 +192,9 @@ mod tests {
     fn matmul_small_identity() {
         let a = vec![1.0, 2.0, 3.0, 4.0]; // [2,2]
         let i = vec![1.0, 0.0, 0.0, 1.0];
-        assert_eq!(matmul(&a, &i, 2, 2, 2), a);
+        let mut c = vec![f32::NAN; 4];
+        matmul_into(&a, &i, &mut c, 2, 2, 2);
+        assert_eq!(c, a);
     }
 
     #[test]
@@ -264,7 +202,8 @@ mod tests {
         // a [1,3] @ b [2,3]^T = [1,2]
         let a = vec![1.0, 2.0, 3.0];
         let b = vec![1.0, 0.0, 1.0, 0.5, 0.5, 0.5];
-        let c = matmul_transb(&a, &b, 1, 3, 2);
+        let mut c = vec![f32::NAN; 2];
+        matmul_transb_into(&a, &b, &mut c, 1, 3, 2);
         assert_eq!(c, vec![4.0, 3.0]);
     }
 
@@ -273,7 +212,8 @@ mod tests {
         // a [2,1]^T @ b [2,2] = [1,2]
         let a = vec![1.0, 2.0];
         let b = vec![3.0, 4.0, 5.0, 6.0];
-        let c = matmul_transa(&a, &b, 2, 1, 2);
+        let mut c = vec![f32::NAN; 2];
+        matmul_transa_into(&a, &b, &mut c, 2, 1, 2);
         assert_eq!(c, vec![13.0, 16.0]);
     }
 
@@ -324,33 +264,6 @@ mod tests {
         let got = log_softmax_topk(&row, 10);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, 0);
-    }
-
-    #[test]
-    fn batched_transb_matches_unbatched() {
-        // Two independent lanes in arenas with headroom.
-        let a = vec![1.0, 2.0, 3.0, 0.0, /* lane 1 */ -1.0, 0.5, 2.0, 0.0];
-        let b = vec![
-            1.0, 0.0, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0, /* lane 1 */ 2.0, 1.0, 0.0, 0.0, 1.0,
-            1.0, 0.0, 0.0,
-        ];
-        let mut c = vec![0.0f32; 6];
-        matmul_transb_batched(&a, 4, &b, 8, &mut c, 3, 2, 1, 3, 2);
-        for lane in 0..2 {
-            let expect =
-                matmul_transb(&a[lane * 4..lane * 4 + 3], &b[lane * 8..lane * 8 + 6], 1, 3, 2);
-            assert_eq!(&c[lane * 3..lane * 3 + 2], &expect[..]);
-        }
-    }
-
-    #[test]
-    fn matmul_transb_into_matches_alloc_version() {
-        let a = vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let b = vec![0.5f32, -1.0, 2.0, 1.0, 0.0, 1.0];
-        let expect = matmul_transb(&a, &b, 2, 3, 2);
-        let mut c = vec![0.0f32; 4];
-        matmul_transb_into(&a, &b, &mut c, 2, 3, 2);
-        assert_eq!(c, expect);
     }
 
     #[test]

@@ -460,8 +460,7 @@ impl Seq2Seq {
             }
         }
         // Project back through the three input linears (scratch buffers
-        // reused for the weight grads; the allocating matmul wrappers are
-        // test-only).
+        // reused for the weight grads).
         let mut dw = vec![0.0f32; d * d];
         let mut dx = vec![0.0f32; t * d];
         matmul_into(&dq, self.store.data(a.wq), &mut dx, t, d, d);
@@ -609,9 +608,16 @@ impl Seq2Seq {
     }
 
     /// Decoder forward over a full prefix; returns logits of the **last**
-    /// position only (inference).
+    /// position only — the training forward's arithmetic, and the
+    /// reference [`Seq2Seq::decode_step_batch`] is tested against bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty `tgt_prefix`: there is no last position.
     pub fn decode_last_logits(&self, mem: &[f32], s: usize, tgt_prefix: &[u32]) -> Vec<f32> {
         let t = tgt_prefix.len();
+        assert!(t > 0, "decode_last_logits needs at least one prefix token");
         let hn = self.decoder_hidden(mem, s, tgt_prefix);
         let d = self.cfg.d_model;
         let last = &hn[(t - 1) * d..t * d];
@@ -859,76 +865,6 @@ impl Seq2Seq {
         }
     }
 
-    /// Starts KV-cached incremental decoding against encoder memory `mem`
-    /// of length `s`. The cross-attention keys/values are projected once
-    /// here; each [`Seq2Seq::decode_step`] then costs `O(t)` instead of the
-    /// `O(t²)` of re-running the decoder over the whole prefix.
-    pub fn begin_decode(&self, mem: &[f32], s: usize) -> DecoderState {
-        let d = self.cfg.d_model;
-        let n = self.dec.len();
-        let mut cross_k = Vec::with_capacity(n);
-        let mut cross_v = Vec::with_capacity(n);
-        for layer in &self.dec {
-            let a = &layer.cross_attn;
-            cross_k.push(self.linear(a.wk, a.bk, mem, s, d, d));
-            cross_v.push(self.linear(a.wv, a.bv, mem, s, d, d));
-        }
-        DecoderState {
-            self_k: vec![Vec::new(); n],
-            self_v: vec![Vec::new(); n],
-            cross_k,
-            cross_v,
-            s,
-            pos: 0,
-        }
-    }
-
-    /// Consumes one decoder token and returns the next-token logits.
-    /// Numerically identical to running [`Seq2Seq::decode_last_logits`]
-    /// over the whole prefix (decoder layers are causal and LayerNorm is
-    /// per-position, so cached keys/values are exact).
-    pub fn decode_step(&self, state: &mut DecoderState, token: u32) -> Vec<f32> {
-        let d = self.cfg.d_model;
-        let h = self.cfg.n_heads;
-        let dh = d / h;
-        let p = state.pos;
-        // Embed the single token at its position.
-        let e = self.store.data(self.embed);
-        let pe = self.store.data(self.pos);
-        let row = (token as usize).min(self.cfg.vocab - 1) * d;
-        let prow = p.min(self.cfg.max_len - 1) * d;
-        let mut x: Vec<f32> = (0..d).map(|j| e[row + j] + pe[prow + j]).collect();
-        for (l, layer) in self.dec.iter().enumerate() {
-            // Self-attention against the grown cache.
-            let (ln1, ..) = self.layer_norm(&layer.ln1, &x, 1);
-            let a = &layer.self_attn;
-            let q = self.linear(a.wq, a.bq, &ln1, 1, d, d);
-            let k_new = self.linear(a.wk, a.bk, &ln1, 1, d, d);
-            let v_new = self.linear(a.wv, a.bv, &ln1, 1, d, d);
-            state.self_k[l].extend_from_slice(&k_new);
-            state.self_v[l].extend_from_slice(&v_new);
-            let ctx = attend_single(&q, &state.self_k[l], &state.self_v[l], p + 1, h, dh);
-            let out = self.linear(a.wo, a.bo, &ctx, 1, d, d);
-            add_into(&mut x, &out);
-            // Cross-attention against the fixed encoder projections.
-            let (ln2, ..) = self.layer_norm(&layer.ln2, &x, 1);
-            let c = &layer.cross_attn;
-            let q2 = self.linear(c.wq, c.bq, &ln2, 1, d, d);
-            let ctx2 = attend_single(&q2, &state.cross_k[l], &state.cross_v[l], state.s, h, dh);
-            let out2 = self.linear(c.wo, c.bo, &ctx2, 1, d, d);
-            add_into(&mut x, &out2);
-            // FFN.
-            let (ln3, ..) = self.layer_norm(&layer.ln3, &x, 1);
-            let (ff, _) = self.ffn_fwd(&layer.ffn, &ln3, 1);
-            add_into(&mut x, &ff);
-        }
-        state.pos += 1;
-        let (hn, ..) = self.layer_norm(&self.ln_dec_out, &x, 1);
-        let mut logits = vec![0.0f32; self.cfg.vocab];
-        matmul_transb_into(&hn, self.store.data(self.embed), &mut logits, 1, d, self.cfg.vocab);
-        logits
-    }
-
     /// Writes `linear(x)` into a caller-provided buffer through an
     /// inference weight materialized by [`Seq2Seq::proj_weight`] —
     /// pre-transposed f32 or per-row int8, per the configured
@@ -984,7 +920,7 @@ impl Seq2Seq {
         }
         slade_obs::obs().count(slade_obs::KernelCtr::EncodeRows, total as u64);
         // Embed each sequence at its row range (positions restart per
-        // sequence, as in the scalar path).
+        // sequence, as in `encode`).
         let mut hbuf = vec![0.0f32; total * d];
         for (si, src) in srcs.iter().enumerate() {
             self.embed_into(src, &mut hbuf[offsets[si] * d..(offsets[si] + lens[si]) * d]);
@@ -1149,10 +1085,12 @@ impl Seq2Seq {
     }
 
     /// Consumes one decoder token **per live lane** and returns the
-    /// `[lanes, vocab]` next-token logits, numerically identical to
-    /// running [`Seq2Seq::decode_step`] on each lane's own
-    /// [`DecoderState`]. Every projection (Q/K/V/out, both FFN layers, and
-    /// the vocabulary logits) runs as **one** matmul over all live lanes.
+    /// `[lanes, vocab]` next-token logits, bit-identical on the f32
+    /// backend to [`Seq2Seq::decode_last_logits`] over each lane's whole
+    /// prefix (decoder layers are causal and LayerNorm is per-position,
+    /// so cached keys/values are exact). Every projection (Q/K/V/out,
+    /// both FFN layers, and the vocabulary logits) runs as **one** matmul
+    /// over all live lanes.
     /// Self-attention stays per lane, because lanes attend over their own
     /// different-length caches; cross-attention takes the adjacent lanes
     /// of one request as a tile ([`attend_tile`]), since they read the
@@ -1437,8 +1375,8 @@ impl Seq2Seq {
     /// the log-softmax scoring (a proper `x − logsumexp(x)`, not the old
     /// `softmax` + clamped `ln`), length normalization, and the early-stop
     /// policy (a finished short hypothesis no longer masks a better longer
-    /// one still live). The per-hypothesis reference path is kept as
-    /// [`crate::engine::InferenceEngine::decode_scalar`] and is property-
+    /// one still live). The per-hypothesis reference is
+    /// [`crate::engine::InferenceEngine::decode_reference`], property-
     /// tested equivalent.
     pub fn beam_search(
         &self,
@@ -1526,38 +1464,6 @@ struct AttnCache {
     v: Vec<f32>,
     probs: Vec<f32>,
     ctx: Vec<f32>,
-}
-
-/// Per-hypothesis decoder state for KV-cached incremental decoding
-/// ([`Seq2Seq::begin_decode`] / [`Seq2Seq::decode_step`]). Cloning one is
-/// `O(layers × (pos + src) × d_model)`, which is what makes carrying a
-/// state per beam hypothesis cheaper than recomputing the prefix.
-#[derive(Debug, Clone)]
-pub struct DecoderState {
-    /// Per layer: self-attention keys, one `d_model` row per consumed token.
-    self_k: Vec<Vec<f32>>,
-    /// Per layer: self-attention values.
-    self_v: Vec<Vec<f32>>,
-    /// Per layer: encoder-memory key projections (fixed at start).
-    cross_k: Vec<Vec<f32>>,
-    /// Per layer: encoder-memory value projections (fixed at start).
-    cross_v: Vec<Vec<f32>>,
-    /// Encoder memory length.
-    s: usize,
-    /// Tokens consumed so far (also the next position index).
-    pos: usize,
-}
-
-impl DecoderState {
-    /// Tokens consumed so far.
-    pub fn len(&self) -> usize {
-        self.pos
-    }
-
-    /// True before the first [`Seq2Seq::decode_step`].
-    pub fn is_empty(&self) -> bool {
-        self.pos == 0
-    }
 }
 
 /// One projection's inference weights, materialized in the configured
@@ -2039,25 +1945,6 @@ fn attend_tile(
     }
 }
 
-/// Single-query attention over `n` cached key/value rows — allocating
-/// wrapper over [`attend_tile`], so the scalar and batched decode paths
-/// share one arithmetic implementation by construction.
-fn attend_single(
-    q: &[f32],
-    keys: &[f32],
-    values: &[f32],
-    n: usize,
-    h: usize,
-    dh: usize,
-) -> Vec<f32> {
-    slade_obs::obs().count(slade_obs::KernelCtr::AttendCalls, 1);
-    let d = h * dh;
-    let mut ctx = vec![0.0f32; d];
-    let mut scores = vec![0.0f32; n];
-    attend_tile(q, &KvRows::contiguous(keys, values, n), h, dh, &mut scores, &mut ctx);
-    ctx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2353,24 +2240,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_decode_matches_full_recompute_logits() {
-        let m = trained_tiny();
-        let src = vec![4u32, 5, 6];
-        let mem = m.encode(&src);
-        let prefix = vec![1u32, 9, 10, 11];
-        let full = m.decode_last_logits(&mem, src.len(), &prefix);
-        let mut state = m.begin_decode(&mem, src.len());
-        let mut incremental = Vec::new();
-        for &tok in &prefix {
-            incremental = m.decode_step(&mut state, tok);
-        }
-        assert_eq!(full.len(), incremental.len());
-        for (a, b) in full.iter().zip(&incremental) {
-            assert!((a - b).abs() < 1e-4, "logit mismatch: {a} vs {b}");
-        }
-    }
-
-    #[test]
     fn kv_cached_beam_matches_full_recompute_beam() {
         let m = trained_tiny();
         for src in [vec![4u32, 5, 6], vec![6u32, 5], vec![5u32]] {
@@ -2380,17 +2249,6 @@ mod tests {
                 assert_eq!(fast, slow, "src {src:?} beam {beam}");
             }
         }
-    }
-
-    #[test]
-    fn decoder_state_reports_progress() {
-        let m = Seq2Seq::new(TransformerConfig::tiny(16), 1);
-        let mem = m.encode(&[4, 5]);
-        let mut state = m.begin_decode(&mem, 2);
-        assert!(state.is_empty());
-        let _ = m.decode_step(&mut state, 1);
-        let _ = m.decode_step(&mut state, 7);
-        assert_eq!(state.len(), 2);
     }
 
     #[test]
@@ -2408,13 +2266,18 @@ mod tests {
         assert!(acc > 0.99, "memorized pair should be perfectly predicted: {acc}");
     }
 
-    /// A batched state and one scalar [`DecoderState`] per lane, stepped
-    /// and reordered together: every step compares the logits bit for bit
-    /// and every step and reorder audits the block pool.
+    /// A batched state and, per lane, the request and prefix the reference
+    /// forward re-runs, stepped and reordered together: every step
+    /// compares the logits bit for bit with
+    /// [`Seq2Seq::decode_last_logits`] over the lane's whole prefix, and
+    /// every step and reorder audits the block pool.
     struct Paired<'m> {
         m: &'m Seq2Seq,
         state: BatchedDecoderState,
-        scalar: Vec<DecoderState>,
+        /// One encoder memory per admitted request.
+        mems: Vec<Vec<f32>>,
+        /// Per lane: its request and the tokens it has consumed.
+        lanes: Vec<(usize, Vec<u32>)>,
         steps: u32,
     }
 
@@ -2423,7 +2286,8 @@ mod tests {
             Paired {
                 m,
                 state: m.begin_decode_batch(cap_lanes, cap_pos),
-                scalar: Vec::new(),
+                mems: Vec::new(),
+                lanes: Vec::new(),
                 steps: 0,
             }
         }
@@ -2433,20 +2297,24 @@ mod tests {
             let cross = self.m.register_cross_memory(&mut self.state, &mem, src.len());
             for _ in 0..lanes {
                 self.state.add_lane(cross);
-                self.scalar.push(self.m.begin_decode(&mem, src.len()));
+                self.lanes.push((self.mems.len(), Vec::new()));
             }
+            self.mems.push(mem);
         }
 
         /// One step; each lane consumes a different token, so histories
         /// that fork diverge from here on.
         fn step(&mut self) {
-            let v = self.m.cfg.vocab;
-            let tokens: Vec<u32> = (0..self.scalar.len() as u32)
+            let (v, d) = (self.m.cfg.vocab, self.m.cfg.d_model);
+            let tokens: Vec<u32> = (0..self.lanes.len() as u32)
                 .map(|lane| (3 + 5 * lane + 7 * self.steps) % v as u32)
                 .collect();
             let batched = self.m.decode_step_batch(&mut self.state, &tokens).to_vec();
-            for (lane, (st, &tok)) in self.scalar.iter_mut().zip(&tokens).enumerate() {
-                let want = self.m.decode_step(st, tok);
+            for (lane, ((req, prefix), &tok)) in self.lanes.iter_mut().zip(&tokens).enumerate()
+            {
+                prefix.push(tok);
+                let mem = &self.mems[*req];
+                let want = self.m.decode_last_logits(mem, mem.len() / d, prefix);
                 for (x, y) in batched[lane * v..(lane + 1) * v].iter().zip(&want) {
                     assert_eq!(x.to_bits(), y.to_bits(), "step {} lane {lane}", self.steps);
                 }
@@ -2457,17 +2325,37 @@ mod tests {
 
         fn reorder(&mut self, parents: &[usize]) -> usize {
             let copied = self.state.reorder(parents);
-            self.scalar = parents.iter().map(|&p| self.scalar[p].clone()).collect();
+            self.lanes = parents.iter().map(|&p| self.lanes[p].clone()).collect();
             self.state.check_kv_pool();
             copied
         }
     }
 
+    /// The KV-cached step on sharp, trained distributions equals the
+    /// full-prefix forward bit for bit.
+    #[test]
+    fn incremental_decode_matches_full_recompute_logits() {
+        let m = trained_tiny();
+        let mut p = Paired::new(&m, 1, 4);
+        p.admit(&[4, 5, 6], 1);
+        for _ in 0..4 {
+            p.step();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one prefix token")]
+    fn decode_last_logits_rejects_an_empty_prefix() {
+        let m = Seq2Seq::new(TransformerConfig::tiny(16), 1);
+        let mem = m.encode(&[4, 5]);
+        m.decode_last_logits(&mem, 2, &[]);
+    }
+
     /// A lane forked five ways with its tail block filled to 0, 1 and
     /// `KV_BLOCK − 1` rows (and mid-block), then all but one child pruned:
     /// the fork copies the filled rows for four of the five children, the
-    /// prune copies nothing, and every lane keeps decoding what its own
-    /// scalar state decodes.
+    /// prune copies nothing, and every lane keeps decoding what the
+    /// reference forward computes from its own prefix.
     #[test]
     fn forks_at_block_edges_match_scalar_and_copy_only_shared_tails() {
         let cfg = TransformerConfig { max_len: 3 * KV_BLOCK, ..TransformerConfig::tiny(16) };

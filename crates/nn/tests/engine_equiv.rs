@@ -1,13 +1,15 @@
 //! Property tests for the batched inference engine's equivalence
 //! guarantees: across random tiny models, random sources and random beam
-//! widths, the batched path must reproduce the scalar path —
-//! `encode_batch` ≡ `encode`, `decode_step_batch` ≡ `decode_step` (also
-//! under adversarial lane reorders), and engine beam search ≡ the
-//! per-hypothesis reference — plus the `greedy == beam_search(k = 1)`
-//! head regression.
+//! widths, the batched path must reproduce the training forward —
+//! `encode_batch` ≡ `encode`, `decode_step_batch` ≡ `decode_last_logits`
+//! over each lane's whole prefix (also under adversarial lane reorders),
+//! and engine beam search ≡ the per-hypothesis reference — plus the
+//! `greedy == beam_search(k = 1)` head regression.
 
 use proptest::prelude::*;
-use slade_nn::{DecodeRequest, InferenceEngine, Seq2Seq, TransformerConfig};
+use slade_nn::{
+    BatchedDecoderState, DecodeRequest, InferenceEngine, Seq2Seq, TransformerConfig,
+};
 
 /// The two model shapes the suite runs: `tiny` (head width 8: one lane
 /// chunk) with its position table widened to the suite's longest source,
@@ -44,6 +46,65 @@ fn source(len: usize, salt: u32) -> Vec<u32> {
     (0..len as u32).map(|t| 3 + (t * 5 + salt) % 12).collect()
 }
 
+/// A batched state and what the reference forward needs to recompute any
+/// of its lanes from nothing — one encoder memory per request and, per
+/// lane in arena order, its request and the tokens it has consumed —
+/// stepped and reordered together.
+struct Paired<'m> {
+    m: &'m Seq2Seq,
+    state: BatchedDecoderState,
+    mems: Vec<Vec<f32>>,
+    lanes: Vec<(usize, Vec<u32>)>,
+    steps: usize,
+}
+
+impl<'m> Paired<'m> {
+    fn new(m: &'m Seq2Seq, cap_lanes: usize, cap_pos: usize) -> Self {
+        let state = m.begin_decode_batch(cap_lanes, cap_pos);
+        Paired { m, state, mems: Vec::new(), lanes: Vec::new(), steps: 0 }
+    }
+
+    /// Admits `src` with `width` lanes.
+    fn admit(&mut self, src: &[u32], width: usize) {
+        let mem = self.m.encode(src);
+        let cross = self.m.register_cross_memory(&mut self.state, &mem, src.len());
+        for _ in 0..width {
+            self.state.add_lane(cross);
+            self.lanes.push((self.mems.len(), Vec::new()));
+        }
+        self.mems.push(mem);
+    }
+
+    /// One batched step on `tokens`; every lane's logits must equal, bit
+    /// for bit, `decode_last_logits` over that lane's whole prefix.
+    fn step(&mut self, tokens: &[u32]) {
+        let (v, d) = (self.m.cfg.vocab, self.m.cfg.d_model);
+        let batched = self.m.decode_step_batch(&mut self.state, tokens).to_vec();
+        for (lane, ((req, prefix), &tok)) in self.lanes.iter_mut().zip(tokens).enumerate() {
+            prefix.push(tok);
+            let mem = &self.mems[*req];
+            let want = self.m.decode_last_logits(mem, mem.len() / d, prefix);
+            for (i, (x, y)) in batched[lane * v..(lane + 1) * v].iter().zip(&want).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "step {} lane {lane} logit {i}: {x} vs {y}",
+                    self.steps
+                );
+            }
+        }
+        self.steps += 1;
+        self.state.check_kv_pool();
+    }
+
+    /// New lane `i` continues old lane `parents[i]`, on both sides.
+    fn reorder(&mut self, parents: &[usize]) {
+        self.state.reorder(parents);
+        self.lanes = parents.iter().map(|&p| self.lanes[p].clone()).collect();
+        self.state.check_kv_pool();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -72,7 +133,7 @@ proptest! {
         }
     }
 
-    /// `decode_step_batch` matches per-lane `decode_step` logits bit for
+    /// `decode_step_batch` matches the reference forward's logits bit for
     /// bit with the lanes of five requests of different source lengths in
     /// one arena: lane runs of every width 1..=5 share a cross memory (the
     /// run of 5 is split by the attention tile), and two of the requests
@@ -88,43 +149,23 @@ proptest! {
         t0 in 3u32..15,
     ) {
         let m = model(shape, seed);
-        let v = m.cfg.vocab;
         let widths = [5usize, 3, 1, 4, 2];
-        let mut state = m.begin_decode_batch(widths.iter().sum(), before + after);
-        // One scalar decoder state per lane, in arena order.
-        let mut scalar = Vec::new();
-        let admit = |state: &mut _, scalar: &mut Vec<_>, r: usize| {
-            let src = source(lens[r], r as u32);
-            let mem = m.encode(&src);
-            let cross = m.register_cross_memory(state, &mem, src.len());
-            for _ in 0..widths[r] {
-                state.add_lane(cross);
-                scalar.push(m.begin_decode(&mem, src.len()));
-            }
-        };
+        let mut p = Paired::new(&m, widths.iter().sum(), before + after);
         for r in 0..3 {
-            admit(&mut state, &mut scalar, r);
+            p.admit(&source(lens[r], r as u32), widths[r]);
         }
         for step in 0..before + after {
             if step == before {
-                admit(&mut state, &mut scalar, 3);
-                admit(&mut state, &mut scalar, 4);
-            }
-            let tokens: Vec<u32> =
-                (0..scalar.len() as u32).map(|lane| (t0 + 3 * lane + step as u32) % 16).collect();
-            let batched = m.decode_step_batch(&mut state, &tokens).to_vec();
-            for (lane, (st, &tok)) in scalar.iter_mut().zip(&tokens).enumerate() {
-                let want = m.decode_step(st, tok);
-                for (i, (x, y)) in batched[lane * v..(lane + 1) * v].iter().zip(&want).enumerate() {
-                    prop_assert_eq!(
-                        x.to_bits(), y.to_bits(),
-                        "step {} lane {} logit {}: {} vs {}", step, lane, i, x, y
-                    );
+                for r in 3..5 {
+                    p.admit(&source(lens[r], r as u32), widths[r]);
                 }
             }
+            let tokens: Vec<u32> =
+                (0..p.lanes.len() as u32).map(|lane| (t0 + 3 * lane + step as u32) % 16).collect();
+            p.step(&tokens);
         }
-        prop_assert_eq!(state.lane_len(0), before + after);
-        prop_assert_eq!(state.lane_len(scalar.len() - 1), after);
+        prop_assert_eq!(p.state.lane_len(0), before + after);
+        prop_assert_eq!(p.state.lane_len(p.lanes.len() - 1), after);
     }
 
     /// `BatchedDecoderState::reorder` under parent vectors no beam search
@@ -132,12 +173,12 @@ proptest! {
     /// ways and all but one child pruned on the next step, every lane
     /// dropped — with the lanes of two requests at different positions in
     /// one pool: after every reorder each lane still decodes, bit for bit,
-    /// what a scalar `DecoderState` cloned along the same parents decodes,
-    /// and the block pool's books balance after every step and reorder.
-    /// 36 steps cross two block boundaries at either request's offset, so
-    /// forks land on every fill of a tail block.
+    /// what the reference forward computes from a prefix cloned along the
+    /// same parents, and the block pool's books balance after every step
+    /// and reorder. 36 steps cross two block boundaries at either
+    /// request's offset, so forks land on every fill of a tail block.
     #[test]
-    fn reorder_matches_cloned_scalar_states(
+    fn reorder_matches_cloned_reference_prefixes(
         shape in 0usize..2,
         seed in 0u64..500,
         late in 0usize..5,
@@ -145,40 +186,22 @@ proptest! {
     ) {
         const LANES: usize = 8;
         let m = model(shape, seed);
-        let v = m.cfg.vocab;
-        let mut state = m.begin_decode_batch(LANES, ops.len());
-        let mut scalar = Vec::new();
-        let admit = |state: &mut _, scalar: &mut Vec<_>, salt: u32| {
-            let src = source(3 + 9 * salt as usize, salt);
-            let mem = m.encode(&src);
-            let cross = m.register_cross_memory(state, &mem, src.len());
-            state.add_lane(cross);
-            scalar.push(m.begin_decode(&mem, src.len()));
-        };
-        admit(&mut state, &mut scalar, 0);
+        let mut p = Paired::new(&m, LANES, ops.len());
+        p.admit(&source(3, 0), 1);
         let mut forked = false;
         for (step, (op, r)) in ops.iter().map(|x| (x % 7, x / 7)).enumerate() {
-            if step == late || scalar.len() < 2 {
+            if step == late || p.lanes.len() < 2 {
                 // Another request joins mid-decode, at position 0 next to
                 // lanes further along.
-                state.reorder(&(0..scalar.len().min(LANES - 1)).collect::<Vec<_>>());
-                scalar.truncate(LANES - 1);
-                admit(&mut state, &mut scalar, 1 + step as u32 % 3);
+                let keep: Vec<usize> = (0..p.lanes.len().min(LANES - 1)).collect();
+                p.reorder(&keep);
+                let salt = 1 + step as u32 % 3;
+                p.admit(&source(3 + 9 * salt as usize, salt), 1);
             }
-            let n = scalar.len();
+            let n = p.lanes.len();
             let tokens: Vec<u32> =
                 (0..n as u32).map(|lane| (3 + 5 * lane + 7 * step as u32) % 16).collect();
-            let batched = m.decode_step_batch(&mut state, &tokens).to_vec();
-            for (lane, (st, &tok)) in scalar.iter_mut().zip(&tokens).enumerate() {
-                let want = m.decode_step(st, tok);
-                for (i, (x, y)) in batched[lane * v..(lane + 1) * v].iter().zip(&want).enumerate() {
-                    prop_assert_eq!(
-                        x.to_bits(), y.to_bits(),
-                        "step {} lane {} logit {}: {} vs {}", step, lane, i, x, y
-                    );
-                }
-            }
-            state.check_kv_pool();
+            p.step(&tokens);
             let pick = r % n;
             let parents: Vec<usize> = match op {
                 // A fork's children are pruned to one on the next step.
@@ -197,12 +220,10 @@ proptest! {
                 _ => Vec::new(),
             };
             forked = op == 3 && !forked;
-            state.reorder(&parents);
-            scalar = parents.iter().map(|&p| scalar[p].clone()).collect();
-            state.check_kv_pool();
+            p.reorder(&parents);
         }
-        state.reorder(&[]);
-        let (free, total) = state.check_kv_pool();
+        p.reorder(&[]);
+        let (free, total) = p.state.check_kv_pool();
         prop_assert_eq!(free, total, "blocks leaked");
     }
 
@@ -219,7 +240,7 @@ proptest! {
         let m = trained_model(0, seed);
         let req = DecodeRequest { src: source(src_len, seed as u32), bos: 1, eos: 2, max_len, beam };
         let engine = InferenceEngine::new(&m);
-        prop_assert_eq!(engine.decode(&req), engine.decode_scalar(&req));
+        prop_assert_eq!(engine.decode(&req), engine.decode_reference(&req));
     }
 
     /// An interleaved batch of requests with different source lengths,
@@ -261,7 +282,7 @@ proptest! {
         prop_assert_eq!(results.len(), reqs.len());
         for (req, ticket) in reqs.iter().zip(tickets) {
             let got = &results.iter().find(|(t, _)| *t == ticket).expect("ticket resolved").1;
-            prop_assert_eq!(got, &engine.decode_scalar(req), "src len {} beam {}", req.src.len(), req.beam);
+            prop_assert_eq!(got, &engine.decode_reference(req), "src len {} beam {}", req.src.len(), req.beam);
         }
     }
 
@@ -274,4 +295,29 @@ proptest! {
         let beam1 = m.beam_search(&src, 1, 2, max_len, 1);
         prop_assert_eq!(Some(&greedy), beam1.first(), "beam1 {:?}", &beam1);
     }
+}
+
+/// The packed output head's tail columns: a vocabulary that is not a
+/// multiple of 8 (`small` shape, 515 tokens), a beam of five, 34 steps —
+/// past two KV-block edges. Every step's logits equal the reference
+/// forward's bit for bit while a lane forks and another is pruned, and
+/// the engine returns exactly the reference's hypotheses.
+#[test]
+fn ragged_vocab_head_matches_reference() {
+    const STEPS: usize = 34;
+    let m = Seq2Seq::new(TransformerConfig::small(515), 7);
+    let src = source(5, 1);
+    let mut p = Paired::new(&m, 5, STEPS);
+    p.admit(&src, 5);
+    for step in 0..STEPS {
+        let tokens: Vec<u32> =
+            (0..5u32).map(|lane| (3 + 101 * lane + 7 * step as u32) % 515).collect();
+        p.step(&tokens);
+        p.reorder(&[step % 5, 0, 1, 2, 3]);
+    }
+    let req = DecodeRequest { src, bos: 1, eos: 2, max_len: STEPS, beam: 5 };
+    let engine = InferenceEngine::new(&m);
+    let got = engine.decode(&req);
+    assert!(got.len() == 5 && got.iter().all(|h| h.len() >= 33), "stopped early: {got:?}");
+    assert_eq!(got, engine.decode_reference(&req));
 }

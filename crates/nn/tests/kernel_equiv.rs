@@ -7,7 +7,7 @@
 //! process-global and these tests run on the harness's parallel threads.
 //! Shapes deliberately cover the awkward cases: `k` not a multiple of
 //! the 8-lane width (tail path), `m = 1` / `n = 1` (degenerate tiles),
-//! and `n` not a multiple of 8 (xposed column tail).
+//! and `n` not a multiple of 8 (the packed layout's column tail).
 //!
 //! One `proptest!` block per test: the vendored macro expands a long
 //! recursive muncher and a combined block overflows the recursion limit.
@@ -91,12 +91,13 @@ proptest! {
         if !has_avx2() {
             return Ok(());
         }
+        // The transposed orientation exists as one kernel: the packed one.
         let a = seeded(seed, m * k);
-        let bt = seeded(seed ^ 0xc, k * n);
+        let bp = kernels::pack_xposed_blocks(&seeded(seed ^ 0xc, k * n), k, n);
         let mut cs = vec![0.0f32; m * n];
         let mut cv = vec![0.0f32; m * n];
-        scalar::matmul_xposed_into(&a, &bt, &mut cs, m, k, n);
-        kernels::avx2::matmul_xposed_into(&a, &bt, &mut cv, m, k, n);
+        scalar::matmul_xpacked_into(&a, &bp, &mut cs, m, k, n);
+        kernels::avx2::matmul_xpacked_into(&a, &bp, &mut cv, m, k, n);
         for (s, v) in cs.iter().zip(&cv) {
             prop_assert_eq!(s.to_bits(), v.to_bits(), "shape ({},{},{})", m, k, n);
         }
@@ -250,10 +251,10 @@ proptest! {
         n in 1usize..20,
         seed in 0u64..1_000,
     ) {
-        // Cross-orientation identity: the scalar decode path projects via
-        // transb, the batched path via a pre-transposed copy of the same
-        // weights. Uses the dispatched entry points, so whichever tier is
-        // active must uphold it.
+        // Cross-orientation identity, transb ≡ xpacked: training and the
+        // reference forward project via transb, the inference path via a
+        // transposed, packed copy of the same weights. Uses the dispatched
+        // entry points, so whichever tier is active must uphold it.
         let a = seeded(seed, m * k);
         let w = seeded(seed ^ 0xf, n * k); // n x k
         let mut wt = vec![0.0f32; k * n];
@@ -265,41 +266,9 @@ proptest! {
         let mut c1 = vec![0.0f32; m * n];
         let mut c2 = vec![0.0f32; m * n];
         kernels::matmul_transb_into(&a, &w, &mut c1, m, k, n);
-        kernels::matmul_xposed_into(&a, &wt, &mut c2, m, k, n);
+        kernels::matmul_xpacked_into(&a, &kernels::pack_xposed_blocks(&wt, k, n), &mut c2, m, k, n);
         for (x, y) in c1.iter().zip(&c2) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "shape ({},{},{})", m, k, n);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn batched_transb_matches_unbatched_loop(
-        m in 1usize..5,
-        k in 1usize..40,
-        n in 1usize..20,
-        batch in 1usize..4,
-        seed in 0u64..1_000,
-    ) {
-        let a = seeded(seed, batch * m * k);
-        let b = seeded(seed ^ 0x10, batch * n * k);
-        let mut cb = vec![0.0f32; batch * m * n];
-        kernels::matmul_transb_batched(
-            &a, m * k, &b, n * k, &mut cb, m * n, batch, m, k, n,
-        );
-        for bi in 0..batch {
-            let mut c = vec![0.0f32; m * n];
-            kernels::matmul_transb_into(
-                &a[bi * m * k..(bi + 1) * m * k],
-                &b[bi * n * k..(bi + 1) * n * k],
-                &mut c,
-                m, k, n,
-            );
-            for (x, y) in c.iter().zip(&cb[bi * m * n..(bi + 1) * m * n]) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
         }
     }
 }

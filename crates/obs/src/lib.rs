@@ -46,7 +46,7 @@ pub enum StageHist {
     DecodeStep = 1,
     /// Beam scoring per step: top-k + survivor selection.
     Score = 2,
-    /// Engine admission: begin_decode + cross-memory registration.
+    /// Engine admission: batched encode + cross-memory registration.
     Admit = 3,
     /// Tokenization of normalized assembly (per batch).
     Tokenize = 4,
