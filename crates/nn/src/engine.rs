@@ -153,9 +153,10 @@ impl<'m> InferenceEngine<'m> {
     }
 
     /// Decodes a set of independent requests as **one** interleaved batch:
-    /// sources are encoded together ([`Seq2Seq::encode_batch`]), all live
-    /// beam lanes step together through [`Seq2Seq::decode_step_batch`],
-    /// and each request applies its own beam policy and stops
+    /// sources are encoded at admission ([`Seq2Seq::encode_batch_in`]),
+    /// all live beam lanes step together through
+    /// [`Seq2Seq::decode_step_batch`], and each request applies its own
+    /// beam policy and stops
     /// independently (its lanes are compacted out, shrinking the
     /// batch). Returns, per request, up to `beam` hypotheses, best
     /// first, without BOS/EOS.
@@ -325,17 +326,18 @@ impl<'m> DecodeSession<'m> {
         self.admit_many(&[request]).pop().expect("one ticket per request")
     }
 
-    /// Admits a group of requests, encoding their sources as **one**
-    /// batched encoder pass ([`Seq2Seq::encode_batch`]) — the grouped twin
-    /// of [`DecodeSession::admit`] that serving callers use when draining
-    /// an arrival queue, so encoder projections amortize across the group.
+    /// Admits a group of requests — the grouped twin of
+    /// [`DecodeSession::admit`] that serving callers use when draining an
+    /// arrival queue: the group's lane reservation is checked as a whole,
+    /// its sources go through the session's encoder weights and scratch
+    /// ([`Seq2Seq::encode_batch_in`]), and every request gets its cross
+    /// memory and first lane.
     ///
     /// # Panics
     ///
     /// Panics when the group's summed beam widths exceed the free lane
     /// budget.
     pub fn admit_many(&mut self, requests: &[&DecodeRequest]) -> Vec<u64> {
-        let _timer = slade_obs::StageTimer::start(slade_obs::StageHist::Admit);
         let m = self.model;
         // Validate the whole group's reservation before the (expensive)
         // encoder pass, so a rejected group admits nothing at all.
@@ -348,7 +350,11 @@ impl<'m> DecodeSession<'m> {
         );
         let srcs: Vec<&[u32]> =
             requests.iter().map(|r| &r.src[..r.src.len().min(m.cfg.max_len)]).collect();
-        let mems = m.encode_batch(&srcs);
+        let mems = m.encode_batch_in(&mut self.state, &srcs);
+        // The encoder pass timed itself (`Encode`); `Admit` is what
+        // admission adds to it: cross-K/V projection, key packing and lane
+        // set-up.
+        let _timer = slade_obs::StageTimer::start(slade_obs::StageHist::Admit);
         requests
             .iter()
             .zip(&mems)

@@ -2,7 +2,8 @@
 //!
 //! Every hot kernel in this crate (`matmul_transb_into`,
 //! `matmul_xpacked_into`, the fused log-softmax+top-k max and exp-sum
-//! passes, the attention core (`attn_scores_into` / `softmax_into` /
+//! passes, the attention core (`attn_scores_into` and its key-packed
+//! query-tile form `attn_scores_packed_tile_into`, `softmax_into`,
 //! `attn_weighted_sum_into` and its query-tile form `attn_weighted_sum_tile_into`),
 //! `layer_norm_into`, activation quantization (`quantize_row_i8`), and
 //! the int8 `qmatmul_transb_into`) routes through this module. An ISA
@@ -648,6 +649,49 @@ pub mod scalar {
         let dh = q.len();
         for (si, sv) in scores.iter_mut().enumerate() {
             *sv = dot8(q, &keys[si * stride..si * stride + dh]) * scale;
+        }
+    }
+
+    /// QK^T scores of a tile of queries against keys packed by
+    /// [`super::pack_keys`] — scalar tier, and what every tier without an
+    /// explicit body runs: `scores[r * n + si] = dot8(q_r, key_si) *
+    /// scale`, where query `r` is `q[r * qstride..][..dh]` and `scores`
+    /// holds `scores.len() / n` rows. A group's eight keys sit side by
+    /// side, so lane accumulator `l` is a vertical `acc[l] += q[j] *
+    /// K[j]` over `j = l, l + 8, …` (ascending, from `+0.0`) for all
+    /// eight keys at once, [`reduce8`]'s tree is seven vertical adds, and
+    /// the scale multiply follows: per score the rounded operations of
+    /// [`attn_scores_into`], in its order. The loops run over `[f32; 8]`
+    /// so LLVM vectorizes them at any target's baseline.
+    pub fn attn_scores_packed_tile_into(
+        q: &[f32],
+        qstride: usize,
+        dh: usize,
+        kp: &[f32],
+        n: usize,
+        scale: f32,
+        scores: &mut [f32],
+    ) {
+        if n == 0 {
+            return;
+        }
+        assert!(dh > 0 && kp.len() >= super::packed_keys_len(n, dh));
+        for (r, srow) in scores.chunks_exact_mut(n).enumerate() {
+            let qrow = &q[r * qstride..r * qstride + dh];
+            for (group, out) in kp.chunks_exact(dh * 8).zip(srow.chunks_mut(8)) {
+                let mut acc = [[0.0f32; 8]; 8];
+                for (j, (&qv, kv)) in qrow.iter().zip(group.chunks_exact(8)).enumerate() {
+                    for (a, &k) in acc[j & 7].iter_mut().zip(kv) {
+                        *a += qv * k;
+                    }
+                }
+                let mut dots = [0.0f32; 8];
+                for (key, dot) in dots.iter_mut().enumerate() {
+                    *dot = reduce8(&std::array::from_fn(|l| acc[l][key])) * scale;
+                }
+                // The last group's padding lanes score nothing.
+                out.copy_from_slice(&dots[..out.len()]);
+            }
         }
     }
 
@@ -1497,6 +1541,156 @@ pub mod avx2 {
         _mm256_mul_ps(dots, _mm256_set1_ps(scale))
     }
 
+    /// QK^T scores of a query tile against packed keys — AVX2 tier (see
+    /// [`scalar::attn_scores_packed_tile_into`]). A key per SIMD lane
+    /// makes every step of the scalar definition one vertical
+    /// instruction — no shuffle, no horizontal add — and each K vector
+    /// is loaded once for up to [`ATTN_TILE`](super::ATTN_TILE) queries.
+    pub fn attn_scores_packed_tile_into(
+        q: &[f32],
+        qstride: usize,
+        dh: usize,
+        kp: &[f32],
+        n: usize,
+        scale: f32,
+        scores: &mut [f32],
+    ) {
+        if n == 0 || scores.len() < n {
+            return;
+        }
+        let t = scores.len() / n;
+        assert!(dh > 0 && kp.len() >= super::packed_keys_len(n, dh));
+        assert!(q.len() >= (t - 1) * qstride + dh);
+        assert_avx2();
+        // SAFETY: AVX2 is present (asserted); `scores` is cut to exactly
+        // `t` rows of `n`, and the two asserts above bound every `kp`
+        // group and `q` row the body reads.
+        unsafe { scores_packed_avx2(q, qstride, dh, kp, n, scale, &mut scores[..t * n]) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2, `n > 0`, `dh > 0`, `scores.len() = t * n` with
+    /// `t > 0`, `q.len() >= (t - 1) * qstride + dh` and `kp.len() >=
+    /// packed_keys_len(n, dh)`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn scores_packed_avx2(
+        q: &[f32],
+        qstride: usize,
+        dh: usize,
+        kp: &[f32],
+        n: usize,
+        scale: f32,
+        scores: &mut [f32],
+    ) {
+        let t = scores.len() / n;
+        let mut r = 0usize;
+        while r < t {
+            let rows = (t - r).min(super::ATTN_TILE);
+            let qp = q.as_ptr().add(r * qstride);
+            let sp = scores.as_mut_ptr().add(r * n);
+            let k = kp.as_ptr();
+            match rows {
+                1 => scores_packed_rows_avx2::<1>(qp, qstride, dh, k, n, scale, sp),
+                2 => scores_packed_rows_avx2::<2>(qp, qstride, dh, k, n, scale, sp),
+                3 => scores_packed_rows_avx2::<3>(qp, qstride, dh, k, n, scale, sp),
+                _ => scores_packed_rows_avx2::<4>(qp, qstride, dh, k, n, scale, sp),
+            }
+            r += rows;
+        }
+    }
+
+    /// `R` score rows over all `⌈n / 8⌉` key groups. `reduce8`'s tree is
+    /// evaluated one `(l, l + 4)` accumulator pair at a time — `2 * R ≤ 8`
+    /// accumulators live, so four rows fit the 16 registers — in the
+    /// order `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and, for `r < R`: `q[r * qstride..][..dh]`,
+    /// `scores[r * n..][..n]` and `kp[..n.div_ceil(8) * dh * 8]` in
+    /// bounds of their allocations.
+    #[target_feature(enable = "avx2")]
+    unsafe fn scores_packed_rows_avx2<const R: usize>(
+        q: *const f32,
+        qstride: usize,
+        dh: usize,
+        kp: *const f32,
+        n: usize,
+        scale: f32,
+        scores: *mut f32,
+    ) {
+        let scalev = _mm256_set1_ps(scale);
+        let mut si = 0usize;
+        while si < n {
+            // Group `si / 8` starts `si / 8 * dh * 8` floats in.
+            let kg = kp.add(si * dh);
+            let mut even = lane_pair_avx2::<R>(q, qstride, dh, kg, 0);
+            for (e, p) in even.iter_mut().zip(lane_pair_avx2::<R>(q, qstride, dh, kg, 2)) {
+                *e = _mm256_add_ps(*e, p);
+            }
+            let mut odd = lane_pair_avx2::<R>(q, qstride, dh, kg, 1);
+            for (o, p) in odd.iter_mut().zip(lane_pair_avx2::<R>(q, qstride, dh, kg, 3)) {
+                *o = _mm256_add_ps(*o, p);
+            }
+            for (r, (e, o)) in even.into_iter().zip(odd).enumerate() {
+                let dots = _mm256_mul_ps(_mm256_add_ps(e, o), scalev);
+                let out = scores.add(r * n + si);
+                if si + 8 <= n {
+                    _mm256_storeu_ps(out, dots);
+                } else {
+                    // Score rows are exactly `n` long: the padding lanes
+                    // of the last group stop here.
+                    let mut last = [0.0f32; 8];
+                    _mm256_storeu_ps(last.as_mut_ptr(), dots);
+                    std::ptr::copy_nonoverlapping(last.as_ptr(), out, n - si);
+                }
+            }
+            si += 8;
+        }
+    }
+
+    /// `acc[l] + acc[l + 4]` of one key group for `R` queries, where
+    /// `acc[l] = Σ q[j] * K[j]` over `j = l, l + 8, …` ascending from
+    /// `+0.0` (a lane past `dh` stays `+0.0`, as in `dot8`).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `dh * 8` readable floats at `kg` and `dh` at
+    /// `q + r * qstride` for `r < R`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn lane_pair_avx2<const R: usize>(
+        q: *const f32,
+        qstride: usize,
+        dh: usize,
+        kg: *const f32,
+        l: usize,
+    ) -> [__m256; R] {
+        let mut lo = [_mm256_setzero_ps(); R];
+        let mut hi = [_mm256_setzero_ps(); R];
+        let mut j = l;
+        while j < dh {
+            let kv = _mm256_loadu_ps(kg.add(j * 8));
+            for (r, a) in lo.iter_mut().enumerate() {
+                let qv = _mm256_broadcast_ss(&*q.add(r * qstride + j));
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, kv));
+            }
+            if j + 4 < dh {
+                let kv = _mm256_loadu_ps(kg.add((j + 4) * 8));
+                for (r, a) in hi.iter_mut().enumerate() {
+                    let qv = _mm256_broadcast_ss(&*q.add(r * qstride + j + 4));
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, kv));
+                }
+            }
+            j += 8;
+        }
+        for (a, b) in lo.iter_mut().zip(hi) {
+            *a = _mm256_add_ps(*a, b);
+        }
+        lo
+    }
+
     /// In-place softmax over one row — AVX2 tier, bit-identical to
     /// [`scalar::softmax_into`]: the same VMAXPS max pass, `exp8` (the
     /// exact vector mirror of `exp_lane`), the same lane-split sum, and
@@ -1667,7 +1861,10 @@ pub mod avx2 {
     }
 
     /// One `R × C`-register block of [`weighted_sum_rows_avx2`], held in
-    /// registers from the first key to the last.
+    /// registers from the first key to the last. Zero weights are looked
+    /// for eight keys at a time: a group without one adds every key with
+    /// no per-weight compare-and-branch, a group with one (and the
+    /// `n % 8` tail) tests each weight before its add.
     ///
     /// # Safety
     ///
@@ -1688,25 +1885,67 @@ pub mod avx2 {
                 *a = _mm256_loadu_ps(ctx.add(r * cstride + j * 8));
             }
         }
-        for si in 0..n {
-            let mut v = [_mm256_setzero_ps(); C];
-            for (j, vj) in v.iter_mut().enumerate() {
-                *vj = _mm256_loadu_ps(values.add(si * stride + j * 8));
+        let mut si = 0usize;
+        while si + 8 <= n {
+            // `== 0.0` as the scalar tier tests it: true for `-0.0`,
+            // false for NaN.
+            let mut zeros = 0i32;
+            for r in 0..R {
+                let w = _mm256_loadu_ps(probs.add(r * n + si));
+                zeros |=
+                    _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(w, _mm256_setzero_ps()));
             }
-            for (r, row) in acc.iter_mut().enumerate() {
-                let w = *probs.add(r * n + si);
-                if w == 0.0 {
-                    continue;
+            if zeros == 0 {
+                for s in si..si + 8 {
+                    weighted_sum_key_avx2::<R, C, false>(&mut acc, probs, n, values, stride, s);
                 }
-                let wv = _mm256_set1_ps(w);
-                for (a, vj) in row.iter_mut().zip(v) {
-                    *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, vj));
+            } else {
+                for s in si..si + 8 {
+                    weighted_sum_key_avx2::<R, C, true>(&mut acc, probs, n, values, stride, s);
                 }
             }
+            si += 8;
+        }
+        for s in si..n {
+            weighted_sum_key_avx2::<R, C, true>(&mut acc, probs, n, values, stride, s);
         }
         for (r, row) in acc.iter().enumerate() {
             for (j, a) in row.iter().enumerate() {
                 _mm256_storeu_ps(ctx.add(r * cstride + j * 8), *a);
+            }
+        }
+    }
+
+    /// Key `si` of [`weighted_sum_block_avx2`]: `acc[r] += probs[r][si] *
+    /// V[si]` for each row, the V chunks loaded once. `SKIP_ZEROS` keeps
+    /// the contract that a zero weight adds nothing; without it the
+    /// caller has checked that no row's weight is zero.
+    ///
+    /// # Safety
+    ///
+    /// As [`weighted_sum_block_avx2`], with `si < n`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn weighted_sum_key_avx2<const R: usize, const C: usize, const SKIP_ZEROS: bool>(
+        acc: &mut [[__m256; C]; R],
+        probs: *const f32,
+        n: usize,
+        values: *const f32,
+        stride: usize,
+        si: usize,
+    ) {
+        let mut v = [_mm256_setzero_ps(); C];
+        for (j, vj) in v.iter_mut().enumerate() {
+            *vj = _mm256_loadu_ps(values.add(si * stride + j * 8));
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let w = *probs.add(r * n + si);
+            if SKIP_ZEROS && w == 0.0 {
+                continue;
+            }
+            let wv = _mm256_set1_ps(w);
+            for (a, vj) in row.iter_mut().zip(v) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, vj));
             }
         }
     }
@@ -2448,6 +2687,63 @@ pub fn attn_scores_into(
         #[cfg(target_arch = "aarch64")]
         IsaTier::Neon => neon::attn_scores_into(q, keys, stride, scale, scores),
         _ => scalar::attn_scores_into(q, keys, stride, scale, scores),
+    }
+}
+
+/// Floats [`pack_keys`] writes for `n` keys of `dh` elements: whole
+/// groups of [`LANES`] keys.
+pub fn packed_keys_len(n: usize, dh: usize) -> usize {
+    n.div_ceil(LANES) * dh * LANES
+}
+
+/// Packs the `n` key rows of one head (`keys[si * stride..][..dh]`)
+/// into the layout [`attn_scores_packed_tile_into`] reads: groups of
+/// [`LANES`] keys, `[⌈n / 8⌉][dh][8]`, with element `j` of key
+/// `8 * g + l` at `out[(g * dh + j) * 8 + l]` — a key per SIMD lane. The
+/// lanes of the last group past `n` are written as zeros, so `out`
+/// (exactly [`packed_keys_len`] floats) keeps nothing of what it held.
+///
+/// Worth its copy wherever keys are written once and then scored
+/// against many queries (an encoder layer's keys against every source
+/// position, a request's cross-attention keys against every lane of
+/// every step); a decoder lane's own keys grow by a row per step and
+/// stay row-major for [`attn_scores_into`].
+pub fn pack_keys(keys: &[f32], stride: usize, n: usize, dh: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), packed_keys_len(n, dh));
+    for (g, group) in out.chunks_exact_mut(dh * LANES).enumerate() {
+        let first = g * LANES;
+        let live = (n - first).min(LANES);
+        for (j, lanes) in group.chunks_exact_mut(LANES).enumerate() {
+            for (l, v) in lanes.iter_mut().enumerate() {
+                *v = if l < live { keys[(first + l) * stride + j] } else { 0.0 };
+            }
+        }
+    }
+}
+
+/// Dispatched QK^T scores of a tile of queries against keys packed by
+/// [`pack_keys`]: `scores[r * n + si]` is the scaled dot of query
+/// `q[r * qstride..][..dh]` with key `si`, for `scores.len() / n`
+/// queries — per score the rounded operations of [`attn_scores_into`] in
+/// its order (lane split by 8, ascending, tree reduce, then the scale),
+/// so the two layouts agree bit-for-bit. NEON runs the scalar body, which
+/// is written over 8-float groups so that it vectorizes without
+/// intrinsics.
+pub fn attn_scores_packed_tile_into(
+    q: &[f32],
+    qstride: usize,
+    dh: usize,
+    kp: &[f32],
+    n: usize,
+    scale: f32,
+    scores: &mut [f32],
+) {
+    match active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx2 | IsaTier::Vnni => {
+            avx2::attn_scores_packed_tile_into(q, qstride, dh, kp, n, scale, scores)
+        }
+        _ => scalar::attn_scores_packed_tile_into(q, qstride, dh, kp, n, scale, scores),
     }
 }
 

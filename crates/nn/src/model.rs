@@ -897,109 +897,117 @@ impl Seq2Seq {
         crate::kernels::layer_norm_into(&x[..t * d], gamma, beta, t, d, &mut out[..t * d]);
     }
 
-    /// Batched encoder forward: packs all sequences into one row matrix so
-    /// every projection runs as a single matmul over `Σ lengths` rows
-    /// (weights stream through the cache once per batch instead of once
-    /// per sequence), while attention runs per sequence, a tile of
-    /// [`ATTN_TILE`] consecutive query rows at a time ([`attend_tile`]) —
-    /// which makes ragged lengths exact without padding or masking, and
-    /// keeps every buffer linear in the source length. Returns one encoder
-    /// memory per input, numerically identical to [`Seq2Seq::encode`] on
-    /// each sequence.
+    /// Encoder forward of every sequence of `srcs` through the inference
+    /// weights: one encoder memory per input, bit-identical to
+    /// [`Seq2Seq::encode`] on each sequence. Sequences run one at a time
+    /// (see [`Seq2Seq::encode_batch_in`], which this is with weights and
+    /// scratch built for the call).
     pub fn encode_batch(&self, srcs: &[&[u32]]) -> Vec<Vec<f32>> {
+        self.encode_seqs(&self.encoder_weights(), &mut Scratch::default(), srcs)
+    }
+
+    /// [`Seq2Seq::encode_batch`] through the encoder weights `state`
+    /// materialized at [`Seq2Seq::begin_decode_batch`] and its scratch,
+    /// which grows to the longest source seen and is then reused — what a
+    /// decode session admits through. One sequence at a time: every
+    /// projection is a matmul over that sequence's rows, and attention
+    /// takes a tile of [`ATTN_TILE`] consecutive query rows
+    /// ([`attend_tile`]) against the layer's keys, packed once per layer
+    /// ([`crate::kernels::pack_keys`]) and read by every tile. Ragged
+    /// lengths are exact without padding or masking, and every buffer is
+    /// linear in the longest source.
+    pub fn encode_batch_in(
+        &self,
+        state: &mut BatchedDecoderState,
+        srcs: &[&[u32]],
+    ) -> Vec<Vec<f32>> {
+        self.encode_seqs(&state.enc_xposed, &mut state.scratch, srcs)
+    }
+
+    fn encode_seqs(
+        &self,
+        weights: &[XposedEncLayer],
+        scratch: &mut Scratch,
+        srcs: &[&[u32]],
+    ) -> Vec<Vec<f32>> {
         let _timer = slade_obs::StageTimer::start(slade_obs::StageHist::Encode);
+        let total: usize = srcs.iter().map(|s| s.len()).sum();
+        slade_obs::obs().count(slade_obs::KernelCtr::EncodeRows, total as u64);
+        srcs.iter().map(|src| self.encode_seq(weights, scratch, src)).collect()
+    }
+
+    /// One sequence of [`Seq2Seq::encode_batch_in`]. Every buffer is cut
+    /// to this sequence's rows before use, so nothing a longer sequence
+    /// left in the scratch is read.
+    fn encode_seq(
+        &self,
+        weights: &[XposedEncLayer],
+        sc: &mut Scratch,
+        src: &[u32],
+    ) -> Vec<f32> {
         let d = self.cfg.d_model;
         let h = self.cfg.n_heads;
         let dh = d / h;
-        let lens: Vec<usize> = srcs.iter().map(|s| s.len()).collect();
-        let mut offsets = Vec::with_capacity(srcs.len());
-        let mut total = 0usize;
-        for &l in &lens {
-            offsets.push(total);
-            total += l;
-        }
-        slade_obs::obs().count(slade_obs::KernelCtr::EncodeRows, total as u64);
-        // Embed each sequence at its row range (positions restart per
-        // sequence, as in `encode`).
-        let mut hbuf = vec![0.0f32; total * d];
-        for (si, src) in srcs.iter().enumerate() {
-            self.embed_into(src, &mut hbuf[offsets[si] * d..(offsets[si] + lens[si]) * d]);
-        }
-        let mut ln = vec![0.0f32; total * d];
-        let mut q = vec![0.0f32; total * d];
-        let mut k = vec![0.0f32; total * d];
-        let mut v = vec![0.0f32; total * d];
-        let mut ctx = vec![0.0f32; total * d];
-        let mut proj = vec![0.0f32; total * d];
         let dff = self.cfg.d_ff;
-        let mut hidden = vec![0.0f32; total * dff];
-        let max_t = lens.iter().copied().max().unwrap_or(0);
-        let mut scores = vec![0.0f32; ATTN_TILE * max_t];
-        // Weights materialized once per batch in the backend's inference
-        // format (transposed f32 or per-row int8); amortized over `total`
-        // rows.
-        let mut quant = QuantScratch::default();
-        let xposed: Vec<[ProjWeight; 6]> = self
-            .enc
-            .iter()
-            .map(|layer| {
-                [
-                    self.proj_weight(layer.attn.wq, d, d),
-                    self.proj_weight(layer.attn.wk, d, d),
-                    self.proj_weight(layer.attn.wv, d, d),
-                    self.proj_weight(layer.attn.wo, d, d),
-                    self.proj_weight(layer.ffn.w1, dff, d),
-                    self.proj_weight(layer.ffn.w2, d, dff),
-                ]
-            })
-            .collect();
-        for (layer, xw) in self.enc.iter().zip(&xposed) {
-            // Self-attention: one projection matmul per weight over all rows.
-            self.layer_norm_into(&layer.ln1, &hbuf, total, &mut ln);
+        let t = src.len();
+        sc.ensure(t, d, dff);
+        grow(&mut sc.scores, ATTN_TILE * t);
+        let rows = t * d;
+        self.embed_into(src, &mut sc.x[..rows]);
+        for (layer, xw) in self.enc.iter().zip(weights) {
+            self.layer_norm_into(&layer.ln1, &sc.x[..rows], t, &mut sc.ln[..rows]);
             let a = &layer.attn;
-            self.project_into(&xw[0], a.bq, &ln, &mut q, total, d, d, &mut quant);
-            self.project_into(&xw[1], a.bk, &ln, &mut k, total, d, d, &mut quant);
-            self.project_into(&xw[2], a.bv, &ln, &mut v, total, d, d, &mut quant);
-            for (si, &t) in lens.iter().enumerate() {
-                let rows = offsets[si] * d..(offsets[si] + t) * d;
-                let (qs, ks, vs) = (&q[rows.clone()], &k[rows.clone()], &v[rows.clone()]);
-                for (qt, ct) in
-                    qs.chunks(ATTN_TILE * d).zip(ctx[rows].chunks_mut(ATTN_TILE * d))
-                {
-                    attend_tile(qt, &KvRows::contiguous(ks, vs, t), h, dh, &mut scores, ct);
-                }
+            let ln = &sc.ln[..rows];
+            self.project_into(&xw.wq, a.bq, ln, &mut sc.q[..rows], t, d, d, &mut sc.quant);
+            self.project_into(&xw.wk, a.bk, ln, &mut sc.k[..rows], t, d, d, &mut sc.quant);
+            self.project_into(&xw.wv, a.bv, ln, &mut sc.v[..rows], t, d, d, &mut sc.quant);
+            pack_heads(&sc.k[..rows], t, h, dh, &mut sc.kp);
+            let kv = KvRows::Packed { keys: &sc.kp, values: &sc.v[..rows], n: t };
+            for (qt, ct) in
+                sc.q[..rows].chunks(ATTN_TILE * d).zip(sc.ctx[..rows].chunks_mut(ATTN_TILE * d))
+            {
+                attend_tile(qt, &kv, h, dh, &mut sc.scores, ct);
             }
-            self.project_into(&xw[3], a.bo, &ctx, &mut proj, total, d, d, &mut quant);
-            add_into(&mut hbuf, &proj);
-            // FFN: both matmuls batched over all rows.
-            self.layer_norm_into(&layer.ln2, &hbuf, total, &mut ln);
+            let proj = &mut sc.proj[..rows];
+            self.project_into(&xw.wo, a.bo, &sc.ctx[..rows], proj, t, d, d, &mut sc.quant);
+            add_into(&mut sc.x[..rows], proj);
+            self.layer_norm_into(&layer.ln2, &sc.x[..rows], t, &mut sc.ln[..rows]);
+            let hidden = &mut sc.hidden[..t * dff];
+            let f = &layer.ffn;
             self.project_into(
-                &xw[4],
-                layer.ffn.b1,
-                &ln,
-                &mut hidden,
-                total,
+                &xw.ffn_w1,
+                f.b1,
+                &sc.ln[..rows],
+                hidden,
+                t,
                 d,
                 dff,
-                &mut quant,
+                &mut sc.quant,
             );
-            crate::kernels::gelu_into(&mut hidden[..total * dff]);
-            self.project_into(
-                &xw[5],
-                layer.ffn.b2,
-                &hidden,
-                &mut proj,
-                total,
-                dff,
-                d,
-                &mut quant,
-            );
-            add_into(&mut hbuf, &proj);
+            crate::kernels::gelu_into(hidden);
+            self.project_into(&xw.ffn_w2, f.b2, hidden, proj, t, dff, d, &mut sc.quant);
+            add_into(&mut sc.x[..rows], proj);
         }
-        self.layer_norm_into(&self.ln_enc_out, &hbuf, total, &mut ln);
-        lens.iter()
-            .enumerate()
-            .map(|(si, &t)| ln[offsets[si] * d..(offsets[si] + t) * d].to_vec())
+        let mut out = vec![0.0f32; rows];
+        self.layer_norm_into(&self.ln_enc_out, &sc.x[..rows], t, &mut out);
+        out
+    }
+
+    /// The encoder's weights in the configured backend's inference format
+    /// (see [`Seq2Seq::proj_weight`]).
+    fn encoder_weights(&self) -> Vec<XposedEncLayer> {
+        let d = self.cfg.d_model;
+        let dff = self.cfg.d_ff;
+        self.enc
+            .iter()
+            .map(|layer| XposedEncLayer {
+                wq: self.proj_weight(layer.attn.wq, d, d),
+                wk: self.proj_weight(layer.attn.wk, d, d),
+                wv: self.proj_weight(layer.attn.wv, d, d),
+                wo: self.proj_weight(layer.attn.wo, d, d),
+                ffn_w1: self.proj_weight(layer.ffn.w1, dff, d),
+                ffn_w2: self.proj_weight(layer.ffn.w2, d, dff),
+            })
             .collect()
     }
 
@@ -1017,21 +1025,28 @@ impl Seq2Seq {
     /// consumes — this is the backend's "load time").
     fn proj_weight(&self, w: PId, dout: usize, din: usize) -> ProjWeight {
         match self.cfg.backend {
-            Backend::F32 => ProjWeight::F32(crate::kernels::pack_xposed_blocks(
-                &self.xposed(w, dout, din),
-                din,
-                dout,
-            )),
+            Backend::F32 => self.proj_weight_f32(w, dout, din),
             Backend::Int8 => {
                 ProjWeight::Int8(QuantizedTensor::quantize(self.store.data(w), dout, din))
             }
         }
     }
 
+    /// The f32 inference format whatever the backend: transposed and
+    /// packed into j-block slabs.
+    fn proj_weight_f32(&self, w: PId, dout: usize, din: usize) -> ProjWeight {
+        ProjWeight::F32(crate::kernels::pack_xposed_blocks(
+            &self.xposed(w, dout, din),
+            din,
+            dout,
+        ))
+    }
+
     /// Creates an empty [`BatchedDecoderState`] with room for `cap_lanes`
     /// concurrent hypotheses of up to `cap_pos` decoded tokens each. The
-    /// self-attention block pool is allocated up front and the decoder
-    /// weights the batched step needs are materialized once here
+    /// self-attention block pool is allocated up front and the inference
+    /// weights — the decoder's for the batched step, the encoder's for
+    /// [`Seq2Seq::encode_batch_in`] — are materialized once here
     /// (transposed and packed for the f32 backend, per-row quantized for
     /// int8); the per-step decode path then allocates nothing. The state
     /// snapshots the weights, so it must not outlive parameter updates.
@@ -1053,6 +1068,8 @@ impl Seq2Seq {
                 self_wv: self.proj_weight(layer.self_attn.wv, d, d),
                 self_wo: self.proj_weight(layer.self_attn.wo, d, d),
                 cross_wq: self.proj_weight(layer.cross_attn.wq, d, d),
+                cross_wk: self.proj_weight_f32(layer.cross_attn.wk, d, d),
+                cross_wv: self.proj_weight_f32(layer.cross_attn.wv, d, d),
                 cross_wo: self.proj_weight(layer.cross_attn.wo, d, d),
                 ffn_w1: self.proj_weight(layer.ffn.w1, dff, d),
                 ffn_w2: self.proj_weight(layer.ffn.w2, d, dff),
@@ -1077,10 +1094,11 @@ impl Seq2Seq {
             lane_cross: Vec::new(),
             cap_lanes,
             xposed,
+            enc_xposed: self.encoder_weights(),
             embed_t,
             // Self-attention scores one lane over at most `cap_pos` cached
             // positions; cross-attention grows this per registered source.
-            scratch: StepScratch { scores: vec![0.0; cap_pos], ..Default::default() },
+            scratch: Scratch { scores: vec![0.0; cap_pos], ..Default::default() },
         }
     }
 
@@ -1132,7 +1150,8 @@ impl Seq2Seq {
         let dff = self.cfg.d_ff;
         let vocab = self.cfg.vocab;
         let st = &mut *state;
-        st.scratch.ensure(n, d, dff, vocab);
+        st.scratch.ensure(n, d, dff);
+        grow(&mut st.scratch.logits, n * vocab);
         // Embed each lane's token at the lane's own position.
         let e = self.store.data(self.embed);
         let pe = self.store.data(self.pos);
@@ -1197,11 +1216,10 @@ impl Seq2Seq {
                     .copy_from_slice(&st.scratch.v[lane * d..(lane + 1) * d]);
                 attend_tile(
                     &st.scratch.q[lane * d..(lane + 1) * d],
-                    &KvRows {
+                    &KvRows::Blocks {
                         keys: &st.self_k[l],
                         values: &st.self_v[l],
                         table,
-                        seg: KV_BLOCK,
                         n: p + 1,
                     },
                     h,
@@ -1252,7 +1270,7 @@ impl Seq2Seq {
                 let mem = &st.cross[id];
                 attend_tile(
                     &st.scratch.q[lane * d..(lane + run) * d],
-                    &KvRows::contiguous(&mem.k[l], &mem.v[l], mem.s),
+                    &KvRows::Packed { keys: &mem.k[l], values: &mem.v[l], n: mem.s },
                     h,
                     dh,
                     &mut st.scratch.scores,
@@ -1330,9 +1348,11 @@ impl Seq2Seq {
     /// (beam hypotheses) of the same request share the projections. The
     /// K/V projections always run in f32 regardless of [`Backend`]: they
     /// happen once per request (not per step), so quantizing them buys
-    /// nothing and would add error to every later step. Slots
-    /// freed by [`BatchedDecoderState::release_cross_memory`] are reused,
-    /// so a long-running continuous-batching session does not grow its
+    /// nothing and would add error to every later step. Keys are stored
+    /// packed ([`crate::kernels::pack_keys`]): every lane of every step
+    /// scores against them. Slots freed by
+    /// [`BatchedDecoderState::release_cross_memory`] are reused, so a
+    /// long-running continuous-batching session does not grow its
     /// cross-memory table beyond its peak concurrency.
     pub fn register_cross_memory(
         &self,
@@ -1341,24 +1361,33 @@ impl Seq2Seq {
         s: usize,
     ) -> usize {
         let d = self.cfg.d_model;
-        let mut k = Vec::with_capacity(self.dec.len());
-        let mut v = Vec::with_capacity(self.dec.len());
-        for layer in &self.dec {
-            let a = &layer.cross_attn;
-            k.push(self.linear(a.wk, a.bk, mem, s, d, d));
-            v.push(self.linear(a.wv, a.bv, mem, s, d, d));
-        }
+        let h = self.cfg.n_heads;
+        let st = &mut *state;
         // Score rows for one tile of this request's lanes, grown here so
         // a step never sizes anything by the source.
-        if state.scratch.scores.len() < ATTN_TILE * s {
-            state.scratch.scores.resize(ATTN_TILE * s, 0.0);
+        grow(&mut st.scratch.scores, ATTN_TILE * s);
+        grow(&mut st.scratch.k, s * d);
+        let krows = &mut st.scratch.k[..s * d];
+        let mut slot = CrossMemory { s, ..Default::default() };
+        for (layer, xw) in self.dec.iter().zip(&st.xposed) {
+            // `apply`, not `project_into`: these rows were never in
+            // `ProjRows`, a count the benchmark holds exact.
+            let a = &layer.cross_attn;
+            let quant = &mut st.scratch.quant;
+            xw.cross_wk.apply(mem, Some(self.store.data(a.bk)), krows, s, d, d, quant);
+            let mut k = Vec::new();
+            pack_heads(krows, s, h, d / h, &mut k);
+            slot.k.push(k);
+            let mut v = vec![0.0f32; s * d];
+            xw.cross_wv.apply(mem, Some(self.store.data(a.bv)), &mut v, s, d, d, quant);
+            slot.v.push(v);
         }
-        if let Some(id) = state.cross_free.pop() {
-            state.cross[id] = CrossMemory { k, v, s };
+        if let Some(id) = st.cross_free.pop() {
+            st.cross[id] = slot;
             id
         } else {
-            state.cross.push(CrossMemory { k, v, s });
-            state.cross.len() - 1
+            st.cross.push(slot);
+            st.cross.len() - 1
         }
     }
 
@@ -1426,6 +1455,27 @@ impl Seq2Seq {
 fn add_into(dst: &mut [f32], src: &[f32]) {
     for (a, b) in dst.iter_mut().zip(src) {
         *a += b;
+    }
+}
+
+/// Grows a scratch buffer to at least `len` elements; never shrinks it.
+fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+}
+
+/// Packs the `n × d_model` key rows `k` head by head
+/// ([`crate::kernels::pack_keys`]) into `out`, resized to exactly the `h`
+/// packed heads — the form [`KvRows::Packed`] reads.
+fn pack_heads(k: &[f32], n: usize, h: usize, dh: usize, out: &mut Vec<f32>) {
+    let per_head = crate::kernels::packed_keys_len(n, dh);
+    out.resize(h * per_head, 0.0);
+    if n == 0 {
+        return;
+    }
+    for (head, kp) in out.chunks_exact_mut(per_head).enumerate() {
+        crate::kernels::pack_keys(&k[head * dh..], h * dh, n, dh, kp);
     }
 }
 
@@ -1545,12 +1595,8 @@ struct QuantScratch {
 
 impl QuantScratch {
     fn ensure(&mut self, t: usize, din: usize) {
-        if self.xq.len() < t * din {
-            self.xq.resize(t * din, 0);
-        }
-        if self.xs.len() < t {
-            self.xs.resize(t, 0.0);
-        }
+        grow(&mut self.xq, t * din);
+        grow(&mut self.xs, t);
     }
 }
 
@@ -1563,16 +1609,32 @@ struct XposedDecLayer {
     self_wv: ProjWeight,
     self_wo: ProjWeight,
     cross_wq: ProjWeight,
+    /// Always [`ProjWeight::F32`], like `cross_wv`: see
+    /// [`Seq2Seq::register_cross_memory`].
+    cross_wk: ProjWeight,
+    cross_wv: ProjWeight,
     cross_wo: ProjWeight,
+    ffn_w1: ProjWeight,
+    ffn_w2: ProjWeight,
+}
+
+/// Backend-materialized encoder weights for one layer.
+#[derive(Debug, Clone)]
+struct XposedEncLayer {
+    wq: ProjWeight,
+    wk: ProjWeight,
+    wv: ProjWeight,
+    wo: ProjWeight,
     ffn_w1: ProjWeight,
     ffn_w2: ProjWeight,
 }
 
 /// Per-layer cross-attention projections of one request's encoder memory,
 /// shared by all of that request's beam lanes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct CrossMemory {
-    /// Per layer: `s × d_model` key projections.
+    /// Per layer: the `s` key projections, packed per head (see
+    /// [`pack_heads`]).
     k: Vec<Vec<f32>>,
     /// Per layer: `s × d_model` value projections.
     v: Vec<Vec<f32>>,
@@ -1580,14 +1642,17 @@ struct CrossMemory {
     s: usize,
 }
 
-/// Reusable per-step buffers: sized once (for the largest lane count seen)
-/// and reused, so a decode step performs no heap allocation.
+/// Reusable activation buffers of one forward pass — a decode step over
+/// `n` lanes or an encoder pass over one `n`-token source: grown to the
+/// largest `n` seen and reused, so neither allocates once warm.
 #[derive(Debug, Clone, Default)]
-struct StepScratch {
+struct Scratch {
     x: Vec<f32>,
     ln: Vec<f32>,
     q: Vec<f32>,
     k: Vec<f32>,
+    /// The encoder's keys of the current layer, packed per head.
+    kp: Vec<f32>,
     v: Vec<f32>,
     ctx: Vec<f32>,
     proj: Vec<f32>,
@@ -1597,24 +1662,22 @@ struct StepScratch {
     quant: QuantScratch,
 }
 
-impl StepScratch {
-    fn ensure(&mut self, n: usize, d: usize, dff: usize, vocab: usize) {
-        let rows = n * d;
-        if self.x.len() < rows {
-            self.x.resize(rows, 0.0);
-            self.ln.resize(rows, 0.0);
-            self.q.resize(rows, 0.0);
-            self.k.resize(rows, 0.0);
-            self.v.resize(rows, 0.0);
-            self.ctx.resize(rows, 0.0);
-            self.proj.resize(rows, 0.0);
+impl Scratch {
+    /// Room for `n` rows in every row buffer (`logits`, `scores` and
+    /// `kp` are sized where they are used).
+    fn ensure(&mut self, n: usize, d: usize, dff: usize) {
+        for buf in [
+            &mut self.x,
+            &mut self.ln,
+            &mut self.q,
+            &mut self.k,
+            &mut self.v,
+            &mut self.ctx,
+            &mut self.proj,
+        ] {
+            grow(buf, n * d);
         }
-        if self.hidden.len() < n * dff {
-            self.hidden.resize(n * dff, 0.0);
-        }
-        if self.logits.len() < n * vocab {
-            self.logits.resize(n * vocab, 0.0);
-        }
+        grow(&mut self.hidden, n * dff);
     }
 }
 
@@ -1671,10 +1734,13 @@ pub struct BatchedDecoderState {
     lane_cross: Vec<usize>,
     /// Backend-materialized decoder weights (snapshot at construction).
     xposed: Vec<XposedDecLayer>,
+    /// Backend-materialized encoder weights, same snapshot
+    /// ([`Seq2Seq::encode_batch_in`]).
+    enc_xposed: Vec<XposedEncLayer>,
     /// Tied output embedding in the backend's format (f32: transposed
     /// `[d_model, vocab]`; int8: per-row quantized `[vocab, d_model]`).
     embed_t: ProjWeight,
-    scratch: StepScratch,
+    scratch: Scratch,
 }
 
 impl BatchedDecoderState {
@@ -1837,53 +1903,41 @@ impl BatchedDecoderState {
             "cross memory {id} is still referenced by a live lane"
         );
         assert!(!self.cross_free.contains(&id), "cross memory {id} released twice");
-        self.cross[id] = CrossMemory { k: Vec::new(), v: Vec::new(), s: 0 };
+        self.cross[id] = CrossMemory::default();
         self.cross_free.push(id);
     }
 }
 
-/// The `n` key/value rows one attention reads, in position order, as
-/// segments of `seg` rows: segment `i` holds positions `i·seg..` and
-/// starts at row `table[i]·seg` of `keys` / `values` (`d_model` floats
-/// per row).
-struct KvRows<'a> {
-    keys: &'a [f32],
-    values: &'a [f32],
-    table: &'a [u32],
-    seg: usize,
-    n: usize,
-}
-
-impl<'a> KvRows<'a> {
-    /// `n` rows stored back to back: the one-segment case.
-    fn contiguous(keys: &'a [f32], values: &'a [f32], n: usize) -> Self {
-        KvRows { keys, values, table: &[0], seg: n, n }
-    }
-
-    /// `(first row in keys/values, first position, positions)` per
-    /// segment, in position order.
-    fn segments(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        self.table.iter().enumerate().map(|(i, &b)| {
-            let at = i * self.seg;
-            (b as usize * self.seg, at, self.seg.min(self.n - at))
-        })
-    }
+/// The `n` key/value rows one attention reads, in position order
+/// (`d_model` floats per value row), in the layout their writer chose.
+/// Keys written once and scored against many queries are packed; keys
+/// that grow by a row per step are not, since a packed copy would be read
+/// too few times to repay it.
+enum KvRows<'a> {
+    /// Keys packed per head ([`pack_heads`]) beside contiguous value
+    /// rows: an encoder layer, a request's cross memory.
+    Packed { keys: &'a [f32], values: &'a [f32], n: usize },
+    /// Row-major blocks of the self-attention pool: block `i` of `table`
+    /// holds positions `i·KV_BLOCK..` and starts at row
+    /// `table[i]·KV_BLOCK` of `keys` / `values`.
+    Blocks { keys: &'a [f32], values: &'a [f32], table: &'a [u32], n: usize },
 }
 
 /// Multi-head attention of a tile of queries — the `q.len() / d` rows of
 /// `q`; callers pass at most [`ATTN_TILE`], which is what they size
-/// `scores` (`rows × n` floats) for — over the same `kv.n` key/value
+/// `scores` (`rows × n` floats) for — over the same `n` key/value
 /// rows, writing one context row per query into `ctx` (zeroed here).
 /// Every attention on the inference path is this function: a tile of
 /// consecutive source positions in the encoder, the beam lanes of one
 /// request in cross-attention, a single lane over the blocks of its own
 /// history in decoder self-attention. Each query's scores, softmax and
 /// context are computed exactly as for a tile of one, so the result does
-/// not depend on how queries are grouped — nor on how the rows are
-/// segmented: each score is its own reduction, the softmax runs over the
-/// whole row, and the weighted sum adds `w·v` into `ctx` one key at a
-/// time in position order whether a kernel call ends between two keys or
-/// not.
+/// not depend on how queries are grouped — nor on how the keys are laid
+/// out or the rows segmented: each score is its own reduction (the same
+/// rounded operations from packed keys as from rows), the softmax runs
+/// over the whole row, and the weighted sum adds `w·v` into `ctx` one key
+/// at a time in position order whether a kernel call ends between two
+/// keys or not.
 fn attend_tile(
     q: &[f32],
     kv: &KvRows,
@@ -1892,8 +1946,14 @@ fn attend_tile(
     scores: &mut [f32],
     ctx: &mut [f32],
 ) {
+    use crate::kernels::{
+        attn_scores_into, attn_scores_packed_tile_into, attn_weighted_sum_tile_into,
+        packed_keys_len, softmax_into,
+    };
     let d = h * dh;
-    let n = kv.n;
+    let n = match *kv {
+        KvRows::Packed { n, .. } | KvRows::Blocks { n, .. } => n,
+    };
     let scale = 1.0 / (dh as f32).sqrt();
     ctx.iter_mut().for_each(|c| *c = 0.0);
     if n == 0 {
@@ -1903,43 +1963,50 @@ fn attend_tile(
     let scores = &mut scores[..q.len() / d * n];
     for head in 0..h {
         let off = head * dh;
-        for (qrow, srow) in q.chunks_exact(d).zip(scores.chunks_exact_mut(n)) {
-            for (row, at, len) in kv.segments() {
-                crate::kernels::attn_scores_into(
-                    &qrow[off..off + dh],
-                    &kv.keys[row * d + off..],
+        match *kv {
+            // The whole tile shares each K group and each V row.
+            KvRows::Packed { keys, values, .. } => {
+                let kp = packed_keys_len(n, dh);
+                let keys = &keys[head * kp..(head + 1) * kp];
+                attn_scores_packed_tile_into(&q[off..], d, dh, keys, n, scale, scores);
+                scores.chunks_exact_mut(n).for_each(softmax_into);
+                attn_weighted_sum_tile_into(
+                    scores,
+                    n,
+                    &values[off..],
                     d,
-                    scale,
-                    &mut srow[at..at + len],
-                );
-            }
-            crate::kernels::softmax_into(srow);
-        }
-        // One segment: the whole tile shares each V row. Several: the tile
-        // kernel has no probs row stride, so each query walks them alone.
-        if let [block] = kv.table {
-            crate::kernels::attn_weighted_sum_tile_into(
-                scores,
-                n,
-                &kv.values[*block as usize * kv.seg * d + off..],
-                d,
-                &mut ctx[off..],
-                d,
-                dh,
-            );
-            continue;
-        }
-        for (srow, crow) in scores.chunks_exact(n).zip(ctx.chunks_exact_mut(d)) {
-            for (row, at, len) in kv.segments() {
-                crate::kernels::attn_weighted_sum_tile_into(
-                    &srow[at..at + len],
-                    len,
-                    &kv.values[row * d + off..],
-                    d,
-                    &mut crow[off..],
+                    &mut ctx[off..],
                     d,
                     dh,
                 );
+            }
+            // Neither kernel has a row stride between blocks, so each
+            // query walks them alone (a lane's self-attention is a tile
+            // of one anyway).
+            KvRows::Blocks { keys, values, table, .. } => {
+                // `(first row in keys / values, first position, positions)`
+                let blocks = || {
+                    table.iter().enumerate().map(|(i, &b)| {
+                        let at = i * KV_BLOCK;
+                        (b as usize * KV_BLOCK * d + off, at, KV_BLOCK.min(n - at))
+                    })
+                };
+                for ((qrow, srow), crow) in q
+                    .chunks_exact(d)
+                    .zip(scores.chunks_exact_mut(n))
+                    .zip(ctx.chunks_exact_mut(d))
+                {
+                    for (row, at, len) in blocks() {
+                        let srow = &mut srow[at..at + len];
+                        attn_scores_into(&qrow[off..off + dh], &keys[row..], d, scale, srow);
+                    }
+                    softmax_into(srow);
+                    for (row, at, len) in blocks() {
+                        let crow = &mut crow[off..];
+                        let srow = &srow[at..at + len];
+                        attn_weighted_sum_tile_into(srow, len, &values[row..], d, crow, d, dh);
+                    }
+                }
             }
         }
     }
@@ -2266,10 +2333,20 @@ mod tests {
         assert!(acc > 0.99, "memorized pair should be perfectly predicted: {acc}");
     }
 
+    /// Bound on the logit error of an int8 step on the `tiny` shape
+    /// (observed: under 2e-3). A smoke check, not an oracle — an untrained
+    /// model's attention is too flat for it to see a misread key; what
+    /// is exact on int8 is the cross memory, and the attention code it
+    /// shares with the f32 backend.
+    const INT8_TOL: f32 = 0.02;
+
     /// A batched state and, per lane, the request and prefix the reference
-    /// forward re-runs, stepped and reordered together: every step
-    /// compares the logits bit for bit with
-    /// [`Seq2Seq::decode_last_logits`] over the lane's whole prefix, and
+    /// forward re-runs, stepped and reordered together: every admission
+    /// compares the registered cross memory bit for bit with the training
+    /// forward's K/V projections (on either backend: they stay f32),
+    /// every step compares the logits with
+    /// [`Seq2Seq::decode_last_logits`] over the lane's whole prefix — bit
+    /// for bit on the f32 backend, within [`INT8_TOL`] on int8 — and
     /// every step and reorder audits the block pool.
     struct Paired<'m> {
         m: &'m Seq2Seq,
@@ -2293,8 +2370,28 @@ mod tests {
         }
 
         fn admit(&mut self, src: &[u32], lanes: usize) {
-            let mem = self.m.encode(src);
-            let cross = self.m.register_cross_memory(&mut self.state, &mem, src.len());
+            let m = self.m;
+            let (d, h, s) = (m.cfg.d_model, m.cfg.n_heads, src.len());
+            let mem = m.encode(src);
+            let cross = m.register_cross_memory(&mut self.state, &mem, s);
+            let slot = &self.state.cross[cross];
+            assert_eq!(slot.s, s);
+            for (l, layer) in m.dec.iter().enumerate() {
+                let a = &layer.cross_attn;
+                let mut k = Vec::new();
+                pack_heads(&m.linear(a.wk, a.bk, &mem, s, d, d), s, h, d / h, &mut k);
+                let v = m.linear(a.wv, a.bv, &mem, s, d, d);
+                for (name, got, want) in [("k", &slot.k[l], &k), ("v", &slot.v[l], &v)] {
+                    assert_eq!(got.len(), want.len(), "cross {name} of layer {l}, source {s}");
+                    for (i, (x, y)) in got.iter().zip(want).enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "cross {name}[{l}][{i}], source {s}"
+                        );
+                    }
+                }
+            }
             for _ in 0..lanes {
                 self.state.add_lane(cross);
                 self.lanes.push((self.mems.len(), Vec::new()));
@@ -2316,7 +2413,23 @@ mod tests {
                 let mem = &self.mems[*req];
                 let want = self.m.decode_last_logits(mem, mem.len() / d, prefix);
                 for (x, y) in batched[lane * v..(lane + 1) * v].iter().zip(&want) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "step {} lane {lane}", self.steps);
+                    match self.m.cfg.backend {
+                        Backend::F32 => {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "step {} lane {lane}",
+                                self.steps
+                            )
+                        }
+                        Backend::Int8 => {
+                            assert!(
+                                (x - y).abs() < INT8_TOL,
+                                "step {} lane {lane}: {x} vs {y}",
+                                self.steps
+                            )
+                        }
+                    }
                 }
             }
             self.steps += 1;
@@ -2340,6 +2453,31 @@ mod tests {
         p.admit(&[4, 5, 6], 1);
         for _ in 0..4 {
             p.step();
+        }
+    }
+
+    /// Cross-attention over packed keys on both backends' step path:
+    /// sources of one key, one short of a key group, a whole group, one
+    /// and nine past it; beams of every width 1..=5 (the five lanes split
+    /// 4 + 1 by the attention tile) — the second model shape with heads of
+    /// 4, half a lane chunk. Every admission checks the registered K/V
+    /// against the f32 projections; steps compare as [`Paired`] says.
+    #[test]
+    fn cross_attention_reads_packed_f32_keys_on_both_backends() {
+        for backend in [Backend::F32, Backend::Int8] {
+            for n_heads in [2usize, 4] {
+                let cfg = TransformerConfig { backend, n_heads, ..TransformerConfig::tiny(16) };
+                let m = Seq2Seq::new(cfg, 41);
+                let mut p = Paired::new(&m, 15, 3);
+                for (len, lanes) in [(1usize, 5usize), (7, 3), (8, 1), (9, 4), (17, 2)] {
+                    let src: Vec<u32> =
+                        (0..len as u32).map(|t| 3 + (t * 5 + lanes as u32) % 12).collect();
+                    p.admit(&src, lanes);
+                }
+                for _ in 0..3 {
+                    p.step();
+                }
+            }
         }
     }
 

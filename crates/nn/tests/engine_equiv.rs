@@ -64,8 +64,8 @@ impl<'m> Paired<'m> {
         Paired { m, state, mems: Vec::new(), lanes: Vec::new(), steps: 0 }
     }
 
-    /// Admits `src` with `width` lanes.
-    fn admit(&mut self, src: &[u32], width: usize) {
+    /// Admits `src` with `width` lanes; returns its cross-memory handle.
+    fn admit(&mut self, src: &[u32], width: usize) -> usize {
         let mem = self.m.encode(src);
         let cross = self.m.register_cross_memory(&mut self.state, &mem, src.len());
         for _ in 0..width {
@@ -73,6 +73,7 @@ impl<'m> Paired<'m> {
             self.lanes.push((self.mems.len(), Vec::new()));
         }
         self.mems.push(mem);
+        cross
     }
 
     /// One batched step on `tokens`; every lane's logits must equal, bit
@@ -294,6 +295,91 @@ proptest! {
         let greedy = m.greedy(&src, 1, 2, max_len);
         let beam1 = m.beam_search(&src, 1, 2, max_len, 1);
         prop_assert_eq!(Some(&greedy), beam1.first(), "beam1 {:?}", &beam1);
+    }
+}
+
+/// `encode_batch` ≡ `encode` at every edge of the packed-key encoder: no
+/// keys, one, a key group less one / whole / plus one, a query tile less
+/// and plus one, several groups, and 130 tokens (past `tiny`'s position
+/// table). Each length alone in a call, all in one call longest first (the
+/// scratch is sized by the first and must hand nothing of it — rows, packed
+/// K, score rows — to the shorter ones), and through one state's cached
+/// weights and scratch, longest first and then back up.
+///
+/// Mutation that fails it (reverted): `pack_heads` growing `out` but never
+/// shrinking it, with `attend_tile` finding a head's keys at `keys.len() /
+/// h` — after a longer source heads 1.. read stale groups ("one call: len
+/// 33"; also fails `encode_batch_matches_scalar_encode`, and no in-crate
+/// test).
+#[test]
+fn encode_batch_matches_encode_at_group_and_tile_edges() {
+    use slade_nn::kernels::ATTN_TILE;
+    let lens = [130usize, 33, 9, 8, 7, ATTN_TILE + 1, ATTN_TILE - 1, 1, 0];
+    for shape in 0..2 {
+        let m = model(shape, 11);
+        let srcs: Vec<Vec<u32>> = lens.iter().map(|&l| source(l, l as u32)).collect();
+        let want: Vec<Vec<f32>> = srcs.iter().map(|s| m.encode(s)).collect();
+        let same = |got: &[f32], i: usize, how: &str| {
+            assert_eq!(got.len(), want[i].len(), "{how}: len {}", lens[i]);
+            for (at, (a, b)) in got.iter().zip(&want[i]).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{how}: len {} at {at}", lens[i]);
+            }
+        };
+        let refs: Vec<&[u32]> = srcs.iter().map(|s| s.as_slice()).collect();
+        for (i, mem) in m.encode_batch(&refs).iter().enumerate() {
+            same(mem, i, "one call");
+        }
+        let mut state = m.begin_decode_batch(1, 1);
+        for i in (0..lens.len()).chain((0..lens.len()).rev()) {
+            same(&m.encode_batch(&refs[i..=i])[0], i, "alone");
+            same(&m.encode_batch_in(&mut state, &refs[i..=i])[0], i, "one state");
+        }
+    }
+}
+
+/// Cross-attention over packed keys: sources of one key, one short of a
+/// key group, a whole group, one and nine past it, under beams of every
+/// width 1..=5, every step's logits equal to the reference forward's.
+/// (`attend_tile` taking head `h + 1`'s packed keys fails this and ten
+/// in-crate tests; the int8 backend's side is `model.rs`'s
+/// `cross_attention_reads_packed_f32_keys_on_both_backends`.)
+#[test]
+fn cross_attention_over_packed_keys_matches_reference() {
+    for shape in 0..2 {
+        let m = model(shape, 13);
+        let mut p = Paired::new(&m, 15, 3);
+        for (r, (len, width)) in
+            [(1usize, 5usize), (7, 3), (8, 1), (9, 4), (17, 2)].into_iter().enumerate()
+        {
+            p.admit(&source(len, r as u32), width);
+        }
+        for step in 0..3u32 {
+            let tokens: Vec<u32> = (0..15).map(|lane| (3 + 5 * lane + 7 * step) % 16).collect();
+            p.step(&tokens);
+        }
+    }
+}
+
+/// A released cross-memory slot is reused: a request that takes over the
+/// slot of a longer source (41 keys: six groups) with a shorter one (9
+/// keys: two groups, the second nearly all padding) decodes exactly what
+/// the reference computes from its own memory. The slot's buffers are
+/// freed on release today; were they kept, this is the test that reads
+/// them.
+#[test]
+fn reregistered_cross_slot_reads_only_its_new_keys() {
+    for shape in 0..2 {
+        let m = model(shape, 17);
+        let mut p = Paired::new(&m, 4, 4);
+        let long = p.admit(&source(41, 0), 2);
+        p.step(&[4, 5]);
+        p.reorder(&[]);
+        p.state.release_cross_memory(long);
+        let short = p.admit(&source(9, 1), 3);
+        assert_eq!(short, long, "the freed slot is the one reused");
+        for step in 0..3u32 {
+            p.step(&[3 + step, 7 + step, 11 + step]);
+        }
     }
 }
 

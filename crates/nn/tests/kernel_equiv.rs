@@ -435,14 +435,105 @@ fn avx2_attn_scores_is_bit_identical_to_scalar() {
     }
 }
 
+/// The packed-key score kernel — scalar-packed body, AVX2 body and the
+/// dispatched entry point — against the row-major scalar kernel, the
+/// definition: every `dh` shape (`dh < 8`, tails, several chunks) meets
+/// every group shape (`n = 0`, `n < 8`, whole groups, a ragged last one)
+/// and every tile height, through `d`-strided views at a head offset as
+/// the model passes them. The all-`-0.0` query makes every product
+/// `±0.0`: the dot is `+0.0` only if the first `0.0 + q·k` add is kept.
+/// `pack_keys` fills a NaN buffer, so the last group's padding lanes
+/// must be written, and as zeros.
+///
+/// Mutations that fail it (each reverted): `lane_pair_avx2` starting its
+/// accumulators at `-0.0`, which is the first `0.0 + q·k` add dropped
+/// (the `-0.0` query only: `+0.0` wanted, `-0.0` got, from `dh 1 n 2`);
+/// the AVX2 tree adding pair `(1, 5)` where `(2, 6)` belongs (random
+/// queries); `scalar::attn_scores_packed_tile_into` accumulating into
+/// `acc[j & 3]` (random queries, one ulp, first at `dh 9`); `pack_keys`
+/// leaving the padding lanes untouched (the layout assert, at `dh 1 n 1`).
+#[test]
+fn packed_attn_scores_are_bit_identical_to_row_major_scalar() {
+    const OFF: usize = 2;
+    for dh in 1usize..=33 {
+        let (stride, qstride) = (dh + 3, dh + 5);
+        let scale = 1.0 / (dh as f32).sqrt();
+        for n in 0usize..=70 {
+            let seed = (dh * 71 + n) as u64;
+            let keys = seeded(seed ^ 0x31, OFF + n * stride);
+            let mut kp = vec![f32::NAN; kernels::packed_keys_len(n, dh)];
+            kernels::pack_keys(&keys[OFF..], stride, n, dh, &mut kp);
+            for (i, v) in kp.iter().enumerate() {
+                let (g, j, l) = (i / (dh * 8), i / 8 % dh, i % 8);
+                let want = match g * 8 + l {
+                    si if si < n => keys[OFF + si * stride + j],
+                    _ => 0.0,
+                };
+                assert_eq!(v.to_bits(), want.to_bits(), "pack dh {dh} n {n} at {i}");
+            }
+            for t in 1..=kernels::ATTN_TILE {
+                let len = OFF + (t - 1) * qstride + dh;
+                for q in [seeded(seed ^ t as u64, len), vec![-0.0f32; len]] {
+                    let mut want = vec![f32::NAN; t * n];
+                    for r in 0..t {
+                        scalar::attn_scores_into(
+                            &q[OFF + r * qstride..][..dh],
+                            &keys[OFF..],
+                            stride,
+                            scale,
+                            &mut want[r * n..(r + 1) * n],
+                        );
+                    }
+                    type Kernel = fn(&[f32], usize, usize, &[f32], usize, f32, &mut [f32]);
+                    let mut tiers: Vec<(&str, Kernel)> = vec![
+                        ("scalar", scalar::attn_scores_packed_tile_into),
+                        ("dispatch", kernels::attn_scores_packed_tile_into),
+                    ];
+                    #[cfg(target_arch = "x86_64")]
+                    if has_avx2() {
+                        tiers.push(("avx2", kernels::avx2::attn_scores_packed_tile_into));
+                    }
+                    for (tier, kernel) in tiers {
+                        let mut got = vec![f32::NAN; t * n];
+                        kernel(&q[OFF..], qstride, dh, &kp, n, scale, &mut got);
+                        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                            assert_eq!(
+                                w.to_bits(),
+                                g.to_bits(),
+                                "{tier}: dh {dh} n {n} t {t} row {} key {}",
+                                i / n,
+                                i % n
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The tile weighted sum against the per-row scalar kernel — the spec —
 /// for every tile height through two register tiles (`t = 1` is the
 /// kernel `attn_weighted_sum_into` now is; 5..=8 end in a ragged tile),
 /// every column shape (odd and even chunk counts, tails) and key count.
-/// Weights are real softmax rows with `-inf` scores, so they hold exact
-/// `+0.0`s at row-dependent places; V holds `-0.0` and huge values; the
+/// Weights are real softmax rows; V holds `-0.0` and huge values; the
 /// context is seeded with `-0.0`, which survives only if a zero weight
-/// skips the row instead of adding `0.0 * v`.
+/// skips the row instead of adding `0.0 * v`. The AVX2 body looks for
+/// zero weights eight keys at a time, so the exact zeros are placed five
+/// ways: (0) the first row of every register tile all zeros and `-inf`
+/// scores at row-dependent places in the others, which keeps every group
+/// on the per-weight test; (1) none at all, the only way through the
+/// path that tests nothing; and a single one, in the last row, at (2)
+/// the first key of a whole group, (3) the last key of a whole group,
+/// (4) the last key of the `n % 8` tail — under each of which V holds
+/// `+inf`, so a weight added instead of skipped shows as `0 · inf = NaN`.
+///
+/// Mutations that fail it (each reverted): the group's `zeros` mask taken
+/// from row 0 only (placement 2, `t 2`, NaN got) and the path that tests
+/// nothing stopping a key short, `si..si + 7` (placement 1) — both pass
+/// with placement 0 alone, which is all the test had; the mask cut to
+/// `0x7f` (placement 3) or `0xfe` (placement 2); the `n % 8` tail run with
+/// `SKIP_ZEROS = false` (placement 0 already, at `n 1`).
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
@@ -452,7 +543,15 @@ fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
     for dh in [4usize, 8, 12, 16, 24, 32] {
         let stride = dh + 5;
         let cstride = dh + 2;
-        for n in 0usize..=70 {
+        for (n, placement) in (0usize..=70).flat_map(|n| (0..5).map(move |p| (n, p))) {
+            // The key whose weight is the single exact zero.
+            let lone_zero = match placement {
+                0 | 1 => None,
+                2 if n >= 8 => Some((n / 8 - 1) * 8),
+                3 if n >= 8 => Some(n / 8 * 8 - 1),
+                4 if n % 8 != 0 => Some(n - 1),
+                _ => continue,
+            };
             let seed = (dh * 71 + n) as u64;
             let mut values = seeded(seed, n * stride);
             for (i, v) in values.iter_mut().enumerate() {
@@ -462,19 +561,28 @@ fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
                     _ => {}
                 }
             }
+            if let Some(key) = lone_zero {
+                values[key * stride..][..dh].fill(f32::INFINITY);
+            }
             for t in 1usize..=8 {
                 let mut probs = seeded(seed ^ 0x22, t * n);
                 for (r, row) in probs.chunks_exact_mut(n.max(1)).enumerate() {
-                    // The first row of every register tile is all zeros;
-                    // the others mask keys at a row-dependent period.
-                    if r % 4 == 0 {
-                        row.fill(0.0);
-                        continue;
-                    }
-                    for p in row.iter_mut().skip(1).step_by(r + 2) {
-                        *p = f32::NEG_INFINITY;
+                    if placement == 0 {
+                        if r % 4 == 0 {
+                            row.fill(0.0);
+                            continue;
+                        }
+                        for p in row.iter_mut().skip(1).step_by(r + 2) {
+                            *p = f32::NEG_INFINITY;
+                        }
                     }
                     scalar::softmax_into(row);
+                    assert!(placement == 0 || row.iter().all(|&p| p != 0.0));
+                    if r == t - 1 {
+                        if let Some(key) = lone_zero {
+                            row[key] = 0.0;
+                        }
+                    }
                 }
                 let seed_ctx: Vec<f32> = (0..t * cstride)
                     .map(|i| if i % 3 == 0 { -0.0 } else { 0.25 * i as f32 })
@@ -498,15 +606,23 @@ fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
                     &probs, n, &values, stride, &mut cd, cstride, dh,
                 );
                 for (i, ((s, v), d)) in cs.iter().zip(&cv).zip(&cd).enumerate() {
-                    assert_eq!(s.to_bits(), v.to_bits(), "avx2: dh {dh} n {n} t {t} at {i}");
+                    assert_eq!(
+                        s.to_bits(),
+                        v.to_bits(),
+                        "avx2: dh {dh} n {n} t {t} placement {placement} at {i}"
+                    );
                     assert_eq!(
                         s.to_bits(),
                         d.to_bits(),
-                        "dispatch: dh {dh} n {n} t {t} at {i}"
+                        "dispatch: dh {dh} n {n} t {t} placement {placement} at {i}"
                     );
                 }
-                if n > 0 {
+                if n > 0 && placement == 0 {
                     assert_eq!(cs[0].to_bits(), (-0.0f32).to_bits(), "all-zero row kept -0.0");
+                }
+                if lone_zero.is_some() {
+                    let last = &cs[(t - 1) * cstride..][..dh];
+                    assert!(last.iter().all(|c| c.is_finite()), "the zero weight skipped +inf");
                 }
             }
         }

@@ -757,8 +757,8 @@ impl Drop for ServeRuntime {
 /// One shard: a continuous-batching loop over an engine decode session.
 ///
 /// Admission and stepping interleave: every iteration drains as many
-/// queued jobs as the free lane budget admits (grouped, so their sources
-/// encode as one batch) — *including while earlier requests are
+/// queued jobs as the free lane budget admits (as one group: one budget
+/// check, one `admit_many`) — *including while earlier requests are
 /// mid-decode* — then advances all live lanes one step and completes
 /// whatever finished, freeing lanes for the next iteration's admissions.
 /// One in-flight request plus its trace bookkeeping.

@@ -259,7 +259,7 @@ fn stage_help(s: StageHist) -> &'static str {
         StageHist::Encode => "Batched encoder forward pass.",
         StageHist::DecodeStep => "One batched decode step.",
         StageHist::Score => "Beam scoring per step (top-k + survivors).",
-        StageHist::Admit => "Engine admission (encode + cross-KV).",
+        StageHist::Admit => "Engine admission after the encoder pass (cross-KV, lane set-up).",
         StageHist::Tokenize => "Tokenizing normalized assembly.",
         StageHist::TypeInf => "Type-inference header synthesis.",
         StageHist::Repair => "Candidate repair pass.",
