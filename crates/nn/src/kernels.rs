@@ -8,15 +8,21 @@
 //! `layer_norm_into`, activation quantization (`quantize_row_i8`), and
 //! the int8 `qmatmul_transb_into`) routes through this module. An ISA
 //! tier is selected once at startup — VNNI on x86-64 hosts with
-//! AVX-VNNI or AVX512-VNNI+VL, else AVX2, NEON on aarch64, scalar
-//! otherwise — and can be overridden with the `SLADE_KERNEL_ISA`
-//! environment variable (`auto` | `scalar` | `avx2` | `neon` | `vnni`;
-//! an unsupported known tier degrades with a one-line warning — `vnni`
-//! to AVX2 when available, otherwise scalar — and an unrecognized value
-//! warns and uses the detected tier) or in-process via [`set_tier`]
-//! (used by benches and property tests to compare tiers). The request
-//! outcome is queryable via [`tier_resolution`] for stats/metrics
-//! reporting.
+//! AVX-VNNI or AVX512-VNNI+VL, else AVX2, scalar otherwise (every other
+//! architecture: the scalar bodies are 8-lane loops the compiler
+//! vectorizes at the target's baseline) — and can be overridden with the
+//! `SLADE_KERNEL_ISA` environment variable (`auto` | `scalar` | `avx2` |
+//! `vnni`; an unsupported known tier degrades with a one-line warning —
+//! `vnni` to AVX2 when available, otherwise scalar — and an unrecognized
+//! value warns and uses the detected tier) or in-process via [`set_tier`]
+//! (used by benches and property tests to compare tiers).
+//! [`tier_status`] reports the effective tier and a request that was not
+//! honoured, for stats and metrics.
+//!
+//! Each kernel has two sources: the [`scalar`] body, which is the
+//! specification `kernel_equiv` compares against, and one [`avx2`] body
+//! (plus [`vnni`]'s two encodings of the int8 inner product). A tier for
+//! another ISA comes with a CI job that executes it, or not at all.
 //!
 //! # Bit-identity contract
 //!
@@ -48,14 +54,14 @@
 //! they are trivially bit-identical across tiers — including the VNNI
 //! tier, whose `VPDPBUSD` u8×i8 dot is made exact for signed i8×i8 by
 //! the abs/sign trick (see [`vnni`]). Activation quantization
-//! (`quantize_row_i8`) is dispatched too; its vector tiers reproduce
+//! (`quantize_row_i8`) is dispatched too; its vector tier reproduces
 //! the scalar routine bit-for-bit because every step is either exact
 //! (abs/max/clamp/low-byte cast) or an identically-rounded IEEE op —
 //! in particular, rounding is round-to-nearest-even on every tier,
-//! since that is the only mode `VROUNDPS`/`FRINTN` and the scalar
-//! `round_ties_even` all share. Rows containing NaN are out of
-//! contract (max-propagation differs between lane orders); all-finite
-//! rows, including ±inf, denormals and ±0, agree bitwise.
+//! since that is the mode `VROUNDPS` and the scalar `round_ties_even`
+//! share. Rows containing NaN are out of contract (max-propagation
+//! differs between lane orders); all-finite rows, including ±inf,
+//! denormals and ±0, agree bitwise.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -69,12 +75,9 @@ pub enum IsaTier {
     Scalar = 0,
     /// Explicit 256-bit AVX2 intrinsics (x86-64).
     Avx2 = 1,
-    /// Explicit 128-bit NEON intrinsics, paired to emulate 8 lanes
-    /// (aarch64).
-    Neon = 2,
     /// AVX2 plus `VPDPBUSD` (AVX-VNNI or AVX512-VNNI+VL) for the int8
     /// matmul; all f32 kernels run the AVX2 implementations (x86-64).
-    Vnni = 3,
+    Vnni = 2,
 }
 
 impl IsaTier {
@@ -83,7 +86,6 @@ impl IsaTier {
         match self {
             IsaTier::Scalar => "scalar",
             IsaTier::Avx2 => "avx2",
-            IsaTier::Neon => "neon",
             IsaTier::Vnni => "vnni",
         }
     }
@@ -91,8 +93,7 @@ impl IsaTier {
     fn from_u8(v: u8) -> IsaTier {
         match v {
             1 => IsaTier::Avx2,
-            2 => IsaTier::Neon,
-            3 => IsaTier::Vnni,
+            2 => IsaTier::Vnni,
             _ => IsaTier::Scalar,
         }
     }
@@ -106,130 +107,54 @@ static ACTIVE: AtomicU8 = AtomicU8::new(TIER_UNSET);
 
 /// The best tier this host supports, by `std::arch` feature detection.
 pub fn detected_tier() -> IsaTier {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tier_supported(IsaTier::Vnni) {
-            return IsaTier::Vnni;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return IsaTier::Avx2;
-        }
+    if tier_supported(IsaTier::Vnni) {
+        IsaTier::Vnni
+    } else if tier_supported(IsaTier::Avx2) {
+        IsaTier::Avx2
+    } else {
+        IsaTier::Scalar
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON is architecturally mandatory on aarch64.
-        return IsaTier::Neon;
-    }
-    #[allow(unreachable_code)]
-    IsaTier::Scalar
 }
 
 /// Whether this host can actually execute `tier`. Public so benches and
 /// tests can gate tier-vs-tier comparisons on what the host offers.
 pub fn tier_supported(tier: IsaTier) -> bool {
-    match tier {
-        IsaTier::Scalar => true,
-        IsaTier::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                std::arch::is_x86_feature_detected!("avx2")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
-            }
-        }
-        IsaTier::Neon => cfg!(target_arch = "aarch64"),
-        IsaTier::Vnni => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && (std::arch::is_x86_feature_detected!("avxvnni")
-                        || (std::arch::is_x86_feature_detected!("avx512vnni")
-                            && std::arch::is_x86_feature_detected!("avx512vl")))
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        match tier {
+            IsaTier::Scalar => true,
+            IsaTier::Avx2 => has!("avx2"),
+            IsaTier::Vnni => {
+                has!("avx2") && (has!("avxvnni") || (has!("avx512vnni") && has!("avx512vl")))
             }
         }
     }
-}
-
-/// How startup tier resolution handled the `SLADE_KERNEL_ISA` request,
-/// for effective-vs-requested reporting in `slade-cli stats` and the
-/// serve metrics snapshot.
-#[derive(Debug, Clone)]
-pub struct TierResolution {
-    /// Trimmed, lowercased request, if the variable was set non-empty.
-    pub requested: Option<String>,
-    /// The request named a known tier (or `auto`).
-    pub recognized: bool,
-    /// The effective tier is the one asked for (vacuously true when
-    /// unset or `auto`).
-    pub satisfied: bool,
-}
-
-impl TierResolution {
-    fn default_auto() -> TierResolution {
-        TierResolution { requested: None, recognized: true, satisfied: true }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        tier == IsaTier::Scalar
     }
 }
 
-static RESOLUTION: OnceLock<TierResolution> = OnceLock::new();
+/// What [`tier_status`] appends when startup resolution could not honour
+/// the `SLADE_KERNEL_ISA` request: `requested vnni: unsupported`.
+static REQUEST_NOTE: OnceLock<String> = OnceLock::new();
 
-const VALID_TIERS: &str = "auto, scalar, avx2, neon, vnni";
+const VALID_TIERS: &str = "auto, scalar, avx2, vnni";
 
 /// Resolve the startup tier: `SLADE_KERNEL_ISA` override first, then
 /// feature detection. An unsupported known tier degrades (vnni → avx2
-/// when available, else scalar; avx2/neon → scalar) and an unrecognized
+/// when available, else scalar; avx2 → scalar) and an unrecognized
 /// value uses the detected tier; both print a one-line warning naming
 /// the valid tiers instead of falling back silently.
 fn resolve_tier() -> IsaTier {
     let raw = std::env::var("SLADE_KERNEL_ISA").unwrap_or_default();
     let req = raw.trim().to_ascii_lowercase();
-    let (tier, resolution) = match req.as_str() {
-        "" | "auto" => (detected_tier(), TierResolution::default_auto()),
-        "scalar" => (
-            IsaTier::Scalar,
-            TierResolution { requested: Some(req.clone()), recognized: true, satisfied: true },
-        ),
-        "avx2" | "neon" | "vnni" => {
-            let want = match req.as_str() {
-                "avx2" => IsaTier::Avx2,
-                "neon" => IsaTier::Neon,
-                _ => IsaTier::Vnni,
-            };
-            if tier_supported(want) {
-                (
-                    want,
-                    TierResolution {
-                        requested: Some(req.clone()),
-                        recognized: true,
-                        satisfied: true,
-                    },
-                )
-            } else {
-                let fallback = if want == IsaTier::Vnni && tier_supported(IsaTier::Avx2) {
-                    IsaTier::Avx2
-                } else {
-                    IsaTier::Scalar
-                };
-                eprintln!(
-                    "slade: SLADE_KERNEL_ISA={req} requested but this host cannot execute \
-                     it; using {} (valid tiers: {VALID_TIERS})",
-                    fallback.name()
-                );
-                (
-                    fallback,
-                    TierResolution {
-                        requested: Some(req.clone()),
-                        recognized: true,
-                        satisfied: false,
-                    },
-                )
-            }
-        }
+    let want = match req.as_str() {
+        "" | "auto" => return detected_tier(),
+        "scalar" => IsaTier::Scalar,
+        "avx2" => IsaTier::Avx2,
+        "vnni" => IsaTier::Vnni,
         _ => {
             let detected = detected_tier();
             eprintln!(
@@ -237,39 +162,36 @@ fn resolve_tier() -> IsaTier {
                  using detected tier {}",
                 detected.name()
             );
-            (
-                detected,
-                TierResolution {
-                    requested: Some(req.clone()),
-                    recognized: false,
-                    satisfied: false,
-                },
-            )
+            let _ = REQUEST_NOTE.set(format!("requested {req}: unknown"));
+            return detected;
         }
     };
-    let _ = RESOLUTION.set(resolution);
-    tier
-}
-
-/// The outcome of `SLADE_KERNEL_ISA` resolution (forcing resolution if
-/// it has not happened yet). [`set_tier`] does not alter this — it
-/// reports the startup request, while [`active_tier`] reports what
-/// dispatch currently uses.
-pub fn tier_resolution() -> TierResolution {
-    let _ = active_tier();
-    RESOLUTION.get().cloned().unwrap_or_else(TierResolution::default_auto)
+    if tier_supported(want) {
+        return want;
+    }
+    let fallback = if want == IsaTier::Vnni && tier_supported(IsaTier::Avx2) {
+        IsaTier::Avx2
+    } else {
+        IsaTier::Scalar
+    };
+    eprintln!(
+        "slade: SLADE_KERNEL_ISA={req} requested but this host cannot execute it; using {} \
+         (valid tiers: {VALID_TIERS})",
+        fallback.name()
+    );
+    let _ = REQUEST_NOTE.set(format!("requested {req}: unsupported"));
+    fallback
 }
 
 /// Human-readable effective-vs-requested tier, e.g. `avx2`,
 /// `avx2 (requested vnni: unsupported)`, or
-/// `vnni (requested avx512: unknown)`.
+/// `vnni (requested avx512: unknown)`. The note is the startup request's
+/// ([`set_tier`] does not alter it); the tier is what dispatch uses now.
 pub fn tier_status() -> String {
-    let res = tier_resolution();
     let effective = active_tier().name();
-    match res.requested {
-        Some(req) if !res.recognized => format!("{effective} (requested {req}: unknown)"),
-        Some(req) if !res.satisfied => format!("{effective} (requested {req}: unsupported)"),
-        _ => effective.to_string(),
+    match REQUEST_NOTE.get() {
+        Some(note) => format!("{effective} ({note})"),
+        None => effective.to_string(),
     }
 }
 
@@ -301,81 +223,11 @@ pub const LANES: usize = 8;
 /// register file). Callers size their score scratch to `ATTN_TILE` rows.
 pub const ATTN_TILE: usize = 4;
 
-/// The query-tile weighted sum as one call of a tier's per-row kernel
-/// per query: the tile kernel's definition on the scalar tier, and what
-/// a tier without a tile body of its own runs.
-#[allow(clippy::too_many_arguments)]
-fn weighted_sum_by_rows(
-    row_kernel: fn(&[f32], &[f32], usize, &mut [f32]),
-    probs: &[f32],
-    n: usize,
-    values: &[f32],
-    stride: usize,
-    ctx: &mut [f32],
-    cstride: usize,
-    dh: usize,
-) {
-    if n == 0 {
-        return;
-    }
-    for (r, prow) in probs.chunks_exact(n).enumerate() {
-        row_kernel(prow, values, stride, &mut ctx[r * cstride..r * cstride + dh]);
-    }
-}
-
 /// Fixed binary-tree reduction of the 8 lane partials — the order an
 /// AVX2 split-and-add horizontal reduce performs.
 #[inline(always)]
 fn reduce8(l: &[f32; 8]) -> f32 {
     ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
-}
-
-/// 4-way horizontal reduce of four i32 matmul accumulators: two
-/// VPHADDD levels and a 128-bit fold yield `[Σa0, Σa1, Σa2, Σa3]`.
-/// Shared by the AVX2 and VNNI int8 kernels; the arithmetic is exact
-/// integer, so reduction order cannot affect the result.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn hsum4_epi32(
-    a0: std::arch::x86_64::__m256i,
-    a1: std::arch::x86_64::__m256i,
-    a2: std::arch::x86_64::__m256i,
-    a3: std::arch::x86_64::__m256i,
-) -> std::arch::x86_64::__m128i {
-    use std::arch::x86_64::*;
-    let t01 = _mm256_hadd_epi32(a0, a1);
-    let t23 = _mm256_hadd_epi32(a2, a3);
-    let t = _mm256_hadd_epi32(t01, t23);
-    _mm_add_epi32(_mm256_castsi256_si128(t), _mm256_extracti128_si256(t, 1))
-}
-
-/// Dequantizes four adjacent int8 dot products at once: per lane,
-/// `cvt(sum) * (x_scale * ws[j]) + bias[j]` — the identical operation
-/// sequence the scalar tier applies per element (`i32 → f32` conversion
-/// is exact, the two multiplies and the add are each one rounded IEEE
-/// op), so the 4-wide form is bit-identical to four scalar dequants.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn dequant4(
-    sums: std::arch::x86_64::__m128i,
-    x_scale: f32,
-    ws: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    i: usize,
-    j: usize,
-    n: usize,
-) {
-    use std::arch::x86_64::*;
-    let sf = _mm_cvtepi32_ps(sums);
-    let sc = _mm_mul_ps(_mm_set1_ps(x_scale), _mm_loadu_ps(ws.as_ptr().add(j)));
-    let deq = _mm_mul_ps(sf, sc);
-    let res = match bias {
-        Some(b) => _mm_add_ps(deq, _mm_loadu_ps(b.as_ptr().add(j))),
-        None => deq,
-    };
-    _mm_storeu_ps(out.as_mut_ptr().add(i * n + j), res);
 }
 
 /// Pairwise max with VMAXPS semantics: `if a > b { a } else { b }`
@@ -388,6 +240,12 @@ fn vmax(a: f32, b: f32) -> f32 {
     } else {
         b
     }
+}
+
+/// [`vmax`] over the 8 lane partials, in [`reduce8`]'s tree order.
+#[inline(always)]
+fn vmax8(l: &[f32; 8]) -> f32 {
+    vmax(vmax(vmax(l[0], l[4]), vmax(l[2], l[6])), vmax(vmax(l[1], l[5]), vmax(l[3], l[7])))
 }
 
 /// Elementwise `e^x` shared by every tier of the `sum_exp` kernel, for
@@ -443,7 +301,7 @@ pub(crate) fn gelu_lane(x: f32) -> f32 {
 /// these bit-for-bit (f32) or exactly (int8). Written so LLVM can
 /// auto-vectorize the lane loops at the target baseline.
 pub mod scalar {
-    use super::{reduce8, vmax};
+    use super::{reduce8, vmax, vmax8};
 
     /// Lane-split dot product of two equal-length contiguous slices.
     #[inline]
@@ -560,10 +418,7 @@ pub mod scalar {
             let l = p & 7;
             lanes[l] = vmax(lanes[l], v);
         }
-        vmax(
-            vmax(vmax(lanes[0], lanes[4]), vmax(lanes[2], lanes[6])),
-            vmax(vmax(lanes[1], lanes[5]), vmax(lanes[3], lanes[7])),
-        )
+        vmax8(&lanes)
     }
 
     /// Exact i8 x i8 -> i32 dot product — scalar tier.
@@ -609,9 +464,9 @@ pub mod scalar {
     /// Per-row symmetric int8 quantization — scalar tier (the reference
     /// the vector tiers reproduce bit-for-bit; see
     /// [`super::quantize_row_i8`]). Rounding is round-to-nearest-even —
-    /// the one mode `VROUNDPS`, `FRINTN`, and `round_ties_even` share.
+    /// the one mode `VROUNDPS` and `round_ties_even` share.
     pub fn quantize_row_i8(src: &[f32], dst: &mut [i8]) -> f32 {
-        debug_assert_eq!(src.len(), dst.len());
+        assert_eq!(src.len(), dst.len(), "one code per value");
         let mut absmax = 0.0f32;
         for &v in src {
             let a = v.abs();
@@ -653,10 +508,10 @@ pub mod scalar {
     }
 
     /// QK^T scores of a tile of queries against keys packed by
-    /// [`super::pack_keys`] — scalar tier, and what every tier without an
-    /// explicit body runs: `scores[r * n + si] = dot8(q_r, key_si) *
-    /// scale`, where query `r` is `q[r * qstride..][..dh]` and `scores`
-    /// holds `scores.len() / n` rows. A group's eight keys sit side by
+    /// [`super::pack_keys`] — scalar tier: `scores[r * n + si] =
+    /// dot8(q_r, key_si) * scale`, where query `r` is
+    /// `q[r * qstride..][..dh]` and `scores` holds `scores.len() / n`
+    /// rows. A group's eight keys sit side by
     /// side, so lane accumulator `l` is a vertical `acc[l] += q[j] *
     /// K[j]` over `j = l, l + 8, …` (ascending, from `+0.0`) for all
     /// eight keys at once, [`reduce8`]'s tree is seven vertical adds, and
@@ -750,16 +605,17 @@ pub mod scalar {
         cstride: usize,
         dh: usize,
     ) {
-        super::weighted_sum_by_rows(
-            attn_weighted_sum_into,
-            probs,
-            n,
-            values,
-            stride,
-            ctx,
-            cstride,
-            dh,
-        )
+        if n == 0 {
+            return;
+        }
+        for (r, prow) in probs.chunks_exact(n).enumerate() {
+            attn_weighted_sum_into(
+                prow,
+                values,
+                stride,
+                &mut ctx[r * cstride..r * cstride + dh],
+            );
+        }
     }
 
     /// One layer-norm row — scalar tier: lane-split-by-8 sums for mean
@@ -793,12 +649,27 @@ pub mod scalar {
     }
 }
 
+/// The operands of one int8 matmul ([`scalar::qmatmul_transb_into`]'s
+/// arguments), as the x86 entry points hand them to their bodies.
+#[cfg(target_arch = "x86_64")]
+struct QMat<'a> {
+    xq: &'a [i8],
+    xs: &'a [f32],
+    wq: &'a [i8],
+    ws: &'a [f32],
+    bias: Option<&'a [f32]>,
+    out: &'a mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
 /// AVX2 tier: 256-bit kernels bit-identical to [`scalar`]. Safe
 /// wrappers assert AVX2 support before entering `target_feature` code.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::reduce8;
-    use super::scalar::qdot;
+    use super::scalar::{dot8, qdot};
+    use super::{reduce8, vmax, vmax8, QMat};
     use std::arch::x86_64::*;
 
     #[inline]
@@ -807,6 +678,54 @@ pub mod avx2 {
             std::arch::is_x86_feature_detected!("avx2"),
             "AVX2 kernels called on a host without AVX2"
         );
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load8(c: &[f32; 8]) -> __m256 {
+        // SAFETY: `c` is 32 readable bytes and the load is unaligned.
+        unsafe { _mm256_loadu_ps(c.as_ptr()) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn store8(c: &mut [f32; 8], v: __m256) {
+        // SAFETY: `c` is 32 writable bytes and the store is unaligned.
+        unsafe { _mm256_storeu_ps(c.as_mut_ptr(), v) }
+    }
+
+    /// The 8 lane partials of `acc`, in lane order.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn spill(acc: __m256) -> [f32; 8] {
+        let mut lanes = [0.0f32; 8];
+        store8(&mut lanes, acc);
+        lanes
+    }
+
+    /// Finishes a lane-split sum: the `len % 8` tail terms go to lanes
+    /// `0..len % 8`, one each in order (an untouched lane is never added
+    /// to), then [`reduce8`]'s tree.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn sum_lanes(acc: __m256, tail: impl Iterator<Item = f32>) -> f32 {
+        let mut lanes = spill(acc);
+        for (l, t) in lanes.iter_mut().zip(tail) {
+            *l += t;
+        }
+        reduce8(&lanes)
+    }
+
+    /// [`sum_lanes`] for a lane-split max: [`vmax`] per tail term, then
+    /// [`vmax8`]'s tree.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn max_lanes(acc: __m256, tail: impl Iterator<Item = f32>) -> f32 {
+        let mut lanes = spill(acc);
+        for (l, t) in lanes.iter_mut().zip(tail) {
+            *l = vmax(*l, t);
+        }
+        vmax8(&lanes)
     }
 
     /// `C = A * B^T` into `c` — AVX2 tier (see [`scalar::matmul_transb_into`]).
@@ -820,69 +739,57 @@ pub mod avx2 {
     ) {
         assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
         assert_avx2();
+        // SAFETY: AVX2 is present and `a`, `b`, `c` hold the `m x k`,
+        // `n x k` and `m x n` elements the body slices (both asserted).
         unsafe { transb_avx2(a, b, c, m, k, n) }
     }
 
+    /// # Safety
+    ///
+    /// Requires AVX2.
     #[target_feature(enable = "avx2")]
     unsafe fn transb_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        let chunks = k / 8;
-        let tail = k % 8;
-        let base = chunks * 8;
         for i in 0..m {
-            let ar = a.as_ptr().add(i * k);
+            let (ar, crow) = (&a[i * k..(i + 1) * k], &mut c[i * n..(i + 1) * n]);
             // Four output columns at a time: each keeps its own lane
             // accumulator (so per-element accumulation is unchanged),
             // and the four independent add chains hide vaddps latency
             // that a single chain would expose.
             let mut j = 0usize;
             while j + 4 <= n {
-                let b0 = b.as_ptr().add(j * k);
-                let b1 = b.as_ptr().add((j + 1) * k);
-                let b2 = b.as_ptr().add((j + 2) * k);
-                let b3 = b.as_ptr().add((j + 3) * k);
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut acc2 = _mm256_setzero_ps();
-                let mut acc3 = _mm256_setzero_ps();
-                for ch in 0..chunks {
-                    let av = _mm256_loadu_ps(ar.add(ch * 8));
-                    // mul + add (no FMA): rounding must match scalar.
-                    acc0 =
-                        _mm256_add_ps(acc0, _mm256_mul_ps(av, _mm256_loadu_ps(b0.add(ch * 8))));
-                    acc1 =
-                        _mm256_add_ps(acc1, _mm256_mul_ps(av, _mm256_loadu_ps(b1.add(ch * 8))));
-                    acc2 =
-                        _mm256_add_ps(acc2, _mm256_mul_ps(av, _mm256_loadu_ps(b2.add(ch * 8))));
-                    acc3 =
-                        _mm256_add_ps(acc3, _mm256_mul_ps(av, _mm256_loadu_ps(b3.add(ch * 8))));
-                }
-                for (col, acc) in [acc0, acc1, acc2, acc3].into_iter().enumerate() {
-                    let mut lanes = [0.0f32; 8];
-                    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-                    let br = b.as_ptr().add((j + col) * k);
-                    for (l, lane) in lanes.iter_mut().enumerate().take(tail) {
-                        *lane += *ar.add(base + l) * *br.add(base + l);
-                    }
-                    c[i * n + j + col] = reduce8(&lanes);
-                }
+                transb_cols_avx2::<4>(ar, &b[j * k..(j + 4) * k], &mut crow[j..j + 4]);
                 j += 4;
             }
             while j < n {
-                let br = b.as_ptr().add(j * k);
-                let mut acc = _mm256_setzero_ps();
-                for ch in 0..chunks {
-                    let av = _mm256_loadu_ps(ar.add(ch * 8));
-                    let bv = _mm256_loadu_ps(br.add(ch * 8));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(av, bv));
-                }
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-                for (l, lane) in lanes.iter_mut().enumerate().take(tail) {
-                    *lane += *ar.add(base + l) * *br.add(base + l);
-                }
-                c[i * n + j] = reduce8(&lanes);
+                transb_cols_avx2::<1>(ar, &b[j * k..(j + 1) * k], &mut crow[j..j + 1]);
                 j += 1;
             }
+        }
+    }
+
+    /// `out[col] = dot8(ar, b[col * k..][..k])` for `J` adjacent rows of
+    /// `b`, the `ar` chunk loaded once for all of them.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `b.len() >= J * ar.len()`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn transb_cols_avx2<const J: usize>(ar: &[f32], b: &[f32], out: &mut [f32]) {
+        let k = ar.len();
+        let base = k / 8 * 8;
+        let mut acc = [_mm256_setzero_ps(); J];
+        for p in (0..base).step_by(8) {
+            let av = _mm256_loadu_ps(ar.as_ptr().add(p));
+            for (col, a) in acc.iter_mut().enumerate() {
+                // mul + add (no FMA): rounding must match scalar.
+                let bv = _mm256_loadu_ps(b.as_ptr().add(col * k + p));
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(av, bv));
+            }
+        }
+        for (col, (o, a)) in out.iter_mut().zip(acc).enumerate() {
+            let br = &b[col * k + base..(col + 1) * k];
+            *o = sum_lanes(a, ar[base..].iter().zip(br).map(|(x, y)| x * y));
         }
     }
 
@@ -898,149 +805,46 @@ pub mod avx2 {
     ) {
         assert!(a.len() >= m * k && bp.len() >= k * n && c.len() >= m * n);
         assert_avx2();
+        // SAFETY: AVX2 is present and `a`, `bp`, `c` hold the `m x k`,
+        // `k x n` and `m x n` elements the body indexes (both asserted).
         unsafe { xpacked_avx2(a, bp, c, m, k, n) }
     }
 
+    /// # Safety
+    ///
+    /// Requires AVX2, `a.len() >= m * k`, `bp.len() >= k * n` and
+    /// `c.len() >= m * n`.
     #[target_feature(enable = "avx2")]
     unsafe fn xpacked_avx2(a: &[f32], bp: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         let nblocks = n / 8;
-        let chunks = k / 8;
-        let ktail = k % 8;
-        let base = chunks * 8;
+        let base = k / 8 * 8;
         // j-block outer: each block's 2 KiB slab is read sequentially
         // and stays L1-hot across all `m` rows of `a`.
         for jb in 0..nblocks {
             let slab = bp.as_ptr().add(jb * k * 8);
             for i in 0..m {
                 let ar = a.as_ptr().add(i * k);
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut acc2 = _mm256_setzero_ps();
-                let mut acc3 = _mm256_setzero_ps();
-                let mut acc4 = _mm256_setzero_ps();
-                let mut acc5 = _mm256_setzero_ps();
-                let mut acc6 = _mm256_setzero_ps();
-                let mut acc7 = _mm256_setzero_ps();
-                for ch in 0..chunks {
-                    let p = ch * 8;
-                    let av = ar.add(p);
-                    let brow = slab.add(p * 8);
-                    acc0 = _mm256_add_ps(
-                        acc0,
-                        _mm256_mul_ps(_mm256_set1_ps(*av), _mm256_loadu_ps(brow)),
-                    );
-                    acc1 = _mm256_add_ps(
-                        acc1,
-                        _mm256_mul_ps(_mm256_set1_ps(*av.add(1)), _mm256_loadu_ps(brow.add(8))),
-                    );
-                    acc2 = _mm256_add_ps(
-                        acc2,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(2)),
-                            _mm256_loadu_ps(brow.add(16)),
-                        ),
-                    );
-                    acc3 = _mm256_add_ps(
-                        acc3,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(3)),
-                            _mm256_loadu_ps(brow.add(24)),
-                        ),
-                    );
-                    acc4 = _mm256_add_ps(
-                        acc4,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(4)),
-                            _mm256_loadu_ps(brow.add(32)),
-                        ),
-                    );
-                    acc5 = _mm256_add_ps(
-                        acc5,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(5)),
-                            _mm256_loadu_ps(brow.add(40)),
-                        ),
-                    );
-                    acc6 = _mm256_add_ps(
-                        acc6,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(6)),
-                            _mm256_loadu_ps(brow.add(48)),
-                        ),
-                    );
-                    acc7 = _mm256_add_ps(
-                        acc7,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(7)),
-                            _mm256_loadu_ps(brow.add(56)),
-                        ),
-                    );
+                // `acc[l]` is lane `l` of all 8 columns: the products at
+                // `p ≡ l (mod 8)`, ascending; the `k % 8` tail reaches
+                // lanes `0..k % 8` only.
+                let mut acc = [_mm256_setzero_ps(); 8];
+                let step = |lane: &mut __m256, p: usize| {
+                    let av = _mm256_set1_ps(*ar.add(p));
+                    let bv = _mm256_loadu_ps(slab.add(p * 8));
+                    *lane = _mm256_add_ps(*lane, _mm256_mul_ps(av, bv));
+                };
+                for p in (0..base).step_by(8) {
+                    for (l, lane) in acc.iter_mut().enumerate() {
+                        step(lane, p + l);
+                    }
                 }
-                let av = ar.add(base);
-                let brow = slab.add(base * 8);
-                if ktail > 0 {
-                    acc0 = _mm256_add_ps(
-                        acc0,
-                        _mm256_mul_ps(_mm256_set1_ps(*av), _mm256_loadu_ps(brow)),
-                    );
+                for (l, lane) in acc.iter_mut().enumerate().take(k - base) {
+                    step(lane, base + l);
                 }
-                if ktail > 1 {
-                    acc1 = _mm256_add_ps(
-                        acc1,
-                        _mm256_mul_ps(_mm256_set1_ps(*av.add(1)), _mm256_loadu_ps(brow.add(8))),
-                    );
-                }
-                if ktail > 2 {
-                    acc2 = _mm256_add_ps(
-                        acc2,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(2)),
-                            _mm256_loadu_ps(brow.add(16)),
-                        ),
-                    );
-                }
-                if ktail > 3 {
-                    acc3 = _mm256_add_ps(
-                        acc3,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(3)),
-                            _mm256_loadu_ps(brow.add(24)),
-                        ),
-                    );
-                }
-                if ktail > 4 {
-                    acc4 = _mm256_add_ps(
-                        acc4,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(4)),
-                            _mm256_loadu_ps(brow.add(32)),
-                        ),
-                    );
-                }
-                if ktail > 5 {
-                    acc5 = _mm256_add_ps(
-                        acc5,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(5)),
-                            _mm256_loadu_ps(brow.add(40)),
-                        ),
-                    );
-                }
-                if ktail > 6 {
-                    acc6 = _mm256_add_ps(
-                        acc6,
-                        _mm256_mul_ps(
-                            _mm256_set1_ps(*av.add(6)),
-                            _mm256_loadu_ps(brow.add(48)),
-                        ),
-                    );
-                }
-                let s04 = _mm256_add_ps(acc0, acc4);
-                let s26 = _mm256_add_ps(acc2, acc6);
-                let s15 = _mm256_add_ps(acc1, acc5);
-                let s37 = _mm256_add_ps(acc3, acc7);
-                let even = _mm256_add_ps(s04, s26);
-                let odd = _mm256_add_ps(s15, s37);
+                let even =
+                    _mm256_add_ps(_mm256_add_ps(acc[0], acc[4]), _mm256_add_ps(acc[2], acc[6]));
+                let odd =
+                    _mm256_add_ps(_mm256_add_ps(acc[1], acc[5]), _mm256_add_ps(acc[3], acc[7]));
                 _mm256_storeu_ps(c.as_mut_ptr().add(i * n + jb * 8), _mm256_add_ps(even, odd));
             }
         }
@@ -1048,8 +852,7 @@ pub mod avx2 {
         for i in 0..m {
             let ar = &a[i * k..(i + 1) * k];
             for (jt, j) in (nblocks * 8..n).enumerate() {
-                c[i * n + j] =
-                    super::scalar::dot8(ar, &bp[tail_base + jt * k..tail_base + (jt + 1) * k]);
+                c[i * n + j] = dot8(ar, &bp[tail_base + jt * k..tail_base + (jt + 1) * k]);
             }
         }
     }
@@ -1057,12 +860,24 @@ pub mod avx2 {
     /// Row max — AVX2 tier (see [`scalar::row_max`]).
     pub fn row_max(row: &[f32]) -> f32 {
         assert_avx2();
+        // SAFETY: AVX2 is present (asserted).
         unsafe { row_max_avx2(row) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn row_max_avx2(row: &[f32]) -> f32 {
+        let (chunks, tail) = row.as_chunks::<8>();
+        let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
+        for c in chunks {
+            acc = _mm256_max_ps(acc, load8(c));
+        }
+        max_lanes(acc, tail.iter().copied())
     }
 
     /// `Σ exp(v - max)` — AVX2 tier (see [`scalar::sum_exp`]).
     pub fn sum_exp(row: &[f32], max: f32) -> f32 {
         assert_avx2();
+        // SAFETY: AVX2 is present (asserted).
         unsafe { sum_exp_avx2(row, max) }
     }
 
@@ -1070,7 +885,7 @@ pub mod avx2 {
     /// sequence per element, so each lane rounds exactly as the scalar
     /// tier does.
     #[target_feature(enable = "avx2")]
-    unsafe fn exp8(x: __m256) -> __m256 {
+    fn exp8(x: __m256) -> __m256 {
         let y = _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E));
         let n = _mm256_round_ps(y, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
         let r = _mm256_mul_ps(_mm256_sub_ps(y, n), _mm256_set1_ps(std::f32::consts::LN_2));
@@ -1094,27 +909,21 @@ pub mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn sum_exp_avx2(row: &[f32], max: f32) -> f32 {
-        let chunks = row.len() / 8;
-        let base = chunks * 8;
+    fn sum_exp_avx2(row: &[f32], max: f32) -> f32 {
+        let (chunks, tail) = row.as_chunks::<8>();
         let maxv = _mm256_set1_ps(max);
         let mut acc = _mm256_setzero_ps();
-        for ch in 0..chunks {
-            let v = _mm256_loadu_ps(row.as_ptr().add(ch * 8));
-            acc = _mm256_add_ps(acc, exp8(_mm256_sub_ps(v, maxv)));
+        for c in chunks {
+            acc = _mm256_add_ps(acc, exp8(_mm256_sub_ps(load8(c), maxv)));
         }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        for (l, &v) in lanes.iter_mut().zip(&row[base..]) {
-            *l += super::exp_lane(v - max);
-        }
-        reduce8(&lanes)
+        sum_lanes(acc, tail.iter().map(|&v| super::exp_lane(v - max)))
     }
 
     /// Elementwise GELU over a buffer — AVX2 tier (see
     /// [`scalar::gelu_into`]).
     pub fn gelu_into(buf: &mut [f32]) {
         assert_avx2();
+        // SAFETY: AVX2 is present (asserted).
         unsafe { gelu_avx2(buf) }
     }
 
@@ -1122,7 +931,7 @@ pub mod avx2 {
     /// the tanh argument, `exp8` for `e = exp(-2|u|)`, an exactly-rounded
     /// VDIVPS for `(1 - e) / (1 + e)`, and sign reattachment via bit ops.
     #[target_feature(enable = "avx2")]
-    unsafe fn gelu8(x: __m256) -> __m256 {
+    fn gelu8(x: __m256) -> __m256 {
         let c = _mm256_set1_ps(0.797_884_6);
         let a = _mm256_set1_ps(0.044715);
         let one = _mm256_set1_ps(1.0);
@@ -1137,36 +946,14 @@ pub mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn gelu_avx2(buf: &mut [f32]) {
-        let chunks = buf.len() / 8;
-        let base = chunks * 8;
-        for ch in 0..chunks {
-            let p = buf.as_mut_ptr().add(ch * 8);
-            _mm256_storeu_ps(p, gelu8(_mm256_loadu_ps(p)));
+    fn gelu_avx2(buf: &mut [f32]) {
+        let (chunks, tail) = buf.as_chunks_mut::<8>();
+        for c in chunks {
+            store8(c, gelu8(load8(c)));
         }
-        for v in &mut buf[base..] {
+        for v in tail {
             *v = super::gelu_lane(*v);
         }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn row_max_avx2(row: &[f32]) -> f32 {
-        let chunks = row.len() / 8;
-        let base = chunks * 8;
-        let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
-        for ch in 0..chunks {
-            let v = _mm256_loadu_ps(row.as_ptr().add(ch * 8));
-            acc = _mm256_max_ps(acc, v);
-        }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        for (l, &v) in lanes.iter_mut().zip(&row[base..]) {
-            *l = super::vmax(*l, v);
-        }
-        super::vmax(
-            super::vmax(super::vmax(lanes[0], lanes[4]), super::vmax(lanes[2], lanes[6])),
-            super::vmax(super::vmax(lanes[1], lanes[5]), super::vmax(lanes[3], lanes[7])),
-        )
     }
 
     /// Int8 matmul — AVX2 tier (see [`scalar::qmatmul_transb_into`]).
@@ -1185,175 +972,162 @@ pub mod avx2 {
         n: usize,
     ) {
         assert!(xq.len() >= m * k && wq.len() >= n * k && out.len() >= m * n);
+        assert!(ws.len() >= n && bias.is_none_or(|b| b.len() >= n), "n scales and biases");
         assert_avx2();
-        unsafe { qmatmul_avx2(xq, xs, wq, ws, bias, out, m, k, n) }
+        // SAFETY: AVX2 is present and the five lengths hold (asserted).
+        unsafe { qmatmul_madd(QMat { xq, xs, wq, ws, bias, out, m, k, n }) }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// [`qmatmul_x86`] on plain AVX2: both operands sign-extend to i16
+    /// halves and `VPMADDWD` multiplies and pair-adds them into i32.
+    ///
+    /// # Safety
+    ///
+    /// As [`qmatmul_x86`].
     #[target_feature(enable = "avx2")]
-    unsafe fn qmatmul_avx2(
-        xq: &[i8],
-        xs: &[f32],
-        wq: &[i8],
-        ws: &[f32],
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
+    pub(super) unsafe fn qmatmul_madd(q: QMat<'_>) {
+        let widen = |v: __m256i| {
+            (
+                _mm256_cvtepi8_epi16(_mm256_castsi256_si128(v)),
+                _mm256_cvtepi8_epi16(_mm256_extracti128_si256(v, 1)),
+            )
+        };
+        let dot = |acc: __m256i, (xlo, xhi): (__m256i, __m256i), w: __m256i| {
+            let (wlo, whi) = widen(w);
+            let acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xlo, wlo));
+            _mm256_add_epi32(acc, _mm256_madd_epi16(xhi, whi))
+        };
+        qmatmul_x86(widen, dot, q)
+    }
+
+    /// The x86 int8 matmul, once for its three inner products (`VPMADDWD`
+    /// above, the two `VPDPBUSD` encodings in [`super::vnni`]): `dot(acc,
+    /// prep(x), w)` adds the 32 products of one chunk of activations `x`
+    /// and weights `w` into `acc`'s eight i32 lanes — in any grouping, the
+    /// arithmetic is exact and every lane is summed. `prep` is the part of
+    /// the operand transform that depends on `x` alone: it is hoisted out
+    /// of the column loop (once per row instead of once per column block)
+    /// for rows up to `MAXCH` chunks, and longer rows redo it inline past
+    /// the buffer. Four weight rows share each activation chunk and reduce
+    /// through one [`hsum4_epi32`]; the `k % 32` tail is [`qdot`]'s.
+    ///
+    /// Inlined into a `#[target_feature]` wrapper, which gives this body
+    /// and the hooks their instruction set.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and what `prep` and `dot` execute, `xq.len() >= m *
+    /// k`, `wq.len() >= n * k`, `out.len() >= m * n`, `ws.len() >= n` and
+    /// `bias.len() >= n`.
+    #[inline(always)]
+    pub(super) unsafe fn qmatmul_x86<P: Copy>(
+        prep: impl Fn(__m256i) -> P,
+        dot: impl Fn(__m256i, P, __m256i) -> __m256i,
+        QMat { xq, xs, wq, ws, bias, out, m, k, n }: QMat<'_>,
     ) {
+        const MAXCH: usize = 16;
         let chunks = k / 32;
         let base = chunks * 32;
-        // Widened activation chunks are hoisted out of the column loop
-        // (one widen per row instead of one per 4-column block) for rows
-        // up to MAXCH chunks; longer rows widen inline past the buffer.
-        const MAXCH: usize = 16;
-        let mut xlobuf = [_mm256_setzero_si256(); MAXCH];
-        let mut xhibuf = [_mm256_setzero_si256(); MAXCH];
         let cached = chunks.min(MAXCH);
+        let chunk = |row: *const i8, ch: usize| _mm256_loadu_si256(row.add(ch * 32).cast());
+        let zero = _mm256_setzero_si256();
+        let mut xbuf = [prep(zero); MAXCH];
         for i in 0..m {
-            let xr = xq.as_ptr().add(i * k);
-            for ch in 0..cached {
-                let xv = _mm256_loadu_si256(xr.add(ch * 32) as *const __m256i);
-                xlobuf[ch] = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv));
-                xhibuf[ch] = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1));
+            let xr = &xq[i * k..(i + 1) * k];
+            for (ch, x) in xbuf.iter_mut().enumerate().take(cached) {
+                *x = prep(chunk(xr.as_ptr(), ch));
             }
-            // Four weight rows share each activation widen, and the
-            // 4-way horizontal reduce collapses to two VPHADDD trees
-            // instead of four 8-lane scalar sums. The i32 arithmetic is
-            // exact, so any reduction order is bit-identical.
+            let x_at =
+                |ch: usize| if ch < cached { xbuf[ch] } else { prep(chunk(xr.as_ptr(), ch)) };
+            // One output from its vector sum: the scalar `k % 32` tail,
+            // then the scalar tier's dequantization.
+            let finish = |sum: i32, j: usize| {
+                let sum = sum + qdot(&xr[base..], &wq[j * k + base..(j + 1) * k]);
+                let deq = sum as f32 * (xs[i] * ws[j]);
+                match bias {
+                    Some(b) => deq + b[j],
+                    None => deq,
+                }
+            };
             let mut j = 0usize;
             while j + 4 <= n {
-                let w0 = wq.as_ptr().add(j * k);
-                let w1 = wq.as_ptr().add((j + 1) * k);
-                let w2 = wq.as_ptr().add((j + 2) * k);
-                let w3 = wq.as_ptr().add((j + 3) * k);
-                let mut acc0 = _mm256_setzero_si256();
-                let mut acc1 = _mm256_setzero_si256();
-                let mut acc2 = _mm256_setzero_si256();
-                let mut acc3 = _mm256_setzero_si256();
+                let w = wq.as_ptr().add(j * k);
+                let mut acc = [zero; 4];
                 for ch in 0..chunks {
-                    let (xlo, xhi) = if ch < cached {
-                        (xlobuf[ch], xhibuf[ch])
-                    } else {
-                        let xv = _mm256_loadu_si256(xr.add(ch * 32) as *const __m256i);
-                        (
-                            _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv)),
-                            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1)),
-                        )
-                    };
-                    let wv = _mm256_loadu_si256(w0.add(ch * 32) as *const __m256i);
-                    acc0 = _mm256_add_epi32(
-                        acc0,
-                        _mm256_madd_epi16(
-                            xlo,
-                            _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wv)),
-                        ),
-                    );
-                    acc0 = _mm256_add_epi32(
-                        acc0,
-                        _mm256_madd_epi16(
-                            xhi,
-                            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wv, 1)),
-                        ),
-                    );
-                    let wv = _mm256_loadu_si256(w1.add(ch * 32) as *const __m256i);
-                    acc1 = _mm256_add_epi32(
-                        acc1,
-                        _mm256_madd_epi16(
-                            xlo,
-                            _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wv)),
-                        ),
-                    );
-                    acc1 = _mm256_add_epi32(
-                        acc1,
-                        _mm256_madd_epi16(
-                            xhi,
-                            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wv, 1)),
-                        ),
-                    );
-                    let wv = _mm256_loadu_si256(w2.add(ch * 32) as *const __m256i);
-                    acc2 = _mm256_add_epi32(
-                        acc2,
-                        _mm256_madd_epi16(
-                            xlo,
-                            _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wv)),
-                        ),
-                    );
-                    acc2 = _mm256_add_epi32(
-                        acc2,
-                        _mm256_madd_epi16(
-                            xhi,
-                            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wv, 1)),
-                        ),
-                    );
-                    let wv = _mm256_loadu_si256(w3.add(ch * 32) as *const __m256i);
-                    acc3 = _mm256_add_epi32(
-                        acc3,
-                        _mm256_madd_epi16(
-                            xlo,
-                            _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wv)),
-                        ),
-                    );
-                    acc3 = _mm256_add_epi32(
-                        acc3,
-                        _mm256_madd_epi16(
-                            xhi,
-                            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wv, 1)),
-                        ),
-                    );
+                    let x = x_at(ch);
+                    for (col, a) in acc.iter_mut().enumerate() {
+                        *a = dot(*a, x, chunk(w.add(col * k), ch));
+                    }
                 }
-                let sums = super::hsum4_epi32(acc0, acc1, acc2, acc3);
+                let sums = hsum4_epi32(acc[0], acc[1], acc[2], acc[3]);
                 if base == k {
-                    super::dequant4(sums, xs[i], ws, bias, out, i, j, n);
+                    dequant4(sums, xs[i], ws, bias, out, i, j, n);
                 } else {
-                    let mut tails = [0i32; 4];
-                    _mm_storeu_si128(tails.as_mut_ptr() as *mut __m128i, sums);
-                    for (col, &sv) in tails.iter().enumerate() {
-                        let jj = j + col;
-                        let wr = wq.as_ptr().add(jj * k);
-                        let sum = sv
-                            + qdot(
-                                std::slice::from_raw_parts(xr.add(base), k - base),
-                                std::slice::from_raw_parts(wr.add(base), k - base),
-                            );
-                        let deq = sum as f32 * (xs[i] * ws[jj]);
-                        out[i * n + jj] = match bias {
-                            Some(b) => deq + b[jj],
-                            None => deq,
-                        };
+                    let mut sum4 = [0i32; 4];
+                    _mm_storeu_si128(sum4.as_mut_ptr().cast(), sums);
+                    for (col, sum) in sum4.into_iter().enumerate() {
+                        out[i * n + j + col] = finish(sum, j + col);
                     }
                 }
                 j += 4;
             }
             while j < n {
-                let wr = wq.as_ptr().add(j * k);
-                let mut acc = _mm256_setzero_si256();
+                let w = wq.as_ptr().add(j * k);
+                let mut acc = zero;
                 for ch in 0..chunks {
-                    let xv = _mm256_loadu_si256(xr.add(ch * 32) as *const __m256i);
-                    let wv = _mm256_loadu_si256(wr.add(ch * 32) as *const __m256i);
-                    let xlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv));
-                    let xhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1));
-                    let wlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wv));
-                    let whi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wv, 1));
-                    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xlo, wlo));
-                    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xhi, whi));
+                    acc = dot(acc, x_at(ch), chunk(w, ch));
                 }
-                let mut lanes = [0i32; 8];
-                _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-                let mut sum: i32 = lanes.iter().sum();
-                sum += qdot(
-                    std::slice::from_raw_parts(xr.add(base), k - base),
-                    std::slice::from_raw_parts(wr.add(base), k - base),
-                );
-                let deq = sum as f32 * (xs[i] * ws[j]);
-                out[i * n + j] = match bias {
-                    Some(b) => deq + b[j],
-                    None => deq,
-                };
+                out[i * n + j] =
+                    finish(_mm_cvtsi128_si32(hsum4_epi32(acc, zero, zero, zero)), j);
                 j += 1;
             }
         }
+    }
+
+    /// 4-way horizontal reduce of four i32 matmul accumulators: two
+    /// VPHADDD levels and a 128-bit fold yield `[Σa0, Σa1, Σa2, Σa3]`.
+    /// The arithmetic is exact integer, so reduction order cannot affect
+    /// the result.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn hsum4_epi32(a0: __m256i, a1: __m256i, a2: __m256i, a3: __m256i) -> __m128i {
+        let t01 = _mm256_hadd_epi32(a0, a1);
+        let t23 = _mm256_hadd_epi32(a2, a3);
+        let t = _mm256_hadd_epi32(t01, t23);
+        _mm_add_epi32(_mm256_castsi256_si128(t), _mm256_extracti128_si256(t, 1))
+    }
+
+    /// Dequantizes four adjacent int8 dot products at once: per lane,
+    /// `cvt(sum) * (x_scale * ws[j]) + bias[j]` — the identical operation
+    /// sequence the scalar tier applies per element (`i32 → f32` conversion
+    /// is exact, the two multiplies and the add are each one rounded IEEE
+    /// op), so the 4-wide form is bit-identical to four scalar dequants.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `j + 4 <= n <= ws.len()`, `bias.len() >= n` and
+    /// `out.len() >= (i + 1) * n`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn dequant4(
+        sums: __m128i,
+        x_scale: f32,
+        ws: &[f32],
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        n: usize,
+    ) {
+        let sf = _mm_cvtepi32_ps(sums);
+        let sc = _mm_mul_ps(_mm_set1_ps(x_scale), _mm_loadu_ps(ws.as_ptr().add(j)));
+        let deq = _mm_mul_ps(sf, sc);
+        let res = match bias {
+            Some(b) => _mm_add_ps(deq, _mm_loadu_ps(b.as_ptr().add(j))),
+            None => deq,
+        };
+        _mm_storeu_ps(out.as_mut_ptr().add(i * n + j), res);
     }
 
     /// Per-row symmetric int8 quantization — AVX2 tier, bit-identical
@@ -1365,32 +1139,21 @@ pub mod avx2 {
     /// whose low byte equals the scalar `as i8` cast for every
     /// post-clamp value (NaN converts to `0x8000_0000`, low byte 0).
     pub fn quantize_row_i8(src: &[f32], dst: &mut [i8]) -> f32 {
-        debug_assert_eq!(src.len(), dst.len());
+        assert_eq!(src.len(), dst.len(), "one code per value");
         assert_avx2();
+        // SAFETY: AVX2 is present (asserted).
         unsafe { quantize_avx2(src, dst) }
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn quantize_avx2(src: &[f32], dst: &mut [i8]) -> f32 {
-        let len = src.len();
-        let chunks = len / 8;
-        let base = chunks * 8;
-        let sp = src.as_ptr();
+    fn quantize_avx2(src: &[f32], dst: &mut [i8]) -> f32 {
+        let (chunks, tail) = src.as_chunks::<8>();
         let signbit = _mm256_set1_ps(-0.0);
         let mut maxv = _mm256_setzero_ps();
-        for ch in 0..chunks {
-            let v = _mm256_loadu_ps(sp.add(ch * 8));
-            maxv = _mm256_max_ps(maxv, _mm256_andnot_ps(signbit, v));
+        for c in chunks {
+            maxv = _mm256_max_ps(maxv, _mm256_andnot_ps(signbit, load8(c)));
         }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), maxv);
-        for (l, &v) in lanes.iter_mut().zip(&src[base..]) {
-            *l = super::vmax(*l, v.abs());
-        }
-        let absmax = super::vmax(
-            super::vmax(super::vmax(lanes[0], lanes[4]), super::vmax(lanes[2], lanes[6])),
-            super::vmax(super::vmax(lanes[1], lanes[5]), super::vmax(lanes[3], lanes[7])),
-        );
+        let absmax = max_lanes(maxv, tail.iter().map(|v| v.abs()));
         if absmax == 0.0 || !absmax.is_finite() {
             dst.fill(0);
             return 0.0;
@@ -1405,19 +1168,18 @@ pub mod avx2 {
             0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 0, 4, 8, 12, -1, -1,
             -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
         );
-        let dp = dst.as_mut_ptr();
-        for ch in 0..chunks {
-            let t = _mm256_mul_ps(_mm256_loadu_ps(sp.add(ch * 8)), invv);
+        let (dchunks, dtail) = dst.as_chunks_mut::<8>();
+        for (d, c) in dchunks.iter_mut().zip(chunks) {
+            let t = _mm256_mul_ps(load8(c), invv);
             let t = _mm256_round_ps(t, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
             let t = _mm256_min_ps(hi, _mm256_max_ps(lo, t));
-            let ix = _mm256_cvtps_epi32(t);
-            let packed = _mm256_shuffle_epi8(ix, shuf);
+            let packed = _mm256_shuffle_epi8(_mm256_cvtps_epi32(t), shuf);
             let b_lo = _mm_cvtsi128_si32(_mm256_castsi256_si128(packed));
             let b_hi = _mm_cvtsi128_si32(_mm256_extracti128_si256(packed, 1));
-            std::ptr::write_unaligned(dp.add(ch * 8) as *mut i32, b_lo);
-            std::ptr::write_unaligned(dp.add(ch * 8 + 4) as *mut i32, b_hi);
+            d[..4].copy_from_slice(&b_lo.to_le_bytes().map(|b| b as i8));
+            d[4..].copy_from_slice(&b_hi.to_le_bytes().map(|b| b as i8));
         }
-        for (d, &v) in dst[base..].iter_mut().zip(&src[base..]) {
+        for (d, &v) in dtail.iter_mut().zip(tail) {
             *d = (v * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
         }
         absmax / 127.0
@@ -1469,21 +1231,16 @@ pub mod avx2 {
             // are dropped, so the ragged last group runs the same body.
             let rows: [*const f32; 8] =
                 std::array::from_fn(|r| kp.add((si + r).min(n - 1) * stride));
-            let mut last = [0.0f32; 8];
-            _mm256_storeu_ps(last.as_mut_ptr(), scores8_avx2(q, rows, scale));
+            let last = spill(scores8_avx2(q, rows, scale));
             scores[si..].copy_from_slice(&last[..n - si]);
         }
     }
 
     /// `[lo(a) + hi(a) | hi(b) + lo(b)]`: the first level of `reduce8`'s
     /// tree for two lane accumulators at once.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn fold_halves(a: __m256, b: __m256) -> __m256 {
+    fn fold_halves(a: __m256, b: __m256) -> __m256 {
         _mm256_add_ps(_mm256_blend_ps(a, b, 0xF0), _mm256_permute2f128_ps(a, b, 0x21))
     }
 
@@ -1641,9 +1398,7 @@ pub mod avx2 {
                 } else {
                     // Score rows are exactly `n` long: the padding lanes
                     // of the last group stop here.
-                    let mut last = [0.0f32; 8];
-                    _mm256_storeu_ps(last.as_mut_ptr(), dots);
-                    std::ptr::copy_nonoverlapping(last.as_ptr(), out, n - si);
+                    std::ptr::copy_nonoverlapping(spill(dots).as_ptr(), out, n - si);
                 }
             }
             si += 8;
@@ -1697,37 +1452,31 @@ pub mod avx2 {
     /// the same scalar `1 / sum.max(1e-12)` broadcast multiply.
     pub fn softmax_into(row: &mut [f32]) {
         assert_avx2();
+        // SAFETY: AVX2 is present (asserted).
         unsafe { softmax_avx2(row) }
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn softmax_avx2(row: &mut [f32]) {
+    fn softmax_avx2(row: &mut [f32]) {
         let max = row_max_avx2(row);
-        let chunks = row.len() / 8;
-        let base = chunks * 8;
+        let (chunks, tail) = row.as_chunks_mut::<8>();
         let maxv = _mm256_set1_ps(max);
         let mut acc = _mm256_setzero_ps();
-        for ch in 0..chunks {
-            let p = row.as_mut_ptr().add(ch * 8);
-            let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(p), maxv));
-            _mm256_storeu_ps(p, e);
+        for c in chunks.iter_mut() {
+            let e = exp8(_mm256_sub_ps(load8(c), maxv));
+            store8(c, e);
             acc = _mm256_add_ps(acc, e);
         }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        for (l, v) in lanes.iter_mut().zip(&mut row[base..]) {
-            let e = super::exp_lane(*v - max);
-            *v = e;
-            *l += e;
-        }
-        let sum = reduce8(&lanes);
-        let inv = 1.0 / sum.max(1e-12);
+        let exps = tail.iter_mut().map(|v| {
+            *v = super::exp_lane(*v - max);
+            *v
+        });
+        let inv = 1.0 / sum_lanes(acc, exps).max(1e-12);
         let invv = _mm256_set1_ps(inv);
-        for ch in 0..chunks {
-            let p = row.as_mut_ptr().add(ch * 8);
-            _mm256_storeu_ps(p, _mm256_mul_ps(_mm256_loadu_ps(p), invv));
+        for c in chunks {
+            store8(c, _mm256_mul_ps(load8(c), invv));
         }
-        for v in &mut row[base..] {
+        for v in tail {
             *v *= inv;
         }
     }
@@ -1962,438 +1711,37 @@ pub mod avx2 {
         let d = row.len();
         assert!(gamma.len() >= d && beta.len() >= d && out.len() >= d);
         assert_avx2();
-        unsafe { ln_row_avx2(row, gamma, beta, out) }
+        // SAFETY: AVX2 is present (asserted).
+        unsafe { ln_row_avx2(row, gamma, beta, &mut out[..d]) }
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn ln_row_avx2(
-        row: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        out: &mut [f32],
-    ) -> (f32, f32) {
+    fn ln_row_avx2(row: &[f32], gamma: &[f32], beta: &[f32], out: &mut [f32]) -> (f32, f32) {
         let d = row.len();
-        let chunks = d / 8;
-        let base = chunks * 8;
-        let rp = row.as_ptr();
+        let (chunks, tail) = row.as_chunks::<8>();
         let mut acc = _mm256_setzero_ps();
-        for ch in 0..chunks {
-            acc = _mm256_add_ps(acc, _mm256_loadu_ps(rp.add(ch * 8)));
+        for c in chunks {
+            acc = _mm256_add_ps(acc, load8(c));
         }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        for (l, &v) in lanes.iter_mut().zip(&row[base..]) {
-            *l += v;
-        }
-        let mean = reduce8(&lanes) / d as f32;
+        let mean = sum_lanes(acc, tail.iter().copied()) / d as f32;
         let meanv = _mm256_set1_ps(mean);
         let mut vacc = _mm256_setzero_ps();
-        for ch in 0..chunks {
-            let dv = _mm256_sub_ps(_mm256_loadu_ps(rp.add(ch * 8)), meanv);
+        for c in chunks {
+            let dv = _mm256_sub_ps(load8(c), meanv);
             vacc = _mm256_add_ps(vacc, _mm256_mul_ps(dv, dv));
         }
-        let mut vlanes = [0.0f32; 8];
-        _mm256_storeu_ps(vlanes.as_mut_ptr(), vacc);
-        for (l, &v) in vlanes.iter_mut().zip(&row[base..]) {
-            let dv = v - mean;
-            *l += dv * dv;
-        }
-        let var = reduce8(&vlanes) / d as f32;
+        let var = sum_lanes(vacc, tail.iter().map(|&v| (v - mean) * (v - mean))) / d as f32;
         let rstd = 1.0 / (var + 1e-5).sqrt();
         let rstdv = _mm256_set1_ps(rstd);
-        for ch in 0..chunks {
-            let x = _mm256_sub_ps(_mm256_loadu_ps(rp.add(ch * 8)), meanv);
-            let g = _mm256_loadu_ps(gamma.as_ptr().add(ch * 8));
-            let b = _mm256_loadu_ps(beta.as_ptr().add(ch * 8));
-            let y = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(g, x), rstdv), b);
-            _mm256_storeu_ps(out.as_mut_ptr().add(ch * 8), y);
-        }
-        for j in base..d {
-            out[j] = gamma[j] * (row[j] - mean) * rstd + beta[j];
-        }
-        (mean, rstd)
-    }
-}
-
-/// NEON tier (aarch64): paired 128-bit q-registers emulate the 8-lane
-/// semantics — lanes 0-3 in the low register, 4-7 in the high one — so
-/// the lo/hi tree reduce matches the AVX2 split reduce bit-for-bit.
-/// The int8 kernel reuses the scalar i32 path (exact arithmetic makes
-/// any implementation bit-identical; vectorizing it is a pure perf
-/// follow-up on real aarch64 hardware).
-#[cfg(target_arch = "aarch64")]
-pub mod neon {
-    use super::reduce8;
-    use super::scalar::qdot;
-    use std::arch::aarch64::*;
-
-    /// `C = A * B^T` into `c` — NEON tier (see [`scalar::matmul_transb_into`]).
-    pub fn matmul_transb_into(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-        unsafe { transb_neon(a, b, c, m, k, n) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn transb_neon(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        let chunks = k / 8;
-        let tail = k % 8;
-        let base = chunks * 8;
-        for i in 0..m {
-            let ar = a.as_ptr().add(i * k);
-            for j in 0..n {
-                let br = b.as_ptr().add(j * k);
-                let mut acc_lo = vdupq_n_f32(0.0);
-                let mut acc_hi = vdupq_n_f32(0.0);
-                for ch in 0..chunks {
-                    let alo = vld1q_f32(ar.add(ch * 8));
-                    let ahi = vld1q_f32(ar.add(ch * 8 + 4));
-                    let blo = vld1q_f32(br.add(ch * 8));
-                    let bhi = vld1q_f32(br.add(ch * 8 + 4));
-                    // mul + add (no fused multiply-accumulate): rounding
-                    // must match the scalar tier.
-                    acc_lo = vaddq_f32(acc_lo, vmulq_f32(alo, blo));
-                    acc_hi = vaddq_f32(acc_hi, vmulq_f32(ahi, bhi));
-                }
-                let mut lanes = [0.0f32; 8];
-                vst1q_f32(lanes.as_mut_ptr(), acc_lo);
-                vst1q_f32(lanes.as_mut_ptr().add(4), acc_hi);
-                for l in 0..tail {
-                    lanes[l] += *ar.add(base + l) * *br.add(base + l);
-                }
-                c[i * n + j] = reduce8(&lanes);
-            }
-        }
-    }
-
-    /// `C = A * B` with `bp` packed by [`super::pack_xposed_blocks`] —
-    /// NEON tier (see [`scalar::matmul_xpacked_into`]).
-    pub fn matmul_xpacked_into(
-        a: &[f32],
-        bp: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        assert!(a.len() >= m * k && bp.len() >= k * n && c.len() >= m * n);
-        unsafe { xpacked_neon(a, bp, c, m, k, n) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn xpacked_neon(a: &[f32], bp: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        let nblocks = n / 8;
-        for jb in 0..nblocks {
-            let slab = bp.as_ptr().add(jb * k * 8);
-            for i in 0..m {
-                let ar = &a[i * k..(i + 1) * k];
-                // acc[lane] = (cols 0-3, cols 4-7) of this j-block.
-                let mut acc = [(vdupq_n_f32(0.0), vdupq_n_f32(0.0)); 8];
-                for (p, &av) in ar.iter().enumerate() {
-                    let avv = vdupq_n_f32(av);
-                    let blo = vld1q_f32(slab.add(p * 8));
-                    let bhi = vld1q_f32(slab.add(p * 8 + 4));
-                    let l = p & 7;
-                    acc[l].0 = vaddq_f32(acc[l].0, vmulq_f32(avv, blo));
-                    acc[l].1 = vaddq_f32(acc[l].1, vmulq_f32(avv, bhi));
-                }
-                let e_lo =
-                    vaddq_f32(vaddq_f32(acc[0].0, acc[4].0), vaddq_f32(acc[2].0, acc[6].0));
-                let o_lo =
-                    vaddq_f32(vaddq_f32(acc[1].0, acc[5].0), vaddq_f32(acc[3].0, acc[7].0));
-                let e_hi =
-                    vaddq_f32(vaddq_f32(acc[0].1, acc[4].1), vaddq_f32(acc[2].1, acc[6].1));
-                let o_hi =
-                    vaddq_f32(vaddq_f32(acc[1].1, acc[5].1), vaddq_f32(acc[3].1, acc[7].1));
-                vst1q_f32(c.as_mut_ptr().add(i * n + jb * 8), vaddq_f32(e_lo, o_lo));
-                vst1q_f32(c.as_mut_ptr().add(i * n + jb * 8 + 4), vaddq_f32(e_hi, o_hi));
-            }
-        }
-        let tail_base = nblocks * k * 8;
-        for i in 0..m {
-            let ar = &a[i * k..(i + 1) * k];
-            for (jt, j) in (nblocks * 8..n).enumerate() {
-                c[i * n + j] =
-                    super::scalar::dot8(ar, &bp[tail_base + jt * k..tail_base + (jt + 1) * k]);
-            }
-        }
-    }
-
-    /// Row max — NEON tier (see [`scalar::row_max`]).
-    pub fn row_max(row: &[f32]) -> f32 {
-        unsafe { row_max_neon(row) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn row_max_neon(row: &[f32]) -> f32 {
-        let chunks = row.len() / 8;
-        let base = chunks * 8;
-        let mut acc_lo = vdupq_n_f32(f32::NEG_INFINITY);
-        let mut acc_hi = vdupq_n_f32(f32::NEG_INFINITY);
-        for ch in 0..chunks {
-            acc_lo = vmaxq_f32(acc_lo, vld1q_f32(row.as_ptr().add(ch * 8)));
-            acc_hi = vmaxq_f32(acc_hi, vld1q_f32(row.as_ptr().add(ch * 8 + 4)));
-        }
-        let mut lanes = [0.0f32; 8];
-        vst1q_f32(lanes.as_mut_ptr(), acc_lo);
-        vst1q_f32(lanes.as_mut_ptr().add(4), acc_hi);
-        for (l, &v) in lanes.iter_mut().zip(&row[base..]) {
-            *l = super::vmax(*l, v);
-        }
-        super::vmax(
-            super::vmax(super::vmax(lanes[0], lanes[4]), super::vmax(lanes[2], lanes[6])),
-            super::vmax(super::vmax(lanes[1], lanes[5]), super::vmax(lanes[3], lanes[7])),
-        )
-    }
-
-    /// Int8 matmul — NEON tier delegates to the scalar i32 path (exact,
-    /// therefore bit-identical).
-    #[allow(clippy::too_many_arguments)]
-    pub fn qmatmul_transb_into(
-        xq: &[i8],
-        xs: &[f32],
-        wq: &[i8],
-        ws: &[f32],
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let _ = qdot; // shared helper referenced so tiers stay symmetric
-        super::scalar::qmatmul_transb_into(xq, xs, wq, ws, bias, out, m, k, n);
-    }
-
-    /// Per-row symmetric int8 quantization — NEON tier, bit-identical
-    /// to [`scalar::quantize_row_i8`]: VABS+FMAX absmax, FRINTN
-    /// (round-to-nearest-even) per element, FMIN/FMAX clamp (NEON
-    /// min/max propagate NaN from either operand, matching Rust's
-    /// `clamp`), FCVTZS (NaN converts to 0, like the scalar cast), and
-    /// truncating XTN narrows to the low byte.
-    pub fn quantize_row_i8(src: &[f32], dst: &mut [i8]) -> f32 {
-        debug_assert_eq!(src.len(), dst.len());
-        unsafe { quantize_neon(src, dst) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn quantize_neon(src: &[f32], dst: &mut [i8]) -> f32 {
-        let len = src.len();
-        let chunks = len / 8;
-        let base = chunks * 8;
-        let sp = src.as_ptr();
-        let mut max_lo = vdupq_n_f32(0.0);
-        let mut max_hi = vdupq_n_f32(0.0);
-        for ch in 0..chunks {
-            max_lo = vmaxq_f32(max_lo, vabsq_f32(vld1q_f32(sp.add(ch * 8))));
-            max_hi = vmaxq_f32(max_hi, vabsq_f32(vld1q_f32(sp.add(ch * 8 + 4))));
-        }
-        let mut lanes = [0.0f32; 8];
-        vst1q_f32(lanes.as_mut_ptr(), max_lo);
-        vst1q_f32(lanes.as_mut_ptr().add(4), max_hi);
-        for (l, &v) in lanes.iter_mut().zip(&src[base..]) {
-            *l = super::vmax(*l, v.abs());
-        }
-        let absmax = super::vmax(
-            super::vmax(super::vmax(lanes[0], lanes[4]), super::vmax(lanes[2], lanes[6])),
-            super::vmax(super::vmax(lanes[1], lanes[5]), super::vmax(lanes[3], lanes[7])),
-        );
-        if absmax == 0.0 || !absmax.is_finite() {
-            dst.fill(0);
-            return 0.0;
-        }
-        let inv = 127.0 / absmax;
-        let invv = vdupq_n_f32(inv);
-        let lo = vdupq_n_f32(-127.0);
-        let hi = vdupq_n_f32(127.0);
-        for ch in 0..chunks {
-            let t0 = vrndnq_f32(vmulq_f32(vld1q_f32(sp.add(ch * 8)), invv));
-            let t1 = vrndnq_f32(vmulq_f32(vld1q_f32(sp.add(ch * 8 + 4)), invv));
-            let t0 = vminq_f32(hi, vmaxq_f32(lo, t0));
-            let t1 = vminq_f32(hi, vmaxq_f32(lo, t1));
-            let s16 = vcombine_s16(vmovn_s32(vcvtq_s32_f32(t0)), vmovn_s32(vcvtq_s32_f32(t1)));
-            vst1_s8(dst.as_mut_ptr().add(ch * 8), vmovn_s16(s16));
-        }
-        for (d, &v) in dst[base..].iter_mut().zip(&src[base..]) {
-            *d = (v * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
-        }
-        absmax / 127.0
-    }
-
-    /// QK^T score row — NEON tier (see [`scalar::attn_scores_into`]).
-    pub fn attn_scores_into(
-        q: &[f32],
-        keys: &[f32],
-        stride: usize,
-        scale: f32,
-        scores: &mut [f32],
-    ) {
-        let dh = q.len();
-        let n = scores.len();
-        assert!(n == 0 || keys.len() >= (n - 1) * stride + dh);
-        unsafe { attn_scores_neon(q, keys, stride, scale, scores) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn attn_scores_neon(
-        q: &[f32],
-        keys: &[f32],
-        stride: usize,
-        scale: f32,
-        scores: &mut [f32],
-    ) {
-        let dh = q.len();
-        let chunks = dh / 8;
-        let tail = dh % 8;
-        let base = chunks * 8;
-        let qp = q.as_ptr();
-        for (si, sv) in scores.iter_mut().enumerate() {
-            let kr = keys.as_ptr().add(si * stride);
-            let mut acc_lo = vdupq_n_f32(0.0);
-            let mut acc_hi = vdupq_n_f32(0.0);
-            for ch in 0..chunks {
-                acc_lo = vaddq_f32(
-                    acc_lo,
-                    vmulq_f32(vld1q_f32(qp.add(ch * 8)), vld1q_f32(kr.add(ch * 8))),
-                );
-                acc_hi = vaddq_f32(
-                    acc_hi,
-                    vmulq_f32(vld1q_f32(qp.add(ch * 8 + 4)), vld1q_f32(kr.add(ch * 8 + 4))),
-                );
-            }
-            let mut lanes = [0.0f32; 8];
-            vst1q_f32(lanes.as_mut_ptr(), acc_lo);
-            vst1q_f32(lanes.as_mut_ptr().add(4), acc_hi);
-            for l in 0..tail {
-                lanes[l] += *qp.add(base + l) * *kr.add(base + l);
-            }
-            *sv = reduce8(&lanes) * scale;
-        }
-    }
-
-    /// Softmax-weighted V accumulation — NEON tier (see
-    /// [`scalar::attn_weighted_sum_into`]).
-    pub fn attn_weighted_sum_into(
-        probs: &[f32],
-        values: &[f32],
-        stride: usize,
-        ctx: &mut [f32],
-    ) {
-        let dh = ctx.len();
-        assert!(probs.is_empty() || values.len() >= (probs.len() - 1) * stride + dh);
-        unsafe { weighted_sum_neon(probs, values, stride, ctx) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn weighted_sum_neon(probs: &[f32], values: &[f32], stride: usize, ctx: &mut [f32]) {
-        let dh = ctx.len();
-        let chunks = dh / 8;
-        let base = chunks * 8;
-        let cp = ctx.as_mut_ptr();
-        for (si, &w) in probs.iter().enumerate() {
-            if w == 0.0 {
-                continue;
-            }
-            let wv = vdupq_n_f32(w);
-            let vr = values.as_ptr().add(si * stride);
-            for ch in 0..chunks {
-                let c0 = vld1q_f32(cp.add(ch * 8));
-                let c1 = vld1q_f32(cp.add(ch * 8 + 4));
-                vst1q_f32(
-                    cp.add(ch * 8),
-                    vaddq_f32(c0, vmulq_f32(wv, vld1q_f32(vr.add(ch * 8)))),
-                );
-                vst1q_f32(
-                    cp.add(ch * 8 + 4),
-                    vaddq_f32(c1, vmulq_f32(wv, vld1q_f32(vr.add(ch * 8 + 4)))),
-                );
-            }
-            for (j, c) in ctx[base..].iter_mut().enumerate() {
-                *c += w * *vr.add(base + j);
-            }
-        }
-    }
-
-    /// One layer-norm row — NEON tier (see
-    /// [`scalar::layer_norm_row_into`]). The softmax kernel is not
-    /// NEON-vectorized (matching `sum_exp`, whose dispatch also falls
-    /// back to the scalar polynomial-exp path on this tier).
-    pub fn layer_norm_row_into(
-        row: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        out: &mut [f32],
-    ) -> (f32, f32) {
-        let d = row.len();
-        assert!(gamma.len() >= d && beta.len() >= d && out.len() >= d);
-        unsafe { ln_row_neon(row, gamma, beta, out) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn ln_row_neon(
-        row: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        out: &mut [f32],
-    ) -> (f32, f32) {
-        let d = row.len();
-        let chunks = d / 8;
-        let base = chunks * 8;
-        let rp = row.as_ptr();
-        let mut acc_lo = vdupq_n_f32(0.0);
-        let mut acc_hi = vdupq_n_f32(0.0);
-        for ch in 0..chunks {
-            acc_lo = vaddq_f32(acc_lo, vld1q_f32(rp.add(ch * 8)));
-            acc_hi = vaddq_f32(acc_hi, vld1q_f32(rp.add(ch * 8 + 4)));
-        }
-        let mut lanes = [0.0f32; 8];
-        vst1q_f32(lanes.as_mut_ptr(), acc_lo);
-        vst1q_f32(lanes.as_mut_ptr().add(4), acc_hi);
-        for (l, &v) in lanes.iter_mut().zip(&row[base..]) {
-            *l += v;
-        }
-        let mean = reduce8(&lanes) / d as f32;
-        let meanv = vdupq_n_f32(mean);
-        let mut vacc_lo = vdupq_n_f32(0.0);
-        let mut vacc_hi = vdupq_n_f32(0.0);
-        for ch in 0..chunks {
-            let d0 = vsubq_f32(vld1q_f32(rp.add(ch * 8)), meanv);
-            let d1 = vsubq_f32(vld1q_f32(rp.add(ch * 8 + 4)), meanv);
-            vacc_lo = vaddq_f32(vacc_lo, vmulq_f32(d0, d0));
-            vacc_hi = vaddq_f32(vacc_hi, vmulq_f32(d1, d1));
-        }
-        let mut vlanes = [0.0f32; 8];
-        vst1q_f32(vlanes.as_mut_ptr(), vacc_lo);
-        vst1q_f32(vlanes.as_mut_ptr().add(4), vacc_hi);
-        for (l, &v) in vlanes.iter_mut().zip(&row[base..]) {
-            let dv = v - mean;
-            *l += dv * dv;
-        }
-        let var = reduce8(&vlanes) / d as f32;
-        let rstd = 1.0 / (var + 1e-5).sqrt();
-        let rstdv = vdupq_n_f32(rstd);
-        for ch in 0..chunks {
-            let x0 = vsubq_f32(vld1q_f32(rp.add(ch * 8)), meanv);
-            let x1 = vsubq_f32(vld1q_f32(rp.add(ch * 8 + 4)), meanv);
-            let g0 = vld1q_f32(gamma.as_ptr().add(ch * 8));
-            let g1 = vld1q_f32(gamma.as_ptr().add(ch * 8 + 4));
-            let b0 = vld1q_f32(beta.as_ptr().add(ch * 8));
-            let b1 = vld1q_f32(beta.as_ptr().add(ch * 8 + 4));
-            vst1q_f32(
-                out.as_mut_ptr().add(ch * 8),
-                vaddq_f32(vmulq_f32(vmulq_f32(g0, x0), rstdv), b0),
-            );
-            vst1q_f32(
-                out.as_mut_ptr().add(ch * 8 + 4),
-                vaddq_f32(vmulq_f32(vmulq_f32(g1, x1), rstdv), b1),
+        let params = gamma.as_chunks::<8>().0.iter().zip(beta.as_chunks::<8>().0);
+        for ((o, c), (g, b)) in out.as_chunks_mut::<8>().0.iter_mut().zip(chunks).zip(params) {
+            let x = _mm256_sub_ps(load8(c), meanv);
+            store8(
+                o,
+                _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(load8(g), x), rstdv), load8(b)),
             );
         }
-        for j in base..d {
+        for j in d - tail.len()..d {
             out[j] = gamma[j] * (row[j] - mean) * rstd + beta[j];
         }
         (mean, rstd)
@@ -2402,139 +1750,45 @@ pub mod neon {
 
 /// VNNI tier (x86-64): the AVX2 tier plus `VPDPBUSD` for the int8
 /// matmul — every f32 kernel dispatches to the [`avx2`]
-/// implementations, so only the int8 path differs. `VPDPBUSD` computes
-/// a u8×i8 dot; the signed i8×i8 dot the backend needs is recovered
-/// exactly by the abs/sign trick: `|x| ≤ 127` always fits u8 (the
-/// quantizer clamps to ±127), `VPSIGNB` moves x's sign onto w (also
+/// implementations, so only the int8 inner product differs. `VPDPBUSD`
+/// computes a u8×i8 dot; the signed i8×i8 dot the backend needs is
+/// recovered exactly by the abs/sign trick: `|x| ≤ 127` always fits u8
+/// (the quantizer clamps to ±127), `VPSIGNB` moves x's sign onto w (also
 /// ±127, so no negation overflow), and `Σ |x|·sign(w, x) = Σ x·w` with
 /// each 4-product group bounded by `4·127² = 64516` — far from both
 /// the intermediate and i32 accumulator limits. Exact integer
-/// arithmetic makes the tier bit-identical to scalar/AVX2/NEON by
+/// arithmetic makes the tier bit-identical to scalar/AVX2 by
 /// construction. Both `VPDPBUSD` encodings are supported: the VEX one
 /// on AVX-VNNI hosts (Alder Lake+), the EVEX one on
 /// AVX512-VNNI+VL hosts (Ice Lake / Zen 4).
 #[cfg(target_arch = "x86_64")]
 pub mod vnni {
-    use super::scalar::qdot;
+    use super::avx2::qmatmul_x86;
+    use super::QMat;
     use std::arch::x86_64::*;
 
-    fn assert_vnni() {
-        assert!(
-            super::tier_supported(super::IsaTier::Vnni),
-            "VNNI kernels called on a host without AVX-VNNI or AVX512-VNNI+VL"
-        );
+    /// [`qmatmul_x86`] with the VEX-encoded `VPDPBUSD`; `prep` is the chunk
+    /// and its absolute value (the u8 operand), which depend on x only.
+    ///
+    /// # Safety
+    ///
+    /// As [`qmatmul_x86`], on a host with AVX-VNNI.
+    #[target_feature(enable = "avx2,avxvnni")]
+    pub(super) unsafe fn qmatmul_vex(q: QMat<'_>) {
+        let dot = |acc, (x, ax), w| _mm256_dpbusd_avx_epi32(acc, ax, _mm256_sign_epi8(w, x));
+        qmatmul_x86(|x| (x, _mm256_abs_epi8(x)), dot, q)
     }
 
-    macro_rules! vnni_qmatmul {
-        ($name:ident, $feat:literal, $dpbusd:ident) => {
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = $feat)]
-            unsafe fn $name(
-                xq: &[i8],
-                xs: &[f32],
-                wq: &[i8],
-                ws: &[f32],
-                bias: Option<&[f32]>,
-                out: &mut [f32],
-                m: usize,
-                k: usize,
-                n: usize,
-            ) {
-                let chunks = k / 32;
-                let base = chunks * 32;
-                // Activation chunks and their absolute values are
-                // hoisted out of the column loop (the VPDPBUSD operand
-                // transform depends only on x); rows longer than MAXCH
-                // chunks recompute inline past the buffer.
-                const MAXCH: usize = 16;
-                let mut xvbuf = [_mm256_setzero_si256(); MAXCH];
-                let mut axbuf = [_mm256_setzero_si256(); MAXCH];
-                let cached = chunks.min(MAXCH);
-                for i in 0..m {
-                    let xr = xq.as_ptr().add(i * k);
-                    for ch in 0..cached {
-                        let xv = _mm256_loadu_si256(xr.add(ch * 32) as *const __m256i);
-                        xvbuf[ch] = xv;
-                        axbuf[ch] = _mm256_abs_epi8(xv);
-                    }
-                    let mut j = 0usize;
-                    while j + 4 <= n {
-                        let w0 = wq.as_ptr().add(j * k);
-                        let w1 = wq.as_ptr().add((j + 1) * k);
-                        let w2 = wq.as_ptr().add((j + 2) * k);
-                        let w3 = wq.as_ptr().add((j + 3) * k);
-                        let mut acc0 = _mm256_setzero_si256();
-                        let mut acc1 = _mm256_setzero_si256();
-                        let mut acc2 = _mm256_setzero_si256();
-                        let mut acc3 = _mm256_setzero_si256();
-                        for ch in 0..chunks {
-                            let (xv, ax) = if ch < cached {
-                                (xvbuf[ch], axbuf[ch])
-                            } else {
-                                let xv = _mm256_loadu_si256(xr.add(ch * 32) as *const __m256i);
-                                (xv, _mm256_abs_epi8(xv))
-                            };
-                            let wv = _mm256_loadu_si256(w0.add(ch * 32) as *const __m256i);
-                            acc0 = $dpbusd(acc0, ax, _mm256_sign_epi8(wv, xv));
-                            let wv = _mm256_loadu_si256(w1.add(ch * 32) as *const __m256i);
-                            acc1 = $dpbusd(acc1, ax, _mm256_sign_epi8(wv, xv));
-                            let wv = _mm256_loadu_si256(w2.add(ch * 32) as *const __m256i);
-                            acc2 = $dpbusd(acc2, ax, _mm256_sign_epi8(wv, xv));
-                            let wv = _mm256_loadu_si256(w3.add(ch * 32) as *const __m256i);
-                            acc3 = $dpbusd(acc3, ax, _mm256_sign_epi8(wv, xv));
-                        }
-                        let sums = super::hsum4_epi32(acc0, acc1, acc2, acc3);
-                        if base == k {
-                            super::dequant4(sums, xs[i], ws, bias, out, i, j, n);
-                        } else {
-                            let mut tails = [0i32; 4];
-                            _mm_storeu_si128(tails.as_mut_ptr() as *mut __m128i, sums);
-                            for (col, &sv) in tails.iter().enumerate() {
-                                let jj = j + col;
-                                let wr = wq.as_ptr().add(jj * k);
-                                let sum = sv
-                                    + qdot(
-                                        std::slice::from_raw_parts(xr.add(base), k - base),
-                                        std::slice::from_raw_parts(wr.add(base), k - base),
-                                    );
-                                let deq = sum as f32 * (xs[i] * ws[jj]);
-                                out[i * n + jj] = match bias {
-                                    Some(b) => deq + b[jj],
-                                    None => deq,
-                                };
-                            }
-                        }
-                        j += 4;
-                    }
-                    while j < n {
-                        let wr = wq.as_ptr().add(j * k);
-                        let mut acc = _mm256_setzero_si256();
-                        for ch in 0..chunks {
-                            let xv = _mm256_loadu_si256(xr.add(ch * 32) as *const __m256i);
-                            let wv = _mm256_loadu_si256(wr.add(ch * 32) as *const __m256i);
-                            acc = $dpbusd(acc, _mm256_abs_epi8(xv), _mm256_sign_epi8(wv, xv));
-                        }
-                        let mut lanes = [0i32; 8];
-                        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-                        let mut sum: i32 = lanes.iter().sum();
-                        sum += qdot(
-                            std::slice::from_raw_parts(xr.add(base), k - base),
-                            std::slice::from_raw_parts(wr.add(base), k - base),
-                        );
-                        let deq = sum as f32 * (xs[i] * ws[j]);
-                        out[i * n + j] = match bias {
-                            Some(b) => deq + b[j],
-                            None => deq,
-                        };
-                        j += 1;
-                    }
-                }
-            }
-        };
+    /// [`qmatmul_x86`] with the EVEX-encoded `VPDPBUSD`.
+    ///
+    /// # Safety
+    ///
+    /// As [`qmatmul_x86`], on a host with AVX512-VNNI and AVX512-VL.
+    #[target_feature(enable = "avx2,avx512vnni,avx512vl")]
+    pub(super) unsafe fn qmatmul_evex(q: QMat<'_>) {
+        let dot = |acc, (x, ax), w| _mm256_dpbusd_epi32(acc, ax, _mm256_sign_epi8(w, x));
+        qmatmul_x86(|x| (x, _mm256_abs_epi8(x)), dot, q)
     }
-
-    vnni_qmatmul!(qmatmul_avxvnni, "avx2,avxvnni", _mm256_dpbusd_avx_epi32);
-    vnni_qmatmul!(qmatmul_avx512vnni, "avx2,avx512vnni,avx512vl", _mm256_dpbusd_epi32);
 
     /// Int8 matmul — VNNI tier (see [`scalar::qmatmul_transb_into`];
     /// exact i32 accumulation, bit-identical to every other tier).
@@ -2551,11 +1805,21 @@ pub mod vnni {
         n: usize,
     ) {
         assert!(xq.len() >= m * k && wq.len() >= n * k && out.len() >= m * n);
-        assert_vnni();
-        if std::arch::is_x86_feature_detected!("avxvnni") {
-            unsafe { qmatmul_avxvnni(xq, xs, wq, ws, bias, out, m, k, n) }
-        } else {
-            unsafe { qmatmul_avx512vnni(xq, xs, wq, ws, bias, out, m, k, n) }
+        assert!(ws.len() >= n && bias.is_none_or(|b| b.len() >= n), "n scales and biases");
+        assert!(
+            super::tier_supported(super::IsaTier::Vnni),
+            "VNNI kernels called on a host without AVX-VNNI or AVX512-VNNI+VL"
+        );
+        let q = QMat { xq, xs, wq, ws, bias, out, m, k, n };
+        // SAFETY: the five lengths hold and the host has AVX2 and the
+        // encoding of the branch taken (all asserted: without AVX-VNNI, a
+        // supported VNNI tier means AVX512-VNNI+VL).
+        unsafe {
+            if std::arch::is_x86_feature_detected!("avxvnni") {
+                qmatmul_vex(q)
+            } else {
+                qmatmul_evex(q)
+            }
         }
     }
 }
@@ -2565,8 +1829,6 @@ pub fn matmul_transb_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 | IsaTier::Vnni => avx2::matmul_transb_into(a, b, c, m, k, n),
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon => neon::matmul_transb_into(a, b, c, m, k, n),
         _ => scalar::matmul_transb_into(a, b, c, m, k, n),
     }
 }
@@ -2606,8 +1868,6 @@ pub fn matmul_xpacked_into(a: &[f32], bp: &[f32], c: &mut [f32], m: usize, k: us
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 | IsaTier::Vnni => avx2::matmul_xpacked_into(a, bp, c, m, k, n),
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon => neon::matmul_xpacked_into(a, bp, c, m, k, n),
         _ => scalar::matmul_xpacked_into(a, bp, c, m, k, n),
     }
 }
@@ -2622,8 +1882,6 @@ pub fn row_max(row: &[f32]) -> f32 {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 | IsaTier::Vnni => avx2::row_max(row),
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon => neon::row_max(row),
         _ => scalar::row_max(row),
     }
 }
@@ -2663,8 +1921,6 @@ pub fn quantize_row_i8(src: &[f32], dst: &mut [i8]) -> f32 {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 | IsaTier::Vnni => avx2::quantize_row_i8(src, dst),
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon => neon::quantize_row_i8(src, dst),
         _ => scalar::quantize_row_i8(src, dst),
     }
 }
@@ -2684,8 +1940,6 @@ pub fn attn_scores_into(
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 | IsaTier::Vnni => avx2::attn_scores_into(q, keys, stride, scale, scores),
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon => neon::attn_scores_into(q, keys, stride, scale, scores),
         _ => scalar::attn_scores_into(q, keys, stride, scale, scores),
     }
 }
@@ -2726,9 +1980,7 @@ pub fn pack_keys(keys: &[f32], stride: usize, n: usize, dh: usize, out: &mut [f3
 /// `q[r * qstride..][..dh]` with key `si`, for `scores.len() / n`
 /// queries — per score the rounded operations of [`attn_scores_into`] in
 /// its order (lane split by 8, ascending, tree reduce, then the scale),
-/// so the two layouts agree bit-for-bit. NEON runs the scalar body, which
-/// is written over 8-float groups so that it vectorizes without
-/// intrinsics.
+/// so the two layouts agree bit-for-bit.
 pub fn attn_scores_packed_tile_into(
     q: &[f32],
     qstride: usize,
@@ -2751,8 +2003,7 @@ pub fn attn_scores_packed_tile_into(
 /// shared polynomial exp ([`exp_lane`] / its AVX2 mirror — no libm),
 /// a lane-split-by-8 sum, and a `1 / sum.max(1e-12)` normalize. `-inf`
 /// entries (masked attention slots) come out exactly `+0.0`, which the
-/// weighted-sum kernel then skips. NEON falls back to the scalar path
-/// (like `sum_exp`) — bit-identical by definition.
+/// weighted-sum kernel then skips.
 pub fn softmax_into(row: &mut [f32]) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
@@ -2777,7 +2028,7 @@ pub fn attn_weighted_sum_into(probs: &[f32], values: &[f32], stride: usize, ctx:
 /// `ctx[r*cstride..r*cstride + dh]` exactly as
 /// [`attn_weighted_sum_into`] would, for `probs.len() / n` rows. The
 /// AVX2 tier keeps [`ATTN_TILE`] context rows in registers and loads
-/// each value row once for all of them; the other tiers run their
+/// each value row once for all of them; the scalar tier runs its
 /// per-row body per query.
 pub fn attn_weighted_sum_tile_into(
     probs: &[f32],
@@ -2793,19 +2044,6 @@ pub fn attn_weighted_sum_tile_into(
         IsaTier::Avx2 | IsaTier::Vnni => {
             avx2::attn_weighted_sum_tile_into(probs, n, values, stride, ctx, cstride, dh)
         }
-        // NEON keeps its per-row body: a register-tile body there would
-        // be unsafe code no CI job can run.
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon => weighted_sum_by_rows(
-            neon::attn_weighted_sum_into,
-            probs,
-            n,
-            values,
-            stride,
-            ctx,
-            cstride,
-            dh,
-        ),
         _ => scalar::attn_weighted_sum_tile_into(probs, n, values, stride, ctx, cstride, dh),
     }
 }
@@ -2818,8 +2056,6 @@ fn ln_row_fn() -> LnRowFn {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 | IsaTier::Vnni => avx2::layer_norm_row_into,
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon => neon::layer_norm_row_into,
         _ => scalar::layer_norm_row_into,
     }
 }
@@ -2888,8 +2124,6 @@ pub fn qmatmul_transb_into(
         IsaTier::Vnni => vnni::qmatmul_transb_into(xq, xs, wq, ws, bias, out, m, k, n),
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 => avx2::qmatmul_transb_into(xq, xs, wq, ws, bias, out, m, k, n),
-        #[cfg(target_arch = "aarch64")]
-        IsaTier::Neon => neon::qmatmul_transb_into(xq, xs, wq, ws, bias, out, m, k, n),
         _ => scalar::qmatmul_transb_into(xq, xs, wq, ws, bias, out, m, k, n),
     }
 }
@@ -2911,14 +2145,54 @@ mod tests {
     #[test]
     fn tier_knob_round_trips() {
         let prev = active_tier();
-        assert_eq!(set_tier(IsaTier::Scalar), IsaTier::Scalar);
-        assert_eq!(active_tier(), IsaTier::Scalar);
-        // Unsupported requests clamp to scalar instead of crashing.
-        let installed = set_tier(IsaTier::Neon);
-        if !cfg!(target_arch = "aarch64") {
-            assert_eq!(installed, IsaTier::Scalar);
+        for tier in [IsaTier::Scalar, IsaTier::Avx2, IsaTier::Vnni] {
+            // A request the host cannot execute clamps to scalar instead
+            // of crashing in the first kernel call.
+            let want = if tier_supported(tier) { tier } else { IsaTier::Scalar };
+            assert_eq!(set_tier(tier), want, "{}", tier.name());
+            assert_eq!(active_tier(), want, "{}", tier.name());
         }
         set_tier(prev);
+    }
+
+    /// Both `VPDPBUSD` encodings against scalar, each where the host has it
+    /// (`vnni::qmatmul_transb_into` reaches one per host, so `kernel_equiv`
+    /// cannot), on rows past the skeleton's 16-chunk `prep` buffer and on
+    /// both column paths.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn both_vpdpbusd_encodings_match_scalar_past_the_prep_buffer() {
+        use std::arch::is_x86_feature_detected as has;
+        type Body = unsafe fn(QMat<'_>);
+        let bodies: [(&str, bool, Body); 2] = [
+            ("vex", has!("avx2") && has!("avxvnni"), vnni::qmatmul_vex),
+            (
+                "evex",
+                has!("avx2") && has!("avx512vnni") && has!("avx512vl"),
+                vnni::qmatmul_evex,
+            ),
+        ];
+        let codes =
+            |seed, len| fill(seed, len).iter().map(|v| (v * 127.0) as i8).collect::<Vec<_>>();
+        for (name, _, body) in bodies.into_iter().filter(|b| b.1) {
+            for (k, n) in
+                [512usize, 513, 544, 1055].into_iter().flat_map(|k| [(k, 1), (k, 4), (k, 5)])
+            {
+                let m = 2;
+                let (xq, wq) = (codes(k as u64, m * k), codes(n as u64, n * k));
+                let (xs, ws, b) = (fill(3, m), fill(4, n), fill(5, n));
+                let (xq, xs, wq, ws, bias) = (&xq[..], &xs[..], &wq[..], &ws[..], Some(&b[..]));
+                let mut want = vec![0.0f32; m * n];
+                let mut got = vec![0.0f32; m * n];
+                scalar::qmatmul_transb_into(xq, xs, wq, ws, bias, &mut want, m, k, n);
+                // SAFETY: the filter kept the bodies whose features the host
+                // has, and each buffer holds exactly what `m`, `k`, `n` index.
+                unsafe { body(QMat { xq, xs, wq, ws, bias, out: &mut got, m, k, n }) };
+                for (w, g) in want.iter().zip(&got) {
+                    assert_eq!(w.to_bits(), g.to_bits(), "{name} k {k} n {n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! see `DESIGN.md` for the scaling substitution argument.
 //!
 //! Layout:
-//! - [`kernels`] — runtime-dispatched SIMD kernel tiers (AVX2 / NEON /
-//!   scalar, all bit-identical) plus the int8 quantized matmul;
+//! - [`kernels`] — runtime-dispatched SIMD kernel tiers (scalar / AVX2 /
+//!   VNNI, all bit-identical) plus the int8 quantized matmul;
 //! - [`math`] — dense kernels (matmul variants, softmax, GELU), hot
 //!   paths dispatching through [`kernels`];
 //! - [`store`] — flat parameter store with gradients and Adam moments,
@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod engine;
 pub mod kernels;

@@ -328,7 +328,7 @@ impl Seq2Seq {
         y
     }
 
-    fn layer_norm(&self, ln: &Ln, x: &[f32], t: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    fn layer_norm(&self, ln: &Ln, x: &[f32], t: usize) -> LnCache {
         let d = self.cfg.d_model;
         let gamma = self.store.data(ln.gamma);
         let beta = self.store.data(ln.beta);
@@ -338,7 +338,7 @@ impl Seq2Seq {
         crate::kernels::layer_norm_stats_into(
             x, gamma, beta, t, d, &mut y, &mut means, &mut rstds,
         );
-        (y, means, rstds)
+        LnCache { x: x.to_vec(), y, means, rstds }
     }
 
     /// Multi-head attention forward; returns `(output, cache)`.
@@ -490,15 +490,8 @@ impl Seq2Seq {
         (dx, dkv)
     }
 
-    fn layer_norm_bwd(
-        &mut self,
-        ln: &Ln,
-        x: &[f32],
-        means: &[f32],
-        rstds: &[f32],
-        dy: &[f32],
-        t: usize,
-    ) -> Vec<f32> {
+    fn layer_norm_bwd(&mut self, ln: &Ln, cache: &LnCache, dy: &[f32], t: usize) -> Vec<f32> {
+        let LnCache { x, means, rstds, .. } = cache;
         let d = self.cfg.d_model;
         let gamma = self.store.data(ln.gamma).to_vec();
         let mut dgamma = vec![0.0f32; d];
@@ -572,39 +565,72 @@ impl Seq2Seq {
         dx
     }
 
-    /// Encoder forward (inference path, no caches kept).
-    pub fn encode(&self, src: &[u32]) -> Vec<f32> {
-        let t = src.len();
+    /// The encoder stack over `src`, keeping what the backward pass needs.
+    /// `masks` holds one `[attention, ffn]` pair of residual-branch dropout
+    /// masks per layer, or is empty (inference: no dropout).
+    fn enc_forward(&self, src: &[u32], masks: &[[Mask; 2]]) -> EncForward {
+        let s = src.len();
         let mut h = self.embed_seq(src);
-        for layer in &self.enc {
-            let (ln1, ..) = self.layer_norm(&layer.ln1, &h, t);
-            let (att, _) = self.attention(&layer.attn, &ln1, &ln1, t, t, false);
+        let mut layers = Vec::with_capacity(self.enc.len());
+        for (l, layer) in self.enc.iter().enumerate() {
+            let mask = |branch: usize| masks.get(l).and_then(|m| m[branch].as_deref());
+            let ln1 = self.layer_norm(&layer.ln1, &h, s);
+            let (mut att, attn) = self.attention(&layer.attn, &ln1.y, &ln1.y, s, s, false);
+            apply_mask(&mut att, mask(0));
             add_into(&mut h, &att);
-            let (ln2, ..) = self.layer_norm(&layer.ln2, &h, t);
-            let (ff, _) = self.ffn_fwd(&layer.ffn, &ln2, t);
+            let ln2 = self.layer_norm(&layer.ln2, &h, s);
+            let (mut ff, hidden) = self.ffn_fwd(&layer.ffn, &ln2.y, s);
+            apply_mask(&mut ff, mask(1));
             add_into(&mut h, &ff);
+            layers.push(EncLayerCache { ln1, attn, ln2, hidden });
         }
-        let (out, ..) = self.layer_norm(&self.ln_enc_out, &h, t);
-        out
+        EncForward { layers, out: self.layer_norm(&self.ln_enc_out, &h, s) }
     }
 
-    /// Decoder hidden states for a full prefix (inference, no caches).
-    fn decoder_hidden(&self, mem: &[f32], s: usize, tgt_prefix: &[u32]) -> Vec<f32> {
-        let t = tgt_prefix.len();
-        let mut h = self.embed_seq(tgt_prefix);
-        for layer in &self.dec {
-            let (ln1, ..) = self.layer_norm(&layer.ln1, &h, t);
-            let (att, _) = self.attention(&layer.self_attn, &ln1, &ln1, t, t, true);
+    /// The decoder stack over a full prefix against `s` rows of encoder
+    /// memory, keeping what the backward pass needs. `masks` holds one
+    /// `[self-attention, cross-attention, ffn]` triple per layer, or is
+    /// empty (inference: no dropout).
+    fn dec_forward(
+        &self,
+        mem: &[f32],
+        s: usize,
+        tgt: &[u32],
+        masks: &[[Mask; 3]],
+    ) -> DecForward {
+        let t = tgt.len();
+        let mut h = self.embed_seq(tgt);
+        let mut layers = Vec::with_capacity(self.dec.len());
+        for (l, layer) in self.dec.iter().enumerate() {
+            let mask = |branch: usize| masks.get(l).and_then(|m| m[branch].as_deref());
+            let ln1 = self.layer_norm(&layer.ln1, &h, t);
+            let (mut att, self_attn) =
+                self.attention(&layer.self_attn, &ln1.y, &ln1.y, t, t, true);
+            apply_mask(&mut att, mask(0));
             add_into(&mut h, &att);
-            let (ln2, ..) = self.layer_norm(&layer.ln2, &h, t);
-            let (catt, _) = self.attention(&layer.cross_attn, &ln2, mem, t, s, false);
+            let ln2 = self.layer_norm(&layer.ln2, &h, t);
+            let (mut catt, cross_attn) =
+                self.attention(&layer.cross_attn, &ln2.y, mem, t, s, false);
+            apply_mask(&mut catt, mask(1));
             add_into(&mut h, &catt);
-            let (ln3, ..) = self.layer_norm(&layer.ln3, &h, t);
-            let (ff, _) = self.ffn_fwd(&layer.ffn, &ln3, t);
+            let ln3 = self.layer_norm(&layer.ln3, &h, t);
+            let (mut ff, hidden) = self.ffn_fwd(&layer.ffn, &ln3.y, t);
+            apply_mask(&mut ff, mask(2));
             add_into(&mut h, &ff);
+            layers.push(DecLayerCache { ln1, self_attn, ln2, cross_attn, ln3, hidden });
         }
-        let (hn, ..) = self.layer_norm(&self.ln_dec_out, &h, t);
-        hn
+        DecForward { layers, out: self.layer_norm(&self.ln_dec_out, &h, t) }
+    }
+
+    /// Encoder forward (inference path: no dropout, caches dropped).
+    pub fn encode(&self, src: &[u32]) -> Vec<f32> {
+        self.enc_forward(src, &[]).out.y
+    }
+
+    /// Decoder hidden states for a full prefix (inference path: no
+    /// dropout, caches dropped).
+    fn decoder_hidden(&self, mem: &[f32], s: usize, tgt_prefix: &[u32]) -> Vec<f32> {
+        self.dec_forward(mem, s, tgt_prefix, &[]).out.y
     }
 
     /// Decoder forward over a full prefix; returns logits of the **last**
@@ -699,80 +725,22 @@ impl Seq2Seq {
         let d = self.cfg.d_model;
         let s = src.len();
         let t = dec_input.len();
-        // Residual-branch dropout masks, pre-sampled so the borrow of the
-        // layer lists below stays immutable. `None` everywhere at p = 0.
-        #[allow(clippy::type_complexity)]
-        let enc_masks: Vec<(Option<Vec<f32>>, Option<Vec<f32>>)> = (0..self.cfg.enc_layers)
-            .map(|_| (self.next_mask(s * d), self.next_mask(s * d)))
+        // Residual-branch dropout masks, sampled before the forward borrows
+        // `self`. `None` everywhere at p = 0.
+        let enc_masks: Vec<[Mask; 2]> = (0..self.cfg.enc_layers)
+            .map(|_| [self.next_mask(s * d), self.next_mask(s * d)])
             .collect();
-        #[allow(clippy::type_complexity)]
-        let dec_masks: Vec<(Option<Vec<f32>>, Option<Vec<f32>>, Option<Vec<f32>>)> =
-            (0..self.cfg.dec_layers)
-                .map(|_| (self.next_mask(t * d), self.next_mask(t * d), self.next_mask(t * d)))
-                .collect();
-        // ---- encoder forward with caches ----
-        let mut h_enc = self.embed_seq(src);
-        let mut enc_caches = Vec::new();
-        for (layer, masks) in self.enc.iter().zip(&enc_masks) {
-            let x0 = h_enc.clone();
-            let (ln1, m1, r1) = self.layer_norm(&layer.ln1, &x0, s);
-            let (mut att, acache) = self.attention(&layer.attn, &ln1, &ln1, s, s, false);
-            apply_mask(&mut att, &masks.0);
-            add_into(&mut h_enc, &att);
-            let x1 = h_enc.clone();
-            let (ln2, m2, r2) = self.layer_norm(&layer.ln2, &x1, s);
-            let (mut ff, hidden) = self.ffn_fwd(&layer.ffn, &ln2, s);
-            apply_mask(&mut ff, &masks.1);
-            add_into(&mut h_enc, &ff);
-            enc_caches.push((x0, ln1, m1, r1, acache, x1, ln2, m2, r2, hidden));
-        }
-        let pre_enc_ln = h_enc.clone();
-        let (mem, menc, renc) = self.layer_norm(&self.ln_enc_out, &pre_enc_ln, s);
-        // ---- decoder forward with caches ----
-        let mut h = self.embed_seq(dec_input);
-        let mut dec_caches = Vec::new();
-        for (layer, masks) in self.dec.iter().zip(&dec_masks) {
-            let x0 = h.clone();
-            let (ln1, m1, r1) = self.layer_norm(&layer.ln1, &x0, t);
-            let (mut att, self_cache) =
-                self.attention(&layer.self_attn, &ln1, &ln1, t, t, true);
-            apply_mask(&mut att, &masks.0);
-            add_into(&mut h, &att);
-            let x1 = h.clone();
-            let (ln2, m2, r2) = self.layer_norm(&layer.ln2, &x1, t);
-            let (mut catt, cross_cache) =
-                self.attention(&layer.cross_attn, &ln2, &mem, t, s, false);
-            apply_mask(&mut catt, &masks.1);
-            add_into(&mut h, &catt);
-            let x2 = h.clone();
-            let (ln3, m3, r3) = self.layer_norm(&layer.ln3, &x2, t);
-            let (mut ff, hidden) = self.ffn_fwd(&layer.ffn, &ln3, t);
-            apply_mask(&mut ff, &masks.2);
-            add_into(&mut h, &ff);
-            dec_caches.push((
-                x0,
-                ln1,
-                m1,
-                r1,
-                self_cache,
-                x1,
-                ln2,
-                m2,
-                r2,
-                cross_cache,
-                x2,
-                ln3,
-                m3,
-                r3,
-                hidden,
-            ));
-        }
-        let pre_dec_ln = h.clone();
-        let (hn, mdec, rdec) = self.layer_norm(&self.ln_dec_out, &pre_dec_ln, t);
+        let dec_masks: Vec<[Mask; 3]> = (0..self.cfg.dec_layers)
+            .map(|_| [self.next_mask(t * d), self.next_mask(t * d), self.next_mask(t * d)])
+            .collect();
+        let enc = self.enc_forward(src, &enc_masks);
+        let mem = &enc.out.y;
+        let dec = self.dec_forward(mem, s, dec_input, &dec_masks);
+        let hn = &dec.out.y;
         // ---- loss: tied-output softmax cross-entropy ----
         let v = self.cfg.vocab;
         let mut logits = vec![0.0f32; t * v];
-        matmul_transb_into(&hn, self.store.data(self.embed), &mut logits, t, d, v);
+        matmul_transb_into(hn, self.store.data(self.embed), &mut logits, t, d, v);
         softmax_rows(&mut logits, t, v);
         let mut loss = 0.0f32;
         let mut dlogits = logits; // becomes (p - onehot)/t
@@ -789,74 +757,70 @@ impl Seq2Seq {
         let mut dhn = vec![0.0f32; t * d];
         matmul_into(&dlogits, self.store.data(self.embed), &mut dhn, t, v, d);
         let mut de_out = vec![0.0f32; v * d];
-        matmul_transa_into(&dlogits, &hn, &mut de_out, t, v, d);
+        matmul_transa_into(&dlogits, hn, &mut de_out, t, v, d);
         self.store.add_grad(self.embed, &de_out);
         let ln_dec_out = self.ln_dec_out.clone();
-        let mut dh = self.layer_norm_bwd(&ln_dec_out, &pre_dec_ln, &mdec, &rdec, &dhn, t);
+        let mut dh = self.layer_norm_bwd(&ln_dec_out, &dec.out, &dhn, t);
         let mut dmem_total = vec![0.0f32; mem.len()];
-        for ((layer, cache), masks) in
-            self.dec.clone().iter().zip(dec_caches.iter()).zip(dec_masks.iter()).rev()
+        for ((layer, c), masks) in
+            self.dec.clone().iter().zip(&dec.layers).zip(&dec_masks).rev()
         {
-            let (
-                x0,
-                ln1,
-                m1,
-                r1,
-                self_cache,
-                x1,
-                ln2,
-                m2,
-                r2,
-                cross_cache,
-                x2,
-                ln3,
-                m3,
-                r3,
-                hidden,
-            ) = cache;
             // FFN residual.
-            let dff_out = masked(&dh, &masks.2);
-            let dln3 = self.ffn_bwd(&layer.ffn, ln3, hidden, &dff_out, t);
-            let dx2 = self.layer_norm_bwd(&layer.ln3, x2, m3, r3, &dln3, t);
+            let dff_out = masked(&dh, masks[2].as_deref());
+            let dln3 = self.ffn_bwd(&layer.ffn, &c.ln3.y, &c.hidden, &dff_out, t);
+            let dx2 = self.layer_norm_bwd(&layer.ln3, &c.ln3, &dln3, t);
             add_into(&mut dh, &dx2);
             // Cross-attention residual.
-            let dcatt = masked(&dh, &masks.1);
-            let (dln2, dmem) =
-                self.attention_bwd(&layer.cross_attn, cross_cache, ln2, &mem, t, s, &dcatt);
+            let dcatt = masked(&dh, masks[1].as_deref());
+            let (dln2, dmem) = self.attention_bwd(
+                &layer.cross_attn,
+                &c.cross_attn,
+                &c.ln2.y,
+                mem,
+                t,
+                s,
+                &dcatt,
+            );
             add_into(&mut dmem_total, &dmem);
-            let dx1 = self.layer_norm_bwd(&layer.ln2, x1, m2, r2, &dln2, t);
+            let dx1 = self.layer_norm_bwd(&layer.ln2, &c.ln2, &dln2, t);
             add_into(&mut dh, &dx1);
             // Self-attention residual.
-            let datt = masked(&dh, &masks.0);
-            let (dln1, _) =
-                self.attention_bwd(&layer.self_attn, self_cache, ln1, ln1, t, t, &datt);
-            let dx0 = self.layer_norm_bwd(&layer.ln1, x0, m1, r1, &dln1, t);
+            let datt = masked(&dh, masks[0].as_deref());
+            let (dln1, _) = self.attention_bwd(
+                &layer.self_attn,
+                &c.self_attn,
+                &c.ln1.y,
+                &c.ln1.y,
+                t,
+                t,
+                &datt,
+            );
+            let dx0 = self.layer_norm_bwd(&layer.ln1, &c.ln1, &dln1, t);
             add_into(&mut dh, &dx0);
         }
         // Decoder input embedding grads.
-        self.accumulate_embed_grads(dec_input, &dh, t);
+        self.accumulate_embed_grads(dec_input, &dh);
         // Through the encoder output LN into the encoder stack.
         let ln_enc_out = self.ln_enc_out.clone();
-        let mut dhe =
-            self.layer_norm_bwd(&ln_enc_out, &pre_enc_ln, &menc, &renc, &dmem_total, s);
-        for ((layer, cache), masks) in
-            self.enc.clone().iter().zip(enc_caches.iter()).zip(enc_masks.iter()).rev()
+        let mut dhe = self.layer_norm_bwd(&ln_enc_out, &enc.out, &dmem_total, s);
+        for ((layer, c), masks) in
+            self.enc.clone().iter().zip(&enc.layers).zip(&enc_masks).rev()
         {
-            let (x0, ln1, m1, r1, acache, x1, ln2, m2, r2, hidden) = cache;
-            let dff_out = masked(&dhe, &masks.1);
-            let dln2 = self.ffn_bwd(&layer.ffn, ln2, hidden, &dff_out, s);
-            let dx1 = self.layer_norm_bwd(&layer.ln2, x1, m2, r2, &dln2, s);
+            let dff_out = masked(&dhe, masks[1].as_deref());
+            let dln2 = self.ffn_bwd(&layer.ffn, &c.ln2.y, &c.hidden, &dff_out, s);
+            let dx1 = self.layer_norm_bwd(&layer.ln2, &c.ln2, &dln2, s);
             add_into(&mut dhe, &dx1);
-            let datt = masked(&dhe, &masks.0);
-            let (dln1, _) = self.attention_bwd(&layer.attn, acache, ln1, ln1, s, s, &datt);
-            let dx0 = self.layer_norm_bwd(&layer.ln1, x0, m1, r1, &dln1, s);
+            let datt = masked(&dhe, masks[0].as_deref());
+            let (dln1, _) =
+                self.attention_bwd(&layer.attn, &c.attn, &c.ln1.y, &c.ln1.y, s, s, &datt);
+            let dx0 = self.layer_norm_bwd(&layer.ln1, &c.ln1, &dln1, s);
             add_into(&mut dhe, &dx0);
         }
-        self.accumulate_embed_grads(src, &dhe, s);
+        self.accumulate_embed_grads(src, &dhe);
         loss
     }
 
-    fn accumulate_embed_grads(&mut self, ids: &[u32], dh: &[f32], _t: usize) {
+    fn accumulate_embed_grads(&mut self, ids: &[u32], dh: &[f32]) {
         let d = self.cfg.d_model;
         for (ti, &id) in ids.iter().enumerate() {
             let g = &dh[ti * d..(ti + 1) * d];
@@ -1479,8 +1443,11 @@ fn pack_heads(k: &[f32], n: usize, h: usize, dh: usize, out: &mut Vec<f32>) {
     }
 }
 
+/// One residual branch's inverted-dropout mask; `None` when dropout is off.
+type Mask = Option<Vec<f32>>;
+
 /// Applies an inverted-dropout mask in place; no-op when `mask` is `None`.
-fn apply_mask(x: &mut [f32], mask: &Option<Vec<f32>>) {
+fn apply_mask(x: &mut [f32], mask: Option<&[f32]>) {
     if let Some(m) = mask {
         for (a, b) in x.iter_mut().zip(m) {
             *a *= b;
@@ -1489,7 +1456,7 @@ fn apply_mask(x: &mut [f32], mask: &Option<Vec<f32>>) {
 }
 
 /// The gradient flowing into a dropped residual branch: `dh ⊙ mask`.
-fn masked(dh: &[f32], mask: &Option<Vec<f32>>) -> Vec<f32> {
+fn masked(dh: &[f32], mask: Option<&[f32]>) -> Vec<f32> {
     match mask {
         Some(m) => dh.iter().zip(m).map(|(a, b)| a * b).collect(),
         None => dh.to_vec(),
@@ -1514,6 +1481,46 @@ struct AttnCache {
     v: Vec<f32>,
     probs: Vec<f32>,
     ctx: Vec<f32>,
+}
+
+/// A layer norm's input, output and row statistics, cached for the
+/// backward pass.
+struct LnCache {
+    x: Vec<f32>,
+    y: Vec<f32>,
+    means: Vec<f32>,
+    rstds: Vec<f32>,
+}
+
+/// What one encoder layer's backward pass reads from its forward.
+struct EncLayerCache {
+    ln1: LnCache,
+    attn: AttnCache,
+    ln2: LnCache,
+    hidden: Vec<f32>,
+}
+
+/// What one decoder layer's backward pass reads from its forward.
+struct DecLayerCache {
+    ln1: LnCache,
+    self_attn: AttnCache,
+    ln2: LnCache,
+    cross_attn: AttnCache,
+    ln3: LnCache,
+    hidden: Vec<f32>,
+}
+
+/// [`Seq2Seq::enc_forward`]'s result: `out.y` is the encoder memory.
+struct EncForward {
+    layers: Vec<EncLayerCache>,
+    out: LnCache,
+}
+
+/// [`Seq2Seq::dec_forward`]'s result: `out.y` holds the hidden states the
+/// tied output projection reads.
+struct DecForward {
+    layers: Vec<DecLayerCache>,
+    out: LnCache,
 }
 
 /// One projection's inference weights, materialized in the configured

@@ -746,3 +746,103 @@ proptest! {
         }
     }
 }
+
+/// Rows past the int8 skeleton's 16-chunk `prep` buffer (`k > 512`: the
+/// chunks beyond it are transformed inline), at the buffer's edge and with
+/// a `k % 32` tail, through the four-column path, the single-column path
+/// and both — every x86 instance the host can run against scalar.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn int8_rows_past_the_prep_buffer_match_scalar() {
+    type Kernel =
+        fn(&[i8], &[f32], &[i8], &[f32], Option<&[f32]>, &mut [f32], usize, usize, usize);
+    let mut tiers: Vec<(&str, Kernel)> = Vec::new();
+    if has_avx2() {
+        tiers.push(("avx2", kernels::avx2::qmatmul_transb_into));
+    }
+    if kernels::tier_supported(kernels::IsaTier::Vnni) {
+        tiers.push(("vnni", kernels::vnni::qmatmul_transb_into));
+    }
+    let m = 2;
+    for (k, n) in [512usize, 513, 544, 1055].into_iter().flat_map(|k| [(k, 1), (k, 4), (k, 5)])
+    {
+        let (xq, xs) = quantized(k as u64, m, k);
+        let (wq, ws) = quantized(k as u64 ^ 0x27, n, k);
+        let bias = seeded(0x28, n);
+        let mut want = vec![0.0f32; m * n];
+        scalar::qmatmul_transb_into(&xq, &xs, &wq, &ws, Some(&bias), &mut want, m, k, n);
+        for &(tier, kernel) in &tiers {
+            let mut got = vec![f32::NAN; m * n];
+            kernel(&xq, &xs, &wq, &ws, Some(&bias), &mut got, m, k, n);
+            for (w, g) in want.iter().zip(&got) {
+                assert_eq!(w.to_bits(), g.to_bits(), "{tier} k {k} n {n}");
+            }
+        }
+    }
+}
+
+// The lengths the `unsafe` bodies rely on are `assert!`ed at the safe entry
+// points, so a short buffer panics in release too (CI runs this file there)
+// where it used to be an out-of-bounds write (`dst`) or read (`ws`, `bias`).
+// On a host without the tier the scalar kernel stands in: it panics by
+// indexing.
+
+#[test]
+#[should_panic(expected = "one code per value")]
+fn quantize_rejects_a_short_dst() {
+    kernels::quantize_row_i8(&[0.5; 16], &mut [0i8; 8]);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic(expected = "one code per value")]
+fn avx2_quantize_rejects_a_short_dst() {
+    let kernel =
+        if has_avx2() { kernels::avx2::quantize_row_i8 } else { scalar::quantize_row_i8 };
+    kernel(&[0.5; 16], &mut [0i8; 8]);
+}
+
+/// A `1 x 32 x 8` int8 matmul whose weight scales or bias hold 4 of the 8
+/// entries, through `tier`'s entry point.
+#[cfg(target_arch = "x86_64")]
+fn qmatmul_with_short(tier: kernels::IsaTier, short_ws: bool, short_bias: bool) {
+    let kernel = match tier {
+        kernels::IsaTier::Vnni if kernels::tier_supported(tier) => {
+            kernels::vnni::qmatmul_transb_into
+        }
+        kernels::IsaTier::Avx2 if has_avx2() => kernels::avx2::qmatmul_transb_into,
+        _ => scalar::qmatmul_transb_into,
+    };
+    let (ws, bias) = ([1.0f32; 8], [0.0f32; 8]);
+    let (ws, bias) =
+        (&ws[..if short_ws { 4 } else { 8 }], &bias[..if short_bias { 4 } else { 8 }]);
+    kernel(&[1i8; 32], &[1.0], &[1i8; 8 * 32], ws, Some(bias), &mut [0.0f32; 8], 1, 32, 8);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic]
+fn avx2_qmatmul_rejects_short_weight_scales() {
+    qmatmul_with_short(kernels::IsaTier::Avx2, true, false);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic]
+fn avx2_qmatmul_rejects_a_short_bias() {
+    qmatmul_with_short(kernels::IsaTier::Avx2, false, true);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic]
+fn vnni_qmatmul_rejects_short_weight_scales() {
+    qmatmul_with_short(kernels::IsaTier::Vnni, true, false);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic]
+fn vnni_qmatmul_rejects_a_short_bias() {
+    qmatmul_with_short(kernels::IsaTier::Vnni, false, true);
+}

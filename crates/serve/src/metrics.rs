@@ -325,7 +325,7 @@ pub struct MetricsSnapshot {
     /// engine step; cache hits decode nothing and add nothing).
     pub decode_tokens: u64,
     /// Kernel ISA tier the workers decode with ("scalar" / "avx2" /
-    /// "neon" / "vnni"), resolved once at runtime start.
+    /// "vnni"), resolved once at runtime start.
     pub kernel_isa: &'static str,
     /// Effective-vs-requested tier: equals `kernel_isa` when the
     /// `SLADE_KERNEL_ISA` request (if any) was honored, otherwise e.g.

@@ -263,7 +263,7 @@ fn int8_backend_serves_identically_to_sequential_decode() {
     let snap = runtime.metrics();
     assert_eq!(snap.backend, "int8");
     assert!(
-        ["scalar", "avx2", "neon", "vnni"].contains(&snap.kernel_isa),
+        ["scalar", "avx2", "vnni"].contains(&snap.kernel_isa),
         "unexpected tier {}",
         snap.kernel_isa
     );
