@@ -265,9 +265,8 @@ pub fn evaluate(ctx: &ToolContext, items: &[DatasetItem], tools: &[Tool]) -> Vec
             match tool {
                 Tool::Slade | Tool::SladeNoTypes | Tool::SladeRepair | Tool::Hybrid => {
                     // Per-example trace: an Example root span with one
-                    // child per post-decode stage, feeding the
-                    // stage-breakdown section of BENCH_serve.json and
-                    // `slade-cli trace`.
+                    // child per post-decode stage, feeding the stage
+                    // breakdown of `slade-cli stats` and `slade-cli trace`.
                     let o = slade_obs::obs();
                     let ex_trace = o.next_trace_id();
                     let ex_start = o.now_us();

@@ -30,11 +30,12 @@ use quota::{QuotaConfig, QuotaDecision, QuotaTable};
 use serde::Serialize;
 use serde_json::Value;
 use slade_compiler::{Isa, OptLevel};
+use slade_obs::export::PromText;
 use slade_serve::{RequestHandle, ServeRuntime, SubmitError};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -101,7 +102,7 @@ struct ActiveGuard(Arc<Inner>);
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
-        self.0.metrics.connections_active.fetch_sub(1, Ordering::Relaxed);
+        self.0.metrics.connections_active.sub(1);
     }
 }
 
@@ -130,7 +131,6 @@ struct Inner {
     drain_by: Mutex<Option<Instant>>,
     conns: (Mutex<VecDeque<Conn>>, Condvar),
     deliveries: (Mutex<VecDeque<Delivery>>, Condvar),
-    pending_deliveries: AtomicUsize,
 }
 
 impl Inner {
@@ -145,6 +145,17 @@ impl Inner {
             Some(by) => d.deadline.min(by),
             None => d.deadline,
         }
+    }
+
+    /// The one `/metrics` document: the runtime's families, then the
+    /// edge's and the quota table's, through one builder — so a family
+    /// declared by two layers panics instead of reaching a scraper.
+    fn metrics_text(&self) -> String {
+        let mut p = PromText::new();
+        self.runtime.expose(&mut p);
+        self.metrics.expose(&mut p);
+        self.quota.expose(&mut p);
+        p.finish()
     }
 }
 
@@ -208,12 +219,11 @@ impl Gateway {
             runtime,
             quota: QuotaTable::new(cfg.quota),
             cfg,
-            metrics: GwMetrics::default(),
+            metrics: GwMetrics::new(Default::default(), Default::default()),
             shutdown: AtomicBool::new(false),
             drain_by: Mutex::new(None),
             conns: (Mutex::new(VecDeque::new()), Condvar::new()),
             deliveries: (Mutex::new(VecDeque::new()), Condvar::new()),
-            pending_deliveries: AtomicUsize::new(0),
         });
         let mut threads = Vec::new();
         {
@@ -256,27 +266,16 @@ impl Gateway {
         &self.inner.runtime
     }
 
-    /// Combined Prometheus exposition: the runtime's document with the
-    /// `slade_gateway_*` families appended (family names are disjoint,
-    /// so the result still passes `validate_exposition`).
+    /// The Prometheus exposition `GET /metrics` answers with: the
+    /// runtime's families and the `slade_gateway_*` ones in one document.
     pub fn metrics_text(&self) -> String {
-        let mut doc = self.inner.runtime.metrics_text();
-        doc.push_str(&self.inner.metrics.prometheus(
-            self.inner.quota.shed_total(),
-            &self.inner.quota.per_client(),
-            self.inner.pending_deliveries.load(Ordering::Relaxed),
-        ));
-        doc
+        self.inner.metrics_text()
     }
 
     /// Point-in-time gateway counters (runtime counters come from
     /// [`ServeRuntime::metrics`]).
     pub fn metrics(&self) -> GatewaySnapshot {
-        self.inner.metrics.snapshot(
-            self.inner.quota.shed_total(),
-            &self.inner.quota.per_client(),
-            self.inner.pending_deliveries.load(Ordering::Relaxed),
-        )
+        self.inner.metrics.snapshot(&self.inner.quota)
     }
 
     /// Graceful drain: stop accepting, close idle connections, let
@@ -290,7 +289,7 @@ impl Gateway {
         if self.inner.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.inner.metrics.draining.store(true, Ordering::Relaxed);
+        self.inner.metrics.draining.set(1);
         *self.inner.drain_by.lock().expect("drain lock") =
             Some(Instant::now() + self.inner.cfg.drain_deadline);
         // Wake the acceptor out of its blocking accept().
@@ -328,8 +327,8 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
         if inner.shutting_down() {
             return; // the wake-up connection (or a late arrival)
         }
-        inner.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        inner.metrics.connections_active.fetch_add(1, Ordering::Relaxed);
+        inner.metrics.connections.add(1);
+        inner.metrics.connections_active.add(1);
         let _ = stream.set_read_timeout(Some(inner.cfg.read_timeout));
         let _ = stream.set_write_timeout(Some(inner.cfg.read_timeout));
         let _ = stream.set_nodelay(true);
@@ -342,7 +341,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
         let mut q = inner.conns.0.lock().expect("conn lock");
         if q.len() >= inner.cfg.conn_backlog {
             drop(q);
-            inner.metrics.backlog_shed.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.backlog_shed.add(1);
             respond(
                 inner,
                 &mut conn,
@@ -388,7 +387,7 @@ fn serve_conn(inner: &Arc<Inner>, mut conn: Conn) {
         match http::read_request(&mut conn.stream, &mut conn.carry, &inner.cfg.limits) {
             Outcome::Closed => return,
             Outcome::Reject { status, reason } => {
-                inner.metrics.parse_rejects.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.parse_rejects.add(1);
                 respond(
                     inner,
                     &mut conn,
@@ -410,7 +409,7 @@ fn serve_conn(inner: &Arc<Inner>, mut conn: Conn) {
                         }
                     }
                     Routed::Submitted { handle, stream, beam_cap } => {
-                        inner.pending_deliveries.fetch_add(1, Ordering::Relaxed);
+                        inner.metrics.pending_deliveries.add(1);
                         let delivery = Delivery {
                             conn,
                             handle,
@@ -457,19 +456,11 @@ fn route(inner: &Arc<Inner>, req: &Request, peer: &str) -> Routed {
                 body: body.into_bytes(),
             }
         }
-        ("GET", "/metrics") => {
-            let mut doc = inner.runtime.metrics_text();
-            doc.push_str(&inner.metrics.prometheus(
-                inner.quota.shed_total(),
-                &inner.quota.per_client(),
-                inner.pending_deliveries.load(Ordering::Relaxed),
-            ));
-            Routed::Immediate {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: doc.into_bytes(),
-            }
-        }
+        ("GET", "/metrics") => Routed::Immediate {
+            status: 200,
+            content_type: "text/plain; version=0.0.4",
+            body: inner.metrics_text().into_bytes(),
+        },
         ("POST", "/v1/decompile") => route_decompile(inner, req, peer),
         (_, "/healthz") | (_, "/metrics") => immediate(405, "method not allowed"),
         (_, "/v1/decompile") => immediate(405, "method not allowed"),
@@ -544,7 +535,7 @@ fn route_decompile(inner: &Arc<Inner>, req: &Request, peer: &str) -> Routed {
     // Offered counts every submission that passed parsing + validation,
     // *before* quota: the edge identity is
     // `offered == quota_shed + runtime.submitted` (DESIGN.md §13).
-    inner.metrics.decompile_offered.fetch_add(1, Ordering::Relaxed);
+    inner.metrics.decompile_offered.add(1);
     let client = req.header("x-slade-client").unwrap_or(peer);
     if inner.quota.check(client) == QuotaDecision::Shed {
         return immediate(429, "per-client quota exceeded");
@@ -552,7 +543,7 @@ fn route_decompile(inner: &Arc<Inner>, req: &Request, peer: &str) -> Routed {
     match inner.runtime.try_submit(asm) {
         Ok(handle) => Routed::Submitted { handle, stream, beam_cap },
         Err(SubmitError::Overloaded) => {
-            inner.metrics.overload_shed.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.overload_shed.add(1);
             immediate(429, "admission queue at capacity")
         }
         Err(SubmitError::DeadlineExceeded) => immediate(504, "deadline exceeded"),
@@ -600,14 +591,14 @@ fn delivery_loop(inner: &Arc<Inner>) {
                 if Instant::now() >= inner.effective_deadline(&delivery) {
                     let drained = inner.shutting_down();
                     let (status, reason) = if drained {
-                        inner.metrics.drain_aborts.fetch_add(1, Ordering::Relaxed);
+                        inner.metrics.drain_aborts.add(1);
                         (503, "abandoned at drain deadline")
                     } else {
-                        inner.metrics.poll_timeouts.fetch_add(1, Ordering::Relaxed);
+                        inner.metrics.poll_timeouts.add(1);
                         (504, "deadline exceeded before a result")
                     };
                     let Delivery { mut conn, .. } = delivery;
-                    inner.pending_deliveries.fetch_sub(1, Ordering::Relaxed);
+                    inner.metrics.pending_deliveries.sub(1);
                     respond(
                         inner,
                         &mut conn,
@@ -635,7 +626,7 @@ fn finish_delivery(
     outcome: Result<Vec<String>, SubmitError>,
 ) {
     let Delivery { mut conn, handle, keep_alive, stream, beam_cap, .. } = delivery;
-    inner.pending_deliveries.fetch_sub(1, Ordering::Relaxed);
+    inner.metrics.pending_deliveries.sub(1);
     let keep_alive = keep_alive && !inner.shutting_down();
     let wrote = match outcome {
         Ok(mut candidates) => {
@@ -643,7 +634,7 @@ fn finish_delivery(
                 candidates.truncate(cap);
             }
             if stream {
-                inner.metrics.streamed.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.streamed.add(1);
                 inner.metrics.bump_status(200);
                 write_stream(&mut conn.stream, handle.trace_id(), &candidates, keep_alive)
                     .is_ok()
@@ -657,7 +648,7 @@ fn finish_delivery(
             }
         }
         Err(SubmitError::DeadlineExceeded) => {
-            inner.metrics.poll_timeouts.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.poll_timeouts.add(1);
             respond(
                 inner,
                 &mut conn,
@@ -669,7 +660,7 @@ fn finish_delivery(
         }
         Err(SubmitError::Overloaded) => {
             // Unreachable post-admission, but keep the mapping total.
-            inner.metrics.overload_shed.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.overload_shed.add(1);
             respond(
                 inner,
                 &mut conn,

@@ -1,7 +1,8 @@
 //! Gateway-side metrics: wire/edge counters the serving runtime cannot
-//! see (connections, HTTP statuses, parse rejects, quota sheds), kept as
-//! relaxed atomics and exported as `slade_gateway_*` Prometheus families
-//! appended to [`slade_serve::ServeRuntime::metrics_text`]'s document.
+//! see (connections, HTTP statuses, parse rejects, sheds at the edge),
+//! each a `slade_obs` value carrying its `slade_gateway_*` family, which
+//! [`GwMetrics::expose`] writes into the scrape's document after the
+//! runtime's ([`slade_serve::ServeRuntime::expose`]).
 //!
 //! The edge extends the admission tier's conservation invariant
 //! (DESIGN.md §13): every decompile submission that passes parsing and
@@ -15,45 +16,48 @@
 //! reach `try_submit`, everything else lands in exactly one runtime
 //! terminal state (`shed`/`expired`/`coalesced`/`decoded`/`hits`).
 
+use crate::quota::QuotaTable;
 use serde::Serialize;
 use slade_obs::export::PromText;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Status codes the gateway emits, each with its own counter slot (an
 /// unexpected code lands in the `other` slot rather than being lost).
 pub(crate) const STATUS_CODES: [u16; 15] =
     [200, 400, 404, 405, 408, 409, 411, 413, 429, 431, 500, 501, 503, 504, 505];
 
-/// Shared mutable gateway metrics (one per gateway).
-#[derive(Debug, Default)]
-pub(crate) struct GwMetrics {
-    /// Connections accepted by the listener.
-    pub connections: AtomicU64,
-    /// Currently open connections (gauge; guard-decremented on close).
-    pub connections_active: AtomicUsize,
-    /// Connections refused because the connection queue was at backlog.
-    pub backlog_shed: AtomicU64,
-    /// Requests rejected by the HTTP parser (maps 1:1 onto 4xx/5xx
-    /// reject statuses, before any routing).
-    pub parse_rejects: AtomicU64,
-    /// Decompile submissions that passed parse + validation (the
-    /// left-hand side of the edge conservation identity).
-    pub decompile_offered: AtomicU64,
-    /// Decompile submissions answered 429 because the runtime queue was
-    /// at `queue_cap` (`SubmitError::Overloaded`).
-    pub overload_shed: AtomicU64,
-    /// Deliveries answered 504 because polling outlived the deadline.
-    pub poll_timeouts: AtomicU64,
-    /// Responses streamed with chunked transfer-encoding.
-    pub streamed: AtomicU64,
-    /// Deliveries answered 503 because drain gave up on them.
-    pub drain_aborts: AtomicU64,
-    /// Whether the gateway is draining (shutdown in progress).
-    pub draining: AtomicBool,
-    /// Responses by status code, slots matching [`STATUS_CODES`].
-    status: [AtomicU64; STATUS_CODES.len()],
-    /// Responses with a status outside [`STATUS_CODES`].
-    status_other: AtomicU64,
+slade_obs::metrics! {
+    /// Shared mutable gateway metrics (one per gateway).
+    #[derive(Debug)]
+    pub(crate) struct GwMetrics {
+        /// TCP connections accepted by the gateway listener.
+        pub connections: Counter("slade_gateway_connections_total"),
+        /// Connections currently open.
+        pub connections_active: Gauge("slade_gateway_connections_active"),
+        /// Connections refused at the connection-queue backlog cap.
+        pub backlog_shed: Counter("slade_gateway_backlog_shed_total"),
+        /// Requests rejected by the HTTP parser (malformed, oversized, timed out).
+        pub parse_rejects: Counter("slade_gateway_parse_rejects_total"),
+        /// Decompile submissions that passed parsing and validation.
+        pub decompile_offered: Counter("slade_gateway_decompile_offered_total"),
+        /// Decompile submissions answered 429 by the runtime queue cap.
+        pub overload_shed: Counter("slade_gateway_overload_shed_total"),
+        /// Deliveries answered 504 after the polling deadline.
+        pub poll_timeouts: Counter("slade_gateway_poll_timeouts_total"),
+        /// Responses streamed with chunked transfer-encoding.
+        pub streamed: Counter("slade_gateway_streams_total"),
+        /// In-flight deliveries abandoned (503) at the drain deadline.
+        pub drain_aborts: Counter("slade_gateway_drain_aborts_total"),
+        /// Requests submitted to the runtime, response not yet written.
+        pub pending_deliveries: Gauge("slade_gateway_pending_deliveries"),
+        /// 1 while the gateway is draining for shutdown.
+        pub draining: Gauge("slade_gateway_draining"),
+        ;
+        /// Responses by status code, slots matching [`STATUS_CODES`].
+        status: [AtomicU64; STATUS_CODES.len()],
+        /// Responses with a status outside [`STATUS_CODES`].
+        status_other: AtomicU64,
+    }
 }
 
 impl GwMetrics {
@@ -65,150 +69,55 @@ impl GwMetrics {
         };
     }
 
-    /// Point-in-time snapshot.
-    pub fn snapshot(
-        &self,
-        quota_shed: u64,
-        quota_clients: &[(String, u64, u64)],
-        pending_deliveries: usize,
-    ) -> GatewaySnapshot {
-        let by_status: Vec<StatusCount> = STATUS_CODES
+    /// Non-zero status slots, and the count outside [`STATUS_CODES`].
+    fn by_status(&self) -> (Vec<StatusCount>, u64) {
+        let known = STATUS_CODES
             .iter()
-            .zip(self.status.iter())
+            .zip(&self.status)
             .map(|(&code, slot)| StatusCount { code, count: slot.load(Ordering::Relaxed) })
             .filter(|s| s.count > 0)
             .collect();
+        (known, self.status_other.load(Ordering::Relaxed))
+    }
+
+    /// Point-in-time snapshot; the quota table supplies its own counts.
+    pub fn snapshot(&self, quota: &QuotaTable) -> GatewaySnapshot {
+        let (by_status, other) = self.by_status();
         GatewaySnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            connections_active: self.connections_active.load(Ordering::Relaxed),
-            backlog_shed: self.backlog_shed.load(Ordering::Relaxed),
-            parse_rejects: self.parse_rejects.load(Ordering::Relaxed),
-            requests: by_status.iter().map(|s| s.count).sum::<u64>()
-                + self.status_other.load(Ordering::Relaxed),
+            connections: self.connections.get(),
+            connections_active: self.connections_active.get() as usize,
+            backlog_shed: self.backlog_shed.get(),
+            parse_rejects: self.parse_rejects.get(),
+            requests: by_status.iter().map(|s| s.count).sum::<u64>() + other,
             by_status,
-            decompile_offered: self.decompile_offered.load(Ordering::Relaxed),
-            quota_shed,
-            quota_clients: quota_clients
-                .iter()
-                .map(|(k, admitted, shed)| ClientQuota {
-                    client: k.clone(),
-                    admitted: *admitted,
-                    shed: *shed,
-                })
-                .collect(),
-            overload_shed: self.overload_shed.load(Ordering::Relaxed),
-            poll_timeouts: self.poll_timeouts.load(Ordering::Relaxed),
-            streamed: self.streamed.load(Ordering::Relaxed),
-            drain_aborts: self.drain_aborts.load(Ordering::Relaxed),
-            pending_deliveries,
-            draining: self.draining.load(Ordering::Relaxed),
+            decompile_offered: self.decompile_offered.get(),
+            quota_shed: quota.shed_total(),
+            quota_clients: quota.per_client(),
+            overload_shed: self.overload_shed.get(),
+            poll_timeouts: self.poll_timeouts.get(),
+            streamed: self.streamed.get(),
+            drain_aborts: self.drain_aborts.get(),
+            pending_deliveries: self.pending_deliveries.get() as usize,
+            draining: self.draining.get() != 0,
         }
     }
 
-    /// The `slade_gateway_*` families as one exposition fragment
-    /// (appended to the runtime's document; family names are disjoint by
-    /// the `slade_gateway_` prefix, so the combined text stays valid).
-    pub fn prometheus(
-        &self,
-        quota_shed: u64,
-        quota_clients: &[(String, u64, u64)],
-        pending_deliveries: usize,
-    ) -> String {
-        let mut p = PromText::new();
-        p.counter(
-            "slade_gateway_connections_total",
-            "TCP connections accepted by the gateway listener.",
-            self.connections.load(Ordering::Relaxed),
-        );
-        p.gauge(
-            "slade_gateway_connections_active",
-            "Connections currently open.",
-            self.connections_active.load(Ordering::Relaxed) as f64,
-        );
-        p.counter(
-            "slade_gateway_backlog_shed_total",
-            "Connections refused at the connection-queue backlog cap.",
-            self.backlog_shed.load(Ordering::Relaxed),
-        );
-        let mut by_status: Vec<(String, u64)> = STATUS_CODES
-            .iter()
-            .zip(self.status.iter())
-            .map(|(&code, slot)| (code.to_string(), slot.load(Ordering::Relaxed)))
-            .filter(|(_, n)| *n > 0)
-            .collect();
-        let other = self.status_other.load(Ordering::Relaxed);
+    /// Writes the edge families into the scrape (the quota table writes
+    /// its two itself).
+    pub fn expose(&self, p: &mut PromText) {
+        self.expose_declared(p);
+        let (known, other) = self.by_status();
+        let mut rows: Vec<(String, u64)> =
+            known.iter().map(|s| (s.code.to_string(), s.count)).collect();
         if other > 0 {
-            by_status.push(("other".to_string(), other));
+            rows.push(("other".to_string(), other));
         }
         p.counter_series(
             "slade_gateway_requests_total",
             "HTTP responses by status code.",
             "code",
-            &by_status,
+            &rows,
         );
-        p.counter(
-            "slade_gateway_parse_rejects_total",
-            "Requests rejected by the HTTP parser (malformed, oversized, timed out).",
-            self.parse_rejects.load(Ordering::Relaxed),
-        );
-        p.counter(
-            "slade_gateway_decompile_offered_total",
-            "Decompile submissions that passed parsing and validation.",
-            self.decompile_offered.load(Ordering::Relaxed),
-        );
-        p.counter(
-            "slade_gateway_quota_shed_total",
-            "Decompile submissions shed by per-client token buckets.",
-            quota_shed,
-        );
-        // Per-client shed cardinality is bounded: only clients that were
-        // actually shed, capped at 64 series (heaviest first).
-        let mut shed_rows: Vec<(String, u64)> = quota_clients
-            .iter()
-            .filter(|(_, _, shed)| *shed > 0)
-            .map(|(k, _, shed)| (k.clone(), *shed))
-            .collect();
-        shed_rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        shed_rows.truncate(64);
-        if !shed_rows.is_empty() {
-            p.counter_series(
-                "slade_gateway_quota_shed_client_total",
-                "Quota sheds per client (top 64 clients by shed count).",
-                "client",
-                &shed_rows,
-            );
-        }
-        p.counter(
-            "slade_gateway_overload_shed_total",
-            "Decompile submissions answered 429 by the runtime queue cap.",
-            self.overload_shed.load(Ordering::Relaxed),
-        );
-        p.counter(
-            "slade_gateway_poll_timeouts_total",
-            "Deliveries answered 504 after the polling deadline.",
-            self.poll_timeouts.load(Ordering::Relaxed),
-        );
-        p.counter(
-            "slade_gateway_streams_total",
-            "Responses streamed with chunked transfer-encoding.",
-            self.streamed.load(Ordering::Relaxed),
-        );
-        p.counter(
-            "slade_gateway_drain_aborts_total",
-            "In-flight deliveries abandoned (503) at the drain deadline.",
-            self.drain_aborts.load(Ordering::Relaxed),
-        );
-        p.gauge(
-            "slade_gateway_pending_deliveries",
-            "Requests submitted to the runtime, response not yet written.",
-            pending_deliveries as f64,
-        );
-        p.gauge(
-            "slade_gateway_draining",
-            "1 while the gateway is draining for shutdown.",
-            if self.draining.load(Ordering::Relaxed) { 1.0 } else { 0.0 },
-        );
-        p.finish()
     }
 }
 
@@ -270,33 +179,40 @@ pub struct GatewaySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slade_obs::export::validate_exposition;
+    use crate::quota::QuotaConfig;
+    use slade_obs::export::{type_lines, validate_exposition};
 
     #[test]
     fn exposition_fragment_validates_and_counts() {
-        let m = GwMetrics::default();
-        m.connections.fetch_add(3, Ordering::Relaxed);
+        let m = GwMetrics::new(Default::default(), Default::default());
+        m.connections.add(3);
         m.bump_status(200);
         m.bump_status(200);
         m.bump_status(429);
         m.bump_status(777); // unexpected code → "other"
-        let clients = vec![("a".to_string(), 5, 2), ("b".to_string(), 1, 0)];
-        let text = m.prometheus(2, &clients, 1);
-        let stats = validate_exposition(&text).expect("valid fragment");
-        assert!(stats.families >= 10, "families: {}", stats.families);
+        let quota = QuotaTable::new(QuotaConfig { rps: 0.001, burst: 5.0 });
+        for _ in 0..7 {
+            quota.check("a"); // 5 admitted, 2 shed
+        }
+        quota.check("b");
+        let mut p = PromText::new();
+        m.expose(&mut p);
+        quota.expose(&mut p);
+        let text = p.finish();
+        validate_exposition(&text).expect("valid fragment");
+        // Exactly the gateway's part of the committed family list.
+        let want: Vec<&str> = include_str!("../../obs/families.txt")
+            .lines()
+            .filter(|l| l.contains(" slade_gateway_"))
+            .collect();
+        assert_eq!(type_lines(&text), want);
         assert!(text.contains("slade_gateway_requests_total{code=\"200\"} 2"));
         assert!(text.contains("slade_gateway_requests_total{code=\"other\"} 1"));
         assert!(text.contains("slade_gateway_quota_shed_client_total{client=\"a\"} 2"));
         assert!(!text.contains("client=\"b\""), "zero-shed clients are not exported");
-        let snap = m.snapshot(2, &clients, 1);
+        let snap = m.snapshot(&quota);
         assert_eq!(snap.requests, 4);
-        assert_eq!(snap.status_other_free_total(), 3);
-    }
-
-    impl GatewaySnapshot {
-        /// Test helper: responses accounted to a known status slot.
-        fn status_other_free_total(&self) -> u64 {
-            self.by_status.iter().map(|s| s.count).sum()
-        }
+        assert_eq!(snap.by_status.iter().map(|s| s.count).sum::<u64>(), 3);
+        assert_eq!((snap.quota_shed, snap.quota_clients.len()), (2, 2));
     }
 }

@@ -8,8 +8,9 @@
 //! so quota sheds and global sheds stay separately attributable in the
 //! conservation accounting (DESIGN.md §13).
 
+use crate::ClientQuota;
+use slade_obs::{export::PromText, Counter};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -56,7 +57,7 @@ const OVERFLOW_KEY: &str = "_overflow";
 pub struct QuotaTable {
     cfg: QuotaConfig,
     buckets: Mutex<HashMap<String, Bucket>>,
-    shed_total: AtomicU64,
+    shed_total: Counter,
 }
 
 impl QuotaTable {
@@ -66,7 +67,14 @@ impl QuotaTable {
 
     /// A table for `cfg` (no buckets until clients arrive).
     pub fn new(cfg: QuotaConfig) -> Self {
-        QuotaTable { cfg, buckets: Mutex::new(HashMap::new()), shed_total: AtomicU64::new(0) }
+        QuotaTable {
+            cfg,
+            buckets: Mutex::new(HashMap::new()),
+            shed_total: Counter::new(
+                "slade_gateway_quota_shed_total",
+                "Decompile submissions shed by per-client token buckets.",
+            ),
+        }
     }
 
     /// Whether quotas are enforced at all.
@@ -103,24 +111,49 @@ impl QuotaTable {
             QuotaDecision::Admit
         } else {
             bucket.shed += 1;
-            self.shed_total.fetch_add(1, Ordering::Relaxed);
+            self.shed_total.add(1);
             QuotaDecision::Shed
         }
     }
 
     /// Total submissions shed by quota, across all clients.
     pub fn shed_total(&self) -> u64 {
-        self.shed_total.load(Ordering::Relaxed)
+        self.shed_total.get()
     }
 
-    /// Per-client `(key, admitted, shed)` counters, sorted by key for a
-    /// deterministic exposition.
-    pub fn per_client(&self) -> Vec<(String, u64, u64)> {
+    /// Per-client counters, sorted by key for a deterministic exposition.
+    pub fn per_client(&self) -> Vec<ClientQuota> {
         let buckets = self.buckets.lock().expect("quota lock");
-        let mut rows: Vec<(String, u64, u64)> =
-            buckets.iter().map(|(k, b)| (k.clone(), b.admitted, b.shed)).collect();
-        rows.sort();
+        let mut rows: Vec<ClientQuota> = buckets
+            .iter()
+            .map(|(k, b)| ClientQuota { client: k.clone(), admitted: b.admitted, shed: b.shed })
+            .collect();
+        rows.sort_by(|a, b| a.client.cmp(&b.client));
         rows
+    }
+
+    /// Writes the shed total and, once any client has been shed, the
+    /// per-client family. Its cardinality is bounded: only clients that
+    /// were actually shed, capped at 64 series (heaviest first).
+    pub fn expose(&self, p: &mut PromText) {
+        self.shed_total.expose(p);
+        let buckets = self.buckets.lock().expect("quota lock");
+        let mut shed: Vec<(String, u64)> = buckets
+            .iter()
+            .filter(|(_, b)| b.shed > 0)
+            .map(|(k, b)| (k.clone(), b.shed))
+            .collect();
+        drop(buckets);
+        shed.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        shed.truncate(64);
+        if !shed.is_empty() {
+            p.counter_series(
+                "slade_gateway_quota_shed_client_total",
+                "Quota sheds per client (top 64 clients by shed count).",
+                "client",
+                &shed,
+            );
+        }
     }
 }
 
@@ -149,8 +182,9 @@ mod tests {
         // An unrelated client still has its full burst.
         assert_eq!(q.check("b"), QuotaDecision::Admit);
         assert_eq!(q.shed_total(), 2);
-        let rows = q.per_client();
-        assert_eq!(rows, vec![("a".into(), 3, 2), ("b".into(), 1, 0)]);
+        let rows: Vec<_> =
+            q.per_client().into_iter().map(|c| (c.client, c.admitted, c.shed)).collect();
+        assert_eq!(rows, vec![("a".to_string(), 3, 2), ("b".to_string(), 1, 0)]);
     }
 
     #[test]
@@ -171,6 +205,6 @@ mod tests {
         let rows = q.per_client();
         // MAX_CLIENTS distinct buckets plus the shared overflow bucket.
         assert_eq!(rows.len(), QuotaTable::MAX_CLIENTS + 1);
-        assert!(rows.iter().any(|(k, _, _)| k == "_overflow"));
+        assert!(rows.iter().any(|c| c.client == "_overflow"));
     }
 }

@@ -9,8 +9,8 @@ use slade::Slade;
 use slade_compiler::{Isa, OptLevel};
 use slade_gateway::{http, quota::QuotaConfig, Gateway, GatewayConfig};
 use slade_nn::{Seq2Seq, TransformerConfig};
-use slade_obs::export::validate_exposition;
-use slade_serve::{MetricsSnapshot, ServeConfig, ServeRuntime};
+use slade_obs::export::{type_lines, validate_exposition};
+use slade_serve::{ServeConfig, ServeRuntime};
 use slade_tokenizer::UnigramTokenizer;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,14 +70,6 @@ fn candidates(resp: &http::ClientResponse) -> Vec<String> {
         .collect()
 }
 
-fn assert_runtime_conservation(snap: &MetricsSnapshot) {
-    assert_eq!(
-        snap.shed + snap.expired + snap.coalesced + snap.decoded + snap.cache.hits,
-        snap.submitted,
-        "runtime conservation violated: {snap:?}",
-    );
-}
-
 /// The edge identity: everything the gateway offered is either a quota
 /// shed or a runtime submission (`direct` = submissions that bypassed
 /// the gateway, e.g. a test occupying a worker).
@@ -89,17 +81,9 @@ fn assert_edge_conservation(gateway: &Gateway, direct: u64) {
         gw.quota_shed + (rt.submitted - direct),
         "edge identity violated: gw={gw:?} rt={rt:?}",
     );
-    // The combined partition: every offered request terminates in
-    // exactly one of quota-shed or a runtime terminal state.
-    let gateway_share = rt.submitted - direct;
-    let direct_terminals =
-        rt.shed + rt.expired + rt.coalesced + rt.decoded + rt.cache.hits - gateway_share; // terminals owed to direct submissions
-    assert_eq!(
-        gw.decompile_offered + direct_terminals,
-        gw.quota_shed + rt.shed + rt.expired + rt.coalesced + rt.decoded + rt.cache.hits,
-        "combined conservation violated: gw={gw:?} rt={rt:?}",
-    );
-    assert_runtime_conservation(&rt);
+    // With the runtime's own identity, the combined partition: every
+    // offered request ends as a quota shed or in one runtime terminal.
+    assert_eq!(rt.unaccounted(), 0, "runtime conservation violated: {rt:?}");
 }
 
 /// The headline equivalence: N concurrent socket clients, each POSTing a
@@ -226,7 +210,8 @@ fn streaming_delivers_chunked_ndjson() {
 /// Per-client quotas: a client that exhausts its burst sheds with `429`
 /// *before* the runtime sees the request, an unrelated client is
 /// unaffected, and the per-client counters surface in both the snapshot
-/// and the exposition.
+/// and the exposition — where a client key, being outside input, stays
+/// one escaped label value whatever it contains.
 #[test]
 fn quota_sheds_per_client_before_admission() {
     let runtime = Arc::new(ServeRuntime::start(gw_slade(), ServeConfig::with_shards(1)));
@@ -261,8 +246,25 @@ fn quota_sheds_per_client_before_admission() {
     assert_eq!((greedy.admitted, greedy.shed), (2, 3));
     assert_eq!(runtime.metrics().submitted, 3);
     assert_edge_conservation(&gateway, 0);
-    let text = gateway.metrics_text();
-    assert!(text.contains("slade_gateway_quota_shed_client_total{client=\"greedy\"} 3"));
+    // Keys that try to close the label's quote and forge a value or a
+    // second label: each is shed under its own escaped key, and the
+    // scrape still parses.
+    for hostile in ["evil\"} 9", "a\",le=\"1"] {
+        assert_eq!([send(hostile), send(hostile), send(hostile)], [200, 200, 429]);
+    }
+    assert_eq!(gateway.metrics().quota_shed, 5);
+    assert_edge_conservation(&gateway, 0);
+    let text = http::request(&addr, "GET", "/metrics", &[], b"", CLIENT_TIMEOUT)
+        .expect("scrape completes")
+        .text();
+    validate_exposition(&text).unwrap_or_else(|e| panic!("hostile key broke the scrape: {e}"));
+    for row in ["greedy\"} 3", "evil\\\"} 9\"} 1", "a\\\",le=\\\"1\"} 1"] {
+        let line = format!("slade_gateway_quota_shed_client_total{{client=\"{row}\n");
+        assert!(text.contains(&line), "missing `{line}` in:\n{text}");
+    }
+    // A client has been shed, so this is the whole committed family list.
+    let want: Vec<&str> = include_str!("../../obs/families.txt").lines().collect();
+    assert_eq!(type_lines(&text), want);
     gateway.shutdown();
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }
@@ -300,14 +302,20 @@ fn health_metrics_and_reject_routes() {
     let scrape = get("/metrics");
     assert_eq!(scrape.status, 200);
     let text = scrape.text();
-    let stats = validate_exposition(&text).expect("combined exposition is well-formed");
-    assert!(stats.families > 15, "runtime + gateway families, got {}", stats.families);
+    validate_exposition(&text).expect("combined exposition is well-formed");
+    // The committed family list, less the one family that needs a shed
+    // client: a dropped, renamed or re-typed family fails here.
+    let want: Vec<&str> = include_str!("../../obs/families.txt")
+        .lines()
+        .filter(|l| !l.contains("quota_shed_client"))
+        .collect();
+    assert_eq!(type_lines(&text), want);
     assert!(text.contains("slade_gateway_requests_total{code=\"200\"}"));
     assert!(text.contains("slade_gateway_requests_total{code=\"404\"}"));
     assert!(text.contains("slade_gateway_connections_total"));
     assert!(text.contains("slade_requests_submitted_total"), "runtime families present");
     // `Gateway::metrics_text` returns the same combined document.
-    validate_exposition(&gateway.metrics_text()).expect("metrics_text is well-formed");
+    assert_eq!(type_lines(&gateway.metrics_text()), want);
     gateway.shutdown();
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }

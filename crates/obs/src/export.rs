@@ -1,14 +1,119 @@
-//! Exposition formats: Prometheus text protocol and a validation parser.
+//! The Prometheus text exposition, end to end: the metric values that
+//! carry their own family ([`Counter`], [`Gauge`]; the timing
+//! [`crate::Histogram`] is the third), the [`PromText`] document they
+//! write themselves into, and the parser that checks the result.
 //!
-//! [`PromText`] assembles one exposition document; each metric family is
-//! declared exactly once (`# HELP` / `# TYPE` then all its series), which
-//! [`validate_exposition`] — used by the tests and the CI scrape smoke —
-//! enforces along with line-protocol well-formedness. Durations are
+//! A family is stated once, where its value is declared with
+//! `(name, help)` — [`metrics!`](crate::metrics) declares a struct of
+//! them; whoever owns the value calls `expose` on it with the scrape's
+//! one [`PromText`], which refuses a family declared twice — so a
+//! process's whole `/metrics` document is checked, not one crate's part
+//! of it. [`validate_exposition`] — used by the tests, the CI scrape
+//! smoke and `slade-cli stats --url` — re-parses the text. Durations are
 //! exported in **seconds** (Prometheus convention) even though the crate
 //! records microseconds internally.
 
 use crate::hist::HistSnapshot;
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// One integer metric value that knows its family: a [`Counter`] or, with
+/// `GAUGE`, a [`Gauge`]. Recording is one relaxed RMW on the value.
+#[derive(Debug)]
+pub struct Scalar<const GAUGE: bool> {
+    name: &'static str,
+    help: &'static str,
+    v: AtomicU64,
+}
+
+/// A monotone count; its family name ends in `_total`.
+pub type Counter = Scalar<false>;
+/// An instantaneous level.
+pub type Gauge = Scalar<true>;
+
+impl<const GAUGE: bool> Scalar<GAUGE> {
+    /// A value at zero for the family `name`.
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
+        Scalar { name, help, v: AtomicU64::new(0) }
+    }
+
+    /// Adds `n` (one relaxed `fetch_add`).
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.v.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.v.load(Ordering::Relaxed)
+    }
+
+    /// Writes the family and its one series.
+    pub fn expose(&self, p: &mut PromText) {
+        p.declare(self.name, self.help, if GAUGE { "gauge" } else { "counter" });
+        p.sample(self.name, &[], self.get());
+    }
+}
+
+impl Gauge {
+    /// Overwrites the level.
+    pub fn set(&self, v: u64) {
+        self.v.store(v, Ordering::Relaxed);
+    }
+
+    /// Lowers the level by `n` (one relaxed `fetch_sub`), for a decrement
+    /// that its own earlier [`Scalar::add`] always precedes.
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        self.v.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Lowers the level by `n`, clamping at zero: a decrement racing the
+    /// increment it answers must never wrap the gauge to `u64::MAX`.
+    /// Debug builds assert the race did not actually occur.
+    pub fn sub_saturating(&self, n: u64) {
+        let prev = self
+            .v
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| Some(d.saturating_sub(n)))
+            .expect("fetch_update closure always returns Some");
+        debug_assert!(prev >= n, "`{}` underflow: {prev} - {n}", self.name);
+    }
+}
+
+/// Declares a struct of metric values, `field: Kind("family")` with `Kind`
+/// one of [`Counter`], [`Gauge`], [`crate::Histogram`] and the field's doc
+/// comment as the family's help text, then — after a `;` — any plain
+/// fields. Generates `new(plain fields…)` with every value at zero and
+/// `expose_declared(&self, &mut PromText)`, which writes the declared
+/// families in order: a new metric is one declaration here plus the code
+/// that bumps it.
+#[macro_export]
+macro_rules! metrics {
+    ($(#[$attr:meta])* $vis:vis struct $Set:ident {
+        $($(#[doc = $help:literal])+ $mvis:vis $metric:ident: $Kind:ident($family:literal),)+
+        $(; $($(#[$fattr:meta])* $fvis:vis $field:ident: $Ty:ty,)+)?
+    }) => {
+        $(#[$attr])*
+        $vis struct $Set {
+            $($(#[doc = $help])+ $mvis $metric: $crate::$Kind,)+
+            $($($(#[$fattr])* $fvis $field: $Ty,)+)?
+        }
+
+        impl $Set {
+            $vis fn new($($($field: $Ty),+)?) -> Self {
+                $Set {
+                    $($metric: $crate::$Kind::new($family, concat!($($help),+)),)+
+                    $($($field,)+)?
+                }
+            }
+
+            $vis fn expose_declared(&self, p: &mut $crate::export::PromText) {
+                $(self.$metric.expose(p);)+
+            }
+        }
+    };
+}
 
 /// Builder for one Prometheus text-exposition document.
 ///
@@ -31,19 +136,40 @@ impl PromText {
     fn declare(&mut self, name: &'static str, help: &str, kind: &str) {
         assert!(!self.seen.contains(&name), "duplicate metric family `{name}`");
         self.seen.push(name);
-        self.buf.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        // A help text taken from a doc comment starts with its blank.
+        let _ = writeln!(self.buf, "# HELP {name} {}\n# TYPE {name} {kind}", help.trim());
     }
 
-    /// One counter series.
-    pub fn counter(&mut self, name: &'static str, help: &str, value: u64) {
-        self.declare(name, help, "counter");
-        self.buf.push_str(&format!("{name} {value}\n"));
+    /// One sample line — the only place a label value is written, so the
+    /// only place one is escaped (`\`, `"` and newline, per the text
+    /// format): a client-chosen key cannot close its quote and forge a
+    /// value or a second label.
+    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: impl std::fmt::Display) {
+        self.buf.push_str(name);
+        let mut open = '{';
+        for (key, v) in labels {
+            let _ = write!(self.buf, "{open}{key}=\"");
+            for c in v.chars() {
+                match c {
+                    '\\' => self.buf.push_str("\\\\"),
+                    '"' => self.buf.push_str("\\\""),
+                    '\n' => self.buf.push_str("\\n"),
+                    c => self.buf.push(c),
+                }
+            }
+            self.buf.push('"');
+            open = ',';
+        }
+        if !labels.is_empty() {
+            self.buf.push('}');
+        }
+        let _ = writeln!(self.buf, " {value}");
     }
 
-    /// One gauge series.
+    /// One gauge series, for a level computed at scrape time.
     pub fn gauge(&mut self, name: &'static str, help: &str, value: f64) {
         self.declare(name, help, "gauge");
-        self.buf.push_str(&format!("{name} {value}\n"));
+        self.sample(name, &[], value);
     }
 
     /// A counter family with one series per `(label_value, value)` pair.
@@ -56,7 +182,7 @@ impl PromText {
     ) {
         self.declare(name, help, "counter");
         for (lv, v) in series {
-            self.buf.push_str(&format!("{name}{{{label}=\"{lv}\"}} {v}\n"));
+            self.sample(name, &[(label, lv)], v);
         }
     }
 
@@ -70,15 +196,14 @@ impl PromText {
     ) {
         self.declare(name, help, "gauge");
         for (lv, v) in series {
-            self.buf.push_str(&format!("{name}{{{label}=\"{lv}\"}} {v}\n"));
+            self.sample(name, &[(label, lv)], v);
         }
     }
 
     /// An info-style gauge carrying identity labels with value 1.
     pub fn info(&mut self, name: &'static str, help: &str, labels: &[(&str, &str)]) {
         self.declare(name, help, "gauge");
-        let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-        self.buf.push_str(&format!("{name}{{{}}} 1\n", pairs.join(",")));
+        self.sample(name, labels, 1);
     }
 
     /// A histogram family from a snapshot of **microsecond** samples,
@@ -86,13 +211,14 @@ impl PromText {
     /// plus `_sum` and `_count`.
     pub fn histogram_us(&mut self, name: &'static str, help: &str, snap: &HistSnapshot) {
         self.declare(name, help, "histogram");
+        let bucket = format!("{name}_bucket");
         for (upper_us, cum) in snap.cumulative_octaves() {
-            let le = (upper_us + 1) as f64 / 1e6;
-            self.buf.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
+            let le = ((upper_us + 1) as f64 / 1e6).to_string();
+            self.sample(&bucket, &[("le", &le)], cum);
         }
-        self.buf.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", snap.count));
-        self.buf.push_str(&format!("{name}_sum {}\n", snap.sum as f64 / 1e6));
-        self.buf.push_str(&format!("{name}_count {}\n", snap.count));
+        self.sample(&bucket, &[("le", "+Inf")], snap.count);
+        self.sample(&format!("{name}_sum"), &[], snap.sum as f64 / 1e6);
+        self.sample(&format!("{name}_count"), &[], snap.count);
     }
 
     /// The finished document.
@@ -112,10 +238,60 @@ pub struct ExpositionStats {
     pub values: HashMap<String, f64>,
 }
 
+/// The document's `# TYPE` lines, sorted: its `(family, type)` set, which
+/// the tests and CI hold equal to the committed `families.txt`.
+pub fn type_lines(text: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    lines.sort_unstable();
+    lines
+}
+
+/// One sample's `(label name, unescaped value)` pairs.
+type Labels<'a> = Vec<(&'a str, String)>;
+
+/// Splits one sample line into name, labels and value. A label value ends
+/// at its first unescaped `"`, which `,` or `}` must follow.
+fn parse_sample(line: &str) -> Result<(&str, Labels<'_>, f64), String> {
+    let at = line.find(['{', ' ']).ok_or(format!("no value on `{line}`"))?;
+    let (name, mut rest) = line.split_at(at);
+    let mut labels = Vec::new();
+    if let Some(mut body) = rest.strip_prefix('{') {
+        while !body.starts_with('}') {
+            let (key, quoted) = body.split_once("=\"").ok_or(format!("bad label `{body}`"))?;
+            let mut value = String::new();
+            let mut chars = quoted.char_indices();
+            let close = loop {
+                match chars.next().ok_or(format!("unterminated value of `{key}`"))? {
+                    (i, '"') => break i,
+                    (_, '\\') => value.push(match chars.next() {
+                        Some((_, '\\')) => '\\',
+                        Some((_, '"')) => '"',
+                        Some((_, 'n')) => '\n',
+                        _ => return Err(format!("unknown escape in value of `{key}`")),
+                    }),
+                    (_, c) => value.push(c),
+                }
+            };
+            labels.push((key, value));
+            body = &quoted[close + 1..];
+            match body.strip_prefix(',') {
+                Some(more) => body = more,
+                None if body.starts_with('}') => {}
+                None => return Err(format!("unescaped `\"` in value of `{key}`")),
+            }
+        }
+        rest = &body[1..];
+    }
+    let value = rest.strip_prefix(' ').ok_or(format!("no value on `{line}`"))?;
+    let value = value.parse().map_err(|_| format!("bad value `{value}`"))?;
+    Ok((name, labels, value))
+}
+
 /// Parses a Prometheus text exposition, enforcing well-formedness: every
 /// sample belongs to a declared family, `HELP`/`TYPE` appear exactly once
-/// per family, sample lines parse as `name[{labels}] value`, and
-/// histogram bucket counts are monotonically non-decreasing in `le`.
+/// per family, sample lines parse as `name[{labels}] value` with quoted,
+/// escaped label values, and histogram bucket counts are monotonically
+/// non-decreasing in `le`.
 ///
 /// # Errors
 ///
@@ -154,17 +330,7 @@ pub fn validate_exposition(text: &str) -> Result<ExpositionStats, String> {
         if line.starts_with('#') {
             continue; // plain comment
         }
-        // Sample line: name[{labels}] value
-        let (series, value) =
-            line.rsplit_once(' ').ok_or(format!("{ln}: no value on `{line}`"))?;
-        let value: f64 = value.parse().map_err(|_| format!("{ln}: bad value `{value}`"))?;
-        let (name, labels) = match series.split_once('{') {
-            Some((n, l)) => {
-                let l = l.strip_suffix('}').ok_or(format!("{ln}: unterminated labels"))?;
-                (n, Some(l))
-            }
-            None => (series, None),
-        };
+        let (name, labels, value) = parse_sample(line).map_err(|e| format!("{ln}: {e}"))?;
         if name.is_empty()
             || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
         {
@@ -181,29 +347,21 @@ pub fn validate_exposition(text: &str) -> Result<ExpositionStats, String> {
         if !declared.contains_key(family) {
             return Err(format!("{ln}: sample for undeclared family `{name}`"));
         }
-        if let Some(l) = labels {
-            for pair in l.split(',').filter(|p| !p.is_empty()) {
-                let (k, v) = pair.split_once('=').ok_or(format!("{ln}: bad label `{pair}`"))?;
-                if !v.starts_with('"') || !v.ends_with('"') || v.len() < 2 {
-                    return Err(format!("{ln}: unquoted label value `{k}={v}`"));
+        for (k, v) in &labels {
+            if name.ends_with("_bucket") && *k == "le" && v != "+Inf" {
+                let le: f64 = v.parse().map_err(|_| format!("{ln}: bad le `{v}`"))?;
+                let entry =
+                    last_bucket.entry(name.to_string()).or_insert((f64::NEG_INFINITY, 0));
+                if le <= entry.0 {
+                    return Err(format!("{ln}: le not increasing on `{name}`"));
                 }
-                if name.ends_with("_bucket") && k == "le" && v != "\"+Inf\"" {
-                    let le: f64 = v
-                        .trim_matches('"')
-                        .parse()
-                        .map_err(|_| format!("{ln}: bad le `{v}`"))?;
-                    let entry =
-                        last_bucket.entry(name.to_string()).or_insert((f64::NEG_INFINITY, 0));
-                    if le <= entry.0 {
-                        return Err(format!("{ln}: le not increasing on `{name}`"));
-                    }
-                    if (value as u64) < entry.1 {
-                        return Err(format!("{ln}: bucket count decreased on `{name}`"));
-                    }
-                    *entry = (le, value as u64);
+                if (value as u64) < entry.1 {
+                    return Err(format!("{ln}: bucket count decreased on `{name}`"));
                 }
+                *entry = (le, value as u64);
             }
-        } else {
+        }
+        if labels.is_empty() {
             stats.values.insert(name.to_string(), value);
         }
         stats.samples += 1;
@@ -224,34 +382,42 @@ mod tests {
 
     #[test]
     fn builder_output_validates() {
-        let h = Histogram::new();
+        let h = Histogram::new("slade_latency_seconds", "End-to-end latency.");
         for v in [100u64, 2_000, 2_000, 50_000] {
             h.record(v);
         }
+        let requests = Counter::new("slade_requests_total", "Requests accepted.");
+        requests.add(42);
+        let depth = Gauge::new("slade_queue_depth", "Waiting requests.");
+        depth.add(5);
+        depth.sub(2);
         let mut p = PromText::new();
-        p.counter("slade_requests_total", "Requests accepted.", 42);
-        p.gauge("slade_queue_depth", "Waiting requests.", 3.0);
+        requests.expose(&mut p);
+        depth.expose(&mut p);
         p.gauge_series(
             "slade_shard_lanes",
             "Live lanes per shard.",
             "shard",
             &[("0".into(), 4.0), ("1".into(), 2.0)],
         );
-        p.info("slade_build_info", "Serving configuration.", &[("isa", "avx2")]);
-        p.histogram_us("slade_latency_seconds", "End-to-end latency.", &h.snapshot());
+        p.info("slade_build_info", "Serving configuration.", &[("isa", "avx2"), ("b", "f32")]);
+        h.expose(&mut p);
         let text = p.finish();
         let stats = validate_exposition(&text).expect("well-formed");
         assert_eq!(stats.families, 5);
         assert_eq!(stats.values["slade_requests_total"], 42.0);
+        assert_eq!(stats.values["slade_queue_depth"], 3.0);
+        assert!(text.contains("slade_build_info{isa=\"avx2\",b=\"f32\"} 1\n"));
         assert!(text.contains("slade_latency_seconds_count 4"));
+        assert_eq!(type_lines(&text)[0], "# TYPE slade_build_info gauge");
     }
 
     #[test]
     #[should_panic(expected = "duplicate metric family")]
     fn duplicate_family_panics() {
         let mut p = PromText::new();
-        p.counter("x_total", "x", 1);
-        p.counter("x_total", "x", 2);
+        p.gauge("x", "x", 1.0);
+        p.gauge("x", "x", 2.0);
     }
 
     #[test]
@@ -263,5 +429,39 @@ mod tests {
         assert!(validate_exposition("# HELP a a\n# TYPE a gauge\na not_a_number\n").is_err());
         let dup_help = "# HELP a a\n# HELP a a\n# TYPE a gauge\na 1\n";
         assert!(validate_exposition(dup_help).is_err());
+        // Two hostile client keys written without escaping, an unknown
+        // escape, a value that never closes, a value without quotes.
+        for sample in [
+            "a{client=\"evil\"} 9\"} 2",
+            "a{client=\"x\"y\"} 2",
+            "a{client=\"\\q\"} 2",
+            "a{client=\"open} 2",
+            "a{client=unquoted} 2",
+        ] {
+            let text = format!("# HELP a a\n# TYPE a counter\n{sample}\n");
+            assert!(validate_exposition(&text).is_err(), "accepted `{sample}`");
+        }
+    }
+
+    /// Label values from outside the process (`x-slade-client`,
+    /// `SLADE_KERNEL_ISA`) stay inside their quotes: one sample, one
+    /// label, and the parser reads the original value back.
+    #[test]
+    fn hostile_label_values_are_escaped() {
+        let keys = ["evil\"} 9", "a\",le=\"1", "back\\slash\nnewline"];
+        let rows: Vec<(String, u64)> = keys.iter().map(|k| (k.to_string(), 2)).collect();
+        let mut p = PromText::new();
+        p.counter_series("slade_shed_client_total", "Sheds per client.", "client", &rows);
+        p.info("slade_info", "Configuration.", &[("kernel_isa_status", keys[0])]);
+        let text = p.finish();
+        assert!(text.contains("slade_shed_client_total{client=\"evil\\\"} 9\"} 2\n"), "{text}");
+        let stats = validate_exposition(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!((stats.families, stats.samples), (2, 4));
+        for (key, line) in keys.iter().zip(text.lines().filter(|l| l.starts_with("slade_shed")))
+        {
+            let (_, labels, value) = parse_sample(line).expect("parses");
+            assert_eq!(labels, vec![("client", key.to_string())]);
+            assert_eq!(value, 2.0);
+        }
     }
 }

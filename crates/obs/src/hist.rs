@@ -10,12 +10,11 @@
 //!
 //! Recording is **wait-free**: one relaxed `fetch_add` on the bucket plus
 //! two on the count/sum counters — no lock is ever taken, so a metrics
-//! scrape can never stall a decode worker (the failure mode of the old
-//! `Mutex<Reservoir>`: `percentile` cloned and sorted 4096 samples under
-//! the same lock every worker recorded into). Snapshots are relaxed reads
+//! scrape can never stall a decode worker. Snapshots are relaxed reads
 //! and histograms merge by bucket-wise addition, so per-shard instances
 //! can be aggregated without coordination.
 
+use crate::export::PromText;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,22 +56,20 @@ fn bucket_upper(idx: usize) -> u64 {
     }
 }
 
-/// Wait-free log-bucketed histogram (see module docs).
+/// Wait-free log-bucketed histogram of **microsecond** durations (see
+/// module docs) that knows the family it is exported as.
 pub struct Histogram {
+    name: &'static str,
+    help: &'static str,
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
+            .field("name", &self.name)
             .field("count", &self.count.load(Ordering::Relaxed))
             .field("sum", &self.sum.load(Ordering::Relaxed))
             .finish()
@@ -80,11 +77,23 @@ impl std::fmt::Debug for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram. All-zero state, `const`-constructible.
-    pub const fn new() -> Self {
+    /// An empty histogram for the family `name` (a `_seconds` family:
+    /// the exposition converts). `const`-constructible.
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: AtomicU64 = AtomicU64::new(0);
-        Histogram { buckets: [ZERO; BUCKETS], count: AtomicU64::new(0), sum: AtomicU64::new(0) }
+        Histogram {
+            name,
+            help,
+            buckets: [ZERO; BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
+    }
+
+    /// Writes the family: cumulative buckets, `_sum` and `_count`.
+    pub fn expose(&self, p: &mut PromText) {
+        p.histogram_us(self.name, self.help, &self.snapshot());
     }
 
     /// Records one value (wait-free; three relaxed `fetch_add`s).
@@ -217,7 +226,7 @@ mod tests {
 
     #[test]
     fn exact_in_linear_region() {
-        let h = Histogram::new();
+        let h = Histogram::new("t_seconds", "t");
         for v in 0..SUB_BUCKETS {
             h.record(v);
         }
@@ -251,7 +260,7 @@ mod tests {
 
     #[test]
     fn clamps_at_max_value() {
-        let h = Histogram::new();
+        let h = Histogram::new("t_seconds", "t");
         h.record(u64::MAX);
         assert_eq!(h.count(), 1);
         assert!(h.quantile(1.0) >= MAX_VALUE);
@@ -259,8 +268,8 @@ mod tests {
 
     #[test]
     fn merge_adds_counts() {
-        let a = Histogram::new();
-        let b = Histogram::new();
+        let a = Histogram::new("t_seconds", "t");
+        let b = Histogram::new("t_seconds", "t");
         for v in [5u64, 100, 10_000] {
             a.record(v);
             b.record(v * 2);

@@ -2,20 +2,22 @@
 //!
 //! Three pieces, all wait-free on the hot path:
 //!
-//! * [`Histogram`] — log-bucketed (HDR-style) atomic histograms with
-//!   bounded-error quantiles, replacing the old `Mutex<Reservoir>`
-//!   percentiles in `slade_serve`.
+//! * [`Counter`], [`Gauge`] and [`Histogram`] — metric values that carry
+//!   their own family (name, help, type) and write themselves into one
+//!   [`export::PromText`] per scrape; the histogram is log-bucketed
+//!   (HDR-style) with bounded-error quantiles.
 //! * [`TraceRing`] — a lock-free bounded ring of finished [`SpanRecord`]s
 //!   giving each request a span tree (queue → admit → decode steps → BTC).
-//! * [`export`] — Prometheus text exposition plus a JSON dump.
+//! * [`export`] — the Prometheus text exposition and its validating
+//!   parser.
 //!
 //! A process-wide registry ([`obs()`]) holds one histogram per pipeline
 //! [`StageHist`], one counter per [`KernelCtr`], and the trace ring, so
 //! `nn`/`core`/`eval` can record without threading handles through every
-//! API. Tracing is on by default (measured overhead is <1% decode tok/s;
-//! see `BENCH_serve.json`) and can be disabled at runtime with
-//! [`set_tracing`] — when off, stage timers and span recording reduce to
-//! one relaxed load and a branch.
+//! API. Tracing is on by default (what it costs is `slade-bench`'s
+//! `obs.tracing_overhead_share`, DESIGN.md §11.3) and can be disabled at
+//! runtime with [`set_tracing`] — when off, stage timers and span
+//! recording reduce to one relaxed load and a branch.
 //!
 //! Knobs (read once at first use):
 //!
@@ -29,6 +31,7 @@ pub mod export;
 pub mod hist;
 pub mod trace;
 
+pub use export::{Counter, Gauge};
 pub use hist::{HistSnapshot, Histogram, BUCKETS, SUB_BUCKETS};
 pub use trace::{render_tree, SpanRecord, Stage, TraceRing};
 
@@ -37,114 +40,88 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Pipeline stages with a dedicated timing histogram (µs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageHist {
-    /// Encoder forward pass over a batch (per batch).
-    Encode = 0,
-    /// One batched decode step across all live lanes.
-    DecodeStep = 1,
-    /// Beam scoring per step: top-k + survivor selection.
-    Score = 2,
-    /// Engine admission: batched encode + cross-memory registration.
-    Admit = 3,
-    /// Tokenization of normalized assembly (per batch).
-    Tokenize = 4,
-    /// Type-inference header synthesis (per example).
-    TypeInf = 5,
-    /// Candidate repair pass (per example).
-    Repair = 6,
-    /// IO judging / BTC verification (per example).
-    Judge = 7,
+/// Declares a fieldless enum that indexes an array of metric values: per
+/// variant its index, exporter label and family, with the variant's doc
+/// comment as the family's help text — the one place the variant is
+/// named. Generates `ALL` (index order), the `ROWS` the registry builds
+/// its values from, and `name()`.
+macro_rules! indexed_families {
+    ($(#[$attr:meta])* pub enum $Enum:ident {
+        $($(#[doc = $help:literal])+
+          $Variant:ident = $index:literal => ($label:literal, $family:literal),)+
+    }) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $Enum {
+            $($(#[doc = $help])+ $Variant = $index,)+
+        }
+
+        impl $Enum {
+            /// All variants, in index order.
+            pub const ALL: [$Enum; [$($index),+].len()] = [$($Enum::$Variant),+];
+
+            /// `(label, family, help)` per variant, in index order.
+            const ROWS: [(&'static str, &'static str, &'static str); Self::ALL.len()] =
+                [$(($label, $family, concat!($($help),+))),+];
+
+            /// Exporter label (the stem of the family name).
+            pub fn name(self) -> &'static str {
+                Self::ROWS[self as usize].0
+            }
+        }
+    };
 }
 
-const STAGE_HISTS: usize = 8;
-
-impl StageHist {
-    /// All stages, in index order.
-    pub const ALL: [StageHist; STAGE_HISTS] = [
-        StageHist::Encode,
-        StageHist::DecodeStep,
-        StageHist::Score,
-        StageHist::Admit,
-        StageHist::Tokenize,
-        StageHist::TypeInf,
-        StageHist::Repair,
-        StageHist::Judge,
-    ];
-
-    /// Exporter label (also the Prometheus metric stem).
-    pub fn name(self) -> &'static str {
-        match self {
-            StageHist::Encode => "encode",
-            StageHist::DecodeStep => "decode_step",
-            StageHist::Score => "score",
-            StageHist::Admit => "admit",
-            StageHist::Tokenize => "tokenize",
-            StageHist::TypeInf => "typeinf",
-            StageHist::Repair => "repair",
-            StageHist::Judge => "judge",
-        }
+indexed_families! {
+    /// Pipeline stages with a dedicated timing histogram (µs). The engine's
+    /// stages are exclusive: `Admit` starts when the encoder pass returns.
+    pub enum StageHist {
+        /// Batched encoder forward pass.
+        Encode = 0 => ("encode", "slade_stage_encode_seconds"),
+        /// One batched decode step.
+        DecodeStep = 1 => ("decode_step", "slade_stage_decode_step_seconds"),
+        /// Beam scoring per step (top-k + survivors).
+        Score = 2 => ("score", "slade_stage_score_seconds"),
+        /// Engine admission after the encoder pass (cross-KV, lane set-up).
+        Admit = 3 => ("admit", "slade_stage_admit_seconds"),
+        /// Tokenizing normalized assembly.
+        Tokenize = 4 => ("tokenize", "slade_stage_tokenize_seconds"),
+        /// Type-inference header synthesis.
+        TypeInf = 5 => ("typeinf", "slade_stage_typeinf_seconds"),
+        /// Candidate repair pass.
+        Repair = 6 => ("repair", "slade_stage_repair_seconds"),
+        /// IO judging (BTC verification).
+        Judge = 7 => ("judge", "slade_stage_judge_seconds"),
     }
 }
 
-/// Kernel-level event counters (cheap relaxed adds; no timing — timing a
-/// single projection or top-k call would cost more than the call).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelCtr {
-    /// Projection (matmul head/ffn) invocations.
-    ProjCalls = 0,
-    /// Rows produced by projections.
-    ProjRows = 1,
-    /// Attention context computations.
-    AttendCalls = 2,
-    /// log-softmax top-k invocations.
-    TopkCalls = 3,
-    /// Sequence rows pushed through the encoder.
-    EncodeRows = 4,
-    /// Lane-tokens advanced by decode steps (lanes × steps).
-    DecodeLaneTokens = 5,
-    /// Requests that exceeded the `SLADE_SLOW_MS` threshold.
-    SlowRequests = 6,
-    /// Self-attention K/V rows (per layer per tensor) a beam reorder
-    /// copied: the filled rows of tail blocks two survivors shared.
-    KvCowRows = 7,
-}
-
-const KERNEL_CTRS: usize = 8;
-
-impl KernelCtr {
-    /// All counters, in index order.
-    pub const ALL: [KernelCtr; KERNEL_CTRS] = [
-        KernelCtr::ProjCalls,
-        KernelCtr::ProjRows,
-        KernelCtr::AttendCalls,
-        KernelCtr::TopkCalls,
-        KernelCtr::EncodeRows,
-        KernelCtr::DecodeLaneTokens,
-        KernelCtr::SlowRequests,
-        KernelCtr::KvCowRows,
-    ];
-
-    /// Exporter label.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelCtr::ProjCalls => "proj_calls",
-            KernelCtr::ProjRows => "proj_rows",
-            KernelCtr::AttendCalls => "attend_calls",
-            KernelCtr::TopkCalls => "topk_calls",
-            KernelCtr::EncodeRows => "encode_rows",
-            KernelCtr::DecodeLaneTokens => "decode_lane_tokens",
-            KernelCtr::SlowRequests => "slow_requests",
-            KernelCtr::KvCowRows => "kv_cow_rows",
-        }
+indexed_families! {
+    /// Kernel-level event counters (cheap relaxed adds; no timing — timing a
+    /// single projection or top-k call would cost more than the call).
+    pub enum KernelCtr {
+        /// Projection (matmul) invocations.
+        ProjCalls = 0 => ("proj_calls", "slade_kernel_proj_calls_total"),
+        /// Rows produced by projections.
+        ProjRows = 1 => ("proj_rows", "slade_kernel_proj_rows_total"),
+        /// Attention context computations.
+        AttendCalls = 2 => ("attend_calls", "slade_kernel_attend_calls_total"),
+        /// log-softmax top-k invocations.
+        TopkCalls = 3 => ("topk_calls", "slade_kernel_topk_calls_total"),
+        /// Sequence rows through the encoder.
+        EncodeRows = 4 => ("encode_rows", "slade_kernel_encode_rows_total"),
+        /// Lane-tokens advanced by decode steps.
+        DecodeLaneTokens = 5 => ("decode_lane_tokens", "slade_kernel_decode_lane_tokens_total"),
+        /// Requests over the SLADE_SLOW_MS threshold.
+        SlowRequests = 6 => ("slow_requests", "slade_slow_requests_total"),
+        /// Self-attention K/V rows copied by beam reorders (shared tail blocks).
+        KvCowRows = 7 => ("kv_cow_rows", "slade_kernel_kv_cow_rows_total"),
     }
 }
 
 /// Process-wide observability state; obtain via [`obs()`].
 pub struct Obs {
-    stages: [Histogram; STAGE_HISTS],
-    counters: [AtomicU64; KERNEL_CTRS],
+    stages: [Histogram; StageHist::ALL.len()],
+    counters: [Counter; KernelCtr::ALL.len()],
     ring: TraceRing,
     enabled: AtomicBool,
     epoch: Instant,
@@ -170,20 +147,14 @@ static OBS: OnceLock<Obs> = OnceLock::new();
 /// The process-wide registry. First call reads `SLADE_TRACE_RING` and
 /// `SLADE_SLOW_MS` and fixes the configuration for the process lifetime.
 pub fn obs() -> &'static Obs {
-    OBS.get_or_init(|| {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const H: Histogram = Histogram::new();
-        #[allow(clippy::declare_interior_mutable_const)]
-        const Z: AtomicU64 = AtomicU64::new(0);
-        Obs {
-            stages: [H; STAGE_HISTS],
-            counters: [Z; KERNEL_CTRS],
-            ring: TraceRing::new(env_u64("SLADE_TRACE_RING", 8192) as usize),
-            enabled: AtomicBool::new(true),
-            epoch: Instant::now(),
-            next_trace: AtomicU64::new(1),
-            slow_us: env_u64("SLADE_SLOW_MS", 1000).saturating_mul(1000),
-        }
+    OBS.get_or_init(|| Obs {
+        stages: StageHist::ROWS.map(|(_, family, help)| Histogram::new(family, help)),
+        counters: KernelCtr::ROWS.map(|(_, family, help)| Counter::new(family, help)),
+        ring: TraceRing::new(env_u64("SLADE_TRACE_RING", 8192) as usize),
+        enabled: AtomicBool::new(true),
+        epoch: Instant::now(),
+        next_trace: AtomicU64::new(1),
+        slow_us: env_u64("SLADE_SLOW_MS", 1000).saturating_mul(1000),
     })
 }
 
@@ -211,13 +182,19 @@ impl Obs {
     #[inline]
     pub fn count(&self, c: KernelCtr, n: u64) {
         if self.enabled() {
-            self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+            self.counters[c as usize].add(n);
         }
     }
 
     /// Current value of a kernel counter.
     pub fn counter(&self, c: KernelCtr) -> u64 {
-        self.counters[c as usize].load(Ordering::Relaxed)
+        self.counters[c as usize].get()
+    }
+
+    /// Writes every stage histogram and kernel counter into the scrape.
+    pub fn expose(&self, p: &mut export::PromText) {
+        self.stages.iter().for_each(|h| h.expose(p));
+        self.counters.iter().for_each(|c| c.expose(p));
     }
 
     /// The span ring.
@@ -282,8 +259,7 @@ pub fn tracing_enabled() -> bool {
     obs().enabled()
 }
 
-/// Per-stage aggregate for JSON export (the BENCH_serve.json
-/// stage-breakdown section and `slade-cli stats --json`).
+/// Per-stage aggregate for JSON export (`slade-cli stats --json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct StageSummary {
     /// Stage label.
@@ -359,6 +335,34 @@ mod tests {
         // The dump serializes.
         let js = serde_json::to_string(&snap).unwrap();
         assert!(js.contains("decode_step"));
+    }
+
+    /// `families.txt` is every family a process can expose (the serve and
+    /// gateway suites hold their documents equal to it), so naming rules
+    /// checked on it hold for the whole surface.
+    #[test]
+    fn committed_families_are_unique_and_well_named() {
+        let rows: Vec<(&str, &str)> = include_str!("../families.txt")
+            .lines()
+            .map(|l| {
+                let rest = l.strip_prefix("# TYPE ").expect("a `# TYPE` line");
+                rest.split_once(' ').expect("family and type")
+            })
+            .collect();
+        for pair in rows.windows(2) {
+            assert!(pair[0].0 < pair[1].0, "unsorted or duplicate: {pair:?}");
+        }
+        for (family, kind) in &rows {
+            let tail = family.strip_prefix("slade_").unwrap_or("");
+            let well_named = !tail.is_empty()
+                && tail.chars().all(|c| matches!(c, 'a'..='z' | '0'..='9' | '_'));
+            assert!(well_named, "`{family}` is not ^slade_[a-z0-9_]+$");
+            assert!(["counter", "gauge", "histogram"].contains(kind), "{family}: `{kind}`");
+            assert_eq!(family.ends_with("_total"), *kind == "counter", "{family} is a {kind}");
+        }
+        // This crate's own rows sit at their variant's index.
+        assert!(StageHist::ALL.iter().enumerate().all(|(i, s)| *s as usize == i));
+        assert!(KernelCtr::ALL.iter().enumerate().all(|(i, c)| *c as usize == i));
     }
 
     #[test]

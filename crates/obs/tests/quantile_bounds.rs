@@ -16,7 +16,7 @@ fn quantile_error_within_one_bucket_width() {
         })
         .collect();
 
-    let h = Histogram::new();
+    let h = Histogram::new("t_seconds", "t");
     for &s in &samples {
         h.record(s);
     }

@@ -18,9 +18,9 @@
 use crate::spill::{SpillProbe, SpillTier};
 use serde::Serialize;
 use slade_compiler::{Isa, OptLevel};
+use slade_obs::export::PromText;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Stable 64-bit FNV-1a — the cache's content hash (independent of the
@@ -121,6 +121,29 @@ impl CacheStats {
     }
 }
 
+slade_obs::metrics! {
+    /// [`ResultCache`]'s event counters.
+    #[derive(Debug)]
+    struct CacheCounters {
+        /// Result-cache hits.
+        hits: Counter("slade_cache_hits_total"),
+        /// Result-cache misses.
+        misses: Counter("slade_cache_misses_total"),
+        /// Result-cache insertions.
+        insertions: Counter("slade_cache_insertions_total"),
+        /// Result-cache evictions.
+        evictions: Counter("slade_cache_evictions_total"),
+        /// Disk-spill tier hits.
+        spill_hits: Counter("slade_spill_hits_total"),
+        /// Entries written to the spill tier.
+        spill_writes: Counter("slade_spill_writes_total"),
+        /// Spill entries that failed integrity checks on load.
+        spill_load_errors: Counter("slade_spill_load_errors_total"),
+        /// Spill entries evicted by capacity.
+        spill_evictions: Counter("slade_spill_evictions_total"),
+    }
+}
+
 /// Thread-safe LRU result cache with an optional disk-spill tier (see
 /// module docs and [`crate::spill`]).
 #[derive(Debug)]
@@ -128,14 +151,7 @@ pub struct ResultCache {
     capacity: usize,
     inner: Mutex<CacheInner>,
     spill: Option<SpillTier>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    spill_hits: AtomicU64,
-    spill_writes: AtomicU64,
-    spill_load_errors: AtomicU64,
-    spill_evictions: AtomicU64,
+    n: CacheCounters,
 }
 
 impl ResultCache {
@@ -153,19 +169,8 @@ impl ResultCache {
     }
 
     fn build(capacity: usize, spill: Option<SpillTier>) -> Self {
-        ResultCache {
-            capacity,
-            inner: Mutex::new(CacheInner::default()),
-            spill,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            spill_hits: AtomicU64::new(0),
-            spill_writes: AtomicU64::new(0),
-            spill_load_errors: AtomicU64::new(0),
-            spill_evictions: AtomicU64::new(0),
-        }
+        let inner = Mutex::new(CacheInner::default());
+        ResultCache { capacity, inner, spill, n: CacheCounters::new() }
     }
 
     /// True when the cache can answer anything (memory or disk tier).
@@ -184,7 +189,7 @@ impl ResultCache {
             if let Some(entry) = inner.map.get_mut(key) {
                 if entry.norm_asm == normalized_asm {
                     entry.last_used = clock;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.n.hits.add(1);
                     return Some(entry.outputs.clone());
                 }
             }
@@ -192,18 +197,18 @@ impl ResultCache {
         if let Some(spill) = &self.spill {
             match spill.probe(key, normalized_asm) {
                 SpillProbe::Hit(outputs) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.spill_hits.fetch_add(1, Ordering::Relaxed);
+                    self.n.hits.add(1);
+                    self.n.spill_hits.add(1);
                     self.insert_memory(*key, normalized_asm, outputs.clone());
                     return Some(outputs);
                 }
                 SpillProbe::Corrupt => {
-                    self.spill_load_errors.fetch_add(1, Ordering::Relaxed);
+                    self.n.spill_load_errors.add(1);
                 }
                 SpillProbe::Miss => {}
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.n.misses.add(1);
         None
     }
 
@@ -212,8 +217,8 @@ impl ResultCache {
     pub fn insert(&self, key: CacheKey, normalized_asm: &str, outputs: Vec<String>) {
         if let Some(spill) = &self.spill {
             if let Ok(evicted) = spill.store(&key, normalized_asm, &outputs) {
-                self.spill_writes.fetch_add(1, Ordering::Relaxed);
-                self.spill_evictions.fetch_add(evicted as u64, Ordering::Relaxed);
+                self.n.spill_writes.add(1);
+                self.n.spill_evictions.add(evicted as u64);
             }
         }
         self.insert_memory(key, normalized_asm, outputs);
@@ -233,31 +238,43 @@ impl ResultCache {
                 inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k)
             {
                 inner.map.remove(&lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.n.evictions.add(1);
             }
         }
         inner.map.insert(
             key,
             CacheEntry { norm_asm: normalized_asm.to_string(), outputs, last_used: clock },
         );
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.n.insertions.add(1);
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.n.hits.get(),
+            misses: self.n.misses.get(),
+            insertions: self.n.insertions.get(),
+            evictions: self.n.evictions.get(),
             entries: self.inner.lock().expect("cache lock").map.len(),
             capacity: self.capacity,
-            spill_hits: self.spill_hits.load(Ordering::Relaxed),
-            spill_writes: self.spill_writes.load(Ordering::Relaxed),
-            spill_load_errors: self.spill_load_errors.load(Ordering::Relaxed),
-            spill_evictions: self.spill_evictions.load(Ordering::Relaxed),
+            spill_hits: self.n.spill_hits.get(),
+            spill_writes: self.n.spill_writes.get(),
+            spill_load_errors: self.n.spill_load_errors.get(),
+            spill_evictions: self.n.spill_evictions.get(),
             spill_entries: self.spill.as_ref().map_or(0, SpillTier::entries),
         }
+    }
+
+    /// Writes the cache and spill families into the scrape.
+    pub fn expose(&self, p: &mut PromText) {
+        self.n.expose_declared(p);
+        let stats = self.stats();
+        p.gauge("slade_cache_entries", "Result-cache resident entries.", stats.entries as f64);
+        p.gauge(
+            "slade_spill_entries",
+            "Spill-tier resident entries.",
+            stats.spill_entries as f64,
+        );
     }
 }
 

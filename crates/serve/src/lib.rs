@@ -79,7 +79,7 @@ pub use spill::{SpillProbe, SpillTier, SPILL_VERSION};
 use metrics::MetricsInner;
 use slade::{normalize_asm, Slade};
 use slade_nn::{DecodeRequest, InferenceEngine};
-use slade_obs::{SpanRecord, Stage};
+use slade_obs::{export::PromText, SpanRecord, Stage};
 use slade_tokenizer::special;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -210,18 +210,24 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// One queued decompilation job.
-struct Job {
-    norm_asm: String,
-    key: Option<CacheKey>,
+/// One submission's identity, shared by its handle, its queued job and —
+/// for a coalesced duplicate — its entry in the pending table.
+#[derive(Clone)]
+struct Req {
     slot: Arc<ResponseSlot>,
-    submitted: Instant,
-    /// End-to-end deadline; `None` when timeouts are disabled.
-    timeout_at: Option<Instant>,
     /// Trace id for the request's span tree.
     trace_id: u64,
     /// Submit time, µs since the observability epoch (span start times).
     submitted_us: u64,
+}
+
+/// One queued decompilation job.
+struct Job {
+    req: Req,
+    norm_asm: String,
+    key: Option<CacheKey>,
+    /// End-to-end deadline; `None` when timeouts are disabled.
+    timeout_at: Option<Instant>,
 }
 
 /// Fixed span ids within a request's trace: the tree shape is static
@@ -240,13 +246,15 @@ mod span_id {
     pub const FIRST_STEP: u32 = 6;
 }
 
-/// Root-span `detail` codes: how the request terminated.
-mod root_detail {
-    pub const DECODED: u64 = 0;
-    pub const CACHE_HIT: u64 = 1;
-    pub const COALESCED: u64 = 2;
-    pub const SHED: u64 = 3;
-    pub const EXPIRED: u64 = 4;
+/// The one terminal state every submission reaches (see the module
+/// docs); the discriminant is the root `Request` span's `detail`.
+#[derive(Debug, Clone, Copy)]
+enum Terminal {
+    Decoded = 0,
+    CacheHit = 1,
+    Coalesced = 2,
+    Shed = 3,
+    Expired = 4,
 }
 
 /// Completion cell a caller blocks on. `claimed` is the exactly-once
@@ -287,10 +295,8 @@ impl ResponseSlot {
 /// Handle to one in-flight request; [`RequestHandle::wait`] blocks until
 /// its hypotheses are ready or its deadline passes.
 pub struct RequestHandle {
-    slot: Arc<ResponseSlot>,
-    trace_id: u64,
+    req: Req,
     timeout_at: Option<Instant>,
-    submitted_us: u64,
     shared: Arc<Shared>,
 }
 
@@ -298,7 +304,7 @@ impl RequestHandle {
     /// The request's trace id — look up its span tree afterwards with
     /// [`ServeRuntime::trace_spans`] or `slade-cli trace`.
     pub fn trace_id(&self) -> u64 {
-        self.trace_id
+        self.req.trace_id
     }
 
     /// Blocks until the request completes; returns up to `beam`
@@ -308,20 +314,26 @@ impl RequestHandle {
     /// resolves promptly, it does not wait for the decode to finish.
     pub fn wait(self) -> Result<Vec<String>, SubmitError> {
         let mut deadline = self.timeout_at;
-        let mut guard = self.slot.result.lock().expect("slot lock");
+        let slot = &self.req.slot;
+        let mut guard = slot.result.lock().expect("slot lock");
         loop {
             if let Some(outcome) = guard.take() {
                 return outcome;
             }
             match deadline {
-                None => guard = self.slot.ready.wait(guard).expect("slot wait"),
+                None => guard = slot.ready.wait(guard).expect("slot wait"),
                 Some(t) => {
                     let now = Instant::now();
                     if now >= t {
-                        if self.slot.try_claim() {
+                        if slot.try_claim() {
                             drop(guard);
-                            self.shared.expire(self.trace_id, self.submitted_us);
-                            self.slot.fulfill(Err(SubmitError::DeadlineExceeded));
+                            let now_us = slade_obs::obs().now_us();
+                            self.shared.finish(
+                                Terminal::Expired,
+                                &self.req,
+                                now_us,
+                                Vec::new(),
+                            );
                             return Err(SubmitError::DeadlineExceeded);
                         }
                         // Lost the claim: a fulfiller is delivering right
@@ -329,7 +341,7 @@ impl RequestHandle {
                         deadline = None;
                     } else {
                         let (g, _) =
-                            self.slot.ready.wait_timeout(guard, t - now).expect("slot wait");
+                            slot.ready.wait_timeout(guard, t - now).expect("slot wait");
                         guard = g;
                     }
                 }
@@ -339,16 +351,8 @@ impl RequestHandle {
 
     /// Non-blocking poll; returns the outcome once, if ready.
     pub fn try_take(&self) -> Option<Result<Vec<String>, SubmitError>> {
-        self.slot.result.lock().expect("slot lock").take()
+        self.req.slot.result.lock().expect("slot lock").take()
     }
-}
-
-/// One waiter attached to an in-flight decode by the coalescing table.
-struct Waiter {
-    slot: Arc<ResponseSlot>,
-    trace_id: u64,
-    attached_us: u64,
-    submitted: Instant,
 }
 
 /// In-flight decode entry: presence in the pending table means "this key
@@ -356,7 +360,8 @@ struct Waiter {
 /// collisions coalescing two different functions.
 struct PendingEntry {
     norm_asm: String,
-    waiters: Vec<Waiter>,
+    /// Duplicates attached to the decode, answered at its fan-out.
+    waiters: Vec<Req>,
 }
 
 /// State shared between the front-end and the workers.
@@ -379,20 +384,39 @@ struct Shared {
 }
 
 impl Shared {
-    /// Terminal accounting + span for one expired request (claim must
-    /// already be won by the caller).
-    fn expire(&self, trace_id: u64, submitted_us: u64) {
-        self.metrics.expired.fetch_add(1, Ordering::Relaxed);
-        let o = slade_obs::obs();
-        o.record_span(SpanRecord {
-            trace_id,
+    /// Ends `req` in `terminal`, for the caller that won its slot's claim
+    /// (a shed submission, never handed out, has none to win): counts the
+    /// terminal, records latency for the answered ones, writes the root
+    /// span up to `end_us` and, last, fulfills the slot — with `outputs`
+    /// unless the terminal is an error.
+    fn finish(&self, terminal: Terminal, req: &Req, end_us: u64, outputs: Vec<String>) {
+        let m = &self.metrics;
+        let dur_us = end_us.saturating_sub(req.submitted_us);
+        let (counter, latency_us, outcome) = match terminal {
+            Terminal::Decoded => (Some(&m.decoded), Some(dur_us), Ok(outputs)),
+            Terminal::Coalesced => (Some(&m.coalesced), Some(dur_us), Ok(outputs)),
+            // Counted by the probe (`ResultCache::get`'s `hits`, the term
+            // the conservation identity reads); a hit waits for nothing.
+            Terminal::CacheHit => (None, Some(0), Ok(outputs)),
+            Terminal::Shed => (Some(&m.shed), None, Err(SubmitError::Overloaded)),
+            Terminal::Expired => (Some(&m.expired), None, Err(SubmitError::DeadlineExceeded)),
+        };
+        if let Some(counter) = counter {
+            counter.add(1);
+        }
+        if let Some(us) = latency_us {
+            m.record_latency(us);
+        }
+        slade_obs::obs().record_span(SpanRecord {
+            trace_id: req.trace_id,
             span_id: span_id::REQUEST,
             parent: 0,
             stage: Stage::Request,
-            start_us: submitted_us,
-            dur_us: o.now_us().saturating_sub(submitted_us),
-            detail: root_detail::EXPIRED,
+            start_us: req.submitted_us,
+            dur_us,
+            detail: terminal as u64,
         });
+        req.slot.fulfill(outcome);
     }
 }
 
@@ -443,7 +467,7 @@ impl ServeRuntime {
             pending: Mutex::new(HashMap::new()),
             cache,
             metrics: MetricsInner::new(
-                shards,
+                (0..shards).map(|_| Default::default()).collect(),
                 lanes_per_shard,
                 kernel_isa,
                 kernel_isa_status,
@@ -513,20 +537,16 @@ impl ServeRuntime {
     ) -> Result<RequestHandle, SubmitError> {
         let sh = &*self.shared;
         let o = slade_obs::obs();
-        sh.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        let trace_id = o.next_trace_id();
-        let submitted_us = o.now_us();
-        let submitted = Instant::now();
-        let timeout_at =
-            (sh.request_timeout > Duration::ZERO).then(|| submitted + sh.request_timeout);
-        let slot = Arc::new(ResponseSlot::new());
-        let handle = RequestHandle {
-            slot: Arc::clone(&slot),
-            trace_id,
-            timeout_at,
-            submitted_us,
-            shared: Arc::clone(&self.shared),
+        sh.metrics.submitted.add(1);
+        let req = Req {
+            slot: Arc::new(ResponseSlot::new()),
+            trace_id: o.next_trace_id(),
+            submitted_us: o.now_us(),
         };
+        let timeout_at =
+            (sh.request_timeout > Duration::ZERO).then(|| Instant::now() + sh.request_timeout);
+        let handle =
+            RequestHandle { req: req.clone(), timeout_at, shared: Arc::clone(&self.shared) };
         let key = (sh.cache.enabled() || sh.coalesce).then(|| {
             CacheKey::new(
                 &normalized_asm,
@@ -539,41 +559,23 @@ impl ServeRuntime {
         if let Some(key) = &key {
             if sh.cache.enabled() {
                 if let Some(outputs) = sh.cache.get(key, &normalized_asm) {
-                    let dur = o.now_us() - submitted_us;
+                    let now_us = o.now_us();
                     o.record_span(SpanRecord {
-                        trace_id,
+                        trace_id: req.trace_id,
                         span_id: span_id::QUEUE, // position 2 in the fixed tree
                         parent: span_id::REQUEST,
                         stage: Stage::Cache,
-                        start_us: submitted_us,
-                        dur_us: dur,
+                        start_us: req.submitted_us,
+                        dur_us: now_us - req.submitted_us,
                         detail: 1,
                     });
-                    o.record_span(SpanRecord {
-                        trace_id,
-                        span_id: span_id::REQUEST,
-                        parent: 0,
-                        stage: Stage::Request,
-                        start_us: submitted_us,
-                        dur_us: dur,
-                        detail: root_detail::CACHE_HIT,
-                    });
-                    sh.metrics.record_latency(Duration::ZERO);
-                    slot.try_claim();
-                    slot.fulfill(Ok(outputs));
+                    req.slot.try_claim();
+                    sh.finish(Terminal::CacheHit, &req, now_us, outputs);
                     return Ok(handle);
                 }
             }
         }
-        let job = Job {
-            norm_asm: normalized_asm,
-            key,
-            slot,
-            submitted,
-            timeout_at,
-            trace_id,
-            submitted_us,
-        };
+        let job = Job { req, norm_asm: normalized_asm, key, timeout_at };
         {
             // Cap check, coalesce attach, and enqueue are atomic under
             // the queue lock (pending nests inside it — see the lock
@@ -588,12 +590,7 @@ impl ServeRuntime {
                             // Duplicate of an in-flight decode: attach,
                             // don't enqueue. Terminal state (coalesced or
                             // expired) is decided at fan-out or deadline.
-                            entry.waiters.push(Waiter {
-                                slot: Arc::clone(&job.slot),
-                                trace_id,
-                                attached_us: submitted_us,
-                                submitted,
-                            });
+                            entry.waiters.push(job.req);
                             return Ok(handle);
                         }
                         // Same key, different text: a 64-bit collision.
@@ -603,7 +600,7 @@ impl ServeRuntime {
                         if enforce_cap && sh.queue_cap > 0 && q.len() >= sh.queue_cap {
                             drop(pending);
                             drop(q);
-                            return Err(self.shed(trace_id, submitted_us));
+                            return Err(self.shed(&job.req));
                         }
                         pending.insert(
                             *key,
@@ -621,40 +618,30 @@ impl ServeRuntime {
                 && q.len() >= sh.queue_cap
             {
                 drop(q);
-                return Err(self.shed(trace_id, submitted_us));
+                return Err(self.shed(&job.req));
             }
             let deadline = Instant::now() + sh.max_wait;
             q.push(job, deadline);
-            sh.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+            sh.metrics.queue_depth.add(1);
         }
         self.shared.work.notify_all();
         Ok(handle)
     }
 
     /// Terminal accounting + spans for one shed submission.
-    fn shed(&self, trace_id: u64, submitted_us: u64) -> SubmitError {
-        let sh = &*self.shared;
-        sh.metrics.shed.fetch_add(1, Ordering::Relaxed);
+    fn shed(&self, req: &Req) -> SubmitError {
         let o = slade_obs::obs();
-        let dur = o.now_us().saturating_sub(submitted_us);
+        let now_us = o.now_us();
         o.record_span(SpanRecord {
-            trace_id,
+            trace_id: req.trace_id,
             span_id: span_id::ATTACH,
             parent: span_id::REQUEST,
             stage: Stage::Shed,
-            start_us: submitted_us,
-            dur_us: dur,
-            detail: sh.queue_cap as u64,
+            start_us: req.submitted_us,
+            dur_us: now_us.saturating_sub(req.submitted_us),
+            detail: self.shared.queue_cap as u64,
         });
-        o.record_span(SpanRecord {
-            trace_id,
-            span_id: span_id::REQUEST,
-            parent: 0,
-            stage: Stage::Request,
-            start_us: submitted_us,
-            dur_us: dur,
-            detail: root_detail::SHED,
-        });
+        self.shared.finish(Terminal::Shed, req, now_us, Vec::new());
         SubmitError::Overloaded
     }
 
@@ -699,13 +686,22 @@ impl ServeRuntime {
         self.shared.metrics.snapshot(self.shared.cache.stats())
     }
 
-    /// Prometheus text exposition of the full metrics surface: queue,
+    /// Writes the full metrics surface into a scrape's document: queue,
     /// lanes, admission terminals (shed/expired/coalesced/decoded),
     /// cache + spill tiers, both latency histograms, per-stage
-    /// histograms, and kernel counters. Assembled from snapshots —
-    /// scraping never takes a lock a worker records through.
+    /// histograms, and kernel counters. A front-end adds its own families
+    /// to the same `p`, so a family declared twice anywhere in the
+    /// process panics here rather than reaching a scraper. Reads copy
+    /// atomics — scraping never takes a lock a worker records through.
+    pub fn expose(&self, p: &mut PromText) {
+        self.shared.metrics.expose(&self.shared.cache, p);
+    }
+
+    /// [`ServeRuntime::expose`] as a finished Prometheus text document.
     pub fn metrics_text(&self) -> String {
-        self.shared.metrics.prometheus(self.shared.cache.stats())
+        let mut p = PromText::new();
+        self.expose(&mut p);
+        p.finish()
     }
 
     /// Every recorded span of one request's trace (see
@@ -776,14 +772,13 @@ struct Inflight {
 /// or `Drop` (cancelled — never decoded).
 fn triage(shared: &Shared, job: &Job, now: Instant) -> bool {
     let timed_out = job.timeout_at.is_some_and(|t| now >= t);
-    if !timed_out && !job.slot.is_claimed() {
+    if !timed_out && !job.req.slot.is_claimed() {
         return true;
     }
     // Expired (by its waiter, or right here). Count the terminal if the
     // claim is still open — the waiter may be gone (handle dropped).
-    if job.slot.try_claim() {
-        shared.expire(job.trace_id, job.submitted_us);
-        job.slot.fulfill(Err(SubmitError::DeadlineExceeded));
+    if job.req.slot.try_claim() {
+        shared.finish(Terminal::Expired, &job.req, slade_obs::obs().now_us(), Vec::new());
     }
     // Cancel the decode unless coalesced waiters still want the answer.
     if shared.coalesce {
@@ -840,7 +835,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
             }
         }
         if !popped.is_empty() {
-            shared.metrics.queue_depth_sub(popped.len());
+            shared.metrics.queue_depth.sub_saturating(popped.len() as u64);
         }
         // Cancel expired queued work (unless coalesced waiters want it).
         let now = Instant::now();
@@ -856,12 +851,12 @@ fn worker_loop(shared: &Shared, shard: usize) {
             if tracing {
                 for job in &batch {
                     o.record_span(SpanRecord {
-                        trace_id: job.trace_id,
+                        trace_id: job.req.trace_id,
                         span_id: span_id::QUEUE,
                         parent: span_id::REQUEST,
                         stage: Stage::Queue,
-                        start_us: job.submitted_us,
-                        dur_us: popped_us.saturating_sub(job.submitted_us),
+                        start_us: job.req.submitted_us,
+                        dur_us: popped_us.saturating_sub(job.req.submitted_us),
                         detail: shard as u64,
                     });
                 }
@@ -884,13 +879,14 @@ fn worker_loop(shared: &Shared, shard: usize) {
             let tickets = session.admit_many(&refs);
             let admitted_us = o.now_us();
             for (ticket, job) in tickets.into_iter().zip(batch) {
-                shared.metrics.record_queue_wait(job.submitted.elapsed());
+                let waited_us = admitted_us.saturating_sub(job.req.submitted_us);
+                shared.metrics.record_queue_wait(waited_us);
                 if tracing {
                     // Tokenize/encode ran batched; each member's span
                     // carries the group duration (the time the request
                     // actually spent in the stage).
                     o.record_span(SpanRecord {
-                        trace_id: job.trace_id,
+                        trace_id: job.req.trace_id,
                         span_id: span_id::TOKENIZE,
                         parent: span_id::REQUEST,
                         stage: Stage::Tokenize,
@@ -899,7 +895,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
                         detail: 0,
                     });
                     o.record_span(SpanRecord {
-                        trace_id: job.trace_id,
+                        trace_id: job.req.trace_id,
                         span_id: span_id::ENCODE,
                         parent: span_id::REQUEST,
                         stage: Stage::Encode,
@@ -919,7 +915,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
             let live = inflight.len() as u64;
             for f in inflight.iter_mut() {
                 o.record_span(SpanRecord {
-                    trace_id: f.job.trace_id,
+                    trace_id: f.job.req.trace_id,
                     span_id: span_id::FIRST_STEP.saturating_add(f.steps as u32),
                     parent: span_id::DECODE,
                     stage: Stage::DecodeStep,
@@ -945,7 +941,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
             // Detach the coalesced waiters first (removing the pending
             // entry, so late duplicates become fresh leaders), then feed
             // the cache, then fan out.
-            let waiters: Vec<Waiter> = match (&job.key, shared.coalesce) {
+            let waiters: Vec<Req> = match (&job.key, shared.coalesce) {
                 (Some(key), true) => {
                     let mut pending = shared.pending.lock().expect("pending lock");
                     match pending.get(key) {
@@ -960,11 +956,10 @@ fn worker_loop(shared: &Shared, shard: usize) {
             if let Some(key) = job.key {
                 shared.cache.insert(key, &job.norm_asm, outputs.clone());
             }
-            let elapsed = job.submitted.elapsed();
             let done_us = o.now_us();
             if tracing {
                 o.record_span(SpanRecord {
-                    trace_id: job.trace_id,
+                    trace_id: job.req.trace_id,
                     span_id: span_id::DECODE,
                     parent: span_id::REQUEST,
                     stage: Stage::Decode,
@@ -973,66 +968,41 @@ fn worker_loop(shared: &Shared, shard: usize) {
                     detail: steps,
                 });
             }
-            if job.slot.try_claim() {
-                shared.metrics.decoded.fetch_add(1, Ordering::Relaxed);
-                if tracing {
-                    o.record_span(SpanRecord {
-                        trace_id: job.trace_id,
-                        span_id: span_id::REQUEST,
-                        parent: 0,
-                        stage: Stage::Request,
-                        start_us: job.submitted_us,
-                        dur_us: done_us.saturating_sub(job.submitted_us),
-                        detail: root_detail::DECODED,
-                    });
-                }
+            if job.req.slot.try_claim() {
+                let elapsed_us = done_us.saturating_sub(job.req.submitted_us);
                 let slow = o.slow_threshold_us();
-                if slow > 0 && elapsed.as_micros() as u64 >= slow {
+                if slow > 0 && elapsed_us >= slow {
                     o.count(slade_obs::KernelCtr::SlowRequests, 1);
                     eprintln!(
                         "slade-serve: slow request trace_id={} shard={shard} {}ms (threshold {}ms, {steps} steps); inspect with `slade-cli trace {}`",
-                        job.trace_id,
-                        elapsed.as_millis(),
+                        job.req.trace_id,
+                        elapsed_us / 1000,
                         slow / 1000,
-                        job.trace_id,
+                        job.req.trace_id,
                     );
                 }
-                shared.metrics.record_latency(elapsed);
-                job.slot.fulfill(Ok(outputs.clone()));
+                shared.finish(Terminal::Decoded, &job.req, done_us, outputs.clone());
             }
             // Fan the result out to every coalesced waiter that has not
             // expired (exactly-once per waiter via its claim).
             for w in waiters {
                 if w.slot.try_claim() {
-                    shared.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.record_latency(w.submitted.elapsed());
-                    if tracing {
-                        o.record_span(SpanRecord {
-                            trace_id: w.trace_id,
-                            span_id: span_id::ATTACH,
-                            parent: span_id::REQUEST,
-                            stage: Stage::Coalesce,
-                            start_us: w.attached_us,
-                            dur_us: done_us.saturating_sub(w.attached_us),
-                            detail: job.trace_id,
-                        });
-                        o.record_span(SpanRecord {
-                            trace_id: w.trace_id,
-                            span_id: span_id::REQUEST,
-                            parent: 0,
-                            stage: Stage::Request,
-                            start_us: w.attached_us,
-                            dur_us: done_us.saturating_sub(w.attached_us),
-                            detail: root_detail::COALESCED,
-                        });
-                    }
-                    w.slot.fulfill(Ok(outputs.clone()));
+                    o.record_span(SpanRecord {
+                        trace_id: w.trace_id,
+                        span_id: span_id::ATTACH,
+                        parent: span_id::REQUEST,
+                        stage: Stage::Coalesce,
+                        start_us: w.submitted_us,
+                        dur_us: done_us.saturating_sub(w.submitted_us),
+                        detail: job.req.trace_id,
+                    });
+                    shared.finish(Terminal::Coalesced, &w, done_us, outputs.clone());
                 }
             }
         }
         shared.metrics.shard_lanes[shard].store(session.live_lanes(), Ordering::Relaxed);
         let decoded = session.decoded_tokens();
-        shared.metrics.decode_tokens.fetch_add(decoded - tokens_reported, Ordering::Relaxed);
+        shared.metrics.decode_tokens.add(decoded - tokens_reported);
         tokens_reported = decoded;
     }
 }

@@ -1,99 +1,68 @@
-//! Serving metrics: cheap always-on counters (atomics), wait-free
-//! log-bucketed latency histograms ([`slade_obs::Histogram`]), and two
-//! export surfaces — a plain-struct snapshot (benches serialize it to
-//! JSON) and a Prometheus text exposition
-//! ([`crate::ServeRuntime::metrics_text`]).
-//!
-//! The histograms replaced a `Mutex<Reservoir>` whose `percentile` cloned
-//! and sorted 4096 samples **under the same lock the workers recorded
-//! into** — a scrape could stall every decode worker. Recording is now
-//! three relaxed `fetch_add`s and a snapshot copies bucket counts without
-//! taking any lock, so scraping can never stall decode.
+//! Serving metrics: always-on counters, gauges and two wait-free latency
+//! histograms, each a `slade_obs` value that carries its own family.
+//! [`MetricsInner::expose`] writes them into the scrape's one document
+//! ([`crate::ServeRuntime::expose`]); [`MetricsSnapshot`] is the typed
+//! copy that tests, `slade-cli stats` and the benchmark read. Recording
+//! takes no lock and neither does a snapshot, so a scrape can never stall
+//! a decode worker.
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, ResultCache};
 use serde::Serialize;
-use slade_obs::{export::PromText, Histogram, KernelCtr, StageHist};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use slade_obs::export::PromText;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Shared mutable metrics state (one per runtime).
-#[derive(Debug)]
-pub(crate) struct MetricsInner {
-    pub submitted: AtomicU64,
-    pub completed: AtomicU64,
-    /// Submissions rejected by bounded admission (queue at cap).
-    pub shed: AtomicU64,
-    /// Requests whose deadline expired before a result was ready.
-    pub expired: AtomicU64,
-    /// Duplicate submissions attached to an in-flight decode.
-    pub coalesced: AtomicU64,
-    /// Requests that ran the engine themselves.
-    pub decoded: AtomicU64,
-    pub queue_depth: AtomicUsize,
-    /// Live beam lanes per shard (gauge, updated by each worker).
-    pub shard_lanes: Vec<AtomicUsize>,
-    pub lane_capacity: usize,
-    /// Decode steps × live lanes, summed across shards (cumulative).
-    pub decode_tokens: AtomicU64,
-    /// Kernel ISA tier the workers decode with (resolved once at start).
-    pub kernel_isa: &'static str,
-    /// Effective-vs-requested tier, e.g. `avx2 (requested vnni:
-    /// unsupported)` when `SLADE_KERNEL_ISA` asked for something the host
-    /// cannot run; equals `kernel_isa` when the request was satisfied.
-    pub kernel_isa_status: String,
-    /// Weight backend name of the served model ("f32" / "int8").
-    pub backend: &'static str,
-    /// End-to-end latency in µs (submit → response).
-    latency: Histogram,
-    /// Time spent queued before admission, µs.
-    queue_wait: Histogram,
+slade_obs::metrics! {
+    /// Shared mutable metrics state (one per runtime).
+    #[derive(Debug)]
+    pub(crate) struct MetricsInner {
+        /// Requests accepted (cache hits included).
+        pub submitted: Counter("slade_requests_submitted_total"),
+        /// Requests answered (cache hits included).
+        pub completed: Counter("slade_requests_completed_total"),
+        /// Submissions rejected by bounded admission (queue at cap).
+        pub shed: Counter("slade_shed_total"),
+        /// Requests whose deadline expired before a result.
+        pub expired: Counter("slade_expired_total"),
+        /// Duplicate submissions attached to an in-flight decode.
+        pub coalesced: Counter("slade_coalesced_total"),
+        /// Requests that ran the engine themselves.
+        pub decoded: Counter("slade_decoded_total"),
+        /// Tokens decoded across all shards (lanes x steps).
+        pub decode_tokens: Counter("slade_decode_tokens_total"),
+        /// Requests waiting for admission right now.
+        pub queue_depth: Gauge("slade_queue_depth"),
+        /// End-to-end latency, submit to response.
+        latency: Histogram("slade_request_latency_seconds"),
+        /// Time queued before admission.
+        queue_wait: Histogram("slade_queue_wait_seconds"),
+        ;
+        /// Live beam lanes per shard (gauge, updated by each worker).
+        pub shard_lanes: Vec<AtomicUsize>,
+        pub lane_capacity: usize,
+        /// Kernel ISA tier the workers decode with (resolved once at start).
+        pub kernel_isa: &'static str,
+        /// Effective-vs-requested tier, e.g. `avx2 (requested vnni:
+        /// unsupported)` when `SLADE_KERNEL_ISA` asked for something the host
+        /// cannot run; equals `kernel_isa` when the request was satisfied.
+        pub kernel_isa_status: String,
+        /// Weight backend name of the served model ("f32" / "int8").
+        pub backend: &'static str,
+    }
 }
 
 impl MetricsInner {
-    pub fn new(
-        shards: usize,
-        lane_capacity: usize,
-        kernel_isa: &'static str,
-        kernel_isa_status: String,
-        backend: &'static str,
-    ) -> Self {
-        MetricsInner {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            decoded: AtomicU64::new(0),
-            queue_depth: AtomicUsize::new(0),
-            shard_lanes: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
-            lane_capacity,
-            decode_tokens: AtomicU64::new(0),
-            kernel_isa,
-            kernel_isa_status,
-            backend,
-            latency: Histogram::new(),
-            queue_wait: Histogram::new(),
-        }
+    /// Counts one answered request with its end-to-end latency in µs.
+    pub fn record_latency(&self, elapsed_us: u64) {
+        self.completed.add(1);
+        self.latency.record(elapsed_us);
     }
 
-    pub fn record_latency(&self, elapsed: Duration) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency.record(elapsed.as_micros() as u64);
+    pub fn record_queue_wait(&self, waited_us: u64) {
+        self.queue_wait.record(waited_us);
     }
 
-    pub fn record_queue_wait(&self, waited: Duration) {
-        self.queue_wait.record(waited.as_micros() as u64);
-    }
-
-    /// Saturating queue-depth decrement: a shed/cancel path racing the
-    /// submit-side increment must clamp at zero, never wrap the gauge to
-    /// `usize::MAX`. Debug builds assert the race did not actually occur.
-    pub fn queue_depth_sub(&self, n: usize) {
-        let prev = self
-            .queue_depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| Some(d.saturating_sub(n)))
-            .expect("fetch_update closure always returns Some");
-        debug_assert!(prev >= n, "queue_depth underflow: {prev} - {n}");
+    fn lanes(&self) -> Vec<usize> {
+        self.shard_lanes.iter().map(|l| l.load(Ordering::Relaxed)).collect()
     }
 
     pub fn snapshot(&self, cache: CacheStats) -> MetricsSnapshot {
@@ -103,16 +72,16 @@ impl MetricsInner {
         let queue_wait = self.queue_wait.snapshot();
         let us = |v: u64| v as f64 / 1e3;
         MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            decoded: self.decoded.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            shard_lanes: self.shard_lanes.iter().map(|l| l.load(Ordering::Relaxed)).collect(),
+            submitted: self.submitted.get(),
+            completed: self.completed.get(),
+            shed: self.shed.get(),
+            expired: self.expired.get(),
+            coalesced: self.coalesced.get(),
+            decoded: self.decoded.get(),
+            queue_depth: self.queue_depth.get() as usize,
+            shard_lanes: self.lanes(),
             lane_capacity_per_shard: self.lane_capacity,
-            decode_tokens: self.decode_tokens.load(Ordering::Relaxed),
+            decode_tokens: self.decode_tokens.get(),
             kernel_isa: self.kernel_isa,
             kernel_isa_status: self.kernel_isa_status.clone(),
             backend: self.backend,
@@ -126,106 +95,20 @@ impl MetricsInner {
         }
     }
 
-    /// Prometheus text exposition covering the runtime counters/gauges,
-    /// both latency histograms, the process-wide per-stage histograms,
-    /// and the kernel counters.
-    pub fn prometheus(&self, cache: CacheStats) -> String {
-        let o = slade_obs::obs();
-        let mut p = PromText::new();
-        p.counter(
-            "slade_requests_submitted_total",
-            "Requests accepted (cache hits included).",
-            self.submitted.load(Ordering::Relaxed),
-        );
-        p.counter(
-            "slade_requests_completed_total",
-            "Requests answered (cache hits included).",
-            self.completed.load(Ordering::Relaxed),
-        );
-        p.counter(
-            "slade_shed_total",
-            "Submissions rejected by bounded admission (queue at cap).",
-            self.shed.load(Ordering::Relaxed),
-        );
-        p.counter(
-            "slade_expired_total",
-            "Requests whose deadline expired before a result.",
-            self.expired.load(Ordering::Relaxed),
-        );
-        p.counter(
-            "slade_coalesced_total",
-            "Duplicate submissions attached to an in-flight decode.",
-            self.coalesced.load(Ordering::Relaxed),
-        );
-        p.counter(
-            "slade_decoded_total",
-            "Requests that ran the engine themselves.",
-            self.decoded.load(Ordering::Relaxed),
-        );
-        p.gauge(
-            "slade_queue_depth",
-            "Requests waiting for admission right now.",
-            self.queue_depth.load(Ordering::Relaxed) as f64,
-        );
-        let lanes: Vec<(String, f64)> = self
-            .shard_lanes
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (i.to_string(), l.load(Ordering::Relaxed) as f64))
-            .collect();
+    /// Writes the runtime's whole surface into the scrape: admission
+    /// counters, queue and lane gauges, both latency histograms and
+    /// `slade_info` here, then `cache`'s families and the process-wide
+    /// stage histograms and kernel counters.
+    pub fn expose(&self, cache: &ResultCache, p: &mut PromText) {
+        self.expose_declared(p);
+        let lanes: Vec<(String, f64)> =
+            self.lanes().iter().enumerate().map(|(i, &l)| (i.to_string(), l as f64)).collect();
         p.gauge_series("slade_shard_lanes", "Live beam lanes per shard.", "shard", &lanes);
         p.gauge(
             "slade_lane_capacity_per_shard",
             "Lane budget each shard admits against.",
             self.lane_capacity as f64,
         );
-        p.counter(
-            "slade_decode_tokens_total",
-            "Tokens decoded across all shards (lanes x steps).",
-            self.decode_tokens.load(Ordering::Relaxed),
-        );
-        p.counter("slade_cache_hits_total", "Result-cache hits.", cache.hits);
-        p.counter("slade_cache_misses_total", "Result-cache misses.", cache.misses);
-        p.counter("slade_cache_insertions_total", "Result-cache insertions.", cache.insertions);
-        p.counter("slade_cache_evictions_total", "Result-cache evictions.", cache.evictions);
-        p.gauge("slade_cache_entries", "Result-cache resident entries.", cache.entries as f64);
-        p.counter("slade_spill_hits_total", "Disk-spill tier hits.", cache.spill_hits);
-        p.counter(
-            "slade_spill_writes_total",
-            "Entries written to the spill tier.",
-            cache.spill_writes,
-        );
-        p.counter(
-            "slade_spill_load_errors_total",
-            "Spill entries that failed integrity checks on load.",
-            cache.spill_load_errors,
-        );
-        p.counter(
-            "slade_spill_evictions_total",
-            "Spill entries evicted by capacity.",
-            cache.spill_evictions,
-        );
-        p.gauge(
-            "slade_spill_entries",
-            "Spill-tier resident entries.",
-            cache.spill_entries as f64,
-        );
-        p.histogram_us(
-            "slade_request_latency_seconds",
-            "End-to-end latency, submit to response.",
-            &self.latency.snapshot(),
-        );
-        p.histogram_us(
-            "slade_queue_wait_seconds",
-            "Time queued before admission.",
-            &self.queue_wait.snapshot(),
-        );
-        for s in StageHist::ALL {
-            p.histogram_us(stage_metric(s), stage_help(s), &o.stage(s).snapshot());
-        }
-        for c in KernelCtr::ALL {
-            p.counter(ctr_metric(c), ctr_help(c), o.counter(c));
-        }
         p.info(
             "slade_info",
             "Serving configuration.",
@@ -235,63 +118,8 @@ impl MetricsInner {
                 ("backend", self.backend),
             ],
         );
-        p.finish()
-    }
-}
-
-/// Static Prometheus family name per stage (names must outlive the
-/// builder, hence the match rather than `format!`).
-fn stage_metric(s: StageHist) -> &'static str {
-    match s {
-        StageHist::Encode => "slade_stage_encode_seconds",
-        StageHist::DecodeStep => "slade_stage_decode_step_seconds",
-        StageHist::Score => "slade_stage_score_seconds",
-        StageHist::Admit => "slade_stage_admit_seconds",
-        StageHist::Tokenize => "slade_stage_tokenize_seconds",
-        StageHist::TypeInf => "slade_stage_typeinf_seconds",
-        StageHist::Repair => "slade_stage_repair_seconds",
-        StageHist::Judge => "slade_stage_judge_seconds",
-    }
-}
-
-fn stage_help(s: StageHist) -> &'static str {
-    match s {
-        StageHist::Encode => "Batched encoder forward pass.",
-        StageHist::DecodeStep => "One batched decode step.",
-        StageHist::Score => "Beam scoring per step (top-k + survivors).",
-        StageHist::Admit => "Engine admission after the encoder pass (cross-KV, lane set-up).",
-        StageHist::Tokenize => "Tokenizing normalized assembly.",
-        StageHist::TypeInf => "Type-inference header synthesis.",
-        StageHist::Repair => "Candidate repair pass.",
-        StageHist::Judge => "IO judging (BTC verification).",
-    }
-}
-
-fn ctr_metric(c: KernelCtr) -> &'static str {
-    match c {
-        KernelCtr::ProjCalls => "slade_kernel_proj_calls_total",
-        KernelCtr::ProjRows => "slade_kernel_proj_rows_total",
-        KernelCtr::AttendCalls => "slade_kernel_attend_calls_total",
-        KernelCtr::TopkCalls => "slade_kernel_topk_calls_total",
-        KernelCtr::EncodeRows => "slade_kernel_encode_rows_total",
-        KernelCtr::DecodeLaneTokens => "slade_kernel_decode_lane_tokens_total",
-        KernelCtr::SlowRequests => "slade_slow_requests_total",
-        KernelCtr::KvCowRows => "slade_kernel_kv_cow_rows_total",
-    }
-}
-
-fn ctr_help(c: KernelCtr) -> &'static str {
-    match c {
-        KernelCtr::ProjCalls => "Projection (matmul) invocations.",
-        KernelCtr::ProjRows => "Rows produced by projections.",
-        KernelCtr::AttendCalls => "Attention context computations.",
-        KernelCtr::TopkCalls => "log-softmax top-k invocations.",
-        KernelCtr::EncodeRows => "Sequence rows through the encoder.",
-        KernelCtr::DecodeLaneTokens => "Lane-tokens advanced by decode steps.",
-        KernelCtr::SlowRequests => "Requests over the SLADE_SLOW_MS threshold.",
-        KernelCtr::KvCowRows => {
-            "Self-attention K/V rows copied by beam reorders (shared tail blocks)."
-        }
+        cache.expose(p);
+        slade_obs::obs().expose(p);
     }
 }
 
@@ -352,6 +180,16 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Submissions with no terminal state yet: `submitted − shed − expired
+    /// − coalesced − decoded − cache.hits`. Zero whenever nothing is in
+    /// flight (counter conservation); negative means one was counted
+    /// twice.
+    pub fn unaccounted(&self) -> i64 {
+        let terminal =
+            self.shed + self.expired + self.coalesced + self.decoded + self.cache.hits;
+        self.submitted as i64 - terminal as i64
+    }
+
     /// Mean live-lane occupancy across shards as a fraction of capacity.
     pub fn lane_occupancy(&self) -> f64 {
         if self.shard_lanes.is_empty() || self.lane_capacity_per_shard == 0 {
@@ -366,11 +204,16 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    fn test_metrics(shards: usize, lane_capacity: usize) -> MetricsInner {
+        let lanes = (0..shards).map(|_| AtomicUsize::new(0)).collect();
+        MetricsInner::new(lanes, lane_capacity, "scalar", "scalar".to_string(), "f32")
+    }
+
     #[test]
     fn percentiles_and_occupancy() {
-        let m = MetricsInner::new(2, 10, "scalar", "scalar".to_string(), "f32");
+        let m = test_metrics(2, 10);
         for ms in 1..=100u64 {
-            m.record_latency(Duration::from_millis(ms));
+            m.record_latency(ms * 1000);
         }
         m.shard_lanes[0].store(5, Ordering::Relaxed);
         m.shard_lanes[1].store(10, Ordering::Relaxed);
@@ -391,37 +234,47 @@ mod tests {
 
     #[test]
     fn queue_depth_saturates_instead_of_underflowing() {
-        let m = MetricsInner::new(1, 4, "scalar", "scalar".to_string(), "f32");
-        m.queue_depth.store(2, Ordering::Relaxed);
-        m.queue_depth_sub(1);
-        assert_eq!(m.queue_depth.load(Ordering::Relaxed), 1);
+        let m = test_metrics(1, 4);
+        m.queue_depth.set(2);
+        m.queue_depth.sub_saturating(1);
+        assert_eq!(m.queue_depth.get(), 1);
         // A racing shed/cancel decrement past zero clamps (release
         // behavior; debug builds additionally assert the race).
         if cfg!(debug_assertions) {
-            let r =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.queue_depth_sub(5)));
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.queue_depth.sub_saturating(5)
+            }));
             assert!(r.is_err(), "debug build must assert on underflow");
         } else {
-            m.queue_depth_sub(5);
-            assert_eq!(m.queue_depth.load(Ordering::Relaxed), 0);
+            m.queue_depth.sub_saturating(5);
+            assert_eq!(m.queue_depth.get(), 0);
         }
     }
 
     #[test]
     fn prometheus_text_is_well_formed() {
-        let m = MetricsInner::new(2, 8, "scalar", "scalar".to_string(), "f32");
-        m.submitted.store(7, Ordering::Relaxed);
-        m.record_latency(Duration::from_millis(12));
-        m.record_queue_wait(Duration::from_micros(300));
-        m.decode_tokens.store(123, Ordering::Relaxed);
-        let text = m.prometheus(CacheStats::default());
+        let m = test_metrics(2, 8);
+        m.submitted.add(7);
+        m.record_latency(12_000);
+        m.record_queue_wait(300);
+        m.decode_tokens.add(123);
+        let mut p = PromText::new();
+        m.expose(&ResultCache::new(0), &mut p);
+        let text = p.finish();
         let stats = slade_obs::export::validate_exposition(&text).expect("valid exposition");
-        assert!(stats.families >= 20, "families: {}", stats.families);
         assert_eq!(stats.values["slade_requests_submitted_total"], 7.0);
         assert_eq!(stats.values["slade_decode_tokens_total"], 123.0);
         assert!(text.contains("slade_stage_decode_step_seconds_count"));
         assert!(text.contains(
             "slade_info{kernel_isa=\"scalar\",kernel_isa_status=\"scalar\",backend=\"f32\"} 1"
         ));
+        // The runtime's document is exactly the committed family list
+        // minus the gateway's part: a dropped, renamed or re-typed family
+        // fails here.
+        let want: Vec<&str> = include_str!("../../obs/families.txt")
+            .lines()
+            .filter(|l| !l.contains(" slade_gateway_"))
+            .collect();
+        assert_eq!(slade_obs::export::type_lines(&text), want);
     }
 }

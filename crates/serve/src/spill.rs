@@ -2,12 +2,12 @@
 //!
 //! The in-memory LRU answers duplicate traffic within one process
 //! lifetime; this tier persists the same entries under a configurable
-//! directory so restarts and sibling processes start warm (the
-//! warm-cache advantage in `BENCH_serve.json` otherwise evaporates on
-//! every restart). One entry per file, named by a stable hash of the
-//! full [`CacheKey`], so a probe is a single deterministic `read` — no
-//! index to rebuild, and entries written by *other* processes sharing
-//! the directory are visible immediately.
+//! directory so restarts and sibling processes start warm (the gap
+//! between `serve.hit_us` and a decode in `BENCHMARK.json` otherwise
+//! evaporates on every restart). One entry per file, named by a stable
+//! hash of the full [`CacheKey`], so a probe is a single deterministic
+//! `read` — no index to rebuild, and entries written by *other* processes
+//! sharing the directory are visible immediately.
 //!
 //! # File format (version-stamped, corruption-tolerant)
 //!

@@ -15,7 +15,7 @@
 use slade::Slade;
 use slade_compiler::{Isa, OptLevel};
 use slade_nn::{Seq2Seq, TransformerConfig};
-use slade_serve::{MetricsSnapshot, ServeConfig, ServeRuntime, SubmitError};
+use slade_serve::{ServeConfig, ServeRuntime, SubmitError};
 use slade_tokenizer::UnigramTokenizer;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,14 +33,6 @@ fn faulty_slade() -> Arc<Slade> {
 
 fn asm(i: usize) -> String {
     format!("f{i}:\n\tmovl %edi, %eax\n\taddl ${i}, %eax\n\tret\n")
-}
-
-fn assert_conservation(snap: &MetricsSnapshot) {
-    assert_eq!(
-        snap.shed + snap.expired + snap.coalesced + snap.decoded + snap.cache.hits,
-        snap.submitted,
-        "conservation violated: {snap:?}",
-    );
 }
 
 /// Blocks until the queue gauge drains to zero (workers popped all
@@ -98,7 +90,7 @@ fn shed_exactly_when_queue_full() {
     assert_eq!(snap.shed, 4);
     assert_eq!(snap.decoded, 4);
     assert_eq!(snap.expired + snap.coalesced + snap.cache.hits, 0);
-    assert_conservation(&snap);
+    assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
     assert!(
         runtime.metrics_text().contains("slade_shed_total 4"),
         "shed count must reach the exposition",
@@ -143,7 +135,7 @@ fn expired_waiter_returns_promptly() {
     assert_eq!(snap.submitted, 2);
     assert_eq!(snap.expired, 2);
     assert_eq!(snap.decoded, 0, "expired work must not count as decoded");
-    assert_conservation(&snap);
+    assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
     runtime.shutdown();
 }
 
@@ -177,7 +169,7 @@ fn duplicates_coalesce_onto_one_decode() {
     assert_eq!(snap.decoded, 2, "one decode per distinct text");
     assert_eq!(snap.coalesced, 5, "five duplicates attached to the in-flight decode");
     assert_eq!(snap.cache.hits, 0);
-    assert_conservation(&snap);
+    assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
     // Only two jobs ever entered the queue.
     assert_eq!(runtime.admission_order().len(), 2);
     assert!(runtime.metrics_text().contains("slade_coalesced_total 5"));
@@ -213,7 +205,7 @@ fn coalesce_with_cache_hits_accounting() {
     assert_eq!(snap.decoded, 1);
     assert_eq!(snap.coalesced, 3);
     assert_eq!(snap.cache.hits, 2);
-    assert_conservation(&snap);
+    assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
     runtime.shutdown();
 }
 
@@ -296,7 +288,7 @@ fn seeded_burst_conservation() {
             ok,
             "seed {seed}: every Ok handle was decoded, coalesced, or a hit",
         );
-        assert_conservation(&snap);
+        assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
         Arc::try_unwrap(runtime).ok().expect("all threads joined").shutdown();
     }
 }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use slade::Slade;
 use slade_compiler::{Isa, OptLevel};
 use slade_nn::{Seq2Seq, TransformerConfig};
-use slade_serve::{MetricsSnapshot, ServeConfig, ServeRuntime, SubmitError};
+use slade_serve::{ServeConfig, ServeRuntime, SubmitError};
 use slade_tokenizer::UnigramTokenizer;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,14 +30,6 @@ fn poll_slade() -> Arc<Slade> {
 
 fn asm(i: usize) -> String {
     format!("g{i}:\n\tmovl %edi, %eax\n\tsubl ${i}, %eax\n\tret\n")
-}
-
-fn assert_conservation(snap: &MetricsSnapshot) {
-    assert_eq!(
-        snap.shed + snap.expired + snap.coalesced + snap.decoded + snap.cache.hits,
-        snap.submitted,
-        "conservation violated: {snap:?}",
-    );
 }
 
 /// Polls `try_take` until the outcome appears, bounded so a delivery
@@ -104,7 +96,7 @@ proptest! {
         prop_assert_eq!(snap.submitted, total as u64);
         prop_assert_eq!(snap.decoded, 1u64, "exactly one engine pass");
         prop_assert_eq!(snap.coalesced, (total - 1) as u64);
-        assert_conservation(&snap);
+        assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
         Arc::try_unwrap(runtime).ok().expect("threads joined").shutdown();
     }
 }
@@ -138,7 +130,7 @@ fn polling_observes_deadline_expiry_exactly_once() {
     assert_eq!(snap.submitted, 2);
     assert_eq!(snap.expired, 1, "only the queued request expired");
     assert_eq!(snap.decoded, 1);
-    assert_conservation(&snap);
+    assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
     runtime.shutdown();
 }
 
@@ -173,6 +165,6 @@ fn premature_polls_do_not_disturb_delivery() {
     // admission: only the polled handle is accounted.
     assert_eq!(snap.submitted, 1);
     assert_eq!(snap.expired, 0);
-    assert_conservation(&snap);
+    assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
     runtime.shutdown();
 }

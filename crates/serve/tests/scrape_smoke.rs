@@ -41,7 +41,13 @@ fn scrape_and_trace_smoke() {
     let text = runtime.metrics_text();
     let stats = slade_obs::export::validate_exposition(&text)
         .unwrap_or_else(|e| panic!("malformed exposition: {e}\n{text}"));
-    assert!(stats.families >= 20, "expected a full surface, got {}", stats.families);
+    // The whole surface, by name and type: the committed family list
+    // minus the gateway's part.
+    let want: Vec<&str> = include_str!("../../obs/families.txt")
+        .lines()
+        .filter(|l| !l.contains(" slade_gateway_"))
+        .collect();
+    assert_eq!(slade_obs::export::type_lines(&text), want);
     assert!(stats.values["slade_decode_tokens_total"] > 0.0, "no decode tokens counted");
     assert_eq!(stats.values["slade_requests_completed_total"], 4.0);
     // Admission-tier families are always exposed, even at zero.
