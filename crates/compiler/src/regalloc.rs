@@ -98,7 +98,9 @@ pub fn allocate(m: &Module, pool_size: usize) -> Allocation {
         crosses_call.insert(*vreg, call_positions.iter().any(|&c| start < c && c <= end));
         intervals.push(Interval { vreg: *vreg, start, end });
     }
-    intervals.sort_by_key(|iv| (iv.start, iv.end));
+    // `def` iterates in hash order: ties (parameters all start at 0) break
+    // on the vreg, so one function always gets one allocation.
+    intervals.sort_by_key(|iv| (iv.start, iv.end, iv.vreg));
     // Classic linear scan.
     let mut assignment = vec![None; m.vreg_count()];
     let mut active: Vec<(usize, u8)> = Vec::new(); // (end, reg)

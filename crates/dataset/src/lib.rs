@@ -660,6 +660,28 @@ mod tests {
         }
     }
 
+    /// The compiler is a function of its input: every `HashMap` it builds
+    /// is seeded afresh, so compiling one function again walks them in
+    /// another order, and -O3 (the level that runs the register allocator)
+    /// must still emit the same bytes.
+    #[test]
+    fn o3_compiles_identically_every_time() {
+        let profile = DatasetProfile { train: 200, ..DatasetProfile::tiny() };
+        for item in generate_train(profile, 3) {
+            let p = parse_program(&item.full_src()).unwrap();
+            for isa in [Isa::X86_64, Isa::Arm64] {
+                let compile = || {
+                    compile_function(&p, &item.name, CompileOpts::new(isa, OptLevel::O3))
+                        .unwrap_or_else(|e| panic!("{e}\n{}", item.full_src()))
+                };
+                let first = compile();
+                for _ in 0..3 {
+                    assert_eq!(compile(), first, "{isa:?} -O3 of:\n{}", item.func_src);
+                }
+            }
+        }
+    }
+
     #[test]
     fn train_and_eval_are_disjoint_by_token_hash() {
         let profile = DatasetProfile::tiny();

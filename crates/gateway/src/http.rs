@@ -216,17 +216,18 @@ pub fn read_request<R: Read>(stream: &mut R, carry: &mut Vec<u8>, limits: &Limit
         return reject(413, "body exceeds limit");
     }
     let body_len = body_len as usize;
-    // Body: take what the head read over-fetched, then read the rest.
+    // Body: take what the head read over-fetched, then read the rest
+    // straight into its place — one `read` per arrival, no bounce buffer.
     let mut body: Vec<u8> = Vec::with_capacity(body_len);
     let buffered = (carry.len() - head_end).min(body_len);
     body.extend_from_slice(&carry[head_end..head_end + buffered]);
     carry.drain(..head_end + buffered);
-    while body.len() < body_len {
-        let mut chunk = [0u8; 4096];
-        let want = (body_len - body.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
+    body.resize(body_len, 0);
+    let mut filled = buffered;
+    while filled < body_len {
+        match stream.read(&mut body[filled..]) {
             Ok(0) => return reject(400, "connection closed mid body"),
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
+            Ok(n) => filled += n,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 return reject(408, "body read timed out");
             }
@@ -269,7 +270,8 @@ pub fn status_reason(code: u16) -> &'static str {
     }
 }
 
-/// Writes a fixed-length response.
+/// Writes a fixed-length response: head and body leave in one `write`,
+/// so with `TCP_NODELAY` they are one segment and one wake-up of the peer.
 pub fn write_response<W: Write>(
     stream: &mut W,
     status: u16,
@@ -277,14 +279,16 @@ pub fn write_response<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let head = format!(
+    let mut out = Vec::with_capacity(160 + body.len());
+    write!(
+        out,
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
         status_reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    )?;
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -304,15 +308,17 @@ pub fn write_chunked_head<W: Write>(
     stream.write_all(head.as_bytes())
 }
 
-/// One chunk of a chunked response (empty data is skipped — a zero-size
-/// chunk would terminate the stream).
+/// One chunk of a chunked response, in one `write` (empty data is
+/// skipped — a zero-size chunk would terminate the stream).
 pub fn write_chunk<W: Write>(stream: &mut W, data: &[u8]) -> std::io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    stream.write_all(format!("{:x}\r\n", data.len()).as_bytes())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")?;
+    let mut out = Vec::with_capacity(data.len() + 20);
+    write!(out, "{:x}\r\n", data.len())?;
+    out.extend_from_slice(data);
+    out.extend_from_slice(b"\r\n");
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -480,4 +486,86 @@ pub fn get_url(url: &str, timeout: Duration) -> Result<ClientResponse, String> {
         None => (rest.to_string(), "/".to_string()),
     };
     request(&addr, "GET", &path, &[], b"", timeout)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts everything it is given and counts how often it was asked:
+    /// over a socket with `TCP_NODELAY`, each `write` is a `send`, a
+    /// segment and, likely, a wake-up of the peer.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_and_a_chunk_are_one_write_each() {
+        let mut w = CountingWriter::default();
+        write_response(&mut w, 200, "application/json", b"{\"ok\":true}", true).unwrap();
+        assert_eq!(w.writes, 1, "head and body leave together");
+        assert_eq!(
+            w.bytes,
+            b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\n\
+              connection: keep-alive\r\n\r\n{\"ok\":true}",
+        );
+        let mut w = CountingWriter::default();
+        write_chunk(&mut w, b"{\"index\":0}\n").unwrap();
+        assert_eq!(w.writes, 1, "size line, data and CRLF leave together");
+        assert_eq!(w.bytes, b"c\r\n{\"index\":0}\n\r\n");
+        write_chunk(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 1, "an empty chunk would end the stream: not written");
+    }
+
+    /// A body longer than what arrived with the head is read in place:
+    /// one `read` per arrival, whatever its size.
+    #[test]
+    fn the_body_is_read_once_per_arrival() {
+        struct Arrivals {
+            parts: Vec<Vec<u8>>,
+            reads: usize,
+        }
+        impl Read for Arrivals {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.reads += 1;
+                if self.parts.is_empty() {
+                    return Ok(0);
+                }
+                let n = self.parts[0].len().min(buf.len());
+                buf[..n].copy_from_slice(&self.parts[0][..n]);
+                self.parts[0].drain(..n);
+                if self.parts[0].is_empty() {
+                    self.parts.remove(0);
+                }
+                Ok(n)
+            }
+        }
+        let body: Vec<u8> = (0..20_000u32).map(|i| b'a' + (i % 26) as u8).collect();
+        let head =
+            format!("POST /v1/decompile HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len());
+        let first = [head.as_bytes(), &body[..100]].concat();
+        let parts = vec![first, body[100..12_000].to_vec(), body[12_000..].to_vec()];
+        let mut stream = Arrivals { parts, reads: 0 };
+        let mut carry = Vec::new();
+        match read_request(&mut stream, &mut carry, &Limits::default()) {
+            Outcome::Request(req) => assert_eq!(req.body, body),
+            other => panic!("expected a request, got {other:?}"),
+        }
+        assert_eq!(stream.reads, 3, "head + two body arrivals");
+        assert!(carry.is_empty());
+    }
 }

@@ -3,11 +3,14 @@
 //!
 //! The workspace is offline/vendored, so the server is hand-rolled on
 //! `std::net` (no tokio/hyper): an acceptor thread feeds a bounded
-//! connection queue, a small pool of connection workers parses requests
-//! with the hardened reader in [`http`], and — the load-bearing design
-//! point — decompile responses are delivered by a **separate** delivery
-//! pool that polls [`slade_serve::RequestHandle::try_take`], so one slow
-//! decode never pins a connection worker. Admission is layered:
+//! connection queue and a small pool of connection workers parses requests
+//! with the hardened reader in [`http`]. The load-bearing design point: a
+//! request whose outcome exists when `try_submit` returns (a cache hit) is
+//! answered by the worker that parsed it, and any other is parked until
+//! the runtime's completion hook
+//! ([`slade_serve::RequestHandle::on_complete`]) wakes a **separate**
+//! delivery pool to write it — so a slow decode never pins a connection
+//! worker and a finished one is never waited on. Admission is layered:
 //! per-client token buckets ([`quota`]) shed abusive clients with `429`
 //! before the runtime's global `queue_cap` sheds everyone with `429`,
 //! and the two sheds stay separately attributable in the conservation
@@ -32,7 +35,7 @@ use serde_json::Value;
 use slade_compiler::{Isa, OptLevel};
 use slade_obs::export::PromText;
 use slade_serve::{RequestHandle, ServeRuntime, SubmitError};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,14 +52,15 @@ pub struct GatewayConfig {
     /// Connection workers: threads parsing requests and writing
     /// immediate responses.
     pub conn_threads: usize,
-    /// Delivery workers: threads polling in-flight decompile handles.
+    /// Delivery workers: threads writing the responses of decodes that
+    /// were not ready at submit.
     pub delivery_threads: usize,
     /// Parser hardening limits.
     pub limits: Limits,
     /// Socket read/write timeout — the slowloris guard; a peer that
     /// stalls a request longer than this gets `408`.
     pub read_timeout: Duration,
-    /// How long a delivery may poll before answering `504`. Configure
+    /// How long a delivery may wait before answering `504`. Configure
     /// [`slade_serve::ServeConfig::with_request_timeout`] alongside so
     /// the runtime expires the job too.
     pub poll_timeout: Duration,
@@ -106,19 +110,21 @@ impl Drop for ActiveGuard {
     }
 }
 
-/// An admitted decompile waiting for its result: the connection moves
-/// from the connection pool to the delivery pool with it.
+/// An admitted decompile and the connection that is owed its answer.
 struct Delivery {
     conn: Conn,
     handle: RequestHandle,
-    /// Poll deadline (`now + poll_timeout` at submit).
-    deadline: Instant,
     keep_alive: bool,
     /// Stream candidates as chunked NDJSON instead of one JSON body.
     stream: bool,
     /// Client-requested beam narrower than the model's (`beam` option).
     beam_cap: Option<usize>,
 }
+
+/// A parked delivery's key: its deadline (`now + poll_timeout` at park,
+/// so the table's first entry is the next to time out), then the request's
+/// trace id, which is unique in the process.
+type ParkKey = (Instant, u64);
 
 /// State shared by every gateway thread.
 struct Inner {
@@ -130,7 +136,17 @@ struct Inner {
     /// Drain deadline, set once at shutdown.
     drain_by: Mutex<Option<Instant>>,
     conns: (Mutex<VecDeque<Conn>>, Condvar),
-    deliveries: (Mutex<VecDeque<Delivery>>, Condvar),
+    /// Deliveries whose decode is still running.
+    parked: Mutex<BTreeMap<ParkKey, Delivery>>,
+    /// Keys of parked deliveries whose outcome is ready, pushed by the
+    /// runtime's completion hook; the delivery pool sleeps on the condvar.
+    /// Lock order: `parked` → `ready`, never the reverse. In an `Arc` of
+    /// its own, which is all a hook holds: a hook may run after the gateway
+    /// is gone, and one holding `Inner` would close the cycle `Inner →
+    /// parked → handle → slot → hook` — or, as a `Weak` upgraded for the
+    /// push, drop the last `Inner`, and the runtime in it, on the
+    /// runtime's own worker.
+    ready: Arc<(Mutex<VecDeque<ParkKey>>, Condvar)>,
 }
 
 impl Inner {
@@ -138,12 +154,11 @@ impl Inner {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// The effective deadline for `d` — its own poll deadline, capped by
-    /// the drain deadline once shutdown starts.
-    fn effective_deadline(&self, d: &Delivery) -> Instant {
+    /// `deadline`, capped by the drain deadline once shutdown starts.
+    fn effective_deadline(&self, deadline: Instant) -> Instant {
         match *self.drain_by.lock().expect("drain lock") {
-            Some(by) => d.deadline.min(by),
-            None => d.deadline,
+            Some(by) => deadline.min(by),
+            None => deadline,
         }
     }
 
@@ -189,7 +204,7 @@ fn json_error(reason: &str) -> Vec<u8> {
 enum Routed {
     /// Write `status` + JSON `body` now, on the connection worker.
     Immediate { status: u16, content_type: &'static str, body: Vec<u8> },
-    /// Admitted: hand the connection to the delivery pool.
+    /// Admitted: answer with the handle's outcome, now or when it exists.
     Submitted { handle: RequestHandle, stream: bool, beam_cap: Option<usize> },
 }
 
@@ -223,7 +238,8 @@ impl Gateway {
             shutdown: AtomicBool::new(false),
             drain_by: Mutex::new(None),
             conns: (Mutex::new(VecDeque::new()), Condvar::new()),
-            deliveries: (Mutex::new(VecDeque::new()), Condvar::new()),
+            parked: Mutex::new(BTreeMap::new()),
+            ready: Arc::new((Mutex::new(VecDeque::new()), Condvar::new())),
         });
         let mut threads = Vec::new();
         {
@@ -286,16 +302,22 @@ impl Gateway {
     }
 
     fn shutdown_inner(&mut self) {
-        if self.inner.shutdown.swap(true, Ordering::AcqRel) {
+        if self.inner.shutting_down() {
             return;
         }
-        self.inner.metrics.draining.set(1);
+        // The deadline before the flag: a delivery worker that sees the
+        // flag sleeps until the deadline it then reads.
         *self.inner.drain_by.lock().expect("drain lock") =
             Some(Instant::now() + self.inner.cfg.drain_deadline);
+        self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.metrics.draining.set(1);
         // Wake the acceptor out of its blocking accept().
         let _ = TcpStream::connect(self.local_addr);
         self.inner.conns.1.notify_all();
-        self.inner.deliveries.1.notify_all();
+        // Under the lock the pool checks the flag under, so a worker
+        // between that check and its wait cannot miss this.
+        drop(self.inner.ready.0.lock().expect("ready lock"));
+        self.inner.ready.1.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -303,7 +325,8 @@ impl Gateway {
         // queued holds an `ActiveGuard(Arc<Inner>)`, which would keep
         // `Inner` (and the runtime behind it) alive in a cycle.
         self.inner.conns.0.lock().expect("conn lock").clear();
-        self.inner.deliveries.0.lock().expect("delivery lock").clear();
+        self.inner.parked.lock().expect("parked lock").clear();
+        self.inner.ready.0.lock().expect("ready lock").clear();
     }
 }
 
@@ -377,8 +400,8 @@ fn conn_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// Serves requests on one connection until it closes, errors, hands off
-/// to the delivery pool, or shutdown starts.
+/// Serves requests on one connection until it closes, errors, is parked
+/// behind a running decode, or shutdown starts.
 fn serve_conn(inner: &Arc<Inner>, mut conn: Conn) {
     loop {
         if inner.shutting_down() {
@@ -409,23 +432,37 @@ fn serve_conn(inner: &Arc<Inner>, mut conn: Conn) {
                         }
                     }
                     Routed::Submitted { handle, stream, beam_cap } => {
-                        inner.metrics.pending_deliveries.add(1);
-                        let delivery = Delivery {
-                            conn,
-                            handle,
-                            deadline: Instant::now() + inner.cfg.poll_timeout,
-                            keep_alive,
-                            stream,
-                            beam_cap,
+                        let delivery = Delivery { conn, handle, keep_alive, stream, beam_cap };
+                        // A cache hit was fulfilled inside `try_submit`:
+                        // answer it here and keep reading this connection.
+                        let Some(outcome) = delivery.handle.try_take() else {
+                            park(inner, delivery);
+                            return; // the delivery pool owns the conn now
                         };
-                        inner.deliveries.0.lock().expect("delivery lock").push_back(delivery);
-                        inner.deliveries.1.notify_one();
-                        return; // the delivery pool owns the conn now
+                        match finish(inner, delivery, outcome) {
+                            Some(kept) => conn = kept,
+                            None => return,
+                        }
                     }
                 }
             }
         }
     }
+}
+
+/// Parks a delivery whose decode is still running and asks the runtime to
+/// announce its completion to the delivery pool.
+fn park(inner: &Arc<Inner>, delivery: Delivery) {
+    let key = (Instant::now() + inner.cfg.poll_timeout, delivery.handle.trace_id());
+    let ready = Arc::clone(&inner.ready);
+    inner.metrics.pending_deliveries.add(1);
+    let mut parked = inner.parked.lock().expect("parked lock");
+    // Registered once the entry is in the table: a decode that finished
+    // meanwhile runs the hook right here, and its key must be found.
+    parked.entry(key).or_insert(delivery).handle.on_complete(move || {
+        ready.0.lock().expect("ready lock").push_back(key);
+        ready.1.notify_one();
+    });
 }
 
 /// Writes a fixed-length response and counts its status; returns whether
@@ -566,67 +603,90 @@ fn parse_opt(s: &str) -> Option<OptLevel> {
     }
 }
 
+/// One delivery worker: writes the response of each parked delivery when
+/// the runtime's hook announces its outcome, or `504` / `503` when its
+/// poll / drain deadline comes first; asleep in between.
 fn delivery_loop(inner: &Arc<Inner>) {
     loop {
-        let delivery = {
-            let mut q = inner.deliveries.0.lock().expect("delivery lock");
+        let draining = inner.shutting_down();
+        let now = Instant::now();
+        let wake_at = {
+            let mut parked = inner.parked.lock().expect("parked lock");
+            let first = parked.first_entry();
+            if first.is_none() && draining {
+                return;
+            }
+            // With nothing parked: nothing parked later can be due before
+            // `now + poll_timeout`, so parking never has to wake the pool.
+            // (The floor keeps a sub-millisecond `poll_timeout` from
+            // spinning an idle pool; its `504`s come at most that late.)
+            let idle = now + inner.cfg.poll_timeout.max(Duration::from_millis(1));
+            let due = first.as_ref().map_or(idle, |e| e.key().0);
+            let wake_at = inner.effective_deadline(due);
+            if let Some(overdue) = first.filter(|_| now >= wake_at) {
+                let delivery = overdue.remove();
+                drop(parked);
+                abandon(inner, delivery);
+                continue;
+            }
+            wake_at
+        };
+        let key = {
+            let mut ready = inner.ready.0.lock().expect("ready lock");
             loop {
-                if let Some(d) = q.pop_front() {
-                    break d;
+                if let Some(key) = ready.pop_front() {
+                    break Some(key);
                 }
-                if inner.shutting_down() {
-                    return;
+                let now = Instant::now();
+                if now >= wake_at || inner.shutting_down() != draining {
+                    break None; // a deadline (or the drain's) to look at
                 }
-                let (guard, _) = inner
-                    .deliveries
-                    .1
-                    .wait_timeout(q, Duration::from_millis(20))
-                    .expect("delivery wait");
-                q = guard;
+                ready = inner.ready.1.wait_timeout(ready, wake_at - now).expect("ready wait").0;
             }
         };
-        match delivery.handle.try_take() {
-            Some(outcome) => finish_delivery(inner, delivery, outcome),
-            None => {
-                if Instant::now() >= inner.effective_deadline(&delivery) {
-                    let drained = inner.shutting_down();
-                    let (status, reason) = if drained {
-                        inner.metrics.drain_aborts.add(1);
-                        (503, "abandoned at drain deadline")
-                    } else {
-                        inner.metrics.poll_timeouts.add(1);
-                        (504, "deadline exceeded before a result")
-                    };
-                    let Delivery { mut conn, .. } = delivery;
-                    inner.metrics.pending_deliveries.sub(1);
-                    respond(
-                        inner,
-                        &mut conn,
-                        status,
-                        "application/json",
-                        &json_error(reason),
-                        false,
-                    );
-                } else {
-                    // Not ready: requeue and yield briefly so a pool
-                    // with only unready items does not spin.
-                    inner.deliveries.0.lock().expect("delivery lock").push_back(delivery);
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+        // A key whose delivery timed out meanwhile finds nothing.
+        let delivery =
+            key.and_then(|key| inner.parked.lock().expect("parked lock").remove(&key));
+        if let Some(delivery) = delivery {
+            inner.metrics.pending_deliveries.sub(1);
+            let outcome = delivery.handle.try_take().expect("the hook runs after fulfilment");
+            // Re-check the flag at enqueue time: shutdown may have started
+            // while the response was being written, and a conn parked in
+            // the queue after the workers exit would never be popped — its
+            // `ActiveGuard` would then cycle `Inner → queue → conn → Inner`.
+            if let Some(conn) =
+                finish(inner, delivery, outcome).filter(|_| !inner.shutting_down())
+            {
+                inner.conns.0.lock().expect("conn lock").push_back(conn);
+                inner.conns.1.notify_one();
             }
         }
     }
 }
 
-/// Writes the final response for a completed request and, on keep-alive,
-/// hands the connection back to the connection pool.
-fn finish_delivery(
+/// Gives up on a parked delivery whose deadline passed: `503` when the
+/// drain deadline cut it short, else `504`; the connection closes.
+fn abandon(inner: &Arc<Inner>, mut delivery: Delivery) {
+    let (status, reason) = if inner.shutting_down() {
+        inner.metrics.drain_aborts.add(1);
+        (503, "abandoned at drain deadline")
+    } else {
+        inner.metrics.poll_timeouts.add(1);
+        (504, "deadline exceeded before a result")
+    };
+    inner.metrics.pending_deliveries.sub(1);
+    respond(inner, &mut delivery.conn, status, "application/json", &json_error(reason), false);
+}
+
+/// Writes the final response for a completed request — a hit on the
+/// connection worker, a decode on the delivery pool — and returns the
+/// connection when it is to be kept alive.
+fn finish(
     inner: &Arc<Inner>,
     delivery: Delivery,
     outcome: Result<Vec<String>, SubmitError>,
-) {
-    let Delivery { mut conn, handle, keep_alive, stream, beam_cap, .. } = delivery;
-    inner.metrics.pending_deliveries.sub(1);
+) -> Option<Conn> {
+    let Delivery { mut conn, handle, keep_alive, stream, beam_cap } = delivery;
     let keep_alive = keep_alive && !inner.shutting_down();
     let wrote = match outcome {
         Ok(mut candidates) => {
@@ -671,14 +731,7 @@ fn finish_delivery(
             )
         }
     };
-    // Re-check the flag at enqueue time: shutdown may have started
-    // while the response was being written, and a conn parked in the
-    // queue after the workers exit would never be popped — its
-    // `ActiveGuard` would then cycle `Inner → queue → conn → Inner`.
-    if wrote && keep_alive && !inner.shutting_down() {
-        inner.conns.0.lock().expect("conn lock").push_back(conn);
-        inner.conns.1.notify_one();
-    }
+    (wrote && keep_alive).then_some(conn)
 }
 
 /// Streams candidates as chunked NDJSON: one `{"index","candidate"}`

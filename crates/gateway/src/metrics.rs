@@ -48,7 +48,7 @@ slade_obs::metrics! {
         pub streamed: Counter("slade_gateway_streams_total"),
         /// In-flight deliveries abandoned (503) at the drain deadline.
         pub drain_aborts: Counter("slade_gateway_drain_aborts_total"),
-        /// Requests submitted to the runtime, response not yet written.
+        /// Admitted requests parked until their decode (or deadline) answers them.
         pub pending_deliveries: Gauge("slade_gateway_pending_deliveries"),
         /// 1 while the gateway is draining for shutdown.
         pub draining: Gauge("slade_gateway_draining"),
@@ -170,7 +170,7 @@ pub struct GatewaySnapshot {
     pub streamed: u64,
     /// Deliveries abandoned (503) at the drain deadline.
     pub drain_aborts: u64,
-    /// Requests in the runtime with no response written yet.
+    /// Admitted requests parked until their decode (or deadline) answers them.
     pub pending_deliveries: usize,
     /// Whether shutdown drain is in progress.
     pub draining: bool,

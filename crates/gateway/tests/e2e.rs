@@ -2,7 +2,9 @@
 //! must get byte-identical hypotheses to calling the model directly,
 //! overload and quota must shed with `429` while the extended
 //! conservation identity holds (DESIGN.md §13), streaming must arrive
-//! as well-formed chunked NDJSON, and shutdown must drain gracefully.
+//! as well-formed chunked NDJSON, cache hits answered by the connection
+//! worker must be indistinguishable from decodes answered by the delivery
+//! pool, and shutdown must drain gracefully.
 
 use serde_json::Value;
 use slade::Slade;
@@ -12,6 +14,8 @@ use slade_nn::{Seq2Seq, TransformerConfig};
 use slade_obs::export::{type_lines, validate_exposition};
 use slade_serve::{ServeConfig, ServeRuntime};
 use slade_tokenizer::UnigramTokenizer;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,6 +61,31 @@ fn post(addr: &str, body: &str) -> http::ClientResponse {
     .expect("request completes")
 }
 
+/// A keep-alive `POST /v1/decompile` as it goes on the wire.
+fn keep_alive_post(body: &str) -> Vec<u8> {
+    format!(
+        "POST /v1/decompile HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+fn connect(gateway: &Gateway) -> TcpStream {
+    let stream = TcpStream::connect(gateway.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).expect("timeout");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+}
+
+/// Spins until `done()` — for states another thread reaches on its own.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// Candidates array from a 200 response body.
 fn candidates(resp: &http::ClientResponse) -> Vec<String> {
     assert_eq!(resp.status, 200, "body: {}", resp.text());
@@ -68,6 +97,31 @@ fn candidates(resp: &http::ClientResponse) -> Vec<String> {
         .iter()
         .map(|c| c.as_str().expect("string candidate").to_string())
         .collect()
+}
+
+/// A 200 chunked NDJSON answer: one `{"index","candidate"}` line per
+/// expected candidate, in order, then the `done` trailer with the count.
+fn assert_ndjson_stream(resp: &http::ClientResponse, expected: &[String]) {
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("transfer-encoding"), Some("chunked"));
+    let lines: Vec<Value> = resp
+        .text()
+        .lines()
+        .map(|l| Value::parse(l).expect("each NDJSON line parses"))
+        .collect();
+    assert_eq!(lines.len(), expected.len() + 1, "one line per candidate + trailer");
+    for (i, line) in lines[..expected.len()].iter().enumerate() {
+        let obj = line.as_object().expect("candidate line object");
+        assert_eq!(obj.get("index"), Some(&Value::UInt(i as u64)));
+        assert_eq!(
+            obj.get("candidate").and_then(Value::as_str),
+            Some(expected[i].as_str()),
+            "streamed candidate {i} diverged",
+        );
+    }
+    let trailer = lines.last().unwrap().as_object().expect("trailer object");
+    assert_eq!(trailer.get("done"), Some(&Value::Bool(true)));
+    assert_eq!(trailer.get("count"), Some(&Value::UInt(expected.len() as u64)));
 }
 
 /// The edge identity: everything the gateway offered is either a quota
@@ -84,6 +138,8 @@ fn assert_edge_conservation(gateway: &Gateway, direct: u64) {
     // With the runtime's own identity, the combined partition: every
     // offered request ends as a quota shed or in one runtime terminal.
     assert_eq!(rt.unaccounted(), 0, "runtime conservation violated: {rt:?}");
+    // And an answered request leaves nothing behind at the edge.
+    assert_eq!(gw.pending_deliveries, 0, "a delivery is still parked: {gw:?}");
 }
 
 /// The headline equivalence: N concurrent socket clients, each POSTing a
@@ -141,11 +197,7 @@ fn overload_sheds_429_and_conserves() {
     // Occupy the worker directly (bypassing the gateway) so the burst
     // below races only the queue cap, not the decode.
     let busy = runtime.submit(&asm(0));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while runtime.metrics().queue_depth > 0 {
-        assert!(Instant::now() < deadline, "queue never drained");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_until("the worker pops it", || runtime.metrics().queue_depth == 0);
     let threads: Vec<_> = (1..=6)
         .map(|i| {
             let addr = addr.clone();
@@ -182,26 +234,7 @@ fn streaming_delivers_chunked_ndjson() {
     let addr = gateway.local_addr().to_string();
     let body = format!("{{\"asm\":{},\"stream\":true}}", Value::Str(asm(3)).render());
     let resp = post(&addr, &body);
-    assert_eq!(resp.status, 200);
-    assert_eq!(resp.header("transfer-encoding"), Some("chunked"));
-    let lines: Vec<Value> = resp
-        .text()
-        .lines()
-        .map(|l| Value::parse(l).expect("each NDJSON line parses"))
-        .collect();
-    assert_eq!(lines.len(), expected.len() + 1, "one line per candidate + trailer");
-    for (i, line) in lines[..expected.len()].iter().enumerate() {
-        let obj = line.as_object().expect("candidate line object");
-        assert_eq!(obj.get("index"), Some(&Value::UInt(i as u64)));
-        assert_eq!(
-            obj.get("candidate").and_then(Value::as_str),
-            Some(expected[i].as_str()),
-            "streamed candidate {i} diverged",
-        );
-    }
-    let trailer = lines.last().unwrap().as_object().expect("trailer object");
-    assert_eq!(trailer.get("done"), Some(&Value::Bool(true)));
-    assert_eq!(trailer.get("count"), Some(&Value::UInt(expected.len() as u64)));
+    assert_ndjson_stream(&resp, &expected);
     assert_eq!(gateway.metrics().streamed, 1);
     gateway.shutdown();
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
@@ -342,21 +375,14 @@ fn beam_option_caps_candidates() {
 /// carry buffer keeps pipelined bytes intact across deliveries.
 #[test]
 fn keep_alive_serves_sequential_requests() {
-    use std::io::Write;
     let slade = gw_slade();
     let expected = slade.decompile(&asm(5));
     let runtime =
         Arc::new(ServeRuntime::start(Arc::clone(&slade), ServeConfig::with_shards(1)));
     let gateway = Gateway::start(Arc::clone(&runtime), gw_config()).expect("bind");
-    let mut stream = std::net::TcpStream::connect(gateway.local_addr()).expect("connect");
-    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).expect("timeout");
+    let mut stream = connect(&gateway);
     for round in 0..3 {
-        let body = decompile_body(&asm(5));
-        let req = format!(
-            "POST /v1/decompile HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len(),
-        );
-        stream.write_all(req.as_bytes()).expect("write");
+        stream.write_all(&keep_alive_post(&decompile_body(&asm(5)))).expect("write");
         let resp = http::read_response(&mut stream).expect("response");
         assert_eq!(resp.status, 200, "round {round}");
         assert_eq!(resp.header("connection"), Some("keep-alive"));
@@ -409,5 +435,196 @@ fn shutdown_drains_in_flight_requests() {
             );
         }
     }
+    Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
+}
+
+/// Two pipelined POSTs of cached bodies arriving in one segment are both
+/// answered by the connection worker that parsed them, in order: the
+/// second request waits in the carry buffer while the first is written.
+#[test]
+fn pipelined_hits_answer_in_order_on_one_connection() {
+    let slade = gw_slade();
+    let expected = [slade.decompile(&asm(7)), slade.decompile(&asm(8))];
+    let runtime =
+        Arc::new(ServeRuntime::start(Arc::clone(&slade), ServeConfig::with_shards(1)));
+    let gateway = Gateway::start(Arc::clone(&runtime), gw_config()).expect("bind");
+    let mut stream = connect(&gateway);
+    for (i, want) in [7, 8].iter().zip(&expected) {
+        stream.write_all(&keep_alive_post(&decompile_body(&asm(*i)))).expect("write");
+        assert_eq!(&candidates(&http::read_response(&mut stream).expect("cold")), want);
+    }
+    let both =
+        [keep_alive_post(&decompile_body(&asm(8))), keep_alive_post(&decompile_body(&asm(7)))]
+            .concat();
+    stream.write_all(&both).expect("one write, one segment");
+    // Half-close, so the gateway hangs up after the second answer and
+    // everything it wrote can be read to the end (the tiny client reads
+    // one response per call and drops what arrived behind it).
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut wire = Vec::new();
+    std::io::Read::read_to_end(&mut stream, &mut wire).expect("read both answers");
+    let wire = String::from_utf8(wire).expect("JSON responses are UTF-8");
+    let answers: Vec<&str> = wire.split("HTTP/1.1 200 OK\r\n").skip(1).collect();
+    assert_eq!(answers.len(), 2, "two answers on the wire:\n{wire}");
+    for (answer, want) in answers.iter().zip([&expected[1], &expected[0]]) {
+        let (head, body) = answer.split_once("\r\n\r\n").expect("head terminator");
+        assert!(head.contains("connection: keep-alive"), "head: {head}");
+        assert!(head.contains(&format!("content-length: {}", body.len())), "head: {head}");
+        let tail = format!("\"candidates\":{}}}", serde_json::to_string(want).unwrap());
+        assert!(body.ends_with(&tail), "pipelined answers out of order: {body}");
+    }
+    assert_eq!(gateway.metrics().connections, 1);
+    assert_eq!(runtime.metrics().cache.hits, 2);
+    assert_edge_conservation(&gateway, 0);
+    gateway.shutdown();
+    Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
+}
+
+/// Hit → cold miss → hit on one keep-alive connection: the connection
+/// moves from its worker to the delivery pool and back without losing its
+/// place, and each answer equals direct decompilation.
+#[test]
+fn hit_then_miss_then_hit_share_a_connection() {
+    let slade = gw_slade();
+    let (cached, cold) = (slade.decompile(&asm(9)), slade.decompile(&asm(10)));
+    let runtime =
+        Arc::new(ServeRuntime::start(Arc::clone(&slade), ServeConfig::with_shards(1)));
+    assert_eq!(runtime.decompile(&asm(9)), cached, "prime the cache past the gateway");
+    let gateway = Gateway::start(Arc::clone(&runtime), gw_config()).expect("bind");
+    let mut stream = connect(&gateway);
+    for (i, want, hits) in [(9, &cached, 1), (10, &cold, 1), (9, &cached, 2)] {
+        stream.write_all(&keep_alive_post(&decompile_body(&asm(i)))).expect("write");
+        let resp = http::read_response(&mut stream).expect("response");
+        assert_eq!(&candidates(&resp), want, "asm({i}) diverged");
+        assert_eq!(runtime.metrics().cache.hits, hits);
+        assert_edge_conservation(&gateway, 1);
+    }
+    assert_eq!(gateway.metrics().connections, 1);
+    gateway.shutdown();
+    Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
+}
+
+/// The options a delivery carries apply to a hit answered inline as they
+/// do to a decode: `"stream": true` chunks the cached candidates,
+/// `"beam": 2` truncates them.
+#[test]
+fn hits_honour_stream_and_beam() {
+    let slade = gw_slade();
+    let expected = slade.decompile(&asm(11));
+    assert_eq!(expected.len(), BEAM);
+    let runtime =
+        Arc::new(ServeRuntime::start(Arc::clone(&slade), ServeConfig::with_shards(1)));
+    runtime.decompile(&asm(11));
+    let gateway = Gateway::start(Arc::clone(&runtime), gw_config()).expect("bind");
+    let mut stream = connect(&gateway);
+    let asm_json = Value::Str(asm(11)).render();
+    stream
+        .write_all(&keep_alive_post(&format!("{{\"asm\":{asm_json},\"stream\":true}}")))
+        .expect("write");
+    let resp = http::read_response(&mut stream).expect("streamed hit");
+    assert_ndjson_stream(&resp, &expected);
+    assert_edge_conservation(&gateway, 1);
+    stream
+        .write_all(&keep_alive_post(&format!("{{\"asm\":{asm_json},\"beam\":2}}")))
+        .expect("write");
+    let resp = http::read_response(&mut stream).expect("capped hit");
+    assert_eq!(candidates(&resp), expected[..2].to_vec());
+    assert_edge_conservation(&gateway, 1);
+    let gw = gateway.metrics();
+    assert_eq!((gw.streamed, gw.connections), (1, 1));
+    assert_eq!(runtime.metrics().cache.hits, 2);
+    gateway.shutdown();
+    Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
+}
+
+/// One delivery thread is enough for any number of decodes in flight: it
+/// sleeps until the runtime announces one, so sixteen concurrent cold
+/// requests all answer 200 with what `decompile_batch` produces.
+#[test]
+fn one_delivery_thread_serves_sixteen_cold_requests() {
+    let slade = gw_slade();
+    let inputs: Vec<String> = (20..36).map(asm).collect();
+    let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+    let expected = slade.decompile_batch(&refs);
+    let runtime =
+        Arc::new(ServeRuntime::start(Arc::clone(&slade), ServeConfig::with_shards(1)));
+    let gateway = Gateway::start(
+        Arc::clone(&runtime),
+        GatewayConfig { delivery_threads: 1, ..gw_config() },
+    )
+    .expect("bind");
+    let addr = gateway.local_addr().to_string();
+    let threads: Vec<_> = inputs
+        .iter()
+        .cloned()
+        .map(|input| {
+            let addr = addr.clone();
+            std::thread::spawn(move || candidates(&post(&addr, &decompile_body(&input))))
+        })
+        .collect();
+    for (i, t) in threads.into_iter().enumerate() {
+        assert_eq!(t.join().expect("client thread"), expected[i], "client {i} diverged");
+    }
+    assert_eq!(runtime.metrics().decoded, 16);
+    assert_edge_conservation(&gateway, 0);
+    gateway.shutdown();
+    Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
+}
+
+/// A decode slower than `poll_timeout` is answered `504` at the deadline,
+/// not when it finishes; the completion that arrives later finds nothing
+/// parked, and the hook it ran does not keep the gateway alive.
+#[test]
+fn poll_timeout_answers_504_before_the_decode_ends() {
+    let runtime = Arc::new(ServeRuntime::start(
+        gw_slade(),
+        ServeConfig {
+            shards: 1,
+            lanes_per_shard: BEAM,
+            test_decode_delay: Duration::from_millis(400),
+            ..ServeConfig::default()
+        },
+    ));
+    let gateway = Gateway::start(
+        Arc::clone(&runtime),
+        GatewayConfig { poll_timeout: Duration::from_millis(60), ..gw_config() },
+    )
+    .expect("bind");
+    let resp = post(&gateway.local_addr().to_string(), &decompile_body(&asm(12)));
+    assert_eq!(resp.status, 504, "body: {}", resp.text());
+    assert_eq!(runtime.metrics().decoded, 0, "answered while the decode was still asleep");
+    let gw = gateway.metrics();
+    assert_eq!((gw.poll_timeouts, gw.pending_deliveries), (1, 0));
+    wait_until("the abandoned decode ends", || runtime.metrics().decoded == 1);
+    assert_edge_conservation(&gateway, 0);
+    gateway.shutdown();
+    Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
+}
+
+/// A decode that outlasts the drain deadline is answered `503` at it, and
+/// shutdown returns then — with the decode's hook still registered.
+#[test]
+fn drain_deadline_answers_503() {
+    let runtime = Arc::new(ServeRuntime::start(
+        gw_slade(),
+        ServeConfig {
+            shards: 1,
+            lanes_per_shard: BEAM,
+            test_decode_delay: Duration::from_millis(600),
+            ..ServeConfig::default()
+        },
+    ));
+    let gateway = Gateway::start(
+        Arc::clone(&runtime),
+        GatewayConfig { drain_deadline: Duration::from_millis(50), ..gw_config() },
+    )
+    .expect("bind");
+    let addr = gateway.local_addr().to_string();
+    let client = std::thread::spawn(move || post(&addr, &decompile_body(&asm(13))));
+    wait_until("the request is parked", || gateway.metrics().pending_deliveries == 1);
+    gateway.shutdown();
+    let resp = client.join().expect("client thread");
+    assert_eq!(resp.status, 503, "body: {}", resp.text());
+    assert_eq!(runtime.metrics().decoded, 0, "shutdown did not wait for the decode");
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }

@@ -257,13 +257,40 @@ enum Terminal {
     Expired = 4,
 }
 
+/// Runs once when a request reaches its terminal state (see
+/// [`RequestHandle::on_complete`]).
+type Hook = Box<dyn FnOnce() + Send>;
+
+/// What a [`ResponseSlot`] holds.
+enum SlotState {
+    /// No terminal yet; the hook, if one is registered, fires at it.
+    Pending(Option<Hook>),
+    /// Fulfilled, outcome not yet consumed.
+    Ready(Result<Vec<String>, SubmitError>),
+    /// Fulfilled and consumed.
+    Taken,
+}
+
+impl SlotState {
+    /// The outcome, once: `Ready` becomes `Taken`.
+    fn take(&mut self) -> Option<Result<Vec<String>, SubmitError>> {
+        match std::mem::replace(self, SlotState::Taken) {
+            SlotState::Ready(outcome) => Some(outcome),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+}
+
 /// Completion cell a caller blocks on. `claimed` is the exactly-once
 /// terminal-state gate: whoever wins [`ResponseSlot::try_claim`] — the
 /// decode fan-out, a cache hit, or an expiring waiter/worker — is the
 /// only party that fulfills the slot and counts the terminal, so no
 /// request is ever counted or delivered twice.
 struct ResponseSlot {
-    result: Mutex<Option<Result<Vec<String>, SubmitError>>>,
+    state: Mutex<SlotState>,
     ready: Condvar,
     claimed: AtomicBool,
 }
@@ -271,7 +298,7 @@ struct ResponseSlot {
 impl ResponseSlot {
     fn new() -> Self {
         ResponseSlot {
-            result: Mutex::new(None),
+            state: Mutex::new(SlotState::Pending(None)),
             ready: Condvar::new(),
             claimed: AtomicBool::new(false),
         }
@@ -286,9 +313,18 @@ impl ResponseSlot {
         self.claimed.load(Ordering::Acquire)
     }
 
+    /// Stores the outcome, wakes blocked waiters, then runs the hook —
+    /// after the slot's lock is released, so the hook may consume the
+    /// outcome it was told about.
     fn fulfill(&self, outcome: Result<Vec<String>, SubmitError>) {
-        *self.result.lock().expect("slot lock") = Some(outcome);
+        let prev = std::mem::replace(
+            &mut *self.state.lock().expect("slot lock"),
+            SlotState::Ready(outcome),
+        );
         self.ready.notify_all();
+        if let SlotState::Pending(Some(hook)) = prev {
+            hook();
+        }
     }
 }
 
@@ -315,7 +351,7 @@ impl RequestHandle {
     pub fn wait(self) -> Result<Vec<String>, SubmitError> {
         let mut deadline = self.timeout_at;
         let slot = &self.req.slot;
-        let mut guard = slot.result.lock().expect("slot lock");
+        let mut guard = slot.state.lock().expect("slot lock");
         loop {
             if let Some(outcome) = guard.take() {
                 return outcome;
@@ -351,7 +387,26 @@ impl RequestHandle {
 
     /// Non-blocking poll; returns the outcome once, if ready.
     pub fn try_take(&self) -> Option<Result<Vec<String>, SubmitError>> {
-        self.req.slot.result.lock().expect("slot lock").take()
+        self.req.slot.state.lock().expect("slot lock").take()
+    }
+
+    /// Registers `hook` to run exactly once when the request reaches its
+    /// terminal state — decoded, cache hit, coalesced or expired — on the
+    /// thread that fulfils it, with no runtime lock held; at once, on this
+    /// thread, when it already has. [`RequestHandle::try_take`] from the
+    /// hook (or after it) finds the outcome unless a consumer got there
+    /// first. A second registration replaces a hook that has not fired.
+    /// The hook must not own the runtime: dropping the last reference on
+    /// a worker would have the worker join itself.
+    pub fn on_complete(&self, hook: impl FnOnce() + Send + 'static) {
+        let mut state = self.req.slot.state.lock().expect("slot lock");
+        match &mut *state {
+            SlotState::Pending(slot) => *slot = Some(Box::new(hook)),
+            SlotState::Ready(_) | SlotState::Taken => {
+                drop(state);
+                hook();
+            }
+        }
     }
 }
 

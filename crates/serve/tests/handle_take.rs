@@ -1,12 +1,14 @@
-//! Property tests for [`slade_serve::RequestHandle::try_take`] — the
-//! non-blocking delivery path the HTTP gateway's polling pool rides on.
+//! Property tests for [`slade_serve::RequestHandle::try_take`] and
+//! [`slade_serve::RequestHandle::on_complete`] — the non-blocking delivery
+//! path the HTTP gateway rides on.
 //!
 //! The contract under test is **claim-once delivery**: however a
 //! handle's outcome is consumed — a polling loop hammering `try_take`,
 //! a blocking `wait`, or both racing across coalesced duplicates of one
 //! decode — each handle yields its outcome exactly once, every consumer
-//! of the same input sees an identical result, and the admission
-//! counters still partition `submitted` exactly.
+//! of the same input sees an identical result, the admission counters
+//! still partition `submitted` exactly, and a completion hook runs exactly
+//! once per handle whichever terminal the request reaches.
 
 use proptest::prelude::*;
 use slade::Slade;
@@ -14,6 +16,7 @@ use slade_compiler::{Isa, OptLevel};
 use slade_nn::{Seq2Seq, TransformerConfig};
 use slade_serve::{ServeConfig, ServeRuntime, SubmitError};
 use slade_tokenizer::UnigramTokenizer;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,6 +33,16 @@ fn poll_slade() -> Arc<Slade> {
 
 fn asm(i: usize) -> String {
     format!("g{i}:\n\tmovl %edi, %eax\n\tsubl ${i}, %eax\n\tret\n")
+}
+
+/// Registers a hook on `handle` that counts its own runs.
+fn count_completions(handle: &slade_serve::RequestHandle) -> Arc<AtomicUsize> {
+    let fired = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&fired);
+    handle.on_complete(move || {
+        counter.fetch_add(1, Ordering::SeqCst);
+    });
+    fired
 }
 
 /// Polls `try_take` until the outcome appears, bounded so a delivery
@@ -52,8 +65,9 @@ proptest! {
     /// polling threads (repeated `try_take`) and blocking waiters
     /// (`wait`): every consumer sees the identical hypotheses, each
     /// handle's outcome is delivered exactly once (the next `try_take`
-    /// after success returns `None`), and the counters agree that one
-    /// decode fanned out to all the rest.
+    /// after success returns `None`), each handle's completion hook —
+    /// registered before any consumer starts — runs exactly once, and the
+    /// counters agree that one decode fanned out to all the rest.
     #[test]
     fn poll_and_wait_racers_each_get_one_outcome(
         pollers in 1usize..=4,
@@ -71,6 +85,7 @@ proptest! {
         ));
         let total = pollers + waiters;
         let handles: Vec<_> = (0..total).map(|_| runtime.submit(&asm(0))).collect();
+        let fired: Vec<_> = handles.iter().map(count_completions).collect();
         let mut threads = Vec::new();
         for (i, handle) in handles.into_iter().enumerate() {
             threads.push(std::thread::spawn(move || {
@@ -87,23 +102,30 @@ proptest! {
         }
         let outcomes: Vec<_> =
             threads.into_iter().map(|t| t.join().expect("consumer thread")).collect();
+        // The worker runs a hook right after storing the outcome a
+        // consumer may already have returned with: shutting down joins it.
+        let snap = runtime.metrics();
+        Arc::try_unwrap(runtime).ok().expect("threads joined").shutdown();
+        for (i, f) in fired.iter().enumerate() {
+            prop_assert_eq!(f.load(Ordering::SeqCst), 1, "hook of handle {}", i);
+        }
         let first = outcomes[0].as_ref().expect("no timeout configured");
         prop_assert!(!first.is_empty());
         for o in &outcomes {
             prop_assert_eq!(o.as_ref().expect("no timeout configured"), first);
         }
-        let snap = runtime.metrics();
         prop_assert_eq!(snap.submitted, total as u64);
         prop_assert_eq!(snap.decoded, 1u64, "exactly one engine pass");
         prop_assert_eq!(snap.coalesced, (total - 1) as u64);
         assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
-        Arc::try_unwrap(runtime).ok().expect("threads joined").shutdown();
     }
 }
 
 /// A polling consumer behind a slow decode with a tight request timeout:
 /// the worker's pop-time triage expires the queued job, so the poll loop
-/// observes `DeadlineExceeded` — delivered once, counted once.
+/// observes `DeadlineExceeded` — delivered once, counted once. A blocking
+/// waiter beside it expires itself at its deadline. Both ways the hook
+/// runs once, as it does for the decode that made them late.
 #[test]
 fn polling_observes_deadline_expiry_exactly_once() {
     let runtime = ServeRuntime::start(
@@ -116,10 +138,15 @@ fn polling_observes_deadline_expiry_exactly_once() {
             ..ServeConfig::default().without_cache().without_coalescing()
         },
     );
-    // Busy occupies the only worker past its own deadline; B expires in
-    // the queue and is triaged when the worker finally pops it.
+    // Busy occupies the only worker past its own deadline; B and C expire
+    // in the queue: C at its waiter's deadline, B when the worker finally
+    // pops it.
     let busy = runtime.submit(&asm(1));
     let b = runtime.submit(&asm(2));
+    let c = runtime.submit(&asm(3));
+    let fired = [&busy, &b, &c].map(count_completions);
+    assert_eq!(c.wait().expect_err("deadline must expire"), SubmitError::DeadlineExceeded);
+    assert_eq!(fired[2].load(Ordering::SeqCst), 1, "the expiring waiter runs the hook");
     let out = poll_until_taken(&b);
     assert_eq!(out.expect_err("deadline must expire"), SubmitError::DeadlineExceeded);
     assert!(b.try_take().is_none(), "expiry delivered twice");
@@ -127,9 +154,77 @@ fn polling_observes_deadline_expiry_exactly_once() {
     // while it decoded, so its late result is still delivered intact.
     busy.wait().expect("unclaimed slot is fulfilled by the decode");
     let snap = runtime.metrics();
-    assert_eq!(snap.submitted, 2);
-    assert_eq!(snap.expired, 1, "only the queued request expired");
+    assert_eq!(snap.submitted, 3);
+    assert_eq!(snap.expired, 2, "only the queued requests expired");
     assert_eq!(snap.decoded, 1);
+    assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
+    runtime.shutdown();
+    assert_eq!(fired.map(|f| f.load(Ordering::SeqCst)), [1, 1, 1]);
+}
+
+/// A hook registered on a request that already has its outcome — a cache
+/// hit, fulfilled inside `submit` — runs before `on_complete` returns,
+/// and so does one registered after the outcome was consumed.
+#[test]
+fn hook_registered_after_fulfilment_fires_at_once() {
+    let runtime = ServeRuntime::start(poll_slade(), ServeConfig::with_shards(1));
+    let expected = runtime.decompile(&asm(4));
+    let hit = runtime.submit(&asm(4));
+    let fired = count_completions(&hit);
+    assert_eq!(fired.load(Ordering::SeqCst), 1, "a hit is complete at submit");
+    assert_eq!(hit.try_take().expect("a hit is ready").expect("no timeout"), expected);
+    let again = count_completions(&hit);
+    assert_eq!(again.load(Ordering::SeqCst), 1, "still complete once taken");
+    assert_eq!(fired.load(Ordering::SeqCst), 1);
+    assert_eq!(runtime.metrics().cache.hits, 1);
+    runtime.shutdown();
+}
+
+/// The hook runs on the fulfilling thread with no runtime lock held: one
+/// that reads the metrics (cache lock) and the admission order (queue
+/// lock) returns, for a decode, a coalesced duplicate and a triaged
+/// expiry alike — and finds its own outcome ready to take.
+#[test]
+fn hook_may_call_back_into_the_runtime() {
+    let runtime = Arc::new(ServeRuntime::start(
+        poll_slade(),
+        ServeConfig {
+            shards: 1,
+            lanes_per_shard: BEAM,
+            request_timeout: Duration::from_millis(100),
+            test_decode_delay: Duration::from_millis(250),
+            ..ServeConfig::default()
+        },
+    ));
+    let (tx, rx) = std::sync::mpsc::channel();
+    // Leader and duplicate share one decode, popped at once; the third is
+    // popped a decode delay later, past its deadline, and expires at triage.
+    let handles: Vec<_> =
+        [5, 5, 6].iter().map(|&i| Arc::new(runtime.submit(&asm(i)))).collect();
+    for (i, handle) in handles.iter().enumerate() {
+        let (rt, own, tx) = (Arc::clone(&runtime), Arc::clone(handle), tx.clone());
+        handle.on_complete(move || {
+            let seen = (rt.metrics().submitted, rt.admission_order().len());
+            // Before the test is told it may go on: a worker that dropped
+            // the last reference to the runtime would join itself.
+            drop(rt);
+            tx.send((i, seen, own.try_take())).expect("the test is listening");
+        });
+    }
+    drop(handles);
+    let mut outcomes: Vec<_> = (0..3)
+        .map(|_| rx.recv_timeout(Duration::from_secs(30)).expect("a hook deadlocked"))
+        .collect();
+    outcomes.sort_by_key(|(i, ..)| *i);
+    for (_, seen, _) in &outcomes {
+        assert_eq!(seen.0, 3, "the hook read the live counters");
+    }
+    let leader = outcomes[0].2.clone().expect("outcome precedes the hook").expect("decoded");
+    assert_eq!(outcomes[1].2, Some(Ok(leader)), "the duplicate got the leader's answer");
+    assert_eq!(outcomes[2].2, Some(Err(SubmitError::DeadlineExceeded)));
+    let runtime = Arc::try_unwrap(runtime).ok().expect("each hook dropped its clone");
+    let snap = runtime.metrics();
+    assert_eq!((snap.decoded, snap.coalesced, snap.expired), (1, 1, 1));
     assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
     runtime.shutdown();
 }

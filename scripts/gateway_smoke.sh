@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the HTTP gateway: boots `slade-cli serve` on
 # an ephemeral port, POSTs a decompile request, asserts a 200 with valid
-# JSON candidates, scrapes /metrics through `slade-cli stats --url`, and
-# greps the gateway counter families. Run from the repo root; pass a
-# prebuilt slade-cli path as $1 to skip the cargo build.
+# JSON candidates, POSTs it twice more over one connection and asserts two
+# cache hits with the same candidates, scrapes /metrics through
+# `slade-cli stats --url`, and greps the gateway counter families. Run from
+# the repo root; pass a prebuilt slade-cli path as $1 to skip the cargo
+# build.
 set -euo pipefail
 
 CLI="${1:-}"
@@ -53,6 +55,22 @@ assert all(isinstance(c, str) for c in resp["candidates"]), resp
 print(f"ok: {len(resp['candidates'])} candidates, trace {resp['trace_id']}")
 EOF
 
+# The same body twice more on one connection (curl reuses it for a
+# repeated URL): both are cache hits, answered by the connection worker
+# that parsed them, with the candidates of the first answer.
+HITS="$(curl -sS -o "$WORK/hit1.json" -o "$WORK/hit2.json" \
+  -w '%{http_code}/%{num_connects} ' \
+  -H 'content-type: application/json' -H 'x-slade-client: smoke' \
+  -d "$BODY" "http://$ADDR/v1/decompile" "http://$ADDR/v1/decompile")"
+echo "POST /v1/decompile x2 -> $HITS(status/new connections)"
+[[ "$HITS" == "200/1 200/0 " ]] || { cat "$WORK"/hit?.json; cat "$SERVER_LOG"; exit 1; }
+python3 - "$WORK/resp.json" "$WORK/hit1.json" "$WORK/hit2.json" <<'EOF'
+import json, sys
+first, *hits = (json.load(open(p))["candidates"] for p in sys.argv[1:])
+assert all(h == first for h in hits), (first, hits)
+print("ok: both hits repeat the first answer")
+EOF
+
 # /healthz answers.
 curl -sS "http://$ADDR/healthz" | grep -q '"status":"ok"'
 
@@ -64,6 +82,8 @@ curl -sS "http://$ADDR/metrics" >"$WORK/metrics.prom"
 grep -E '^slade_gateway_requests_total\{code="200"\} [1-9]' "$WORK/metrics.prom"
 grep -E '^slade_gateway_connections_total [1-9]' "$WORK/metrics.prom"
 grep -E '^slade_requests_submitted_total [1-9]' "$WORK/metrics.prom"
+grep -E '^slade_cache_hits_total ([2-9]|[1-9][0-9]+)$' "$WORK/metrics.prom"
+grep -E '^slade_gateway_pending_deliveries 0$' "$WORK/metrics.prom"
 grep -c '^# TYPE ' "$WORK/metrics.prom"
 
 echo "gateway smoke passed"
