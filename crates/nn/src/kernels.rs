@@ -3,8 +3,9 @@
 //! Every hot kernel in this crate (`matmul_transb_into`,
 //! `matmul_xpacked_into`, the fused log-softmax+top-k max and exp-sum
 //! passes, the attention core (`attn_scores_into` and its key-packed
-//! query-tile form `attn_scores_packed_tile_into`, `softmax_into`,
-//! `attn_weighted_sum_into` and its query-tile form `attn_weighted_sum_tile_into`),
+//! query-tile form `attn_scores_packed_tile_into`, `softmax_rows_into`,
+//! `attn_weighted_sum_into` and its query-tile form
+//! `attn_weighted_sum_tile_into`; the tile forms walk [`Blocks`]),
 //! `layer_norm_into`, activation quantization (`quantize_row_i8`), and
 //! the int8 `qmatmul_transb_into`) routes through this module. An ISA
 //! tier is selected once at startup — VNNI on x86-64 hosts with
@@ -218,10 +219,84 @@ pub fn set_tier(tier: IsaTier) -> IsaTier {
 /// Lane count of the shared accumulation semantics (see module docs).
 pub const LANES: usize = 8;
 
-/// Query rows [`attn_weighted_sum_tile_into`] accumulates in registers at
-/// once (measured best on AVX2: `4 rows × 2 chunks` fills half the
-/// register file). Callers size their score scratch to `ATTN_TILE` rows.
+/// Query rows [`attn_scores_packed_tile_into`] holds in registers at once
+/// on AVX2 (`2 × 4` accumulators; a fifth row spills), and the tile the
+/// encoder cuts its queries into. A caller may pass a tile kernel any
+/// number of rows — it cuts them into register tiles itself — and sizes
+/// its score scratch by the rows it passes.
 pub const ATTN_TILE: usize = 4;
+
+/// Where the rows of a query tile find their `n` keys (or values): in
+/// blocks of `block` consecutive positions, row `r`'s block `i` starting
+/// `tables[r * tstride + i] * bstride` floats into the buffer the kernel
+/// is handed. `tstride = 0` gives every row the same table. Rows that name
+/// the same block read it once per register tile; rows that differ read
+/// their own — per row the arithmetic is the same either way.
+#[derive(Debug, Clone, Copy)]
+pub struct Blocks<'a> {
+    /// Block ids, one per `block` positions, per row.
+    pub tables: &'a [u32],
+    /// Table entries from one row's table to the next row's.
+    pub tstride: usize,
+    /// Positions per block: a multiple of [`LANES`], or at least `n` (one
+    /// block holds everything).
+    pub block: usize,
+    /// Floats from one block id to the next.
+    pub bstride: usize,
+    /// Keys per row.
+    pub n: usize,
+}
+
+impl Blocks<'static> {
+    /// `n` contiguous keys: one block, every row reading it.
+    pub fn one(n: usize) -> Self {
+        Blocks { tables: &[0], tstride: 0, block: n.max(1), bstride: 0, n }
+    }
+}
+
+impl Blocks<'_> {
+    /// Where block `i` of row `r` starts.
+    #[inline]
+    fn start(&self, r: usize, i: usize) -> usize {
+        self.tables[r * self.tstride + i] as usize * self.bstride
+    }
+
+    /// `(first position, positions)` of every block of a row, in order.
+    #[inline]
+    fn spans(&self) -> impl Iterator<Item = (usize, usize)> {
+        let (n, block) = (self.n, self.block);
+        (0..n).step_by(block).map(move |at| (at, block.min(n - at)))
+    }
+
+    /// The whole rows of `n` scores a buffer of `len` floats holds; no
+    /// row has anything in it when `n = 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `len` is not a whole number of rows — a mis-sized
+    /// score buffer — or the blocks cannot hold packed key groups.
+    fn rows(&self, len: usize) -> usize {
+        if self.n == 0 {
+            return 0;
+        }
+        assert!(whole_rows(len, self.n), "{len} scores are not whole rows of {}", self.n);
+        assert!(
+            self.block.is_multiple_of(LANES) || self.n <= self.block,
+            "blocks of {} positions split a key group",
+            self.block
+        );
+        len / self.n
+    }
+}
+
+/// Whether `len` scores are whole rows of `n`.
+fn whole_rows(len: usize, n: usize) -> bool {
+    if n == 0 {
+        len == 0
+    } else {
+        len.is_multiple_of(n)
+    }
+}
 
 /// Fixed binary-tree reduction of the 8 lane partials — the order an
 /// AVX2 split-and-add horizontal reduce performs.
@@ -255,7 +330,8 @@ fn vmax8(l: &[f32; 8]) -> f32 {
 /// exponent-field scale — is mirrored instruction-for-instruction by the
 /// AVX2 lane implementation, so tiers agree bit-for-bit (every step is an
 /// exactly-rounded IEEE op; no FMA, no libm). Inputs below the normal
-/// range flush to zero. Relative error ≤ ~4e-8, within a ulp of libm.
+/// range flush to zero, and so does NaN. Relative error ≤ ~4e-8, within
+/// a ulp of libm.
 #[inline(always)]
 fn exp_lane(x: f32) -> f32 {
     const LOG2E: f32 = std::f32::consts::LOG2_E;
@@ -270,7 +346,10 @@ fn exp_lane(x: f32) -> f32 {
     p = p * r + 0.5;
     p = p * r + 1.0;
     p = p * r + 1.0;
-    if x < -87.0 {
+    // The complement of the vector tier's keep-mask (`x >= -87`, false for
+    // NaN), so the `-inf - -inf` of a fully masked row flushes to zero on
+    // every tier.
+    if x < -87.0 || x.is_nan() {
         return 0.0;
     }
     // n ∈ [-126, 0] here, so the biased exponent stays normal.
@@ -510,8 +589,9 @@ pub mod scalar {
     /// QK^T scores of a tile of queries against keys packed by
     /// [`super::pack_keys`] — scalar tier: `scores[r * n + si] =
     /// dot8(q_r, key_si) * scale`, where query `r` is
-    /// `q[r * qstride..][..dh]` and `scores` holds `scores.len() / n`
-    /// rows. A group's eight keys sit side by
+    /// `q[r * qstride..][..dh]`, `scores` holds `scores.len() / n` whole
+    /// rows and key `si` of row `r` is key `si % block` of the packed
+    /// block [`super::Blocks`] names. A group's eight keys sit side by
     /// side, so lane accumulator `l` is a vertical `acc[l] += q[j] *
     /// K[j]` over `j = l, l + 8, …` (ascending, from `+0.0`) for all
     /// eight keys at once, [`reduce8`]'s tree is seven vertical adds, and
@@ -523,29 +603,33 @@ pub mod scalar {
         qstride: usize,
         dh: usize,
         kp: &[f32],
-        n: usize,
+        blocks: &super::Blocks,
         scale: f32,
         scores: &mut [f32],
     ) {
-        if n == 0 {
+        if blocks.rows(scores.len()) == 0 {
             return;
         }
-        assert!(dh > 0 && kp.len() >= super::packed_keys_len(n, dh));
-        for (r, srow) in scores.chunks_exact_mut(n).enumerate() {
+        assert!(dh > 0, "a key has elements");
+        for (r, srow) in scores.chunks_exact_mut(blocks.n).enumerate() {
             let qrow = &q[r * qstride..r * qstride + dh];
-            for (group, out) in kp.chunks_exact(dh * 8).zip(srow.chunks_mut(8)) {
-                let mut acc = [[0.0f32; 8]; 8];
-                for (j, (&qv, kv)) in qrow.iter().zip(group.chunks_exact(8)).enumerate() {
-                    for (a, &k) in acc[j & 7].iter_mut().zip(kv) {
-                        *a += qv * k;
+            for (i, sblock) in srow.chunks_mut(blocks.block).enumerate() {
+                let kb = &kp[blocks.start(r, i)..][..super::packed_keys_len(sblock.len(), dh)];
+                for (group, out) in kb.chunks_exact(dh * 8).zip(sblock.chunks_mut(8)) {
+                    let mut acc = [[0.0f32; 8]; 8];
+                    for (j, (&qv, kv)) in qrow.iter().zip(group.chunks_exact(8)).enumerate() {
+                        for (a, &k) in acc[j & 7].iter_mut().zip(kv) {
+                            *a += qv * k;
+                        }
                     }
+                    let mut dots = [0.0f32; 8];
+                    for (key, dot) in dots.iter_mut().enumerate() {
+                        *dot = reduce8(&std::array::from_fn(|l| acc[l][key])) * scale;
+                    }
+                    // The lanes of a block's last group past its keys
+                    // score nothing.
+                    out.copy_from_slice(&dots[..out.len()]);
                 }
-                let mut dots = [0.0f32; 8];
-                for (key, dot) in dots.iter_mut().enumerate() {
-                    *dot = reduce8(&std::array::from_fn(|l| acc[l][key])) * scale;
-                }
-                // The last group's padding lanes score nothing.
-                out.copy_from_slice(&dots[..out.len()]);
             }
         }
     }
@@ -593,28 +677,27 @@ pub mod scalar {
     }
 
     /// Query-tile weighted sum — scalar tier, and the definition of the
-    /// tile kernel: row `r` of the tile is exactly
-    /// [`attn_weighted_sum_into`] of `probs[r * n..(r + 1) * n]` into
-    /// `ctx[r * cstride..r * cstride + dh]`.
+    /// tile kernel: row `r` of the tile is [`attn_weighted_sum_into`] of
+    /// `probs[r * n..(r + 1) * n]` into `ctx[r * cstride..][..dh]`, one
+    /// block of [`super::Blocks`] after the other — `si` ascending across
+    /// them, as over contiguous rows.
     pub fn attn_weighted_sum_tile_into(
         probs: &[f32],
-        n: usize,
         values: &[f32],
         stride: usize,
+        blocks: &super::Blocks,
         ctx: &mut [f32],
         cstride: usize,
         dh: usize,
     ) {
-        if n == 0 {
+        if blocks.rows(probs.len()) == 0 {
             return;
         }
-        for (r, prow) in probs.chunks_exact(n).enumerate() {
-            attn_weighted_sum_into(
-                prow,
-                values,
-                stride,
-                &mut ctx[r * cstride..r * cstride + dh],
-            );
+        for (r, prow) in probs.chunks_exact(blocks.n).enumerate() {
+            let crow = &mut ctx[r * cstride..r * cstride + dh];
+            for (i, pblock) in prow.chunks(blocks.block).enumerate() {
+                attn_weighted_sum_into(pblock, &values[blocks.start(r, i)..], stride, crow);
+            }
         }
     }
 
@@ -669,7 +752,7 @@ struct QMat<'a> {
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     use super::scalar::{dot8, qdot};
-    use super::{reduce8, vmax, vmax8, QMat};
+    use super::{reduce8, vmax, vmax8, Blocks, QMat};
     use std::arch::x86_64::*;
 
     #[inline]
@@ -726,6 +809,20 @@ pub mod avx2 {
             *l = vmax(*l, t);
         }
         vmax8(&lanes)
+    }
+
+    /// All-ones for the first `8 - offset` lanes when loaded at `offset`.
+    const TAIL_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// The mask of a `len % 8 = tail` remainder: all-ones in lanes
+    /// `0..tail`. A masked load reads `+0.0` in, and a masked store leaves
+    /// alone, the lanes past it; neither touches their memory.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn tail_mask(tail: usize) -> __m256i {
+        let from = &TAIL_MASK[8 - tail..][..8];
+        // SAFETY: `from` is 32 readable bytes and the load is unaligned.
+        unsafe { _mm256_loadu_si256(from.as_ptr() as *const __m256i) }
     }
 
     /// `C = A * B^T` into `c` — AVX2 tier (see [`scalar::matmul_transb_into`]).
@@ -867,11 +964,21 @@ pub mod avx2 {
     #[target_feature(enable = "avx2")]
     fn row_max_avx2(row: &[f32]) -> f32 {
         let (chunks, tail) = row.as_chunks::<8>();
-        let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
+        let floor = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut acc = floor;
         for c in chunks {
             acc = _mm256_max_ps(acc, load8(c));
         }
-        max_lanes(acc, tail.iter().copied())
+        if !tail.is_empty() {
+            let mask = tail_mask(tail.len());
+            // SAFETY: the mask keeps the load to `tail`'s own floats.
+            let t = unsafe { _mm256_maskload_ps(tail.as_ptr(), mask) };
+            // The lanes past the row read `-inf`, which `vmax` never
+            // prefers to what a lane holds.
+            let t = _mm256_blendv_ps(floor, t, _mm256_castsi256_ps(mask));
+            acc = _mm256_max_ps(acc, t);
+        }
+        vmax8(&spill(acc))
     }
 
     /// `Σ exp(v - max)` — AVX2 tier (see [`scalar::sum_exp`]).
@@ -908,6 +1015,19 @@ pub mod avx2 {
         _mm256_and_ps(res, keep)
     }
 
+    /// `exp8(tail - max)` with `+0.0` in the lanes past `tail`: what a
+    /// lane-split sum may add to every lane, since its partial sums are
+    /// sums of non-negative terms from `+0.0` and so never the `-0.0`
+    /// that adding `+0.0` would alter.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn exp_tail(tail: &[f32], maxv: __m256) -> __m256 {
+        let mask = tail_mask(tail.len());
+        // SAFETY: the mask keeps the load to `tail`'s own floats.
+        let t = unsafe { _mm256_maskload_ps(tail.as_ptr(), mask) };
+        _mm256_and_ps(exp8(_mm256_sub_ps(t, maxv)), _mm256_castsi256_ps(mask))
+    }
+
     #[target_feature(enable = "avx2")]
     fn sum_exp_avx2(row: &[f32], max: f32) -> f32 {
         let (chunks, tail) = row.as_chunks::<8>();
@@ -916,7 +1036,10 @@ pub mod avx2 {
         for c in chunks {
             acc = _mm256_add_ps(acc, exp8(_mm256_sub_ps(load8(c), maxv)));
         }
-        sum_lanes(acc, tail.iter().map(|&v| super::exp_lane(v - max)))
+        if !tail.is_empty() {
+            acc = _mm256_add_ps(acc, exp_tail(tail, maxv));
+        }
+        reduce8(&spill(acc))
     }
 
     /// Elementwise GELU over a buffer — AVX2 tier (see
@@ -1202,10 +1325,6 @@ pub mod avx2 {
         unsafe { attn_scores_avx2(q, keys, stride, scale, scores) }
     }
 
-    /// All-ones for the first `8 - offset` lanes when loaded at `offset`:
-    /// the load mask of a `dh % 8` tail.
-    const TAIL_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
-
     /// # Safety
     ///
     /// Requires AVX2 and, when `scores` is non-empty, `keys.len() >=
@@ -1272,7 +1391,7 @@ pub mod avx2 {
             // leaves `acc` unchanged: every accumulator starts at `+0.0`
             // and a sum is `-0.0` only when both operands are, so no lane
             // ever holds the one value (`-0.0`) that adding `+0.0` alters.
-            let mask = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - tail) as *const __m256i);
+            let mask = tail_mask(tail);
             let qt = _mm256_maskload_ps(qp.add(chunks * 8), mask);
             for (a, k) in acc.iter_mut().zip(rows) {
                 let kt = _mm256_maskload_ps(k.add(chunks * 8), mask);
@@ -1301,142 +1420,183 @@ pub mod avx2 {
     /// QK^T scores of a query tile against packed keys — AVX2 tier (see
     /// [`scalar::attn_scores_packed_tile_into`]). A key per SIMD lane
     /// makes every step of the scalar definition one vertical
-    /// instruction — no shuffle, no horizontal add — and each K vector
-    /// is loaded once for up to [`ATTN_TILE`](super::ATTN_TILE) queries.
+    /// instruction — no shuffle, no horizontal add — and a K vector that
+    /// the rows of a register tile ([`ATTN_TILE`](super::ATTN_TILE)) share
+    /// is loaded once for all of them.
     pub fn attn_scores_packed_tile_into(
         q: &[f32],
         qstride: usize,
         dh: usize,
         kp: &[f32],
-        n: usize,
+        blocks: &Blocks,
         scale: f32,
         scores: &mut [f32],
     ) {
-        if n == 0 || scores.len() < n {
+        let t = blocks.rows(scores.len());
+        if t == 0 {
             return;
         }
-        let t = scores.len() / n;
-        assert!(dh > 0 && kp.len() >= super::packed_keys_len(n, dh));
-        assert!(q.len() >= (t - 1) * qstride + dh);
+        assert!(dh > 0 && q.len() >= (t - 1) * qstride + dh);
         assert_avx2();
-        // SAFETY: AVX2 is present (asserted); `scores` is cut to exactly
-        // `t` rows of `n`, and the two asserts above bound every `kp`
-        // group and `q` row the body reads.
-        unsafe { scores_packed_avx2(q, qstride, dh, kp, n, scale, &mut scores[..t * n]) }
+        // SAFETY: AVX2 is present (asserted); `scores` is `t` whole rows of
+        // `blocks.n` and `blocks.block` holds whole key groups (both by
+        // `rows`), and the assert above bounds every `q` row the body reads.
+        unsafe { scores_packed_avx2(q, qstride, dh, kp, blocks, scale, scores) }
     }
 
     /// # Safety
     ///
-    /// Requires AVX2, `n > 0`, `dh > 0`, `scores.len() = t * n` with
-    /// `t > 0`, `q.len() >= (t - 1) * qstride + dh` and `kp.len() >=
-    /// packed_keys_len(n, dh)`.
+    /// Requires AVX2, `blocks.n > 0`, `dh > 0`, `scores.len() = t *
+    /// blocks.n`, `q.len() >= (t - 1) * qstride + dh` and a `blocks.block`
+    /// that is a multiple of 8 or at least `blocks.n`.
     #[target_feature(enable = "avx2")]
     unsafe fn scores_packed_avx2(
         q: &[f32],
         qstride: usize,
         dh: usize,
         kp: &[f32],
-        n: usize,
+        blocks: &Blocks,
         scale: f32,
         scores: &mut [f32],
     ) {
-        let t = scores.len() / n;
+        let t = scores.len() / blocks.n;
         let mut r = 0usize;
         while r < t {
             let rows = (t - r).min(super::ATTN_TILE);
             let qp = q.as_ptr().add(r * qstride);
-            let sp = scores.as_mut_ptr().add(r * n);
-            let k = kp.as_ptr();
+            let sp = scores.as_mut_ptr().add(r * blocks.n);
             match rows {
-                1 => scores_packed_rows_avx2::<1>(qp, qstride, dh, k, n, scale, sp),
-                2 => scores_packed_rows_avx2::<2>(qp, qstride, dh, k, n, scale, sp),
-                3 => scores_packed_rows_avx2::<3>(qp, qstride, dh, k, n, scale, sp),
-                _ => scores_packed_rows_avx2::<4>(qp, qstride, dh, k, n, scale, sp),
+                1 => scores_packed_rows_avx2::<1>(qp, qstride, dh, kp, blocks, r, scale, sp),
+                2 => scores_packed_rows_avx2::<2>(qp, qstride, dh, kp, blocks, r, scale, sp),
+                3 => scores_packed_rows_avx2::<3>(qp, qstride, dh, kp, blocks, r, scale, sp),
+                _ => scores_packed_rows_avx2::<4>(qp, qstride, dh, kp, blocks, r, scale, sp),
             }
             r += rows;
         }
     }
 
-    /// `R` score rows over all `⌈n / 8⌉` key groups. `reduce8`'s tree is
-    /// evaluated one `(l, l + 4)` accumulator pair at a time — `2 * R ≤ 8`
-    /// accumulators live, so four rows fit the 16 registers — in the
-    /// order `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`.
+    /// `R` score rows, rows `row0..` of `blocks`, one block after the
+    /// other. Each block is cut out of `kp` by a checked slice, so the
+    /// pointers below cannot leave it whatever the table holds.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 and, for `r < R`: `q[r * qstride..][..dh]`,
-    /// `scores[r * n..][..n]` and `kp[..n.div_ceil(8) * dh * 8]` in
-    /// bounds of their allocations.
+    /// As [`scores_packed_avx2`], with `q` and `scores` at row `row0` and
+    /// `R` rows left from there.
     #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
     unsafe fn scores_packed_rows_avx2<const R: usize>(
         q: *const f32,
         qstride: usize,
         dh: usize,
-        kp: *const f32,
-        n: usize,
+        kp: &[f32],
+        blocks: &Blocks,
+        row0: usize,
         scale: f32,
         scores: *mut f32,
     ) {
+        for (i, (at, len)) in blocks.spans().enumerate() {
+            let floats = super::packed_keys_len(len, dh);
+            let kb: [*const f32; R] =
+                std::array::from_fn(|r| kp[blocks.start(row0 + r, i)..][..floats].as_ptr());
+            let out = scores.add(at);
+            if kb.iter().all(|&k| k == kb[0]) {
+                scores_block_avx2::<R, true>(q, qstride, dh, kb, len, scale, out, blocks.n);
+            } else {
+                scores_block_avx2::<R, false>(q, qstride, dh, kb, len, scale, out, blocks.n);
+            }
+        }
+    }
+
+    /// The `len` scores of one block for `R` rows — row `r` against the
+    /// packed keys at `kb[r]`, all the same block when `SHARED` — into
+    /// `scores[r * sstride..][..len]`. `reduce8`'s tree is evaluated one
+    /// `(l, l + 4)` accumulator pair at a time — `2 * R ≤ 8` accumulators
+    /// live, so four rows fit the 16 registers — in the order
+    /// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and, for `r < R`: `q[r * qstride..][..dh]`,
+    /// `scores[r * sstride..][..len]` and `kb[r][..len.div_ceil(8) * dh *
+    /// 8]` in bounds of their allocations.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn scores_block_avx2<const R: usize, const SHARED: bool>(
+        q: *const f32,
+        qstride: usize,
+        dh: usize,
+        kb: [*const f32; R],
+        len: usize,
+        scale: f32,
+        scores: *mut f32,
+        sstride: usize,
+    ) {
         let scalev = _mm256_set1_ps(scale);
         let mut si = 0usize;
-        while si < n {
+        while si < len {
             // Group `si / 8` starts `si / 8 * dh * 8` floats in.
-            let kg = kp.add(si * dh);
-            let mut even = lane_pair_avx2::<R>(q, qstride, dh, kg, 0);
-            for (e, p) in even.iter_mut().zip(lane_pair_avx2::<R>(q, qstride, dh, kg, 2)) {
+            let kg = kb.map(|k| k.add(si * dh));
+            let pair = |l| lane_pair_avx2::<R, SHARED>(q, qstride, dh, kg, l);
+            let mut even = pair(0);
+            for (e, p) in even.iter_mut().zip(pair(2)) {
                 *e = _mm256_add_ps(*e, p);
             }
-            let mut odd = lane_pair_avx2::<R>(q, qstride, dh, kg, 1);
-            for (o, p) in odd.iter_mut().zip(lane_pair_avx2::<R>(q, qstride, dh, kg, 3)) {
+            let mut odd = pair(1);
+            for (o, p) in odd.iter_mut().zip(pair(3)) {
                 *o = _mm256_add_ps(*o, p);
             }
             for (r, (e, o)) in even.into_iter().zip(odd).enumerate() {
                 let dots = _mm256_mul_ps(_mm256_add_ps(e, o), scalev);
-                let out = scores.add(r * n + si);
-                if si + 8 <= n {
+                let out = scores.add(r * sstride + si);
+                if si + 8 <= len {
                     _mm256_storeu_ps(out, dots);
                 } else {
-                    // Score rows are exactly `n` long: the padding lanes
-                    // of the last group stop here.
-                    std::ptr::copy_nonoverlapping(spill(dots).as_ptr(), out, n - si);
+                    // The lanes of the last group past the block's keys
+                    // stop here, whatever they hold.
+                    _mm256_maskstore_ps(out, tail_mask(len - si), dots);
                 }
             }
             si += 8;
         }
     }
 
-    /// `acc[l] + acc[l + 4]` of one key group for `R` queries, where
-    /// `acc[l] = Σ q[j] * K[j]` over `j = l, l + 8, …` ascending from
-    /// `+0.0` (a lane past `dh` stays `+0.0`, as in `dot8`).
+    /// `acc[l] + acc[l + 4]` of one key group per query, where `acc[l] =
+    /// Σ q[j] * K[j]` over `j = l, l + 8, …` ascending from `+0.0` (a lane
+    /// past `dh` stays `+0.0`, as in `dot8`). `SHARED`: every `kg` is the
+    /// same group, loaded once.
     ///
     /// # Safety
     ///
-    /// Requires AVX2, `dh * 8` readable floats at `kg` and `dh` at
-    /// `q + r * qstride` for `r < R`.
+    /// Requires AVX2 and, for `r < R`, `dh * 8` readable floats at `kg[r]`
+    /// and `dh` at `q + r * qstride`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn lane_pair_avx2<const R: usize>(
+    unsafe fn lane_pair_avx2<const R: usize, const SHARED: bool>(
         q: *const f32,
         qstride: usize,
         dh: usize,
-        kg: *const f32,
+        kg: [*const f32; R],
         l: usize,
     ) -> [__m256; R] {
+        // `acc[r] += q_r[j] * K_r[j]`, element `j` of all eight keys.
+        let step = |acc: &mut [__m256; R], j: usize| {
+            let shared =
+                if SHARED { _mm256_loadu_ps(kg[0].add(j * 8)) } else { _mm256_setzero_ps() };
+            for (r, a) in acc.iter_mut().enumerate() {
+                let kv = if SHARED { shared } else { _mm256_loadu_ps(kg[r].add(j * 8)) };
+                let qv = _mm256_broadcast_ss(&*q.add(r * qstride + j));
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, kv));
+            }
+        };
         let mut lo = [_mm256_setzero_ps(); R];
         let mut hi = [_mm256_setzero_ps(); R];
         let mut j = l;
         while j < dh {
-            let kv = _mm256_loadu_ps(kg.add(j * 8));
-            for (r, a) in lo.iter_mut().enumerate() {
-                let qv = _mm256_broadcast_ss(&*q.add(r * qstride + j));
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, kv));
-            }
+            step(&mut lo, j);
             if j + 4 < dh {
-                let kv = _mm256_loadu_ps(kg.add((j + 4) * 8));
-                for (r, a) in hi.iter_mut().enumerate() {
-                    let qv = _mm256_broadcast_ss(&*q.add(r * qstride + j + 4));
-                    *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, kv));
-                }
+                step(&mut hi, j + 4);
             }
             j += 8;
         }
@@ -1446,38 +1606,64 @@ pub mod avx2 {
         lo
     }
 
-    /// In-place softmax over one row — AVX2 tier, bit-identical to
-    /// [`scalar::softmax_into`]: the same VMAXPS max pass, `exp8` (the
-    /// exact vector mirror of `exp_lane`), the same lane-split sum, and
-    /// the same scalar `1 / sum.max(1e-12)` broadcast multiply.
-    pub fn softmax_into(row: &mut [f32]) {
+    /// In-place softmax over whole rows of `n` — AVX2 tier, each row
+    /// bit-identical to [`scalar::softmax_into`]: the same VMAXPS max
+    /// pass, `exp8` (the exact vector mirror of `exp_lane`), the same
+    /// lane-split sum, and the same scalar `1 / sum.max(1e-12)` broadcast
+    /// multiply. A pass runs over every row (eight at a time) before the
+    /// next begins, so one row's horizontal reduce and divide — a chain of
+    /// dependent scalar operations as long as a short row's vector work —
+    /// overlap the next row's loads instead of stalling them.
+    pub fn softmax_rows_into(rows: &mut [f32], n: usize) {
+        assert!(super::whole_rows(rows.len(), n), "{} scores in rows of {n}", rows.len());
         assert_avx2();
         // SAFETY: AVX2 is present (asserted).
-        unsafe { softmax_avx2(row) }
+        unsafe { softmax_rows_avx2(rows, n) }
     }
 
     #[target_feature(enable = "avx2")]
-    fn softmax_avx2(row: &mut [f32]) {
-        let max = row_max_avx2(row);
-        let (chunks, tail) = row.as_chunks_mut::<8>();
-        let maxv = _mm256_set1_ps(max);
-        let mut acc = _mm256_setzero_ps();
-        for c in chunks.iter_mut() {
-            let e = exp8(_mm256_sub_ps(load8(c), maxv));
-            store8(c, e);
-            acc = _mm256_add_ps(acc, e);
+    fn softmax_rows_avx2(rows: &mut [f32], n: usize) {
+        if n == 0 {
+            return;
         }
-        let exps = tail.iter_mut().map(|v| {
-            *v = super::exp_lane(*v - max);
-            *v
-        });
-        let inv = 1.0 / sum_lanes(acc, exps).max(1e-12);
-        let invv = _mm256_set1_ps(inv);
-        for c in chunks {
-            store8(c, _mm256_mul_ps(load8(c), invv));
-        }
-        for v in tail {
-            *v *= inv;
+        // A row's max, then the sum of its exponentials; and the
+        // exponentials of its `n % 8` tail, which wait in a register for
+        // the sum instead of going through memory behind a masked store.
+        let mut stat = [0.0f32; 8];
+        let mut etail = [_mm256_setzero_ps(); 8];
+        let mask = tail_mask(n % 8);
+        for tile in rows.chunks_mut(8 * n) {
+            for (row, max) in tile.chunks_exact(n).zip(&mut stat) {
+                *max = row_max_avx2(row);
+            }
+            for ((row, stat), etail) in tile.chunks_exact_mut(n).zip(&mut stat).zip(&mut etail)
+            {
+                let (chunks, tail) = row.as_chunks_mut::<8>();
+                let maxv = _mm256_set1_ps(*stat);
+                let mut acc = _mm256_setzero_ps();
+                for c in chunks {
+                    let e = exp8(_mm256_sub_ps(load8(c), maxv));
+                    store8(c, e);
+                    acc = _mm256_add_ps(acc, e);
+                }
+                if !tail.is_empty() {
+                    *etail = exp_tail(tail, maxv);
+                    acc = _mm256_add_ps(acc, *etail);
+                }
+                *stat = reduce8(&spill(acc));
+            }
+            for ((row, sum), etail) in tile.chunks_exact_mut(n).zip(&stat).zip(&etail) {
+                let invv = _mm256_set1_ps(1.0 / sum.max(1e-12));
+                let (chunks, tail) = row.as_chunks_mut::<8>();
+                for c in chunks {
+                    store8(c, _mm256_mul_ps(load8(c), invv));
+                }
+                if !tail.is_empty() {
+                    let probs = _mm256_mul_ps(*etail, invv);
+                    // SAFETY: the mask keeps the store to `tail`'s own floats.
+                    unsafe { _mm256_maskstore_ps(tail.as_mut_ptr(), mask, probs) };
+                }
+            }
         }
     }
 
@@ -1490,65 +1676,89 @@ pub mod avx2 {
         ctx: &mut [f32],
     ) {
         let dh = ctx.len();
-        attn_weighted_sum_tile_into(probs, probs.len(), values, stride, ctx, dh, dh)
+        attn_weighted_sum_tile_into(
+            probs,
+            values,
+            stride,
+            &Blocks::one(probs.len()),
+            ctx,
+            dh,
+            dh,
+        )
     }
+
+    /// Context rows [`attn_weighted_sum_tile_into`] holds in registers at
+    /// once: a beam of five is one pass over its values, where `4 + 1` left
+    /// the fifth lane a chain of dependent adds (measured 8–20 % slower;
+    /// the score kernel's five-row body spills and is not kept).
+    const WSUM_TILE: usize = 5;
 
     /// Query-tile weighted sum — AVX2 tier (see
     /// [`scalar::attn_weighted_sum_tile_into`]). The context rows of up to
-    /// [`ATTN_TILE`](super::ATTN_TILE) queries stay in registers over the
-    /// whole key loop and each V row is loaded once for all of them. Per
-    /// context element nothing changes — `si` ascending, a rounded multiply
-    /// then a rounded add, zero weights skipped per row — so the tile is
-    /// bit-identical to the per-row kernel by construction.
+    /// [`WSUM_TILE`] queries stay in registers over the whole key loop,
+    /// every block of it, and a V row the tile shares is loaded once for
+    /// all of them. Per context element nothing changes
+    /// — `si` ascending, a rounded multiply then a rounded add, zero
+    /// weights skipped per row — so the tile is bit-identical to the
+    /// per-row kernel by construction.
     pub fn attn_weighted_sum_tile_into(
         probs: &[f32],
-        n: usize,
         values: &[f32],
         stride: usize,
+        blocks: &Blocks,
         ctx: &mut [f32],
         cstride: usize,
         dh: usize,
     ) {
-        if n == 0 || probs.len() < n {
+        let t = blocks.rows(probs.len());
+        if t == 0 {
             return;
         }
-        let t = probs.len() / n;
-        assert!(values.len() >= (n - 1) * stride + dh);
         assert!(ctx.len() >= (t - 1) * cstride + dh);
         assert_avx2();
-        // SAFETY: AVX2 is present (asserted); `probs` is exactly `t` rows of
-        // `n`, and the two asserts above bound every `values` and `ctx` row
-        // the body touches.
-        unsafe { weighted_sum_tile_avx2(&probs[..t * n], n, values, stride, ctx, cstride, dh) }
+        // SAFETY: AVX2 is present (asserted); `probs` is `t` whole rows of
+        // `blocks.n` (by `rows`), and the assert above bounds every `ctx`
+        // row the body touches.
+        unsafe { weighted_sum_tile_avx2(probs, values, stride, blocks, ctx, cstride, dh) }
     }
 
     /// # Safety
     ///
-    /// Requires AVX2, `n > 0`, `probs.len() = t * n`, `values.len() >=
-    /// (n - 1) * stride + dh` and `ctx.len() >= (t - 1) * cstride + dh`.
+    /// Requires AVX2, `blocks.n > 0`, `probs.len() = t * blocks.n` and
+    /// `ctx.len() >= (t - 1) * cstride + dh`.
     #[target_feature(enable = "avx2")]
     unsafe fn weighted_sum_tile_avx2(
         probs: &[f32],
-        n: usize,
         values: &[f32],
         stride: usize,
+        blocks: &Blocks,
         ctx: &mut [f32],
         cstride: usize,
         dh: usize,
     ) {
         let chunks = dh / 8;
-        let t = probs.len() / n;
+        let t = probs.len() / blocks.n;
         let mut r = 0usize;
         while r < t {
-            let rows = (t - r).min(super::ATTN_TILE);
-            let p = probs.as_ptr().add(r * n);
+            let rows = (t - r).min(WSUM_TILE);
+            let p = probs.as_ptr().add(r * blocks.n);
             let c = ctx.as_mut_ptr().add(r * cstride);
-            let v = values.as_ptr();
             match rows {
-                1 => weighted_sum_rows_avx2::<1>(p, n, v, stride, c, cstride, chunks),
-                2 => weighted_sum_rows_avx2::<2>(p, n, v, stride, c, cstride, chunks),
-                3 => weighted_sum_rows_avx2::<3>(p, n, v, stride, c, cstride, chunks),
-                _ => weighted_sum_rows_avx2::<4>(p, n, v, stride, c, cstride, chunks),
+                1 => weighted_sum_rows_avx2::<1>(
+                    p, values, stride, blocks, r, c, cstride, chunks,
+                ),
+                2 => weighted_sum_rows_avx2::<2>(
+                    p, values, stride, blocks, r, c, cstride, chunks,
+                ),
+                3 => weighted_sum_rows_avx2::<3>(
+                    p, values, stride, blocks, r, c, cstride, chunks,
+                ),
+                4 => weighted_sum_rows_avx2::<4>(
+                    p, values, stride, blocks, r, c, cstride, chunks,
+                ),
+                _ => weighted_sum_rows_avx2::<5>(
+                    p, values, stride, blocks, r, c, cstride, chunks,
+                ),
             }
             r += rows;
         }
@@ -1556,9 +1766,9 @@ pub mod avx2 {
         if base < dh {
             super::scalar::attn_weighted_sum_tile_into(
                 probs,
-                n,
                 &values[base..],
                 stride,
+                blocks,
                 &mut ctx[base..],
                 cstride,
                 dh - base,
@@ -1566,65 +1776,75 @@ pub mod avx2 {
         }
     }
 
-    /// `R` context rows, two 8-lane column chunks at a time (then an odd
-    /// last one): `2 * R ≤ 8` accumulators, the V chunks and one
-    /// broadcast weight fit the 16 registers.
+    /// `R` context rows, rows `row0..` of `blocks`, two 8-lane column
+    /// chunks at a time (then an odd last one): `2 * R ≤ 10` accumulators,
+    /// the V chunks and one broadcast weight fit the 16 registers.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 and, for `r < R`, `si < n`: `probs[r * n + si]`,
-    /// `values[si * stride..][..chunks * 8]` and
-    /// `ctx[r * cstride..][..chunks * 8]` in bounds of their allocations.
+    /// As [`weighted_sum_tile_avx2`], with `probs` and `ctx` at row `row0`,
+    /// `R` rows left from there and `chunks * 8 <= dh`.
     #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
     unsafe fn weighted_sum_rows_avx2<const R: usize>(
         probs: *const f32,
-        n: usize,
-        values: *const f32,
+        values: &[f32],
         stride: usize,
+        blocks: &Blocks,
+        row0: usize,
         ctx: *mut f32,
         cstride: usize,
         chunks: usize,
     ) {
         let mut ch = 0usize;
         while ch + 2 <= chunks {
+            let c = ctx.add(ch * 8);
             weighted_sum_block_avx2::<R, 2>(
                 probs,
-                n,
-                values.add(ch * 8),
+                values,
+                ch * 8,
                 stride,
-                ctx.add(ch * 8),
+                blocks,
+                row0,
+                c,
                 cstride,
             );
             ch += 2;
         }
         if ch < chunks {
+            let c = ctx.add(ch * 8);
             weighted_sum_block_avx2::<R, 1>(
                 probs,
-                n,
-                values.add(ch * 8),
+                values,
+                ch * 8,
                 stride,
-                ctx.add(ch * 8),
+                blocks,
+                row0,
+                c,
                 cstride,
             );
         }
     }
 
-    /// One `R × C`-register block of [`weighted_sum_rows_avx2`], held in
-    /// registers from the first key to the last. Zero weights are looked
-    /// for eight keys at a time: a group without one adds every key with
-    /// no per-weight compare-and-branch, a group with one (and the
-    /// `n % 8` tail) tests each weight before its add.
+    /// One `R × C`-register block of [`weighted_sum_rows_avx2`] — columns
+    /// `col..col + 8 * C` — held in registers from the first key of the
+    /// first block to the last of the last. Each block's value rows are
+    /// cut out of `values` by a checked slice, so the pointers below
+    /// cannot leave it whatever the table holds.
     ///
     /// # Safety
     ///
-    /// As [`weighted_sum_rows_avx2`], with `C` chunks from `values` / `ctx`.
+    /// As [`weighted_sum_rows_avx2`], with `ctx` at column `col`.
     #[target_feature(enable = "avx2")]
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     unsafe fn weighted_sum_block_avx2<const R: usize, const C: usize>(
         probs: *const f32,
-        n: usize,
-        values: *const f32,
+        values: &[f32],
+        col: usize,
         stride: usize,
+        blocks: &Blocks,
+        row0: usize,
         ctx: *mut f32,
         cstride: usize,
     ) {
@@ -1634,29 +1854,17 @@ pub mod avx2 {
                 *a = _mm256_loadu_ps(ctx.add(r * cstride + j * 8));
             }
         }
-        let mut si = 0usize;
-        while si + 8 <= n {
-            // `== 0.0` as the scalar tier tests it: true for `-0.0`,
-            // false for NaN.
-            let mut zeros = 0i32;
-            for r in 0..R {
-                let w = _mm256_loadu_ps(probs.add(r * n + si));
-                zeros |=
-                    _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(w, _mm256_setzero_ps()));
-            }
-            if zeros == 0 {
-                for s in si..si + 8 {
-                    weighted_sum_key_avx2::<R, C, false>(&mut acc, probs, n, values, stride, s);
-                }
+        for (i, (at, len)) in blocks.spans().enumerate() {
+            let floats = (len - 1) * stride + col + C * 8;
+            let vb: [*const f32; R] = std::array::from_fn(|r| {
+                values[blocks.start(row0 + r, i)..][..floats].as_ptr().add(col)
+            });
+            let p = probs.add(at);
+            if vb.iter().all(|&v| v == vb[0]) {
+                weighted_sum_keys_avx2::<R, C, true>(&mut acc, p, blocks.n, vb, stride, len);
             } else {
-                for s in si..si + 8 {
-                    weighted_sum_key_avx2::<R, C, true>(&mut acc, probs, n, values, stride, s);
-                }
+                weighted_sum_keys_avx2::<R, C, false>(&mut acc, p, blocks.n, vb, stride, len);
             }
-            si += 8;
-        }
-        for s in si..n {
-            weighted_sum_key_avx2::<R, C, true>(&mut acc, probs, n, values, stride, s);
         }
         for (r, row) in acc.iter().enumerate() {
             for (j, a) in row.iter().enumerate() {
@@ -1665,35 +1873,91 @@ pub mod avx2 {
         }
     }
 
-    /// Key `si` of [`weighted_sum_block_avx2`]: `acc[r] += probs[r][si] *
-    /// V[si]` for each row, the V chunks loaded once. `SKIP_ZEROS` keeps
-    /// the contract that a zero weight adds nothing; without it the
-    /// caller has checked that no row's weight is zero.
+    /// The `len` keys of one block of [`weighted_sum_block_avx2`]: row
+    /// `r`'s weights at `probs[r * pstride..]`, its value rows at `vb[r]`
+    /// (all the same block when `SHARED`). Zero weights are looked for
+    /// eight keys at a time: a group without one adds every key with no
+    /// per-weight compare-and-branch, a group with one (and the `len % 8`
+    /// tail) tests each weight before its add.
     ///
     /// # Safety
     ///
-    /// As [`weighted_sum_block_avx2`], with `si < n`.
+    /// Requires AVX2 and, for `r < R`, `si < len`: `probs[r * pstride +
+    /// si]` and `vb[r][si * stride..][..C * 8]` in bounds of their
+    /// allocations.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn weighted_sum_key_avx2<const R: usize, const C: usize, const SKIP_ZEROS: bool>(
+    unsafe fn weighted_sum_keys_avx2<const R: usize, const C: usize, const SHARED: bool>(
         acc: &mut [[__m256; C]; R],
         probs: *const f32,
-        n: usize,
-        values: *const f32,
+        pstride: usize,
+        vb: [*const f32; R],
         stride: usize,
-        si: usize,
+        len: usize,
     ) {
-        let mut v = [_mm256_setzero_ps(); C];
-        for (j, vj) in v.iter_mut().enumerate() {
-            *vj = _mm256_loadu_ps(values.add(si * stride + j * 8));
+        let mut si = 0usize;
+        while si + 8 <= len {
+            // `== 0.0` as the scalar tier tests it: true for `-0.0`,
+            // false for NaN.
+            let mut zeros = 0i32;
+            for r in 0..R {
+                let w = _mm256_loadu_ps(probs.add(r * pstride + si));
+                zeros |=
+                    _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(w, _mm256_setzero_ps()));
+            }
+            for s in si..si + 8 {
+                let (w, v) = (probs.add(s), vb.map(|v| v.add(s * stride)));
+                if zeros == 0 {
+                    weighted_sum_key_avx2::<R, C, false, SHARED>(acc, w, pstride, v);
+                } else {
+                    weighted_sum_key_avx2::<R, C, true, SHARED>(acc, w, pstride, v);
+                }
+            }
+            si += 8;
+        }
+        for s in si..len {
+            let (w, v) = (probs.add(s), vb.map(|v| v.add(s * stride)));
+            weighted_sum_key_avx2::<R, C, true, SHARED>(acc, w, pstride, v);
+        }
+    }
+
+    /// One key of [`weighted_sum_keys_avx2`]: `acc[r] += w[r * pstride] *
+    /// v[r][..C * 8]` for each row, the V chunks loaded once when
+    /// `SHARED`. `SKIP_ZEROS` keeps the contract that a zero weight adds
+    /// nothing; without it the caller has checked that no row's weight is
+    /// zero.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and, for `r < R`, `w[r * pstride]` and `v[r][..C *
+    /// 8]` in bounds of their allocations.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn weighted_sum_key_avx2<
+        const R: usize,
+        const C: usize,
+        const SKIP_ZEROS: bool,
+        const SHARED: bool,
+    >(
+        acc: &mut [[__m256; C]; R],
+        w: *const f32,
+        pstride: usize,
+        v: [*const f32; R],
+    ) {
+        let mut shared = [_mm256_setzero_ps(); C];
+        if SHARED {
+            for (j, vj) in shared.iter_mut().enumerate() {
+                *vj = _mm256_loadu_ps(v[0].add(j * 8));
+            }
         }
         for (r, row) in acc.iter_mut().enumerate() {
-            let w = *probs.add(r * n + si);
+            let w = *w.add(r * pstride);
             if SKIP_ZEROS && w == 0.0 {
                 continue;
             }
             let wv = _mm256_set1_ps(w);
-            for (a, vj) in row.iter_mut().zip(v) {
+            for (j, a) in row.iter_mut().enumerate() {
+                let vj = if SHARED { shared[j] } else { _mm256_loadu_ps(v[r].add(j * 8)) };
                 *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, vj));
             }
         }
@@ -1957,11 +2221,9 @@ pub fn packed_keys_len(n: usize, dh: usize) -> usize {
 /// lanes of the last group past `n` are written as zeros, so `out`
 /// (exactly [`packed_keys_len`] floats) keeps nothing of what it held.
 ///
-/// Worth its copy wherever keys are written once and then scored
-/// against many queries (an encoder layer's keys against every source
-/// position, a request's cross-attention keys against every lane of
-/// every step); a decoder lane's own keys grow by a row per step and
-/// stay row-major for [`attn_scores_into`].
+/// Every key the inference path scores is packed: an encoder layer's and
+/// a request's cross-attention keys here, whole; a decoder lane's own
+/// keys one per step, by [`pack_key_into`].
 pub fn pack_keys(keys: &[f32], stride: usize, n: usize, dh: usize, out: &mut [f32]) {
     assert_eq!(out.len(), packed_keys_len(n, dh));
     for (g, group) in out.chunks_exact_mut(dh * LANES).enumerate() {
@@ -1975,27 +2237,42 @@ pub fn pack_keys(keys: &[f32], stride: usize, n: usize, dh: usize, out: &mut [f3
     }
 }
 
+/// Writes `key` as key `at` of a packed buffer of `key.len()`-element keys
+/// ([`pack_keys`]' layout), leaving every other key of it alone.
+pub fn pack_key_into(key: &[f32], at: usize, out: &mut [f32]) {
+    let group = &mut out[at / LANES * key.len() * LANES..][..key.len() * LANES];
+    for (lanes, &v) in group.chunks_exact_mut(LANES).zip(key) {
+        lanes[at % LANES] = v;
+    }
+}
+
 /// Dispatched QK^T scores of a tile of queries against keys packed by
-/// [`pack_keys`]: `scores[r * n + si]` is the scaled dot of query
-/// `q[r * qstride..][..dh]` with key `si`, for `scores.len() / n`
-/// queries — per score the rounded operations of [`attn_scores_into`] in
-/// its order (lane split by 8, ascending, tree reduce, then the scale),
+/// [`pack_keys`], block by block ([`Blocks`]; each block of each head is
+/// one `pack_keys` buffer): `scores[r * n + si]` is the scaled dot of query
+/// `q[r * qstride..][..dh]` with row `r`'s key `si`, for `scores.len() /
+/// n` queries — per score the rounded operations of [`attn_scores_into`]
+/// in its order (lane split by 8, ascending, tree reduce, then the scale),
 /// so the two layouts agree bit-for-bit.
+///
+/// # Panics
+///
+/// Panics when `scores` is not whole rows of `blocks.n`, or a row, table
+/// entry or block lies outside its buffer.
 pub fn attn_scores_packed_tile_into(
     q: &[f32],
     qstride: usize,
     dh: usize,
     kp: &[f32],
-    n: usize,
+    blocks: &Blocks,
     scale: f32,
     scores: &mut [f32],
 ) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 | IsaTier::Vnni => {
-            avx2::attn_scores_packed_tile_into(q, qstride, dh, kp, n, scale, scores)
+            avx2::attn_scores_packed_tile_into(q, qstride, dh, kp, blocks, scale, scores)
         }
-        _ => scalar::attn_scores_packed_tile_into(q, qstride, dh, kp, n, scale, scores),
+        _ => scalar::attn_scores_packed_tile_into(q, qstride, dh, kp, blocks, scale, scores),
     }
 }
 
@@ -2005,10 +2282,21 @@ pub fn attn_scores_packed_tile_into(
 /// entries (masked attention slots) come out exactly `+0.0`, which the
 /// weighted-sum kernel then skips.
 pub fn softmax_into(row: &mut [f32]) {
+    softmax_rows_into(row, row.len())
+}
+
+/// [`softmax_into`] over each of the `rows.len() / n` whole rows of `n` —
+/// how attention calls it, for the score rows of a query tile.
+///
+/// # Panics
+///
+/// Panics when `rows` is not whole rows of `n`.
+pub fn softmax_rows_into(rows: &mut [f32], n: usize) {
+    assert!(whole_rows(rows.len(), n), "{} scores in rows of {n}", rows.len());
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::softmax_into(row),
-        _ => scalar::softmax_into(row),
+        IsaTier::Avx2 | IsaTier::Vnni => avx2::softmax_rows_into(rows, n),
+        _ => rows.chunks_exact_mut(n.max(1)).for_each(scalar::softmax_into),
     }
 }
 
@@ -2016,25 +2304,30 @@ pub fn softmax_into(row: &mut [f32]) {
 /// probs[si] * values[si*stride + j]`, `si` ascending, zero weights
 /// skipped on every tier. Elementwise over `j`, so tiers are
 /// bit-identical by construction. `ctx` is accumulated into (callers
-/// zero or seed it). The one-row case of
+/// zero or seed it). The one-row, one-block case of
 /// [`attn_weighted_sum_tile_into`].
 pub fn attn_weighted_sum_into(probs: &[f32], values: &[f32], stride: usize, ctx: &mut [f32]) {
     let dh = ctx.len();
-    attn_weighted_sum_tile_into(probs, probs.len(), values, stride, ctx, dh, dh)
+    attn_weighted_sum_tile_into(probs, values, stride, &Blocks::one(probs.len()), ctx, dh, dh)
 }
 
-/// Dispatched weighted sum for a tile of queries over the same `n`
-/// value rows: row `r` accumulates `probs[r*n..(r+1)*n]` into
-/// `ctx[r*cstride..r*cstride + dh]` exactly as
-/// [`attn_weighted_sum_into`] would, for `probs.len() / n` rows. The
-/// AVX2 tier keeps [`ATTN_TILE`] context rows in registers and loads
-/// each value row once for all of them; the scalar tier runs its
-/// per-row body per query.
+/// Dispatched weighted sum for a tile of queries: row `r` accumulates
+/// `probs[r*n..(r+1)*n]` over its `n` value rows — `stride` apart inside a
+/// block, the blocks where [`Blocks`] says — into `ctx[r*cstride..][..dh]`
+/// exactly as [`attn_weighted_sum_into`] would over contiguous rows, for
+/// `probs.len() / n` rows. The AVX2 tier keeps [`ATTN_TILE`] context rows
+/// in registers and loads a value row they share once for all of them;
+/// the scalar tier runs its per-row body per query.
+///
+/// # Panics
+///
+/// Panics when `probs` is not whole rows of `blocks.n`, or a row, table
+/// entry or block lies outside its buffer.
 pub fn attn_weighted_sum_tile_into(
     probs: &[f32],
-    n: usize,
     values: &[f32],
     stride: usize,
+    blocks: &Blocks,
     ctx: &mut [f32],
     cstride: usize,
     dh: usize,
@@ -2042,9 +2335,11 @@ pub fn attn_weighted_sum_tile_into(
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 | IsaTier::Vnni => {
-            avx2::attn_weighted_sum_tile_into(probs, n, values, stride, ctx, cstride, dh)
+            avx2::attn_weighted_sum_tile_into(probs, values, stride, blocks, ctx, cstride, dh)
         }
-        _ => scalar::attn_weighted_sum_tile_into(probs, n, values, stride, ctx, cstride, dh),
+        _ => {
+            scalar::attn_weighted_sum_tile_into(probs, values, stride, blocks, ctx, cstride, dh)
+        }
     }
 }
 

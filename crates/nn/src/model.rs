@@ -876,8 +876,8 @@ impl Seq2Seq {
     /// decode session admits through. One sequence at a time: every
     /// projection is a matmul over that sequence's rows, and attention
     /// takes a tile of [`ATTN_TILE`] consecutive query rows
-    /// ([`attend_tile`]) against the layer's keys, packed once per layer
-    /// ([`crate::kernels::pack_keys`]) and read by every tile. Ragged
+    /// ([`attend_tile`]) against the layer's keys and values, laid out
+    /// per head once per layer ([`KvRows`]) and read by every tile. Ragged
     /// lengths are exact without padding or masking, and every buffer is
     /// linear in the longest source.
     pub fn encode_batch_in(
@@ -915,7 +915,6 @@ impl Seq2Seq {
         let dff = self.cfg.d_ff;
         let t = src.len();
         sc.ensure(t, d, dff);
-        grow(&mut sc.scores, ATTN_TILE * t);
         let rows = t * d;
         self.embed_into(src, &mut sc.x[..rows]);
         for (layer, xw) in self.enc.iter().zip(weights) {
@@ -926,7 +925,8 @@ impl Seq2Seq {
             self.project_into(&xw.wk, a.bk, ln, &mut sc.k[..rows], t, d, d, &mut sc.quant);
             self.project_into(&xw.wv, a.bv, ln, &mut sc.v[..rows], t, d, d, &mut sc.quant);
             pack_heads(&sc.k[..rows], t, h, dh, &mut sc.kp);
-            let kv = KvRows::Packed { keys: &sc.kp, values: &sc.v[..rows], n: t };
+            split_heads(&sc.v[..rows], t, h, dh, &mut sc.vp);
+            let kv = KvRows::contiguous(&sc.kp, &sc.vp, t);
             for (qt, ct) in
                 sc.q[..rows].chunks(ATTN_TILE * d).zip(sc.ctx[..rows].chunks_mut(ATTN_TILE * d))
             {
@@ -1012,8 +1012,9 @@ impl Seq2Seq {
     /// weights — the decoder's for the batched step, the encoder's for
     /// [`Seq2Seq::encode_batch_in`] — are materialized once here
     /// (transposed and packed for the f32 backend, per-row quantized for
-    /// int8); the per-step decode path then allocates nothing. The state
-    /// snapshots the weights, so it must not outlive parameter updates.
+    /// int8); the per-step decode path allocates nothing once its scratch
+    /// has grown to the batch. The state snapshots the weights, so it must
+    /// not outlive parameter updates.
     pub fn begin_decode_batch(&self, cap_lanes: usize, cap_pos: usize) -> BatchedDecoderState {
         let layers = self.dec.len();
         let d = self.cfg.d_model;
@@ -1042,6 +1043,7 @@ impl Seq2Seq {
         let embed_t = self.proj_weight(self.embed, self.cfg.vocab, d);
         BatchedDecoderState {
             d,
+            heads: self.cfg.n_heads,
             cap_pos,
             self_k: vec![vec![0.0; pool * KV_BLOCK * d]; layers],
             self_v: vec![vec![0.0; pool * KV_BLOCK * d]; layers],
@@ -1060,9 +1062,7 @@ impl Seq2Seq {
             xposed,
             enc_xposed: self.encoder_weights(),
             embed_t,
-            // Self-attention scores one lane over at most `cap_pos` cached
-            // positions; cross-attention grows this per registered source.
-            scratch: Scratch { scores: vec![0.0; cap_pos], ..Default::default() },
+            scratch: Scratch::default(),
         }
     }
 
@@ -1073,10 +1073,10 @@ impl Seq2Seq {
     /// so cached keys/values are exact). Every projection (Q/K/V/out,
     /// both FFN layers, and the vocabulary logits) runs as **one** matmul
     /// over all live lanes.
-    /// Self-attention stays per lane, because lanes attend over their own
-    /// different-length caches; cross-attention takes the adjacent lanes
-    /// of one request as a tile ([`attend_tile`]), since they read the
-    /// same K/V.
+    /// Both attentions take a beam — the adjacent lanes of one request,
+    /// all at one position ([`beams`]) — as one query tile
+    /// ([`attend_tile`]): its lanes read the same cross memory, and the
+    /// blocks of self-attention history they still share.
     ///
     /// # Panics
     ///
@@ -1170,26 +1170,34 @@ impl Seq2Seq {
             slade_obs::obs().count(slade_obs::KernelCtr::AttendCalls, 2 * n as u64);
             for lane in 0..n {
                 let p = st.lane_pos[lane];
-                let table = &st.lane_blocks[lane * st.table_stride..][..p / KV_BLOCK + 1];
-                let tail = table[p / KV_BLOCK] as usize;
+                let tail = st.lane_blocks[lane * st.table_stride + p / KV_BLOCK] as usize;
                 debug_assert_eq!(st.block_refs[tail], 1, "lane {lane} writes a shared block");
-                let row = (tail * KV_BLOCK + p % KV_BLOCK) * d;
-                st.self_k[l][row..row + d]
-                    .copy_from_slice(&st.scratch.k[lane * d..(lane + 1) * d]);
-                st.self_v[l][row..row + d]
-                    .copy_from_slice(&st.scratch.v[lane * d..(lane + 1) * d]);
+                write_kv_row(
+                    &mut st.self_k[l],
+                    &mut st.self_v[l],
+                    (h, dh),
+                    (tail, p % KV_BLOCK),
+                    &st.scratch.k[lane * d..(lane + 1) * d],
+                    &st.scratch.v[lane * d..(lane + 1) * d],
+                );
+            }
+            for beam in beams(&st.lane_cross, &st.lane_pos) {
+                let kv = KvRows {
+                    keys: &st.self_k[l],
+                    values: &st.self_v[l],
+                    tables: &st.lane_blocks[beam.start * st.table_stride..],
+                    tstride: st.table_stride,
+                    block: KV_BLOCK,
+                    n: st.lane_pos[beam.start] + 1,
+                };
+                let rows = beam.start * d..beam.end * d;
                 attend_tile(
-                    &st.scratch.q[lane * d..(lane + 1) * d],
-                    &KvRows::Blocks {
-                        keys: &st.self_k[l],
-                        values: &st.self_v[l],
-                        table,
-                        n: p + 1,
-                    },
+                    &st.scratch.q[rows.clone()],
+                    &kv,
                     h,
                     dh,
                     &mut st.scratch.scores,
-                    &mut st.scratch.ctx[lane * d..(lane + 1) * d],
+                    &mut st.scratch.ctx[rows],
                 );
             }
             self.project_into(
@@ -1221,26 +1229,17 @@ impl Seq2Seq {
                 d,
                 &mut st.scratch.quant,
             );
-            // Consecutive lanes of one request read the same K/V: they
-            // attend as one tile (the engine keeps a request's lanes
-            // adjacent).
-            let mut lane = 0usize;
-            while lane < n {
-                let id = st.lane_cross[lane];
-                let run = st.lane_cross[lane..n.min(lane + ATTN_TILE)]
-                    .iter()
-                    .take_while(|&&c| c == id)
-                    .count();
-                let mem = &st.cross[id];
+            for beam in beams(&st.lane_cross, &st.lane_pos) {
+                let mem = &st.cross[st.lane_cross[beam.start]];
+                let rows = beam.start * d..beam.end * d;
                 attend_tile(
-                    &st.scratch.q[lane * d..(lane + run) * d],
-                    &KvRows::Packed { keys: &mem.k[l], values: &mem.v[l], n: mem.s },
+                    &st.scratch.q[rows.clone()],
+                    &KvRows::contiguous(&mem.k[l], &mem.v[l], mem.s),
                     h,
                     dh,
                     &mut st.scratch.scores,
-                    &mut st.scratch.ctx[lane * d..(lane + run) * d],
+                    &mut st.scratch.ctx[rows],
                 );
-                lane += run;
             }
             self.project_into(
                 &xw.cross_wo,
@@ -1312,9 +1311,9 @@ impl Seq2Seq {
     /// (beam hypotheses) of the same request share the projections. The
     /// K/V projections always run in f32 regardless of [`Backend`]: they
     /// happen once per request (not per step), so quantizing them buys
-    /// nothing and would add error to every later step. Keys are stored
-    /// packed ([`crate::kernels::pack_keys`]): every lane of every step
-    /// scores against them. Slots freed by
+    /// nothing and would add error to every later step. Both are stored
+    /// per head ([`KvRows`]): every lane of every step reads them. Slots
+    /// freed by
     /// [`BatchedDecoderState::release_cross_memory`] are reused, so a
     /// long-running continuous-batching session does not grow its
     /// cross-memory table beyond its peak concurrency.
@@ -1327,23 +1326,21 @@ impl Seq2Seq {
         let d = self.cfg.d_model;
         let h = self.cfg.n_heads;
         let st = &mut *state;
-        // Score rows for one tile of this request's lanes, grown here so
-        // a step never sizes anything by the source.
-        grow(&mut st.scratch.scores, ATTN_TILE * s);
         grow(&mut st.scratch.k, s * d);
-        let krows = &mut st.scratch.k[..s * d];
+        let rows = &mut st.scratch.k[..s * d];
         let mut slot = CrossMemory { s, ..Default::default() };
         for (layer, xw) in self.dec.iter().zip(&st.xposed) {
             // `apply`, not `project_into`: these rows were never in
             // `ProjRows`, a count the benchmark holds exact.
             let a = &layer.cross_attn;
             let quant = &mut st.scratch.quant;
-            xw.cross_wk.apply(mem, Some(self.store.data(a.bk)), krows, s, d, d, quant);
+            xw.cross_wk.apply(mem, Some(self.store.data(a.bk)), rows, s, d, d, quant);
             let mut k = Vec::new();
-            pack_heads(krows, s, h, d / h, &mut k);
+            pack_heads(rows, s, h, d / h, &mut k);
             slot.k.push(k);
-            let mut v = vec![0.0f32; s * d];
-            xw.cross_wv.apply(mem, Some(self.store.data(a.bv)), &mut v, s, d, d, quant);
+            xw.cross_wv.apply(mem, Some(self.store.data(a.bv)), rows, s, d, d, quant);
+            let mut v = Vec::new();
+            split_heads(rows, s, h, d / h, &mut v);
             slot.v.push(v);
         }
         if let Some(id) = st.cross_free.pop() {
@@ -1431,7 +1428,7 @@ fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
 
 /// Packs the `n × d_model` key rows `k` head by head
 /// ([`crate::kernels::pack_keys`]) into `out`, resized to exactly the `h`
-/// packed heads — the form [`KvRows::Packed`] reads.
+/// packed heads — the keys of a one-block [`KvRows`].
 fn pack_heads(k: &[f32], n: usize, h: usize, dh: usize, out: &mut Vec<f32>) {
     let per_head = crate::kernels::packed_keys_len(n, dh);
     out.resize(h * per_head, 0.0);
@@ -1441,6 +1438,59 @@ fn pack_heads(k: &[f32], n: usize, h: usize, dh: usize, out: &mut Vec<f32>) {
     for (head, kp) in out.chunks_exact_mut(per_head).enumerate() {
         crate::kernels::pack_keys(&k[head * dh..], h * dh, n, dh, kp);
     }
+}
+
+/// Copies the `n × d_model` value rows `v` into `out` head by head —
+/// `[h][n][dh]`, a head's rows contiguous — resized to exactly that: the
+/// values of a one-block [`KvRows`].
+fn split_heads(v: &[f32], n: usize, h: usize, dh: usize, out: &mut Vec<f32>) {
+    out.resize(n * h * dh, 0.0);
+    for (head, rows) in out.chunks_exact_mut((n * dh).max(1)).enumerate() {
+        for (row, src) in rows.chunks_exact_mut(dh).zip(v[head * dh..].chunks(h * dh)) {
+            row.copy_from_slice(&src[..dh]);
+        }
+    }
+}
+
+/// Writes the key and value rows of one position — `(block, row)` of the
+/// self-attention pools `keys` / `values` — in [`KvRows`]' layout for
+/// `(h, dh)` heads of [`KV_BLOCK`]-row blocks.
+fn write_kv_row(
+    keys: &mut [f32],
+    values: &mut [f32],
+    (h, dh): (usize, usize),
+    (block, row): (usize, usize),
+    k: &[f32],
+    v: &[f32],
+) {
+    let per_head = KV_BLOCK * dh;
+    for head in 0..h {
+        let at = (block * h + head) * per_head;
+        let span = head * dh..(head + 1) * dh;
+        crate::kernels::pack_key_into(&k[span.clone()], row, &mut keys[at..at + per_head]);
+        values[at + row * dh..][..dh].copy_from_slice(&v[span]);
+    }
+}
+
+/// The beams of a step: each maximal run of adjacent lanes that attend as
+/// one query tile — lanes of one request (`cross`) at one position (`pos`),
+/// which is every live lane of a request, since the engine keeps them
+/// adjacent and steps them together.
+fn beams<'a>(
+    cross: &'a [usize],
+    pos: &'a [usize],
+) -> impl Iterator<Item = std::ops::Range<usize>> + 'a {
+    let mut start = 0usize;
+    std::iter::from_fn(move || {
+        let first = (*cross.get(start)?, pos[start]);
+        let len = cross[start..]
+            .iter()
+            .zip(&pos[start..])
+            .take_while(|&(&c, &p)| (c, p) == first)
+            .count();
+        start += len;
+        Some(start - len..start)
+    })
 }
 
 /// One residual branch's inverted-dropout mask; `None` when dropout is off.
@@ -1643,7 +1693,8 @@ struct CrossMemory {
     /// Per layer: the `s` key projections, packed per head (see
     /// [`pack_heads`]).
     k: Vec<Vec<f32>>,
-    /// Per layer: `s × d_model` value projections.
+    /// Per layer: the `s` value projections, head-major (see
+    /// [`split_heads`]).
     v: Vec<Vec<f32>>,
     /// Encoder memory length.
     s: usize,
@@ -1661,6 +1712,8 @@ struct Scratch {
     /// The encoder's keys of the current layer, packed per head.
     kp: Vec<f32>,
     v: Vec<f32>,
+    /// The encoder's values of the current layer, head-major.
+    vp: Vec<f32>,
     ctx: Vec<f32>,
     proj: Vec<f32>,
     hidden: Vec<f32>,
@@ -1670,8 +1723,8 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Room for `n` rows in every row buffer (`logits`, `scores` and
-    /// `kp` are sized where they are used).
+    /// Room for `n` rows in every row buffer (`logits`, `scores`, `kp`
+    /// and `vp` are sized where they are used).
     fn ensure(&mut self, n: usize, d: usize, dff: usize) {
         for buf in [
             &mut self.x,
@@ -1688,20 +1741,22 @@ impl Scratch {
     }
 }
 
-/// Rows per self-attention KV block. Small enough that the one partially
-/// filled tail a forking beam copies is cheap, large enough that a lane's
-/// attention makes few kernel calls per head (8 / 16 / 32 measured; see
-/// CHANGES.md, PR 14).
+/// Positions per self-attention KV block: two key groups of
+/// [`crate::kernels::LANES`]. Small enough that the tail block a forking
+/// beam copies whole is cheap and that lanes which fork mid-block go on
+/// sharing most of their history, large enough that a table walk is short
+/// (8 / 16 / 32 measured under this layout; see CHANGES.md, PR 22).
 const KV_BLOCK: usize = 16;
 
 /// Decoder state for **all** live beam lanes of one decode batch, possibly
 /// spanning several independent requests (continuous-batching style).
 /// Per layer, self-attention keys/values live in one pool of
-/// [`KV_BLOCK`]-row blocks; a lane is a table of block ids, one per
-/// `KV_BLOCK` positions of its history. Beam survivors that continue the
-/// same parent share its blocks by reference, so reordering after a beam
-/// step moves block ids, not history (see DESIGN.md §7.2 for the
-/// invariants).
+/// [`KV_BLOCK`]-row blocks, each laid out per head ([`KvRows`]); a lane
+/// is a table of block ids, one per `KV_BLOCK` positions of its history.
+/// Beam survivors that continue the same parent share its blocks by
+/// reference, so reordering after a beam step moves block ids, not
+/// history, and a beam attends a block its lanes share as one tile (see
+/// DESIGN.md §7.2 for the invariants).
 ///
 /// Built by [`Seq2Seq::begin_decode_batch`]; stepped by
 /// [`Seq2Seq::decode_step_batch`]; lanes are reshuffled with
@@ -1709,12 +1764,13 @@ const KV_BLOCK: usize = 16;
 #[derive(Debug, Clone)]
 pub struct BatchedDecoderState {
     d: usize,
+    heads: usize,
     cap_pos: usize,
     cap_lanes: usize,
     /// Per layer: self-attention key blocks, `KV_BLOCK × d_model` floats
-    /// per block id.
+    /// per block id, packed per head.
     self_k: Vec<Vec<f32>>,
-    /// Per layer: self-attention value blocks, same ids.
+    /// Per layer: self-attention value blocks, same ids, head-major.
     self_v: Vec<Vec<f32>>,
     /// Per block id (one id names that block in every layer and both
     /// tensors): how many lane-table entries hold it.
@@ -1803,9 +1859,11 @@ impl BatchedDecoderState {
     /// history is copied: a survivor takes its parent's block *table*.
     /// Full blocks are never written again and stay shared; a partially
     /// filled tail block is where the next step writes, so every holder
-    /// but the last copies its filled rows into a block of its own — a
-    /// sole surviving child, or a lane that merely keeps its place, copies
-    /// nothing. Returns the rows copied per layer per tensor (what
+    /// but the last copies it — the block whole, one `memcpy` per layer
+    /// per tensor; the rows past the filled ones are never read before
+    /// they are written — into a block of its own. A sole surviving
+    /// child, or a lane that merely keeps its place, copies nothing.
+    /// Returns the filled rows copied per layer per tensor (what
     /// `KernelCtr::KvCowRows` counts).
     ///
     /// # Panics
@@ -1851,9 +1909,8 @@ impl BatchedDecoderState {
             // so the tables name fewer distinct blocks than the pool has.
             let own = self.take_block();
             let block = KV_BLOCK * self.d;
-            let rows = shared * block..shared * block + fill * self.d;
             for pool in self.self_k.iter_mut().chain(self.self_v.iter_mut()) {
-                pool.copy_within(rows.clone(), own as usize * block);
+                pool.copy_within(shared * block..(shared + 1) * block, own as usize * block);
             }
             self.block_refs[shared] -= 1;
             self.lane_blocks[tail] = own;
@@ -1866,23 +1923,38 @@ impl BatchedDecoderState {
     /// Test hook: panics unless the block pool's books balance — every
     /// block is either free or held, refcounts sum to the lanes' table
     /// entries, and every partially filled tail block (the one its lane
-    /// writes next) has exactly one holder. Returns `(free, total)`
-    /// blocks.
-    pub fn check_kv_pool(&self) -> (usize, usize) {
+    /// writes next) has exactly one holder — and then overwrites with NaN
+    /// every row no lane has written: the free blocks and each tail's rows
+    /// from its lane's position on (what a whole-block copy or a block's
+    /// last holder left there). An attention that reads one no longer
+    /// matches its reference. Returns `(free, total)` blocks.
+    pub fn check_kv_pool(&mut self) -> (usize, usize) {
         let mut held = vec![0u32; self.block_refs.len()];
+        let heads = (self.heads, self.d / self.heads);
+        let nan = vec![f32::NAN; self.d];
         for lane in 0..self.lane_pos.len() {
             let table = &self.lane_blocks[self.table_at(lane)];
             for &b in table {
                 held[b as usize] += 1;
             }
-            if !self.lane_pos[lane].is_multiple_of(KV_BLOCK) {
-                let tail = *table.last().expect("a partial tail is a block");
-                assert_eq!(self.block_refs[tail as usize], 1, "lane {lane} shares its tail");
+            let fill = self.lane_pos[lane] % KV_BLOCK;
+            if fill != 0 {
+                let tail = *table.last().expect("a partial tail is a block") as usize;
+                assert_eq!(self.block_refs[tail], 1, "lane {lane} shares its tail");
+                for (keys, values) in self.self_k.iter_mut().zip(&mut self.self_v) {
+                    for row in fill..KV_BLOCK {
+                        write_kv_row(keys, values, heads, (tail, row), &nan, &nan);
+                    }
+                }
             }
         }
         assert_eq!(held, self.block_refs, "refcounts differ from the lane tables");
+        let block = KV_BLOCK * self.d;
         for &b in &self.free_blocks {
             assert_eq!(held[b as usize], 0, "block {b} is both free and held");
+            for pool in self.self_k.iter_mut().chain(self.self_v.iter_mut()) {
+                pool[b as usize * block..][..block].fill(f32::NAN);
+            }
         }
         let in_use = held.iter().filter(|&&c| c > 0).count();
         assert_eq!(
@@ -1915,107 +1987,93 @@ impl BatchedDecoderState {
     }
 }
 
-/// The `n` key/value rows one attention reads, in position order
-/// (`d_model` floats per value row), in the layout their writer chose.
-/// Keys written once and scored against many queries are packed; keys
-/// that grow by a row per step are not, since a packed copy would be read
-/// too few times to repay it.
-enum KvRows<'a> {
-    /// Keys packed per head ([`pack_heads`]) beside contiguous value
-    /// rows: an encoder layer, a request's cross memory.
-    Packed { keys: &'a [f32], values: &'a [f32], n: usize },
-    /// Row-major blocks of the self-attention pool: block `i` of `table`
-    /// holds positions `i·KV_BLOCK..` and starts at row
-    /// `table[i]·KV_BLOCK` of `keys` / `values`.
-    Blocks { keys: &'a [f32], values: &'a [f32], table: &'a [u32], n: usize },
+/// The `n` key/value rows each query of a tile reads, in position order —
+/// the one layout of the inference path. Rows sit in blocks of `block`
+/// positions, and a block holds its heads one after the other: K packed
+/// per head (`[h][⌈block / 8⌉][dh][8]`, [`crate::kernels::pack_keys`]), V
+/// head-major (`[h][block][dh]`), so a head streams its keys and values
+/// through consecutive cache lines. Query `r` finds block `i` of its
+/// history at id `tables[r * tstride + i]` of `keys` / `values`: one block
+/// of `n` rows that every query reads for an encoder layer or a request's
+/// cross memory ([`KvRows::contiguous`]), the [`KV_BLOCK`]-row blocks of a
+/// lane's table for decoder self-attention.
+struct KvRows<'a> {
+    keys: &'a [f32],
+    values: &'a [f32],
+    tables: &'a [u32],
+    tstride: usize,
+    block: usize,
+    n: usize,
+}
+
+impl<'a> KvRows<'a> {
+    /// `n` rows in one block ([`pack_heads`], [`split_heads`]) that every
+    /// query of the tile reads.
+    fn contiguous(keys: &'a [f32], values: &'a [f32], n: usize) -> Self {
+        KvRows { keys, values, tables: &[0], tstride: 0, block: n, n }
+    }
 }
 
 /// Multi-head attention of a tile of queries — the `q.len() / d` rows of
-/// `q`; callers pass at most [`ATTN_TILE`], which is what they size
-/// `scores` (`rows × n` floats) for — over the same `n` key/value
-/// rows, writing one context row per query into `ctx` (zeroed here).
-/// Every attention on the inference path is this function: a tile of
-/// consecutive source positions in the encoder, the beam lanes of one
-/// request in cross-attention, a single lane over the blocks of its own
-/// history in decoder self-attention. Each query's scores, softmax and
-/// context are computed exactly as for a tile of one, so the result does
-/// not depend on how queries are grouped — nor on how the keys are laid
-/// out or the rows segmented: each score is its own reduction (the same
-/// rounded operations from packed keys as from rows), the softmax runs
-/// over the whole row, and the weighted sum adds `w·v` into `ctx` one key
-/// at a time in position order whether a kernel call ends between two
-/// keys or not.
+/// `q`, as many as the caller likes: the kernels cut them into register
+/// tiles of [`ATTN_TILE`], and `scores` grows to `rows × n` floats here —
+/// each over its own `n` key/value rows, writing one context row per
+/// query into `ctx` (zeroed here). Every attention on the inference path
+/// is this function: a tile of consecutive source positions in the
+/// encoder, the beam of one request in cross-attention and in decoder
+/// self-attention. Per head the phases run over the whole tile — all
+/// scores, then every softmax row, then all weighted sums — so no query's
+/// three phases wait on each other.
+///
+/// Each query's scores, softmax and context are computed exactly as for a
+/// tile of one over contiguous rows, so the result depends neither on how
+/// queries are grouped nor on which blocks they share nor on where a
+/// block ends: each score is its own reduction (the same rounded
+/// operations from packed keys as from rows), the softmax runs over the
+/// whole row, and the weighted sum adds `w·v` into the query's context
+/// one key at a time in position order, from the first block to the last.
 fn attend_tile(
     q: &[f32],
     kv: &KvRows,
     h: usize,
     dh: usize,
-    scores: &mut [f32],
+    scores: &mut Vec<f32>,
     ctx: &mut [f32],
 ) {
     use crate::kernels::{
-        attn_scores_into, attn_scores_packed_tile_into, attn_weighted_sum_tile_into,
-        packed_keys_len, softmax_into,
+        attn_scores_packed_tile_into, attn_weighted_sum_tile_into, packed_keys_len,
+        softmax_rows_into, Blocks,
     };
     let d = h * dh;
-    let n = match *kv {
-        KvRows::Packed { n, .. } | KvRows::Blocks { n, .. } => n,
-    };
+    let &KvRows { keys, values, tables, tstride, block, n } = kv;
     let scale = 1.0 / (dh as f32).sqrt();
     ctx.iter_mut().for_each(|c| *c = 0.0);
     if n == 0 {
         // Degenerate empty memory: nothing to attend over, context is 0.
         return;
     }
-    let scores = &mut scores[..q.len() / d * n];
+    let len = q.len() / d * n;
+    grow(scores, len);
+    let scores = &mut scores[..len];
+    // One head of one block: `kp` packed floats of keys, `block * dh` of
+    // values.
+    let kp = packed_keys_len(block, dh);
+    let kblocks = Blocks { tables, tstride, block, bstride: h * kp, n };
+    let vblocks = Blocks { bstride: h * block * dh, ..kblocks };
     for head in 0..h {
         let off = head * dh;
-        match *kv {
-            // The whole tile shares each K group and each V row.
-            KvRows::Packed { keys, values, .. } => {
-                let kp = packed_keys_len(n, dh);
-                let keys = &keys[head * kp..(head + 1) * kp];
-                attn_scores_packed_tile_into(&q[off..], d, dh, keys, n, scale, scores);
-                scores.chunks_exact_mut(n).for_each(softmax_into);
-                attn_weighted_sum_tile_into(
-                    scores,
-                    n,
-                    &values[off..],
-                    d,
-                    &mut ctx[off..],
-                    d,
-                    dh,
-                );
-            }
-            // Neither kernel has a row stride between blocks, so each
-            // query walks them alone (a lane's self-attention is a tile
-            // of one anyway).
-            KvRows::Blocks { keys, values, table, .. } => {
-                // `(first row in keys / values, first position, positions)`
-                let blocks = || {
-                    table.iter().enumerate().map(|(i, &b)| {
-                        let at = i * KV_BLOCK;
-                        (b as usize * KV_BLOCK * d + off, at, KV_BLOCK.min(n - at))
-                    })
-                };
-                for ((qrow, srow), crow) in q
-                    .chunks_exact(d)
-                    .zip(scores.chunks_exact_mut(n))
-                    .zip(ctx.chunks_exact_mut(d))
-                {
-                    for (row, at, len) in blocks() {
-                        let srow = &mut srow[at..at + len];
-                        attn_scores_into(&qrow[off..off + dh], &keys[row..], d, scale, srow);
-                    }
-                    softmax_into(srow);
-                    for (row, at, len) in blocks() {
-                        let crow = &mut crow[off..];
-                        let srow = &srow[at..at + len];
-                        attn_weighted_sum_tile_into(srow, len, &values[row..], d, crow, d, dh);
-                    }
-                }
-            }
-        }
+        attn_scores_packed_tile_into(
+            &q[off..],
+            d,
+            dh,
+            &keys[head * kp..],
+            &kblocks,
+            scale,
+            scores,
+        );
+        softmax_rows_into(scores, n);
+        let values = &values[head * block * dh..];
+        attn_weighted_sum_tile_into(scores, values, dh, &vblocks, &mut ctx[off..], d, dh);
     }
 }
 
@@ -2387,7 +2445,8 @@ mod tests {
                 let a = &layer.cross_attn;
                 let mut k = Vec::new();
                 pack_heads(&m.linear(a.wk, a.bk, &mem, s, d, d), s, h, d / h, &mut k);
-                let v = m.linear(a.wv, a.bv, &mem, s, d, d);
+                let mut v = Vec::new();
+                split_heads(&m.linear(a.wv, a.bv, &mem, s, d, d), s, h, d / h, &mut v);
                 for (name, got, want) in [("k", &slot.k[l], &k), ("v", &slot.v[l], &v)] {
                     assert_eq!(got.len(), want.len(), "cross {name} of layer {l}, source {s}");
                     for (i, (x, y)) in got.iter().zip(want).enumerate() {
@@ -2496,11 +2555,29 @@ mod tests {
         m.decode_last_logits(&mem, 2, &[]);
     }
 
+    /// The key and value rows of position `row` of `block` in layer 0, read
+    /// back out of the packed pools.
+    fn kv_row(st: &BatchedDecoderState, block: usize, row: usize) -> (Vec<f32>, Vec<f32>) {
+        let (h, dh) = (st.heads, st.d / st.heads);
+        let at = |head: usize| (block * h + head) * KV_BLOCK * dh;
+        let k = (0..st.d).map(|c| {
+            let group = at(c / dh) + row / 8 * dh * 8;
+            st.self_k[0][group + c % dh * 8 + row % 8]
+        });
+        let v = (0..st.d).map(|c| st.self_v[0][at(c / dh) + row * dh + c % dh]);
+        (k.collect(), v.collect())
+    }
+
     /// A lane forked five ways with its tail block filled to 0, 1 and
     /// `KV_BLOCK − 1` rows (and mid-block), then all but one child pruned:
-    /// the fork copies the filled rows for four of the five children, the
-    /// prune copies nothing, and every lane keeps decoding what the
-    /// reference forward computes from its own prefix.
+    /// the fork copies the tail block — whole, counted by its filled rows
+    /// — for four of the five children, the prune copies nothing, and every
+    /// lane keeps decoding what the reference forward computes from its own
+    /// prefix. A copied tail holds the parent's filled rows bit for bit and
+    /// has one holder; whatever the copy brought along past them is what
+    /// `check_kv_pool` overwrites with NaN before the next step, as it does
+    /// the free blocks, so the steps that follow would read it as NaN
+    /// logits.
     #[test]
     fn forks_at_block_edges_match_scalar_and_copy_only_shared_tails() {
         let cfg = TransformerConfig { max_len: 3 * KV_BLOCK, ..TransformerConfig::tiny(16) };
@@ -2515,6 +2592,29 @@ mod tests {
             let fill = pos % KV_BLOCK;
             // Lane 1 keeps its place next to the five-way fork of lane 0.
             assert_eq!(p.reorder(&[0, 0, 0, 0, 0, 1]), 4 * fill, "fork at pos {pos}");
+            let tails: Vec<usize> = (0..5)
+                .map(|lane| p.state.lane_blocks[p.state.table_at(lane).end - 1] as usize)
+                .collect();
+            for (lane, &tail) in tails.iter().enumerate().skip(1) {
+                // At a block edge the last block is full and stays shared.
+                assert_eq!(tail == tails[0], fill == 0, "lane {lane} at pos {pos}");
+                for row in 0..KV_BLOCK {
+                    let (k, v) = kv_row(&p.state, tail, row);
+                    if row < fill || fill == 0 {
+                        let (k0, v0) = kv_row(&p.state, tails[0], row);
+                        let same = |a: &[f32], b: &[f32]| {
+                            a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+                        };
+                        assert!(same(&k, &k0) && same(&v, &v0), "lane {lane} row {row}");
+                        assert!(k.iter().chain(&v).all(|x| !x.is_nan()));
+                    } else {
+                        assert!(
+                            k.iter().chain(&v).all(|x| x.is_nan()),
+                            "lane {lane} row {row}"
+                        );
+                    }
+                }
+            }
             p.step();
             assert_eq!(p.reorder(&[5, 2]), 0, "prune at pos {pos}");
             p.step();

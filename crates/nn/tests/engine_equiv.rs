@@ -76,6 +76,23 @@ impl<'m> Paired<'m> {
         cross
     }
 
+    /// One more lane, at position 0, for the already admitted request
+    /// `req` (its cross memory `cross`).
+    fn add_lane(&mut self, req: usize, cross: usize) {
+        self.state.add_lane(cross);
+        self.lanes.push((req, Vec::new()));
+    }
+
+    /// A step on tokens that differ per lane and per step, so forked lanes
+    /// diverge from the fork on.
+    fn step_distinct(&mut self) {
+        let v = self.m.cfg.vocab as u32;
+        let tokens: Vec<u32> = (0..self.lanes.len() as u32)
+            .map(|lane| (3 + 5 * lane + 7 * self.steps as u32) % v)
+            .collect();
+        self.step(&tokens);
+    }
+
     /// One batched step on `tokens`; every lane's logits must equal, bit
     /// for bit, `decode_last_logits` over that lane's whole prefix.
     fn step(&mut self, tokens: &[u32]) {
@@ -380,6 +397,93 @@ fn reregistered_cross_slot_reads_only_its_new_keys() {
         for step in 0..3u32 {
             p.step(&[3 + step, 7 + step, 11 + step]);
         }
+    }
+}
+
+/// `model.rs`'s `KV_BLOCK`: the positions a self-attention block holds.
+const KV_BLOCK: usize = 16;
+
+/// One request whose beam shares none, all and some of its blocks in the
+/// course of one decode — the three cases a beam's self-attention tile
+/// meets. A five-way fork three positions into the first block copies that
+/// tail for four children: no block is common. A reorder at the block edge
+/// (`[0, 0, 0, 3, 3]`) leaves two groups that hold all of their blocks in
+/// common, and nothing across the groups; the next step gives every lane a
+/// tail of its own behind them. A fork five positions into the second block
+/// makes the first block common to all five lanes and the second to none,
+/// and so on past a third edge, down to one survivor: a tile of one. Every
+/// step's logits equal the reference forward's over the lane's own prefix,
+/// bit for bit, on both model shapes, and `check_kv_pool` poisons after
+/// every step and reorder what no lane has written.
+///
+/// Mutation that fails it (reverted): `decode_step_batch` handing every
+/// lane of a beam the beam's first table (`tstride: 0`; step 3, lane 1 —
+/// the first step after the fork that shares nothing).
+#[test]
+fn beam_sharing_none_some_and_all_of_its_blocks_matches_reference() {
+    for shape in 0..2 {
+        let m = model(shape, 19);
+        let mut p = Paired::new(&m, 5, 3 * KV_BLOCK + 2);
+        p.admit(&source(9, 2), 1);
+        let run = |p: &mut Paired, until: usize| {
+            while p.state.lane_len(0) < until {
+                p.step_distinct();
+            }
+        };
+        run(&mut p, 3);
+        p.reorder(&[0, 0, 0, 0, 0]);
+        run(&mut p, KV_BLOCK);
+        p.reorder(&[0, 0, 0, 3, 3]);
+        run(&mut p, KV_BLOCK + 5);
+        p.reorder(&[2, 2, 2, 2, 2]);
+        run(&mut p, 2 * KV_BLOCK);
+        p.reorder(&[4, 1, 1, 0, 0]);
+        run(&mut p, 3 * KV_BLOCK + 1);
+        p.reorder(&[3]);
+        p.step_distinct();
+        p.reorder(&[]);
+        let (free, total) = p.state.check_kv_pool();
+        assert_eq!(free, total, "blocks leaked");
+    }
+}
+
+/// Lanes at different positions in one step. Request A forks five ways and
+/// is three positions into its second block when request B is admitted, so
+/// one step attends A's beam over two blocks and B's lane over one key;
+/// B forks in its turn, and a further lane of B — same cross memory,
+/// position 0 — joins next to B's lanes at position 4: adjacent lanes of
+/// one request that must not attend as one tile. Every step's logits equal
+/// the reference forward's, bit for bit, on both model shapes.
+///
+/// Mutation that fails it (reverted): `beams` cutting runs by request only
+/// (the late lane attends B's history at B's position: step 23, lane 8).
+#[test]
+fn lanes_at_different_positions_in_one_step_match_reference() {
+    for shape in 0..2 {
+        let m = model(shape, 23);
+        let mut p = Paired::new(&m, 10, 2 * KV_BLOCK);
+        p.admit(&source(12, 1), 1);
+        for _ in 0..KV_BLOCK - 2 {
+            p.step_distinct();
+        }
+        p.reorder(&[0, 0, 0, 0, 0]);
+        for _ in 0..5 {
+            p.step_distinct();
+        }
+        let b = p.admit(&source(30, 2), 1);
+        p.step_distinct();
+        p.reorder(&[0, 1, 2, 3, 4, 5, 5, 5]);
+        for _ in 0..3 {
+            p.step_distinct();
+        }
+        p.add_lane(1, b);
+        for _ in 0..4 {
+            p.step_distinct();
+        }
+        assert_eq!(
+            (p.state.lane_len(0), p.state.lane_len(5), p.state.lane_len(8)),
+            (KV_BLOCK + 11, 8, 4)
+        );
     }
 }
 

@@ -13,7 +13,7 @@
 //! recursive muncher and a combined block overflows the recursion limit.
 
 use proptest::prelude::*;
-use slade_nn::kernels::{self, scalar};
+use slade_nn::kernels::{self, scalar, Blocks};
 
 fn mat(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-4.0f32..4.0, len)
@@ -484,7 +484,7 @@ fn packed_attn_scores_are_bit_identical_to_row_major_scalar() {
                             &mut want[r * n..(r + 1) * n],
                         );
                     }
-                    type Kernel = fn(&[f32], usize, usize, &[f32], usize, f32, &mut [f32]);
+                    type Kernel = fn(&[f32], usize, usize, &[f32], &Blocks, f32, &mut [f32]);
                     let mut tiers: Vec<(&str, Kernel)> = vec![
                         ("scalar", scalar::attn_scores_packed_tile_into),
                         ("dispatch", kernels::attn_scores_packed_tile_into),
@@ -495,7 +495,7 @@ fn packed_attn_scores_are_bit_identical_to_row_major_scalar() {
                     }
                     for (tier, kernel) in tiers {
                         let mut got = vec![f32::NAN; t * n];
-                        kernel(&q[OFF..], qstride, dh, &kp, n, scale, &mut got);
+                        kernel(&q[OFF..], qstride, dh, &kp, &Blocks::one(n), scale, &mut got);
                         for (i, (w, g)) in want.iter().zip(&got).enumerate() {
                             assert_eq!(
                                 w.to_bits(),
@@ -598,12 +598,13 @@ fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
                         &mut cs[r * cstride..r * cstride + dh],
                     );
                 }
+                let one = Blocks::one(n);
                 kernels::avx2::attn_weighted_sum_tile_into(
-                    &probs, n, &values, stride, &mut cv, cstride, dh,
+                    &probs, &values, stride, &one, &mut cv, cstride, dh,
                 );
                 // The dispatched entry point, whatever tier is active.
                 kernels::attn_weighted_sum_tile_into(
-                    &probs, n, &values, stride, &mut cd, cstride, dh,
+                    &probs, &values, stride, &one, &mut cd, cstride, dh,
                 );
                 for (i, ((s, v), d)) in cs.iter().zip(&cv).zip(&cd).enumerate() {
                     assert_eq!(
@@ -629,6 +630,345 @@ fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
     }
 }
 
+/// The block-walking tile kernels — scalar body, AVX2 body, dispatched
+/// entry point — against the per-row scalar kernels over the same keys and
+/// values laid out contiguously, which is their definition: every `dh`
+/// shape × every fill of the last block × 1..=5 blocks × 1..=8 query rows
+/// (two register tiles of either kernel, the second ragged). Each row has a
+/// history of its own; which rows keep theirs in the same block varies with
+/// the case: the first blocks are common to all rows, the next ones to
+/// pairs of rows, the rest belong to one row — the tables a forking beam
+/// leaves — and block ids are scattered over the pool. Buffers are handed
+/// over as the model hands them, at a head offset with strides wider than
+/// a row. Everything a kernel must not read is NaN: the keys and value rows
+/// of the last block past its fill, and the pool between blocks. The
+/// weights are softmax rows with `-inf` scores, so zero weights meet
+/// `SKIP_ZEROS` in shared and unshared blocks alike.
+///
+/// Mutations that fail it (each reverted): `scores_packed_rows_avx2` and
+/// `weighted_sum_block_avx2` reading every row's block where row `row0`'s
+/// table says (`blocks.start(row0, i)`), and a tile counted as sharing a
+/// block when its first two rows do (`kb.iter().take(2)`) — both first at
+/// `dh 1 fill 1 blocks 1 rows 4`, whose third row has a block of its own;
+/// the weighted sum taking each block's weights from the row's start
+/// (`probs` for `probs.add(at)`; `dh 8 fill 1 blocks 2 rows 2`); the scalar
+/// body cutting a score row by `block + 1` (`blocks 2`: a NaN key scored).
+#[test]
+fn block_walking_tile_kernels_match_scalar_rows_over_contiguous_keys() {
+    const BLOCK: usize = 16;
+    const OFF: usize = 3;
+    let mut tiers: Vec<&str> = vec!["scalar", "dispatch"];
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        tiers.push("avx2");
+    }
+    for dh in 1usize..=33 {
+        let scale = 1.0 / (dh as f32).sqrt();
+        let (qstride, cstride, vstride) = (dh + 5, dh + 2, dh + 3);
+        // A block: its packed keys, then its value rows, then a gap.
+        let kfloats = kernels::packed_keys_len(BLOCK, dh);
+        let kstride = kfloats + 9;
+        let vblock = BLOCK * vstride + 4;
+        for (nb, fill) in (1usize..=5).flat_map(|nb| (1..=BLOCK).map(move |f| (nb, f))) {
+            let n = (nb - 1) * BLOCK + fill;
+            for t in 1usize..=8 {
+                let seed = ((dh * 7 + nb) * 17 + fill) as u64 * 9 + t as u64;
+                // Which history row `r` reads at block `i`: rows with the
+                // same one share the block.
+                let common = (dh + fill + t) % (nb + 1);
+                let paired = common + (fill + t) % 2;
+                let history = |r: usize, i: usize| match i {
+                    i if i < common => 0,
+                    i if i < paired => 1 + r / 2,
+                    _ => 100 + r,
+                };
+                // Pool blocks: one per table entry, plus one when that
+                // makes 7 a unit — ids are scattered by a stride of 7.
+                let pool = t * nb + usize::from((t * nb).is_multiple_of(7));
+                let mut owners: Vec<(usize, usize)> = Vec::new();
+                let mut tables = vec![0u32; t * nb];
+                for (r, table) in tables.chunks_exact_mut(nb).enumerate() {
+                    for (i, id) in table.iter_mut().enumerate() {
+                        let owner = (history(r, i), i);
+                        let at = owners.iter().position(|&o| o == owner).unwrap_or_else(|| {
+                            owners.push(owner);
+                            owners.len() - 1
+                        });
+                        *id = ((at * 7 + 3) % pool) as u32;
+                    }
+                }
+                // The pool, and each row's keys / values as contiguous rows.
+                let mut kpool = vec![f32::NAN; OFF + pool * kstride];
+                let mut vpool = vec![f32::NAN; OFF + pool * vblock];
+                let mut krows = vec![0.0f32; t * n * dh];
+                let mut vrows = vec![0.0f32; t * n * dh];
+                for (r, table) in tables.chunks_exact(nb).enumerate() {
+                    for (i, &id) in table.iter().enumerate() {
+                        let len = BLOCK.min(n - i * BLOCK);
+                        let salt = (history(r, i) * 31 + i) as u64;
+                        let keys = seeded(seed ^ salt << 8, len * dh);
+                        let mut values = seeded(seed ^ salt << 8 ^ 0x55, len * dh);
+                        values.iter_mut().step_by(11).for_each(|v| *v = -0.0);
+                        krows[(r * n + i * BLOCK) * dh..][..len * dh].copy_from_slice(&keys);
+                        vrows[(r * n + i * BLOCK) * dh..][..len * dh].copy_from_slice(&values);
+                        let kb = &mut kpool[OFF + id as usize * kstride..][..kfloats];
+                        for (at, key) in keys.chunks_exact(dh).enumerate() {
+                            kernels::pack_key_into(key, at, kb);
+                        }
+                        let vb = &mut vpool[OFF + id as usize * vblock..];
+                        for (at, row) in values.chunks_exact(dh).enumerate() {
+                            vb[at * vstride..][..dh].copy_from_slice(row);
+                        }
+                    }
+                }
+                let q = seeded(seed ^ 0x77, OFF + (t - 1) * qstride + dh);
+                let mut want_scores = vec![0.0f32; t * n];
+                for (r, srow) in want_scores.chunks_exact_mut(n).enumerate() {
+                    let qrow = &q[OFF + r * qstride..][..dh];
+                    scalar::attn_scores_into(qrow, &krows[r * n * dh..], dh, scale, srow);
+                }
+                let mut probs = want_scores.clone();
+                for (r, row) in probs.chunks_exact_mut(n).enumerate() {
+                    row.iter_mut()
+                        .skip(r % 3)
+                        .step_by(r + 2)
+                        .for_each(|p| *p = f32::NEG_INFINITY);
+                    if r % 4 == 3 {
+                        // A row without a zero weight.
+                        row.copy_from_slice(&want_scores[r * n..(r + 1) * n]);
+                    }
+                    scalar::softmax_into(row);
+                }
+                let seed_ctx: Vec<f32> = (0..OFF + t * cstride)
+                    .map(|i| if i % 3 == 0 { -0.0 } else { 0.5 * i as f32 })
+                    .collect();
+                let mut want_ctx = seed_ctx.clone();
+                for (r, prow) in probs.chunks_exact(n).enumerate() {
+                    let crow = &mut want_ctx[OFF + r * cstride..][..dh];
+                    scalar::attn_weighted_sum_into(prow, &vrows[r * n * dh..], dh, crow);
+                }
+                let kblocks =
+                    Blocks { tables: &tables, tstride: nb, block: BLOCK, bstride: kstride, n };
+                let vblocks = Blocks { bstride: vblock, ..kblocks };
+                for &tier in &tiers {
+                    let mut got_scores = vec![f32::NAN; t * n];
+                    let mut got_ctx = seed_ctx.clone();
+                    let (kp, vp, qv) = (&kpool[OFF..], &vpool[OFF..], &q[OFF..]);
+                    let ctx = &mut got_ctx[OFF..];
+                    match tier {
+                        "scalar" => {
+                            scalar::attn_scores_packed_tile_into(
+                                qv,
+                                qstride,
+                                dh,
+                                kp,
+                                &kblocks,
+                                scale,
+                                &mut got_scores,
+                            );
+                            scalar::attn_weighted_sum_tile_into(
+                                &probs, vp, vstride, &vblocks, ctx, cstride, dh,
+                            );
+                        }
+                        #[cfg(target_arch = "x86_64")]
+                        "avx2" => {
+                            kernels::avx2::attn_scores_packed_tile_into(
+                                qv,
+                                qstride,
+                                dh,
+                                kp,
+                                &kblocks,
+                                scale,
+                                &mut got_scores,
+                            );
+                            kernels::avx2::attn_weighted_sum_tile_into(
+                                &probs, vp, vstride, &vblocks, ctx, cstride, dh,
+                            );
+                        }
+                        _ => {
+                            kernels::attn_scores_packed_tile_into(
+                                qv,
+                                qstride,
+                                dh,
+                                kp,
+                                &kblocks,
+                                scale,
+                                &mut got_scores,
+                            );
+                            kernels::attn_weighted_sum_tile_into(
+                                &probs, vp, vstride, &vblocks, ctx, cstride, dh,
+                            );
+                        }
+                    }
+                    let case = format!("{tier}: dh {dh} fill {fill} blocks {nb} rows {t}");
+                    for (i, (w, g)) in want_scores.iter().zip(&got_scores).enumerate() {
+                        assert_eq!(w.to_bits(), g.to_bits(), "{case}: score {i} {w} vs {g}");
+                    }
+                    for (i, (w, g)) in want_ctx.iter().zip(&got_ctx).enumerate() {
+                        assert_eq!(w.to_bits(), g.to_bits(), "{case}: ctx {i} {w} vs {g}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Softmax — one row and several at a time — and `sum_exp` on the AVX2 tier
+/// against the scalar tier for every length 1..=70, so every `n % 8` tail
+/// goes through the masked last vector behind 0..=8 whole ones. The rows:
+/// plain; all negative (the max pass must pad the lanes past the row with
+/// `-inf`, not `0.0`); widened until most of `v - max` is in the
+/// flush-to-zero range; with `-inf` entries (masked slots) in the tail and
+/// in whole vectors; and nothing but `-inf`, whose exponentials sum to zero
+/// — `+0.0` everywhere on every tier, not `NaN`. `sum_exp` also takes a
+/// `max` far above the row: a zero sum.
+///
+/// Mutations that fail it (each reverted): the max pass's tail padded with
+/// `0.0` (the blend taking `_mm256_setzero_ps()` for `floor`; the
+/// all-negative row at `n 1`); `exp_tail` without its `and` (`n 1`: the
+/// padding lanes' exponentials join the sum, 7.72 for 1); the normalise pass
+/// stopping at the whole vectors (`n 2`, the tail left unnormalised);
+/// `exp_lane` flushing only `x < -87.0` (the row of `-inf`: NaN from scalar,
+/// zeros from AVX2).
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_softmax_and_sum_exp_match_scalar_at_every_tail() {
+    if !has_avx2() {
+        return;
+    }
+    for n in 1usize..=70 {
+        let plain = seeded(n as u64, n);
+        let masked = |every: usize| -> Vec<f32> {
+            let mut row = plain.clone();
+            row.iter_mut().skip(n % every).step_by(every).for_each(|v| *v = f32::NEG_INFINITY);
+            row
+        };
+        let rows: Vec<(&str, Vec<f32>)> = vec![
+            ("plain", plain.clone()),
+            ("negative", plain.iter().map(|v| -1.5 - v.abs()).collect()),
+            ("wide", plain.iter().map(|v| v * 120.0).collect()),
+            ("masked", masked(3)),
+            // `-inf` from the last whole vector's start on, the tail included.
+            ("masked end", {
+                let mut row = plain.clone();
+                row[(n - 1) / 8 * 8 / 2..].fill(f32::NEG_INFINITY);
+                row[0] = 0.25;
+                row
+            }),
+            ("all -inf", vec![f32::NEG_INFINITY; n]),
+        ];
+        for (name, row) in &rows {
+            let max = scalar::row_max(row);
+            assert_eq!(
+                max.to_bits(),
+                kernels::avx2::row_max(row).to_bits(),
+                "row_max {name} n {n}"
+            );
+            for m in [max, max + 200.0] {
+                if m.is_finite() {
+                    let (s, v) = (scalar::sum_exp(row, m), kernels::avx2::sum_exp(row, m));
+                    assert_eq!(
+                        s.to_bits(),
+                        v.to_bits(),
+                        "sum_exp {name} n {n} max {m}: {s} vs {v}"
+                    );
+                    assert!(m == max || s == 0.0, "a max 200 above the row flushes every term");
+                }
+            }
+            let mut want = row.clone();
+            scalar::softmax_into(&mut want);
+            if *name == "all -inf" {
+                assert!(
+                    want.iter().all(|p| p.to_bits() == 0),
+                    "a zero-sum row is +0.0: {want:?}"
+                );
+            }
+            // Alone, and as each of 1..=9 rows of a tile (the kernel takes
+            // eight rows per pass).
+            for t in [1usize, 2, 8, 9] {
+                let mut got: Vec<f32> = (0..t).flat_map(|_| row.iter().copied()).collect();
+                kernels::avx2::softmax_rows_into(&mut got, n);
+                for (i, g) in got.iter().enumerate() {
+                    let w = want[i % n];
+                    assert_eq!(
+                        w.to_bits(),
+                        g.to_bits(),
+                        "softmax {name} n {n} rows {t} at {i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+// A score or weight buffer that is not whole rows of `n` used to be cut to
+// the whole rows in it — none, for a buffer shorter than one — leaving the
+// rest, or all of it, stale. It panics on every tier, in release too.
+
+/// `kernel` over `len` scores in rows of 6.
+fn scores_with_len(tier: &str, len: usize) {
+    type Kernel = fn(&[f32], usize, usize, &[f32], &Blocks, f32, &mut [f32]);
+    let kernel: Kernel = match tier {
+        #[cfg(target_arch = "x86_64")]
+        "avx2" if has_avx2() => kernels::avx2::attn_scores_packed_tile_into,
+        "dispatch" => kernels::attn_scores_packed_tile_into,
+        _ => scalar::attn_scores_packed_tile_into,
+    };
+    let kp = vec![0.5f32; kernels::packed_keys_len(6, 4)];
+    kernel(&[1.0; 8], 4, 4, &kp, &Blocks::one(6), 1.0, &mut vec![0.0; len]);
+}
+
+/// `kernel` over `len` weights in rows of 6.
+fn weighted_sum_with_len(tier: &str, len: usize) {
+    type Kernel = fn(&[f32], &[f32], usize, &Blocks, &mut [f32], usize, usize);
+    let kernel: Kernel = match tier {
+        #[cfg(target_arch = "x86_64")]
+        "avx2" if has_avx2() => kernels::avx2::attn_weighted_sum_tile_into,
+        "dispatch" => kernels::attn_weighted_sum_tile_into,
+        _ => scalar::attn_weighted_sum_tile_into,
+    };
+    kernel(&vec![0.1; len], &[0.5; 6 * 8], 8, &Blocks::one(6), &mut [0.0; 16], 8, 8);
+}
+
+#[test]
+#[should_panic(expected = "not whole rows")]
+fn scalar_tile_scores_reject_a_buffer_shorter_than_a_row() {
+    scores_with_len("scalar", 5);
+}
+
+#[test]
+#[should_panic(expected = "not whole rows")]
+fn avx2_tile_scores_reject_a_buffer_shorter_than_a_row() {
+    scores_with_len("avx2", 5);
+}
+
+#[test]
+#[should_panic(expected = "not whole rows")]
+fn tile_scores_reject_a_ragged_last_row() {
+    scores_with_len("dispatch", 2 * 6 + 1);
+}
+
+#[test]
+#[should_panic(expected = "not whole rows")]
+fn scalar_tile_weighted_sum_rejects_a_ragged_last_row() {
+    weighted_sum_with_len("scalar", 6 + 5);
+}
+
+#[test]
+#[should_panic(expected = "not whole rows")]
+fn avx2_tile_weighted_sum_rejects_a_buffer_shorter_than_a_row() {
+    weighted_sum_with_len("avx2", 5);
+}
+
+/// Whole rows pass on every tier (the helpers above are not what panics).
+#[test]
+fn tile_kernels_take_whole_rows() {
+    for tier in ["scalar", "avx2", "dispatch"] {
+        scores_with_len(tier, 12);
+        weighted_sum_with_len(tier, 12);
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -644,7 +984,7 @@ proptest! {
             let mut a: Vec<f32> = row[..len].iter().map(|v| v * f).collect();
             let mut b = a.clone();
             scalar::softmax_into(&mut a);
-            kernels::avx2::softmax_into(&mut b);
+            kernels::avx2::softmax_rows_into(&mut b, len);
             for (x, y) in a.iter().zip(&b) {
                 prop_assert_eq!(x.to_bits(), y.to_bits(), "len {}", len);
             }

@@ -96,8 +96,9 @@ impl MetricsInner {
     }
 
     /// Writes the runtime's whole surface into the scrape: admission
-    /// counters, queue and lane gauges, both latency histograms and
-    /// `slade_info` here, then `cache`'s families and the process-wide
+    /// counters, queue and lane gauges, both latency histograms,
+    /// `slade_conservation_drift` ([`MetricsSnapshot::unaccounted`] as of
+    /// this scrape) and `slade_info` here, then `cache`'s families and the process-wide
     /// stage histograms and kernel counters.
     pub fn expose(&self, cache: &ResultCache, p: &mut PromText) {
         self.expose_declared(p);
@@ -108,6 +109,14 @@ impl MetricsInner {
             "slade_lane_capacity_per_shard",
             "Lane budget each shard admits against.",
             self.lane_capacity as f64,
+        );
+        // The identity the tests assert at quiescence, as an alert: it reads
+        // the requests in flight while there are some, 0 once they drain,
+        // and anything else then is a terminal counted twice or never.
+        p.gauge(
+            "slade_conservation_drift",
+            "Submissions without a terminal state (in flight, or miscounted); 0 when idle.",
+            self.snapshot(cache.stats()).unaccounted() as f64,
         );
         p.info(
             "slade_info",

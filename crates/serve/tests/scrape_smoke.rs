@@ -56,6 +56,8 @@ fn scrape_and_trace_smoke() {
     assert_eq!(stats.values["slade_coalesced_total"], 0.0);
     assert_eq!(stats.values["slade_decoded_total"], 4.0);
     assert_eq!(stats.values["slade_spill_hits_total"], 0.0);
+    // Every submission has its terminal: nothing in flight, nothing lost.
+    assert_eq!(stats.values["slade_conservation_drift"], 0.0);
     // All requests drained: the saturating-decrement gauge is back to 0.
     let snap = runtime.metrics();
     assert_eq!(snap.queue_depth, 0, "queue_depth must return to zero");
