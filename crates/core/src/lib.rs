@@ -118,6 +118,63 @@ impl TrainProfile {
             tokenizer: TokenizerOptions::default(),
         }
     }
+
+    /// The model this profile trains, over a `vocab`-token tokenizer.
+    pub fn transformer_config(&self, vocab: usize, backend: Backend) -> TransformerConfig {
+        TransformerConfig {
+            vocab,
+            d_model: self.d_model,
+            n_heads: self.n_heads,
+            d_ff: self.d_ff,
+            enc_layers: self.layers,
+            dec_layers: self.layers,
+            max_len: self.max_src_len.max(self.max_tgt_len) + 2,
+            backend,
+        }
+    }
+
+    /// Whether a tokenized pair is trained on: neither side empty, the
+    /// source within `max_src_len`, the target plus its EOS within
+    /// `max_tgt_len`.
+    pub fn admits(&self, src: &[u32], tgt: &[u32]) -> bool {
+        !src.is_empty()
+            && !tgt.is_empty()
+            && src.len() <= self.max_src_len
+            && tgt.len() < self.max_tgt_len
+    }
+}
+
+/// One teacher-forced pass over `examples` — `(source, target)` token
+/// sequences, pulled one at a time in order — accumulating gradients over
+/// `profile.batch` examples per AdamW step (the last batch of the pass may
+/// be short). The one training loop: fine-tuning, denoising pre-training
+/// and the BTC baseline differ only in the examples they feed it.
+pub fn train_epoch<'a, S: AsRef<[u32]>>(
+    model: &mut Seq2Seq,
+    profile: &TrainProfile,
+    examples: impl IntoIterator<Item = (S, &'a [u32])>,
+) {
+    let step = |model: &mut Seq2Seq, in_batch: usize| {
+        model.adam_step(profile.lr, profile.weight_decay, 1.0 / in_batch as f32);
+        model.zero_grads();
+    };
+    let mut in_batch = 0usize;
+    model.zero_grads();
+    for (src, tgt) in examples {
+        let mut dec_input = vec![special::BOS];
+        dec_input.extend_from_slice(tgt);
+        let mut labels = tgt.to_vec();
+        labels.push(special::EOS);
+        let _ = model.train_pair(src.as_ref(), &dec_input, &labels);
+        in_batch += 1;
+        if in_batch == profile.batch {
+            step(model, in_batch);
+            in_batch = 0;
+        }
+    }
+    if in_batch > 0 {
+        step(model, in_batch);
+    }
 }
 
 /// Builder configuring a SLaDe training run for one ISA × optimization
@@ -188,16 +245,7 @@ impl SladeBuilder {
         }
         let tokenizer =
             UnigramTokenizer::train_with(&corpus, self.profile.vocab, self.profile.tokenizer);
-        let cfg = TransformerConfig {
-            vocab: tokenizer.vocab_size(),
-            d_model: self.profile.d_model,
-            n_heads: self.profile.n_heads,
-            d_ff: self.profile.d_ff,
-            enc_layers: self.profile.layers,
-            dec_layers: self.profile.layers,
-            max_len: self.profile.max_src_len.max(self.profile.max_tgt_len) + 2,
-            backend: self.backend,
-        };
+        let cfg = self.profile.transformer_config(tokenizer.vocab_size(), self.backend);
         let mut model = Seq2Seq::new(cfg, seed);
         if self.profile.dropout > 0.0 {
             model.set_dropout(self.profile.dropout, seed ^ 0xd50);
@@ -210,49 +258,18 @@ impl SladeBuilder {
         for (asm, c) in &pairs {
             let src = tokenizer.encode(&normalize_asm(asm));
             let tgt = tokenizer.encode(c);
-            if src.len() <= self.profile.max_src_len
-                && tgt.len() < self.profile.max_tgt_len
-                && !src.is_empty()
-                && !tgt.is_empty()
-            {
+            if self.profile.admits(&src, &tgt) {
                 encoded.push((src, tgt));
             }
         }
-        // Teacher-forced training with gradient accumulation.
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x51ade);
         let mut order: Vec<usize> = (0..encoded.len()).collect();
         for _epoch in 0..self.profile.epochs {
             order.shuffle(&mut rng);
-            let mut in_batch = 0usize;
-            model.zero_grads();
-            for &i in &order {
-                let (src, tgt) = &encoded[i];
-                let mut dec_input = vec![special::BOS];
-                dec_input.extend_from_slice(tgt);
-                let mut labels = tgt.clone();
-                labels.push(special::EOS);
-                let _ = model.train_pair(src, &dec_input, &labels);
-                in_batch += 1;
-                if in_batch == self.profile.batch {
-                    model.adam_step(
-                        self.profile.lr,
-                        self.profile.weight_decay,
-                        1.0 / in_batch as f32,
-                    );
-                    model.zero_grads();
-                    in_batch = 0;
-                }
-            }
-            if in_batch > 0 {
-                model.adam_step(
-                    self.profile.lr,
-                    self.profile.weight_decay,
-                    1.0 / in_batch as f32,
-                );
-                model.zero_grads();
-            }
+            let shuffled = order.iter().map(|&i| (&encoded[i].0, encoded[i].1.as_slice()));
+            train_epoch(&mut model, &self.profile, shuffled);
         }
         Slade {
             model,
@@ -359,28 +376,10 @@ fn pretrain_denoising(
     let mut order: Vec<usize> = (0..texts.len()).collect();
     for _epoch in 0..profile.pretrain_epochs {
         order.shuffle(&mut rng);
-        let mut in_batch = 0usize;
-        model.zero_grads();
-        for &i in &order {
-            let original = &texts[i];
-            // Fresh corruption every epoch, as in BART.
-            let corrupted = corrupt_spans(original, &mut rng);
-            let mut dec_input = vec![special::BOS];
-            dec_input.extend_from_slice(original);
-            let mut labels = original.clone();
-            labels.push(special::EOS);
-            let _ = model.train_pair(&corrupted, &dec_input, &labels);
-            in_batch += 1;
-            if in_batch == profile.batch {
-                model.adam_step(profile.lr, profile.weight_decay, 1.0 / in_batch as f32);
-                model.zero_grads();
-                in_batch = 0;
-            }
-        }
-        if in_batch > 0 {
-            model.adam_step(profile.lr, profile.weight_decay, 1.0 / in_batch as f32);
-            model.zero_grads();
-        }
+        // Fresh corruption every epoch, as in BART.
+        let corrupted =
+            order.iter().map(|&i| (corrupt_spans(&texts[i], &mut rng), texts[i].as_slice()));
+        train_epoch(model, profile, corrupted);
     }
 }
 
@@ -509,25 +508,14 @@ impl Slade {
     /// [`Slade::max_batch_lanes`] concurrent lanes (batching benefits
     /// saturate far below the default budget).
     pub fn decompile_batch(&self, asm_texts: &[&str]) -> Vec<Vec<String>> {
-        let normalized: Vec<String> = asm_texts.iter().map(|asm| normalize_asm(asm)).collect();
-        let refs: Vec<&str> = normalized.iter().map(String::as_str).collect();
-        self.decompile_batch_normalized(&refs)
-    }
-
-    /// [`Slade::decompile_batch`] over inputs that are **already**
-    /// [`normalize_asm`] output — the entry point for callers (the eval
-    /// harness, the serving runtime's cache) that normalize once up front
-    /// so the cache key and the tokenizer input are provably the same
-    /// string. Inputs are not re-normalized; passing raw assembly here
-    /// tokenizes its boilerplate.
-    pub fn decompile_batch_normalized(&self, normalized_asm: &[&str]) -> Vec<Vec<String>> {
         let beam = self.beam.max(1);
         let per_chunk = (self.max_batch_lanes() / beam).max(1);
         let engine = InferenceEngine::new(&self.model);
-        let mut out = Vec::with_capacity(normalized_asm.len());
-        for chunk in normalized_asm.chunks(per_chunk) {
+        let mut out = Vec::with_capacity(asm_texts.len());
+        for chunk in asm_texts.chunks(per_chunk) {
+            let normalized: Vec<String> = chunk.iter().map(|asm| normalize_asm(asm)).collect();
             let tok_timer = slade_obs::StageTimer::start(slade_obs::StageHist::Tokenize);
-            let requests: Vec<DecodeRequest> = chunk
+            let requests: Vec<DecodeRequest> = normalized
                 .iter()
                 .map(|asm| DecodeRequest {
                     src: self.tokenizer.encode(asm),
@@ -669,10 +657,10 @@ mod tests {
         let mut wide = slade.clone();
         wide.set_max_batch_lanes(Slade::MAX_BATCH_LANES);
         assert_eq!(tight, wide.decompile_batch(&asms), "chunking must not change results");
-        // Pre-normalized entry point agrees with the raw one.
+        // Normalised text is a fixed point, so it decodes like its raw form.
         let normed: Vec<String> = asms.iter().map(|a| normalize_asm(a)).collect();
         let normed_refs: Vec<&str> = normed.iter().map(String::as_str).collect();
-        assert_eq!(tight, slade.decompile_batch_normalized(&normed_refs));
+        assert_eq!(tight, slade.decompile_batch(&normed_refs));
     }
 
     #[test]

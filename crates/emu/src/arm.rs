@@ -4,19 +4,10 @@
 //! builtin dispatch, so ARM assembly can be cross-validated against the
 //! MiniC interpreter exactly like x86 (see `tests/pipeline.rs`).
 
+use crate::machine::{Machine, Ret};
 use crate::{Arg, EmuError, Result};
-use slade_asm::{AsmFile, AsmFunction, Inst, Line, Operand};
-use slade_minic::mem::Memory;
-use slade_minic::value::Pointer;
+use slade_asm::{AsmFunction, Inst, Line, Operand};
 use std::collections::HashMap;
-
-fn pack(p: Pointer) -> u64 {
-    ((p.seg as u64) << 32) | (p.off as u64 & 0xffff_ffff)
-}
-
-fn unpack(v: u64) -> Pointer {
-    Pointer { seg: (v >> 32) as u32, off: (v & 0xffff_ffff) as i64 }
-}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Nzcv {
@@ -26,75 +17,25 @@ struct Nzcv {
     v: bool,
 }
 
-/// AArch64 machine state: 31 general registers plus `sp`, 8 FP registers,
-/// NZCV flags, and segment memory.
-#[derive(Debug)]
-pub struct ArmEmulator {
-    file: AsmFile,
+/// The AArch64 register file: 31 general registers plus `sp`, 32 FP
+/// registers and the NZCV flags.
+#[derive(Debug, Default)]
+pub struct Arm64 {
     x: [u64; 32],
     d: [f64; 32],
     sp: u64,
     flags: Nzcv,
-    mem: Memory,
-    symbols: HashMap<String, u64>,
     /// adrp-pending symbol per register.
     adrp: HashMap<usize, String>,
-    stack_base: u64,
-    fuel: u64,
 }
 
+/// The AArch64 machine: [`Arm64`] registers over the shared segment memory.
+pub type ArmEmulator = Machine<Arm64>;
+
 impl ArmEmulator {
-    /// Builds an emulator for `file`, allocating rodata and a 1 MiB stack.
-    pub fn new(file: AsmFile) -> Self {
-        let mut mem = Memory::new();
-        let mut symbols = HashMap::new();
-        for (label, bytes) in &file.rodata {
-            let p = mem.alloc(bytes.len());
-            mem.store_bytes(p, bytes).expect("fresh rodata");
-            symbols.insert(label.clone(), pack(p));
-        }
-        let stack = mem.alloc(1 << 20);
-        let stack_base = pack(stack) + (1 << 20) - 64;
-        ArmEmulator {
-            file,
-            x: [0; 32],
-            d: [0.0; 32],
-            sp: 0,
-            flags: Nzcv::default(),
-            mem,
-            symbols,
-            adrp: HashMap::new(),
-            stack_base,
-            fuel: 0,
-        }
-    }
-
-    /// Allocates a buffer; returns its packed address.
-    pub fn alloc_buffer(&mut self, bytes: &[u8]) -> u64 {
-        let p = self.mem.alloc(bytes.len());
-        self.mem.store_bytes(p, bytes).expect("fresh segment");
-        pack(p)
-    }
-
-    /// Defines a global symbol backed by `bytes`.
-    pub fn define_global(&mut self, name: &str, bytes: &[u8]) -> u64 {
-        let addr = self.alloc_buffer(bytes);
-        self.symbols.insert(name.to_string(), addr);
-        addr
-    }
-
-    /// Reads memory at a packed address.
-    ///
-    /// # Errors
-    ///
-    /// Faults on invalid ranges.
-    pub fn read_buffer(&self, addr: u64, len: usize) -> Result<Vec<u8>> {
-        self.mem.load_bytes(unpack(addr), len).map_err(|e| EmuError::new(e.to_string()))
-    }
-
     /// The `d0` return value of the last call.
     pub fn ret_f64(&self) -> f64 {
-        self.d[0]
+        self.cpu.d[0]
     }
 
     /// Calls a function with AAPCS64 argument passing; returns `x0`.
@@ -105,29 +46,29 @@ impl ArmEmulator {
     /// exhaustion.
     pub fn call(&mut self, name: &str, args: &[Arg]) -> Result<u64> {
         self.fuel = 10_000_000;
-        self.sp = self.stack_base;
+        self.cpu.sp = self.stack_base;
         let mut int_idx = 0;
         let mut f_idx = 0;
         for a in args {
             match a {
                 Arg::Int(v) => {
                     if int_idx < 8 {
-                        self.x[int_idx] = *v;
+                        self.cpu.x[int_idx] = *v;
                     }
                     int_idx += 1;
                 }
                 Arg::F64(v) => {
-                    self.d[f_idx] = *v;
+                    self.cpu.d[f_idx] = *v;
                     f_idx += 1;
                 }
                 Arg::F32(v) => {
-                    self.d[f_idx] = *v as f64;
+                    self.cpu.d[f_idx] = *v as f64;
                     f_idx += 1;
                 }
             }
         }
         self.exec_function(name)?;
-        Ok(self.x[0])
+        Ok(self.cpu.x[0])
     }
 
     fn exec_function(&mut self, name: &str) -> Result<()> {
@@ -159,24 +100,24 @@ impl ArmEmulator {
 
     fn reg_read(&self, name: &str) -> Result<u64> {
         if name == "sp" {
-            return Ok(self.sp);
+            return Ok(self.cpu.sp);
         }
         if name == "xzr" || name == "wzr" {
             return Ok(0);
         }
         let (k, n) = split_reg(name)?;
         Ok(match k {
-            'x' => self.x[n],
-            'w' => self.x[n] & 0xffff_ffff,
-            'd' => self.d[n].to_bits(),
-            's' => (self.d[n] as f32).to_bits() as u64,
+            'x' => self.cpu.x[n],
+            'w' => self.cpu.x[n] & 0xffff_ffff,
+            'd' => self.cpu.d[n].to_bits(),
+            's' => (self.cpu.d[n] as f32).to_bits() as u64,
             _ => return Err(EmuError::new(format!("register `{name}`"))),
         })
     }
 
     fn reg_write(&mut self, name: &str, v: u64) -> Result<()> {
         if name == "sp" {
-            self.sp = v;
+            self.cpu.sp = v;
             return Ok(());
         }
         if name == "xzr" || name == "wzr" {
@@ -184,10 +125,10 @@ impl ArmEmulator {
         }
         let (k, n) = split_reg(name)?;
         match k {
-            'x' => self.x[n] = v,
-            'w' => self.x[n] = v & 0xffff_ffff,
-            'd' => self.d[n] = f64::from_bits(v),
-            's' => self.d[n] = f32::from_bits(v as u32) as f64,
+            'x' => self.cpu.x[n] = v,
+            'w' => self.cpu.x[n] = v & 0xffff_ffff,
+            'd' => self.cpu.d[n] = f64::from_bits(v),
+            's' => self.cpu.d[n] = f32::from_bits(v as u32) as f64,
             _ => return Err(EmuError::new(format!("register `{name}`"))),
         }
         Ok(())
@@ -196,7 +137,7 @@ impl ArmEmulator {
     fn fp_read(&self, name: &str) -> Result<f64> {
         let (k, n) = split_reg(name)?;
         match k {
-            'd' | 's' => Ok(self.d[n]),
+            'd' | 's' => Ok(self.cpu.d[n]),
             _ => Err(EmuError::new(format!("fp register `{name}`"))),
         }
     }
@@ -205,11 +146,11 @@ impl ArmEmulator {
         let (k, n) = split_reg(name)?;
         match k {
             's' => {
-                self.d[n] = v as f32 as f64;
+                self.cpu.d[n] = v as f32 as f64;
                 Ok(())
             }
             'd' => {
-                self.d[n] = v;
+                self.cpu.d[n] = v;
                 Ok(())
             }
             _ => Err(EmuError::new(format!("fp register `{name}`"))),
@@ -228,27 +169,23 @@ impl ArmEmulator {
         let Operand::MemArm { base, off, .. } = op else {
             return Err(EmuError::new("not a memory operand"));
         };
-        let b = if base == "sp" { self.sp } else { self.reg_read(base)? };
+        let b = if base == "sp" { self.cpu.sp } else { self.reg_read(base)? };
         Ok(b.wrapping_add(*off as u64))
     }
 
     fn load(&self, addr: u64, len: usize) -> Result<u64> {
-        let bytes =
-            self.mem.load_bytes(unpack(addr), len).map_err(|e| EmuError::new(e.to_string()))?;
+        let bytes = self.read_buffer(addr, len)?;
         let mut raw = [0u8; 8];
         raw[..len].copy_from_slice(&bytes);
         Ok(u64::from_le_bytes(raw))
     }
 
     fn store(&mut self, addr: u64, v: u64, len: usize) -> Result<()> {
-        let bytes = v.to_le_bytes();
-        self.mem
-            .store_bytes(unpack(addr), &bytes[..len])
-            .map_err(|e| EmuError::new(e.to_string()))
+        self.write_buffer(addr, &v.to_le_bytes()[..len])
     }
 
     fn cond(&self, cc: &str) -> Result<bool> {
-        let f = self.flags;
+        let f = self.cpu.flags;
         Ok(match cc {
             "eq" => f.z,
             "ne" => !f.z,
@@ -291,7 +228,7 @@ impl ArmEmulator {
                 let Operand::MemArm { base, off, pre_writeback } = &ops[2] else {
                     return Err(EmuError::new("stp operand"));
                 };
-                let baseval = if base == "sp" { self.sp } else { self.reg_read(base)? };
+                let baseval = if base == "sp" { self.cpu.sp } else { self.reg_read(base)? };
                 let addr = baseval.wrapping_add(*off as u64);
                 let va = self.reg_read(&ra)?;
                 let vb = self.reg_read(&rb)?;
@@ -299,7 +236,7 @@ impl ArmEmulator {
                 self.store(addr.wrapping_add(8), vb, 8)?;
                 if *pre_writeback {
                     if base == "sp" {
-                        self.sp = addr;
+                        self.cpu.sp = addr;
                     } else {
                         self.reg_write(base, addr)?;
                     }
@@ -313,7 +250,7 @@ impl ArmEmulator {
                 let Operand::MemArm { base, off, .. } = &ops[2] else {
                     return Err(EmuError::new("ldp operand"));
                 };
-                let baseval = if base == "sp" { self.sp } else { self.reg_read(base)? };
+                let baseval = if base == "sp" { self.cpu.sp } else { self.reg_read(base)? };
                 let addr = baseval.wrapping_add(*off as u64);
                 let va = self.load(addr, 8)?;
                 let vb = self.load(addr.wrapping_add(8), 8)?;
@@ -322,7 +259,7 @@ impl ArmEmulator {
                 if let Some(Operand::Imm(post)) = ops.get(3) {
                     let nb = baseval.wrapping_add(*post as u64);
                     if base == "sp" {
-                        self.sp = nb;
+                        self.cpu.sp = nb;
                     } else {
                         self.reg_write(base, nb)?;
                     }
@@ -356,14 +293,14 @@ impl ArmEmulator {
                 let (dk, dn) = split_reg(&dst)?;
                 let bits = self.reg_read(&src)?;
                 match dk {
-                    'd' => self.d[dn] = f64::from_bits(bits),
-                    's' => self.d[dn] = f32::from_bits(bits as u32) as f64,
+                    'd' => self.cpu.d[dn] = f64::from_bits(bits),
+                    's' => self.cpu.d[dn] = f32::from_bits(bits as u32) as f64,
                     'x' | 'w' => {
                         let (_, sn) = split_reg(&src)?;
                         let v = if dk == 'w' {
-                            ((self.d[sn] as f32).to_bits()) as u64
+                            ((self.cpu.d[sn] as f32).to_bits()) as u64
                         } else {
-                            self.d[sn].to_bits()
+                            self.cpu.d[sn].to_bits()
                         };
                         self.reg_write(&dst, v)?;
                     }
@@ -401,11 +338,11 @@ impl ArmEmulator {
                     }
                     (_, 's') => {
                         let v = self.load(addr, 4)?;
-                        self.d[dn] = f32::from_bits(v as u32) as f64;
+                        self.cpu.d[dn] = f32::from_bits(v as u32) as f64;
                     }
                     (_, 'd') => {
                         let v = self.load(addr, 8)?;
-                        self.d[dn] = f64::from_bits(v);
+                        self.cpu.d[dn] = f64::from_bits(v);
                     }
                     _ => return Err(EmuError::new("ldr form")),
                 }
@@ -432,10 +369,10 @@ impl ArmEmulator {
                         self.store(addr, v, 8)?;
                     }
                     (_, 's') => {
-                        self.store(addr, (self.d[sn] as f32).to_bits() as u64, 4)?;
+                        self.store(addr, (self.cpu.d[sn] as f32).to_bits() as u64, 4)?;
                     }
                     (_, 'd') => {
-                        self.store(addr, self.d[sn].to_bits(), 8)?;
+                        self.store(addr, self.cpu.d[sn].to_bits(), 8)?;
                     }
                     _ => return Err(EmuError::new("str form")),
                 }
@@ -444,7 +381,7 @@ impl ArmEmulator {
                 let dst = reg_name(&ops[0])?;
                 let Operand::Sym(sym) = &ops[1] else { return Err(EmuError::new("adrp")) };
                 let (_, n) = split_reg(&dst)?;
-                self.adrp.insert(n, sym.clone());
+                self.cpu.adrp.insert(n, sym.clone());
                 // Page-address semantics are folded into the :lo12: add.
                 self.reg_write(&dst, 0)?;
             }
@@ -554,7 +491,7 @@ impl ArmEmulator {
                 if wide {
                     let (sa, sb) = (a as i64, b as i64);
                     let r = sa.wrapping_sub(sb);
-                    self.flags = Nzcv {
+                    self.cpu.flags = Nzcv {
                         n: r < 0,
                         z: r == 0,
                         c: a >= b,
@@ -564,7 +501,7 @@ impl ArmEmulator {
                     let (ua, ub) = (a as u32, b as u32);
                     let (sa, sb) = (ua as i32, ub as i32);
                     let r = sa.wrapping_sub(sb);
-                    self.flags = Nzcv {
+                    self.cpu.flags = Nzcv {
                         n: r < 0,
                         z: r == 0,
                         c: ua >= ub,
@@ -575,7 +512,7 @@ impl ArmEmulator {
             "fcmp" => {
                 let a = self.fp_read(&reg_name(&ops[0])?)?;
                 let b = self.fp_read(&reg_name(&ops[1])?)?;
-                self.flags = Nzcv { n: a < b, z: a == b, c: a >= b, v: false };
+                self.cpu.flags = Nzcv { n: a < b, z: a == b, c: a >= b, v: false };
             }
             "cset" => {
                 let dst = reg_name(&ops[0])?;
@@ -652,36 +589,10 @@ impl ArmEmulator {
     }
 
     fn call_builtin(&mut self, name: &str) -> Result<()> {
-        let x0 = self.x[0];
-        let x1 = self.x[1];
-        let x2 = self.x[2];
-        match name {
-            "memcpy" | "memmove" => {
-                let bytes = self.read_buffer(x1, x2 as usize)?;
-                self.mem
-                    .store_bytes(unpack(x0), &bytes)
-                    .map_err(|e| EmuError::new(e.to_string()))?;
-            }
-            "memset" => {
-                let buf = vec![x1 as u8; x2 as usize];
-                self.mem
-                    .store_bytes(unpack(x0), &buf)
-                    .map_err(|e| EmuError::new(e.to_string()))?;
-            }
-            "strlen" => {
-                let s =
-                    self.mem.load_cstr(unpack(x0)).map_err(|e| EmuError::new(e.to_string()))?;
-                self.x[0] = s.len() as u64;
-            }
-            "abs" => {
-                self.x[0] = ((x0 as u32 as i32).wrapping_abs() as u32) as u64;
-            }
-            "sqrt" => self.d[0] = self.d[0].sqrt(),
-            "fabs" => self.d[0] = self.d[0].abs(),
-            "pow" => self.d[0] = self.d[0].powf(self.d[1]),
-            other => {
-                return Err(EmuError::new(format!("call to undefined function `{other}`")))
-            }
+        let (ints, floats) = ([0, 1, 2].map(|r| self.cpu.x[r]), [0, 1].map(|r| self.cpu.d[r]));
+        match self.libc(name, ints, floats)? {
+            Ret::Int(v) => self.cpu.x[0] = v,
+            Ret::F64(v) => self.cpu.d[0] = v,
         }
         Ok(())
     }

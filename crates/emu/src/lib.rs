@@ -33,12 +33,13 @@
 #![warn(missing_docs)]
 
 pub mod arm;
+mod machine;
 
 pub use arm::ArmEmulator;
+pub use machine::Machine;
 
-use slade_asm::{AsmFile, AsmFunction, Inst, Line, Operand};
-use slade_minic::mem::Memory;
-use slade_minic::value::Pointer;
+use machine::Ret;
+use slade_asm::{AsmFunction, Inst, Line, Operand};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -135,84 +136,26 @@ struct Flags {
     of: bool,
 }
 
-/// The machine: registers, flags, vector registers and segment memory.
-#[derive(Debug)]
-pub struct Emulator {
-    file: AsmFile,
+/// The x86-64 register file: general registers, flags, vector registers.
+#[derive(Debug, Default)]
+pub struct X86 {
     gpr: [u64; 16],
     xmm: [[u8; 16]; 16],
     flags: Flags,
-    mem: Memory,
-    symbols: HashMap<String, u64>,
-    stack_base: u64,
-    fuel: u64,
 }
 
-fn pack(p: Pointer) -> u64 {
-    ((p.seg as u64) << 32) | (p.off as u64 & 0xffff_ffff)
-}
-
-fn unpack(v: u64) -> Pointer {
-    Pointer { seg: (v >> 32) as u32, off: (v & 0xffff_ffff) as i64 }
-}
+/// The x86-64 machine: [`X86`] registers over the shared segment memory.
+pub type Emulator = Machine<X86>;
 
 impl Emulator {
-    /// Builds an emulator for `file`, allocating its rodata and a 1 MiB
-    /// stack.
-    pub fn new(file: AsmFile) -> Self {
-        let mut mem = Memory::new();
-        let mut symbols = HashMap::new();
-        for (label, bytes) in &file.rodata {
-            let p = mem.alloc(bytes.len());
-            mem.store_bytes(p, bytes).expect("fresh rodata segment");
-            symbols.insert(label.clone(), pack(p));
-        }
-        let stack = mem.alloc(1 << 20);
-        let stack_base = pack(stack) + (1 << 20) - 64;
-        Emulator {
-            file,
-            gpr: [0; 16],
-            xmm: [[0; 16]; 16],
-            flags: Flags::default(),
-            mem,
-            symbols,
-            stack_base,
-            fuel: 0,
-        }
-    }
-
-    /// Allocates a buffer with the given contents; returns its packed
-    /// address (pass it as an [`Arg::Int`]).
-    pub fn alloc_buffer(&mut self, bytes: &[u8]) -> u64 {
-        let p = self.mem.alloc(bytes.len());
-        self.mem.store_bytes(p, bytes).expect("fresh segment");
-        pack(p)
-    }
-
-    /// Defines global symbol `name` backed by `bytes`.
-    pub fn define_global(&mut self, name: &str, bytes: &[u8]) -> u64 {
-        let addr = self.alloc_buffer(bytes);
-        self.symbols.insert(name.to_string(), addr);
-        addr
-    }
-
-    /// Reads memory at a packed address.
-    ///
-    /// # Errors
-    ///
-    /// Faults on invalid ranges.
-    pub fn read_buffer(&self, addr: u64, len: usize) -> Result<Vec<u8>> {
-        self.mem.load_bytes(unpack(addr), len).map_err(|e| EmuError::new(e.to_string()))
-    }
-
     /// Return value of the last call as a double (`xmm0`).
     pub fn ret_f64(&self) -> f64 {
-        f64::from_le_bytes(self.xmm[0][..8].try_into().unwrap())
+        f64::from_le_bytes(self.cpu.xmm[0][..8].try_into().unwrap())
     }
 
     /// Return value of the last call as a float.
     pub fn ret_f32(&self) -> f32 {
-        f32::from_le_bytes(self.xmm[0][..4].try_into().unwrap())
+        f32::from_le_bytes(self.cpu.xmm[0][..4].try_into().unwrap())
     }
 
     /// Calls function `name` with SysV argument passing; returns `rax`.
@@ -223,7 +166,7 @@ impl Emulator {
     /// or fuel exhaustion (10M instructions).
     pub fn call(&mut self, name: &str, args: &[Arg]) -> Result<u64> {
         self.fuel = 10_000_000;
-        self.gpr[7] = self.stack_base; // rsp
+        self.cpu.gpr[7] = self.stack_base; // rsp
         let mut int_idx = 0;
         let mut f_idx = 0;
         const INT_ARGS: [usize; 6] = [5, 4, 3, 2, 8, 9]; // rdi rsi rdx rcx r8 r9
@@ -231,22 +174,22 @@ impl Emulator {
             match a {
                 Arg::Int(v) => {
                     if int_idx < 6 {
-                        self.gpr[INT_ARGS[int_idx]] = *v;
+                        self.cpu.gpr[INT_ARGS[int_idx]] = *v;
                     }
                     int_idx += 1;
                 }
                 Arg::F64(v) => {
-                    self.xmm[f_idx][..8].copy_from_slice(&v.to_le_bytes());
+                    self.cpu.xmm[f_idx][..8].copy_from_slice(&v.to_le_bytes());
                     f_idx += 1;
                 }
                 Arg::F32(v) => {
-                    self.xmm[f_idx][..4].copy_from_slice(&v.to_le_bytes());
+                    self.cpu.xmm[f_idx][..4].copy_from_slice(&v.to_le_bytes());
                     f_idx += 1;
                 }
             }
         }
         self.exec_function(name)?;
-        Ok(self.gpr[0])
+        Ok(self.cpu.gpr[0])
     }
 
     fn exec_function(&mut self, name: &str) -> Result<()> {
@@ -286,20 +229,20 @@ impl Emulator {
         match m {
             "endbr64" | "nop" => {}
             "pushq" => {
-                self.gpr[7] = self.gpr[7].wrapping_sub(8);
+                self.cpu.gpr[7] = self.cpu.gpr[7].wrapping_sub(8);
                 let v = self.read_op(&ops[0], 8)?;
-                self.write_mem_addr(self.gpr[7], &v.to_le_bytes())?;
+                self.write_buffer(self.cpu.gpr[7], &v.to_le_bytes())?;
             }
             "popq" => {
-                let bytes = self.read_mem_addr(self.gpr[7], 8)?;
-                self.gpr[7] = self.gpr[7].wrapping_add(8);
+                let bytes = self.read_buffer(self.cpu.gpr[7], 8)?;
+                self.cpu.gpr[7] = self.cpu.gpr[7].wrapping_add(8);
                 self.write_op(&ops[0], u64::from_le_bytes(bytes.try_into().unwrap()), 8)?;
             }
             "leave" => {
-                self.gpr[7] = self.gpr[6]; // rsp = rbp
-                let bytes = self.read_mem_addr(self.gpr[7], 8)?;
-                self.gpr[7] = self.gpr[7].wrapping_add(8);
-                self.gpr[6] = u64::from_le_bytes(bytes.try_into().unwrap());
+                self.cpu.gpr[7] = self.cpu.gpr[6]; // rsp = rbp
+                let bytes = self.read_buffer(self.cpu.gpr[7], 8)?;
+                self.cpu.gpr[7] = self.cpu.gpr[7].wrapping_add(8);
+                self.cpu.gpr[6] = u64::from_le_bytes(bytes.try_into().unwrap());
             }
             "ret" => return Ok(Step::Return),
             "movq" | "movl" | "movw" | "movb" | "movabsq" => {
@@ -360,12 +303,12 @@ impl Emulator {
             }
             "cltd" => {
                 // Sign-extend eax into edx.
-                let eax = self.gpr[0] as u32 as i32;
-                self.gpr[3] = if eax < 0 { 0xffff_ffff } else { 0 };
+                let eax = self.cpu.gpr[0] as u32 as i32;
+                self.cpu.gpr[3] = if eax < 0 { 0xffff_ffff } else { 0 };
             }
             "cqto" => {
-                let rax = self.gpr[0] as i64;
-                self.gpr[3] = if rax < 0 { u64::MAX } else { 0 };
+                let rax = self.cpu.gpr[0] as i64;
+                self.cpu.gpr[3] = if rax < 0 { u64::MAX } else { 0 };
             }
             "idivl" | "idivq" | "divl" | "divq" => {
                 let wide = m.ends_with('q');
@@ -377,16 +320,16 @@ impl Emulator {
                         if d == 0 {
                             return Err(EmuError::new("integer division by zero"));
                         }
-                        let a = self.gpr[0] as i64;
-                        self.gpr[0] = a.wrapping_div(d) as u64;
-                        self.gpr[3] = a.wrapping_rem(d) as u64;
+                        let a = self.cpu.gpr[0] as i64;
+                        self.cpu.gpr[0] = a.wrapping_div(d) as u64;
+                        self.cpu.gpr[3] = a.wrapping_rem(d) as u64;
                     } else {
                         if divisor == 0 {
                             return Err(EmuError::new("integer division by zero"));
                         }
-                        let a = self.gpr[0];
-                        self.gpr[0] = a / divisor;
-                        self.gpr[3] = a % divisor;
+                        let a = self.cpu.gpr[0];
+                        self.cpu.gpr[0] = a / divisor;
+                        self.cpu.gpr[3] = a % divisor;
                     }
                 } else {
                     let d32 = divisor as u32;
@@ -395,16 +338,16 @@ impl Emulator {
                         if d == 0 {
                             return Err(EmuError::new("integer division by zero"));
                         }
-                        let a = self.gpr[0] as u32 as i32;
-                        self.gpr[0] = (a.wrapping_div(d) as u32) as u64;
-                        self.gpr[3] = (a.wrapping_rem(d) as u32) as u64;
+                        let a = self.cpu.gpr[0] as u32 as i32;
+                        self.cpu.gpr[0] = (a.wrapping_div(d) as u32) as u64;
+                        self.cpu.gpr[3] = (a.wrapping_rem(d) as u32) as u64;
                     } else {
                         if d32 == 0 {
                             return Err(EmuError::new("integer division by zero"));
                         }
-                        let a = self.gpr[0] as u32;
-                        self.gpr[0] = (a / d32) as u64;
-                        self.gpr[3] = (a % d32) as u64;
+                        let a = self.cpu.gpr[0] as u32;
+                        self.cpu.gpr[0] = (a / d32) as u64;
+                        self.cpu.gpr[3] = (a % d32) as u64;
                     }
                 }
             }
@@ -445,8 +388,8 @@ impl Emulator {
                 let b = self.read_op(&ops[1], width)?;
                 let r = a & b;
                 self.set_zf_sf(r, width);
-                self.flags.cf = false;
-                self.flags.of = false;
+                self.cpu.flags.cf = false;
+                self.cpu.flags.of = false;
             }
             _ if m.starts_with("set") => {
                 let v = self.eval_cond(&m[3..])? as u64;
@@ -466,9 +409,9 @@ impl Emulator {
                 };
                 let target = target.clone();
                 // Align as the ABI would; our code doesn't rely on it.
-                self.gpr[7] = self.gpr[7].wrapping_sub(8);
+                self.cpu.gpr[7] = self.cpu.gpr[7].wrapping_sub(8);
                 self.exec_function(&target)?;
-                self.gpr[7] = self.gpr[7].wrapping_add(8);
+                self.cpu.gpr[7] = self.cpu.gpr[7].wrapping_add(8);
             }
             "movss" | "movsd" => {
                 let width = if m == "movss" { 4 } else { 8 };
@@ -490,10 +433,10 @@ impl Emulator {
                 let single = m == "ucomiss";
                 let a = self.read_float(&ops[1], single)?;
                 let b = self.read_float(&ops[0], single)?;
-                self.flags.zf = a == b;
-                self.flags.cf = a < b;
-                self.flags.sf = false;
-                self.flags.of = false;
+                self.cpu.flags.zf = a == b;
+                self.cpu.flags.cf = a < b;
+                self.cpu.flags.sf = false;
+                self.cpu.flags.of = false;
             }
             "cvtsi2ss" | "cvtsi2sd" | "cvtsi2ssq" | "cvtsi2sdq" => {
                 let wide = m.ends_with('q');
@@ -566,11 +509,11 @@ impl Emulator {
                 let mut addr = *disp as u64;
                 if let Some(b) = base {
                     let (i, _) = gpr_index(b).ok_or_else(|| EmuError::new("bad base reg"))?;
-                    addr = addr.wrapping_add(self.gpr[i]);
+                    addr = addr.wrapping_add(self.cpu.gpr[i]);
                 }
                 if let Some(ix) = index {
                     let (i, _) = gpr_index(ix).ok_or_else(|| EmuError::new("bad index reg"))?;
-                    addr = addr.wrapping_add(self.gpr[i].wrapping_mul(*scale as u64));
+                    addr = addr.wrapping_add(self.cpu.gpr[i].wrapping_mul(*scale as u64));
                 }
                 Ok(addr)
             }
@@ -583,14 +526,6 @@ impl Emulator {
         }
     }
 
-    fn read_mem_addr(&self, addr: u64, len: usize) -> Result<Vec<u8>> {
-        self.mem.load_bytes(unpack(addr), len).map_err(|e| EmuError::new(e.to_string()))
-    }
-
-    fn write_mem_addr(&mut self, addr: u64, bytes: &[u8]) -> Result<()> {
-        self.mem.store_bytes(unpack(addr), bytes).map_err(|e| EmuError::new(e.to_string()))
-    }
-
     fn read_op(&self, op: &Operand, width: u8) -> Result<u64> {
         match op {
             Operand::Imm(v) => Ok(*v as u64),
@@ -598,11 +533,11 @@ impl Emulator {
                 let (i, w) = gpr_index(name)
                     .ok_or_else(|| EmuError::new(format!("unknown register `{name}`")))?;
                 let _ = w;
-                Ok(mask_width(self.gpr[i], width))
+                Ok(mask_width(self.cpu.gpr[i], width))
             }
             Operand::Mem { .. } | Operand::RipSym(_) => {
                 let addr = self.effective_address(op)?;
-                let bytes = self.read_mem_addr(addr, width as usize)?;
+                let bytes = self.read_buffer(addr, width as usize)?;
                 let mut raw = [0u8; 8];
                 raw[..bytes.len()].copy_from_slice(&bytes);
                 Ok(u64::from_le_bytes(raw))
@@ -617,18 +552,18 @@ impl Emulator {
                 let (i, w) = gpr_index(name)
                     .ok_or_else(|| EmuError::new(format!("unknown register `{name}`")))?;
                 let w = w.min(width);
-                self.gpr[i] = match w {
+                self.cpu.gpr[i] = match w {
                     8 => v,
                     4 => v & 0xffff_ffff, // 32-bit writes zero the top half
-                    2 => (self.gpr[i] & !0xffff) | (v & 0xffff),
-                    _ => (self.gpr[i] & !0xff) | (v & 0xff),
+                    2 => (self.cpu.gpr[i] & !0xffff) | (v & 0xffff),
+                    _ => (self.cpu.gpr[i] & !0xff) | (v & 0xff),
                 };
                 Ok(())
             }
             Operand::Mem { .. } | Operand::RipSym(_) => {
                 let addr = self.effective_address(op)?;
                 let bytes = v.to_le_bytes();
-                self.write_mem_addr(addr, &bytes[..width as usize])
+                self.write_buffer(addr, &bytes[..width as usize])
             }
             other => Err(EmuError::new(format!("cannot write operand {other:?}"))),
         }
@@ -647,14 +582,14 @@ impl Emulator {
         match (Self::xmm_index(src), Self::xmm_index(dst)) {
             (None, Some(x)) => {
                 let v = self.read_op(src, width)?;
-                self.xmm[x] = [0; 16];
-                self.xmm[x][..width as usize]
+                self.cpu.xmm[x] = [0; 16];
+                self.cpu.xmm[x][..width as usize]
                     .copy_from_slice(&v.to_le_bytes()[..width as usize]);
                 Ok(())
             }
             (Some(x), None) => {
                 let mut raw = [0u8; 8];
-                raw[..width as usize].copy_from_slice(&self.xmm[x][..width as usize]);
+                raw[..width as usize].copy_from_slice(&self.cpu.xmm[x][..width as usize]);
                 self.write_op(dst, u64::from_le_bytes(raw), width)
             }
             _ => Err(EmuError::new("movd/movq between unsupported operands")),
@@ -663,20 +598,20 @@ impl Emulator {
 
     fn mov_float(&mut self, src: &Operand, dst: &Operand, width: u8) -> Result<()> {
         let bytes: Vec<u8> = match Self::xmm_index(src) {
-            Some(x) => self.xmm[x][..width as usize].to_vec(),
+            Some(x) => self.cpu.xmm[x][..width as usize].to_vec(),
             None => {
                 let addr = self.effective_address(src)?;
-                self.read_mem_addr(addr, width as usize)?
+                self.read_buffer(addr, width as usize)?
             }
         };
         match Self::xmm_index(dst) {
             Some(x) => {
-                self.xmm[x][..width as usize].copy_from_slice(&bytes);
+                self.cpu.xmm[x][..width as usize].copy_from_slice(&bytes);
                 Ok(())
             }
             None => {
                 let addr = self.effective_address(dst)?;
-                self.write_mem_addr(addr, &bytes)
+                self.write_buffer(addr, &bytes)
             }
         }
     }
@@ -684,10 +619,10 @@ impl Emulator {
     fn read_float(&self, op: &Operand, single: bool) -> Result<f64> {
         let width = if single { 4 } else { 8 };
         let bytes: Vec<u8> = match Self::xmm_index(op) {
-            Some(x) => self.xmm[x][..width].to_vec(),
+            Some(x) => self.cpu.xmm[x][..width].to_vec(),
             None => {
                 let addr = self.effective_address(op)?;
-                self.read_mem_addr(addr, width)?
+                self.read_buffer(addr, width)?
             }
         };
         Ok(if single {
@@ -702,22 +637,22 @@ impl Emulator {
             if single { (v as f32).to_le_bytes().to_vec() } else { v.to_le_bytes().to_vec() };
         match Self::xmm_index(op) {
             Some(x) => {
-                self.xmm[x][..bytes.len()].copy_from_slice(&bytes);
+                self.cpu.xmm[x][..bytes.len()].copy_from_slice(&bytes);
                 Ok(())
             }
             None => {
                 let addr = self.effective_address(op)?;
-                self.write_mem_addr(addr, &bytes)
+                self.write_buffer(addr, &bytes)
             }
         }
     }
 
     fn read_vec(&self, op: &Operand) -> Result<[u8; 16]> {
         match Self::xmm_index(op) {
-            Some(x) => Ok(self.xmm[x]),
+            Some(x) => Ok(self.cpu.xmm[x]),
             None => {
                 let addr = self.effective_address(op)?;
-                let bytes = self.read_mem_addr(addr, 16)?;
+                let bytes = self.read_buffer(addr, 16)?;
                 Ok(bytes.try_into().unwrap())
             }
         }
@@ -726,20 +661,20 @@ impl Emulator {
     fn write_vec(&mut self, op: &Operand, v: [u8; 16]) -> Result<()> {
         match Self::xmm_index(op) {
             Some(x) => {
-                self.xmm[x] = v;
+                self.cpu.xmm[x] = v;
                 Ok(())
             }
             None => {
                 let addr = self.effective_address(op)?;
-                self.write_mem_addr(addr, &v)
+                self.write_buffer(addr, &v)
             }
         }
     }
 
     fn set_zf_sf(&mut self, v: u64, width: u8) {
         let masked = mask_width(v, width);
-        self.flags.zf = masked == 0;
-        self.flags.sf = match width {
+        self.cpu.flags.zf = masked == 0;
+        self.cpu.flags.sf = match width {
             4 => (masked as u32 as i32) < 0,
             _ => (masked as i64) < 0,
         };
@@ -750,25 +685,25 @@ impl Emulator {
             let a = dst as u32;
             let b = src as u32;
             let r = a.wrapping_sub(b);
-            self.flags.zf = r == 0;
-            self.flags.sf = (r as i32) < 0;
-            self.flags.cf = a < b;
-            self.flags.of = ((a as i32).wrapping_sub(b as i32) as i64)
+            self.cpu.flags.zf = r == 0;
+            self.cpu.flags.sf = (r as i32) < 0;
+            self.cpu.flags.cf = a < b;
+            self.cpu.flags.of = ((a as i32).wrapping_sub(b as i32) as i64)
                 != (a as i32 as i64) - (b as i32 as i64);
         } else {
             let a = dst;
             let b = src;
             let r = a.wrapping_sub(b);
-            self.flags.zf = r == 0;
-            self.flags.sf = (r as i64) < 0;
-            self.flags.cf = a < b;
-            self.flags.of = ((a as i64).wrapping_sub(b as i64) as i128)
+            self.cpu.flags.zf = r == 0;
+            self.cpu.flags.sf = (r as i64) < 0;
+            self.cpu.flags.cf = a < b;
+            self.cpu.flags.of = ((a as i64).wrapping_sub(b as i64) as i128)
                 != (a as i64 as i128) - (b as i64 as i128);
         }
     }
 
     fn eval_cond(&self, cond: &str) -> Result<bool> {
-        let f = &self.flags;
+        let f = &self.cpu.flags;
         Ok(match cond {
             "e" => f.zf,
             "ne" => !f.zf,
@@ -799,80 +734,13 @@ impl Emulator {
     // ---- libc builtins ----
 
     fn call_builtin(&mut self, name: &str) -> Result<()> {
-        let rdi = self.gpr[5];
-        let rsi = self.gpr[4];
-        let rdx = self.gpr[3];
-        match name {
-            "memcpy" | "memmove" => {
-                let bytes = self.read_mem_addr(rsi, rdx as usize)?;
-                self.write_mem_addr(rdi, &bytes)?;
-                self.gpr[0] = rdi;
-            }
-            "memset" => {
-                let buf = vec![rsi as u8; rdx as usize];
-                self.write_mem_addr(rdi, &buf)?;
-                self.gpr[0] = rdi;
-            }
-            "strlen" => {
-                let s = self
-                    .mem
-                    .load_cstr(unpack(rdi))
-                    .map_err(|e| EmuError::new(e.to_string()))?;
-                self.gpr[0] = s.len() as u64;
-            }
-            "strcmp" => {
-                let a = self
-                    .mem
-                    .load_cstr(unpack(rdi))
-                    .map_err(|e| EmuError::new(e.to_string()))?;
-                let b = self
-                    .mem
-                    .load_cstr(unpack(rsi))
-                    .map_err(|e| EmuError::new(e.to_string()))?;
-                self.gpr[0] = match a.cmp(&b) {
-                    std::cmp::Ordering::Less => (-1i64) as u64,
-                    std::cmp::Ordering::Equal => 0,
-                    std::cmp::Ordering::Greater => 1,
-                };
-            }
-            "abs" => {
-                self.gpr[0] = ((self.gpr[5] as u32 as i32).wrapping_abs() as u32) as u64;
-            }
-            "labs" => {
-                self.gpr[0] = (self.gpr[5] as i64).wrapping_abs() as u64;
-            }
-            "sqrt" | "fabs" | "sin" | "cos" | "tan" | "exp" | "log" | "floor" | "ceil" => {
-                let x = f64::from_le_bytes(self.xmm[0][..8].try_into().unwrap());
-                let r = match name {
-                    "sqrt" => x.sqrt(),
-                    "fabs" => x.abs(),
-                    "sin" => x.sin(),
-                    "cos" => x.cos(),
-                    "tan" => x.tan(),
-                    "exp" => x.exp(),
-                    "log" => x.ln(),
-                    "floor" => x.floor(),
-                    _ => x.ceil(),
-                };
-                self.xmm[0][..8].copy_from_slice(&r.to_le_bytes());
-            }
-            "pow" | "fmod" | "fmin" | "fmax" => {
-                let x = f64::from_le_bytes(self.xmm[0][..8].try_into().unwrap());
-                let y = f64::from_le_bytes(self.xmm[1][..8].try_into().unwrap());
-                let r = match name {
-                    "pow" => x.powf(y),
-                    "fmod" => x % y,
-                    "fmin" => x.min(y),
-                    _ => x.max(y),
-                };
-                self.xmm[0][..8].copy_from_slice(&r.to_le_bytes());
-            }
-            "putchar" | "printf" => {
-                self.gpr[0] = 0;
-            }
-            other => {
-                return Err(EmuError::new(format!("call to undefined function `{other}`")));
-            }
+        let ints = [5, 4, 3].map(|r| self.cpu.gpr[r]); // rdi, rsi, rdx
+        let floats = [0, 1].map(|x| {
+            f64::from_le_bytes(self.cpu.xmm[x][..8].try_into().expect("8 of 16 bytes"))
+        });
+        match self.libc(name, ints, floats)? {
+            Ret::Int(v) => self.cpu.gpr[0] = v,
+            Ret::F64(v) => self.cpu.xmm[0][..8].copy_from_slice(&v.to_le_bytes()),
         }
         Ok(())
     }

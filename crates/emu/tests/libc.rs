@@ -1,0 +1,162 @@
+//! The two emulators and the MiniC interpreter agree about libc: for every
+//! builtin in the emulators' shared table, a one-line function that calls
+//! it — compiled for x86-64 and for AArch64 — returns on its emulator what
+//! `minic::interp` returns, and leaves the same bytes in its buffers.
+
+use slade_asm::parse_asm;
+use slade_compiler::{compile_function, CompileOpts, Isa, OptLevel};
+use slade_emu::{Arg, ArmEmulator, Emulator, Machine};
+use slade_minic::{parse_program, Interpreter, Value};
+
+#[derive(Clone, Copy)]
+enum In {
+    Int(i64),
+    F64(f64),
+    Buf(&'static [u8]),
+}
+
+/// A call's observable behaviour: the return register as raw bits (an
+/// `int` sign-extended) and every buffer argument afterwards.
+type Observed = (u64, Vec<Vec<u8>>);
+
+fn on_interpreter(src: &str, inputs: &[In]) -> Observed {
+    let program = parse_program(src).expect("parses");
+    let mut interp = Interpreter::new(&program).expect("checks");
+    let mut bufs = Vec::new();
+    let args: Vec<Value> = inputs
+        .iter()
+        .map(|input| match *input {
+            In::Int(v) => Value::long(v),
+            In::F64(v) => Value::F64(v),
+            In::Buf(bytes) => {
+                bufs.push((interp.alloc_buffer(bytes), bytes.len()));
+                Value::Ptr(bufs[bufs.len() - 1].0)
+            }
+        })
+        .collect();
+    let ret = match interp.call("f", &args).expect("interpreter runs").ret {
+        Some(Value::Int(v, _)) => v as u64,
+        Some(Value::F64(v)) => v.to_bits(),
+        other => panic!("unexpected return {other:?}"),
+    };
+    (ret, bufs.iter().map(|&(p, len)| interp.read_buffer(p, len).expect("in range")).collect())
+}
+
+/// The same on one emulator; `call` and `ret_f64` are the ISA's own (its
+/// argument registers, its floating-point return register). What `src`
+/// declares `f` to return says which register holds the result.
+fn on_emulator<C: Default>(
+    mut emu: Machine<C>,
+    src: &str,
+    inputs: &[In],
+    call: impl Fn(&mut Machine<C>, &[Arg]) -> slade_emu::Result<u64>,
+    ret_f64: impl Fn(&Machine<C>) -> f64,
+) -> Result<Observed, String> {
+    let mut bufs = Vec::new();
+    let args: Vec<Arg> = inputs
+        .iter()
+        .map(|input| match *input {
+            In::Int(v) => Arg::Int(v as u64),
+            In::F64(v) => Arg::F64(v),
+            In::Buf(bytes) => {
+                bufs.push((emu.alloc_buffer(bytes), bytes.len()));
+                Arg::Int(bufs[bufs.len() - 1].0)
+            }
+        })
+        .collect();
+    let int = call(&mut emu, &args).map_err(|e| e.to_string())?;
+    let ret = match src.split(' ').next() {
+        Some("double") => ret_f64(&emu).to_bits(),
+        Some("long") => int,
+        _ => int as u32 as i32 as i64 as u64,
+    };
+    Ok((ret, bufs.iter().map(|&(p, len)| emu.read_buffer(p, len).expect("in range")).collect()))
+}
+
+fn on_both_isas(src: &str, inputs: &[In], opt: OptLevel) -> [Result<Observed, String>; 2] {
+    let program = parse_program(src).expect("parses");
+    let asm =
+        |isa| compile_function(&program, "f", CompileOpts::new(isa, opt)).expect("compiles");
+    let x86 = Emulator::new(parse_asm(&asm(Isa::X86_64), slade_asm::Isa::X86_64));
+    let arm = ArmEmulator::new(parse_asm(&asm(Isa::Arm64), slade_asm::Isa::Arm64));
+    [
+        on_emulator(x86, src, inputs, |e, args| e.call("f", args), |e| e.ret_f64()),
+        on_emulator(arm, src, inputs, |e, args| e.call("f", args), |e| e.ret_f64()),
+    ]
+}
+
+#[test]
+fn every_builtin_agrees_with_the_interpreter_on_both_isas() {
+    const S: &[u8] = b"pear\0";
+    const T: &[u8] = b"plum\0";
+    let cases: &[(&str, &str, &[In])] = &[
+        (
+            "memcpy",
+            "int f(char *d, char *s) { memcpy(d, s, 3); return d[1]; }",
+            &[In::Buf(S), In::Buf(T)],
+        ),
+        (
+            "memmove",
+            "int f(char *d, char *s) { memmove(d, s, 4); return d[2]; }",
+            &[In::Buf(S), In::Buf(T)],
+        ),
+        ("memset", "int f(char *d) { memset(d, 122, 2); return d[1]; }", &[In::Buf(S)]),
+        ("strlen", "int f(char *s) { return strlen(s); }", &[In::Buf(S)]),
+        (
+            "strcmp",
+            "int f(char *a, char *b) { return strcmp(a, b); }",
+            &[In::Buf(S), In::Buf(T)],
+        ),
+        ("abs", "int f(int x) { return abs(x); }", &[In::Int(-41)]),
+        ("labs", "long f(long x) { return labs(x); }", &[In::Int(-(1 << 40))]),
+        ("sqrt", "double f(double x) { return sqrt(x); }", &[In::F64(1.75)]),
+        ("fabs", "double f(double x) { return fabs(x); }", &[In::F64(-1.75)]),
+        ("sin", "double f(double x) { return sin(x); }", &[In::F64(1.75)]),
+        ("cos", "double f(double x) { return cos(x); }", &[In::F64(1.75)]),
+        ("tan", "double f(double x) { return tan(x); }", &[In::F64(1.75)]),
+        ("exp", "double f(double x) { return exp(x); }", &[In::F64(1.75)]),
+        ("log", "double f(double x) { return log(x); }", &[In::F64(1.75)]),
+        ("floor", "double f(double x) { return floor(x); }", &[In::F64(-1.75)]),
+        ("ceil", "double f(double x) { return ceil(x); }", &[In::F64(-1.75)]),
+        (
+            "pow",
+            "double f(double x, double y) { return pow(x, y); }",
+            &[In::F64(1.75), In::F64(2.5)],
+        ),
+        (
+            "fmod",
+            "double f(double x, double y) { return fmod(x, y); }",
+            &[In::F64(7.75), In::F64(2.5)],
+        ),
+        (
+            "fmin",
+            "double f(double x, double y) { return fmin(x, y); }",
+            &[In::F64(1.75), In::F64(-2.5)],
+        ),
+        (
+            "fmax",
+            "double f(double x, double y) { return fmax(x, y); }",
+            &[In::F64(1.75), In::F64(-2.5)],
+        ),
+        ("putchar", "int f(int c) { return putchar(c); }", &[In::Int(65)]),
+        ("printf", "int f(void) { return printf(\"hi\"); }", &[]),
+    ];
+    assert_eq!(cases.len(), 22, "one case per row of `Machine::libc`");
+    for &(name, src, inputs) in cases {
+        assert!(src.contains(&format!("{name}(")), "{name}: the case calls its builtin");
+        let want = Ok(on_interpreter(src, inputs));
+        for opt in [OptLevel::O0, OptLevel::O3] {
+            let [x86, arm] = on_both_isas(src, inputs, opt);
+            assert_eq!(x86, want, "{name} on x86-64 at {opt}");
+            assert_eq!(arm, want, "{name} on AArch64 at {opt}");
+        }
+    }
+}
+
+#[test]
+fn a_name_outside_the_table_fails_the_same_way_on_both_isas() {
+    let [x86, arm] =
+        on_both_isas("int f(int x) { return isdigit(x); }", &[In::Int(55)], OptLevel::O0);
+    assert_eq!(x86, Err("emulation error: call to undefined function `isdigit`".to_string()));
+    assert_eq!(arm, x86);
+}

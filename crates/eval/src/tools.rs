@@ -4,14 +4,14 @@
 use crate::harness::{judge, reference_observations, Verdict};
 use crate::metrics::edit_similarity;
 use serde::{Deserialize, Serialize};
-use slade::{make_pairs, normalize_asm, Slade, SladeBuilder, TrainProfile};
+use slade::{make_pairs, normalize_asm, train_epoch, Slade, SladeBuilder, TrainProfile};
 use slade_baselines::{ghidra_decompile, BtcBaseline, ChatGptSim};
 use slade_compiler::{compile_function, CompileOpts, Isa, OptLevel};
 use slade_dataset::{ArgSpec, DatasetItem};
 use slade_minic::parse_program;
-use slade_nn::{Seq2Seq, TransformerConfig};
+use slade_nn::Seq2Seq;
 use slade_serve::{ServeConfig, ServeRuntime};
-use slade_tokenizer::{special, WordTokenizer};
+use slade_tokenizer::WordTokenizer;
 use std::sync::Arc;
 
 /// The decompilers under evaluation.
@@ -131,56 +131,20 @@ impl ToolContext {
 /// Trains the BTC-like baseline: same architecture, word-level tokenizer,
 /// half the training epochs (it predates the paper's recipe).
 fn train_btc(pairs: &[(String, String)], profile: TrainProfile, seed: u64) -> BtcBaseline {
-    // Normalize once per pair; the corpus pass and every training epoch
-    // below reuse the same strings.
     let pairs: Vec<(String, &String)> =
         pairs.iter().map(|(a, c)| (normalize_asm(a), c)).collect();
-    let mut corpus = Vec::new();
-    for (a, c) in &pairs {
-        corpus.push(a.clone());
-        corpus.push((*c).clone());
-    }
+    let corpus: Vec<String> =
+        pairs.iter().flat_map(|(a, c)| [a.clone(), (*c).clone()]).collect();
     let tokenizer = WordTokenizer::train(&corpus, profile.vocab);
-    let cfg = TransformerConfig {
-        vocab: tokenizer.vocab_size(),
-        d_model: profile.d_model,
-        n_heads: profile.n_heads,
-        d_ff: profile.d_ff,
-        enc_layers: profile.layers,
-        dec_layers: profile.layers,
-        max_len: profile.max_src_len.max(profile.max_tgt_len) + 2,
-        backend: Default::default(),
-    };
+    let encoded: Vec<(Vec<u32>, Vec<u32>)> = pairs
+        .iter()
+        .map(|(asm, c)| (tokenizer.encode(asm), tokenizer.encode(c)))
+        .filter(|(src, tgt)| profile.admits(src, tgt))
+        .collect();
+    let cfg = profile.transformer_config(tokenizer.vocab_size(), Default::default());
     let mut model = Seq2Seq::new(cfg, seed);
     for _ in 0..profile.epochs.div_ceil(2) {
-        let mut n = 0;
-        model.zero_grads();
-        for (asm, c) in &pairs {
-            let src = tokenizer.encode(asm);
-            let tgt = tokenizer.encode(c);
-            if src.is_empty()
-                || tgt.is_empty()
-                || src.len() > profile.max_src_len
-                || tgt.len() + 1 > profile.max_tgt_len
-            {
-                continue;
-            }
-            let mut dec = vec![special::BOS];
-            dec.extend_from_slice(&tgt);
-            let mut labels = tgt.clone();
-            labels.push(special::EOS);
-            model.train_pair(&src, &dec, &labels);
-            n += 1;
-            if n == profile.batch {
-                model.adam_step(profile.lr, profile.weight_decay, 1.0 / n as f32);
-                model.zero_grads();
-                n = 0;
-            }
-        }
-        if n > 0 {
-            model.adam_step(profile.lr, profile.weight_decay, 1.0 / n as f32);
-            model.zero_grads();
-        }
+        train_epoch(&mut model, &profile, encoded.iter().map(|(s, t)| (s, t.as_slice())));
     }
     BtcBaseline { model, tokenizer }
 }
@@ -190,9 +154,8 @@ struct EvalCase<'a> {
     idx: usize,
     item: &'a DatasetItem,
     asm: String,
-    /// [`normalize_asm`] output, computed **once** here — every consumer
-    /// (the neural tokenizer path, the serving runtime's cache key, the
-    /// BTC baseline) sees provably the same string.
+    /// [`normalize_asm`] output, what the neural decoders and the BTC
+    /// baseline read (a fixed point of the decoders' own normalisation).
     norm_asm: String,
     reference: Vec<Option<crate::harness::CallObservation>>,
 }
@@ -200,7 +163,7 @@ struct EvalCase<'a> {
 /// Evaluates `tools` on `items` under `ctx`'s configuration.
 ///
 /// All SLaDe-family decompilations run as **one** batched engine pass
-/// over every item — [`Slade::decompile_batch_normalized`] on the
+/// over every item — [`Slade::decompile_batch`] on the
 /// evaluating thread, or the [`slade_serve`] worker pool when
 /// `ctx.threads > 1` (identical output, property-tested). The per-item
 /// work that remains is type inference, candidate judging, and the
@@ -231,9 +194,9 @@ pub fn evaluate(ctx: &ToolContext, items: &[DatasetItem], tools: &[Tool]) -> Vec
                 Arc::clone(&ctx.slade),
                 ServeConfig::with_shards(ctx.threads),
             );
-            runtime.decompile_batch_normalized(&norms)
+            runtime.decompile_batch(&norms)
         } else {
-            ctx.slade.decompile_batch_normalized(&norms)
+            ctx.slade.decompile_batch(&norms)
         }
     } else {
         Vec::new()

@@ -1,0 +1,50 @@
+//! Training is one loop (`slade::train_epoch`) with three callers; this
+//! pins the weights each caller ends with, bit for bit, to what the three
+//! hand-written loops produced before they were folded into one. A change
+//! to the order of RNG draws, of examples within a batch or of the Adam
+//! steps moves a digest.
+
+use serde::Serialize;
+use serde_json::Value;
+use slade::{SladeBuilder, TrainProfile};
+use slade_compiler::{Isa, OptLevel};
+use slade_dataset::{generate_train, DatasetProfile};
+use slade_eval::ToolContext;
+use slade_nn::Seq2Seq;
+use slade_serve::cache::fnv1a64;
+
+/// FNV-1a over the `to_bits` of every weight, tensors in store order.
+fn weight_digest(model: &Seq2Seq) -> u64 {
+    let doc = model.to_json_value();
+    let tensors = doc.as_object().and_then(|m| m.get("store")).and_then(Value::as_object);
+    let tensors = tensors.and_then(|s| s.get("tensors")).and_then(Value::as_array);
+    let mut bytes = Vec::new();
+    for tensor in tensors.expect("store.tensors") {
+        let data = tensor.as_object().and_then(|t| t.get("data")).and_then(Value::as_array);
+        for w in data.expect("tensor.data") {
+            let Value::Float(w) = w else { panic!("weight is not a float: {w:?}") };
+            bytes.extend_from_slice(&(*w as f32).to_bits().to_le_bytes());
+        }
+    }
+    assert!(bytes.len() > 4 * 1000, "digest covers the weights");
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn weights_after_training_are_bit_equal_to_the_three_loop_version() {
+    let items = generate_train(DatasetProfile::tiny(), 42);
+    let ctx = ToolContext::train(&items, Isa::X86_64, OptLevel::O0, TrainProfile::tiny(), 42);
+    assert_eq!(weight_digest(&ctx.slade.model), 0x9f3e_a6fb_388c_c284, "SladeBuilder::train");
+    let btc = ctx.btc.as_ref().expect("x86 -O0 trains BTC");
+    assert_eq!(weight_digest(&btc.model), 0x01b4_f9f8_d77c_0d16, "train_btc");
+
+    let mut profile = TrainProfile::tiny();
+    profile.pretrain_epochs = 1;
+    let pretrained =
+        SladeBuilder::new(Isa::Arm64, OptLevel::O3).profile(profile).train(&items, 7);
+    assert_eq!(
+        weight_digest(&pretrained.model),
+        0xe059_f14f_9cd7_3964,
+        "pretrain_denoising + train"
+    );
+}

@@ -31,6 +31,13 @@ fn gw_slade() -> Arc<Slade> {
     Arc::new(Slade::from_parts(model, tokenizer, Isa::X86_64, OptLevel::O0, BEAM, 10))
 }
 
+/// [`gw_slade`] with lanes for one decode at a time on one shard.
+fn gw_slade_one_at_a_time() -> Arc<Slade> {
+    let mut slade = (*gw_slade()).clone();
+    slade.set_max_batch_lanes(BEAM);
+    Arc::new(slade)
+}
+
 fn asm(i: usize) -> String {
     format!("h{i}:\n\tmovl %edi, %eax\n\timull ${i}, %eax\n\tret\n")
 }
@@ -183,13 +190,12 @@ fn concurrent_clients_match_direct_decompile() {
 #[test]
 fn overload_sheds_429_and_conserves() {
     let runtime = Arc::new(ServeRuntime::start(
-        gw_slade(),
+        gw_slade_one_at_a_time(),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM, // one decode at a time
             queue_cap: 2,
             test_decode_delay: Duration::from_millis(400),
-            ..ServeConfig::default().without_cache().without_coalescing()
+            ..ServeConfig::default().without_cache()
         },
     ));
     let gateway = Gateway::start(Arc::clone(&runtime), gw_config()).expect("bind");
@@ -399,10 +405,9 @@ fn keep_alive_serves_sequential_requests() {
 #[test]
 fn shutdown_drains_in_flight_requests() {
     let runtime = Arc::new(ServeRuntime::start(
-        gw_slade(),
+        gw_slade_one_at_a_time(),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM,
             test_decode_delay: Duration::from_millis(200),
             ..ServeConfig::default()
         },
@@ -577,10 +582,9 @@ fn one_delivery_thread_serves_sixteen_cold_requests() {
 #[test]
 fn poll_timeout_answers_504_before_the_decode_ends() {
     let runtime = Arc::new(ServeRuntime::start(
-        gw_slade(),
+        gw_slade_one_at_a_time(),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM,
             test_decode_delay: Duration::from_millis(400),
             ..ServeConfig::default()
         },
@@ -606,10 +610,9 @@ fn poll_timeout_answers_504_before_the_decode_ends() {
 #[test]
 fn drain_deadline_answers_503() {
     let runtime = Arc::new(ServeRuntime::start(
-        gw_slade(),
+        gw_slade_one_at_a_time(),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM,
             test_decode_delay: Duration::from_millis(600),
             ..ServeConfig::default()
         },

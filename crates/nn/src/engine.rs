@@ -235,7 +235,7 @@ impl<'m> InferenceEngine<'m> {
 /// A continuous-batching decode session: the engine-side admission seam.
 ///
 /// Where [`InferenceEngine::decode_batch`] admits a fixed request set and
-/// runs it to completion, a session keeps one [`BatchedDecoderState`]
+/// runs it to completion, a session keeps one [`crate::BatchedDecoderState`]
 /// alive across request lifetimes: callers [`DecodeSession::admit`] work
 /// whenever [`DecodeSession::can_admit`] says a lane budget is free —
 /// including while other requests are mid-decode — call

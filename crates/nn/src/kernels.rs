@@ -825,7 +825,7 @@ pub mod avx2 {
         unsafe { _mm256_loadu_si256(from.as_ptr() as *const __m256i) }
     }
 
-    /// `C = A * B^T` into `c` — AVX2 tier (see [`scalar::matmul_transb_into`]).
+    /// `C = A * B^T` into `c` — AVX2 tier (see [`super::scalar::matmul_transb_into`]).
     pub fn matmul_transb_into(
         a: &[f32],
         b: &[f32],
@@ -891,7 +891,7 @@ pub mod avx2 {
     }
 
     /// `C = A * B` with `bp` packed by [`super::pack_xposed_blocks`] —
-    /// AVX2 tier (see [`scalar::matmul_xpacked_into`]).
+    /// AVX2 tier (see [`super::scalar::matmul_xpacked_into`]).
     pub fn matmul_xpacked_into(
         a: &[f32],
         bp: &[f32],
@@ -954,7 +954,7 @@ pub mod avx2 {
         }
     }
 
-    /// Row max — AVX2 tier (see [`scalar::row_max`]).
+    /// Row max — AVX2 tier (see [`super::scalar::row_max`]).
     pub fn row_max(row: &[f32]) -> f32 {
         assert_avx2();
         // SAFETY: AVX2 is present (asserted).
@@ -981,7 +981,7 @@ pub mod avx2 {
         vmax8(&spill(acc))
     }
 
-    /// `Σ exp(v - max)` — AVX2 tier (see [`scalar::sum_exp`]).
+    /// `Σ exp(v - max)` — AVX2 tier (see [`super::scalar::sum_exp`]).
     pub fn sum_exp(row: &[f32], max: f32) -> f32 {
         assert_avx2();
         // SAFETY: AVX2 is present (asserted).
@@ -1043,7 +1043,7 @@ pub mod avx2 {
     }
 
     /// Elementwise GELU over a buffer — AVX2 tier (see
-    /// [`scalar::gelu_into`]).
+    /// [`super::scalar::gelu_into`]).
     pub fn gelu_into(buf: &mut [f32]) {
         assert_avx2();
         // SAFETY: AVX2 is present (asserted).
@@ -1079,7 +1079,7 @@ pub mod avx2 {
         }
     }
 
-    /// Int8 matmul — AVX2 tier (see [`scalar::qmatmul_transb_into`]).
+    /// Int8 matmul — AVX2 tier (see [`super::scalar::qmatmul_transb_into`]).
     /// The i32 accumulation is exact, so this is bit-identical to the
     /// scalar tier by construction.
     #[allow(clippy::too_many_arguments)]
@@ -1254,7 +1254,7 @@ pub mod avx2 {
     }
 
     /// Per-row symmetric int8 quantization — AVX2 tier, bit-identical
-    /// to [`scalar::quantize_row_i8`]: VANDNPS+VMAXPS absmax (same
+    /// to [`super::scalar::quantize_row_i8`]: VANDNPS+VMAXPS absmax (same
     /// value as the scalar fold for finite rows), then per element an
     /// identically-rounded multiply, VROUNDPS round-to-nearest-even, a
     /// constant-first VMAXPS/VMINPS clamp (NaN from a denormal-absmax
@@ -1308,7 +1308,7 @@ pub mod avx2 {
         absmax / 127.0
     }
 
-    /// QK^T score row — AVX2 tier (see [`scalar::attn_scores_into`]).
+    /// QK^T score row — AVX2 tier (see [`super::scalar::attn_scores_into`]).
     pub fn attn_scores_into(
         q: &[f32],
         keys: &[f32],
@@ -1418,7 +1418,7 @@ pub mod avx2 {
     }
 
     /// QK^T scores of a query tile against packed keys — AVX2 tier (see
-    /// [`scalar::attn_scores_packed_tile_into`]). A key per SIMD lane
+    /// [`super::scalar::attn_scores_packed_tile_into`]). A key per SIMD lane
     /// makes every step of the scalar definition one vertical
     /// instruction — no shuffle, no horizontal add — and a K vector that
     /// the rows of a register tile ([`ATTN_TILE`](super::ATTN_TILE)) share
@@ -1607,7 +1607,7 @@ pub mod avx2 {
     }
 
     /// In-place softmax over whole rows of `n` — AVX2 tier, each row
-    /// bit-identical to [`scalar::softmax_into`]: the same VMAXPS max
+    /// bit-identical to [`super::scalar::softmax_into`]: the same VMAXPS max
     /// pass, `exp8` (the exact vector mirror of `exp_lane`), the same
     /// lane-split sum, and the same scalar `1 / sum.max(1e-12)` broadcast
     /// multiply. A pass runs over every row (eight at a time) before the
@@ -1694,7 +1694,7 @@ pub mod avx2 {
     const WSUM_TILE: usize = 5;
 
     /// Query-tile weighted sum — AVX2 tier (see
-    /// [`scalar::attn_weighted_sum_tile_into`]). The context rows of up to
+    /// [`super::scalar::attn_weighted_sum_tile_into`]). The context rows of up to
     /// [`WSUM_TILE`] queries stay in registers over the whole key loop,
     /// every block of it, and a V row the tile shares is loaded once for
     /// all of them. Per context element nothing changes
@@ -1964,7 +1964,7 @@ pub mod avx2 {
     }
 
     /// One layer-norm row — AVX2 tier, bit-identical to
-    /// [`scalar::layer_norm_row_into`] (lane-split sums, the same
+    /// [`super::scalar::layer_norm_row_into`] (lane-split sums, the same
     /// scalar mean/var/rstd steps, and the same normalize association).
     pub fn layer_norm_row_into(
         row: &[f32],
@@ -2054,7 +2054,7 @@ pub mod vnni {
         qmatmul_x86(|x| (x, _mm256_abs_epi8(x)), dot, q)
     }
 
-    /// Int8 matmul — VNNI tier (see [`scalar::qmatmul_transb_into`];
+    /// Int8 matmul — VNNI tier (see [`super::scalar::qmatmul_transb_into`];
     /// exact i32 accumulation, bit-identical to every other tier).
     #[allow(clippy::too_many_arguments)]
     pub fn qmatmul_transb_into(

@@ -102,7 +102,7 @@ impl Stage {
 
 /// One finished span. `span_id` is unique within its trace; `parent` is
 /// the parent's span id (`0` = root). Times are microseconds since the
-/// process-wide observability epoch ([`crate::epoch_us`]).
+/// process-wide observability epoch ([`crate::Obs::now_us`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SpanRecord {
     /// Request/trace id the span belongs to.

@@ -4,14 +4,14 @@
 //! The engine (`slade_nn::engine`) made one decode batch fast; this crate
 //! makes a *process* serve: a *sharded worker pool* (one engine
 //! [`slade_nn::engine::DecodeSession`] per thread, model shared via
-//! `Arc`) scales across cores, an *admission queue* with
-//! FIFO-with-deadline fairness feeds the shards and admits newly arrived
-//! requests into **running** decode batches as finished requests free
-//! lanes (continuous batching), a *result cache* keyed by the hash of
-//! [`slade::normalize_asm`] output plus the ISA/opt/beam configuration
-//! answers duplicate-heavy traffic without decoding, and a *metrics
-//! surface* exposes queue depth, per-shard lane occupancy, latency
-//! percentiles and cache hit rate as a plain struct snapshot.
+//! `Arc`) scales across cores, a FIFO *admission queue* feeds the shards
+//! and admits newly arrived requests into **running** decode batches as
+//! finished requests free lanes (continuous batching), a *result cache*
+//! keyed by the hash of [`slade::normalize_asm`] output plus the
+//! ISA/opt/beam configuration answers duplicate-heavy traffic without
+//! decoding, and a *metrics surface* exposes queue depth, per-shard lane
+//! occupancy, latency percentiles and cache hit rate as a plain struct
+//! snapshot.
 //!
 //! # Admission control
 //!
@@ -74,7 +74,7 @@ pub mod spill;
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use metrics::MetricsSnapshot;
 pub use queue::AdmissionQueue;
-pub use spill::{SpillProbe, SpillTier, SPILL_VERSION};
+pub use spill::{SpillProbe, SpillTier, SPILL_CAPACITY, SPILL_VERSION};
 
 use metrics::MetricsInner;
 use slade::{normalize_asm, Slade};
@@ -93,16 +93,11 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Worker threads, each with its own engine decode session. Requests
     /// shard across them; throughput scales with cores until the queue
-    /// runs dry.
+    /// runs dry. Each gets an equal share of the model's lane budget
+    /// ([`slade::Slade::max_batch_lanes`]), at least one beam wide.
     pub shards: usize,
-    /// Concurrent-lane budget per shard; `0` derives it from the model's
-    /// [`slade::Slade::max_batch_lanes`] split across the shards.
-    pub lanes_per_shard: usize,
     /// Result-cache capacity in entries; `0` disables the memory tier.
     pub cache_capacity: usize,
-    /// Admission patience: a request older than this is served strictly
-    /// FIFO ahead of any fresher request (see [`queue::AdmissionQueue`]).
-    pub max_wait: Duration,
     /// Bounded-admission queue cap for [`ServeRuntime::try_submit`]:
     /// when this many requests are already queued, further fallible
     /// submissions shed with [`SubmitError::Overloaded`]. `0` =
@@ -113,17 +108,11 @@ pub struct ServeConfig {
     /// work past its deadline is cancelled instead of decoded.
     /// [`Duration::ZERO`] disables timeouts.
     pub request_timeout: Duration,
-    /// Collapse duplicate in-flight submissions (same cache key and
-    /// normalized text) onto one decode, fanning the result out to every
-    /// attached waiter.
-    pub coalesce: bool,
     /// Directory for the disk-spill result-cache tier; `None` = memory
     /// only. Entries persist across restarts and are shared between
-    /// runtimes pointed at the same directory (see [`spill`]).
+    /// runtimes pointed at the same directory (see [`spill`]); the tier
+    /// keeps [`spill::SPILL_CAPACITY`] of them.
     pub spill_dir: Option<PathBuf>,
-    /// Spill-tier capacity in entries (`0` = unbounded); only meaningful
-    /// with `spill_dir` set.
-    pub spill_capacity: usize,
     /// Test-only fault-injection hook: each worker sleeps this long
     /// before decoding a popped batch, simulating a slow shard so
     /// shedding, timeouts, and coalescing can be driven
@@ -136,14 +125,10 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             shards: 1,
-            lanes_per_shard: 0,
             cache_capacity: 1024,
-            max_wait: Duration::from_millis(100),
             queue_cap: 0,
             request_timeout: Duration::ZERO,
-            coalesce: true,
             spill_dir: None,
-            spill_capacity: 4096,
             test_decode_delay: Duration::ZERO,
         }
     }
@@ -159,12 +144,6 @@ impl ServeConfig {
     /// controlled by [`ServeConfig::spill_dir`]).
     pub fn without_cache(mut self) -> Self {
         self.cache_capacity = 0;
-        self
-    }
-
-    /// Disables in-flight coalescing (duplicates decode independently).
-    pub fn without_coalescing(mut self) -> Self {
-        self.coalesce = false;
         self
     }
 
@@ -225,7 +204,7 @@ struct Req {
 struct Job {
     req: Req,
     norm_asm: String,
-    key: Option<CacheKey>,
+    key: CacheKey,
     /// End-to-end deadline; `None` when timeouts are disabled.
     timeout_at: Option<Instant>,
 }
@@ -430,11 +409,10 @@ struct Shared {
     cache: ResultCache,
     metrics: MetricsInner,
     shutdown: AtomicBool,
-    lanes_per_shard: usize,
-    max_wait: Duration,
+    /// Concurrent-lane budget of each shard's decode session.
+    shard_lanes: usize,
     queue_cap: usize,
     request_timeout: Duration,
-    coalesce: bool,
     test_decode_delay: Duration,
 }
 
@@ -488,18 +466,10 @@ impl ServeRuntime {
     pub fn start(slade: Arc<Slade>, config: ServeConfig) -> Self {
         let shards = config.shards.max(1);
         let beam = slade.beam().max(1);
-        // Both branches floor at one full beam width — a shard with fewer
-        // lanes could never admit anything and requests would hang — so
-        // when `max_batch_lanes / shards < beam` the summed arenas exceed
-        // the single-process cap by up to `shards × beam` lanes.
-        let lanes_per_shard = if config.lanes_per_shard > 0 {
-            config.lanes_per_shard.max(beam)
-        } else {
-            // Split the model's single-process lane budget across shards
-            // so total arena memory stays at the configured cap (beam
-            // floor aside).
-            (slade.max_batch_lanes() / shards).max(beam)
-        };
+        // The model's lane budget split across the shards, so total arena
+        // memory stays at that cap — floored at one full beam width, since
+        // a shard with fewer lanes could never admit anything.
+        let shard_lanes = (slade.max_batch_lanes() / shards).max(beam);
         // Resolve the kernel dispatch once up front so the metrics surface
         // reports what the workers will actually run with — both the
         // effective tier and whether a `SLADE_KERNEL_ISA` request was
@@ -508,11 +478,9 @@ impl ServeRuntime {
         let kernel_isa_status = slade_nn::kernels::tier_status();
         let backend = slade.model.cfg.backend.name();
         let cache = match &config.spill_dir {
-            Some(dir) => ResultCache::with_spill(
-                config.cache_capacity,
-                dir.clone(),
-                config.spill_capacity,
-            ),
+            Some(dir) => {
+                ResultCache::with_spill(config.cache_capacity, dir.clone(), SPILL_CAPACITY)
+            }
             None => ResultCache::new(config.cache_capacity),
         };
         let shared = Arc::new(Shared {
@@ -523,17 +491,15 @@ impl ServeRuntime {
             cache,
             metrics: MetricsInner::new(
                 (0..shards).map(|_| Default::default()).collect(),
-                lanes_per_shard,
+                shard_lanes,
                 kernel_isa,
                 kernel_isa_status,
                 backend,
             ),
             shutdown: AtomicBool::new(false),
-            lanes_per_shard,
-            max_wait: config.max_wait,
+            shard_lanes,
             queue_cap: config.queue_cap,
             request_timeout: config.request_timeout,
-            coalesce: config.coalesce,
             test_decode_delay: config.test_decode_delay,
         });
         let workers = (0..shards)
@@ -553,15 +519,7 @@ impl ServeRuntime {
     /// [`ServeConfig::queue_cap`] (trusted in-process callers); the
     /// configured request timeout still applies.
     pub fn submit(&self, asm_text: &str) -> RequestHandle {
-        self.submit_normalized(normalize_asm(asm_text))
-    }
-
-    /// Submits assembly that is **already** [`normalize_asm`] output (the
-    /// eval harness pre-normalizes once so cache key and tokenizer input
-    /// are the same string). Raw text submitted here would be tokenized
-    /// with its boilerplate intact.
-    pub fn submit_normalized(&self, normalized_asm: String) -> RequestHandle {
-        match self.admit(normalized_asm, false) {
+        match self.admit(normalize_asm(asm_text), false) {
             Ok(handle) => handle,
             Err(_) => unreachable!("infallible submit never sheds"),
         }
@@ -572,15 +530,7 @@ impl ServeRuntime {
     /// requests are already queued. Cache hits and coalesced attaches
     /// cost no decode and are admitted regardless of queue depth.
     pub fn try_submit(&self, asm_text: &str) -> Result<RequestHandle, SubmitError> {
-        self.try_submit_normalized(normalize_asm(asm_text))
-    }
-
-    /// [`ServeRuntime::try_submit`] over pre-normalized input.
-    pub fn try_submit_normalized(
-        &self,
-        normalized_asm: String,
-    ) -> Result<RequestHandle, SubmitError> {
-        self.admit(normalized_asm, true)
+        self.admit(normalize_asm(asm_text), true)
     }
 
     /// The single admission path: cache probe → coalesce attach → cap
@@ -602,81 +552,63 @@ impl ServeRuntime {
             (sh.request_timeout > Duration::ZERO).then(|| Instant::now() + sh.request_timeout);
         let handle =
             RequestHandle { req: req.clone(), timeout_at, shared: Arc::clone(&self.shared) };
-        let key = (sh.cache.enabled() || sh.coalesce).then(|| {
-            CacheKey::new(
-                &normalized_asm,
-                sh.slade.isa(),
-                sh.slade.opt(),
-                sh.slade.beam().max(1),
-                sh.slade.max_tgt_len(),
-            )
-        });
-        if let Some(key) = &key {
-            if sh.cache.enabled() {
-                if let Some(outputs) = sh.cache.get(key, &normalized_asm) {
-                    let now_us = o.now_us();
-                    o.record_span(SpanRecord {
-                        trace_id: req.trace_id,
-                        span_id: span_id::QUEUE, // position 2 in the fixed tree
-                        parent: span_id::REQUEST,
-                        stage: Stage::Cache,
-                        start_us: req.submitted_us,
-                        dur_us: now_us - req.submitted_us,
-                        detail: 1,
-                    });
-                    req.slot.try_claim();
-                    sh.finish(Terminal::CacheHit, &req, now_us, outputs);
-                    return Ok(handle);
-                }
+        let key = CacheKey::new(
+            &normalized_asm,
+            sh.slade.isa(),
+            sh.slade.opt(),
+            sh.slade.beam().max(1),
+            sh.slade.max_tgt_len(),
+        );
+        if sh.cache.enabled() {
+            if let Some(outputs) = sh.cache.get(&key, &normalized_asm) {
+                let now_us = o.now_us();
+                o.record_span(SpanRecord {
+                    trace_id: req.trace_id,
+                    span_id: span_id::QUEUE, // position 2 in the fixed tree
+                    parent: span_id::REQUEST,
+                    stage: Stage::Cache,
+                    start_us: req.submitted_us,
+                    dur_us: now_us - req.submitted_us,
+                    detail: 1,
+                });
+                req.slot.try_claim();
+                sh.finish(Terminal::CacheHit, &req, now_us, outputs);
+                return Ok(handle);
             }
         }
         let job = Job { req, norm_asm: normalized_asm, key, timeout_at };
         {
-            // Cap check, coalesce attach, and enqueue are atomic under
-            // the queue lock (pending nests inside it — see the lock
-            // order note on `Shared::pending`), so a sequential
-            // submitter observes exact shed behavior.
-            let mut q = self.shared.queue.lock().expect("queue lock");
-            if let Some(key) = &job.key {
-                if sh.coalesce {
-                    let mut pending = sh.pending.lock().expect("pending lock");
-                    if let Some(entry) = pending.get_mut(key) {
-                        if entry.norm_asm == job.norm_asm {
-                            // Duplicate of an in-flight decode: attach,
-                            // don't enqueue. Terminal state (coalesced or
-                            // expired) is decided at fan-out or deadline.
-                            entry.waiters.push(job.req);
-                            return Ok(handle);
-                        }
-                        // Same key, different text: a 64-bit collision.
-                        // Decode independently; the entry stays owned by
-                        // the other text's decode.
-                    } else {
-                        if enforce_cap && sh.queue_cap > 0 && q.len() >= sh.queue_cap {
-                            drop(pending);
-                            drop(q);
-                            return Err(self.shed(&job.req));
-                        }
-                        pending.insert(
-                            *key,
-                            PendingEntry {
-                                norm_asm: job.norm_asm.clone(),
-                                waiters: Vec::new(),
-                            },
-                        );
-                    }
+            // Coalesce attach, cap check and enqueue are atomic under the
+            // queue lock (pending nests inside it — see the lock order
+            // note on `Shared::pending`), so a sequential submitter
+            // observes exact shed behavior.
+            let mut q = sh.queue.lock().expect("queue lock");
+            let mut pending = sh.pending.lock().expect("pending lock");
+            let collides = match pending.get_mut(&job.key) {
+                Some(entry) if entry.norm_asm == job.norm_asm => {
+                    // Duplicate of an in-flight decode: attach, don't
+                    // enqueue. Terminal state (coalesced or expired) is
+                    // decided at fan-out or deadline.
+                    entry.waiters.push(job.req);
+                    return Ok(handle);
                 }
-            }
-            if (job.key.is_none() || !sh.coalesce)
-                && enforce_cap
-                && sh.queue_cap > 0
-                && q.len() >= sh.queue_cap
-            {
+                // Same key, different text: a 64-bit collision. Decode
+                // independently; the entry stays owned by the other
+                // text's decode.
+                Some(_) => true,
+                None => false,
+            };
+            if enforce_cap && sh.queue_cap > 0 && q.len() >= sh.queue_cap {
+                drop(pending);
                 drop(q);
                 return Err(self.shed(&job.req));
             }
-            let deadline = Instant::now() + sh.max_wait;
-            q.push(job, deadline);
+            if !collides {
+                let entry =
+                    PendingEntry { norm_asm: job.norm_asm.clone(), waiters: Vec::new() };
+                pending.insert(job.key, entry);
+            }
+            q.push(job);
             sh.metrics.queue_depth.add(1);
         }
         self.shared.work.notify_all();
@@ -718,18 +650,6 @@ impl ServeRuntime {
     pub fn decompile_batch(&self, asm_texts: &[&str]) -> Vec<Vec<String>> {
         let handles: Vec<RequestHandle> =
             asm_texts.iter().map(|asm| self.submit(asm)).collect();
-        handles
-            .into_iter()
-            .map(|h| h.wait().expect("request timed out (see request_timeout)"))
-            .collect()
-    }
-
-    /// [`ServeRuntime::decompile_batch`] over pre-normalized inputs.
-    pub fn decompile_batch_normalized(&self, normalized_asm: &[&str]) -> Vec<Vec<String>> {
-        let handles: Vec<RequestHandle> = normalized_asm
-            .iter()
-            .map(|asm| self.submit_normalized((*asm).to_string()))
-            .collect();
         handles
             .into_iter()
             .map(|h| h.wait().expect("request timed out (see request_timeout)"))
@@ -836,23 +756,19 @@ fn triage(shared: &Shared, job: &Job, now: Instant) -> bool {
         shared.finish(Terminal::Expired, &job.req, slade_obs::obs().now_us(), Vec::new());
     }
     // Cancel the decode unless coalesced waiters still want the answer.
-    if shared.coalesce {
-        if let Some(key) = &job.key {
-            let mut pending = shared.pending.lock().expect("pending lock");
-            if let Some(entry) = pending.get(key) {
-                if entry.norm_asm == job.norm_asm {
-                    if entry.waiters.is_empty() {
-                        pending.remove(key);
-                        return false;
-                    }
-                    // Waiters attached: decode for them; the expired
-                    // leader is skipped at fan-out by its lost claim.
-                    return true;
-                }
+    let mut pending = shared.pending.lock().expect("pending lock");
+    match pending.get(&job.key) {
+        Some(entry) if entry.norm_asm == job.norm_asm => {
+            // Waiters attached: decode for them; the expired leader is
+            // skipped at fan-out by its lost claim.
+            let wanted = !entry.waiters.is_empty();
+            if !wanted {
+                pending.remove(&job.key);
             }
+            wanted
         }
+        _ => false,
     }
-    false
 }
 
 fn worker_loop(shared: &Shared, shard: usize) {
@@ -860,7 +776,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
     let o = slade_obs::obs();
     let engine = InferenceEngine::new(&slade.model);
     let beam = slade.beam().max(1);
-    let mut session = engine.session(shared.lanes_per_shard, slade.max_tgt_len());
+    let mut session = engine.session(shared.shard_lanes, slade.max_tgt_len());
     let mut inflight: Vec<Inflight> = Vec::new();
     let mut tokens_reported: u64 = 0;
     loop {
@@ -996,21 +912,16 @@ fn worker_loop(shared: &Shared, shard: usize) {
             // Detach the coalesced waiters first (removing the pending
             // entry, so late duplicates become fresh leaders), then feed
             // the cache, then fan out.
-            let waiters: Vec<Req> = match (&job.key, shared.coalesce) {
-                (Some(key), true) => {
-                    let mut pending = shared.pending.lock().expect("pending lock");
-                    match pending.get(key) {
-                        Some(entry) if entry.norm_asm == job.norm_asm => {
-                            pending.remove(key).map(|entry| entry.waiters).unwrap_or_default()
-                        }
-                        _ => Vec::new(),
+            let waiters: Vec<Req> = {
+                let mut pending = shared.pending.lock().expect("pending lock");
+                match pending.get(&job.key) {
+                    Some(entry) if entry.norm_asm == job.norm_asm => {
+                        pending.remove(&job.key).map(|entry| entry.waiters).unwrap_or_default()
                     }
+                    _ => Vec::new(),
                 }
-                _ => Vec::new(),
             };
-            if let Some(key) = job.key {
-                shared.cache.insert(key, &job.norm_asm, outputs.clone());
-            }
+            shared.cache.insert(job.key, &job.norm_asm, outputs.clone());
             let done_us = o.now_us();
             if tracing {
                 o.record_span(SpanRecord {

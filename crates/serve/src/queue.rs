@@ -1,44 +1,24 @@
-//! Admission queue with FIFO-with-deadline fairness.
+//! Admission queue: first in, first out.
 //!
-//! Every entry carries a monotonically increasing arrival sequence number
-//! and a deadline. [`AdmissionQueue::pop_next`] serves:
-//!
-//! 1. **expired entries first, in arrival order** — once a request has
-//!    waited out its patience, only *older* expired requests may precede
-//!    it, which bounds every request's wait by its patience plus the
-//!    backlog that existed when it arrived (no starvation);
-//! 2. otherwise the **earliest deadline**, ties broken by arrival order —
-//!    plain FIFO when every request gets the same patience (the serving
-//!    runtime's default), earliest-deadline-first when callers assign
-//!    per-request deadlines.
-//!
-//! The queue is plain data; the serving runtime wraps it in a mutex and
-//! pairs it with a condvar.
+//! Every entry gets a monotonically increasing arrival sequence number at
+//! [`AdmissionQueue::push`]; [`AdmissionQueue::pop_next`] takes the oldest,
+//! so a request waits for the backlog that existed when it arrived and
+//! nothing else (no starvation). The queue is plain data; the serving
+//! runtime wraps it in a mutex and pairs it with a condvar.
 
 use std::collections::VecDeque;
-use std::time::Instant;
-
-/// One queued item with its fairness bookkeeping.
-#[derive(Debug)]
-struct Entry<T> {
-    seq: u64,
-    deadline: Instant,
-    item: T,
-}
 
 /// Entries retained in the admission-order log; beyond it the log stops
-/// recording (the counter keeps counting), so an unbounded request stream
-/// cannot grow queue memory.
+/// recording, so an unbounded request stream cannot grow queue memory.
 const POP_LOG_CAP: usize = 65_536;
 
-/// FIFO-with-deadline admission queue (see module docs for the policy).
+/// FIFO admission queue.
 #[derive(Debug)]
 pub struct AdmissionQueue<T> {
-    pending: VecDeque<Entry<T>>,
+    pending: VecDeque<(u64, T)>,
     next_seq: u64,
-    popped: u64,
     /// Arrival sequence numbers in the order they were dequeued (first
-    /// [`POP_LOG_CAP`] admissions) — the record fairness assertions (and
+    /// `POP_LOG_CAP` admissions) — the record fairness assertions (and
     /// starvation debugging) read.
     pop_log: Vec<u64>,
 }
@@ -52,52 +32,26 @@ impl<T> Default for AdmissionQueue<T> {
 impl<T> AdmissionQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
-        AdmissionQueue { pending: VecDeque::new(), next_seq: 0, popped: 0, pop_log: Vec::new() }
+        AdmissionQueue { pending: VecDeque::new(), next_seq: 0, pop_log: Vec::new() }
     }
 
     /// Enqueues an item, assigning it the next arrival sequence number
     /// (returned, so callers can correlate admission order with arrival
     /// order).
-    pub fn push(&mut self, item: T, deadline: Instant) -> u64 {
+    pub fn push(&mut self, item: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.push_back(Entry { seq, deadline, item });
+        self.pending.push_back((seq, item));
         seq
     }
 
-    /// Dequeues the next item under the fairness policy, with its arrival
-    /// sequence number.
+    /// Dequeues the oldest item, with its arrival sequence number.
     pub fn pop_next(&mut self) -> Option<(u64, T)> {
-        self.pop_next_at(Instant::now())
-    }
-
-    /// [`AdmissionQueue::pop_next`] with an explicit "now" — the testable
-    /// seam for the expiry branch.
-    pub fn pop_next_at(&mut self, now: Instant) -> Option<(u64, T)> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        // Expired entries are served strictly in arrival order; entries
-        // arrive in seq order, so the first expired one is the oldest.
-        let idx = match self.pending.iter().position(|e| e.deadline <= now) {
-            Some(expired) => expired,
-            None => {
-                let mut best = 0usize;
-                for (i, e) in self.pending.iter().enumerate().skip(1) {
-                    let b = &self.pending[best];
-                    if (e.deadline, e.seq) < (b.deadline, b.seq) {
-                        best = i;
-                    }
-                }
-                best
-            }
-        };
-        let entry = self.pending.remove(idx).expect("index in range");
+        let entry = self.pending.pop_front()?;
         if self.pop_log.len() < POP_LOG_CAP {
-            self.pop_log.push(entry.seq);
+            self.pop_log.push(entry.0);
         }
-        self.popped += 1;
-        Some((entry.seq, entry.item))
+        Some(entry)
     }
 
     /// Items currently waiting.
@@ -110,74 +64,40 @@ impl<T> AdmissionQueue<T> {
         self.pending.is_empty()
     }
 
-    /// Total items ever dequeued (admission counter for metrics).
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
     /// Arrival sequence numbers in admission order (first
-    /// [`POP_LOG_CAP`] admissions only).
+    /// `POP_LOG_CAP` admissions only).
     pub fn pop_order(&self) -> &[u64] {
         &self.pop_log
-    }
-
-    /// Total items ever enqueued.
-    pub fn arrived(&self) -> u64 {
-        self.next_seq
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
-    fn uniform_patience_is_fifo() {
+    fn pops_in_arrival_order() {
         let mut q = AdmissionQueue::new();
-        let now = Instant::now();
         for i in 0..10u64 {
-            // Same patience for everyone: deadline order == arrival order.
-            let seq = q.push(i, now + Duration::from_millis(50));
-            assert_eq!(seq, i);
+            assert_eq!(q.push(i * 7), i);
         }
-        let order: Vec<u64> =
-            std::iter::from_fn(|| q.pop_next_at(now).map(|(s, _)| s)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<u64>>());
-        assert_eq!(q.popped(), 10);
+        // Interleave: pops between pushes still take the oldest.
+        assert_eq!(q.pop_next(), Some((0, 0)));
+        assert_eq!(q.push(70), 10);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop_next().map(|(s, _)| s)).collect();
+        assert_eq!(order, (1..=10).collect::<Vec<u64>>());
+        assert!(q.is_empty());
+        assert_eq!(q.pop_order(), (0..=10).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn tighter_deadline_is_served_first_until_expiry() {
+    fn pop_log_stops_at_its_cap_and_the_queue_keeps_serving() {
         let mut q = AdmissionQueue::new();
-        let now = Instant::now();
-        q.push("patient", now + Duration::from_millis(200));
-        q.push("urgent", now + Duration::from_millis(10));
-        // Neither expired: earliest deadline wins.
-        assert_eq!(q.pop_next_at(now).unwrap().1, "urgent");
-        assert_eq!(q.pop_next_at(now).unwrap().1, "patient");
-    }
-
-    #[test]
-    fn expired_entries_cannot_be_starved_by_tight_deadlines() {
-        let mut q = AdmissionQueue::new();
-        let t0 = Instant::now();
-        q.push("old", t0 + Duration::from_millis(10));
-        // A sustained stream of later arrivals with tighter absolute
-        // deadlines than each other — the adversarial EDF starvation
-        // pattern. Once `old` expires it must be served before any of
-        // them, in arrival order.
-        for i in 0..20u64 {
-            q.push("newcomer", t0 + Duration::from_millis(11 + i));
+        for i in 0..POP_LOG_CAP as u64 + 3 {
+            q.push(());
+            assert_eq!(q.pop_next(), Some((i, ())));
         }
-        let late = t0 + Duration::from_millis(500);
-        let (seq, item) = q.pop_next_at(late).unwrap();
-        assert_eq!((seq, item), (0, "old"));
-        // Remaining expired entries drain in arrival order too.
-        let mut last = 0;
-        while let Some((seq, _)) = q.pop_next_at(late) {
-            assert!(seq > last, "arrival order violated: {seq} after {last}");
-            last = seq;
-        }
+        assert_eq!(q.pop_order().len(), POP_LOG_CAP);
+        assert_eq!(q.pop_order().last(), Some(&(POP_LOG_CAP as u64 - 1)));
     }
 }

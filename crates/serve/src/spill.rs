@@ -74,6 +74,9 @@ pub enum SpillProbe {
     Corrupt,
 }
 
+/// Entries a serving runtime's spill tier keeps before evicting.
+pub const SPILL_CAPACITY: usize = 4096;
+
 /// The disk tier: a directory of one-entry files with mtime-LRU
 /// eviction at a configured capacity.
 #[derive(Debug)]

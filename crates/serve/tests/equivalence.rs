@@ -1,5 +1,5 @@
 //! The serving runtime's load-bearing contract: for **any** shard count,
-//! arrival order, duplicate ratio, and cache/coalesce/spill setting, its
+//! arrival order, duplicate ratio, and cache / spill setting, its
 //! output is element-wise identical to sequential
 //! [`Slade::decompile_batch`] — plus fairness (admission follows arrival
 //! under sustained load), warm-start (a restarted runtime answers from
@@ -11,7 +11,6 @@ use slade_compiler::{Isa, OptLevel};
 use slade_dataset::{generate_train, DatasetProfile};
 use slade_serve::{ServeConfig, ServeRuntime};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// One trained tiny decompiler plus a workload of real compiled assembly,
 /// shared by every test in the file (training dominates test cost).
@@ -37,6 +36,20 @@ fn fixture() -> &'static (Arc<Slade>, Vec<String>) {
     })
 }
 
+/// The fixture model with a lane budget of `lanes`: a runtime gives each
+/// of its shards `lanes / shards`.
+fn with_lanes(slade: &Slade, lanes: usize) -> Arc<Slade> {
+    let mut slade = slade.clone();
+    slade.set_max_batch_lanes(lanes);
+    Arc::new(slade)
+}
+
+/// `n` inputs no two of which share a cache key (a distinct trailing
+/// label on a workload entry), so each occupies its own queue slot.
+fn distinct_inputs(asms: &[String], n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("{}.Larrival{i}:\n", asms[i % asms.len()])).collect()
+}
+
 /// Deterministic permutation of `0..n` from a seed (Fisher-Yates with a
 /// splitmix-style stream).
 fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
@@ -53,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The headline property: threads × arrival order × duplicate ratio
-    /// × cache × coalescing × spill ⇒ every request gets exactly what
+    /// × cache × spill ⇒ every request gets exactly what
     /// sequential `decompile_batch` returns, per element — whether it
     /// was decoded, cache-hit, coalesced onto another decode, or loaded
     /// from disk.
@@ -62,7 +75,6 @@ proptest! {
         shards in 1usize..=4,
         perm_seed in 0u64..1_000_000,
         cache_on in 0u8..2,
-        coalesce_on in 0u8..2,
         spill_on in 0u8..2,
         duplicates in 0usize..=8,
     ) {
@@ -74,17 +86,13 @@ proptest! {
         if cache_on == 0 {
             config = config.without_cache();
         }
-        if coalesce_on == 0 {
-            config = config.without_coalescing();
-        }
         let spill_dir = (spill_on == 1).then(|| tempdir("equiv-spill"));
         if let Some(dir) = &spill_dir {
             config = config.with_spill_dir(dir.path.clone());
         }
         // Small per-shard budgets force multi-round admission (requests
         // genuinely join running batches as lanes free up).
-        config.lanes_per_shard = slade.beam() * 2;
-        let runtime = ServeRuntime::start(Arc::clone(slade), config);
+        let runtime = ServeRuntime::start(with_lanes(slade, shards * slade.beam() * 2), config);
         // Submit in a random arrival order; duplicates exercise the
         // cache and (duplicate-heavy cases) the coalescing table.
         let total = asms.len() + duplicates;
@@ -168,20 +176,13 @@ fn sustained_load_admits_in_arrival_order_without_starvation() {
     let (slade, asms) = fixture();
     // One shard, budget for exactly one request at a time: every queued
     // request competes for the same lanes, the starvation-prone shape.
-    let config = ServeConfig {
-        shards: 1,
-        lanes_per_shard: slade.beam(),
-        cache_capacity: 0,
-        max_wait: Duration::from_millis(1),
-        // Coalescing off: duplicates must each occupy a queue slot for
-        // the admission-order assertion to see all 24 arrivals.
-        coalesce: false,
-        ..ServeConfig::default()
-    };
-    let runtime = ServeRuntime::start(Arc::clone(slade), config);
+    let config = ServeConfig::with_shards(1).without_cache();
+    let runtime = ServeRuntime::start(with_lanes(slade, slade.beam()), config);
+    // Distinct inputs: each must occupy a queue slot for the
+    // admission-order assertion to see all 24 arrivals.
     let total = 24usize;
     let handles: Vec<slade_serve::RequestHandle> =
-        (0..total).map(|i| runtime.submit(&asms[i % asms.len()])).collect();
+        distinct_inputs(asms, total).iter().map(|asm| runtime.submit(asm)).collect();
     for handle in handles {
         assert!(!handle.wait().expect("no timeout configured").is_empty() || slade.beam() == 0);
     }
@@ -196,18 +197,11 @@ fn sustained_load_admits_in_arrival_order_without_starvation() {
 fn admission_order_is_globally_fifo_across_shards() {
     let (slade, asms) = fixture();
     let runtime = ServeRuntime::start(
-        Arc::clone(slade),
-        ServeConfig {
-            shards: 3,
-            lanes_per_shard: slade.beam(),
-            cache_capacity: 0,
-            max_wait: Duration::from_millis(1),
-            coalesce: false,
-            ..ServeConfig::default()
-        },
+        with_lanes(slade, 3 * slade.beam()),
+        ServeConfig::with_shards(3).without_cache(),
     );
     let handles: Vec<slade_serve::RequestHandle> =
-        (0..18).map(|i| runtime.submit(&asms[i % asms.len()])).collect();
+        distinct_inputs(asms, 18).iter().map(|asm| runtime.submit(asm)).collect();
     for handle in handles {
         handle.wait().expect("no timeout configured");
     }
@@ -235,10 +229,10 @@ fn warm_cache_hits_skip_decode_and_metrics_account_for_it() {
     assert_eq!(snap.completed, 2 * asms.len() as u64);
     assert_eq!(snap.queue_depth, 0, "drained runtime has an empty queue");
     assert!(snap.p95_latency_ms >= snap.p50_latency_ms);
-    // Raw-text and pre-normalized submission hit the same cache line.
+    // Raw text and its normalised form hit the same cache entry.
     let normed = slade::normalize_asm(&asms[0]);
-    let via_norm = runtime.decompile_batch_normalized(&[&normed]);
-    assert_eq!(via_norm[0], cold[0]);
+    assert_ne!(normed, asms[0], "the compiler's output carries directives");
+    assert_eq!(runtime.submit(&normed).wait().expect("no timeout configured"), cold[0]);
     assert_eq!(runtime.metrics().cache.hits, asms.len() as u64 + 1);
     runtime.shutdown();
 }

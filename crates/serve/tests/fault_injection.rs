@@ -23,12 +23,15 @@ use std::time::{Duration, Instant};
 const BEAM: usize = 3;
 
 /// Untrained small-profile decompiler (decode cost is representative,
-/// hypotheses are noise — these tests assert accounting, not output).
-fn faulty_slade() -> Arc<Slade> {
+/// hypotheses are noise — these tests assert accounting, not output),
+/// with lanes for one request at a time on each of `shards` shards.
+fn faulty_slade(shards: usize) -> Arc<Slade> {
     let corpus: Vec<String> = (0..12).map(asm).collect();
     let tokenizer = UnigramTokenizer::train(&corpus, 200);
     let model = Seq2Seq::new(TransformerConfig::small(tokenizer.vocab_size()), 23);
-    Arc::new(Slade::from_parts(model, tokenizer, Isa::X86_64, OptLevel::O0, BEAM, 10))
+    let mut slade = Slade::from_parts(model, tokenizer, Isa::X86_64, OptLevel::O0, BEAM, 10);
+    slade.set_max_batch_lanes(shards * BEAM);
+    Arc::new(slade)
 }
 
 fn asm(i: usize) -> String {
@@ -52,13 +55,12 @@ fn await_drained_queue(runtime: &ServeRuntime) {
 #[test]
 fn shed_exactly_when_queue_full() {
     let runtime = ServeRuntime::start(
-        faulty_slade(),
+        faulty_slade(1),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM, // one request decodes at a time
             queue_cap: 3,
             test_decode_delay: Duration::from_millis(150),
-            ..ServeConfig::default().without_cache().without_coalescing()
+            ..ServeConfig::default().without_cache()
         },
     );
     // Occupy the only worker, then wait until it has *popped* the job so
@@ -105,13 +107,12 @@ fn shed_exactly_when_queue_full() {
 fn expired_waiter_returns_promptly() {
     let delay = Duration::from_millis(400);
     let runtime = ServeRuntime::start(
-        faulty_slade(),
+        faulty_slade(1),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM,
             request_timeout: Duration::from_millis(50),
             test_decode_delay: delay,
-            ..ServeConfig::default().without_cache().without_coalescing()
+            ..ServeConfig::default().without_cache()
         },
     );
     // A occupies the worker (and will itself expire mid-decode: the
@@ -145,10 +146,9 @@ fn expired_waiter_returns_promptly() {
 #[test]
 fn duplicates_coalesce_onto_one_decode() {
     let runtime = ServeRuntime::start(
-        faulty_slade(),
+        faulty_slade(1),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM,
             test_decode_delay: Duration::from_millis(100),
             ..ServeConfig::default().without_cache()
         },
@@ -182,10 +182,9 @@ fn duplicates_coalesce_onto_one_decode() {
 #[test]
 fn coalesce_with_cache_hits_accounting() {
     let runtime = ServeRuntime::start(
-        faulty_slade(),
+        faulty_slade(1),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM,
             test_decode_delay: Duration::from_millis(100),
             ..ServeConfig::default()
         },
@@ -220,10 +219,9 @@ fn seeded_burst_conservation() {
         let cap = [0usize, 2, 5][seed as usize % 3];
         let timeout = [Duration::ZERO, Duration::from_millis(60)][seed as usize % 2];
         let runtime = ServeRuntime::start(
-            faulty_slade(),
+            faulty_slade(2),
             ServeConfig {
                 shards: 2,
-                lanes_per_shard: BEAM,
                 queue_cap: cap,
                 request_timeout: timeout,
                 test_decode_delay: Duration::from_millis(20),

@@ -28,7 +28,9 @@ fn poll_slade() -> Arc<Slade> {
     let corpus: Vec<String> = (0..10).map(asm).collect();
     let tokenizer = UnigramTokenizer::train(&corpus, 200);
     let model = Seq2Seq::new(TransformerConfig::small(tokenizer.vocab_size()), 31);
-    Arc::new(Slade::from_parts(model, tokenizer, Isa::X86_64, OptLevel::O0, BEAM, 10))
+    let mut slade = Slade::from_parts(model, tokenizer, Isa::X86_64, OptLevel::O0, BEAM, 10);
+    slade.set_max_batch_lanes(BEAM); // one decode at a time on the one shard
+    Arc::new(slade)
 }
 
 fn asm(i: usize) -> String {
@@ -78,7 +80,6 @@ proptest! {
             poll_slade(),
             ServeConfig {
                 shards: 1,
-                lanes_per_shard: BEAM, // one decode at a time
                 test_decode_delay: Duration::from_millis(delay_ms),
                 ..ServeConfig::default().without_cache()
             },
@@ -132,10 +133,9 @@ fn polling_observes_deadline_expiry_exactly_once() {
         poll_slade(),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM,
             request_timeout: Duration::from_millis(50),
             test_decode_delay: Duration::from_millis(300),
-            ..ServeConfig::default().without_cache().without_coalescing()
+            ..ServeConfig::default().without_cache()
         },
     );
     // Busy occupies the only worker past its own deadline; B and C expire
@@ -190,7 +190,6 @@ fn hook_may_call_back_into_the_runtime() {
         poll_slade(),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM,
             request_timeout: Duration::from_millis(100),
             test_decode_delay: Duration::from_millis(250),
             ..ServeConfig::default()
@@ -238,9 +237,8 @@ fn premature_polls_do_not_disturb_delivery() {
         poll_slade(),
         ServeConfig {
             shards: 1,
-            lanes_per_shard: BEAM,
             test_decode_delay: Duration::from_millis(150),
-            ..ServeConfig::default().without_cache().without_coalescing()
+            ..ServeConfig::default().without_cache()
         },
     );
     let expected = runtime.slade().decompile(&asm(3));

@@ -14,8 +14,41 @@ fn training_corpus() -> Vec<String> {
     ]
 }
 
+/// Assembly-flavoured text: instructions, labels and data mixed with the
+/// directives `normalize_asm` drops, joined by LF, CRLF and blank lines,
+/// indented by tabs and spaces, with whitespace-only runs in between.
+fn asm_soup() -> impl Strategy<Value = String> {
+    prop::collection::vec(
+        prop_oneof![
+            3 => prop::sample::select(vec![
+                ".cfi_startproc", ".cfi_def_cfa_offset 16", ".p2align 4,,10", ".align 2",
+                ".text", ".globl f", ".global f", ".type f, @function", ".size f, .-f",
+                ".ident \"cc\"", "f:", ".L3:", "movl %edi, %eax", "ret", ".string \"a  b\"",
+                ".long .L3-.L2", "add w0, w0, #3",
+            ])
+            .prop_map(str::to_string),
+            2 => "[ \t]{0,4}",
+            2 => prop::sample::select(vec!["\n", "\r\n", "\n\n", "\r"]).prop_map(str::to_string),
+            1 => "[a-z.:%$, 0-9]{0,12}",
+        ],
+        0..40,
+    )
+    .prop_map(|parts| parts.concat())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `normalize_asm` maps its own output to itself, so text that was
+    /// normalised by a caller decodes, hashes and caches like the raw text.
+    #[test]
+    fn normalize_asm_is_idempotent(asm in asm_soup()) {
+        let once = slade::normalize_asm(&asm);
+        prop_assert_eq!(&slade::normalize_asm(&once), &once);
+        for line in once.lines() {
+            prop_assert!(!line.is_empty() && line == line.trim(), "{line:?}");
+        }
+    }
 
     /// Tokenizer round-trip: encode→decode is lossless modulo whitespace
     /// normalization, for arbitrary C-flavoured ASCII.
