@@ -28,13 +28,31 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Instruction-set architecture of an assembly file.
+/// Instruction-set architecture: the compiler's target and the dialect of
+/// the assembly it emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Isa {
-    /// AT&T-syntax x86-64.
+    /// x86-64, AT&T syntax (GCC default).
     X86_64,
     /// AArch64.
     Arm64,
+}
+
+impl fmt::Display for Isa {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Isa::X86_64 => write!(f, "x86"),
+            Isa::Arm64 => write!(f, "arm"),
+        }
+    }
+}
+
+/// `X86_64` — the paper's primary target, and the configuration assumed
+/// for artifacts serialized before the target was recorded on them.
+impl Default for Isa {
+    fn default() -> Self {
+        Isa::X86_64
+    }
 }
 
 /// An operand of a parsed instruction.
@@ -440,26 +458,6 @@ mod tests {
         let text = "\t.section .rodata\n.LC0:\n\t.string \"hi\\n\"\n\t.text\nf:\n\tret\n";
         let file = parse_asm(text, Isa::X86_64);
         assert_eq!(file.rodata.get(".LC0").unwrap(), &b"hi\n\0".to_vec());
-    }
-
-    #[test]
-    fn roundtrips_compiler_output() {
-        use slade_compiler::{compile_function, CompileOpts, OptLevel};
-        let p = slade_minic::parse_program(
-            "int f(int *a, int n) { int s = 0; for (int i = 0; i < n; i++) s += a[i]; return s; }",
-        )
-        .unwrap();
-        for (isa_c, isa_a) in [
-            (slade_compiler::Isa::X86_64, Isa::X86_64),
-            (slade_compiler::Isa::Arm64, Isa::Arm64),
-        ] {
-            for opt in [OptLevel::O0, OptLevel::O3] {
-                let asm = compile_function(&p, "f", CompileOpts::new(isa_c, opt)).unwrap();
-                let file = parse_asm(&asm, isa_a);
-                let f = file.function("f").expect("function parsed");
-                assert!(f.instructions().count() > 5, "{isa_c:?} {opt:?}:\n{asm}");
-            }
-        }
     }
 
     #[test]

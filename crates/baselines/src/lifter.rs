@@ -1362,26 +1362,17 @@ mod tests {
     use slade_compiler::{compile_function, CompileOpts, OptLevel};
     use slade_minic::{parse_program, Interpreter, Value};
 
-    fn lift_src(
-        src: &str,
-        name: &str,
-        isa: slade_compiler::Isa,
-        opt: OptLevel,
-    ) -> Result<String, LiftError> {
+    fn lift_src(src: &str, name: &str, isa: Isa, opt: OptLevel) -> Result<String, LiftError> {
         let p = parse_program(src).unwrap();
         let asm = compile_function(&p, name, CompileOpts::new(isa, opt)).unwrap();
-        let aisa = match isa {
-            slade_compiler::Isa::X86_64 => Isa::X86_64,
-            slade_compiler::Isa::Arm64 => Isa::Arm64,
-        };
-        let file = parse_asm(&asm, aisa);
-        lift(file.function(name).unwrap(), aisa, &file.rodata)
+        let file = parse_asm(&asm, isa);
+        lift(file.function(name).unwrap(), isa, &file.rodata)
     }
 
     #[test]
     fn lifted_x86_o0_add_is_behaviorally_correct() {
         let src = "int add3(int a, int b) { return a + b * 3; }";
-        let c = lift_src(src, "add3", slade_compiler::Isa::X86_64, OptLevel::O0).unwrap();
+        let c = lift_src(src, "add3", Isa::X86_64, OptLevel::O0).unwrap();
         let p = parse_program(&c).unwrap_or_else(|e| panic!("{e}\n{c}"));
         let mut i = Interpreter::new(&p).unwrap_or_else(|e| panic!("{e}\n{c}"));
         let out = i.call("add3", &[Value::long(5), Value::long(4)]).unwrap();
@@ -1392,7 +1383,7 @@ mod tests {
     fn lifted_x86_loop_matches_ground_truth() {
         let src =
             "int total(int n) { int s = 0; for (int i = 1; i <= n; i++) s += i; return s; }";
-        let c = lift_src(src, "total", slade_compiler::Isa::X86_64, OptLevel::O0).unwrap();
+        let c = lift_src(src, "total", Isa::X86_64, OptLevel::O0).unwrap();
         let p = parse_program(&c).unwrap_or_else(|e| panic!("{e}\n{c}"));
         let mut i = Interpreter::new(&p).unwrap();
         for n in [0i64, 1, 5, 10] {
@@ -1404,7 +1395,7 @@ mod tests {
     #[test]
     fn lifted_pointer_function_writes_through() {
         let src = "void bump(int *a, int v, int n) { for (int i = 0; i < n; i++) a[i] += v; }";
-        let c = lift_src(src, "bump", slade_compiler::Isa::X86_64, OptLevel::O0).unwrap();
+        let c = lift_src(src, "bump", Isa::X86_64, OptLevel::O0).unwrap();
         let p = parse_program(&c).unwrap_or_else(|e| panic!("{e}\n{c}"));
         let mut interp = Interpreter::new(&p).unwrap();
         let mut bytes = Vec::new();
@@ -1422,14 +1413,14 @@ mod tests {
     #[test]
     fn vectorized_o3_fails_to_lift_like_ghidra() {
         let src = "void addv(int *list, int val, int n) { int i; for (i = 0; i < n; ++i) list[i] += val; }";
-        let err = lift_src(src, "addv", slade_compiler::Isa::X86_64, OptLevel::O3).unwrap_err();
+        let err = lift_src(src, "addv", Isa::X86_64, OptLevel::O3).unwrap_err();
         assert!(err.0.contains("vector"), "{err}");
     }
 
     #[test]
     fn lifted_arm_o0_add_is_behaviorally_correct() {
         let src = "int add3(int a, int b) { return a + b * 3; }";
-        let c = lift_src(src, "add3", slade_compiler::Isa::Arm64, OptLevel::O0).unwrap();
+        let c = lift_src(src, "add3", Isa::Arm64, OptLevel::O0).unwrap();
         let p = parse_program(&c).unwrap_or_else(|e| panic!("{e}\n{c}"));
         let mut i = Interpreter::new(&p).unwrap();
         let out = i.call("add3", &[Value::long(5), Value::long(4)]).unwrap();
@@ -1440,7 +1431,7 @@ mod tests {
     fn lifted_code_is_verbose_and_unreadable() {
         // The whole point: correct but far from the original source.
         let src = "int add(int a, int b) { return a + b; }";
-        let c = lift_src(src, "add", slade_compiler::Isa::X86_64, OptLevel::O0).unwrap();
+        let c = lift_src(src, "add", Isa::X86_64, OptLevel::O0).unwrap();
         assert!(c.contains("unsigned long"), "{c}");
         assert!(c.len() > src.len() * 4, "lifted code suspiciously compact:\n{c}");
     }
@@ -1449,7 +1440,7 @@ mod tests {
     fn extern_calls_guess_arity_from_armed_registers() {
         let src =
             "int helper(int a, int b) { return a + b; } int f(int x) { return helper(x, 3); }";
-        let c = lift_src(src, "f", slade_compiler::Isa::X86_64, OptLevel::O0).unwrap();
+        let c = lift_src(src, "f", Isa::X86_64, OptLevel::O0).unwrap();
         assert!(c.contains("helper(r_rdi, r_rsi)") || c.contains("helper(r_rdi,"), "{c}");
     }
 }

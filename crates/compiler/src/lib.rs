@@ -42,31 +42,7 @@ use serde::{Deserialize, Serialize};
 use slade_minic::{MiniCError, Program, Sema};
 use std::fmt;
 
-/// Target instruction-set architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Isa {
-    /// x86-64, AT&T syntax (GCC default).
-    X86_64,
-    /// AArch64.
-    Arm64,
-}
-
-impl fmt::Display for Isa {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Isa::X86_64 => write!(f, "x86"),
-            Isa::Arm64 => write!(f, "arm"),
-        }
-    }
-}
-
-/// `X86_64` — the paper's primary target, and the configuration assumed
-/// for artifacts serialized before the target was recorded on them.
-impl Default for Isa {
-    fn default() -> Self {
-        Isa::X86_64
-    }
-}
+pub use slade_asm::Isa;
 
 /// Optimization level (the paper evaluates the two extremes GCC users ship).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -191,4 +167,25 @@ pub fn compile_all(program: &Program, opts: CompileOpts) -> Result<Vec<(String, 
         out.push((f.name.clone(), compile_function(program, &f.name, opts)?));
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn roundtrips_compiler_output() {
+        let p = slade_minic::parse_program(
+            "int f(int *a, int n) { int s = 0; for (int i = 0; i < n; i++) s += a[i]; return s; }",
+        )
+        .unwrap();
+        for isa in [Isa::X86_64, Isa::Arm64] {
+            for opt in [OptLevel::O0, OptLevel::O3] {
+                let asm = compile_function(&p, "f", CompileOpts::new(isa, opt)).unwrap();
+                let file = slade_asm::parse_asm(&asm, isa);
+                let f = file.function("f").expect("function parsed");
+                assert!(f.instructions().count() > 5, "{isa:?} {opt:?}:\n{asm}");
+            }
+        }
+    }
 }

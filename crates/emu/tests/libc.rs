@@ -75,10 +75,12 @@ fn on_emulator<C: Default>(
 
 fn on_both_isas(src: &str, inputs: &[In], opt: OptLevel) -> [Result<Observed, String>; 2] {
     let program = parse_program(src).expect("parses");
-    let asm =
-        |isa| compile_function(&program, "f", CompileOpts::new(isa, opt)).expect("compiles");
-    let x86 = Emulator::new(parse_asm(&asm(Isa::X86_64), slade_asm::Isa::X86_64));
-    let arm = ArmEmulator::new(parse_asm(&asm(Isa::Arm64), slade_asm::Isa::Arm64));
+    let asm = |isa| {
+        let s = compile_function(&program, "f", CompileOpts::new(isa, opt)).expect("compiles");
+        parse_asm(&s, isa)
+    };
+    let x86 = Emulator::new(asm(Isa::X86_64));
+    let arm = ArmEmulator::new(asm(Isa::Arm64));
     [
         on_emulator(x86, src, inputs, |e, args| e.call("f", args), |e| e.ret_f64()),
         on_emulator(arm, src, inputs, |e, args| e.call("f", args), |e| e.ret_f64()),

@@ -119,13 +119,6 @@ impl ToolContext {
         self.threads = threads.max(1);
         self
     }
-
-    fn asm_isa(&self) -> slade_asm::Isa {
-        match self.isa {
-            Isa::X86_64 => slade_asm::Isa::X86_64,
-            Isa::Arm64 => slade_asm::Isa::Arm64,
-        }
-    }
 }
 
 /// Trains the BTC-like baseline: same architecture, word-level tokenizer,
@@ -287,7 +280,7 @@ pub fn evaluate(ctx: &ToolContext, items: &[DatasetItem], tools: &[Tool]) -> Vec
                     if tool == Tool::Hybrid {
                         // Analytic-first: a successful lift is tried before
                         // any neural candidate (paper §X integration).
-                        if let Ok(lifted) = ghidra_decompile(asm, ctx.asm_isa(), &item.name) {
+                        if let Ok(lifted) = ghidra_decompile(asm, ctx.isa, &item.name) {
                             candidates.insert(0, (lifted, String::new()));
                         }
                     }
@@ -330,7 +323,7 @@ pub fn evaluate(ctx: &ToolContext, items: &[DatasetItem], tools: &[Tool]) -> Vec
                     });
                 }
                 Tool::Ghidra => {
-                    match ghidra_decompile(asm, ctx.asm_isa(), &item.name) {
+                    match ghidra_decompile(asm, ctx.isa, &item.name) {
                         Ok(hyp) => {
                             let v = judge(item, reference, &hyp, "");
                             rec.compiles = v.compiles;

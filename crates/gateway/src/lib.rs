@@ -16,6 +16,10 @@
 //! and the two sheds stay separately attributable in the conservation
 //! accounting (DESIGN.md §13).
 //!
+//! The gateway times no request itself: a parked delivery is due at its
+//! handle's deadline, and [`slade_serve::RequestHandle::expire`] resolves
+//! a due one — so a `504` is the runtime's `expired` terminal.
+//!
 //! Routes: `POST /v1/decompile` (JSON in, JSON or chunked NDJSON out),
 //! `GET /metrics` (runtime + `slade_gateway_*` Prometheus families),
 //! `GET /healthz`. Shutdown drains gracefully: stop accepting, finish
@@ -34,7 +38,7 @@ use serde::Serialize;
 use serde_json::Value;
 use slade_compiler::{Isa, OptLevel};
 use slade_obs::export::PromText;
-use slade_serve::{RequestHandle, ServeRuntime, SubmitError};
+use slade_serve::{Overloaded, RequestError, RequestHandle, ServeRuntime};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -43,34 +47,28 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Gateway tuning; [`GatewayConfig::default`] suits tests and small
+/// Connection workers: threads parsing requests and writing the answers
+/// ready when `try_submit` returns.
+const CONN_THREADS: usize = 4;
+/// Delivery workers: threads writing the answers of decodes that were not.
+const DELIVERY_THREADS: usize = 2;
+/// Accepted connections waiting for a worker before the acceptor sheds new
+/// ones with `503`.
+const CONN_BACKLOG: usize = 64;
+
+/// Gateway settings; [`GatewayConfig::default`] suits tests and small
 /// deployments.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Connection workers: threads parsing requests and writing
-    /// immediate responses.
-    pub conn_threads: usize,
-    /// Delivery workers: threads writing the responses of decodes that
-    /// were not ready at submit.
-    pub delivery_threads: usize,
-    /// Parser hardening limits.
-    pub limits: Limits,
     /// Socket read/write timeout — the slowloris guard; a peer that
     /// stalls a request longer than this gets `408`.
     pub read_timeout: Duration,
-    /// How long a delivery may wait before answering `504`. Configure
-    /// [`slade_serve::ServeConfig::with_request_timeout`] alongside so
-    /// the runtime expires the job too.
-    pub poll_timeout: Duration,
     /// Per-client token buckets (`rps <= 0` disables).
     pub quota: QuotaConfig,
-    /// Accepted connections waiting for a worker before the acceptor
-    /// sheds new ones with `503`.
-    pub conn_backlog: usize,
     /// Grace given to in-flight deliveries at shutdown before they are
-    /// abandoned with `503`.
+    /// expired and answered `503`.
     pub drain_deadline: Duration,
 }
 
@@ -78,13 +76,8 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             addr: "127.0.0.1:0".to_string(),
-            conn_threads: 4,
-            delivery_threads: 2,
-            limits: Limits::default(),
             read_timeout: Duration::from_secs(5),
-            poll_timeout: Duration::from_secs(30),
             quota: QuotaConfig::default(),
-            conn_backlog: 64,
             drain_deadline: Duration::from_secs(5),
         }
     }
@@ -121,10 +114,11 @@ struct Delivery {
     beam_cap: Option<usize>,
 }
 
-/// A parked delivery's key: its deadline (`now + poll_timeout` at park,
-/// so the table's first entry is the next to time out), then the request's
-/// trace id, which is unique in the process.
-type ParkKey = (Instant, u64);
+/// A parked delivery's key: whether its request has no deadline, then its
+/// deadline (its park time when it has none), then its trace id, unique in
+/// the process — so the table's first entry is the next one due, and one
+/// without a deadline is due only at the drain deadline.
+type ParkKey = (bool, Instant, u64);
 
 /// State shared by every gateway thread.
 struct Inner {
@@ -152,14 +146,6 @@ struct Inner {
 impl Inner {
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// `deadline`, capped by the drain deadline once shutdown starts.
-    fn effective_deadline(&self, deadline: Instant) -> Instant {
-        match *self.drain_by.lock().expect("drain lock") {
-            Some(by) => deadline.min(by),
-            None => deadline,
-        }
     }
 
     /// The one `/metrics` document: the runtime's families, then the
@@ -251,7 +237,7 @@ impl Gateway {
                     .expect("spawn acceptor"),
             );
         }
-        for i in 0..inner.cfg.conn_threads.max(1) {
+        for i in 0..CONN_THREADS {
             let inner = Arc::clone(&inner);
             threads.push(
                 std::thread::Builder::new()
@@ -260,7 +246,7 @@ impl Gateway {
                     .expect("spawn conn worker"),
             );
         }
-        for i in 0..inner.cfg.delivery_threads.max(1) {
+        for i in 0..DELIVERY_THREADS {
             let inner = Arc::clone(&inner);
             threads.push(
                 std::thread::Builder::new()
@@ -362,7 +348,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
             _active: ActiveGuard(Arc::clone(inner)),
         };
         let mut q = inner.conns.0.lock().expect("conn lock");
-        if q.len() >= inner.cfg.conn_backlog {
+        if q.len() >= CONN_BACKLOG {
             drop(q);
             inner.metrics.backlog_shed.add(1);
             respond(
@@ -407,7 +393,7 @@ fn serve_conn(inner: &Arc<Inner>, mut conn: Conn) {
         if inner.shutting_down() {
             return;
         }
-        match http::read_request(&mut conn.stream, &mut conn.carry, &inner.cfg.limits) {
+        match http::read_request(&mut conn.stream, &mut conn.carry, &Limits::default()) {
             Outcome::Closed => return,
             Outcome::Reject { status, reason } => {
                 inner.metrics.parse_rejects.add(1);
@@ -453,7 +439,9 @@ fn serve_conn(inner: &Arc<Inner>, mut conn: Conn) {
 /// Parks a delivery whose decode is still running and asks the runtime to
 /// announce its completion to the delivery pool.
 fn park(inner: &Arc<Inner>, delivery: Delivery) {
-    let key = (Instant::now() + inner.cfg.poll_timeout, delivery.handle.trace_id());
+    let deadline = delivery.handle.deadline();
+    let key =
+        (deadline.is_none(), deadline.unwrap_or_else(Instant::now), delivery.handle.trace_id());
     let ready = Arc::clone(&inner.ready);
     inner.metrics.pending_deliveries.add(1);
     let mut parked = inner.parked.lock().expect("parked lock");
@@ -463,6 +451,13 @@ fn park(inner: &Arc<Inner>, delivery: Delivery) {
         ready.0.lock().expect("ready lock").push_back(key);
         ready.1.notify_one();
     });
+    // A new first entry may be due before the pool means to wake. The pool
+    // reads the first entry under `parked` and takes `ready` before it lets
+    // go, so notifying under `ready` reaches it asleep.
+    if parked.keys().next() == Some(&key) {
+        let _asleep = inner.ready.0.lock().expect("ready lock");
+        inner.ready.1.notify_one();
+    }
 }
 
 /// Writes a fixed-length response and counts its status; returns whether
@@ -579,11 +574,10 @@ fn route_decompile(inner: &Arc<Inner>, req: &Request, peer: &str) -> Routed {
     }
     match inner.runtime.try_submit(asm) {
         Ok(handle) => Routed::Submitted { handle, stream, beam_cap },
-        Err(SubmitError::Overloaded) => {
+        Err(Overloaded) => {
             inner.metrics.overload_shed.add(1);
             immediate(429, "admission queue at capacity")
         }
-        Err(SubmitError::DeadlineExceeded) => immediate(504, "deadline exceeded"),
     }
 }
 
@@ -604,78 +598,57 @@ fn parse_opt(s: &str) -> Option<OptLevel> {
 }
 
 /// One delivery worker: writes the response of each parked delivery when
-/// the runtime's hook announces its outcome, or `504` / `503` when its
-/// poll / drain deadline comes first; asleep in between.
+/// the runtime's hook announces its outcome, or expires the first one when
+/// its deadline — capped by the drain deadline — comes first; asleep in
+/// between.
 fn delivery_loop(inner: &Arc<Inner>) {
     loop {
+        let mut parked = inner.parked.lock().expect("parked lock");
         let draining = inner.shutting_down();
+        let first = parked.keys().next().copied();
+        if first.is_none() && draining {
+            return;
+        }
+        let deadline = first.and_then(|(open, at, _)| (!open).then_some(at));
+        let due = deadline.into_iter().chain(*inner.drain_by.lock().expect("drain lock")).min();
         let now = Instant::now();
-        let wake_at = {
-            let mut parked = inner.parked.lock().expect("parked lock");
-            let first = parked.first_entry();
-            if first.is_none() && draining {
-                return;
-            }
-            // With nothing parked: nothing parked later can be due before
-            // `now + poll_timeout`, so parking never has to wake the pool.
-            // (The floor keeps a sub-millisecond `poll_timeout` from
-            // spinning an idle pool; its `504`s come at most that late.)
-            let idle = now + inner.cfg.poll_timeout.max(Duration::from_millis(1));
-            let due = first.as_ref().map_or(idle, |e| e.key().0);
-            let wake_at = inner.effective_deadline(due);
-            if let Some(overdue) = first.filter(|_| now >= wake_at) {
-                let delivery = overdue.remove();
-                drop(parked);
-                abandon(inner, delivery);
-                continue;
-            }
-            wake_at
-        };
-        let key = {
+        let delivery = if due.is_some_and(|t| now >= t) {
+            let due_one = parked.pop_first().map(|(_, delivery)| delivery);
+            drop(parked);
+            due_one
+        } else {
             let mut ready = inner.ready.0.lock().expect("ready lock");
-            loop {
-                if let Some(key) = ready.pop_front() {
-                    break Some(key);
-                }
-                let now = Instant::now();
-                if now >= wake_at || inner.shutting_down() != draining {
-                    break None; // a deadline (or the drain's) to look at
-                }
-                ready = inner.ready.1.wait_timeout(ready, wake_at - now).expect("ready wait").0;
+            drop(parked);
+            // Re-read under the lock shutdown notifies under, so a drain
+            // that started since is not slept through.
+            if ready.is_empty() && inner.shutting_down() == draining {
+                ready = match due {
+                    Some(t) => {
+                        inner.ready.1.wait_timeout(ready, t - now).expect("ready wait").0
+                    }
+                    None => inner.ready.1.wait(ready).expect("ready wait"),
+                };
             }
+            let key = ready.pop_front();
+            drop(ready);
+            // A key whose delivery was expired meanwhile finds nothing.
+            key.and_then(|key| inner.parked.lock().expect("parked lock").remove(&key))
         };
-        // A key whose delivery timed out meanwhile finds nothing.
-        let delivery =
-            key.and_then(|key| inner.parked.lock().expect("parked lock").remove(&key));
-        if let Some(delivery) = delivery {
-            inner.metrics.pending_deliveries.sub(1);
-            let outcome = delivery.handle.try_take().expect("the hook runs after fulfilment");
-            // Re-check the flag at enqueue time: shutdown may have started
-            // while the response was being written, and a conn parked in
-            // the queue after the workers exit would never be popped — its
-            // `ActiveGuard` would then cycle `Inner → queue → conn → Inner`.
-            if let Some(conn) =
-                finish(inner, delivery, outcome).filter(|_| !inner.shutting_down())
-            {
-                inner.conns.0.lock().expect("conn lock").push_back(conn);
-                inner.conns.1.notify_one();
-            }
+        let Some(delivery) = delivery else { continue };
+        inner.metrics.pending_deliveries.sub(1);
+        // The outcome the hook announced or, for a due entry, the
+        // runtime's expiry (or a fulfiller's outcome that beat it).
+        let outcome = delivery.handle.expire().expect("the pool is the handle's only consumer");
+        // Re-check the flag at enqueue time: shutdown may have started
+        // while the response was being written, and a conn parked in the
+        // queue after the workers exit would never be popped — its
+        // `ActiveGuard` would then cycle `Inner → queue → conn → Inner`.
+        if let Some(conn) = finish(inner, delivery, outcome).filter(|_| !inner.shutting_down())
+        {
+            inner.conns.0.lock().expect("conn lock").push_back(conn);
+            inner.conns.1.notify_one();
         }
     }
-}
-
-/// Gives up on a parked delivery whose deadline passed: `503` when the
-/// drain deadline cut it short, else `504`; the connection closes.
-fn abandon(inner: &Arc<Inner>, mut delivery: Delivery) {
-    let (status, reason) = if inner.shutting_down() {
-        inner.metrics.drain_aborts.add(1);
-        (503, "abandoned at drain deadline")
-    } else {
-        inner.metrics.poll_timeouts.add(1);
-        (504, "deadline exceeded before a result")
-    };
-    inner.metrics.pending_deliveries.sub(1);
-    respond(inner, &mut delivery.conn, status, "application/json", &json_error(reason), false);
 }
 
 /// Writes the final response for a completed request — a hit on the
@@ -684,7 +657,7 @@ fn abandon(inner: &Arc<Inner>, mut delivery: Delivery) {
 fn finish(
     inner: &Arc<Inner>,
     delivery: Delivery,
-    outcome: Result<Vec<String>, SubmitError>,
+    outcome: Result<Vec<String>, RequestError>,
 ) -> Option<Conn> {
     let Delivery { mut conn, handle, keep_alive, stream, beam_cap } = delivery;
     let keep_alive = keep_alive && !inner.shutting_down();
@@ -707,28 +680,15 @@ fn finish(
                 respond(inner, &mut conn, 200, "application/json", body.as_bytes(), keep_alive)
             }
         }
-        Err(SubmitError::DeadlineExceeded) => {
-            inner.metrics.poll_timeouts.add(1);
-            respond(
-                inner,
-                &mut conn,
-                504,
-                "application/json",
-                &json_error("deadline exceeded before a result"),
-                keep_alive,
-            )
-        }
-        Err(SubmitError::Overloaded) => {
-            // Unreachable post-admission, but keep the mapping total.
-            inner.metrics.overload_shed.add(1);
-            respond(
-                inner,
-                &mut conn,
-                429,
-                "application/json",
-                &json_error("admission queue at capacity"),
-                keep_alive,
-            )
+        Err(RequestError::DeadlineExceeded) => {
+            let (status, reason) = if inner.shutting_down() {
+                inner.metrics.drain_aborts.add(1);
+                (503, "abandoned at drain deadline")
+            } else {
+                (504, "deadline exceeded before a result")
+            };
+            let body = json_error(reason);
+            respond(inner, &mut conn, status, "application/json", &body, keep_alive)
         }
     };
     (wrote && keep_alive).then_some(conn)

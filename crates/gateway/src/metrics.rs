@@ -14,7 +14,10 @@
 //!
 //! when the gateway is the runtime's only client — quota sheds never
 //! reach `try_submit`, everything else lands in exactly one runtime
-//! terminal state (`shed`/`expired`/`coalesced`/`decoded`/`hits`).
+//! terminal state (`shed`/`expired`/`coalesced`/`decoded`/`hits`). An
+//! `expired` request is answered `504`, or `503` counted in
+//! `drain_aborts` while draining: the edge keeps no deadline count of
+//! its own.
 
 use crate::quota::QuotaTable;
 use serde::Serialize;
@@ -42,11 +45,9 @@ slade_obs::metrics! {
         pub decompile_offered: Counter("slade_gateway_decompile_offered_total"),
         /// Decompile submissions answered 429 by the runtime queue cap.
         pub overload_shed: Counter("slade_gateway_overload_shed_total"),
-        /// Deliveries answered 504 after the polling deadline.
-        pub poll_timeouts: Counter("slade_gateway_poll_timeouts_total"),
         /// Responses streamed with chunked transfer-encoding.
         pub streamed: Counter("slade_gateway_streams_total"),
-        /// In-flight deliveries abandoned (503) at the drain deadline.
+        /// Deliveries expired and answered 503 while draining.
         pub drain_aborts: Counter("slade_gateway_drain_aborts_total"),
         /// Admitted requests parked until their decode (or deadline) answers them.
         pub pending_deliveries: Gauge("slade_gateway_pending_deliveries"),
@@ -94,7 +95,6 @@ impl GwMetrics {
             quota_shed: quota.shed_total(),
             quota_clients: quota.per_client(),
             overload_shed: self.overload_shed.get(),
-            poll_timeouts: self.poll_timeouts.get(),
             streamed: self.streamed.get(),
             drain_aborts: self.drain_aborts.get(),
             pending_deliveries: self.pending_deliveries.get() as usize,
@@ -164,11 +164,9 @@ pub struct GatewaySnapshot {
     pub quota_clients: Vec<ClientQuota>,
     /// Submissions answered 429 by the runtime's global queue cap.
     pub overload_shed: u64,
-    /// Deliveries answered 504 after the polling deadline.
-    pub poll_timeouts: u64,
     /// Responses streamed with chunked transfer-encoding.
     pub streamed: u64,
-    /// Deliveries abandoned (503) at the drain deadline.
+    /// Deliveries expired and answered 503 while draining.
     pub drain_aborts: u64,
     /// Admitted requests parked until their decode (or deadline) answers them.
     pub pending_deliveries: usize,

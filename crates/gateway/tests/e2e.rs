@@ -145,6 +145,10 @@ fn assert_edge_conservation(gateway: &Gateway, direct: u64) {
     // With the runtime's own identity, the combined partition: every
     // offered request ends as a quota shed or in one runtime terminal.
     assert_eq!(rt.unaccounted(), 0, "runtime conservation violated: {rt:?}");
+    // The edge answers every expiry once and times nothing itself.
+    let answered_504: u64 =
+        gw.by_status.iter().filter(|s| s.code == 504).map(|s| s.count).sum();
+    assert_eq!(answered_504 + gw.drain_aborts, rt.expired, "gw={gw:?} rt={rt:?}");
     // And an answered request leaves nothing behind at the edge.
     assert_eq!(gw.pending_deliveries, 0, "a delivery is still parked: {gw:?}");
 }
@@ -242,6 +246,7 @@ fn streaming_delivers_chunked_ndjson() {
     let resp = post(&addr, &body);
     assert_ndjson_stream(&resp, &expected);
     assert_eq!(gateway.metrics().streamed, 1);
+    assert_edge_conservation(&gateway, 0);
     gateway.shutdown();
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }
@@ -355,6 +360,7 @@ fn health_metrics_and_reject_routes() {
     assert!(text.contains("slade_requests_submitted_total"), "runtime families present");
     // `Gateway::metrics_text` returns the same combined document.
     assert_eq!(type_lines(&gateway.metrics_text()), want);
+    assert_edge_conservation(&gateway, 0);
     gateway.shutdown();
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }
@@ -373,6 +379,7 @@ fn beam_option_caps_candidates() {
     let body = format!("{{\"asm\":{},\"beam\":1}}", Value::Str(asm(4)).render());
     let got = candidates(&post(&addr, &body));
     assert_eq!(got, expected[..1].to_vec(), "beam=1 keeps only the best hypothesis");
+    assert_edge_conservation(&gateway, 0);
     gateway.shutdown();
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }
@@ -396,6 +403,7 @@ fn keep_alive_serves_sequential_requests() {
         assert_eq!(got, expected, "round {round} diverged");
     }
     assert_eq!(gateway.metrics().connections, 1, "all rounds shared one connection");
+    assert_edge_conservation(&gateway, 0);
     gateway.shutdown();
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }
@@ -542,22 +550,18 @@ fn hits_honour_stream_and_beam() {
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }
 
-/// One delivery thread is enough for any number of decodes in flight: it
-/// sleeps until the runtime announces one, so sixteen concurrent cold
+/// The fixed delivery pool is enough for any number of decodes in flight:
+/// it sleeps until the runtime announces one, so sixteen concurrent cold
 /// requests all answer 200 with what `decompile_batch` produces.
 #[test]
-fn one_delivery_thread_serves_sixteen_cold_requests() {
+fn delivery_pool_serves_sixteen_cold_requests() {
     let slade = gw_slade();
     let inputs: Vec<String> = (20..36).map(asm).collect();
     let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
     let expected = slade.decompile_batch(&refs);
     let runtime =
         Arc::new(ServeRuntime::start(Arc::clone(&slade), ServeConfig::with_shards(1)));
-    let gateway = Gateway::start(
-        Arc::clone(&runtime),
-        GatewayConfig { delivery_threads: 1, ..gw_config() },
-    )
-    .expect("bind");
+    let gateway = Gateway::start(Arc::clone(&runtime), gw_config()).expect("bind");
     let addr = gateway.local_addr().to_string();
     let threads: Vec<_> = inputs
         .iter()
@@ -576,37 +580,35 @@ fn one_delivery_thread_serves_sixteen_cold_requests() {
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }
 
-/// A decode slower than `poll_timeout` is answered `504` at the deadline,
-/// not when it finishes; the completion that arrives later finds nothing
-/// parked, and the hook it ran does not keep the gateway alive.
+/// A decode slower than the runtime's `request_timeout` is answered `504`
+/// at the deadline, not when it finishes — as the runtime's `expired`
+/// terminal: the decode that ends later feeds the cache but is counted
+/// nowhere, and nothing stays parked.
 #[test]
-fn poll_timeout_answers_504_before_the_decode_ends() {
+fn request_deadline_answers_504_as_the_runtimes_expiry() {
     let runtime = Arc::new(ServeRuntime::start(
         gw_slade_one_at_a_time(),
         ServeConfig {
             shards: 1,
+            request_timeout: Duration::from_millis(60),
             test_decode_delay: Duration::from_millis(400),
             ..ServeConfig::default()
         },
     ));
-    let gateway = Gateway::start(
-        Arc::clone(&runtime),
-        GatewayConfig { poll_timeout: Duration::from_millis(60), ..gw_config() },
-    )
-    .expect("bind");
+    let gateway = Gateway::start(Arc::clone(&runtime), gw_config()).expect("bind");
     let resp = post(&gateway.local_addr().to_string(), &decompile_body(&asm(12)));
     assert_eq!(resp.status, 504, "body: {}", resp.text());
-    assert_eq!(runtime.metrics().decoded, 0, "answered while the decode was still asleep");
-    let gw = gateway.metrics();
-    assert_eq!((gw.poll_timeouts, gw.pending_deliveries), (1, 0));
-    wait_until("the abandoned decode ends", || runtime.metrics().decoded == 1);
+    wait_until("the expired decode ends", || runtime.metrics().cache.insertions == 1);
+    let rt = runtime.metrics();
+    assert_eq!((rt.expired, rt.decoded), (1, 0), "{rt:?}");
+    // Also: nothing unaccounted, nothing parked, one 504 per expiry.
     assert_edge_conservation(&gateway, 0);
     gateway.shutdown();
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }
 
-/// A decode that outlasts the drain deadline is answered `503` at it, and
-/// shutdown returns then — with the decode's hook still registered.
+/// A decode that outlasts the drain deadline is expired and answered `503`
+/// at it, and shutdown returns then, the decode still asleep.
 #[test]
 fn drain_deadline_answers_503() {
     let runtime = Arc::new(ServeRuntime::start(
@@ -629,5 +631,7 @@ fn drain_deadline_answers_503() {
     let resp = client.join().expect("client thread");
     assert_eq!(resp.status, 503, "body: {}", resp.text());
     assert_eq!(runtime.metrics().decoded, 0, "shutdown did not wait for the decode");
-    Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
+    let runtime = Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle");
+    assert_eq!(runtime.metrics().expired, 1, "the drain expired the request in the runtime");
+    runtime.shutdown();
 }

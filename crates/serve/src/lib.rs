@@ -21,16 +21,17 @@
 //! enforces — `submitted == shed + expired + coalesced + decoded +
 //! cache hits`):
 //!
-//! * **shed** — [`ServeRuntime::try_submit`] rejects with
-//!   [`SubmitError::Overloaded`] when the queue is at
-//!   [`ServeConfig::queue_cap`] (cache hits and coalesced attaches cost
-//!   no decode and are never shed);
+//! * **shed** — [`ServeRuntime::try_submit`] rejects with [`Overloaded`]
+//!   when the queue is at [`ServeConfig::queue_cap`] (cache hits and
+//!   coalesced attaches cost no decode and are never shed);
 //! * **expired** — with a configured [`ServeConfig::request_timeout`],
 //!   a request whose deadline passes before its result is ready resolves
-//!   to [`SubmitError::DeadlineExceeded`] *promptly* (the waiter wakes at
-//!   the deadline; it does not wait for decode), and a worker popping an
-//!   already-expired job cancels it instead of decoding stale work —
-//!   unless coalesced waiters are attached and still want the answer;
+//!   to [`RequestError::DeadlineExceeded`] *promptly*: its one deadline is
+//!   kept by whichever waiter gets there first — [`RequestHandle::wait`]
+//!   wakes at it, a front end holding the handle calls
+//!   [`RequestHandle::expire`], and a worker popping an already-expired
+//!   job cancels it instead of decoding stale work (unless coalesced
+//!   waiters are attached and still want the answer);
 //! * **coalesced** — a duplicate submission whose cache key is already
 //!   decoding attaches to the in-flight request's pending entry and gets
 //!   the same result fanned out, one decode for N waiters;
@@ -100,11 +101,10 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Bounded-admission queue cap for [`ServeRuntime::try_submit`]:
     /// when this many requests are already queued, further fallible
-    /// submissions shed with [`SubmitError::Overloaded`]. `0` =
-    /// unbounded (never sheds).
+    /// submissions shed with [`Overloaded`]. `0` = unbounded (never sheds).
     pub queue_cap: usize,
     /// Per-request end-to-end deadline: a request not answered within
-    /// this resolves to [`SubmitError::DeadlineExceeded`], and queued
+    /// this resolves to [`RequestError::DeadlineExceeded`], and queued
     /// work past its deadline is cancelled instead of decoded.
     /// [`Duration::ZERO`] disables timeouts.
     pub request_timeout: Duration,
@@ -167,27 +167,21 @@ impl ServeConfig {
     }
 }
 
-/// Why a submission was rejected or cancelled.
+/// [`ServeRuntime::try_submit`] shed the request: the queue was at
+/// [`ServeConfig::queue_cap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitError {
-    /// Bounded admission shed the request: the queue was at
-    /// [`ServeConfig::queue_cap`] when [`ServeRuntime::try_submit`] ran.
-    Overloaded,
+pub struct Overloaded;
+
+/// Why an admitted request resolved without hypotheses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestError {
     /// The request's [`ServeConfig::request_timeout`] elapsed before a
     /// result was ready.
     DeadlineExceeded,
 }
 
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::Overloaded => write!(f, "overloaded: admission queue at capacity"),
-            SubmitError::DeadlineExceeded => write!(f, "deadline exceeded before a result"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
+/// What an admitted request resolves to.
+type Outcome = Result<Vec<String>, RequestError>;
 
 /// One submission's identity, shared by its handle, its queued job and —
 /// for a coalesced duplicate — its entry in the pending table.
@@ -198,6 +192,8 @@ struct Req {
     trace_id: u64,
     /// Submit time, µs since the observability epoch (span start times).
     submitted_us: u64,
+    /// End-to-end deadline; `None` when timeouts are disabled.
+    deadline: Option<Instant>,
 }
 
 /// One queued decompilation job.
@@ -205,8 +201,6 @@ struct Job {
     req: Req,
     norm_asm: String,
     key: CacheKey,
-    /// End-to-end deadline; `None` when timeouts are disabled.
-    timeout_at: Option<Instant>,
 }
 
 /// Fixed span ids within a request's trace: the tree shape is static
@@ -245,14 +239,14 @@ enum SlotState {
     /// No terminal yet; the hook, if one is registered, fires at it.
     Pending(Option<Hook>),
     /// Fulfilled, outcome not yet consumed.
-    Ready(Result<Vec<String>, SubmitError>),
+    Ready(Outcome),
     /// Fulfilled and consumed.
     Taken,
 }
 
 impl SlotState {
     /// The outcome, once: `Ready` becomes `Taken`.
-    fn take(&mut self) -> Option<Result<Vec<String>, SubmitError>> {
+    fn take(&mut self) -> Option<Outcome> {
         match std::mem::replace(self, SlotState::Taken) {
             SlotState::Ready(outcome) => Some(outcome),
             other => {
@@ -295,7 +289,7 @@ impl ResponseSlot {
     /// Stores the outcome, wakes blocked waiters, then runs the hook —
     /// after the slot's lock is released, so the hook may consume the
     /// outcome it was told about.
-    fn fulfill(&self, outcome: Result<Vec<String>, SubmitError>) {
+    fn fulfill(&self, outcome: Outcome) {
         let prev = std::mem::replace(
             &mut *self.state.lock().expect("slot lock"),
             SlotState::Ready(outcome),
@@ -311,7 +305,6 @@ impl ResponseSlot {
 /// its hypotheses are ready or its deadline passes.
 pub struct RequestHandle {
     req: Req,
-    timeout_at: Option<Instant>,
     shared: Arc<Shared>,
 }
 
@@ -322,51 +315,60 @@ impl RequestHandle {
         self.req.trace_id
     }
 
+    /// When the request expires: [`ServeConfig::request_timeout`] after
+    /// submit, `None` without one.
+    pub fn deadline(&self) -> Option<Instant> {
+        self.req.deadline
+    }
+
     /// Blocks until the request completes; returns up to `beam`
-    /// hypotheses, best first — or [`SubmitError::DeadlineExceeded`]
+    /// hypotheses, best first — or [`RequestError::DeadlineExceeded`]
     /// **at the deadline** when [`ServeConfig::request_timeout`] is
     /// configured: an expired request still queued behind a slow decode
     /// resolves promptly, it does not wait for the decode to finish.
-    pub fn wait(self) -> Result<Vec<String>, SubmitError> {
-        let mut deadline = self.timeout_at;
-        let slot = &self.req.slot;
-        let mut guard = slot.state.lock().expect("slot lock");
-        loop {
-            if let Some(outcome) = guard.take() {
-                return outcome;
-            }
-            match deadline {
-                None => guard = slot.ready.wait(guard).expect("slot wait"),
-                Some(t) => {
-                    let now = Instant::now();
-                    if now >= t {
-                        if slot.try_claim() {
-                            drop(guard);
-                            let now_us = slade_obs::obs().now_us();
-                            self.shared.finish(
-                                Terminal::Expired,
-                                &self.req,
-                                now_us,
-                                Vec::new(),
-                            );
-                            return Err(SubmitError::DeadlineExceeded);
-                        }
-                        // Lost the claim: a fulfiller is delivering right
-                        // now — wait for the result without a deadline.
-                        deadline = None;
-                    } else {
-                        let (g, _) =
-                            slot.ready.wait_timeout(guard, t - now).expect("slot wait");
-                        guard = g;
-                    }
-                }
-            }
-        }
+    pub fn wait(self) -> Result<Vec<String>, RequestError> {
+        self.resolve(self.req.deadline).expect("`wait` consumes the handle's only outcome")
+    }
+
+    /// Resolves the request now: its outcome if one is ready, else
+    /// [`RequestError::DeadlineExceeded`], ending it `expired` as its
+    /// deadline would — unless a fulfiller holds the claim at this
+    /// instant, whose outcome it then waits for. `None`, as from
+    /// [`RequestHandle::try_take`], when another consumer of this handle
+    /// took the outcome first.
+    pub fn expire(&self) -> Option<Result<Vec<String>, RequestError>> {
+        self.resolve(Some(Instant::now()))
     }
 
     /// Non-blocking poll; returns the outcome once, if ready.
-    pub fn try_take(&self) -> Option<Result<Vec<String>, SubmitError>> {
+    pub fn try_take(&self) -> Option<Result<Vec<String>, RequestError>> {
         self.req.slot.state.lock().expect("slot lock").take()
+    }
+
+    /// Takes the outcome, blocking until it exists; at `deadline` the
+    /// request expires, unless a fulfiller won the claim first — its
+    /// outcome is then awaited without a deadline.
+    fn resolve(&self, mut deadline: Option<Instant>) -> Option<Outcome> {
+        let slot = &self.req.slot;
+        let mut state = slot.state.lock().expect("slot lock");
+        loop {
+            if !matches!(*state, SlotState::Pending(_)) {
+                return state.take();
+            }
+            let now = Instant::now();
+            state = match deadline {
+                None => slot.ready.wait(state).expect("slot wait"),
+                Some(t) if now < t => {
+                    slot.ready.wait_timeout(state, t - now).expect("slot wait").0
+                }
+                Some(_) => {
+                    drop(state);
+                    self.shared.expire(&self.req);
+                    deadline = None;
+                    slot.state.lock().expect("slot lock")
+                }
+            };
+        }
     }
 
     /// Registers `hook` to run exactly once when the request reaches its
@@ -420,19 +422,21 @@ impl Shared {
     /// Ends `req` in `terminal`, for the caller that won its slot's claim
     /// (a shed submission, never handed out, has none to win): counts the
     /// terminal, records latency for the answered ones, writes the root
-    /// span up to `end_us` and, last, fulfills the slot — with `outputs`
-    /// unless the terminal is an error.
+    /// span up to `end_us` and, last, fulfills the slot of a handed-out
+    /// request — with `outputs` unless it expired.
     fn finish(&self, terminal: Terminal, req: &Req, end_us: u64, outputs: Vec<String>) {
         let m = &self.metrics;
         let dur_us = end_us.saturating_sub(req.submitted_us);
         let (counter, latency_us, outcome) = match terminal {
-            Terminal::Decoded => (Some(&m.decoded), Some(dur_us), Ok(outputs)),
-            Terminal::Coalesced => (Some(&m.coalesced), Some(dur_us), Ok(outputs)),
+            Terminal::Decoded => (Some(&m.decoded), Some(dur_us), Some(Ok(outputs))),
+            Terminal::Coalesced => (Some(&m.coalesced), Some(dur_us), Some(Ok(outputs))),
             // Counted by the probe (`ResultCache::get`'s `hits`, the term
             // the conservation identity reads); a hit waits for nothing.
-            Terminal::CacheHit => (None, Some(0), Ok(outputs)),
-            Terminal::Shed => (Some(&m.shed), None, Err(SubmitError::Overloaded)),
-            Terminal::Expired => (Some(&m.expired), None, Err(SubmitError::DeadlineExceeded)),
+            Terminal::CacheHit => (None, Some(0), Some(Ok(outputs))),
+            Terminal::Shed => (Some(&m.shed), None, None),
+            Terminal::Expired => {
+                (Some(&m.expired), None, Some(Err(RequestError::DeadlineExceeded)))
+            }
         };
         if let Some(counter) = counter {
             counter.add(1);
@@ -449,7 +453,16 @@ impl Shared {
             dur_us,
             detail: terminal as u64,
         });
-        req.slot.fulfill(outcome);
+        if let Some(outcome) = outcome {
+            req.slot.fulfill(outcome);
+        }
+    }
+
+    /// The one expiry: ends `req` `expired` if its claim is still open.
+    fn expire(&self, req: &Req) {
+        if req.slot.try_claim() {
+            self.finish(Terminal::Expired, req, slade_obs::obs().now_us(), Vec::new());
+        }
     }
 }
 
@@ -519,17 +532,14 @@ impl ServeRuntime {
     /// [`ServeConfig::queue_cap`] (trusted in-process callers); the
     /// configured request timeout still applies.
     pub fn submit(&self, asm_text: &str) -> RequestHandle {
-        match self.admit(normalize_asm(asm_text), false) {
-            Ok(handle) => handle,
-            Err(_) => unreachable!("infallible submit never sheds"),
-        }
+        self.admit(normalize_asm(asm_text), false).expect("infallible submit never sheds")
     }
 
     /// Fallible admission with shed-on-full backpressure: rejects with
-    /// [`SubmitError::Overloaded`] when [`ServeConfig::queue_cap`]
-    /// requests are already queued. Cache hits and coalesced attaches
-    /// cost no decode and are admitted regardless of queue depth.
-    pub fn try_submit(&self, asm_text: &str) -> Result<RequestHandle, SubmitError> {
+    /// [`Overloaded`] when [`ServeConfig::queue_cap`] requests are
+    /// already queued. Cache hits and coalesced attaches cost no decode
+    /// and are admitted regardless of queue depth.
+    pub fn try_submit(&self, asm_text: &str) -> Result<RequestHandle, Overloaded> {
         self.admit(normalize_asm(asm_text), true)
     }
 
@@ -539,7 +549,7 @@ impl ServeRuntime {
         &self,
         normalized_asm: String,
         enforce_cap: bool,
-    ) -> Result<RequestHandle, SubmitError> {
+    ) -> Result<RequestHandle, Overloaded> {
         let sh = &*self.shared;
         let o = slade_obs::obs();
         sh.metrics.submitted.add(1);
@@ -547,11 +557,10 @@ impl ServeRuntime {
             slot: Arc::new(ResponseSlot::new()),
             trace_id: o.next_trace_id(),
             submitted_us: o.now_us(),
+            deadline: (sh.request_timeout > Duration::ZERO)
+                .then(|| Instant::now() + sh.request_timeout),
         };
-        let timeout_at =
-            (sh.request_timeout > Duration::ZERO).then(|| Instant::now() + sh.request_timeout);
-        let handle =
-            RequestHandle { req: req.clone(), timeout_at, shared: Arc::clone(&self.shared) };
+        let handle = RequestHandle { req: req.clone(), shared: Arc::clone(&self.shared) };
         let key = CacheKey::new(
             &normalized_asm,
             sh.slade.isa(),
@@ -576,7 +585,7 @@ impl ServeRuntime {
                 return Ok(handle);
             }
         }
-        let job = Job { req, norm_asm: normalized_asm, key, timeout_at };
+        let job = Job { req, norm_asm: normalized_asm, key };
         {
             // Coalesce attach, cap check and enqueue are atomic under the
             // queue lock (pending nests inside it — see the lock order
@@ -601,7 +610,8 @@ impl ServeRuntime {
             if enforce_cap && sh.queue_cap > 0 && q.len() >= sh.queue_cap {
                 drop(pending);
                 drop(q);
-                return Err(self.shed(&job.req));
+                self.shed(&job.req);
+                return Err(Overloaded);
             }
             if !collides {
                 let entry =
@@ -616,7 +626,7 @@ impl ServeRuntime {
     }
 
     /// Terminal accounting + spans for one shed submission.
-    fn shed(&self, req: &Req) -> SubmitError {
+    fn shed(&self, req: &Req) {
         let o = slade_obs::obs();
         let now_us = o.now_us();
         o.record_span(SpanRecord {
@@ -629,7 +639,6 @@ impl ServeRuntime {
             detail: self.shared.queue_cap as u64,
         });
         self.shared.finish(Terminal::Shed, req, now_us, Vec::new());
-        SubmitError::Overloaded
     }
 
     /// Decompiles one function, blocking until its hypotheses are ready.
@@ -746,15 +755,12 @@ struct Inflight {
 /// passed: `Decode` (live, or expired-but-wanted by coalesced waiters)
 /// or `Drop` (cancelled — never decoded).
 fn triage(shared: &Shared, job: &Job, now: Instant) -> bool {
-    let timed_out = job.timeout_at.is_some_and(|t| now >= t);
+    let timed_out = job.req.deadline.is_some_and(|t| now >= t);
     if !timed_out && !job.req.slot.is_claimed() {
         return true;
     }
-    // Expired (by its waiter, or right here). Count the terminal if the
-    // claim is still open — the waiter may be gone (handle dropped).
-    if job.req.slot.try_claim() {
-        shared.finish(Terminal::Expired, &job.req, slade_obs::obs().now_us(), Vec::new());
-    }
+    // Expired (by a waiter, or right here — the waiter may be gone).
+    shared.expire(&job.req);
     // Cancel the decode unless coalesced waiters still want the answer.
     let mut pending = shared.pending.lock().expect("pending lock");
     match pending.get(&job.key) {

@@ -141,10 +141,10 @@ pub struct MetricsSnapshot {
     /// Requests answered (cache hits included).
     pub completed: u64,
     /// Submissions rejected by bounded admission
-    /// ([`crate::SubmitError::Overloaded`]).
+    /// ([`crate::Overloaded`]).
     pub shed: u64,
     /// Requests whose deadline expired before a result was ready
-    /// ([`crate::SubmitError::DeadlineExceeded`]).
+    /// ([`crate::RequestError::DeadlineExceeded`]).
     pub expired: u64,
     /// Duplicate submissions answered by attaching to an in-flight
     /// decode. With `shed`, `expired`, `decoded`, and `cache.hits`,

@@ -15,7 +15,7 @@
 use slade::Slade;
 use slade_compiler::{Isa, OptLevel};
 use slade_nn::{Seq2Seq, TransformerConfig};
-use slade_serve::{ServeConfig, ServeRuntime, SubmitError};
+use slade_serve::{Overloaded, RequestError, ServeConfig, ServeRuntime};
 use slade_tokenizer::UnigramTokenizer;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,7 +50,7 @@ fn await_drained_queue(runtime: &ServeRuntime) {
 
 /// Undersized cap + a slow shard: with the worker busy, exactly
 /// `queue_cap` fallible submissions are accepted and every further one
-/// sheds with `Overloaded` — and the shed counter, the handles, and the
+/// sheds with [`Overloaded`] — and the shed counter, the handles, and the
 /// Prometheus family all agree.
 #[test]
 fn shed_exactly_when_queue_full() {
@@ -75,10 +75,7 @@ fn shed_exactly_when_queue_full() {
     for i in 1..=7 {
         match runtime.try_submit(&asm(i)) {
             Ok(h) => accepted.push(h),
-            Err(e) => {
-                assert_eq!(e, SubmitError::Overloaded);
-                shed += 1;
-            }
+            Err(Overloaded) => shed += 1,
         }
     }
     assert_eq!(accepted.len(), 3, "exactly queue_cap accepts");
@@ -123,12 +120,12 @@ fn expired_waiter_returns_promptly() {
     let t0 = Instant::now();
     let err = b.wait().expect_err("deadline must expire");
     let waited = t0.elapsed();
-    assert_eq!(err, SubmitError::DeadlineExceeded);
+    assert_eq!(err, RequestError::DeadlineExceeded);
     assert!(
         waited < delay - Duration::from_millis(50),
         "wait blocked {waited:?} — the expired waiter waited out the decode",
     );
-    assert_eq!(a.wait().expect_err("A expired too"), SubmitError::DeadlineExceeded);
+    assert_eq!(a.wait().expect_err("A expired too"), RequestError::DeadlineExceeded);
     // Let the worker pop B and observe its lost claim (cancelled decode).
     await_drained_queue(&runtime);
     std::thread::sleep(2 * delay);
@@ -248,15 +245,13 @@ fn seeded_burst_conservation() {
                             std::thread::sleep(Duration::from_millis(s % 7));
                         }
                         match rt.try_submit(&asm(idx)) {
-                            Err(SubmitError::Overloaded) => shed += 1,
-                            Err(SubmitError::DeadlineExceeded) => unreachable!(),
+                            Err(Overloaded) => shed += 1,
                             Ok(h) => match h.wait() {
                                 Ok(out) => {
                                     assert!(!out.is_empty());
                                     ok += 1;
                                 }
-                                Err(SubmitError::DeadlineExceeded) => expired += 1,
-                                Err(SubmitError::Overloaded) => unreachable!(),
+                                Err(RequestError::DeadlineExceeded) => expired += 1,
                             },
                         }
                     }

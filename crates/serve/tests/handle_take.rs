@@ -1,11 +1,13 @@
-//! Property tests for [`slade_serve::RequestHandle::try_take`] and
+//! Property tests for [`slade_serve::RequestHandle::try_take`],
+//! [`slade_serve::RequestHandle::expire`] and
 //! [`slade_serve::RequestHandle::on_complete`] — the non-blocking delivery
 //! path the HTTP gateway rides on.
 //!
 //! The contract under test is **claim-once delivery**: however a
 //! handle's outcome is consumed — a polling loop hammering `try_take`,
-//! a blocking `wait`, or both racing across coalesced duplicates of one
-//! decode — each handle yields its outcome exactly once, every consumer
+//! a blocking `wait`, an `expire()`, or all of them racing across
+//! coalesced duplicates of one decode — each handle yields its outcome
+//! exactly once, every consumer
 //! of the same input sees an identical result, the admission counters
 //! still partition `submitted` exactly, and a completion hook runs exactly
 //! once per handle whichever terminal the request reaches.
@@ -14,9 +16,9 @@ use proptest::prelude::*;
 use slade::Slade;
 use slade_compiler::{Isa, OptLevel};
 use slade_nn::{Seq2Seq, TransformerConfig};
-use slade_serve::{ServeConfig, ServeRuntime, SubmitError};
+use slade_serve::{RequestError, ServeConfig, ServeRuntime};
 use slade_tokenizer::UnigramTokenizer;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,7 +51,7 @@ fn count_completions(handle: &slade_serve::RequestHandle) -> Arc<AtomicUsize> {
 
 /// Polls `try_take` until the outcome appears, bounded so a delivery
 /// regression fails instead of hanging the suite.
-fn poll_until_taken(handle: &slade_serve::RequestHandle) -> Result<Vec<String>, SubmitError> {
+fn poll_until_taken(handle: &slade_serve::RequestHandle) -> Result<Vec<String>, RequestError> {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         if let Some(outcome) = handle.try_take() {
@@ -120,6 +122,104 @@ proptest! {
         prop_assert_eq!(snap.coalesced, (total - 1) as u64);
         assert_eq!(snap.unaccounted(), 0, "conservation violated: {snap:?}");
     }
+
+    /// `expire()` raced against everything else that resolves a request,
+    /// on a seeded schedule of six handles over three inputs: the decode
+    /// and its coalesced fan-out fulfilling them, a poller calling
+    /// `try_take` on the very handle `expire()` is called on, `wait` and
+    /// polling on duplicates sharing its decode, and — on odd seeds — the
+    /// runtime's own expiry at pop time and at `wait`'s deadline. Each
+    /// handle's outcome reaches exactly one consumer, each hook runs once,
+    /// and the counters agree: one terminal per request, `expired`
+    /// exactly the `DeadlineExceeded` outcomes.
+    #[test]
+    fn expire_races_fulfilment_pollers_and_waiters(
+        seed in 0u64..u64::MAX,
+        delay_ms in 10u64..=40,
+    ) {
+        let mut lcg = seed;
+        let mut draw = |n: u64| {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (lcg >> 33) % n
+        };
+        let timeout_ms = if seed % 2 == 1 { 20 + draw(40) } else { 0 };
+        let runtime = ServeRuntime::start(
+            poll_slade(),
+            ServeConfig {
+                shards: 1,
+                request_timeout: Duration::from_millis(timeout_ms),
+                test_decode_delay: Duration::from_millis(delay_ms),
+                ..ServeConfig::default()
+            },
+        );
+        // (input, consumer, ms before `expire()`); consumer 0 waits, 1
+        // polls, 2 expires beside a poller on the same handle.
+        let plan: Vec<(usize, u64, u64)> =
+            (0..6).map(|_| (draw(3) as usize, draw(3), draw(80))).collect();
+        let handles: Vec<_> =
+            plan.iter().map(|&(input, ..)| runtime.submit(&asm(10 + input))).collect();
+        let fired: Vec<_> = handles.iter().map(count_completions).collect();
+        let (waited, shared): (Vec<_>, Vec<_>) =
+            handles.into_iter().enumerate().partition(|&(i, _)| plan[i].1 == 0);
+        let expired_by_call: Vec<AtomicBool> = plan.iter().map(|_| AtomicBool::new(false)).collect();
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let mut threads = Vec::new();
+            for (i, handle) in waited {
+                threads.push(scope.spawn(move || (i, Some(handle.wait()))));
+            }
+            for (i, handle) in &shared {
+                let i = *i;
+                if plan[i].1 == 1 {
+                    threads.push(scope.spawn(move || (i, Some(poll_until_taken(handle)))));
+                    continue;
+                }
+                let (after, done) = (Duration::from_millis(plan[i].2), &expired_by_call[i]);
+                threads.push(scope.spawn(move || {
+                    std::thread::sleep(after);
+                    let outcome = handle.expire();
+                    done.store(true, Ordering::SeqCst);
+                    (i, outcome)
+                }));
+                threads.push(scope.spawn(move || loop {
+                    // The flag first: once `expire()` has returned, the
+                    // outcome is either taken here next or already its.
+                    let finished = done.load(Ordering::SeqCst);
+                    if let Some(outcome) = handle.try_take() {
+                        return (i, Some(outcome));
+                    }
+                    if finished {
+                        return (i, None);
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }));
+            }
+            threads.into_iter().map(|t| t.join().expect("consumer thread")).collect()
+        });
+        let snap = runtime.metrics();
+        runtime.shutdown();
+        let mut per_handle = [0usize; 6];
+        let mut answers: [Option<Vec<String>>; 3] = Default::default();
+        let (mut answered, mut expired) = (0u64, 0u64);
+        for (i, outcome) in outcomes {
+            let Some(outcome) = outcome else { continue };
+            per_handle[i] += 1;
+            match outcome {
+                Ok(out) => {
+                    answered += 1;
+                    let first = answers[plan[i].0].get_or_insert_with(|| out.clone());
+                    prop_assert_eq!(&out, &*first, "two answers for input {}", plan[i].0);
+                }
+                Err(RequestError::DeadlineExceeded) => expired += 1,
+            }
+        }
+        prop_assert_eq!(per_handle, [1; 6], "outcomes per handle, plan {:?}", plan);
+        let hooks: Vec<usize> = fired.iter().map(|f| f.load(Ordering::SeqCst)).collect();
+        prop_assert_eq!(hooks, vec![1; 6], "hook runs per handle, plan {:?}", plan);
+        prop_assert_eq!(snap.submitted, 6);
+        prop_assert_eq!(snap.expired, expired, "{:?}", snap);
+        prop_assert_eq!(snap.decoded + snap.coalesced + snap.cache.hits, answered, "{:?}", snap);
+        prop_assert_eq!(snap.unaccounted(), 0, "conservation violated: {:?}", snap);
+    }
 }
 
 /// A polling consumer behind a slow decode with a tight request timeout:
@@ -145,10 +245,10 @@ fn polling_observes_deadline_expiry_exactly_once() {
     let b = runtime.submit(&asm(2));
     let c = runtime.submit(&asm(3));
     let fired = [&busy, &b, &c].map(count_completions);
-    assert_eq!(c.wait().expect_err("deadline must expire"), SubmitError::DeadlineExceeded);
+    assert_eq!(c.wait().expect_err("deadline must expire"), RequestError::DeadlineExceeded);
     assert_eq!(fired[2].load(Ordering::SeqCst), 1, "the expiring waiter runs the hook");
     let out = poll_until_taken(&b);
-    assert_eq!(out.expect_err("deadline must expire"), SubmitError::DeadlineExceeded);
+    assert_eq!(out.expect_err("deadline must expire"), RequestError::DeadlineExceeded);
     assert!(b.try_take().is_none(), "expiry delivered twice");
     // Busy was popped *before* its deadline and nobody claimed expiry
     // while it decoded, so its late result is still delivered intact.
@@ -220,7 +320,7 @@ fn hook_may_call_back_into_the_runtime() {
     }
     let leader = outcomes[0].2.clone().expect("outcome precedes the hook").expect("decoded");
     assert_eq!(outcomes[1].2, Some(Ok(leader)), "the duplicate got the leader's answer");
-    assert_eq!(outcomes[2].2, Some(Err(SubmitError::DeadlineExceeded)));
+    assert_eq!(outcomes[2].2, Some(Err(RequestError::DeadlineExceeded)));
     let runtime = Arc::try_unwrap(runtime).ok().expect("each hook dropped its clone");
     let snap = runtime.metrics();
     assert_eq!((snap.decoded, snap.coalesced, snap.expired), (1, 1, 1));

@@ -2,10 +2,11 @@
 # End-to-end smoke test for the HTTP gateway: boots `slade-cli serve` on
 # an ephemeral port, POSTs a decompile request, asserts a 200 with valid
 # JSON candidates, POSTs it twice more over one connection and asserts two
-# cache hits with the same candidates, scrapes /metrics through
-# `slade-cli stats --url`, and greps the gateway counter families. Run from
-# the repo root; pass a prebuilt slade-cli path as $1 to skip the cargo
-# build.
+# cache hits with the same candidates, spends the client's quota on a
+# fourth POST (429), scrapes /metrics through `slade-cli stats --url`,
+# greps the counter families, and diffs the scrape's families against
+# crates/obs/families.txt. Run from the repo root; pass a prebuilt
+# slade-cli path as $1 to skip the cargo build.
 set -euo pipefail
 
 CLI="${1:-}"
@@ -26,7 +27,7 @@ cleanup() {
 trap cleanup EXIT
 
 "$CLI" serve --addr 127.0.0.1:0 --addr-file "$ADDR_FILE" \
-  --shards 2 --queue-cap 32 --timeout-ms 30000 >"$SERVER_LOG" 2>&1 &
+  --shards 2 --queue-cap 32 --quota-rps 0.001 --quota-burst 3 >"$SERVER_LOG" 2>&1 &
 SERVER_PID=$!
 
 # The addr file appears once the listener is bound.
@@ -71,6 +72,14 @@ assert all(h == first for h in hits), (first, hits)
 print("ok: both hits repeat the first answer")
 EOF
 
+# A fourth POST from the same client finds its burst of 3 spent: the one
+# family only a shed client exposes now appears in the scrape.
+STATUS="$(curl -sS -o /dev/null -w '%{http_code}' \
+  -H 'content-type: application/json' -H 'x-slade-client: smoke' \
+  -d "$BODY" "http://$ADDR/v1/decompile")"
+echo "POST /v1/decompile (quota spent) -> $STATUS"
+[[ "$STATUS" == "429" ]] || { cat "$SERVER_LOG"; exit 1; }
+
 # /healthz answers.
 curl -sS "http://$ADDR/healthz" | grep -q '"status":"ok"'
 
@@ -84,6 +93,10 @@ grep -E '^slade_gateway_connections_total [1-9]' "$WORK/metrics.prom"
 grep -E '^slade_requests_submitted_total [1-9]' "$WORK/metrics.prom"
 grep -E '^slade_cache_hits_total ([2-9]|[1-9][0-9]+)$' "$WORK/metrics.prom"
 grep -E '^slade_gateway_pending_deliveries 0$' "$WORK/metrics.prom"
-grep -c '^# TYPE ' "$WORK/metrics.prom"
+grep -E '^slade_gateway_quota_shed_total 1$' "$WORK/metrics.prom"
+grep -E '^slade_conservation_drift 0$' "$WORK/metrics.prom"
+# Every family the process exposes is the committed list, no more, no less:
+# one removed in code but not in the file (or the reverse) fails here.
+diff crates/obs/families.txt <(grep '^# TYPE ' "$WORK/metrics.prom" | LC_ALL=C sort)
 
 echo "gateway smoke passed"

@@ -14,6 +14,7 @@
 //! slade-cli stats     [--model model.json] [--shards N] [--requests N]
 //!                     [--queue-cap N] [--timeout-ms N] [--spill-dir DIR]
 //!                     [--prometheus | --json]
+//!                     (--timeout-ms: a request's deadline, default 30000, 0 = none)
 //! slade-cli stats     --url http://HOST:PORT [--prometheus | --json]
 //! slade-cli trace     [--model model.json] [--asm file.s] [--request ID]
 //! ```
@@ -104,6 +105,7 @@ const USAGE: &str = "usage:
   slade-cli stats     [--model model.json] [--shards N] [--requests N]
                       [--queue-cap N] [--timeout-ms N] [--spill-dir DIR]
                       [--prometheus | --json]
+                      (--timeout-ms: a request's deadline, default 30000, 0 = none)
   slade-cli stats     --url http://HOST:PORT [--prometheus | --json]
   slade-cli trace     [--model model.json] [--asm file.s] [--request ID]
 
@@ -293,12 +295,13 @@ fn synthetic_asm(i: usize) -> String {
 }
 
 /// Admission-tier configuration shared by `stats` (synthetic workload)
-/// and `serve` (live gateway): `--shards`, `--queue-cap`, `--timeout-ms`,
+/// and `serve` (live gateway): `--shards`, `--queue-cap`, `--timeout-ms`
+/// (each request's one deadline, answered `504` by the gateway),
 /// `--spill-dir`.
 fn serve_config(flags: &HashMap<String, String>) -> Result<slade_serve::ServeConfig, String> {
     let shards = numeric(flags, "shards", 2)?.max(1) as usize;
     let queue_cap = numeric(flags, "queue-cap", 0)? as usize;
-    let timeout_ms = numeric(flags, "timeout-ms", 0)?;
+    let timeout_ms = numeric(flags, "timeout-ms", 30_000)?;
     let mut config = slade_serve::ServeConfig::with_shards(shards)
         .with_queue_cap(queue_cap)
         .with_request_timeout(std::time::Duration::from_millis(timeout_ms));
