@@ -9,6 +9,11 @@
 //! constants are recovered only from recognizable bit patterns, and vector
 //! instructions are *not supported* (`-O3` x86 loops fail to lift, which is
 //! exactly the collapse the paper measures for Ghidra on optimized code).
+//!
+//! One `Frame` holds what every ISA's output shares — the statements,
+//! string literals, compare snapshots, armed argument registers — and emits
+//! the C function; an ISA (a `Target`) adds its register names and its
+//! mnemonic table.
 
 use slade_asm::{AsmFunction, Inst, Isa, Line, Operand};
 use std::collections::HashMap;
@@ -44,160 +49,137 @@ pub fn lift(
     rodata: &HashMap<String, Vec<u8>>,
 ) -> Result<String, LiftError> {
     match isa {
-        Isa::X86_64 => X86Lifter::new(func, rodata).lift(),
-        Isa::Arm64 => ArmLifter::new(func, rodata).lift(),
+        Isa::X86_64 => lift_with(X86Lifter { fr: Frame::new(rodata) }, func),
+        Isa::Arm64 => lift_with(ArmLifter { fr: Frame::new(rodata) }, func),
     }
 }
 
-const X86_ARGS: [&str; 6] = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"];
+/// An ISA's half of the lifter: its register names, the frame its code
+/// assumes, and its mnemonic table.
+trait Target<'a> {
+    /// Prefix of a floating-point register's C variable.
+    const FLOAT: &'static str;
+    /// The C variable of the integer result register.
+    const RET: &'static str;
+    /// Stack-frame variables and their initial values, declared first.
+    const FRAME: &'static [(&'static str, &'static str)];
+    /// The C variable of integer argument register `n`.
+    fn int_arg(n: usize) -> String;
+    /// The argument registers `inst` touches, in operand order: class
+    /// (0 integer, 1 floating point), number within the class, and whether
+    /// it is written.
+    fn arg_accesses(inst: &Inst) -> Vec<(usize, usize, bool)>;
+    /// The shared frame this lifter fills.
+    fn frame(&mut self) -> &mut Frame<'a>;
+    /// Lifts one instruction.
+    fn lift_inst(&mut self, inst: &Inst) -> Result<(), LiftError>;
+}
 
-struct X86Lifter<'a> {
-    f: &'a AsmFunction,
+fn lift_with<'a, T: Target<'a>>(mut t: T, f: &AsmFunction) -> Result<String, LiftError> {
+    for line in &f.lines {
+        match line {
+            Line::Label(l) => t.frame().label(l),
+            Line::Inst(inst) => t.lift_inst(inst)?,
+        }
+    }
+    Ok(t.frame().emit::<T>(&f.name, arity::<T>(f)))
+}
+
+/// How many integer and floating-point arguments `f` takes: the ABI prefix
+/// of argument registers it reads before it writes them (no ABI passes
+/// more than 8 of a class in registers).
+fn arity<'a, T: Target<'a>>(f: &AsmFunction) -> [usize; 2] {
+    let (mut written, mut read) = ([vec![], vec![]], [vec![], vec![]]);
+    let accesses = f.instructions().flat_map(T::arg_accesses).filter(|&(_, n, _)| n < 8);
+    for (class, n, write) in accesses {
+        if write {
+            written[class].push(n);
+        } else if !written[class].contains(&n) {
+            read[class].push(n);
+        }
+    }
+    read.map(|r| (0..).take_while(|i| r.contains(i)).count())
+}
+
+/// What every ISA's lifted function shares: its statements, the registers
+/// it names, its string literals and the lifting state that labels reset.
+struct Frame<'a> {
     rodata: &'a HashMap<String, Vec<u8>>,
     body: Vec<String>,
-    used_regs: Vec<String>,
-    used_xmm: Vec<usize>,
-    pending_cmp: Option<(String, String, char)>, // (lhs, rhs, width: 'l'|'q'|'f')
-    const_in_reg: HashMap<String, i64>,
-    armed_int: Vec<usize>,
-    armed_f: Vec<usize>,
+    /// Integer register variables, in order of first use.
+    ints: Vec<String>,
+    /// Floating-point register numbers, in order of first use.
+    floats: Vec<usize>,
+    /// `(variable, escaped text)` per distinct rodata string.
     strings: Vec<(String, String)>,
+    /// The last compare's snapshot variables and width (`l`, `q` or `f`).
+    pending_cmp: Option<(String, String, char)>,
+    /// Known constant per register, for float-literal recovery.
+    consts: HashMap<String, i64>,
+    /// Argument registers written since the last call or label, per class.
+    armed: [Vec<usize>; 2],
     uses_cmp_tmps: bool,
 }
 
-impl<'a> X86Lifter<'a> {
-    fn new(f: &'a AsmFunction, rodata: &'a HashMap<String, Vec<u8>>) -> Self {
-        X86Lifter {
-            f,
+impl<'a> Frame<'a> {
+    fn new(rodata: &'a HashMap<String, Vec<u8>>) -> Self {
+        Frame {
             rodata,
             body: Vec::new(),
-            used_regs: Vec::new(),
-            used_xmm: Vec::new(),
-            pending_cmp: None,
-            const_in_reg: HashMap::new(),
-            armed_int: Vec::new(),
-            armed_f: Vec::new(),
+            ints: Vec::new(),
+            floats: Vec::new(),
             strings: Vec::new(),
+            pending_cmp: None,
+            consts: HashMap::new(),
+            armed: [Vec::new(), Vec::new()],
             uses_cmp_tmps: false,
         }
     }
 
-    fn reg64(&mut self, name: &str) -> String {
-        let base = canonical_x86(name);
-        if !self.used_regs.contains(&base) {
-            self.used_regs.push(base.clone());
+    /// Names integer register variable `var`, declaring it on first use.
+    fn int(&mut self, var: String) -> String {
+        if !self.ints.contains(&var) {
+            self.ints.push(var.clone());
         }
-        format!("r_{base}")
+        var
     }
 
-    fn xmm(&mut self, n: usize) -> String {
-        if !self.used_xmm.contains(&n) {
-            self.used_xmm.push(n);
+    /// Names floating-point register `n`, declaring it on first use.
+    fn float(&mut self, prefix: &str, n: usize) -> String {
+        if !self.floats.contains(&n) {
+            self.floats.push(n);
         }
-        format!("f_{n}")
+        format!("{prefix}{n}")
     }
 
-    /// Reads an operand as a C expression of the given width suffix.
-    fn read(&mut self, op: &Operand, width: char) -> Result<String, LiftError> {
-        Ok(match op {
-            Operand::Imm(v) => format!("{v}"),
-            Operand::Reg(r) if r.starts_with("xmm") => {
-                let n: usize = r[3..].parse().unwrap_or(0);
-                self.xmm(n)
-            }
-            Operand::Reg(r) => {
-                let v = self.reg64(r);
-                match width {
-                    'b' => format!("(unsigned char){v}"),
-                    'w' => format!("(unsigned short){v}"),
-                    'l' => format!("(unsigned int){v}"),
-                    _ => v,
-                }
-            }
-            Operand::Mem { .. } | Operand::RipSym(_) => {
-                let addr = self.address_of(op)?;
-                let ty = match width {
-                    'b' => "unsigned char",
-                    'w' => "unsigned short",
-                    'l' => "unsigned int",
-                    _ => "unsigned long",
-                };
-                format!("*({ty}*)({addr})")
-            }
-            other => return Err(LiftError(format!("operand {other:?}"))),
-        })
-    }
-
-    fn address_of(&mut self, op: &Operand) -> Result<String, LiftError> {
-        match op {
-            Operand::Mem { disp, base, index, scale } => {
-                let mut parts = Vec::new();
-                if let Some(b) = base {
-                    parts.push(self.reg64(b));
-                }
-                if let Some(ix) = index {
-                    let r = self.reg64(ix);
-                    parts.push(format!("{r} * {scale}"));
-                }
-                if *disp != 0 || parts.is_empty() {
-                    parts.push(format!("{disp}"));
-                }
-                Ok(parts.join(" + "))
-            }
-            Operand::RipSym(sym) => {
-                if let Some(bytes) = self.rodata.get(sym) {
-                    let var = format!("lc_{}", self.strings.len());
-                    let text: String = bytes[..bytes.len().saturating_sub(1)]
-                        .iter()
-                        .map(|&b| escape_c_byte(b))
-                        .collect();
-                    // Reuse existing entry for the same label.
-                    if let Some((v, _)) = self.strings.iter().find(|(_, t)| *t == text) {
-                        return Ok(format!("(unsigned long){}", v.clone()));
-                    }
-                    self.strings.push((var.clone(), text));
-                    Ok(format!("(unsigned long){var}"))
-                } else {
-                    Ok(format!("(unsigned long)&{sym}"))
-                }
-            }
-            _ => Err(LiftError("not an address".into())),
+    /// Notes a write to argument register `n` of `class`.
+    fn arm(&mut self, class: usize, n: usize) {
+        if n < 8 && !self.armed[class].contains(&n) {
+            self.armed[class].push(n);
         }
     }
 
-    fn write(&mut self, op: &Operand, value: String, width: char) -> Result<(), LiftError> {
-        match op {
-            Operand::Reg(r) if r.starts_with("xmm") => {
-                let n: usize = r[3..].parse().unwrap_or(0);
-                let v = self.xmm(n);
-                self.body.push(format!("{v} = {value};"));
-            }
-            Operand::Reg(r) => {
-                let v = self.reg64(r);
-                let expr = match width {
-                    'l' => format!("(unsigned int)({value})"),
-                    'b' => format!("({v} & ~255UL) | (unsigned char)({value})"),
-                    'w' => format!("({v} & ~65535UL) | (unsigned short)({value})"),
-                    _ => format!("({value})"),
-                };
-                self.body.push(format!("{v} = {expr};"));
-            }
-            Operand::Mem { .. } | Operand::RipSym(_) => {
-                let addr = self.address_of(op)?;
-                let ty = match width {
-                    'b' => "unsigned char",
-                    'w' => "unsigned short",
-                    'l' => "unsigned int",
-                    _ => "unsigned long",
-                };
-                self.body.push(format!("*({ty}*)({addr}) = {value};"));
-            }
-            other => return Err(LiftError(format!("write operand {other:?}"))),
-        }
-        Ok(())
+    /// A label: control can arrive from elsewhere, so nothing tracked
+    /// across the previous instruction holds.
+    fn label(&mut self, l: &str) {
+        self.body.push(format!("{}: ;", label_c(l)));
+        self.pending_cmp = None;
+        self.consts.clear();
+        self.armed = [Vec::new(), Vec::new()];
     }
 
-    fn cond_expr(&self, cc: &str) -> Result<String, LiftError> {
+    /// Snapshots a compare's operands: the setcc sequence between a compare
+    /// and its branch clobbers registers.
+    fn compare(&mut self, a: String, b: String, width: char) {
+        let (va, vb) = if width == 'f' { ("fcmp_a", "fcmp_b") } else { ("cmp_a", "cmp_b") };
+        self.body.push(format!("{va} = {a};"));
+        self.body.push(format!("{vb} = {b};"));
+        self.uses_cmp_tmps = true;
+        self.pending_cmp = Some((va.into(), vb.into(), width));
+    }
+
+    /// Condition `cc` (x86 spelling) of the pending compare, as C.
+    fn cond(&self, cc: &str) -> Result<String, LiftError> {
         let Some((a, b, width)) = &self.pending_cmp else {
             return Err(LiftError(format!("condition `{cc}` without compare")));
         };
@@ -231,66 +213,48 @@ impl<'a> X86Lifter<'a> {
         })
     }
 
-    fn lift(mut self) -> Result<String, LiftError> {
-        // Determine parameters: argument registers read before written.
-        let (params, uses_xmm_args) = x86_params(self.f);
-        let lines: Vec<Line> = self.f.lines.clone();
-        let mut i = 0usize;
-        while i < lines.len() {
-            let line = &lines[i];
-            i += 1;
-            match line {
-                Line::Label(l) => {
-                    self.body.push(format!("{}: ;", label_c(l)));
-                    self.pending_cmp = None;
-                    self.const_in_reg.clear();
-                    self.armed_int.clear();
-                    self.armed_f.clear();
-                }
-                Line::Inst(inst) => {
-                    // Pattern: movl $bits, %eax ; movd %eax, %xmm0 (float const)
-                    if inst.mnemonic == "movd" || (inst.mnemonic == "movq" && is_xmm_dst(inst))
-                    {
-                        if let (Operand::Reg(src), Operand::Reg(dst)) =
-                            (&inst.operands[0], &inst.operands[1])
-                        {
-                            if dst.starts_with("xmm") {
-                                let base = canonical_x86(src);
-                                if let Some(&bits) = self.const_in_reg.get(&base) {
-                                    let n: usize =
-                                        dst.strip_prefix("xmm").unwrap().parse().unwrap_or(0);
-                                    let var = self.xmm(n);
-                                    let lit = if inst.mnemonic == "movd" {
-                                        format!("{:?}", f32::from_bits(bits as u32) as f64)
-                                    } else {
-                                        format!("{:?}", f64::from_bits(bits as u64))
-                                    };
-                                    let lit = ensure_float_lit(&lit);
-                                    self.body.push(format!("{var} = {lit};"));
-                                    continue;
-                                }
-                                return Err(LiftError("bit-level float move".into()));
-                            }
-                        }
-                    }
-                    self.lift_inst(inst)?;
-                }
+    /// The address of symbol `sym`: a rodata string becomes a `char *`
+    /// local (one per distinct text), anything else a global's address.
+    fn symbol(&mut self, sym: &str) -> String {
+        let Some(bytes) = self.rodata.get(sym) else {
+            return format!("(unsigned long)&{sym}");
+        };
+        let text = c_string(&bytes[..bytes.len().saturating_sub(1)]);
+        let var = match self.strings.iter().find(|(_, t)| *t == text) {
+            Some((v, _)) => v.clone(),
+            None => {
+                let v = format!("lc_{}", self.strings.len());
+                self.strings.push((v.clone(), text));
+                v
             }
+        };
+        format!("(unsigned long){var}")
+    }
+
+    /// A call to `callee`: its arity is the contiguous prefix of argument
+    /// registers written since the last call or label, per class.
+    fn call<'t, T: Target<'t>>(&mut self, callee: &str) {
+        let ints = (0..).take_while(|i| self.armed[0].contains(i)).count();
+        let floats = (0..).take_while(|i| self.armed[1].contains(i)).count();
+        let mut args: Vec<String> = (0..ints).map(|i| self.int(T::int_arg(i))).collect();
+        args.extend((0..floats).map(|n| self.float(T::FLOAT, n)));
+        let ret = self.int(T::RET.to_string());
+        self.body.push(format!("{ret} = (unsigned long){callee}({});", args.join(", ")));
+        self.armed = [Vec::new(), Vec::new()];
+    }
+
+    /// The C function: signature, stack, compare temporaries, string
+    /// literals, register locals, body, return.
+    fn emit<'t, T: Target<'t>>(&self, name: &str, [nint, nf]: [usize; 2]) -> String {
+        let params: Vec<String> = (0..nint).map(T::int_arg).collect();
+        let mut sig: Vec<String> =
+            params.iter().map(|p| format!("unsigned long {p}")).collect();
+        sig.extend((0..nf).map(|n| format!("double {}{n}", T::FLOAT)));
+        let sig = if sig.is_empty() { "void".to_string() } else { sig.join(", ") };
+        let mut out = format!("long {name}({sig}) {{\nunsigned char stk[4096];\n");
+        for (var, init) in T::FRAME {
+            out.push_str(&format!("unsigned long {var} = {init};\n"));
         }
-        // Assemble the function text.
-        let mut out = String::new();
-        let plist: Vec<String> =
-            params.iter().map(|p| format!("unsigned long r_{p}")).collect();
-        let fplist: Vec<String> = (0..uses_xmm_args).map(|n| format!("double f_{n}")).collect();
-        let all: Vec<String> = plist.into_iter().chain(fplist).collect();
-        out.push_str(&format!(
-            "long {}({}) {{\n",
-            self.f.name,
-            if all.is_empty() { "void".to_string() } else { all.join(", ") }
-        ));
-        out.push_str("unsigned char stk[4096];\n");
-        out.push_str("unsigned long r_rbp = (unsigned long)(stk + 4000);\n");
-        out.push_str("unsigned long r_rsp = r_rbp;\n");
         if self.uses_cmp_tmps {
             out.push_str("unsigned long cmp_a = 0;\nunsigned long cmp_b = 0;\n");
             out.push_str("double fcmp_a = 0.0;\ndouble fcmp_b = 0.0;\n");
@@ -298,40 +262,131 @@ impl<'a> X86Lifter<'a> {
         for (var, text) in &self.strings {
             out.push_str(&format!("char *{var} = \"{text}\";\n"));
         }
-        let mut declared: Vec<String> = params.iter().map(|p| format!("r_{p}")).collect();
-        declared.push("r_rbp".into());
-        declared.push("r_rsp".into());
-        for r in &self.used_regs {
-            let v = format!("r_{r}");
-            if !declared.contains(&v) {
-                out.push_str(&format!("unsigned long {v} = 0;\n"));
-                declared.push(v);
+        let mut declared: Vec<&str> = params.iter().map(String::as_str).collect();
+        declared.extend(T::FRAME.iter().map(|(var, _)| *var));
+        for var in self.ints.iter().map(String::as_str).chain([T::RET]) {
+            if !declared.contains(&var) {
+                out.push_str(&format!("unsigned long {var} = 0;\n"));
+                declared.push(var);
             }
         }
-        for n in &self.used_xmm {
-            if *n >= uses_xmm_args {
-                out.push_str(&format!("double f_{n} = 0.0;\n"));
-            }
+        for n in self.floats.iter().filter(|&&n| n >= nf) {
+            out.push_str(&format!("double {}{n} = 0.0;\n", T::FLOAT));
         }
         for stmt in &self.body {
             out.push_str(stmt);
             out.push('\n');
         }
-        out.push_str("return r_rax;\n}\n");
-        // `r_rax` must exist even for void-ish functions.
-        if !out.contains("unsigned long r_rax") && !params.contains(&"rax".to_string()) {
-            out = out.replacen(
-                "unsigned long r_rsp = r_rbp;\n",
-                "unsigned long r_rsp = r_rbp;\nunsigned long r_rax = 0;\n",
-                1,
-            );
+        out.push_str(&format!("return {};\n}}\n", T::RET));
+        out
+    }
+}
+
+fn label_c(label: &str) -> String {
+    format!("L{}", label.trim_start_matches(".L").replace('.', "_"))
+}
+
+/// `bytes` as the inside of a C string literal. A `\x` escape is greedy
+/// (in C and in MiniC's lexer), so a hex digit right after one is escaped
+/// too.
+fn c_string(bytes: &[u8]) -> String {
+    let mut out = String::new();
+    let mut after_hex = false;
+    for &b in bytes {
+        let digit_after_hex = after_hex && b.is_ascii_hexdigit();
+        after_hex = false;
+        match b {
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            0x20..=0x7e if !digit_after_hex => out.push(b as char),
+            _ => {
+                out.push_str(&format!("\\x{b:02x}"));
+                after_hex = true;
+            }
         }
-        Ok(out)
+    }
+    out
+}
+
+fn ensure_float_lit(s: &str) -> String {
+    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
+        s.to_string()
+    } else {
+        format!("{s}.0")
+    }
+}
+
+/// A float literal for a constant moved bit for bit into an FP register.
+fn float_lit(bits: i64, single: bool) -> String {
+    let v =
+        if single { f32::from_bits(bits as u32) as f64 } else { f64::from_bits(bits as u64) };
+    ensure_float_lit(&format!("{v:?}"))
+}
+
+// ===================== x86-64 =====================
+
+const X86_ARGS: [&str; 6] = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"];
+
+struct X86Lifter<'a> {
+    fr: Frame<'a>,
+}
+
+impl<'a> Target<'a> for X86Lifter<'a> {
+    const FLOAT: &'static str = "f_";
+    const RET: &'static str = "r_rax";
+    const FRAME: &'static [(&'static str, &'static str)] =
+        &[("r_rbp", "(unsigned long)(stk + 4000)"), ("r_rsp", "r_rbp")];
+
+    fn int_arg(n: usize) -> String {
+        format!("r_{}", X86_ARGS[n])
+    }
+
+    fn arg_accesses(inst: &Inst) -> Vec<(usize, usize, bool)> {
+        // AT&T order: the destination is the last operand.
+        let m = inst.mnemonic.as_str();
+        let writes =
+            !matches!(m, "cmpl" | "cmpq" | "testl" | "testq" | "ucomiss" | "ucomisd" | "pushq")
+                && !m.starts_with('j');
+        let mut out = Vec::new();
+        for (i, op) in inst.operands.iter().enumerate() {
+            let write = writes && i + 1 == inst.operands.len();
+            match op {
+                Operand::Reg(r) => match xmm_num(r) {
+                    Some(n) => out.push((1, n, write)),
+                    None => out.extend(x86_arg(r).map(|n| (0, n, write))),
+                },
+                Operand::Mem { base, index, .. } => {
+                    let regs = [base, index].into_iter().flatten();
+                    out.extend(regs.filter_map(|r| x86_arg(r)).map(|n| (0, n, false)));
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    fn frame(&mut self) -> &mut Frame<'a> {
+        &mut self.fr
     }
 
     fn lift_inst(&mut self, inst: &Inst) -> Result<(), LiftError> {
         let m = inst.mnemonic.as_str();
         let ops = &inst.operands;
+        // Pattern: movl $bits, %eax ; movd %eax, %xmm0 (float const)
+        if m == "movd" || (m == "movq" && is_xmm_dst(inst)) {
+            if let (Operand::Reg(src), Operand::Reg(dst)) = (arg(ops, 0)?, arg(ops, 1)?) {
+                if dst.starts_with("xmm") {
+                    let Some(&bits) = self.fr.consts.get(&canonical_x86(src)) else {
+                        return Err(LiftError("bit-level float move".into()));
+                    };
+                    let var = self.xmm(dst)?;
+                    self.fr.body.push(format!("{var} = {};", float_lit(bits, m == "movd")));
+                    return Ok(());
+                }
+            }
+        }
         // Track constants for float-literal recovery.
         let mut new_const: Option<(String, i64)> = None;
         if matches!(m, "movl" | "movabsq" | "movq") {
@@ -342,50 +397,42 @@ impl<'a> X86Lifter<'a> {
             }
         }
         match m {
-            "endbr64" | "nop" | "leave" | "pushq" | "popq" => {}
-            "ret" => self.body.push("return r_rax;".to_string()),
+            "endbr64" | "nop" | "leave" | "pushq" | "popq" | "cltd" | "cqto" => {}
+            "ret" => self.fr.body.push("return r_rax;".to_string()),
             "movb" | "movw" | "movl" | "movq" | "movabsq" => {
+                if ops.iter().any(|o| matches!(o, Operand::Reg(r) if r.starts_with("xmm"))) {
+                    return Err(LiftError("untracked xmm bit move".into()));
+                }
                 let width = match m {
                     "movb" => 'b',
                     "movw" => 'w',
                     "movl" => 'l',
                     _ => 'q',
                 };
-                if ops.iter().any(|o| matches!(o, Operand::Reg(r) if r.starts_with("xmm"))) {
-                    return Err(LiftError("untracked xmm bit move".into()));
-                }
                 let v = self.read(arg(ops, 0)?, width)?;
                 self.write(arg(ops, 1)?, v, width)?;
                 self.arm(arg(ops, 1)?);
             }
-            "movslq" => {
-                let v = self.read(arg(ops, 0)?, 'l')?;
-                self.write(arg(ops, 1)?, format!("(long)(int)({v})"), 'q')?;
-                self.arm(arg(ops, 1)?);
-            }
-            "movsbl" => {
-                let v = self.read(arg(ops, 0)?, 'b')?;
-                self.write(arg(ops, 1)?, format!("(int)(char)({v})"), 'l')?;
-                self.arm(arg(ops, 1)?);
-            }
-            "movzbl" => {
-                let v = self.read(arg(ops, 0)?, 'b')?;
-                self.write(arg(ops, 1)?, format!("(unsigned char)({v})"), 'l')?;
-                self.arm(arg(ops, 1)?);
-            }
-            "movswl" => {
-                let v = self.read(arg(ops, 0)?, 'w')?;
-                self.write(arg(ops, 1)?, format!("(int)(short)({v})"), 'l')?;
-                self.arm(arg(ops, 1)?);
-            }
-            "movzwl" => {
-                let v = self.read(arg(ops, 0)?, 'w')?;
-                self.write(arg(ops, 1)?, format!("(unsigned short)({v})"), 'l')?;
-                self.arm(arg(ops, 1)?);
-            }
-            "leaq" => {
-                let addr = self.address_of(arg(ops, 0)?)?;
-                self.write(arg(ops, 1)?, addr, 'q')?;
+            "movslq" | "movsbl" | "movzbl" | "movswl" | "movzwl" | "leaq" => {
+                let (v, width) = match m {
+                    "movslq" => {
+                        (format!("(long)(int)({})", self.read(arg(ops, 0)?, 'l')?), 'q')
+                    }
+                    "movsbl" => {
+                        (format!("(int)(char)({})", self.read(arg(ops, 0)?, 'b')?), 'l')
+                    }
+                    "movzbl" => {
+                        (format!("(unsigned char)({})", self.read(arg(ops, 0)?, 'b')?), 'l')
+                    }
+                    "movswl" => {
+                        (format!("(int)(short)({})", self.read(arg(ops, 0)?, 'w')?), 'l')
+                    }
+                    "movzwl" => {
+                        (format!("(unsigned short)({})", self.read(arg(ops, 0)?, 'w')?), 'l')
+                    }
+                    _ => (self.address_of(arg(ops, 0)?)?, 'q'),
+                };
+                self.write(arg(ops, 1)?, v, width)?;
                 self.arm(arg(ops, 1)?);
             }
             "addl" | "addq" | "subl" | "subq" | "imull" | "imulq" | "andl" | "andq" | "orl"
@@ -404,196 +451,128 @@ impl<'a> X86Lifter<'a> {
                 self.write(arg(ops, 1)?, format!("{a} {op} {b}"), width)?;
                 self.arm(arg(ops, 1)?);
             }
-            "cltd" | "cqto" => {}
             "idivl" | "divl" | "idivq" | "divq" => {
-                let width = if m.ends_with('q') { 'q' } else { 'l' };
-                let d = self.read(arg(ops, 0)?, width)?;
+                let d = self.read(arg(ops, 0)?, if m.ends_with('q') { 'q' } else { 'l' })?;
                 let rax = self.reg64("rax");
                 let rdx = self.reg64("rdx");
-                let (cast_s, cast_u) = if width == 'l' {
-                    ("(int)", "(unsigned int)")
-                } else {
-                    ("(long)", "(unsigned long)")
+                let cast = match (m.starts_with('i'), m.ends_with('q')) {
+                    (true, false) => "(int)",
+                    (false, false) => "(unsigned int)",
+                    (true, true) => "(long)",
+                    (false, true) => "(unsigned long)",
                 };
-                let (q, r) = if m.starts_with('i') {
-                    (
-                        format!("{cast_s}{rax} / {cast_s}({d})"),
-                        format!("{cast_s}{rax} % {cast_s}({d})"),
-                    )
-                } else {
-                    (
-                        format!("{cast_u}{rax} / {cast_u}({d})"),
-                        format!("{cast_u}{rax} % {cast_u}({d})"),
-                    )
-                };
-                self.body.push(format!("{rdx} = (unsigned int)({r});"));
-                self.body.push(format!("{rax} = (unsigned int)({q});"));
+                self.fr
+                    .body
+                    .push(format!("{rdx} = (unsigned int)({cast}{rax} % {cast}({d}));"));
+                self.fr
+                    .body
+                    .push(format!("{rax} = (unsigned int)({cast}{rax} / {cast}({d}));"));
             }
             "sall" | "salq" | "sarl" | "sarq" | "shrl" | "shrq" => {
                 let width = if m.ends_with('q') { 'q' } else { 'l' };
                 let amt = self.read(arg(ops, 0)?, 'b')?;
                 let a = self.read(arg(ops, 1)?, width)?;
-                let expr = match &m[..3] {
-                    "sal" => format!("({a}) << ({amt} & 31)"),
-                    "sar" => {
-                        if width == 'l' {
-                            format!("(int)({a}) >> ({amt} & 31)")
-                        } else {
-                            format!("(long)({a}) >> ({amt} & 63)")
-                        }
-                    }
+                let expr = match (&m[..3], width) {
+                    ("sal", _) => format!("({a}) << ({amt} & 31)"),
+                    ("sar", 'l') => format!("(int)({a}) >> ({amt} & 31)"),
+                    ("sar", _) => format!("(long)({a}) >> ({amt} & 63)"),
                     _ => format!("({a}) >> ({amt} & 31)"),
                 };
                 self.write(arg(ops, 1)?, expr, width)?;
             }
-            "cmpl" | "cmpq" => {
-                let width = if m == "cmpq" { 'q' } else { 'l' };
-                let b = self.read(arg(ops, 0)?, width)?;
-                let a = self.read(arg(ops, 1)?, width)?;
-                // Snapshot operands: the setcc sequence between a compare
-                // and its branch clobbers registers.
-                self.body.push(format!("cmp_a = {a};"));
-                self.body.push(format!("cmp_b = {b};"));
-                self.uses_cmp_tmps = true;
-                self.pending_cmp = Some(("cmp_a".into(), "cmp_b".into(), width));
-            }
-            "testl" | "testq" => {
-                let width = if m == "testq" { 'q' } else { 'l' };
-                let a = self.read(arg(ops, 0)?, width)?;
-                self.body.push(format!("cmp_a = {a};"));
-                self.body.push("cmp_b = 0;".to_string());
-                self.uses_cmp_tmps = true;
-                self.pending_cmp = Some(("cmp_a".into(), "cmp_b".into(), width));
+            "cmpl" | "cmpq" | "testl" | "testq" => {
+                let width = if m.ends_with('q') { 'q' } else { 'l' };
+                let (a, b) = if m.starts_with("cmp") {
+                    let b = self.read(arg(ops, 0)?, width)?;
+                    (self.read(arg(ops, 1)?, width)?, b)
+                } else {
+                    (self.read(arg(ops, 0)?, width)?, "0".to_string())
+                };
+                self.fr.compare(a, b, width);
             }
             "ucomiss" | "ucomisd" => {
                 let a = self.read_float(arg(ops, 1)?, m == "ucomiss")?;
                 let b = self.read_float(arg(ops, 0)?, m == "ucomiss")?;
-                self.body.push(format!("fcmp_a = {a};"));
-                self.body.push(format!("fcmp_b = {b};"));
-                self.uses_cmp_tmps = true;
-                self.pending_cmp = Some(("fcmp_a".into(), "fcmp_b".into(), 'f'));
+                self.fr.compare(a, b, 'f');
             }
             _ if m.starts_with("set") => {
-                let cond = self.cond_expr(&m[3..])?;
+                let cond = self.fr.cond(&m[3..])?;
                 self.write(arg(ops, 0)?, format!("({cond}) ? 1 : 0"), 'b')?;
             }
             "jmp" => {
                 let Operand::Sym(l) = arg(ops, 0)? else { return Err(LiftError("jmp".into())) };
-                self.body.push(format!("goto {};", label_c(l)));
+                self.fr.body.push(format!("goto {};", label_c(l)));
             }
             _ if m.starts_with('j') => {
-                let cond = self.cond_expr(&m[1..])?;
+                let cond = self.fr.cond(&m[1..])?;
                 let Operand::Sym(l) = arg(ops, 0)? else { return Err(LiftError("jcc".into())) };
-                self.body.push(format!("if ({cond}) goto {};", label_c(l)));
+                self.fr.body.push(format!("if ({cond}) goto {};", label_c(l)));
             }
             "call" => {
                 let Operand::Sym(callee) = arg(ops, 0)? else {
                     return Err(LiftError("indirect call".into()));
                 };
-                // Arity heuristic: contiguous prefix of armed arg registers.
-                let mut args = Vec::new();
-                for (idx, reg) in X86_ARGS.iter().enumerate() {
-                    if self.armed_int.contains(&idx) {
-                        args.push(self.reg64(reg));
-                    } else {
-                        break;
-                    }
-                }
-                let mut fi = 0usize;
-                while self.armed_f.contains(&fi) {
-                    args.push(self.xmm(fi));
-                    fi += 1;
-                }
-                let rax = self.reg64("rax");
-                self.body
-                    .push(format!("{rax} = (unsigned long){callee}({});", args.join(", ")));
-                self.armed_int.clear();
-                self.armed_f.clear();
+                self.fr.call::<Self>(callee);
             }
             "movss" | "movsd" => {
                 let single = m == "movss";
                 match (arg(ops, 0)?, arg(ops, 1)?) {
                     (src, Operand::Reg(d)) if d.starts_with("xmm") => {
                         let v = self.read_float(src, single)?;
-                        let n: usize = d[3..].parse().unwrap_or(0);
-                        let var = self.xmm(n);
-                        self.body.push(format!("{var} = {v};"));
-                        if n < 8 && !self.armed_f.contains(&n) {
-                            self.armed_f.push(n);
-                        }
+                        let n =
+                            xmm_num(d).ok_or_else(|| LiftError(format!("register `{d}`")))?;
+                        let var = self.fr.float(Self::FLOAT, n);
+                        self.fr.body.push(format!("{var} = {v};"));
+                        self.fr.arm(1, n);
                     }
                     (Operand::Reg(s), dst) if s.starts_with("xmm") => {
-                        let n: usize = s[3..].parse().unwrap_or(0);
-                        let var = self.xmm(n);
+                        let var = self.xmm(s)?;
                         let addr = self.address_of(dst)?;
-                        let ty = if single { "float" } else { "double" };
-                        let cast = if single { "(float)" } else { "" };
-                        self.body.push(format!("*({ty}*)({addr}) = {cast}{var};"));
+                        let (ty, cast) =
+                            if single { ("float", "(float)") } else { ("double", "") };
+                        self.fr.body.push(format!("*({ty}*)({addr}) = {cast}{var};"));
                     }
                     _ => return Err(LiftError("movss form".into())),
                 }
             }
             "addss" | "addsd" | "subss" | "subsd" | "mulss" | "mulsd" | "divss" | "divsd" => {
-                let single = m.ends_with("ss");
                 let op = match &m[..3] {
                     "add" => "+",
                     "sub" => "-",
                     "mul" => "*",
                     _ => "/",
                 };
-                let b = self.read_float(arg(ops, 0)?, single)?;
-                let Operand::Reg(d) = arg(ops, 1)? else {
-                    return Err(LiftError("fp dst".into()));
-                };
-                let n: usize = d[3..].parse().unwrap_or(0);
-                let var = self.xmm(n);
-                self.body.push(format!("{var} = {var} {op} {b};"));
+                let b = self.read_float(arg(ops, 0)?, m.ends_with("ss"))?;
+                let var = self.xmm_dst(arg(ops, 1)?)?;
+                self.fr.body.push(format!("{var} = {var} {op} {b};"));
             }
-            "cvtsi2ss" | "cvtsi2sd" => {
-                let v = self.read(arg(ops, 0)?, 'l')?;
-                let Operand::Reg(d) = arg(ops, 1)? else {
-                    return Err(LiftError("cvt dst".into()));
-                };
-                let n: usize = d[3..].parse().unwrap_or(0);
-                let var = self.xmm(n);
-                self.body.push(format!("{var} = (double)(int)({v});"));
-            }
-            "cvtsi2ssq" | "cvtsi2sdq" => {
-                let v = self.read(arg(ops, 0)?, 'q')?;
-                let Operand::Reg(d) = arg(ops, 1)? else {
-                    return Err(LiftError("cvt dst".into()));
-                };
-                let n: usize = d[3..].parse().unwrap_or(0);
-                let var = self.xmm(n);
-                self.body.push(format!("{var} = (double)(long)({v});"));
+            "cvtsi2ss" | "cvtsi2sd" | "cvtsi2ssq" | "cvtsi2sdq" => {
+                let (width, cast) = if m.ends_with('q') { ('q', "long") } else { ('l', "int") };
+                let v = self.read(arg(ops, 0)?, width)?;
+                let var = self.xmm_dst(arg(ops, 1)?)?;
+                self.fr.body.push(format!("{var} = (double)({cast})({v});"));
             }
             "cvttss2si" | "cvttsd2si" | "cvttss2siq" | "cvttsd2siq" => {
                 let Operand::Reg(s) = arg(ops, 0)? else {
                     return Err(LiftError("cvt src".into()));
                 };
-                let n: usize = s[3..].parse().unwrap_or(0);
-                let var = self.xmm(n);
-                let wide = m.ends_with('q');
-                let cast = if wide { "(long)" } else { "(int)" };
-                let v = format!("{cast}{var}");
-                self.write(arg(ops, 1)?, v, if wide { 'q' } else { 'l' })?;
+                let var = self.xmm(s)?;
+                let (width, cast) =
+                    if m.ends_with('q') { ('q', "(long)") } else { ('l', "(int)") };
+                self.write(arg(ops, 1)?, format!("{cast}{var}"), width)?;
             }
             "cvtss2sd" | "cvtsd2ss" => {
                 // Same C variable (doubles throughout); conversion is free.
                 let Operand::Reg(s) = arg(ops, 0)? else { return Err(LiftError("cvt".into())) };
                 let Operand::Reg(d) = arg(ops, 1)? else { return Err(LiftError("cvt".into())) };
                 if s != d {
-                    let ns: usize = s[3..].parse().unwrap_or(0);
-                    let nd: usize = d[3..].parse().unwrap_or(0);
-                    let vs = self.xmm(ns);
-                    let vd = self.xmm(nd);
-                    self.body.push(format!("{vd} = {vs};"));
+                    let vs = self.xmm(s)?;
+                    let vd = self.xmm(d)?;
+                    self.fr.body.push(format!("{vd} = {vs};"));
                 }
                 if m == "cvtsd2ss" {
-                    let Operand::Reg(d) = arg(ops, 1)? else { unreachable!() };
-                    let nd: usize = d[3..].parse().unwrap_or(0);
-                    let vd = self.xmm(nd);
-                    self.body.push(format!("{vd} = (double)(float){vd};"));
+                    let vd = self.xmm(d)?;
+                    self.fr.body.push(format!("{vd} = (double)(float){vd};"));
                 }
             }
             "movdqu" | "movups" | "paddd" | "psubd" | "pmulld" | "pshufd" => {
@@ -602,19 +581,97 @@ impl<'a> X86Lifter<'a> {
             other => return Err(LiftError(format!("unsupported instruction `{other}`"))),
         }
         if let Some((r, v)) = new_const {
-            self.const_in_reg.insert(r, v);
-        } else if let Some(Operand::Reg(r)) = inst.operands.last() {
-            self.const_in_reg.remove(&canonical_x86(r));
+            self.fr.consts.insert(r, v);
+        } else if let Some(Operand::Reg(r)) = ops.last() {
+            self.fr.consts.remove(&canonical_x86(r));
         }
+        Ok(())
+    }
+}
+
+impl X86Lifter<'_> {
+    fn reg64(&mut self, name: &str) -> String {
+        self.fr.int(format!("r_{}", canonical_x86(name)))
+    }
+
+    fn xmm(&mut self, name: &str) -> Result<String, LiftError> {
+        let n = xmm_num(name).ok_or_else(|| LiftError(format!("register `{name}`")))?;
+        Ok(self.fr.float(Self::FLOAT, n))
+    }
+
+    fn xmm_dst(&mut self, op: &Operand) -> Result<String, LiftError> {
+        let Operand::Reg(d) = op else { return Err(LiftError("fp dst".into())) };
+        self.xmm(d)
+    }
+
+    /// Reads an operand as a C expression of the given width suffix.
+    fn read(&mut self, op: &Operand, width: char) -> Result<String, LiftError> {
+        Ok(match op {
+            Operand::Imm(v) => format!("{v}"),
+            Operand::Reg(r) if r.starts_with("xmm") => self.xmm(r)?,
+            Operand::Reg(r) => {
+                let v = self.reg64(r);
+                match width {
+                    'b' => format!("(unsigned char){v}"),
+                    'w' => format!("(unsigned short){v}"),
+                    'l' => format!("(unsigned int){v}"),
+                    _ => v,
+                }
+            }
+            Operand::Mem { .. } | Operand::RipSym(_) => {
+                let addr = self.address_of(op)?;
+                format!("*({}*)({addr})", int_type(width))
+            }
+            other => return Err(LiftError(format!("operand {other:?}"))),
+        })
+    }
+
+    fn address_of(&mut self, op: &Operand) -> Result<String, LiftError> {
+        match op {
+            Operand::Mem { disp, base, index, scale } => {
+                let mut parts = Vec::new();
+                if let Some(b) = base {
+                    parts.push(self.reg64(b));
+                }
+                if let Some(ix) = index {
+                    let r = self.reg64(ix);
+                    parts.push(format!("{r} * {scale}"));
+                }
+                if *disp != 0 || parts.is_empty() {
+                    parts.push(format!("{disp}"));
+                }
+                Ok(parts.join(" + "))
+            }
+            Operand::RipSym(sym) => Ok(self.fr.symbol(sym)),
+            _ => Err(LiftError("not an address".into())),
+        }
+    }
+
+    fn write(&mut self, op: &Operand, value: String, width: char) -> Result<(), LiftError> {
+        let stmt = match op {
+            Operand::Reg(r) if r.starts_with("xmm") => format!("{} = {value};", self.xmm(r)?),
+            Operand::Reg(r) => {
+                let v = self.reg64(r);
+                match width {
+                    'l' => format!("{v} = (unsigned int)({value});"),
+                    'b' => format!("{v} = ({v} & ~255UL) | (unsigned char)({value});"),
+                    'w' => format!("{v} = ({v} & ~65535UL) | (unsigned short)({value});"),
+                    _ => format!("{v} = ({value});"),
+                }
+            }
+            Operand::Mem { .. } | Operand::RipSym(_) => {
+                let addr = self.address_of(op)?;
+                format!("*({}*)({addr}) = {value};", int_type(width))
+            }
+            other => return Err(LiftError(format!("write operand {other:?}"))),
+        };
+        self.fr.body.push(stmt);
         Ok(())
     }
 
     fn read_float(&mut self, op: &Operand, single: bool) -> Result<String, LiftError> {
         Ok(match op {
-            Operand::Reg(r) if r.starts_with("xmm") => {
-                let n: usize = r[3..].parse().unwrap_or(0);
-                self.xmm(n)
-            }
+            Operand::Reg(r) if r.starts_with("xmm") => self.xmm(r)?,
             Operand::Mem { .. } | Operand::RipSym(_) => {
                 let addr = self.address_of(op)?;
                 if single {
@@ -627,73 +684,34 @@ impl<'a> X86Lifter<'a> {
         })
     }
 
+    /// Notes a write to an integer argument register.
     fn arm(&mut self, dst: &Operand) {
         if let Operand::Reg(r) = dst {
-            let base = canonical_x86(r);
-            if let Some(idx) = X86_ARGS.iter().position(|&a| a == base) {
-                if !self.armed_int.contains(&idx) {
-                    self.armed_int.push(idx);
-                }
+            if let Some(n) = x86_arg(r) {
+                self.fr.arm(0, n);
             }
         }
     }
 }
 
-/// Which integer argument registers are read before written (arity
-/// recovery) and how many xmm argument registers are read.
-fn x86_params(f: &AsmFunction) -> (Vec<String>, usize) {
-    let mut written: Vec<String> = Vec::new();
-    let mut params: Vec<usize> = Vec::new();
-    let mut fmax = 0usize;
-    let mut fwritten: Vec<usize> = Vec::new();
-    for inst in f.instructions() {
-        // Reads: all operands except the last (AT&T dst-last), plus memory bases.
-        let n = inst.operands.len();
-        for (i, op) in inst.operands.iter().enumerate() {
-            let is_dst = i + 1 == n && writes_dst_x86(&inst.mnemonic);
-            match op {
-                Operand::Reg(r) if r.starts_with("xmm") => {
-                    let x: usize = r[3..].parse().unwrap_or(0);
-                    if !is_dst && !fwritten.contains(&x) && x < 8 {
-                        fmax = fmax.max(x + 1);
-                    }
-                    if is_dst {
-                        fwritten.push(x);
-                    }
-                }
-                Operand::Reg(r) => {
-                    let base = canonical_x86(r);
-                    if let Some(idx) = X86_ARGS.iter().position(|&a| a == base) {
-                        if !is_dst && !written.contains(&base) && !params.contains(&idx) {
-                            params.push(idx);
-                        }
-                    }
-                    if is_dst {
-                        written.push(base);
-                    }
-                }
-                Operand::Mem { base, index, .. } => {
-                    for r in [base, index].into_iter().flatten() {
-                        let b = canonical_x86(r);
-                        if let Some(idx) = X86_ARGS.iter().position(|&a| a == b) {
-                            if !written.contains(&b) && !params.contains(&idx) {
-                                params.push(idx);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
+/// The C type of an integer access of the given width suffix.
+fn int_type(width: char) -> &'static str {
+    match width {
+        'b' => "unsigned char",
+        'w' => "unsigned short",
+        'l' => "unsigned int",
+        _ => "unsigned long",
     }
-    // Parameters form a contiguous ABI prefix.
-    let count = (0..X86_ARGS.len()).take_while(|i| params.contains(i)).count();
-    ((0..count).map(|i| X86_ARGS[i].to_string()).collect(), fmax)
 }
 
-fn writes_dst_x86(m: &str) -> bool {
-    !matches!(m, "cmpl" | "cmpq" | "testl" | "testq" | "ucomiss" | "ucomisd" | "pushq")
-        && !m.starts_with('j')
+fn xmm_num(name: &str) -> Option<usize> {
+    name.strip_prefix("xmm")?.parse().ok()
+}
+
+/// Which SysV integer argument register `name` (any width) is.
+fn x86_arg(name: &str) -> Option<usize> {
+    let base = canonical_x86(name);
+    X86_ARGS.iter().position(|&a| a == base)
 }
 
 fn canonical_x86(name: &str) -> String {
@@ -719,239 +737,82 @@ fn canonical_x86(name: &str) -> String {
     .to_string()
 }
 
-fn label_c(label: &str) -> String {
-    format!("L{}", label.trim_start_matches(".L").replace('.', "_"))
-}
-
-fn escape_c_byte(b: u8) -> String {
-    match b {
-        b'\n' => "\\n".into(),
-        b'\t' => "\\t".into(),
-        b'"' => "\\\"".into(),
-        b'\\' => "\\\\".into(),
-        0x20..=0x7e => (b as char).to_string(),
-        other => format!("\\x{other:02x}"),
-    }
-}
-
-fn ensure_float_lit(s: &str) -> String {
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s.to_string()
-    } else {
-        format!("{s}.0")
-    }
-}
-
 fn is_xmm_dst(inst: &Inst) -> bool {
     matches!(inst.operands.last(), Some(Operand::Reg(r)) if r.starts_with("xmm"))
 }
 
 // ===================== AArch64 =====================
 
-const ARM_ARGS: usize = 8;
-
 struct ArmLifter<'a> {
-    f: &'a AsmFunction,
-    rodata: &'a HashMap<String, Vec<u8>>,
-    body: Vec<String>,
-    used_x: Vec<usize>,
-    used_d: Vec<usize>,
-    pending_cmp: Option<(String, String, char)>,
-    const_in_reg: HashMap<usize, i64>,
-    armed_int: Vec<usize>,
-    armed_f: Vec<usize>,
-    strings: Vec<(String, String)>,
-    pending_adrp: HashMap<usize, String>,
-    uses_cmp_tmps: bool,
+    fr: Frame<'a>,
 }
 
-impl<'a> ArmLifter<'a> {
-    fn new(f: &'a AsmFunction, rodata: &'a HashMap<String, Vec<u8>>) -> Self {
-        ArmLifter {
-            f,
-            rodata,
-            body: Vec::new(),
-            used_x: Vec::new(),
-            used_d: Vec::new(),
-            pending_cmp: None,
-            const_in_reg: HashMap::new(),
-            armed_int: Vec::new(),
-            armed_f: Vec::new(),
-            strings: Vec::new(),
-            pending_adrp: HashMap::new(),
-            uses_cmp_tmps: false,
-        }
-    }
+/// Mnemonics whose first operand is the register they write.
+const ARM_DST_FIRST: [&str; 35] = [
+    "mov", "movz", "movk", "fmov", "ldr", "ldrb", "ldrsb", "ldrh", "ldrsh", "add", "sub",
+    "mul", "sdiv", "udiv", "and", "orr", "eor", "lsl", "asr", "lsr", "msub", "sxtw", "sxtb",
+    "uxtb", "sxth", "uxth", "cset", "scvtf", "fcvtzs", "fcvt", "fadd", "fsub", "fmul", "fdiv",
+    "adrp",
+];
 
-    fn xvar(&mut self, n: usize) -> String {
-        if !self.used_x.contains(&n) {
-            self.used_x.push(n);
-        }
+impl<'a> Target<'a> for ArmLifter<'a> {
+    const FLOAT: &'static str = "d_";
+    const RET: &'static str = "x_0";
+    const FRAME: &'static [(&'static str, &'static str)] =
+        &[("x_sp", "(unsigned long)stk"), ("x_29", "(unsigned long)stk")];
+
+    fn int_arg(n: usize) -> String {
         format!("x_{n}")
     }
 
-    fn dvar(&mut self, n: usize) -> String {
-        if !self.used_d.contains(&n) {
-            self.used_d.push(n);
+    fn arg_accesses(inst: &Inst) -> Vec<(usize, usize, bool)> {
+        let dst_first = ARM_DST_FIRST.contains(&inst.mnemonic.as_str());
+        let mut out = Vec::new();
+        for (i, op) in inst.operands.iter().enumerate() {
+            let (r, write) = match op {
+                Operand::Reg(r) => (r, dst_first && i == 0),
+                Operand::MemArm { base, .. } => (base, false),
+                _ => continue,
+            };
+            match arm_reg(r) {
+                Ok(('x' | 'w', n)) => out.push((0, n, write)),
+                Ok(('s' | 'd', n)) => out.push((1, n, write)),
+                _ => {}
+            }
         }
-        format!("d_{n}")
+        out
     }
 
-    fn reg_expr(&mut self, name: &str) -> Result<(String, bool), LiftError> {
-        // Returns (expr, wide).
-        if name == "sp" {
-            return Ok(("x_sp".to_string(), true));
-        }
-        if name == "wzr" || name == "xzr" {
-            return Ok(("0".to_string(), name == "xzr"));
-        }
-        let (kind, n): (char, usize) = (
-            name.chars().next().ok_or_else(|| LiftError("empty reg".into()))?,
-            name[1..].parse().map_err(|_| LiftError(format!("register `{name}`")))?,
-        );
-        Ok(match kind {
-            'x' => (self.xvar(n), true),
-            'w' => {
-                let v = self.xvar(n);
-                (format!("(unsigned int){v}"), false)
-            }
-            's' | 'd' => (self.dvar(n), true),
-            _ => return Err(LiftError(format!("register `{name}`"))),
-        })
-    }
-
-    fn write_reg(&mut self, name: &str, value: String) -> Result<(), LiftError> {
-        if name == "sp" {
-            self.body.push(format!("x_sp = {value};"));
-            return Ok(());
-        }
-        let kind = name.chars().next().unwrap_or('x');
-        let n: usize = name[1..].parse().unwrap_or(0);
-        match kind {
-            'x' => {
-                let v = self.xvar(n);
-                self.body.push(format!("{v} = ({value});"));
-                if n < ARM_ARGS && !self.armed_int.contains(&n) {
-                    self.armed_int.push(n);
-                }
-            }
-            'w' => {
-                let v = self.xvar(n);
-                self.body.push(format!("{v} = (unsigned int)({value});"));
-                if n < ARM_ARGS && !self.armed_int.contains(&n) {
-                    self.armed_int.push(n);
-                }
-            }
-            's' | 'd' => {
-                let v = self.dvar(n);
-                self.body.push(format!("{v} = {value};"));
-                if n < ARM_ARGS && !self.armed_f.contains(&n) {
-                    self.armed_f.push(n);
-                }
-            }
-            _ => return Err(LiftError(format!("register `{name}`"))),
-        }
-        Ok(())
-    }
-
-    fn mem_addr(&mut self, op: &Operand) -> Result<String, LiftError> {
-        let Operand::MemArm { base, off, .. } = op else {
-            return Err(LiftError("not a memory operand".into()));
-        };
-        let (b, _) = self.reg_expr(base)?;
-        if *off == 0 {
-            Ok(b)
-        } else {
-            Ok(format!("{b} + {off}"))
-        }
-    }
-
-    fn lift(mut self) -> Result<String, LiftError> {
-        let (nparams, nf) = arm_params(self.f);
-        let lines = self.f.lines.clone();
-        for line in &lines {
-            match line {
-                Line::Label(l) => {
-                    self.body.push(format!("{}: ;", label_c(l)));
-                    self.pending_cmp = None;
-                    self.const_in_reg.clear();
-                    self.armed_int.clear();
-                    self.armed_f.clear();
-                }
-                Line::Inst(inst) => self.lift_inst(inst)?,
-            }
-        }
-        let mut out = String::new();
-        let mut plist: Vec<String> =
-            (0..nparams).map(|n| format!("unsigned long x_{n}")).collect();
-        plist.extend((0..nf).map(|n| format!("double d_{n}")));
-        out.push_str(&format!(
-            "long {}({}) {{\n",
-            self.f.name,
-            if plist.is_empty() { "void".to_string() } else { plist.join(", ") }
-        ));
-        out.push_str("unsigned char stk[4096];\n");
-        out.push_str("unsigned long x_sp = (unsigned long)stk;\nunsigned long x_29 = (unsigned long)stk;\n");
-        if self.uses_cmp_tmps {
-            out.push_str("unsigned long cmp_a = 0;\nunsigned long cmp_b = 0;\n");
-            out.push_str("double fcmp_a = 0.0;\ndouble fcmp_b = 0.0;\n");
-        }
-        for (var, text) in &self.strings {
-            out.push_str(&format!("char *{var} = \"{text}\";\n"));
-        }
-        for n in &self.used_x {
-            if *n >= nparams && *n != 29 && *n != 30 {
-                out.push_str(&format!("unsigned long x_{n} = 0;\n"));
-            }
-        }
-        if !self.used_x.contains(&0) && nparams == 0 {
-            out.push_str("unsigned long x_0 = 0;\n");
-        }
-        for n in &self.used_d {
-            if *n >= nf {
-                out.push_str(&format!("double d_{n} = 0.0;\n"));
-            }
-        }
-        for stmt in &self.body {
-            out.push_str(stmt);
-            out.push('\n');
-        }
-        out.push_str("return x_0;\n}\n");
-        Ok(out)
+    fn frame(&mut self) -> &mut Frame<'a> {
+        &mut self.fr
     }
 
     fn lift_inst(&mut self, inst: &Inst) -> Result<(), LiftError> {
         let m = inst.mnemonic.as_str();
         let ops = &inst.operands;
+        let reg = |i: usize| match arg(ops, i)? {
+            Operand::Reg(r) => Ok(r.as_str()),
+            other => Err(LiftError(format!("{m} operand {i}: {other:?}"))),
+        };
         match m {
             "stp" | "ldp" | "nop" => {} // prologue/epilogue bookkeeping
-            "ret" => self.body.push("return x_0;".to_string()),
+            "ret" => self.fr.body.push("return x_0;".to_string()),
             "mov" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("mov dst".into()));
-                };
-                let v = match arg(ops, 1)? {
-                    Operand::Imm(v) => format!("{v}"),
-                    Operand::Reg(r) => self.reg_expr(r)?.0,
-                    other => return Err(LiftError(format!("mov src {other:?}"))),
-                };
+                let dst = reg(0)?;
+                let v = self.op_expr(arg(ops, 1)?)?;
                 self.write_reg(dst, v)?;
-                self.const_in_reg.remove(&reg_num(dst));
+                self.fr.consts.remove(&const_key(dst));
             }
             "movz" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("movz".into()));
-                };
+                let dst = reg(0)?;
                 let &Operand::Imm(v) = arg(ops, 1)? else {
                     return Err(LiftError("movz imm".into()));
                 };
                 self.write_reg(dst, format!("{v}"))?;
-                self.const_in_reg.insert(reg_num(dst), v);
+                self.fr.consts.insert(const_key(dst), v);
             }
             "movk" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("movk".into()));
-                };
+                let dst = reg(0)?;
                 let &Operand::Imm(v) = arg(ops, 1)? else {
                     return Err(LiftError("movk imm".into()));
                 };
@@ -959,37 +820,22 @@ impl<'a> ArmLifter<'a> {
                     Some(Operand::Lsl(s)) => *s,
                     _ => 0,
                 };
-                let (cur, _) = self.reg_expr(dst)?;
+                let cur = self.reg_expr(dst)?.0;
                 self.write_reg(dst, format!("{cur} | ((unsigned long){v} << {shift})"))?;
-                let n = reg_num(dst);
-                if let Some(c) = self.const_in_reg.get(&n).copied() {
-                    self.const_in_reg.insert(n, c | (v << shift));
+                if let Some(c) = self.fr.consts.get_mut(&const_key(dst)) {
+                    *c |= v.wrapping_shl(shift as u32);
                 }
             }
             "fmov" => {
                 // Bit move x→d: recover the literal from tracked constants.
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("fmov".into()));
+                let (dst, src) = (reg(0)?, reg(1)?);
+                let Some(&bits) = self.fr.consts.get(&const_key(src)) else {
+                    return Err(LiftError("bit-level float move".into()));
                 };
-                let Operand::Reg(src) = arg(ops, 1)? else {
-                    return Err(LiftError("fmov".into()));
-                };
-                let bits = self
-                    .const_in_reg
-                    .get(&reg_num(src))
-                    .copied()
-                    .ok_or_else(|| LiftError("bit-level float move".into()))?;
-                let lit = if src.starts_with('w') {
-                    ensure_float_lit(&format!("{:?}", f32::from_bits(bits as u32) as f64))
-                } else {
-                    ensure_float_lit(&format!("{:?}", f64::from_bits(bits as u64)))
-                };
-                self.write_reg(dst, lit)?;
+                self.write_reg(dst, float_lit(bits, src.starts_with('w')))?;
             }
             "ldr" | "ldrb" | "ldrsb" | "ldrh" | "ldrsh" | "ldrsw" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("ldr dst".into()));
-                };
+                let dst = reg(0)?;
                 let addr = self.mem_addr(arg(ops, 1)?)?;
                 let expr = match (m, dst.chars().next().unwrap_or('x')) {
                     ("ldrb", _) => format!("*(unsigned char*)({addr})"),
@@ -1003,14 +849,12 @@ impl<'a> ArmLifter<'a> {
                     _ => return Err(LiftError("ldr form".into())),
                 };
                 self.write_reg(dst, expr)?;
-                self.const_in_reg.remove(&reg_num(dst));
+                self.fr.consts.remove(&const_key(dst));
             }
             "str" | "strb" | "strh" => {
-                let Operand::Reg(src) = arg(ops, 0)? else {
-                    return Err(LiftError("str src".into()));
-                };
+                let src = reg(0)?;
                 let addr = self.mem_addr(arg(ops, 1)?)?;
-                let (v, _) = self.reg_expr(src)?;
+                let v = self.reg_expr(src)?.0;
                 let stmt = match (m, src.chars().next().unwrap_or('x')) {
                     ("strb", _) => format!("*(unsigned char*)({addr}) = (unsigned char)({v});"),
                     ("strh", _) => {
@@ -1022,55 +866,30 @@ impl<'a> ArmLifter<'a> {
                     (_, 'd') => format!("*(double*)({addr}) = {v};"),
                     _ => return Err(LiftError("str form".into())),
                 };
-                self.body.push(stmt);
+                self.fr.body.push(stmt);
             }
             "adrp" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("adrp".into()));
-                };
-                let Operand::Sym(sym) = arg(ops, 1)? else {
+                // The page half of an address; the `:lo12:` add names it whole.
+                reg(0)?;
+                let Operand::Sym(_) = arg(ops, 1)? else {
                     return Err(LiftError("adrp sym".into()));
                 };
-                self.pending_adrp.insert(reg_num(dst), sym.clone());
             }
-            "add" if ops.len() == 3 && matches!(ops[2], Operand::Lo12(_)) => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("add lo12".into()));
-                };
-                let Operand::Lo12(sym) = arg(ops, 2)? else { unreachable!() };
-                let expr = if let Some(bytes) = self.rodata.get(sym) {
-                    let text: String = bytes[..bytes.len().saturating_sub(1)]
-                        .iter()
-                        .map(|&b| escape_c_byte(b))
-                        .collect();
-                    let var = format!("lc_{}", self.strings.len());
-                    if let Some((v, _)) = self.strings.iter().find(|(_, t)| *t == text) {
-                        format!("(unsigned long){}", v.clone())
-                    } else {
-                        self.strings.push((var.clone(), text));
-                        format!("(unsigned long){var}")
-                    }
-                } else {
-                    format!("(unsigned long)&{sym}")
-                };
+            "add" if matches!(ops.get(2), Some(Operand::Lo12(_))) => {
+                let dst = reg(0)?;
+                let Some(Operand::Lo12(sym)) = ops.get(2) else { unreachable!() };
+                let expr = self.fr.symbol(sym);
                 self.write_reg(dst, expr)?;
-                self.pending_adrp.remove(&reg_num(dst));
             }
             "add" | "sub" | "mul" | "sdiv" | "udiv" | "and" | "orr" | "eor" | "lsl" | "asr"
             | "lsr" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("alu dst".into()));
-                };
+                let dst = reg(0)?;
                 let (a, wide) = match arg(ops, 1)? {
                     Operand::Reg(r) => self.reg_expr(r)?,
                     Operand::Imm(v) => (format!("{v}"), true),
                     other => return Err(LiftError(format!("alu a {other:?}"))),
                 };
-                let b = match arg(ops, 2)? {
-                    Operand::Reg(r) => self.reg_expr(r)?.0,
-                    Operand::Imm(v) => format!("{v}"),
-                    other => return Err(LiftError(format!("alu b {other:?}"))),
-                };
+                let b = self.op_expr(arg(ops, 2)?)?;
                 let signed_cast = if wide && dst.starts_with('x') { "(long)" } else { "(int)" };
                 let expr = match m {
                     "add" => format!("{a} + {b}"),
@@ -1086,31 +905,21 @@ impl<'a> ArmLifter<'a> {
                     _ => format!("({a}) >> ({b} & 63)"),
                 };
                 self.write_reg(dst, expr)?;
-                self.const_in_reg.remove(&reg_num(dst));
+                self.fr.consts.remove(&const_key(dst));
             }
             "msub" => {
                 // msub d, a, b, c  =>  d = c - a*b
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("msub".into()));
-                };
+                let dst = reg(0)?;
                 let a = self.op_expr(arg(ops, 1)?)?;
                 let b = self.op_expr(arg(ops, 2)?)?;
                 let c = self.op_expr(arg(ops, 3)?)?;
                 self.write_reg(dst, format!("{c} - ({a}) * ({b})"))?;
             }
-            "sxtw" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("sxtw".into()));
-                };
-                let v = self.op_expr(arg(ops, 1)?)?;
-                self.write_reg(dst, format!("(long)(int)({v})"))?;
-            }
-            "sxtb" | "uxtb" | "sxth" | "uxth" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("ext".into()));
-                };
+            "sxtw" | "sxtb" | "uxtb" | "sxth" | "uxth" => {
+                let dst = reg(0)?;
                 let v = self.op_expr(arg(ops, 1)?)?;
                 let cast = match m {
+                    "sxtw" => "(long)(int)",
                     "sxtb" => "(int)(char)",
                     "uxtb" => "(unsigned char)",
                     "sxth" => "(int)(short)",
@@ -1118,32 +927,22 @@ impl<'a> ArmLifter<'a> {
                 };
                 self.write_reg(dst, format!("{cast}({v})"))?;
             }
-            "cmp" => {
+            "cmp" | "fcmp" => {
                 let a = self.op_expr(arg(ops, 0)?)?;
                 let b = self.op_expr(arg(ops, 1)?)?;
-                let wide = matches!(arg(ops, 0)?, Operand::Reg(r) if r.starts_with('x'));
-                self.body.push(format!("cmp_a = {a};"));
-                self.body.push(format!("cmp_b = {b};"));
-                self.uses_cmp_tmps = true;
-                self.pending_cmp =
-                    Some(("cmp_a".into(), "cmp_b".into(), if wide { 'q' } else { 'l' }));
-            }
-            "fcmp" => {
-                let a = self.op_expr(arg(ops, 0)?)?;
-                let b = self.op_expr(arg(ops, 1)?)?;
-                self.body.push(format!("fcmp_a = {a};"));
-                self.body.push(format!("fcmp_b = {b};"));
-                self.uses_cmp_tmps = true;
-                self.pending_cmp = Some(("fcmp_a".into(), "fcmp_b".into(), 'f'));
+                let width = match arg(ops, 0)? {
+                    _ if m == "fcmp" => 'f',
+                    Operand::Reg(r) if r.starts_with('x') => 'q',
+                    _ => 'l',
+                };
+                self.fr.compare(a, b, width);
             }
             "cset" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("cset".into()));
-                };
+                let dst = reg(0)?;
                 let Operand::Cond(cc) = arg(ops, 1)? else {
                     return Err(LiftError("cset cc".into()));
                 };
-                let cond = self.cond_expr(cc)?;
+                let cond = self.cond(cc)?;
                 self.write_reg(dst, format!("({cond}) ? 1 : 0"))?;
             }
             "cbnz" => {
@@ -1151,43 +950,27 @@ impl<'a> ArmLifter<'a> {
                 let Operand::Sym(l) = arg(ops, 1)? else {
                     return Err(LiftError("cbnz".into()));
                 };
-                self.body.push(format!("if (({v}) != 0) goto {};", label_c(l)));
+                self.fr.body.push(format!("if (({v}) != 0) goto {};", label_c(l)));
             }
             "b" => {
                 let Operand::Sym(l) = arg(ops, 0)? else { return Err(LiftError("b".into())) };
-                self.body.push(format!("goto {};", label_c(l)));
+                self.fr.body.push(format!("goto {};", label_c(l)));
             }
             _ if m.starts_with("b.") => {
-                let cond = self.cond_expr(&m[2..])?;
+                let cond = self.cond(&m[2..])?;
                 let Operand::Sym(l) = arg(ops, 0)? else {
                     return Err(LiftError("b.cc".into()));
                 };
-                self.body.push(format!("if ({cond}) goto {};", label_c(l)));
+                self.fr.body.push(format!("if ({cond}) goto {};", label_c(l)));
             }
             "bl" => {
                 let Operand::Sym(callee) = arg(ops, 0)? else {
                     return Err(LiftError("bl".into()));
                 };
-                let mut args = Vec::new();
-                let mut i = 0;
-                while self.armed_int.contains(&i) {
-                    args.push(self.xvar(i));
-                    i += 1;
-                }
-                let mut fi = 0;
-                while self.armed_f.contains(&fi) {
-                    args.push(self.dvar(fi));
-                    fi += 1;
-                }
-                let x0 = self.xvar(0);
-                self.body.push(format!("{x0} = (unsigned long){callee}({});", args.join(", ")));
-                self.armed_int.clear();
-                self.armed_f.clear();
+                self.fr.call::<Self>(callee);
             }
             "fadd" | "fsub" | "fmul" | "fdiv" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("fp dst".into()));
-                };
+                let dst = reg(0)?;
                 let a = self.op_expr(arg(ops, 1)?)?;
                 let b = self.op_expr(arg(ops, 2)?)?;
                 let op = match m {
@@ -1198,42 +981,59 @@ impl<'a> ArmLifter<'a> {
                 };
                 self.write_reg(dst, format!("{a} {op} {b}"))?;
             }
-            "scvtf" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("scvtf".into()));
+            "scvtf" | "fcvtzs" | "fcvt" => {
+                let (dst, src) = (reg(0)?, reg(1)?);
+                let v = self.reg_expr(src)?.0;
+                let expr = match m {
+                    "scvtf" if src.starts_with('w') => format!("(double)(int)({v})"),
+                    "scvtf" => format!("(double)(long)({v})"),
+                    "fcvtzs" if dst.starts_with('w') => format!("(int)({v})"),
+                    "fcvtzs" => format!("(long)({v})"),
+                    _ if dst.starts_with('s') => format!("(double)(float)({v})"),
+                    _ => v,
                 };
-                let Operand::Reg(src) = arg(ops, 1)? else {
-                    return Err(LiftError("scvtf".into()));
-                };
-                let (v, _) = self.reg_expr(src)?;
-                let cast = if src.starts_with('w') { "(int)" } else { "(long)" };
-                self.write_reg(dst, format!("(double){cast}({v})"))?;
-            }
-            "fcvtzs" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("fcvtzs".into()));
-                };
-                let Operand::Reg(src) = arg(ops, 1)? else {
-                    return Err(LiftError("fcvtzs".into()));
-                };
-                let (v, _) = self.reg_expr(src)?;
-                let cast = if dst.starts_with('w') { "(int)" } else { "(long)" };
-                self.write_reg(dst, format!("{cast}({v})"))?;
-            }
-            "fcvt" => {
-                let Operand::Reg(dst) = arg(ops, 0)? else {
-                    return Err(LiftError("fcvt".into()));
-                };
-                let Operand::Reg(src) = arg(ops, 1)? else {
-                    return Err(LiftError("fcvt".into()));
-                };
-                let (v, _) = self.reg_expr(src)?;
-                let expr =
-                    if dst.starts_with('s') { format!("(double)(float)({v})") } else { v };
                 self.write_reg(dst, expr)?;
             }
             other => return Err(LiftError(format!("unsupported instruction `{other}`"))),
         }
+        Ok(())
+    }
+}
+
+impl ArmLifter<'_> {
+    /// A register read as a C expression, and whether it is 64 bits wide.
+    fn reg_expr(&mut self, name: &str) -> Result<(String, bool), LiftError> {
+        match name {
+            "sp" => return Ok(("x_sp".to_string(), true)),
+            "wzr" | "xzr" => return Ok(("0".to_string(), name == "xzr")),
+            _ => {}
+        }
+        Ok(match arm_reg(name)? {
+            ('x', n) => (self.fr.int(format!("x_{n}")), true),
+            ('w', n) => (format!("(unsigned int){}", self.fr.int(format!("x_{n}"))), false),
+            ('s' | 'd', n) => (self.fr.float(Self::FLOAT, n), true),
+            _ => return Err(LiftError(format!("register `{name}`"))),
+        })
+    }
+
+    fn write_reg(&mut self, name: &str, value: String) -> Result<(), LiftError> {
+        let stmt = match (name, arm_reg(name)) {
+            ("sp", _) => format!("x_sp = {value};"),
+            (_, Ok(('x', n))) => {
+                self.fr.arm(0, n);
+                format!("{} = ({value});", self.fr.int(format!("x_{n}")))
+            }
+            (_, Ok(('w', n))) => {
+                self.fr.arm(0, n);
+                format!("{} = (unsigned int)({value});", self.fr.int(format!("x_{n}")))
+            }
+            (_, Ok(('s' | 'd', n))) => {
+                self.fr.arm(1, n);
+                format!("{} = {value};", self.fr.float(Self::FLOAT, n))
+            }
+            _ => return Err(LiftError(format!("register `{name}`"))),
+        };
+        self.fr.body.push(stmt);
         Ok(())
     }
 
@@ -1245,114 +1045,41 @@ impl<'a> ArmLifter<'a> {
         }
     }
 
-    fn cond_expr(&self, cc: &str) -> Result<String, LiftError> {
-        let Some((a, b, width)) = &self.pending_cmp else {
-            return Err(LiftError(format!("condition `{cc}` without compare")));
+    fn mem_addr(&mut self, op: &Operand) -> Result<String, LiftError> {
+        let Operand::MemArm { base, off, .. } = op else {
+            return Err(LiftError("not a memory operand".into()));
         };
-        let (sa, sb) = match width {
-            'l' => (format!("(int)({a})"), format!("(int)({b})")),
-            'f' => (a.clone(), b.clone()),
-            _ => (format!("(long)({a})"), format!("(long)({b})")),
-        };
-        Ok(match cc {
-            "eq" => format!("{sa} == {sb}"),
-            "ne" => format!("{sa} != {sb}"),
-            "lt" | "mi" => format!("{sa} < {sb}"),
-            "le" | "ls" => format!("{sa} <= {sb}"),
-            "gt" | "hi" => format!("{sa} > {sb}"),
-            "ge" | "hs" => format!("{sa} >= {sb}"),
-            "lo" => format!("({a}) < ({b})"),
+        let b = self.reg_expr(base)?.0;
+        Ok(if *off == 0 { b } else { format!("{b} + {off}") })
+    }
+
+    /// Condition `cc` in AArch64 spelling, mapped onto the shared table.
+    fn cond(&self, cc: &str) -> Result<String, LiftError> {
+        self.fr.cond(match cc {
+            "eq" => "e",
+            "ne" => "ne",
+            "lt" | "mi" => "l",
+            "le" | "ls" => "le",
+            "gt" | "hi" => "g",
+            "ge" | "hs" => "ge",
+            "lo" => "b",
             other => return Err(LiftError(format!("condition `{other}`"))),
         })
     }
 }
 
-fn reg_num(name: &str) -> usize {
-    name[1..].parse().unwrap_or(99)
+/// A register's kind letter and number (`w3` → `('w', 3)`).
+fn arm_reg(name: &str) -> Result<(char, usize), LiftError> {
+    let mut chars = name.chars();
+    let kind = chars.next().ok_or_else(|| LiftError("empty register".into()))?;
+    let n = chars.as_str().parse().map_err(|_| LiftError(format!("register `{name}`")))?;
+    Ok((kind, n))
 }
 
-/// Integer and float argument registers read before written (ARM arity
-/// recovery, same heuristic as [`x86_params`]).
-fn arm_params(f: &AsmFunction) -> (usize, usize) {
-    let mut written_x: Vec<usize> = Vec::new();
-    let mut written_d: Vec<usize> = Vec::new();
-    let mut read_x: Vec<usize> = Vec::new();
-    let mut read_d: Vec<usize> = Vec::new();
-    for inst in f.instructions() {
-        let dst_first = matches!(
-            inst.mnemonic.as_str(),
-            "mov"
-                | "movz"
-                | "movk"
-                | "fmov"
-                | "ldr"
-                | "ldrb"
-                | "ldrsb"
-                | "ldrh"
-                | "ldrsh"
-                | "add"
-                | "sub"
-                | "mul"
-                | "sdiv"
-                | "udiv"
-                | "and"
-                | "orr"
-                | "eor"
-                | "lsl"
-                | "asr"
-                | "lsr"
-                | "msub"
-                | "sxtw"
-                | "sxtb"
-                | "uxtb"
-                | "sxth"
-                | "uxth"
-                | "cset"
-                | "scvtf"
-                | "fcvtzs"
-                | "fcvt"
-                | "fadd"
-                | "fsub"
-                | "fmul"
-                | "fdiv"
-                | "adrp"
-        );
-        for (i, op) in inst.operands.iter().enumerate() {
-            let is_dst = i == 0 && dst_first;
-            let regs: Vec<&str> = match op {
-                Operand::Reg(r) => vec![r.as_str()],
-                Operand::MemArm { base, .. } => vec![base.as_str()],
-                _ => vec![],
-            };
-            for r in regs {
-                let c = r.chars().next().unwrap_or(' ');
-                let n: usize = r.get(1..).and_then(|s| s.parse().ok()).unwrap_or(99);
-                if n >= ARM_ARGS {
-                    continue;
-                }
-                match c {
-                    'x' | 'w' => {
-                        if is_dst && matches!(op, Operand::Reg(_)) {
-                            written_x.push(n);
-                        } else if !written_x.contains(&n) && !read_x.contains(&n) {
-                            read_x.push(n);
-                        }
-                    }
-                    's' | 'd' => {
-                        if is_dst && matches!(op, Operand::Reg(_)) {
-                            written_d.push(n);
-                        } else if !written_d.contains(&n) && !read_d.contains(&n) {
-                            read_d.push(n);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    let nint = (0..ARM_ARGS).take_while(|i| read_x.contains(i)).count();
-    let nf = (0..ARM_ARGS).take_while(|i| read_d.contains(i)).count();
-    (nint, nf)
+/// The constant-tracking key of a register: its number, whatever its
+/// width or bank.
+fn const_key(name: &str) -> String {
+    arm_reg(name).map_or(99, |(_, n)| n).to_string()
 }
 
 #[cfg(test)]
@@ -1442,5 +1169,21 @@ mod tests {
             "int helper(int a, int b) { return a + b; } int f(int x) { return helper(x, 3); }";
         let c = lift_src(src, "f", Isa::X86_64, OptLevel::O0).unwrap();
         assert!(c.contains("helper(r_rdi, r_rsi)") || c.contains("helper(r_rdi,"), "{c}");
+    }
+
+    #[test]
+    fn string_literals_lex_back_to_their_rodata_bytes() {
+        // A hex escape is greedy: `\x01a` would lex as the one byte 0x1a.
+        let asm = "\t.section .rodata\n.LC0:\n\t.string \"\\001a\\177F9\"\n\t.text\n\
+                   f:\n\tleaq .LC0(%rip), %rdi\n\tcall strlen\n\tret\n";
+        let file = parse_asm(asm, Isa::X86_64);
+        let c = lift(file.function("f").unwrap(), Isa::X86_64, &file.rodata).unwrap();
+        let decl = c.lines().find(|l| l.starts_with("char *lc_0")).expect("literal declared");
+        let tokens = slade_minic::Lexer::new(decl).tokenize().unwrap();
+        let lexed = tokens.iter().find_map(|t| match &t.kind {
+            slade_minic::TokenKind::StrLit(s) => Some(s.as_bytes().to_vec()),
+            _ => None,
+        });
+        assert_eq!(lexed.as_deref(), Some(&b"\x01a\x7fF9"[..]), "{decl}");
     }
 }

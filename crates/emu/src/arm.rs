@@ -1,12 +1,13 @@
 //! AArch64 emulator for the assembly subset the ARM backend emits.
 //!
-//! Mirrors the x86 emulator: same packed-pointer segment memory, same
-//! builtin dispatch, so ARM assembly can be cross-validated against the
-//! MiniC interpreter exactly like x86 (see `tests/pipeline.rs`).
+//! Only the register file and the mnemonic table are ARM's: memory, the
+//! call and fetch loop and the libc builtins are the shared [`Machine`]'s,
+//! so ARM assembly is cross-validated against the MiniC interpreter exactly
+//! like x86 (see `tests/pipeline.rs`).
 
-use crate::machine::{Machine, Ret};
-use crate::{Arg, EmuError, Result};
-use slade_asm::{AsmFunction, Inst, Line, Operand};
+use crate::machine::{op, target, Cpu, Machine, Step};
+use crate::{EmuError, Result};
+use slade_asm::{Inst, Operand};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -25,77 +26,49 @@ pub struct Arm64 {
     d: [f64; 32],
     sp: u64,
     flags: Nzcv,
-    /// adrp-pending symbol per register.
-    adrp: HashMap<usize, String>,
 }
 
 /// The AArch64 machine: [`Arm64`] registers over the shared segment memory.
 pub type ArmEmulator = Machine<Arm64>;
 
+impl Cpu for Arm64 {
+    const ARG_REGS: (usize, usize) = (8, 8);
+
+    fn int_arg(&mut self, n: usize) -> &mut u64 {
+        &mut self.x[n]
+    }
+
+    fn int_ret(&mut self) -> &mut u64 {
+        &mut self.x[0]
+    }
+
+    fn f64_reg(&self, n: usize) -> f64 {
+        self.d[n]
+    }
+
+    fn set_f64_reg(&mut self, n: usize, v: f64) {
+        self.d[n] = v;
+    }
+
+    fn set_f32_reg(&mut self, n: usize, v: f32) {
+        self.d[n] = v as f64;
+    }
+
+    fn set_sp(&mut self, sp: u64) {
+        self.sp = sp;
+    }
+
+    fn step(
+        m: &mut ArmEmulator,
+        inst: &Inst,
+        labels: &HashMap<String, usize>,
+        ip: &mut usize,
+    ) -> Result<Step> {
+        m.exec(inst, labels, ip)
+    }
+}
+
 impl ArmEmulator {
-    /// The `d0` return value of the last call.
-    pub fn ret_f64(&self) -> f64 {
-        self.cpu.d[0]
-    }
-
-    /// Calls a function with AAPCS64 argument passing; returns `x0`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown functions, faults, unsupported instructions or fuel
-    /// exhaustion.
-    pub fn call(&mut self, name: &str, args: &[Arg]) -> Result<u64> {
-        self.fuel = 10_000_000;
-        self.cpu.sp = self.stack_base;
-        let mut int_idx = 0;
-        let mut f_idx = 0;
-        for a in args {
-            match a {
-                Arg::Int(v) => {
-                    if int_idx < 8 {
-                        self.cpu.x[int_idx] = *v;
-                    }
-                    int_idx += 1;
-                }
-                Arg::F64(v) => {
-                    self.cpu.d[f_idx] = *v;
-                    f_idx += 1;
-                }
-                Arg::F32(v) => {
-                    self.cpu.d[f_idx] = *v as f64;
-                    f_idx += 1;
-                }
-            }
-        }
-        self.exec_function(name)?;
-        Ok(self.cpu.x[0])
-    }
-
-    fn exec_function(&mut self, name: &str) -> Result<()> {
-        let Some(func) = self.file.function(name).cloned() else {
-            return self.call_builtin(name);
-        };
-        let labels = func.label_positions();
-        let mut ip = 0usize;
-        while ip < func.lines.len() {
-            if self.fuel == 0 {
-                return Err(EmuError::new("fuel exhausted"));
-            }
-            self.fuel -= 1;
-            let line = &func.lines[ip];
-            ip += 1;
-            let inst = match line {
-                Line::Label(_) => continue,
-                Line::Inst(i) => i,
-            };
-            if inst.mnemonic == "ret" {
-                return Ok(());
-            }
-            self.step(inst, &func, &labels, &mut ip)?;
-        }
-        Ok(())
-    }
-
     // ---- register plumbing ----
 
     fn reg_read(&self, name: &str) -> Result<u64> {
@@ -169,8 +142,7 @@ impl ArmEmulator {
         let Operand::MemArm { base, off, .. } = op else {
             return Err(EmuError::new("not a memory operand"));
         };
-        let b = if base == "sp" { self.cpu.sp } else { self.reg_read(base)? };
-        Ok(b.wrapping_add(*off as u64))
+        Ok(self.reg_read(base)?.wrapping_add(*off as u64))
     }
 
     fn load(&self, addr: u64, len: usize) -> Result<u64> {
@@ -203,14 +175,12 @@ impl ArmEmulator {
         })
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn step(
+    fn exec(
         &mut self,
         inst: &Inst,
-        _func: &AsmFunction,
         labels: &HashMap<String, usize>,
         ip: &mut usize,
-    ) -> Result<()> {
+    ) -> Result<Step> {
         let m = inst.mnemonic.as_str();
         let ops = &inst.operands;
         let reg_name = |op: &Operand| -> Result<String> {
@@ -221,65 +191,52 @@ impl ArmEmulator {
         };
         match m {
             "nop" => {}
+            "ret" => return Ok(Step::Return),
             "stp" => {
                 // stp xA, xB, [sp, #-F]!  (pre-index) or plain [base, #off].
-                let ra = reg_name(&ops[0])?;
-                let rb = reg_name(&ops[1])?;
-                let Operand::MemArm { base, off, pre_writeback } = &ops[2] else {
+                let ra = reg_name(op(ops, 0)?)?;
+                let rb = reg_name(op(ops, 1)?)?;
+                let Operand::MemArm { base, off, pre_writeback } = op(ops, 2)? else {
                     return Err(EmuError::new("stp operand"));
                 };
-                let baseval = if base == "sp" { self.cpu.sp } else { self.reg_read(base)? };
-                let addr = baseval.wrapping_add(*off as u64);
+                let addr = self.reg_read(base)?.wrapping_add(*off as u64);
                 let va = self.reg_read(&ra)?;
                 let vb = self.reg_read(&rb)?;
                 self.store(addr, va, 8)?;
                 self.store(addr.wrapping_add(8), vb, 8)?;
                 if *pre_writeback {
-                    if base == "sp" {
-                        self.cpu.sp = addr;
-                    } else {
-                        self.reg_write(base, addr)?;
-                    }
+                    self.reg_write(base, addr)?;
                 }
             }
             "ldp" => {
                 // ldp xA, xB, [sp], #F (post-index: off parsed as 0; the
                 // post-increment arrives as a trailing Imm operand).
-                let ra = reg_name(&ops[0])?;
-                let rb = reg_name(&ops[1])?;
-                let Operand::MemArm { base, off, .. } = &ops[2] else {
+                let ra = reg_name(op(ops, 0)?)?;
+                let rb = reg_name(op(ops, 1)?)?;
+                let Operand::MemArm { base, off, .. } = op(ops, 2)? else {
                     return Err(EmuError::new("ldp operand"));
                 };
-                let baseval = if base == "sp" { self.cpu.sp } else { self.reg_read(base)? };
+                let baseval = self.reg_read(base)?;
                 let addr = baseval.wrapping_add(*off as u64);
                 let va = self.load(addr, 8)?;
                 let vb = self.load(addr.wrapping_add(8), 8)?;
                 self.reg_write(&ra, va)?;
                 self.reg_write(&rb, vb)?;
                 if let Some(Operand::Imm(post)) = ops.get(3) {
-                    let nb = baseval.wrapping_add(*post as u64);
-                    if base == "sp" {
-                        self.cpu.sp = nb;
-                    } else {
-                        self.reg_write(base, nb)?;
-                    }
+                    self.reg_write(base, baseval.wrapping_add(*post as u64))?;
                 }
             }
-            "mov" => {
-                let dst = reg_name(&ops[0])?;
-                let v = self.op_u64(&ops[1])?;
-                self.reg_write(&dst, v)?;
-            }
-            "movz" => {
-                let dst = reg_name(&ops[0])?;
-                let v = self.op_u64(&ops[1])?;
+            "mov" | "movz" => {
+                let dst = reg_name(op(ops, 0)?)?;
+                let v = self.op_u64(op(ops, 1)?)?;
                 self.reg_write(&dst, v)?;
             }
             "movk" => {
-                let dst = reg_name(&ops[0])?;
-                let v = self.op_u64(&ops[1])?;
+                let dst = reg_name(op(ops, 0)?)?;
+                let v = self.op_u64(op(ops, 1)?)?;
                 let shift = match ops.get(2) {
-                    Some(Operand::Lsl(s)) => *s as u32,
+                    Some(&Operand::Lsl(s @ 0..=48)) => s as u32,
+                    Some(Operand::Lsl(_)) => return Err(EmuError::new("movk shift")),
                     _ => 0,
                 };
                 let cur = self.reg_read(&dst)?;
@@ -288,8 +245,8 @@ impl ArmEmulator {
             }
             "fmov" => {
                 // fmov d0, x8 (bit move) or fmov s0, w8.
-                let dst = reg_name(&ops[0])?;
-                let src = reg_name(&ops[1])?;
+                let dst = reg_name(op(ops, 0)?)?;
+                let src = reg_name(op(ops, 1)?)?;
                 let (dk, dn) = split_reg(&dst)?;
                 let bits = self.reg_read(&src)?;
                 match dk {
@@ -308,99 +265,50 @@ impl ArmEmulator {
                 }
             }
             "ldr" | "ldrb" | "ldrsb" | "ldrh" | "ldrsh" => {
-                let dst = reg_name(&ops[0])?;
-                let addr = self.mem_addr(&ops[1])?;
-                let (dk, dn) = split_reg(&dst)?;
-                match (m, dk) {
-                    ("ldrb", _) => {
-                        let v = self.load(addr, 1)?;
-                        self.reg_write(&dst, v)?;
-                    }
-                    ("ldrsb", _) => {
-                        let v = self.load(addr, 1)? as u8 as i8 as i32 as u32 as u64;
-                        self.reg_write(&dst, v)?;
-                    }
-                    ("ldrh", _) => {
-                        let v = self.load(addr, 2)?;
-                        self.reg_write(&dst, v)?;
-                    }
-                    ("ldrsh", _) => {
-                        let v = self.load(addr, 2)? as u16 as i16 as i32 as u32 as u64;
-                        self.reg_write(&dst, v)?;
-                    }
-                    (_, 'w') => {
-                        let v = self.load(addr, 4)?;
-                        self.reg_write(&dst, v)?;
-                    }
-                    (_, 'x') => {
-                        let v = self.load(addr, 8)?;
-                        self.reg_write(&dst, v)?;
-                    }
-                    (_, 's') => {
-                        let v = self.load(addr, 4)?;
-                        self.cpu.d[dn] = f32::from_bits(v as u32) as f64;
-                    }
-                    (_, 'd') => {
-                        let v = self.load(addr, 8)?;
-                        self.cpu.d[dn] = f64::from_bits(v);
-                    }
+                let dst = reg_name(op(ops, 0)?)?;
+                let addr = self.mem_addr(op(ops, 1)?)?;
+                let v = match (m, split_reg(&dst)?.0) {
+                    ("ldrb", _) => self.load(addr, 1)?,
+                    ("ldrsb", _) => self.load(addr, 1)? as u8 as i8 as i32 as u32 as u64,
+                    ("ldrh", _) => self.load(addr, 2)?,
+                    ("ldrsh", _) => self.load(addr, 2)? as u16 as i16 as i32 as u32 as u64,
+                    (_, 'w' | 's') => self.load(addr, 4)?,
+                    (_, 'x' | 'd') => self.load(addr, 8)?,
                     _ => return Err(EmuError::new("ldr form")),
-                }
+                };
+                self.reg_write(&dst, v)?;
             }
             "str" | "strb" | "strh" => {
-                let src = reg_name(&ops[0])?;
-                let addr = self.mem_addr(&ops[1])?;
-                let (sk, sn) = split_reg(&src)?;
-                match (m, sk) {
-                    ("strb", _) => {
-                        let v = self.reg_read(&src)?;
-                        self.store(addr, v, 1)?;
-                    }
-                    ("strh", _) => {
-                        let v = self.reg_read(&src)?;
-                        self.store(addr, v, 2)?;
-                    }
-                    (_, 'w') => {
-                        let v = self.reg_read(&src)?;
-                        self.store(addr, v, 4)?;
-                    }
-                    (_, 'x') => {
-                        let v = self.reg_read(&src)?;
-                        self.store(addr, v, 8)?;
-                    }
-                    (_, 's') => {
-                        self.store(addr, (self.cpu.d[sn] as f32).to_bits() as u64, 4)?;
-                    }
-                    (_, 'd') => {
-                        self.store(addr, self.cpu.d[sn].to_bits(), 8)?;
-                    }
+                let src = reg_name(op(ops, 0)?)?;
+                let addr = self.mem_addr(op(ops, 1)?)?;
+                let len = match (m, split_reg(&src)?.0) {
+                    ("strb", _) => 1,
+                    ("strh", _) => 2,
+                    (_, 'w' | 's') => 4,
+                    (_, 'x' | 'd') => 8,
                     _ => return Err(EmuError::new("str form")),
-                }
+                };
+                let v = self.reg_read(&src)?;
+                self.store(addr, v, len)?;
             }
             "adrp" => {
-                let dst = reg_name(&ops[0])?;
-                let Operand::Sym(sym) = &ops[1] else { return Err(EmuError::new("adrp")) };
-                let (_, n) = split_reg(&dst)?;
-                self.cpu.adrp.insert(n, sym.clone());
+                let dst = reg_name(op(ops, 0)?)?;
+                let Operand::Sym(_) = op(ops, 1)? else { return Err(EmuError::new("adrp")) };
                 // Page-address semantics are folded into the :lo12: add.
                 self.reg_write(&dst, 0)?;
             }
             "add" if ops.len() == 3 && matches!(ops[2], Operand::Lo12(_)) => {
-                let dst = reg_name(&ops[0])?;
-                let Operand::Lo12(sym) = &ops[2] else { unreachable!() };
-                let addr = self
-                    .symbols
-                    .get(sym)
-                    .copied()
-                    .ok_or_else(|| EmuError::new(format!("undefined symbol `{sym}`")))?;
+                let dst = reg_name(op(ops, 0)?)?;
+                let Operand::Lo12(sym) = op(ops, 2)? else { unreachable!() };
+                let addr = self.symbol(sym)?;
                 self.reg_write(&dst, addr)?;
             }
             "add" | "sub" | "mul" | "sdiv" | "udiv" | "and" | "orr" | "eor" | "lsl" | "asr"
             | "lsr" => {
-                let dst = reg_name(&ops[0])?;
+                let dst = reg_name(op(ops, 0)?)?;
                 let wide = dst.starts_with('x') || dst == "sp";
-                let a = self.op_u64(&ops[1])?;
-                let b = self.op_u64(&ops[2])?;
+                let a = self.op_u64(op(ops, 1)?)?;
+                let b = self.op_u64(op(ops, 2)?)?;
                 let v = match m {
                     "add" => a.wrapping_add(b),
                     "sub" => a.wrapping_sub(b),
@@ -453,41 +361,28 @@ impl ArmEmulator {
             }
             "msub" => {
                 // msub d, a, b, c = c - a*b
-                let dst = reg_name(&ops[0])?;
-                let a = self.op_u64(&ops[1])?;
-                let b = self.op_u64(&ops[2])?;
-                let c = self.op_u64(&ops[3])?;
+                let dst = reg_name(op(ops, 0)?)?;
+                let a = self.op_u64(op(ops, 1)?)?;
+                let b = self.op_u64(op(ops, 2)?)?;
+                let c = self.op_u64(op(ops, 3)?)?;
                 self.reg_write(&dst, c.wrapping_sub(a.wrapping_mul(b)))?;
             }
-            "sxtw" => {
-                let dst = reg_name(&ops[0])?;
-                let v = self.op_u64(&ops[1])? as u32 as i32 as i64 as u64;
-                self.reg_write(&dst, v)?;
-            }
-            "sxtb" => {
-                let dst = reg_name(&ops[0])?;
-                let v = self.op_u64(&ops[1])? as u8 as i8 as i32 as u32 as u64;
-                self.reg_write(&dst, v)?;
-            }
-            "uxtb" => {
-                let dst = reg_name(&ops[0])?;
-                let v = self.op_u64(&ops[1])? as u8 as u64;
-                self.reg_write(&dst, v)?;
-            }
-            "sxth" => {
-                let dst = reg_name(&ops[0])?;
-                let v = self.op_u64(&ops[1])? as u16 as i16 as i32 as u32 as u64;
-                self.reg_write(&dst, v)?;
-            }
-            "uxth" => {
-                let dst = reg_name(&ops[0])?;
-                let v = self.op_u64(&ops[1])? as u16 as u64;
+            "sxtw" | "sxtb" | "uxtb" | "sxth" | "uxth" => {
+                let dst = reg_name(op(ops, 0)?)?;
+                let v = self.op_u64(op(ops, 1)?)?;
+                let v = match m {
+                    "sxtw" => v as u32 as i32 as i64 as u64,
+                    "sxtb" => v as u8 as i8 as i32 as u32 as u64,
+                    "uxtb" => v as u8 as u64,
+                    "sxth" => v as u16 as i16 as i32 as u32 as u64,
+                    _ => v as u16 as u64,
+                };
                 self.reg_write(&dst, v)?;
             }
             "cmp" => {
-                let a = self.op_u64(&ops[0])?;
-                let b = self.op_u64(&ops[1])?;
-                let wide = matches!(&ops[0], Operand::Reg(r) if r.starts_with('x'));
+                let a = self.op_u64(op(ops, 0)?)?;
+                let b = self.op_u64(op(ops, 1)?)?;
+                let wide = matches!(op(ops, 0)?, Operand::Reg(r) if r.starts_with('x'));
                 if wide {
                     let (sa, sb) = (a as i64, b as i64);
                     let r = sa.wrapping_sub(sb);
@@ -510,46 +405,38 @@ impl ArmEmulator {
                 }
             }
             "fcmp" => {
-                let a = self.fp_read(&reg_name(&ops[0])?)?;
-                let b = self.fp_read(&reg_name(&ops[1])?)?;
+                let a = self.fp_read(&reg_name(op(ops, 0)?)?)?;
+                let b = self.fp_read(&reg_name(op(ops, 1)?)?)?;
                 self.cpu.flags = Nzcv { n: a < b, z: a == b, c: a >= b, v: false };
             }
             "cset" => {
-                let dst = reg_name(&ops[0])?;
-                let Operand::Cond(cc) = &ops[1] else { return Err(EmuError::new("cset cc")) };
+                let dst = reg_name(op(ops, 0)?)?;
+                let Operand::Cond(cc) = op(ops, 1)? else {
+                    return Err(EmuError::new("cset cc"));
+                };
                 let v = self.cond(cc)? as u64;
                 self.reg_write(&dst, v)?;
             }
             "cbnz" => {
-                let v = self.op_u64(&ops[0])?;
-                let Operand::Sym(l) = &ops[1] else { return Err(EmuError::new("cbnz")) };
-                let narrow = matches!(&ops[0], Operand::Reg(r) if r.starts_with('w'));
-                let v = if narrow { v & 0xffff_ffff } else { v };
-                if v != 0 {
-                    *ip =
-                        *labels.get(l).ok_or_else(|| EmuError::new(format!("label `{l}`")))?;
+                // A `w` register reads as its low 32 bits.
+                if self.op_u64(op(ops, 0)?)? != 0 {
+                    *ip = target(labels, op(ops, 1)?)?;
                 }
             }
-            "b" => {
-                let Operand::Sym(l) = &ops[0] else { return Err(EmuError::new("b")) };
-                *ip = *labels.get(l).ok_or_else(|| EmuError::new(format!("label `{l}`")))?;
-            }
+            "b" => *ip = target(labels, op(ops, 0)?)?,
             _ if m.starts_with("b.") => {
                 if self.cond(&m[2..])? {
-                    let Operand::Sym(l) = &ops[0] else { return Err(EmuError::new("b.cc")) };
-                    *ip =
-                        *labels.get(l).ok_or_else(|| EmuError::new(format!("label `{l}`")))?;
+                    *ip = target(labels, op(ops, 0)?)?;
                 }
             }
             "bl" => {
-                let Operand::Sym(callee) = &ops[0] else { return Err(EmuError::new("bl")) };
-                let callee = callee.clone();
-                self.exec_function(&callee)?;
+                let Operand::Sym(callee) = op(ops, 0)? else { return Err(EmuError::new("bl")) };
+                return Ok(Step::Call(callee.clone()));
             }
             "fadd" | "fsub" | "fmul" | "fdiv" => {
-                let dst = reg_name(&ops[0])?;
-                let a = self.fp_read(&reg_name(&ops[1])?)?;
-                let b = self.fp_read(&reg_name(&ops[2])?)?;
+                let dst = reg_name(op(ops, 0)?)?;
+                let a = self.fp_read(&reg_name(op(ops, 1)?)?)?;
+                let b = self.fp_read(&reg_name(op(ops, 2)?)?)?;
                 let v = match m {
                     "fadd" => a + b,
                     "fsub" => a - b,
@@ -559,16 +446,16 @@ impl ArmEmulator {
                 self.fp_write(&dst, v)?;
             }
             "scvtf" => {
-                let dst = reg_name(&ops[0])?;
-                let src = reg_name(&ops[1])?;
+                let dst = reg_name(op(ops, 0)?)?;
+                let src = reg_name(op(ops, 1)?)?;
                 let v = self.reg_read(&src)?;
                 let f =
                     if src.starts_with('w') { v as u32 as i32 as f64 } else { v as i64 as f64 };
                 self.fp_write(&dst, f)?;
             }
             "fcvtzs" => {
-                let dst = reg_name(&ops[0])?;
-                let src = reg_name(&ops[1])?;
+                let dst = reg_name(op(ops, 0)?)?;
+                let src = reg_name(op(ops, 1)?)?;
                 let f = self.fp_read(&src)?;
                 let v = if dst.starts_with('w') {
                     (f as i32 as u32) as u64
@@ -578,23 +465,14 @@ impl ArmEmulator {
                 self.reg_write(&dst, v)?;
             }
             "fcvt" => {
-                let dst = reg_name(&ops[0])?;
-                let src = reg_name(&ops[1])?;
+                let dst = reg_name(op(ops, 0)?)?;
+                let src = reg_name(op(ops, 1)?)?;
                 let f = self.fp_read(&src)?;
                 self.fp_write(&dst, f)?;
             }
             other => return Err(EmuError::new(format!("unsupported instruction `{other}`"))),
         }
-        Ok(())
-    }
-
-    fn call_builtin(&mut self, name: &str) -> Result<()> {
-        let (ints, floats) = ([0, 1, 2].map(|r| self.cpu.x[r]), [0, 1].map(|r| self.cpu.d[r]));
-        match self.libc(name, ints, floats)? {
-            Ret::Int(v) => self.cpu.x[0] = v,
-            Ret::F64(v) => self.cpu.d[0] = v,
-        }
-        Ok(())
+        Ok(Step::Continue)
     }
 }
 
@@ -611,109 +489,61 @@ fn split_reg(name: &str) -> Result<(char, usize)> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use slade_asm::{parse_asm, Isa};
-    use slade_compiler::{compile_function, CompileOpts, OptLevel};
+    use crate::machine::cases::{case, emu_cases, Case, Want};
+    use crate::Arg;
 
-    fn emu_for(src: &str, name: &str, opt: OptLevel) -> ArmEmulator {
-        let p = slade_minic::parse_program(src).unwrap();
-        let asm = compile_function(&p, name, CompileOpts::new(slade_compiler::Isa::Arm64, opt))
-            .unwrap();
-        ArmEmulator::new(parse_asm(&asm, Isa::Arm64))
-    }
-
-    #[test]
-    fn arm_arithmetic_both_levels() {
-        for opt in [OptLevel::O0, OptLevel::O3] {
-            let mut e = emu_for("int f(int a, int b) { return a * 3 - b / 2; }", "f", opt);
-            let r = e.call("f", &[Arg::Int(10), Arg::Int(7)]).unwrap();
-            assert_eq!(r as i32, 27, "{opt:?}");
-        }
-    }
-
-    #[test]
-    fn arm_loops_and_unrolling() {
-        for opt in [OptLevel::O0, OptLevel::O3] {
-            let mut e = emu_for(
+    emu_cases! {
+        arm_arithmetic_both_levels: case(
+            "int f(int a, int b) { return a * 3 - b / 2; }",
+            "f",
+            &[(&[Arg::Int(10), Arg::Int(7)], Want::Int(27))],
+        );
+        arm_loops_and_unrolling: Case {
+            buf: &[1, 2, 3, 4, 5, 6, 7, 8, 9],
+            ..case(
                 "int total(int *a, int n) { int s = 0; for (int i = 0; i < n; i++) s += a[i]; return s; }",
                 "total",
-                opt,
-            );
-            let bytes: Vec<u8> = (1i32..=9).flat_map(|v| v.to_le_bytes()).collect();
-            let buf = e.alloc_buffer(&bytes);
-            let r = e.call("total", &[Arg::Int(buf), Arg::Int(9)]).unwrap();
-            assert_eq!(r as i32, 45, "{opt:?}");
-        }
-    }
-
-    #[test]
-    fn arm_pointer_writes() {
-        let mut e = emu_for(
-            "void bump(int *a, int v, int n) { for (int i = 0; i < n; i++) a[i] += v; }",
-            "bump",
-            OptLevel::O0,
+                &[(&[Arg::Int(9)], Want::Int(45))],
+            )
+        };
+        arm_pointer_writes: Case {
+            buf: &[5, 6, 7],
+            ..case(
+                "void bump(int *a, int v, int n) { for (int i = 0; i < n; i++) a[i] += v; }",
+                "bump",
+                &[(&[Arg::Int(10), Arg::Int(3)], Want::Buf(&[15, 16, 17]))],
+            )
+        };
+        arm_float_math: case(
+            "double f(double x, double y) { return x * y + 0.5; }",
+            "f",
+            &[(&[Arg::F64(2.5), Arg::F64(4.0)], Want::F64(10.5))],
         );
-        let bytes: Vec<u8> = [5i32, 6, 7].iter().flat_map(|v| v.to_le_bytes()).collect();
-        let buf = e.alloc_buffer(&bytes);
-        e.call("bump", &[Arg::Int(buf), Arg::Int(10), Arg::Int(3)]).unwrap();
-        let out = e.read_buffer(buf, 12).unwrap();
-        let vals: Vec<i32> =
-            out.chunks(4).map(|c| i32::from_le_bytes(c.try_into().unwrap())).collect();
-        assert_eq!(vals, vec![15, 16, 17]);
-    }
-
-    #[test]
-    fn arm_float_math() {
-        let mut e =
-            emu_for("double f(double x, double y) { return x * y + 0.5; }", "f", OptLevel::O0);
-        e.call("f", &[Arg::F64(2.5), Arg::F64(4.0)]).unwrap();
-        assert_eq!(e.ret_f64(), 10.5);
-    }
-
-    #[test]
-    fn arm_unsigned_division_and_compare() {
-        let mut e = emu_for(
+        arm_unsigned_division_and_compare: case(
             "unsigned f(unsigned a, unsigned b) { if (a < b) return 0; return a / b; }",
             "f",
-            OptLevel::O0,
+            &[
+                (&[Arg::Int(0xffff_fffc), Arg::Int(2)], Want::Int(0x7fff_fffe)),
+                (&[Arg::Int(1), Arg::Int(2)], Want::Int(0)),
+            ],
         );
-        assert_eq!(
-            e.call("f", &[Arg::Int(0xffff_fffc), Arg::Int(2)]).unwrap() as u32,
-            0x7fff_fffe
+        arm_globals_and_calls: Case {
+            global: Some(5),
+            ..case(
+                "int g; int helper(int v) { return v + 1; } int f(void) { g = helper(g); return g; }",
+                "f",
+                &[(&[], Want::Int(6)), (&[], Want::Int(7))],
+            )
+        };
+        arm_division_by_zero_errors: case(
+            "int f(int a, int b) { return a / b; }",
+            "f",
+            &[(&[Arg::Int(1), Arg::Int(0)], Want::Fails("division by zero"))],
         );
-        assert_eq!(e.call("f", &[Arg::Int(1), Arg::Int(2)]).unwrap() as u32, 0);
-    }
-
-    #[test]
-    fn arm_globals_and_calls() {
-        let src = "int g; int helper(int v) { return v + 1; } int f(void) { g = helper(g); return g; }";
-        let p = slade_minic::parse_program(src).unwrap();
-        let mut text = String::new();
-        for name in ["helper", "f"] {
-            text.push_str(
-                &compile_function(
-                    &p,
-                    name,
-                    CompileOpts::new(slade_compiler::Isa::Arm64, OptLevel::O0),
-                )
-                .unwrap(),
-            );
-        }
-        let mut e = ArmEmulator::new(parse_asm(&text, Isa::Arm64));
-        e.define_global("g", &5i32.to_le_bytes());
-        assert_eq!(e.call("f", &[]).unwrap() as i32, 6);
-        assert_eq!(e.call("f", &[]).unwrap() as i32, 7);
-    }
-
-    #[test]
-    fn arm_division_by_zero_errors() {
-        let mut e = emu_for("int f(int a, int b) { return a / b; }", "f", OptLevel::O0);
-        assert!(e.call("f", &[Arg::Int(1), Arg::Int(0)]).is_err());
-    }
-
-    #[test]
-    fn arm_strings() {
-        let mut e = emu_for("int f(void) { return strlen(\"hello arm\"); }", "f", OptLevel::O0);
-        assert_eq!(e.call("f", &[]).unwrap(), 9);
+        arm_strings: case(
+            "int f(void) { return strlen(\"hello arm\"); }",
+            "f",
+            &[(&[], Want::Int(9))],
+        );
     }
 }

@@ -36,10 +36,10 @@ pub mod arm;
 mod machine;
 
 pub use arm::ArmEmulator;
-pub use machine::Machine;
+pub use machine::{Cpu, Machine, Step};
 
-use machine::Ret;
-use slade_asm::{AsmFunction, Inst, Line, Operand};
+use machine::{op, target};
+use slade_asm::{Inst, Operand};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -71,12 +71,12 @@ impl std::error::Error for EmuError {}
 /// Result alias.
 pub type Result<T> = std::result::Result<T, EmuError>;
 
-/// An argument for [`Emulator::call`].
+/// An argument for [`Machine::call`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arg {
-    /// Integer or packed-pointer argument (goes to `rdi`…).
+    /// Integer or packed-pointer argument (goes to `rdi`… / `x0`…).
     Int(u64),
-    /// Double argument (goes to `xmm0`…).
+    /// Double argument (goes to `xmm0`… / `d0`…).
     F64(f64),
     /// Float argument.
     F32(f32),
@@ -147,80 +147,55 @@ pub struct X86 {
 /// The x86-64 machine: [`X86`] registers over the shared segment memory.
 pub type Emulator = Machine<X86>;
 
-impl Emulator {
-    /// Return value of the last call as a double (`xmm0`).
-    pub fn ret_f64(&self) -> f64 {
-        f64::from_le_bytes(self.cpu.xmm[0][..8].try_into().unwrap())
+/// SysV integer argument registers: `rdi rsi rdx rcx r8 r9`.
+const INT_ARGS: [usize; 6] = [5, 4, 3, 2, 8, 9];
+
+impl Cpu for X86 {
+    const ARG_REGS: (usize, usize) = (INT_ARGS.len(), 8);
+
+    fn int_arg(&mut self, n: usize) -> &mut u64 {
+        &mut self.gpr[INT_ARGS[n]]
     }
 
-    /// Return value of the last call as a float.
-    pub fn ret_f32(&self) -> f32 {
-        f32::from_le_bytes(self.cpu.xmm[0][..4].try_into().unwrap())
+    fn int_ret(&mut self) -> &mut u64 {
+        &mut self.gpr[0] // rax
     }
 
-    /// Calls function `name` with SysV argument passing; returns `rax`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown functions, memory faults, unsupported instructions,
-    /// or fuel exhaustion (10M instructions).
-    pub fn call(&mut self, name: &str, args: &[Arg]) -> Result<u64> {
-        self.fuel = 10_000_000;
-        self.cpu.gpr[7] = self.stack_base; // rsp
-        let mut int_idx = 0;
-        let mut f_idx = 0;
-        const INT_ARGS: [usize; 6] = [5, 4, 3, 2, 8, 9]; // rdi rsi rdx rcx r8 r9
-        for a in args {
-            match a {
-                Arg::Int(v) => {
-                    if int_idx < 6 {
-                        self.cpu.gpr[INT_ARGS[int_idx]] = *v;
-                    }
-                    int_idx += 1;
-                }
-                Arg::F64(v) => {
-                    self.cpu.xmm[f_idx][..8].copy_from_slice(&v.to_le_bytes());
-                    f_idx += 1;
-                }
-                Arg::F32(v) => {
-                    self.cpu.xmm[f_idx][..4].copy_from_slice(&v.to_le_bytes());
-                    f_idx += 1;
-                }
-            }
-        }
-        self.exec_function(name)?;
-        Ok(self.cpu.gpr[0])
+    fn f64_reg(&self, n: usize) -> f64 {
+        f64::from_le_bytes(self.xmm[n][..8].try_into().expect("8 of 16 bytes"))
     }
 
-    fn exec_function(&mut self, name: &str) -> Result<()> {
-        let Some(func) = self.file.function(name).cloned() else {
-            return self.call_builtin(name);
-        };
-        let labels = func.label_positions();
-        let mut ip = 0usize;
-        while ip < func.lines.len() {
-            if self.fuel == 0 {
-                return Err(EmuError::new("fuel exhausted"));
-            }
-            self.fuel -= 1;
-            let line = &func.lines[ip];
-            ip += 1;
-            let inst = match line {
-                Line::Label(_) => continue,
-                Line::Inst(i) => i,
-            };
-            match self.step(inst, &func, &labels, &mut ip)? {
-                Step::Continue => {}
-                Step::Return => return Ok(()),
-            }
-        }
-        Ok(())
+    fn set_f64_reg(&mut self, n: usize, v: f64) {
+        self.xmm[n][..8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn set_f32_reg(&mut self, n: usize, v: f32) {
+        self.xmm[n][..4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn set_sp(&mut self, sp: u64) {
+        self.gpr[7] = sp; // rsp
     }
 
     fn step(
+        m: &mut Emulator,
+        inst: &Inst,
+        labels: &HashMap<String, usize>,
+        ip: &mut usize,
+    ) -> Result<Step> {
+        m.exec(inst, labels, ip)
+    }
+}
+
+impl Emulator {
+    /// Return value of the last call as a float.
+    pub fn ret_f32(&self) -> f32 {
+        f32::from_le_bytes(self.cpu.xmm[0][..4].try_into().expect("4 of 16 bytes"))
+    }
+
+    fn exec(
         &mut self,
         inst: &Inst,
-        func: &AsmFunction,
         labels: &HashMap<String, usize>,
         ip: &mut usize,
     ) -> Result<Step> {
@@ -230,13 +205,13 @@ impl Emulator {
             "endbr64" | "nop" => {}
             "pushq" => {
                 self.cpu.gpr[7] = self.cpu.gpr[7].wrapping_sub(8);
-                let v = self.read_op(&ops[0], 8)?;
+                let v = self.read_op(op(ops, 0)?, 8)?;
                 self.write_buffer(self.cpu.gpr[7], &v.to_le_bytes())?;
             }
             "popq" => {
                 let bytes = self.read_buffer(self.cpu.gpr[7], 8)?;
                 self.cpu.gpr[7] = self.cpu.gpr[7].wrapping_add(8);
-                self.write_op(&ops[0], u64::from_le_bytes(bytes.try_into().unwrap()), 8)?;
+                self.write_op(op(ops, 0)?, u64::from_le_bytes(bytes.try_into().unwrap()), 8)?;
             }
             "leave" => {
                 self.cpu.gpr[7] = self.cpu.gpr[6]; // rsp = rbp
@@ -254,42 +229,38 @@ impl Emulator {
                 };
                 // movq between GPR and XMM is a different beast.
                 if m == "movq" && ops.iter().any(is_xmm) {
-                    self.mov_gpr_xmm(&ops[0], &ops[1], 8)?;
+                    self.mov_gpr_xmm(op(ops, 0)?, op(ops, 1)?, 8)?;
                 } else {
-                    let v = self.read_op(&ops[0], width)?;
-                    self.write_op(&ops[1], v, width)?;
+                    let v = self.read_op(op(ops, 0)?, width)?;
+                    self.write_op(op(ops, 1)?, v, width)?;
                 }
             }
-            "movd" => self.mov_gpr_xmm(&ops[0], &ops[1], 4)?,
-            "movslq" => {
-                let v = self.read_op(&ops[0], 4)? as u32 as i32 as i64 as u64;
-                self.write_op(&ops[1], v, 8)?;
-            }
-            "movsbl" => {
-                let v = self.read_op(&ops[0], 1)? as u8 as i8 as i32 as u32 as u64;
-                self.write_op(&ops[1], v, 4)?;
-            }
-            "movzbl" => {
-                let v = self.read_op(&ops[0], 1)? as u8 as u64;
-                self.write_op(&ops[1], v, 4)?;
-            }
-            "movswl" => {
-                let v = self.read_op(&ops[0], 2)? as u16 as i16 as i32 as u32 as u64;
-                self.write_op(&ops[1], v, 4)?;
-            }
-            "movzwl" => {
-                let v = self.read_op(&ops[0], 2)? as u16 as u64;
-                self.write_op(&ops[1], v, 4)?;
+            "movd" => self.mov_gpr_xmm(op(ops, 0)?, op(ops, 1)?, 4)?,
+            "movslq" | "movsbl" | "movzbl" | "movswl" | "movzwl" => {
+                let from = match m {
+                    "movslq" => 4,
+                    "movsbl" | "movzbl" => 1,
+                    _ => 2,
+                };
+                // `read_op` zero-extends; the `movs*` forms sign-extend.
+                let v = self.read_op(op(ops, 0)?, from)?;
+                let v = match m {
+                    "movslq" => v as u32 as i32 as i64 as u64,
+                    "movsbl" => v as u8 as i8 as i32 as u32 as u64,
+                    "movswl" => v as u16 as i16 as i32 as u32 as u64,
+                    _ => v,
+                };
+                self.write_op(op(ops, 1)?, v, if m == "movslq" { 8 } else { 4 })?;
             }
             "leaq" => {
-                let addr = self.effective_address(&ops[0])?;
-                self.write_op(&ops[1], addr, 8)?;
+                let addr = self.effective_address(op(ops, 0)?)?;
+                self.write_op(op(ops, 1)?, addr, 8)?;
             }
             "addl" | "addq" | "subl" | "subq" | "imull" | "imulq" | "andl" | "andq" | "orl"
             | "orq" | "xorl" | "xorq" => {
                 let width = if m.ends_with('q') { 8 } else { 4 };
-                let src = self.read_op(&ops[0], width)?;
-                let dst = self.read_op(&ops[1], width)?;
+                let src = self.read_op(op(ops, 0)?, width)?;
+                let dst = self.read_op(op(ops, 1)?, width)?;
                 let result = match &m[..m.len() - 1] {
                     "add" => dst.wrapping_add(src),
                     "sub" => dst.wrapping_sub(src),
@@ -299,7 +270,7 @@ impl Emulator {
                     _ => dst ^ src,
                 };
                 self.set_zf_sf(result, width);
-                self.write_op(&ops[1], result, width)?;
+                self.write_op(op(ops, 1)?, result, width)?;
             }
             "cltd" => {
                 // Sign-extend eax into edx.
@@ -313,7 +284,7 @@ impl Emulator {
             "idivl" | "idivq" | "divl" | "divq" => {
                 let wide = m.ends_with('q');
                 let width = if wide { 8 } else { 4 };
-                let divisor = self.read_op(&ops[0], width)?;
+                let divisor = self.read_op(op(ops, 0)?, width)?;
                 if wide {
                     let d = divisor as i64;
                     if m == "idivq" {
@@ -354,8 +325,9 @@ impl Emulator {
             "sall" | "salq" | "sarl" | "sarq" | "shrl" | "shrq" => {
                 let wide = m.ends_with('q');
                 let width = if wide { 8u8 } else { 4 };
-                let amount = (self.read_op(&ops[0], 1)? as u32) & if wide { 63 } else { 31 };
-                let v = self.read_op(&ops[1], width)?;
+                let amount =
+                    (self.read_op(op(ops, 0)?, 1)? as u32) & if wide { 63 } else { 31 };
+                let v = self.read_op(op(ops, 1)?, width)?;
                 let result = match &m[..3] {
                     "sal" => v.wrapping_shl(amount),
                     "sar" => {
@@ -374,18 +346,18 @@ impl Emulator {
                     }
                 };
                 self.set_zf_sf(result, width);
-                self.write_op(&ops[1], result, width)?;
+                self.write_op(op(ops, 1)?, result, width)?;
             }
             "cmpl" | "cmpq" => {
                 let width = if m == "cmpq" { 8 } else { 4 };
-                let src = self.read_op(&ops[0], width)?;
-                let dst = self.read_op(&ops[1], width)?;
+                let src = self.read_op(op(ops, 0)?, width)?;
+                let dst = self.read_op(op(ops, 1)?, width)?;
                 self.compare(dst, src, width);
             }
             "testl" | "testq" => {
                 let width = if m == "testq" { 8 } else { 4 };
-                let a = self.read_op(&ops[0], width)?;
-                let b = self.read_op(&ops[1], width)?;
+                let a = self.read_op(op(ops, 0)?, width)?;
+                let b = self.read_op(op(ops, 1)?, width)?;
                 let r = a & b;
                 self.set_zf_sf(r, width);
                 self.cpu.flags.cf = false;
@@ -393,46 +365,49 @@ impl Emulator {
             }
             _ if m.starts_with("set") => {
                 let v = self.eval_cond(&m[3..])? as u64;
-                self.write_op(&ops[0], v, 1)?;
+                self.write_op(op(ops, 0)?, v, 1)?;
             }
             "jmp" => {
-                *ip = self.branch_target(&ops[0], labels)?;
+                *ip = target(labels, op(ops, 0)?)?;
             }
             _ if m.starts_with('j') => {
                 if self.eval_cond(&m[1..])? {
-                    *ip = self.branch_target(&ops[0], labels)?;
+                    *ip = target(labels, op(ops, 0)?)?;
                 }
             }
             "call" => {
-                let Operand::Sym(target) = &ops[0] else {
+                let Operand::Sym(target) = op(ops, 0)? else {
                     return Err(EmuError::new("indirect call"));
                 };
-                let target = target.clone();
-                // Align as the ABI would; our code doesn't rely on it.
-                self.cpu.gpr[7] = self.cpu.gpr[7].wrapping_sub(8);
-                self.exec_function(&target)?;
-                self.cpu.gpr[7] = self.cpu.gpr[7].wrapping_add(8);
+                // No return address is pushed: the machine keeps the call
+                // stack, and every caller has reserved its frame (`subq`).
+                return Ok(Step::Call(target.clone()));
             }
-            "movss" | "movsd" => {
-                let width = if m == "movss" { 4 } else { 8 };
-                self.mov_float(&ops[0], &ops[1], width)?;
+            "movss" | "movsd" | "movdqu" | "movups" => {
+                let width = match m {
+                    "movss" => 4,
+                    "movsd" => 8,
+                    _ => 16,
+                };
+                let bytes = self.load_xmm(op(ops, 0)?, width)?;
+                self.store_xmm(op(ops, 1)?, &bytes)?;
             }
             "addss" | "addsd" | "subss" | "subsd" | "mulss" | "mulsd" | "divss" | "divsd" => {
                 let single = m.ends_with("ss");
-                let a = self.read_float(&ops[1], single)?;
-                let b = self.read_float(&ops[0], single)?;
+                let a = self.read_float(op(ops, 1)?, single)?;
+                let b = self.read_float(op(ops, 0)?, single)?;
                 let r = match &m[..3] {
                     "add" => a + b,
                     "sub" => a - b,
                     "mul" => a * b,
                     _ => a / b,
                 };
-                self.write_float(&ops[1], r, single)?;
+                self.write_float(op(ops, 1)?, r, single)?;
             }
             "ucomiss" | "ucomisd" => {
                 let single = m == "ucomiss";
-                let a = self.read_float(&ops[1], single)?;
-                let b = self.read_float(&ops[0], single)?;
+                let a = self.read_float(op(ops, 1)?, single)?;
+                let b = self.read_float(op(ops, 0)?, single)?;
                 self.cpu.flags.zf = a == b;
                 self.cpu.flags.cf = a < b;
                 self.cpu.flags.sf = false;
@@ -440,46 +415,42 @@ impl Emulator {
             }
             "cvtsi2ss" | "cvtsi2sd" | "cvtsi2ssq" | "cvtsi2sdq" => {
                 let wide = m.ends_with('q');
-                let v = self.read_op(&ops[0], if wide { 8 } else { 4 })?;
+                let v = self.read_op(op(ops, 0)?, if wide { 8 } else { 4 })?;
                 let f = if wide { v as i64 as f64 } else { v as u32 as i32 as f64 };
                 let single = m.contains("ss");
-                self.write_float(&ops[1], f, single)?;
+                self.write_float(op(ops, 1)?, f, single)?;
             }
             "cvttss2si" | "cvttsd2si" | "cvttss2siq" | "cvttsd2siq" => {
                 let single = m.contains("ss");
-                let f = self.read_float(&ops[0], single)?;
+                let f = self.read_float(op(ops, 0)?, single)?;
                 let wide = m.ends_with('q');
                 let v = if wide { f as i64 as u64 } else { (f as i32 as u32) as u64 };
-                self.write_op(&ops[1], v, if wide { 8 } else { 4 })?;
+                self.write_op(op(ops, 1)?, v, if wide { 8 } else { 4 })?;
             }
             "cvtss2sd" => {
-                let f = self.read_float(&ops[0], true)?;
-                self.write_float(&ops[1], f, false)?;
+                let f = self.read_float(op(ops, 0)?, true)?;
+                self.write_float(op(ops, 1)?, f, false)?;
             }
             "cvtsd2ss" => {
-                let f = self.read_float(&ops[0], false)?;
-                self.write_float(&ops[1], f, true)?;
-            }
-            "movdqu" | "movups" => {
-                let v = self.read_vec(&ops[0])?;
-                self.write_vec(&ops[1], v)?;
+                let f = self.read_float(op(ops, 0)?, false)?;
+                self.write_float(op(ops, 1)?, f, true)?;
             }
             "pshufd" => {
                 // Only the broadcast form `pshufd $0, src, dst` is emitted.
-                let Operand::Imm(sel) = ops[0] else {
+                let &Operand::Imm(sel) = op(ops, 0)? else {
                     return Err(EmuError::new("pshufd selector"));
                 };
-                let src = self.read_vec(&ops[1])?;
+                let src = self.load_xmm(op(ops, 1)?, 16)?;
                 let mut out = [0u8; 16];
                 for lane in 0..4 {
                     let pick = ((sel >> (lane * 2)) & 3) as usize;
                     out[lane * 4..lane * 4 + 4].copy_from_slice(&src[pick * 4..pick * 4 + 4]);
                 }
-                self.write_vec(&ops[2], out)?;
+                self.store_xmm(op(ops, 2)?, &out)?;
             }
             "paddd" | "psubd" | "pmulld" => {
-                let a = self.read_vec(&ops[1])?;
-                let b = self.read_vec(&ops[0])?;
+                let a = self.load_xmm(op(ops, 1)?, 16)?;
+                let b = self.load_xmm(op(ops, 0)?, 16)?;
                 let mut out = [0u8; 16];
                 for lane in 0..4 {
                     let x = i32::from_le_bytes(a[lane * 4..lane * 4 + 4].try_into().unwrap());
@@ -491,12 +462,9 @@ impl Emulator {
                     };
                     out[lane * 4..lane * 4 + 4].copy_from_slice(&r.to_le_bytes());
                 }
-                self.write_vec(&ops[1], out)?;
+                self.store_xmm(op(ops, 1)?, &out)?;
             }
-            other => {
-                let _ = func;
-                return Err(EmuError::new(format!("unsupported instruction `{other}`")));
-            }
+            other => return Err(EmuError::new(format!("unsupported instruction `{other}`"))),
         }
         Ok(Step::Continue)
     }
@@ -517,11 +485,7 @@ impl Emulator {
                 }
                 Ok(addr)
             }
-            Operand::RipSym(sym) => self
-                .symbols
-                .get(sym)
-                .copied()
-                .ok_or_else(|| EmuError::new(format!("undefined symbol `{sym}`"))),
+            Operand::RipSym(sym) => self.symbol(sym),
             _ => Err(EmuError::new("not a memory operand")),
         }
     }
@@ -530,9 +494,8 @@ impl Emulator {
         match op {
             Operand::Imm(v) => Ok(*v as u64),
             Operand::Reg(name) => {
-                let (i, w) = gpr_index(name)
+                let (i, _) = gpr_index(name)
                     .ok_or_else(|| EmuError::new(format!("unknown register `{name}`")))?;
-                let _ = w;
                 Ok(mask_width(self.cpu.gpr[i], width))
             }
             Operand::Mem { .. } | Operand::RipSym(_) => {
@@ -569,13 +532,10 @@ impl Emulator {
         }
     }
 
+    /// The register number of `%xmm0`…`%xmm15`; anything else is `None`.
     fn xmm_index(op: &Operand) -> Option<usize> {
-        if let Operand::Reg(name) = op {
-            if let Some(n) = name.strip_prefix("xmm") {
-                return n.parse().ok();
-            }
-        }
-        None
+        let Operand::Reg(name) = op else { return None };
+        name.strip_prefix("xmm")?.parse().ok().filter(|&n| n < 16)
     }
 
     fn mov_gpr_xmm(&mut self, src: &Operand, dst: &Operand, width: u8) -> Result<()> {
@@ -596,78 +556,41 @@ impl Emulator {
         }
     }
 
-    fn mov_float(&mut self, src: &Operand, dst: &Operand, width: u8) -> Result<()> {
-        let bytes: Vec<u8> = match Self::xmm_index(src) {
-            Some(x) => self.cpu.xmm[x][..width as usize].to_vec(),
-            None => {
-                let addr = self.effective_address(src)?;
-                self.read_buffer(addr, width as usize)?
-            }
-        };
-        match Self::xmm_index(dst) {
+    /// The low `len` bytes of an xmm register, or `len` bytes of memory.
+    fn load_xmm(&self, op: &Operand, len: usize) -> Result<Vec<u8>> {
+        match Self::xmm_index(op) {
+            Some(x) => Ok(self.cpu.xmm[x][..len].to_vec()),
+            None => self.read_buffer(self.effective_address(op)?, len),
+        }
+    }
+
+    /// Stores `bytes` into the low bytes of an xmm register, or memory.
+    fn store_xmm(&mut self, op: &Operand, bytes: &[u8]) -> Result<()> {
+        match Self::xmm_index(op) {
             Some(x) => {
-                self.cpu.xmm[x][..width as usize].copy_from_slice(&bytes);
+                self.cpu.xmm[x][..bytes.len()].copy_from_slice(bytes);
                 Ok(())
             }
             None => {
-                let addr = self.effective_address(dst)?;
-                self.write_buffer(addr, &bytes)
+                let addr = self.effective_address(op)?;
+                self.write_buffer(addr, bytes)
             }
         }
     }
 
     fn read_float(&self, op: &Operand, single: bool) -> Result<f64> {
-        let width = if single { 4 } else { 8 };
-        let bytes: Vec<u8> = match Self::xmm_index(op) {
-            Some(x) => self.cpu.xmm[x][..width].to_vec(),
-            None => {
-                let addr = self.effective_address(op)?;
-                self.read_buffer(addr, width)?
-            }
-        };
         Ok(if single {
-            f32::from_le_bytes(bytes.try_into().unwrap()) as f64
+            f32::from_le_bytes(self.load_xmm(op, 4)?.try_into().expect("4 bytes")) as f64
         } else {
-            f64::from_le_bytes(bytes.try_into().unwrap())
+            f64::from_le_bytes(self.load_xmm(op, 8)?.try_into().expect("8 bytes"))
         })
     }
 
     fn write_float(&mut self, op: &Operand, v: f64, single: bool) -> Result<()> {
-        let bytes: Vec<u8> =
-            if single { (v as f32).to_le_bytes().to_vec() } else { v.to_le_bytes().to_vec() };
-        match Self::xmm_index(op) {
-            Some(x) => {
-                self.cpu.xmm[x][..bytes.len()].copy_from_slice(&bytes);
-                Ok(())
-            }
-            None => {
-                let addr = self.effective_address(op)?;
-                self.write_buffer(addr, &bytes)
-            }
-        }
-    }
-
-    fn read_vec(&self, op: &Operand) -> Result<[u8; 16]> {
-        match Self::xmm_index(op) {
-            Some(x) => Ok(self.cpu.xmm[x]),
-            None => {
-                let addr = self.effective_address(op)?;
-                let bytes = self.read_buffer(addr, 16)?;
-                Ok(bytes.try_into().unwrap())
-            }
-        }
-    }
-
-    fn write_vec(&mut self, op: &Operand, v: [u8; 16]) -> Result<()> {
-        match Self::xmm_index(op) {
-            Some(x) => {
-                self.cpu.xmm[x] = v;
-                Ok(())
-            }
-            None => {
-                let addr = self.effective_address(op)?;
-                self.write_buffer(addr, &v)
-            }
+        if single {
+            self.store_xmm(op, &(v as f32).to_le_bytes())
+        } else {
+            self.store_xmm(op, &v.to_le_bytes())
         }
     }
 
@@ -720,35 +643,6 @@ impl Emulator {
             other => return Err(EmuError::new(format!("unknown condition `{other}`"))),
         })
     }
-
-    fn branch_target(&self, op: &Operand, labels: &HashMap<String, usize>) -> Result<usize> {
-        let Operand::Sym(label) = op else {
-            return Err(EmuError::new("indirect branch"));
-        };
-        labels
-            .get(label)
-            .copied()
-            .ok_or_else(|| EmuError::new(format!("unknown label `{label}`")))
-    }
-
-    // ---- libc builtins ----
-
-    fn call_builtin(&mut self, name: &str) -> Result<()> {
-        let ints = [5, 4, 3].map(|r| self.cpu.gpr[r]); // rdi, rsi, rdx
-        let floats = [0, 1].map(|x| {
-            f64::from_le_bytes(self.cpu.xmm[x][..8].try_into().expect("8 of 16 bytes"))
-        });
-        match self.libc(name, ints, floats)? {
-            Ret::Int(v) => self.cpu.gpr[0] = v,
-            Ret::F64(v) => self.cpu.xmm[0][..8].copy_from_slice(&v.to_le_bytes()),
-        }
-        Ok(())
-    }
-}
-
-enum Step {
-    Continue,
-    Return,
 }
 
 fn is_xmm(op: &Operand) -> bool {
@@ -766,126 +660,65 @@ fn mask_width(v: u64, width: u8) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use slade_asm::{parse_asm, Isa};
-    use slade_compiler::{compile_function, CompileOpts, OptLevel};
+    use crate::machine::cases::{case, emu_cases, Case, Want};
+    use crate::Arg;
 
-    fn emu_for(src: &str, name: &str, opt: OptLevel) -> Emulator {
-        let p = slade_minic::parse_program(src).unwrap();
-        let asm =
-            compile_function(&p, name, CompileOpts::new(slade_compiler::Isa::X86_64, opt))
-                .unwrap();
-        Emulator::new(parse_asm(&asm, Isa::X86_64))
-    }
-
-    #[test]
-    fn runs_arithmetic_at_both_levels() {
-        for opt in [OptLevel::O0, OptLevel::O3] {
-            let mut e = emu_for("int f(int a, int b) { return a * 3 - b / 2; }", "f", opt);
-            let r = e.call("f", &[Arg::Int(10), Arg::Int(7)]).unwrap();
-            assert_eq!(r as i32, 27, "{opt:?}");
-        }
-    }
-
-    #[test]
-    fn runs_loops() {
-        for opt in [OptLevel::O0, OptLevel::O3] {
-            let mut e = emu_for(
-                "int fact(int n) { int r = 1; while (n > 1) { r *= n; n--; } return r; }",
-                "fact",
-                opt,
-            );
-            assert_eq!(e.call("fact", &[Arg::Int(6)]).unwrap() as i32, 720, "{opt:?}");
-        }
-    }
-
-    #[test]
-    fn pointer_buffers_roundtrip() {
-        for opt in [OptLevel::O0, OptLevel::O3] {
-            let mut e = emu_for(
+    emu_cases! {
+        runs_arithmetic_at_both_levels: case(
+            "int f(int a, int b) { return a * 3 - b / 2; }",
+            "f",
+            &[(&[Arg::Int(10), Arg::Int(7)], Want::Int(27))],
+        );
+        runs_loops: case(
+            "int fact(int n) { int r = 1; while (n > 1) { r *= n; n--; } return r; }",
+            "fact",
+            &[(&[Arg::Int(6)], Want::Int(720))],
+        );
+        pointer_buffers_roundtrip: Case {
+            buf: &[1, 2, 3, 4, 5, 6, 7],
+            ..case(
                 "void add(int *list, int val, int n) { int i; for (i = 0; i < n; ++i) list[i] += val; }",
                 "add",
-                opt,
-            );
-            let mut bytes = Vec::new();
-            for v in [1i32, 2, 3, 4, 5, 6, 7] {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            let buf = e.alloc_buffer(&bytes);
-            e.call("add", &[Arg::Int(buf), Arg::Int(10), Arg::Int(7)]).unwrap();
-            let out = e.read_buffer(buf, 28).unwrap();
-            let vals: Vec<i32> =
-                out.chunks(4).map(|c| i32::from_le_bytes(c.try_into().unwrap())).collect();
-            assert_eq!(vals, vec![11, 12, 13, 14, 15, 16, 17], "{opt:?} (vectorized at O3)");
-        }
-    }
-
-    #[test]
-    fn float_math_matches() {
-        for opt in [OptLevel::O0, OptLevel::O3] {
-            let mut e =
-                emu_for("double f(double x, double y) { return x * y + 0.5; }", "f", opt);
-            e.call("f", &[Arg::F64(2.5), Arg::F64(4.0)]).unwrap();
-            assert_eq!(e.ret_f64(), 10.5, "{opt:?}");
-        }
-    }
-
-    #[test]
-    fn unsigned_division() {
-        let mut e =
-            emu_for("unsigned f(unsigned a, unsigned b) { return a / b; }", "f", OptLevel::O0);
-        let r = e.call("f", &[Arg::Int(0xffff_fffc), Arg::Int(2)]).unwrap();
-        assert_eq!(r as u32, 0x7fff_fffe);
-    }
-
-    #[test]
-    fn division_by_zero_errors() {
-        let mut e = emu_for("int f(int a, int b) { return a / b; }", "f", OptLevel::O0);
-        assert!(e.call("f", &[Arg::Int(1), Arg::Int(0)]).is_err());
-    }
-
-    #[test]
-    fn calls_between_functions_and_builtins() {
-        let src = r#"
-            int square(int x) { return x * x; }
-            int f(int a) { return square(a) + abs(-3); }
-        "#;
-        let p = slade_minic::parse_program(src).unwrap();
-        let mut text = String::new();
-        for name in ["square", "f"] {
-            text.push_str(
-                &compile_function(
-                    &p,
-                    name,
-                    CompileOpts::new(slade_compiler::Isa::X86_64, OptLevel::O0),
-                )
-                .unwrap(),
-            );
-        }
-        let mut e = Emulator::new(parse_asm(&text, Isa::X86_64));
-        assert_eq!(e.call("f", &[Arg::Int(5)]).unwrap() as i32, 28);
-    }
-
-    #[test]
-    fn globals_resolve_via_symbols() {
-        let src = "int g; int f(void) { g = g + 7; return g; }";
-        let mut e = emu_for(src, "f", OptLevel::O0);
-        e.define_global("g", &10i32.to_le_bytes());
-        assert_eq!(e.call("f", &[]).unwrap() as i32, 17);
-        assert_eq!(e.call("f", &[]).unwrap() as i32, 24);
-    }
-
-    #[test]
-    fn infinite_loops_run_out_of_fuel() {
-        let mut e = emu_for("int f(void) { for (;;) {} return 0; }", "f", OptLevel::O0);
-        let err = e.call("f", &[]).unwrap_err();
-        assert!(err.message().contains("fuel"));
-    }
-
-    #[test]
-    fn strings_in_rodata_work() {
-        let src = "int f(void) { return strlen(\"hello\"); }";
-        let mut e = emu_for(src, "f", OptLevel::O0);
-        assert_eq!(e.call("f", &[]).unwrap(), 5);
+                &[(&[Arg::Int(10), Arg::Int(7)], Want::Buf(&[11, 12, 13, 14, 15, 16, 17]))],
+            )
+        };
+        float_math_matches: case(
+            "double f(double x, double y) { return x * y + 0.5; }",
+            "f",
+            &[(&[Arg::F64(2.5), Arg::F64(4.0)], Want::F64(10.5))],
+        );
+        unsigned_division: case(
+            "unsigned f(unsigned a, unsigned b) { return a / b; }",
+            "f",
+            &[(&[Arg::Int(0xffff_fffc), Arg::Int(2)], Want::Int(0x7fff_fffe))],
+        );
+        division_by_zero_errors: case(
+            "int f(int a, int b) { return a / b; }",
+            "f",
+            &[(&[Arg::Int(1), Arg::Int(0)], Want::Fails("division by zero"))],
+        );
+        calls_between_functions_and_builtins: case(
+            "int square(int x) { return x * x; } int f(int a) { return square(a) + abs(-3); }",
+            "f",
+            &[(&[Arg::Int(5)], Want::Int(28))],
+        );
+        globals_resolve_via_symbols: Case {
+            global: Some(10),
+            ..case(
+                "int g; int f(void) { g = g + 7; return g; }",
+                "f",
+                &[(&[], Want::Int(17)), (&[], Want::Int(24))],
+            )
+        };
+        infinite_loops_run_out_of_fuel: case(
+            "int f(void) { for (;;) {} return 0; }",
+            "f",
+            &[(&[], Want::Fails("fuel"))],
+        );
+        strings_in_rodata_work: case(
+            "int f(void) { return strlen(\"hello\"); }",
+            "f",
+            &[(&[], Want::Int(5))],
+        );
     }
 }

@@ -5,7 +5,7 @@
 
 use slade_asm::parse_asm;
 use slade_compiler::{compile_function, CompileOpts, Isa, OptLevel};
-use slade_emu::{Arg, ArmEmulator, Emulator, Machine};
+use slade_emu::{Arg, ArmEmulator, Cpu, Emulator, Machine};
 use slade_minic::{parse_program, Interpreter, Value};
 
 #[derive(Clone, Copy)]
@@ -42,15 +42,12 @@ fn on_interpreter(src: &str, inputs: &[In]) -> Observed {
     (ret, bufs.iter().map(|&(p, len)| interp.read_buffer(p, len).expect("in range")).collect())
 }
 
-/// The same on one emulator; `call` and `ret_f64` are the ISA's own (its
-/// argument registers, its floating-point return register). What `src`
-/// declares `f` to return says which register holds the result.
-fn on_emulator<C: Default>(
+/// The same on one emulator. What `src` declares `f` to return says which
+/// of the ISA's result registers holds the result.
+fn on_emulator<C: Cpu>(
     mut emu: Machine<C>,
     src: &str,
     inputs: &[In],
-    call: impl Fn(&mut Machine<C>, &[Arg]) -> slade_emu::Result<u64>,
-    ret_f64: impl Fn(&Machine<C>) -> f64,
 ) -> Result<Observed, String> {
     let mut bufs = Vec::new();
     let args: Vec<Arg> = inputs
@@ -64,9 +61,9 @@ fn on_emulator<C: Default>(
             }
         })
         .collect();
-    let int = call(&mut emu, &args).map_err(|e| e.to_string())?;
+    let int = emu.call("f", &args).map_err(|e| e.to_string())?;
     let ret = match src.split(' ').next() {
-        Some("double") => ret_f64(&emu).to_bits(),
+        Some("double") => emu.ret_f64().to_bits(),
         Some("long") => int,
         _ => int as u32 as i32 as i64 as u64,
     };
@@ -79,11 +76,9 @@ fn on_both_isas(src: &str, inputs: &[In], opt: OptLevel) -> [Result<Observed, St
         let s = compile_function(&program, "f", CompileOpts::new(isa, opt)).expect("compiles");
         parse_asm(&s, isa)
     };
-    let x86 = Emulator::new(asm(Isa::X86_64));
-    let arm = ArmEmulator::new(asm(Isa::Arm64));
     [
-        on_emulator(x86, src, inputs, |e, args| e.call("f", args), |e| e.ret_f64()),
-        on_emulator(arm, src, inputs, |e, args| e.call("f", args), |e| e.ret_f64()),
+        on_emulator(Emulator::new(asm(Isa::X86_64)), src, inputs),
+        on_emulator(ArmEmulator::new(asm(Isa::Arm64)), src, inputs),
     ]
 }
 

@@ -1030,18 +1030,18 @@ impl<'p> Interpreter<'p> {
         }
         let val = match name {
             "memcpy" | "memmove" => {
-                let (d, s, n) = (args[0].as_ptr(), args[1].as_ptr(), args[2].as_i64());
+                let (d, s, n) = (ptr_arg(args, 0)?, ptr_arg(args, 1)?, args[2].as_i64());
                 self.mem.copy(d, s, n as usize)?;
                 Some(Value::Ptr(d))
             }
             "memset" => {
-                let (d, c, n) = (args[0].as_ptr(), args[1].as_i64(), args[2].as_i64());
+                let (d, c, n) = (ptr_arg(args, 0)?, args[1].as_i64(), args[2].as_i64());
                 self.mem.fill(d, c as u8, n as usize)?;
                 Some(Value::Ptr(d))
             }
             "memcmp" => {
-                let a = self.mem.load_bytes(args[0].as_ptr(), args[2].as_i64() as usize)?;
-                let b = self.mem.load_bytes(args[1].as_ptr(), args[2].as_i64() as usize)?;
+                let a = self.mem.load_bytes(ptr_arg(args, 0)?, args[2].as_i64() as usize)?;
+                let b = self.mem.load_bytes(ptr_arg(args, 1)?, args[2].as_i64() as usize)?;
                 Some(Value::int(match a.cmp(&b) {
                     std::cmp::Ordering::Less => -1,
                     std::cmp::Ordering::Equal => 0,
@@ -1049,20 +1049,20 @@ impl<'p> Interpreter<'p> {
                 }))
             }
             "strlen" => {
-                let s = self.mem.load_cstr(args[0].as_ptr())?;
+                let s = self.mem.load_cstr(ptr_arg(args, 0)?)?;
                 Some(Value::of_kind(s.len() as i64, IntKind::ULong))
             }
             "strcpy" => {
-                let s = self.mem.load_cstr(args[1].as_ptr())?;
-                let d = args[0].as_ptr();
+                let s = self.mem.load_cstr(ptr_arg(args, 1)?)?;
+                let d = ptr_arg(args, 0)?;
                 self.mem.store_bytes(d, &s)?;
                 self.mem.store_bytes(d.offset(s.len() as i64), &[0])?;
                 Some(Value::Ptr(d))
             }
             "strncpy" => {
-                let s = self.mem.load_cstr(args[1].as_ptr())?;
+                let s = self.mem.load_cstr(ptr_arg(args, 1)?)?;
                 let n = args[2].as_i64() as usize;
-                let d = args[0].as_ptr();
+                let d = ptr_arg(args, 0)?;
                 let mut buf = vec![0u8; n];
                 let len = s.len().min(n);
                 buf[..len].copy_from_slice(&s[..len]);
@@ -1070,8 +1070,8 @@ impl<'p> Interpreter<'p> {
                 Some(Value::Ptr(d))
             }
             "strcmp" => {
-                let a = self.mem.load_cstr(args[0].as_ptr())?;
-                let b = self.mem.load_cstr(args[1].as_ptr())?;
+                let a = self.mem.load_cstr(ptr_arg(args, 0)?)?;
+                let b = self.mem.load_cstr(ptr_arg(args, 1)?)?;
                 Some(Value::int(match a.cmp(&b) {
                     std::cmp::Ordering::Less => -1,
                     std::cmp::Ordering::Equal => 0,
@@ -1080,8 +1080,8 @@ impl<'p> Interpreter<'p> {
             }
             "strncmp" => {
                 let n = args[2].as_i64() as usize;
-                let mut a = self.mem.load_cstr(args[0].as_ptr())?;
-                let mut b = self.mem.load_cstr(args[1].as_ptr())?;
+                let mut a = self.mem.load_cstr(ptr_arg(args, 0)?)?;
+                let mut b = self.mem.load_cstr(ptr_arg(args, 1)?)?;
                 a.truncate(n);
                 b.truncate(n);
                 Some(Value::int(match a.cmp(&b) {
@@ -1091,18 +1091,18 @@ impl<'p> Interpreter<'p> {
                 }))
             }
             "strcat" => {
-                let d = args[0].as_ptr();
+                let d = ptr_arg(args, 0)?;
                 let dl = self.mem.load_cstr(d)?.len();
-                let s = self.mem.load_cstr(args[1].as_ptr())?;
+                let s = self.mem.load_cstr(ptr_arg(args, 1)?)?;
                 self.mem.store_bytes(d.offset(dl as i64), &s)?;
                 self.mem.store_bytes(d.offset((dl + s.len()) as i64), &[0])?;
                 Some(Value::Ptr(d))
             }
             "strchr" => {
-                let s = self.mem.load_cstr(args[0].as_ptr())?;
+                let s = self.mem.load_cstr(ptr_arg(args, 0)?)?;
                 let c = args[1].as_i64() as u8;
                 match s.iter().position(|&b| b == c) {
-                    Some(i) => Some(Value::Ptr(args[0].as_ptr().offset(i as i64))),
+                    Some(i) => Some(Value::Ptr(ptr_arg(args, 0)?.offset(i as i64))),
                     None => Some(Value::Ptr(Pointer::null())),
                 }
             }
@@ -1147,6 +1147,15 @@ impl<'p> Interpreter<'p> {
             _ => return Ok(None),
         };
         Ok(Some(val))
+    }
+}
+
+/// Argument `i` of a builtin that takes a pointer there; anything but a
+/// pointer is a runtime error, never a panic.
+fn ptr_arg(args: &[Value], i: usize) -> Result<Pointer> {
+    match args.get(i) {
+        Some(Value::Ptr(p)) => Ok(*p),
+        other => Err(rt(format!("builtin argument {i} is not a pointer: {other:?}"))),
     }
 }
 

@@ -8,23 +8,41 @@ use slade_asm::parse_asm;
 use slade_baselines::ghidra_decompile;
 use slade_compiler::{Isa, OptLevel};
 use slade_dataset::{generate_train, DatasetProfile};
-use slade_emu::{Arg, Emulator};
-use slade_minic::{parse_program, Interpreter, RunLimits, Value};
+use slade_emu::{Arg, ArmEmulator, Emulator};
+use slade_minic::{parse_program, ErrorKind, Interpreter, RunLimits, Value};
 use slade_tokenizer::{special, UnigramTokenizer, WordTokenizer};
+
+/// Assembly no tool may panic on: empty or binary text, truncated operand
+/// lists, unknown mnemonics and branches to nowhere.
+const GARBAGE: [&str; 9] = [
+    "",
+    "not assembly at all",
+    "f:\n\tmovl", // truncated operand lists
+    "f:\n\tpushq",
+    "f:\n\tadd",
+    "f:\n\tmov w0",
+    "f:\n\tfrobnicate %eax, %ebx\n\tret",
+    "\0\0\0\0",
+    "f:\n\tjmp .Lnowhere\n\tret",
+];
+
+const ISAS: [slade_asm::Isa; 2] = [slade_asm::Isa::X86_64, slade_asm::Isa::Arm64];
+
+/// Calls `f` in `asm` on the emulator for `isa`.
+fn emulate(asm: &str, isa: slade_asm::Isa, args: &[Arg]) -> slade_emu::Result<u64> {
+    let file = parse_asm(asm, isa);
+    match isa {
+        slade_asm::Isa::X86_64 => Emulator::new(file).call("f", args),
+        slade_asm::Isa::Arm64 => ArmEmulator::new(file).call("f", args),
+    }
+}
 
 // ---------------------------------------------------------------- lifter
 
 #[test]
 fn lifter_rejects_garbage_without_panicking() {
-    for garbage in [
-        "",
-        "not assembly at all",
-        "f:\n\tmovl", // truncated operand list
-        "f:\n\tfrobnicate %eax, %ebx\n\tret",
-        "\0\0\0\0",
-        "f:\n\tjmp .Lnowhere\n\tret",
-    ] {
-        for isa in [slade_asm::Isa::X86_64, slade_asm::Isa::Arm64] {
+    for garbage in GARBAGE {
+        for isa in ISAS {
             // Any Ok must at least be printable C-ish text; Err is fine.
             if let Ok(out) = ghidra_decompile(garbage, isa, "f") {
                 assert!(out.len() < 1_000_000);
@@ -45,6 +63,45 @@ fn lifter_reports_unsupported_vector_instructions() {
 }
 
 // ------------------------------------------------------------- emulator
+
+#[test]
+fn emulators_reject_garbage_without_panicking() {
+    for garbage in GARBAGE {
+        for isa in ISAS {
+            assert!(emulate(garbage, isa, &[]).is_err(), "{isa:?} must reject {garbage:?}");
+        }
+    }
+}
+
+#[test]
+fn emulator_rejects_an_xmm_register_past_15() {
+    for asm in ["f:\n\tmovsd %xmm99, %xmm0\n\tret", "f:\n\tmovq %rax, %xmm16\n\tret"] {
+        assert!(emulate(asm, slade_asm::Isa::X86_64, &[]).is_err(), "{asm:?}");
+    }
+}
+
+#[test]
+fn emulators_reject_more_arguments_than_registers() {
+    // SysV passes 6 integer and 8 floating-point arguments in registers,
+    // AAPCS64 8 of each.
+    let ints = |n| vec![Arg::Int(1); n];
+    let floats = |n| vec![Arg::F64(1.0); n];
+    for (isa, int_regs) in [(slade_asm::Isa::X86_64, 6), (slade_asm::Isa::Arm64, 8)] {
+        assert!(emulate("f:\n\tret", isa, &ints(int_regs)).is_ok(), "{isa:?}");
+        assert!(emulate("f:\n\tret", isa, &floats(8)).is_ok(), "{isa:?}");
+        assert!(emulate("f:\n\tret", isa, &ints(int_regs + 1)).is_err(), "{isa:?}");
+        assert!(emulate("f:\n\tret", isa, &floats(9)).is_err(), "{isa:?}");
+        assert!(emulate("f:\n\tret", isa, &floats(33)).is_err(), "{isa:?}");
+    }
+}
+
+#[test]
+fn emulators_bound_runaway_recursion() {
+    for (asm, isa) in [("f:\n\tcall f\n\tret", ISAS[0]), ("f:\n\tbl f\n\tret", ISAS[1])] {
+        let err = emulate(asm, isa, &[]).expect_err("unbounded recursion must fail");
+        assert!(err.message().contains("depth"), "{isa:?}: {err}");
+    }
+}
 
 #[test]
 fn emulator_traps_on_unknown_function() {
@@ -107,6 +164,20 @@ fn interpreter_faults_on_null_deref() {
     let p = parse_program("int f(int *p) { return *p; }").unwrap();
     let mut i = Interpreter::new(&p).unwrap();
     assert!(i.call("f", &[Value::long(0)]).is_err());
+}
+
+#[test]
+fn interpreter_builtins_reject_an_integer_that_is_no_pointer() {
+    // Sema accepts both calls (C converts the integer); running them must
+    // fault like a wild pointer does, not panic.
+    for src in
+        ["int f(int a) { return strlen(a); }", "int f(int a) { memset(a, 0, 4); return 0; }"]
+    {
+        let p = parse_program(src).unwrap();
+        let mut i = Interpreter::new(&p).unwrap();
+        let err = i.call("f", &[Value::int(7)]).expect_err(src);
+        assert_eq!(err.kind(), ErrorKind::Runtime, "{src}: {err}");
+    }
 }
 
 #[test]
