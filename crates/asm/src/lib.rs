@@ -47,6 +47,18 @@ impl fmt::Display for Isa {
     }
 }
 
+impl Isa {
+    /// How many integer and floating-point arguments the calling convention
+    /// passes in registers (SysV: 6 / 8, AAPCS64: 8 / 8). The rest go on the
+    /// stack, which neither the compiler nor the emulators implement.
+    pub const fn arg_regs(self) -> (usize, usize) {
+        match self {
+            Isa::X86_64 => (6, 8),
+            Isa::Arm64 => (8, 8),
+        }
+    }
+}
+
 /// `X86_64` — the paper's primary target, and the configuration assumed
 /// for artifacts serialized before the target was recorded on them.
 impl Default for Isa {

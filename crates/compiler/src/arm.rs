@@ -1,69 +1,94 @@
-//! AArch64 backend (GCC flavour).
+//! AArch64 target (GCC flavour).
 //!
-//! Same structure as the x86 backend: `-O0` keeps every value in the frame,
-//! `-O3` allocates the callee-saved pool (`x19`–`x23`). There is no ARM
-//! auto-vectorization (the source-level vectorizer only fires for x86, as
-//! the paper's motivating example does); `-O3` still unrolls.
+//! `-O0` keeps every value in the frame, `-O3` allocates the callee-saved
+//! pool (`x19`–`x23`). There is no ARM auto-vectorization (the source-level
+//! vectorizer only fires for x86, as the paper's motivating example does);
+//! `-O3` still unrolls.
 
-// `to_rax`/`from_scratch` etc. are emit helpers ("emit code moving v to/from
-// rax"), not conversions; the conversion naming lint does not apply.
-#![allow(clippy::wrong_self_convention)]
-
+use crate::emit::{class, ins, Cast, Emitter, Frame, Loc, Mem, Target};
 use crate::ir::*;
-use crate::regalloc::{allocate, Allocation};
-use crate::{CompileError, CompileOpts, OptLevel, Result};
-use std::fmt::Write;
+use crate::regalloc::Allocation;
+use crate::{CompileError, Result};
+use slade_asm::Isa;
+use std::fmt;
 
-/// Callee-saved pool as (32-bit, 64-bit) names.
-const POOL: [(&str, &str); 5] =
-    [("w19", "x19"), ("w20", "x20"), ("w21", "x21"), ("w22", "x22"), ("w23", "x23")];
+/// The AArch64 target.
+pub(crate) struct Arm;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Loc {
-    Reg(u8),
-    /// Positive offset from `x29`.
-    Mem(i64),
-}
+impl Target for Arm {
+    const ISA: Isa = Isa::Arm64;
+    const POOL: [[&'static str; 2]; 5] =
+        [["w19", "x19"], ["w20", "x20"], ["w21", "x21"], ["w22", "x22"], ["w23", "x23"]];
+    const ARGS: [&'static [&'static str]; 4] = [
+        &["w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"],
+        &["x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7"],
+        &["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"],
+        &["d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"],
+    ];
+    const SCRATCH: [[&'static str; 5]; 2] =
+        [["w8", "x8", "s0", "d0", ""], ["w9", "x9", "s1", "d1", ""]];
+    const RET: Option<[&'static str; 2]> = Some(["w0", "x0"]);
+    const MOV: [&'static str; 2] = ["mov", "mov"];
+    const LD: [&'static str; 5] = ["ldr"; 5];
+    const ST: [&'static str; 5] = ["str"; 5];
+    const ADDR: &'static str = "x10";
+    const LOADS: [[&'static str; 2]; 6] = [
+        ["ldrsb", "ldrb"],
+        ["ldrsh", "ldrh"],
+        ["ldr", "ldr"],
+        ["ldr", "ldr"],
+        ["ldr", "ldr"],
+        ["ldr", "ldr"],
+    ];
+    const STORES: [[&'static str; 2]; 6] = [
+        ["strb", "w8"],
+        ["strh", "w8"],
+        ["str", "w8"],
+        ["str", "x8"],
+        ["str", "s0"],
+        ["str", "d0"],
+    ];
+    const CASTS: [Cast; 17] = [
+        Cast::Scratch("sxtw x8, w8"),
+        Cast::Scratch("mov w8, w8"),
+        Cast::Scratch(""),
+        Cast::Scratch("sxtb w8, w8"),
+        Cast::Scratch("uxtb w8, w8"),
+        Cast::Scratch("sxth w8, w8"),
+        Cast::Scratch("uxth w8, w8"),
+        Cast::Scratch("scvtf s0, w8"),
+        Cast::Scratch("scvtf d0, w8"),
+        Cast::Scratch("scvtf s0, x8"),
+        Cast::Scratch("scvtf d0, x8"),
+        Cast::Scratch("fcvtzs w8, s0"),
+        Cast::Scratch("fcvtzs w8, d0"),
+        Cast::Scratch("fcvtzs x8, s0"),
+        Cast::Scratch("fcvtzs x8, d0"),
+        Cast::Scratch("fcvt d0, s0"),
+        Cast::Scratch("fcvt s0, d0"),
+    ];
+    const BITS_TO_FP: [&'static str; 2] = ["fmov s0, w8", "fmov d0, x8"];
+    const CC: [&'static str; 16] = [
+        "eq", "ne", "lt", "le", "gt", "ge", "lo", "ls", "hi", "hs", "eq", "ne", "mi", "ls",
+        "gt", "ge",
+    ];
+    const JMP: &'static str = "b";
+    const JCC: &'static str = "b.";
+    const GLOBAL: &'static str = ".global";
+    const FUNCTION: &'static str = "%function";
+    const SRC_FIRST: bool = false;
 
-/// Emits the module as AArch64 assembly text.
-///
-/// # Errors
-///
-/// Fails on vector instructions, which this backend does not implement (the
-/// vectorizer never produces them for ARM).
-pub fn emit(m: &Module, opts: CompileOpts) -> Result<String> {
-    let alloc = match opts.opt {
-        OptLevel::O0 => Allocation::all_spilled(m.vreg_count()),
-        OptLevel::O3 => allocate(m, POOL.len()),
-    };
-    Emitter::new(m, alloc).run()
-}
-
-struct Emitter<'m> {
-    m: &'m Module,
-    alloc: Allocation,
-    out: String,
-    locs: Vec<Loc>,
-    slot_offsets: Vec<i64>,
-    save_offsets: Vec<i64>,
-    frame: i64,
-    last_cmp: Option<(VReg, Pred)>,
-}
-
-impl<'m> Emitter<'m> {
-    fn new(m: &'m Module, alloc: Allocation) -> Self {
-        // Frame layout: [sp .. sp+16) holds x29/x30; everything else above.
-        let mut off: i64 = 16;
-        let mut save_offsets = Vec::new();
-        for _ in &alloc.used {
-            save_offsets.push(off);
-            off += 8;
-        }
-        let mut slot_offsets = Vec::with_capacity(m.slots.len());
+    /// Up from `x29 + 16` (`[sp, sp + 16)` holds `x29` / `x30`): saves, IR
+    /// slots, then spilled vregs, every one aligned.
+    fn layout(m: &Module, alloc: &Allocation) -> Frame {
+        let saves: Vec<(u8, i64)> =
+            alloc.used.iter().zip(0..).map(|(&r, i)| (r, 16 + 8 * i)).collect();
+        let mut off = 16 + 8 * alloc.used.len() as i64;
+        let mut slots = Vec::with_capacity(m.slots.len());
         for s in &m.slots {
             let align = s.align.max(1) as i64;
             off = (off + align - 1) / align * align;
-            slot_offsets.push(off);
+            slots.push(off);
             off += s.size.max(1) as i64;
         }
         let mut locs = Vec::with_capacity(m.vreg_count());
@@ -78,620 +103,112 @@ impl<'m> Emitter<'m> {
                 }
             }
         }
-        let frame = (off + 15) / 16 * 16;
-        Emitter {
-            m,
-            alloc,
-            out: String::new(),
-            locs,
-            slot_offsets,
-            save_offsets,
-            frame,
-            last_cmp: None,
+        Frame { locs, slots, saves, size: (off + 15) / 16 * 16 }
+    }
+
+    fn fmt_mem(mem: Mem, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match mem {
+            Mem::Frame(off) => write!(f, "[x29, #{off}]"),
+            Mem::At(reg) => write!(f, "[{reg}]"),
         }
     }
 
-    fn line(&mut self, s: &str) {
-        let _ = writeln!(self.out, "\t{s}");
+    fn prologue(em: &mut Emitter<'_, Self>) {
+        let size = em.frame.size;
+        ins!(em, "stp x29, x30, [sp, #-{size}]!");
+        ins!(em, "mov x29, sp");
     }
 
-    fn label(&mut self, s: &str) {
-        let _ = writeln!(self.out, "{s}:");
+    fn epilogue(em: &mut Emitter<'_, Self>) {
+        let size = em.frame.size;
+        ins!(em, "ldp x29, x30, [sp], #{size}");
+        ins!(em, "ret");
     }
 
-    fn run(mut self) -> Result<String> {
-        if !self.m.rodata.is_empty() {
-            self.line(".section .rodata");
-            for (label, bytes) in self.m.rodata.clone() {
-                self.label(&label);
-                let text: String = bytes[..bytes.len().saturating_sub(1)]
-                    .iter()
-                    .map(|&b| super::x86::escape_byte_pub(b))
-                    .collect();
-                self.line(&format!(".string \"{text}\""));
-            }
-        }
-        self.line(".text");
-        self.line(&format!(".global {}", self.m.name));
-        self.line(&format!(".type {}, %function", self.m.name));
-        let name = self.m.name.clone();
-        self.label(&name);
-        self.line(&format!("stp x29, x30, [sp, #-{}]!", self.frame));
-        self.line("mov x29, sp");
-        let used = self.alloc.used.clone();
-        let save_offsets = self.save_offsets.clone();
-        for (i, reg) in used.iter().enumerate() {
-            self.line(&format!("str {}, [x29, #{}]", POOL[*reg as usize].1, save_offsets[i]));
-        }
-        // Spill incoming arguments.
-        let mut int_idx = 0usize;
-        let mut f_idx = 0usize;
-        for (vreg, ty) in self.m.params.clone() {
-            match ty {
-                Ty::F32 => {
-                    let mem = self.mem_of(vreg);
-                    self.line(&format!("str s{f_idx}, {mem}"));
-                    f_idx += 1;
-                }
-                Ty::F64 => {
-                    let mem = self.mem_of(vreg);
-                    self.line(&format!("str d{f_idx}, {mem}"));
-                    f_idx += 1;
-                }
-                _ => {
-                    if int_idx < 8 {
-                        let wide = ty == Ty::I64;
-                        let arg =
-                            if wide { format!("x{int_idx}") } else { format!("w{int_idx}") };
-                        match self.locs[vreg as usize] {
-                            Loc::Reg(p) => {
-                                let dst =
-                                    if wide { POOL[p as usize].1 } else { POOL[p as usize].0 };
-                                self.line(&format!("mov {dst}, {arg}"));
-                            }
-                            Loc::Mem(off) => {
-                                self.line(&format!("str {arg}, [x29, #{off}]"));
-                            }
-                        }
-                    }
-                    int_idx += 1;
-                }
-            }
-        }
-        for (i, block) in self.m.blocks.clone().iter().enumerate() {
-            self.label(&format!(".L{i}"));
-            self.last_cmp = None;
-            for inst in &block.insts {
-                self.emit_inst(inst)?;
-            }
-            self.emit_term(&block.term, i);
-        }
-        self.line(&format!(".size {}, .-{}", self.m.name, self.m.name));
-        Ok(self.out)
+    fn call(em: &mut Emitter<'_, Self>, callee: &str, _fp_args: usize) {
+        ins!(em, "bl {callee}");
     }
 
-    // ---- helpers ----
-
-    fn mem_of(&self, v: VReg) -> String {
-        match self.locs[v as usize] {
-            Loc::Mem(off) => format!("[x29, #{off}]"),
-            Loc::Reg(_) => unreachable!("mem_of on register vreg"),
-        }
-    }
-
-    fn is_wide(&self, v: VReg) -> bool {
-        matches!(self.m.vreg_tys[v as usize], Ty::I64)
-    }
-
-    /// Loads an integer vreg into scratch register `w{n}`/`x{n}`.
-    fn to_scratch(&mut self, v: VReg, n: u8) {
-        let wide = self.is_wide(v);
-        let dst = if wide { format!("x{n}") } else { format!("w{n}") };
-        match self.locs[v as usize] {
-            Loc::Reg(p) => {
-                let src = if wide { POOL[p as usize].1 } else { POOL[p as usize].0 };
-                self.line(&format!("mov {dst}, {src}"));
-            }
-            Loc::Mem(off) => {
-                self.line(&format!("ldr {dst}, [x29, #{off}]"));
+    /// `movz` the low half-word, `movk` every other non-zero one.
+    fn imm(em: &mut Emitter<'_, Self>, val: i64, wide: bool) {
+        let (reg, bits, halves) =
+            if wide { ("x8", val as u64, 4) } else { ("w8", val as u32 as u64, 2) };
+        ins!(em, "movz {reg}, #{}", bits & 0xffff);
+        for i in 1..halves {
+            let half = (bits >> (16 * i)) & 0xffff;
+            if half != 0 {
+                ins!(em, "movk {reg}, #{half}, lsl #{}", 16 * i);
             }
         }
     }
 
-    fn from_scratch(&mut self, v: VReg, n: u8) {
-        let wide = self.is_wide(v);
-        let src = if wide { format!("x{n}") } else { format!("w{n}") };
-        match self.locs[v as usize] {
-            Loc::Reg(p) => {
-                let dst = if wide { POOL[p as usize].1 } else { POOL[p as usize].0 };
-                self.line(&format!("mov {dst}, {src}"));
-            }
-            Loc::Mem(off) => {
-                self.line(&format!("str {src}, [x29, #{off}]"));
-            }
-        }
+    fn slot_addr(em: &mut Emitter<'_, Self>, reg: &str, off: i64) {
+        ins!(em, "add {reg}, x29, #{off}");
     }
 
-    /// Loads an address vreg into `x10`, returning the memory operand.
-    fn addr_operand(&mut self, v: VReg) -> String {
-        match self.locs[v as usize] {
-            Loc::Reg(p) => format!("[{}]", POOL[p as usize].1),
-            Loc::Mem(off) => {
-                self.line(&format!("ldr x10, [x29, #{off}]"));
-                "[x10]".to_string()
-            }
-        }
+    fn global_addr(em: &mut Emitter<'_, Self>, dst: VReg, name: &str) {
+        ins!(em, "adrp x8, {name}");
+        ins!(em, "add x8, x8, :lo12:{name}");
+        em.put(dst);
     }
 
-    fn to_fp(&mut self, v: VReg, n: u8) {
-        let reg = if self.m.vreg_tys[v as usize] == Ty::F32 {
-            format!("s{n}")
-        } else {
-            format!("d{n}")
-        };
-        let mem = self.mem_of(v);
-        self.line(&format!("ldr {reg}, {mem}"));
-    }
-
-    fn from_fp(&mut self, v: VReg, n: u8) {
-        let reg = if self.m.vreg_tys[v as usize] == Ty::F32 {
-            format!("s{n}")
-        } else {
-            format!("d{n}")
-        };
-        let mem = self.mem_of(v);
-        self.line(&format!("str {reg}, {mem}"));
-    }
-
-    fn mov_imm(&mut self, reg_w: &str, reg_x: &str, val: i64, wide: bool) {
-        if wide {
-            let bits = val as u64;
-            let chunks = [
-                bits & 0xffff,
-                (bits >> 16) & 0xffff,
-                (bits >> 32) & 0xffff,
-                (bits >> 48) & 0xffff,
-            ];
-            self.line(&format!("movz {reg_x}, #{}", chunks[0]));
-            for (i, c) in chunks.iter().enumerate().skip(1) {
-                if *c != 0 {
-                    self.line(&format!("movk {reg_x}, #{c}, lsl #{}", 16 * i));
-                }
-            }
-        } else {
-            let bits = val as u32;
-            let lo = bits & 0xffff;
-            let hi = bits >> 16;
-            self.line(&format!("movz {reg_w}, #{lo}"));
-            if hi != 0 {
-                self.line(&format!("movk {reg_w}, #{hi}, lsl #16"));
-            }
-        }
-    }
-
-    // ---- instruction emission ----
-
-    fn emit_inst(&mut self, inst: &Inst) -> Result<()> {
-        match inst {
-            Inst::IConst { dst, val, ty } => {
-                self.last_cmp = None;
-                self.mov_imm("w8", "x8", *val, *ty == Ty::I64);
-                self.from_scratch(*dst, 8);
-            }
-            Inst::FConst { dst, val, ty } => {
-                self.last_cmp = None;
-                if *ty == Ty::F32 {
-                    let bits = (*val as f32).to_bits() as i64;
-                    self.mov_imm("w8", "x8", bits, false);
-                    self.line("fmov s0, w8");
-                } else {
-                    let bits = val.to_bits() as i64;
-                    self.mov_imm("w8", "x8", bits, true);
-                    self.line("fmov d0, x8");
-                }
-                self.from_fp(*dst, 0);
-            }
-            Inst::Bin { op, dst, a, b, ty } => {
-                self.last_cmp = None;
-                if ty.is_float() {
-                    self.emit_float_bin(*op, *dst, *a, *b, *ty);
-                } else {
-                    self.emit_int_bin(*op, *dst, *a, *b, *ty);
-                }
-            }
-            Inst::Cmp { pred, dst, a, b, ty } => {
-                self.emit_cmp(*pred, *dst, *a, *b, *ty);
-            }
-            Inst::Load { dst, addr, ty, sext } => {
-                self.last_cmp = None;
-                let mem = self.addr_operand(*addr);
-                match ty {
-                    Ty::I8 => {
-                        let op = if *sext { "ldrsb" } else { "ldrb" };
-                        self.line(&format!("{op} w8, {mem}"));
-                        self.from_scratch(*dst, 8);
-                    }
-                    Ty::I16 => {
-                        let op = if *sext { "ldrsh" } else { "ldrh" };
-                        self.line(&format!("{op} w8, {mem}"));
-                        self.from_scratch(*dst, 8);
-                    }
-                    Ty::I32 => {
-                        self.line(&format!("ldr w8, {mem}"));
-                        self.from_scratch(*dst, 8);
-                    }
-                    Ty::I64 => {
-                        self.line(&format!("ldr x8, {mem}"));
-                        self.from_scratch(*dst, 8);
-                    }
-                    Ty::F32 => {
-                        self.line(&format!("ldr s0, {mem}"));
-                        self.from_fp(*dst, 0);
-                    }
-                    Ty::F64 => {
-                        self.line(&format!("ldr d0, {mem}"));
-                        self.from_fp(*dst, 0);
-                    }
-                    Ty::V4I32 => {
-                        return Err(CompileError::Unsupported("ARM vector load".into()));
-                    }
-                }
-            }
-            Inst::Store { addr, src, ty } => {
-                self.last_cmp = None;
-                match ty {
-                    Ty::F32 | Ty::F64 => {
-                        self.to_fp(*src, 0);
-                        let mem = self.addr_operand(*addr);
-                        let reg = if *ty == Ty::F32 { "s0" } else { "d0" };
-                        self.line(&format!("str {reg}, {mem}"));
-                    }
-                    Ty::V4I32 => {
-                        return Err(CompileError::Unsupported("ARM vector store".into()));
-                    }
-                    _ => {
-                        self.to_scratch(*src, 8);
-                        let mem = self.addr_operand(*addr);
-                        let (op, reg) = match ty {
-                            Ty::I8 => ("strb", "w8"),
-                            Ty::I16 => ("strh", "w8"),
-                            Ty::I32 => ("str", "w8"),
-                            _ => ("str", "x8"),
-                        };
-                        self.line(&format!("{op} {reg}, {mem}"));
-                    }
-                }
-            }
-            Inst::SlotAddr { dst, slot } => {
-                self.last_cmp = None;
-                let off = self.slot_offsets[*slot as usize];
-                match self.locs[*dst as usize] {
-                    Loc::Reg(p) => {
-                        self.line(&format!("add {}, x29, #{off}", POOL[p as usize].1));
-                    }
-                    Loc::Mem(_) => {
-                        self.line(&format!("add x8, x29, #{off}"));
-                        self.from_scratch(*dst, 8);
-                    }
-                }
-            }
-            Inst::GlobalAddr { dst, name } => {
-                self.last_cmp = None;
-                self.line(&format!("adrp x8, {name}"));
-                self.line(&format!("add x8, x8, :lo12:{name}"));
-                self.from_scratch(*dst, 8);
-            }
-            Inst::Call { dst, callee, args, arg_tys, ret_ty } => {
-                self.last_cmp = None;
-                let mut int_idx = 0usize;
-                let mut f_idx = 0usize;
-                for (v, ty) in args.iter().zip(arg_tys) {
-                    match ty {
-                        Ty::F32 => {
-                            let mem = self.mem_of(*v);
-                            self.line(&format!("ldr s{f_idx}, {mem}"));
-                            f_idx += 1;
-                        }
-                        Ty::F64 => {
-                            let mem = self.mem_of(*v);
-                            self.line(&format!("ldr d{f_idx}, {mem}"));
-                            f_idx += 1;
-                        }
-                        _ => {
-                            if int_idx < 8 {
-                                let wide = matches!(ty, Ty::I64);
-                                let arg = if wide {
-                                    format!("x{int_idx}")
-                                } else {
-                                    format!("w{int_idx}")
-                                };
-                                match self.locs[*v as usize] {
-                                    Loc::Reg(p) => {
-                                        let src = if wide {
-                                            POOL[p as usize].1
-                                        } else {
-                                            POOL[p as usize].0
-                                        };
-                                        self.line(&format!("mov {arg}, {src}"));
-                                    }
-                                    Loc::Mem(off) => {
-                                        self.line(&format!("ldr {arg}, [x29, #{off}]"));
-                                    }
-                                }
-                            }
-                            int_idx += 1;
-                        }
-                    }
-                }
-                self.line(&format!("bl {callee}"));
-                if let (Some(d), Some(rt)) = (dst, ret_ty) {
-                    match rt {
-                        Ty::F32 | Ty::F64 => self.from_fp(*d, 0),
-                        Ty::I64 => {
-                            self.line("mov x8, x0");
-                            self.from_scratch(*d, 8);
-                        }
-                        _ => {
-                            self.line("mov w8, w0");
-                            self.from_scratch(*d, 8);
-                        }
-                    }
-                }
-            }
-            Inst::Cast { dst, src, kind } => {
-                self.last_cmp = None;
-                self.emit_cast(*dst, *src, *kind);
-            }
-            Inst::Copy { dst, src, ty } => {
-                self.last_cmp = None;
-                if ty.is_float() {
-                    self.to_fp(*src, 0);
-                    self.from_fp(*dst, 0);
-                } else {
-                    self.to_scratch(*src, 8);
-                    self.from_scratch(*dst, 8);
-                }
-            }
-            Inst::VecLoad { .. }
-            | Inst::VecSplat { .. }
-            | Inst::VecBin { .. }
-            | Inst::VecStore { .. } => {
-                return Err(CompileError::Unsupported("vector ops on ARM backend".into()));
-            }
-        }
-        Ok(())
-    }
-
-    fn emit_int_bin(&mut self, op: IrBinOp, dst: VReg, a: VReg, b: VReg, ty: Ty) {
-        let wide = ty == Ty::I64;
-        let (r8, r9, r10) = if wide { ("x8", "x9", "x10") } else { ("w8", "w9", "w10") };
-        self.to_scratch(a, 8);
-        self.to_scratch(b, 9);
-        match op {
-            IrBinOp::Add => self.line(&format!("add {r8}, {r8}, {r9}")),
-            IrBinOp::Sub => self.line(&format!("sub {r8}, {r8}, {r9}")),
-            IrBinOp::Mul => self.line(&format!("mul {r8}, {r8}, {r9}")),
-            IrBinOp::DivS => self.line(&format!("sdiv {r8}, {r8}, {r9}")),
-            IrBinOp::DivU => self.line(&format!("udiv {r8}, {r8}, {r9}")),
-            IrBinOp::RemS => {
-                self.line(&format!("sdiv {r10}, {r8}, {r9}"));
-                self.line(&format!("msub {r8}, {r10}, {r9}, {r8}"));
-            }
-            IrBinOp::RemU => {
-                self.line(&format!("udiv {r10}, {r8}, {r9}"));
-                self.line(&format!("msub {r8}, {r10}, {r9}, {r8}"));
-            }
-            IrBinOp::And => self.line(&format!("and {r8}, {r8}, {r9}")),
-            IrBinOp::Or => self.line(&format!("orr {r8}, {r8}, {r9}")),
-            IrBinOp::Xor => self.line(&format!("eor {r8}, {r8}, {r9}")),
-            IrBinOp::Shl => self.line(&format!("lsl {r8}, {r8}, {r9}")),
-            IrBinOp::ShrS => self.line(&format!("asr {r8}, {r8}, {r9}")),
-            IrBinOp::ShrU => self.line(&format!("lsr {r8}, {r8}, {r9}")),
+    /// Three-address over `x8` / `x9`; a remainder is `a - (a / b) * b`.
+    fn int_bin(em: &mut Emitter<'_, Self>, op: IrBinOp, a: VReg, b: VReg, wide: bool) {
+        let c = wide as usize;
+        let (r8, r9, r10) = (["w8", "x8"][c], ["w9", "x9"][c], ["w10", "x10"][c]);
+        em.get(a, 0);
+        em.get(b, 1);
+        let mn = match op {
+            IrBinOp::Add => "add",
+            IrBinOp::Sub => "sub",
+            IrBinOp::Mul => "mul",
+            IrBinOp::DivS | IrBinOp::RemS => "sdiv",
+            IrBinOp::DivU | IrBinOp::RemU => "udiv",
+            IrBinOp::And => "and",
+            IrBinOp::Or => "orr",
+            IrBinOp::Xor => "eor",
+            IrBinOp::Shl => "lsl",
+            IrBinOp::ShrS => "asr",
+            IrBinOp::ShrU => "lsr",
             _ => unreachable!("float op in int path"),
+        };
+        if matches!(op, IrBinOp::RemS | IrBinOp::RemU) {
+            ins!(em, "{mn} {r10}, {r8}, {r9}");
+            ins!(em, "msub {r8}, {r10}, {r9}, {r8}");
+        } else {
+            ins!(em, "{mn} {r8}, {r8}, {r9}");
         }
-        self.from_scratch(dst, 8);
     }
 
-    fn emit_float_bin(&mut self, op: IrBinOp, dst: VReg, a: VReg, b: VReg, ty: Ty) {
-        let (r0, r1) = if ty == Ty::F32 { ("s0", "s1") } else { ("d0", "d1") };
-        self.to_fp(a, 0);
-        self.to_fp(b, 1);
-        let mnem = match op {
+    fn float_bin(em: &mut Emitter<'_, Self>, op: IrBinOp, a: VReg, b: VReg, ty: Ty) {
+        let c = class(ty);
+        let (r0, r1) = (Self::SCRATCH[0][c], Self::SCRATCH[1][c]);
+        em.get(a, 0);
+        em.get(b, 1);
+        let mn = match op {
             IrBinOp::FAdd => "fadd",
             IrBinOp::FSub => "fsub",
             IrBinOp::FMul => "fmul",
             _ => "fdiv",
         };
-        self.line(&format!("{mnem} {r0}, {r0}, {r1}"));
-        self.from_fp(dst, 0);
+        ins!(em, "{mn} {r0}, {r0}, {r1}");
     }
 
-    fn emit_cmp(&mut self, pred: Pred, dst: VReg, a: VReg, b: VReg, ty: Ty) {
-        if ty.is_float() {
-            let (r0, r1) = if ty == Ty::F32 { ("s0", "s1") } else { ("d0", "d1") };
-            self.to_fp(a, 0);
-            self.to_fp(b, 1);
-            self.line(&format!("fcmp {r0}, {r1}"));
-        } else {
-            let wide = ty == Ty::I64;
-            let (r8, r9) = if wide { ("x8", "x9") } else { ("w8", "w9") };
-            self.to_scratch(a, 8);
-            self.to_scratch(b, 9);
-            self.line(&format!("cmp {r8}, {r9}"));
-        }
-        let cond = cset_cond(pred);
-        self.line(&format!("cset w8, {cond}"));
-        self.from_scratch(dst, 8);
-        self.last_cmp = Some((dst, pred));
+    fn compare(em: &mut Emitter<'_, Self>, pred: Pred, a: VReg, b: VReg, ty: Ty) {
+        let c = class(ty);
+        em.get(a, 0);
+        em.get(b, 1);
+        let mn = if ty.is_float() { "fcmp" } else { "cmp" };
+        ins!(em, "{mn} {}, {}", Self::SCRATCH[0][c], Self::SCRATCH[1][c]);
+        ins!(em, "cset w8, {}", Self::CC[pred as usize]);
     }
 
-    fn emit_cast(&mut self, dst: VReg, src: VReg, kind: CastKind) {
-        match kind {
-            CastKind::Sext32to64 => {
-                self.to_scratch(src, 8);
-                self.line("sxtw x8, w8");
-                self.from_scratch(dst, 8);
-            }
-            CastKind::Zext32to64 => {
-                self.to_scratch(src, 8);
-                self.line("mov w8, w8");
-                self.from_scratch(dst, 8);
-            }
-            CastKind::Trunc64to32 => {
-                self.to_scratch(src, 8);
-                self.from_scratch(dst, 8);
-            }
-            CastKind::Wrap8Sext => {
-                self.to_scratch(src, 8);
-                self.line("sxtb w8, w8");
-                self.from_scratch(dst, 8);
-            }
-            CastKind::Wrap8Zext => {
-                self.to_scratch(src, 8);
-                self.line("uxtb w8, w8");
-                self.from_scratch(dst, 8);
-            }
-            CastKind::Wrap16Sext => {
-                self.to_scratch(src, 8);
-                self.line("sxth w8, w8");
-                self.from_scratch(dst, 8);
-            }
-            CastKind::Wrap16Zext => {
-                self.to_scratch(src, 8);
-                self.line("uxth w8, w8");
-                self.from_scratch(dst, 8);
-            }
-            CastKind::S32toF32 => {
-                self.to_scratch(src, 8);
-                self.line("scvtf s0, w8");
-                self.from_fp(dst, 0);
-            }
-            CastKind::S32toF64 => {
-                self.to_scratch(src, 8);
-                self.line("scvtf d0, w8");
-                self.from_fp(dst, 0);
-            }
-            CastKind::S64toF32 => {
-                self.to_scratch(src, 8);
-                self.line("scvtf s0, x8");
-                self.from_fp(dst, 0);
-            }
-            CastKind::S64toF64 => {
-                self.to_scratch(src, 8);
-                self.line("scvtf d0, x8");
-                self.from_fp(dst, 0);
-            }
-            CastKind::F32toS32 => {
-                self.to_fp(src, 0);
-                self.line("fcvtzs w8, s0");
-                self.from_scratch(dst, 8);
-            }
-            CastKind::F64toS32 => {
-                self.to_fp(src, 0);
-                self.line("fcvtzs w8, d0");
-                self.from_scratch(dst, 8);
-            }
-            CastKind::F32toS64 => {
-                self.to_fp(src, 0);
-                self.line("fcvtzs x8, s0");
-                self.from_scratch(dst, 8);
-            }
-            CastKind::F64toS64 => {
-                self.to_fp(src, 0);
-                self.line("fcvtzs x8, d0");
-                self.from_scratch(dst, 8);
-            }
-            CastKind::F32toF64 => {
-                self.to_fp(src, 0);
-                self.line("fcvt d0, s0");
-                let mem = self.mem_of(dst);
-                self.line(&format!("str d0, {mem}"));
-            }
-            CastKind::F64toF32 => {
-                self.to_fp(src, 0);
-                self.line("fcvt s0, d0");
-                let mem = self.mem_of(dst);
-                self.line(&format!("str s0, {mem}"));
-            }
-        }
+    fn branch_nonzero(em: &mut Emitter<'_, Self>, c: usize, then: BlockId) {
+        ins!(em, "cbnz {}, .L{then}", Self::SCRATCH[0][c]);
     }
 
-    fn emit_term(&mut self, term: &Term, cur: usize) {
-        match term {
-            Term::Jmp(t) => {
-                if *t as usize != cur + 1 {
-                    self.line(&format!("b .L{t}"));
-                }
-            }
-            Term::Br { cond, then_bb, else_bb } => {
-                if let Some((cv, pred)) = self.last_cmp {
-                    if cv == *cond {
-                        self.line(&format!("b.{} .L{then_bb}", cset_cond(pred)));
-                        if *else_bb as usize != cur + 1 {
-                            self.line(&format!("b .L{else_bb}"));
-                        }
-                        return;
-                    }
-                }
-                self.to_scratch(*cond, 8);
-                let reg = if self.is_wide(*cond) { "x8" } else { "w8" };
-                self.line(&format!("cbnz {reg}, .L{then_bb}"));
-                if *else_bb as usize != cur + 1 {
-                    self.line(&format!("b .L{else_bb}"));
-                }
-            }
-            Term::Ret(v) => {
-                if let Some(v) = v {
-                    match self.m.vreg_tys[*v as usize] {
-                        Ty::F32 => {
-                            let mem = self.mem_of(*v);
-                            self.line(&format!("ldr s0, {mem}"));
-                        }
-                        Ty::F64 => {
-                            let mem = self.mem_of(*v);
-                            self.line(&format!("ldr d0, {mem}"));
-                        }
-                        Ty::I64 => {
-                            self.to_scratch(*v, 8);
-                            self.line("mov x0, x8");
-                        }
-                        _ => {
-                            self.to_scratch(*v, 8);
-                            self.line("mov w0, w8");
-                        }
-                    }
-                }
-                let used = self.alloc.used.clone();
-                let save_offsets = self.save_offsets.clone();
-                for (i, reg) in used.iter().enumerate() {
-                    self.line(&format!(
-                        "ldr {}, [x29, #{}]",
-                        POOL[*reg as usize].1, save_offsets[i]
-                    ));
-                }
-                self.line(&format!("ldp x29, x30, [sp], #{}", self.frame));
-                self.line("ret");
-            }
-        }
-    }
-}
-
-fn cset_cond(pred: Pred) -> &'static str {
-    match pred {
-        Pred::Eq | Pred::FEq => "eq",
-        Pred::Ne | Pred::FNe => "ne",
-        Pred::LtS => "lt",
-        Pred::LeS => "le",
-        Pred::GtS => "gt",
-        Pred::GeS => "ge",
-        Pred::LtU => "lo",
-        Pred::LeU => "ls",
-        Pred::GtU => "hi",
-        Pred::GeU => "hs",
-        Pred::FLt => "mi",
-        Pred::FLe => "ls",
-        Pred::FGt => "gt",
-        Pred::FGe => "ge",
+    fn vector(_em: &mut Emitter<'_, Self>, _inst: &Inst) -> Result<()> {
+        Err(CompileError::Unsupported("vector ops on ARM backend".into()))
     }
 }
 

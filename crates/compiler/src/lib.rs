@@ -30,13 +30,14 @@
 
 #![warn(missing_docs)]
 
-pub mod arm;
+mod arm;
+mod emit;
 pub mod ir;
 pub mod looptrans;
 pub mod lower;
 pub mod passes;
 pub mod regalloc;
-pub mod x86;
+mod x86;
 
 use serde::{Deserialize, Serialize};
 use slade_minic::{MiniCError, Program, Sema};
@@ -150,8 +151,8 @@ pub fn compile_function(program: &Program, name: &str, opts: CompileOpts) -> Res
         passes::run_o3_pipeline(&mut module);
     }
     match opts.isa {
-        Isa::X86_64 => x86::emit(&module, opts),
-        Isa::Arm64 => arm::emit(&module, opts),
+        Isa::X86_64 => emit::emit::<x86::X86>(&module, opts.opt),
+        Isa::Arm64 => emit::emit::<arm::Arm>(&module, opts.opt),
     }
 }
 

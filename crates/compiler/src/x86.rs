@@ -1,91 +1,104 @@
-//! x86-64 backend (AT&T syntax, GCC flavour).
+//! x86-64 target (AT&T syntax, GCC flavour).
 //!
 //! `-O0` spills every value to the stack exactly like GCC; `-O3` runs the
 //! linear-scan allocator over the callee-saved pool (`rbx`, `r12`–`r15`)
 //! and emits vector instructions (`movdqu`/`pshufd`/`paddd`/`movups`) for
 //! the loops the source-level vectorizer transformed.
 
-// `to_rax`/`from_scratch` etc. are emit helpers ("emit code moving v to/from
-// rax"), not conversions; the conversion naming lint does not apply.
-#![allow(clippy::wrong_self_convention)]
-
+use crate::emit::{class, ins, Cast, Emitter, Frame, Loc, Mem, Target, W};
 use crate::ir::*;
-use crate::regalloc::{allocate, Allocation};
-use crate::{CompileOpts, OptLevel, Result};
+use crate::regalloc::Allocation;
+use crate::Result;
+use slade_asm::Isa;
+use std::fmt;
 
-use std::fmt::Write;
+/// The x86-64 target.
+pub(crate) struct X86;
 
-/// Callee-saved integer pool used by the allocator, as (32-bit, 64-bit)
-/// register names.
-const POOL: [(&str, &str); 5] = [
-    ("%ebx", "%rbx"),
-    ("%r12d", "%r12"),
-    ("%r13d", "%r13"),
-    ("%r14d", "%r14"),
-    ("%r15d", "%r15"),
-];
+const XMM: [&str; 8] = ["%xmm0", "%xmm1", "%xmm2", "%xmm3", "%xmm4", "%xmm5", "%xmm6", "%xmm7"];
 
-/// Integer argument registers in ABI order.
-const ARG_REGS: [(&str, &str); 6] = [
-    ("%edi", "%rdi"),
-    ("%esi", "%rsi"),
-    ("%edx", "%rdx"),
-    ("%ecx", "%rcx"),
-    ("%r8d", "%r8"),
-    ("%r9d", "%r9"),
-];
+impl Target for X86 {
+    const ISA: Isa = Isa::X86_64;
+    const POOL: [[&'static str; 2]; 5] = [
+        ["%ebx", "%rbx"],
+        ["%r12d", "%r12"],
+        ["%r13d", "%r13"],
+        ["%r14d", "%r14"],
+        ["%r15d", "%r15"],
+    ];
+    const ARGS: [&'static [&'static str]; 4] = [
+        &["%edi", "%esi", "%edx", "%ecx", "%r8d", "%r9d"],
+        &["%rdi", "%rsi", "%rdx", "%rcx", "%r8", "%r9"],
+        &XMM,
+        &XMM,
+    ];
+    const SCRATCH: [[&'static str; 5]; 2] = [
+        ["%eax", "%rax", "%xmm0", "%xmm0", "%xmm0"],
+        ["%ecx", "%rcx", "%xmm1", "%xmm1", "%xmm1"],
+    ];
+    const RET: Option<[&'static str; 2]> = None;
+    const MOV: [&'static str; 2] = ["movl", "movq"];
+    const LD: [&'static str; 5] = ["movl", "movq", "movss", "movsd", "movdqu"];
+    const ST: [&'static str; 5] = Self::LD;
+    const ADDR: &'static str = "%r10";
+    const LOADS: [[&'static str; 2]; 6] = [
+        ["movsbl", "movzbl"],
+        ["movswl", "movzwl"],
+        ["movl", "movl"],
+        ["movq", "movq"],
+        ["movss", "movss"],
+        ["movsd", "movsd"],
+    ];
+    const STORES: [[&'static str; 2]; 6] = [
+        ["movb", "%al"],
+        ["movw", "%ax"],
+        ["movl", "%eax"],
+        ["movq", "%rax"],
+        ["movss", "%xmm0"],
+        ["movsd", "%xmm0"],
+    ];
+    const CASTS: [Cast; 17] = [
+        Cast::InPlace("movslq"),
+        Cast::Scratch(""),
+        Cast::Scratch(""),
+        Cast::Scratch("movsbl %al, %eax"),
+        Cast::Scratch("movzbl %al, %eax"),
+        Cast::Scratch("movswl %ax, %eax"),
+        Cast::Scratch("movzwl %ax, %eax"),
+        Cast::Scratch("cvtsi2ss %eax, %xmm0"),
+        Cast::Scratch("cvtsi2sd %eax, %xmm0"),
+        Cast::Scratch("cvtsi2ssq %rax, %xmm0"),
+        Cast::Scratch("cvtsi2sdq %rax, %xmm0"),
+        Cast::Scratch("cvttss2si %xmm0, %eax"),
+        Cast::Scratch("cvttsd2si %xmm0, %eax"),
+        Cast::Scratch("cvttss2siq %xmm0, %rax"),
+        Cast::Scratch("cvttsd2siq %xmm0, %rax"),
+        Cast::Scratch("cvtss2sd %xmm0, %xmm0"),
+        Cast::Scratch("cvtsd2ss %xmm0, %xmm0"),
+    ];
+    const BITS_TO_FP: [&'static str; 2] = ["movd %eax, %xmm0", "movq %rax, %xmm0"];
+    const CC: [&'static str; 16] = [
+        "e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae", "e", "ne", "b", "be", "a", "ae",
+    ];
+    const JMP: &'static str = "jmp";
+    const JCC: &'static str = "j";
+    const GLOBAL: &'static str = ".globl";
+    const FUNCTION: &'static str = "@function";
+    const SRC_FIRST: bool = true;
 
-/// Where a vreg lives during emission.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Loc {
-    /// Pool register (index into [`POOL`]).
-    Reg(u8),
-    /// `offset(%rbp)`.
-    Mem(i64),
-}
-
-/// Emits the module as x86-64 assembly text.
-///
-/// # Errors
-///
-/// Currently infallible for IR produced by this crate, but kept fallible for
-/// parity with the ARM backend.
-pub fn emit(m: &Module, opts: CompileOpts) -> Result<String> {
-    let alloc = match opts.opt {
-        OptLevel::O0 => Allocation::all_spilled(m.vreg_count()),
-        OptLevel::O3 => allocate(m, POOL.len()),
-    };
-    Ok(Emitter::new(m, alloc).run())
-}
-
-struct Emitter<'m> {
-    m: &'m Module,
-    alloc: Allocation,
-    out: String,
-    locs: Vec<Loc>,
-    slot_offsets: Vec<i64>,
-    frame: i64,
-    /// Compare whose flags are still live (for branch fusion).
-    last_cmp: Option<(VReg, Pred)>,
-}
-
-impl<'m> Emitter<'m> {
-    fn new(m: &'m Module, alloc: Allocation) -> Self {
-        // Assign frame offsets: first the callee-saved save area, then IR
-        // slots, then spilled vregs.
-        let mut off: i64 = 0;
-        let mut save_offsets = Vec::new();
-        for _ in &alloc.used {
-            off -= 8;
-            save_offsets.push(off);
-        }
-        let mut slot_offsets = Vec::with_capacity(m.slots.len());
+    /// Down from `%rbp`: the callee-saved save area, IR slots, then spilled
+    /// vregs; only vector spills are aligned.
+    fn layout(m: &Module, alloc: &Allocation) -> Frame {
+        let saves: Vec<(u8, i64)> =
+            alloc.used.iter().zip(1..).map(|(&r, i)| (r, -8 * i)).collect();
+        let mut off = -8 * alloc.used.len() as i64;
+        let mut slots = Vec::with_capacity(m.slots.len());
         for s in &m.slots {
             let size = s.size.max(1) as i64;
             let align = s.align.max(1) as i64;
             off -= size;
             off = -((-off + align - 1) / align * align);
-            slot_offsets.push(off);
+            slots.push(off);
         }
         let mut locs = Vec::with_capacity(m.vreg_count());
         for (i, ty) in m.vreg_tys.iter().enumerate() {
@@ -101,411 +114,106 @@ impl<'m> Emitter<'m> {
                 }
             }
         }
-        let frame = (-off + 15) / 16 * 16;
-        Emitter { m, alloc, out: String::new(), locs, slot_offsets, frame, last_cmp: None }
+        Frame { locs, slots, saves, size: (-off + 15) / 16 * 16 }
     }
 
-    fn line(&mut self, s: &str) {
-        let _ = writeln!(self.out, "\t{s}");
-    }
-
-    fn label(&mut self, s: &str) {
-        let _ = writeln!(self.out, "{s}:");
-    }
-
-    fn run(mut self) -> String {
-        // rodata for string literals.
-        if !self.m.rodata.is_empty() {
-            self.line(".section .rodata");
-            for (label, bytes) in self.m.rodata.clone() {
-                self.label(&label);
-                let text: String = bytes[..bytes.len().saturating_sub(1)]
-                    .iter()
-                    .map(|&b| escape_byte(b))
-                    .collect();
-                self.line(&format!(".string \"{text}\""));
-            }
-        }
-        self.line(".text");
-        self.line(&format!(".globl {}", self.m.name));
-        self.line(&format!(".type {}, @function", self.m.name));
-        let name = self.m.name.clone();
-        self.label(&name);
-        self.line(".cfi_startproc");
-        self.line("endbr64");
-        self.line("pushq %rbp");
-        self.line("movq %rsp, %rbp");
-        if self.frame > 0 {
-            self.line(&format!("subq ${}, %rsp", self.frame));
-        }
-        // Save used callee-saved registers.
-        let used = self.alloc.used.clone();
-        for (i, reg) in used.iter().enumerate() {
-            let off = -8 * (i as i64 + 1);
-            self.line(&format!("movq {}, {off}(%rbp)", POOL[*reg as usize].1));
-        }
-        // Move incoming arguments into their vreg locations.
-        let mut int_idx = 0usize;
-        let mut f_idx = 0usize;
-        for (vreg, ty) in self.m.params.clone() {
-            match ty {
-                Ty::F32 => {
-                    let dst = self.mem_of(vreg);
-                    self.line(&format!("movss %xmm{f_idx}, {dst}"));
-                    f_idx += 1;
-                }
-                Ty::F64 => {
-                    let dst = self.mem_of(vreg);
-                    self.line(&format!("movsd %xmm{f_idx}, {dst}"));
-                    f_idx += 1;
-                }
-                _ => {
-                    if int_idx < ARG_REGS.len() {
-                        let (r32, r64) = ARG_REGS[int_idx];
-                        match (self.locs[vreg as usize], ty) {
-                            (Loc::Reg(p), Ty::I64) => {
-                                self.line(&format!("movq {r64}, {}", POOL[p as usize].1))
-                            }
-                            (Loc::Reg(p), _) => {
-                                self.line(&format!("movl {r32}, {}", POOL[p as usize].0))
-                            }
-                            (Loc::Mem(off), Ty::I64) => {
-                                self.line(&format!("movq {r64}, {off}(%rbp)"))
-                            }
-                            (Loc::Mem(off), _) => {
-                                self.line(&format!("movl {r32}, {off}(%rbp)"))
-                            }
-                        }
-                    }
-                    int_idx += 1;
-                }
-            }
-        }
-        // Emit blocks in order.
-        for (i, block) in self.m.blocks.clone().iter().enumerate() {
-            self.label(&format!(".L{i}"));
-            self.last_cmp = None;
-            for inst in &block.insts {
-                self.emit_inst(inst);
-            }
-            self.emit_term(&block.term, i);
-        }
-        self.line(".cfi_endproc");
-        self.line(&format!(".size {}, .-{}", self.m.name, self.m.name));
-        self.out
-    }
-
-    // ---- location helpers ----
-
-    fn mem_of(&self, v: VReg) -> String {
-        match self.locs[v as usize] {
-            Loc::Mem(off) => format!("{off}(%rbp)"),
-            Loc::Reg(_) => unreachable!("mem_of on register vreg"),
+    fn fmt_mem(mem: Mem, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match mem {
+            Mem::Frame(off) => write!(f, "{off}(%rbp)"),
+            Mem::At(reg) => write!(f, "({reg})"),
         }
     }
 
-    /// Operand string usable directly in an instruction.
-    fn loc_str(&self, v: VReg, wide: bool) -> String {
-        match self.locs[v as usize] {
-            Loc::Reg(p) => {
-                let (r32, r64) = POOL[p as usize];
-                if wide {
-                    r64.to_string()
-                } else {
-                    r32.to_string()
-                }
-            }
-            Loc::Mem(off) => format!("{off}(%rbp)"),
+    fn prologue(em: &mut Emitter<'_, Self>) {
+        ins!(em, ".cfi_startproc");
+        ins!(em, "endbr64");
+        ins!(em, "pushq %rbp");
+        ins!(em, "movq %rsp, %rbp");
+        let size = em.frame.size;
+        if size > 0 {
+            ins!(em, "subq ${size}, %rsp");
         }
     }
 
-    fn is_wide(&self, v: VReg) -> bool {
-        matches!(self.m.vreg_tys[v as usize], Ty::I64)
+    fn epilogue(em: &mut Emitter<'_, Self>) {
+        ins!(em, "leave");
+        ins!(em, "ret");
     }
 
-    /// Loads integer vreg `v` into `%rax`/`%eax`.
-    fn to_rax(&mut self, v: VReg) {
-        let wide = self.is_wide(v);
-        let src = self.loc_str(v, wide);
-        let op = if wide { "movq" } else { "movl" };
-        let dst = if wide { "%rax" } else { "%eax" };
-        self.line(&format!("{op} {src}, {dst}"));
+    fn close(em: &mut Emitter<'_, Self>) {
+        ins!(em, ".cfi_endproc");
     }
 
-    /// Loads address vreg `v` into `%r10`, returning the `(%r10)` operand
-    /// (or `(%reg)` when the vreg is register-allocated).
-    fn addr_operand(&mut self, v: VReg) -> String {
-        match self.locs[v as usize] {
-            Loc::Reg(p) => format!("({})", POOL[p as usize].1),
-            Loc::Mem(off) => {
-                self.line(&format!("movq {off}(%rbp), %r10"));
-                "(%r10)".to_string()
-            }
+    /// `%al` counts the vector registers a variadic callee may read.
+    fn call(em: &mut Emitter<'_, Self>, callee: &str, fp_args: usize) {
+        if fp_args > 0 {
+            ins!(em, "movl ${fp_args}, %eax");
+        }
+        ins!(em, "call {callee}");
+    }
+
+    fn imm(em: &mut Emitter<'_, Self>, val: i64, wide: bool) {
+        if wide {
+            ins!(em, "movabsq ${val}, %rax");
+        } else {
+            ins!(em, "movl ${val}, %eax");
         }
     }
 
-    /// Stores `%rax`/`%eax` into vreg `v`.
-    fn from_rax(&mut self, v: VReg) {
-        let wide = self.is_wide(v);
-        let dst = self.loc_str(v, wide);
-        let op = if wide { "movq" } else { "movl" };
-        let src = if wide { "%rax" } else { "%eax" };
-        self.line(&format!("{op} {src}, {dst}"));
-    }
-
-    /// Loads a float vreg into `%xmm0` or `%xmm1`.
-    fn to_xmm(&mut self, v: VReg, xmm: usize) {
-        let mem = self.mem_of(v);
-        let op = if self.m.vreg_tys[v as usize] == Ty::F32 { "movss" } else { "movsd" };
-        self.line(&format!("{op} {mem}, %xmm{xmm}"));
-    }
-
-    fn from_xmm(&mut self, v: VReg, xmm: usize) {
-        let mem = self.mem_of(v);
-        let op = if self.m.vreg_tys[v as usize] == Ty::F32 { "movss" } else { "movsd" };
-        self.line(&format!("{op} %xmm{xmm}, {mem}"));
-    }
-
-    // ---- instruction emission ----
-
-    fn emit_inst(&mut self, inst: &Inst) {
-        match inst {
-            Inst::IConst { dst, val, ty } => {
-                self.last_cmp = None;
-                if *ty == Ty::I64 && (*val > i32::MAX as i64 || *val < i32::MIN as i64) {
-                    self.line(&format!("movabsq ${val}, %rax"));
-                    self.from_rax(*dst);
-                } else {
-                    let wide = *ty == Ty::I64;
-                    let op = if wide { "movq" } else { "movl" };
-                    let loc = self.loc_str(*dst, wide);
-                    self.line(&format!("{op} ${val}, {loc}"));
-                }
-            }
-            Inst::FConst { dst, val, ty } => {
-                self.last_cmp = None;
-                if *ty == Ty::F32 {
-                    let bits = (*val as f32).to_bits();
-                    self.line(&format!("movl ${bits}, %eax"));
-                    self.line("movd %eax, %xmm0");
-                } else {
-                    let bits = val.to_bits();
-                    self.line(&format!("movabsq ${}, %rax", bits as i64));
-                    self.line("movq %rax, %xmm0");
-                }
-                self.from_xmm(*dst, 0);
-            }
-            Inst::Bin { op, dst, a, b, ty } => {
-                self.last_cmp = None;
-                if ty.is_float() {
-                    self.emit_float_bin(*op, *dst, *a, *b, *ty);
-                } else {
-                    self.emit_int_bin(*op, *dst, *a, *b, *ty);
-                }
-            }
-            Inst::Cmp { pred, dst, a, b, ty } => {
-                self.emit_cmp(*pred, *dst, *a, *b, *ty);
-            }
-            Inst::Load { dst, addr, ty, sext } => {
-                self.last_cmp = None;
-                let mem = self.addr_operand(*addr);
-                match ty {
-                    Ty::I8 => {
-                        let op = if *sext { "movsbl" } else { "movzbl" };
-                        self.line(&format!("{op} {mem}, %eax"));
-                        self.from_rax(*dst);
-                    }
-                    Ty::I16 => {
-                        let op = if *sext { "movswl" } else { "movzwl" };
-                        self.line(&format!("{op} {mem}, %eax"));
-                        self.from_rax(*dst);
-                    }
-                    Ty::I32 => {
-                        self.line(&format!("movl {mem}, %eax"));
-                        self.from_rax(*dst);
-                    }
-                    Ty::I64 => {
-                        self.line(&format!("movq {mem}, %rax"));
-                        self.from_rax(*dst);
-                    }
-                    Ty::F32 => {
-                        self.line(&format!("movss {mem}, %xmm0"));
-                        self.from_xmm(*dst, 0);
-                    }
-                    Ty::F64 => {
-                        self.line(&format!("movsd {mem}, %xmm0"));
-                        self.from_xmm(*dst, 0);
-                    }
-                    Ty::V4I32 => {
-                        self.line(&format!("movdqu {mem}, %xmm0"));
-                        let slot = self.mem_of(*dst);
-                        self.line(&format!("movdqu %xmm0, {slot}"));
-                    }
-                }
-            }
-            Inst::Store { addr, src, ty } => {
-                self.last_cmp = None;
-                match ty {
-                    Ty::F32 | Ty::F64 => {
-                        self.to_xmm(*src, 0);
-                        let mem = self.addr_operand(*addr);
-                        let op = if *ty == Ty::F32 { "movss" } else { "movsd" };
-                        self.line(&format!("{op} %xmm0, {mem}"));
-                    }
-                    Ty::V4I32 => {
-                        let slot = self.mem_of(*src);
-                        self.line(&format!("movdqu {slot}, %xmm0"));
-                        let mem = self.addr_operand(*addr);
-                        self.line(&format!("movups %xmm0, {mem}"));
-                    }
-                    _ => {
-                        self.to_rax(*src);
-                        let mem = self.addr_operand(*addr);
-                        let (op, reg) = match ty {
-                            Ty::I8 => ("movb", "%al"),
-                            Ty::I16 => ("movw", "%ax"),
-                            Ty::I32 => ("movl", "%eax"),
-                            _ => ("movq", "%rax"),
-                        };
-                        self.line(&format!("{op} {reg}, {mem}"));
-                    }
-                }
-            }
-            Inst::SlotAddr { dst, slot } => {
-                self.last_cmp = None;
-                let off = self.slot_offsets[*slot as usize];
-                match self.locs[*dst as usize] {
-                    Loc::Reg(p) => {
-                        self.line(&format!("leaq {off}(%rbp), {}", POOL[p as usize].1))
-                    }
-                    Loc::Mem(_) => {
-                        self.line(&format!("leaq {off}(%rbp), %rax"));
-                        self.from_rax(*dst);
-                    }
-                }
-            }
-            Inst::GlobalAddr { dst, name } => {
-                self.last_cmp = None;
-                match self.locs[*dst as usize] {
-                    Loc::Reg(p) => {
-                        self.line(&format!("leaq {name}(%rip), {}", POOL[p as usize].1))
-                    }
-                    Loc::Mem(_) => {
-                        self.line(&format!("leaq {name}(%rip), %rax"));
-                        self.from_rax(*dst);
-                    }
-                }
-            }
-            Inst::Call { dst, callee, args, arg_tys, ret_ty } => {
-                self.last_cmp = None;
-                let mut int_idx = 0usize;
-                let mut f_idx = 0usize;
-                for (v, ty) in args.iter().zip(arg_tys) {
-                    match ty {
-                        Ty::F32 => {
-                            self.to_xmm_n(*v, f_idx);
-                            f_idx += 1;
-                        }
-                        Ty::F64 => {
-                            self.to_xmm_n(*v, f_idx);
-                            f_idx += 1;
-                        }
-                        _ => {
-                            if int_idx < ARG_REGS.len() {
-                                let (r32, r64) = ARG_REGS[int_idx];
-                                let wide = matches!(ty, Ty::I64);
-                                let src = self.loc_str(*v, wide);
-                                let op = if wide { "movq" } else { "movl" };
-                                let reg = if wide { r64 } else { r32 };
-                                self.line(&format!("{op} {src}, {reg}"));
-                            }
-                            int_idx += 1;
-                        }
-                    }
-                }
-                if f_idx > 0 {
-                    self.line(&format!("movl ${f_idx}, %eax"));
-                }
-                self.line(&format!("call {callee}"));
-                if let (Some(d), Some(rt)) = (dst, ret_ty) {
-                    match rt {
-                        Ty::F32 | Ty::F64 => self.from_xmm(*d, 0),
-                        _ => self.from_rax(*d),
-                    }
-                }
-            }
-            Inst::Cast { dst, src, kind } => {
-                self.last_cmp = None;
-                self.emit_cast(*dst, *src, *kind);
-            }
-            Inst::Copy { dst, src, ty } => {
-                self.last_cmp = None;
-                if ty.is_float() {
-                    self.to_xmm(*src, 0);
-                    self.from_xmm(*dst, 0);
-                } else {
-                    self.to_rax(*src);
-                    self.from_rax(*dst);
-                }
-            }
-            Inst::VecLoad { dst, addr } => {
-                self.last_cmp = None;
-                let mem = self.addr_operand(*addr);
-                self.line(&format!("movdqu {mem}, %xmm0"));
-                let slot = self.mem_of(*dst);
-                self.line(&format!("movdqu %xmm0, {slot}"));
-            }
-            Inst::VecSplat { dst, src } => {
-                self.last_cmp = None;
-                self.to_rax(*src);
-                self.line("movd %eax, %xmm0");
-                self.line("pshufd $0, %xmm0, %xmm0");
-                let slot = self.mem_of(*dst);
-                self.line(&format!("movdqu %xmm0, {slot}"));
-            }
-            Inst::VecBin { op, dst, a, b } => {
-                self.last_cmp = None;
-                let sa = self.mem_of(*a);
-                let sb = self.mem_of(*b);
-                self.line(&format!("movdqu {sa}, %xmm0"));
-                self.line(&format!("movdqu {sb}, %xmm1"));
-                let mnem = match op {
-                    IrBinOp::Add => "paddd",
-                    IrBinOp::Sub => "psubd",
-                    _ => "pmulld",
-                };
-                self.line(&format!("{mnem} %xmm1, %xmm0"));
-                let slot = self.mem_of(*dst);
-                self.line(&format!("movdqu %xmm0, {slot}"));
-            }
-            Inst::VecStore { addr, src } => {
-                self.last_cmp = None;
-                let slot = self.mem_of(*src);
-                self.line(&format!("movdqu {slot}, %xmm0"));
-                let mem = self.addr_operand(*addr);
-                self.line(&format!("movups %xmm0, {mem}"));
-            }
+    /// An immediate that fits 32 bits is written to its vreg directly.
+    fn iconst(em: &mut Emitter<'_, Self>, dst: VReg, val: i64, wide: bool) {
+        if wide && i32::try_from(val).is_err() {
+            Self::imm(em, val, true);
+            em.put(dst);
+        } else {
+            let at = em.at(dst, wide as usize);
+            em.op(Self::MOV[wide as usize], at, format_args!("${val}"));
         }
     }
 
-    fn to_xmm_n(&mut self, v: VReg, xmm: usize) {
-        let mem = self.mem_of(v);
-        let op = if self.m.vreg_tys[v as usize] == Ty::F32 { "movss" } else { "movsd" };
-        self.line(&format!("{op} {mem}, %xmm{xmm}"));
+    fn slot_addr(em: &mut Emitter<'_, Self>, reg: &str, off: i64) {
+        ins!(em, "leaq {off}(%rbp), {reg}");
     }
 
-    fn emit_int_bin(&mut self, op: IrBinOp, dst: VReg, a: VReg, b: VReg, ty: Ty) {
-        let wide = ty == Ty::I64;
-        let suffix = if wide { "q" } else { "l" };
-        let acc = if wide { "%rax" } else { "%eax" };
+    fn global_addr(em: &mut Emitter<'_, Self>, dst: VReg, name: &str) {
+        em.address(dst, |em, reg| ins!(em, "leaq {name}(%rip), {reg}"));
+    }
+
+    /// Two-address: `a` in the accumulator, `b` read in place. Division
+    /// goes through `%r11` and `%rdx`, a shift count through `%cl`.
+    fn int_bin(em: &mut Emitter<'_, Self>, op: IrBinOp, a: VReg, b: VReg, wide: bool) {
+        let c = wide as usize;
+        let (sfx, acc) = (["l", "q"][c], Self::SCRATCH[0][c]);
+        let (r11, rdx) = (["%r11d", "%r11"][c], ["%edx", "%rdx"][c]);
         match op {
-            IrBinOp::Add
-            | IrBinOp::Sub
-            | IrBinOp::Mul
-            | IrBinOp::And
-            | IrBinOp::Or
-            | IrBinOp::Xor => {
-                let mnem = match op {
+            IrBinOp::DivS | IrBinOp::RemS | IrBinOp::DivU | IrBinOp::RemU => {
+                let signed = matches!(op, IrBinOp::DivS | IrBinOp::RemS);
+                em.get(a, 0);
+                let rhs = em.at(b, c);
+                ins!(em, "mov{sfx} {rhs}, {r11}");
+                if signed {
+                    ins!(em, "{}", ["cltd", "cqto"][c]);
+                } else {
+                    ins!(em, "xor{sfx} {rdx}, {rdx}");
+                }
+                ins!(em, "{}{sfx} {r11}", if signed { "idiv" } else { "div" });
+                if matches!(op, IrBinOp::RemS | IrBinOp::RemU) {
+                    ins!(em, "mov{sfx} {rdx}, {acc}");
+                }
+            }
+            IrBinOp::Shl | IrBinOp::ShrS | IrBinOp::ShrU => {
+                let count = em.at(b, W);
+                ins!(em, "movl {count}, %ecx");
+                em.get(a, 0);
+                let mn = match op {
+                    IrBinOp::Shl => "sal",
+                    IrBinOp::ShrS => "sar",
+                    _ => "shr",
+                };
+                ins!(em, "{mn}{sfx} %cl, {acc}");
+            }
+            _ => {
+                let mn = match op {
                     IrBinOp::Add => "add",
                     IrBinOp::Sub => "sub",
                     IrBinOp::Mul => "imul",
@@ -513,277 +221,84 @@ impl<'m> Emitter<'m> {
                     IrBinOp::Or => "or",
                     _ => "xor",
                 };
-                self.to_rax(a);
-                let bloc = self.loc_str(b, wide);
-                self.line(&format!("{mnem}{suffix} {bloc}, {acc}"));
-                self.from_rax(dst);
+                em.get(a, 0);
+                let rhs = em.at(b, c);
+                ins!(em, "{mn}{sfx} {rhs}, {acc}");
             }
-            IrBinOp::DivS | IrBinOp::RemS => {
-                self.to_rax(a);
-                // Divisor must be in a register or memory, not rdx.
-                let bloc = self.loc_str(b, wide);
-                self.line(&format!(
-                    "mov{suffix} {bloc}, {}",
-                    if wide { "%r11" } else { "%r11d" }
-                ));
-                self.line(if wide { "cqto" } else { "cltd" });
-                self.line(&format!("idiv{suffix} {}", if wide { "%r11" } else { "%r11d" }));
-                if op == IrBinOp::RemS {
-                    self.line(&format!(
-                        "mov{suffix} {}, {acc}",
-                        if wide { "%rdx" } else { "%edx" }
-                    ));
-                }
-                self.from_rax(dst);
-            }
-            IrBinOp::DivU | IrBinOp::RemU => {
-                self.to_rax(a);
-                let bloc = self.loc_str(b, wide);
-                self.line(&format!(
-                    "mov{suffix} {bloc}, {}",
-                    if wide { "%r11" } else { "%r11d" }
-                ));
-                self.line(&format!("xor{suffix} {0}, {0}", if wide { "%rdx" } else { "%edx" }));
-                self.line(&format!("div{suffix} {}", if wide { "%r11" } else { "%r11d" }));
-                if op == IrBinOp::RemU {
-                    self.line(&format!(
-                        "mov{suffix} {}, {acc}",
-                        if wide { "%rdx" } else { "%edx" }
-                    ));
-                }
-                self.from_rax(dst);
-            }
-            IrBinOp::Shl | IrBinOp::ShrS | IrBinOp::ShrU => {
-                let mnem = match op {
-                    IrBinOp::Shl => "sal",
-                    IrBinOp::ShrS => "sar",
-                    _ => "shr",
-                };
-                let bloc = self.loc_str(b, false);
-                self.line(&format!("movl {bloc}, %ecx"));
-                self.to_rax(a);
-                self.line(&format!("{mnem}{suffix} %cl, {acc}"));
-                self.from_rax(dst);
-            }
-            _ => unreachable!("float op in int path"),
         }
     }
 
-    fn emit_float_bin(&mut self, op: IrBinOp, dst: VReg, a: VReg, b: VReg, ty: Ty) {
-        let suffix = if ty == Ty::F32 { "ss" } else { "sd" };
-        self.to_xmm(a, 0);
-        let bmem = self.mem_of(b);
-        let mnem = match op {
+    fn float_bin(em: &mut Emitter<'_, Self>, op: IrBinOp, a: VReg, b: VReg, ty: Ty) {
+        em.get(a, 0);
+        let mn = match op {
             IrBinOp::FAdd => "add",
             IrBinOp::FSub => "sub",
             IrBinOp::FMul => "mul",
             _ => "div",
         };
-        self.line(&format!("{mnem}{suffix} {bmem}, %xmm0"));
-        self.from_xmm(dst, 0);
+        let rhs = em.at(b, class(ty));
+        ins!(em, "{mn}{} {rhs}, %xmm0", sse_suffix(ty));
     }
 
-    fn emit_cmp(&mut self, pred: Pred, dst: VReg, a: VReg, b: VReg, ty: Ty) {
+    fn compare(em: &mut Emitter<'_, Self>, pred: Pred, a: VReg, b: VReg, ty: Ty) {
+        em.get(a, 0);
+        let c = class(ty);
+        let rhs = em.at(b, c);
         if ty.is_float() {
-            let suffix = if ty == Ty::F32 { "ss" } else { "sd" };
-            self.to_xmm(a, 0);
-            let bmem = self.mem_of(b);
-            self.line(&format!("ucomi{suffix} {bmem}, %xmm0"));
+            ins!(em, "ucomi{} {rhs}, %xmm0", sse_suffix(ty));
         } else {
-            let wide = ty == Ty::I64;
-            self.to_rax(a);
-            let bloc = self.loc_str(b, wide);
-            let acc = if wide { "%rax" } else { "%eax" };
-            self.line(&format!("cmp{} {bloc}, {acc}", if wide { "q" } else { "l" }));
+            ins!(em, "cmp{} {rhs}, {}", ["l", "q"][c], Self::SCRATCH[0][c]);
         }
-        let set = setcc(pred);
-        self.line(&format!("{set} %al"));
-        self.line("movzbl %al, %eax");
-        self.from_rax(dst);
-        self.last_cmp = Some((dst, pred));
+        ins!(em, "set{} %al", Self::CC[pred as usize]);
+        ins!(em, "movzbl %al, %eax");
     }
 
-    fn emit_cast(&mut self, dst: VReg, src: VReg, kind: CastKind) {
-        match kind {
-            CastKind::Sext32to64 => {
-                let s = self.loc_str(src, false);
-                self.line(&format!("movslq {s}, %rax"));
-                self.from_rax(dst);
+    fn branch_nonzero(em: &mut Emitter<'_, Self>, c: usize, then: BlockId) {
+        let acc = Self::SCRATCH[0][c];
+        ins!(em, "test{} {acc}, {acc}", ["l", "q"][c]);
+        ins!(em, "jne .L{then}");
+    }
+
+    fn vector(em: &mut Emitter<'_, Self>, inst: &Inst) -> Result<()> {
+        match *inst {
+            Inst::VecLoad { dst, addr } | Inst::Load { dst, addr, .. } => {
+                let mem = em.addr(addr);
+                ins!(em, "movdqu {mem}, %xmm0");
+                em.put(dst);
             }
-            CastKind::Zext32to64 => {
-                let s = self.loc_str(src, false);
-                self.line(&format!("movl {s}, %eax"));
-                self.from_rax(dst);
+            Inst::VecStore { addr, src } | Inst::Store { addr, src, .. } => {
+                em.get(src, 0);
+                let mem = em.addr(addr);
+                ins!(em, "movups %xmm0, {mem}");
             }
-            CastKind::Trunc64to32 => {
-                self.to_rax(src);
-                self.from_rax(dst);
+            Inst::VecSplat { dst, src } => {
+                em.get(src, 0);
+                ins!(em, "movd %eax, %xmm0");
+                ins!(em, "pshufd $0, %xmm0, %xmm0");
+                em.put(dst);
             }
-            CastKind::Wrap8Sext => {
-                self.to_rax(src);
-                self.line("movsbl %al, %eax");
-                self.from_rax(dst);
+            Inst::VecBin { op, dst, a, b } => {
+                em.get(a, 0);
+                em.get(b, 1);
+                let mn = match op {
+                    IrBinOp::Add => "paddd",
+                    IrBinOp::Sub => "psubd",
+                    _ => "pmulld",
+                };
+                ins!(em, "{mn} %xmm1, %xmm0");
+                em.put(dst);
             }
-            CastKind::Wrap8Zext => {
-                self.to_rax(src);
-                self.line("movzbl %al, %eax");
-                self.from_rax(dst);
-            }
-            CastKind::Wrap16Sext => {
-                self.to_rax(src);
-                self.line("movswl %ax, %eax");
-                self.from_rax(dst);
-            }
-            CastKind::Wrap16Zext => {
-                self.to_rax(src);
-                self.line("movzwl %ax, %eax");
-                self.from_rax(dst);
-            }
-            CastKind::S32toF32 => {
-                self.to_rax(src);
-                self.line("cvtsi2ss %eax, %xmm0");
-                self.from_xmm(dst, 0);
-            }
-            CastKind::S32toF64 => {
-                self.to_rax(src);
-                self.line("cvtsi2sd %eax, %xmm0");
-                self.from_xmm(dst, 0);
-            }
-            CastKind::S64toF32 => {
-                self.to_rax(src);
-                self.line("cvtsi2ssq %rax, %xmm0");
-                self.from_xmm(dst, 0);
-            }
-            CastKind::S64toF64 => {
-                self.to_rax(src);
-                self.line("cvtsi2sdq %rax, %xmm0");
-                self.from_xmm(dst, 0);
-            }
-            CastKind::F32toS32 => {
-                self.to_xmm(src, 0);
-                self.line("cvttss2si %xmm0, %eax");
-                self.from_rax(dst);
-            }
-            CastKind::F64toS32 => {
-                self.to_xmm(src, 0);
-                self.line("cvttsd2si %xmm0, %eax");
-                self.from_rax(dst);
-            }
-            CastKind::F32toS64 => {
-                self.to_xmm(src, 0);
-                self.line("cvttss2siq %xmm0, %rax");
-                self.from_rax(dst);
-            }
-            CastKind::F64toS64 => {
-                self.to_xmm(src, 0);
-                self.line("cvttsd2siq %xmm0, %rax");
-                self.from_rax(dst);
-            }
-            CastKind::F32toF64 => {
-                self.to_xmm(src, 0);
-                self.line("cvtss2sd %xmm0, %xmm0");
-                self.from_xmm(dst, 0);
-            }
-            CastKind::F64toF32 => {
-                self.to_xmm(src, 0);
-                self.line("cvtsd2ss %xmm0, %xmm0");
-                self.from_xmm(dst, 0);
-            }
+            _ => unreachable!("not a vector instruction: {inst:?}"),
         }
-    }
-
-    fn emit_term(&mut self, term: &Term, cur: usize) {
-        match term {
-            Term::Jmp(t) => {
-                if *t as usize != cur + 1 {
-                    self.line(&format!("jmp .L{t}"));
-                }
-            }
-            Term::Br { cond, then_bb, else_bb } => {
-                // Fuse with the preceding compare when its flags are live.
-                if let Some((cv, pred)) = self.last_cmp {
-                    if cv == *cond {
-                        let jcc = jcc_for(pred);
-                        self.line(&format!("{jcc} .L{then_bb}"));
-                        if *else_bb as usize != cur + 1 {
-                            self.line(&format!("jmp .L{else_bb}"));
-                        }
-                        return;
-                    }
-                }
-                let wide = self.is_wide(*cond);
-                self.to_rax(*cond);
-                let acc = if wide { "%rax" } else { "%eax" };
-                self.line(&format!("test{} {acc}, {acc}", if wide { "q" } else { "l" }));
-                self.line(&format!("jne .L{then_bb}"));
-                if *else_bb as usize != cur + 1 {
-                    self.line(&format!("jmp .L{else_bb}"));
-                }
-            }
-            Term::Ret(v) => {
-                if let Some(v) = v {
-                    match self.m.vreg_tys[*v as usize] {
-                        Ty::F32 | Ty::F64 => self.to_xmm(*v, 0),
-                        _ => self.to_rax(*v),
-                    }
-                }
-                // Restore callee-saved registers.
-                let used = self.alloc.used.clone();
-                for (i, reg) in used.iter().enumerate() {
-                    let off = -8 * (i as i64 + 1);
-                    self.line(&format!("movq {off}(%rbp), {}", POOL[*reg as usize].1));
-                }
-                self.line("leave");
-                self.line("ret");
-            }
-        }
+        Ok(())
     }
 }
 
-fn setcc(pred: Pred) -> &'static str {
-    match pred {
-        Pred::Eq | Pred::FEq => "sete",
-        Pred::Ne | Pred::FNe => "setne",
-        Pred::LtS => "setl",
-        Pred::LeS => "setle",
-        Pred::GtS => "setg",
-        Pred::GeS => "setge",
-        Pred::LtU | Pred::FLt => "setb",
-        Pred::LeU | Pred::FLe => "setbe",
-        Pred::GtU | Pred::FGt => "seta",
-        Pred::GeU | Pred::FGe => "setae",
-    }
-}
-
-fn jcc_for(pred: Pred) -> &'static str {
-    match pred {
-        Pred::Eq | Pred::FEq => "je",
-        Pred::Ne | Pred::FNe => "jne",
-        Pred::LtS => "jl",
-        Pred::LeS => "jle",
-        Pred::GtS => "jg",
-        Pred::GeS => "jge",
-        Pred::LtU | Pred::FLt => "jb",
-        Pred::LeU | Pred::FLe => "jbe",
-        Pred::GtU | Pred::FGt => "ja",
-        Pred::GeU | Pred::FGe => "jae",
-    }
-}
-
-/// Escapes one byte for a `.string` directive (shared with the ARM backend).
-pub fn escape_byte_pub(b: u8) -> String {
-    escape_byte(b)
-}
-
-fn escape_byte(b: u8) -> String {
-    match b {
-        b'\n' => "\\n".to_string(),
-        b'\t' => "\\t".to_string(),
-        b'\r' => "\\r".to_string(),
-        b'"' => "\\\"".to_string(),
-        b'\\' => "\\\\".to_string(),
-        0x20..=0x7e => (b as char).to_string(),
-        other => format!("\\{:03o}", other),
+fn sse_suffix(ty: Ty) -> &'static str {
+    if ty == Ty::F32 {
+        "ss"
+    } else {
+        "sd"
     }
 }
 

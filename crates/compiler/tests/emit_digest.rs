@@ -1,0 +1,69 @@
+//! Pins what the compiler emits, byte for byte, on a fixed corpus compiled
+//! for both ISAs at -O0 and -O3: the tiny training sets of seeds 1-3, a
+//! tiny synth set, the emulators' agreement table, and three programs for
+//! what the dataset never produces (a string literal, a global, an extern
+//! call). A change that moves any output — an `Ok` text or an `Err` message
+//! — moves the digest; slade-bench's inputs are this compiler's x86 output,
+//! so it moves every benchmark digest too. The value is what the two
+//! per-ISA emitters produced before they shared one driver.
+
+#[allow(dead_code)]
+#[path = "../../emu/tests/agreement/mod.rs"]
+mod agreement;
+
+use slade_compiler::{compile_function, CompileOpts, Isa, OptLevel};
+use slade_dataset::{generate_synth, generate_train, DatasetProfile};
+use slade_minic::parse_program;
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+const EXTRA: &[&str] = &[
+    "int f(char *s) { return strcmp(s, \"tab\\there \\\"q\\\" back\\\\slash\\r\\n\") \
+     + strlen(\"\\a\\xe9\"); }",
+    "int g; long h[4]; int f(int x) { g = g + x; h[x & 3] = g; return g * 2; }",
+    "double ext(int a, double x); int f(int a) { return ext(a, 2.5) > 1.0; }",
+];
+
+#[test]
+fn compiler_output_is_pinned_on_the_corpus() {
+    let tiny = DatasetProfile::tiny();
+    let items =
+        (1..=3).flat_map(|seed| generate_train(tiny, seed)).chain(generate_synth(tiny, 1, &[]));
+    let sources: Vec<String> = items
+        .map(|item| item.full_src())
+        .chain(agreement::ROWS.iter().map(|&(src, _)| src.to_string()))
+        .chain(EXTRA.iter().map(|src| src.to_string()))
+        .collect();
+    let mut text = String::new();
+    let (mut ok, mut err) = (0, 0);
+    for src in &sources {
+        let program = parse_program(src).expect("corpus program parses");
+        for func in program.functions() {
+            for isa in [Isa::X86_64, Isa::Arm64] {
+                for opt in [OptLevel::O0, OptLevel::O3] {
+                    let compile =
+                        || compile_function(&program, &func.name, CompileOpts::new(isa, opt));
+                    let out = compile();
+                    assert_eq!(out, compile(), "compiling twice: {} {isa:?} {opt}", func.name);
+                    let out = match out {
+                        Ok(asm) => {
+                            ok += 1;
+                            asm
+                        }
+                        Err(e) => {
+                            err += 1;
+                            e.to_string()
+                        }
+                    };
+                    text.push_str(&format!("== {} {isa:?} {opt}\n{out}\n", func.name));
+                }
+            }
+        }
+    }
+    assert!(ok >= 800, "corpus compiles: {ok} ok, {err} err");
+    assert_eq!(fnv1a64(text.as_bytes()), 0x4cd1_c7b4_91ea_a152, "{ok} ok, {err} err");
+}

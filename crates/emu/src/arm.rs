@@ -7,7 +7,7 @@
 
 use crate::machine::{op, target, Cpu, Machine, Step};
 use crate::{EmuError, Result};
-use slade_asm::{Inst, Operand};
+use slade_asm::{Inst, Isa, Operand};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,7 +32,7 @@ pub struct Arm64 {
 pub type ArmEmulator = Machine<Arm64>;
 
 impl Cpu for Arm64 {
-    const ARG_REGS: (usize, usize) = (8, 8);
+    const ARG_REGS: (usize, usize) = Isa::Arm64.arg_regs();
 
     fn int_arg(&mut self, n: usize) -> &mut u64 {
         &mut self.x[n]
@@ -407,7 +407,10 @@ impl ArmEmulator {
             "fcmp" => {
                 let a = self.fp_read(&reg_name(op(ops, 0)?)?)?;
                 let b = self.fp_read(&reg_name(op(ops, 1)?)?)?;
-                self.cpu.flags = Nzcv { n: a < b, z: a == b, c: a >= b, v: false };
+                // Unordered (a NaN operand) is NZCV = 0011.
+                let unordered = a.is_nan() || b.is_nan();
+                self.cpu.flags =
+                    Nzcv { n: a < b, z: a == b, c: a >= b || unordered, v: unordered };
             }
             "cset" => {
                 let dst = reg_name(op(ops, 0)?)?;

@@ -39,7 +39,7 @@ pub use arm::ArmEmulator;
 pub use machine::{Cpu, Machine, Step};
 
 use machine::{op, target};
-use slade_asm::{Inst, Operand};
+use slade_asm::{Inst, Isa, Operand};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -148,10 +148,10 @@ pub struct X86 {
 pub type Emulator = Machine<X86>;
 
 /// SysV integer argument registers: `rdi rsi rdx rcx r8 r9`.
-const INT_ARGS: [usize; 6] = [5, 4, 3, 2, 8, 9];
+const INT_ARGS: [usize; Isa::X86_64.arg_regs().0] = [5, 4, 3, 2, 8, 9];
 
 impl Cpu for X86 {
-    const ARG_REGS: (usize, usize) = (INT_ARGS.len(), 8);
+    const ARG_REGS: (usize, usize) = Isa::X86_64.arg_regs();
 
     fn int_arg(&mut self, n: usize) -> &mut u64 {
         &mut self.gpr[INT_ARGS[n]]
@@ -408,8 +408,10 @@ impl Emulator {
                 let single = m == "ucomiss";
                 let a = self.read_float(op(ops, 1)?, single)?;
                 let b = self.read_float(op(ops, 0)?, single)?;
-                self.cpu.flags.zf = a == b;
-                self.cpu.flags.cf = a < b;
+                // Unordered (a NaN operand) sets ZF, PF and CF; PF is not modelled.
+                let unordered = a.is_nan() || b.is_nan();
+                self.cpu.flags.zf = a == b || unordered;
+                self.cpu.flags.cf = a < b || unordered;
                 self.cpu.flags.sf = false;
                 self.cpu.flags.of = false;
             }
@@ -661,7 +663,34 @@ fn mask_width(v: u64, width: u8) -> u64 {
 #[cfg(test)]
 mod tests {
     use crate::machine::cases::{case, emu_cases, Case, Want};
-    use crate::Arg;
+    use crate::{Arg, Emulator};
+    use slade_asm::{parse_asm, Isa};
+
+    #[test]
+    fn ucomis_sets_zf_and_cf_when_unordered() {
+        // Condition, its value for `1 < 2`, its value with a NaN operand.
+        let rows =
+            [("e", 0, 1), ("ne", 1, 0), ("b", 1, 1), ("be", 1, 1), ("a", 0, 0), ("ae", 0, 0)];
+        for (ins, arg) in
+            [("ucomisd", Arg::F64 as fn(f64) -> Arg), ("ucomiss", |v| Arg::F32(v as f32))]
+        {
+            for (cc, less, unordered) in rows {
+                let text = format!(
+                    "f:\n\tmovl $0, %eax\n\t{ins} %xmm1, %xmm0\n\tset{cc} %al\n\tret\n"
+                );
+                let mut emu = Emulator::new(parse_asm(&text, Isa::X86_64));
+                for (a, b, want) in
+                    [(1.0, 2.0, less), (f64::NAN, 2.0, unordered), (1.0, f64::NAN, unordered)]
+                {
+                    assert_eq!(
+                        emu.call("f", &[arg(a), arg(b)]),
+                        Ok(want),
+                        "{ins} set{cc} on {a}, {b}"
+                    );
+                }
+            }
+        }
+    }
 
     emu_cases! {
         runs_arithmetic_at_both_levels: case(

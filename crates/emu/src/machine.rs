@@ -58,7 +58,7 @@ pub enum Step {
 /// [`Machine`] needs to run that ISA's assembly.
 pub trait Cpu: Default {
     /// How many integer and floating-point arguments the calling convention
-    /// passes in registers.
+    /// passes in registers: the ISA's [`slade_asm::Isa::arg_regs`].
     const ARG_REGS: (usize, usize);
 
     /// The register holding integer argument `n` (also a libc argument).

@@ -1,19 +1,21 @@
-//! The two emulators and the MiniC interpreter agree about libc: for every
-//! builtin in the emulators' shared table, a one-line function that calls
-//! it — compiled for x86-64 and for AArch64 — returns on its emulator what
-//! `minic::interp` returns, and leaves the same bytes in its buffers.
+//! Compiled code and the MiniC interpreter agree. Two tables, each call
+//! compiled for x86-64 and for AArch64 at -O0 and -O3, must return on its
+//! emulator what `minic::interp` returns and leave the same bytes in its
+//! buffers:
+//! - libc: for every builtin in the emulators' shared table, a one-line
+//!   function that calls it;
+//! - the agreement table (`agreement/mod.rs`): casts, memory widths,
+//!   floats, wide constants, predicates, division, shifts, register
+//!   arguments, `switch` and the vectorized loop. Its unordered float
+//!   compares are checked on AArch64 only.
 
+mod agreement;
+
+use agreement::{In, Row, ROWS, UNORDERED};
 use slade_asm::parse_asm;
-use slade_compiler::{compile_function, CompileOpts, Isa, OptLevel};
+use slade_compiler::{compile_all, CompileOpts, Isa, OptLevel};
 use slade_emu::{Arg, ArmEmulator, Cpu, Emulator, Machine};
 use slade_minic::{parse_program, Interpreter, Value};
-
-#[derive(Clone, Copy)]
-enum In {
-    Int(i64),
-    F64(f64),
-    Buf(&'static [u8]),
-}
 
 /// A call's observable behaviour: the return register as raw bits (an
 /// `int` sign-extended) and every buffer argument afterwards.
@@ -65,6 +67,7 @@ fn on_emulator<C: Cpu>(
     let ret = match src.split(' ').next() {
         Some("double") => emu.ret_f64().to_bits(),
         Some("long") => int,
+        Some("unsigned") => int as u32 as u64,
         _ => int as u32 as i32 as i64 as u64,
     };
     Ok((ret, bufs.iter().map(|&(p, len)| emu.read_buffer(p, len).expect("in range")).collect()))
@@ -73,8 +76,8 @@ fn on_emulator<C: Cpu>(
 fn on_both_isas(src: &str, inputs: &[In], opt: OptLevel) -> [Result<Observed, String>; 2] {
     let program = parse_program(src).expect("parses");
     let asm = |isa| {
-        let s = compile_function(&program, "f", CompileOpts::new(isa, opt)).expect("compiles");
-        parse_asm(&s, isa)
+        let funcs = compile_all(&program, CompileOpts::new(isa, opt)).expect("compiles");
+        parse_asm(&funcs.into_iter().map(|(_, text)| text).collect::<String>(), isa)
     };
     [
         on_emulator(Emulator::new(asm(Isa::X86_64)), src, inputs),
@@ -156,4 +159,31 @@ fn a_name_outside_the_table_fails_the_same_way_on_both_isas() {
         on_both_isas("int f(int x) { return isdigit(x); }", &[In::Int(55)], OptLevel::O0);
     assert_eq!(x86, Err("emulation error: call to undefined function `isdigit`".to_string()));
     assert_eq!(arm, x86);
+}
+
+/// Every call of `rows` on the interpreter, then on both ISAs at both
+/// levels; `arm_only` leaves x86-64 unchecked.
+fn agree(rows: &[Row], arm_only: bool) {
+    for &(src, calls) in rows {
+        for &inputs in calls {
+            let want = Ok(on_interpreter(src, inputs));
+            for opt in [OptLevel::O0, OptLevel::O3] {
+                let [x86, arm] = on_both_isas(src, inputs, opt);
+                if !arm_only {
+                    assert_eq!(x86, want, "x86-64 at {opt}: {src}");
+                }
+                assert_eq!(arm, want, "AArch64 at {opt}: {src}");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_agreement_table_agrees_with_the_interpreter_on_both_isas() {
+    agree(ROWS, false);
+}
+
+#[test]
+fn unordered_float_compares_agree_with_the_interpreter_on_aarch64() {
+    agree(UNORDERED, true);
 }
