@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 /// stops changing (bounded).
 pub fn run_o3_pipeline(m: &mut Module) {
     for _ in 0..6 {
-        let before = fingerprint(m);
+        let before = m.blocks.clone();
         constant_fold(m);
         copy_propagate(m);
         forward_stores(m);
@@ -22,19 +22,27 @@ pub fn run_o3_pipeline(m: &mut Module) {
         eliminate_dead_code(m);
         fold_branches(m);
         remove_unreachable_blocks(m);
-        if fingerprint(m) == before {
+        if same_blocks(&before, &m.blocks) {
             break;
         }
     }
 }
 
-fn fingerprint(m: &Module) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for b in &m.blocks {
-        format!("{:?}{:?}", b.insts, b.term).hash(&mut h);
-    }
-    h.finish()
+/// True when `a` and `b` hold the same IR, with float constants compared
+/// by bits: `-0.0` differs from `0.0`, and a NaN equals itself.
+fn same_blocks(a: &[Block], b: &[Block]) -> bool {
+    let same_inst = |x: &Inst, y: &Inst| match (x, y) {
+        (Inst::FConst { dst, val, ty }, Inst::FConst { dst: dst_y, val: val_y, ty: ty_y }) => {
+            dst == dst_y && ty == ty_y && val.to_bits() == val_y.to_bits()
+        }
+        _ => x == y,
+    };
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.term == y.term
+                && x.insts.len() == y.insts.len()
+                && x.insts.iter().zip(&y.insts).all(|(i, j)| same_inst(i, j))
+        })
 }
 
 /// What is known about a vreg's value.
@@ -684,6 +692,20 @@ mod tests {
             .filter(|i| matches!(i, Inst::Load { .. }))
             .count();
         assert!(loads >= 1, "escaped slot load removed:\n{}", m.display());
+    }
+
+    #[test]
+    fn fixpoint_test_compares_float_constants_by_bits() {
+        let block = |val: f64| {
+            vec![Block {
+                insts: vec![Inst::FConst { dst: 0, val, ty: Ty::F64 }],
+                term: Term::Ret(Some(0)),
+            }]
+        };
+        assert!(!same_blocks(&block(0.0), &block(-0.0)));
+        assert!(same_blocks(&block(f64::NAN), &block(f64::NAN)));
+        assert!(same_blocks(&block(1.5), &block(1.5)));
+        assert!(!same_blocks(&block(1.5), &[]));
     }
 
     #[test]

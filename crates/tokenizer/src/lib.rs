@@ -27,6 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Reserved token ids shared by both tokenizers.
 pub mod special {
@@ -85,88 +86,285 @@ pub fn pretokenize(text: &str) -> Vec<String> {
 
 /// [`pretokenize`] with explicit [`TokenizerOptions`].
 pub fn pretokenize_with(text: &str, opts: TokenizerOptions) -> Vec<String> {
-    #[derive(PartialEq, Clone, Copy)]
-    enum Kind {
-        Ident,
-        Punct,
-    }
-    let mut out: Vec<String> = Vec::new();
-    let mut word = String::new();
-    let mut kind = Kind::Ident;
-    let mut in_string = false;
-    let mut pending_space = false;
-    fn flush(word: &mut String, out: &mut Vec<String>) {
-        if !word.is_empty() {
-            out.push(std::mem::take(word));
+    Pretokens::new(text, opts).map(|t| t.chars().collect()).collect()
+}
+
+/// One pre-token: a [`METASPACE`] when `space` is set, then `text`, a slice
+/// of the input. It is canonical — `space` is set exactly when the string
+/// it spells starts with `▁` — so equal strings are equal pre-tokens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Pretoken<'a> {
+    space: bool,
+    text: &'a str,
+}
+
+impl<'a> Pretoken<'a> {
+    fn new(space: bool, text: &'a str) -> Self {
+        match text.strip_prefix(METASPACE) {
+            Some(rest) if !space => Pretoken { space: true, text: rest },
+            _ => Pretoken { space, text },
         }
     }
-    let push_tok = |tok: String, out: &mut Vec<String>, pending: &mut bool| {
-        if *pending {
-            out.push(format!("{METASPACE}{tok}"));
-            *pending = false;
-        } else {
-            out.push(tok);
-        }
-    };
-    for c in text.chars() {
-        if in_string {
-            if c == '"' {
-                flush(&mut word, &mut out);
-                out.push("\"".to_string());
-                in_string = false;
-            } else if c == ' ' {
-                flush(&mut word, &mut out);
-                out.push(METASPACE.to_string());
-            } else if c.is_ascii_alphabetic() {
-                word.push(c);
-            } else {
-                flush(&mut word, &mut out);
-                out.push(c.to_string());
-            }
-            continue;
-        }
-        // A word-continuation character under the current options?
-        let is_wordy =
-            c.is_ascii_alphabetic() || c == '_' || (!opts.digit_split && c.is_ascii_digit());
+
+    fn chars(self) -> impl Iterator<Item = char> + 'a {
+        self.space.then_some(METASPACE).into_iter().chain(self.text.chars())
+    }
+}
+
+/// What a character outside a string literal does to the pre-token stream.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Quote,
+    SplitDigit,
+    Word,
+    Space,
+    Punct,
+}
+
+impl Class {
+    fn of(c: char, opts: TokenizerOptions) -> Class {
         if c == '"' {
-            flush(&mut word, &mut out);
-            push_tok("\"".to_string(), &mut out, &mut pending_space);
-            in_string = true;
+            Class::Quote
         } else if c.is_ascii_digit() && opts.digit_split {
-            // Digits stand alone so numbers encode consistently.
-            flush(&mut word, &mut out);
-            push_tok(c.to_string(), &mut out, &mut pending_space);
-        } else if is_wordy {
-            if kind == Kind::Punct {
-                flush(&mut word, &mut out);
-            }
-            kind = Kind::Ident;
-            if pending_space && word.is_empty() {
-                word.push(METASPACE);
-                pending_space = false;
-            }
-            word.push(c);
+            Class::SplitDigit
+        } else if c.is_ascii_alphanumeric() || c == '_' {
+            Class::Word
         } else if c.is_whitespace() {
-            flush(&mut word, &mut out);
-            pending_space = true;
-        } else if opts.punct_split {
-            flush(&mut word, &mut out);
-            push_tok(c.to_string(), &mut out, &mut pending_space);
+            Class::Space
         } else {
-            // Punctuation runs merge into one pre-token.
-            if kind == Kind::Ident {
-                flush(&mut word, &mut out);
-            }
-            kind = Kind::Punct;
-            if pending_space && word.is_empty() {
-                word.push(METASPACE);
-                pending_space = false;
-            }
-            word.push(c);
+            Class::Punct
         }
     }
-    flush(&mut word, &mut out);
-    out
+}
+
+/// The pre-tokenizer: the pre-tokens of a text, borrowed from it (the rules
+/// are [`pretokenize`]'s). Every path that splits text goes through it.
+struct Pretokens<'a> {
+    text: &'a str,
+    pos: usize,
+    opts: TokenizerOptions,
+    in_string: bool,
+    space: bool,
+}
+
+impl<'a> Pretokens<'a> {
+    fn new(text: &'a str, opts: TokenizerOptions) -> Self {
+        Pretokens { text, pos: 0, opts, in_string: false, space: false }
+    }
+}
+
+impl<'a> Iterator for Pretokens<'a> {
+    type Item = Pretoken<'a>;
+
+    fn next(&mut self) -> Option<Pretoken<'a>> {
+        loop {
+            let rest = &self.text[self.pos..];
+            let c = rest.chars().next()?;
+            if self.in_string {
+                // Letters group into words, a space is a lone `▁`, and every
+                // other character stands alone.
+                let len = if c.is_ascii_alphabetic() {
+                    run(rest, |c| c.is_ascii_alphabetic())
+                } else {
+                    c.len_utf8()
+                };
+                self.pos += len;
+                self.in_string = c != '"';
+                if c == ' ' {
+                    return Some(Pretoken { space: true, text: "" });
+                }
+                return Some(Pretoken::new(false, &rest[..len]));
+            }
+            let opts = self.opts;
+            let class = Class::of(c, opts);
+            let len = match class {
+                Class::Space => {
+                    self.pos += c.len_utf8();
+                    self.space = true;
+                    continue;
+                }
+                Class::Word => run(rest, |c| Class::of(c, opts) == Class::Word),
+                Class::Punct if !opts.punct_split => {
+                    run(rest, |c| Class::of(c, opts) == Class::Punct)
+                }
+                _ => c.len_utf8(),
+            };
+            self.pos += len;
+            self.in_string = class == Class::Quote;
+            return Some(Pretoken::new(std::mem::take(&mut self.space), &rest[..len]));
+        }
+    }
+}
+
+/// Length in bytes of the run of `keep` characters `text` starts with.
+fn run(text: &str, keep: impl Fn(char) -> bool) -> usize {
+    text.find(|c| !keep(c)).unwrap_or(text.len())
+}
+
+/// Longest piece, in characters, Viterbi segmentation tries.
+const MAX_PIECE_CHARS: usize = 12;
+/// An absent trie node or piece.
+const NONE: u32 = u32::MAX;
+
+/// A character trie over a tokenizer's pieces, derived from them and never
+/// serialized. Node 0 is the root. Every node's children are its slice of
+/// `edges`, sorted by character; the root's children along ASCII
+/// characters and `▁` are also in a dense table.
+#[derive(Debug, Clone)]
+struct Trie {
+    root: [u32; 129],
+    nodes: Vec<Node>,
+    edges: Vec<(char, u32)>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The id of the piece this node spells, or [`NONE`].
+    piece: u32,
+    first_edge: u32,
+    edges: u32,
+}
+
+impl Trie {
+    fn new(pieces: &[String]) -> Trie {
+        let mut children: Vec<Vec<(char, u32)>> = vec![Vec::new()];
+        let mut piece = vec![NONE];
+        for (id, p) in pieces.iter().enumerate() {
+            let mut node = 0;
+            for c in p.chars() {
+                node = match children[node].iter().find(|e| e.0 == c) {
+                    Some(&(_, child)) => child as usize,
+                    None => {
+                        let child = children.len();
+                        children[node].push((c, child as u32));
+                        children.push(Vec::new());
+                        piece.push(NONE);
+                        child
+                    }
+                };
+            }
+            // A repeated piece keeps its last id, as an index built from
+            // `(piece, id)` pairs would.
+            piece[node] = id as u32;
+        }
+        let mut root = [NONE; 129];
+        for &(c, child) in &children[0] {
+            if let Some(slot) = Trie::root_slot(c) {
+                root[slot] = child;
+            }
+        }
+        let mut trie = Trie { root, nodes: Vec::new(), edges: Vec::new() };
+        for (mut kids, piece) in children.into_iter().zip(piece) {
+            kids.sort_unstable();
+            let first_edge = trie.edges.len() as u32;
+            trie.nodes.push(Node { piece, first_edge, edges: kids.len() as u32 });
+            trie.edges.extend(kids);
+        }
+        trie
+    }
+
+    fn root_slot(c: char) -> Option<usize> {
+        match c {
+            METASPACE => Some(128),
+            _ if c.is_ascii() => Some(c as usize),
+            _ => None,
+        }
+    }
+
+    fn children(&self, node: u32) -> &[(char, u32)] {
+        let n = self.nodes[node as usize];
+        &self.edges[n.first_edge as usize..(n.first_edge + n.edges) as usize]
+    }
+
+    /// The child of `node` along `c`.
+    #[inline]
+    fn step(&self, node: u32, c: char) -> Option<u32> {
+        let child = match Trie::root_slot(c) {
+            Some(slot) if node == 0 => self.root[slot],
+            _ => {
+                let edges = self.children(node);
+                edges.binary_search_by_key(&c, |e| e.0).map_or(NONE, |i| edges[i].1)
+            }
+        };
+        (child != NONE).then_some(child)
+    }
+
+    /// The id of the piece `node` spells, if it spells one.
+    fn piece(&self, node: u32) -> Option<u32> {
+        let piece = self.nodes[node as usize].piece;
+        (piece != NONE).then_some(piece)
+    }
+
+    /// The id of the piece spelled by exactly `chars`.
+    fn get(&self, chars: impl Iterator<Item = char>) -> Option<u32> {
+        let mut node = 0;
+        for c in chars {
+            node = self.step(node, c)?;
+        }
+        self.piece(node)
+    }
+}
+
+/// Viterbi segmentation's buffers, reused across the pre-tokens of a call.
+#[derive(Default)]
+struct Lattice {
+    chars: Vec<char>,
+    best: Vec<f64>,
+    back: Vec<Option<(usize, u32)>>,
+}
+
+impl Lattice {
+    /// Appends the highest-scoring segmentation of `token` into pieces of at
+    /// most [`MAX_PIECE_CHARS`] characters to `out`. Ties keep the earliest
+    /// start, then the shortest piece. Returns false, appending nothing,
+    /// when some character is not covered (callers map that to `<unk>`).
+    fn segment(
+        &mut self,
+        token: Pretoken,
+        trie: &Trie,
+        log_probs: &[f64],
+        out: &mut Vec<u32>,
+    ) -> bool {
+        const NEG: f64 = -1e18;
+        let Lattice { chars, best, back } = self;
+        chars.clear();
+        chars.extend(token.chars());
+        let n = chars.len();
+        best.clear();
+        best.resize(n + 1, NEG);
+        back.clear();
+        back.resize(n + 1, None);
+        best[0] = 0.0;
+        for i in 0..n {
+            if best[i] <= NEG / 2.0 {
+                continue;
+            }
+            let mut node = 0;
+            for len in 1..=MAX_PIECE_CHARS.min(n - i) {
+                let Some(child) = trie.step(node, chars[i + len - 1]) else { break };
+                node = child;
+                if let Some(id) = trie.piece(node) {
+                    let score = best[i] + log_probs[id as usize];
+                    if score > best[i + len] {
+                        best[i + len] = score;
+                        back[i + len] = Some((i, id));
+                    }
+                }
+            }
+        }
+        if back[n].is_none() {
+            return false;
+        }
+        // Every link points back to a reachable position, down to 0.
+        let start = out.len();
+        let mut pos = n;
+        while let Some((prev, id)) = back[pos] {
+            out.push(id);
+            pos = prev;
+        }
+        out[start..].reverse();
+        true
+    }
 }
 
 /// A UnigramLM subword tokenizer (SentencePiece-style, trained with EM).
@@ -174,9 +372,10 @@ pub fn pretokenize_with(text: &str, opts: TokenizerOptions) -> Vec<String> {
 pub struct UnigramTokenizer {
     pieces: Vec<String>,
     log_probs: Vec<f64>,
-    index: HashMap<String, u32>,
     #[serde(default)]
     options: TokenizerOptions,
+    #[serde(skip)]
+    trie: OnceLock<Trie>,
 }
 
 impl UnigramTokenizer {
@@ -191,13 +390,14 @@ impl UnigramTokenizer {
     /// [`UnigramTokenizer::train`] with explicit pre-tokenization options
     /// (the ablation entry point; encoding honors the same options).
     pub fn train_with(corpus: &[String], vocab_size: usize, options: TokenizerOptions) -> Self {
-        let mut pretoken_counts: HashMap<String, u64> = HashMap::new();
+        let mut pretoken_counts: HashMap<Pretoken, u64> = HashMap::new();
         for text in corpus {
-            for t in pretokenize_with(text, options) {
+            for t in Pretokens::new(text, options) {
                 *pretoken_counts.entry(t).or_insert(0) += 1;
             }
         }
         // Seed vocabulary: all substrings up to length 8 of the pretokens.
+        // Counts are integers, so sums do not depend on the map's order.
         let mut candidate_counts: HashMap<String, f64> = HashMap::new();
         for (tok, count) in &pretoken_counts {
             let chars: Vec<char> = tok.chars().collect();
@@ -233,19 +433,19 @@ impl UnigramTokenizer {
         pieces.extend(multi.into_iter().map(|(p, _)| p));
         pieces.sort();
         pieces.dedup();
-        let mut log_probs = vec![0.0f64; pieces.len()];
-        let mut index: HashMap<String, u32> =
-            pieces.iter().enumerate().map(|(i, p)| (p.clone(), i as u32)).collect();
         // Uniform init.
-        let init = -((pieces.len() as f64).ln());
-        log_probs.fill(init);
+        let mut log_probs = vec![-((pieces.len() as f64).ln()); pieces.len()];
+        let mut trie = Trie::new(&pieces);
+        let mut lattice = Lattice::default();
+        let mut seg = Vec::new();
         // EM rounds: segment with Viterbi, re-estimate piece probabilities,
         // prune the least useful multi-char pieces.
         for round in 0..3 {
             let mut usage = vec![0.0f64; pieces.len()];
-            for (tok, count) in &pretoken_counts {
-                let seg = viterbi(tok, &index, &log_probs);
-                for id in seg {
+            for (&tok, count) in &pretoken_counts {
+                seg.clear();
+                lattice.segment(tok, &trie, &log_probs, &mut seg);
+                for &id in &seg {
                     usage[id as usize] += *count as f64;
                 }
             }
@@ -260,10 +460,7 @@ impl UnigramTokenizer {
                     let mut order: Vec<usize> = (0..pieces.len()).collect();
                     order.sort_by(|&a, &b| usage[b].total_cmp(&usage[a]));
                     let mut keep = vec![false; pieces.len()];
-                    for (kept, &i) in order.iter().enumerate() {
-                        if kept >= keep_target {
-                            break;
-                        }
+                    for &i in order.iter().take(keep_target) {
                         keep[i] = true;
                     }
                     for (i, p) in pieces.iter().enumerate() {
@@ -271,22 +468,17 @@ impl UnigramTokenizer {
                             keep[i] = true;
                         }
                     }
-                    let mut new_pieces = Vec::new();
-                    let mut new_probs = Vec::new();
-                    for i in 0..pieces.len() {
-                        if keep[i] {
-                            new_pieces.push(pieces[i].clone());
-                            new_probs.push(log_probs[i]);
-                        }
-                    }
-                    pieces = new_pieces;
-                    log_probs = new_probs;
-                    index =
-                        pieces.iter().enumerate().map(|(i, p)| (p.clone(), i as u32)).collect();
+                    (pieces, log_probs) = pieces
+                        .into_iter()
+                        .zip(log_probs)
+                        .zip(&keep)
+                        .filter_map(|(piece, &kept)| kept.then_some(piece))
+                        .unzip();
+                    trie = Trie::new(&pieces);
                 }
             }
         }
-        UnigramTokenizer { pieces, log_probs, index, options }
+        UnigramTokenizer { pieces, log_probs, options, trie: OnceLock::from(trie) }
     }
 
     /// Total vocabulary size including the reserved specials.
@@ -299,19 +491,27 @@ impl UnigramTokenizer {
         self.options
     }
 
-    /// Encodes text into token ids (without BOS/EOS).
+    fn trie(&self) -> &Trie {
+        self.trie.get_or_init(|| Trie::new(&self.pieces))
+    }
+
+    /// Encodes text into token ids (without BOS/EOS). A pre-token that is
+    /// itself a piece is that piece; any other is segmented by Viterbi,
+    /// and one with a character no piece covers is a single `<unk>`.
     pub fn encode(&self, text: &str) -> Vec<u32> {
+        let trie = self.trie();
+        let mut lattice = Lattice::default();
         let mut out = Vec::new();
-        for tok in pretokenize_with(text, self.options) {
-            if let Some(&id) = self.index.get(&tok) {
+        for tok in Pretokens::new(text, self.options) {
+            if let Some(id) = trie.get(tok.chars()) {
                 out.push(id + special::COUNT);
                 continue;
             }
-            let seg = viterbi(&tok, &self.index, &self.log_probs);
-            if seg.is_empty() {
-                out.push(special::UNK);
+            let start = out.len();
+            if lattice.segment(tok, trie, &self.log_probs, &mut out) {
+                out[start..].iter_mut().for_each(|id| *id += special::COUNT);
             } else {
-                out.extend(seg.into_iter().map(|id| id + special::COUNT));
+                out.push(special::UNK);
             }
         }
         out
@@ -345,49 +545,6 @@ impl UnigramTokenizer {
     }
 }
 
-/// Viterbi segmentation of one pretoken into known pieces; empty when some
-/// character is not covered (callers map that to `<unk>`).
-fn viterbi(token: &str, index: &HashMap<String, u32>, log_probs: &[f64]) -> Vec<u32> {
-    let chars: Vec<char> = token.chars().collect();
-    let n = chars.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    const NEG: f64 = -1e18;
-    let mut best = vec![NEG; n + 1];
-    let mut back: Vec<Option<(usize, u32)>> = vec![None; n + 1];
-    best[0] = 0.0;
-    for i in 0..n {
-        if best[i] <= NEG / 2.0 {
-            continue;
-        }
-        let max_len = 12.min(n - i);
-        let mut piece = String::new();
-        for len in 1..=max_len {
-            piece.push(chars[i + len - 1]);
-            if let Some(&id) = index.get(&piece) {
-                let score = best[i] + log_probs[id as usize];
-                if score > best[i + len] {
-                    best[i + len] = score;
-                    back[i + len] = Some((i, id));
-                }
-            }
-        }
-    }
-    if back[n].is_none() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut pos = n;
-    while pos > 0 {
-        let Some((prev, id)) = back[pos] else { return Vec::new() };
-        out.push(id);
-        pos = prev;
-    }
-    out.reverse();
-    out
-}
-
 /// Word-level tokenizer (the BTC baseline's scheme): whole pre-tokens are
 /// vocabulary entries; everything unseen becomes `<unk>`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -399,13 +556,14 @@ pub struct WordTokenizer {
 impl WordTokenizer {
     /// Trains on `corpus`, keeping the `vocab_size` most frequent words.
     pub fn train(corpus: &[String], vocab_size: usize) -> Self {
-        let mut counts: HashMap<String, u64> = HashMap::new();
+        let mut counts: HashMap<Pretoken, u64> = HashMap::new();
         for text in corpus {
-            for t in pretokenize(text) {
+            for t in Pretokens::new(text, TokenizerOptions::default()) {
                 *counts.entry(t).or_insert(0) += 1;
             }
         }
-        let mut ordered: Vec<(String, u64)> = counts.into_iter().collect();
+        let mut ordered: Vec<(String, u64)> =
+            counts.into_iter().map(|(t, count)| (t.chars().collect(), count)).collect();
         ordered.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         ordered.truncate(vocab_size);
         let words: Vec<String> = ordered.into_iter().map(|(w, _)| w).collect();
@@ -418,12 +576,19 @@ impl WordTokenizer {
         self.words.len() + special::COUNT as usize
     }
 
+    /// The index of each pre-token of `text`, `None` when it is not a word.
+    fn lookup<'a>(&'a self, text: &'a str) -> impl Iterator<Item = Option<u32>> + 'a {
+        let mut key = String::new();
+        Pretokens::new(text, TokenizerOptions::default()).map(move |t| {
+            key.clear();
+            key.extend(t.chars());
+            self.index.get(&key).copied()
+        })
+    }
+
     /// Encodes text; unknown words become [`special::UNK`].
     pub fn encode(&self, text: &str) -> Vec<u32> {
-        pretokenize(text)
-            .into_iter()
-            .map(|t| self.index.get(&t).map(|&i| i + special::COUNT).unwrap_or(special::UNK))
-            .collect()
+        self.lookup(text).map(|id| id.map_or(special::UNK, |i| i + special::COUNT)).collect()
     }
 
     /// Decodes ids, spacing words apart (`<unk>` renders as `UNK`).
@@ -443,12 +608,15 @@ impl WordTokenizer {
 
     /// Fraction of tokens in `text` that are out-of-vocabulary.
     pub fn oov_rate(&self, text: &str) -> f64 {
-        let toks = pretokenize(text);
-        if toks.is_empty() {
+        let (mut toks, mut oov) = (0, 0);
+        for id in self.lookup(text) {
+            toks += 1;
+            oov += usize::from(id.is_none());
+        }
+        if toks == 0 {
             return 0.0;
         }
-        let oov = toks.iter().filter(|t| !self.index.contains_key(*t)).count();
-        oov as f64 / toks.len() as f64
+        oov as f64 / toks as f64
     }
 }
 
