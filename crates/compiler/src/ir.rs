@@ -380,22 +380,37 @@ impl Inst {
         }
     }
 
-    /// Registers this instruction reads.
-    pub fn uses(&self) -> Vec<VReg> {
-        match self {
+    /// Registers this instruction reads, in operand order, without
+    /// allocating.
+    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+        let (fixed, args): ([Option<VReg>; 2], &[VReg]) = match self {
             Inst::IConst { .. }
             | Inst::FConst { .. }
             | Inst::SlotAddr { .. }
-            | Inst::GlobalAddr { .. } => vec![],
+            | Inst::GlobalAddr { .. } => ([None, None], &[]),
             Inst::Bin { a, b, .. } | Inst::Cmp { a, b, .. } | Inst::VecBin { a, b, .. } => {
-                vec![*a, *b]
+                ([Some(*a), Some(*b)], &[])
             }
-            Inst::Load { addr, .. } | Inst::VecLoad { addr, .. } => vec![*addr],
-            Inst::Store { addr, src, .. } | Inst::VecStore { addr, src } => vec![*addr, *src],
-            Inst::Call { args, .. } => args.clone(),
+            Inst::Load { addr, .. } | Inst::VecLoad { addr, .. } => ([Some(*addr), None], &[]),
+            Inst::Store { addr, src, .. } | Inst::VecStore { addr, src } => {
+                ([Some(*addr), Some(*src)], &[])
+            }
+            Inst::Call { args, .. } => ([None, None], args),
             Inst::Cast { src, .. } | Inst::Copy { src, .. } | Inst::VecSplat { src, .. } => {
-                vec![*src]
+                ([Some(*src), None], &[])
             }
+        };
+        fixed.into_iter().flatten().chain(args.iter().copied())
+    }
+
+    /// The address operand of a load or store.
+    pub fn mem_addr(&self) -> Option<VReg> {
+        match self {
+            Inst::Load { addr, .. }
+            | Inst::VecLoad { addr, .. }
+            | Inst::Store { addr, .. }
+            | Inst::VecStore { addr, .. } => Some(*addr),
+            _ => None,
         }
     }
 
@@ -424,12 +439,22 @@ pub enum Term {
 }
 
 impl Term {
-    /// Successor block ids.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Term::Jmp(b) => vec![*b],
-            Term::Br { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-            Term::Ret(_) => vec![],
+    /// Successor block ids, without allocating.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let succ = match *self {
+            Term::Jmp(b) => [Some(b), None],
+            Term::Br { then_bb, else_bb, .. } => [Some(then_bb), Some(else_bb)],
+            Term::Ret(_) => [None, None],
+        };
+        succ.into_iter().flatten()
+    }
+
+    /// The register this terminator reads, if any.
+    pub fn use_reg(&self) -> Option<VReg> {
+        match *self {
+            Term::Br { cond, .. } => Some(cond),
+            Term::Ret(v) => v,
+            Term::Jmp(_) => None,
         }
     }
 }
@@ -517,10 +542,18 @@ mod tests {
     fn def_use_accounting() {
         let i = Inst::Bin { op: IrBinOp::Add, dst: 2, a: 0, b: 1, ty: Ty::I32 };
         assert_eq!(i.def(), Some(2));
-        assert_eq!(i.uses(), vec![0, 1]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(i.mem_addr(), None);
         let s = Inst::Store { addr: 3, src: 2, ty: Ty::I32 };
         assert_eq!(s.def(), None);
+        assert_eq!(s.uses().collect::<Vec<_>>(), [3, 2]);
+        assert_eq!(s.mem_addr(), Some(3));
         assert!(s.has_side_effects());
+        let args = vec![4, 5, 6];
+        let c =
+            Inst::Call { dst: None, callee: "g".into(), args, arg_tys: vec![], ret_ty: None };
+        assert_eq!(c.uses().collect::<Vec<_>>(), [4, 5, 6]);
+        assert_eq!(Inst::SlotAddr { dst: 1, slot: 0 }.uses().count(), 0);
     }
 
     #[test]
@@ -545,9 +578,14 @@ mod tests {
 
     #[test]
     fn term_successors() {
-        assert_eq!(Term::Jmp(3).successors(), vec![3]);
-        assert_eq!(Term::Br { cond: 0, then_bb: 1, else_bb: 2 }.successors(), vec![1, 2]);
-        assert!(Term::Ret(None).successors().is_empty());
+        let br = Term::Br { cond: 7, then_bb: 1, else_bb: 2 };
+        assert_eq!(Term::Jmp(3).successors().collect::<Vec<_>>(), [3]);
+        assert_eq!(br.successors().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(Term::Ret(Some(4)).successors().count(), 0);
+        assert_eq!(
+            [Term::Jmp(3).use_reg(), br.use_reg(), Term::Ret(Some(4)).use_reg()],
+            [None, Some(7), Some(4)]
+        );
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The paper trains and evaluates on GCC-produced assembly for x86-64 and
 //! ARM (AArch64) at `-O0` and `-O3`. This crate reproduces that substrate:
 //! it lowers type-checked MiniC to a small three-address IR, optionally runs
-//! the `-O3` pipeline (constant folding/propagation, copy propagation, dead
-//! code elimination, strength reduction, loop unrolling and x86
-//! auto-vectorization), and emits GCC-flavoured textual assembly for both
-//! ISAs.
+//! the `-O3` pipeline (loop unrolling and x86 auto-vectorization, constant
+//! folding/propagation, copy propagation, store forwarding, algebraic
+//! identities, dead store and dead code elimination, register allocation),
+//! and emits GCC-flavoured textual assembly for both ISAs.
 //!
 //! The *shape* of the output matters more than cycle counts: `-O0` code is
 //! stack-slot verbose (as GCC's is), `-O3` code is register-allocated,

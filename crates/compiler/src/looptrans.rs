@@ -1,8 +1,9 @@
 //! Source-level `-O3` loop transforms: unrolling and x86 auto-vectorization.
 //!
-//! GCC performs these on GIMPLE/RTL; we perform them on the MiniC AST and
-//! re-run semantic analysis afterwards (the lowerer pretty-prints and
-//! re-parses, so node ids stay consistent). The observable effect is the
+//! GCC performs these on GIMPLE/RTL; we perform them on the MiniC AST. The
+//! new nodes carry no ids, so the lowerer pretty-prints, re-parses and
+//! re-checks a program whose loops were rewritten; a function with no
+//! rewritten loop is lowered as it came. The observable effect is the
 //! same as the paper's Figure 1: a simple array loop at `-O3` becomes a
 //! vectorized main loop plus a scalar remainder, and counted loops without
 //! vectorizable bodies are unrolled 4×.
@@ -15,25 +16,34 @@
 use crate::Isa;
 use slade_minic::ast::*;
 use slade_minic::types::{IntKind, Type};
-use slade_minic::{Program, Sema};
+use slade_minic::{Program, TypeMap};
 
-/// Applies `-O3` loop transforms to function `name` of `program`.
+/// Applies `-O3` loop transforms to function `name` of `program`, typed by
+/// `tm`, its [`slade_minic::Sema::check`] result.
 ///
-/// Functions other than `name` are left untouched. If the program fails
-/// semantic analysis (it shouldn't — callers check first), the original is
-/// returned unchanged.
-pub fn transform_program(program: &Program, name: &str, isa: Isa) -> Program {
-    let Ok(tm) = Sema::check(program) else {
-        return program.clone();
-    };
-    let mut out = program.clone();
-    for item in &mut out.items {
-        if let Item::Function(f) = item {
-            if f.name == name {
-                if let Some(body) = &mut f.body {
-                    let mut ctx = Transform { tm: &tm, isa };
-                    ctx.stmt(body);
-                }
+/// Returns the rewritten program, or `None` when no loop of `name` was
+/// vectorized or unrolled. Functions other than `name` are left untouched.
+pub fn transform_program(
+    program: &Program,
+    tm: &TypeMap,
+    name: &str,
+    isa: Isa,
+) -> Option<Program> {
+    let mut out: Option<Program> = None;
+    for (i, item) in program.items.iter().enumerate() {
+        let Item::Function(Function { name: fname, body: Some(body), .. }) = item else {
+            continue;
+        };
+        if fname != name {
+            continue;
+        }
+        let mut body = body.clone();
+        let mut ctx = Transform { tm, isa, rewrote: false };
+        ctx.stmt(&mut body);
+        if ctx.rewrote {
+            let out = out.get_or_insert_with(|| program.clone());
+            if let Item::Function(f) = &mut out.items[i] {
+                f.body = Some(body);
             }
         }
     }
@@ -41,8 +51,10 @@ pub fn transform_program(program: &Program, name: &str, isa: Isa) -> Program {
 }
 
 struct Transform<'a> {
-    tm: &'a slade_minic::sema::TypeMap,
+    tm: &'a TypeMap,
     isa: Isa,
+    /// Set once `try_vectorize` or `try_unroll` rewrites a loop.
+    rewrote: bool,
 }
 
 impl Transform<'_> {
@@ -67,14 +79,10 @@ impl Transform<'_> {
             _ => {}
         }
         if let StmtKind::For { .. } = &s.kind {
-            if self.isa == Isa::X86_64 {
-                if let Some(replacement) = self.try_vectorize(s) {
-                    *s = replacement;
-                    return;
-                }
-            }
-            if let Some(replacement) = self.try_unroll(s) {
+            let vectorized = if self.isa == Isa::X86_64 { self.try_vectorize(s) } else { None };
+            if let Some(replacement) = vectorized.or_else(|| self.try_unroll(s)) {
                 *s = replacement;
+                self.rewrote = true;
             }
         }
     }
@@ -564,12 +572,15 @@ fn expr_stmt(e: Expr) -> Stmt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slade_minic::{parse_program, pretty_program};
+    use slade_minic::{parse_program, pretty_program, Sema};
 
     fn transformed(src: &str, name: &str, isa: Isa) -> String {
         let p = parse_program(src).unwrap();
-        let t = transform_program(&p, name, isa);
-        pretty_program(&t)
+        let tm = Sema::check(&p).unwrap();
+        match transform_program(&p, &tm, name, isa) {
+            Some(t) => pretty_program(&t),
+            None => pretty_program(&p),
+        }
     }
 
     #[test]
@@ -613,6 +624,18 @@ mod tests {
     }
 
     #[test]
+    fn reports_whether_a_loop_was_rewritten() {
+        let src = "int find(int *a, int n, int x) { for (int i = 0; i < n; i++) { if (a[i] == x) break; } return 0; } \
+                   int sum(int *a, int n) { int s = 0; for (int i = 0; i < n; i++) s += a[i]; return s; }";
+        let p = parse_program(src).unwrap();
+        let tm = Sema::check(&p).unwrap();
+        assert!(transform_program(&p, &tm, "find", Isa::X86_64).is_none());
+        let t = transform_program(&p, &tm, "sum", Isa::X86_64).expect("sum unrolls");
+        let find = |p: &Program| format!("{:?}", p.function("find"));
+        assert_eq!(find(&t), find(&p), "only the named function is rewritten");
+    }
+
+    #[test]
     fn leaves_float_arrays_unvectorized() {
         let src = "void f(double *a, int n) { for (int i = 0; i < n; i++) a[i] += 1.5; }";
         let out = transformed(src, "f", Isa::X86_64);
@@ -639,7 +662,8 @@ mod tests {
         // The *unrolled* (non-vector) transform must be behavior-preserving;
         // driver is transformed too when named.
         let p = parse_program(src).unwrap();
-        let t = transform_program(&p, "driver", Isa::Arm64);
+        let tm = Sema::check(&p).unwrap();
+        let t = transform_program(&p, &tm, "driver", Isa::Arm64).expect("driver unrolls");
         let printed = pretty_program(&t);
         let p2 = parse_program(&printed).unwrap();
         let mut i1 = Interpreter::new(&p).unwrap();

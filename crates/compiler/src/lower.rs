@@ -13,8 +13,9 @@ use slade_minic::types::{IntKind, Type};
 use slade_minic::{parse_program, pretty_program, Program, Sema};
 use std::collections::HashMap;
 
-/// Lowers the named function to IR, applying `-O3` source-level loop
-/// transforms (unrolling, vectorization) first when requested.
+/// Lowers the named function of `program`, typed by `tm`, to IR, applying
+/// `-O3` source-level loop transforms (unrolling, vectorization) first when
+/// requested.
 ///
 /// # Errors
 ///
@@ -27,20 +28,22 @@ pub fn lower_function(
     opts: CompileOpts,
 ) -> Result<Module> {
     if opts.opt == OptLevel::O3 {
-        // Source-to-source loop transforms, then a fresh sema pass so every
-        // new expression node is typed.
-        let transformed = crate::looptrans::transform_program(program, name, opts.isa);
-        let src = pretty_program(&transformed);
-        let reparsed = parse_program(&src).map_err(CompileError::Frontend)?;
-        let tm2 = Sema::check(&reparsed).map_err(CompileError::Frontend)?;
-        let f = reparsed
-            .function(name)
-            .ok_or_else(|| CompileError::NoSuchFunction(name.to_string()))?;
-        return Lowerer::new(&reparsed, &tm2, opts).lower(f);
+        if let Some(transformed) =
+            crate::looptrans::transform_program(program, tm, name, opts.isa)
+        {
+            // The rewritten loops' nodes have no ids yet: print, re-parse and
+            // re-check so every node is numbered and typed.
+            let reparsed = parse_program(&pretty_program(&transformed))?;
+            return lower_checked(&reparsed, &Sema::check(&reparsed)?, name);
+        }
     }
+    lower_checked(program, tm, name)
+}
+
+fn lower_checked(program: &Program, tm: &TypeMap, name: &str) -> Result<Module> {
     let f =
         program.function(name).ok_or_else(|| CompileError::NoSuchFunction(name.to_string()))?;
-    Lowerer::new(program, tm, opts).lower(f)
+    Lowerer::new(tm).lower(f)
 }
 
 /// Where a named variable lives.
@@ -63,7 +66,7 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(_program: &'a Program, tm: &'a TypeMap, _opts: CompileOpts) -> Self {
+    fn new(tm: &'a TypeMap) -> Self {
         Lowerer {
             tm,
             module: Module {
@@ -934,22 +937,19 @@ impl<'a> Lowerer<'a> {
         if callee == "__vec_op_i32" {
             return self.lower_vec_intrinsic(args);
         }
-        let sig = self.tm.signatures.get(callee).cloned();
+        let sig = self.tm.signature(callee);
         let mut argv = Vec::new();
         let mut arg_tys = Vec::new();
         for (i, a) in args.iter().enumerate() {
             let v = self.lower_expr(a)?;
             let from = self.tm.value_type(a.id);
-            let to = match &sig {
-                Some(s) if i < s.params.len() => s.params[i].clone(),
-                _ => from.clone(),
-            };
-            let v = self.convert(v, &from, &to);
-            arg_tys.push(machine_ty(&to).unwrap_or(Ty::I64));
+            let to = sig.and_then(|s| s.params.get(i)).unwrap_or(&from);
+            let v = self.convert(v, &from, to);
+            arg_tys.push(machine_ty(to).unwrap_or(Ty::I64));
             argv.push(v);
         }
-        let ret_minic = sig.map(|s| s.ret).unwrap_or(Type::int());
-        let ret_ty = machine_ty_opt(&ret_minic);
+        // A callee without a signature returns `int`.
+        let ret_ty = sig.map_or(Some(Ty::I32), |s| machine_ty_opt(&s.ret));
         let dst = ret_ty.map(|t| self.module.new_vreg(t));
         self.emit(Inst::Call { dst, callee: callee.to_string(), args: argv, arg_tys, ret_ty });
         let _ = e;

@@ -1,13 +1,13 @@
 //! `-O3` IR pass pipeline: constant folding/propagation, copy propagation,
-//! store-to-load forwarding, dead code elimination, branch folding and
-//! unreachable-block removal.
+//! store-to-load forwarding, algebraic identities, dead store and dead code
+//! elimination, branch folding and unreachable-block removal.
 //!
 //! The IR is SSA-like (every vreg has exactly one definition; control-flow
 //! merges go through stack slots), so global constant and copy propagation
-//! are simple def-table walks — no dataflow fixpoints needed.
+//! are simple def-table walks — no dataflow fixpoints needed. Vreg, slot and
+//! block ids are dense, so every table is a `Vec` indexed by the id.
 
 use crate::ir::*;
-use std::collections::{HashMap, HashSet};
 
 /// Runs the full `-O3` pipeline in a fixed order, iterating until the module
 /// stops changing (bounded).
@@ -52,19 +52,14 @@ enum Known {
     Float(f64, Ty),
 }
 
-fn known_values(m: &Module) -> HashMap<VReg, Known> {
-    let mut known = HashMap::new();
-    for b in &m.blocks {
-        for inst in &b.insts {
-            match inst {
-                Inst::IConst { dst, val, ty } => {
-                    known.insert(*dst, Known::Int(*val, *ty));
-                }
-                Inst::FConst { dst, val, ty } => {
-                    known.insert(*dst, Known::Float(*val, *ty));
-                }
-                _ => {}
-            }
+/// The constant each vreg is defined as, if any, indexed by vreg.
+fn known_values(m: &Module) -> Vec<Option<Known>> {
+    let mut known = vec![None; m.vreg_count()];
+    for inst in m.blocks.iter().flat_map(|b| &b.insts) {
+        match *inst {
+            Inst::IConst { dst, val, ty } => known[dst as usize] = Some(Known::Int(val, ty)),
+            Inst::FConst { dst, val, ty } => known[dst as usize] = Some(Known::Float(val, ty)),
+            _ => {}
         }
     }
     known
@@ -80,49 +75,53 @@ pub fn constant_fold(m: &mut Module) {
     for b in &mut m.blocks {
         for inst in &mut b.insts {
             let replacement = match inst {
-                Inst::Bin { op, dst, a, b, ty } => match (known.get(a), known.get(b)) {
-                    (Some(Known::Int(x, _)), Some(Known::Int(y, _))) => {
-                        fold_int_bin(*op, *x, *y, *ty).map(|v| Inst::IConst {
-                            dst: *dst,
-                            val: v,
-                            ty: *ty,
-                        })
+                Inst::Bin { op, dst, a, b, ty } => {
+                    match (known[*a as usize], known[*b as usize]) {
+                        (Some(Known::Int(x, _)), Some(Known::Int(y, _))) => {
+                            fold_int_bin(*op, x, y, *ty).map(|v| Inst::IConst {
+                                dst: *dst,
+                                val: v,
+                                ty: *ty,
+                            })
+                        }
+                        (Some(Known::Float(x, _)), Some(Known::Float(y, _))) => {
+                            fold_float_bin(*op, x, y).map(|v| Inst::FConst {
+                                dst: *dst,
+                                val: v,
+                                ty: *ty,
+                            })
+                        }
+                        _ => None,
                     }
-                    (Some(Known::Float(x, _)), Some(Known::Float(y, _))) => {
-                        fold_float_bin(*op, *x, *y).map(|v| Inst::FConst {
-                            dst: *dst,
-                            val: v,
-                            ty: *ty,
-                        })
+                }
+                Inst::Cmp { pred, dst, a, b, .. } => {
+                    match (known[*a as usize], known[*b as usize]) {
+                        (Some(Known::Int(x, _)), Some(Known::Int(y, _))) => {
+                            let v = eval_pred_int(*pred, x, y);
+                            Some(Inst::IConst { dst: *dst, val: v as i64, ty: Ty::I32 })
+                        }
+                        _ => None,
                     }
-                    _ => None,
-                },
-                Inst::Cmp { pred, dst, a, b, .. } => match (known.get(a), known.get(b)) {
-                    (Some(Known::Int(x, _)), Some(Known::Int(y, _))) => {
-                        let v = eval_pred_int(*pred, *x, *y);
-                        Some(Inst::IConst { dst: *dst, val: v as i64, ty: Ty::I32 })
-                    }
-                    _ => None,
-                },
-                Inst::Cast { dst, src, kind } => known.get(src).and_then(|k| {
-                    fold_cast(*kind, *k).map(|folded| match folded {
+                }
+                Inst::Cast { dst, src, kind } => known[*src as usize].and_then(|k| {
+                    fold_cast(*kind, k).map(|folded| match folded {
                         Known::Int(v, ty) => Inst::IConst { dst: *dst, val: v, ty },
                         Known::Float(v, ty) => Inst::FConst { dst: *dst, val: v, ty },
                     })
                 }),
-                Inst::Copy { dst, src, .. } => known.get(src).map(|k| match *k {
+                Inst::Copy { dst, src, .. } => known[*src as usize].map(|k| match k {
                     Known::Int(v, ty) => Inst::IConst { dst: *dst, val: v, ty },
                     Known::Float(v, ty) => Inst::FConst { dst: *dst, val: v, ty },
                 }),
                 _ => None,
             };
             if let Some(r) = replacement {
-                match &r {
+                match r {
                     Inst::IConst { dst, val, ty } => {
-                        known.insert(*dst, Known::Int(*val, *ty));
+                        known[dst as usize] = Some(Known::Int(val, ty));
                     }
                     Inst::FConst { dst, val, ty } => {
-                        known.insert(*dst, Known::Float(*val, *ty));
+                        known[dst as usize] = Some(Known::Float(val, ty));
                     }
                     _ => {}
                 }
@@ -132,78 +131,71 @@ pub fn constant_fold(m: &mut Module) {
     }
 }
 
+/// How a function's stack slots are addressed, indexed by vreg and slot.
+struct SlotUses {
+    /// The slot each `SlotAddr` result points to, by vreg.
+    slot_of_addr: Vec<Option<SlotId>>,
+    /// Slots whose address is used other than as a load or store address.
+    escaped: Vec<bool>,
+    /// Slots some load reads.
+    loaded: Vec<bool>,
+}
+
+impl SlotUses {
+    fn of(m: &Module) -> Self {
+        let mut slot_of_addr = vec![None; m.vreg_count()];
+        for inst in m.blocks.iter().flat_map(|b| &b.insts) {
+            if let Inst::SlotAddr { dst, slot } = *inst {
+                slot_of_addr[dst as usize] = Some(slot);
+            }
+        }
+        let n = m.slots.len();
+        let mut uses =
+            SlotUses { slot_of_addr, escaped: vec![false; n], loaded: vec![false; n] };
+        for b in &m.blocks {
+            for inst in &b.insts {
+                let addr = inst.mem_addr();
+                if let (Inst::Load { .. } | Inst::VecLoad { .. }, Some(s)) =
+                    (inst, addr.and_then(|a| uses.slot(a)))
+                {
+                    uses.loaded[s as usize] = true;
+                }
+                // A slot address stored *as data* escapes, and so does any
+                // use outside a load / store address position.
+                if let Inst::Store { src, .. } | Inst::VecStore { src, .. } = *inst {
+                    uses.escape(src);
+                }
+                for used in inst.uses().filter(|&u| Some(u) != addr) {
+                    uses.escape(used);
+                }
+            }
+            if let Some(v) = b.term.use_reg() {
+                uses.escape(v);
+            }
+        }
+        uses
+    }
+
+    fn slot(&self, addr: VReg) -> Option<SlotId> {
+        self.slot_of_addr[addr as usize]
+    }
+
+    fn escape(&mut self, v: VReg) {
+        if let Some(s) = self.slot(v) {
+            self.escaped[s as usize] = true;
+        }
+    }
+}
+
 /// Removes stores to non-escaping stack slots that are never loaded.
 pub fn eliminate_dead_stores(m: &mut Module) {
-    let mut slot_of_addr: HashMap<VReg, SlotId> = HashMap::new();
-    for b in &m.blocks {
-        for inst in &b.insts {
-            if let Inst::SlotAddr { dst, slot } = inst {
-                slot_of_addr.insert(*dst, *slot);
-            }
-        }
-    }
-    let mut escaped: HashSet<SlotId> = HashSet::new();
-    let mut loaded: HashSet<SlotId> = HashSet::new();
-    for b in &m.blocks {
-        for inst in &b.insts {
-            match inst {
-                Inst::Load { addr, .. } | Inst::VecLoad { addr, .. } => {
-                    if let Some(s) = slot_of_addr.get(addr) {
-                        loaded.insert(*s);
-                    }
-                }
-                Inst::Store { addr, src, .. } | Inst::VecStore { addr, src } => {
-                    // A slot address stored *as data* escapes.
-                    if let Some(s) = slot_of_addr.get(src) {
-                        escaped.insert(*s);
-                    }
-                    let _ = addr;
-                }
-                _ => {}
-            }
-            // Any use outside a Load/Store address position escapes.
-            let addr_positions: Vec<VReg> = match inst {
-                Inst::Load { addr, .. }
-                | Inst::VecLoad { addr, .. }
-                | Inst::Store { addr, .. }
-                | Inst::VecStore { addr, .. } => vec![*addr],
-                _ => vec![],
-            };
-            for used in inst.uses() {
-                if let Some(slot) = slot_of_addr.get(&used) {
-                    if !addr_positions.contains(&used) {
-                        escaped.insert(*slot);
-                    }
-                }
-            }
-        }
-        for v in b.term.successors() {
-            let _ = v;
-        }
-        match &b.term {
-            Term::Br { cond, .. } => {
-                if let Some(s) = slot_of_addr.get(cond) {
-                    escaped.insert(*s);
-                }
-            }
-            Term::Ret(Some(v)) => {
-                if let Some(s) = slot_of_addr.get(v) {
-                    escaped.insert(*s);
-                }
-            }
-            _ => {}
-        }
-    }
+    let uses = SlotUses::of(m);
     for b in &mut m.blocks {
-        b.insts.retain(|inst| {
-            if let Inst::Store { addr, .. } = inst {
-                if let Some(slot) = slot_of_addr.get(addr) {
-                    if !escaped.contains(slot) && !loaded.contains(slot) {
-                        return false;
-                    }
-                }
-            }
-            true
+        b.insts.retain(|inst| match *inst {
+            Inst::Store { addr, .. } => uses
+                .slot(addr)
+                .is_none_or(|s| uses.escaped[s as usize] || uses.loaded[s as usize]),
+            _ => true,
         });
     }
 }
@@ -311,21 +303,20 @@ fn fold_cast(kind: CastKind, k: Known) -> Option<Known> {
 
 /// Replaces uses of `Copy` destinations with their sources (safe: SSA).
 pub fn copy_propagate(m: &mut Module) {
-    let mut alias: HashMap<VReg, VReg> = HashMap::new();
-    for b in &m.blocks {
-        for inst in &b.insts {
-            if let Inst::Copy { dst, src, .. } = inst {
-                let root = *alias.get(src).unwrap_or(src);
-                alias.insert(*dst, root);
-            }
+    let mut alias: Vec<Option<VReg>> = vec![None; m.vreg_count()];
+    let mut any = false;
+    for inst in m.blocks.iter().flat_map(|b| &b.insts) {
+        if let Inst::Copy { dst, src, .. } = *inst {
+            alias[dst as usize] = Some(alias[src as usize].unwrap_or(src));
+            any = true;
         }
     }
-    if alias.is_empty() {
+    if !any {
         return;
     }
     let remap = |r: &mut VReg| {
-        if let Some(root) = alias.get(r) {
-            *r = *root;
+        if let Some(root) = alias[*r as usize] {
+            *r = root;
         }
     };
     for b in &mut m.blocks {
@@ -361,130 +352,59 @@ fn remap_uses(inst: &mut Inst, remap: &impl Fn(&mut VReg)) {
 }
 
 /// Within each block, forwards stored values to subsequent loads of the same
-/// (non-escaping) stack slot, and removes redundant repeated loads.
+/// (non-escaping) stack slot.
 pub fn forward_stores(m: &mut Module) {
-    // Which slot each address vreg points to.
-    let mut slot_of_addr: HashMap<VReg, SlotId> = HashMap::new();
-    for b in &m.blocks {
-        for inst in &b.insts {
-            if let Inst::SlotAddr { dst, slot } = inst {
-                slot_of_addr.insert(*dst, *slot);
-            }
-        }
-    }
-    // A slot escapes if its address is used anywhere but Load/Store address
-    // position.
-    let mut escaped: HashSet<SlotId> = HashSet::new();
-    for b in &m.blocks {
-        for inst in &b.insts {
-            let addr_positions: Vec<VReg> = match inst {
-                Inst::Load { addr, .. } | Inst::VecLoad { addr, .. } => vec![*addr],
-                Inst::Store { addr, .. } | Inst::VecStore { addr, .. } => vec![*addr],
-                _ => vec![],
-            };
-            for used in inst.uses() {
-                if let Some(slot) = slot_of_addr.get(&used) {
-                    if !addr_positions.contains(&used) {
-                        escaped.insert(*slot);
-                    }
-                }
-            }
-            // A store *of* a slot address escapes the slot too.
-            if let Inst::Store { src, .. } = inst {
-                if let Some(slot) = slot_of_addr.get(src) {
-                    escaped.insert(*slot);
-                }
-            }
-        }
-        if let Term::Br { cond, .. } = &b.term {
-            if let Some(slot) = slot_of_addr.get(cond) {
-                escaped.insert(*slot);
-            }
-        }
-        if let Term::Ret(Some(v)) = &b.term {
-            if let Some(slot) = slot_of_addr.get(v) {
-                escaped.insert(*slot);
-            }
-        }
-    }
+    let uses = SlotUses::of(m);
+    // slot -> (vreg holding current value, store width), reset per block.
+    // Stores through other pointers and calls reach only escaped slots, so
+    // they leave it alone.
+    let mut current: Vec<Option<(VReg, Ty)>> = vec![None; m.slots.len()];
     for b in &mut m.blocks {
-        // slot -> (vreg holding current value, store width)
-        let mut current: HashMap<SlotId, (VReg, Ty)> = HashMap::new();
-        let mut replaced: Vec<(usize, Inst)> = Vec::new();
-        for (i, inst) in b.insts.iter().enumerate() {
-            match inst {
+        current.fill(None);
+        for inst in &mut b.insts {
+            match *inst {
                 Inst::Store { addr, src, ty } => {
-                    match slot_of_addr.get(addr) {
-                        Some(slot) if !escaped.contains(slot) => {
-                            current.insert(*slot, (*src, *ty));
-                        }
-                        Some(_) => {}
-                        None => {
-                            // Unknown pointer store could alias any escaped
-                            // slot — but never a non-escaped one. Keep map.
-                        }
+                    if let Some(s) = uses.slot(addr).filter(|&s| !uses.escaped[s as usize]) {
+                        current[s as usize] = Some((src, ty));
                     }
                 }
                 Inst::Load { dst, addr, ty, .. } => {
-                    if let Some(slot) = slot_of_addr.get(addr) {
-                        if let Some((v, sty)) = current.get(slot) {
-                            // Forward only same-width loads; the vreg types
-                            // must match (same machine class).
-                            if sty == ty && m.vreg_tys[*v as usize] == m.vreg_tys[*dst as usize]
-                            {
-                                replaced.push((i, Inst::Copy { dst: *dst, src: *v, ty: *sty }));
-                            }
+                    // Forward only same-width loads; the vreg types must
+                    // match (same machine class).
+                    if let Some((v, sty)) = uses.slot(addr).and_then(|s| current[s as usize]) {
+                        if sty == ty && m.vreg_tys[v as usize] == m.vreg_tys[dst as usize] {
+                            *inst = Inst::Copy { dst, src: v, ty: sty };
                         }
                     }
-                }
-                Inst::Call { .. } => {
-                    // Calls may write escaped slots only; non-escaped slots
-                    // can't be reached. Keep the map.
                 }
                 _ => {}
             }
         }
-        for (i, inst) in replaced {
-            b.insts[i] = inst;
-        }
     }
 }
 
-/// Multiplications by powers of two become shifts; `±0`/`×1` simplify.
+/// Rewrites `x * 1`, `1 * x`, `x + 0` and `x - 0` on integers into copies.
 pub fn strength_reduce(m: &mut Module) {
     let known = known_values(m);
     for b in &mut m.blocks {
         for inst in &mut b.insts {
-            let Inst::Bin { op, dst, a, b: rhs, ty } = inst else { continue };
+            let Inst::Bin { op, dst, a, b: rhs, ty } = *inst else { continue };
             if !ty.is_int() {
                 continue;
             }
-            let (kn, other, commuted) = match (known.get(a), known.get(rhs)) {
-                (_, Some(k)) => (*k, *a, false),
-                (Some(k), _) => (*k, *rhs, true),
+            let (kn, other, commuted) = match (known[a as usize], known[rhs as usize]) {
+                (_, Some(k)) => (k, a, false),
+                (Some(k), _) => (k, rhs, true),
                 _ => continue,
             };
             let Known::Int(c, _) = kn else { continue };
-            let new = match op {
-                IrBinOp::Mul if c == 1 => Some(Inst::Copy { dst: *dst, src: other, ty: *ty }),
-                IrBinOp::Mul if c > 1 && (c & (c - 1)) == 0 => {
-                    // x * 2^k  →  x << k; need the constant in a vreg, so
-                    // reuse the existing const operand by rewriting in place.
-                    let shift = c.trailing_zeros() as i64;
-                    let cv = if commuted { *a } else { *rhs };
-                    // The const vreg now must hold `shift`; safe only if it
-                    // has a single use. Conservatively skip when shared.
-                    let _ = cv;
-                    let _ = shift;
-                    None
-                }
-                IrBinOp::Add | IrBinOp::Sub if c == 0 && !commuted => {
-                    Some(Inst::Copy { dst: *dst, src: other, ty: *ty })
-                }
-                _ => None,
+            let identity = match op {
+                IrBinOp::Mul => c == 1,
+                IrBinOp::Add | IrBinOp::Sub => c == 0 && !commuted,
+                _ => false,
             };
-            if let Some(n) = new {
-                *inst = n;
+            if identity {
+                *inst = Inst::Copy { dst, src: other, ty };
             }
         }
     }
@@ -493,35 +413,19 @@ pub fn strength_reduce(m: &mut Module) {
 /// Removes instructions whose results are never used and that have no side
 /// effects. Iterates to a fixpoint.
 pub fn eliminate_dead_code(m: &mut Module) {
+    let mut used = vec![false; m.vreg_count()];
     loop {
-        let mut used: HashSet<VReg> = HashSet::new();
+        used.fill(false);
         for b in &m.blocks {
-            for inst in &b.insts {
-                for u in inst.uses() {
-                    used.insert(u);
-                }
-            }
-            match &b.term {
-                Term::Br { cond, .. } => {
-                    used.insert(*cond);
-                }
-                Term::Ret(Some(v)) => {
-                    used.insert(*v);
-                }
-                _ => {}
+            for u in b.insts.iter().flat_map(Inst::uses).chain(b.term.use_reg()) {
+                used[u as usize] = true;
             }
         }
         let mut removed = 0usize;
         for b in &mut m.blocks {
             let before = b.insts.len();
             b.insts.retain(|inst| {
-                if inst.has_side_effects() {
-                    return true;
-                }
-                match inst.def() {
-                    Some(d) => used.contains(&d),
-                    None => true,
-                }
+                inst.has_side_effects() || inst.def().is_none_or(|d| used[d as usize])
             });
             removed += before - b.insts.len();
         }
@@ -536,8 +440,8 @@ pub fn fold_branches(m: &mut Module) {
     let known = known_values(m);
     for b in &mut m.blocks {
         if let Term::Br { cond, then_bb, else_bb } = &b.term {
-            if let Some(Known::Int(v, _)) = known.get(cond) {
-                b.term = Term::Jmp(if *v != 0 { *then_bb } else { *else_bb });
+            if let Some(Known::Int(v, _)) = known[*cond as usize] {
+                b.term = Term::Jmp(if v != 0 { *then_bb } else { *else_bb });
             }
         }
     }
@@ -547,20 +451,19 @@ pub fn fold_branches(m: &mut Module) {
 /// threads jumps through empty forwarding blocks.
 pub fn remove_unreachable_blocks(m: &mut Module) {
     // Thread `Jmp`-only empty blocks.
-    let mut forward: HashMap<BlockId, BlockId> = HashMap::new();
-    for (i, b) in m.blocks.iter().enumerate() {
-        if b.insts.is_empty() {
-            if let Term::Jmp(t) = b.term {
-                if t != i as BlockId {
-                    forward.insert(i as BlockId, t);
-                }
-            }
-        }
-    }
+    let forward: Vec<Option<BlockId>> = m
+        .blocks
+        .iter()
+        .enumerate()
+        .map(|(i, b)| match b.term {
+            Term::Jmp(t) if b.insts.is_empty() && t != i as BlockId => Some(t),
+            _ => None,
+        })
+        .collect();
     let nblocks = m.blocks.len();
     let resolve = |mut b: BlockId| {
         let mut fuel = nblocks;
-        while let Some(&t) = forward.get(&b) {
+        while let Some(t) = forward[b as usize] {
             if fuel == 0 {
                 break;
             }
@@ -570,14 +473,7 @@ pub fn remove_unreachable_blocks(m: &mut Module) {
         b
     };
     for b in &mut m.blocks {
-        match &mut b.term {
-            Term::Jmp(t) => *t = resolve(*t),
-            Term::Br { then_bb, else_bb, .. } => {
-                *then_bb = resolve(*then_bb);
-                *else_bb = resolve(*else_bb);
-            }
-            Term::Ret(_) => {}
-        }
+        retarget(&mut b.term, resolve);
     }
     // Reachability from entry.
     let mut reachable = vec![false; m.blocks.len()];
@@ -587,30 +483,37 @@ pub fn remove_unreachable_blocks(m: &mut Module) {
             continue;
         }
         reachable[b as usize] = true;
-        for s in m.blocks[b as usize].term.successors() {
-            stack.push(s);
-        }
+        stack.extend(m.blocks[b as usize].term.successors());
     }
     // Renumber.
     let mut remap = vec![0 as BlockId; m.blocks.len()];
-    let mut kept = Vec::new();
-    for (i, b) in m.blocks.iter().enumerate() {
-        if reachable[i] {
-            remap[i] = kept.len() as BlockId;
-            kept.push(b.clone());
+    let mut kept = 0;
+    for (i, &r) in reachable.iter().enumerate() {
+        if r {
+            remap[i] = kept;
+            kept += 1;
         }
     }
-    for b in &mut kept {
-        match &mut b.term {
-            Term::Jmp(t) => *t = remap[*t as usize],
-            Term::Br { then_bb, else_bb, .. } => {
-                *then_bb = remap[*then_bb as usize];
-                *else_bb = remap[*else_bb as usize];
-            }
-            Term::Ret(_) => {}
-        }
+    let mut i = 0;
+    m.blocks.retain(|_| {
+        i += 1;
+        reachable[i - 1]
+    });
+    for b in &mut m.blocks {
+        retarget(&mut b.term, |t| remap[t as usize]);
     }
-    m.blocks = kept;
+}
+
+/// Rewrites every successor of `term` through `f`.
+fn retarget(term: &mut Term, f: impl Fn(BlockId) -> BlockId) {
+    match term {
+        Term::Jmp(t) => *t = f(*t),
+        Term::Br { then_bb, else_bb, .. } => {
+            *then_bb = f(*then_bb);
+            *else_bb = f(*else_bb);
+        }
+        Term::Ret(_) => {}
+    }
 }
 
 #[cfg(test)]

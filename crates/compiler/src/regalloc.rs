@@ -9,7 +9,6 @@
 //! registers, which keeps both backends simple.
 
 use crate::ir::*;
-use std::collections::HashMap;
 
 /// The result of allocation: a physical register index per vreg, or `None`
 /// for spilled (stack-resident) values.
@@ -42,64 +41,46 @@ struct Interval {
 /// forward-order assumption (defensive; should not happen for IR produced
 /// by this crate's lowerer).
 pub fn allocate(m: &Module, pool_size: usize) -> Allocation {
-    // Linearize: number every instruction and terminator.
-    let mut def: HashMap<VReg, usize> = HashMap::new();
-    let mut last_use: HashMap<VReg, usize> = HashMap::new();
-    let mut crosses_call: HashMap<VReg, bool> = HashMap::new();
+    // Linearize: number every instruction and terminator. Both tables are
+    // indexed by vreg.
+    let mut def: Vec<Option<usize>> = vec![None; m.vreg_count()];
+    let mut last_use: Vec<Option<usize>> = vec![None; m.vreg_count()];
     let mut idx = 0usize;
-    let mut call_positions = Vec::new();
     for (r, _) in &m.params {
-        def.insert(*r, 0);
+        def[*r as usize] = Some(0);
     }
     for b in &m.blocks {
         for inst in &b.insts {
             idx += 1;
-            if matches!(inst, Inst::Call { .. }) {
-                call_positions.push(idx);
-            }
             for u in inst.uses() {
-                let Some(&d) = def.get(&u) else {
-                    return Allocation::all_spilled(m.vreg_count());
-                };
-                if idx < d {
-                    return Allocation::all_spilled(m.vreg_count());
+                match def[u as usize] {
+                    Some(d) if d <= idx => last_use[u as usize] = Some(idx),
+                    _ => return Allocation::all_spilled(m.vreg_count()),
                 }
-                last_use.insert(u, idx);
             }
             if let Some(d) = inst.def() {
-                def.insert(d, idx);
+                def[d as usize] = Some(idx);
             }
         }
         idx += 1;
-        match &b.term {
-            Term::Br { cond, .. } => {
-                if !def.contains_key(cond) {
-                    return Allocation::all_spilled(m.vreg_count());
-                }
-                last_use.insert(*cond, idx);
+        if let Some(v) = b.term.use_reg() {
+            if def[v as usize].is_none() {
+                return Allocation::all_spilled(m.vreg_count());
             }
-            Term::Ret(Some(v)) => {
-                if !def.contains_key(v) {
-                    return Allocation::all_spilled(m.vreg_count());
-                }
-                last_use.insert(*v, idx);
-            }
-            _ => {}
+            last_use[v as usize] = Some(idx);
         }
     }
-    // Build intervals for integer vregs only.
-    let mut intervals: Vec<Interval> = Vec::new();
-    for (vreg, &start) in &def {
-        let ty = m.vreg_tys[*vreg as usize];
-        if !ty.is_int() {
-            continue;
-        }
-        let end = last_use.get(vreg).copied().unwrap_or(start);
-        crosses_call.insert(*vreg, call_positions.iter().any(|&c| start < c && c <= end));
-        intervals.push(Interval { vreg: *vreg, start, end });
-    }
-    // `def` iterates in hash order: ties (parameters all start at 0) break
-    // on the vreg, so one function always gets one allocation.
+    // Intervals for integer vregs only; ties (parameters all start at 0)
+    // break on the vreg.
+    let mut intervals: Vec<Interval> = def
+        .iter()
+        .enumerate()
+        .filter(|&(v, _)| m.vreg_tys[v].is_int())
+        .filter_map(|(v, &start)| {
+            let start = start?;
+            Some(Interval { vreg: v as VReg, start, end: last_use[v].unwrap_or(start) })
+        })
+        .collect();
     intervals.sort_by_key(|iv| (iv.start, iv.end, iv.vreg));
     // Classic linear scan.
     let mut assignment = vec![None; m.vreg_count()];

@@ -16,6 +16,7 @@ use crate::ast::*;
 use crate::types::{IntKind, LayoutCtx, Type};
 use crate::{ErrorKind, MiniCError, Result};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A function signature: parameter types and return type.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +36,9 @@ pub struct TypeMap {
     lvalues: Vec<bool>,
     /// Layout context with all struct definitions and typedefs resolved.
     pub layout: LayoutCtx,
-    /// Signatures of all functions (definitions, prototypes and builtins).
-    pub signatures: HashMap<String, Signature>,
+    /// The program's own definitions and prototypes, plus the implicit
+    /// declarations its calls made; the builtins are in one static table.
+    signatures: HashMap<String, Signature>,
     /// Types of globals, typedef-resolved (arrays not decayed).
     pub globals: HashMap<String, Type>,
 }
@@ -61,6 +63,21 @@ impl TypeMap {
     pub fn is_lvalue(&self, id: NodeId) -> bool {
         self.lvalues[id as usize]
     }
+
+    /// The signature a call to `name` is checked against: the program's own
+    /// definition or prototype, else the builtin, else the implicit `int f()`
+    /// declaration its first call made.
+    pub fn signature(&self, name: &str) -> Option<&Signature> {
+        lookup_signature(&self.signatures, name)
+    }
+}
+
+/// The lookup order of [`TypeMap::signature`], over the program's own table.
+fn lookup_signature<'a>(
+    own: &'a HashMap<String, Signature>,
+    name: &str,
+) -> Option<&'a Signature> {
+    own.get(name).or_else(|| builtins().get(name))
 }
 
 /// The semantic analyzer. See the [module docs](self) for the rules.
@@ -100,7 +117,7 @@ impl<'p> Sema<'p> {
         let mut sema = Sema {
             program,
             layout,
-            signatures: builtin_signatures(),
+            signatures: HashMap::new(),
             globals: HashMap::new(),
             types: vec![Type::Void; program.node_count as usize],
             lvalues: vec![false; program.node_count as usize],
@@ -443,7 +460,7 @@ impl<'p> Sema<'p> {
                 self.set(e.id, tt.decay(), false)
             }
             ExprKind::Call { callee, args } => {
-                let sig = self.signatures.get(callee).cloned();
+                let sig = lookup_signature(&self.signatures, callee).cloned();
                 match sig {
                     Some(sig) => {
                         if !sig.variadic && sig.params.len() != args.len() {
@@ -656,58 +673,56 @@ impl<'p> Sema<'p> {
     }
 }
 
-/// Signatures for the libc subset MiniC provides natively.
-fn builtin_signatures() -> HashMap<String, Signature> {
-    use IntKind::*;
-    let mut m = HashMap::new();
-    let vp = Type::ptr(Type::Void);
-    let cp = Type::ptr(Type::Int(Char));
-    let ul = Type::Int(ULong);
-    let i = Type::int();
-    let l = Type::Int(Long);
-    let d = Type::Double;
-    let f = Type::Float;
-    let mut def = |name: &str, params: Vec<Type>, ret: Type| {
-        m.insert(name.to_string(), Signature { params, ret, variadic: false });
-    };
-    def("memcpy", vec![vp.clone(), vp.clone(), ul.clone()], vp.clone());
-    def("memmove", vec![vp.clone(), vp.clone(), ul.clone()], vp.clone());
-    def("memset", vec![vp.clone(), i.clone(), ul.clone()], vp.clone());
-    def("memcmp", vec![vp.clone(), vp.clone(), ul.clone()], i.clone());
-    def("strlen", vec![cp.clone()], ul.clone());
-    def("strcpy", vec![cp.clone(), cp.clone()], cp.clone());
-    def("strncpy", vec![cp.clone(), cp.clone(), ul.clone()], cp.clone());
-    def("strcmp", vec![cp.clone(), cp.clone()], i.clone());
-    def("strncmp", vec![cp.clone(), cp.clone(), ul.clone()], i.clone());
-    def("strcat", vec![cp.clone(), cp.clone()], cp.clone());
-    def("strchr", vec![cp.clone(), i.clone()], cp.clone());
-    def("abs", vec![i.clone()], i.clone());
-    def("labs", vec![l.clone()], l.clone());
-    def("fabs", vec![d.clone()], d.clone());
-    def("fabsf", vec![f.clone()], f.clone());
-    def("sqrt", vec![d.clone()], d.clone());
-    def("sqrtf", vec![f.clone()], f.clone());
-    def("sin", vec![d.clone()], d.clone());
-    def("cos", vec![d.clone()], d.clone());
-    def("tan", vec![d.clone()], d.clone());
-    def("exp", vec![d.clone()], d.clone());
-    def("log", vec![d.clone()], d.clone());
-    def("pow", vec![d.clone(), d.clone()], d.clone());
-    def("floor", vec![d.clone()], d.clone());
-    def("ceil", vec![d.clone()], d.clone());
-    def("fmod", vec![d.clone(), d.clone()], d.clone());
-    def("fmin", vec![d.clone(), d.clone()], d.clone());
-    def("fmax", vec![d.clone(), d.clone()], d.clone());
-    def("isdigit", vec![i.clone()], i.clone());
-    def("isalpha", vec![i.clone()], i.clone());
-    def("isspace", vec![i.clone()], i.clone());
-    def("isupper", vec![i.clone()], i.clone());
-    def("islower", vec![i.clone()], i.clone());
-    def("toupper", vec![i.clone()], i.clone());
-    def("tolower", vec![i.clone()], i.clone());
-    def("putchar", vec![i.clone()], i.clone());
-    m.insert("printf".to_string(), Signature { params: vec![cp], ret: i, variadic: true });
-    m
+/// Signatures for the libc subset MiniC provides natively, built once per
+/// process. A program's own definition or prototype of the same name
+/// shadows one.
+fn builtins() -> &'static HashMap<&'static str, Signature> {
+    static BUILTINS: OnceLock<HashMap<&'static str, Signature>> = OnceLock::new();
+    BUILTINS.get_or_init(|| {
+        use IntKind::*;
+        let mut m = HashMap::new();
+        let vp = Type::ptr(Type::Void);
+        let cp = Type::ptr(Type::Int(Char));
+        let ul = Type::Int(ULong);
+        let i = Type::int();
+        let l = Type::Int(Long);
+        let d = Type::Double;
+        let f = Type::Float;
+        let mut def = |name, params: &[&Type], ret: &Type| {
+            let params = params.iter().map(|&t| t.clone()).collect();
+            m.insert(name, Signature { params, ret: ret.clone(), variadic: false });
+        };
+        def("memcpy", &[&vp, &vp, &ul], &vp);
+        def("memmove", &[&vp, &vp, &ul], &vp);
+        def("memset", &[&vp, &i, &ul], &vp);
+        def("memcmp", &[&vp, &vp, &ul], &i);
+        def("strlen", &[&cp], &ul);
+        def("strcpy", &[&cp, &cp], &cp);
+        def("strncpy", &[&cp, &cp, &ul], &cp);
+        def("strcmp", &[&cp, &cp], &i);
+        def("strncmp", &[&cp, &cp, &ul], &i);
+        def("strcat", &[&cp, &cp], &cp);
+        def("strchr", &[&cp, &i], &cp);
+        def("abs", &[&i], &i);
+        def("labs", &[&l], &l);
+        def("fabs", &[&d], &d);
+        def("fabsf", &[&f], &f);
+        for name in ["sqrt", "sin", "cos", "tan", "exp", "log", "floor", "ceil"] {
+            def(name, &[&d], &d);
+        }
+        def("sqrtf", &[&f], &f);
+        for name in ["pow", "fmod", "fmin", "fmax"] {
+            def(name, &[&d, &d], &d);
+        }
+        for name in [
+            "isdigit", "isalpha", "isspace", "isupper", "islower", "toupper", "tolower",
+            "putchar",
+        ] {
+            def(name, &[&i], &i);
+        }
+        m.insert("printf", Signature { params: vec![cp], ret: i, variadic: true });
+        m
+    })
 }
 
 #[cfg(test)]
@@ -808,6 +823,76 @@ mod tests {
     fn builtin_signatures_enforced() {
         assert!(check("void f(char *s) { strlen(s, 3); }").is_err());
         check("unsigned long f(char *s) { return strlen(s); }").unwrap();
+    }
+
+    /// The types of the calls in `f`'s `return` expression, left to right.
+    fn call_types(p: &Program, tm: &TypeMap) -> Vec<(String, Type)> {
+        fn walk(e: &Expr, tm: &TypeMap, out: &mut Vec<(String, Type)>) {
+            match &e.kind {
+                ExprKind::Call { callee, args } => {
+                    out.push((callee.clone(), tm.value_type(e.id)));
+                    args.iter().for_each(|a| walk(a, tm, out));
+                }
+                ExprKind::Binary(_, l, r) => {
+                    walk(l, tm, out);
+                    walk(r, tm, out);
+                }
+                ExprKind::Cast { expr, .. } => walk(expr, tm, out),
+                _ => {}
+            }
+        }
+        let mut out = Vec::new();
+        let f = p.function("f").unwrap();
+        if let StmtKind::Block(ss) = &f.body.as_ref().unwrap().kind {
+            if let StmtKind::Return(Some(e)) = &ss[0].kind {
+                walk(e, tm, &mut out);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn own_definitions_shadow_builtins_then_implicit_declarations() {
+        let src = "int abs(int a, int b) { return a - b; } double sqrt(double x); \
+                   int f(char *s) { return abs(1, 2) + foo(1, 2) + strlen(s) + (int)sqrt(2.0); }";
+        let p = parse_program(src).unwrap();
+        let tm = Sema::check(&p).unwrap();
+        let ulong = Type::Int(IntKind::ULong);
+        assert_eq!(
+            call_types(&p, &tm),
+            [
+                ("abs", Type::int()),
+                ("foo", Type::int()),
+                ("strlen", ulong),
+                ("sqrt", Type::Double)
+            ]
+            .map(|(n, t)| (n.to_string(), t))
+        );
+        let sig = |name| tm.signature(name).cloned().unwrap();
+        let own = |params: Vec<Type>, ret, variadic| Signature { params, ret, variadic };
+        assert_eq!(sig("abs"), own(vec![Type::int(), Type::int()], Type::int(), false));
+        assert_eq!(sig("sqrt"), own(vec![Type::Double], Type::Double, false));
+        assert_eq!(sig("foo"), own(vec![Type::int(), Type::int()], Type::int(), true));
+        assert_eq!(sig("strlen").params, vec![Type::ptr(Type::Int(IntKind::Char))]);
+        assert!(tm.signature("bar").is_none());
+        // The own two-argument `abs` is what a call is checked against.
+        let one_arg = src.replace("abs(1, 2) +", "abs(1) +");
+        let err = check(&one_arg).unwrap_err();
+        assert!(err.message().contains("`abs` expects 2 argument(s), got 1"), "{err}");
+    }
+
+    #[test]
+    fn implicit_declarations_stay_in_their_program() {
+        check("int abs(int a, int b) { return a; } int f(void) { return foo(1, 2); }").unwrap();
+        // A later program gets its own implicit `foo`, and the builtin `abs`.
+        let p = parse_program("int f(void) { return foo(1, 2, 3) + abs(4); }").unwrap();
+        let tm = Sema::check(&p).unwrap();
+        assert_eq!(tm.signature("foo").unwrap().params.len(), 3);
+        assert_eq!(tm.signature("abs").unwrap().params.len(), 1);
+        let err = check("int f(void) { return abs(1, 2); }").unwrap_err();
+        assert!(err.message().contains("`abs` expects 1 argument(s), got 2"), "{err}");
+        assert_eq!(builtins().len(), 37);
+        assert!(!builtins().contains_key("foo"));
     }
 
     #[test]
