@@ -15,6 +15,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use slade_asm::{parse_asm, Isa};
 use slade_dataset::DatasetItem;
+use slade_minic::replace_ident;
 use slade_nn::Seq2Seq;
 use slade_tokenizer::{special, WordTokenizer};
 
@@ -140,33 +141,9 @@ fn paraphrase(source: &str, wanted_name: &str, seed: u64) -> String {
         for (pname, _) in &f.params {
             if pname.len() > 1 && rng.gen_bool(0.6) {
                 let new = PARAPHRASE_NAMES.choose(&mut rng).unwrap();
-                // Whole-word replacement.
                 out = replace_ident(&out, pname, new);
             }
         }
-    }
-    out
-}
-
-fn replace_ident(text: &str, from: &str, to: &str) -> String {
-    let mut out = String::new();
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if text[i..].starts_with(from) {
-            let before_ok =
-                i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
-            let after = i + from.len();
-            let after_ok = after >= bytes.len()
-                || !(bytes[after].is_ascii_alphanumeric() || bytes[after] == b'_');
-            if before_ok && after_ok {
-                out.push_str(to);
-                i += from.len();
-                continue;
-            }
-        }
-        out.push(bytes[i] as char);
-        i += 1;
     }
     out
 }
@@ -229,6 +206,25 @@ mod tests {
         let sim = ChatGptSim::new(&[]);
         let out = sim.decompile("whatever", "mystery", 2);
         assert!(out.contains("mystery"));
+    }
+
+    #[test]
+    fn chatgpt_sim_paraphrases_non_ascii_sources() {
+        let asm = "f:\n\tmovl %edi, %eax\n\taddl %esi, %eax\n\tret\n";
+        let src = "int count_e(char *text, int limit) { int n = 0; \
+                   for (int i = 0; i < limit; i++) if (text[i] == 'e') n++; \
+                   return n + strlen(\"é\"); }";
+        let sim = ChatGptSim::new(&[(asm.to_string(), src.to_string())]);
+        let mut paraphrased = 0;
+        for seed in 0..8 {
+            let out = sim.decompile(asm, "g", seed);
+            assert!(
+                out.starts_with("int g(char *") && out.ends_with("strlen(\"é\"); }"),
+                "{out}"
+            );
+            paraphrased += usize::from(!out.contains("text") || !out.contains("limit"));
+        }
+        assert!(paraphrased > 0, "some seed renames a parameter");
     }
 
     #[test]

@@ -166,10 +166,12 @@ impl Transform<'_> {
         }
         // Bound must be loop-invariant: conservatively require that the body
         // does not write any identifier appearing in the bound.
-        for name in idents_of(&bound) {
-            if modifies(body, &name) {
-                return None;
-            }
+        let mut bound_written = false;
+        for_each_ident(&bound, &mut |name| {
+            bound_written = bound_written || modifies(body, name)
+        });
+        if bound_written {
+            return None;
         }
         let iv = || ident(&ivar);
         let mut unrolled = Vec::new();
@@ -340,42 +342,18 @@ fn has_control_escape(s: &Stmt) -> bool {
 /// True when the tree assigns to / increments `name`.
 fn modifies(s: &Stmt, name: &str) -> bool {
     fn expr_modifies(e: &Expr, name: &str) -> bool {
-        match &e.kind {
-            ExprKind::Assign { target, value, .. } => {
-                matches!(&target.kind, ExprKind::Ident(n) if n == name)
-                    || expr_modifies(target, name)
-                    || expr_modifies(value, name)
-            }
-            ExprKind::Postfix(_, inner)
-            | ExprKind::Unary(UnOp::PreInc, inner)
-            | ExprKind::Unary(UnOp::PreDec, inner) => {
+        // Written directly, or address-taken (could be written through the
+        // pointer).
+        let mut found = match &e.kind {
+            ExprKind::Assign { target: inner, .. }
+            | ExprKind::Postfix(_, inner)
+            | ExprKind::Unary(UnOp::PreInc | UnOp::PreDec | UnOp::Addr, inner) => {
                 matches!(&inner.kind, ExprKind::Ident(n) if n == name)
-                    || expr_modifies(inner, name)
-            }
-            ExprKind::Unary(UnOp::Addr, inner) => {
-                // Address-taken: could be modified through the pointer.
-                matches!(&inner.kind, ExprKind::Ident(n) if n == name)
-                    || expr_modifies(inner, name)
-            }
-            ExprKind::Unary(_, inner) => expr_modifies(inner, name),
-            ExprKind::Binary(_, l, r) | ExprKind::Comma(l, r) => {
-                expr_modifies(l, name) || expr_modifies(r, name)
-            }
-            ExprKind::Call { args, .. } => args.iter().any(|a| expr_modifies(a, name)),
-            ExprKind::Index { base, index } => {
-                expr_modifies(base, name) || expr_modifies(index, name)
-            }
-            ExprKind::Member { base, .. } => expr_modifies(base, name),
-            ExprKind::Cast { expr, .. } | ExprKind::SizeofExpr(expr) => {
-                expr_modifies(expr, name)
-            }
-            ExprKind::Ternary { cond, then_expr, else_expr } => {
-                expr_modifies(cond, name)
-                    || expr_modifies(then_expr, name)
-                    || expr_modifies(else_expr, name)
             }
             _ => false,
-        }
+        };
+        e.for_each_child(|c| found = found || expr_modifies(c, name));
+        found
     }
     match &s.kind {
         StmtKind::Block(stmts) => stmts.iter().any(|st| modifies(st, name)),
@@ -405,60 +383,23 @@ fn modifies(s: &Stmt, name: &str) -> bool {
 }
 
 fn mentions(e: &Expr, name: &str) -> bool {
-    idents_of(e).contains(&name.to_string())
+    let mut found = false;
+    for_each_ident(e, &mut |n| found = found || n == name);
+    found
 }
 
-fn idents_of(e: &Expr) -> Vec<String> {
-    let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<String>) {
-        match &e.kind {
-            ExprKind::Ident(n) => out.push(n.clone()),
-            ExprKind::Unary(_, a)
-            | ExprKind::Postfix(_, a)
-            | ExprKind::Cast { expr: a, .. }
-            | ExprKind::SizeofExpr(a) => walk(a, out),
-            ExprKind::Binary(_, l, r) | ExprKind::Comma(l, r) => {
-                walk(l, out);
-                walk(r, out);
-            }
-            ExprKind::Assign { target, value, .. } => {
-                walk(target, out);
-                walk(value, out);
-            }
-            ExprKind::Call { args, .. } => args.iter().for_each(|a| walk(a, out)),
-            ExprKind::Index { base, index } => {
-                walk(base, out);
-                walk(index, out);
-            }
-            ExprKind::Member { base, .. } => walk(base, out),
-            ExprKind::Ternary { cond, then_expr, else_expr } => {
-                walk(cond, out);
-                walk(then_expr, out);
-                walk(else_expr, out);
-            }
-            _ => {}
-        }
+/// Calls `f` on every identifier in `e`, left to right.
+fn for_each_ident(e: &Expr, f: &mut impl FnMut(&str)) {
+    if let ExprKind::Ident(n) = &e.kind {
+        f(n);
     }
-    walk(e, &mut out);
-    out
+    e.for_each_child(|c| for_each_ident(c, f));
 }
 
 fn has_call(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Call { .. } => true,
-        ExprKind::Unary(_, a)
-        | ExprKind::Postfix(_, a)
-        | ExprKind::Cast { expr: a, .. }
-        | ExprKind::SizeofExpr(a) => has_call(a),
-        ExprKind::Binary(_, l, r) | ExprKind::Comma(l, r) => has_call(l) || has_call(r),
-        ExprKind::Assign { target, value, .. } => has_call(target) || has_call(value),
-        ExprKind::Index { base, index } => has_call(base) || has_call(index),
-        ExprKind::Member { base, .. } => has_call(base),
-        ExprKind::Ternary { cond, then_expr, else_expr } => {
-            has_call(cond) || has_call(then_expr) || has_call(else_expr)
-        }
-        _ => false,
-    }
+    let mut found = matches!(e.kind, ExprKind::Call { .. });
+    e.for_each_child(|c| found = found || has_call(c));
+    found
 }
 
 /// Replaces every read of `Ident(name)` in the tree with `replacement`.
@@ -466,33 +407,8 @@ fn substitute(s: &mut Stmt, name: &str, replacement: &Expr) {
     fn in_expr(e: &mut Expr, name: &str, rep: &Expr) {
         if matches!(&e.kind, ExprKind::Ident(n) if n == name) {
             *e = rep.clone();
-            return;
-        }
-        match &mut e.kind {
-            ExprKind::Unary(_, a)
-            | ExprKind::Postfix(_, a)
-            | ExprKind::Cast { expr: a, .. }
-            | ExprKind::SizeofExpr(a) => in_expr(a, name, rep),
-            ExprKind::Binary(_, l, r) | ExprKind::Comma(l, r) => {
-                in_expr(l, name, rep);
-                in_expr(r, name, rep);
-            }
-            ExprKind::Assign { target, value, .. } => {
-                in_expr(target, name, rep);
-                in_expr(value, name, rep);
-            }
-            ExprKind::Call { args, .. } => args.iter_mut().for_each(|a| in_expr(a, name, rep)),
-            ExprKind::Index { base, index } => {
-                in_expr(base, name, rep);
-                in_expr(index, name, rep);
-            }
-            ExprKind::Member { base, .. } => in_expr(base, name, rep),
-            ExprKind::Ternary { cond, then_expr, else_expr } => {
-                in_expr(cond, name, rep);
-                in_expr(then_expr, name, rep);
-                in_expr(else_expr, name, rep);
-            }
-            _ => {}
+        } else {
+            e.for_each_child_mut(|c| in_expr(c, name, rep));
         }
     }
     match &mut s.kind {

@@ -91,7 +91,7 @@ impl<'a> Lowerer<'a> {
 
     fn lower(mut self, f: &Function) -> Result<Module> {
         self.module.name = f.name.clone();
-        self.module.ret_ty = machine_ty_opt(&self.tm.layout.resolve(&f.ret));
+        self.module.ret_ty = machine_ty(&self.tm.layout.resolve(&f.ret));
         self.new_block();
         self.vars.push(HashMap::new());
         // Parameters arrive in vregs; O0-style, spill each into a slot.
@@ -200,6 +200,11 @@ impl<'a> Lowerer<'a> {
             StmtKind::While { body, .. }
             | StmtKind::DoWhile { body, .. }
             | StmtKind::For { body, .. } => self.prescan_labels(body),
+            StmtKind::Switch { arms, .. } => {
+                for s in arms.iter().flat_map(|(_, body)| body) {
+                    self.prescan_labels(s);
+                }
+            }
             _ => {}
         }
     }
@@ -428,7 +433,9 @@ impl<'a> Lowerer<'a> {
                 Ok(())
             }
             StmtKind::Labeled { label, stmt } => {
-                let target = self.labels[label];
+                let Some(&target) = self.labels.get(label) else {
+                    return Err(CompileError::Unsupported(format!("label `{label}`")));
+                };
                 self.set_term(Term::Jmp(target));
                 self.switch_to(target);
                 self.lower_stmt(stmt)
@@ -493,7 +500,7 @@ impl<'a> Lowerer<'a> {
     fn lower_expr(&mut self, e: &Expr) -> Result<VReg> {
         match &e.kind {
             ExprKind::IntLit(v, k) => {
-                let ty = int_machine(*k);
+                let ty = machine_ty(&Type::Int(*k)).unwrap_or(Ty::I64);
                 Ok(self.iconst(k.wrap(*v), ty))
             }
             ExprKind::FloatLit(v, single) => {
@@ -515,15 +522,13 @@ impl<'a> Lowerer<'a> {
             ExprKind::Unary(op, inner) => self.lower_unary(e, *op, inner),
             ExprKind::Postfix(kind, inner) => {
                 let (addr, ty) = self.lower_addr(inner)?;
-                let old = self.load_place_copy(addr, &ty)?;
+                let old = self.load_place(addr, &ty)?;
                 let delta = if matches!(kind, IncDec::Inc) { 1 } else { -1 };
                 let new = self.step(old, &ty, delta)?;
-                let mty = machine_ty(&ty.decay()).unwrap_or(Ty::I64);
                 self.emit(Inst::Store { addr, src: new, ty: store_ty(&ty) });
-                let _ = mty;
                 Ok(old)
             }
-            ExprKind::Binary(op, l, r) => self.lower_binary(e, *op, l, r),
+            ExprKind::Binary(op, l, r) => self.lower_binary(*op, l, r),
             ExprKind::Assign { op, target, value } => {
                 let (addr, tty) = self.lower_addr(target)?;
                 if op.is_none() {
@@ -544,18 +549,19 @@ impl<'a> Lowerer<'a> {
                         v
                     }
                     Some(op) => {
-                        let cur = self.load_place_copy(addr, &tty)?;
-                        let res = self.lower_binop_vals(*op, cur, &tty, rhs, &vty)?;
+                        let cur = self.load_place(addr, &tty)?;
+                        let res = self.lower_binop(*op, cur, &tty, rhs, &vty)?;
                         // The result converts back to the target type.
-                        let res_ty = self.binop_result_type(*op, &tty, &vty);
-                        let (mty, v) = self.convert_for_store(res, &res_ty, &tty);
+                        let tm = self.tm;
+                        let (mty, v) =
+                            self.convert_for_store(res, tm.compound_type(e.id), &tty);
                         self.emit(Inst::Store { addr, src: v, ty: mty });
                         v
                     }
                 };
                 Ok(result)
             }
-            ExprKind::Call { callee, args } => self.lower_call(e, callee, args),
+            ExprKind::Call { callee, args } => self.lower_call(callee, args),
             ExprKind::Cast { ty, expr } => {
                 let v = self.lower_expr(expr)?;
                 let from = self.tm.value_type(expr.id);
@@ -687,7 +693,7 @@ impl<'a> Lowerer<'a> {
             }
             UnOp::PreInc | UnOp::PreDec => {
                 let (addr, ty) = self.lower_addr(inner)?;
-                let old = self.load_place_copy(addr, &ty)?;
+                let old = self.load_place(addr, &ty)?;
                 let delta = if matches!(op, UnOp::PreInc) { 1 } else { -1 };
                 let new = self.step(old, &ty, delta)?;
                 self.emit(Inst::Store { addr, src: new, ty: store_ty(&ty) });
@@ -713,7 +719,7 @@ impl<'a> Lowerer<'a> {
         Ok(self.bin(IrBinOp::Add, v, d, mty))
     }
 
-    fn lower_binary(&mut self, e: &Expr, op: BinOp, l: &Expr, r: &Expr) -> Result<VReg> {
+    fn lower_binary(&mut self, op: BinOp, l: &Expr, r: &Expr) -> Result<VReg> {
         if op.is_logical() {
             return self.lower_logical(op, l, r);
         }
@@ -721,57 +727,13 @@ impl<'a> Lowerer<'a> {
         let lt = self.tm.value_type(l.id);
         let rv = self.lower_expr(r)?;
         let rt = self.tm.value_type(r.id);
-        self.lower_binop_prelowered(op, lv, &lt, rv, &rt, e)
+        self.lower_binop(op, lv, &lt, rv, &rt)
     }
 
-    fn lower_binop_vals(
-        &mut self,
-        op: BinOp,
-        lv: VReg,
-        lt: &Type,
-        rv: VReg,
-        rt: &Type,
-    ) -> Result<VReg> {
-        let lt = lt.decay();
-        self.lower_binop_inner(op, lv, &lt, rv, rt)
-    }
-
-    fn lower_binop_prelowered(
-        &mut self,
-        op: BinOp,
-        lv: VReg,
-        lt: &Type,
-        rv: VReg,
-        rt: &Type,
-        _e: &Expr,
-    ) -> Result<VReg> {
-        self.lower_binop_inner(op, lv, lt, rv, rt)
-    }
-
-    fn binop_result_type(&self, op: BinOp, lt: &Type, rt: &Type) -> Type {
-        if op.is_comparison() || op.is_logical() {
-            return Type::int();
-        }
-        let lt = lt.decay();
-        let rt = rt.decay();
-        if lt.is_pointerish() {
-            return lt;
-        }
-        if rt.is_pointerish() {
-            if op == BinOp::Sub {
-                return Type::Int(IntKind::Long);
-            }
-            return rt;
-        }
-        if matches!(op, BinOp::Shl | BinOp::Shr) {
-            if let Type::Int(k) = lt {
-                return Type::Int(k.promote());
-            }
-        }
-        common_type(&lt, &rt)
-    }
-
-    fn lower_binop_inner(
+    /// `l op r` on lowered operands of types `lt` / `rt`: pointer arithmetic
+    /// scales by the pointee, a shift works in the promoted left type and
+    /// anything else in [`Type::common_arith`].
+    fn lower_binop(
         &mut self,
         op: BinOp,
         lv: VReg,
@@ -821,7 +783,7 @@ impl<'a> Lowerer<'a> {
                 self.emit(Inst::Cmp { pred, dst, a, b, ty: Ty::I64 });
                 return Ok(dst);
             }
-            let common = common_type(&lt, &rt);
+            let common = lt.common_arith(&rt);
             let a = self.convert(lv, &lt, &common);
             let b = self.convert(rv, &rt, &common);
             let mty = machine_ty(&common).unwrap_or(Ty::I32);
@@ -844,7 +806,7 @@ impl<'a> Lowerer<'a> {
             let result_ty = Type::Int(k);
             let a = self.convert(lv, &lt, &result_ty);
             let b = self.convert(rv, &rt, &Type::int());
-            let mty = int_machine(k);
+            let mty = machine_ty(&result_ty).unwrap_or(Ty::I64);
             let irop = match (op, k.signed()) {
                 (BinOp::Shl, _) => IrBinOp::Shl,
                 (BinOp::Shr, true) => IrBinOp::ShrS,
@@ -854,7 +816,7 @@ impl<'a> Lowerer<'a> {
             return Ok(self.bin(irop, a, b, mty));
         }
         // Plain arithmetic in the common type.
-        let common = common_type(&lt, &rt);
+        let common = lt.common_arith(&rt);
         let a = self.convert(lv, &lt, &common);
         let b = self.convert(rv, &rt, &common);
         let mty = machine_ty(&common).unwrap_or(Ty::I32);
@@ -932,7 +894,7 @@ impl<'a> Lowerer<'a> {
         Ok(dst)
     }
 
-    fn lower_call(&mut self, e: &Expr, callee: &str, args: &[Expr]) -> Result<VReg> {
+    fn lower_call(&mut self, callee: &str, args: &[Expr]) -> Result<VReg> {
         // Recognize the vectorization intrinsics planted by looptrans.
         if callee == "__vec_op_i32" {
             return self.lower_vec_intrinsic(args);
@@ -949,10 +911,9 @@ impl<'a> Lowerer<'a> {
             argv.push(v);
         }
         // A callee without a signature returns `int`.
-        let ret_ty = sig.map_or(Some(Ty::I32), |s| machine_ty_opt(&s.ret));
+        let ret_ty = sig.map_or(Some(Ty::I32), |s| machine_ty(&s.ret));
         let dst = ret_ty.map(|t| self.module.new_vreg(t));
         self.emit(Inst::Call { dst, callee: callee.to_string(), args: argv, arg_tys, ret_ty });
-        let _ = e;
         Ok(dst.unwrap_or_else(|| {
             // Void call in value position: materialize 0.
             let z = self.module.new_vreg(Ty::I32);
@@ -1087,18 +1048,11 @@ impl<'a> Lowerer<'a> {
             Type::Array(..) | Type::Struct(_) => Ok(addr),
             _ => {
                 let (mty, sext) = load_ty(ty);
-                let dst_ty = reg_ty(ty);
-                let dst = self.module.new_vreg(dst_ty);
+                let dst = self.module.new_vreg(machine_ty(ty).unwrap_or(Ty::I64));
                 self.emit(Inst::Load { dst, addr, ty: mty, sext });
                 Ok(dst)
             }
         }
-    }
-
-    /// Like [`Self::load_place`], but always loads (used before stores where
-    /// the address vreg must remain valid).
-    fn load_place_copy(&mut self, addr: VReg, ty: &Type) -> Result<VReg> {
-        self.load_place(addr, ty)
     }
 
     fn intern_string(&mut self, s: &str) -> String {
@@ -1241,22 +1195,6 @@ pub fn machine_ty(ty: &Type) -> Option<Ty> {
     }
 }
 
-fn machine_ty_opt(ty: &Type) -> Option<Ty> {
-    if *ty == Type::Void {
-        None
-    } else {
-        machine_ty(ty)
-    }
-}
-
-fn int_machine(k: IntKind) -> Ty {
-    if k.size() <= 4 {
-        Ty::I32
-    } else {
-        Ty::I64
-    }
-}
-
 /// Memory width + extension flag used when loading an object of `ty`.
 fn load_ty(ty: &Type) -> (Ty, bool) {
     match ty {
@@ -1278,47 +1216,6 @@ fn load_ty(ty: &Type) -> (Ty, bool) {
 /// Memory width used when storing into an object of `ty`.
 fn store_ty(ty: &Type) -> Ty {
     load_ty(&ty.decay()).0
-}
-
-/// Register width class of a loaded object.
-fn reg_ty(ty: &Type) -> Ty {
-    match ty {
-        Type::Int(k) => int_machine(*k),
-        Type::Float => Ty::F32,
-        Type::Double => Ty::F64,
-        _ => Ty::I64,
-    }
-}
-
-/// The usual-arithmetic-conversions common type (mirrors sema's logic).
-fn common_type(a: &Type, b: &Type) -> Type {
-    match (a, b) {
-        (Type::Double, _) | (_, Type::Double) => Type::Double,
-        (Type::Float, _) | (_, Type::Float) => Type::Float,
-        (Type::Int(x), Type::Int(y)) => {
-            let x = x.promote();
-            let y = y.promote();
-            let k = if x == y {
-                x
-            } else if x.rank() == y.rank() {
-                x.to_unsigned()
-            } else if x.rank() > y.rank() {
-                if x.signed() && !y.signed() && x.size() == y.size() {
-                    x.to_unsigned()
-                } else {
-                    x
-                }
-            } else if y.signed() && !x.signed() && y.size() == x.size() {
-                y.to_unsigned()
-            } else {
-                y
-            };
-            Type::Int(k)
-        }
-        (a, _) if a.is_pointerish() => a.clone(),
-        (_, b) if b.is_pointerish() => b.clone(),
-        _ => Type::int(),
-    }
 }
 
 fn comparison_pred(op: BinOp, is_float: bool, unsigned: bool) -> Pred {

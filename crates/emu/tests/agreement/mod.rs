@@ -3,11 +3,12 @@
 //! immediate, every predicate both as a value and as a fused branch,
 //! division, remainder and shifts at every width, the register-argument
 //! shapes of both ABIs, `switch`, and the loop the x86 `-O3` vectorizer
-//! rewrites.
+//! rewrites; beside it, the compound-assignment table.
 //!
 //! `tests/libc.rs` runs every call on both emulators at -O0 and -O3 against
 //! `minic::interp`; `slade_compiler`'s `tests/emit_digest.rs` pins what the
-//! compiler emits for every program.
+//! compiler emits for every program, one digest per table. A new row goes
+//! in a new table with its own digest, so the pinned ones stay put.
 
 /// One argument of a call to `f`.
 #[derive(Clone, Copy)]
@@ -205,6 +206,123 @@ pub const ROWS: &[Row] = &[
             Int(7),
             Int(6),
         ]],
+    ),
+];
+
+/// Compound assignment, which `ROWS` reaches only as `int +=`: every `op=`
+/// on `char` / `unsigned char` / `short` / `unsigned short` targets, in
+/// locals and in memory; signed / unsigned mixes; an `int` (and a narrow)
+/// target with a `double` operand; a `float` target with integer operands;
+/// narrow shifts; pointer `+=` / `-=`. `emit_digest.rs` pins this table
+/// apart from `ROWS`.
+pub const COMPOUND: &[Row] = &[
+    (
+        "int f(int x, int y) { char c = x; c += y; c -= 3; c *= y; c /= 3; c %= 7; \
+         c &= 0x3c; c |= 0x41; c ^= y; return c; }",
+        &[&[Int(100), Int(57)], &[Int(-100), Int(-9)]],
+    ),
+    (
+        "int f(int x, int y) { unsigned char c = x; c += y; c -= 300; c *= y; c /= 3; \
+         c %= 11; c <<= 2; c >>= 1; return c; }",
+        &[&[Int(200), Int(77)], &[Int(-1), Int(3)]],
+    ),
+    (
+        "int f(int x, int y) { short s = x; s += y; s *= 7; s -= 12345; s /= y; s %= 1000; \
+         s ^= y; return s; }",
+        &[&[Int(30000), Int(5000)], &[Int(-30000), Int(-7)]],
+    ),
+    (
+        "unsigned f(int x, unsigned y) { unsigned short w = x; w += y; w -= 70000; w *= 3; \
+         w /= y; w %= 4099; w |= 0x8000; return w; }",
+        &[&[Int(65535), Int(3)], &[Int(-2), Int(0xffff_fff0)]],
+    ),
+    (
+        "int f(char *p, short *q, int y) { p[0] += y; p[1] -= y; p[2] *= y; q[0] += y; \
+         q[1] >>= 3; q[1] <<= 1; return p[0] + p[1] + p[2] + q[0] + q[1]; }",
+        &[&[Buf(&[100, 200, 7]), Buf(&[0, 0x80, 0x34, 0x12]), Int(50)]],
+    ),
+    (
+        "int f(unsigned char *p, unsigned short *q, int y) { p[0] += y; p[1] -= y; \
+         p[2] /= y; q[0] *= y; q[1] %= y; return p[0] * 3 + p[1] + p[2] + q[0] + q[1]; }",
+        &[&[Buf(&[250, 3, 99]), Buf(&[0xff, 0xff, 0x10, 0x27]), Int(7)]],
+    ),
+    // Signed / unsigned mixes.
+    (
+        "unsigned f(unsigned a, int b) { a += b; a -= b * 3; a /= b; a %= b + 10; return a; }",
+        &[&[Int(100), Int(-7)], &[Int(0xffff_fff0), Int(9)]],
+    ),
+    (
+        "int f(int a, unsigned b) { a += b; a /= b; a %= b; a -= b; return a; }",
+        &[&[Int(-100), Int(7)], &[Int(100), Int(0xffff_fff0)]],
+    ),
+    (
+        "long f(long a, unsigned b) { a += b; a -= b * 2; a /= b; a %= b; return a; }",
+        &[&[Int(-1000), Int(7)]],
+    ),
+    (
+        "long f(long x, long y) { unsigned long a = x; a += y; a -= 5; a /= y; a %= y + 3; \
+         return a; }",
+        &[&[Int(-1), Int(3)]],
+    ),
+    (
+        "int f(int a, long y) { unsigned long u = y; a -= u; a += u / 2; return a; }",
+        &[&[Int(5), Int(-3)]],
+    ),
+    // Integer targets with a floating operand, floating targets with
+    // integer operands.
+    (
+        "int f(int a, double x) { a += x; a *= x; a -= x; a /= x; return a; }",
+        &[&[Int(7), F64(2.5)], &[Int(-7), F64(2.5)], &[Int(1000), F64(-0.75)]],
+    ),
+    (
+        "int f(int a, double x) { char c = a; unsigned short w = a; c += x; c *= x; \
+         w -= x; w /= x; return c * 100000 + w; }",
+        &[&[Int(10), F64(2.5)]],
+    ),
+    ("long f(long a, double x) { a += x; a *= x; return a; }", &[&[Int(1 << 40), F64(1.5)]]),
+    (
+        "double f(double x, int n) { float a = x; a += n; a *= n; a -= n; a /= n; return a; }",
+        &[&[F64(1.25), Int(3)], &[F64(-0.1), Int(-7)]],
+    ),
+    (
+        "double f(double x, int n) { float a = x; unsigned u = n; long l = n; a += u; \
+         a -= l * 3; a *= 2; return a; }",
+        &[&[F64(1.5), Int(1000)]],
+    ),
+    // Narrow shifts: right shifts of any sign, left shifts of non-negative
+    // values.
+    (
+        "int f(int x, int n) { char c = x; unsigned char u = x; short s = x; \
+         unsigned short w = x; c >>= n; u >>= n; s >>= n; w >>= n; \
+         return c + 3 * u + 5 * s + 7 * w; }",
+        &[&[Int(-100), Int(3)], &[Int(0x7f7f), Int(5)], &[Int(200), Int(1)]],
+    ),
+    (
+        "int f(int x, int n) { char c = x; unsigned char u = x; short s = x; \
+         unsigned short w = x; c <<= n; u <<= n; s <<= n; w <<= n; \
+         return c + 3 * u + 5 * s + 7 * w; }",
+        &[&[Int(100), Int(3)], &[Int(0x3f3f), Int(4)]],
+    ),
+    // Pointer += / -=, scaled by the pointee and with narrow or negative
+    // offsets.
+    (
+        "int f(int *p, int n) { int *q = p; q += n; q -= 1; *q += 100; q -= n - 1; \
+         return *q + p[n - 1]; }",
+        &[&[Buf(&[1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0]), Int(3)]],
+    ),
+    (
+        "long f(long *p, short *s, long n) { p += n; s += n * 2; p -= 1; s -= 1; \
+         return *p + *s; }",
+        &[&[
+            Buf(&[9, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0]),
+            Buf(&[1, 0, 2, 0, 3, 0, 4, 0]),
+            Int(1),
+        ]],
+    ),
+    (
+        "int f(char *p, int k) { unsigned char u = k; short d = -k; char *q = p; q += u; \
+         q += d; q += u; q -= 1; return *q; }",
+        &[&[Buf(&[10, 20, 30, 40, 50, 60]), Int(3)]],
     ),
 ];
 

@@ -1,17 +1,18 @@
-//! Compiled code and the MiniC interpreter agree. Two tables, each call
-//! compiled for x86-64 and for AArch64 at -O0 and -O3, must return on its
-//! emulator what `minic::interp` returns and leave the same bytes in its
-//! buffers:
+//! Compiled code and the MiniC interpreter agree. Every call of the tables
+//! below, compiled for x86-64 and for AArch64 at -O0 and -O3, must return
+//! on its emulator what `minic::interp` returns and leave the same bytes in
+//! its buffers:
 //! - libc: for every builtin in the emulators' shared table, a one-line
 //!   function that calls it;
 //! - the agreement table (`agreement/mod.rs`): casts, memory widths,
 //!   floats, wide constants, predicates, division, shifts, register
-//!   arguments, `switch` and the vectorized loop. Its unordered float
-//!   compares are checked on AArch64 only.
+//!   arguments, `switch` and the vectorized loop, and beside it the
+//!   compound-assignment table. Its unordered float compares are checked
+//!   on AArch64 only.
 
 mod agreement;
 
-use agreement::{In, Row, ROWS, UNORDERED};
+use agreement::{In, Row, COMPOUND, ROWS, UNORDERED};
 use slade_asm::parse_asm;
 use slade_compiler::{compile_all, CompileOpts, Isa, OptLevel};
 use slade_emu::{Arg, ArmEmulator, Cpu, Emulator, Machine};
@@ -181,6 +182,21 @@ fn agree(rows: &[Row], arm_only: bool) {
 #[test]
 fn the_agreement_table_agrees_with_the_interpreter_on_both_isas() {
     agree(ROWS, false);
+}
+
+#[test]
+fn compound_assignments_agree_with_the_interpreter_on_both_isas() {
+    agree(COMPOUND, false);
+}
+
+/// The lowerer's label pre-scan once skipped `switch` arms, so a label in
+/// one panicked the compiler. Not in a digest-pinned table: the compiler
+/// before the fix could not compile it.
+#[test]
+fn a_label_inside_a_switch_arm_compiles_and_agrees() {
+    let src =
+        "int f(int x) { switch (x) { case 1: L: return 1; default: return 2; } return 0; }";
+    agree(&[(src, &[&[In::Int(1)], &[In::Int(2)]])], false);
 }
 
 #[test]

@@ -188,6 +188,51 @@ pub struct Expr {
     pub line: u32,
 }
 
+/// The one enumeration of an expression's direct children, for `&` and
+/// `&mut` alike: `$f` is called on each, left to right.
+macro_rules! each_child {
+    ($kind:expr, $f:ident, $iter:ident) => {
+        match $kind {
+            ExprKind::IntLit(..)
+            | ExprKind::FloatLit(..)
+            | ExprKind::StrLit(_)
+            | ExprKind::Ident(_)
+            | ExprKind::SizeofType(_) => {}
+            ExprKind::Unary(_, a)
+            | ExprKind::Postfix(_, a)
+            | ExprKind::Cast { expr: a, .. }
+            | ExprKind::SizeofExpr(a)
+            | ExprKind::Member { base: a, .. } => $f(a),
+            ExprKind::Binary(_, a, b)
+            | ExprKind::Comma(a, b)
+            | ExprKind::Assign { target: a, value: b, .. }
+            | ExprKind::Index { base: a, index: b } => {
+                $f(a);
+                $f(b);
+            }
+            ExprKind::Call { args, .. } => args.$iter().for_each($f),
+            ExprKind::Ternary { cond, then_expr, else_expr } => {
+                $f(cond);
+                $f(then_expr);
+                $f(else_expr);
+            }
+        }
+    };
+}
+
+impl Expr {
+    /// Calls `f` on each direct subexpression, left to right (an
+    /// assignment's target before its value). Allocates nothing.
+    pub fn for_each_child(&self, mut f: impl FnMut(&Expr)) {
+        each_child!(&self.kind, f, iter)
+    }
+
+    /// [`Self::for_each_child`] with mutable access to each child.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        each_child!(&mut self.kind, f, iter_mut)
+    }
+}
+
 /// Expression kinds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ExprKind {

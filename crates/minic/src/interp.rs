@@ -595,7 +595,7 @@ impl<'p> Interpreter<'p> {
                     Some(op) => {
                         let cur = self.load_typed(ptr, &ty)?;
                         let vt = self.tm.value_type(value.id);
-                        self.apply_binop(*op, cur, rhs, &ty, &vt, e.line)?.convert_to(&ty)
+                        self.apply_op(*op, cur, rhs, &ty, &vt, e.line)?.convert_to(&ty)
                     }
                 };
                 self.store_typed(ptr, &ty, result)?;
@@ -735,24 +735,12 @@ impl<'p> Interpreter<'p> {
         let rv = self.eval(r)?;
         let lt = self.tm.value_type(l.id);
         let rt_ = self.tm.value_type(r.id);
-        self.apply_binop_full(op, lv, rv, &lt, &rt_, e.line)
+        self.apply_op(op, lv, rv, &lt, &rt_, e.line)
     }
 
-    /// Applies `op` given the operand types (used by both `a op b` and
-    /// `a op= b`).
-    fn apply_binop(
-        &self,
-        op: BinOp,
-        lv: Value,
-        rv: Value,
-        lt: &Type,
-        rt_: &Type,
-        line: u32,
-    ) -> Result<Value> {
-        self.apply_binop_full(op, lv, rv, lt, rt_, line)
-    }
-
-    fn apply_binop_full(
+    /// Applies `op` to operand values of types `lt` / `rt_` (used by both
+    /// `a op b` and `a op= b`).
+    fn apply_op(
         &self,
         op: BinOp,
         lv: Value,
@@ -836,7 +824,7 @@ impl<'p> Interpreter<'p> {
         let (Value::Int(a0, ka), Value::Int(b0, kb)) = (lv, rv) else {
             return Err(MiniCError::new(ErrorKind::Runtime, "type confusion in binop", line));
         };
-        let common = common_kind(ka, kb);
+        let common = ka.common(kb);
         let a = common.wrap(a0);
         let b = common.wrap(b0);
         let unsigned = !common.signed();
@@ -1183,23 +1171,6 @@ fn pack_val(v: &Value) -> u64 {
         Value::Int(x, _) => *x as u64,
         Value::F32(x) => *x as u64,
         Value::F64(x) => *x as u64,
-    }
-}
-
-fn common_kind(a: IntKind, b: IntKind) -> IntKind {
-    let a = a.promote();
-    let b = b.promote();
-    if a == b {
-        return a;
-    }
-    if a.rank() == b.rank() {
-        return a.to_unsigned();
-    }
-    let (hi, lo) = if a.rank() > b.rank() { (a, b) } else { (b, a) };
-    if hi.signed() && !lo.signed() && hi.size() == lo.size() {
-        hi.to_unsigned()
-    } else {
-        hi
     }
 }
 

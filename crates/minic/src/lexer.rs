@@ -8,6 +8,44 @@
 use crate::token::{Token, TokenKind, PUNCTS};
 use crate::{ErrorKind, MiniCError, Result};
 
+/// True for the bytes an identifier continues with: `[A-Za-z0-9_]`.
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Replaces every whole-word occurrence of `from` in `text` with `to`: one
+/// whose neighbours are not identifier bytes. Any other text, non-ASCII
+/// included, is copied unchanged.
+///
+/// ```
+/// use slade_minic::replace_ident;
+/// assert_eq!(replace_ident("int val; val = valid;", "val", "x"), "int x; x = valid;");
+/// assert_eq!(replace_ident("f(\"é\", val)", "val", "x"), "f(\"é\", x)");
+/// ```
+pub fn replace_ident(text: &str, from: &str, to: &str) -> String {
+    if from.is_empty() {
+        return text.to_string();
+    }
+    let bytes = text.as_bytes();
+    let mut out = String::with_capacity(text.len());
+    let (mut copied, mut at) = (0, 0);
+    while let Some(found) = text[at..].find(from) {
+        let (start, end) = (at + found, at + found + from.len());
+        if (start == 0 || !is_ident_byte(bytes[start - 1]))
+            && (end == bytes.len() || !is_ident_byte(bytes[end]))
+        {
+            out.push_str(&text[copied..start]);
+            out.push_str(to);
+            (copied, at) = (end, end);
+        } else {
+            // Part of a longer word: search again from the next character.
+            at = start + text[start..].chars().next().map_or(1, char::len_utf8);
+        }
+    }
+    out.push_str(&text[copied..]);
+    out
+}
+
 /// Streaming lexer over MiniC source text.
 ///
 /// # Example
@@ -137,7 +175,7 @@ impl<'a> Lexer<'a> {
     fn lex_ident(&mut self) -> TokenKind {
         let start = self.pos;
         while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' {
+            if is_ident_byte(c) {
                 self.bump();
             } else {
                 break;
@@ -382,5 +420,22 @@ mod tests {
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 2);
         assert_eq!(toks[2].line, 4);
+    }
+
+    #[test]
+    fn replace_ident_replaces_whole_words_in_any_text() {
+        let cases = [
+            ("val valid _val val_ val2 (val)", "val", "x", "x valid _val val_ val2 (x)"),
+            ("valval val", "val", "x", "valval x"),
+            // Non-ASCII characters are not identifier bytes, and survive.
+            ("\"é\" val éval valé 日val", "val", "ü", "\"é\" ü éü üé 日ü"),
+            ("é", "val", "x", "é"),
+            ("éa é", "é", "e", "éa e"),
+            ("a a", "a", "aa", "aa aa"),
+            ("a b", "", "x", "a b"),
+        ];
+        for (text, from, to, want) in cases {
+            assert_eq!(replace_ident(text, from, to), want, "{text:?}: {from:?} -> {to:?}");
+        }
     }
 }

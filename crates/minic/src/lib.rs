@@ -40,7 +40,7 @@ pub mod value;
 
 pub use ast::{BinOp, Expr, ExprKind, Function, Item, Program, Stmt, StmtKind, UnOp};
 pub use interp::{CallOutcome, Interpreter, RunLimits};
-pub use lexer::Lexer;
+pub use lexer::{replace_ident, Lexer};
 pub use parser::{parse_program, parse_program_lenient, Parser};
 pub use pretty::{pretty_expr, pretty_program, pretty_type};
 pub use sema::{Sema, TypeMap};

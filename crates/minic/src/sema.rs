@@ -34,6 +34,8 @@ pub struct Signature {
 pub struct TypeMap {
     types: Vec<Type>,
     lvalues: Vec<bool>,
+    /// The operation type of each `op=` assignment, by its node id.
+    compound: HashMap<NodeId, Type>,
     /// Layout context with all struct definitions and typedefs resolved.
     pub layout: LayoutCtx,
     /// The program's own definitions and prototypes, plus the implicit
@@ -64,6 +66,16 @@ impl TypeMap {
         self.lvalues[id as usize]
     }
 
+    /// The type `op=` assignment `id` computes `target op value` in, before
+    /// the result converts back to the target's type.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a checked compound assignment.
+    pub fn compound_type(&self, id: NodeId) -> &Type {
+        &self.compound[&id]
+    }
+
     /// The signature a call to `name` is checked against: the program's own
     /// definition or prototype, else the builtin, else the implicit `int f()`
     /// declaration its first call made.
@@ -89,6 +101,7 @@ pub struct Sema<'p> {
     globals: HashMap<String, Type>,
     types: Vec<Type>,
     lvalues: Vec<bool>,
+    compound: HashMap<NodeId, Type>,
     scopes: Vec<HashMap<String, Type>>,
     current_ret: Type,
 }
@@ -121,6 +134,7 @@ impl<'p> Sema<'p> {
             globals: HashMap::new(),
             types: vec![Type::Void; program.node_count as usize],
             lvalues: vec![false; program.node_count as usize],
+            compound: HashMap::new(),
             scopes: Vec::new(),
             current_ret: Type::Void,
         };
@@ -150,6 +164,7 @@ impl<'p> Sema<'p> {
         Ok(TypeMap {
             types: sema.types,
             lvalues: sema.lvalues,
+            compound: sema.compound,
             layout: sema.layout,
             signatures: sema.signatures,
             globals: sema.globals,
@@ -353,36 +368,6 @@ impl<'p> Sema<'p> {
         }
     }
 
-    /// Usual arithmetic conversions for two arithmetic operand types.
-    fn common_arith(&self, a: &Type, b: &Type) -> Type {
-        match (a, b) {
-            (Type::Double, _) | (_, Type::Double) => Type::Double,
-            (Type::Float, _) | (_, Type::Float) => Type::Float,
-            (Type::Int(x), Type::Int(y)) => {
-                let x = x.promote();
-                let y = y.promote();
-                let k = if x == y {
-                    x
-                } else if x.rank() == y.rank() {
-                    // Same rank, different signedness: unsigned wins.
-                    x.to_unsigned()
-                } else if x.rank() > y.rank() {
-                    if x.signed() && !y.signed() && x.size() == y.size() {
-                        x.to_unsigned()
-                    } else {
-                        x
-                    }
-                } else if y.signed() && !x.signed() && y.size() == x.size() {
-                    y.to_unsigned()
-                } else {
-                    y
-                };
-                Type::Int(k)
-            }
-            _ => Type::Int(IntKind::Int),
-        }
-    }
-
     fn check_expr(&mut self, e: &Expr) -> Result<Type> {
         let line = e.line;
         let ty = match &e.kind {
@@ -453,7 +438,8 @@ impl<'p> Sema<'p> {
                 self.require_lvalue(target, line)?;
                 let vt = self.check_expr(value)?;
                 if let Some(op) = op {
-                    self.binary_type(*op, &tt.decay(), &vt.decay(), line)?;
+                    let ot = self.binary_type(*op, &tt.decay(), &vt.decay(), line)?;
+                    self.compound.insert(e.id, ot);
                 } else {
                     self.require_assignable(&tt, &vt, line)?;
                 }
@@ -567,7 +553,7 @@ impl<'p> Sema<'p> {
                 let tt = self.check_expr(then_expr)?.decay();
                 let et = self.check_expr(else_expr)?.decay();
                 let result = if tt.is_arithmetic() && et.is_arithmetic() {
-                    self.common_arith(&tt, &et)
+                    tt.common_arith(&et)
                 } else if tt.is_pointerish() {
                     tt
                 } else {
@@ -617,7 +603,7 @@ impl<'p> Sema<'p> {
                     self.pointer_arith_ok(rt, line)?;
                     Ok(rt.clone())
                 } else if lt.is_arithmetic() && rt.is_arithmetic() {
-                    Ok(self.common_arith(lt, rt))
+                    Ok(lt.common_arith(rt))
                 } else {
                     Err(self.err(line, format!("invalid operands to `+`: `{lt}`, `{rt}`")))
                 }
@@ -629,14 +615,14 @@ impl<'p> Sema<'p> {
                     self.pointer_arith_ok(lt, line)?;
                     Ok(lt.clone())
                 } else if lt.is_arithmetic() && rt.is_arithmetic() {
-                    Ok(self.common_arith(lt, rt))
+                    Ok(lt.common_arith(rt))
                 } else {
                     Err(self.err(line, format!("invalid operands to `-`: `{lt}`, `{rt}`")))
                 }
             }
             BinOp::Mul | BinOp::Div => {
                 if lt.is_arithmetic() && rt.is_arithmetic() {
-                    Ok(self.common_arith(lt, rt))
+                    Ok(lt.common_arith(rt))
                 } else {
                     Err(self.err(line, "invalid operands to `*`/`/`".to_string()))
                 }
@@ -653,7 +639,7 @@ impl<'p> Sema<'p> {
                         let Type::Int(k) = lt else { unreachable!() };
                         Ok(Type::Int(k.promote()))
                     } else {
-                        Ok(self.common_arith(lt, rt))
+                        Ok(lt.common_arith(rt))
                     }
                 } else {
                     Err(self.err(line, "bitwise/shift/mod on non-integers"))
@@ -801,6 +787,90 @@ mod tests {
             }
         }
         assert_eq!(found, vec![Type::Int(IntKind::UInt)]);
+    }
+
+    /// The type of each expression statement of `f`'s body; for an `op=`
+    /// statement, the type its operation is done in.
+    fn stmt_types(src: &str) -> Vec<Type> {
+        let p = parse_program(src).unwrap();
+        let tm = Sema::check(&p).unwrap();
+        let Some(StmtKind::Block(body)) =
+            p.function("f").and_then(|f| f.body.as_ref()).map(|b| &b.kind)
+        else {
+            panic!("no body: {src}");
+        };
+        let ty = |s: &Stmt| match &s.kind {
+            StmtKind::Expr(e) if matches!(e.kind, ExprKind::Assign { op: Some(_), .. }) => {
+                tm.compound_type(e.id).clone()
+            }
+            StmtKind::Expr(e) => tm.value_type(e.id),
+            other => panic!("not an expression statement: {other:?}"),
+        };
+        body.iter().map(ty).collect()
+    }
+
+    /// C11 §6.3.1.8 on LP64, written out by hand: `x * y` and `x *= y` for
+    /// every pair of arithmetic kinds, `x << y` (the promoted left operand)
+    /// for every integer pair, and the pointer results of `+` and `-`.
+    #[test]
+    fn usual_arithmetic_conversions_match_the_c11_table() {
+        use IntKind::*;
+        let kinds = [
+            ("char", Type::Int(Char)),
+            ("unsigned char", Type::Int(UChar)),
+            ("short", Type::Int(Short)),
+            ("unsigned short", Type::Int(UShort)),
+            ("int", Type::Int(Int)),
+            ("unsigned", Type::Int(UInt)),
+            ("long", Type::Int(Long)),
+            ("unsigned long", Type::Int(ULong)),
+            ("float", Type::Float),
+            ("double", Type::Double),
+        ];
+        // Row: left operand; column: right operand, both in `kinds` order.
+        const TABLE: [[&str; 10]; 10] = [
+            ["i", "i", "i", "i", "i", "u", "l", "ul", "f", "d"],
+            ["i", "i", "i", "i", "i", "u", "l", "ul", "f", "d"],
+            ["i", "i", "i", "i", "i", "u", "l", "ul", "f", "d"],
+            ["i", "i", "i", "i", "i", "u", "l", "ul", "f", "d"],
+            ["i", "i", "i", "i", "i", "u", "l", "ul", "f", "d"],
+            ["u", "u", "u", "u", "u", "u", "l", "ul", "f", "d"],
+            ["l", "l", "l", "l", "l", "l", "l", "ul", "f", "d"],
+            ["ul", "ul", "ul", "ul", "ul", "ul", "ul", "ul", "f", "d"],
+            ["f", "f", "f", "f", "f", "f", "f", "f", "f", "d"],
+            ["d", "d", "d", "d", "d", "d", "d", "d", "d", "d"],
+        ];
+        let named = |abbr| match abbr {
+            "i" => Type::Int(Int),
+            "u" => Type::Int(UInt),
+            "l" => Type::Int(Long),
+            "ul" => Type::Int(ULong),
+            "f" => Type::Float,
+            _ => Type::Double,
+        };
+        for (row, (a, at)) in TABLE.iter().zip(&kinds) {
+            for (&abbr, (b, bt)) in row.iter().zip(&kinds) {
+                let want = named(abbr);
+                let mut src = format!("void f({a} x, {b} y) {{ x * y; x *= y;");
+                let mut expect = vec![want.clone(), want.clone()];
+                if let (Type::Int(k), true) = (at, bt.is_integer()) {
+                    src.push_str(" x << y; x <<= y;");
+                    expect.extend([Type::Int(k.promote()), Type::Int(k.promote())]);
+                }
+                src.push_str(" }");
+                assert_eq!(stmt_types(&src), expect, "{a} op {b}");
+                assert_eq!(at.common_arith(bt), want, "{a}, {b}");
+            }
+        }
+        let ptr = Type::ptr(Type::int());
+        let long = Type::Int(Long);
+        assert_eq!(
+            stmt_types(
+                "void f(int *p, int *q, char c, long n) { p + c; c + p; p - n; p - q; p += c; \
+                 p -= n; }"
+            ),
+            [ptr.clone(), ptr.clone(), ptr.clone(), long, ptr.clone(), ptr]
+        );
     }
 
     #[test]

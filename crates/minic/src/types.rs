@@ -74,6 +74,26 @@ impl IntKind {
         }
     }
 
+    /// The usual arithmetic conversions (C11 §6.3.1.8) for two integer
+    /// operands: both promote; then the higher rank wins, and the unsigned
+    /// kind of it when the other side is unsigned and at least as wide.
+    ///
+    /// ```
+    /// use slade_minic::IntKind;
+    /// assert_eq!(IntKind::Char.common(IntKind::UShort), IntKind::Int);
+    /// assert_eq!(IntKind::Int.common(IntKind::UInt), IntKind::UInt);
+    /// assert_eq!(IntKind::UInt.common(IntKind::Long), IntKind::Long);
+    /// ```
+    pub fn common(self, other: IntKind) -> IntKind {
+        let (a, b) = (self.promote(), other.promote());
+        let (hi, lo) = if a.rank() >= b.rank() { (a, b) } else { (b, a) };
+        if hi.signed() && !lo.signed() && hi.size() == lo.size() {
+            hi.to_unsigned()
+        } else {
+            hi
+        }
+    }
+
     /// Wraps `v` (an infinitely-ranged value held in an `i64`) to this kind's
     /// width and signedness.
     ///
@@ -185,6 +205,18 @@ impl Type {
         match self {
             Type::Array(t, _) => Type::Ptr(t.clone()),
             other => other.clone(),
+        }
+    }
+
+    /// The usual arithmetic conversions for two arithmetic operand types:
+    /// `double` wins, then `float`, then [`IntKind::common`]. Sema rejects
+    /// arithmetic on anything else before asking; such a pair yields `int`.
+    pub fn common_arith(&self, other: &Type) -> Type {
+        match (self, other) {
+            (Type::Double, _) | (_, Type::Double) => Type::Double,
+            (Type::Float, _) | (_, Type::Float) => Type::Float,
+            (Type::Int(a), Type::Int(b)) => Type::Int(a.common(*b)),
+            _ => Type::int(),
         }
     }
 }

@@ -40,7 +40,7 @@ pub use errfix::fix_for_error;
 pub use textfix::{balance_delimiters, close_literals, sanitize, truncate_trailing_garbage};
 
 use serde::{Deserialize, Serialize};
-use slade_minic::{parse_program, MiniCError, Sema};
+use slade_minic::{parse_program, replace_ident, MiniCError, Sema};
 
 /// One applied repair, in application order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -195,24 +195,7 @@ pub fn rename_function(hypothesis: &str, expected: &str) -> Option<(String, Repa
     if from == expected {
         return None;
     }
-    let mut out = String::with_capacity(hypothesis.len());
-    let bytes = hypothesis.as_bytes();
-    let mut i = 0usize;
-    let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    while i < bytes.len() {
-        if hypothesis[i..].starts_with(&from)
-            && (i == 0 || !is_word(bytes[i - 1]))
-            && (i + from.len() == bytes.len() || !is_word(bytes[i + from.len()]))
-        {
-            out.push_str(expected);
-            i += from.len();
-        } else {
-            // Advance one full UTF-8 character.
-            let ch = hypothesis[i..].chars().next().expect("in-bounds char");
-            out.push(ch);
-            i += ch.len_utf8();
-        }
-    }
+    let out = replace_ident(hypothesis, &from, expected);
     Some((out, RepairStep::RenamedFunction { from, to: expected.to_string() }))
 }
 
