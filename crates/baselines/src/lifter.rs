@@ -231,16 +231,48 @@ impl<'a> Frame<'a> {
         format!("(unsigned long){var}")
     }
 
-    /// A call to `callee`: its arity is the contiguous prefix of argument
-    /// registers written since the last call or label, per class.
+    /// A call to `callee`. A MiniC builtin takes its signature: argument
+    /// classes in order and, for a floating-point result, the first
+    /// floating-point register. Any other callee's arity is the contiguous
+    /// prefix of argument registers written since the last call or label,
+    /// per class.
     fn call<'t, T: Target<'t>>(&mut self, callee: &str) {
-        let ints = (0..).take_while(|i| self.armed[0].contains(i)).count();
-        let floats = (0..).take_while(|i| self.armed[1].contains(i)).count();
-        let mut args: Vec<String> = (0..ints).map(|i| self.int(T::int_arg(i))).collect();
-        args.extend((0..floats).map(|n| self.float(T::FLOAT, n)));
-        let ret = self.int(T::RET.to_string());
-        self.body.push(format!("{ret} = (unsigned long){callee}({});", args.join(", ")));
+        let sig = slade_minic::sema::builtin_signature(callee).filter(|s| !s.variadic);
+        let mut args = Vec::new();
+        match sig {
+            Some(sig) => {
+                let mut next = [0, 0];
+                for ty in &sig.params {
+                    let class = ty.is_floating() as usize;
+                    args.push(self.arg_var::<T>(class, next[class]));
+                    next[class] += 1;
+                }
+            }
+            None => {
+                for class in 0..2 {
+                    let n = (0..).take_while(|i| self.armed[class].contains(i)).count();
+                    args.extend((0..n).map(|i| self.arg_var::<T>(class, i)));
+                }
+            }
+        }
+        let args = args.join(", ");
+        let stmt = match sig {
+            Some(sig) if sig.ret.is_floating() => {
+                format!("{} = {callee}({args});", self.float(T::FLOAT, 0))
+            }
+            _ => format!("{} = (unsigned long){callee}({args});", self.int(T::RET.to_string())),
+        };
+        self.body.push(stmt);
         self.armed = [Vec::new(), Vec::new()];
+    }
+
+    /// The C variable of argument register `n` of `class`.
+    fn arg_var<'t, T: Target<'t>>(&mut self, class: usize, n: usize) -> String {
+        if class == 0 {
+            self.int(T::int_arg(n))
+        } else {
+            self.float(T::FLOAT, n)
+        }
     }
 
     /// The C function: signature, stack, compare temporaries, string
@@ -349,9 +381,16 @@ impl<'a> Target<'a> for X86Lifter<'a> {
         let writes =
             !matches!(m, "cmpl" | "cmpq" | "testl" | "testq" | "ucomiss" | "ucomisd" | "pushq")
                 && !m.starts_with('j');
-        let mut out = Vec::new();
+        // `cltd` / `cqto` write `rdx` without naming it; `xor r, r` zeroes
+        // `r` whatever it held.
+        let mut out = if matches!(m, "cltd" | "cqto") { vec![(0, 2, true)] } else { vec![] };
+        let zeroes =
+            matches!(m, "xorl" | "xorq") && matches!(&inst.operands[..], [a, b] if a == b);
         for (i, op) in inst.operands.iter().enumerate() {
             let write = writes && i + 1 == inst.operands.len();
+            if zeroes && !write {
+                continue;
+            }
             match op {
                 Operand::Reg(r) => match xmm_num(r) {
                     Some(n) => out.push((1, n, write)),
@@ -461,22 +500,20 @@ impl<'a> Target<'a> for X86Lifter<'a> {
                     (true, true) => "(long)",
                     (false, true) => "(unsigned long)",
                 };
-                self.fr
-                    .body
-                    .push(format!("{rdx} = (unsigned int)({cast}{rax} % {cast}({d}));"));
-                self.fr
-                    .body
-                    .push(format!("{rax} = (unsigned int)({cast}{rax} / {cast}({d}));"));
+                let wrap = if m.ends_with('q') { "" } else { "(unsigned int)" };
+                self.fr.body.push(format!("{rdx} = {wrap}({cast}{rax} % {cast}({d}));"));
+                self.fr.body.push(format!("{rax} = {wrap}({cast}{rax} / {cast}({d}));"));
             }
             "sall" | "salq" | "sarl" | "sarq" | "shrl" | "shrq" => {
                 let width = if m.ends_with('q') { 'q' } else { 'l' };
                 let amt = self.read(arg(ops, 0)?, 'b')?;
                 let a = self.read(arg(ops, 1)?, width)?;
+                let mask = if width == 'q' { 63 } else { 31 };
                 let expr = match (&m[..3], width) {
-                    ("sal", _) => format!("({a}) << ({amt} & 31)"),
+                    ("sal", _) => format!("({a}) << ({amt} & {mask})"),
                     ("sar", 'l') => format!("(int)({a}) >> ({amt} & 31)"),
                     ("sar", _) => format!("(long)({a}) >> ({amt} & 63)"),
-                    _ => format!("({a}) >> ({amt} & 31)"),
+                    _ => format!("({a}) >> ({amt} & {mask})"),
                 };
                 self.write(arg(ops, 1)?, expr, width)?;
             }
@@ -1059,10 +1096,13 @@ impl ArmLifter<'_> {
             "eq" => "e",
             "ne" => "ne",
             "lt" | "mi" => "l",
-            "le" | "ls" => "le",
-            "gt" | "hi" => "g",
-            "ge" | "hs" => "ge",
+            "le" => "le",
+            "gt" => "g",
+            "ge" => "ge",
             "lo" => "b",
+            "ls" => "be",
+            "hi" => "a",
+            "hs" => "ae",
             other => return Err(LiftError(format!("condition `{other}`"))),
         })
     }
@@ -1169,6 +1209,17 @@ mod tests {
             "int helper(int a, int b) { return a + b; } int f(int x) { return helper(x, 3); }";
         let c = lift_src(src, "f", Isa::X86_64, OptLevel::O0).unwrap();
         assert!(c.contains("helper(r_rdi, r_rsi)") || c.contains("helper(r_rdi,"), "{c}");
+    }
+
+    #[test]
+    fn builtin_calls_take_the_builtin_signature() {
+        let src = "double f(double x, double y) { return sqrt(x * x + y * y); }";
+        for (isa, call) in [(Isa::X86_64, "f_0 = sqrt(f_0);"), (Isa::Arm64, "d_0 = sqrt(d_0);")]
+        {
+            let c = lift_src(src, "f", isa, OptLevel::O0).unwrap();
+            assert!(c.contains(call), "{c}");
+            parse_program(&c).and_then(|p| Interpreter::new(&p).map(drop)).expect(&c);
+        }
     }
 
     #[test]

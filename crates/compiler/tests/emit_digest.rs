@@ -87,3 +87,14 @@ fn compound_assignment_output_is_pinned() {
     assert_eq!((ok, err), (4 * sources.len(), 0));
     assert_eq!(digest, 0xf354_a7af_1052_907b, "{ok} ok, {err} err");
 }
+
+/// The wide-shift table, pinned apart from the two above. The value is
+/// what the compiler emitted when the table was added.
+#[test]
+fn wide_shift_output_is_pinned() {
+    let sources: Vec<String> =
+        agreement::WIDE_SHIFTS.iter().map(|&(src, _)| src.to_string()).collect();
+    let (digest, ok, err) = digest(&sources);
+    assert_eq!((ok, err), (4 * sources.len(), 0));
+    assert_eq!(digest, 0x901e_768c_f1f0_7a15, "{ok} ok, {err} err");
+}

@@ -3,7 +3,7 @@
 //! immediate, every predicate both as a value and as a fused branch,
 //! division, remainder and shifts at every width, the register-argument
 //! shapes of both ABIs, `switch`, and the loop the x86 `-O3` vectorizer
-//! rewrites; beside it, the compound-assignment table.
+//! rewrites; beside it, the compound-assignment and wide-shift tables.
 //!
 //! `tests/libc.rs` runs every call on both emulators at -O0 and -O3 against
 //! `minic::interp`; `slade_compiler`'s `tests/emit_digest.rs` pins what the
@@ -43,6 +43,10 @@ const ORDERED: &[&[In]] =
 const INTS: &[&[In]] = &[&[Int(3), Int(3)], &[Int(-4), Int(3)], &[Int(3), Int(-4)]];
 const UNSIGNEDS: &[&[In]] =
     &[&[Int(7), Int(7)], &[Int(0xffff_fff0), Int(3)], &[Int(3), Int(0xffff_fff0)]];
+
+/// The loop the x86 `-O3` vectorizer rewrites.
+pub const VECTOR_LOOP: &str = "int f(int *list, int val, int n) { int i; \
+     for (i = 0; i < n; ++i) { list[i] += val; } return n; }";
 
 pub const ROWS: &[Row] = &[
     // Casts: all 17 kinds.
@@ -199,8 +203,7 @@ pub const ROWS: &[Row] = &[
         &[&[Int(1)], &[Int(3)], &[Int(7)], &[Int(9)]],
     ),
     (
-        "int f(int *list, int val, int n) { int i; \
-         for (i = 0; i < n; ++i) { list[i] += val; } return n; }",
+        VECTOR_LOOP,
         &[&[
             Buf(&[1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0]),
             Int(7),
@@ -324,6 +327,15 @@ pub const COMPOUND: &[Row] = &[
          q += d; q += u; q -= 1; return *q; }",
         &[&[Buf(&[10, 20, 30, 40, 50, 60]), Int(3)]],
     ),
+];
+
+/// Shifts of a `long` by 32 or more: the count must not be masked as if
+/// the shift were 32 bits wide. `emit_digest.rs` pins this table apart from
+/// `ROWS` and `COMPOUND`.
+pub const WIDE_SHIFTS: &[Row] = &[
+    ("long f(long a, int n) { return a << n; }", &[&[Int(3), Int(40)]]),
+    ("long f(long a, int n) { return a >> n; }", &[&[Int(-(1 << 50)), Int(40)]]),
+    ("long f(long x, int n) { unsigned long a = x; return a >> n; }", &[&[Int(-1), Int(40)]]),
 ];
 
 /// Float compares with an unordered (NaN) operand. They agree on AArch64

@@ -659,6 +659,11 @@ impl<'p> Sema<'p> {
     }
 }
 
+/// The signature of libc builtin `name`, if MiniC provides it natively.
+pub fn builtin_signature(name: &str) -> Option<&'static Signature> {
+    builtins().get(name)
+}
+
 /// Signatures for the libc subset MiniC provides natively, built once per
 /// process. A program's own definition or prototype of the same name
 /// shadows one.
