@@ -24,6 +24,8 @@
 
 #![warn(missing_docs)]
 
+pub mod sem;
+
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;

@@ -5,29 +5,25 @@
 //! locals, the stack becomes a byte array, control flow becomes labels and
 //! `goto`s, and memory accesses stay as literal casts. Like Ghidra (paper
 //! §VII-D), it does **not** invent external types or signatures — extern
-//! call arities are guessed from argument-register writes, floating-point
+//! call arities are guessed from argument-register writes (libc builtins
+//! take their prototypes, as Ghidra applies libc's), floating-point
 //! constants are recovered only from recognizable bit patterns, and vector
 //! instructions are *not supported* (`-O3` x86 loops fail to lift, which is
 //! exactly the collapse the paper measures for Ghidra on optimized code).
 //!
-//! One `Frame` holds what every ISA's output shares — the statements,
-//! string literals, compare snapshots, armed argument registers — and emits
-//! the C function; an ISA (a `Target`) adds its register names and its
-//! mnemonic table.
+//! Each instruction is decoded by `slade_asm::sem` — the table the
+//! emulators execute — and one `Frame` prints its ops: the statements,
+//! string literals, compare snapshots, armed argument registers and the C
+//! function around them. An ISA adds only how its registers are spelled.
 
-use slade_asm::{AsmFunction, Inst, Isa, Line, Operand};
+use slade_asm::sem::{self, Addr, BinOp, Class, Cond, Op, Reg, Val};
+use slade_asm::{AsmFunction, Isa, Line};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Why a function could not be lifted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiftError(pub String);
-
-/// Operand accessor that converts malformed (truncated) operand lists into
-/// lift errors instead of index panics — hostile assembly must lift-fail.
-fn arg(ops: &[Operand], i: usize) -> Result<&Operand, LiftError> {
-    ops.get(i).ok_or_else(|| LiftError(format!("missing operand {i}")))
-}
 
 impl fmt::Display for LiftError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -48,82 +44,101 @@ pub fn lift(
     isa: Isa,
     rodata: &HashMap<String, Vec<u8>>,
 ) -> Result<String, LiftError> {
-    match isa {
-        Isa::X86_64 => lift_with(X86Lifter { fr: Frame::new(rodata) }, func),
-        Isa::Arm64 => lift_with(ArmLifter { fr: Frame::new(rodata) }, func),
+    let names = match isa {
+        Isa::X86_64 => &X86,
+        Isa::Arm64 => &ARM,
+    };
+    let mut fr = Frame::new(names, rodata);
+    let mut ops = Vec::new();
+    for line in &func.lines {
+        let inst = match line {
+            Line::Label(l) => {
+                fr.label(l);
+                continue;
+            }
+            Line::Inst(inst) => inst,
+        };
+        ops.clear();
+        sem::decode(isa, inst, &mut ops).map_err(LiftError)?;
+        if ops.iter().any(Op::is_vector) {
+            let m = &inst.mnemonic;
+            return Err(LiftError(format!("unsupported vector instruction `{m}`")));
+        }
+        if ops.first() != Some(&Op::Frame) {
+            for op in &ops {
+                fr.op(op)?;
+            }
+        }
     }
+    Ok(fr.emit(&func.name))
 }
 
-/// An ISA's half of the lifter: its register names, the frame its code
-/// assumes, and its mnemonic table.
-trait Target<'a> {
-    /// Prefix of a floating-point register's C variable.
-    const FLOAT: &'static str;
-    /// The C variable of the integer result register.
-    const RET: &'static str;
+/// How an ISA's registers are spelled in C.
+struct Names {
+    isa: Isa,
+    /// Prefix of a floating-point register's variable.
+    float: &'static str,
     /// Stack-frame variables and their initial values, declared first.
-    const FRAME: &'static [(&'static str, &'static str)];
-    /// The C variable of integer argument register `n`.
-    fn int_arg(n: usize) -> String;
-    /// The argument registers `inst` touches, in operand order: class
-    /// (0 integer, 1 floating point), number within the class, and whether
-    /// it is written.
-    fn arg_accesses(inst: &Inst) -> Vec<(usize, usize, bool)>;
-    /// The shared frame this lifter fills.
-    fn frame(&mut self) -> &mut Frame<'a>;
-    /// Lifts one instruction.
-    fn lift_inst(&mut self, inst: &Inst) -> Result<(), LiftError>;
+    frame: &'static [(&'static str, &'static str)],
+    /// The variable of integer register `n`.
+    int: fn(u8) -> String,
 }
 
-fn lift_with<'a, T: Target<'a>>(mut t: T, f: &AsmFunction) -> Result<String, LiftError> {
-    for line in &f.lines {
-        match line {
-            Line::Label(l) => t.frame().label(l),
-            Line::Inst(inst) => t.lift_inst(inst)?,
-        }
-    }
-    Ok(t.frame().emit::<T>(&f.name, arity::<T>(f)))
+const X86: Names = Names {
+    isa: Isa::X86_64,
+    float: "f_",
+    frame: &[("r_rbp", "(unsigned long)(stk + 4000)"), ("r_rsp", "r_rbp")],
+    int: x86_int,
+};
+
+const ARM: Names = Names {
+    isa: Isa::Arm64,
+    float: "d_",
+    frame: &[("x_sp", "(unsigned long)stk"), ("x_29", "(unsigned long)stk")],
+    int: arm_int,
+};
+
+fn x86_int(n: u8) -> String {
+    format!("r_{}", sem::X86_GPRS[n as usize])
 }
 
-/// How many integer and floating-point arguments `f` takes: the ABI prefix
-/// of argument registers it reads before it writes them (no ABI passes
-/// more than 8 of a class in registers).
-fn arity<'a, T: Target<'a>>(f: &AsmFunction) -> [usize; 2] {
-    let (mut written, mut read) = ([vec![], vec![]], [vec![], vec![]]);
-    let accesses = f.instructions().flat_map(T::arg_accesses).filter(|&(_, n, _)| n < 8);
-    for (class, n, write) in accesses {
-        if write {
-            written[class].push(n);
-        } else if !written[class].contains(&n) {
-            read[class].push(n);
-        }
+fn arm_int(n: u8) -> String {
+    if n == sem::ARM_SP {
+        "x_sp".to_string()
+    } else {
+        format!("x_{n}")
     }
-    read.map(|r| (0..).take_while(|i| r.contains(i)).count())
 }
 
 /// What every ISA's lifted function shares: its statements, the registers
 /// it names, its string literals and the lifting state that labels reset.
 struct Frame<'a> {
+    names: &'static Names,
     rodata: &'a HashMap<String, Vec<u8>>,
     body: Vec<String>,
     /// Integer register variables, in order of first use.
     ints: Vec<String>,
     /// Floating-point register numbers, in order of first use.
-    floats: Vec<usize>,
+    floats: Vec<u8>,
     /// `(variable, escaped text)` per distinct rodata string.
     strings: Vec<(String, String)>,
     /// The last compare's snapshot variables and width (`l`, `q` or `f`).
     pending_cmp: Option<(String, String, char)>,
-    /// Known constant per register, for float-literal recovery.
-    consts: HashMap<String, i64>,
+    /// Known constant per integer register, for float-literal recovery.
+    consts: HashMap<u8, i64>,
     /// Argument registers written since the last call or label, per class.
     armed: [Vec<usize>; 2],
+    /// Argument registers written, and read before written: the arity
+    /// scan, per class.
+    written: [Vec<usize>; 2],
+    read: [Vec<usize>; 2],
     uses_cmp_tmps: bool,
 }
 
 impl<'a> Frame<'a> {
-    fn new(rodata: &'a HashMap<String, Vec<u8>>) -> Self {
+    fn new(names: &'static Names, rodata: &'a HashMap<String, Vec<u8>>) -> Self {
         Frame {
+            names,
             rodata,
             body: Vec::new(),
             ints: Vec::new(),
@@ -131,32 +146,251 @@ impl<'a> Frame<'a> {
             strings: Vec::new(),
             pending_cmp: None,
             consts: HashMap::new(),
-            armed: [Vec::new(), Vec::new()],
+            armed: Default::default(),
+            written: Default::default(),
+            read: Default::default(),
             uses_cmp_tmps: false,
         }
     }
 
-    /// Names integer register variable `var`, declaring it on first use.
-    fn int(&mut self, var: String) -> String {
+    /// Prints one op.
+    fn op(&mut self, op: &Op) -> Result<(), LiftError> {
+        let isa = self.names.isa;
+        let (written, read) = (&self.written, &mut self.read);
+        op.uses(|r| {
+            let c = r.class as usize;
+            if let Some(n) = sem::arg_index(isa, r).filter(|n| !written[c].contains(n)) {
+                read[c].push(n);
+            }
+        });
+        match op {
+            Op::Frame => {}
+            Op::Mov { w, dst: Val::Mem(a), src: Val::Reg(r) } if r.class == Class::Float => {
+                let (ty, cast) = if *w == 4 { ("float", "(float)") } else { ("double", "") };
+                let (var, addr) = (self.reg(*r), self.addr(a));
+                self.body.push(format!("*({ty}*)({addr}) = {cast}{var};"));
+            }
+            Op::Mov { w, dst: Val::Reg(r), src } if r.class == Class::Float => {
+                let v = self.fread(src, *w)?;
+                self.write_reg(*r, v);
+            }
+            Op::Mov { w, dst, src } => {
+                let v = self.read(src, *w);
+                self.write(dst, v, *w)?;
+            }
+            Op::Ext { from, signed, dst, src } => {
+                let cast = match (from, signed) {
+                    (4, _) => "(long)(int)",
+                    (1, true) => "(int)(char)",
+                    (1, false) => "(unsigned char)",
+                    (_, true) => "(int)(short)",
+                    _ => "(unsigned short)",
+                };
+                let v = self.read(src, *from);
+                self.write_reg(*dst, format!("{cast}({v})"));
+            }
+            Op::AddrOf { dst, addr } => {
+                let a = self.addr(addr);
+                self.write_reg(*dst, a);
+            }
+            Op::Bin { op, w, dst, a, b, .. } => {
+                let (a, b) = (self.read(a, *w), self.read(b, *w));
+                let (signed, c, mask) =
+                    (if *w == 8 { "(long)" } else { "(int)" }, op.c(), 8 * w - 1);
+                let e = match op {
+                    BinOp::DivS | BinOp::RemS => format!("{signed}({a}) {c} {signed}({b})"),
+                    BinOp::DivU | BinOp::RemU => format!("({a}) {c} ({b})"),
+                    BinOp::Shl | BinOp::ShrU => format!("({a}) {c} ({b} & {mask})"),
+                    BinOp::ShrS => format!("{signed}({a}) >> ({b} & {mask})"),
+                    _ => format!("{a} {c} {b}"),
+                };
+                self.write(dst, e, *w)?;
+            }
+            Op::MulSub { dst, a, b, c } => {
+                let w = dst.width;
+                let (a, b, c) = (self.read(a, w), self.read(b, w), self.read(c, w));
+                self.write_reg(*dst, format!("{c} - ({a}) * ({b})"));
+            }
+            Op::Cmp { w, a, b } => {
+                let (a, b) = (self.read(a, *w), self.read(b, *w));
+                self.compare(a, b, if *w == 8 { 'q' } else { 'l' });
+            }
+            // Only `test r, r` is emitted: a compare with zero.
+            Op::Test { w, a, .. } => {
+                let a = self.read(a, *w);
+                self.compare(a, "0".to_string(), if *w == 8 { 'q' } else { 'l' });
+            }
+            Op::FBin { op, w, dst, a, b } => {
+                let (a, b) = (self.fread(a, *w)?, self.fread(b, *w)?);
+                self.write_reg(*dst, format!("{a} {} {b}", op.c()));
+            }
+            Op::FCmp { w, a, b, .. } => {
+                let (a, b) = (self.fread(a, *w)?, self.fread(b, *w)?);
+                self.compare(a, b, 'f');
+            }
+            Op::IntToFloat { w, dst, src } => {
+                let (v, cast) = (self.read(src, *w), if *w == 8 { "long" } else { "int" });
+                self.write_reg(*dst, format!("(double)({cast})({v})"));
+            }
+            Op::FloatToInt { w, dst, src } => {
+                let v = self.fread(src, *w)?;
+                let cast = if dst.width == 8 { "(long)" } else { "(int)" };
+                self.write_reg(*dst, format!("{cast}{v}"));
+            }
+            // Floats are doubles throughout: a widening is a copy, a
+            // narrowing rounds.
+            Op::FConv { w, dst, src } => {
+                if !matches!(src, Val::Reg(s) if s.num == dst.num) {
+                    let v = self.fread(src, *w)?;
+                    self.write_reg(*dst, v);
+                }
+                if dst.width == 4 {
+                    let var = self.reg(*dst);
+                    self.write_reg(*dst, format!("(double)(float){var}"));
+                }
+            }
+            Op::Bits { w, dst, src } => {
+                let bits = match (dst.class, src.class) {
+                    (Class::Float, Class::Int) => self.consts.get(&src.num).copied(),
+                    _ => None,
+                };
+                let Some(bits) = bits else {
+                    return Err(LiftError("bit-level float move".into()));
+                };
+                self.write_reg(*dst, float_lit(bits, *w == 4));
+            }
+            Op::Set { cond, dst } => {
+                let c = self.cond(*cond)?;
+                self.write(dst, format!("({c}) ? 1 : 0"), 1)?;
+            }
+            Op::Jump { cond: None, target } => {
+                self.body.push(format!("goto {};", label_c(target)))
+            }
+            Op::Jump { cond: Some(c), target } => {
+                let c = self.cond(*c)?;
+                self.body.push(format!("if ({c}) goto {};", label_c(target)));
+            }
+            Op::Cbnz { a, target } => {
+                let v = self.read(a, 8);
+                self.body.push(format!("if (({v}) != 0) goto {};", label_c(target)));
+            }
+            Op::Call(callee) => self.call(callee),
+            Op::Ret => self.body.push(format!("return {};", (self.names.int)(0))),
+            Op::Shuf { .. } | Op::Lanes { .. } => unreachable!("vector ops do not lift"),
+        }
+        self.track(op);
+        Ok(())
+    }
+
+    /// What `op` defines: an argument register written (arity scan,
+    /// extern-call arming) and an integer register's constant, if known.
+    fn track(&mut self, op: &Op) {
+        let Some(r) = op.def() else { return };
+        if let Some(n) = sem::arg_index(self.names.isa, r) {
+            let c = r.class as usize;
+            self.written[c].push(n);
+            if !self.armed[c].contains(&n) {
+                self.armed[c].push(n);
+            }
+        }
+        if r.class == Class::Float {
+            return;
+        }
+        let known = |v: &Val| match v {
+            Val::Imm(i) => Some(*i),
+            Val::Reg(r) if r.class == Class::Int => self.consts.get(&r.num).copied(),
+            _ => None,
+        };
+        let value = match op {
+            Op::Mov { src, .. } => known(src),
+            Op::Bin { op, w, a, b, .. } => known(a)
+                .zip(known(b))
+                .and_then(|(a, b)| op.eval(*w, a as u64, b as u64))
+                .map(|v| v as i64),
+            _ => None,
+        };
+        match value {
+            Some(v) => self.consts.insert(r.num, v),
+            None => self.consts.remove(&r.num),
+        };
+    }
+
+    /// A register's variable, declared on first use.
+    fn reg(&mut self, r: Reg) -> String {
+        if r.class == Class::Float {
+            if !self.floats.contains(&r.num) {
+                self.floats.push(r.num);
+            }
+            return format!("{}{}", self.names.float, r.num);
+        }
+        let var = (self.names.int)(r.num);
         if !self.ints.contains(&var) {
             self.ints.push(var.clone());
         }
         var
     }
 
-    /// Names floating-point register `n`, declaring it on first use.
-    fn float(&mut self, prefix: &str, n: usize) -> String {
-        if !self.floats.contains(&n) {
-            self.floats.push(n);
+    /// An operand read as an integer C expression; memory is `w` bytes.
+    fn read(&mut self, v: &Val, w: u8) -> String {
+        match v {
+            Val::Imm(i) => format!("{i}"),
+            Val::Reg(r) if r.class == Class::Float || r.width == 8 => self.reg(*r),
+            Val::Reg(r) => format!("({}){}", int_type(r.width), self.reg(*r)),
+            Val::Mem(a) => format!("*({}*)({})", int_type(w), self.addr(a)),
         }
-        format!("{prefix}{n}")
     }
 
-    /// Notes a write to argument register `n` of `class`.
-    fn arm(&mut self, class: usize, n: usize) {
-        if n < 8 && !self.armed[class].contains(&n) {
-            self.armed[class].push(n);
+    /// An operand read as a double; memory is a `w`-byte float.
+    fn fread(&mut self, v: &Val, w: u8) -> Result<String, LiftError> {
+        Ok(match v {
+            Val::Reg(r) => self.reg(*r),
+            Val::Mem(a) if w == 4 => format!("(double)*(float*)({})", self.addr(a)),
+            Val::Mem(a) => format!("*(double*)({})", self.addr(a)),
+            Val::Imm(i) => return Err(LiftError(format!("float immediate {i}"))),
+        })
+    }
+
+    fn write(&mut self, v: &Val, value: String, w: u8) -> Result<(), LiftError> {
+        match v {
+            Val::Reg(r) => self.write_reg(*r, value),
+            Val::Mem(a) => {
+                let addr = self.addr(a);
+                self.body.push(format!("*({}*)({addr}) = {value};", int_type(w)));
+            }
+            Val::Imm(i) => return Err(LiftError(format!("write to immediate {i}"))),
         }
+        Ok(())
+    }
+
+    /// A register write at its width: a 32-bit write zero-extends, a
+    /// narrower one merges.
+    fn write_reg(&mut self, r: Reg, value: String) {
+        let var = self.reg(r);
+        self.body.push(match (r.class, r.width) {
+            (Class::Float, _) => format!("{var} = {value};"),
+            (_, 8) => format!("{var} = ({value});"),
+            (_, 4) => format!("{var} = (unsigned int)({value});"),
+            (_, w) => {
+                let (ty, keep) = (int_type(w), if w == 2 { 65535 } else { 255 });
+                format!("{var} = ({var} & ~{keep}UL) | ({ty})({value});")
+            }
+        });
+    }
+
+    fn addr(&mut self, a: &Addr) -> String {
+        let Addr::Regs { base, index, disp } = a else {
+            let Addr::Sym(sym) = a else { unreachable!() };
+            return self.symbol(sym);
+        };
+        let mut parts: Vec<String> = base.iter().map(|&b| self.reg(b)).collect();
+        if let Some((ix, scale)) = index {
+            let r = self.reg(*ix);
+            parts.push(format!("{r} * {scale}"));
+        }
+        if *disp != 0 || parts.is_empty() {
+            parts.push(format!("{disp}"));
+        }
+        parts.join(" + ")
     }
 
     /// A label: control can arrive from elsewhere, so nothing tracked
@@ -165,7 +399,7 @@ impl<'a> Frame<'a> {
         self.body.push(format!("{}: ;", label_c(l)));
         self.pending_cmp = None;
         self.consts.clear();
-        self.armed = [Vec::new(), Vec::new()];
+        self.armed = Default::default();
     }
 
     /// Snapshots a compare's operands: the setcc sequence between a compare
@@ -178,38 +412,32 @@ impl<'a> Frame<'a> {
         self.pending_cmp = Some((va.into(), vb.into(), width));
     }
 
-    /// Condition `cc` (x86 spelling) of the pending compare, as C.
-    fn cond(&self, cc: &str) -> Result<String, LiftError> {
+    /// Condition `c` of the pending compare, as C.
+    fn cond(&self, c: Cond) -> Result<String, LiftError> {
         let Some((a, b, width)) = &self.pending_cmp else {
-            return Err(LiftError(format!("condition `{cc}` without compare")));
+            return Err(LiftError(format!("condition {c:?} without compare")));
         };
-        let (sa, sb, ua, ub) = match width {
-            'l' => (
-                format!("(int)({a})"),
-                format!("(int)({b})"),
-                format!("(unsigned int)({a})"),
-                format!("(unsigned int)({b})"),
-            ),
-            'f' => (a.clone(), b.clone(), a.clone(), b.clone()),
-            _ => (
-                format!("(long)({a})"),
-                format!("(long)({b})"),
-                format!("({a})"),
-                format!("({b})"),
-            ),
+        let (s, u) = match width {
+            'l' => ("(int)", "(unsigned int)"),
+            'f' => ("", ""),
+            _ => ("(long)", ""),
         };
-        Ok(match cc {
-            "e" => format!("{sa} == {sb}"),
-            "ne" => format!("{sa} != {sb}"),
-            "l" => format!("{sa} < {sb}"),
-            "le" => format!("{sa} <= {sb}"),
-            "g" => format!("{sa} > {sb}"),
-            "ge" => format!("{sa} >= {sb}"),
-            "b" => format!("{ua} < {ub}"),
-            "be" => format!("{ua} <= {ub}"),
-            "a" => format!("{ua} > {ub}"),
-            "ae" => format!("{ua} >= {ub}"),
-            other => return Err(LiftError(format!("condition `{other}`"))),
+        let (op, cast) = match c {
+            Cond::Eq => ("==", s),
+            Cond::Ne => ("!=", s),
+            Cond::Lt | Cond::Neg => ("<", s),
+            Cond::Le => ("<=", s),
+            Cond::Gt => (">", s),
+            Cond::Ge | Cond::NotNeg => (">=", s),
+            Cond::Below => ("<", u),
+            Cond::BelowEq => ("<=", u),
+            Cond::Above => (">", u),
+            Cond::AboveEq => (">=", u),
+        };
+        Ok(if *width == 'f' {
+            format!("{a} {op} {b}")
+        } else {
+            format!("{cast}({a}) {op} {cast}({b})")
         })
     }
 
@@ -236,7 +464,7 @@ impl<'a> Frame<'a> {
     /// floating-point register. Any other callee's arity is the contiguous
     /// prefix of argument registers written since the last call or label,
     /// per class.
-    fn call<'t, T: Target<'t>>(&mut self, callee: &str) {
+    fn call(&mut self, callee: &str) {
         let sig = slade_minic::sema::builtin_signature(callee).filter(|s| !s.variadic);
         let mut args = Vec::new();
         match sig {
@@ -244,47 +472,53 @@ impl<'a> Frame<'a> {
                 let mut next = [0, 0];
                 for ty in &sig.params {
                     let class = ty.is_floating() as usize;
-                    args.push(self.arg_var::<T>(class, next[class]));
+                    args.push(self.arg_var(class, next[class]));
                     next[class] += 1;
                 }
             }
             None => {
                 for class in 0..2 {
                     let n = (0..).take_while(|i| self.armed[class].contains(i)).count();
-                    args.extend((0..n).map(|i| self.arg_var::<T>(class, i)));
+                    args.extend((0..n).map(|i| self.arg_var(class, i)));
                 }
             }
         }
         let args = args.join(", ");
         let stmt = match sig {
             Some(sig) if sig.ret.is_floating() => {
-                format!("{} = {callee}({args});", self.float(T::FLOAT, 0))
+                format!("{} = {callee}({args});", self.arg_var(1, 0))
             }
-            _ => format!("{} = (unsigned long){callee}({args});", self.int(T::RET.to_string())),
+            _ => format!("{} = (unsigned long){callee}({args});", self.arg_var(2, 0)),
         };
         self.body.push(stmt);
-        self.armed = [Vec::new(), Vec::new()];
+        self.armed = Default::default();
     }
 
-    /// The C variable of argument register `n` of `class`.
-    fn arg_var<'t, T: Target<'t>>(&mut self, class: usize, n: usize) -> String {
-        if class == 0 {
-            self.int(T::int_arg(n))
-        } else {
-            self.float(T::FLOAT, n)
-        }
+    /// The variable of argument register `n` of `class` (0 integer, 1
+    /// floating point; class 2 is the integer result register).
+    fn arg_var(&mut self, class: usize, n: usize) -> String {
+        let num = match class {
+            0 => sem::int_args(self.names.isa)[n],
+            _ => n as u8,
+        };
+        let class = if class == 1 { Class::Float } else { Class::Int };
+        self.reg(Reg { class, num, width: 8 })
     }
 
     /// The C function: signature, stack, compare temporaries, string
     /// literals, register locals, body, return.
-    fn emit<'t, T: Target<'t>>(&self, name: &str, [nint, nf]: [usize; 2]) -> String {
-        let params: Vec<String> = (0..nint).map(T::int_arg).collect();
+    fn emit(&self, name: &str) -> String {
+        let [nint, nf] =
+            self.read.each_ref().map(|r| (0..).take_while(|i| r.contains(i)).count());
+        let n = self.names;
+        let params: Vec<String> =
+            sem::int_args(n.isa)[..nint].iter().map(|&r| (n.int)(r)).collect();
         let mut sig: Vec<String> =
             params.iter().map(|p| format!("unsigned long {p}")).collect();
-        sig.extend((0..nf).map(|n| format!("double {}{n}", T::FLOAT)));
+        sig.extend((0..nf).map(|i| format!("double {}{i}", n.float)));
         let sig = if sig.is_empty() { "void".to_string() } else { sig.join(", ") };
         let mut out = format!("long {name}({sig}) {{\nunsigned char stk[4096];\n");
-        for (var, init) in T::FRAME {
+        for (var, init) in n.frame {
             out.push_str(&format!("unsigned long {var} = {init};\n"));
         }
         if self.uses_cmp_tmps {
@@ -294,22 +528,23 @@ impl<'a> Frame<'a> {
         for (var, text) in &self.strings {
             out.push_str(&format!("char *{var} = \"{text}\";\n"));
         }
+        let ret = (n.int)(0);
         let mut declared: Vec<&str> = params.iter().map(String::as_str).collect();
-        declared.extend(T::FRAME.iter().map(|(var, _)| *var));
-        for var in self.ints.iter().map(String::as_str).chain([T::RET]) {
+        declared.extend(n.frame.iter().map(|(var, _)| *var));
+        for var in self.ints.iter().map(String::as_str).chain([ret.as_str()]) {
             if !declared.contains(&var) {
                 out.push_str(&format!("unsigned long {var} = 0;\n"));
                 declared.push(var);
             }
         }
-        for n in self.floats.iter().filter(|&&n| n >= nf) {
-            out.push_str(&format!("double {}{n} = 0.0;\n", T::FLOAT));
+        for i in self.floats.iter().filter(|&&i| i as usize >= nf) {
+            out.push_str(&format!("double {}{i} = 0.0;\n", n.float));
         }
         for stmt in &self.body {
             out.push_str(stmt);
             out.push('\n');
         }
-        out.push_str(&format!("return {};\n}}\n", T::RET));
+        out.push_str(&format!("return {ret};\n}}\n"));
         out
     }
 }
@@ -357,769 +592,14 @@ fn float_lit(bits: i64, single: bool) -> String {
     ensure_float_lit(&format!("{v:?}"))
 }
 
-// ===================== x86-64 =====================
-
-const X86_ARGS: [&str; 6] = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"];
-
-struct X86Lifter<'a> {
-    fr: Frame<'a>,
-}
-
-impl<'a> Target<'a> for X86Lifter<'a> {
-    const FLOAT: &'static str = "f_";
-    const RET: &'static str = "r_rax";
-    const FRAME: &'static [(&'static str, &'static str)] =
-        &[("r_rbp", "(unsigned long)(stk + 4000)"), ("r_rsp", "r_rbp")];
-
-    fn int_arg(n: usize) -> String {
-        format!("r_{}", X86_ARGS[n])
-    }
-
-    fn arg_accesses(inst: &Inst) -> Vec<(usize, usize, bool)> {
-        // AT&T order: the destination is the last operand.
-        let m = inst.mnemonic.as_str();
-        let writes =
-            !matches!(m, "cmpl" | "cmpq" | "testl" | "testq" | "ucomiss" | "ucomisd" | "pushq")
-                && !m.starts_with('j');
-        // `cltd` / `cqto` write `rdx` without naming it; `xor r, r` zeroes
-        // `r` whatever it held.
-        let mut out = if matches!(m, "cltd" | "cqto") { vec![(0, 2, true)] } else { vec![] };
-        let zeroes =
-            matches!(m, "xorl" | "xorq") && matches!(&inst.operands[..], [a, b] if a == b);
-        for (i, op) in inst.operands.iter().enumerate() {
-            let write = writes && i + 1 == inst.operands.len();
-            if zeroes && !write {
-                continue;
-            }
-            match op {
-                Operand::Reg(r) => match xmm_num(r) {
-                    Some(n) => out.push((1, n, write)),
-                    None => out.extend(x86_arg(r).map(|n| (0, n, write))),
-                },
-                Operand::Mem { base, index, .. } => {
-                    let regs = [base, index].into_iter().flatten();
-                    out.extend(regs.filter_map(|r| x86_arg(r)).map(|n| (0, n, false)));
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    fn frame(&mut self) -> &mut Frame<'a> {
-        &mut self.fr
-    }
-
-    fn lift_inst(&mut self, inst: &Inst) -> Result<(), LiftError> {
-        let m = inst.mnemonic.as_str();
-        let ops = &inst.operands;
-        // Pattern: movl $bits, %eax ; movd %eax, %xmm0 (float const)
-        if m == "movd" || (m == "movq" && is_xmm_dst(inst)) {
-            if let (Operand::Reg(src), Operand::Reg(dst)) = (arg(ops, 0)?, arg(ops, 1)?) {
-                if dst.starts_with("xmm") {
-                    let Some(&bits) = self.fr.consts.get(&canonical_x86(src)) else {
-                        return Err(LiftError("bit-level float move".into()));
-                    };
-                    let var = self.xmm(dst)?;
-                    self.fr.body.push(format!("{var} = {};", float_lit(bits, m == "movd")));
-                    return Ok(());
-                }
-            }
-        }
-        // Track constants for float-literal recovery.
-        let mut new_const: Option<(String, i64)> = None;
-        if matches!(m, "movl" | "movabsq" | "movq") {
-            if let (Operand::Imm(v), Operand::Reg(r)) = (arg(ops, 0)?, arg(ops, 1)?) {
-                if !r.starts_with("xmm") {
-                    new_const = Some((canonical_x86(r), *v));
-                }
-            }
-        }
-        match m {
-            "endbr64" | "nop" | "leave" | "pushq" | "popq" | "cltd" | "cqto" => {}
-            "ret" => self.fr.body.push("return r_rax;".to_string()),
-            "movb" | "movw" | "movl" | "movq" | "movabsq" => {
-                if ops.iter().any(|o| matches!(o, Operand::Reg(r) if r.starts_with("xmm"))) {
-                    return Err(LiftError("untracked xmm bit move".into()));
-                }
-                let width = match m {
-                    "movb" => 'b',
-                    "movw" => 'w',
-                    "movl" => 'l',
-                    _ => 'q',
-                };
-                let v = self.read(arg(ops, 0)?, width)?;
-                self.write(arg(ops, 1)?, v, width)?;
-                self.arm(arg(ops, 1)?);
-            }
-            "movslq" | "movsbl" | "movzbl" | "movswl" | "movzwl" | "leaq" => {
-                let (v, width) = match m {
-                    "movslq" => {
-                        (format!("(long)(int)({})", self.read(arg(ops, 0)?, 'l')?), 'q')
-                    }
-                    "movsbl" => {
-                        (format!("(int)(char)({})", self.read(arg(ops, 0)?, 'b')?), 'l')
-                    }
-                    "movzbl" => {
-                        (format!("(unsigned char)({})", self.read(arg(ops, 0)?, 'b')?), 'l')
-                    }
-                    "movswl" => {
-                        (format!("(int)(short)({})", self.read(arg(ops, 0)?, 'w')?), 'l')
-                    }
-                    "movzwl" => {
-                        (format!("(unsigned short)({})", self.read(arg(ops, 0)?, 'w')?), 'l')
-                    }
-                    _ => (self.address_of(arg(ops, 0)?)?, 'q'),
-                };
-                self.write(arg(ops, 1)?, v, width)?;
-                self.arm(arg(ops, 1)?);
-            }
-            "addl" | "addq" | "subl" | "subq" | "imull" | "imulq" | "andl" | "andq" | "orl"
-            | "orq" | "xorl" | "xorq" => {
-                let width = if m.ends_with('q') { 'q' } else { 'l' };
-                let op = match &m[..m.len() - 1] {
-                    "add" => "+",
-                    "sub" => "-",
-                    "imul" => "*",
-                    "and" => "&",
-                    "or" => "|",
-                    _ => "^",
-                };
-                let a = self.read(arg(ops, 1)?, width)?;
-                let b = self.read(arg(ops, 0)?, width)?;
-                self.write(arg(ops, 1)?, format!("{a} {op} {b}"), width)?;
-                self.arm(arg(ops, 1)?);
-            }
-            "idivl" | "divl" | "idivq" | "divq" => {
-                let d = self.read(arg(ops, 0)?, if m.ends_with('q') { 'q' } else { 'l' })?;
-                let rax = self.reg64("rax");
-                let rdx = self.reg64("rdx");
-                let cast = match (m.starts_with('i'), m.ends_with('q')) {
-                    (true, false) => "(int)",
-                    (false, false) => "(unsigned int)",
-                    (true, true) => "(long)",
-                    (false, true) => "(unsigned long)",
-                };
-                let wrap = if m.ends_with('q') { "" } else { "(unsigned int)" };
-                self.fr.body.push(format!("{rdx} = {wrap}({cast}{rax} % {cast}({d}));"));
-                self.fr.body.push(format!("{rax} = {wrap}({cast}{rax} / {cast}({d}));"));
-            }
-            "sall" | "salq" | "sarl" | "sarq" | "shrl" | "shrq" => {
-                let width = if m.ends_with('q') { 'q' } else { 'l' };
-                let amt = self.read(arg(ops, 0)?, 'b')?;
-                let a = self.read(arg(ops, 1)?, width)?;
-                let mask = if width == 'q' { 63 } else { 31 };
-                let expr = match (&m[..3], width) {
-                    ("sal", _) => format!("({a}) << ({amt} & {mask})"),
-                    ("sar", 'l') => format!("(int)({a}) >> ({amt} & 31)"),
-                    ("sar", _) => format!("(long)({a}) >> ({amt} & 63)"),
-                    _ => format!("({a}) >> ({amt} & {mask})"),
-                };
-                self.write(arg(ops, 1)?, expr, width)?;
-            }
-            "cmpl" | "cmpq" | "testl" | "testq" => {
-                let width = if m.ends_with('q') { 'q' } else { 'l' };
-                let (a, b) = if m.starts_with("cmp") {
-                    let b = self.read(arg(ops, 0)?, width)?;
-                    (self.read(arg(ops, 1)?, width)?, b)
-                } else {
-                    (self.read(arg(ops, 0)?, width)?, "0".to_string())
-                };
-                self.fr.compare(a, b, width);
-            }
-            "ucomiss" | "ucomisd" => {
-                let a = self.read_float(arg(ops, 1)?, m == "ucomiss")?;
-                let b = self.read_float(arg(ops, 0)?, m == "ucomiss")?;
-                self.fr.compare(a, b, 'f');
-            }
-            _ if m.starts_with("set") => {
-                let cond = self.fr.cond(&m[3..])?;
-                self.write(arg(ops, 0)?, format!("({cond}) ? 1 : 0"), 'b')?;
-            }
-            "jmp" => {
-                let Operand::Sym(l) = arg(ops, 0)? else { return Err(LiftError("jmp".into())) };
-                self.fr.body.push(format!("goto {};", label_c(l)));
-            }
-            _ if m.starts_with('j') => {
-                let cond = self.fr.cond(&m[1..])?;
-                let Operand::Sym(l) = arg(ops, 0)? else { return Err(LiftError("jcc".into())) };
-                self.fr.body.push(format!("if ({cond}) goto {};", label_c(l)));
-            }
-            "call" => {
-                let Operand::Sym(callee) = arg(ops, 0)? else {
-                    return Err(LiftError("indirect call".into()));
-                };
-                self.fr.call::<Self>(callee);
-            }
-            "movss" | "movsd" => {
-                let single = m == "movss";
-                match (arg(ops, 0)?, arg(ops, 1)?) {
-                    (src, Operand::Reg(d)) if d.starts_with("xmm") => {
-                        let v = self.read_float(src, single)?;
-                        let n =
-                            xmm_num(d).ok_or_else(|| LiftError(format!("register `{d}`")))?;
-                        let var = self.fr.float(Self::FLOAT, n);
-                        self.fr.body.push(format!("{var} = {v};"));
-                        self.fr.arm(1, n);
-                    }
-                    (Operand::Reg(s), dst) if s.starts_with("xmm") => {
-                        let var = self.xmm(s)?;
-                        let addr = self.address_of(dst)?;
-                        let (ty, cast) =
-                            if single { ("float", "(float)") } else { ("double", "") };
-                        self.fr.body.push(format!("*({ty}*)({addr}) = {cast}{var};"));
-                    }
-                    _ => return Err(LiftError("movss form".into())),
-                }
-            }
-            "addss" | "addsd" | "subss" | "subsd" | "mulss" | "mulsd" | "divss" | "divsd" => {
-                let op = match &m[..3] {
-                    "add" => "+",
-                    "sub" => "-",
-                    "mul" => "*",
-                    _ => "/",
-                };
-                let b = self.read_float(arg(ops, 0)?, m.ends_with("ss"))?;
-                let var = self.xmm_dst(arg(ops, 1)?)?;
-                self.fr.body.push(format!("{var} = {var} {op} {b};"));
-            }
-            "cvtsi2ss" | "cvtsi2sd" | "cvtsi2ssq" | "cvtsi2sdq" => {
-                let (width, cast) = if m.ends_with('q') { ('q', "long") } else { ('l', "int") };
-                let v = self.read(arg(ops, 0)?, width)?;
-                let var = self.xmm_dst(arg(ops, 1)?)?;
-                self.fr.body.push(format!("{var} = (double)({cast})({v});"));
-            }
-            "cvttss2si" | "cvttsd2si" | "cvttss2siq" | "cvttsd2siq" => {
-                let Operand::Reg(s) = arg(ops, 0)? else {
-                    return Err(LiftError("cvt src".into()));
-                };
-                let var = self.xmm(s)?;
-                let (width, cast) =
-                    if m.ends_with('q') { ('q', "(long)") } else { ('l', "(int)") };
-                self.write(arg(ops, 1)?, format!("{cast}{var}"), width)?;
-            }
-            "cvtss2sd" | "cvtsd2ss" => {
-                // Same C variable (doubles throughout); conversion is free.
-                let Operand::Reg(s) = arg(ops, 0)? else { return Err(LiftError("cvt".into())) };
-                let Operand::Reg(d) = arg(ops, 1)? else { return Err(LiftError("cvt".into())) };
-                if s != d {
-                    let vs = self.xmm(s)?;
-                    let vd = self.xmm(d)?;
-                    self.fr.body.push(format!("{vd} = {vs};"));
-                }
-                if m == "cvtsd2ss" {
-                    let vd = self.xmm(d)?;
-                    self.fr.body.push(format!("{vd} = (double)(float){vd};"));
-                }
-            }
-            "movdqu" | "movups" | "paddd" | "psubd" | "pmulld" | "pshufd" => {
-                return Err(LiftError(format!("unsupported vector instruction `{m}`")));
-            }
-            other => return Err(LiftError(format!("unsupported instruction `{other}`"))),
-        }
-        if let Some((r, v)) = new_const {
-            self.fr.consts.insert(r, v);
-        } else if let Some(Operand::Reg(r)) = ops.last() {
-            self.fr.consts.remove(&canonical_x86(r));
-        }
-        Ok(())
-    }
-}
-
-impl X86Lifter<'_> {
-    fn reg64(&mut self, name: &str) -> String {
-        self.fr.int(format!("r_{}", canonical_x86(name)))
-    }
-
-    fn xmm(&mut self, name: &str) -> Result<String, LiftError> {
-        let n = xmm_num(name).ok_or_else(|| LiftError(format!("register `{name}`")))?;
-        Ok(self.fr.float(Self::FLOAT, n))
-    }
-
-    fn xmm_dst(&mut self, op: &Operand) -> Result<String, LiftError> {
-        let Operand::Reg(d) = op else { return Err(LiftError("fp dst".into())) };
-        self.xmm(d)
-    }
-
-    /// Reads an operand as a C expression of the given width suffix.
-    fn read(&mut self, op: &Operand, width: char) -> Result<String, LiftError> {
-        Ok(match op {
-            Operand::Imm(v) => format!("{v}"),
-            Operand::Reg(r) if r.starts_with("xmm") => self.xmm(r)?,
-            Operand::Reg(r) => {
-                let v = self.reg64(r);
-                match width {
-                    'b' => format!("(unsigned char){v}"),
-                    'w' => format!("(unsigned short){v}"),
-                    'l' => format!("(unsigned int){v}"),
-                    _ => v,
-                }
-            }
-            Operand::Mem { .. } | Operand::RipSym(_) => {
-                let addr = self.address_of(op)?;
-                format!("*({}*)({addr})", int_type(width))
-            }
-            other => return Err(LiftError(format!("operand {other:?}"))),
-        })
-    }
-
-    fn address_of(&mut self, op: &Operand) -> Result<String, LiftError> {
-        match op {
-            Operand::Mem { disp, base, index, scale } => {
-                let mut parts = Vec::new();
-                if let Some(b) = base {
-                    parts.push(self.reg64(b));
-                }
-                if let Some(ix) = index {
-                    let r = self.reg64(ix);
-                    parts.push(format!("{r} * {scale}"));
-                }
-                if *disp != 0 || parts.is_empty() {
-                    parts.push(format!("{disp}"));
-                }
-                Ok(parts.join(" + "))
-            }
-            Operand::RipSym(sym) => Ok(self.fr.symbol(sym)),
-            _ => Err(LiftError("not an address".into())),
-        }
-    }
-
-    fn write(&mut self, op: &Operand, value: String, width: char) -> Result<(), LiftError> {
-        let stmt = match op {
-            Operand::Reg(r) if r.starts_with("xmm") => format!("{} = {value};", self.xmm(r)?),
-            Operand::Reg(r) => {
-                let v = self.reg64(r);
-                match width {
-                    'l' => format!("{v} = (unsigned int)({value});"),
-                    'b' => format!("{v} = ({v} & ~255UL) | (unsigned char)({value});"),
-                    'w' => format!("{v} = ({v} & ~65535UL) | (unsigned short)({value});"),
-                    _ => format!("{v} = ({value});"),
-                }
-            }
-            Operand::Mem { .. } | Operand::RipSym(_) => {
-                let addr = self.address_of(op)?;
-                format!("*({}*)({addr}) = {value};", int_type(width))
-            }
-            other => return Err(LiftError(format!("write operand {other:?}"))),
-        };
-        self.fr.body.push(stmt);
-        Ok(())
-    }
-
-    fn read_float(&mut self, op: &Operand, single: bool) -> Result<String, LiftError> {
-        Ok(match op {
-            Operand::Reg(r) if r.starts_with("xmm") => self.xmm(r)?,
-            Operand::Mem { .. } | Operand::RipSym(_) => {
-                let addr = self.address_of(op)?;
-                if single {
-                    format!("(double)*(float*)({addr})")
-                } else {
-                    format!("*(double*)({addr})")
-                }
-            }
-            other => return Err(LiftError(format!("float operand {other:?}"))),
-        })
-    }
-
-    /// Notes a write to an integer argument register.
-    fn arm(&mut self, dst: &Operand) {
-        if let Operand::Reg(r) = dst {
-            if let Some(n) = x86_arg(r) {
-                self.fr.arm(0, n);
-            }
-        }
-    }
-}
-
-/// The C type of an integer access of the given width suffix.
-fn int_type(width: char) -> &'static str {
-    match width {
-        'b' => "unsigned char",
-        'w' => "unsigned short",
-        'l' => "unsigned int",
+/// The C type of a `w`-byte integer access.
+fn int_type(w: u8) -> &'static str {
+    match w {
+        1 => "unsigned char",
+        2 => "unsigned short",
+        4 => "unsigned int",
         _ => "unsigned long",
     }
-}
-
-fn xmm_num(name: &str) -> Option<usize> {
-    name.strip_prefix("xmm")?.parse().ok()
-}
-
-/// Which SysV integer argument register `name` (any width) is.
-fn x86_arg(name: &str) -> Option<usize> {
-    let base = canonical_x86(name);
-    X86_ARGS.iter().position(|&a| a == base)
-}
-
-fn canonical_x86(name: &str) -> String {
-    match name {
-        "eax" | "ax" | "al" => "rax",
-        "ebx" | "bl" => "rbx",
-        "ecx" | "cx" | "cl" => "rcx",
-        "edx" | "dx" | "dl" => "rdx",
-        "esi" | "sil" => "rsi",
-        "edi" | "dil" => "rdi",
-        "ebp" => "rbp",
-        "esp" => "rsp",
-        "r8d" => "r8",
-        "r9d" => "r9",
-        "r10d" => "r10",
-        "r11d" => "r11",
-        "r12d" => "r12",
-        "r13d" => "r13",
-        "r14d" => "r14",
-        "r15d" => "r15",
-        other => other,
-    }
-    .to_string()
-}
-
-fn is_xmm_dst(inst: &Inst) -> bool {
-    matches!(inst.operands.last(), Some(Operand::Reg(r)) if r.starts_with("xmm"))
-}
-
-// ===================== AArch64 =====================
-
-struct ArmLifter<'a> {
-    fr: Frame<'a>,
-}
-
-/// Mnemonics whose first operand is the register they write.
-const ARM_DST_FIRST: [&str; 35] = [
-    "mov", "movz", "movk", "fmov", "ldr", "ldrb", "ldrsb", "ldrh", "ldrsh", "add", "sub",
-    "mul", "sdiv", "udiv", "and", "orr", "eor", "lsl", "asr", "lsr", "msub", "sxtw", "sxtb",
-    "uxtb", "sxth", "uxth", "cset", "scvtf", "fcvtzs", "fcvt", "fadd", "fsub", "fmul", "fdiv",
-    "adrp",
-];
-
-impl<'a> Target<'a> for ArmLifter<'a> {
-    const FLOAT: &'static str = "d_";
-    const RET: &'static str = "x_0";
-    const FRAME: &'static [(&'static str, &'static str)] =
-        &[("x_sp", "(unsigned long)stk"), ("x_29", "(unsigned long)stk")];
-
-    fn int_arg(n: usize) -> String {
-        format!("x_{n}")
-    }
-
-    fn arg_accesses(inst: &Inst) -> Vec<(usize, usize, bool)> {
-        let dst_first = ARM_DST_FIRST.contains(&inst.mnemonic.as_str());
-        let mut out = Vec::new();
-        for (i, op) in inst.operands.iter().enumerate() {
-            let (r, write) = match op {
-                Operand::Reg(r) => (r, dst_first && i == 0),
-                Operand::MemArm { base, .. } => (base, false),
-                _ => continue,
-            };
-            match arm_reg(r) {
-                Ok(('x' | 'w', n)) => out.push((0, n, write)),
-                Ok(('s' | 'd', n)) => out.push((1, n, write)),
-                _ => {}
-            }
-        }
-        out
-    }
-
-    fn frame(&mut self) -> &mut Frame<'a> {
-        &mut self.fr
-    }
-
-    fn lift_inst(&mut self, inst: &Inst) -> Result<(), LiftError> {
-        let m = inst.mnemonic.as_str();
-        let ops = &inst.operands;
-        let reg = |i: usize| match arg(ops, i)? {
-            Operand::Reg(r) => Ok(r.as_str()),
-            other => Err(LiftError(format!("{m} operand {i}: {other:?}"))),
-        };
-        match m {
-            "stp" | "ldp" | "nop" => {} // prologue/epilogue bookkeeping
-            "ret" => self.fr.body.push("return x_0;".to_string()),
-            "mov" => {
-                let dst = reg(0)?;
-                let v = self.op_expr(arg(ops, 1)?)?;
-                self.write_reg(dst, v)?;
-                self.fr.consts.remove(&const_key(dst));
-            }
-            "movz" => {
-                let dst = reg(0)?;
-                let &Operand::Imm(v) = arg(ops, 1)? else {
-                    return Err(LiftError("movz imm".into()));
-                };
-                self.write_reg(dst, format!("{v}"))?;
-                self.fr.consts.insert(const_key(dst), v);
-            }
-            "movk" => {
-                let dst = reg(0)?;
-                let &Operand::Imm(v) = arg(ops, 1)? else {
-                    return Err(LiftError("movk imm".into()));
-                };
-                let shift = match ops.get(2) {
-                    Some(Operand::Lsl(s)) => *s,
-                    _ => 0,
-                };
-                let cur = self.reg_expr(dst)?.0;
-                self.write_reg(dst, format!("{cur} | ((unsigned long){v} << {shift})"))?;
-                if let Some(c) = self.fr.consts.get_mut(&const_key(dst)) {
-                    *c |= v.wrapping_shl(shift as u32);
-                }
-            }
-            "fmov" => {
-                // Bit move x→d: recover the literal from tracked constants.
-                let (dst, src) = (reg(0)?, reg(1)?);
-                let Some(&bits) = self.fr.consts.get(&const_key(src)) else {
-                    return Err(LiftError("bit-level float move".into()));
-                };
-                self.write_reg(dst, float_lit(bits, src.starts_with('w')))?;
-            }
-            "ldr" | "ldrb" | "ldrsb" | "ldrh" | "ldrsh" | "ldrsw" => {
-                let dst = reg(0)?;
-                let addr = self.mem_addr(arg(ops, 1)?)?;
-                let expr = match (m, dst.chars().next().unwrap_or('x')) {
-                    ("ldrb", _) => format!("*(unsigned char*)({addr})"),
-                    ("ldrsb", _) => format!("(int)*(char*)({addr})"),
-                    ("ldrh", _) => format!("*(unsigned short*)({addr})"),
-                    ("ldrsh", _) => format!("(int)*(short*)({addr})"),
-                    (_, 'w') => format!("*(unsigned int*)({addr})"),
-                    (_, 'x') => format!("*(unsigned long*)({addr})"),
-                    (_, 's') => format!("(double)*(float*)({addr})"),
-                    (_, 'd') => format!("*(double*)({addr})"),
-                    _ => return Err(LiftError("ldr form".into())),
-                };
-                self.write_reg(dst, expr)?;
-                self.fr.consts.remove(&const_key(dst));
-            }
-            "str" | "strb" | "strh" => {
-                let src = reg(0)?;
-                let addr = self.mem_addr(arg(ops, 1)?)?;
-                let v = self.reg_expr(src)?.0;
-                let stmt = match (m, src.chars().next().unwrap_or('x')) {
-                    ("strb", _) => format!("*(unsigned char*)({addr}) = (unsigned char)({v});"),
-                    ("strh", _) => {
-                        format!("*(unsigned short*)({addr}) = (unsigned short)({v});")
-                    }
-                    (_, 'w') => format!("*(unsigned int*)({addr}) = (unsigned int)({v});"),
-                    (_, 'x') => format!("*(unsigned long*)({addr}) = {v};"),
-                    (_, 's') => format!("*(float*)({addr}) = (float){v};"),
-                    (_, 'd') => format!("*(double*)({addr}) = {v};"),
-                    _ => return Err(LiftError("str form".into())),
-                };
-                self.fr.body.push(stmt);
-            }
-            "adrp" => {
-                // The page half of an address; the `:lo12:` add names it whole.
-                reg(0)?;
-                let Operand::Sym(_) = arg(ops, 1)? else {
-                    return Err(LiftError("adrp sym".into()));
-                };
-            }
-            "add" if matches!(ops.get(2), Some(Operand::Lo12(_))) => {
-                let dst = reg(0)?;
-                let Some(Operand::Lo12(sym)) = ops.get(2) else { unreachable!() };
-                let expr = self.fr.symbol(sym);
-                self.write_reg(dst, expr)?;
-            }
-            "add" | "sub" | "mul" | "sdiv" | "udiv" | "and" | "orr" | "eor" | "lsl" | "asr"
-            | "lsr" => {
-                let dst = reg(0)?;
-                let (a, wide) = match arg(ops, 1)? {
-                    Operand::Reg(r) => self.reg_expr(r)?,
-                    Operand::Imm(v) => (format!("{v}"), true),
-                    other => return Err(LiftError(format!("alu a {other:?}"))),
-                };
-                let b = self.op_expr(arg(ops, 2)?)?;
-                let signed_cast = if wide && dst.starts_with('x') { "(long)" } else { "(int)" };
-                let expr = match m {
-                    "add" => format!("{a} + {b}"),
-                    "sub" => format!("{a} - {b}"),
-                    "mul" => format!("{a} * {b}"),
-                    "sdiv" => format!("{signed_cast}({a}) / {signed_cast}({b})"),
-                    "udiv" => format!("({a}) / ({b})"),
-                    "and" => format!("{a} & {b}"),
-                    "orr" => format!("{a} | {b}"),
-                    "eor" => format!("{a} ^ {b}"),
-                    "lsl" => format!("({a}) << ({b} & 63)"),
-                    "asr" => format!("{signed_cast}({a}) >> ({b} & 63)"),
-                    _ => format!("({a}) >> ({b} & 63)"),
-                };
-                self.write_reg(dst, expr)?;
-                self.fr.consts.remove(&const_key(dst));
-            }
-            "msub" => {
-                // msub d, a, b, c  =>  d = c - a*b
-                let dst = reg(0)?;
-                let a = self.op_expr(arg(ops, 1)?)?;
-                let b = self.op_expr(arg(ops, 2)?)?;
-                let c = self.op_expr(arg(ops, 3)?)?;
-                self.write_reg(dst, format!("{c} - ({a}) * ({b})"))?;
-            }
-            "sxtw" | "sxtb" | "uxtb" | "sxth" | "uxth" => {
-                let dst = reg(0)?;
-                let v = self.op_expr(arg(ops, 1)?)?;
-                let cast = match m {
-                    "sxtw" => "(long)(int)",
-                    "sxtb" => "(int)(char)",
-                    "uxtb" => "(unsigned char)",
-                    "sxth" => "(int)(short)",
-                    _ => "(unsigned short)",
-                };
-                self.write_reg(dst, format!("{cast}({v})"))?;
-            }
-            "cmp" | "fcmp" => {
-                let a = self.op_expr(arg(ops, 0)?)?;
-                let b = self.op_expr(arg(ops, 1)?)?;
-                let width = match arg(ops, 0)? {
-                    _ if m == "fcmp" => 'f',
-                    Operand::Reg(r) if r.starts_with('x') => 'q',
-                    _ => 'l',
-                };
-                self.fr.compare(a, b, width);
-            }
-            "cset" => {
-                let dst = reg(0)?;
-                let Operand::Cond(cc) = arg(ops, 1)? else {
-                    return Err(LiftError("cset cc".into()));
-                };
-                let cond = self.cond(cc)?;
-                self.write_reg(dst, format!("({cond}) ? 1 : 0"))?;
-            }
-            "cbnz" => {
-                let v = self.op_expr(arg(ops, 0)?)?;
-                let Operand::Sym(l) = arg(ops, 1)? else {
-                    return Err(LiftError("cbnz".into()));
-                };
-                self.fr.body.push(format!("if (({v}) != 0) goto {};", label_c(l)));
-            }
-            "b" => {
-                let Operand::Sym(l) = arg(ops, 0)? else { return Err(LiftError("b".into())) };
-                self.fr.body.push(format!("goto {};", label_c(l)));
-            }
-            _ if m.starts_with("b.") => {
-                let cond = self.cond(&m[2..])?;
-                let Operand::Sym(l) = arg(ops, 0)? else {
-                    return Err(LiftError("b.cc".into()));
-                };
-                self.fr.body.push(format!("if ({cond}) goto {};", label_c(l)));
-            }
-            "bl" => {
-                let Operand::Sym(callee) = arg(ops, 0)? else {
-                    return Err(LiftError("bl".into()));
-                };
-                self.fr.call::<Self>(callee);
-            }
-            "fadd" | "fsub" | "fmul" | "fdiv" => {
-                let dst = reg(0)?;
-                let a = self.op_expr(arg(ops, 1)?)?;
-                let b = self.op_expr(arg(ops, 2)?)?;
-                let op = match m {
-                    "fadd" => "+",
-                    "fsub" => "-",
-                    "fmul" => "*",
-                    _ => "/",
-                };
-                self.write_reg(dst, format!("{a} {op} {b}"))?;
-            }
-            "scvtf" | "fcvtzs" | "fcvt" => {
-                let (dst, src) = (reg(0)?, reg(1)?);
-                let v = self.reg_expr(src)?.0;
-                let expr = match m {
-                    "scvtf" if src.starts_with('w') => format!("(double)(int)({v})"),
-                    "scvtf" => format!("(double)(long)({v})"),
-                    "fcvtzs" if dst.starts_with('w') => format!("(int)({v})"),
-                    "fcvtzs" => format!("(long)({v})"),
-                    _ if dst.starts_with('s') => format!("(double)(float)({v})"),
-                    _ => v,
-                };
-                self.write_reg(dst, expr)?;
-            }
-            other => return Err(LiftError(format!("unsupported instruction `{other}`"))),
-        }
-        Ok(())
-    }
-}
-
-impl ArmLifter<'_> {
-    /// A register read as a C expression, and whether it is 64 bits wide.
-    fn reg_expr(&mut self, name: &str) -> Result<(String, bool), LiftError> {
-        match name {
-            "sp" => return Ok(("x_sp".to_string(), true)),
-            "wzr" | "xzr" => return Ok(("0".to_string(), name == "xzr")),
-            _ => {}
-        }
-        Ok(match arm_reg(name)? {
-            ('x', n) => (self.fr.int(format!("x_{n}")), true),
-            ('w', n) => (format!("(unsigned int){}", self.fr.int(format!("x_{n}"))), false),
-            ('s' | 'd', n) => (self.fr.float(Self::FLOAT, n), true),
-            _ => return Err(LiftError(format!("register `{name}`"))),
-        })
-    }
-
-    fn write_reg(&mut self, name: &str, value: String) -> Result<(), LiftError> {
-        let stmt = match (name, arm_reg(name)) {
-            ("sp", _) => format!("x_sp = {value};"),
-            (_, Ok(('x', n))) => {
-                self.fr.arm(0, n);
-                format!("{} = ({value});", self.fr.int(format!("x_{n}")))
-            }
-            (_, Ok(('w', n))) => {
-                self.fr.arm(0, n);
-                format!("{} = (unsigned int)({value});", self.fr.int(format!("x_{n}")))
-            }
-            (_, Ok(('s' | 'd', n))) => {
-                self.fr.arm(1, n);
-                format!("{} = {value};", self.fr.float(Self::FLOAT, n))
-            }
-            _ => return Err(LiftError(format!("register `{name}`"))),
-        };
-        self.fr.body.push(stmt);
-        Ok(())
-    }
-
-    fn op_expr(&mut self, op: &Operand) -> Result<String, LiftError> {
-        match op {
-            Operand::Reg(r) => Ok(self.reg_expr(r)?.0),
-            Operand::Imm(v) => Ok(format!("{v}")),
-            other => Err(LiftError(format!("operand {other:?}"))),
-        }
-    }
-
-    fn mem_addr(&mut self, op: &Operand) -> Result<String, LiftError> {
-        let Operand::MemArm { base, off, .. } = op else {
-            return Err(LiftError("not a memory operand".into()));
-        };
-        let b = self.reg_expr(base)?.0;
-        Ok(if *off == 0 { b } else { format!("{b} + {off}") })
-    }
-
-    /// Condition `cc` in AArch64 spelling, mapped onto the shared table.
-    fn cond(&self, cc: &str) -> Result<String, LiftError> {
-        self.fr.cond(match cc {
-            "eq" => "e",
-            "ne" => "ne",
-            "lt" | "mi" => "l",
-            "le" => "le",
-            "gt" => "g",
-            "ge" => "ge",
-            "lo" => "b",
-            "ls" => "be",
-            "hi" => "a",
-            "hs" => "ae",
-            other => return Err(LiftError(format!("condition `{other}`"))),
-        })
-    }
-}
-
-/// A register's kind letter and number (`w3` → `('w', 3)`).
-fn arm_reg(name: &str) -> Result<(char, usize), LiftError> {
-    let mut chars = name.chars();
-    let kind = chars.next().ok_or_else(|| LiftError("empty register".into()))?;
-    let n = chars.as_str().parse().map_err(|_| LiftError(format!("register `{name}`")))?;
-    Ok((kind, n))
-}
-
-/// The constant-tracking key of a register: its number, whatever its
-/// width or bank.
-fn const_key(name: &str) -> String {
-    arm_reg(name).map_or(99, |(_, n)| n).to_string()
 }
 
 #[cfg(test)]

@@ -102,6 +102,16 @@ impl Memory {
         Ok(self.slice(p, len)?.to_vec())
     }
 
+    /// Reads `out.len()` bytes at `p` into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Faults on null/dead segments and out-of-bounds ranges.
+    pub fn load_into(&self, p: Pointer, out: &mut [u8]) -> Result<()> {
+        out.copy_from_slice(self.slice(p, out.len())?);
+        Ok(())
+    }
+
     /// Writes `bytes` at `p`.
     ///
     /// # Errors
