@@ -18,6 +18,7 @@
 
 use slade_asm::sem::{self, Addr, BinOp, Class, Cond, Op, Reg, Val};
 use slade_asm::{AsmFunction, Isa, Line};
+use slade_minic::pretty::escape_c;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -447,7 +448,7 @@ impl<'a> Frame<'a> {
         let Some(bytes) = self.rodata.get(sym) else {
             return format!("(unsigned long)&{sym}");
         };
-        let text = c_string(&bytes[..bytes.len().saturating_sub(1)]);
+        let text = escape_c(&bytes[..bytes.len().saturating_sub(1)]);
         let var = match self.strings.iter().find(|(_, t)| *t == text) {
             Some((v, _)) => v.clone(),
             None => {
@@ -551,30 +552,6 @@ impl<'a> Frame<'a> {
 
 fn label_c(label: &str) -> String {
     format!("L{}", label.trim_start_matches(".L").replace('.', "_"))
-}
-
-/// `bytes` as the inside of a C string literal. A `\x` escape is greedy
-/// (in C and in MiniC's lexer), so a hex digit right after one is escaped
-/// too.
-fn c_string(bytes: &[u8]) -> String {
-    let mut out = String::new();
-    let mut after_hex = false;
-    for &b in bytes {
-        let digit_after_hex = after_hex && b.is_ascii_hexdigit();
-        after_hex = false;
-        match b {
-            b'\n' => out.push_str("\\n"),
-            b'\t' => out.push_str("\\t"),
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            0x20..=0x7e if !digit_after_hex => out.push(b as char),
-            _ => {
-                out.push_str(&format!("\\x{b:02x}"));
-                after_hex = true;
-            }
-        }
-    }
-    out
 }
 
 fn ensure_float_lit(s: &str) -> String {
@@ -705,16 +682,16 @@ mod tests {
     #[test]
     fn string_literals_lex_back_to_their_rodata_bytes() {
         // A hex escape is greedy: `\x01a` would lex as the one byte 0x1a.
-        let asm = "\t.section .rodata\n.LC0:\n\t.string \"\\001a\\177F9\"\n\t.text\n\
+        let asm = "\t.section .rodata\n.LC0:\n\t.string \"\\001a\\177F9\\351\"\n\t.text\n\
                    f:\n\tleaq .LC0(%rip), %rdi\n\tcall strlen\n\tret\n";
         let file = parse_asm(asm, Isa::X86_64);
         let c = lift(file.function("f").unwrap(), Isa::X86_64, &file.rodata).unwrap();
         let decl = c.lines().find(|l| l.starts_with("char *lc_0")).expect("literal declared");
         let tokens = slade_minic::Lexer::new(decl).tokenize().unwrap();
         let lexed = tokens.iter().find_map(|t| match &t.kind {
-            slade_minic::TokenKind::StrLit(s) => Some(s.as_bytes().to_vec()),
+            slade_minic::TokenKind::StrLit(s) => Some(s.clone()),
             _ => None,
         });
-        assert_eq!(lexed.as_deref(), Some(&b"\x01a\x7fF9"[..]), "{decl}");
+        assert_eq!(lexed.as_deref(), Some(&b"\x01a\x7fF9\xe9"[..]), "{decl}");
     }
 }

@@ -62,7 +62,7 @@ struct Lowerer<'a> {
     break_stack: Vec<BlockId>,
     continue_stack: Vec<BlockId>,
     labels: HashMap<String, BlockId>,
-    str_labels: HashMap<String, String>,
+    str_labels: HashMap<Vec<u8>, String>,
 }
 
 impl<'a> Lowerer<'a> {
@@ -1055,15 +1055,15 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn intern_string(&mut self, s: &str) -> String {
+    fn intern_string(&mut self, s: &[u8]) -> String {
         if let Some(l) = self.str_labels.get(s) {
             return l.clone();
         }
         let label = format!(".LC{}", self.module.rodata.len());
-        let mut bytes = s.as_bytes().to_vec();
+        let mut bytes = s.to_vec();
         bytes.push(0);
         self.module.rodata.push((label.clone(), bytes));
-        self.str_labels.insert(s.to_string(), label.clone());
+        self.str_labels.insert(s.to_vec(), label.clone());
         label
     }
 

@@ -240,8 +240,8 @@ pub enum ExprKind {
     IntLit(i64, IntKind),
     /// Floating literal; `bool` is true for `float` (f-suffixed).
     FloatLit(f64, bool),
-    /// String literal.
-    StrLit(String),
+    /// String literal: its bytes, without the terminating NUL.
+    StrLit(Vec<u8>),
     /// Variable or function reference.
     Ident(String),
     /// Unary operator application.

@@ -76,7 +76,7 @@ pub struct Interpreter<'p> {
     mem: Memory,
     globals: HashMap<String, Slot>,
     functions: HashMap<&'p str, &'p Function>,
-    strings: HashMap<String, Pointer>,
+    strings: HashMap<Vec<u8>, Pointer>,
     scopes: Vec<Vec<HashMap<String, Slot>>>,
     limits: RunLimits,
     fuel: u64,
@@ -552,7 +552,7 @@ impl<'p> Interpreter<'p> {
                 if let Some(p) = self.strings.get(s) {
                     return Ok(Value::Ptr(*p));
                 }
-                let mut bytes = s.as_bytes().to_vec();
+                let mut bytes = s.clone();
                 bytes.push(0);
                 let p = self.mem.alloc(bytes.len());
                 self.mem.store_bytes(p, &bytes)?;

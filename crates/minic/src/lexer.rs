@@ -327,7 +327,7 @@ impl<'a> Lexer<'a> {
                 Some(c) => out.push(c),
             }
         }
-        Ok(TokenKind::StrLit(String::from_utf8_lossy(&out).into_owned()))
+        Ok(TokenKind::StrLit(out))
     }
 
     fn lex_punct(&mut self) -> Result<TokenKind> {
@@ -390,7 +390,17 @@ mod tests {
     fn lexes_char_and_string_escapes() {
         assert!(matches!(kinds("'\\n'")[0], TokenKind::CharLit(b'\n')));
         assert!(matches!(kinds("'\\x41'")[0], TokenKind::CharLit(b'A')));
-        assert!(matches!(&kinds("\"a\\tb\"")[0], TokenKind::StrLit(s) if s == "a\tb"));
+        assert!(matches!(&kinds("\"a\\tb\"")[0], TokenKind::StrLit(s) if s == b"a\tb"));
+    }
+
+    #[test]
+    fn string_literals_keep_their_bytes() {
+        // An escape is one byte, whatever its value; source text keeps its
+        // UTF-8 encoding.
+        assert!(
+            matches!(&kinds("\"\\xe9\\x80\"")[0], TokenKind::StrLit(s) if s == &[0xe9, 0x80])
+        );
+        assert!(matches!(&kinds("\"é\"")[0], TokenKind::StrLit(s) if s == "é".as_bytes()));
     }
 
     #[test]

@@ -373,17 +373,27 @@ fn pretty_prec(e: &Expr, min: u8) -> String {
     }
 }
 
-fn escape_c(s: &str) -> String {
+/// `bytes` as the inside of a C string literal: printable ASCII as is,
+/// the usual escapes, anything else as `\x` escapes. A `\x` escape is
+/// greedy (in C and in MiniC's lexer), so a hex digit right after one is
+/// escaped too.
+pub fn escape_c(bytes: &[u8]) -> String {
     let mut out = String::new();
-    for c in s.chars() {
-        match c {
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\x{:02x}", c as u32)),
-            c => out.push(c),
+    let mut after_hex = false;
+    for &b in bytes {
+        let digit_after_hex = after_hex && b.is_ascii_hexdigit();
+        after_hex = false;
+        match b {
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            0x20..=0x7e if !digit_after_hex => out.push(b as char),
+            _ => {
+                out.push_str(&format!("\\x{b:02x}"));
+                after_hex = true;
+            }
         }
     }
     out
@@ -402,6 +412,16 @@ mod tests {
             parse_program(&s1).unwrap_or_else(|e| panic!("reparse failed: {e}\nsource:\n{s1}"));
         let s2 = pretty_program(&p2);
         assert_eq!(s1, s2, "printer not a fixpoint for:\n{src}");
+    }
+
+    #[test]
+    fn string_literals_print_back_to_their_bytes() {
+        // `\x01\x61` is the bytes 1 and `a`: printed `\x01a`, it would lex
+        // as the one byte 0x1a.
+        let src = "int f(void) { return strlen(\"\\x01\\x61\\xe9\\r\\\\q\\\"\"); }";
+        roundtrip(src);
+        let printed = pretty_program(&parse_program(src).unwrap());
+        assert!(printed.contains(r#""\x01\x61\xe9\r\\q\"""#), "{printed}");
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub enum TokenKind {
     },
     /// Character literal, already unescaped.
     CharLit(u8),
-    /// String literal, already unescaped (no surrounding quotes).
-    StrLit(String),
+    /// String literal's bytes, already unescaped (no surrounding quotes).
+    StrLit(Vec<u8>),
     /// Punctuation or operator, e.g. `"+="`, `"->"`, `"("`.
     Punct(&'static str),
     /// End of input.
@@ -54,7 +54,7 @@ impl fmt::Display for TokenKind {
             TokenKind::IntLit { value, .. } => write!(f, "{value}"),
             TokenKind::FloatLit { value, .. } => write!(f, "{value}"),
             TokenKind::CharLit(c) => write!(f, "'{}'", *c as char),
-            TokenKind::StrLit(s) => write!(f, "\"{s}\""),
+            TokenKind::StrLit(s) => write!(f, "\"{}\"", String::from_utf8_lossy(s)),
             TokenKind::Punct(p) => write!(f, "{p}"),
             TokenKind::Eof => write!(f, "<eof>"),
         }
