@@ -489,21 +489,23 @@ impl<'a> Frame<'a> {
             Some(sig) if sig.ret.is_floating() => {
                 format!("{} = {callee}({args});", self.arg_var(1, 0))
             }
-            _ => format!("{} = (unsigned long){callee}({args});", self.arg_var(2, 0)),
+            _ => {
+                let ret = self.reg(Reg { class: Class::Int, num: 0, width: 8 });
+                format!("{ret} = (unsigned long){callee}({args});")
+            }
         };
         self.body.push(stmt);
         self.armed = Default::default();
     }
 
     /// The variable of argument register `n` of `class` (0 integer, 1
-    /// floating point; class 2 is the integer result register).
+    /// floating point).
     fn arg_var(&mut self, class: usize, n: usize) -> String {
-        let num = match class {
-            0 => sem::int_args(self.names.isa)[n],
-            _ => n as u8,
+        let r = match class {
+            0 => Reg { class: Class::Int, num: sem::int_args(self.names.isa)[n], width: 8 },
+            _ => Reg { class: Class::Float, num: n as u8, width: 8 },
         };
-        let class = if class == 1 { Class::Float } else { Class::Int };
-        self.reg(Reg { class, num, width: 8 })
+        self.reg(r)
     }
 
     /// The C function: signature, stack, compare temporaries, string

@@ -5,9 +5,8 @@
 //! call). A change that moves any output — an `Ok` text or an `Err` message
 //! — moves the digest; slade-bench's inputs are this compiler's x86 output,
 //! so it moves every benchmark digest too. The corpus value is what the two
-//! per-ISA emitters produced before they shared one driver, except that the
-//! string literal `"\a\xe9"` is its two bytes: the lexer once replaced the
-//! `\xe9` byte by U+FFFD's three.
+//! per-ISA emitters produced before they shared one driver, with string
+//! literals lexed to their bytes.
 
 #[allow(dead_code)]
 #[path = "../../emu/tests/agreement/mod.rs"]
