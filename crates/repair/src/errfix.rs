@@ -7,7 +7,9 @@
 //! line that breaks the parse.
 
 use crate::RepairStep;
-use slade_minic::{ErrorKind, MiniCError};
+use slade_minic::{
+    parse_program_lenient, ErrorKind, Expr, ExprKind, MiniCError, Stmt, StmtKind, UnOp,
+};
 
 /// Extracts the first backtick-quoted fragment of a diagnostic message.
 fn quoted(message: &str) -> Option<&str> {
@@ -34,6 +36,51 @@ fn is_typedefable(name: &str) -> bool {
     is_identifier(name) && !KEYWORDS.contains(&name)
 }
 
+/// True when `hypothesis` indexes or dereferences `name` (`name[i]`,
+/// `*name`), which needs storage rather than a scalar. A hypothesis that
+/// does not even parse leniently reads as a scalar use.
+fn indexed_or_dereferenced(hypothesis: &str, name: &str) -> bool {
+    fn in_expr(e: &Expr, name: &str) -> bool {
+        let mut found = matches!(
+            &e.kind,
+            ExprKind::Index { base: a, .. } | ExprKind::Unary(UnOp::Deref, a)
+                if matches!(&a.kind, ExprKind::Ident(n) if n == name)
+        );
+        e.for_each_child(|c| found = found || in_expr(c, name));
+        found
+    }
+    fn in_stmt(s: &Stmt, name: &str) -> bool {
+        let opt = |e: &Option<Expr>| e.as_ref().is_some_and(|e| in_expr(e, name));
+        match &s.kind {
+            StmtKind::Block(ss) => ss.iter().any(|s| in_stmt(s, name)),
+            StmtKind::Decl { init: e, .. } | StmtKind::Return(e) => opt(e),
+            StmtKind::Expr(e) => in_expr(e, name),
+            StmtKind::If { cond, then_branch, else_branch } => {
+                in_expr(cond, name)
+                    || in_stmt(then_branch, name)
+                    || else_branch.as_deref().is_some_and(|s| in_stmt(s, name))
+            }
+            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
+                in_expr(cond, name) || in_stmt(body, name)
+            }
+            StmtKind::For { init, cond, step, body } => {
+                init.as_deref().is_some_and(|s| in_stmt(s, name))
+                    || opt(cond)
+                    || opt(step)
+                    || in_stmt(body, name)
+            }
+            StmtKind::Labeled { stmt, .. } => in_stmt(stmt, name),
+            StmtKind::Switch { scrutinee, arms } => {
+                in_expr(scrutinee, name)
+                    || arms.iter().flat_map(|(_, body)| body).any(|s| in_stmt(s, name))
+            }
+            _ => false,
+        }
+    }
+    parse_program_lenient(hypothesis)
+        .is_ok_and(|p| p.functions().filter_map(|f| f.body.as_ref()).any(|b| in_stmt(b, name)))
+}
+
 /// Proposes one repaired hypothesis for `err`, or `None` when the
 /// diagnostic matches no known fix. `hyp_first_line` is the 1-based line
 /// of the full program where the hypothesis starts (diagnostics point into
@@ -50,10 +97,7 @@ pub fn fix_for_error(
             if !is_identifier(name) {
                 return None;
             }
-            // Indexed or dereferenced use needs storage, not a scalar.
-            let subscripted = hypothesis.contains(&format!("{name}["))
-                || hypothesis.contains(&format!("*{name}"));
-            let decl = if subscripted {
+            let decl = if indexed_or_dereferenced(hypothesis, name) {
                 format!("long {name}[64];\n")
             } else {
                 format!("long {name};\n")
@@ -134,6 +178,32 @@ mod tests {
         let e = err(ErrorKind::Type, "unknown identifier `table`", 2);
         let (fixed, _) = fix_for_error(hyp, &e, 2).unwrap();
         assert!(fixed.starts_with("long table[64];\n"), "{fixed}");
+    }
+
+    #[test]
+    fn a_multiplied_identifier_gets_scalar_storage() {
+        let hyp = "int f(int a) { return a *total; }";
+        let e = err(ErrorKind::Type, "unknown identifier `total`", 2);
+        let (fixed, _) = fix_for_error(hyp, &e, 2).unwrap();
+        assert!(fixed.starts_with("long total;\n"), "{fixed}");
+        assert!(crate::try_compile(&fixed, "").is_ok(), "{fixed}");
+    }
+
+    #[test]
+    fn a_suffix_of_an_indexed_name_gets_scalar_storage() {
+        let hyp = "int f(int *buf_n) { return buf_n[0] + n; }";
+        let e = err(ErrorKind::Type, "unknown identifier `n`", 2);
+        let (fixed, _) = fix_for_error(hyp, &e, 2).unwrap();
+        assert!(fixed.starts_with("long n;\n"), "{fixed}");
+    }
+
+    #[test]
+    fn dereferenced_identifier_gets_array_storage() {
+        let hyp = "int f(void) { return *cursor + 1; }";
+        let e = err(ErrorKind::Type, "unknown identifier `cursor`", 2);
+        let (fixed, _) = fix_for_error(hyp, &e, 2).unwrap();
+        assert!(fixed.starts_with("long cursor[64];\n"), "{fixed}");
+        assert!(crate::try_compile(&fixed, "").is_ok(), "{fixed}");
     }
 
     #[test]

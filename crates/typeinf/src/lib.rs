@@ -94,16 +94,22 @@ pub fn infer_missing_types(hypothesis: &str, context: &str) -> Result<String, In
     }
     // Constraint generation: walk every function, tracking variables whose
     // declared type mentions an unknown name, and observe their usage.
+    let globals: Vec<(&String, &Type)> = program
+        .items
+        .iter()
+        .filter_map(|i| match i {
+            Item::Global { name, ty, .. } => Some((name, ty)),
+            _ => None,
+        })
+        .collect();
     let mut ctx = ConstraintCtx { vars: &mut vars, var_types: HashMap::new() };
-    for item in &program.items {
-        if let Item::Function(f) = item {
-            for (pname, pty) in &f.params {
-                ctx.bind(pname, pty);
-            }
-            if let Some(body) = &f.body {
-                ctx.walk_stmt(body);
-            }
-            ctx.var_types.clear();
+    for f in program.functions() {
+        ctx.var_types.clear();
+        for (name, ty) in globals.iter().copied().chain(f.params.iter().map(|(n, t)| (n, t))) {
+            ctx.bind(name, ty);
+        }
+        if let Some(body) = &f.body {
+            ctx.walk_stmt(body);
         }
     }
     // Synthesize the header.
@@ -173,20 +179,48 @@ fn collect_struct_tags(program: &Program, out: &mut BTreeSet<String>) {
             _ => {}
         }
     }
+    fn scan_expr_types(e: &Expr, defined: &BTreeSet<String>, out: &mut BTreeSet<String>) {
+        if let ExprKind::Cast { ty, .. } | ExprKind::SizeofType(ty) = &e.kind {
+            scan_type(ty, defined, out);
+        }
+        e.for_each_child(|c| scan_expr_types(c, defined, out));
+    }
     fn scan_stmt_types(s: &Stmt, defined: &BTreeSet<String>, out: &mut BTreeSet<String>) {
+        let mut expr = |e: &Expr| scan_expr_types(e, defined, out);
         match &s.kind {
-            StmtKind::Decl { ty, .. } => scan_type(ty, defined, out),
+            StmtKind::Decl { ty, init, .. } => {
+                scan_type(ty, defined, out);
+                if let Some(e) = init {
+                    scan_expr_types(e, defined, out);
+                }
+            }
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => expr(e),
             StmtKind::Block(ss) => ss.iter().for_each(|s| scan_stmt_types(s, defined, out)),
-            StmtKind::If { then_branch, else_branch, .. } => {
+            StmtKind::If { cond, then_branch, else_branch } => {
+                expr(cond);
                 scan_stmt_types(then_branch, defined, out);
                 if let Some(e) = else_branch {
                     scan_stmt_types(e, defined, out);
                 }
             }
-            StmtKind::While { body, .. }
-            | StmtKind::DoWhile { body, .. }
-            | StmtKind::For { body, .. } => scan_stmt_types(body, defined, out),
+            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
+                expr(cond);
+                scan_stmt_types(body, defined, out);
+            }
+            StmtKind::For { init, cond, step, body } => {
+                cond.iter().chain(step).for_each(expr);
+                if let Some(i) = init {
+                    scan_stmt_types(i, defined, out);
+                }
+                scan_stmt_types(body, defined, out);
+            }
             StmtKind::Labeled { stmt, .. } => scan_stmt_types(stmt, defined, out),
+            StmtKind::Switch { scrutinee, arms } => {
+                expr(scrutinee);
+                for s in arms.iter().flat_map(|(_, body)| body) {
+                    scan_stmt_types(s, defined, out);
+                }
+            }
             _ => {}
         }
     }
@@ -201,7 +235,8 @@ struct ConstraintCtx<'a> {
 }
 
 impl ConstraintCtx<'_> {
-    fn bind(&mut self, var: &str, ty: &Type) {
+    /// The type-var `ty` is built on, with its pointer depth.
+    fn type_var(&self, ty: &Type) -> Option<(String, usize)> {
         let mut depth = 0usize;
         let mut t = ty;
         loop {
@@ -211,18 +246,20 @@ impl ConstraintCtx<'_> {
                     t = inner;
                 }
                 Type::Named(name) if self.vars.contains_key(name) => {
-                    self.var_types.insert(var.to_string(), (name.clone(), depth));
-                    return;
+                    return Some((name.clone(), depth));
                 }
                 Type::Struct(tag) => {
                     let key = format!("struct {tag}");
-                    if self.vars.contains_key(&key) {
-                        self.var_types.insert(var.to_string(), (key, depth));
-                    }
-                    return;
+                    return self.vars.contains_key(&key).then_some((key, depth));
                 }
-                _ => return,
+                _ => return None,
             }
+        }
+    }
+
+    fn bind(&mut self, var: &str, ty: &Type) {
+        if let Some(tv) = self.type_var(ty) {
+            self.var_types.insert(var.to_string(), tv);
         }
     }
 
@@ -285,7 +322,7 @@ impl ConstraintCtx<'_> {
                 let (v, d) = self.trace(base)?;
                 (d > 0).then(|| (v, d - 1))
             }
-            ExprKind::Cast { expr, .. } => self.trace(expr),
+            ExprKind::Cast { ty, expr } => self.type_var(ty).or_else(|| self.trace(expr)),
             _ => None,
         }
     }
@@ -460,5 +497,45 @@ mod tests {
             parse_program(&full).and_then(|p| Sema::check(&p).map(|_| ())).is_ok(),
             "{full}"
         );
+    }
+
+    fn compiles_with(header: &str, hyp: &str) {
+        let full = format!("{header}\n{hyp}");
+        if let Err(e) = parse_program(&full).and_then(|p| Sema::check(&p).map(|_| ())) {
+            panic!("{e}\n{full}");
+        }
+    }
+
+    #[test]
+    fn struct_tags_declared_in_switch_arms_are_defined() {
+        let hyp = "int f(int k, void *p) { switch (k) { case 1: { struct S *s = p; \
+                   return s->x; } default: return 0; } }";
+        let header = infer_missing_types(hyp, "").unwrap();
+        assert!(header.contains("struct S { int x; };"), "{header}");
+        compiles_with(&header, hyp);
+    }
+
+    #[test]
+    fn struct_tags_in_casts_are_defined_with_their_fields() {
+        let hyp = "int f(void *p) { return ((struct S *)p)->x; }";
+        let header = infer_missing_types(hyp, "").unwrap();
+        assert!(header.contains("struct S { int x; };"), "{header}");
+        compiles_with(&header, hyp);
+    }
+
+    #[test]
+    fn struct_tags_in_sizeof_are_defined() {
+        let hyp = "long f(void) { return sizeof(struct S); }";
+        let header = infer_missing_types(hyp, "").unwrap();
+        assert!(header.contains("struct S {"), "{header}");
+        compiles_with(&header, hyp);
+    }
+
+    #[test]
+    fn globals_of_unknown_struct_type_record_their_fields() {
+        let hyp = "struct S *g; int f(void) { return g->x; }";
+        let header = infer_missing_types(hyp, "").unwrap();
+        assert!(header.contains("struct S { int x; };"), "{header}");
+        compiles_with(&header, hyp);
     }
 }
