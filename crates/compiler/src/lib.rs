@@ -92,7 +92,7 @@ impl CompileOpts {
 ///
 /// Wraps MiniC front-end errors and adds codegen-specific failures
 /// (unsupported constructs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
     /// Front-end (parse/type) error.
     Frontend(MiniCError),

@@ -355,31 +355,15 @@ fn modifies(s: &Stmt, name: &str) -> bool {
         e.for_each_child(|c| found = found || expr_modifies(c, name));
         found
     }
-    match &s.kind {
-        StmtKind::Block(stmts) => stmts.iter().any(|st| modifies(st, name)),
-        StmtKind::Decl { init: Some(e), .. } | StmtKind::Expr(e) => expr_modifies(e, name),
-        StmtKind::If { cond, then_branch, else_branch } => {
-            expr_modifies(cond, name)
-                || modifies(then_branch, name)
-                || else_branch.as_deref().is_some_and(|e| modifies(e, name))
-        }
-        StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-            expr_modifies(cond, name) || modifies(body, name)
-        }
-        StmtKind::For { init, cond, step, body } => {
-            init.as_deref().is_some_and(|i| modifies(i, name))
-                || cond.as_ref().is_some_and(|c| expr_modifies(c, name))
-                || step.as_ref().is_some_and(|st| expr_modifies(st, name))
-                || modifies(body, name)
-        }
-        StmtKind::Return(Some(e)) => expr_modifies(e, name),
-        StmtKind::Labeled { stmt, .. } => modifies(stmt, name),
-        StmtKind::Switch { scrutinee, arms } => {
-            expr_modifies(scrutinee, name)
-                || arms.iter().any(|(_, body)| body.iter().any(|s| modifies(s, name)))
-        }
-        _ => false,
-    }
+    let mut found = false;
+    s.for_each_child(|c| {
+        found = found
+            || match c {
+                Child::Stmt(s) => modifies(s, name),
+                Child::Expr(e) => expr_modifies(e, name),
+            }
+    });
+    found
 }
 
 fn mentions(e: &Expr, name: &str) -> bool {
@@ -411,40 +395,10 @@ fn substitute(s: &mut Stmt, name: &str, replacement: &Expr) {
             e.for_each_child_mut(|c| in_expr(c, name, rep));
         }
     }
-    match &mut s.kind {
-        StmtKind::Block(stmts) => {
-            stmts.iter_mut().for_each(|st| substitute(st, name, replacement))
-        }
-        StmtKind::Decl { init: Some(e), .. } | StmtKind::Expr(e) => {
-            in_expr(e, name, replacement)
-        }
-        StmtKind::If { cond, then_branch, else_branch } => {
-            in_expr(cond, name, replacement);
-            substitute(then_branch, name, replacement);
-            if let Some(e) = else_branch {
-                substitute(e, name, replacement);
-            }
-        }
-        StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-            in_expr(cond, name, replacement);
-            substitute(body, name, replacement);
-        }
-        StmtKind::For { init, cond, step, body } => {
-            if let Some(i) = init {
-                substitute(i, name, replacement);
-            }
-            if let Some(c) = cond {
-                in_expr(c, name, replacement);
-            }
-            if let Some(st) = step {
-                in_expr(st, name, replacement);
-            }
-            substitute(body, name, replacement);
-        }
-        StmtKind::Return(Some(e)) => in_expr(e, name, replacement),
-        StmtKind::Labeled { stmt, .. } => substitute(stmt, name, replacement),
-        _ => {}
-    }
+    s.for_each_child_mut(|c| match c {
+        Child::Stmt(s) => substitute(s, name, replacement),
+        Child::Expr(e) => in_expr(e, name, replacement),
+    });
 }
 
 // ---- tiny AST constructors (ids are re-assigned by the reparse) ----

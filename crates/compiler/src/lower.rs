@@ -7,7 +7,7 @@
 
 use crate::ir::*;
 use crate::{CompileError, CompileOpts, OptLevel, Result};
-use slade_minic::ast::{BinOp, Expr, ExprKind, Function, IncDec, Stmt, StmtKind, UnOp};
+use slade_minic::ast::{BinOp, Child, Expr, ExprKind, Function, IncDec, Stmt, StmtKind, UnOp};
 use slade_minic::sema::TypeMap;
 use slade_minic::types::{IntKind, Type};
 use slade_minic::{parse_program, pretty_program, Program, Sema};
@@ -178,35 +178,17 @@ impl<'a> Lowerer<'a> {
     }
 
     fn prescan_labels(&mut self, stmt: &Stmt) {
-        match &stmt.kind {
-            StmtKind::Labeled { label, stmt } => {
-                if !self.labels.contains_key(label) {
-                    let b = self.new_block();
-                    self.labels.insert(label.clone(), b);
-                }
-                self.prescan_labels(stmt);
+        if let StmtKind::Labeled { label, .. } = &stmt.kind {
+            if !self.labels.contains_key(label) {
+                let b = self.new_block();
+                self.labels.insert(label.clone(), b);
             }
-            StmtKind::Block(stmts) => {
-                for s in stmts {
-                    self.prescan_labels(s);
-                }
-            }
-            StmtKind::If { then_branch, else_branch, .. } => {
-                self.prescan_labels(then_branch);
-                if let Some(e) = else_branch {
-                    self.prescan_labels(e);
-                }
-            }
-            StmtKind::While { body, .. }
-            | StmtKind::DoWhile { body, .. }
-            | StmtKind::For { body, .. } => self.prescan_labels(body),
-            StmtKind::Switch { arms, .. } => {
-                for s in arms.iter().flat_map(|(_, body)| body) {
-                    self.prescan_labels(s);
-                }
-            }
-            _ => {}
         }
+        stmt.for_each_child(|c| {
+            if let Child::Stmt(s) = c {
+                self.prescan_labels(s);
+            }
+        });
     }
 
     fn lookup(&self, name: &str) -> Option<Place> {

@@ -233,6 +233,68 @@ impl Expr {
     }
 }
 
+/// A direct child of a statement: a statement or an expression, shared or
+/// mutable (`S` / `E` are `&Stmt` / `&Expr` or their `&mut` forms).
+#[derive(Debug)]
+pub enum Child<S, E> {
+    /// A nested statement.
+    Stmt(S),
+    /// An expression the statement evaluates.
+    Expr(E),
+}
+
+/// The one enumeration of a statement's direct children, for `&` and
+/// `&mut` alike: `$f` is called on each, in source order.
+macro_rules! each_stmt_child {
+    ($kind:expr, $f:ident, $iter:ident) => {
+        match $kind {
+            StmtKind::Block(ss) => ss.$iter().for_each(|s| $f(Child::Stmt(s))),
+            StmtKind::Decl { init: e, .. } | StmtKind::Return(e) => {
+                e.$iter().for_each(|e| $f(Child::Expr(e)))
+            }
+            StmtKind::Expr(e) => $f(Child::Expr(e)),
+            StmtKind::If { cond, then_branch, else_branch } => {
+                $f(Child::Expr(cond));
+                $f(Child::Stmt(then_branch));
+                else_branch.$iter().for_each(|s| $f(Child::Stmt(s)));
+            }
+            StmtKind::While { cond, body } => {
+                $f(Child::Expr(cond));
+                $f(Child::Stmt(body));
+            }
+            StmtKind::DoWhile { body, cond } => {
+                $f(Child::Stmt(body));
+                $f(Child::Expr(cond));
+            }
+            StmtKind::For { init, cond, step, body } => {
+                init.$iter().for_each(|s| $f(Child::Stmt(s)));
+                cond.$iter().chain(step).for_each(|e| $f(Child::Expr(e)));
+                $f(Child::Stmt(body));
+            }
+            StmtKind::Labeled { stmt, .. } => $f(Child::Stmt(stmt)),
+            StmtKind::Switch { scrutinee, arms } => {
+                $f(Child::Expr(scrutinee));
+                arms.$iter().flat_map(|(_, body)| body).for_each(|s| $f(Child::Stmt(s)));
+            }
+            StmtKind::Break | StmtKind::Continue | StmtKind::Goto(_) | StmtKind::Empty => {}
+        }
+    };
+}
+
+impl Stmt {
+    /// Calls `f` on each direct child statement and expression, in source
+    /// order (a `do` body before its condition; a `for`'s init, condition,
+    /// step, then body; every `switch` arm in turn). Allocates nothing.
+    pub fn for_each_child(&self, mut f: impl FnMut(Child<&Stmt, &Expr>)) {
+        each_stmt_child!(&self.kind, f, iter)
+    }
+
+    /// [`Self::for_each_child`] with mutable access to each child.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(Child<&mut Stmt, &mut Expr>)) {
+        each_stmt_child!(&mut self.kind, f, iter_mut)
+    }
+}
+
 /// Expression kinds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ExprKind {

@@ -13,7 +13,7 @@ use crate::mem::Memory;
 use crate::sema::{Sema, TypeMap};
 use crate::types::{IntKind, Type};
 use crate::value::{Pointer, Value};
-use crate::{ErrorKind, MiniCError, Result};
+use crate::{Diag, ErrorKind, MiniCError, Result};
 use std::collections::HashMap;
 
 /// Execution limits for one [`Interpreter::call`].
@@ -1153,7 +1153,7 @@ fn find_label(stmts: &[Stmt], label: &str) -> Option<usize> {
         .position(|s| matches!(&s.kind, StmtKind::Labeled { label: l, .. } if l == label))
 }
 
-fn rt(msg: impl Into<String>) -> MiniCError {
+fn rt(msg: impl Into<Diag>) -> MiniCError {
     MiniCError::new(ErrorKind::Runtime, msg, 0)
 }
 

@@ -6,7 +6,7 @@
 //! set in [`crate::token::PUNCTS`].
 
 use crate::token::{Token, TokenKind, PUNCTS};
-use crate::{ErrorKind, MiniCError, Result};
+use crate::{Diag, ErrorKind, MiniCError, Result};
 
 /// True for the bytes an identifier continues with: `[A-Za-z0-9_]`.
 fn is_ident_byte(b: u8) -> bool {
@@ -122,7 +122,7 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
-    fn err(&self, msg: impl Into<String>) -> MiniCError {
+    fn err(&self, msg: impl Into<Diag>) -> MiniCError {
         MiniCError::new(ErrorKind::Lex, msg, self.line)
     }
 

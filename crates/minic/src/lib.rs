@@ -38,7 +38,7 @@ pub mod token;
 pub mod types;
 pub mod value;
 
-pub use ast::{BinOp, Expr, ExprKind, Function, Item, Program, Stmt, StmtKind, UnOp};
+pub use ast::{BinOp, Child, Expr, ExprKind, Function, Item, Program, Stmt, StmtKind, UnOp};
 pub use interp::{CallOutcome, Interpreter, RunLimits};
 pub use lexer::{replace_ident, Lexer};
 pub use parser::{parse_program, parse_program_lenient, Parser};
@@ -55,10 +55,10 @@ use std::fmt;
 ///
 /// The `Display` form is a single lowercase sentence with a source location
 /// when one is known, suitable for bubbling straight up to evaluation logs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MiniCError {
     kind: ErrorKind,
-    message: String,
+    diag: Diag,
     /// 1-based line, 0 when unknown.
     line: u32,
 }
@@ -78,10 +78,44 @@ pub enum ErrorKind {
     Timeout,
 }
 
+/// What a [`MiniCError`] says: one variant per diagnostic a later stage
+/// (program repair) acts on, and the message text for every other one.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Diag {
+    /// Sema: a name with no declaration in scope.
+    UnknownIdentifier(String),
+    /// Parser: an identifier in type position that names no type.
+    UnknownTypeName(String),
+    /// Parser: a top-level item that starts with this token.
+    ExpectedDeclaration(TokenKind),
+    /// Any other diagnostic.
+    Other(String),
+}
+
+impl fmt::Display for Diag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Diag::UnknownIdentifier(name) => write!(f, "unknown identifier `{name}`"),
+            Diag::UnknownTypeName(name) => write!(f, "unknown type name `{name}`"),
+            Diag::ExpectedDeclaration(found) => {
+                write!(f, "expected declaration, found `{found}`")
+            }
+            Diag::Other(message) => f.write_str(message),
+        }
+    }
+}
+
+impl<S: Into<String>> From<S> for Diag {
+    fn from(message: S) -> Self {
+        Diag::Other(message.into())
+    }
+}
+
 impl MiniCError {
-    /// Creates an error of the given kind with a source line (0 = unknown).
-    pub fn new(kind: ErrorKind, message: impl Into<String>, line: u32) -> Self {
-        MiniCError { kind, message: message.into(), line }
+    /// Creates an error of the given kind with a source line (0 = unknown);
+    /// `diag` is a [`Diag`] or the message text of a [`Diag::Other`].
+    pub fn new(kind: ErrorKind, diag: impl Into<Diag>, line: u32) -> Self {
+        MiniCError { kind, diag: diag.into(), line }
     }
 
     /// The broad classification of this error.
@@ -89,9 +123,14 @@ impl MiniCError {
         self.kind
     }
 
+    /// What the error says, for stages that act on it.
+    pub fn diag(&self) -> &Diag {
+        &self.diag
+    }
+
     /// The human-readable message, without location prefix.
-    pub fn message(&self) -> &str {
-        &self.message
+    pub fn message(&self) -> String {
+        self.diag.to_string()
     }
 
     /// 1-based source line, or 0 when not tied to a location.
@@ -110,9 +149,9 @@ impl fmt::Display for MiniCError {
             ErrorKind::Timeout => "timeout",
         };
         if self.line > 0 {
-            write!(f, "{tag} at line {}: {}", self.line, self.message)
+            write!(f, "{tag} at line {}: {}", self.line, self.diag)
         } else {
-            write!(f, "{tag}: {}", self.message)
+            write!(f, "{tag}: {}", self.diag)
         }
     }
 }

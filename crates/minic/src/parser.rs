@@ -10,7 +10,7 @@
 use crate::ast::*;
 use crate::token::{is_keyword, Token, TokenKind};
 use crate::types::{IntKind, StructDef, Type};
-use crate::{ErrorKind, Lexer, MiniCError, Result};
+use crate::{Diag, ErrorKind, Lexer, MiniCError, Result};
 use std::collections::HashSet;
 
 /// Parses a complete MiniC translation unit in strict mode.
@@ -168,7 +168,7 @@ impl Parser {
         }
     }
 
-    fn err(&self, msg: impl Into<String>) -> MiniCError {
+    fn err(&self, msg: impl Into<Diag>) -> MiniCError {
         MiniCError::new(ErrorKind::Parse, msg, self.line())
     }
 
@@ -324,7 +324,7 @@ impl Parser {
                 self.unknown_types.push(s.clone());
                 return Ok(Type::Named(s));
             }
-            return Err(self.err(format!("unknown type name `{s}`")));
+            return Err(self.err(Diag::UnknownTypeName(s)));
         }
         let ty = match (base, longs) {
             (Some("void"), _) => Type::Void,
@@ -422,27 +422,22 @@ impl Parser {
         }
         let base = if self.at_type_start() || self.looks_like_unknown_type_decl() {
             self.parse_type_specifiers()?
-        } else if self.lenient {
-            // Lenient mode: an unknown return type in a definition like
-            // `my_t f(...) {` — accept it.
-            if let TokenKind::Ident(s) = &self.cur().kind {
-                if !is_keyword(s) && matches!(self.peek_kind_at(1), TokenKind::Ident(_)) {
+        } else {
+            match &self.cur().kind {
+                // Lenient mode: an unknown return type in a definition like
+                // `my_t f(...) {` — accept it.
+                TokenKind::Ident(s)
+                    if self.lenient
+                        && !is_keyword(s)
+                        && matches!(self.peek_kind_at(1), TokenKind::Ident(_)) =>
+                {
                     let s = s.clone();
                     self.bump();
                     self.unknown_types.push(s.clone());
                     Type::Named(s)
-                } else {
-                    return Err(
-                        self.err(format!("expected declaration, found `{}`", self.cur().kind))
-                    );
                 }
-            } else {
-                return Err(
-                    self.err(format!("expected declaration, found `{}`", self.cur().kind))
-                );
+                found => return Err(self.err(Diag::ExpectedDeclaration(found.clone()))),
             }
-        } else {
-            return Err(self.err(format!("expected declaration, found `{}`", self.cur().kind)));
         };
         let ty = self.parse_pointers(base.clone());
         let name = self.expect_ident()?;

@@ -14,7 +14,7 @@
 
 use crate::ast::*;
 use crate::types::{IntKind, LayoutCtx, Type};
-use crate::{ErrorKind, MiniCError, Result};
+use crate::{Diag, ErrorKind, MiniCError, Result};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -171,7 +171,7 @@ impl<'p> Sema<'p> {
         })
     }
 
-    fn err(&self, line: u32, msg: impl Into<String>) -> MiniCError {
+    fn err(&self, line: u32, msg: impl Into<Diag>) -> MiniCError {
         MiniCError::new(ErrorKind::Type, msg, line)
     }
 
@@ -378,7 +378,7 @@ impl<'p> Sema<'p> {
             ExprKind::StrLit(_) => self.set(e.id, Type::ptr(Type::Int(IntKind::Char)), false),
             ExprKind::Ident(name) => {
                 let Some(t) = self.lookup(name) else {
-                    return Err(self.err(line, format!("unknown identifier `{name}`")));
+                    return Err(self.err(line, Diag::UnknownIdentifier(name.clone())));
                 };
                 self.set(e.id, t, true)
             }

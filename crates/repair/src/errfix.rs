@@ -7,34 +7,11 @@
 //! line that breaks the parse.
 
 use crate::RepairStep;
+use slade_minic::token::is_keyword;
 use slade_minic::{
-    parse_program_lenient, ErrorKind, Expr, ExprKind, MiniCError, Stmt, StmtKind, UnOp,
+    parse_program_lenient, Child, Diag, ErrorKind, Expr, ExprKind, MiniCError, Stmt, TokenKind,
+    UnOp,
 };
-
-/// Extracts the first backtick-quoted fragment of a diagnostic message.
-fn quoted(message: &str) -> Option<&str> {
-    message.split('`').nth(1)
-}
-
-/// True when `name` is a plausible C identifier (the only thing we will
-/// ever declare or typedef on the model's behalf).
-fn is_identifier(name: &str) -> bool {
-    !name.is_empty()
-        && name.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-        && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
-/// C keywords that must never be typedef'd or declared as variables.
-const KEYWORDS: &[&str] = &[
-    "auto", "break", "case", "char", "const", "continue", "default", "do", "double", "else",
-    "enum", "extern", "float", "for", "goto", "if", "int", "long", "register", "return",
-    "short", "signed", "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned",
-    "void", "volatile", "while",
-];
-
-fn is_typedefable(name: &str) -> bool {
-    is_identifier(name) && !KEYWORDS.contains(&name)
-}
 
 /// True when `hypothesis` indexes or dereferences `name` (`name[i]`,
 /// `*name`), which needs storage rather than a scalar. A hypothesis that
@@ -50,32 +27,15 @@ fn indexed_or_dereferenced(hypothesis: &str, name: &str) -> bool {
         found
     }
     fn in_stmt(s: &Stmt, name: &str) -> bool {
-        let opt = |e: &Option<Expr>| e.as_ref().is_some_and(|e| in_expr(e, name));
-        match &s.kind {
-            StmtKind::Block(ss) => ss.iter().any(|s| in_stmt(s, name)),
-            StmtKind::Decl { init: e, .. } | StmtKind::Return(e) => opt(e),
-            StmtKind::Expr(e) => in_expr(e, name),
-            StmtKind::If { cond, then_branch, else_branch } => {
-                in_expr(cond, name)
-                    || in_stmt(then_branch, name)
-                    || else_branch.as_deref().is_some_and(|s| in_stmt(s, name))
-            }
-            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-                in_expr(cond, name) || in_stmt(body, name)
-            }
-            StmtKind::For { init, cond, step, body } => {
-                init.as_deref().is_some_and(|s| in_stmt(s, name))
-                    || opt(cond)
-                    || opt(step)
-                    || in_stmt(body, name)
-            }
-            StmtKind::Labeled { stmt, .. } => in_stmt(stmt, name),
-            StmtKind::Switch { scrutinee, arms } => {
-                in_expr(scrutinee, name)
-                    || arms.iter().flat_map(|(_, body)| body).any(|s| in_stmt(s, name))
-            }
-            _ => false,
-        }
+        let mut found = false;
+        s.for_each_child(|c| {
+            found = found
+                || match c {
+                    Child::Stmt(s) => in_stmt(s, name),
+                    Child::Expr(e) => in_expr(e, name),
+                }
+        });
+        found
     }
     parse_program_lenient(hypothesis)
         .is_ok_and(|p| p.functions().filter_map(|f| f.body.as_ref()).any(|b| in_stmt(b, name)))
@@ -90,65 +50,39 @@ pub fn fix_for_error(
     err: &MiniCError,
     hyp_first_line: u32,
 ) -> Option<(String, RepairStep)> {
-    let msg = err.message();
-    match err.kind() {
-        ErrorKind::Type if msg.starts_with("unknown identifier") => {
-            let name = quoted(msg)?;
-            if !is_identifier(name) {
-                return None;
-            }
-            let decl = if indexed_or_dereferenced(hypothesis, name) {
-                format!("long {name}[64];\n")
-            } else {
-                format!("long {name};\n")
-            };
+    match err.diag() {
+        Diag::UnknownIdentifier(name) => {
+            let dims = if indexed_or_dereferenced(hypothesis, name) { "[64]" } else { "" };
             Some((
-                format!("{decl}{hypothesis}"),
-                RepairStep::DeclaredIdentifier { name: name.to_string() },
+                format!("long {name}{dims};\n{hypothesis}"),
+                RepairStep::DeclaredIdentifier { name: name.clone() },
             ))
         }
-        ErrorKind::Parse | ErrorKind::Lex if msg.contains("unknown type name") => {
-            let name = quoted(msg)?;
-            if !is_typedefable(name) {
-                return None;
-            }
-            Some((
-                format!("typedef long {name};\n{hypothesis}"),
-                RepairStep::InjectedTypedef { name: name.to_string() },
-            ))
-        }
+        Diag::UnknownTypeName(name) if is_keyword(name) => None,
         // An identifier where a declaration was expected is how the parser
         // reports an unknown *return* type at file scope — the exact
         // out-of-context-typedef shape type inference targets; repair keeps
         // a backstop for when that stage is disabled.
-        ErrorKind::Parse
-            if msg.starts_with("expected declaration")
-                && quoted(msg).is_some_and(is_typedefable) =>
+        Diag::UnknownTypeName(name) | Diag::ExpectedDeclaration(TokenKind::Ident(name))
+            if !is_keyword(name) =>
         {
-            let name = quoted(msg).expect("guard checked");
             Some((
                 format!("typedef long {name};\n{hypothesis}"),
-                RepairStep::InjectedTypedef { name: name.to_string() },
+                RepairStep::InjectedTypedef { name: name.clone() },
             ))
         }
-        ErrorKind::Parse | ErrorKind::Lex if err.line() >= hyp_first_line => {
-            // Last resort: delete the offending line inside the hypothesis.
+        _ if matches!(err.kind(), ErrorKind::Parse | ErrorKind::Lex)
+            && err.line() >= hyp_first_line =>
+        {
+            // Last resort: delete the offending line inside the hypothesis,
+            // but never the signature line — that guarantees failure.
             let hyp_line = (err.line() - hyp_first_line) as usize;
-            let lines: Vec<&str> = hypothesis.lines().collect();
-            if hyp_line >= lines.len() || lines[hyp_line].trim().is_empty() {
+            let mut lines: Vec<&str> = hypothesis.lines().collect();
+            if hyp_line == 0 || lines.get(hyp_line).is_none_or(|l| l.trim().is_empty()) {
                 return None;
             }
-            // Never delete the signature line — that guarantees failure.
-            if hyp_line == 0 {
-                return None;
-            }
-            let mut kept: Vec<&str> = Vec::with_capacity(lines.len() - 1);
-            for (i, l) in lines.iter().enumerate() {
-                if i != hyp_line {
-                    kept.push(l);
-                }
-            }
-            Some((kept.join("\n"), RepairStep::DeletedLine { line: err.line() }))
+            lines.remove(hyp_line);
+            Some((lines.join("\n"), RepairStep::DeletedLine { line: err.line() }))
         }
         _ => None,
     }
@@ -157,16 +91,19 @@ pub fn fix_for_error(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slade_minic::ErrorKind;
 
-    fn err(kind: ErrorKind, msg: &str, line: u32) -> MiniCError {
-        MiniCError::new(kind, msg, line)
+    fn err(kind: ErrorKind, diag: impl Into<Diag>, line: u32) -> MiniCError {
+        MiniCError::new(kind, diag, line)
+    }
+
+    fn unknown(name: &str) -> MiniCError {
+        err(ErrorKind::Type, Diag::UnknownIdentifier(name.into()), 2)
     }
 
     #[test]
     fn unknown_identifier_gets_declared() {
         let hyp = "int f(int a) { return a + counter; }";
-        let e = err(ErrorKind::Type, "unknown identifier `counter`", 2);
+        let e = unknown("counter");
         let (fixed, step) = fix_for_error(hyp, &e, 2).unwrap();
         assert!(fixed.starts_with("long counter;\n"));
         assert_eq!(step, RepairStep::DeclaredIdentifier { name: "counter".into() });
@@ -175,7 +112,7 @@ mod tests {
     #[test]
     fn subscripted_identifier_gets_array_storage() {
         let hyp = "int f(int i) { return table[i]; }";
-        let e = err(ErrorKind::Type, "unknown identifier `table`", 2);
+        let e = unknown("table");
         let (fixed, _) = fix_for_error(hyp, &e, 2).unwrap();
         assert!(fixed.starts_with("long table[64];\n"), "{fixed}");
     }
@@ -183,7 +120,7 @@ mod tests {
     #[test]
     fn a_multiplied_identifier_gets_scalar_storage() {
         let hyp = "int f(int a) { return a *total; }";
-        let e = err(ErrorKind::Type, "unknown identifier `total`", 2);
+        let e = unknown("total");
         let (fixed, _) = fix_for_error(hyp, &e, 2).unwrap();
         assert!(fixed.starts_with("long total;\n"), "{fixed}");
         assert!(crate::try_compile(&fixed, "").is_ok(), "{fixed}");
@@ -192,7 +129,7 @@ mod tests {
     #[test]
     fn a_suffix_of_an_indexed_name_gets_scalar_storage() {
         let hyp = "int f(int *buf_n) { return buf_n[0] + n; }";
-        let e = err(ErrorKind::Type, "unknown identifier `n`", 2);
+        let e = unknown("n");
         let (fixed, _) = fix_for_error(hyp, &e, 2).unwrap();
         assert!(fixed.starts_with("long n;\n"), "{fixed}");
     }
@@ -200,7 +137,7 @@ mod tests {
     #[test]
     fn dereferenced_identifier_gets_array_storage() {
         let hyp = "int f(void) { return *cursor + 1; }";
-        let e = err(ErrorKind::Type, "unknown identifier `cursor`", 2);
+        let e = unknown("cursor");
         let (fixed, _) = fix_for_error(hyp, &e, 2).unwrap();
         assert!(fixed.starts_with("long cursor[64];\n"), "{fixed}");
         assert!(crate::try_compile(&fixed, "").is_ok(), "{fixed}");
@@ -209,7 +146,7 @@ mod tests {
     #[test]
     fn unknown_type_gets_typedef() {
         let hyp = "my_int f(my_int a) { return a; }";
-        let e = err(ErrorKind::Parse, "unknown type name `my_int`", 2);
+        let e = err(ErrorKind::Parse, Diag::UnknownTypeName("my_int".into()), 2);
         let (fixed, step) = fix_for_error(hyp, &e, 2).unwrap();
         assert!(fixed.starts_with("typedef long my_int;\n"));
         assert_eq!(step, RepairStep::InjectedTypedef { name: "my_int".into() });
@@ -235,7 +172,7 @@ mod tests {
     #[test]
     fn context_errors_are_not_ours_to_fix() {
         let hyp = "int f(void) { return 1; }";
-        let e = err(ErrorKind::Parse, "expected declaration, found `@`", 1);
+        let e = err(ErrorKind::Parse, Diag::ExpectedDeclaration(TokenKind::Punct("{")), 1);
         // Error at line 1, hypothesis starts at line 4: context problem.
         assert!(fix_for_error(hyp, &e, 4).is_none());
     }
@@ -243,7 +180,11 @@ mod tests {
     #[test]
     fn non_identifier_names_are_rejected() {
         let hyp = "int f(void) { return 1; }";
-        let e = err(ErrorKind::Type, "unknown identifier `1bad`", 2);
+        // A keyword is never typedef'd, and a declaration that starts with
+        // a literal is left to line deletion (which spares the signature).
+        let e = err(ErrorKind::Parse, Diag::UnknownTypeName("while".into()), 2);
+        assert!(fix_for_error(hyp, &e, 2).is_none());
+        let e = err(ErrorKind::Parse, Diag::ExpectedDeclaration(TokenKind::CharLit(b'x')), 2);
         assert!(fix_for_error(hyp, &e, 2).is_none());
     }
 }

@@ -213,12 +213,9 @@ pub fn repair_candidates(
     let mut out: Vec<(String, String)> = candidates.to_vec();
     for (hyp, header) in candidates {
         let ctx_with_header = format!("{context}\n{header}");
-        // Mechanical compile repair first.
-        let repaired: Option<String> = if try_compile(hyp, &ctx_with_header).is_ok() {
-            None
-        } else {
-            repair(hyp, &ctx_with_header).source.filter(|fixed| fixed != hyp)
-        };
+        // Mechanical compile repair first (a compiling hypothesis comes
+        // back unchanged and is not appended).
+        let repaired = repair(hyp, &ctx_with_header).source.filter(|fixed| fixed != hyp);
         let best = repaired.as_deref().unwrap_or(hyp);
         // Symbol-name repair on top of whichever form compiles.
         let renamed = expected_name
@@ -275,6 +272,14 @@ mod tests {
         let fixed = report.source.expect("repairable");
         assert!(fixed.contains("typedef long size_tt;"));
         assert!(try_compile(&fixed, "").is_ok());
+    }
+
+    #[test]
+    fn auto_is_an_identifier_so_it_gets_a_typedef() {
+        // MiniC has no storage classes: its lexer reads `auto` as a name.
+        let report = repair("auto f(int a) { return a; }", "");
+        let fixed = report.source.expect("repairable");
+        assert_eq!(fixed, "typedef long auto;\nauto f(int a) { return a; }");
     }
 
     #[test]

@@ -21,9 +21,9 @@
 
 #![warn(missing_docs)]
 
-use slade_minic::ast::{Expr, ExprKind, Item, Program, Stmt, StmtKind};
+use slade_minic::ast::{Child, Expr, ExprKind, Item, Program, Stmt, StmtKind};
 use slade_minic::types::Type;
-use slade_minic::{parse_program, parse_program_lenient, Sema};
+use slade_minic::{parse_program, parse_program_lenient, pretty_type, Sema};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -82,11 +82,9 @@ pub fn infer_missing_types(hypothesis: &str, context: &str) -> Result<String, In
         }
     }
     // Undefined struct tags referenced as `struct S`.
-    let mut undefined_structs: BTreeSet<String> = BTreeSet::new();
-    collect_struct_tags(&program, &mut undefined_structs);
-    for tag in &undefined_structs {
-        if !defined.contains(tag) {
-            vars.entry(format!("struct {tag}")).or_insert(Solved::Struct(BTreeMap::new()));
+    for tag in struct_tags(&program) {
+        if !defined.contains(&tag) {
+            vars.insert(format!("struct {tag}"), Solved::Struct(BTreeMap::new()));
         }
     }
     if vars.is_empty() {
@@ -94,18 +92,15 @@ pub fn infer_missing_types(hypothesis: &str, context: &str) -> Result<String, In
     }
     // Constraint generation: walk every function, tracking variables whose
     // declared type mentions an unknown name, and observe their usage.
-    let globals: Vec<(&String, &Type)> = program
-        .items
-        .iter()
-        .filter_map(|i| match i {
-            Item::Global { name, ty, .. } => Some((name, ty)),
-            _ => None,
-        })
-        .collect();
     let mut ctx = ConstraintCtx { vars: &mut vars, var_types: HashMap::new() };
     for f in program.functions() {
         ctx.var_types.clear();
-        for (name, ty) in globals.iter().copied().chain(f.params.iter().map(|(n, t)| (n, t))) {
+        for item in &program.items {
+            if let Item::Global { name, ty, .. } = item {
+                ctx.bind(name, ty);
+            }
+        }
+        for (name, ty) in &f.params {
             ctx.bind(name, ty);
         }
         if let Some(body) = &f.body {
@@ -117,13 +112,7 @@ pub fn infer_missing_types(hypothesis: &str, context: &str) -> Result<String, In
     for (name, solved) in &vars {
         match solved {
             Solved::Scalar(ty) => {
-                if let Some(tag) = name.strip_prefix("struct ") {
-                    // A tag never used by field: emit an opaque-ish struct.
-                    let _ = ty;
-                    header.push_str(&format!("struct {tag} {{ int __pad; }};\n"));
-                } else {
-                    header.push_str(&format!("typedef {} {name};\n", c_name(ty)));
-                }
+                header.push_str(&format!("typedef {} {name};\n", pretty_type(ty)))
             }
             Solved::Struct(fields) => {
                 let tag = name.strip_prefix("struct ").unwrap_or(name);
@@ -132,7 +121,7 @@ pub fn infer_missing_types(hypothesis: &str, context: &str) -> Result<String, In
                     header.push_str(" int __pad;");
                 } else {
                     for (fname, fty) in fields {
-                        header.push_str(&format!(" {} {fname};", c_name(fty)));
+                        header.push_str(&format!(" {} {fname};", pretty_type(fty)));
                     }
                 }
                 header.push_str(" };\n");
@@ -149,81 +138,49 @@ pub fn infer_missing_types(hypothesis: &str, context: &str) -> Result<String, In
     Ok(header)
 }
 
-fn c_name(ty: &Type) -> String {
-    slade_minic::pretty_type(ty)
-}
-
-fn collect_struct_tags(program: &Program, out: &mut BTreeSet<String>) {
-    let defined: BTreeSet<String> = program.structs().map(|d| d.name.clone()).collect();
-    fn scan_type(ty: &Type, defined: &BTreeSet<String>, out: &mut BTreeSet<String>) {
+/// Every struct tag `program` names in a type: signatures, globals, local
+/// declarations, casts and `sizeof`.
+fn struct_tags(program: &Program) -> BTreeSet<String> {
+    fn in_type(ty: &Type, out: &mut BTreeSet<String>) {
         match ty {
-            Type::Struct(tag) if !defined.contains(tag) => {
+            Type::Struct(tag) => {
                 out.insert(tag.clone());
             }
-            Type::Ptr(inner) | Type::Array(inner, _) => scan_type(inner, defined, out),
+            Type::Ptr(inner) | Type::Array(inner, _) => in_type(inner, out),
             _ => {}
         }
     }
+    fn in_expr(e: &Expr, out: &mut BTreeSet<String>) {
+        if let ExprKind::Cast { ty, .. } | ExprKind::SizeofType(ty) = &e.kind {
+            in_type(ty, out);
+        }
+        e.for_each_child(|c| in_expr(c, out));
+    }
+    fn in_stmt(s: &Stmt, out: &mut BTreeSet<String>) {
+        if let StmtKind::Decl { ty, .. } = &s.kind {
+            in_type(ty, out);
+        }
+        s.for_each_child(|c| match c {
+            Child::Stmt(s) => in_stmt(s, out),
+            Child::Expr(e) => in_expr(e, out),
+        });
+    }
+    let mut out = BTreeSet::new();
     for item in &program.items {
         match item {
             Item::Function(f) => {
-                for (_, t) in &f.params {
-                    scan_type(t, &defined, out);
-                }
-                scan_type(&f.ret, &defined, out);
-                if let Some(body) = &f.body {
-                    scan_stmt_types(body, &defined, out);
-                }
+                f.params
+                    .iter()
+                    .map(|(_, t)| t)
+                    .chain([&f.ret])
+                    .for_each(|t| in_type(t, &mut out));
+                f.body.iter().for_each(|body| in_stmt(body, &mut out));
             }
-            Item::Global { ty, .. } => scan_type(ty, &defined, out),
+            Item::Global { ty, .. } => in_type(ty, &mut out),
             _ => {}
         }
     }
-    fn scan_expr_types(e: &Expr, defined: &BTreeSet<String>, out: &mut BTreeSet<String>) {
-        if let ExprKind::Cast { ty, .. } | ExprKind::SizeofType(ty) = &e.kind {
-            scan_type(ty, defined, out);
-        }
-        e.for_each_child(|c| scan_expr_types(c, defined, out));
-    }
-    fn scan_stmt_types(s: &Stmt, defined: &BTreeSet<String>, out: &mut BTreeSet<String>) {
-        let mut expr = |e: &Expr| scan_expr_types(e, defined, out);
-        match &s.kind {
-            StmtKind::Decl { ty, init, .. } => {
-                scan_type(ty, defined, out);
-                if let Some(e) = init {
-                    scan_expr_types(e, defined, out);
-                }
-            }
-            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => expr(e),
-            StmtKind::Block(ss) => ss.iter().for_each(|s| scan_stmt_types(s, defined, out)),
-            StmtKind::If { cond, then_branch, else_branch } => {
-                expr(cond);
-                scan_stmt_types(then_branch, defined, out);
-                if let Some(e) = else_branch {
-                    scan_stmt_types(e, defined, out);
-                }
-            }
-            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-                expr(cond);
-                scan_stmt_types(body, defined, out);
-            }
-            StmtKind::For { init, cond, step, body } => {
-                cond.iter().chain(step).for_each(expr);
-                if let Some(i) = init {
-                    scan_stmt_types(i, defined, out);
-                }
-                scan_stmt_types(body, defined, out);
-            }
-            StmtKind::Labeled { stmt, .. } => scan_stmt_types(stmt, defined, out),
-            StmtKind::Switch { scrutinee, arms } => {
-                expr(scrutinee);
-                for s in arms.iter().flat_map(|(_, body)| body) {
-                    scan_stmt_types(s, defined, out);
-                }
-            }
-            _ => {}
-        }
-    }
+    out
 }
 
 /// Tracks which local variables have unknown-typed declarations and turns
@@ -264,49 +221,13 @@ impl ConstraintCtx<'_> {
     }
 
     fn walk_stmt(&mut self, s: &Stmt) {
-        match &s.kind {
-            StmtKind::Block(ss) => ss.iter().for_each(|s| self.walk_stmt(s)),
-            StmtKind::Decl { name, ty, init } => {
-                self.bind(name, ty);
-                if let Some(e) = init {
-                    self.walk_expr(e);
-                }
-            }
-            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => self.walk_expr(e),
-            StmtKind::If { cond, then_branch, else_branch } => {
-                self.walk_expr(cond);
-                self.walk_stmt(then_branch);
-                if let Some(e) = else_branch {
-                    self.walk_stmt(e);
-                }
-            }
-            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-                self.walk_expr(cond);
-                self.walk_stmt(body);
-            }
-            StmtKind::For { init, cond, step, body } => {
-                if let Some(i) = init {
-                    self.walk_stmt(i);
-                }
-                if let Some(c) = cond {
-                    self.walk_expr(c);
-                }
-                if let Some(st) = step {
-                    self.walk_expr(st);
-                }
-                self.walk_stmt(body);
-            }
-            StmtKind::Labeled { stmt, .. } => self.walk_stmt(stmt),
-            StmtKind::Switch { scrutinee, arms } => {
-                self.walk_expr(scrutinee);
-                for (_, body) in arms {
-                    for s in body {
-                        self.walk_stmt(s);
-                    }
-                }
-            }
-            _ => {}
+        if let StmtKind::Decl { name, ty, .. } = &s.kind {
+            self.bind(name, ty);
         }
+        s.for_each_child(|c| match c {
+            Child::Stmt(s) => self.walk_stmt(s),
+            Child::Expr(e) => self.walk_expr(e),
+        });
     }
 
     /// The type-var behind an expression, if it traces back to an
@@ -343,47 +264,38 @@ impl ConstraintCtx<'_> {
         }
     }
 
+    /// The type-var of the struct `base.field` (`base->field` when
+    /// `arrow`) reads a field of.
+    fn member_var(&self, base: &Expr, arrow: bool) -> Option<String> {
+        let (v, d) = self.trace(base)?;
+        (if arrow { d >= 1 } else { d == 0 }).then_some(v)
+    }
+
+    /// Observes `e`'s subexpressions, then `e` itself.
     fn walk_expr(&mut self, e: &Expr) {
+        e.for_each_child(|c| self.walk_expr(c));
         match &e.kind {
             ExprKind::Member { base, field, arrow } => {
-                self.walk_expr(base);
-                let traced = if *arrow {
-                    self.trace(base).and_then(|(v, d)| (d >= 1).then_some(v))
-                } else {
-                    self.trace(base).and_then(|(v, d)| (d == 0).then_some(v))
-                };
-                if let Some(tv) = traced {
+                if let Some(tv) = self.member_var(base, *arrow) {
                     // Field type guess: int unless used with float literals —
                     // refined by the enclosing assignment below.
                     self.observe_field(&tv, field, Type::int());
                 }
             }
-            ExprKind::Assign { target, value, .. } => {
-                self.walk_expr(target);
-                self.walk_expr(value);
-                // `x->f += 1.5` → field f is double.
+            // `x->f += 1.5` → field f is double.
+            ExprKind::Assign { target, value, .. } if expr_is_floatish(value) => {
                 if let ExprKind::Member { base, field, arrow } = &target.kind {
-                    let traced = if *arrow {
-                        self.trace(base).and_then(|(v, d)| (d >= 1).then_some(v))
-                    } else {
-                        self.trace(base).and_then(|(v, d)| (d == 0).then_some(v))
-                    };
-                    if let Some(tv) = traced {
-                        if expr_is_floatish(value) {
-                            if let Some(Solved::Struct(fields)) = self.vars.get_mut(&tv) {
-                                fields.insert(field.clone(), Type::Double);
-                            }
+                    if let Some(tv) = self.member_var(base, *arrow) {
+                        if let Some(Solved::Struct(fields)) = self.vars.get_mut(&tv) {
+                            fields.insert(field.clone(), Type::Double);
                         }
                     }
                 }
             }
             ExprKind::Binary(_, l, r) => {
-                self.walk_expr(l);
-                self.walk_expr(r);
                 // Scalar unknowns used in float arithmetic become double.
-                for side in [l, r] {
+                for (side, other) in [(l, r), (r, l)] {
                     if let Some((tv, 0)) = self.trace(side) {
-                        let other = if std::ptr::eq(&**side, &**l) { r } else { l };
                         if expr_is_floatish(other) {
                             if let Some(s @ Solved::Scalar(_)) = self.vars.get_mut(&tv) {
                                 *s = Solved::Scalar(Type::Double);
@@ -391,24 +303,6 @@ impl ConstraintCtx<'_> {
                         }
                     }
                 }
-            }
-            ExprKind::Unary(_, a)
-            | ExprKind::Postfix(_, a)
-            | ExprKind::Cast { expr: a, .. }
-            | ExprKind::SizeofExpr(a) => self.walk_expr(a),
-            ExprKind::Call { args, .. } => args.iter().for_each(|a| self.walk_expr(a)),
-            ExprKind::Index { base, index } => {
-                self.walk_expr(base);
-                self.walk_expr(index);
-            }
-            ExprKind::Ternary { cond, then_expr, else_expr } => {
-                self.walk_expr(cond);
-                self.walk_expr(then_expr);
-                self.walk_expr(else_expr);
-            }
-            ExprKind::Comma(a, b) => {
-                self.walk_expr(a);
-                self.walk_expr(b);
             }
             _ => {}
         }
