@@ -474,3 +474,61 @@ impl BinOp {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{parse_program, pretty_expr};
+
+    fn kind_name(s: &Stmt) -> String {
+        format!("{:?}", s.kind).chars().take_while(char::is_ascii_alphabetic).collect()
+    }
+
+    /// Pre-order: a statement as its kind, an expression as its source.
+    fn trace(s: &Stmt, out: &mut Vec<String>) {
+        s.for_each_child(|c| match c {
+            Child::Stmt(s) => {
+                out.push(kind_name(s));
+                trace(s, out);
+            }
+            Child::Expr(e) => out.push(pretty_expr(e)),
+        });
+    }
+
+    fn trace_mut(s: &mut Stmt, out: &mut Vec<String>) {
+        s.for_each_child_mut(|c| match c {
+            Child::Stmt(s) => {
+                out.push(kind_name(s));
+                trace_mut(s, out);
+            }
+            Child::Expr(e) => out.push(pretty_expr(e)),
+        });
+    }
+
+    #[test]
+    fn statement_children_come_in_source_order() {
+        let src = "int f(int a, int *p) {
+            int x = a + 1;
+            if (x) x = 2; else x = 3;
+            while (x < 9) x++;
+            do { x--; } while (x > 5);
+            for (int i = 0; i < a; i++) p[i] = i;
+            switch (a) { case 1: x = 4; break; default: goto L; }
+            L: return x;
+        }";
+        let program = parse_program(src).unwrap();
+        let mut body = program.function("f").unwrap().body.clone().unwrap();
+        let mut seen = Vec::new();
+        trace(&body, &mut seen);
+        let want = [
+            "Decl", "a + 1", "If", "x", "Expr", "x = 2", "Expr", "x = 3", "While", "x < 9",
+            "Expr", "x++", "DoWhile", "Block", "Expr", "x--", "x > 5", "For", "Decl", "0",
+            "i < a", "i++", "Expr", "p[i] = i", "Switch", "a", "Expr", "x = 4", "Break",
+            "Goto", "Labeled", "Return", "x",
+        ];
+        assert_eq!(seen, want);
+        let mut seen_mut = Vec::new();
+        trace_mut(&mut body, &mut seen_mut);
+        assert_eq!(seen, seen_mut);
+    }
+}

@@ -410,6 +410,15 @@ mod tests {
     }
 
     #[test]
+    fn struct_tags_declared_in_for_initialisers_are_defined() {
+        let hyp = "int f(void *p) { int s = 0; for (struct S *q = p; s < 3; s++) s += q->x; \
+                   return s; }";
+        let header = infer_missing_types(hyp, "").unwrap();
+        assert!(header.contains("struct S { int x; };"), "{header}");
+        compiles_with(&header, hyp);
+    }
+
+    #[test]
     fn struct_tags_in_casts_are_defined_with_their_fields() {
         let hyp = "int f(void *p) { return ((struct S *)p)->x; }";
         let header = infer_missing_types(hyp, "").unwrap();
