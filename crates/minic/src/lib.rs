@@ -160,3 +160,45 @@ impl std::error::Error for MiniCError {}
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, MiniCError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The typed diagnostics print the text they had as plain messages.
+    #[test]
+    fn typed_diagnostics_keep_their_text() {
+        let cases = [
+            (
+                "int f(void) { return y; }",
+                Diag::UnknownIdentifier("y".into()),
+                "type error at line 1: unknown identifier `y`",
+            ),
+            (
+                "int f(my_t x) { return 0; }",
+                Diag::UnknownTypeName("my_t".into()),
+                "parse error at line 1: unknown type name `my_t`",
+            ),
+            (
+                "my_t f(int x) { return 0; }",
+                Diag::ExpectedDeclaration(TokenKind::Ident("my_t".into())),
+                "parse error at line 1: expected declaration, found `my_t`",
+            ),
+            (
+                "int f(void) { return 0; }\n3;",
+                Diag::ExpectedDeclaration(TokenKind::IntLit {
+                    value: 3,
+                    unsigned: false,
+                    long: false,
+                }),
+                "parse error at line 2: expected declaration, found `3`",
+            ),
+        ];
+        for (src, diag, text) in cases {
+            let err = parse_program(src).and_then(|p| Sema::check(&p).map(|_| ())).unwrap_err();
+            assert_eq!(err.diag(), &diag, "{src}");
+            assert_eq!(err.to_string(), text, "{src}");
+            assert_eq!(text.split_once(": ").unwrap().1, err.message(), "{src}");
+        }
+    }
+}
