@@ -152,34 +152,6 @@ fn time_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     best
 }
 
-#[derive(serde::Serialize)]
-struct KernelRow {
-    name: String,
-    scalar_ns: f64,
-    simd_ns: f64,
-    speedup: f64,
-}
-
-#[derive(serde::Serialize)]
-struct DecodeRow {
-    backend: &'static str,
-    isa: &'static str,
-    tokens_per_sec_per_core: f64,
-}
-
-#[derive(serde::Serialize)]
-struct KernelReport {
-    detected_isa: &'static str,
-    host_parallelism: usize,
-    kernels: Vec<KernelRow>,
-    decode: Vec<DecodeRow>,
-    /// Acceptance headline: SIMD f32 decode tokens/sec-per-core over
-    /// forced-scalar f32.
-    decode_simd_speedup_f32: f64,
-    /// Int8 decode throughput relative to f32 on the detected tier.
-    decode_int8_over_f32: f64,
-}
-
 /// Decode tokens/sec on one core for a model: run the engine session loop
 /// to completion and divide tokens decoded by wall time (single-threaded,
 /// so per-core = total).
@@ -210,13 +182,13 @@ fn decode_tokens_per_sec(model: &slade_nn::Seq2Seq) -> f64 {
     best
 }
 
-/// Per-kernel and end-to-end decode benchmarks across ISA tiers and
-/// weight backends; writes `BENCH_kernels.json` at the workspace root.
-/// Skipped when a name filter is active that does not match "kernels"
-/// (CI's smoke pass filters on "decode").
+/// Per-kernel and end-to-end decode benchmarks, forced scalar against
+/// the detected tier; prints one row each. Skipped when a name filter is
+/// active that does not match "kernels" (CI's smoke pass filters on
+/// "decode").
 fn bench_kernels() {
     use slade_nn::kernels::{self, IsaTier};
-    use slade_nn::{Backend, Seq2Seq, TransformerConfig};
+    use slade_nn::{Seq2Seq, TransformerConfig};
 
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--list") {
@@ -244,8 +216,7 @@ fn bench_kernels() {
     let w_vocab = vec![0.05f32; d * vocab];
     let mut out = vec![0.0f32; lanes * vocab];
 
-    let mut rows: Vec<KernelRow> = Vec::new();
-    let mut run = |name: String, iters: usize, f: &mut dyn FnMut()| {
+    let run = |name: String, iters: usize, f: &mut dyn FnMut()| {
         kernels::set_tier(IsaTier::Scalar);
         let scalar_ns = time_ns(iters, &mut *f);
         kernels::set_tier(detected);
@@ -255,9 +226,8 @@ fn bench_kernels() {
             detected.name(),
             scalar_ns / simd_ns
         );
-        rows.push(KernelRow { name, scalar_ns, simd_ns, speedup: scalar_ns / simd_ns });
     };
-    // Packed j-block layout (what ProjWeight::F32 stores): sequential
+    // Packed j-block layout (what ProjWeight stores): sequential
     // slabs dodge the L1 set conflicts a plain transposed layout hits at
     // the 2 KB row stride of the vocab projection.
     let w_vocab_packed = kernels::pack_xposed_blocks(&w_vocab, d, vocab);
@@ -280,42 +250,6 @@ fn bench_kernels() {
     run(format!("sum_exp_{vocab}"), 2_000, &mut || {
         let max = kernels::row_max(&out[..vocab]);
         criterion::black_box(kernels::sum_exp(&out[..vocab], max));
-    });
-    // Int8 logits projection (the largest matmul of a step).
-    let mut xq = vec![0i8; lanes * d];
-    let mut xs = vec![0.0f32; lanes];
-    for i in 0..lanes {
-        xs[i] = kernels::quantize_row_i8(&a[i * d..(i + 1) * d], &mut xq[i * d..(i + 1) * d]);
-    }
-    let mut wq = vec![0i8; vocab * d];
-    let mut ws = vec![0.0f32; vocab];
-    for j in 0..vocab {
-        ws[j] =
-            kernels::quantize_row_i8(&w_vocab[j * d..(j + 1) * d], &mut wq[j * d..(j + 1) * d]);
-    }
-    run(format!("qmatmul_{lanes}x{d}x{vocab}"), 50, &mut || {
-        kernels::qmatmul_transb_into(
-            &xq,
-            &xs,
-            &wq,
-            &ws,
-            None,
-            &mut out[..lanes * vocab],
-            lanes,
-            d,
-            vocab,
-        );
-    });
-    // Per-call activation quantization (every int8 projection pays this
-    // once per input row).
-    let mut qrow = vec![0i8; lanes * d];
-    run(format!("quantize_row_{lanes}x{d}"), 500, &mut || {
-        for i in 0..lanes {
-            criterion::black_box(kernels::quantize_row_i8(
-                &a[i * d..(i + 1) * d],
-                &mut qrow[i * d..(i + 1) * d],
-            ));
-        }
     });
     // Single-query attention core at the small-profile head shape (4
     // heads x dh 16 over a 24-token cache): QK^T scores, softmax, and
@@ -358,111 +292,17 @@ fn bench_kernels() {
             &mut out[..lanes * d],
         );
     });
-    // VNNI vs plain-AVX2 int8 matmul: same exact integer arithmetic,
-    // VPDPBUSD encoding vs the unpack/madd chain. Baseline column holds
-    // the AVX2 time (not scalar).
-    #[cfg(target_arch = "x86_64")]
-    if detected == IsaTier::Vnni {
-        let mut f = || {
-            kernels::avx2::qmatmul_transb_into(
-                &xq,
-                &xs,
-                &wq,
-                &ws,
-                None,
-                &mut out[..lanes * vocab],
-                lanes,
-                d,
-                vocab,
-            );
-        };
-        let avx2_ns = time_ns(50, &mut f);
-        let mut f = || {
-            kernels::vnni::qmatmul_transb_into(
-                &xq,
-                &xs,
-                &wq,
-                &ws,
-                None,
-                &mut out[..lanes * vocab],
-                lanes,
-                d,
-                vocab,
-            );
-        };
-        let vnni_ns = time_ns(50, &mut f);
-        println!(
-            "kernel_{:<34} avx2   {avx2_ns:>11.0} ns, vnni {vnni_ns:>11.0} ns ({:.2}x)",
-            format!("qmatmul_vnni_{lanes}x{d}x{vocab}"),
-            avx2_ns / vnni_ns
-        );
-        rows.push(KernelRow {
-            name: format!("qmatmul_vnni_{lanes}x{d}x{vocab}"),
-            scalar_ns: avx2_ns,
-            simd_ns: vnni_ns,
-            speedup: avx2_ns / vnni_ns,
-        });
-    }
-
-    // End-to-end decode throughput per tier x backend.
-    let f32_model = Seq2Seq::new(TransformerConfig::small(512), 7);
-    let mut int8_cfg = TransformerConfig::small(512);
-    int8_cfg.backend = Backend::Int8;
-    let mut int8_model = f32_model.clone();
-    int8_model.cfg = int8_cfg;
-    let mut decode = Vec::new();
-    // Tier matrix: scalar, then (when the host detects VNNI) plain AVX2
-    // so the VPDPBUSD contribution is separable, then the detected tier.
-    let mut tiers = vec![IsaTier::Scalar];
-    if detected == IsaTier::Vnni {
-        tiers.push(IsaTier::Avx2);
-    }
-    if detected != IsaTier::Scalar {
-        tiers.push(detected);
-    }
-    for (backend, model) in [("f32", &f32_model), ("int8", &int8_model)] {
-        for &tier in &tiers {
-            kernels::set_tier(tier);
-            let tps = decode_tokens_per_sec(model);
-            println!(
-                "decode_tokens_per_sec_{backend}_{:<8} {tps:>14.0} tok/s/core",
-                tier.name()
-            );
-            decode.push(DecodeRow { backend, isa: tier.name(), tokens_per_sec_per_core: tps });
-        }
-    }
+    // End-to-end decode throughput, forced scalar against the detected
+    // tier.
+    let model = Seq2Seq::new(TransformerConfig::small(512), 7);
+    let [scalar_tps, simd_tps] = [IsaTier::Scalar, detected].map(|tier| {
+        kernels::set_tier(tier);
+        let tps = decode_tokens_per_sec(&model);
+        println!("decode_tokens_per_sec_f32_{:<8} {tps:>14.0} tok/s/core", tier.name());
+        tps
+    });
     kernels::set_tier(detected);
-
-    let find = |backend: &str, isa: &str| {
-        decode
-            .iter()
-            .find(|r| r.backend == backend && r.isa == isa)
-            .map(|r| r.tokens_per_sec_per_core)
-            .unwrap_or(0.0)
-    };
-    let f32_scalar = find("f32", "scalar");
-    let f32_simd = find("f32", detected.name());
-    let int8_simd = find("int8", detected.name());
-    let report = KernelReport {
-        detected_isa: detected.name(),
-        host_parallelism: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        kernels: rows,
-        decode,
-        decode_simd_speedup_f32: f32_simd / f32_scalar.max(1e-12),
-        decode_int8_over_f32: int8_simd / f32_simd.max(1e-12),
-    };
-    println!(
-        "decode simd speedup (f32): {:.2}x; int8 vs f32 on {}: {:.2}x",
-        report.decode_simd_speedup_f32,
-        detected.name(),
-        report.decode_int8_over_f32
-    );
-    let json = serde_json::to_string(&report).expect("kernel report serialization");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    println!("decode simd speedup (f32): {:.2}x", simd_tps / scalar_tps.max(1e-12));
 }
 
 fn main() {

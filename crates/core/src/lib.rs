@@ -32,8 +32,6 @@ use slade_minic::parse_program;
 use slade_nn::{DecodeRequest, InferenceEngine, Seq2Seq, TransformerConfig};
 use slade_tokenizer::{special, TokenizerOptions, UnigramTokenizer};
 
-pub use slade_nn::Backend;
-
 /// Training-scale knobs (see DESIGN.md §6 for the scaling argument).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainProfile {
@@ -120,7 +118,7 @@ impl TrainProfile {
     }
 
     /// The model this profile trains, over a `vocab`-token tokenizer.
-    pub fn transformer_config(&self, vocab: usize, backend: Backend) -> TransformerConfig {
+    pub fn transformer_config(&self, vocab: usize) -> TransformerConfig {
         TransformerConfig {
             vocab,
             d_model: self.d_model,
@@ -129,7 +127,7 @@ impl TrainProfile {
             enc_layers: self.layers,
             dec_layers: self.layers,
             max_len: self.max_src_len.max(self.max_tgt_len) + 2,
-            backend,
+            backend: slade_nn::Backend::F32,
         }
     }
 
@@ -186,7 +184,6 @@ pub struct SladeBuilder {
     profile: TrainProfile,
     beam: usize,
     max_batch_lanes: usize,
-    backend: Backend,
 }
 
 impl SladeBuilder {
@@ -198,7 +195,6 @@ impl SladeBuilder {
             profile: TrainProfile::default_profile(),
             beam: 5,
             max_batch_lanes: Slade::MAX_BATCH_LANES,
-            backend: Backend::F32,
         }
     }
 
@@ -224,15 +220,6 @@ impl SladeBuilder {
         self
     }
 
-    /// Sets the inference weight backend ([`Backend::F32`] default, or
-    /// [`Backend::Int8`] for per-row-quantized projection weights).
-    /// Training always runs in f32; the backend only changes how the
-    /// batched decode/encode paths materialize their weights.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Compiles the items, trains the tokenizer and the model, and returns
     /// the ready decompiler. Items that fail to compile or exceed the
     /// length caps are skipped.
@@ -245,7 +232,7 @@ impl SladeBuilder {
         }
         let tokenizer =
             UnigramTokenizer::train_with(&corpus, self.profile.vocab, self.profile.tokenizer);
-        let cfg = self.profile.transformer_config(tokenizer.vocab_size(), self.backend);
+        let cfg = self.profile.transformer_config(tokenizer.vocab_size());
         let mut model = Seq2Seq::new(cfg, seed);
         if self.profile.dropout > 0.0 {
             model.set_dropout(self.profile.dropout, seed ^ 0xd50);
@@ -454,19 +441,6 @@ impl Slade {
     /// The optimization level this model was trained for.
     pub fn opt(&self) -> OptLevel {
         self.opt
-    }
-
-    /// The inference weight backend the model decodes with.
-    pub fn backend(&self) -> Backend {
-        self.model.cfg.backend
-    }
-
-    /// Switches the inference weight backend in place. Cheap: weights are
-    /// (re-)materialized per decode/encode pass, so flipping the backend
-    /// on a trained model takes effect on the next call — the eval-accuracy
-    /// gate compares f32 and int8 on the same trained weights this way.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.model.cfg.backend = backend;
     }
 
     /// The effective concurrent-lane budget per engine batch

@@ -134,7 +134,7 @@ fn train_btc(pairs: &[(String, String)], profile: TrainProfile, seed: u64) -> Bt
         .map(|(asm, c)| (tokenizer.encode(asm), tokenizer.encode(c)))
         .filter(|(src, tgt)| profile.admits(src, tgt))
         .collect();
-    let cfg = profile.transformer_config(tokenizer.vocab_size(), Default::default());
+    let cfg = profile.transformer_config(tokenizer.vocab_size());
     let mut model = Seq2Seq::new(cfg, seed);
     for _ in 0..profile.epochs.div_ceil(2) {
         train_epoch(&mut model, &profile, encoded.iter().map(|(s, t)| (s, t.as_slice())));

@@ -6,28 +6,26 @@
 //! query-tile form `attn_scores_packed_tile_into`, `softmax_rows_into`,
 //! `attn_weighted_sum_into` and its query-tile form
 //! `attn_weighted_sum_tile_into`; the tile forms walk [`Blocks`]),
-//! `layer_norm_into`, activation quantization (`quantize_row_i8`), and
-//! the int8 `qmatmul_transb_into`) routes through this module. An ISA
-//! tier is selected once at startup — VNNI on x86-64 hosts with
-//! AVX-VNNI or AVX512-VNNI+VL, else AVX2, scalar otherwise (every other
-//! architecture: the scalar bodies are 8-lane loops the compiler
-//! vectorizes at the target's baseline) — and can be overridden with the
-//! `SLADE_KERNEL_ISA` environment variable (`auto` | `scalar` | `avx2` |
-//! `vnni`; an unsupported known tier degrades with a one-line warning —
-//! `vnni` to AVX2 when available, otherwise scalar — and an unrecognized
-//! value warns and uses the detected tier) or in-process via [`set_tier`]
-//! (used by benches and property tests to compare tiers).
-//! [`tier_status`] reports the effective tier and a request that was not
-//! honoured, for stats and metrics.
+//! and `layer_norm_into`) routes through this module. An ISA tier is
+//! selected once at startup — AVX2 on x86-64 hosts that have it, scalar
+//! otherwise (every other architecture: the scalar bodies are 8-lane
+//! loops the compiler vectorizes at the target's baseline) — and can be
+//! overridden with the `SLADE_KERNEL_ISA` environment variable (`auto` |
+//! `scalar` | `avx2`; `avx2` on a host without it degrades to scalar
+//! with a one-line warning, and an unrecognized value warns and uses the
+//! detected tier) or in-process via [`set_tier`] (used by benches and
+//! property tests to compare tiers). [`tier_status`] reports the
+//! effective tier and a request that was not honoured, for stats and
+//! metrics.
 //!
 //! Each kernel has two sources: the [`scalar`] body, which is the
-//! specification `kernel_equiv` compares against, and one [`avx2`] body
-//! (plus [`vnni`]'s two encodings of the int8 inner product). A tier for
-//! another ISA comes with a CI job that executes it, or not at all.
+//! specification `kernel_equiv` compares against, and one [`avx2`] body.
+//! A tier for another ISA comes with a CI job that executes it, or not
+//! at all.
 //!
 //! # Bit-identity contract
 //!
-//! All f32 tiers of a kernel produce **bit-identical** output. This is
+//! All tiers of a kernel produce **bit-identical** output. This is
 //! load-bearing: the engine's `decode_reference ≡ decode_batch`
 //! equivalence and the serving runtime's `runtime ≡ sequential`
 //! property both assume logits do not depend on which code path (or
@@ -43,26 +41,12 @@
 //!   `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, the order an AVX2
 //!   128-bit-split horizontal add performs.
 //!
-//! Both f32 matmul layouts (`transb`: B rows contiguous over `k`;
+//! Both matmul layouts (`transb`: B rows contiguous over `k`;
 //! `xpacked`: B transposed and packed into 8-column slabs by
 //! [`pack_xposed_blocks`]) implement these exact per-element semantics,
 //! so projecting through a weight matrix yields the same bits in either
 //! — the training forward (transb) is the reference the inference path
 //! (xpacked) is tested against under `to_bits`.
-//!
-//! The int8 kernels accumulate in exact i32 arithmetic (products are
-//! bounded by 127², far from overflow for any model dimension here), so
-//! they are trivially bit-identical across tiers — including the VNNI
-//! tier, whose `VPDPBUSD` u8×i8 dot is made exact for signed i8×i8 by
-//! the abs/sign trick (see [`vnni`]). Activation quantization
-//! (`quantize_row_i8`) is dispatched too; its vector tier reproduces
-//! the scalar routine bit-for-bit because every step is either exact
-//! (abs/max/clamp/low-byte cast) or an identically-rounded IEEE op —
-//! in particular, rounding is round-to-nearest-even on every tier,
-//! since that is the mode `VROUNDPS` and the scalar `round_ties_even`
-//! share. Rows containing NaN are out of contract (max-propagation
-//! differs between lane orders); all-finite rows, including ±inf,
-//! denormals and ±0, agree bitwise.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -76,9 +60,6 @@ pub enum IsaTier {
     Scalar = 0,
     /// Explicit 256-bit AVX2 intrinsics (x86-64).
     Avx2 = 1,
-    /// AVX2 plus `VPDPBUSD` (AVX-VNNI or AVX512-VNNI+VL) for the int8
-    /// matmul; all f32 kernels run the AVX2 implementations (x86-64).
-    Vnni = 2,
 }
 
 impl IsaTier {
@@ -87,14 +68,12 @@ impl IsaTier {
         match self {
             IsaTier::Scalar => "scalar",
             IsaTier::Avx2 => "avx2",
-            IsaTier::Vnni => "vnni",
         }
     }
 
     fn from_u8(v: u8) -> IsaTier {
         match v {
             1 => IsaTier::Avx2,
-            2 => IsaTier::Vnni,
             _ => IsaTier::Scalar,
         }
     }
@@ -108,9 +87,11 @@ static ACTIVE: AtomicU8 = AtomicU8::new(TIER_UNSET);
 
 /// The best tier this host supports, by `std::arch` feature detection.
 pub fn detected_tier() -> IsaTier {
-    if tier_supported(IsaTier::Vnni) {
-        IsaTier::Vnni
-    } else if tier_supported(IsaTier::Avx2) {
+    best_tier(tier_supported)
+}
+
+fn best_tier(supported: impl Fn(IsaTier) -> bool) -> IsaTier {
+    if supported(IsaTier::Avx2) {
         IsaTier::Avx2
     } else {
         IsaTier::Scalar
@@ -122,13 +103,9 @@ pub fn detected_tier() -> IsaTier {
 pub fn tier_supported(tier: IsaTier) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        use std::arch::is_x86_feature_detected as has;
         match tier {
             IsaTier::Scalar => true,
-            IsaTier::Avx2 => has!("avx2"),
-            IsaTier::Vnni => {
-                has!("avx2") && (has!("avxvnni") || (has!("avx512vnni") && has!("avx512vl")))
-            }
+            IsaTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -138,55 +115,55 @@ pub fn tier_supported(tier: IsaTier) -> bool {
 }
 
 /// What [`tier_status`] appends when startup resolution could not honour
-/// the `SLADE_KERNEL_ISA` request: `requested vnni: unsupported`.
+/// the `SLADE_KERNEL_ISA` request: `requested avx2: unsupported`.
 static REQUEST_NOTE: OnceLock<String> = OnceLock::new();
 
-const VALID_TIERS: &str = "auto, scalar, avx2, vnni";
+const VALID_TIERS: &str = "auto, scalar, avx2";
 
-/// Resolve the startup tier: `SLADE_KERNEL_ISA` override first, then
-/// feature detection. An unsupported known tier degrades (vnni → avx2
-/// when available, else scalar; avx2 → scalar) and an unrecognized
-/// value uses the detected tier; both print a one-line warning naming
-/// the valid tiers instead of falling back silently.
+/// Resolve the startup tier from `SLADE_KERNEL_ISA` and feature
+/// detection (see [`tier_for_request`]). A request that is not honoured
+/// prints a one-line warning naming the valid tiers instead of falling
+/// back silently.
 fn resolve_tier() -> IsaTier {
     let raw = std::env::var("SLADE_KERNEL_ISA").unwrap_or_default();
+    let (tier, note) = tier_for_request(&raw, tier_supported);
+    if let Some(note) = note {
+        eprintln!(
+            "slade: SLADE_KERNEL_ISA {note} (valid tiers: {VALID_TIERS}); using {}",
+            tier.name()
+        );
+        let _ = REQUEST_NOTE.set(note);
+    }
+    tier
+}
+
+/// The tier a `SLADE_KERNEL_ISA` value selects on a host that executes
+/// the tiers `supported` accepts, and the note for a request it could
+/// not honour. Empty or `auto` takes the best supported tier; a known
+/// tier the host lacks degrades to scalar (`requested avx2:
+/// unsupported`); any other value takes the best supported tier
+/// (`requested vnni: unknown`).
+fn tier_for_request(
+    raw: &str,
+    supported: impl Fn(IsaTier) -> bool,
+) -> (IsaTier, Option<String>) {
     let req = raw.trim().to_ascii_lowercase();
     let want = match req.as_str() {
-        "" | "auto" => return detected_tier(),
+        "" | "auto" => return (best_tier(supported), None),
         "scalar" => IsaTier::Scalar,
         "avx2" => IsaTier::Avx2,
-        "vnni" => IsaTier::Vnni,
-        _ => {
-            let detected = detected_tier();
-            eprintln!(
-                "slade: unknown SLADE_KERNEL_ISA value '{req}' (valid tiers: {VALID_TIERS}); \
-                 using detected tier {}",
-                detected.name()
-            );
-            let _ = REQUEST_NOTE.set(format!("requested {req}: unknown"));
-            return detected;
-        }
+        _ => return (best_tier(supported), Some(format!("requested {req}: unknown"))),
     };
-    if tier_supported(want) {
-        return want;
-    }
-    let fallback = if want == IsaTier::Vnni && tier_supported(IsaTier::Avx2) {
-        IsaTier::Avx2
+    if supported(want) {
+        (want, None)
     } else {
-        IsaTier::Scalar
-    };
-    eprintln!(
-        "slade: SLADE_KERNEL_ISA={req} requested but this host cannot execute it; using {} \
-         (valid tiers: {VALID_TIERS})",
-        fallback.name()
-    );
-    let _ = REQUEST_NOTE.set(format!("requested {req}: unsupported"));
-    fallback
+        (IsaTier::Scalar, Some(format!("requested {req}: unsupported")))
+    }
 }
 
 /// Human-readable effective-vs-requested tier, e.g. `avx2`,
-/// `avx2 (requested vnni: unsupported)`, or
-/// `vnni (requested avx512: unknown)`. The note is the startup request's
+/// `scalar (requested avx2: unsupported)`, or
+/// `avx2 (requested vnni: unknown)`. The note is the startup request's
 /// ([`set_tier`] does not alter it); the tier is what dispatch uses now.
 pub fn tier_status() -> String {
     let effective = active_tier().name();
@@ -377,8 +354,8 @@ pub(crate) fn gelu_lane(x: f32) -> f32 {
 }
 
 /// Canonical scalar reference kernels. Every other tier must reproduce
-/// these bit-for-bit (f32) or exactly (int8). Written so LLVM can
-/// auto-vectorize the lane loops at the target baseline.
+/// these bit-for-bit. Written so LLVM can auto-vectorize the lane loops
+/// at the target baseline.
 pub mod scalar {
     use super::{reduce8, vmax, vmax8};
 
@@ -498,74 +475,6 @@ pub mod scalar {
             lanes[l] = vmax(lanes[l], v);
         }
         vmax8(&lanes)
-    }
-
-    /// Exact i8 x i8 -> i32 dot product — scalar tier.
-    #[inline]
-    pub(crate) fn qdot(x: &[i8], w: &[i8]) -> i32 {
-        let mut acc = 0i32;
-        for (&xv, &wv) in x.iter().zip(w) {
-            acc += xv as i32 * wv as i32;
-        }
-        acc
-    }
-
-    /// Int8 `C = Xq * Wq^T` with f32 dequant-on-accumulate — scalar
-    /// tier. `xq` is `m x k` with per-row scales `xs`, `wq` is `n x k`
-    /// with per-row scales `ws`; `out[i,j] = dot_i32 * (xs[i]*ws[j]) +
-    /// bias[j]`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn qmatmul_transb_into(
-        xq: &[i8],
-        xs: &[f32],
-        wq: &[i8],
-        ws: &[f32],
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        for i in 0..m {
-            let xr = &xq[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (j, ov) in orow.iter_mut().enumerate() {
-                let acc = qdot(xr, &wq[j * k..(j + 1) * k]);
-                let deq = acc as f32 * (xs[i] * ws[j]);
-                *ov = match bias {
-                    Some(b) => deq + b[j],
-                    None => deq,
-                };
-            }
-        }
-    }
-
-    /// Per-row symmetric int8 quantization — scalar tier (the reference
-    /// the vector tiers reproduce bit-for-bit; see
-    /// [`super::quantize_row_i8`]). Rounding is round-to-nearest-even —
-    /// the one mode `VROUNDPS` and `round_ties_even` share.
-    pub fn quantize_row_i8(src: &[f32], dst: &mut [i8]) -> f32 {
-        assert_eq!(src.len(), dst.len(), "one code per value");
-        let mut absmax = 0.0f32;
-        for &v in src {
-            let a = v.abs();
-            if a > absmax {
-                absmax = a;
-            }
-        }
-        if absmax == 0.0 || !absmax.is_finite() {
-            dst.fill(0);
-            return 0.0;
-        }
-        // For a denormal absmax this overflows to +inf; the clamp and
-        // the NaN→0 cast below keep the outputs defined, and the vector
-        // tiers mirror both (constant-first min/max propagate NaN, the
-        // low-byte extraction of the NaN convert pattern is 0).
-        let inv = 127.0 / absmax;
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = (v * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
-        }
-        absmax / 127.0
     }
 
     /// QK^T score row — scalar tier: `scores[si] = dot8(q, key_si) *
@@ -732,27 +641,12 @@ pub mod scalar {
     }
 }
 
-/// The operands of one int8 matmul ([`scalar::qmatmul_transb_into`]'s
-/// arguments), as the x86 entry points hand them to their bodies.
-#[cfg(target_arch = "x86_64")]
-struct QMat<'a> {
-    xq: &'a [i8],
-    xs: &'a [f32],
-    wq: &'a [i8],
-    ws: &'a [f32],
-    bias: Option<&'a [f32]>,
-    out: &'a mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-}
-
 /// AVX2 tier: 256-bit kernels bit-identical to [`scalar`]. Safe
 /// wrappers assert AVX2 support before entering `target_feature` code.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::scalar::{dot8, qdot};
-    use super::{reduce8, vmax, vmax8, Blocks, QMat};
+    use super::scalar::dot8;
+    use super::{reduce8, vmax8, Blocks};
     use std::arch::x86_64::*;
 
     #[inline]
@@ -797,18 +691,6 @@ pub mod avx2 {
             *l += t;
         }
         reduce8(&lanes)
-    }
-
-    /// [`sum_lanes`] for a lane-split max: [`vmax`] per tail term, then
-    /// [`vmax8`]'s tree.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn max_lanes(acc: __m256, tail: impl Iterator<Item = f32>) -> f32 {
-        let mut lanes = spill(acc);
-        for (l, t) in lanes.iter_mut().zip(tail) {
-            *l = vmax(*l, t);
-        }
-        vmax8(&lanes)
     }
 
     /// All-ones for the first `8 - offset` lanes when loaded at `offset`.
@@ -1077,235 +959,6 @@ pub mod avx2 {
         for v in tail {
             *v = super::gelu_lane(*v);
         }
-    }
-
-    /// Int8 matmul — AVX2 tier (see [`super::scalar::qmatmul_transb_into`]).
-    /// The i32 accumulation is exact, so this is bit-identical to the
-    /// scalar tier by construction.
-    #[allow(clippy::too_many_arguments)]
-    pub fn qmatmul_transb_into(
-        xq: &[i8],
-        xs: &[f32],
-        wq: &[i8],
-        ws: &[f32],
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        assert!(xq.len() >= m * k && wq.len() >= n * k && out.len() >= m * n);
-        assert!(ws.len() >= n && bias.is_none_or(|b| b.len() >= n), "n scales and biases");
-        assert_avx2();
-        // SAFETY: AVX2 is present and the five lengths hold (asserted).
-        unsafe { qmatmul_madd(QMat { xq, xs, wq, ws, bias, out, m, k, n }) }
-    }
-
-    /// [`qmatmul_x86`] on plain AVX2: both operands sign-extend to i16
-    /// halves and `VPMADDWD` multiplies and pair-adds them into i32.
-    ///
-    /// # Safety
-    ///
-    /// As [`qmatmul_x86`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn qmatmul_madd(q: QMat<'_>) {
-        let widen = |v: __m256i| {
-            (
-                _mm256_cvtepi8_epi16(_mm256_castsi256_si128(v)),
-                _mm256_cvtepi8_epi16(_mm256_extracti128_si256(v, 1)),
-            )
-        };
-        let dot = |acc: __m256i, (xlo, xhi): (__m256i, __m256i), w: __m256i| {
-            let (wlo, whi) = widen(w);
-            let acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xlo, wlo));
-            _mm256_add_epi32(acc, _mm256_madd_epi16(xhi, whi))
-        };
-        qmatmul_x86(widen, dot, q)
-    }
-
-    /// The x86 int8 matmul, once for its three inner products (`VPMADDWD`
-    /// above, the two `VPDPBUSD` encodings in [`super::vnni`]): `dot(acc,
-    /// prep(x), w)` adds the 32 products of one chunk of activations `x`
-    /// and weights `w` into `acc`'s eight i32 lanes — in any grouping, the
-    /// arithmetic is exact and every lane is summed. `prep` is the part of
-    /// the operand transform that depends on `x` alone: it is hoisted out
-    /// of the column loop (once per row instead of once per column block)
-    /// for rows up to `MAXCH` chunks, and longer rows redo it inline past
-    /// the buffer. Four weight rows share each activation chunk and reduce
-    /// through one [`hsum4_epi32`]; the `k % 32` tail is [`qdot`]'s.
-    ///
-    /// Inlined into a `#[target_feature]` wrapper, which gives this body
-    /// and the hooks their instruction set.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and what `prep` and `dot` execute, `xq.len() >= m *
-    /// k`, `wq.len() >= n * k`, `out.len() >= m * n`, `ws.len() >= n` and
-    /// `bias.len() >= n`.
-    #[inline(always)]
-    pub(super) unsafe fn qmatmul_x86<P: Copy>(
-        prep: impl Fn(__m256i) -> P,
-        dot: impl Fn(__m256i, P, __m256i) -> __m256i,
-        QMat { xq, xs, wq, ws, bias, out, m, k, n }: QMat<'_>,
-    ) {
-        const MAXCH: usize = 16;
-        let chunks = k / 32;
-        let base = chunks * 32;
-        let cached = chunks.min(MAXCH);
-        let chunk = |row: *const i8, ch: usize| _mm256_loadu_si256(row.add(ch * 32).cast());
-        let zero = _mm256_setzero_si256();
-        let mut xbuf = [prep(zero); MAXCH];
-        for i in 0..m {
-            let xr = &xq[i * k..(i + 1) * k];
-            for (ch, x) in xbuf.iter_mut().enumerate().take(cached) {
-                *x = prep(chunk(xr.as_ptr(), ch));
-            }
-            let x_at =
-                |ch: usize| if ch < cached { xbuf[ch] } else { prep(chunk(xr.as_ptr(), ch)) };
-            // One output from its vector sum: the scalar `k % 32` tail,
-            // then the scalar tier's dequantization.
-            let finish = |sum: i32, j: usize| {
-                let sum = sum + qdot(&xr[base..], &wq[j * k + base..(j + 1) * k]);
-                let deq = sum as f32 * (xs[i] * ws[j]);
-                match bias {
-                    Some(b) => deq + b[j],
-                    None => deq,
-                }
-            };
-            let mut j = 0usize;
-            while j + 4 <= n {
-                let w = wq.as_ptr().add(j * k);
-                let mut acc = [zero; 4];
-                for ch in 0..chunks {
-                    let x = x_at(ch);
-                    for (col, a) in acc.iter_mut().enumerate() {
-                        *a = dot(*a, x, chunk(w.add(col * k), ch));
-                    }
-                }
-                let sums = hsum4_epi32(acc[0], acc[1], acc[2], acc[3]);
-                if base == k {
-                    dequant4(sums, xs[i], ws, bias, out, i, j, n);
-                } else {
-                    let mut sum4 = [0i32; 4];
-                    _mm_storeu_si128(sum4.as_mut_ptr().cast(), sums);
-                    for (col, sum) in sum4.into_iter().enumerate() {
-                        out[i * n + j + col] = finish(sum, j + col);
-                    }
-                }
-                j += 4;
-            }
-            while j < n {
-                let w = wq.as_ptr().add(j * k);
-                let mut acc = zero;
-                for ch in 0..chunks {
-                    acc = dot(acc, x_at(ch), chunk(w, ch));
-                }
-                out[i * n + j] =
-                    finish(_mm_cvtsi128_si32(hsum4_epi32(acc, zero, zero, zero)), j);
-                j += 1;
-            }
-        }
-    }
-
-    /// 4-way horizontal reduce of four i32 matmul accumulators: two
-    /// VPHADDD levels and a 128-bit fold yield `[Σa0, Σa1, Σa2, Σa3]`.
-    /// The arithmetic is exact integer, so reduction order cannot affect
-    /// the result.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn hsum4_epi32(a0: __m256i, a1: __m256i, a2: __m256i, a3: __m256i) -> __m128i {
-        let t01 = _mm256_hadd_epi32(a0, a1);
-        let t23 = _mm256_hadd_epi32(a2, a3);
-        let t = _mm256_hadd_epi32(t01, t23);
-        _mm_add_epi32(_mm256_castsi256_si128(t), _mm256_extracti128_si256(t, 1))
-    }
-
-    /// Dequantizes four adjacent int8 dot products at once: per lane,
-    /// `cvt(sum) * (x_scale * ws[j]) + bias[j]` — the identical operation
-    /// sequence the scalar tier applies per element (`i32 → f32` conversion
-    /// is exact, the two multiplies and the add are each one rounded IEEE
-    /// op), so the 4-wide form is bit-identical to four scalar dequants.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2, `j + 4 <= n <= ws.len()`, `bias.len() >= n` and
-    /// `out.len() >= (i + 1) * n`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn dequant4(
-        sums: __m128i,
-        x_scale: f32,
-        ws: &[f32],
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        i: usize,
-        j: usize,
-        n: usize,
-    ) {
-        let sf = _mm_cvtepi32_ps(sums);
-        let sc = _mm_mul_ps(_mm_set1_ps(x_scale), _mm_loadu_ps(ws.as_ptr().add(j)));
-        let deq = _mm_mul_ps(sf, sc);
-        let res = match bias {
-            Some(b) => _mm_add_ps(deq, _mm_loadu_ps(b.as_ptr().add(j))),
-            None => deq,
-        };
-        _mm_storeu_ps(out.as_mut_ptr().add(i * n + j), res);
-    }
-
-    /// Per-row symmetric int8 quantization — AVX2 tier, bit-identical
-    /// to [`super::scalar::quantize_row_i8`]: VANDNPS+VMAXPS absmax (same
-    /// value as the scalar fold for finite rows), then per element an
-    /// identically-rounded multiply, VROUNDPS round-to-nearest-even, a
-    /// constant-first VMAXPS/VMINPS clamp (NaN from a denormal-absmax
-    /// `0 * inf` stays NaN, as Rust's `clamp` keeps it), and VCVTPS2DQ
-    /// whose low byte equals the scalar `as i8` cast for every
-    /// post-clamp value (NaN converts to `0x8000_0000`, low byte 0).
-    pub fn quantize_row_i8(src: &[f32], dst: &mut [i8]) -> f32 {
-        assert_eq!(src.len(), dst.len(), "one code per value");
-        assert_avx2();
-        // SAFETY: AVX2 is present (asserted).
-        unsafe { quantize_avx2(src, dst) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn quantize_avx2(src: &[f32], dst: &mut [i8]) -> f32 {
-        let (chunks, tail) = src.as_chunks::<8>();
-        let signbit = _mm256_set1_ps(-0.0);
-        let mut maxv = _mm256_setzero_ps();
-        for c in chunks {
-            maxv = _mm256_max_ps(maxv, _mm256_andnot_ps(signbit, load8(c)));
-        }
-        let absmax = max_lanes(maxv, tail.iter().map(|v| v.abs()));
-        if absmax == 0.0 || !absmax.is_finite() {
-            dst.fill(0);
-            return 0.0;
-        }
-        let inv = 127.0 / absmax;
-        let invv = _mm256_set1_ps(inv);
-        let lo = _mm256_set1_ps(-127.0);
-        let hi = _mm256_set1_ps(127.0);
-        // Low byte of each 32-bit lane, gathered into the first 4 bytes
-        // of each 128-bit half.
-        let shuf = _mm256_setr_epi8(
-            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 0, 4, 8, 12, -1, -1,
-            -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-        );
-        let (dchunks, dtail) = dst.as_chunks_mut::<8>();
-        for (d, c) in dchunks.iter_mut().zip(chunks) {
-            let t = _mm256_mul_ps(load8(c), invv);
-            let t = _mm256_round_ps(t, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-            let t = _mm256_min_ps(hi, _mm256_max_ps(lo, t));
-            let packed = _mm256_shuffle_epi8(_mm256_cvtps_epi32(t), shuf);
-            let b_lo = _mm_cvtsi128_si32(_mm256_castsi256_si128(packed));
-            let b_hi = _mm_cvtsi128_si32(_mm256_extracti128_si256(packed, 1));
-            d[..4].copy_from_slice(&b_lo.to_le_bytes().map(|b| b as i8));
-            d[4..].copy_from_slice(&b_hi.to_le_bytes().map(|b| b as i8));
-        }
-        for (d, &v) in dtail.iter_mut().zip(tail) {
-            *d = (v * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
-        }
-        absmax / 127.0
     }
 
     /// QK^T score row — AVX2 tier (see [`super::scalar::attn_scores_into`]).
@@ -2012,87 +1665,11 @@ pub mod avx2 {
     }
 }
 
-/// VNNI tier (x86-64): the AVX2 tier plus `VPDPBUSD` for the int8
-/// matmul — every f32 kernel dispatches to the [`avx2`]
-/// implementations, so only the int8 inner product differs. `VPDPBUSD`
-/// computes a u8×i8 dot; the signed i8×i8 dot the backend needs is
-/// recovered exactly by the abs/sign trick: `|x| ≤ 127` always fits u8
-/// (the quantizer clamps to ±127), `VPSIGNB` moves x's sign onto w (also
-/// ±127, so no negation overflow), and `Σ |x|·sign(w, x) = Σ x·w` with
-/// each 4-product group bounded by `4·127² = 64516` — far from both
-/// the intermediate and i32 accumulator limits. Exact integer
-/// arithmetic makes the tier bit-identical to scalar/AVX2 by
-/// construction. Both `VPDPBUSD` encodings are supported: the VEX one
-/// on AVX-VNNI hosts (Alder Lake+), the EVEX one on
-/// AVX512-VNNI+VL hosts (Ice Lake / Zen 4).
-#[cfg(target_arch = "x86_64")]
-pub mod vnni {
-    use super::avx2::qmatmul_x86;
-    use super::QMat;
-    use std::arch::x86_64::*;
-
-    /// [`qmatmul_x86`] with the VEX-encoded `VPDPBUSD`; `prep` is the chunk
-    /// and its absolute value (the u8 operand), which depend on x only.
-    ///
-    /// # Safety
-    ///
-    /// As [`qmatmul_x86`], on a host with AVX-VNNI.
-    #[target_feature(enable = "avx2,avxvnni")]
-    pub(super) unsafe fn qmatmul_vex(q: QMat<'_>) {
-        let dot = |acc, (x, ax), w| _mm256_dpbusd_avx_epi32(acc, ax, _mm256_sign_epi8(w, x));
-        qmatmul_x86(|x| (x, _mm256_abs_epi8(x)), dot, q)
-    }
-
-    /// [`qmatmul_x86`] with the EVEX-encoded `VPDPBUSD`.
-    ///
-    /// # Safety
-    ///
-    /// As [`qmatmul_x86`], on a host with AVX512-VNNI and AVX512-VL.
-    #[target_feature(enable = "avx2,avx512vnni,avx512vl")]
-    pub(super) unsafe fn qmatmul_evex(q: QMat<'_>) {
-        let dot = |acc, (x, ax), w| _mm256_dpbusd_epi32(acc, ax, _mm256_sign_epi8(w, x));
-        qmatmul_x86(|x| (x, _mm256_abs_epi8(x)), dot, q)
-    }
-
-    /// Int8 matmul — VNNI tier (see [`super::scalar::qmatmul_transb_into`];
-    /// exact i32 accumulation, bit-identical to every other tier).
-    #[allow(clippy::too_many_arguments)]
-    pub fn qmatmul_transb_into(
-        xq: &[i8],
-        xs: &[f32],
-        wq: &[i8],
-        ws: &[f32],
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        assert!(xq.len() >= m * k && wq.len() >= n * k && out.len() >= m * n);
-        assert!(ws.len() >= n && bias.is_none_or(|b| b.len() >= n), "n scales and biases");
-        assert!(
-            super::tier_supported(super::IsaTier::Vnni),
-            "VNNI kernels called on a host without AVX-VNNI or AVX512-VNNI+VL"
-        );
-        let q = QMat { xq, xs, wq, ws, bias, out, m, k, n };
-        // SAFETY: the five lengths hold and the host has AVX2 and the
-        // encoding of the branch taken (all asserted: without AVX-VNNI, a
-        // supported VNNI tier means AVX512-VNNI+VL).
-        unsafe {
-            if std::arch::is_x86_feature_detected!("avxvnni") {
-                qmatmul_vex(q)
-            } else {
-                qmatmul_evex(q)
-            }
-        }
-    }
-}
-
 /// Dispatched `C = A * B^T` (`a`: `m x k`, `b`: `n x k`, `c`: `m x n`).
 pub fn matmul_transb_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::matmul_transb_into(a, b, c, m, k, n),
+        IsaTier::Avx2 => avx2::matmul_transb_into(a, b, c, m, k, n),
         _ => scalar::matmul_transb_into(a, b, c, m, k, n),
     }
 }
@@ -2131,7 +1708,7 @@ pub fn pack_xposed_blocks(bt: &[f32], k: usize, n: usize) -> Vec<f32> {
 pub fn matmul_xpacked_into(a: &[f32], bp: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::matmul_xpacked_into(a, bp, c, m, k, n),
+        IsaTier::Avx2 => avx2::matmul_xpacked_into(a, bp, c, m, k, n),
         _ => scalar::matmul_xpacked_into(a, bp, c, m, k, n),
     }
 }
@@ -2145,7 +1722,7 @@ pub fn row_max(row: &[f32]) -> f32 {
     }
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::row_max(row),
+        IsaTier::Avx2 => avx2::row_max(row),
         _ => scalar::row_max(row),
     }
 }
@@ -2158,7 +1735,7 @@ pub fn row_max(row: &[f32]) -> f32 {
 pub fn sum_exp(row: &[f32], max: f32) -> f32 {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::sum_exp(row, max),
+        IsaTier::Avx2 => avx2::sum_exp(row, max),
         _ => scalar::sum_exp(row, max),
     }
 }
@@ -2170,22 +1747,8 @@ pub fn sum_exp(row: &[f32], max: f32) -> f32 {
 pub fn gelu_into(buf: &mut [f32]) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::gelu_into(buf),
+        IsaTier::Avx2 => avx2::gelu_into(buf),
         _ => scalar::gelu_into(buf),
-    }
-}
-
-/// Dispatched per-row symmetric int8 quantization: `scale = absmax /
-/// 127`, values round-to-nearest-even clamped to `[-127, 127]`.
-/// Returns the scale (0.0 for an all-zero or non-finite row, with
-/// `dst` zeroed). Every tier produces bit-identical output for finite
-/// rows (see the module docs), so the int8 path's inputs — and
-/// therefore its exact-integer outputs — do not depend on dispatch.
-pub fn quantize_row_i8(src: &[f32], dst: &mut [i8]) -> f32 {
-    match active_tier() {
-        #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::quantize_row_i8(src, dst),
-        _ => scalar::quantize_row_i8(src, dst),
     }
 }
 
@@ -2203,7 +1766,7 @@ pub fn attn_scores_into(
 ) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::attn_scores_into(q, keys, stride, scale, scores),
+        IsaTier::Avx2 => avx2::attn_scores_into(q, keys, stride, scale, scores),
         _ => scalar::attn_scores_into(q, keys, stride, scale, scores),
     }
 }
@@ -2269,7 +1832,7 @@ pub fn attn_scores_packed_tile_into(
 ) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => {
+        IsaTier::Avx2 => {
             avx2::attn_scores_packed_tile_into(q, qstride, dh, kp, blocks, scale, scores)
         }
         _ => scalar::attn_scores_packed_tile_into(q, qstride, dh, kp, blocks, scale, scores),
@@ -2295,7 +1858,7 @@ pub fn softmax_rows_into(rows: &mut [f32], n: usize) {
     assert!(whole_rows(rows.len(), n), "{} scores in rows of {n}", rows.len());
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::softmax_rows_into(rows, n),
+        IsaTier::Avx2 => avx2::softmax_rows_into(rows, n),
         _ => rows.chunks_exact_mut(n.max(1)).for_each(scalar::softmax_into),
     }
 }
@@ -2334,7 +1897,7 @@ pub fn attn_weighted_sum_tile_into(
 ) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => {
+        IsaTier::Avx2 => {
             avx2::attn_weighted_sum_tile_into(probs, values, stride, blocks, ctx, cstride, dh)
         }
         _ => {
@@ -2350,7 +1913,7 @@ type LnRowFn = fn(&[f32], &[f32], &[f32], &mut [f32]) -> (f32, f32);
 fn ln_row_fn() -> LnRowFn {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 | IsaTier::Vnni => avx2::layer_norm_row_into,
+        IsaTier::Avx2 => avx2::layer_norm_row_into,
         _ => scalar::layer_norm_row_into,
     }
 }
@@ -2399,30 +1962,6 @@ pub fn layer_norm_stats_into(
     }
 }
 
-/// Dispatched int8 `C = Xq * Wq^T` with f32 dequant-on-accumulate.
-/// `xq`: `m x k` activations with per-row scales `xs`; `wq`: `n x k`
-/// weights with per-row scales `ws`.
-#[allow(clippy::too_many_arguments)]
-pub fn qmatmul_transb_into(
-    xq: &[i8],
-    xs: &[f32],
-    wq: &[i8],
-    ws: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    match active_tier() {
-        #[cfg(target_arch = "x86_64")]
-        IsaTier::Vnni => vnni::qmatmul_transb_into(xq, xs, wq, ws, bias, out, m, k, n),
-        #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 => avx2::qmatmul_transb_into(xq, xs, wq, ws, bias, out, m, k, n),
-        _ => scalar::qmatmul_transb_into(xq, xs, wq, ws, bias, out, m, k, n),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2440,7 +1979,7 @@ mod tests {
     #[test]
     fn tier_knob_round_trips() {
         let prev = active_tier();
-        for tier in [IsaTier::Scalar, IsaTier::Avx2, IsaTier::Vnni] {
+        for tier in [IsaTier::Scalar, IsaTier::Avx2] {
             // A request the host cannot execute clamps to scalar instead
             // of crashing in the first kernel call.
             let want = if tier_supported(tier) { tier } else { IsaTier::Scalar };
@@ -2450,43 +1989,23 @@ mod tests {
         set_tier(prev);
     }
 
-    /// Both `VPDPBUSD` encodings against scalar, each where the host has it
-    /// (`vnni::qmatmul_transb_into` reaches one per host, so `kernel_equiv`
-    /// cannot), on rows past the skeleton's 16-chunk `prep` buffer and on
-    /// both column paths.
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn both_vpdpbusd_encodings_match_scalar_past_the_prep_buffer() {
-        use std::arch::is_x86_feature_detected as has;
-        type Body = unsafe fn(QMat<'_>);
-        let bodies: [(&str, bool, Body); 2] = [
-            ("vex", has!("avx2") && has!("avxvnni"), vnni::qmatmul_vex),
-            (
-                "evex",
-                has!("avx2") && has!("avx512vnni") && has!("avx512vl"),
-                vnni::qmatmul_evex,
-            ),
-        ];
-        let codes =
-            |seed, len| fill(seed, len).iter().map(|v| (v * 127.0) as i8).collect::<Vec<_>>();
-        for (name, _, body) in bodies.into_iter().filter(|b| b.1) {
-            for (k, n) in
-                [512usize, 513, 544, 1055].into_iter().flat_map(|k| [(k, 1), (k, 4), (k, 5)])
-            {
-                let m = 2;
-                let (xq, wq) = (codes(k as u64, m * k), codes(n as u64, n * k));
-                let (xs, ws, b) = (fill(3, m), fill(4, n), fill(5, n));
-                let (xq, xs, wq, ws, bias) = (&xq[..], &xs[..], &wq[..], &ws[..], Some(&b[..]));
-                let mut want = vec![0.0f32; m * n];
-                let mut got = vec![0.0f32; m * n];
-                scalar::qmatmul_transb_into(xq, xs, wq, ws, bias, &mut want, m, k, n);
-                // SAFETY: the filter kept the bodies whose features the host
-                // has, and each buffer holds exactly what `m`, `k`, `n` index.
-                unsafe { body(QMat { xq, xs, wq, ws, bias, out: &mut got, m, k, n }) };
-                for (w, g) in want.iter().zip(&got) {
-                    assert_eq!(w.to_bits(), g.to_bits(), "{name} k {k} n {n}");
-                }
-            }
+    fn tier_request_resolves_against_what_the_host_supports() {
+        let with_avx2 = |_: IsaTier| true;
+        let scalar_only = |t: IsaTier| t == IsaTier::Scalar;
+        for (raw, supported, want) in [
+            ("", &with_avx2 as &dyn Fn(IsaTier) -> bool, (IsaTier::Avx2, None)),
+            (" Auto ", &with_avx2, (IsaTier::Avx2, None)),
+            ("auto", &scalar_only, (IsaTier::Scalar, None)),
+            ("scalar", &with_avx2, (IsaTier::Scalar, None)),
+            ("avx2", &with_avx2, (IsaTier::Avx2, None)),
+            ("avx2", &scalar_only, (IsaTier::Scalar, Some("requested avx2: unsupported"))),
+            ("vnni", &with_avx2, (IsaTier::Avx2, Some("requested vnni: unknown"))),
+            ("vnni", &scalar_only, (IsaTier::Scalar, Some("requested vnni: unknown"))),
+            ("AVX512", &with_avx2, (IsaTier::Avx2, Some("requested avx512: unknown"))),
+        ] {
+            let (tier, note) = tier_for_request(raw, supported);
+            assert_eq!((tier, note.as_deref()), want, "{raw:?}");
         }
     }
 
@@ -2512,20 +2031,5 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "shape ({m},{k},{n})");
             }
         }
-    }
-
-    #[test]
-    fn quantize_round_trips_within_bound() {
-        let src = fill(7, 33);
-        let mut q = vec![0i8; 33];
-        let scale = quantize_row_i8(&src, &mut q);
-        assert!(scale > 0.0);
-        for (&v, &qq) in src.iter().zip(&q) {
-            assert!((v - qq as f32 * scale).abs() <= scale * 0.5 + 1e-6);
-        }
-        let zeros = vec![0.0f32; 8];
-        let mut qz = vec![1i8; 8];
-        assert_eq!(quantize_row_i8(&zeros, &mut qz), 0.0);
-        assert!(qz.iter().all(|&v| v == 0));
     }
 }

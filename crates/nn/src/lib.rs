@@ -7,17 +7,16 @@
 //! see `DESIGN.md` for the scaling substitution argument.
 //!
 //! Layout:
-//! - [`kernels`] — runtime-dispatched SIMD kernel tiers (scalar / AVX2 /
-//!   VNNI, all bit-identical) plus the int8 quantized matmul;
+//! - [`kernels`] — runtime-dispatched SIMD kernel tiers (scalar / AVX2,
+//!   bit-identical);
 //! - [`math`] — dense kernels (matmul variants, softmax, GELU), hot
 //!   paths dispatching through [`kernels`];
-//! - [`store`] — flat parameter store with gradients and Adam moments,
-//!   plus per-row symmetric int8 quantization ([`QuantizedTensor`]);
+//! - [`store`] — flat parameter store with gradients and Adam moments;
 //! - [`model`] — the seq2seq Transformer with hand-written backward passes,
 //!   optional seeded dropout (for the paper's §V-C ablation), forward-only
 //!   evaluation ([`Seq2Seq::eval_loss`]), and the one KV-cached inference
 //!   path ([`Seq2Seq::encode_batch`]/[`Seq2Seq::decode_step_batch`]),
-//!   bit-identical on the f32 backend to its reference, the training
+//!   bit-identical to its reference, the training
 //!   forward ([`Seq2Seq::encode`]/[`Seq2Seq::decode_last_logits`]);
 //! - [`engine`] — the batched [`InferenceEngine`]: beam-search scheduling,
 //!   scoring and early-stop policy, interleaving many requests into one
@@ -48,4 +47,4 @@ pub mod store;
 pub use engine::{DecodeRequest, InferenceEngine};
 pub use kernels::IsaTier;
 pub use model::{Backend, BatchedDecoderState, Seq2Seq, TransformerConfig};
-pub use store::{ParamStore, ParamTensor, QuantizedTensor};
+pub use store::{ParamStore, ParamTensor};

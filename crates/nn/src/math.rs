@@ -2,7 +2,7 @@
 //!
 //! The hot kernels (`matmul_transb_into` and the max and exp-sum passes
 //! of [`log_softmax_topk`]) dispatch through [`crate::kernels`] to the
-//! best ISA tier the host supports (VNNI / AVX2 / scalar), all tiers
+//! best ISA tier the host supports (AVX2 / scalar), all tiers
 //! bit-identical. The training-only kernels below stay plain scalar code.
 
 use crate::kernels;

@@ -13,32 +13,20 @@
 
 use crate::kernels::ATTN_TILE;
 use crate::math::*;
-use crate::store::{PId, ParamStore, QuantizedTensor};
+use crate::store::{PId, ParamStore};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Inference weight backend: which numeric format the batched decode and
-/// encode paths project through. Training always runs f32; the backend
-/// only changes how weights are materialized for inference, below the
-/// engine seam — `crates/serve` never inspects it.
+/// Inference weight format. There is one: full-precision f32, packed
+/// for the inference kernels below the engine seam. The enum and
+/// [`TransformerConfig::backend`] remain because saved models and the
+/// benchmark fixture spell `backend: Backend::F32`; a saved model naming
+/// any other variant fails to load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Backend {
-    /// Full-precision f32 weights (pre-transposed), the default.
+    /// Full-precision f32 weights (pre-transposed), the only format.
     #[default]
     F32,
-    /// Per-row symmetric int8 weights with i8×i8→i32 dot products and
-    /// f32 dequant-on-accumulate.
-    Int8,
-}
-
-impl Backend {
-    /// Stable lowercase name for metrics and bench artifacts.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::F32 => "f32",
-            Backend::Int8 => "int8",
-        }
-    }
 }
 
 /// Hyperparameters of the seq2seq model.
@@ -58,8 +46,8 @@ pub struct TransformerConfig {
     pub dec_layers: usize,
     /// Maximum sequence length (positional table size).
     pub max_len: usize,
-    /// Inference weight backend (defaults to f32 so pre-knob artifacts
-    /// deserialize unchanged).
+    /// Inference weight format (see [`Backend`]; absent in models saved
+    /// before it existed).
     #[serde(default)]
     pub backend: Backend,
 }
@@ -830,10 +818,8 @@ impl Seq2Seq {
     }
 
     /// Writes `linear(x)` into a caller-provided buffer through an
-    /// inference weight materialized by [`Seq2Seq::proj_weight`] —
-    /// pre-transposed f32 or per-row int8, per the configured
-    /// [`Backend`]. The batched paths reuse scratch across steps instead
-    /// of allocating.
+    /// inference weight materialized by [`Seq2Seq::proj_weight`]. The
+    /// batched paths reuse scratch across steps instead of allocating.
     #[allow(clippy::too_many_arguments)]
     fn project_into(
         &self,
@@ -844,12 +830,11 @@ impl Seq2Seq {
         t: usize,
         din: usize,
         dout: usize,
-        quant: &mut QuantScratch,
     ) {
         let o = slade_obs::obs();
         o.count(slade_obs::KernelCtr::ProjCalls, 1);
         o.count(slade_obs::KernelCtr::ProjRows, t as u64);
-        w.apply(x, Some(self.store.data(b)), out, t, din, dout, quant);
+        w.apply(x, Some(self.store.data(b)), out, t, din, dout);
     }
 
     /// Allocation-free [`Seq2Seq::layer_norm`] for inference (no
@@ -921,9 +906,9 @@ impl Seq2Seq {
             self.layer_norm_into(&layer.ln1, &sc.x[..rows], t, &mut sc.ln[..rows]);
             let a = &layer.attn;
             let ln = &sc.ln[..rows];
-            self.project_into(&xw.wq, a.bq, ln, &mut sc.q[..rows], t, d, d, &mut sc.quant);
-            self.project_into(&xw.wk, a.bk, ln, &mut sc.k[..rows], t, d, d, &mut sc.quant);
-            self.project_into(&xw.wv, a.bv, ln, &mut sc.v[..rows], t, d, d, &mut sc.quant);
+            self.project_into(&xw.wq, a.bq, ln, &mut sc.q[..rows], t, d, d);
+            self.project_into(&xw.wk, a.bk, ln, &mut sc.k[..rows], t, d, d);
+            self.project_into(&xw.wv, a.bv, ln, &mut sc.v[..rows], t, d, d);
             pack_heads(&sc.k[..rows], t, h, dh, &mut sc.kp);
             split_heads(&sc.v[..rows], t, h, dh, &mut sc.vp);
             let kv = KvRows::contiguous(&sc.kp, &sc.vp, t);
@@ -933,23 +918,14 @@ impl Seq2Seq {
                 attend_tile(qt, &kv, h, dh, &mut sc.scores, ct);
             }
             let proj = &mut sc.proj[..rows];
-            self.project_into(&xw.wo, a.bo, &sc.ctx[..rows], proj, t, d, d, &mut sc.quant);
+            self.project_into(&xw.wo, a.bo, &sc.ctx[..rows], proj, t, d, d);
             add_into(&mut sc.x[..rows], proj);
             self.layer_norm_into(&layer.ln2, &sc.x[..rows], t, &mut sc.ln[..rows]);
             let hidden = &mut sc.hidden[..t * dff];
             let f = &layer.ffn;
-            self.project_into(
-                &xw.ffn_w1,
-                f.b1,
-                &sc.ln[..rows],
-                hidden,
-                t,
-                d,
-                dff,
-                &mut sc.quant,
-            );
+            self.project_into(&xw.ffn_w1, f.b1, &sc.ln[..rows], hidden, t, d, dff);
             crate::kernels::gelu_into(hidden);
-            self.project_into(&xw.ffn_w2, f.b2, hidden, proj, t, dff, d, &mut sc.quant);
+            self.project_into(&xw.ffn_w2, f.b2, hidden, proj, t, dff, d);
             add_into(&mut sc.x[..rows], proj);
         }
         let mut out = vec![0.0f32; rows];
@@ -957,8 +933,8 @@ impl Seq2Seq {
         out
     }
 
-    /// The encoder's weights in the configured backend's inference format
-    /// (see [`Seq2Seq::proj_weight`]).
+    /// The encoder's weights in their inference format (see
+    /// [`Seq2Seq::proj_weight`]).
     fn encoder_weights(&self) -> Vec<XposedEncLayer> {
         let d = self.cfg.d_model;
         let dff = self.cfg.d_ff;
@@ -982,28 +958,10 @@ impl Seq2Seq {
         t
     }
 
-    /// Materializes one weight tensor in the configured backend's
-    /// inference format: pre-transposed f32, or per-row symmetric int8
-    /// quantized straight from the `[dout, din]` layout (each row is one
-    /// output channel, already in the orientation the int8 kernel
-    /// consumes — this is the backend's "load time").
+    /// Materializes one weight tensor in its inference format:
+    /// transposed and packed into j-block slabs.
     fn proj_weight(&self, w: PId, dout: usize, din: usize) -> ProjWeight {
-        match self.cfg.backend {
-            Backend::F32 => self.proj_weight_f32(w, dout, din),
-            Backend::Int8 => {
-                ProjWeight::Int8(QuantizedTensor::quantize(self.store.data(w), dout, din))
-            }
-        }
-    }
-
-    /// The f32 inference format whatever the backend: transposed and
-    /// packed into j-block slabs.
-    fn proj_weight_f32(&self, w: PId, dout: usize, din: usize) -> ProjWeight {
-        ProjWeight::F32(crate::kernels::pack_xposed_blocks(
-            &self.xposed(w, dout, din),
-            din,
-            dout,
-        ))
+        ProjWeight(crate::kernels::pack_xposed_blocks(&self.xposed(w, dout, din), din, dout))
     }
 
     /// Creates an empty [`BatchedDecoderState`] with room for `cap_lanes`
@@ -1011,8 +969,7 @@ impl Seq2Seq {
     /// self-attention block pool is allocated up front and the inference
     /// weights — the decoder's for the batched step, the encoder's for
     /// [`Seq2Seq::encode_batch_in`] — are materialized once here
-    /// (transposed and packed for the f32 backend, per-row quantized for
-    /// int8); the per-step decode path allocates nothing once its scratch
+    /// (transposed and packed); the per-step decode path allocates nothing once its scratch
     /// has grown to the batch. The state snapshots the weights, so it must
     /// not outlive parameter updates.
     pub fn begin_decode_batch(&self, cap_lanes: usize, cap_pos: usize) -> BatchedDecoderState {
@@ -1033,8 +990,8 @@ impl Seq2Seq {
                 self_wv: self.proj_weight(layer.self_attn.wv, d, d),
                 self_wo: self.proj_weight(layer.self_attn.wo, d, d),
                 cross_wq: self.proj_weight(layer.cross_attn.wq, d, d),
-                cross_wk: self.proj_weight_f32(layer.cross_attn.wk, d, d),
-                cross_wv: self.proj_weight_f32(layer.cross_attn.wv, d, d),
+                cross_wk: self.proj_weight(layer.cross_attn.wk, d, d),
+                cross_wv: self.proj_weight(layer.cross_attn.wv, d, d),
                 cross_wo: self.proj_weight(layer.cross_attn.wo, d, d),
                 ffn_w1: self.proj_weight(layer.ffn.w1, dff, d),
                 ffn_w2: self.proj_weight(layer.ffn.w2, d, dff),
@@ -1067,8 +1024,8 @@ impl Seq2Seq {
     }
 
     /// Consumes one decoder token **per live lane** and returns the
-    /// `[lanes, vocab]` next-token logits, bit-identical on the f32
-    /// backend to [`Seq2Seq::decode_last_logits`] over each lane's whole
+    /// `[lanes, vocab]` next-token logits, bit-identical to
+    /// [`Seq2Seq::decode_last_logits`] over each lane's whole
     /// prefix (decoder layers are causal and LayerNorm is per-position,
     /// so cached keys/values are exact). Every projection (Q/K/V/out,
     /// both FFN layers, and the vocabulary logits) runs as **one** matmul
@@ -1144,7 +1101,6 @@ impl Seq2Seq {
                 n,
                 d,
                 d,
-                &mut st.scratch.quant,
             );
             self.project_into(
                 &xw.self_wk,
@@ -1154,7 +1110,6 @@ impl Seq2Seq {
                 n,
                 d,
                 d,
-                &mut st.scratch.quant,
             );
             self.project_into(
                 &xw.self_wv,
@@ -1164,7 +1119,6 @@ impl Seq2Seq {
                 n,
                 d,
                 d,
-                &mut st.scratch.quant,
             );
             // One attention per lane, here and in the cross-attention below.
             slade_obs::obs().count(slade_obs::KernelCtr::AttendCalls, 2 * n as u64);
@@ -1208,7 +1162,6 @@ impl Seq2Seq {
                 n,
                 d,
                 d,
-                &mut st.scratch.quant,
             );
             add_into(&mut st.scratch.x[..n * d], &st.scratch.proj[..n * d]);
             // Cross-attention against each lane's request memory.
@@ -1227,7 +1180,6 @@ impl Seq2Seq {
                 n,
                 d,
                 d,
-                &mut st.scratch.quant,
             );
             for beam in beams(&st.lane_cross, &st.lane_pos) {
                 let mem = &st.cross[st.lane_cross[beam.start]];
@@ -1249,7 +1201,6 @@ impl Seq2Seq {
                 n,
                 d,
                 d,
-                &mut st.scratch.quant,
             );
             add_into(&mut st.scratch.x[..n * d], &st.scratch.proj[..n * d]);
             // FFN.
@@ -1267,7 +1218,6 @@ impl Seq2Seq {
                 n,
                 d,
                 dff,
-                &mut st.scratch.quant,
             );
             crate::kernels::gelu_into(&mut st.scratch.hidden[..n * dff]);
             self.project_into(
@@ -1278,7 +1228,6 @@ impl Seq2Seq {
                 n,
                 dff,
                 d,
-                &mut st.scratch.quant,
             );
             add_into(&mut st.scratch.x[..n * d], &st.scratch.proj[..n * d]);
         }
@@ -1291,8 +1240,8 @@ impl Seq2Seq {
             n,
             &mut st.scratch.ln[..n * d],
         );
-        // Tied output head through the same backend-materialized weight
-        // (no bias).
+        // Tied output head through the same materialized weight (no
+        // bias).
         st.embed_t.apply(
             &st.scratch.ln[..n * d],
             None,
@@ -1300,7 +1249,6 @@ impl Seq2Seq {
             n,
             d,
             vocab,
-            &mut st.scratch.quant,
         );
         &st.scratch.logits[..n * vocab]
     }
@@ -1308,11 +1256,8 @@ impl Seq2Seq {
     /// Projects one request's encoder memory into per-layer cross K/V and
     /// registers it with the batched state, returning its handle for
     /// [`BatchedDecoderState::add_lane`]. Done once per request; lanes
-    /// (beam hypotheses) of the same request share the projections. The
-    /// K/V projections always run in f32 regardless of [`Backend`]: they
-    /// happen once per request (not per step), so quantizing them buys
-    /// nothing and would add error to every later step. Both are stored
-    /// per head ([`KvRows`]): every lane of every step reads them. Slots
+    /// (beam hypotheses) of the same request share the projections. Both
+    /// are stored per head ([`KvRows`]): every lane of every step reads them. Slots
     /// freed by
     /// [`BatchedDecoderState::release_cross_memory`] are reused, so a
     /// long-running continuous-batching session does not grow its
@@ -1333,12 +1278,11 @@ impl Seq2Seq {
             // `apply`, not `project_into`: these rows were never in
             // `ProjRows`, a count the benchmark holds exact.
             let a = &layer.cross_attn;
-            let quant = &mut st.scratch.quant;
-            xw.cross_wk.apply(mem, Some(self.store.data(a.bk)), rows, s, d, d, quant);
+            xw.cross_wk.apply(mem, Some(self.store.data(a.bk)), rows, s, d, d);
             let mut k = Vec::new();
             pack_heads(rows, s, h, d / h, &mut k);
             slot.k.push(k);
-            xw.cross_wv.apply(mem, Some(self.store.data(a.bv)), rows, s, d, d, quant);
+            xw.cross_wv.apply(mem, Some(self.store.data(a.bv)), rows, s, d, d);
             let mut v = Vec::new();
             split_heads(rows, s, h, d / h, &mut v);
             slot.v.push(v);
@@ -1420,9 +1364,9 @@ fn add_into(dst: &mut [f32], src: &[f32]) {
 }
 
 /// Grows a scratch buffer to at least `len` elements; never shrinks it.
-fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
+fn grow(buf: &mut Vec<f32>, len: usize) {
     if buf.len() < len {
-        buf.resize(len, T::default());
+        buf.resize(len, 0.0);
     }
 }
 
@@ -1573,28 +1517,16 @@ struct DecForward {
     out: LnCache,
 }
 
-/// One projection's inference weights, materialized in the configured
-/// [`Backend`]'s format by [`Seq2Seq::proj_weight`].
+/// One projection's inference weights, materialized by
+/// [`Seq2Seq::proj_weight`]: pre-transposed f32 weights packed into
+/// j-block slabs ([`crate::kernels::pack_xposed_blocks`]) — the layout
+/// [`crate::kernels::matmul_xpacked_into`] streams through sequentially.
 #[derive(Debug, Clone)]
-enum ProjWeight {
-    /// Pre-transposed f32 weights packed into j-block slabs
-    /// ([`crate::kernels::pack_xposed_blocks`]) — the layout
-    /// [`crate::kernels::matmul_xpacked_into`] streams through
-    /// sequentially.
-    F32(Vec<f32>),
-    /// Per-row symmetric int8 weights kept in the original `[dout, din]`
-    /// orientation (each row one output channel, contiguous over the
-    /// reduction dimension — what the int8 kernel consumes directly).
-    Int8(QuantizedTensor),
-}
+struct ProjWeight(Vec<f32>);
 
 impl ProjWeight {
     /// Projects `x` (`t × din`) into `out` (`t × dout`), adding `bias`
-    /// when given. The int8 path quantizes activations per row into the
-    /// caller's scratch — always with the scalar routine, so rounding is
-    /// identical on every dispatch tier — then runs the dispatched
-    /// i8×i8→i32 matmul with f32 dequant-on-accumulate.
-    #[allow(clippy::too_many_arguments)]
+    /// when given.
     fn apply(
         &self,
         x: &[f32],
@@ -1603,62 +1535,19 @@ impl ProjWeight {
         t: usize,
         din: usize,
         dout: usize,
-        quant: &mut QuantScratch,
     ) {
-        match self {
-            ProjWeight::F32(wt) => {
-                crate::kernels::matmul_xpacked_into(x, wt, &mut out[..t * dout], t, din, dout);
-                if let Some(b) = bias {
-                    for row in 0..t {
-                        for (o, &bv) in out[row * dout..(row + 1) * dout].iter_mut().zip(b) {
-                            *o += bv;
-                        }
-                    }
+        crate::kernels::matmul_xpacked_into(x, &self.0, &mut out[..t * dout], t, din, dout);
+        if let Some(b) = bias {
+            for row in 0..t {
+                for (o, &bv) in out[row * dout..(row + 1) * dout].iter_mut().zip(b) {
+                    *o += bv;
                 }
-            }
-            ProjWeight::Int8(qt) => {
-                debug_assert_eq!(qt.rows, dout);
-                debug_assert_eq!(qt.cols, din);
-                quant.ensure(t, din);
-                for r in 0..t {
-                    quant.xs[r] = crate::kernels::quantize_row_i8(
-                        &x[r * din..(r + 1) * din],
-                        &mut quant.xq[r * din..(r + 1) * din],
-                    );
-                }
-                crate::kernels::qmatmul_transb_into(
-                    &quant.xq[..t * din],
-                    &quant.xs[..t],
-                    &qt.q,
-                    &qt.scales,
-                    bias,
-                    &mut out[..t * dout],
-                    t,
-                    din,
-                    dout,
-                );
             }
         }
     }
 }
 
-/// Reusable activation-quantization scratch for the int8 backend (row
-/// int8 values plus one scale per row).
-#[derive(Debug, Clone, Default)]
-struct QuantScratch {
-    xq: Vec<i8>,
-    xs: Vec<f32>,
-}
-
-impl QuantScratch {
-    fn ensure(&mut self, t: usize, din: usize) {
-        grow(&mut self.xq, t * din);
-        grow(&mut self.xs, t);
-    }
-}
-
-/// Backend-materialized decoder weights for one layer (see
-/// [`ProjWeight`]).
+/// Materialized decoder weights for one layer (see [`ProjWeight`]).
 #[derive(Debug, Clone)]
 struct XposedDecLayer {
     self_wq: ProjWeight,
@@ -1666,8 +1555,6 @@ struct XposedDecLayer {
     self_wv: ProjWeight,
     self_wo: ProjWeight,
     cross_wq: ProjWeight,
-    /// Always [`ProjWeight::F32`], like `cross_wv`: see
-    /// [`Seq2Seq::register_cross_memory`].
     cross_wk: ProjWeight,
     cross_wv: ProjWeight,
     cross_wo: ProjWeight,
@@ -1675,7 +1562,7 @@ struct XposedDecLayer {
     ffn_w2: ProjWeight,
 }
 
-/// Backend-materialized encoder weights for one layer.
+/// Materialized encoder weights for one layer.
 #[derive(Debug, Clone)]
 struct XposedEncLayer {
     wq: ProjWeight,
@@ -1719,7 +1606,6 @@ struct Scratch {
     hidden: Vec<f32>,
     logits: Vec<f32>,
     scores: Vec<f32>,
-    quant: QuantScratch,
 }
 
 impl Scratch {
@@ -1795,13 +1681,12 @@ pub struct BatchedDecoderState {
     lane_pos: Vec<usize>,
     /// Cross-memory handle, per lane.
     lane_cross: Vec<usize>,
-    /// Backend-materialized decoder weights (snapshot at construction).
+    /// Materialized decoder weights (snapshot at construction).
     xposed: Vec<XposedDecLayer>,
-    /// Backend-materialized encoder weights, same snapshot
+    /// Materialized encoder weights, same snapshot
     /// ([`Seq2Seq::encode_batch_in`]).
     enc_xposed: Vec<XposedEncLayer>,
-    /// Tied output embedding in the backend's format (f32: transposed
-    /// `[d_model, vocab]`; int8: per-row quantized `[vocab, d_model]`).
+    /// Tied output embedding, transposed to `[d_model, vocab]` and packed.
     embed_t: ProjWeight,
     scratch: Scratch,
 }
@@ -2398,21 +2283,12 @@ mod tests {
         assert!(acc > 0.99, "memorized pair should be perfectly predicted: {acc}");
     }
 
-    /// Bound on the logit error of an int8 step on the `tiny` shape
-    /// (observed: under 2e-3). A smoke check, not an oracle — an untrained
-    /// model's attention is too flat for it to see a misread key; what
-    /// is exact on int8 is the cross memory, and the attention code it
-    /// shares with the f32 backend.
-    const INT8_TOL: f32 = 0.02;
-
     /// A batched state and, per lane, the request and prefix the reference
     /// forward re-runs, stepped and reordered together: every admission
     /// compares the registered cross memory bit for bit with the training
-    /// forward's K/V projections (on either backend: they stay f32),
-    /// every step compares the logits with
-    /// [`Seq2Seq::decode_last_logits`] over the lane's whole prefix — bit
-    /// for bit on the f32 backend, within [`INT8_TOL`] on int8 — and
-    /// every step and reorder audits the block pool.
+    /// forward's K/V projections, every step compares the logits bit for
+    /// bit with [`Seq2Seq::decode_last_logits`] over the lane's whole
+    /// prefix, and every step and reorder audits the block pool.
     struct Paired<'m> {
         m: &'m Seq2Seq,
         state: BatchedDecoderState,
@@ -2479,23 +2355,7 @@ mod tests {
                 let mem = &self.mems[*req];
                 let want = self.m.decode_last_logits(mem, mem.len() / d, prefix);
                 for (x, y) in batched[lane * v..(lane + 1) * v].iter().zip(&want) {
-                    match self.m.cfg.backend {
-                        Backend::F32 => {
-                            assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
-                                "step {} lane {lane}",
-                                self.steps
-                            )
-                        }
-                        Backend::Int8 => {
-                            assert!(
-                                (x - y).abs() < INT8_TOL,
-                                "step {} lane {lane}: {x} vs {y}",
-                                self.steps
-                            )
-                        }
-                    }
+                    assert_eq!(x.to_bits(), y.to_bits(), "step {} lane {lane}", self.steps);
                 }
             }
             self.steps += 1;
@@ -2522,27 +2382,25 @@ mod tests {
         }
     }
 
-    /// Cross-attention over packed keys on both backends' step path:
+    /// Cross-attention over packed keys on the step path:
     /// sources of one key, one short of a key group, a whole group, one
     /// and nine past it; beams of every width 1..=5 (the five lanes split
     /// 4 + 1 by the attention tile) — the second model shape with heads of
     /// 4, half a lane chunk. Every admission checks the registered K/V
     /// against the f32 projections; steps compare as [`Paired`] says.
     #[test]
-    fn cross_attention_reads_packed_f32_keys_on_both_backends() {
-        for backend in [Backend::F32, Backend::Int8] {
-            for n_heads in [2usize, 4] {
-                let cfg = TransformerConfig { backend, n_heads, ..TransformerConfig::tiny(16) };
-                let m = Seq2Seq::new(cfg, 41);
-                let mut p = Paired::new(&m, 15, 3);
-                for (len, lanes) in [(1usize, 5usize), (7, 3), (8, 1), (9, 4), (17, 2)] {
-                    let src: Vec<u32> =
-                        (0..len as u32).map(|t| 3 + (t * 5 + lanes as u32) % 12).collect();
-                    p.admit(&src, lanes);
-                }
-                for _ in 0..3 {
-                    p.step();
-                }
+    fn cross_attention_reads_packed_f32_keys() {
+        for n_heads in [2usize, 4] {
+            let cfg = TransformerConfig { n_heads, ..TransformerConfig::tiny(16) };
+            let m = Seq2Seq::new(cfg, 41);
+            let mut p = Paired::new(&m, 15, 3);
+            for (len, lanes) in [(1usize, 5usize), (7, 3), (8, 1), (9, 4), (17, 2)] {
+                let src: Vec<u32> =
+                    (0..len as u32).map(|t| 3 + (t * 5 + lanes as u32) % 12).collect();
+                p.admit(&src, lanes);
+            }
+            for _ in 0..3 {
+                p.step();
             }
         }
     }

@@ -178,66 +178,6 @@ impl ParamStore {
     }
 }
 
-/// A weight matrix quantized to int8 with per-row symmetric scales —
-/// the storage format of the int8 inference backend.
-///
-/// Quantized from the original `[rows, cols]` (= `[d_out, d_in]`)
-/// layout: each row is one output channel, contiguous over the
-/// reduction dimension, which is exactly the `transb` orientation the
-/// int8 matmul kernel consumes — no transpose needed. `value ≈
-/// q[r][c] as f32 * scales[r]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedTensor {
-    /// Row-major int8 values in `[-127, 127]`.
-    pub q: Vec<i8>,
-    /// One dequantization scale per row (`absmax / 127`; 0.0 for an
-    /// all-zero row).
-    pub scales: Vec<f32>,
-    /// Output channels.
-    pub rows: usize,
-    /// Reduction dimension (input features).
-    pub cols: usize,
-}
-
-impl QuantizedTensor {
-    /// Quantizes an f32 `[rows, cols]` matrix row-by-row (symmetric,
-    /// round-to-nearest-even, clamped to `[-127, 127]`) via the
-    /// dispatched [`crate::kernels::quantize_row_i8`], so weight
-    /// quantization is bit-identical across ISA tiers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn quantize(data: &[f32], rows: usize, cols: usize) -> Self {
-        assert_eq!(data.len(), rows * cols, "quantize shape mismatch");
-        let mut q = vec![0i8; rows * cols];
-        let mut scales = vec![0.0f32; rows];
-        for r in 0..rows {
-            scales[r] = crate::kernels::quantize_row_i8(
-                &data[r * cols..(r + 1) * cols],
-                &mut q[r * cols..(r + 1) * cols],
-            );
-        }
-        QuantizedTensor { q, scales, rows, cols }
-    }
-
-    /// Dequantizes back to f32 (tests and diagnostics; inference
-    /// dequantizes on accumulate inside the kernel instead).
-    pub fn dequantize(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.rows * self.cols];
-        for r in 0..self.rows {
-            let s = self.scales[r];
-            for (o, &qv) in out[r * self.cols..(r + 1) * self.cols]
-                .iter_mut()
-                .zip(&self.q[r * self.cols..(r + 1) * self.cols])
-            {
-                *o = qv as f32 * s;
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,20 +223,5 @@ mod tests {
         let var: f32 = s.data(id).iter().map(|x| x * x).sum::<f32>() / 10_000.0;
         assert!(mean.abs() < 0.002, "mean {mean}");
         assert!((var.sqrt() - 0.02).abs() < 0.005, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn quantized_tensor_round_trips_per_row() {
-        let data = vec![1.0f32, -2.0, 0.5, 0.0, /* row 1 (all zero) */ 0.0, 0.0, 0.0, 0.0];
-        let qt = QuantizedTensor::quantize(&data, 2, 4);
-        assert_eq!(qt.scales[1], 0.0);
-        assert!(qt.q[4..].iter().all(|&v| v == 0));
-        let deq = qt.dequantize();
-        for (d, q) in data.iter().zip(&deq) {
-            // Per-element error bounded by half a quantization step.
-            assert!((d - q).abs() <= qt.scales[0] * 0.5 + 1e-6, "{d} vs {q}");
-        }
-        // Largest-magnitude element hits ±127 exactly.
-        assert_eq!(qt.q[1], -127);
     }
 }

@@ -358,8 +358,7 @@ fn encode_batch_matches_encode_at_group_and_tile_edges() {
 /// key group, a whole group, one and nine past it, under beams of every
 /// width 1..=5, every step's logits equal to the reference forward's.
 /// (`attend_tile` taking head `h + 1`'s packed keys fails this and ten
-/// in-crate tests; the int8 backend's side is `model.rs`'s
-/// `cross_attention_reads_packed_f32_keys_on_both_backends`.)
+/// in-crate tests.)
 #[test]
 fn cross_attention_over_packed_keys_matches_reference() {
     for shape in 0..2 {

@@ -36,21 +36,6 @@ fn seeded(seed: u64, len: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Rows of `seeded` data quantized per row — inputs for the int8 kernels.
-#[cfg(target_arch = "x86_64")]
-fn quantized(seed: u64, rows: usize, cols: usize) -> (Vec<i8>, Vec<f32>) {
-    let data = seeded(seed, rows * cols);
-    let mut q = vec![0i8; rows * cols];
-    let mut scales = vec![0.0f32; rows];
-    for r in 0..rows {
-        scales[r] = kernels::quantize_row_i8(
-            &data[r * cols..(r + 1) * cols],
-            &mut q[r * cols..(r + 1) * cols],
-        );
-    }
-    (q, scales)
-}
-
 #[cfg(target_arch = "x86_64")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -213,34 +198,6 @@ proptest! {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn avx2_qmatmul_is_exactly_scalar(
-        m in 1usize..5,
-        k in 1usize..40,
-        n in 1usize..20,
-        seed in 0u64..1_000,
-    ) {
-        if !has_avx2() {
-            return Ok(());
-        }
-        let (xq, xs) = quantized(seed, m, k);
-        let (wq, ws) = quantized(seed ^ 0xd, n, k);
-        let bias = seeded(seed ^ 0xe, n);
-        let mut os = vec![0.0f32; m * n];
-        let mut ov = vec![0.0f32; m * n];
-        scalar::qmatmul_transb_into(&xq, &xs, &wq, &ws, Some(&bias), &mut os, m, k, n);
-        kernels::avx2::qmatmul_transb_into(&xq, &xs, &wq, &ws, Some(&bias), &mut ov, m, k, n);
-        // i32 accumulation is exact, so the tiers agree to the bit.
-        for (s, v) in os.iter().zip(&ov) {
-            prop_assert_eq!(s.to_bits(), v.to_bits(), "shape ({},{},{})", m, k, n);
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -270,135 +227,6 @@ proptest! {
         for (x, y) in c1.iter().zip(&c2) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "shape ({},{},{})", m, k, n);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn quantize_round_trip_error_is_half_a_step(row in mat(37)) {
-        let mut q = vec![0i8; row.len()];
-        let scale = kernels::quantize_row_i8(&row, &mut q);
-        for (&v, &qv) in row.iter().zip(&q) {
-            // Round-to-nearest: each value lands within half a
-            // quantization step of its dequantized image.
-            prop_assert!(
-                (v - qv as f32 * scale).abs() <= scale * 0.5 + 1e-6,
-                "{} vs {} (scale {})", v, qv as f32 * scale, scale
-            );
-        }
-        let absmax = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        if absmax > 0.0 {
-            // The largest-magnitude element saturates the int8 range.
-            prop_assert!(q.iter().any(|&v| v.unsigned_abs() == 127));
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn qmatmul_error_vs_f32_is_bounded(
-        m in 1usize..5,
-        k in 1usize..40,
-        n in 1usize..20,
-        seed in 0u64..1_000,
-    ) {
-        // Quantize activations and weights per row, multiply in int8, and
-        // compare against the f32 reference. Worst-case error per output:
-        // each x error ≤ xs/2 against |w| ≤ 127·ws (and symmetrically),
-        // plus the cross term — bounded by
-        //   ws/2·Σ|x| + xs/2·Σ|w| + k·xs·ws/4,
-        // with 1.5× slack for rounding of the bound arithmetic itself.
-        let x = seeded(seed, m * k);
-        let w = seeded(seed ^ 0x11, n * k);
-        let mut xq = vec![0i8; m * k];
-        let mut xs = vec![0.0f32; m];
-        for i in 0..m {
-            xs[i] = kernels::quantize_row_i8(
-                &x[i * k..(i + 1) * k],
-                &mut xq[i * k..(i + 1) * k],
-            );
-        }
-        let mut wq = vec![0i8; n * k];
-        let mut ws = vec![0.0f32; n];
-        for j in 0..n {
-            ws[j] = kernels::quantize_row_i8(
-                &w[j * k..(j + 1) * k],
-                &mut wq[j * k..(j + 1) * k],
-            );
-        }
-        let mut qo = vec![0.0f32; m * n];
-        kernels::qmatmul_transb_into(&xq, &xs, &wq, &ws, None, &mut qo, m, k, n);
-        let mut fo = vec![0.0f32; m * n];
-        kernels::matmul_transb_into(&x, &w, &mut fo, m, k, n);
-        for i in 0..m {
-            let sum_ax: f32 = x[i * k..(i + 1) * k].iter().map(|v| v.abs()).sum();
-            for j in 0..n {
-                let sum_aw: f32 = w[j * k..(j + 1) * k].iter().map(|v| v.abs()).sum();
-                let bound = ws[j] * 0.5 * sum_ax
-                    + xs[i] * 0.5 * sum_aw
-                    + k as f32 * xs[i] * ws[j] * 0.25;
-                let err = (qo[i * n + j] - fo[i * n + j]).abs();
-                prop_assert!(
-                    err <= bound * 1.5 + 1e-5,
-                    "err {} > bound {} at ({},{}) shape ({},{},{})", err, bound, i, j, m, k, n
-                );
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn avx2_quantize_is_bit_identical_to_scalar(row in mat(57), scale_exp in -3i32..4) {
-        if !has_avx2() {
-            return Ok(());
-        }
-        let scale = 2.0f32.powi(scale_exp);
-        for len in [1usize, 7, 8, 9, 31, 57] {
-            let src: Vec<f32> = row[..len].iter().map(|v| v * scale).collect();
-            let mut qs = vec![0i8; len];
-            let mut qv = vec![0i8; len];
-            let ss = scalar::quantize_row_i8(&src, &mut qs);
-            let sv = kernels::avx2::quantize_row_i8(&src, &mut qv);
-            prop_assert_eq!(ss.to_bits(), sv.to_bits(), "scale, len {}", len);
-            prop_assert_eq!(&qs, &qv, "codes, len {}", len);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn avx2_quantize_edge_rows_match_scalar() {
-    if !has_avx2() {
-        return;
-    }
-    // Zero rows, denormal-absmax rows (inv = 127/absmax overflows to
-    // +inf), mixed ±0.0, and an all-inf row: the vector tier must take
-    // the same early-outs and produce the same codes as scalar.
-    let denorm = f32::from_bits(1); // smallest positive subnormal
-    let cases: Vec<Vec<f32>> = vec![
-        vec![0.0; 13],
-        vec![-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
-        vec![denorm; 9],
-        vec![-denorm, denorm, 0.0, denorm, -denorm, 0.0, denorm, -denorm, denorm, 0.0],
-        vec![f32::INFINITY, 1.0, -2.0, 0.5, -0.25, 3.0, -1.5, 0.75, 2.5],
-        vec![f32::NEG_INFINITY; 8],
-        vec![1e-38, -2e-38, 3e-38, -4e-38, 5e-38, -6e-38, 7e-38],
-    ];
-    for (i, src) in cases.iter().enumerate() {
-        let mut qs = vec![0i8; src.len()];
-        let mut qv = vec![0i8; src.len()];
-        let ss = scalar::quantize_row_i8(src, &mut qs);
-        let sv = kernels::avx2::quantize_row_i8(src, &mut qv);
-        assert_eq!(ss.to_bits(), sv.to_bits(), "case {i} scale");
-        assert_eq!(qs, qv, "case {i} codes");
     }
 }
 
@@ -1050,139 +878,4 @@ proptest! {
             }
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn vnni_qmatmul_is_exactly_avx2_and_scalar(
-        m in 1usize..5,
-        k in 1usize..72,
-        n in 1usize..20,
-        seed in 0u64..1_000,
-    ) {
-        if !kernels::tier_supported(kernels::IsaTier::Vnni) {
-            return Ok(());
-        }
-        // The int8 end-to-end contract: VPDPBUSD's u8×i8 accumulation
-        // (via the abs/sign transform) is the same exact i32 arithmetic
-        // as the AVX2 madd path and the scalar loop — all three agree to
-        // the bit, dequant and bias included. `k` spans the 32-lane VNNI
-        // tail (k % 32 ≠ 0).
-        let (xq, xs) = quantized(seed, m, k);
-        let (wq, ws) = quantized(seed ^ 0x25, n, k);
-        let bias = seeded(seed ^ 0x26, n);
-        let mut os = vec![0.0f32; m * n];
-        let mut oa = vec![0.0f32; m * n];
-        let mut ov = vec![0.0f32; m * n];
-        scalar::qmatmul_transb_into(&xq, &xs, &wq, &ws, Some(&bias), &mut os, m, k, n);
-        kernels::avx2::qmatmul_transb_into(&xq, &xs, &wq, &ws, Some(&bias), &mut oa, m, k, n);
-        kernels::vnni::qmatmul_transb_into(&xq, &xs, &wq, &ws, Some(&bias), &mut ov, m, k, n);
-        for ((s, a), v) in os.iter().zip(&oa).zip(&ov) {
-            prop_assert_eq!(s.to_bits(), a.to_bits(), "avx2 shape ({},{},{})", m, k, n);
-            prop_assert_eq!(s.to_bits(), v.to_bits(), "vnni shape ({},{},{})", m, k, n);
-        }
-    }
-}
-
-/// Rows past the int8 skeleton's 16-chunk `prep` buffer (`k > 512`: the
-/// chunks beyond it are transformed inline), at the buffer's edge and with
-/// a `k % 32` tail, through the four-column path, the single-column path
-/// and both — every x86 instance the host can run against scalar.
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn int8_rows_past_the_prep_buffer_match_scalar() {
-    type Kernel =
-        fn(&[i8], &[f32], &[i8], &[f32], Option<&[f32]>, &mut [f32], usize, usize, usize);
-    let mut tiers: Vec<(&str, Kernel)> = Vec::new();
-    if has_avx2() {
-        tiers.push(("avx2", kernels::avx2::qmatmul_transb_into));
-    }
-    if kernels::tier_supported(kernels::IsaTier::Vnni) {
-        tiers.push(("vnni", kernels::vnni::qmatmul_transb_into));
-    }
-    let m = 2;
-    for (k, n) in [512usize, 513, 544, 1055].into_iter().flat_map(|k| [(k, 1), (k, 4), (k, 5)])
-    {
-        let (xq, xs) = quantized(k as u64, m, k);
-        let (wq, ws) = quantized(k as u64 ^ 0x27, n, k);
-        let bias = seeded(0x28, n);
-        let mut want = vec![0.0f32; m * n];
-        scalar::qmatmul_transb_into(&xq, &xs, &wq, &ws, Some(&bias), &mut want, m, k, n);
-        for &(tier, kernel) in &tiers {
-            let mut got = vec![f32::NAN; m * n];
-            kernel(&xq, &xs, &wq, &ws, Some(&bias), &mut got, m, k, n);
-            for (w, g) in want.iter().zip(&got) {
-                assert_eq!(w.to_bits(), g.to_bits(), "{tier} k {k} n {n}");
-            }
-        }
-    }
-}
-
-// The lengths the `unsafe` bodies rely on are `assert!`ed at the safe entry
-// points, so a short buffer panics in release too (CI runs this file there)
-// where it used to be an out-of-bounds write (`dst`) or read (`ws`, `bias`).
-// On a host without the tier the scalar kernel stands in: it panics by
-// indexing.
-
-#[test]
-#[should_panic(expected = "one code per value")]
-fn quantize_rejects_a_short_dst() {
-    kernels::quantize_row_i8(&[0.5; 16], &mut [0i8; 8]);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-#[should_panic(expected = "one code per value")]
-fn avx2_quantize_rejects_a_short_dst() {
-    let kernel =
-        if has_avx2() { kernels::avx2::quantize_row_i8 } else { scalar::quantize_row_i8 };
-    kernel(&[0.5; 16], &mut [0i8; 8]);
-}
-
-/// A `1 x 32 x 8` int8 matmul whose weight scales or bias hold 4 of the 8
-/// entries, through `tier`'s entry point.
-#[cfg(target_arch = "x86_64")]
-fn qmatmul_with_short(tier: kernels::IsaTier, short_ws: bool, short_bias: bool) {
-    let kernel = match tier {
-        kernels::IsaTier::Vnni if kernels::tier_supported(tier) => {
-            kernels::vnni::qmatmul_transb_into
-        }
-        kernels::IsaTier::Avx2 if has_avx2() => kernels::avx2::qmatmul_transb_into,
-        _ => scalar::qmatmul_transb_into,
-    };
-    let (ws, bias) = ([1.0f32; 8], [0.0f32; 8]);
-    let (ws, bias) =
-        (&ws[..if short_ws { 4 } else { 8 }], &bias[..if short_bias { 4 } else { 8 }]);
-    kernel(&[1i8; 32], &[1.0], &[1i8; 8 * 32], ws, Some(bias), &mut [0.0f32; 8], 1, 32, 8);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-#[should_panic]
-fn avx2_qmatmul_rejects_short_weight_scales() {
-    qmatmul_with_short(kernels::IsaTier::Avx2, true, false);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-#[should_panic]
-fn avx2_qmatmul_rejects_a_short_bias() {
-    qmatmul_with_short(kernels::IsaTier::Avx2, false, true);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-#[should_panic]
-fn vnni_qmatmul_rejects_short_weight_scales() {
-    qmatmul_with_short(kernels::IsaTier::Vnni, true, false);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-#[should_panic]
-fn vnni_qmatmul_rejects_a_short_bias() {
-    qmatmul_with_short(kernels::IsaTier::Vnni, false, true);
 }

@@ -489,7 +489,6 @@ impl ServeRuntime {
         // honored or degraded.
         let kernel_isa = slade_nn::kernels::active_tier().name();
         let kernel_isa_status = slade_nn::kernels::tier_status();
-        let backend = slade.model.cfg.backend.name();
         let cache = match &config.spill_dir {
             Some(dir) => {
                 ResultCache::with_spill(config.cache_capacity, dir.clone(), SPILL_CAPACITY)
@@ -507,7 +506,6 @@ impl ServeRuntime {
                 shard_lanes,
                 kernel_isa,
                 kernel_isa_status,
-                backend,
             ),
             shutdown: AtomicBool::new(false),
             shard_lanes,

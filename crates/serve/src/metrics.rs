@@ -41,12 +41,10 @@ slade_obs::metrics! {
         pub lane_capacity: usize,
         /// Kernel ISA tier the workers decode with (resolved once at start).
         pub kernel_isa: &'static str,
-        /// Effective-vs-requested tier, e.g. `avx2 (requested vnni:
+        /// Effective-vs-requested tier, e.g. `scalar (requested avx2:
         /// unsupported)` when `SLADE_KERNEL_ISA` asked for something the host
         /// cannot run; equals `kernel_isa` when the request was satisfied.
         pub kernel_isa_status: String,
-        /// Weight backend name of the served model ("f32" / "int8").
-        pub backend: &'static str,
     }
 }
 
@@ -84,7 +82,6 @@ impl MetricsInner {
             decode_tokens: self.decode_tokens.get(),
             kernel_isa: self.kernel_isa,
             kernel_isa_status: self.kernel_isa_status.clone(),
-            backend: self.backend,
             p50_latency_ms: us(latency.quantile(0.50)),
             p95_latency_ms: us(latency.quantile(0.95)),
             p99_latency_ms: us(latency.quantile(0.99)),
@@ -124,7 +121,6 @@ impl MetricsInner {
             &[
                 ("kernel_isa", self.kernel_isa),
                 ("kernel_isa_status", self.kernel_isa_status.as_str()),
-                ("backend", self.backend),
             ],
         );
         cache.expose(p);
@@ -161,15 +157,13 @@ pub struct MetricsSnapshot {
     /// Tokens decoded so far across all shards (one per live lane per
     /// engine step; cache hits decode nothing and add nothing).
     pub decode_tokens: u64,
-    /// Kernel ISA tier the workers decode with ("scalar" / "avx2" /
-    /// "vnni"), resolved once at runtime start.
+    /// Kernel ISA tier the workers decode with ("scalar" / "avx2"),
+    /// resolved once at runtime start.
     pub kernel_isa: &'static str,
     /// Effective-vs-requested tier: equals `kernel_isa` when the
     /// `SLADE_KERNEL_ISA` request (if any) was honored, otherwise e.g.
-    /// `avx2 (requested vnni: unsupported)`.
+    /// `scalar (requested avx2: unsupported)`.
     pub kernel_isa_status: String,
-    /// Weight backend of the served model ("f32" / "int8").
-    pub backend: &'static str,
     /// Median end-to-end latency (submit → response), milliseconds.
     /// Histogram-derived: within one bucket width (6.25% relative) above
     /// the true order statistic; likewise for every percentile below.
@@ -215,7 +209,7 @@ mod tests {
 
     fn test_metrics(shards: usize, lane_capacity: usize) -> MetricsInner {
         let lanes = (0..shards).map(|_| AtomicUsize::new(0)).collect();
-        MetricsInner::new(lanes, lane_capacity, "scalar", "scalar".to_string(), "f32")
+        MetricsInner::new(lanes, lane_capacity, "scalar", "scalar".to_string())
     }
 
     #[test]
@@ -274,9 +268,9 @@ mod tests {
         assert_eq!(stats.values["slade_requests_submitted_total"], 7.0);
         assert_eq!(stats.values["slade_decode_tokens_total"], 123.0);
         assert!(text.contains("slade_stage_decode_step_seconds_count"));
-        assert!(text.contains(
-            "slade_info{kernel_isa=\"scalar\",kernel_isa_status=\"scalar\",backend=\"f32\"} 1"
-        ));
+        assert!(
+            text.contains("slade_info{kernel_isa=\"scalar\",kernel_isa_status=\"scalar\"} 1")
+        );
         // The runtime's document is exactly the committed family list
         // minus the gateway's part: a dropped, renamed or re-typed family
         // fails here.

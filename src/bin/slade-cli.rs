@@ -388,10 +388,9 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
             100.0 * s.lane_occupancy()
         );
         put!(
-            "decode       {} tokens ({}, {}), {} KV rows copied by beam reorders",
+            "decode       {} tokens ({}), {} KV rows copied by beam reorders",
             s.decode_tokens,
             s.kernel_isa_status,
-            s.backend,
             slade_obs::obs().counter(slade_obs::KernelCtr::KvCowRows)
         );
         put!(
