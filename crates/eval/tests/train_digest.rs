@@ -2,11 +2,12 @@
 //! pins the weights each caller ends with, bit for bit, to what the three
 //! hand-written loops produced before they were folded into one. A change
 //! to the order of RNG draws, of examples within a batch or of the Adam
-//! steps moves a digest.
+//! steps moves a digest. BTC's decode output over the same items is
+//! pinned too, so a change to its decode path shows as a moved digest.
 
 use serde::Serialize;
 use serde_json::Value;
-use slade::{SladeBuilder, TrainProfile};
+use slade::{make_pairs, normalize_asm, SladeBuilder, TrainProfile};
 use slade_compiler::{Isa, OptLevel};
 use slade_dataset::{generate_train, DatasetProfile};
 use slade_eval::ToolContext;
@@ -37,6 +38,13 @@ fn weights_after_training_are_bit_equal_to_the_three_loop_version() {
     assert_eq!(weight_digest(&ctx.slade.model), 0x9f3e_a6fb_388c_c284, "SladeBuilder::train");
     let btc = ctx.btc.as_ref().expect("x86 -O0 trains BTC");
     assert_eq!(weight_digest(&btc.model), 0x01b4_f9f8_d77c_0d16, "train_btc");
+    let mut text = String::new();
+    for (asm, func_src) in make_pairs(&items, Isa::X86_64, OptLevel::O0) {
+        let signature = func_src.split('{').next().unwrap_or("").trim();
+        text.push_str(&btc.decompile(&normalize_asm(&asm), signature));
+        text.push('\n');
+    }
+    assert_eq!(fnv1a64(text.as_bytes()), 0xec7b_0828_cdd8_a383, "BtcBaseline::decompile");
 
     let mut profile = TrainProfile::tiny();
     profile.pretrain_epochs = 1;
