@@ -29,6 +29,7 @@ pub mod sem;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
 
 /// Instruction-set architecture: the compiler's target and the dialect of
 /// the assembly it emits.
@@ -48,6 +49,40 @@ impl fmt::Display for Isa {
         }
     }
 }
+
+/// The inverse of `Display`. Also reads `x86_64`, `x86-64`, `arm64` and
+/// `aarch64`; every spelling matches in any case.
+impl FromStr for Isa {
+    type Err = ParseIsaError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        const NAMES: [(&str, Isa); 6] = [
+            ("x86", Isa::X86_64),
+            ("x86_64", Isa::X86_64),
+            ("x86-64", Isa::X86_64),
+            ("arm", Isa::Arm64),
+            ("arm64", Isa::Arm64),
+            ("aarch64", Isa::Arm64),
+        ];
+        NAMES
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(s))
+            .map(|&(_, isa)| isa)
+            .ok_or(ParseIsaError)
+    }
+}
+
+/// The error [`Isa::from_str`] returns for a name it does not know.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseIsaError;
+
+impl fmt::Display for ParseIsaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("unknown ISA (x86 or arm)")
+    }
+}
+
+impl std::error::Error for ParseIsaError {}
 
 impl Isa {
     /// How many integer and floating-point arguments the calling convention
@@ -412,12 +447,6 @@ fn unescape_string(s: &str) -> Vec<u8> {
     out
 }
 
-/// Counts the instructions in a blob of assembly text (used by the length
-/// analyses behind Figures 8–9 and Table I).
-pub fn instruction_count(text: &str, isa: Isa) -> usize {
-    parse_asm(text, isa).functions.iter().map(|f| f.instructions().count()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,8 +510,23 @@ mod tests {
     }
 
     #[test]
-    fn instruction_count_sums_functions() {
-        let text = "f:\n\tret\ng:\n\tnop\n\tret\n";
-        assert_eq!(instruction_count(text, Isa::X86_64), 3);
+    fn isa_names_round_trip_and_parse_in_any_case() {
+        for isa in [Isa::X86_64, Isa::Arm64] {
+            assert_eq!(isa.to_string().parse(), Ok(isa));
+        }
+        for (name, want) in [
+            ("x86", Ok(Isa::X86_64)),
+            ("X86_64", Ok(Isa::X86_64)),
+            ("x86-64", Ok(Isa::X86_64)),
+            ("ARM", Ok(Isa::Arm64)),
+            ("arm64", Ok(Isa::Arm64)),
+            ("AArch64", Ok(Isa::Arm64)),
+            ("", Err(ParseIsaError)),
+            ("x64", Err(ParseIsaError)),
+            (" x86", Err(ParseIsaError)),
+            ("riscv", Err(ParseIsaError)),
+        ] {
+            assert_eq!(name.parse::<Isa>(), want, "{name:?}");
+        }
     }
 }

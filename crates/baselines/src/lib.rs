@@ -14,9 +14,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use slade_asm::{parse_asm, Isa};
-use slade_dataset::DatasetItem;
 use slade_minic::replace_ident;
-use slade_nn::Seq2Seq;
+use slade_nn::{DecodeRequest, InferenceEngine, Seq2Seq};
 use slade_tokenizer::{special, WordTokenizer};
 
 /// Runs the Ghidra-like decompiler on assembly text.
@@ -57,18 +56,6 @@ impl ChatGptSim {
     pub fn new(corpus: &[(String, String)]) -> Self {
         let corpus = corpus.iter().map(|(asm, c)| (bigram_profile(asm), c.clone())).collect();
         ChatGptSim { corpus }
-    }
-
-    /// Builds the simulator from dataset items compiled for one target.
-    pub fn from_items(
-        items: &[DatasetItem],
-        asm_for: impl Fn(&DatasetItem) -> Option<String>,
-    ) -> Self {
-        let corpus: Vec<(String, String)> = items
-            .iter()
-            .filter_map(|it| asm_for(it).map(|asm| (asm, it.func_src.clone())))
-            .collect();
-        Self::new(&corpus)
     }
 
     /// "Decompiles" by nearest-neighbour retrieval plus identifier
@@ -166,9 +153,15 @@ impl BtcBaseline {
     /// Decompiles assembly, prepending `signature` (ground truth, as the
     /// paper does for BTC). Returns the hypothesis C text.
     pub fn decompile(&self, asm_text: &str, signature: &str) -> String {
-        let src = self.tokenizer.encode(asm_text);
-        let out = self.model.greedy(&src, special::BOS, special::EOS, 96);
-        let body = self.tokenizer.decode(&out);
+        let request = DecodeRequest {
+            src: self.tokenizer.encode(asm_text),
+            bos: special::BOS,
+            eos: special::EOS,
+            max_len: 96,
+            beam: 1,
+        };
+        let out = InferenceEngine::new(&self.model).decode(&request);
+        let body = self.tokenizer.decode(out.first().map_or(&[], Vec::as_slice));
         // BTC emits body fragments without headers; splice after the
         // ground-truth signature.
         if body.trim_start().starts_with('{') {

@@ -42,6 +42,7 @@ mod x86;
 use serde::{Deserialize, Serialize};
 use slade_minic::{MiniCError, Program, Sema};
 use std::fmt;
+use std::str::FromStr;
 
 pub use slade_asm::Isa;
 
@@ -63,6 +64,38 @@ impl fmt::Display for OptLevel {
         }
     }
 }
+
+/// The inverse of `Display`. Also reads `0` and `3`; every spelling
+/// matches in any case.
+impl FromStr for OptLevel {
+    type Err = ParseOptLevelError;
+
+    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
+        const NAMES: [(&str, OptLevel); 4] = [
+            ("O0", OptLevel::O0),
+            ("0", OptLevel::O0),
+            ("O3", OptLevel::O3),
+            ("3", OptLevel::O3),
+        ];
+        NAMES
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(s))
+            .map(|&(_, opt)| opt)
+            .ok_or(ParseOptLevelError)
+    }
+}
+
+/// The error [`OptLevel::from_str`] returns for a name it does not know.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseOptLevelError;
+
+impl fmt::Display for ParseOptLevelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("unknown optimization level (O0 or O3)")
+    }
+}
+
+impl std::error::Error for ParseOptLevelError {}
 
 /// `O0` — the unoptimized baseline, and the configuration assumed for
 /// artifacts serialized before the target was recorded on them.
@@ -173,6 +206,27 @@ pub fn compile_all(program: &Program, opts: CompileOpts) -> Result<Vec<(String, 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn opt_level_names_round_trip_and_parse_in_any_case() {
+        for opt in [OptLevel::O0, OptLevel::O3] {
+            assert_eq!(opt.to_string().parse(), Ok(opt));
+        }
+        for (name, want) in [
+            ("O0", Ok(OptLevel::O0)),
+            ("o0", Ok(OptLevel::O0)),
+            ("0", Ok(OptLevel::O0)),
+            ("O3", Ok(OptLevel::O3)),
+            ("o3", Ok(OptLevel::O3)),
+            ("3", Ok(OptLevel::O3)),
+            ("", Err(ParseOptLevelError)),
+            ("O2", Err(ParseOptLevelError)),
+            ("-O3", Err(ParseOptLevelError)),
+            ("O0 ", Err(ParseOptLevelError)),
+        ] {
+            assert_eq!(name.parse::<OptLevel>(), want, "{name:?}");
+        }
+    }
 
     #[test]
     fn roundtrips_compiler_output() {

@@ -91,13 +91,6 @@ impl Cpu for X86 {
 /// The x86-64 machine.
 pub type Emulator = Machine<X86>;
 
-impl Emulator {
-    /// Return value of the last call as a float.
-    pub fn ret_f32(&self) -> f32 {
-        f32::from_bits(self.float[0] as u32)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::machine::cases::{case, emu_cases, Case, Want};

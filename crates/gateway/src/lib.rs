@@ -521,7 +521,7 @@ fn route_decompile(inner: &Arc<Inner>, req: &Request, peer: &str) -> Routed {
     // Optional options must match the served model: the gateway fronts
     // one model, so a mismatch is a conflict (409), not a bad request.
     if let Some(v) = obj.get("isa") {
-        let Some(isa) = v.as_str().and_then(parse_isa) else {
+        let Some(isa) = v.as_str().and_then(|s| s.parse::<Isa>().ok()) else {
             return immediate(400, "`isa` must be one of x86|x86_64|arm|arm64|aarch64");
         };
         if isa != slade.isa() {
@@ -529,7 +529,7 @@ fn route_decompile(inner: &Arc<Inner>, req: &Request, peer: &str) -> Routed {
         }
     }
     if let Some(v) = obj.get("opt") {
-        let Some(opt) = v.as_str().and_then(parse_opt) else {
+        let Some(opt) = v.as_str().and_then(|s| s.parse::<OptLevel>().ok()) else {
             return immediate(400, "`opt` must be O0 or O3");
         };
         if opt != slade.opt() {
@@ -578,22 +578,6 @@ fn route_decompile(inner: &Arc<Inner>, req: &Request, peer: &str) -> Routed {
             inner.metrics.overload_shed.add(1);
             immediate(429, "admission queue at capacity")
         }
-    }
-}
-
-fn parse_isa(s: &str) -> Option<Isa> {
-    match s.to_ascii_lowercase().as_str() {
-        "x86" | "x86_64" | "x86-64" => Some(Isa::X86_64),
-        "arm" | "arm64" | "aarch64" => Some(Isa::Arm64),
-        _ => None,
-    }
-}
-
-fn parse_opt(s: &str) -> Option<OptLevel> {
-    match s.to_ascii_uppercase().as_str() {
-        "O0" => Some(OptLevel::O0),
-        "O3" => Some(OptLevel::O3),
-        _ => None,
     }
 }
 

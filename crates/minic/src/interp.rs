@@ -126,11 +126,6 @@ impl<'p> Interpreter<'p> {
         Ok(interp)
     }
 
-    /// The type map produced during construction.
-    pub fn type_map(&self) -> &TypeMap {
-        &self.tm
-    }
-
     /// Allocates a buffer, copies `bytes` into it, and returns a pointer —
     /// how the evaluation harness passes array/pointer arguments.
     pub fn alloc_buffer(&mut self, bytes: &[u8]) -> Pointer {
@@ -147,16 +142,6 @@ impl<'p> Interpreter<'p> {
     /// Faults if the range is invalid.
     pub fn read_buffer(&self, ptr: Pointer, len: usize) -> Result<Vec<u8>> {
         self.mem.load_bytes(ptr, len)
-    }
-
-    /// Pointer to global `name`, if it exists.
-    pub fn global_ptr(&self, name: &str) -> Option<Pointer> {
-        self.globals.get(name).map(|s| s.ptr)
-    }
-
-    /// Type of global `name`, if it exists.
-    pub fn global_type(&self, name: &str) -> Option<&Type> {
-        self.globals.get(name).map(|s| &s.ty)
     }
 
     /// Calls function `name` with `args` (converted to parameter types).

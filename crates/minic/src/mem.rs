@@ -66,11 +66,6 @@ impl Memory {
         }
     }
 
-    /// Size in bytes of the segment `p` points into.
-    pub fn segment_size(&self, p: Pointer) -> Option<usize> {
-        self.segments.get(p.seg as usize).filter(|s| s.alive).map(|s| s.data.len())
-    }
-
     fn slice(&self, p: Pointer, len: usize) -> Result<&[u8]> {
         let seg = self
             .segments
@@ -161,11 +156,6 @@ impl Memory {
                 return Err(oob(p, out.len(), "unterminated string"));
             }
         }
-    }
-
-    /// Number of live segments (for tests and leak accounting).
-    pub fn live_segments(&self) -> usize {
-        self.segments.iter().filter(|s| s.alive).count()
     }
 }
 

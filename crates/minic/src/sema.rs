@@ -33,7 +33,6 @@ pub struct Signature {
 #[derive(Debug, Clone)]
 pub struct TypeMap {
     types: Vec<Type>,
-    lvalues: Vec<bool>,
     /// The operation type of each `op=` assignment, by its node id.
     compound: HashMap<NodeId, Type>,
     /// Layout context with all struct definitions and typedefs resolved.
@@ -58,12 +57,6 @@ impl TypeMap {
     /// The value type of expression `id`: arrays decay to pointers.
     pub fn value_type(&self, id: NodeId) -> Type {
         self.types[id as usize].decay()
-    }
-
-    /// Whether expression `id` designates an object (can be assigned /
-    /// address-taken).
-    pub fn is_lvalue(&self, id: NodeId) -> bool {
-        self.lvalues[id as usize]
     }
 
     /// The type `op=` assignment `id` computes `target op value` in, before
@@ -163,7 +156,6 @@ impl<'p> Sema<'p> {
         sema.scopes.pop();
         Ok(TypeMap {
             types: sema.types,
-            lvalues: sema.lvalues,
             compound: sema.compound,
             layout: sema.layout,
             signatures: sema.signatures,

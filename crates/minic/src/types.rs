@@ -281,11 +281,6 @@ impl LayoutCtx {
         LayoutCtx { structs, typedefs }
     }
 
-    /// Looks up a struct definition by tag.
-    pub fn struct_def(&self, name: &str) -> Option<&StructDef> {
-        self.structs.get(name)
-    }
-
     /// Resolves typedef names until a structural type is reached.
     ///
     /// Unknown names resolve to themselves so lenient-mode consumers can

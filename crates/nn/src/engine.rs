@@ -298,11 +298,6 @@ impl<'m> DecodeSession<'m> {
         self.state.num_lanes()
     }
 
-    /// Requests admitted but not yet finished.
-    pub fn active_requests(&self) -> usize {
-        self.slots.len()
-    }
-
     /// True when no request is in flight.
     pub fn is_idle(&self) -> bool {
         self.slots.is_empty()

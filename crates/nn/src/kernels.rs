@@ -13,10 +13,9 @@
 //! overridden with the `SLADE_KERNEL_ISA` environment variable (`auto` |
 //! `scalar` | `avx2`; `avx2` on a host without it degrades to scalar
 //! with a one-line warning, and an unrecognized value warns and uses the
-//! detected tier) or in-process via [`set_tier`] (used by benches and
-//! property tests to compare tiers). [`tier_status`] reports the
-//! effective tier and a request that was not honoured, for stats and
-//! metrics.
+//! detected tier) or in-process via [`set_tier`] (used by tests to
+//! compare tiers). [`tier_status`] reports the effective tier and a
+//! request that was not honoured, for stats and metrics.
 //!
 //! Each kernel has two sources: the [`scalar`] body, which is the
 //! specification `kernel_equiv` compares against, and one [`avx2`] body.
@@ -85,11 +84,7 @@ const TIER_UNSET: u8 = u8::MAX;
 /// Resolved tier; initialized lazily on first kernel call.
 static ACTIVE: AtomicU8 = AtomicU8::new(TIER_UNSET);
 
-/// The best tier this host supports, by `std::arch` feature detection.
-pub fn detected_tier() -> IsaTier {
-    best_tier(tier_supported)
-}
-
+/// The best tier `supported` admits.
 fn best_tier(supported: impl Fn(IsaTier) -> bool) -> IsaTier {
     if supported(IsaTier::Avx2) {
         IsaTier::Avx2
@@ -98,8 +93,9 @@ fn best_tier(supported: impl Fn(IsaTier) -> bool) -> IsaTier {
     }
 }
 
-/// Whether this host can actually execute `tier`. Public so benches and
-/// tests can gate tier-vs-tier comparisons on what the host offers.
+/// Whether this host can actually execute `tier`, by `std::arch` feature
+/// detection. Public so tests can gate tier-vs-tier comparisons on what
+/// the host offers.
 pub fn tier_supported(tier: IsaTier) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -184,7 +180,7 @@ pub fn active_tier() -> IsaTier {
     tier
 }
 
-/// Force a dispatch tier in-process (benches and tests comparing tiers).
+/// Force a dispatch tier in-process (tests comparing tiers).
 /// Requests the host cannot execute clamp to scalar; returns the tier
 /// actually installed.
 pub fn set_tier(tier: IsaTier) -> IsaTier {

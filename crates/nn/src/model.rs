@@ -1296,39 +1296,6 @@ impl Seq2Seq {
         }
     }
 
-    /// Greedy decoding (beam size 1 fast path).
-    pub fn greedy(&self, src: &[u32], bos: u32, eos: u32, max_len: usize) -> Vec<u32> {
-        self.beam_search(src, bos, eos, max_len, 1).into_iter().next().unwrap_or_default()
-    }
-
-    /// Beam-search decoding (paper: k = 5), returning up to `beam` finished
-    /// hypotheses, best first, without BOS/EOS markers.
-    ///
-    /// Since the batched-engine refactor this delegates to
-    /// [`crate::engine::InferenceEngine`], which owns decode scheduling,
-    /// the log-softmax scoring (a proper `x − logsumexp(x)`, not the old
-    /// `softmax` + clamped `ln`), length normalization, and the early-stop
-    /// policy (a finished short hypothesis no longer masks a better longer
-    /// one still live). The per-hypothesis reference is
-    /// [`crate::engine::InferenceEngine::decode_reference`], property-
-    /// tested equivalent.
-    pub fn beam_search(
-        &self,
-        src: &[u32],
-        bos: u32,
-        eos: u32,
-        max_len: usize,
-        beam: usize,
-    ) -> Vec<Vec<u32>> {
-        crate::engine::InferenceEngine::new(self).decode(&crate::engine::DecodeRequest {
-            src: src.to_vec(),
-            bos,
-            eos,
-            max_len,
-            beam,
-        })
-    }
-
     /// Serializes to JSON (weights only; optimizer state is rebuilt).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("model serialization")
@@ -1965,6 +1932,13 @@ fn attend_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{DecodeRequest, InferenceEngine};
+
+    /// Decodes `src` through the engine with BOS 1 and EOS 2.
+    fn decode(m: &Seq2Seq, src: &[u32], max_len: usize, beam: usize) -> Vec<Vec<u32>> {
+        let request = DecodeRequest { src: src.to_vec(), bos: 1, eos: 2, max_len, beam };
+        InferenceEngine::new(m).decode(&request)
+    }
 
     #[test]
     fn parameter_count_scales_with_config() {
@@ -2006,15 +1980,13 @@ mod tests {
             m.train_pair(&src, &dec_input, &labels);
             m.adam_step(3e-3, 0.0, 1.0);
         }
-        let out = m.greedy(&src, 1, 2, 8);
-        assert_eq!(out, tgt, "memorization failed");
-        let _ = tgt;
+        assert_eq!(decode(&m, &src, 8, 1), [tgt], "memorization failed");
     }
 
     #[test]
     fn beam_search_returns_ranked_distinct_hypotheses() {
         let m = Seq2Seq::new(TransformerConfig::tiny(16), 11);
-        let beams = m.beam_search(&[4, 5], 1, 2, 6, 5);
+        let beams = decode(&m, &[4, 5], 6, 5);
         assert!(!beams.is_empty());
         assert!(beams.len() <= 5);
     }
@@ -2054,9 +2026,7 @@ mod tests {
         let m = Seq2Seq::new(TransformerConfig::tiny(16), 5);
         let json = m.to_json();
         let back = Seq2Seq::from_json(&json).unwrap();
-        let a = m.greedy(&[4, 5, 6], 1, 2, 6);
-        let b = back.greedy(&[4, 5, 6], 1, 2, 6);
-        assert_eq!(a, b);
+        assert_eq!(decode(&m, &[4, 5, 6], 6, 1), decode(&back, &[4, 5, 6], 6, 1));
     }
 
     #[test]
@@ -2261,7 +2231,7 @@ mod tests {
         let m = trained_tiny();
         for src in [vec![4u32, 5, 6], vec![6u32, 5], vec![5u32]] {
             for beam in [1usize, 3, 5] {
-                let fast = m.beam_search(&src, 1, 2, 10, beam);
+                let fast = decode(&m, &src, 10, beam);
                 let slow = beam_search_full_recompute(&m, &src, 1, 2, 10, beam);
                 assert_eq!(fast, slow, "src {src:?} beam {beam}");
             }

@@ -170,14 +170,6 @@ impl Obs {
         &self.stages[s as usize]
     }
 
-    /// Records a stage duration in µs (no-op when tracing is disabled).
-    #[inline]
-    pub fn record_stage(&self, s: StageHist, dur_us: u64) {
-        if self.enabled() {
-            self.stages[s as usize].record(dur_us);
-        }
-    }
-
     /// Bumps a kernel counter (no-op when tracing is disabled).
     #[inline]
     pub fn count(&self, c: KernelCtr, n: u64) {
@@ -254,11 +246,6 @@ pub fn set_tracing(on: bool) {
     obs().enabled.store(on, Ordering::Relaxed);
 }
 
-/// Whether tracing is currently enabled.
-pub fn tracing_enabled() -> bool {
-    obs().enabled()
-}
-
 /// Per-stage aggregate for JSON export (`slade-cli stats --json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct StageSummary {
@@ -325,7 +312,7 @@ mod tests {
     #[test]
     fn registry_records_and_snapshots() {
         let o = obs();
-        o.record_stage(StageHist::Encode, 150);
+        o.stage(StageHist::Encode).record(150);
         o.count(KernelCtr::ProjCalls, 3);
         let snap = o.stage_snapshot();
         let enc = snap.stages.iter().find(|s| s.stage == "encode").unwrap();

@@ -77,8 +77,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          categories defeat the lifter entirely (lift failures above) and only \
          a neural candidate can cover them — at this example's tiny training \
          scale the model rarely does, at the paper's scale it is what makes \
-         the hybrid strictly dominate both halves (see `cargo bench --bench \
-         ablations`, hybrid section)."
+         the hybrid strictly dominate both halves (see `cargo run --release \
+         -p slade_eval --bin figures -- tiny ablations`, hybrid section)."
     );
     Ok(())
 }

@@ -44,6 +44,7 @@ use slade_minic::parse_program;
 use std::collections::HashMap;
 use std::io::Write;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Prints to stdout, ignoring broken pipes (`slade-cli ... | head` must
 /// not panic).
@@ -132,22 +133,13 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(out)
 }
 
-fn parse_isa(flags: &HashMap<String, String>) -> Result<Isa, String> {
-    match flags.get("isa").map(String::as_str) {
-        Some("x86") | Some("x86_64") | Some("x86-64") => Ok(Isa::X86_64),
-        Some("arm") | Some("arm64") | Some("aarch64") => Ok(Isa::Arm64),
-        Some(other) => Err(format!("unknown --isa `{other}` (x86 or arm)")),
-        None => Err("missing --isa".to_string()),
-    }
-}
-
-fn parse_opt(flags: &HashMap<String, String>) -> Result<OptLevel, String> {
-    match flags.get("opt").map(String::as_str) {
-        Some("O0") | Some("o0") | Some("0") => Ok(OptLevel::O0),
-        Some("O3") | Some("o3") | Some("3") => Ok(OptLevel::O3),
-        Some(other) => Err(format!("unknown --opt `{other}` (O0 or O3)")),
-        None => Err("missing --opt".to_string()),
-    }
+/// Parses the required flag `--{key}` with `T`'s `FromStr`.
+fn named<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = flags.get(key).ok_or_else(|| format!("missing --{key}"))?;
+    v.parse().map_err(|e| format!("--{key} `{v}`: {e}"))
 }
 
 fn numeric(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
@@ -173,33 +165,20 @@ struct Artifact {
     slade: Slade,
 }
 
-impl Artifact {
-    fn isa(&self) -> Isa {
-        if self.isa == "arm" {
-            Isa::Arm64
-        } else {
-            Isa::X86_64
-        }
-    }
-
-    fn opt(&self) -> OptLevel {
-        if self.opt == "O3" {
-            OptLevel::O3
-        } else {
-            OptLevel::O0
-        }
-    }
-}
-
-fn load_artifact(flags: &HashMap<String, String>) -> Result<Artifact, String> {
+/// Reads the `--model` artifact; an `isa` or `opt` it does not name is an
+/// error, like malformed JSON.
+fn load_artifact(flags: &HashMap<String, String>) -> Result<(Isa, OptLevel, Slade), String> {
     let path = flags.get("model").ok_or("missing --model")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
+    let artifact: Artifact = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+    let isa = artifact.isa.parse().map_err(|e| format!("{path}: `{}`: {e}", artifact.isa))?;
+    let opt = artifact.opt.parse().map_err(|e| format!("{path}: `{}`: {e}", artifact.opt))?;
+    Ok((isa, opt, artifact.slade))
 }
 
 fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
-    let isa = parse_isa(flags)?;
-    let opt = parse_opt(flags)?;
+    let isa = named(flags, "isa")?;
+    let opt = named(flags, "opt")?;
     let out = flags.get("out").ok_or("missing --out")?;
     let seed = numeric(flags, "seed", 7)?;
     let items = numeric(flags, "items", 250)? as usize;
@@ -216,11 +195,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let slade = SladeBuilder::new(isa, opt).profile(profile).train(&train_items, seed);
     eprintln!("trained in {:.1}s", t0.elapsed().as_secs_f64());
-    let artifact = Artifact {
-        isa: if isa == Isa::Arm64 { "arm" } else { "x86" }.to_string(),
-        opt: format!("{opt}"),
-        slade,
-    };
+    let artifact = Artifact { isa: isa.to_string(), opt: opt.to_string(), slade };
     let json = serde_json::to_string(&artifact).map_err(|e| e.to_string())?;
     std::fs::write(out, &json).map_err(|e| format!("{out}: {e}"))?;
     eprintln!("wrote {out} ({} bytes)", json.len());
@@ -228,8 +203,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), String> {
-    let isa = parse_isa(flags)?;
-    let opt = parse_opt(flags)?;
+    let isa = named(flags, "isa")?;
+    let opt = named(flags, "opt")?;
     let src_path = flags.get("src").ok_or("missing --src")?;
     let func = flags.get("func").ok_or("missing --func")?;
     let src = std::fs::read_to_string(src_path).map_err(|e| format!("{src_path}: {e}"))?;
@@ -241,14 +216,13 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_decompile(flags: &HashMap<String, String>) -> Result<(), String> {
-    let artifact = load_artifact(flags)?;
+    let (_, _, mut slade) = load_artifact(flags)?;
     let asm_path = flags.get("asm").ok_or("missing --asm")?;
     let asm = std::fs::read_to_string(asm_path).map_err(|e| format!("{asm_path}: {e}"))?;
     let context = match flags.get("context") {
         Some(p) => std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?,
         None => String::new(),
     };
-    let mut slade = artifact.slade;
     if let Some(beam) = flags.get("beam") {
         slade.set_beam(beam.parse().map_err(|_| "--beam expects a number")?);
     }
@@ -269,7 +243,8 @@ fn cmd_decompile(flags: &HashMap<String, String>) -> Result<(), String> {
 /// hypotheses are noise) so the observability surface works standalone.
 fn observed_slade(flags: &HashMap<String, String>) -> Result<std::sync::Arc<Slade>, String> {
     if flags.contains_key("model") {
-        return Ok(std::sync::Arc::new(load_artifact(flags)?.slade));
+        let (_, _, slade) = load_artifact(flags)?;
+        return Ok(std::sync::Arc::new(slade));
     }
     let corpus: Vec<String> = (0..16).map(synthetic_asm).collect();
     let tokenizer = slade_tokenizer::UnigramTokenizer::train(&corpus, 300);
@@ -523,12 +498,10 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
-    let artifact = load_artifact(flags)?;
+    let (isa, opt, slade) = load_artifact(flags)?;
     let seed = numeric(flags, "seed", 99)?;
     let items = numeric(flags, "items", 24)? as usize;
     let threads = numeric(flags, "threads", 1)?.max(1) as usize;
-    let isa = artifact.isa();
-    let opt = artifact.opt();
     // Fresh held-out items, deduplicated against nothing the model saw
     // (different seed stream from any training run by default).
     let data = DatasetProfile { train: 8, exebench_eval: items, synth_per_category: 1 };
@@ -538,7 +511,7 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     let ctx = ToolContext {
         isa,
         opt,
-        slade: std::sync::Arc::new(artifact.slade),
+        slade: std::sync::Arc::new(slade),
         chatgpt: slade_baselines::ChatGptSim::new(&pairs),
         btc: None,
         threads,
