@@ -36,10 +36,6 @@ pub struct AblationSetup {
     pub profile: TrainProfile,
     /// Seed for training and evaluation.
     pub seed: u64,
-    /// Worker threads for the neural decode passes (1 = in-thread
-    /// decode; >1 routes every [`evaluate`] call through the
-    /// `slade_serve` pool).
-    pub threads: usize,
 }
 
 impl AblationSetup {
@@ -47,13 +43,7 @@ impl AblationSetup {
     pub fn build(data: DatasetProfile, profile: TrainProfile, seed: u64) -> Self {
         let train = generate_train(data, seed);
         let eval = generate_exebench_eval(data, seed, &train);
-        AblationSetup { train, eval, profile, seed, threads: 1 }
-    }
-
-    /// Sets the decode worker count for every evaluation in the suite.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        AblationSetup { train, eval, profile, seed }
     }
 }
 
@@ -95,7 +85,6 @@ fn context_for(slade: Slade, setup: &AblationSetup, isa: Isa, opt: OptLevel) -> 
         slade: std::sync::Arc::new(slade),
         chatgpt: ChatGptSim::new(&pairs),
         btc: None,
-        threads: setup.threads,
     }
 }
 

@@ -3,13 +3,10 @@
 //!
 //! Usage:
 //! `cargo run -p slade-eval --bin figures --release [-- tiny|default]
-//! [ablations] [--threads N]`
+//! [ablations]`
 //!
-//! `--threads N` routes every neural decode pass through the
-//! `slade_serve` worker pool with `N` shards (default 1: in-thread
-//! decode, fully deterministic by construction; figure numbers are
-//! identical either way — the pool is property-tested element-wise
-//! equivalent).
+//! Every neural decode pass runs through the `slade_serve` worker pool,
+//! one shard per available core (see `slade_eval::evaluate`).
 
 use slade::TrainProfile;
 use slade_dataset::DatasetProfile;
@@ -20,28 +17,20 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let profile_arg = if args.iter().any(|a| a == "tiny") { "tiny" } else { "default" };
     let want_ablations = args.iter().any(|a| a == "ablations");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
     let (data, train) = match profile_arg {
         "tiny" => (DatasetProfile::tiny(), TrainProfile::tiny()),
         _ => (DatasetProfile::default_profile(), TrainProfile::default_profile()),
     };
     let start = std::time::Instant::now();
     if want_ablations {
-        eprintln!("running ablation suite (profile: {profile_arg}, threads: {threads})...");
-        let setup = AblationSetup::build(data, train, 2024).with_threads(threads);
+        eprintln!("running ablation suite (profile: {profile_arg})...");
+        let setup = AblationSetup::build(data, train, 2024);
         println!("{}", run_all_ablations(&setup));
     } else {
         eprintln!(
-            "building reproduction (profile: {profile_arg}, threads: {threads}) — training 4 configurations..."
+            "building reproduction (profile: {profile_arg}) — training 4 configurations..."
         );
-        let mut repro = Reproduction::build(data, train, 2024);
-        repro.set_threads(threads);
+        let repro = Reproduction::build(data, train, 2024);
         eprintln!("training done in {:.1}s; evaluating...", start.elapsed().as_secs_f64());
         println!("{}", run_all(&repro));
     }

@@ -57,15 +57,6 @@ impl Reproduction {
             .find(|c| c.isa == isa && c.opt == opt)
             .expect("all four configs built")
     }
-
-    /// Routes every figure's neural decode pass through `threads` worker
-    /// shards (`slade_serve`); `1` restores in-thread decoding. Figure
-    /// numbers are identical either way — only wall-clock changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        for ctx in &mut self.contexts {
-            ctx.threads = threads.max(1);
-        }
-    }
 }
 
 fn tools_for(isa: Isa, opt: OptLevel, include_ablation: bool) -> Vec<Tool> {

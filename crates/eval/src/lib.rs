@@ -72,30 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_evaluation_matches_single_threaded() {
-        let data = DatasetProfile::tiny();
-        let train = generate_train(data, 21);
-        let eval_items = generate_exebench_eval(data, 21, &train);
-        let ctx = tools::ToolContext::train(
-            &train,
-            Isa::X86_64,
-            OptLevel::O0,
-            TrainProfile::tiny(),
-            21,
-        );
-        let tools_run = [Tool::Slade, Tool::SladeNoTypes];
-        let sequential = evaluate(&ctx, &eval_items, &tools_run);
-        let threaded = evaluate(&ctx.with_threads(3), &eval_items, &tools_run);
-        assert_eq!(sequential.len(), threaded.len());
-        for (a, b) in sequential.iter().zip(&threaded) {
-            assert_eq!(a.item, b.item);
-            assert_eq!(a.compiles, b.compiles, "{}", a.item);
-            assert_eq!(a.correct, b.correct, "{}", a.item);
-            assert_eq!(a.edit_sim, b.edit_sim, "{}", a.item);
-        }
-    }
-
-    #[test]
     fn summarize_is_percentage_bounded() {
         let data = DatasetProfile::tiny();
         let train = generate_train(data, 7);

@@ -89,12 +89,6 @@ pub struct ToolContext {
     pub chatgpt: ChatGptSim,
     /// BTC baseline (only populated for x86 -O0, like the original tool).
     pub btc: Option<BtcBaseline>,
-    /// Worker threads for the neural decode pass. `1` (the default) calls
-    /// [`Slade::decompile_batch`] on the evaluating thread — the fully
-    /// deterministic-by-construction path; `> 1` routes through the
-    /// [`slade_serve`] worker pool, whose output is element-wise identical
-    /// (property-tested) but uses OS threads.
-    pub threads: usize,
 }
 
 impl ToolContext {
@@ -111,13 +105,7 @@ impl ToolContext {
         let chatgpt = ChatGptSim::new(&pairs);
         let btc = (isa == Isa::X86_64 && opt == OptLevel::O0)
             .then(|| train_btc(&pairs, profile, seed ^ 0xb7c));
-        ToolContext { isa, opt, slade: Arc::new(slade), chatgpt, btc, threads: 1 }
-    }
-
-    /// Sets the neural-decode worker count (see the `threads` field).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        ToolContext { isa, opt, slade: Arc::new(slade), chatgpt, btc }
     }
 }
 
@@ -155,12 +143,12 @@ struct EvalCase<'a> {
 
 /// Evaluates `tools` on `items` under `ctx`'s configuration.
 ///
-/// All SLaDe-family decompilations run as **one** batched engine pass
-/// over every item — [`Slade::decompile_batch`] on the
-/// evaluating thread, or the [`slade_serve`] worker pool when
-/// `ctx.threads > 1` (identical output, property-tested). The per-item
-/// work that remains is type inference, candidate judging, and the
-/// non-neural baselines.
+/// All SLaDe-family decompilations run as **one** batch over every item,
+/// through a [`slade_serve`] runtime with one shard per available core —
+/// element-wise identical to [`Slade::decompile_batch`] (property-tested
+/// in `slade_serve`'s `tests/equivalence.rs`). The per-item work that
+/// remains is type inference, candidate judging, and the non-neural
+/// baselines.
 pub fn evaluate(ctx: &ToolContext, items: &[DatasetItem], tools: &[Tool]) -> Vec<EvalRecord> {
     let opts = CompileOpts::new(ctx.isa, ctx.opt);
     // Pre-pass: compile every item, normalize its assembly once, and
@@ -182,15 +170,9 @@ pub fn evaluate(ctx: &ToolContext, items: &[DatasetItem], tools: &[Tool]) -> Vec
     });
     let beams: Vec<Vec<String>> = if needs_neural {
         let norms: Vec<&str> = cases.iter().map(|c| c.norm_asm.as_str()).collect();
-        if ctx.threads > 1 {
-            let runtime = ServeRuntime::start(
-                Arc::clone(&ctx.slade),
-                ServeConfig::with_shards(ctx.threads),
-            );
-            runtime.decompile_batch(&norms)
-        } else {
-            ctx.slade.decompile_batch(&norms)
-        }
+        let shards = std::thread::available_parallelism().map_or(1, usize::from);
+        ServeRuntime::start(Arc::clone(&ctx.slade), ServeConfig::with_shards(shards))
+            .decompile_batch(&norms)
     } else {
         Vec::new()
     };

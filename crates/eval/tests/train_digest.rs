@@ -12,7 +12,7 @@ use slade_compiler::{Isa, OptLevel};
 use slade_dataset::{generate_train, DatasetProfile};
 use slade_eval::ToolContext;
 use slade_nn::Seq2Seq;
-use slade_serve::cache::fnv1a64;
+use slade_serve::spill::fnv1a64;
 
 /// FNV-1a over the `to_bits` of every weight, tensors in store order.
 fn weight_digest(model: &Seq2Seq) -> u64 {

@@ -1296,22 +1296,9 @@ impl Seq2Seq {
         }
     }
 
-    /// Serializes to JSON (weights only; optimizer state is rebuilt).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model serialization")
-    }
-
-    /// Deserializes a model saved by [`Seq2Seq::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying serde error message.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-
-    /// Test/benchmark hook: mutable access to a parameter value.
-    pub fn perturb_param(&mut self, tensor: usize, index: usize, delta: f32) {
+    /// Test hook: nudges one parameter scalar by `delta`.
+    #[cfg(test)]
+    fn perturb_param(&mut self, tensor: usize, index: usize, delta: f32) {
         let data = self.store.data_mut(tensor);
         if index < data.len() {
             data[index] += delta;
@@ -1319,7 +1306,8 @@ impl Seq2Seq {
     }
 
     /// Test hook: the accumulated gradient of one parameter scalar.
-    pub fn grad_of(&self, tensor: usize, index: usize) -> f32 {
+    #[cfg(test)]
+    fn grad_of(&self, tensor: usize, index: usize) -> f32 {
         self.store.grad_at(tensor, index)
     }
 }
@@ -2024,8 +2012,8 @@ mod tests {
     #[test]
     fn serde_roundtrip_preserves_behavior() {
         let m = Seq2Seq::new(TransformerConfig::tiny(16), 5);
-        let json = m.to_json();
-        let back = Seq2Seq::from_json(&json).unwrap();
+        let json = serde_json::to_string(&m).unwrap();
+        let back: Seq2Seq = serde_json::from_str(&json).unwrap();
         assert_eq!(decode(&m, &[4, 5, 6], 6, 1), decode(&back, &[4, 5, 6], 6, 1));
     }
 

@@ -7,11 +7,18 @@
 //! `Arc`) scales across cores, a FIFO *admission queue* feeds the shards
 //! and admits newly arrived requests into **running** decode batches as
 //! finished requests free lanes (continuous batching), a *result cache*
-//! keyed by the hash of [`slade::normalize_asm`] output plus the
-//! ISA/opt/beam configuration answers duplicate-heavy traffic without
-//! decoding, and a *metrics surface* exposes queue depth, per-shard lane
-//! occupancy, latency percentiles and cache hit rate as a plain struct
-//! snapshot.
+//! answers duplicate-heavy traffic without decoding, and a *metrics
+//! surface* exposes queue depth, per-shard lane occupancy, latency
+//! percentiles and cache hit rate as a plain struct snapshot.
+//!
+//! # Request identity
+//!
+//! A runtime serves one [`slade::Slade`] at one (ISA, opt, beam, budget)
+//! configuration, so inside it a request *is* its [`slade::normalize_asm`]
+//! output: the text is allocated once per miss as an `Arc<str>` and keys
+//! both the result cache's memory tier and the in-flight coalescing
+//! table. Only the [`spill`] tier, whose directory other runtimes may
+//! share, names an entry by hash — over the text and the configuration.
 //!
 //! # Admission control
 //!
@@ -32,7 +39,7 @@
 //!   [`RequestHandle::expire`], and a worker popping an already-expired
 //!   job cancels it instead of decoding stale work (unless coalesced
 //!   waiters are attached and still want the answer);
-//! * **coalesced** — a duplicate submission whose cache key is already
+//! * **coalesced** — a duplicate submission whose text is already
 //!   decoding attaches to the in-flight request's pending entry and gets
 //!   the same result fanned out, one decode for N waiters;
 //! * **decoded** — the request ran the engine itself;
@@ -48,9 +55,7 @@
 //! the beam policy runs per request — so batch composition, admission
 //! time, and shard assignment cannot change a request's hypotheses, and
 //! the cache stores exactly what decode would return (verified by the
-//! equivalence property test in `tests/equivalence.rs`). Coalesced
-//! waiters verify the full normalized text, not just the key hash, so a
-//! hash collision can never fan out another function's hypotheses.
+//! equivalence property test in `tests/equivalence.rs`).
 //!
 //! # Example
 //!
@@ -72,7 +77,7 @@ pub mod metrics;
 pub mod queue;
 pub mod spill;
 
-pub use cache::{CacheKey, CacheStats, ResultCache};
+pub use cache::{CacheStats, ResultCache};
 pub use metrics::MetricsSnapshot;
 pub use queue::AdmissionQueue;
 pub use spill::{SpillProbe, SpillTier, SPILL_CAPACITY, SPILL_VERSION};
@@ -199,8 +204,8 @@ struct Req {
 /// One queued decompilation job.
 struct Job {
     req: Req,
-    norm_asm: String,
-    key: CacheKey,
+    /// The request's identity (see the module docs).
+    norm_asm: Arc<str>,
 }
 
 /// Fixed span ids within a request's trace: the tree shape is static
@@ -391,23 +396,16 @@ impl RequestHandle {
     }
 }
 
-/// In-flight decode entry: presence in the pending table means "this key
-/// is queued or decoding"; the full normalized text guards against hash
-/// collisions coalescing two different functions.
-struct PendingEntry {
-    norm_asm: String,
-    /// Duplicates attached to the decode, answered at its fan-out.
-    waiters: Vec<Req>,
-}
-
 /// State shared between the front-end and the workers.
 struct Shared {
     slade: Arc<Slade>,
     queue: Mutex<AdmissionQueue<Job>>,
     work: Condvar,
-    /// In-flight coalescing table (lock order: `queue` before `pending`
-    /// when both are held; never `pending` → `queue`).
-    pending: Mutex<HashMap<CacheKey, PendingEntry>>,
+    /// In-flight coalescing table: a text present here is queued or
+    /// decoding, and maps to the duplicates attached to that decode,
+    /// answered at its fan-out (lock order: `queue` before `pending` when
+    /// both are held; never `pending` → `queue`).
+    pending: Mutex<HashMap<Arc<str>, Vec<Req>>>,
     cache: ResultCache,
     metrics: MetricsInner,
     shutdown: AtomicBool,
@@ -491,7 +489,9 @@ impl ServeRuntime {
         let kernel_isa_status = slade_nn::kernels::tier_status();
         let cache = match &config.spill_dir {
             Some(dir) => {
-                ResultCache::with_spill(config.cache_capacity, dir.clone(), SPILL_CAPACITY)
+                let (isa, opt, budget) = (slade.isa(), slade.opt(), slade.max_tgt_len());
+                let spill = SpillTier::new(dir.clone(), SPILL_CAPACITY, isa, opt, beam, budget);
+                ResultCache::with_spill(config.cache_capacity, spill)
             }
             None => ResultCache::new(config.cache_capacity),
         };
@@ -559,15 +559,8 @@ impl ServeRuntime {
                 .then(|| Instant::now() + sh.request_timeout),
         };
         let handle = RequestHandle { req: req.clone(), shared: Arc::clone(&self.shared) };
-        let key = CacheKey::new(
-            &normalized_asm,
-            sh.slade.isa(),
-            sh.slade.opt(),
-            sh.slade.beam().max(1),
-            sh.slade.max_tgt_len(),
-        );
         if sh.cache.enabled() {
-            if let Some(outputs) = sh.cache.get(&key, &normalized_asm) {
+            if let Some(outputs) = sh.cache.get(&normalized_asm) {
                 let now_us = o.now_us();
                 o.record_span(SpanRecord {
                     trace_id: req.trace_id,
@@ -583,7 +576,7 @@ impl ServeRuntime {
                 return Ok(handle);
             }
         }
-        let job = Job { req, norm_asm: normalized_asm, key };
+        let job = Job { req, norm_asm: normalized_asm.into() };
         {
             // Coalesce attach, cap check and enqueue are atomic under the
             // queue lock (pending nests inside it — see the lock order
@@ -591,31 +584,20 @@ impl ServeRuntime {
             // observes exact shed behavior.
             let mut q = sh.queue.lock().expect("queue lock");
             let mut pending = sh.pending.lock().expect("pending lock");
-            let collides = match pending.get_mut(&job.key) {
-                Some(entry) if entry.norm_asm == job.norm_asm => {
-                    // Duplicate of an in-flight decode: attach, don't
-                    // enqueue. Terminal state (coalesced or expired) is
-                    // decided at fan-out or deadline.
-                    entry.waiters.push(job.req);
-                    return Ok(handle);
-                }
-                // Same key, different text: a 64-bit collision. Decode
-                // independently; the entry stays owned by the other
-                // text's decode.
-                Some(_) => true,
-                None => false,
-            };
+            if let Some(waiters) = pending.get_mut(&job.norm_asm) {
+                // Duplicate of an in-flight decode: attach, don't
+                // enqueue. Terminal state (coalesced or expired) is
+                // decided at fan-out or deadline.
+                waiters.push(job.req);
+                return Ok(handle);
+            }
             if enforce_cap && sh.queue_cap > 0 && q.len() >= sh.queue_cap {
                 drop(pending);
                 drop(q);
                 self.shed(&job.req);
                 return Err(Overloaded);
             }
-            if !collides {
-                let entry =
-                    PendingEntry { norm_asm: job.norm_asm.clone(), waiters: Vec::new() };
-                pending.insert(job.key, entry);
-            }
+            pending.insert(Arc::clone(&job.norm_asm), Vec::new());
             q.push(job);
             sh.metrics.queue_depth.add(1);
         }
@@ -759,20 +741,15 @@ fn triage(shared: &Shared, job: &Job, now: Instant) -> bool {
     }
     // Expired (by a waiter, or right here — the waiter may be gone).
     shared.expire(&job.req);
-    // Cancel the decode unless coalesced waiters still want the answer.
+    // Cancel the decode unless coalesced waiters still want the answer;
+    // if they do, the expired leader is skipped at fan-out by its lost
+    // claim.
     let mut pending = shared.pending.lock().expect("pending lock");
-    match pending.get(&job.key) {
-        Some(entry) if entry.norm_asm == job.norm_asm => {
-            // Waiters attached: decode for them; the expired leader is
-            // skipped at fan-out by its lost claim.
-            let wanted = !entry.waiters.is_empty();
-            if !wanted {
-                pending.remove(&job.key);
-            }
-            wanted
-        }
-        _ => false,
+    let wanted = pending.get(&job.norm_asm).is_some_and(|waiters| !waiters.is_empty());
+    if !wanted {
+        pending.remove(&job.norm_asm);
     }
+    wanted
 }
 
 fn worker_loop(shared: &Shared, shard: usize) {
@@ -916,16 +893,13 @@ fn worker_loop(shared: &Shared, shard: usize) {
             // Detach the coalesced waiters first (removing the pending
             // entry, so late duplicates become fresh leaders), then feed
             // the cache, then fan out.
-            let waiters: Vec<Req> = {
-                let mut pending = shared.pending.lock().expect("pending lock");
-                match pending.get(&job.key) {
-                    Some(entry) if entry.norm_asm == job.norm_asm => {
-                        pending.remove(&job.key).map(|entry| entry.waiters).unwrap_or_default()
-                    }
-                    _ => Vec::new(),
-                }
-            };
-            shared.cache.insert(job.key, &job.norm_asm, outputs.clone());
+            let waiters = shared
+                .pending
+                .lock()
+                .expect("pending lock")
+                .remove(&job.norm_asm)
+                .unwrap_or_default();
+            shared.cache.insert(Arc::clone(&job.norm_asm), outputs.clone());
             let done_us = o.now_us();
             if tracing {
                 o.record_span(SpanRecord {

@@ -3,7 +3,8 @@
 //! output is element-wise identical to sequential
 //! [`Slade::decompile_batch`] — plus fairness (admission follows arrival
 //! under sustained load), warm-start (a restarted runtime answers from
-//! the spill tier without decoding), and metrics sanity.
+//! the spill tier without decoding), configurations kept apart in a
+//! shared spill directory, and metrics sanity.
 
 use proptest::prelude::*;
 use slade::{Slade, SladeBuilder, TrainProfile};
@@ -44,7 +45,7 @@ fn with_lanes(slade: &Slade, lanes: usize) -> Arc<Slade> {
     Arc::new(slade)
 }
 
-/// `n` inputs no two of which share a cache key (a distinct trailing
+/// `n` inputs no two of which share a normalized text (a distinct trailing
 /// label on a workload entry), so each occupies its own queue slot.
 fn distinct_inputs(asms: &[String], n: usize) -> Vec<String> {
     (0..n).map(|i| format!("{}.Larrival{i}:\n", asms[i % asms.len()])).collect()
@@ -169,6 +170,39 @@ fn restarted_runtime_starts_warm_from_spill() {
     assert_eq!(snap.cache.spill_hits, asms.len() as u64, "all hits came from disk");
     assert_eq!(snap.decoded, 0);
     second.shutdown();
+}
+
+/// Where configurations can actually meet: two runtimes sharing one spill
+/// directory with models that differ only in beam. The second must decode
+/// its own hypotheses, not read the first's; a runtime at the second's
+/// beam then hits what it spilled.
+#[test]
+fn shared_spill_dir_keeps_configurations_apart() {
+    let (slade, asms) = fixture();
+    let dir = tempdir("shared-spill");
+    let refs: Vec<&str> = asms.iter().map(String::as_str).collect();
+    let config = ServeConfig::with_shards(1).with_spill_dir(dir.path.clone());
+    let wide = ServeRuntime::start(Arc::clone(slade), config.clone());
+    wide.decompile_batch(&refs);
+    wide.shutdown();
+
+    let mut narrow = Slade::clone(slade);
+    narrow.set_beam(1);
+    assert_ne!(narrow.beam(), slade.beam());
+    let narrow = Arc::new(narrow);
+    let expected = narrow.decompile_batch(&refs);
+    let second = ServeRuntime::start(Arc::clone(&narrow), config.clone());
+    assert_eq!(second.decompile_batch(&refs), expected, "read another beam's entries");
+    let snap = second.metrics();
+    assert_eq!((snap.cache.spill_hits, snap.decoded), (0, asms.len() as u64));
+    second.shutdown();
+
+    let third = ServeRuntime::start(narrow, config);
+    assert_eq!(third.decompile_batch(&refs), expected);
+    let snap = third.metrics();
+    assert_eq!(snap.cache.spill_hits, asms.len() as u64, "equal beams share entries");
+    assert_eq!(snap.decode_tokens, 0);
+    third.shutdown();
 }
 
 #[test]

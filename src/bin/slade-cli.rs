@@ -7,7 +7,6 @@
 //! slade-cli compile   --src file.c --func name --isa x86|arm --opt O0|O3
 //! slade-cli decompile --model model.json --asm file.s [--context file.c] [--beam K]
 //! slade-cli eval      --model model.json [--items N] [--seed N] [--repair]
-//!                     [--threads N]
 //! slade-cli serve     --addr HOST:PORT [--model model.json] [--shards N]
 //!                     [--queue-cap N] [--timeout-ms N] [--spill-dir DIR]
 //!                     [--quota-rps R] [--quota-burst B] [--addr-file PATH]
@@ -99,7 +98,6 @@ const USAGE: &str = "usage:
   slade-cli compile   --src file.c --func name --isa x86|arm --opt O0|O3
   slade-cli decompile --model model.json --asm file.s [--context file.c] [--beam K]
   slade-cli eval      --model model.json [--items N] [--seed N] [--repair]
-                      [--threads N]
   slade-cli serve     --addr HOST:PORT [--model model.json] [--shards N]
                       [--queue-cap N] [--timeout-ms N] [--spill-dir DIR]
                       [--quota-rps R] [--quota-burst B] [--addr-file PATH]
@@ -501,7 +499,6 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     let (isa, opt, slade) = load_artifact(flags)?;
     let seed = numeric(flags, "seed", 99)?;
     let items = numeric(flags, "items", 24)? as usize;
-    let threads = numeric(flags, "threads", 1)?.max(1) as usize;
     // Fresh held-out items, deduplicated against nothing the model saw
     // (different seed stream from any training run by default).
     let data = DatasetProfile { train: 8, exebench_eval: items, synth_per_category: 1 };
@@ -514,7 +511,6 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
         slade: std::sync::Arc::new(slade),
         chatgpt: slade_baselines::ChatGptSim::new(&pairs),
         btc: None,
-        threads,
     };
     let tool = if flags.contains_key("repair") { Tool::SladeRepair } else { Tool::Slade };
     eprintln!(
