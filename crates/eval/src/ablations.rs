@@ -11,18 +11,23 @@
 //! same metrics as the main figures plus the held-out teacher-forced loss
 //! and token accuracy, which are more sensitive at reproduction scale.
 //!
-//! Every runner returns its report as a `String` so the `ablations` bench
-//! target, the `figures --ablations` binary and the tests share one
-//! implementation — the same convention as [`crate::figures`].
+//! The base model — x86 `-O0`, the setup's profile and seed — is trained,
+//! evaluated and held-out-scored once per [`AblationSetup`]. Every row
+//! whose [`TrainProfile`] equals the base's reads that run; the beam
+//! ablation re-decodes clones of the base model.
+//!
+//! Every runner returns its report as a `String` so the `figures ablations`
+//! binary and the tests share one implementation — the same convention as
+//! [`crate::figures`].
 
 use crate::metrics::edit_similarity;
-use crate::tools::{evaluate, summarize, Tool, ToolContext};
+use crate::tools::{evaluate, summarize, EvalRecord, Tool, ToolContext};
 use slade::{make_pairs, Slade, SladeBuilder, TrainProfile};
-use slade_baselines::ChatGptSim;
 use slade_compiler::{Isa, OptLevel};
 use slade_dataset::{generate_exebench_eval, generate_train, DatasetItem, DatasetProfile};
 use slade_tokenizer::{special, TokenizerOptions, WordTokenizer};
 use std::fmt::Write;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Shared inputs for the ablation suite: one train set, one held-out
@@ -36,6 +41,27 @@ pub struct AblationSetup {
     pub profile: TrainProfile,
     /// Seed for training and evaluation.
     pub seed: u64,
+    /// The base model and its run, made on first use from the fields
+    /// above.
+    base: OnceLock<Base>,
+}
+
+/// The x86 `-O0` model trained under the setup's own profile.
+struct Base {
+    slade: Arc<Slade>,
+    /// Evaluated with [`BASE_TOOLS`].
+    run: Run,
+}
+
+/// Every tool a report reads from the base run.
+const BASE_TOOLS: [Tool; 4] = [Tool::Slade, Tool::SladeRepair, Tool::Ghidra, Tool::Hybrid];
+
+/// One trained variant's held-out statistics, vocabulary and records.
+struct Run {
+    loss: f64,
+    tok_acc: f64,
+    vocab: usize,
+    records: Vec<EvalRecord>,
 }
 
 impl AblationSetup {
@@ -43,72 +69,107 @@ impl AblationSetup {
     pub fn build(data: DatasetProfile, profile: TrainProfile, seed: u64) -> Self {
         let train = generate_train(data, seed);
         let eval = generate_exebench_eval(data, seed, &train);
-        AblationSetup { train, eval, profile, seed }
+        AblationSetup { train, eval, profile, seed, base: OnceLock::new() }
     }
-}
 
-/// Held-out teacher-forced statistics of a trained model over the eval
-/// pairs: `(mean_loss, token_accuracy)`.
-fn heldout_stats(slade: &Slade, setup: &AblationSetup, isa: Isa, opt: OptLevel) -> (f64, f64) {
-    let pairs = make_pairs(&setup.eval, isa, opt);
-    let mut loss_sum = 0.0f64;
-    let mut acc_sum = 0.0f64;
-    let mut n = 0usize;
-    for (asm, c) in &pairs {
-        let src = slade.tokenizer.encode(asm);
-        let tgt = slade.tokenizer.encode(c);
-        let max_len = slade.model.cfg.max_len.saturating_sub(2);
-        if src.is_empty() || tgt.is_empty() || tgt.len() + 1 > max_len {
-            continue;
+    fn base(&self) -> &Base {
+        self.base.get_or_init(|| {
+            let slade = Arc::new(self.train_slade(OptLevel::O0, self.profile));
+            let run = self.run(&slade, &BASE_TOOLS);
+            Base { slade, run }
+        })
+    }
+
+    fn train_slade(&self, opt: OptLevel, profile: TrainProfile) -> Slade {
+        SladeBuilder::new(Isa::X86_64, opt).profile(profile).train(&self.train, self.seed)
+    }
+
+    /// Evaluates `slade` on the held-out items; no baseline is trained.
+    fn evaluate(&self, slade: &Arc<Slade>, tools: &[Tool]) -> Vec<EvalRecord> {
+        let ctx = ToolContext {
+            isa: slade.isa(),
+            opt: slade.opt(),
+            slade: Arc::clone(slade),
+            chatgpt: None,
+            btc: None,
+        };
+        evaluate(&ctx, &self.eval, tools)
+    }
+
+    fn run(&self, slade: &Arc<Slade>, tools: &[Tool]) -> Run {
+        let (loss, tok_acc) = self.heldout_stats(slade);
+        let vocab = slade.tokenizer.vocab_size();
+        Run { loss, tok_acc, vocab, records: self.evaluate(slade, tools) }
+    }
+
+    /// Held-out teacher-forced statistics of a trained model over the eval
+    /// pairs: `(mean_loss, token_accuracy)`.
+    fn heldout_stats(&self, slade: &Slade) -> (f64, f64) {
+        let pairs = make_pairs(&self.eval, slade.isa(), slade.opt());
+        let mut loss_sum = 0.0f64;
+        let mut acc_sum = 0.0f64;
+        let mut n = 0usize;
+        for (asm, c) in &pairs {
+            let src = slade.tokenizer.encode(asm);
+            let tgt = slade.tokenizer.encode(c);
+            let max_len = slade.model.cfg.max_len.saturating_sub(2);
+            if src.is_empty() || tgt.is_empty() || tgt.len() + 1 > max_len {
+                continue;
+            }
+            let mut dec_input = vec![special::BOS];
+            dec_input.extend_from_slice(&tgt);
+            let mut labels = tgt.clone();
+            labels.push(special::EOS);
+            loss_sum += f64::from(slade.model.eval_loss(&src, &dec_input, &labels));
+            acc_sum += slade.model.eval_token_accuracy(&src, &dec_input, &labels);
+            n += 1;
         }
-        let mut dec_input = vec![special::BOS];
-        dec_input.extend_from_slice(&tgt);
-        let mut labels = tgt.clone();
-        labels.push(special::EOS);
-        loss_sum += f64::from(slade.model.eval_loss(&src, &dec_input, &labels));
-        acc_sum += slade.model.eval_token_accuracy(&src, &dec_input, &labels);
-        n += 1;
-    }
-    if n == 0 {
-        return (f64::NAN, f64::NAN);
-    }
-    (loss_sum / n as f64, acc_sum / n as f64)
-}
-
-/// Builds a [`ToolContext`] around an externally trained SLaDe so the
-/// standard [`evaluate`] dispatch can run on ablated models.
-fn context_for(slade: Slade, setup: &AblationSetup, isa: Isa, opt: OptLevel) -> ToolContext {
-    let pairs = make_pairs(&setup.train, isa, opt);
-    ToolContext {
-        isa,
-        opt,
-        slade: std::sync::Arc::new(slade),
-        chatgpt: ChatGptSim::new(&pairs),
-        btc: None,
+        if n == 0 {
+            return (f64::NAN, f64::NAN);
+        }
+        (loss_sum / n as f64, acc_sum / n as f64)
     }
 }
 
-fn metric_row(
-    out: &mut String,
-    label: &str,
-    loss: f64,
-    tok_acc: f64,
-    io_acc: f64,
-    edit: f64,
-    extra: &str,
-) {
+/// One x86 `-O0` model per `(label, profile)` row, reported as held-out
+/// loss, token accuracy, IO accuracy and edit similarity, plus the actual
+/// vocabulary size when `vocab_column` names that column.
+fn sweep(
+    setup: &AblationSetup,
+    title: &str,
+    vocab_column: Option<&str>,
+    rows: &[(String, TrainProfile)],
+) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "== {title} (x86 O0) ==");
     let _ = writeln!(
         out,
-        "{label:<26} {loss:>10.3} {tok_acc:>10.3} {io_acc:>10.1} {edit:>10.1} {extra}"
+        "{:<26} {:>10} {:>10} {:>10} {:>10} {}",
+        "variant",
+        "val loss",
+        "tok acc",
+        "IO acc %",
+        "edit %",
+        vocab_column.unwrap_or("")
     );
-}
-
-fn metric_header(out: &mut String, extra: &str) {
-    let _ = writeln!(
-        out,
-        "{:<26} {:>10} {:>10} {:>10} {:>10} {extra}",
-        "variant", "val loss", "tok acc", "IO acc %", "edit %"
-    );
+    for (label, profile) in rows {
+        let trained;
+        let run = if *profile == setup.profile {
+            &setup.base().run
+        } else {
+            let slade = Arc::new(setup.train_slade(OptLevel::O0, *profile));
+            trained = setup.run(&slade, &[Tool::Slade]);
+            &trained
+        };
+        let (acc, sim) = summarize(&run.records, Tool::Slade);
+        let vocab = vocab_column.map(|_| run.vocab.to_string()).unwrap_or_default();
+        let _ = writeln!(
+            out,
+            "{label:<26} {:>10.3} {:>10.3} {acc:>10.1} {sim:>10.1} {vocab}",
+            run.loss, run.tok_acc
+        );
+    }
+    out
 }
 
 /// Dropout ablation (paper §V-C: "we do not use dropout ... weight decay
@@ -116,21 +177,9 @@ fn metric_header(out: &mut String, extra: &str) {
 /// several dropout probabilities; the paper's claim reproduces when the
 /// p = 0 row has the lowest held-out loss.
 pub fn ablation_dropout(setup: &AblationSetup) -> String {
-    let (isa, opt) = (Isa::X86_64, OptLevel::O0);
-    let mut out = String::new();
-    let _ = writeln!(out, "== Ablation: dropout vs weight-decay-only (x86 O0) ==");
-    metric_header(&mut out, "");
-    for p in [0.0f32, 0.1, 0.3] {
-        let mut profile = setup.profile;
-        profile.dropout = p;
-        let slade =
-            SladeBuilder::new(isa, opt).profile(profile).train(&setup.train, setup.seed);
-        let (loss, tok) = heldout_stats(&slade, setup, isa, opt);
-        let ctx = context_for(slade, setup, isa, opt);
-        let records = evaluate(&ctx, &setup.eval, &[Tool::Slade]);
-        let (acc, sim) = summarize(&records, Tool::Slade);
-        metric_row(&mut out, &format!("dropout={p}"), loss, tok, acc, sim, "");
-    }
+    let rows = [0.0f32, 0.1, 0.3]
+        .map(|p| (format!("dropout={p}"), TrainProfile { dropout: p, ..setup.profile }));
+    let mut out = sweep(setup, "Ablation: dropout vs weight-decay-only", None, &rows);
     let _ = writeln!(
         out,
         "paper claim: the dropout-free row should win on held-out loss/accuracy."
@@ -142,28 +191,15 @@ pub fn ablation_dropout(setup: &AblationSetup) -> String {
 /// digit-by-digit splitting disabled and punctuation splitting disabled,
 /// plus the word-level (BTC-style) tokenizer's OOV rate for reference.
 pub fn ablation_tokenizer(setup: &AblationSetup) -> String {
-    let (isa, opt) = (Isa::X86_64, OptLevel::O0);
-    let mut out = String::new();
-    let _ = writeln!(out, "== Ablation: tokenizer rules (x86 O0) ==");
-    metric_header(&mut out, "vocab");
-    let variants: [(&str, TokenizerOptions); 3] = [
+    let rows = [
         ("paper (digit+punct split)", TokenizerOptions::default()),
         ("no digit split", TokenizerOptions { digit_split: false, punct_split: true }),
         ("no punct split", TokenizerOptions { digit_split: true, punct_split: false }),
-    ];
-    for (label, options) in variants {
-        let mut profile = setup.profile;
-        profile.tokenizer = options;
-        let slade =
-            SladeBuilder::new(isa, opt).profile(profile).train(&setup.train, setup.seed);
-        let (loss, tok) = heldout_stats(&slade, setup, isa, opt);
-        let vocab = slade.tokenizer.vocab_size();
-        let ctx = context_for(slade, setup, isa, opt);
-        let records = evaluate(&ctx, &setup.eval, &[Tool::Slade]);
-        let (acc, sim) = summarize(&records, Tool::Slade);
-        metric_row(&mut out, label, loss, tok, acc, sim, &format!("{vocab}"));
-    }
+    ]
+    .map(|(label, tokenizer)| (label.to_string(), TrainProfile { tokenizer, ..setup.profile }));
+    let mut out = sweep(setup, "Ablation: tokenizer rules", Some("vocab"), &rows);
     // Word-level reference: the failure mode subword tokenization removes.
+    let (isa, opt) = (Isa::X86_64, OptLevel::O0);
     let pairs = make_pairs(&setup.train, isa, opt);
     let mut corpus = Vec::new();
     for (a, c) in &pairs {
@@ -198,31 +234,13 @@ pub fn ablation_tokenizer(setup: &AblationSetup) -> String {
 /// NLP-typical >30k). At reproduction scale the sweep brackets the profile
 /// default from both sides.
 pub fn ablation_vocab(setup: &AblationSetup) -> String {
-    let (isa, opt) = (Isa::X86_64, OptLevel::O0);
-    let mut out = String::new();
-    let _ = writeln!(out, "== Ablation: tokenizer vocabulary size (x86 O0) ==");
-    metric_header(&mut out, "actual vocab");
     let base = setup.profile.vocab;
-    for target in [base / 4, base, base * 4] {
-        let mut profile = setup.profile;
-        profile.vocab = target.max(64);
-        let slade =
-            SladeBuilder::new(isa, opt).profile(profile).train(&setup.train, setup.seed);
-        let (loss, tok) = heldout_stats(&slade, setup, isa, opt);
-        let vocab = slade.tokenizer.vocab_size();
-        let ctx = context_for(slade, setup, isa, opt);
-        let records = evaluate(&ctx, &setup.eval, &[Tool::Slade]);
-        let (acc, sim) = summarize(&records, Tool::Slade);
-        metric_row(
-            &mut out,
-            &format!("target={}", profile.vocab),
-            loss,
-            tok,
-            acc,
-            sim,
-            &format!("{vocab}"),
-        );
-    }
+    let rows = [base / 4, base, base * 4].map(|target| {
+        let vocab = target.max(64);
+        (format!("target={vocab}"), TrainProfile { vocab, ..setup.profile })
+    });
+    let mut out =
+        sweep(setup, "Ablation: tokenizer vocabulary size", Some("actual vocab"), &rows);
     let _ = writeln!(
         out,
         "paper shape: a small code vocabulary suffices; growing it inflates \
@@ -232,10 +250,9 @@ pub fn ablation_vocab(setup: &AblationSetup) -> String {
 }
 
 /// Beam-width ablation (§VI-A: k = 5, first IO-passing candidate wins).
-/// One model is trained, then re-decoded at several widths; wall-clock
-/// decode time is reported per item.
+/// The base model is re-decoded at several widths; wall-clock decode time
+/// is reported per item.
 pub fn ablation_beam(setup: &AblationSetup) -> String {
-    let (isa, opt) = (Isa::X86_64, OptLevel::O0);
     let mut out = String::new();
     let _ = writeln!(out, "== Ablation: beam width (x86 O0) ==");
     let _ = writeln!(
@@ -243,14 +260,13 @@ pub fn ablation_beam(setup: &AblationSetup) -> String {
         "{:<10} {:>10} {:>10} {:>14}",
         "beam k", "IO acc %", "edit %", "ms per item"
     );
-    let slade =
-        SladeBuilder::new(isa, opt).profile(setup.profile).train(&setup.train, setup.seed);
+    let base = setup.base();
     for k in [1usize, 2, 5, 8] {
-        let mut variant = slade.clone();
+        let mut variant = (*base.slade).clone();
         variant.set_beam(k);
-        let ctx = context_for(variant, setup, isa, opt);
+        let variant = Arc::new(variant);
         let start = Instant::now();
-        let records = evaluate(&ctx, &setup.eval, &[Tool::Slade]);
+        let records = setup.evaluate(&variant, &[Tool::Slade]);
         let elapsed = start.elapsed().as_secs_f64();
         let per_item =
             if records.is_empty() { f64::NAN } else { 1e3 * elapsed / records.len() as f64 };
@@ -271,21 +287,13 @@ pub fn ablation_beam(setup: &AblationSetup) -> String {
 /// over the raw corpus before seq2seq fine-tuning, at equal fine-tuning
 /// budget.
 pub fn ablation_pretrain(setup: &AblationSetup) -> String {
-    let (isa, opt) = (Isa::X86_64, OptLevel::O0);
-    let mut out = String::new();
-    let _ = writeln!(out, "== Extension: denoising pre-training (x86 O0) ==");
-    metric_header(&mut out, "");
-    for pre in [0usize, 2] {
-        let mut profile = setup.profile;
-        profile.pretrain_epochs = pre;
-        let slade =
-            SladeBuilder::new(isa, opt).profile(profile).train(&setup.train, setup.seed);
-        let (loss, tok) = heldout_stats(&slade, setup, isa, opt);
-        let ctx = context_for(slade, setup, isa, opt);
-        let records = evaluate(&ctx, &setup.eval, &[Tool::Slade]);
-        let (acc, sim) = summarize(&records, Tool::Slade);
-        metric_row(&mut out, &format!("pretrain epochs={pre}"), loss, tok, acc, sim, "");
-    }
+    let rows = [0usize, 2].map(|pre| {
+        (
+            format!("pretrain epochs={pre}"),
+            TrainProfile { pretrain_epochs: pre, ..setup.profile },
+        )
+    });
+    let mut out = sweep(setup, "Extension: denoising pre-training", None, &rows);
     let _ = writeln!(
         out,
         "expected: denoising exposure to the corpus lowers held-out loss at \
@@ -298,13 +306,9 @@ pub fn ablation_pretrain(setup: &AblationSetup) -> String {
 /// against one where non-compiling beam candidates are mechanically
 /// repaired before IO selection.
 pub fn ablation_repair(setup: &AblationSetup) -> String {
-    let (isa, opt) = (Isa::X86_64, OptLevel::O0);
+    let records = &setup.base().run.records;
     let mut out = String::new();
     let _ = writeln!(out, "== Extension: program repair on beam candidates (x86 O0) ==");
-    let slade =
-        SladeBuilder::new(isa, opt).profile(setup.profile).train(&setup.train, setup.seed);
-    let ctx = context_for(slade, setup, isa, opt);
-    let records = evaluate(&ctx, &setup.eval, &[Tool::Slade, Tool::SladeRepair]);
     let _ = writeln!(
         out,
         "{:<16} {:>12} {:>12} {:>12}",
@@ -317,7 +321,7 @@ pub fn ablation_repair(setup: &AblationSetup) -> String {
         } else {
             100.0 * recs.iter().filter(|r| r.compiles).count() as f64 / recs.len() as f64
         };
-        let (acc, sim) = summarize(&records, tool);
+        let (acc, sim) = summarize(records, tool);
         let _ = writeln!(out, "{:<16} {compiles:>12.1} {acc:>12.1} {sim:>12.1}", tool.label());
     }
     let _ = writeln!(
@@ -336,17 +340,13 @@ pub fn ablation_repair(setup: &AblationSetup) -> String {
 pub fn ablation_hybrid(setup: &AblationSetup) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== Extension: analytic-first hybrid (x86 O0 and O3) ==");
-    for opt in [OptLevel::O0, OptLevel::O3] {
-        let isa = Isa::X86_64;
-        let slade =
-            SladeBuilder::new(isa, opt).profile(setup.profile).train(&setup.train, setup.seed);
-        let ctx = context_for(slade, setup, isa, opt);
-        let tools = [Tool::Ghidra, Tool::Slade, Tool::Hybrid];
-        let records = evaluate(&ctx, &setup.eval, &tools);
+    let tools = [Tool::Ghidra, Tool::Slade, Tool::Hybrid];
+    let o3 = setup.evaluate(&Arc::new(setup.train_slade(OptLevel::O3, setup.profile)), &tools);
+    for (opt, records) in [(OptLevel::O0, &setup.base().run.records), (OptLevel::O3, &o3)] {
         let _ = writeln!(out, "-- x86 {opt} --");
         let _ = writeln!(out, "{:<16} {:>12} {:>12}", "tool", "IO acc %", "edit %");
         for tool in tools {
-            let (acc, sim) = summarize(&records, tool);
+            let (acc, sim) = summarize(records, tool);
             let _ = writeln!(out, "{:<16} {acc:>12.1} {sim:>12.1}", tool.label());
         }
     }
@@ -420,11 +420,7 @@ mod tests {
     #[test]
     fn repair_ablation_is_monotone_in_compile_rate() {
         let setup = tiny_setup();
-        let (isa, opt) = (Isa::X86_64, OptLevel::O0);
-        let slade =
-            SladeBuilder::new(isa, opt).profile(setup.profile).train(&setup.train, setup.seed);
-        let ctx = context_for(slade, &setup, isa, opt);
-        let records = evaluate(&ctx, &setup.eval, &[Tool::Slade, Tool::SladeRepair]);
+        let records = &setup.base().run.records;
         let rate = |tool: Tool| {
             let recs: Vec<_> = records.iter().filter(|r| r.tool == tool).collect();
             recs.iter().filter(|r| r.compiles).count() as f64 / recs.len().max(1) as f64
@@ -438,15 +434,10 @@ mod tests {
     #[test]
     fn hybrid_is_at_least_as_accurate_as_parts() {
         let setup = tiny_setup();
-        let (isa, opt) = (Isa::X86_64, OptLevel::O0);
-        let slade =
-            SladeBuilder::new(isa, opt).profile(setup.profile).train(&setup.train, setup.seed);
-        let ctx = context_for(slade, &setup, isa, opt);
-        let tools = [Tool::Ghidra, Tool::Slade, Tool::Hybrid];
-        let records = evaluate(&ctx, &setup.eval, &tools);
-        let (ghidra, _) = summarize(&records, Tool::Ghidra);
-        let (slade_acc, _) = summarize(&records, Tool::Slade);
-        let (hybrid, _) = summarize(&records, Tool::Hybrid);
+        let records = &setup.base().run.records;
+        let (ghidra, _) = summarize(records, Tool::Ghidra);
+        let (slade_acc, _) = summarize(records, Tool::Slade);
+        let (hybrid, _) = summarize(records, Tool::Hybrid);
         assert!(
             hybrid + 1e-9 >= ghidra.max(slade_acc),
             "hybrid {hybrid} < max({ghidra}, {slade_acc})"
@@ -456,10 +447,7 @@ mod tests {
     #[test]
     fn heldout_stats_are_finite_for_trained_model() {
         let setup = tiny_setup();
-        let (isa, opt) = (Isa::X86_64, OptLevel::O0);
-        let slade =
-            SladeBuilder::new(isa, opt).profile(setup.profile).train(&setup.train, setup.seed);
-        let (loss, tok) = heldout_stats(&slade, &setup, isa, opt);
+        let Run { loss, tok_acc: tok, .. } = setup.base().run;
         assert!(loss.is_finite() && loss > 0.0, "loss {loss}");
         assert!((0.0..=1.0).contains(&tok), "token accuracy {tok}");
     }

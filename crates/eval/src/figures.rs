@@ -1,10 +1,13 @@
 //! Regenerators for every table and figure in the paper's evaluation.
 //!
-//! Each `figN_*` function returns the printed report as a `String` (also
-//! suitable for EXPERIMENTS.md) so the bench harness, the `figures` binary
-//! and the tests share one implementation. Paper values are embedded for
-//! side-by-side comparison; at reproduction scale the *shape* (orderings,
-//! collapse points) is the claim, not the absolute numbers.
+//! [`Reproduction::build`] trains the four ISA × opt configurations and
+//! evaluates each of the eight suite × configuration cells once, with every
+//! tool a figure reads. Each `figN` function renders its report from those
+//! records; Fig. 9 alone compiles the suite again, since its population is
+//! the items that compile. The `figures` binary and the tests share these
+//! renderers. Paper values are embedded for side-by-side comparison; at
+//! reproduction scale the *shape* (orderings, collapse points) is the
+//! claim, not the absolute numbers.
 
 use crate::metrics::pearson;
 use crate::tools::{evaluate, summarize, EvalRecord, Tool, ToolContext};
@@ -16,15 +19,36 @@ use slade_dataset::{
 };
 use std::fmt::Write;
 
-/// Everything needed to reproduce the evaluation: trained tool contexts for
-/// all four ISA × opt configurations plus the eval sets.
+/// A held-out suite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Suite {
+    /// ExeBench-like functions (Figs. 4, 5, 8, 10, Table I).
+    ExeBench,
+    /// The Synth categories (Figs. 6, 7, 10, 11).
+    Synth,
+}
+
+/// One suite evaluated under one ISA × opt configuration.
+pub struct Cell {
+    /// The suite.
+    pub suite: Suite,
+    /// Target ISA.
+    pub isa: Isa,
+    /// Optimization level.
+    pub opt: OptLevel,
+    /// The tools evaluated: [`TOOLS`], BTC only where it was trained.
+    pub tools: Vec<Tool>,
+    /// One record per tool per evaluable item.
+    pub records: Vec<EvalRecord>,
+}
+
+/// The evaluation's record table: every cell evaluated once.
 pub struct Reproduction {
-    /// Tool contexts in the order (x86 O0, x86 O3, ARM O0, ARM O3).
-    pub contexts: Vec<ToolContext>,
-    /// Held-out ExeBench-like items.
+    /// The eight cells, each configuration's ExeBench then Synth cell, in
+    /// [`CONFIGS`] order.
+    pub cells: Vec<Cell>,
+    /// Held-out ExeBench-like items (Fig. 9 compiles them).
     pub exebench: Vec<DatasetItem>,
-    /// Synth suite items.
-    pub synth: Vec<DatasetItem>,
 }
 
 /// The four evaluated configurations, in paper order.
@@ -35,59 +59,54 @@ pub const CONFIGS: [(Isa, OptLevel); 4] = [
     (Isa::Arm64, OptLevel::O3),
 ];
 
+/// Every tool some figure reads. BTC is trained for x86 `-O0` only.
+pub const TOOLS: [Tool; 5] =
+    [Tool::Btc, Tool::ChatGpt, Tool::Ghidra, Tool::Slade, Tool::SladeNoTypes];
+
 impl Reproduction {
-    /// Generates datasets and trains the four configurations. This is the
-    /// expensive step (minutes at the default profile on one core); reuse
-    /// the value across figures.
+    /// Generates datasets, trains each configuration and evaluates its two
+    /// cells. This is the expensive step (minutes at the default profile);
+    /// every figure renders from the one value.
     pub fn build(data: DatasetProfile, train_profile: TrainProfile, seed: u64) -> Self {
         let train = generate_train(data, seed);
         let exebench = generate_exebench_eval(data, seed, &train);
         let synth = generate_synth(data, seed, &train);
-        let contexts = CONFIGS
-            .iter()
-            .map(|&(isa, opt)| ToolContext::train(&train, isa, opt, train_profile, seed))
-            .collect();
-        Reproduction { contexts, exebench, synth }
+        let mut cells = Vec::new();
+        for &(isa, opt) in &CONFIGS {
+            let ctx = ToolContext::train(&train, isa, opt, train_profile, seed);
+            let tools: Vec<Tool> =
+                TOOLS.into_iter().filter(|&t| t != Tool::Btc || ctx.btc.is_some()).collect();
+            for (suite, items) in [(Suite::ExeBench, &exebench), (Suite::Synth, &synth)] {
+                let records = evaluate(&ctx, items, &tools);
+                cells.push(Cell { suite, isa, opt, tools: tools.clone(), records });
+            }
+        }
+        Reproduction { cells, exebench }
     }
 
-    /// The context for a configuration.
-    pub fn context(&self, isa: Isa, opt: OptLevel) -> &ToolContext {
-        self.contexts
+    /// The cell for a suite under a configuration.
+    pub fn cell(&self, suite: Suite, isa: Isa, opt: OptLevel) -> &Cell {
+        self.cells
             .iter()
-            .find(|c| c.isa == isa && c.opt == opt)
-            .expect("all four configs built")
+            .find(|c| c.suite == suite && c.isa == isa && c.opt == opt)
+            .expect("all eight cells built")
     }
 }
 
-fn tools_for(isa: Isa, opt: OptLevel, include_ablation: bool) -> Vec<Tool> {
-    let mut tools = Vec::new();
-    if isa == Isa::X86_64 && opt == OptLevel::O0 {
-        tools.push(Tool::Btc);
-    }
-    tools.push(Tool::ChatGpt);
-    tools.push(Tool::Ghidra);
-    tools.push(Tool::Slade);
-    if include_ablation {
-        tools.push(Tool::SladeNoTypes);
-    }
-    tools
-}
-
-fn bars(
-    out: &mut String,
-    title: &str,
-    records: &[EvalRecord],
-    tools: &[Tool],
-    paper: &[(&str, f64, f64)],
-) {
+/// IO accuracy and edit similarity of the compared tools the cell
+/// evaluated, against the paper's values.
+fn bars(out: &mut String, title: &str, cell: &Cell, paper: &[(&str, f64, f64)]) {
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(
         out,
         "{:<18} {:>12} {:>12} {:>14} {:>14}",
         "tool", "IO acc %", "edit sim %", "paper IO %", "paper sim %"
     );
-    for &tool in tools {
-        let (acc, sim) = summarize(records, tool);
+    for tool in [Tool::Btc, Tool::ChatGpt, Tool::Ghidra, Tool::Slade] {
+        if !cell.tools.contains(&tool) {
+            continue;
+        }
+        let (acc, sim) = summarize(&cell.records, tool);
         let (pacc, psim) = paper
             .iter()
             .find(|(name, ..)| *name == tool.label())
@@ -117,10 +136,8 @@ pub fn fig4(repro: &Reproduction) -> String {
     let paper_o3: &[(&str, f64, f64)] =
         &[("ChatGPT", 13.6, 34.0), ("Ghidra", 17.6, 32.0), ("SLaDe", 52.2, 60.0)];
     for (opt, paper) in [(OptLevel::O0, paper_o0), (OptLevel::O3, paper_o3)] {
-        let ctx = repro.context(Isa::X86_64, opt);
-        let tools = tools_for(Isa::X86_64, opt, false);
-        let records = evaluate(ctx, &repro.exebench, &tools);
-        bars(&mut out, &format!("Fig 4: ExeBench x86 {opt}"), &records, &tools, paper);
+        let cell = repro.cell(Suite::ExeBench, Isa::X86_64, opt);
+        bars(&mut out, &format!("Fig 4: ExeBench x86 {opt}"), cell, paper);
     }
     out
 }
@@ -133,10 +150,8 @@ pub fn fig5(repro: &Reproduction) -> String {
     let paper_o3: &[(&str, f64, f64)] =
         &[("ChatGPT", 15.7, 31.0), ("Ghidra", 7.3, 27.0), ("SLaDe", 46.2, 55.0)];
     for (opt, paper) in [(OptLevel::O0, paper_o0), (OptLevel::O3, paper_o3)] {
-        let ctx = repro.context(Isa::Arm64, opt);
-        let tools = tools_for(Isa::Arm64, opt, false);
-        let records = evaluate(ctx, &repro.exebench, &tools);
-        bars(&mut out, &format!("Fig 5: ExeBench ARM {opt}"), &records, &tools, paper);
+        let cell = repro.cell(Suite::ExeBench, Isa::Arm64, opt);
+        bars(&mut out, &format!("Fig 5: ExeBench ARM {opt}"), cell, paper);
     }
     out
 }
@@ -153,10 +168,8 @@ pub fn fig6(repro: &Reproduction) -> String {
     let paper_arm: &[(&str, f64, f64)] =
         &[("ChatGPT", 39.3, 63.0), ("Ghidra", 91.1, 32.0), ("SLaDe", 77.7, 69.0)];
     for (isa, paper) in [(Isa::X86_64, paper_x86), (Isa::Arm64, paper_arm)] {
-        let ctx = repro.context(isa, OptLevel::O0);
-        let tools = tools_for(isa, OptLevel::O0, false);
-        let records = evaluate(ctx, &repro.synth, &tools);
-        bars(&mut out, &format!("Fig 6: Synth O0 {isa}"), &records, &tools, paper);
+        let cell = repro.cell(Suite::Synth, isa, OptLevel::O0);
+        bars(&mut out, &format!("Fig 6: Synth O0 {isa}"), cell, paper);
     }
     out
 }
@@ -169,25 +182,21 @@ pub fn fig7(repro: &Reproduction) -> String {
     let paper_arm: &[(&str, f64, f64)] =
         &[("ChatGPT", 12.5, 30.0), ("Ghidra", 24.1, 16.0), ("SLaDe", 53.6, 59.0)];
     for (isa, paper) in [(Isa::X86_64, paper_x86), (Isa::Arm64, paper_arm)] {
-        let ctx = repro.context(isa, OptLevel::O3);
-        let tools = tools_for(isa, OptLevel::O3, false);
-        let records = evaluate(ctx, &repro.synth, &tools);
-        bars(&mut out, &format!("Fig 7: Synth O3 {isa}"), &records, &tools, paper);
+        let cell = repro.cell(Suite::Synth, isa, OptLevel::O3);
+        bars(&mut out, &format!("Fig 7: Synth O3 {isa}"), cell, paper);
     }
     out
 }
 
 /// Figure 8: IO accuracy vs assembly length (ExeBench x86 -O0), bucketed.
 pub fn fig8(repro: &Reproduction) -> String {
-    let ctx = repro.context(Isa::X86_64, OptLevel::O0);
-    let tools = [Tool::ChatGpt, Tool::Ghidra, Tool::Slade];
-    let records = evaluate(ctx, &repro.exebench, &tools);
+    let records = &repro.cell(Suite::ExeBench, Isa::X86_64, OptLevel::O0).records;
     let mut out = String::new();
     let _ = writeln!(out, "== Fig 8: IO accuracy vs assembly length (x86 O0) ==");
     let max_len = records.iter().map(|r| r.asm_chars).max().unwrap_or(1);
     let buckets = 4usize;
     let _ = writeln!(out, "{:<18} accuracy per length quartile (short → long)", "tool");
-    for tool in tools {
+    for tool in [Tool::ChatGpt, Tool::Ghidra, Tool::Slade] {
         let mut row = format!("{:<18}", tool.label());
         for b in 0..buckets {
             let lo = max_len * b / buckets;
@@ -213,8 +222,7 @@ pub fn fig8(repro: &Reproduction) -> String {
 
 /// Figure 9: distribution of assembly lengths (character counts).
 pub fn fig9(repro: &Reproduction) -> String {
-    let ctx = repro.context(Isa::X86_64, OptLevel::O0);
-    let opts = slade_compiler::CompileOpts::new(ctx.isa, ctx.opt);
+    let opts = slade_compiler::CompileOpts::new(Isa::X86_64, OptLevel::O0);
     let mut lens: Vec<usize> = repro
         .exebench
         .iter()
@@ -248,12 +256,11 @@ pub fn fig10(repro: &Reproduction) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== Fig 10: SLaDe with vs without type inference ==");
     let _ = writeln!(out, "{:<22} {:>12} {:>16}", "configuration", "SLaDe %", "w/out types %");
-    for (suite_name, items) in [("Synth", &repro.synth), ("Exe", &repro.exebench)] {
+    for (suite_name, suite) in [("Synth", Suite::Synth), ("Exe", Suite::ExeBench)] {
         for &(isa, opt) in &CONFIGS {
-            let ctx = repro.context(isa, opt);
-            let records = evaluate(ctx, items, &[Tool::Slade, Tool::SladeNoTypes]);
-            let (with, _) = summarize(&records, Tool::Slade);
-            let (without, _) = summarize(&records, Tool::SladeNoTypes);
+            let records = &repro.cell(suite, isa, opt).records;
+            let (with, _) = summarize(records, Tool::Slade);
+            let (without, _) = summarize(records, Tool::SladeNoTypes);
             let _ = writeln!(
                 out,
                 "{:<22} {:>12.1} {:>16.1}",
@@ -271,9 +278,8 @@ pub fn fig10(repro: &Reproduction) -> String {
 pub fn fig11(repro: &Reproduction) -> String {
     let mut out = String::new();
     for isa in [Isa::X86_64, Isa::Arm64] {
-        let ctx = repro.context(isa, OptLevel::O3);
+        let records = &repro.cell(Suite::Synth, isa, OptLevel::O3).records;
         let tools = [Tool::ChatGpt, Tool::Ghidra, Tool::Slade];
-        let records = evaluate(ctx, &repro.synth, &tools);
         let _ = writeln!(out, "== Fig 11: Synth O3 {isa} per-category IO accuracy ==");
         let _ = write!(out, "{:<14}", "category");
         for t in tools {
@@ -305,16 +311,14 @@ pub fn table1(repro: &Reproduction) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== Table I: Pearson correlation of features vs IO accuracy ==");
     for &(isa, opt) in &CONFIGS {
-        let ctx = repro.context(isa, opt);
-        let tools = [Tool::ChatGpt, Tool::Ghidra, Tool::Slade];
-        let records = evaluate(ctx, &repro.exebench, &tools);
+        let records = &repro.cell(Suite::ExeBench, isa, opt).records;
         let _ = writeln!(out, "-- {isa} {opt} --");
         let _ = writeln!(
             out,
             "{:<16} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
             "tool", "compiles", "edit sim", "asm len", "C len", "#args", "#ptrs"
         );
-        for tool in tools {
+        for tool in [Tool::ChatGpt, Tool::Ghidra, Tool::Slade] {
             let recs: Vec<&EvalRecord> = records.iter().filter(|r| r.tool == tool).collect();
             let correct: Vec<f64> = recs.iter().map(|r| r.correct as u8 as f64).collect();
             let series = [
@@ -357,4 +361,78 @@ pub fn run_all(repro: &Reproduction) -> String {
         out.push_str(&text);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slade_dataset::Category;
+
+    fn record(tool: Tool, asm_chars: usize, correct: bool) -> EvalRecord {
+        EvalRecord {
+            tool,
+            item: String::new(),
+            category: Category::SimplInt,
+            compiles: correct,
+            correct,
+            edit_sim: Some(if correct { 1.0 } else { 0.5 }),
+            asm_chars,
+            c_chars: 10,
+            num_args: 1,
+            num_pointers: 0,
+        }
+    }
+
+    fn cell(suite: Suite, isa: Isa, opt: OptLevel, records: Vec<EvalRecord>) -> Cell {
+        let mut tools: Vec<Tool> = Vec::new();
+        for r in &records {
+            if !tools.contains(&r.tool) {
+                tools.push(r.tool);
+            }
+        }
+        Cell { suite, isa, opt, tools, records }
+    }
+
+    #[test]
+    fn fig8_buckets_accuracy_by_assembly_length() {
+        // Quartiles of the longest assembly (100 chars): (0, 25], (25, 50],
+        // (50, 75], (75, 100].
+        let slade = [(10, true), (40, false), (60, true), (90, false), (100, true)];
+        let records = slade.map(|(len, ok)| record(Tool::Slade, len, ok)).to_vec();
+        let repro = Reproduction {
+            cells: vec![cell(Suite::ExeBench, Isa::X86_64, OptLevel::O0, records)],
+            exebench: Vec::new(),
+        };
+        let report = fig8(&repro);
+        let cols = |tool: Tool| -> Vec<String> {
+            let row = report.lines().find(|l| l.starts_with(tool.label())).expect("row");
+            row.split_whitespace().skip(1).map(String::from).collect()
+        };
+        assert_eq!(cols(Tool::Slade), ["100.0", "0.0", "100.0", "50.0"], "{report}");
+        assert_eq!(cols(Tool::ChatGpt), ["-", "-", "-", "-"], "{report}");
+    }
+
+    #[test]
+    fn bars_show_the_tools_each_cell_evaluated() {
+        let o0 = [Tool::Btc, Tool::Slade, Tool::SladeNoTypes]
+            .map(|tool| record(tool, 50, tool == Tool::Slade))
+            .to_vec();
+        let o3 = vec![record(Tool::Slade, 50, false), record(Tool::Slade, 60, true)];
+        let repro = Reproduction {
+            cells: vec![
+                cell(Suite::ExeBench, Isa::X86_64, OptLevel::O0, o0),
+                cell(Suite::ExeBench, Isa::X86_64, OptLevel::O3, o3),
+            ],
+            exebench: Vec::new(),
+        };
+        let report = fig4(&repro);
+        let (o0, o3) = report.split_once("== Fig 4: ExeBench x86 O3 ==").expect("two panels");
+        assert!(o0.lines().any(|l| l.starts_with("BTC ")), "{report}");
+        assert!(!o3.contains("BTC"), "{report}");
+        // SLaDe w/out types is evaluated, but Fig. 4 does not show it.
+        assert!(!report.contains("w/out"), "{report}");
+        let slade = o3.lines().find(|l| l.starts_with("SLaDe ")).expect("SLaDe row");
+        let cols: Vec<&str> = slade.split_whitespace().collect();
+        assert_eq!(cols[1..3], ["50.0", "75.0"], "{report}");
+    }
 }

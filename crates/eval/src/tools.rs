@@ -76,7 +76,7 @@ pub struct EvalRecord {
     pub num_pointers: usize,
 }
 
-/// The trained models plus retrieval corpus for one ISA × opt configuration.
+/// The trained models for one ISA × opt configuration.
 pub struct ToolContext {
     /// Target ISA.
     pub isa: Isa,
@@ -85,8 +85,9 @@ pub struct ToolContext {
     /// Trained SLaDe (shared so the serving runtime's shard workers can
     /// hold it without cloning the weights).
     pub slade: Arc<Slade>,
-    /// ChatGPT simulator (retrieval corpus = training set).
-    pub chatgpt: ChatGptSim,
+    /// ChatGPT simulator (retrieval corpus = training set); `None` where
+    /// no evaluation runs [`Tool::ChatGpt`].
+    pub chatgpt: Option<ChatGptSim>,
     /// BTC baseline (only populated for x86 -O0, like the original tool).
     pub btc: Option<BtcBaseline>,
 }
@@ -102,7 +103,7 @@ impl ToolContext {
     ) -> Self {
         let slade = SladeBuilder::new(isa, opt).profile(profile).train(items, seed);
         let pairs = make_pairs(items, isa, opt);
-        let chatgpt = ChatGptSim::new(&pairs);
+        let chatgpt = Some(ChatGptSim::new(&pairs));
         let btc = (isa == Isa::X86_64 && opt == OptLevel::O0)
             .then(|| train_btc(&pairs, profile, seed ^ 0xb7c));
         ToolContext { isa, opt, slade: Arc::new(slade), chatgpt, btc }
@@ -318,7 +319,8 @@ pub fn evaluate(ctx: &ToolContext, items: &[DatasetItem], tools: &[Tool]) -> Vec
                     }
                 }
                 Tool::ChatGpt => {
-                    let hyp = ctx.chatgpt.decompile(asm, &item.name, idx as u64);
+                    let Some(chatgpt) = &ctx.chatgpt else { continue };
+                    let hyp = chatgpt.decompile(asm, &item.name, idx as u64);
                     let v = judge(item, reference, &hyp, "");
                     rec.compiles = v.compiles;
                     rec.correct = v.correct;

@@ -504,14 +504,8 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     let data = DatasetProfile { train: 8, exebench_eval: items, synth_per_category: 1 };
     let train_stub = generate_train(data, seed);
     let eval_items = generate_exebench_eval(data, seed, &train_stub);
-    let pairs = slade::make_pairs(&eval_items, isa, opt);
-    let ctx = ToolContext {
-        isa,
-        opt,
-        slade: std::sync::Arc::new(slade),
-        chatgpt: slade_baselines::ChatGptSim::new(&pairs),
-        btc: None,
-    };
+    let ctx =
+        ToolContext { isa, opt, slade: std::sync::Arc::new(slade), chatgpt: None, btc: None };
     let tool = if flags.contains_key("repair") { Tool::SladeRepair } else { Tool::Slade };
     eprintln!(
         "evaluating {} on {} held-out items ({isa} {opt}) ...",
