@@ -94,6 +94,14 @@ impl TrainProfile {
         }
     }
 
+    /// [`TrainProfile::tiny`]'s model with the paper's 1024-token source
+    /// cap and three epochs (seconds per configuration). `tiny` caps
+    /// sources at 96 tokens, under every generated `-O0` function, so it
+    /// trains on nothing; this is the smallest profile that learns.
+    pub fn demo() -> Self {
+        TrainProfile { max_src_len: 1024, epochs: 3, ..TrainProfile::tiny() }
+    }
+
     /// Default reproduction scale (tens of minutes per ISA×opt
     /// configuration on one core). The 1024-token source cap is the
     /// paper's own sequence limit (§III); `corpus_stats` shows the

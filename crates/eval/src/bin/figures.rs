@@ -2,8 +2,11 @@
 //! with `ablations` — the ablation/extension suite.
 //!
 //! Usage:
-//! `cargo run -p slade-eval --bin figures --release [-- tiny|default]
+//! `cargo run -p slade_eval --bin figures --release [-- tiny|default]
 //! [ablations]`
+//!
+//! `tiny` trains [`TrainProfile::demo`] on [`DatasetProfile::tiny`]; the
+//! default is the reproduction profile.
 //!
 //! Every neural decode pass runs through the `slade_serve` worker pool,
 //! one shard per available core (see `slade_eval::evaluate`).
@@ -18,7 +21,7 @@ fn main() {
     let profile_arg = if args.iter().any(|a| a == "tiny") { "tiny" } else { "default" };
     let want_ablations = args.iter().any(|a| a == "ablations");
     let (data, train) = match profile_arg {
-        "tiny" => (DatasetProfile::tiny(), TrainProfile::tiny()),
+        "tiny" => (DatasetProfile::tiny(), TrainProfile::demo()),
         _ => (DatasetProfile::default_profile(), TrainProfile::default_profile()),
     };
     let start = std::time::Instant::now();
@@ -28,10 +31,11 @@ fn main() {
         println!("{}", run_all_ablations(&setup));
     } else {
         eprintln!(
-            "building reproduction (profile: {profile_arg}) — training 4 configurations..."
+            "building reproduction (profile: {profile_arg}) — training 4 configurations, \
+             evaluating 8 cells..."
         );
         let repro = Reproduction::build(data, train, 2024);
-        eprintln!("training done in {:.1}s; evaluating...", start.elapsed().as_secs_f64());
+        eprintln!("built in {:.1}s; rendering...", start.elapsed().as_secs_f64());
         println!("{}", run_all(&repro));
     }
 }

@@ -4,6 +4,10 @@
 //! to the order of RNG draws, of examples within a batch or of the Adam
 //! steps moves a digest. BTC's decode output over the same items is
 //! pinned too, so a change to its decode path shows as a moved digest.
+//!
+//! `TrainProfile::tiny()` caps sources at 96 tokens, under every generated
+//! `-O0` function, so its digests pin weights no example reached; the
+//! `TrainProfile::demo()` test pins weights that training moved.
 
 use serde::Serialize;
 use serde_json::Value;
@@ -55,4 +59,26 @@ fn weights_after_training_are_bit_equal_to_the_three_loop_version() {
         0xe059_f14f_9cd7_3964,
         "pretrain_denoising + train"
     );
+}
+
+#[test]
+fn demo_profile_training_moves_the_weights() {
+    // The two functions with the shortest x86 -O0 assembly keep this fast.
+    let mut items = generate_train(DatasetProfile::tiny(), 42);
+    items.sort_by_cached_key(|item| {
+        let pairs = make_pairs(std::slice::from_ref(item), Isa::X86_64, OptLevel::O0);
+        pairs.first().map_or(usize::MAX, |(asm, _)| normalize_asm(asm).len())
+    });
+    items.truncate(2);
+    let ctx = ToolContext::train(&items, Isa::X86_64, OptLevel::O0, TrainProfile::demo(), 42);
+    let slade = weight_digest(&ctx.slade.model);
+    let initial = weight_digest(&Seq2Seq::new(ctx.slade.model.cfg, 42));
+    assert_ne!(slade, initial, "SladeBuilder::train left the initial weights");
+    let btc = ctx.btc.as_ref().expect("x86 -O0 trains BTC");
+    // `train_btc` seeds its model with `seed ^ 0xb7c`.
+    let btc_initial = weight_digest(&Seq2Seq::new(btc.model.cfg, 42 ^ 0xb7c));
+    let btc = weight_digest(&btc.model);
+    assert_ne!(btc, btc_initial, "train_btc left the initial weights");
+    assert_eq!(slade, 0xffd2_1006_5f6d_7746, "SladeBuilder::train");
+    assert_eq!(btc, 0x1d04_ccdd_1964_91b7, "train_btc");
 }

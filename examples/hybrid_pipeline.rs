@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for opt in [OptLevel::O0, OptLevel::O3] {
         println!("\n================ x86-64 {opt} ================");
         let slade = SladeBuilder::new(Isa::X86_64, opt)
-            .profile(TrainProfile { max_src_len: 1024, epochs: 3, ..TrainProfile::tiny() })
+            .profile(TrainProfile::demo())
             .train(&train_items, 5);
         let mut lifter_won = 0usize;
         let mut neural_won = 0usize;

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // change is which backend produced the training assembly.
         println!("\n================ {isa} ================");
         let slade = SladeBuilder::new(isa, OptLevel::O0)
-            .profile(TrainProfile { max_src_len: 1024, epochs: 3, ..TrainProfile::tiny() })
+            .profile(TrainProfile::demo())
             .train(&train_items, 21);
         let asm = compile_function(&program, &item.name, CompileOpts::new(isa, OptLevel::O0))?;
         println!(

@@ -182,10 +182,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     let items = numeric(flags, "items", 250)? as usize;
     let profile = match flags.get("profile").map(String::as_str) {
         Some("default") => TrainProfile::default_profile(),
-        // The tiny profile with a source-length cap that fits realistic
-        // `-O0` assembly (raw tiny truncates at 96 tokens and would skip
-        // most functions).
-        _ => TrainProfile { max_src_len: 1024, epochs: 3, ..TrainProfile::tiny() },
+        // `tiny` is the smallest profile that trains on `-O0` functions.
+        _ => TrainProfile::demo(),
     };
     let data = DatasetProfile { train: items, exebench_eval: 8, synth_per_category: 2 };
     let train_items = generate_train(data, seed);
