@@ -11,14 +11,11 @@
 //! same metrics as the main figures plus the held-out teacher-forced loss
 //! and token accuracy, which are more sensitive at reproduction scale.
 //!
-//! The base model — x86 `-O0`, the setup's profile and seed — is trained,
-//! evaluated and held-out-scored once per [`AblationSetup`]. Every row
-//! whose [`TrainProfile`] equals the base's reads that run; the beam
-//! ablation re-decodes clones of the base model.
-//!
-//! Every runner returns its report as a `String` so the `figures ablations`
-//! binary and the tests share one implementation — the same convention as
-//! [`crate::figures`].
+//! The base model (x86 `-O0`, the setup's profile and seed) is trained,
+//! evaluated and scored once per [`AblationSetup`]; every row of the same
+//! [`TrainProfile`] reads that run, and the beam ablation re-decodes it.
+//! Each runner returns its report as a `String` (the `figures ablations`
+//! binary prints them all).
 
 use crate::metrics::edit_similarity;
 use crate::tools::{evaluate, summarize, EvalRecord, Tool, ToolContext};
@@ -46,15 +43,12 @@ pub struct AblationSetup {
     base: OnceLock<Base>,
 }
 
-/// The x86 `-O0` model trained under the setup's own profile.
+/// The x86 `-O0` model trained under the setup's own profile, and its run
+/// with every tool a report reads from it.
 struct Base {
     slade: Arc<Slade>,
-    /// Evaluated with [`BASE_TOOLS`].
     run: Run,
 }
-
-/// Every tool a report reads from the base run.
-const BASE_TOOLS: [Tool; 4] = [Tool::Slade, Tool::SladeRepair, Tool::Ghidra, Tool::Hybrid];
 
 /// One trained variant's held-out statistics, vocabulary and records.
 struct Run {
@@ -75,7 +69,8 @@ impl AblationSetup {
     fn base(&self) -> &Base {
         self.base.get_or_init(|| {
             let slade = Arc::new(self.train_slade(OptLevel::O0, self.profile));
-            let run = self.run(&slade, &BASE_TOOLS);
+            let tools = [Tool::Slade, Tool::SladeRepair, Tool::Ghidra, Tool::Hybrid];
+            let run = self.run(&slade, &tools);
             Base { slade, run }
         })
     }
@@ -142,15 +137,11 @@ fn sweep(
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {title} (x86 O0) ==");
+    let extra = vocab_column.unwrap_or("");
     let _ = writeln!(
         out,
-        "{:<26} {:>10} {:>10} {:>10} {:>10} {}",
-        "variant",
-        "val loss",
-        "tok acc",
-        "IO acc %",
-        "edit %",
-        vocab_column.unwrap_or("")
+        "{:<26} {:>10} {:>10} {:>10} {:>10} {extra}",
+        "variant", "val loss", "tok acc", "IO acc %", "edit %"
     );
     for (label, profile) in rows {
         let trained;

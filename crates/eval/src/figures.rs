@@ -1,13 +1,11 @@
 //! Regenerators for every table and figure in the paper's evaluation.
 //!
-//! [`Reproduction::build`] trains the four ISA × opt configurations and
-//! evaluates each of the eight suite × configuration cells once, with every
-//! tool a figure reads. Each `figN` function renders its report from those
-//! records; Fig. 9 alone compiles the suite again, since its population is
-//! the items that compile. The `figures` binary and the tests share these
-//! renderers. Paper values are embedded for side-by-side comparison; at
-//! reproduction scale the *shape* (orderings, collapse points) is the
-//! claim, not the absolute numbers.
+//! [`Reproduction::build`] evaluates each of the eight suite × ISA × opt
+//! cells once, with every tool a figure reads; each `figN` renders from
+//! those records (Fig. 9 compiles the suite itself: its population is the
+//! items that compile). Paper values are embedded for side-by-side
+//! comparison; at reproduction scale the *shape* (orderings, collapse
+//! points) is the claim, not the absolute numbers.
 
 use crate::metrics::pearson;
 use crate::tools::{evaluate, summarize, EvalRecord, Tool, ToolContext};
@@ -19,36 +17,24 @@ use slade_dataset::{
 };
 use std::fmt::Write;
 
-/// A held-out suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Suite {
-    /// ExeBench-like functions (Figs. 4, 5, 8, 10, Table I).
-    ExeBench,
-    /// The Synth categories (Figs. 6, 7, 10, 11).
-    Synth,
-}
-
-/// One suite evaluated under one ISA × opt configuration.
+/// One suite's records under one ISA × opt configuration.
 pub struct Cell {
-    /// The suite.
-    pub suite: Suite,
     /// Target ISA.
     pub isa: Isa,
     /// Optimization level.
     pub opt: OptLevel,
-    /// The tools evaluated: [`TOOLS`], BTC only where it was trained.
-    pub tools: Vec<Tool>,
-    /// One record per tool per evaluable item.
+    /// One record per tool per evaluable item (BTC at x86 `-O0` only).
     pub records: Vec<EvalRecord>,
 }
 
-/// The evaluation's record table: every cell evaluated once.
+/// The evaluation's record table.
 pub struct Reproduction {
-    /// The eight cells, each configuration's ExeBench then Synth cell, in
-    /// [`CONFIGS`] order.
-    pub cells: Vec<Cell>,
+    /// ExeBench-like cells, in [`CONFIGS`] order.
+    pub exebench: Vec<Cell>,
+    /// Synth cells, in [`CONFIGS`] order.
+    pub synth: Vec<Cell>,
     /// Held-out ExeBench-like items (Fig. 9 compiles them).
-    pub exebench: Vec<DatasetItem>,
+    pub exebench_items: Vec<DatasetItem>,
 }
 
 /// The four evaluated configurations, in paper order.
@@ -59,59 +45,44 @@ pub const CONFIGS: [(Isa, OptLevel); 4] = [
     (Isa::Arm64, OptLevel::O3),
 ];
 
-/// Every tool some figure reads. BTC is trained for x86 `-O0` only.
-pub const TOOLS: [Tool; 5] =
-    [Tool::Btc, Tool::ChatGpt, Tool::Ghidra, Tool::Slade, Tool::SladeNoTypes];
-
 impl Reproduction {
     /// Generates datasets, trains each configuration and evaluates its two
-    /// cells. This is the expensive step (minutes at the default profile);
-    /// every figure renders from the one value.
+    /// cells. This is the expensive step (minutes at the default profile).
     pub fn build(data: DatasetProfile, train_profile: TrainProfile, seed: u64) -> Self {
         let train = generate_train(data, seed);
-        let exebench = generate_exebench_eval(data, seed, &train);
-        let synth = generate_synth(data, seed, &train);
-        let mut cells = Vec::new();
+        let exebench_items = generate_exebench_eval(data, seed, &train);
+        let synth_items = generate_synth(data, seed, &train);
+        // Every tool a figure reads; `evaluate` skips BTC where it is not
+        // trained.
+        let tools = [Tool::Btc, Tool::ChatGpt, Tool::Ghidra, Tool::Slade, Tool::SladeNoTypes];
+        let (mut exebench, mut synth) = (Vec::new(), Vec::new());
         for &(isa, opt) in &CONFIGS {
             let ctx = ToolContext::train(&train, isa, opt, train_profile, seed);
-            let tools: Vec<Tool> =
-                TOOLS.into_iter().filter(|&t| t != Tool::Btc || ctx.btc.is_some()).collect();
-            for (suite, items) in [(Suite::ExeBench, &exebench), (Suite::Synth, &synth)] {
-                let records = evaluate(&ctx, items, &tools);
-                cells.push(Cell { suite, isa, opt, tools: tools.clone(), records });
-            }
+            let records = evaluate(&ctx, &exebench_items, &tools);
+            exebench.push(Cell { isa, opt, records });
+            synth.push(Cell { isa, opt, records: evaluate(&ctx, &synth_items, &tools) });
         }
-        Reproduction { cells, exebench }
-    }
-
-    /// The cell for a suite under a configuration.
-    pub fn cell(&self, suite: Suite, isa: Isa, opt: OptLevel) -> &Cell {
-        self.cells
-            .iter()
-            .find(|c| c.suite == suite && c.isa == isa && c.opt == opt)
-            .expect("all eight cells built")
+        Reproduction { exebench, synth, exebench_items }
     }
 }
 
-/// IO accuracy and edit similarity of the compared tools the cell
-/// evaluated, against the paper's values.
-fn bars(out: &mut String, title: &str, cell: &Cell, paper: &[(&str, f64, f64)]) {
+/// The records of a configuration's cell.
+fn records_of(cells: &[Cell], isa: Isa, opt: OptLevel) -> &[EvalRecord] {
+    let cell = cells.iter().find(|c| c.isa == isa && c.opt == opt);
+    &cell.expect("every configuration evaluated").records
+}
+
+/// IO accuracy and edit similarity of each tool the paper reports for
+/// the cell, against the paper's values.
+fn bars(out: &mut String, title: &str, records: &[EvalRecord], paper: &[(Tool, f64, f64)]) {
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(
         out,
         "{:<18} {:>12} {:>12} {:>14} {:>14}",
         "tool", "IO acc %", "edit sim %", "paper IO %", "paper sim %"
     );
-    for tool in [Tool::Btc, Tool::ChatGpt, Tool::Ghidra, Tool::Slade] {
-        if !cell.tools.contains(&tool) {
-            continue;
-        }
-        let (acc, sim) = summarize(&cell.records, tool);
-        let (pacc, psim) = paper
-            .iter()
-            .find(|(name, ..)| *name == tool.label())
-            .map(|(_, a, s)| (*a, *s))
-            .unwrap_or((f64::NAN, f64::NAN));
+    for &(tool, pacc, psim) in paper {
+        let (acc, sim) = summarize(records, tool);
         let _ = writeln!(
             out,
             "{:<18} {:>12.1} {:>12.1} {:>14.1} {:>14.1}",
@@ -127,17 +98,17 @@ fn bars(out: &mut String, title: &str, cell: &Cell, paper: &[(&str, f64, f64)]) 
 /// Figure 4: ExeBench x86, `-O0` and `-O3`.
 pub fn fig4(repro: &Reproduction) -> String {
     let mut out = String::new();
-    let paper_o0: &[(&str, f64, f64)] = &[
-        ("BTC", 0.0, 40.0),
-        ("ChatGPT", 22.2, 44.0),
-        ("Ghidra", 50.8, 43.0),
-        ("SLaDe", 59.5, 71.0),
+    let paper_o0: &[(Tool, f64, f64)] = &[
+        (Tool::Btc, 0.0, 40.0),
+        (Tool::ChatGpt, 22.2, 44.0),
+        (Tool::Ghidra, 50.8, 43.0),
+        (Tool::Slade, 59.5, 71.0),
     ];
-    let paper_o3: &[(&str, f64, f64)] =
-        &[("ChatGPT", 13.6, 34.0), ("Ghidra", 17.6, 32.0), ("SLaDe", 52.2, 60.0)];
+    let paper_o3: &[(Tool, f64, f64)] =
+        &[(Tool::ChatGpt, 13.6, 34.0), (Tool::Ghidra, 17.6, 32.0), (Tool::Slade, 52.2, 60.0)];
     for (opt, paper) in [(OptLevel::O0, paper_o0), (OptLevel::O3, paper_o3)] {
-        let cell = repro.cell(Suite::ExeBench, Isa::X86_64, opt);
-        bars(&mut out, &format!("Fig 4: ExeBench x86 {opt}"), cell, paper);
+        let records = records_of(&repro.exebench, Isa::X86_64, opt);
+        bars(&mut out, &format!("Fig 4: ExeBench x86 {opt}"), records, paper);
     }
     out
 }
@@ -145,13 +116,13 @@ pub fn fig4(repro: &Reproduction) -> String {
 /// Figure 5: ExeBench ARM, `-O0` and `-O3`.
 pub fn fig5(repro: &Reproduction) -> String {
     let mut out = String::new();
-    let paper_o0: &[(&str, f64, f64)] =
-        &[("ChatGPT", 17.4, 40.0), ("Ghidra", 23.4, 37.0), ("SLaDe", 52.7, 61.0)];
-    let paper_o3: &[(&str, f64, f64)] =
-        &[("ChatGPT", 15.7, 31.0), ("Ghidra", 7.3, 27.0), ("SLaDe", 46.2, 55.0)];
+    let paper_o0: &[(Tool, f64, f64)] =
+        &[(Tool::ChatGpt, 17.4, 40.0), (Tool::Ghidra, 23.4, 37.0), (Tool::Slade, 52.7, 61.0)];
+    let paper_o3: &[(Tool, f64, f64)] =
+        &[(Tool::ChatGpt, 15.7, 31.0), (Tool::Ghidra, 7.3, 27.0), (Tool::Slade, 46.2, 55.0)];
     for (opt, paper) in [(OptLevel::O0, paper_o0), (OptLevel::O3, paper_o3)] {
-        let cell = repro.cell(Suite::ExeBench, Isa::Arm64, opt);
-        bars(&mut out, &format!("Fig 5: ExeBench ARM {opt}"), cell, paper);
+        let records = records_of(&repro.exebench, Isa::Arm64, opt);
+        bars(&mut out, &format!("Fig 5: ExeBench ARM {opt}"), records, paper);
     }
     out
 }
@@ -159,17 +130,17 @@ pub fn fig5(repro: &Reproduction) -> String {
 /// Figure 6: Synth `-O0`, x86 and ARM.
 pub fn fig6(repro: &Reproduction) -> String {
     let mut out = String::new();
-    let paper_x86: &[(&str, f64, f64)] = &[
-        ("BTC", 0.0, 44.0),
-        ("ChatGPT", 46.4, 66.0),
-        ("Ghidra", 88.4, 32.0),
-        ("SLaDe", 83.9, 74.0),
+    let paper_x86: &[(Tool, f64, f64)] = &[
+        (Tool::Btc, 0.0, 44.0),
+        (Tool::ChatGpt, 46.4, 66.0),
+        (Tool::Ghidra, 88.4, 32.0),
+        (Tool::Slade, 83.9, 74.0),
     ];
-    let paper_arm: &[(&str, f64, f64)] =
-        &[("ChatGPT", 39.3, 63.0), ("Ghidra", 91.1, 32.0), ("SLaDe", 77.7, 69.0)];
+    let paper_arm: &[(Tool, f64, f64)] =
+        &[(Tool::ChatGpt, 39.3, 63.0), (Tool::Ghidra, 91.1, 32.0), (Tool::Slade, 77.7, 69.0)];
     for (isa, paper) in [(Isa::X86_64, paper_x86), (Isa::Arm64, paper_arm)] {
-        let cell = repro.cell(Suite::Synth, isa, OptLevel::O0);
-        bars(&mut out, &format!("Fig 6: Synth O0 {isa}"), cell, paper);
+        let records = records_of(&repro.synth, isa, OptLevel::O0);
+        bars(&mut out, &format!("Fig 6: Synth O0 {isa}"), records, paper);
     }
     out
 }
@@ -177,20 +148,20 @@ pub fn fig6(repro: &Reproduction) -> String {
 /// Figure 7: Synth `-O3`, x86 and ARM.
 pub fn fig7(repro: &Reproduction) -> String {
     let mut out = String::new();
-    let paper_x86: &[(&str, f64, f64)] =
-        &[("ChatGPT", 12.5, 33.0), ("Ghidra", 44.6, 19.0), ("SLaDe", 52.7, 55.0)];
-    let paper_arm: &[(&str, f64, f64)] =
-        &[("ChatGPT", 12.5, 30.0), ("Ghidra", 24.1, 16.0), ("SLaDe", 53.6, 59.0)];
+    let paper_x86: &[(Tool, f64, f64)] =
+        &[(Tool::ChatGpt, 12.5, 33.0), (Tool::Ghidra, 44.6, 19.0), (Tool::Slade, 52.7, 55.0)];
+    let paper_arm: &[(Tool, f64, f64)] =
+        &[(Tool::ChatGpt, 12.5, 30.0), (Tool::Ghidra, 24.1, 16.0), (Tool::Slade, 53.6, 59.0)];
     for (isa, paper) in [(Isa::X86_64, paper_x86), (Isa::Arm64, paper_arm)] {
-        let cell = repro.cell(Suite::Synth, isa, OptLevel::O3);
-        bars(&mut out, &format!("Fig 7: Synth O3 {isa}"), cell, paper);
+        let records = records_of(&repro.synth, isa, OptLevel::O3);
+        bars(&mut out, &format!("Fig 7: Synth O3 {isa}"), records, paper);
     }
     out
 }
 
 /// Figure 8: IO accuracy vs assembly length (ExeBench x86 -O0), bucketed.
 pub fn fig8(repro: &Reproduction) -> String {
-    let records = &repro.cell(Suite::ExeBench, Isa::X86_64, OptLevel::O0).records;
+    let records = records_of(&repro.exebench, Isa::X86_64, OptLevel::O0);
     let mut out = String::new();
     let _ = writeln!(out, "== Fig 8: IO accuracy vs assembly length (x86 O0) ==");
     let max_len = records.iter().map(|r| r.asm_chars).max().unwrap_or(1);
@@ -224,7 +195,7 @@ pub fn fig8(repro: &Reproduction) -> String {
 pub fn fig9(repro: &Reproduction) -> String {
     let opts = slade_compiler::CompileOpts::new(Isa::X86_64, OptLevel::O0);
     let mut lens: Vec<usize> = repro
-        .exebench
+        .exebench_items
         .iter()
         .filter_map(|item| {
             let p = slade_minic::parse_program(&item.full_src()).ok()?;
@@ -256,9 +227,9 @@ pub fn fig10(repro: &Reproduction) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== Fig 10: SLaDe with vs without type inference ==");
     let _ = writeln!(out, "{:<22} {:>12} {:>16}", "configuration", "SLaDe %", "w/out types %");
-    for (suite_name, suite) in [("Synth", Suite::Synth), ("Exe", Suite::ExeBench)] {
+    for (suite_name, cells) in [("Synth", &repro.synth), ("Exe", &repro.exebench)] {
         for &(isa, opt) in &CONFIGS {
-            let records = &repro.cell(suite, isa, opt).records;
+            let records = records_of(cells, isa, opt);
             let (with, _) = summarize(records, Tool::Slade);
             let (without, _) = summarize(records, Tool::SladeNoTypes);
             let _ = writeln!(
@@ -278,7 +249,7 @@ pub fn fig10(repro: &Reproduction) -> String {
 pub fn fig11(repro: &Reproduction) -> String {
     let mut out = String::new();
     for isa in [Isa::X86_64, Isa::Arm64] {
-        let records = &repro.cell(Suite::Synth, isa, OptLevel::O3).records;
+        let records = records_of(&repro.synth, isa, OptLevel::O3);
         let tools = [Tool::ChatGpt, Tool::Ghidra, Tool::Slade];
         let _ = writeln!(out, "== Fig 11: Synth O3 {isa} per-category IO accuracy ==");
         let _ = write!(out, "{:<14}", "category");
@@ -311,7 +282,7 @@ pub fn table1(repro: &Reproduction) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== Table I: Pearson correlation of features vs IO accuracy ==");
     for &(isa, opt) in &CONFIGS {
-        let records = &repro.cell(Suite::ExeBench, isa, opt).records;
+        let records = records_of(&repro.exebench, isa, opt);
         let _ = writeln!(out, "-- {isa} {opt} --");
         let _ = writeln!(
             out,
@@ -383,14 +354,14 @@ mod tests {
         }
     }
 
-    fn cell(suite: Suite, isa: Isa, opt: OptLevel, records: Vec<EvalRecord>) -> Cell {
-        let mut tools: Vec<Tool> = Vec::new();
-        for r in &records {
-            if !tools.contains(&r.tool) {
-                tools.push(r.tool);
-            }
+    fn exebench(cells: Vec<(OptLevel, Vec<EvalRecord>)>) -> Reproduction {
+        let exebench =
+            cells.into_iter().map(|(opt, records)| Cell { isa: Isa::X86_64, opt, records });
+        Reproduction {
+            exebench: exebench.collect(),
+            synth: Vec::new(),
+            exebench_items: Vec::new(),
         }
-        Cell { suite, isa, opt, tools, records }
     }
 
     #[test]
@@ -399,11 +370,7 @@ mod tests {
         // (50, 75], (75, 100].
         let slade = [(10, true), (40, false), (60, true), (90, false), (100, true)];
         let records = slade.map(|(len, ok)| record(Tool::Slade, len, ok)).to_vec();
-        let repro = Reproduction {
-            cells: vec![cell(Suite::ExeBench, Isa::X86_64, OptLevel::O0, records)],
-            exebench: Vec::new(),
-        };
-        let report = fig8(&repro);
+        let report = fig8(&exebench(vec![(OptLevel::O0, records)]));
         let cols = |tool: Tool| -> Vec<String> {
             let row = report.lines().find(|l| l.starts_with(tool.label())).expect("row");
             row.split_whitespace().skip(1).map(String::from).collect()
@@ -413,26 +380,21 @@ mod tests {
     }
 
     #[test]
-    fn bars_show_the_tools_each_cell_evaluated() {
+    fn fig4_reads_each_cell_and_shows_btc_at_o0_only() {
         let o0 = [Tool::Btc, Tool::Slade, Tool::SladeNoTypes]
             .map(|tool| record(tool, 50, tool == Tool::Slade))
             .to_vec();
         let o3 = vec![record(Tool::Slade, 50, false), record(Tool::Slade, 60, true)];
-        let repro = Reproduction {
-            cells: vec![
-                cell(Suite::ExeBench, Isa::X86_64, OptLevel::O0, o0),
-                cell(Suite::ExeBench, Isa::X86_64, OptLevel::O3, o3),
-            ],
-            exebench: Vec::new(),
-        };
-        let report = fig4(&repro);
+        let report = fig4(&exebench(vec![(OptLevel::O0, o0), (OptLevel::O3, o3)]));
         let (o0, o3) = report.split_once("== Fig 4: ExeBench x86 O3 ==").expect("two panels");
-        assert!(o0.lines().any(|l| l.starts_with("BTC ")), "{report}");
-        assert!(!o3.contains("BTC"), "{report}");
-        // SLaDe w/out types is evaluated, but Fig. 4 does not show it.
-        assert!(!report.contains("w/out"), "{report}");
-        let slade = o3.lines().find(|l| l.starts_with("SLaDe ")).expect("SLaDe row");
-        let cols: Vec<&str> = slade.split_whitespace().collect();
-        assert_eq!(cols[1..3], ["50.0", "75.0"], "{report}");
+        let row = |panel: &str, tool: Tool| -> Vec<String> {
+            let row = panel.lines().find(|l| l.starts_with(&format!("{} ", tool.label())));
+            row.expect("row").split_whitespace().skip(1).map(String::from).collect()
+        };
+        // IO accuracy, edit similarity, then the paper's two values.
+        assert_eq!(row(o0, Tool::Btc)[..2], ["0.0", "50.0"], "{report}");
+        assert_eq!(row(o0, Tool::Slade)[..2], ["100.0", "100.0"], "{report}");
+        assert_eq!(row(o3, Tool::Slade)[..2], ["50.0", "75.0"], "{report}");
+        assert!(!o3.contains("BTC") && !report.contains("w/out"), "{report}");
     }
 }
