@@ -4,7 +4,7 @@
 //! (pairs over the caps are skipped by training, so caps below the
 //! distribution's bulk silently starve the model).
 //!
-//! Usage: `cargo run -p slade-eval --bin corpus_stats --release [-- N]`
+//! Usage: `cargo run -p slade_eval --bin corpus_stats --release [-- N]`
 
 use slade::{make_pairs, normalize_asm};
 use slade_compiler::{Isa, OptLevel};

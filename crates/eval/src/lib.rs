@@ -5,9 +5,13 @@
 //! Entry points:
 //! - [`harness::judge`] — IO-equivalence verdict for one hypothesis;
 //! - [`tools::evaluate`] — run a set of decompilers over a dataset;
-//! - [`figures::Reproduction::build`] + [`figures::run_all`] — regenerate
-//!   the whole evaluation (also exposed as the `figures` binary and the
-//!   `figures` bench target).
+//! - [`figures::Reproduction::build`] — evaluate each suite × ISA × opt
+//!   cell once; [`figures::run_all`] renders every figure and table from
+//!   those records;
+//! - [`ablations::run_all_ablations`] — the recipe ablations and §X
+//!   extensions around one base model.
+//!
+//! The `figures` binary runs both (`figures [tiny] [ablations]`).
 //!
 //! # Example
 //!
@@ -16,7 +20,7 @@
 //! use slade::TrainProfile;
 //! use slade_dataset::DatasetProfile;
 //!
-//! let repro = Reproduction::build(DatasetProfile::tiny(), TrainProfile::tiny(), 0);
+//! let repro = Reproduction::build(DatasetProfile::tiny(), TrainProfile::demo(), 0);
 //! println!("{}", run_all(&repro));
 //! ```
 
