@@ -58,9 +58,10 @@ impl Reproduction {
         let (mut exebench, mut synth) = (Vec::new(), Vec::new());
         for &(isa, opt) in &CONFIGS {
             let ctx = ToolContext::train(&train, isa, opt, train_profile, seed);
-            let records = evaluate(&ctx, &exebench_items, &tools);
-            exebench.push(Cell { isa, opt, records });
-            synth.push(Cell { isa, opt, records: evaluate(&ctx, &synth_items, &tools) });
+            let suites = [(&mut exebench, &exebench_items), (&mut synth, &synth_items)];
+            for (cells, items) in suites {
+                cells.push(Cell { isa, opt, records: evaluate(&ctx, items, &tools) });
+            }
         }
         Reproduction { exebench, synth, exebench_items }
     }

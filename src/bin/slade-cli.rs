@@ -182,7 +182,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     let items = numeric(flags, "items", 250)? as usize;
     let profile = match flags.get("profile").map(String::as_str) {
         Some("default") => TrainProfile::default_profile(),
-        // `tiny` is the smallest profile that trains on `-O0` functions.
+        // `--profile tiny` trains `demo`: `TrainProfile::tiny`'s 96-token
+        // source cap is under every `-O0` function, so it learns nothing.
         _ => TrainProfile::demo(),
     };
     let data = DatasetProfile { train: items, exebench_eval: 8, synth_per_category: 2 };
