@@ -92,38 +92,38 @@ impl AblationSetup {
     }
 
     fn run(&self, slade: &Arc<Slade>, tools: &[Tool]) -> Run {
-        let (loss, tok_acc) = self.heldout_stats(slade);
+        let (loss, tok_acc) = heldout_stats(slade, self);
         let vocab = slade.tokenizer.vocab_size();
         Run { loss, tok_acc, vocab, records: self.evaluate(slade, tools) }
     }
+}
 
-    /// Held-out teacher-forced statistics of a trained model over the eval
-    /// pairs: `(mean_loss, token_accuracy)`.
-    fn heldout_stats(&self, slade: &Slade) -> (f64, f64) {
-        let pairs = make_pairs(&self.eval, slade.isa(), slade.opt());
-        let mut loss_sum = 0.0f64;
-        let mut acc_sum = 0.0f64;
-        let mut n = 0usize;
-        for (asm, c) in &pairs {
-            let src = slade.tokenizer.encode(asm);
-            let tgt = slade.tokenizer.encode(c);
-            let max_len = slade.model.cfg.max_len.saturating_sub(2);
-            if src.is_empty() || tgt.is_empty() || tgt.len() + 1 > max_len {
-                continue;
-            }
-            let mut dec_input = vec![special::BOS];
-            dec_input.extend_from_slice(&tgt);
-            let mut labels = tgt.clone();
-            labels.push(special::EOS);
-            loss_sum += f64::from(slade.model.eval_loss(&src, &dec_input, &labels));
-            acc_sum += slade.model.eval_token_accuracy(&src, &dec_input, &labels);
-            n += 1;
+/// Held-out teacher-forced statistics of a trained model over the eval
+/// pairs: `(mean_loss, token_accuracy)`.
+fn heldout_stats(slade: &Slade, setup: &AblationSetup) -> (f64, f64) {
+    let pairs = make_pairs(&setup.eval, slade.isa(), slade.opt());
+    let mut loss_sum = 0.0f64;
+    let mut acc_sum = 0.0f64;
+    let mut n = 0usize;
+    for (asm, c) in &pairs {
+        let src = slade.tokenizer.encode(asm);
+        let tgt = slade.tokenizer.encode(c);
+        let max_len = slade.model.cfg.max_len.saturating_sub(2);
+        if src.is_empty() || tgt.is_empty() || tgt.len() + 1 > max_len {
+            continue;
         }
-        if n == 0 {
-            return (f64::NAN, f64::NAN);
-        }
-        (loss_sum / n as f64, acc_sum / n as f64)
+        let mut dec_input = vec![special::BOS];
+        dec_input.extend_from_slice(&tgt);
+        let mut labels = tgt.clone();
+        labels.push(special::EOS);
+        loss_sum += f64::from(slade.model.eval_loss(&src, &dec_input, &labels));
+        acc_sum += slade.model.eval_token_accuracy(&src, &dec_input, &labels);
+        n += 1;
     }
+    if n == 0 {
+        return (f64::NAN, f64::NAN);
+    }
+    (loss_sum / n as f64, acc_sum / n as f64)
 }
 
 /// One x86 `-O0` model per `(label, profile)` row, reported as held-out
