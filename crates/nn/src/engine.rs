@@ -298,6 +298,13 @@ impl<'m> DecodeSession<'m> {
         self.state.num_lanes()
     }
 
+    /// Self-attention KV blocks `(held, allocated)`: held by some live
+    /// lane, and allocated by the pool so far, which grows with the
+    /// blocks lanes take and never shrinks.
+    pub fn kv_blocks(&self) -> (usize, usize) {
+        self.state.kv_blocks()
+    }
+
     /// True when no request is in flight.
     pub fn is_idle(&self) -> bool {
         self.slots.is_empty()
@@ -624,5 +631,40 @@ mod tests {
         assert!(session.is_idle());
         let (free, total) = session.state.check_kv_pool();
         assert_eq!(free, total, "KV blocks leaked");
+    }
+
+    #[test]
+    fn kv_pool_follows_the_lanes_not_the_lane_budget() {
+        // A serve shard's lane budget, one beam-5 request through it: the
+        // pool allocates for the lanes the request takes. An untrained
+        // model runs every lane to its budget, four blocks deep.
+        use crate::model::KV_BLOCK;
+        let m =
+            Seq2Seq::new(TransformerConfig { max_len: 64, ..TransformerConfig::tiny(16) }, 3);
+        let engine = InferenceEngine::new(&m);
+        let req = DecodeRequest { src: vec![4, 5, 6], bos: 1, eos: 2, max_len: 64, beam: 5 };
+        let mut session = engine.session(256, req.max_len);
+        assert_eq!(session.kv_blocks(), (0, 0), "a fresh session allocates no block");
+        let ticket = session.admit(&req);
+        let mut got = None;
+        let mut peak_held = 0;
+        while got.is_none() {
+            got = session.step().pop();
+            // Poisons every row no lane has written (free blocks, and each
+            // tail past its lane's position), so a block read before it is
+            // written fails the comparison below.
+            session.state.check_kv_pool();
+            peak_held = peak_held.max(session.kv_blocks().0);
+        }
+        assert_eq!(got, Some((ticket, engine.decode_reference(&req))));
+        // Every held block is some lane's table entry, copy-on-write
+        // copies included, so the request holds at most a full table per
+        // lane, and the pool grows only to the most blocks held at once.
+        let reached = req.beam * session.cap_pos.div_ceil(KV_BLOCK);
+        let (free, allocated) = session.state.check_kv_pool();
+        assert!(peak_held > 0, "the request held no block");
+        assert!(peak_held <= allocated && allocated <= reached, "{allocated} for {reached}");
+        assert_eq!(session.kv_blocks(), (0, allocated));
+        assert_eq!(free, allocated, "KV blocks leaked");
     }
 }

@@ -966,8 +966,9 @@ impl Seq2Seq {
 
     /// Creates an empty [`BatchedDecoderState`] with room for `cap_lanes`
     /// concurrent hypotheses of up to `cap_pos` decoded tokens each. The
-    /// self-attention block pool is allocated up front and the inference
-    /// weights — the decoder's for the batched step, the encoder's for
+    /// self-attention block pool starts empty and grows as lanes take
+    /// blocks, up to a full table per lane. The inference weights — the
+    /// decoder's for the batched step, the encoder's for
     /// [`Seq2Seq::encode_batch_in`] — are materialized once here
     /// (transposed and packed); the per-step decode path allocates nothing once its scratch
     /// has grown to the batch. The state snapshots the weights, so it must
@@ -977,10 +978,8 @@ impl Seq2Seq {
         let d = self.cfg.d_model;
         let dff = self.cfg.d_ff;
         let (cap_lanes, cap_pos) = (cap_lanes.max(1), cap_pos.max(1));
-        // Enough for every lane to own its whole history: sharing only
-        // ever lowers the demand.
         let table_stride = cap_pos.div_ceil(KV_BLOCK);
-        let pool = cap_lanes * table_stride;
+        let tables = cap_lanes * table_stride;
         let xposed = self
             .dec
             .iter()
@@ -1002,15 +1001,13 @@ impl Seq2Seq {
             d,
             heads: self.cfg.n_heads,
             cap_pos,
-            self_k: vec![vec![0.0; pool * KV_BLOCK * d]; layers],
-            self_v: vec![vec![0.0; pool * KV_BLOCK * d]; layers],
-            block_refs: vec![0; pool],
-            // Popped from the back: low ids first, and a block just freed
-            // (still in cache) is the next one taken.
-            free_blocks: (0..pool as u32).rev().collect(),
+            self_k: vec![Vec::new(); layers],
+            self_v: vec![Vec::new(); layers],
+            block_refs: Vec::new(),
+            free_blocks: Vec::new(),
             table_stride,
-            lane_blocks: vec![0; pool],
-            next_blocks: vec![0; pool],
+            lane_blocks: vec![0; tables],
+            next_blocks: vec![0; tables],
             cross: Vec::new(),
             cross_free: Vec::new(),
             lane_pos: Vec::new(),
@@ -1587,7 +1584,7 @@ impl Scratch {
 /// beam copies whole is cheap and that lanes which fork mid-block go on
 /// sharing most of their history, large enough that a table walk is short
 /// (8 / 16 / 32 measured under this layout; see CHANGES.md, PR 22).
-const KV_BLOCK: usize = 16;
+pub(crate) const KV_BLOCK: usize = 16;
 
 /// Decoder state for **all** live beam lanes of one decode batch, possibly
 /// spanning several independent requests (continuous-batching style).
@@ -1609,14 +1606,17 @@ pub struct BatchedDecoderState {
     cap_pos: usize,
     cap_lanes: usize,
     /// Per layer: self-attention key blocks, `KV_BLOCK × d_model` floats
-    /// per block id, packed per head.
+    /// per block id, packed per head. Empty until a lane takes a block;
+    /// `take_block` appends one whenever none is free, up to
+    /// `cap_lanes × table_stride` blocks.
     self_k: Vec<Vec<f32>>,
     /// Per layer: self-attention value blocks, same ids, head-major.
     self_v: Vec<Vec<f32>>,
-    /// Per block id (one id names that block in every layer and both
-    /// tensors): how many lane-table entries hold it.
+    /// Per block id allocated so far (one id names that block in every
+    /// layer and both tensors): how many lane-table entries hold it.
     block_refs: Vec<u32>,
-    /// Block ids no table holds.
+    /// Allocated block ids no table holds, popped from the back: a block
+    /// just freed (still in cache) is the next one taken.
     free_blocks: Vec<u32>,
     /// Table entries per lane: `⌈cap_pos / KV_BLOCK⌉`.
     table_stride: usize,
@@ -1683,13 +1683,31 @@ impl BatchedDecoderState {
         first..first + self.lane_pos[lane].div_ceil(KV_BLOCK)
     }
 
-    /// Takes a block off the free list for one table entry.
+    /// Takes a block off the free list for one table entry. When none is
+    /// free the pool grows by one zeroed block, which gets the next id —
+    /// the order a pool allocated whole would hand ids out in — so the
+    /// pool is as large as the most blocks ever held at once.
     fn take_block(&mut self) -> u32 {
-        // Cannot fail while lanes ≤ cap_lanes and positions ≤ cap_pos: the
-        // pool holds a full table for every lane.
-        let b = self.free_blocks.pop().expect("block pool exhausted");
+        let b = self.free_blocks.pop().unwrap_or_else(|| {
+            // Cannot fail while lanes ≤ cap_lanes and positions ≤ cap_pos:
+            // that is a full table for every lane.
+            let b = self.block_refs.len();
+            assert!(b < self.cap_lanes * self.table_stride, "block pool exhausted");
+            let floats = (b + 1) * KV_BLOCK * self.d;
+            for pool in self.self_k.iter_mut().chain(self.self_v.iter_mut()) {
+                pool.resize(floats, 0.0);
+            }
+            self.block_refs.push(0);
+            b as u32
+        });
         self.block_refs[b as usize] = 1;
         b
+    }
+
+    /// Blocks held by some lane table, and blocks the pool has allocated.
+    pub fn kv_blocks(&self) -> (usize, usize) {
+        let allocated = self.block_refs.len();
+        (allocated - self.free_blocks.len(), allocated)
     }
 
     /// Reorders lanes so that new lane `i` continues old lane
@@ -1745,8 +1763,9 @@ impl BatchedDecoderState {
             if self.block_refs[shared] == 1 {
                 continue;
             }
-            // A free block exists: the shared tail is held at least twice,
-            // so the tables name fewer distinct blocks than the pool has.
+            // A block is free or the pool can grow: the shared tail is held
+            // at least twice, so the tables name fewer distinct blocks than
+            // a full table per lane holds.
             let own = self.take_block();
             let block = KV_BLOCK * self.d;
             for pool in self.self_k.iter_mut().chain(self.self_v.iter_mut()) {
@@ -1767,7 +1786,7 @@ impl BatchedDecoderState {
     /// every row no lane has written: the free blocks and each tail's rows
     /// from its lane's position on (what a whole-block copy or a block's
     /// last holder left there). An attention that reads one no longer
-    /// matches its reference. Returns `(free, total)` blocks.
+    /// matches its reference. Returns `(free, allocated)` blocks.
     pub fn check_kv_pool(&mut self) -> (usize, usize) {
         let mut held = vec![0u32; self.block_refs.len()];
         let heads = (self.heads, self.d / self.heads);

@@ -882,6 +882,16 @@ fn worker_loop(shared: &Shared, shard: usize) {
                 f.steps += 1;
             }
         }
+        // Gauges before results: a caller woken by this step reads them as
+        // of it, so a drained shard reads 0 held blocks.
+        let gauges = &shared.metrics.shards[shard];
+        let (held, allocated) = session.kv_blocks();
+        gauges.lanes.store(session.live_lanes(), Ordering::Relaxed);
+        gauges.kv_blocks_held.store(held, Ordering::Relaxed);
+        gauges.kv_blocks_allocated.store(allocated, Ordering::Relaxed);
+        let decoded = session.decoded_tokens();
+        shared.metrics.decode_tokens.add(decoded - tokens_reported);
+        tokens_reported = decoded;
         for (ticket, beams) in finished {
             let at = inflight
                 .iter()
@@ -944,9 +954,5 @@ fn worker_loop(shared: &Shared, shard: usize) {
                 }
             }
         }
-        shared.metrics.shard_lanes[shard].store(session.live_lanes(), Ordering::Relaxed);
-        let decoded = session.decoded_tokens();
-        shared.metrics.decode_tokens.add(decoded - tokens_reported);
-        tokens_reported = decoded;
     }
 }

@@ -36,8 +36,8 @@ slade_obs::metrics! {
         /// Time queued before admission.
         queue_wait: Histogram("slade_queue_wait_seconds"),
         ;
-        /// Live beam lanes per shard (gauge, updated by each worker).
-        pub shard_lanes: Vec<AtomicUsize>,
+        /// Per-shard gauges, each stored by its worker after every step.
+        pub shards: Vec<ShardGauges>,
         pub lane_capacity: usize,
         /// Kernel ISA tier the workers decode with (resolved once at start).
         pub kernel_isa: &'static str,
@@ -46,6 +46,14 @@ slade_obs::metrics! {
         /// cannot run; equals `kernel_isa` when the request was satisfied.
         pub kernel_isa_status: String,
     }
+}
+
+/// One shard's decode-session gauges.
+#[derive(Debug, Default)]
+pub(crate) struct ShardGauges {
+    pub lanes: AtomicUsize,
+    pub kv_blocks_held: AtomicUsize,
+    pub kv_blocks_allocated: AtomicUsize,
 }
 
 impl MetricsInner {
@@ -59,8 +67,9 @@ impl MetricsInner {
         self.queue_wait.record(waited_us);
     }
 
-    fn lanes(&self) -> Vec<usize> {
-        self.shard_lanes.iter().map(|l| l.load(Ordering::Relaxed)).collect()
+    /// One gauge's value on every shard.
+    fn per_shard(&self, gauge: fn(&ShardGauges) -> &AtomicUsize) -> Vec<usize> {
+        self.shards.iter().map(|g| gauge(g).load(Ordering::Relaxed)).collect()
     }
 
     pub fn snapshot(&self, cache: CacheStats) -> MetricsSnapshot {
@@ -77,7 +86,9 @@ impl MetricsInner {
             coalesced: self.coalesced.get(),
             decoded: self.decoded.get(),
             queue_depth: self.queue_depth.get() as usize,
-            shard_lanes: self.lanes(),
+            shard_lanes: self.per_shard(|g| &g.lanes),
+            shard_kv_blocks_held: self.per_shard(|g| &g.kv_blocks_held),
+            shard_kv_blocks_allocated: self.per_shard(|g| &g.kv_blocks_allocated),
             lane_capacity_per_shard: self.lane_capacity,
             decode_tokens: self.decode_tokens.get(),
             kernel_isa: self.kernel_isa,
@@ -99,9 +110,26 @@ impl MetricsInner {
     /// stage histograms and kernel counters.
     pub fn expose(&self, cache: &ResultCache, p: &mut PromText) {
         self.expose_declared(p);
-        let lanes: Vec<(String, f64)> =
-            self.lanes().iter().enumerate().map(|(i, &l)| (i.to_string(), l as f64)).collect();
-        p.gauge_series("slade_shard_lanes", "Live beam lanes per shard.", "shard", &lanes);
+        let mut series = |name, help, gauge: fn(&ShardGauges) -> &AtomicUsize| {
+            let values: Vec<(String, f64)> = self
+                .per_shard(gauge)
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (i.to_string(), v as f64))
+                .collect();
+            p.gauge_series(name, help, "shard", &values);
+        };
+        series("slade_shard_lanes", "Live beam lanes per shard.", |g| &g.lanes);
+        series(
+            "slade_shard_kv_blocks_held",
+            "Self-attention KV blocks live lanes hold, per shard; 0 when idle.",
+            |g| &g.kv_blocks_held,
+        );
+        series(
+            "slade_shard_kv_blocks_allocated",
+            "Self-attention KV blocks allocated per shard: grows with the blocks lanes take.",
+            |g| &g.kv_blocks_allocated,
+        );
         p.gauge(
             "slade_lane_capacity_per_shard",
             "Lane budget each shard admits against.",
@@ -152,6 +180,11 @@ pub struct MetricsSnapshot {
     pub queue_depth: usize,
     /// Live beam lanes per shard right now.
     pub shard_lanes: Vec<usize>,
+    /// Self-attention KV blocks live lanes hold, per shard (0 when idle).
+    pub shard_kv_blocks_held: Vec<usize>,
+    /// Self-attention KV blocks each shard's pool has allocated: grows with
+    /// the blocks its lanes take, up to a full table per budgeted lane.
+    pub shard_kv_blocks_allocated: Vec<usize>,
     /// Lane budget each shard admits against.
     pub lane_capacity_per_shard: usize,
     /// Tokens decoded so far across all shards (one per live lane per
@@ -208,8 +241,8 @@ mod tests {
     use super::*;
 
     fn test_metrics(shards: usize, lane_capacity: usize) -> MetricsInner {
-        let lanes = (0..shards).map(|_| AtomicUsize::new(0)).collect();
-        MetricsInner::new(lanes, lane_capacity, "scalar", "scalar".to_string())
+        let gauges = (0..shards).map(|_| ShardGauges::default()).collect();
+        MetricsInner::new(gauges, lane_capacity, "scalar", "scalar".to_string())
     }
 
     #[test]
@@ -218,8 +251,8 @@ mod tests {
         for ms in 1..=100u64 {
             m.record_latency(ms * 1000);
         }
-        m.shard_lanes[0].store(5, Ordering::Relaxed);
-        m.shard_lanes[1].store(10, Ordering::Relaxed);
+        m.shards[0].lanes.store(5, Ordering::Relaxed);
+        m.shards[1].lanes.store(10, Ordering::Relaxed);
         let snap = m.snapshot(CacheStats::default());
         assert_eq!(snap.completed, 100);
         // Histogram quantiles are bucket upper bounds: never below the

@@ -15,11 +15,11 @@ const BEAM: usize = 3;
 
 /// Untrained small-profile decompiler: decode cost and the whole serving
 /// path are representative without minutes of training.
-fn smoke_slade() -> Arc<Slade> {
+fn smoke_slade(beam: usize, max_tgt_len: usize) -> Slade {
     let corpus: Vec<String> = (0..12).map(asm).collect();
     let tokenizer = UnigramTokenizer::train(&corpus, 200);
     let model = Seq2Seq::new(TransformerConfig::small(tokenizer.vocab_size()), 11);
-    Arc::new(Slade::from_parts(model, tokenizer, Isa::X86_64, OptLevel::O0, BEAM, 12))
+    Slade::from_parts(model, tokenizer, Isa::X86_64, OptLevel::O0, beam, max_tgt_len)
 }
 
 fn asm(i: usize) -> String {
@@ -28,7 +28,7 @@ fn asm(i: usize) -> String {
 
 #[test]
 fn scrape_and_trace_smoke() {
-    let slade = smoke_slade();
+    let slade = Arc::new(smoke_slade(BEAM, 12));
     let runtime = ServeRuntime::start(Arc::clone(&slade), ServeConfig::with_shards(2));
     let workload: Vec<String> = (0..4).map(asm).collect();
     let handles: Vec<_> = workload.iter().map(|a| runtime.submit(a)).collect();
@@ -58,9 +58,11 @@ fn scrape_and_trace_smoke() {
     assert_eq!(stats.values["slade_spill_hits_total"], 0.0);
     // Every submission has its terminal: nothing in flight, nothing lost.
     assert_eq!(stats.values["slade_conservation_drift"], 0.0);
-    // All requests drained: the saturating-decrement gauge is back to 0.
+    // All requests drained: the saturating-decrement gauge is back to 0,
+    // and so is every shard's count of held KV blocks.
     let snap = runtime.metrics();
     assert_eq!(snap.queue_depth, 0, "queue_depth must return to zero");
+    assert_eq!(snap.shard_kv_blocks_held, [0, 0], "a drained shard holds no KV block");
     assert!(snap.p50_latency_ms >= 0.0 && snap.p99_latency_ms >= snap.p50_latency_ms);
 
     // --- Span tree: every decoded request is complete and well-formed. ---
@@ -117,5 +119,36 @@ fn scrape_and_trace_smoke() {
     assert!(hit_spans.iter().any(|s| s.stage == Stage::Cache));
     assert!(!hit_spans.iter().any(|s| s.stage == Stage::Decode));
 
+    runtime.shutdown();
+}
+
+/// A shard's KV pool follows the lanes it decodes, not its lane budget:
+/// a fresh 256-lane shard has allocated no block; one beam-5 request
+/// leaves at most a full table (`slade_nn`'s blocks hold 16 positions)
+/// per beam lane; and once the request returns the shard holds none.
+#[test]
+fn kv_block_gauges_follow_the_live_lanes() {
+    let (beam, budget, lanes) = (5, 40, 256);
+    let mut slade = smoke_slade(beam, budget);
+    slade.set_max_batch_lanes(lanes);
+    let runtime = ServeRuntime::start(Arc::new(slade), ServeConfig::with_shards(1));
+    let snap = runtime.metrics();
+    assert_eq!(snap.lane_capacity_per_shard, lanes);
+    assert_eq!((snap.shard_kv_blocks_held, snap.shard_kv_blocks_allocated), (vec![0], vec![0]));
+
+    assert!(!runtime.submit(&asm(0)).wait().expect("no timeout configured").is_empty());
+    // Every lane's table: `budget` positions (under the model's 160).
+    let reached = beam * budget.div_ceil(16);
+    let snap = runtime.metrics();
+    let allocated = snap.shard_kv_blocks_allocated[0];
+    assert!(allocated > 0 && allocated <= reached, "{allocated} for {reached}");
+    assert_eq!(snap.shard_kv_blocks_held, [0], "an idle shard holds no block");
+    let text = runtime.metrics_text();
+    for sample in [
+        "slade_shard_kv_blocks_held{shard=\"0\"} 0\n".to_string(),
+        format!("slade_shard_kv_blocks_allocated{{shard=\"0\"}} {allocated}\n"),
+    ] {
+        assert!(text.contains(&sample), "no `{}` in the scrape", sample.trim_end());
+    }
     runtime.shutdown();
 }
