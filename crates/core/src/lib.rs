@@ -220,9 +220,11 @@ impl SladeBuilder {
 
     /// Sets the concurrent-lane budget of one [`Slade::decompile_batch`]
     /// engine batch (clamped to ≥ 1; default [`Slade::MAX_BATCH_LANES`]).
-    /// The budget caps the decoder's up-front KV-arena allocation; serving
-    /// layers that shard requests across workers size it to per-shard
-    /// capacity instead of the single-process default.
+    /// The budget bounds the lanes one decode step runs, and with them
+    /// the cross memories a batch holds and the largest KV block pool it
+    /// can grow to; serving layers that shard requests across workers
+    /// size it to per-shard capacity instead of the single-process
+    /// default.
     pub fn max_batch_lanes(mut self, lanes: usize) -> Self {
         self.max_batch_lanes = lanes.max(1);
         self
@@ -403,9 +405,10 @@ pub struct Slade {
 
 impl Slade {
     /// Upper bound on concurrent beam lanes per engine batch inside
-    /// [`Slade::decompile_batch`]: caps the engine's up-front KV-arena
-    /// allocation (which scales with `lanes × max_tgt_len × d_model`)
-    /// regardless of corpus size.
+    /// [`Slade::decompile_batch`], regardless of corpus size. It bounds
+    /// the lanes one decode step runs, the cross memories one batch
+    /// holds and the worst-case KV block pool (which grows with the
+    /// blocks lanes take, up to a full `max_tgt_len` table per lane).
     pub const MAX_BATCH_LANES: usize = 256;
 
     /// Assembles a decompiler from pre-built parts — the entry point for
@@ -484,11 +487,11 @@ impl Slade {
     /// through it — and returns, per input, up to `beam` hypotheses, best
     /// first.
     ///
-    /// The engine pre-allocates KV arenas for every beam lane of every
-    /// request in a batch, so an unbounded corpus would mean unbounded
-    /// memory; inputs are therefore fed through in chunks of at most
-    /// [`Slade::max_batch_lanes`] concurrent lanes (batching benefits
-    /// saturate far below the default budget).
+    /// Every request in a batch holds a cross memory and every beam lane
+    /// can grow its KV blocks to the token budget, so an unbounded corpus
+    /// would mean unbounded memory; inputs are therefore fed through in
+    /// chunks of at most [`Slade::max_batch_lanes`] concurrent lanes
+    /// (batching benefits saturate far below the default budget).
     pub fn decompile_batch(&self, asm_texts: &[&str]) -> Vec<Vec<String>> {
         let beam = self.beam.max(1);
         let per_chunk = (self.max_batch_lanes() / beam).max(1);

@@ -116,8 +116,9 @@ fn heldout_stats(slade: &Slade, setup: &AblationSetup) -> (f64, f64) {
         dec_input.extend_from_slice(&tgt);
         let mut labels = tgt.clone();
         labels.push(special::EOS);
-        loss_sum += f64::from(slade.model.eval_loss(&src, &dec_input, &labels));
-        acc_sum += slade.model.eval_token_accuracy(&src, &dec_input, &labels);
+        let (loss, acc) = slade.model.eval_pair(&src, &dec_input, &labels);
+        loss_sum += f64::from(loss);
+        acc_sum += acc;
         n += 1;
     }
     if n == 0 {

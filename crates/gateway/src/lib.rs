@@ -548,7 +548,6 @@ fn route_decompile(inner: &Arc<Inner>, req: &Request, peer: &str) -> Routed {
             }
             Some(n)
         }
-        Some(Value::Int(n)) if *n >= 1 && (*n as usize) <= slade.beam() => Some(*n as usize),
         Some(_) => {
             return immediate(
                 400,

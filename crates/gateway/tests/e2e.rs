@@ -341,8 +341,13 @@ fn health_metrics_and_reject_routes() {
     assert_eq!(post(&addr, "{\"asm\":\"\"}").status, 400);
     let mismatch = format!("{{\"asm\":{},\"isa\":\"arm64\"}}", Value::Str(asm(2)).render());
     assert_eq!(post(&addr, &mismatch).status, 409);
-    let wide_beam = format!("{{\"asm\":{},\"beam\":99}}", Value::Str(asm(2)).render());
-    assert_eq!(post(&addr, &wide_beam).status, 409);
+    let with_beam =
+        |beam: &str| format!("{{\"asm\":{},\"beam\":{beam}}}", Value::Str(asm(2)).render());
+    assert_eq!(post(&addr, &with_beam("99")).status, 409);
+    // Zero, negatives, fractions and strings are not a beam width.
+    for bad in ["0", "-1", "2.5", "\"2\""] {
+        assert_eq!(post(&addr, &with_beam(bad)).status, 400, "beam {bad}");
+    }
     let scrape = get("/metrics");
     assert_eq!(scrape.status, 200);
     let text = scrape.text();

@@ -130,7 +130,8 @@ impl<'m> InferenceEngine<'m> {
     /// Opens a [`DecodeSession`] — the continuous-batching front-end:
     /// requests are admitted (possibly while other requests are
     /// mid-decode), stepped together, and returned as they finish.
-    /// `cap_lanes` bounds concurrent beam lanes (the KV pool allocation);
+    /// `cap_lanes` bounds concurrent beam lanes (and so the KV block pool,
+    /// which grows with the blocks lanes take);
     /// `cap_pos` bounds tokens decodable per lane (clamped to the model's
     /// positional table).
     pub fn session(&self, cap_lanes: usize, cap_pos: usize) -> DecodeSession<'m> {

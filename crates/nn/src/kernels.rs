@@ -1,11 +1,12 @@
 //! Runtime-dispatched SIMD kernel layer.
 //!
-//! Every hot kernel in this crate (`matmul_transb_into`,
-//! `matmul_xpacked_into`, the fused log-softmax+top-k max and exp-sum
-//! passes, the attention core (`attn_scores_into` and its key-packed
-//! query-tile form `attn_scores_packed_tile_into`, `softmax_rows_into`,
+//! Every hot kernel in this crate (`matmul_xpacked_into`, the
+//! projection of every forward, training's included; `gelu_into`; the
+//! fused log-softmax+top-k max and exp-sum passes; the attention core
+//! (`attn_scores_into` and its key-packed query-tile form
+//! `attn_scores_packed_tile_into`, `softmax_rows_into`,
 //! `attn_weighted_sum_into` and its query-tile form
-//! `attn_weighted_sum_tile_into`; the tile forms walk [`Blocks`]),
+//! `attn_weighted_sum_tile_into`; the tile forms walk [`Blocks`]);
 //! and `layer_norm_into`) routes through this module. An ISA tier is
 //! selected once at startup — AVX2 on x86-64 hosts that have it, scalar
 //! otherwise (every other architecture: the scalar bodies are 8-lane
@@ -40,12 +41,13 @@
 //!   `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, the order an AVX2
 //!   128-bit-split horizontal add performs.
 //!
-//! Both matmul layouts (`transb`: B rows contiguous over `k`;
-//! `xpacked`: B transposed and packed into 8-column slabs by
-//! [`pack_xposed_blocks`]) implement these exact per-element semantics,
-//! so projecting through a weight matrix yields the same bits in either
-//! — the training forward (transb) is the reference the inference path
-//! (xpacked) is tested against under `to_bits`.
+//! Every forward — training, the reference decode and the batched
+//! inference path — projects through one matmul layout, `xpacked` (B
+//! transposed and packed into 8-column slabs by [`pack_xposed_blocks`]),
+//! so the training forward and the decoder it is the oracle for share
+//! one kernel. The scalar `transb` body (B rows contiguous over `k`, the
+//! weights as stored) remains only as the specification: the tests hold
+//! every tier's `xpacked` to it under `to_bits`.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -334,9 +336,7 @@ fn exp_lane(x: f32) -> f32 {
 /// tier. `tanh(u)` is evaluated as `sign(u) · (1 - e) / (1 + e)` with
 /// `e = exp(-2|u|)` through [`exp_lane`], so — like `exp_lane` — the
 /// AVX2 lane implementation mirrors the operation sequence exactly and
-/// tiers agree bit-for-bit. This is also the body of the public
-/// `math::gelu`, so the training path and the dispatched decode path
-/// compute the same function.
+/// tiers agree bit-for-bit.
 #[inline(always)]
 pub(crate) fn gelu_lane(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
@@ -373,9 +373,10 @@ pub mod scalar {
         reduce8(&lanes)
     }
 
-    /// `C = A * B^T` into `c` — scalar tier.
-    /// `a` is `m x k`, `b` is `n x k` (rows contiguous over `k`),
-    /// `c` is `m x n`.
+    /// `C = A * B^T` into `c` — the matmul specification: `a` is
+    /// `m x k`, `b` is `n x k` (rows contiguous over `k`, the `[dout,
+    /// din]` weights as stored), `c` is `m x n`. No forward calls it;
+    /// the tests hold every tier's [`super::matmul_xpacked_into`] to it.
     pub fn matmul_transb_into(
         a: &[f32],
         b: &[f32],
@@ -701,71 +702,6 @@ pub mod avx2 {
         let from = &TAIL_MASK[8 - tail..][..8];
         // SAFETY: `from` is 32 readable bytes and the load is unaligned.
         unsafe { _mm256_loadu_si256(from.as_ptr() as *const __m256i) }
-    }
-
-    /// `C = A * B^T` into `c` — AVX2 tier (see [`super::scalar::matmul_transb_into`]).
-    pub fn matmul_transb_into(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-        assert_avx2();
-        // SAFETY: AVX2 is present and `a`, `b`, `c` hold the `m x k`,
-        // `n x k` and `m x n` elements the body slices (both asserted).
-        unsafe { transb_avx2(a, b, c, m, k, n) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn transb_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        for i in 0..m {
-            let (ar, crow) = (&a[i * k..(i + 1) * k], &mut c[i * n..(i + 1) * n]);
-            // Four output columns at a time: each keeps its own lane
-            // accumulator (so per-element accumulation is unchanged),
-            // and the four independent add chains hide vaddps latency
-            // that a single chain would expose.
-            let mut j = 0usize;
-            while j + 4 <= n {
-                transb_cols_avx2::<4>(ar, &b[j * k..(j + 4) * k], &mut crow[j..j + 4]);
-                j += 4;
-            }
-            while j < n {
-                transb_cols_avx2::<1>(ar, &b[j * k..(j + 1) * k], &mut crow[j..j + 1]);
-                j += 1;
-            }
-        }
-    }
-
-    /// `out[col] = dot8(ar, b[col * k..][..k])` for `J` adjacent rows of
-    /// `b`, the `ar` chunk loaded once for all of them.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and `b.len() >= J * ar.len()`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn transb_cols_avx2<const J: usize>(ar: &[f32], b: &[f32], out: &mut [f32]) {
-        let k = ar.len();
-        let base = k / 8 * 8;
-        let mut acc = [_mm256_setzero_ps(); J];
-        for p in (0..base).step_by(8) {
-            let av = _mm256_loadu_ps(ar.as_ptr().add(p));
-            for (col, a) in acc.iter_mut().enumerate() {
-                // mul + add (no FMA): rounding must match scalar.
-                let bv = _mm256_loadu_ps(b.as_ptr().add(col * k + p));
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(av, bv));
-            }
-        }
-        for (col, (o, a)) in out.iter_mut().zip(acc).enumerate() {
-            let br = &b[col * k + base..(col + 1) * k];
-            *o = sum_lanes(a, ar[base..].iter().zip(br).map(|(x, y)| x * y));
-        }
     }
 
     /// `C = A * B` with `bp` packed by [`super::pack_xposed_blocks`] —
@@ -1661,15 +1597,6 @@ pub mod avx2 {
     }
 }
 
-/// Dispatched `C = A * B^T` (`a`: `m x k`, `b`: `n x k`, `c`: `m x n`).
-pub fn matmul_transb_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    match active_tier() {
-        #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 => avx2::matmul_transb_into(a, b, c, m, k, n),
-        _ => scalar::matmul_transb_into(a, b, c, m, k, n),
-    }
-}
-
 /// Packs a pre-transposed `k x n` matrix (`bt`, output columns
 /// contiguous) into the layout the `matmul_xpacked_into` kernels read:
 /// one sequential `k x 8` slab per full j-block (slab row `p` holds the
@@ -1698,9 +1625,9 @@ pub fn pack_xposed_blocks(bt: &[f32], k: usize, n: usize) -> Vec<f32> {
 }
 
 /// Dispatched `C = A * B` with `bp` = B packed by
-/// [`pack_xposed_blocks`]. Bit-identical to [`matmul_transb_into`]
-/// against the untransposed `B^T` — same per-element accumulation,
-/// addresses that stream.
+/// [`pack_xposed_blocks`] — every forward's projection. Bit-identical to
+/// [`scalar::matmul_transb_into`] against the untransposed `B^T` — same
+/// per-element accumulation, addresses that stream.
 pub fn matmul_xpacked_into(a: &[f32], bp: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
@@ -1739,7 +1666,7 @@ pub fn sum_exp(row: &[f32], max: f32) -> f32 {
 /// Dispatched elementwise GELU over a buffer (the FFN activation).
 /// Every tier evaluates the shared [`gelu_lane`] operation sequence —
 /// polynomial `exp`, no libm — so results are bit-identical across
-/// tiers, and identical to the public scalar `math::gelu`.
+/// tiers — the training forward and the decoder call this same kernel.
 pub fn gelu_into(buf: &mut [f32]) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
@@ -2008,8 +1935,8 @@ mod tests {
     #[test]
     fn transb_and_xposed_orientations_agree_bitwise() {
         // Same projection through both weight orientations must give the
-        // same bits: training and the reference forward use transb, the
-        // inference path the packed transpose.
+        // same bits: transb over the stored weights is the spec, every
+        // forward projects through the packed transpose.
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (2, 7, 5), (3, 16, 8), (4, 19, 13)] {
             let a = fill(1, m * k);
             let w = fill(2, n * k); // n x k, transb orientation

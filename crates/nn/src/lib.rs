@@ -9,12 +9,13 @@
 //! Layout:
 //! - [`kernels`] — runtime-dispatched SIMD kernel tiers (scalar / AVX2,
 //!   bit-identical);
-//! - [`math`] — dense kernels (matmul variants, softmax, GELU), hot
-//!   paths dispatching through [`kernels`];
+//! - [`math`] — the backward pass's dense kernels (gradient matmuls,
+//!   softmax, GELU derivative) and the fused log-softmax + top-k, whose
+//!   max and exp-sum passes dispatch through [`kernels`];
 //! - [`store`] — flat parameter store with gradients and Adam moments;
 //! - [`model`] — the seq2seq Transformer with hand-written backward passes,
 //!   optional seeded dropout (for the paper's §V-C ablation), forward-only
-//!   evaluation ([`Seq2Seq::eval_loss`]), and the one KV-cached inference
+//!   evaluation ([`Seq2Seq::eval_pair`]), and the one KV-cached inference
 //!   path ([`Seq2Seq::encode_batch`]/[`Seq2Seq::decode_step_batch`]),
 //!   bit-identical to its reference, the training
 //!   forward ([`Seq2Seq::encode`]/[`Seq2Seq::decode_last_logits`]);

@@ -1,9 +1,11 @@
 //! Dense math kernels used by the Transformer (single-threaded f32).
 //!
-//! The hot kernels (`matmul_transb_into` and the max and exp-sum passes
-//! of [`log_softmax_topk`]) dispatch through [`crate::kernels`] to the
-//! best ISA tier the host supports (AVX2 / scalar), all tiers
-//! bit-identical. The training-only kernels below stay plain scalar code.
+//! Every forward projection and activation, training's included, goes
+//! through [`crate::kernels`]. What stays here is the backward pass's
+//! plain scalar code (the gradient matmuls, softmax, the GELU
+//! derivative) and the fused [`log_softmax_topk`], whose max and
+//! exp-sum passes dispatch to the best ISA tier the host supports
+//! (AVX2 / scalar), all tiers bit-identical.
 
 use crate::kernels;
 
@@ -72,21 +74,6 @@ pub fn softmax_rows(x: &mut [f32], rows: usize, cols: usize) {
             *v *= inv;
         }
     }
-}
-
-/// Writes `c[m,n] = a[m,k] @ b[n,k]ᵀ` into a caller-provided buffer —
-/// the projection of training and of the reference forward.
-///
-/// Dispatches through [`crate::kernels`] to the active ISA tier. Every
-/// tier implements the same lane-split accumulation semantics (8 lanes
-/// by reduction index mod 8, fixed tree reduce — see the module docs of
-/// [`crate::kernels`]), so results are bit-identical regardless of tier
-/// and of which rows share a batch.
-pub fn matmul_transb_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    kernels::matmul_transb_into(a, b, c, m, k, n);
 }
 
 /// Transposes `src[rows, cols]` into `dst[cols, rows]`.
@@ -166,16 +153,8 @@ pub fn log_softmax_topk(row: &[f32], k: usize) -> Vec<(usize, f32)> {
     best
 }
 
-/// GELU activation (tanh approximation, as BART uses). Delegates to the
-/// kernel layer's shared polynomial evaluation so the training path and
-/// the dispatched SIMD decode path ([`kernels::gelu_into`]) compute the
-/// same function bit-for-bit; `tanh` via libm would differ from the
-/// vector tiers by a ulp.
-pub fn gelu(x: f32) -> f32 {
-    kernels::gelu_lane(x)
-}
-
-/// Derivative of [`gelu`].
+/// Derivative of the GELU activation [`kernels::gelu_into`] applies
+/// (tanh approximation, as BART uses).
 pub fn gelu_grad(x: f32) -> f32 {
     let c = 0.797_884_6f32;
     let u = c * (x + 0.044715 * x * x * x);
@@ -199,11 +178,11 @@ mod tests {
 
     #[test]
     fn transb_matches_manual() {
-        // a [1,3] @ b [2,3]^T = [1,2]
+        // a [1,3] @ b [2,3]^T = [1,2], through the scalar kernel spec.
         let a = vec![1.0, 2.0, 3.0];
         let b = vec![1.0, 0.0, 1.0, 0.5, 0.5, 0.5];
         let mut c = vec![f32::NAN; 2];
-        matmul_transb_into(&a, &b, &mut c, 1, 3, 2);
+        kernels::scalar::matmul_transb_into(&a, &b, &mut c, 1, 3, 2);
         assert_eq!(c, vec![4.0, 3.0]);
     }
 
@@ -270,6 +249,7 @@ mod tests {
     fn gelu_gradient_matches_finite_difference() {
         for &x in &[-2.0f32, -0.5, 0.0, 0.7, 3.0] {
             let eps = 1e-3;
+            let gelu = kernels::gelu_lane;
             let num = (gelu(x + eps) - gelu(x - eps)) / (2.0 * eps);
             assert!((num - gelu_grad(x)).abs() < 1e-2, "x={x}: {num} vs {}", gelu_grad(x));
         }

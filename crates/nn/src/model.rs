@@ -306,14 +306,17 @@ impl Seq2Seq {
 
     fn linear(&self, w: PId, b: PId, x: &[f32], t: usize, din: usize, dout: usize) -> Vec<f32> {
         let mut y = vec![0.0f32; t * dout];
-        matmul_transb_into(x, self.store.data(w), &mut y, t, din, dout);
-        let bias = self.store.data(b);
-        for row in 0..t {
-            for j in 0..dout {
-                y[row * dout + j] += bias[j];
-            }
-        }
+        self.proj_weight(w, dout, din).apply(x, Some(self.store.data(b)), &mut y, t, din, dout);
         y
+    }
+
+    /// The tied output projection of `t` decoder hidden rows: their
+    /// `t × vocab` logits against the token embeddings.
+    fn tied_logits(&self, hn: &[f32], t: usize) -> Vec<f32> {
+        let (d, v) = (self.cfg.d_model, self.cfg.vocab);
+        let mut logits = vec![0.0f32; t * v];
+        self.proj_weight(self.embed, v, d).apply(hn, None, &mut logits, t, d, v);
+        logits
     }
 
     fn layer_norm(&self, ln: &Ln, x: &[f32], t: usize) -> LnCache {
@@ -518,7 +521,7 @@ impl Seq2Seq {
         let dff = self.cfg.d_ff;
         let hidden = self.linear(f.w1, f.b1, x, t, d, dff);
         let mut act = hidden.clone();
-        act.iter_mut().for_each(|v| *v = gelu(*v));
+        crate::kernels::gelu_into(&mut act);
         let out = self.linear(f.w2, f.b2, &act, t, dff, d);
         (out, hidden)
     }
@@ -534,7 +537,7 @@ impl Seq2Seq {
         let d = self.cfg.d_model;
         let dff = self.cfg.d_ff;
         let mut act = hidden.to_vec();
-        act.iter_mut().for_each(|v| *v = gelu(*v));
+        crate::kernels::gelu_into(&mut act);
         let mut dact = vec![0.0f32; t * dff];
         matmul_into(dy, self.store.data(f.w2), &mut dact, t, d, dff);
         let mut dw = vec![0.0f32; d * dff];
@@ -634,74 +637,42 @@ impl Seq2Seq {
         assert!(t > 0, "decode_last_logits needs at least one prefix token");
         let hn = self.decoder_hidden(mem, s, tgt_prefix);
         let d = self.cfg.d_model;
-        let last = &hn[(t - 1) * d..t * d];
-        let mut logits = vec![0.0f32; self.cfg.vocab];
-        matmul_transb_into(
-            last,
-            self.store.data(self.embed),
-            &mut logits,
-            1,
-            d,
-            self.cfg.vocab,
-        );
-        logits
+        self.tied_logits(&hn[(t - 1) * d..t * d], 1)
     }
 
     /// Decoder forward over a full prefix; returns the `t × vocab` logits of
     /// **every** position (teacher-forced evaluation).
     pub fn decode_all_logits(&self, mem: &[f32], s: usize, tgt_prefix: &[u32]) -> Vec<f32> {
         let hn = self.decoder_hidden(mem, s, tgt_prefix);
-        let d = self.cfg.d_model;
-        let t = tgt_prefix.len();
-        let mut logits = vec![0.0f32; t * self.cfg.vocab];
-        matmul_transb_into(&hn, self.store.data(self.embed), &mut logits, t, d, self.cfg.vocab);
-        logits
+        self.tied_logits(&hn, tgt_prefix.len())
     }
 
-    /// Forward-only mean cross-entropy of a teacher-forced pair — the
-    /// held-out validation loss used by the ablation harness. Never applies
-    /// dropout and never touches gradients.
-    pub fn eval_loss(&self, src: &[u32], dec_input: &[u32], labels: &[u32]) -> f32 {
+    /// Forward-only teacher-forced statistics of one pair — the held-out
+    /// `(mean cross-entropy, next-token accuracy)` the ablation harness
+    /// reports, from one encode and one decoder forward. Accuracy is the
+    /// fraction of positions whose argmax logit is the label; an empty
+    /// pair scores `(NaN, 0.0)`. Never applies dropout and never touches
+    /// gradients.
+    pub fn eval_pair(&self, src: &[u32], dec_input: &[u32], labels: &[u32]) -> (f32, f64) {
         assert_eq!(dec_input.len(), labels.len(), "teacher forcing alignment");
+        let t = labels.len();
+        if t == 0 {
+            return (f32::NAN, 0.0);
+        }
         let src: Vec<u32> = src.iter().take(self.cfg.max_len).copied().collect();
         let mem = self.encode(&src);
-        let t = dec_input.len();
         let v = self.cfg.vocab;
         let mut logits = self.decode_all_logits(&mem, src.len(), dec_input);
-        softmax_rows(&mut logits, t, v);
         let mut loss = 0.0f32;
-        for (ti, &label) in labels.iter().enumerate() {
-            loss -= logits[ti * v + label as usize].max(1e-9).ln();
-        }
-        loss / t as f32
-    }
-
-    /// Teacher-forced next-token accuracy: the fraction of positions where
-    /// the argmax prediction equals the label.
-    pub fn eval_token_accuracy(&self, src: &[u32], dec_input: &[u32], labels: &[u32]) -> f64 {
-        assert_eq!(dec_input.len(), labels.len(), "teacher forcing alignment");
-        if labels.is_empty() {
-            return 0.0;
-        }
-        let src: Vec<u32> = src.iter().take(self.cfg.max_len).copied().collect();
-        let mem = self.encode(&src);
-        let t = dec_input.len();
-        let v = self.cfg.vocab;
-        let logits = self.decode_all_logits(&mem, src.len(), dec_input);
         let mut hits = 0usize;
-        for (ti, &label) in labels.iter().enumerate() {
-            let row = &logits[ti * v..(ti + 1) * v];
-            let argmax = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i as u32)
-                .unwrap_or(0);
-            if argmax == label {
-                hits += 1;
-            }
+        for (row, &label) in logits.chunks_exact_mut(v).zip(labels) {
+            let argmax =
+                row.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i);
+            hits += usize::from(argmax == Some(label as usize));
+            softmax_rows(row, 1, v);
+            loss -= row[label as usize].max(1e-9).ln();
         }
-        hits as f64 / t as f64
+        (loss / t as f32, hits as f64 / t as f64)
     }
 
     /// One teacher-forced training example: forward, loss, backward
@@ -727,8 +698,7 @@ impl Seq2Seq {
         let hn = &dec.out.y;
         // ---- loss: tied-output softmax cross-entropy ----
         let v = self.cfg.vocab;
-        let mut logits = vec![0.0f32; t * v];
-        matmul_transb_into(hn, self.store.data(self.embed), &mut logits, t, d, v);
+        let mut logits = self.tied_logits(hn, t);
         softmax_rows(&mut logits, t, v);
         let mut loss = 0.0f32;
         let mut dlogits = logits; // becomes (p - onehot)/t
@@ -958,8 +928,10 @@ impl Seq2Seq {
         t
     }
 
-    /// Materializes one weight tensor in its inference format:
-    /// transposed and packed into j-block slabs.
+    /// Materializes one weight tensor in the one layout every forward
+    /// projects through: transposed and packed into j-block slabs. The
+    /// training forward packs per call (its weights change every step);
+    /// the inference paths pack once per session.
     fn proj_weight(&self, w: PId, dout: usize, din: usize) -> ProjWeight {
         ProjWeight(crate::kernels::pack_xposed_blocks(&self.xposed(w, dout, din), din, dout))
     }
@@ -1469,7 +1441,7 @@ struct DecForward {
     out: LnCache,
 }
 
-/// One projection's inference weights, materialized by
+/// One projection's weights, materialized by
 /// [`Seq2Seq::proj_weight`]: pre-transposed f32 weights packed into
 /// j-block slabs ([`crate::kernels::pack_xposed_blocks`]) — the layout
 /// [`crate::kernels::matmul_xpacked_into`] streams through sequentially.
@@ -2042,7 +2014,7 @@ mod tests {
         let src = vec![5u32, 6, 7];
         let dec_input = vec![1u32, 9, 10];
         let labels = vec![9u32, 10, 2];
-        let fwd_only = m.eval_loss(&src, &dec_input, &labels);
+        let (fwd_only, _) = m.eval_pair(&src, &dec_input, &labels);
         m.zero_grads();
         let with_bwd = m.train_pair(&src, &dec_input, &labels);
         assert!(
@@ -2084,7 +2056,7 @@ mod tests {
             let _ = m.train_pair(&src, &dec_input, &labels);
             m.adam_step(3e-3, 0.0, 1.0);
             // Dropout makes the train loss noisy; track the clean eval loss.
-            let loss = m.eval_loss(&src, &dec_input, &labels);
+            let (loss, _) = m.eval_pair(&src, &dec_input, &labels);
             if step == 0 {
                 first = loss;
             }
@@ -2256,8 +2228,10 @@ mod tests {
             m.train_pair(&src, &dec_input, &labels);
             m.adam_step(3e-3, 0.0, 1.0);
         }
-        let acc = m.eval_token_accuracy(&src, &dec_input, &labels);
+        let (_, acc) = m.eval_pair(&src, &dec_input, &labels);
         assert!(acc > 0.99, "memorized pair should be perfectly predicted: {acc}");
+        let (loss, acc) = m.eval_pair(&src, &[], &[]);
+        assert!(loss.is_nan() && acc == 0.0, "an empty pair scores (NaN, 0): ({loss}, {acc})");
     }
 
     /// A batched state and, per lane, the request and prefix the reference

@@ -477,9 +477,10 @@ impl ServeRuntime {
     pub fn start(slade: Arc<Slade>, config: ServeConfig) -> Self {
         let shards = config.shards.max(1);
         let beam = slade.beam().max(1);
-        // The model's lane budget split across the shards, so total arena
-        // memory stays at that cap — floored at one full beam width, since
-        // a shard with fewer lanes could never admit anything.
+        // The model's lane budget split across the shards, so the lanes
+        // stepped at once, and the cross memories and worst-case KV pools
+        // they hold, stay within that cap — floored at one full beam
+        // width, since a shard with fewer lanes could never admit anything.
         let shard_lanes = (slade.max_batch_lanes() / shards).max(beam);
         // Resolve the kernel dispatch once up front so the metrics surface
         // reports what the workers will actually run with — both the
