@@ -231,8 +231,9 @@ impl SladeBuilder {
     }
 
     /// Compiles the items, trains the tokenizer and the model, and returns
-    /// the ready decompiler. Items that fail to compile or exceed the
-    /// length caps are skipped.
+    /// the ready decompiler, whose model keeps its weights and no
+    /// optimizer state. Items that fail to compile or exceed the length
+    /// caps are skipped.
     pub fn train(self, items: &[DatasetItem], seed: u64) -> Slade {
         let pairs = make_pairs(items, self.isa, self.opt);
         let mut corpus: Vec<String> = Vec::new();
@@ -268,6 +269,7 @@ impl SladeBuilder {
             let shuffled = order.iter().map(|&i| (&encoded[i].0, encoded[i].1.as_slice()));
             train_epoch(&mut model, &self.profile, shuffled);
         }
+        model.release_optimizer_state();
         Slade {
             model,
             tokenizer,
@@ -414,15 +416,17 @@ impl Slade {
     /// Assembles a decompiler from pre-built parts — the entry point for
     /// benchmarks and serving tests that need a `Slade` around a model
     /// that was not produced by [`SladeBuilder::train`] (e.g. an untrained
-    /// model whose decode cost is still representative).
+    /// model whose decode cost is still representative). The model's
+    /// optimizer state, if any, is released: a `Slade` only decodes.
     pub fn from_parts(
-        model: Seq2Seq,
+        mut model: Seq2Seq,
         tokenizer: UnigramTokenizer,
         isa: Isa,
         opt: OptLevel,
         beam: usize,
         max_tgt_len: usize,
     ) -> Self {
+        model.release_optimizer_state();
         Slade {
             model,
             tokenizer,
@@ -706,6 +710,17 @@ mod tests {
     }
 
     #[test]
+    fn from_parts_releases_optimizer_state() {
+        let tokenizer = UnigramTokenizer::train(&["mov ret int".to_string()], 40);
+        let mut model = Seq2Seq::new(TrainProfile::tiny().transformer_config(40), 1);
+        model.train_pair(&[4, 5], &[1, 6], &[6, 2]);
+        model.adam_step(1e-3, 0.01, 1.0);
+        assert!(model.optimizer_floats() > 0);
+        let slade = Slade::from_parts(model, tokenizer, Isa::X86_64, OptLevel::O0, 1, 4);
+        assert_eq!(slade.model.optimizer_floats(), 0);
+    }
+
+    #[test]
     fn training_with_pretraining_and_dropout_runs() {
         let items = generate_train(DatasetProfile::tiny(), 5);
         let mut profile = TrainProfile::tiny();
@@ -716,6 +731,9 @@ mod tests {
             .profile(profile)
             .beam(1)
             .train(&items[..8.min(items.len())], 3);
+        // `tiny`'s source cap admits no pair, so pre-training is what
+        // trains here and creates the optimizer state the build releases.
+        assert_eq!(slade.model.optimizer_floats(), 0, "a built Slade holds weights only");
         let out = slade.decompile("f:\n\tret\n");
         assert!(!out.is_empty());
     }

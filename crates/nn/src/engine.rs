@@ -332,9 +332,9 @@ impl<'m> DecodeSession<'m> {
     /// Admits a group of requests — the grouped twin of
     /// [`DecodeSession::admit`] that serving callers use when draining an
     /// arrival queue: the group's lane reservation is checked as a whole,
-    /// its sources go through the session's encoder weights and scratch
-    /// ([`Seq2Seq::encode_batch_in`]), and every request gets its cross
-    /// memory and first lane.
+    /// its sources go through the session's encoder weights
+    /// ([`Seq2Seq::encode_batch_in`], whose activations live for this call
+    /// only), and every request gets its cross memory and first lane.
     ///
     /// # Panics
     ///
@@ -632,6 +632,37 @@ mod tests {
         assert!(session.is_idle());
         let (free, total) = session.state.check_kv_pool();
         assert_eq!(free, total, "KV blocks leaked");
+    }
+
+    #[test]
+    fn decode_scratch_follows_the_lanes_not_the_source() {
+        // A 1,000-token source and a short one fill a 10-lane session.
+        // The encoder's activations live for the admission only, so the
+        // session keeps step rows for the lanes it runs, not the source's.
+        let m =
+            Seq2Seq::new(TransformerConfig { max_len: 1024, ..TransformerConfig::tiny(16) }, 7);
+        let engine = InferenceEngine::new(&m);
+        let long = DecodeRequest {
+            src: (0..1000).map(|i| 3 + i % 13).collect(),
+            bos: 1,
+            eos: 2,
+            max_len: 6,
+            beam: 5,
+        };
+        let short = DecodeRequest { src: vec![4, 5, 6], ..long.clone() };
+        let mut session = engine.session(10, long.max_len);
+        let tickets = [session.admit(&long), session.admit(&short)];
+        assert_eq!(session.state.scratch_rows(), 0, "admission left activations behind");
+        let mut results = Vec::new();
+        while !session.is_idle() {
+            results.extend(session.step());
+            let rows = session.state.scratch_rows();
+            assert!(rows <= 10, "step scratch holds {rows} rows for 10 lanes");
+        }
+        for (ticket, req) in tickets.iter().zip([&long, &short]) {
+            let got = &results.iter().find(|(t, _)| t == ticket).unwrap().1;
+            assert_eq!(got, &engine.decode_reference(req), "src of {} tokens", req.src.len());
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! - [`math`] — the backward pass's dense kernels (gradient matmuls,
 //!   softmax, GELU derivative) and the fused log-softmax + top-k, whose
 //!   max and exp-sum passes dispatch through [`kernels`];
-//! - [`store`] — flat parameter store with gradients and Adam moments;
+//! - [`store`] — flat parameter store; gradients and Adam moments exist
+//!   only once training touches them;
 //! - [`model`] — the seq2seq Transformer with hand-written backward passes,
 //!   optional seeded dropout (for the paper's §V-C ablation), forward-only
 //!   evaluation ([`Seq2Seq::eval_pair`]), and the one KV-cached inference

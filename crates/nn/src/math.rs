@@ -105,15 +105,20 @@ pub fn log_softmax_rows(x: &mut [f32], rows: usize, cols: usize) {
     }
 }
 
+/// Logits the top-k scan tests at once against the k-th best: a chunk
+/// none of which beats it is skipped whole.
+const TOPK_CHUNK: usize = 8;
+
 /// Fused log-softmax + top-k selection over one logits row, without
-/// sorting (or even normalizing) the full vocabulary. Two passes: one for
-/// the max, one that accumulates `Σ exp(x - max)` while maintaining the k
-/// best raw logits by linear insertion (k is the beam width, ≤ 8 in
-/// practice, so the `O(cols · k)` worst case beats `O(cols · log cols)`
-/// sorting by a wide margin).
+/// sorting (or even normalizing) the full vocabulary. Three passes: the
+/// max, `Σ exp(x - max)`, and one that keeps the k best raw logits by
+/// insertion (k is the beam width, ≤ 8 in practice, so the `O(cols · k)`
+/// worst case beats `O(cols · log cols)` sorting by a wide margin). Once
+/// `k` logits are held, the scan tests `TOPK_CHUNK` logits at a time
+/// against the k-th best and skips a chunk none of which beats it.
 ///
 /// Leaves `(token, log_prob)` pairs in `best` (cleared first; it grows to
-/// `k + 1` slots once and is then reused without allocating) in
+/// `k` slots once and is then reused without allocating) in
 /// descending log-prob order; ties resolve to the lower index, matching
 /// what a stable descending sort of the full vocabulary would select.
 pub fn log_softmax_topk_into(row: &[f32], k: usize, best: &mut Vec<(usize, f32)>) {
@@ -128,20 +133,43 @@ pub fn log_softmax_topk_into(row: &[f32], k: usize, best: &mut Vec<(usize, f32)>
     let sum = kernels::sum_exp(row, max);
     // `best` is kept sorted descending by logit; ties keep earlier indices
     // first because later candidates only displace strictly smaller ones.
+    // The first `k` logits all enter; after that a logit enters only if it
+    // beats the k-th best (never a NaN, and nothing once a NaN is k-th),
+    // which is also what lets a chunk be skipped whole.
     best.clear();
-    best.reserve(k + 1);
-    for (i, &v) in row.iter().enumerate() {
-        if best.len() < k || v > best[best.len() - 1].1 {
-            let pos = best.partition_point(|&(_, bv)| bv >= v);
-            best.insert(pos, (i, v));
-            if best.len() > k {
-                best.pop();
-            }
+    best.reserve(k);
+    for (i, &v) in row[..k].iter().enumerate() {
+        let pos = best.partition_point(|&(_, bv)| bv >= v);
+        best.insert(pos, (i, v));
+    }
+    let chunks = row[k..].chunks_exact(TOPK_CHUNK);
+    let tail = k + chunks.len() * TOPK_CHUNK;
+    for (c, chunk) in chunks.enumerate() {
+        // A branch-free fold over a fixed-size chunk, so the test
+        // vectorizes.
+        let kth = best[k - 1].1;
+        if chunk.iter().fold(false, |any, &v| any | (v > kth)) {
+            let base = k + c * TOPK_CHUNK;
+            chunk.iter().enumerate().for_each(|(j, &v)| topk_offer(best, base + j, v));
         }
     }
+    row[tail..].iter().enumerate().for_each(|(j, &v)| topk_offer(best, tail + j, v));
     let lse = max + sum.ln();
     for b in best.iter_mut() {
         b.1 -= lse;
+    }
+}
+
+/// Offers logit `v` of index `i` to `best`, full and sorted descending:
+/// if it beats the last, it is shifted in where it ranks and the last
+/// drops out.
+fn topk_offer(best: &mut [(usize, f32)], i: usize, v: f32) {
+    let k = best.len();
+    if v > best[k - 1].1 {
+        // At most `k - 1`: the last fails `bv >= v`.
+        let pos = best.partition_point(|&(_, bv)| bv >= v);
+        best.copy_within(pos..k - 1, pos + 1);
+        best[pos] = (i, v);
     }
 }
 
@@ -166,6 +194,7 @@ pub fn gelu_grad(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn matmul_small_identity() {
@@ -243,6 +272,51 @@ mod tests {
         let got = log_softmax_topk(&row, 10);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, 0);
+    }
+
+    /// The top-k scan before chunk skipping, kept as the oracle: one
+    /// insertion test per logit, `Vec::insert` + `pop`.
+    fn topk_oracle(row: &[f32], k: usize) -> Vec<(usize, f32)> {
+        let k = k.max(1).min(row.len());
+        let max = kernels::row_max(row);
+        let sum = kernels::sum_exp(row, max);
+        let mut best: Vec<(usize, f32)> = Vec::new();
+        for (i, &v) in row.iter().enumerate() {
+            if best.len() < k || v > best[best.len() - 1].1 {
+                let pos = best.partition_point(|&(_, bv)| bv >= v);
+                best.insert(pos, (i, v));
+                if best.len() > k {
+                    best.pop();
+                }
+            }
+        }
+        let lse = max + sum.ln();
+        best.iter().map(|&(i, v)| (i, v - lse)).collect()
+    }
+
+    /// Logits with ties, NaN and ±inf mixed into ordinary values.
+    fn logits() -> impl Strategy<Value = Vec<f32>> {
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1.0, 2.5];
+        let value = prop_oneof![
+            6 => -8.0f32..8.0,
+            3 => prop::sample::select(special[3..].to_vec()),
+            1 => prop::sample::select(special.to_vec()),
+        ];
+        prop::collection::vec(value, 1..300)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn topk_matches_the_insertion_oracle(
+            row in logits(),
+            k in prop::sample::select(vec![1usize, 2, 3, 5, 8, 9, 706]),
+        ) {
+            let bits = |pairs: Vec<(usize, f32)>| -> Vec<(usize, u32)> {
+                pairs.into_iter().map(|(i, lp)| (i, lp.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(log_softmax_topk(&row, k)), bits(topk_oracle(&row, k)));
+        }
     }
 
     #[test]

@@ -281,6 +281,18 @@ impl Seq2Seq {
         self.store.adam_step(lr, weight_decay, scale);
     }
 
+    /// Floats held by gradients and Adam moments: none until the first
+    /// gradient, three per parameter once AdamW has stepped.
+    pub fn optimizer_floats(&self) -> usize {
+        self.store.optimizer_floats()
+    }
+
+    /// Frees the gradients and Adam moments, keeping the weights: a model
+    /// built for inference holds only its parameters.
+    pub fn release_optimizer_state(&mut self) {
+        self.store.release_optimizer_state();
+    }
+
     // ---- forward primitives (shared by train and inference) ----
 
     /// Token + position embeddings of `ids` (positions from 0) into the
@@ -819,45 +831,45 @@ impl Seq2Seq {
     /// Encoder forward of every sequence of `srcs` through the inference
     /// weights: one encoder memory per input, bit-identical to
     /// [`Seq2Seq::encode`] on each sequence. Sequences run one at a time
-    /// (see [`Seq2Seq::encode_batch_in`], which this is with weights and
-    /// scratch built for the call).
+    /// (see [`Seq2Seq::encode_batch_in`], which this is with the weights
+    /// packed for the call).
     pub fn encode_batch(&self, srcs: &[&[u32]]) -> Vec<Vec<f32>> {
-        self.encode_seqs(&self.encoder_weights(), &mut Scratch::default(), srcs)
+        self.encode_seqs(&self.encoder_weights(), srcs)
     }
 
     /// [`Seq2Seq::encode_batch`] through the encoder weights `state`
-    /// materialized at [`Seq2Seq::begin_decode_batch`] and its scratch,
-    /// which grows to the longest source seen and is then reused — what a
-    /// decode session admits through. One sequence at a time: every
-    /// projection is a matmul over that sequence's rows, and attention
-    /// takes a tile of [`ATTN_TILE`] consecutive query rows
-    /// ([`attend_tile`]) against the layer's keys and values, laid out
-    /// per head once per layer ([`KvRows`]) and read by every tile. Ragged
-    /// lengths are exact without padding or masking, and every buffer is
-    /// linear in the longest source.
+    /// materialized at [`Seq2Seq::begin_decode_batch`] — what a decode
+    /// session admits through. One sequence at a time: every projection
+    /// is a matmul over that sequence's rows, and attention takes a tile
+    /// of [`ATTN_TILE`] consecutive query rows ([`attend_tile`]) against
+    /// the layer's keys and values, laid out per head once per layer
+    /// ([`KvRows`]) and read by every tile. Ragged lengths are exact
+    /// without padding or masking. The activations live in a scratch of
+    /// the call's own, sized once to its longest source and dropped on
+    /// return: the session keeps no source-length buffer between
+    /// admissions.
     pub fn encode_batch_in(
         &self,
         state: &mut BatchedDecoderState,
         srcs: &[&[u32]],
     ) -> Vec<Vec<f32>> {
-        self.encode_seqs(&state.enc_xposed, &mut state.scratch, srcs)
+        self.encode_seqs(&state.enc_xposed, srcs)
     }
 
-    fn encode_seqs(
-        &self,
-        weights: &[XposedEncLayer],
-        scratch: &mut Scratch,
-        srcs: &[&[u32]],
-    ) -> Vec<Vec<f32>> {
+    fn encode_seqs(&self, weights: &[XposedEncLayer], srcs: &[&[u32]]) -> Vec<Vec<f32>> {
         let _timer = slade_obs::StageTimer::start(slade_obs::StageHist::Encode);
         let total: usize = srcs.iter().map(|s| s.len()).sum();
         slade_obs::obs().count(slade_obs::KernelCtr::EncodeRows, total as u64);
-        srcs.iter().map(|src| self.encode_seq(weights, scratch, src)).collect()
+        let mut scratch = Scratch::default();
+        let longest = srcs.iter().map(|s| s.len()).max().unwrap_or(0);
+        scratch.ensure(longest, self.cfg.d_model, self.cfg.d_ff);
+        srcs.iter().map(|src| self.encode_seq(weights, &mut scratch, src)).collect()
     }
 
-    /// One sequence of [`Seq2Seq::encode_batch_in`]. Every buffer is cut
-    /// to this sequence's rows before use, so nothing a longer sequence
-    /// left in the scratch is read.
+    /// One sequence of [`Seq2Seq::encode_batch_in`], in a scratch with
+    /// room for its rows. Every buffer is cut to this sequence's rows
+    /// before use, so nothing a longer sequence left in the scratch is
+    /// read.
     fn encode_seq(
         &self,
         weights: &[XposedEncLayer],
@@ -869,7 +881,6 @@ impl Seq2Seq {
         let dh = d / h;
         let dff = self.cfg.d_ff;
         let t = src.len();
-        sc.ensure(t, d, dff);
         let rows = t * d;
         self.embed_into(src, &mut sc.x[..rows]);
         for (layer, xw) in self.enc.iter().zip(weights) {
@@ -942,9 +953,10 @@ impl Seq2Seq {
     /// blocks, up to a full table per lane. The inference weights — the
     /// decoder's for the batched step, the encoder's for
     /// [`Seq2Seq::encode_batch_in`] — are materialized once here
-    /// (transposed and packed); the per-step decode path allocates nothing once its scratch
-    /// has grown to the batch. The state snapshots the weights, so it must
-    /// not outlive parameter updates.
+    /// (transposed and packed); the per-step decode path allocates nothing
+    /// once its scratch has grown to the most live lanes, the only rows it
+    /// holds. The state snapshots the weights, so it must not outlive
+    /// parameter updates.
     pub fn begin_decode_batch(&self, cap_lanes: usize, cap_pos: usize) -> BatchedDecoderState {
         let layers = self.dec.len();
         let d = self.cfg.d_model;
@@ -1240,20 +1252,21 @@ impl Seq2Seq {
         let d = self.cfg.d_model;
         let h = self.cfg.n_heads;
         let st = &mut *state;
-        grow(&mut st.scratch.k, s * d);
-        let rows = &mut st.scratch.k[..s * d];
+        // The call's own staging rows: the state's scratch holds step rows
+        // only.
+        let mut rows = vec![0.0f32; s * d];
         let mut slot = CrossMemory { s, ..Default::default() };
         for (layer, xw) in self.dec.iter().zip(&st.xposed) {
             // `apply`, not `project_into`: these rows were never in
             // `ProjRows`, a count the benchmark holds exact.
             let a = &layer.cross_attn;
-            xw.cross_wk.apply(mem, Some(self.store.data(a.bk)), rows, s, d, d);
+            xw.cross_wk.apply(mem, Some(self.store.data(a.bk)), &mut rows, s, d, d);
             let mut k = Vec::new();
-            pack_heads(rows, s, h, d / h, &mut k);
+            pack_heads(&rows, s, h, d / h, &mut k);
             slot.k.push(k);
-            xw.cross_wv.apply(mem, Some(self.store.data(a.bv)), rows, s, d, d);
+            xw.cross_wv.apply(mem, Some(self.store.data(a.bv)), &mut rows, s, d, d);
             let mut v = Vec::new();
-            split_heads(rows, s, h, d / h, &mut v);
+            split_heads(&rows, s, h, d / h, &mut v);
             slot.v.push(v);
         }
         if let Some(id) = st.cross_free.pop() {
@@ -1511,9 +1524,11 @@ struct CrossMemory {
     s: usize,
 }
 
-/// Reusable activation buffers of one forward pass — a decode step over
-/// `n` lanes or an encoder pass over one `n`-token source: grown to the
-/// largest `n` seen and reused, so neither allocates once warm.
+/// Activation buffers of one forward pass over `n` rows, grown to the
+/// largest `n` asked for and reused. A decode session's scratch holds
+/// step rows, one per live lane, and so stops allocating once the lanes
+/// have peaked; an encoder call sizes a scratch of its own to its
+/// longest source and drops it on return ([`Seq2Seq::encode_batch_in`]).
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     x: Vec<f32>,
@@ -1615,6 +1630,9 @@ pub struct BatchedDecoderState {
     enc_xposed: Vec<XposedEncLayer>,
     /// Tied output embedding, transposed to `[d_model, vocab]` and packed.
     embed_t: ProjWeight,
+    /// The decode step's buffers: rows for the most lanes stepped at once
+    /// (its attention scores span a beam's keys). No encoder activation
+    /// passes through it.
     scratch: Scratch,
 }
 
@@ -1674,6 +1692,18 @@ impl BatchedDecoderState {
         });
         self.block_refs[b as usize] = 1;
         b
+    }
+
+    /// Test hook: the most `d_model`-wide rows any buffer of the step
+    /// scratch has room for.
+    #[cfg(test)]
+    pub(crate) fn scratch_rows(&self) -> usize {
+        let sc = &self.scratch;
+        [&sc.x, &sc.ln, &sc.q, &sc.k, &sc.kp, &sc.v, &sc.vp, &sc.ctx, &sc.proj]
+            .iter()
+            .map(|buf| buf.len().div_ceil(self.d))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Blocks held by some lane table, and blocks the pool has allocated.
@@ -2006,6 +2036,40 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         let back: Seq2Seq = serde_json::from_str(&json).unwrap();
         assert_eq!(decode(&m, &[4, 5, 6], 6, 1), decode(&back, &[4, 5, 6], 6, 1));
+    }
+
+    #[test]
+    fn serde_loaded_twin_trains_bit_identically() {
+        // Serde skips the optimizer state; the twin creates it on its
+        // first gradient, as the original does.
+        let src = [4u32, 5, 6];
+        let (dec_input, labels) = ([1u32, 9, 10], [9u32, 10, 2]);
+        let mut a = Seq2Seq::new(TransformerConfig::tiny(16), 8);
+        let mut b: Seq2Seq = serde_json::from_str(&serde_json::to_string(&a).unwrap()).unwrap();
+        for round in 0..2 {
+            let mut losses = [0.0f32; 2];
+            for (m, loss) in [&mut a, &mut b].into_iter().zip(&mut losses) {
+                m.zero_grads();
+                *loss = m.train_pair(&src, &dec_input, &labels);
+                m.adam_step(1e-3, 0.01, 1.0);
+            }
+            assert_eq!(losses[0].to_bits(), losses[1].to_bits(), "round {round}");
+        }
+        // Shortest round-trip floats: equal text is equal bits.
+        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+    }
+
+    #[test]
+    fn optimizer_state_follows_training() {
+        let mut m = Seq2Seq::new(TransformerConfig::tiny(16), 2);
+        assert_eq!(m.optimizer_floats(), 0, "a new model holds its parameters only");
+        m.zero_grads();
+        m.train_pair(&[4, 5], &[1, 6], &[6, 2]);
+        assert_eq!(m.optimizer_floats(), m.num_params(), "gradients, no moments yet");
+        m.adam_step(1e-3, 0.01, 1.0);
+        assert_eq!(m.optimizer_floats(), 3 * m.num_params());
+        m.release_optimizer_state();
+        assert_eq!(m.optimizer_floats(), 0);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! Modules reference parameters by [`PId`]; the optimizer walks the whole
 //! store. Keeping data/grad/moments side by side makes AdamW and weight
-//! decay one loop, and (de)serialization trivial.
+//! decay one loop, and (de)serialization trivial. Only the parameters
+//! exist from the start: a gradient is created by the first one added,
+//! the moments by the first [`ParamStore::adam_step`], so a model that is
+//! only decoded holds its weights and nothing else.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -10,23 +13,36 @@ use serde::{Deserialize, Serialize};
 /// Handle to one parameter tensor.
 pub type PId = usize;
 
-/// One parameter tensor plus training state.
+/// One parameter tensor plus training state. The training buffers are
+/// either empty or `data.len()` long: empty until training first touches
+/// them, empty again after
+/// [`ParamStore::release_optimizer_state`], and never serialized.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ParamTensor {
     /// Parameter values (row-major).
     pub data: Vec<f32>,
-    /// Accumulated gradient.
+    /// Accumulated gradient; empty reads as zeros.
     #[serde(skip)]
     pub grad: Vec<f32>,
-    /// Adam first moment.
+    /// Adam first moment; empty reads as zeros.
     #[serde(skip)]
     pub m: Vec<f32>,
-    /// Adam second moment.
+    /// Adam second moment; empty reads as zeros.
     #[serde(skip)]
     pub v: Vec<f32>,
 }
 
-/// The set of all model parameters.
+/// One training buffer of a `len`-value tensor, created as the zeros it
+/// reads as on first use — the one place optimizer state is allocated.
+fn materialize(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() != len {
+        *buf = vec![0.0; len];
+    }
+    buf
+}
+
+/// The set of all model parameters, with the optimizer state of the ones
+/// training has touched.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParamStore {
     tensors: Vec<ParamTensor>,
@@ -66,13 +82,7 @@ impl ParamStore {
     }
 
     fn push(&mut self, data: Vec<f32>) -> PId {
-        let len = data.len();
-        self.tensors.push(ParamTensor {
-            data,
-            grad: vec![0.0; len],
-            m: vec![0.0; len],
-            v: vec![0.0; len],
-        });
+        self.tensors.push(ParamTensor { data, grad: Vec::new(), m: Vec::new(), v: Vec::new() });
         self.tensors.len() - 1
     }
 
@@ -87,7 +97,8 @@ impl ParamStore {
     ///
     /// Panics if the lengths differ.
     pub fn add_grad(&mut self, id: PId, g: &[f32]) {
-        let grad = &mut self.tensors[id].grad;
+        let t = &mut self.tensors[id];
+        let grad = materialize(&mut t.grad, t.data.len());
         assert_eq!(grad.len(), g.len(), "gradient shape mismatch");
         for (a, b) in grad.iter_mut().zip(g) {
             *a += b;
@@ -96,7 +107,8 @@ impl ParamStore {
 
     /// Adds `g` into a row-slice of the gradient (embedding rows).
     pub fn add_grad_slice(&mut self, id: PId, offset: usize, g: &[f32]) {
-        let grad = &mut self.tensors[id].grad;
+        let t = &mut self.tensors[id];
+        let grad = materialize(&mut t.grad, t.data.len());
         for (a, b) in grad[offset..offset + g.len()].iter_mut().zip(g) {
             *a += b;
         }
@@ -120,26 +132,23 @@ impl ParamStore {
         let bc1 = 1.0 - b1.powi(self.step as i32);
         let bc2 = 1.0 - b2.powi(self.step as i32);
         for t in &mut self.tensors {
-            // Re-materialize moment buffers after deserialization.
-            if t.grad.len() != t.data.len() {
-                t.grad = vec![0.0; t.data.len()];
-            }
-            if t.m.len() != t.data.len() {
-                t.m = vec![0.0; t.data.len()];
-                t.v = vec![0.0; t.data.len()];
-            }
-            for i in 0..t.data.len() {
-                let g = t.grad[i] * scale;
-                t.m[i] = b1 * t.m[i] + (1.0 - b1) * g;
-                t.v[i] = b2 * t.v[i] + (1.0 - b2) * g * g;
-                let mhat = t.m[i] / bc1;
-                let vhat = t.v[i] / bc2;
+            let len = t.data.len();
+            let grad = materialize(&mut t.grad, len);
+            let m = materialize(&mut t.m, len);
+            let v = materialize(&mut t.v, len);
+            for i in 0..len {
+                let g = grad[i] * scale;
+                m[i] = b1 * m[i] + (1.0 - b1) * g;
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
+                let mhat = m[i] / bc1;
+                let vhat = v[i] / bc2;
                 t.data[i] -= lr * (mhat / (vhat.sqrt() + eps) + weight_decay * t.data[i]);
             }
         }
     }
 
-    /// Global L2 norm of all gradients (for clipping / diagnostics).
+    /// Global L2 norm of all gradients (for clipping / diagnostics). A
+    /// gradient not yet created adds nothing, as its zeros would.
     pub fn grad_norm(&self) -> f32 {
         self.tensors.iter().flat_map(|t| t.grad.iter()).map(|g| g * g).sum::<f32>().sqrt()
     }
@@ -156,25 +165,40 @@ impl ParamStore {
         self.tensors.iter().map(|t| t.data.len()).sum()
     }
 
-    /// Gradient value at `(tensor, index)` (test support).
+    /// Floats held by gradients and Adam moments: 0 until training first
+    /// touches the store and after
+    /// [`ParamStore::release_optimizer_state`], up to three per parameter
+    /// while training.
+    pub fn optimizer_floats(&self) -> usize {
+        self.tensors.iter().map(|t| t.grad.len() + t.m.len() + t.v.len()).sum()
+    }
+
+    /// Frees every gradient and Adam moment, leaving the parameters — what
+    /// a model that is only decoded from now on keeps. Training may resume
+    /// afterwards, from zeroed moments.
+    pub fn release_optimizer_state(&mut self) {
+        for t in &mut self.tensors {
+            for buf in [&mut t.grad, &mut t.m, &mut t.v] {
+                *buf = Vec::new();
+            }
+        }
+    }
+
+    /// Gradient value at `(tensor, index)` (test support); 0 for a
+    /// gradient not yet created.
     ///
     /// # Panics
     ///
     /// Panics if the tensor id or index is out of range.
     pub fn grad_at(&self, tensor: PId, index: usize) -> f32 {
-        self.tensors[tensor].grad[index]
+        let t = &self.tensors[tensor];
+        assert!(index < t.data.len(), "index {index} out of range");
+        t.grad.get(index).copied().unwrap_or(0.0)
     }
 
     /// Direct mutable access for tests/fine-tuning.
     pub fn data_mut(&mut self, id: PId) -> &mut [f32] {
-        // Ensure aux buffers stay consistent after deserialization.
-        let t = &mut self.tensors[id];
-        if t.grad.len() != t.data.len() {
-            t.grad = vec![0.0; t.data.len()];
-            t.m = vec![0.0; t.data.len()];
-            t.v = vec![0.0; t.data.len()];
-        }
-        &mut t.data
+        &mut self.tensors[id].data
     }
 }
 
@@ -212,6 +236,28 @@ mod tests {
         let id = s.push(vec![1.0]);
         s.adam_step(0.1, 0.5, 1.0);
         assert!(s.data(id)[0] < 1.0);
+    }
+
+    #[test]
+    fn optimizer_state_exists_only_once_training_touches_it() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
+        let mut s = ParamStore::new();
+        let a = s.alloc(6, 0.02, &mut rng);
+        let b = s.alloc_zeros(4);
+        assert_eq!(s.optimizer_floats(), 0, "a fresh store holds parameters only");
+        assert_eq!(s.grad_at(b, 3), 0.0);
+        s.add_grad_slice(a, 2, &[1.0, 2.0]);
+        assert_eq!(s.optimizer_floats(), 6, "one gradient, no moments");
+        assert_eq!((s.grad_at(a, 1), s.grad_at(a, 3)), (0.0, 2.0));
+        s.zero_grads();
+        s.scale_grads(0.5);
+        assert_eq!(s.optimizer_floats(), 6, "zeroing and scaling create nothing");
+        s.adam_step(0.1, 0.0, 1.0);
+        assert_eq!(s.optimizer_floats(), 3 * s.num_params());
+        s.release_optimizer_state();
+        assert_eq!(s.optimizer_floats(), 0);
+        s.add_grad(b, &[1.0; 4]);
+        assert_eq!(s.grad_at(b, 0), 1.0, "training resumes after a release");
     }
 
     #[test]
