@@ -589,13 +589,28 @@ mod tests {
         assert!(pairs[0].1.contains("("));
     }
 
+    /// `tiny` for one epoch with a source cap that admits the shorter
+    /// generated `-O0` pairs: `tiny`'s 96 tokens admit none, so a `tiny`
+    /// build never takes a step.
+    fn one_epoch() -> TrainProfile {
+        TrainProfile { epochs: 1, max_src_len: 512, ..TrainProfile::tiny() }
+    }
+
+    /// Whether training moved the weights: a model that took no step
+    /// serializes as `Seq2Seq::new` of its config and seed does.
+    fn took_a_step(slade: &Slade, seed: u64) -> bool {
+        let fresh = Seq2Seq::new(slade.model.cfg, seed);
+        serde_json::to_string(&slade.model).unwrap() != serde_json::to_string(&fresh).unwrap()
+    }
+
     #[test]
     fn tiny_training_runs_and_decodes() {
         let items = generate_train(DatasetProfile::tiny(), 5);
         let slade = SladeBuilder::new(Isa::X86_64, OptLevel::O0)
-            .profile(TrainProfile::tiny())
+            .profile(one_epoch())
             .beam(2)
-            .train(&items, 1);
+            .train(&items[..8], 1);
+        assert!(took_a_step(&slade, 1));
         let pairs = make_pairs(&items[..4.min(items.len())], Isa::X86_64, OptLevel::O0);
         let out = slade.decompile(&pairs[0].0);
         assert!(!out.is_empty());
@@ -607,9 +622,10 @@ mod tests {
     fn decompile_batch_matches_per_item_decompile() {
         let items = generate_train(DatasetProfile::tiny(), 6);
         let slade = SladeBuilder::new(Isa::X86_64, OptLevel::O0)
-            .profile(TrainProfile::tiny())
+            .profile(one_epoch())
             .beam(3)
-            .train(&items, 7);
+            .train(&items[..8], 7);
+        assert!(took_a_step(&slade, 7));
         let pairs = make_pairs(&items[..6.min(items.len())], Isa::X86_64, OptLevel::O0);
         let asms: Vec<&str> = pairs.iter().take(4).map(|(a, _)| a.as_str()).collect();
         let batched = slade.decompile_batch(&asms);
@@ -683,6 +699,17 @@ mod tests {
             .beam(1)
             .train(&items[..10.min(items.len())], 2);
         let json = slade.to_json();
+        // A saved model nests far below the depth the JSON parser refuses.
+        fn depth(v: &serde_json::Value) -> usize {
+            use serde_json::Value;
+            match v {
+                Value::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                Value::Object(m) => 1 + m.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+        let nesting = depth(&serde_json::Value::parse(&json).unwrap());
+        assert!(nesting <= serde_json::MAX_DEPTH / 8, "{nesting}");
         let back = Slade::from_json(&json).unwrap();
         let asm = "f:\n\tmovl %edi, %eax\n\tret\n";
         assert_eq!(slade.decompile(asm), back.decompile(asm));
@@ -741,13 +768,15 @@ mod tests {
     #[test]
     fn tokenizer_options_flow_through_training() {
         let items = generate_train(DatasetProfile::tiny(), 5);
-        let mut profile = TrainProfile::tiny();
-        profile.epochs = 1;
-        profile.tokenizer = TokenizerOptions { digit_split: false, punct_split: true };
+        let profile = TrainProfile {
+            tokenizer: TokenizerOptions { digit_split: false, punct_split: true },
+            ..one_epoch()
+        };
         let slade = SladeBuilder::new(Isa::X86_64, OptLevel::O0)
             .profile(profile)
             .beam(1)
-            .train(&items[..6.min(items.len())], 4);
+            .train(&items[..8], 4);
+        assert!(took_a_step(&slade, 4));
         assert_eq!(slade.tokenizer.options(), profile.tokenizer);
     }
 

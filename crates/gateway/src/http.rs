@@ -279,17 +279,53 @@ pub fn write_response<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(160 + body.len());
-    write!(
-        out,
-        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
-        status_reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    )?;
+    let mut out = Vec::with_capacity(HEAD_ROOM + content_type.len() + body.len());
+    write_head(&mut out, status, content_type, body.len(), keep_alive)?;
     out.extend_from_slice(body);
     stream.write_all(&out)?;
     stream.flush()
+}
+
+/// [`write_response`] with a body that `render` writes straight into the
+/// buffer the response leaves from. The head, which needs the body's
+/// length, goes into room left in front of it.
+pub fn write_response_with<W: Write>(
+    stream: &mut W,
+    status: u16,
+    content_type: &str,
+    keep_alive: bool,
+    render: impl FnOnce(&mut String),
+) -> std::io::Result<()> {
+    let room = HEAD_ROOM + content_type.len();
+    let mut out = String::with_capacity(room + 1024);
+    out.extend(std::iter::repeat_n(' ', room));
+    render(&mut out);
+    let mut out = out.into_bytes();
+    let mut head = Vec::with_capacity(room);
+    write_head(&mut head, status, content_type, out.len() - room, keep_alive)?;
+    let start = room - head.len();
+    out[start..room].copy_from_slice(&head);
+    stream.write_all(&out[start..])?;
+    stream.flush()
+}
+
+/// Bytes a fixed-length response head takes beyond its content type:
+/// the longest status and reason, a 20-digit length and `keep-alive`.
+const HEAD_ROOM: usize = 128;
+
+fn write_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    body_len: usize,
+    keep_alive: bool,
+) -> std::io::Result<()> {
+    write!(
+        out,
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {body_len}\r\nconnection: {}\r\n\r\n",
+        status_reason(status),
+        if keep_alive { "keep-alive" } else { "close" },
+    )
 }
 
 /// Starts a chunked transfer-encoding response (follow with
@@ -529,6 +565,28 @@ mod tests {
         assert_eq!(w.bytes, b"c\r\n{\"index\":0}\n\r\n");
         write_chunk(&mut w, b"").unwrap();
         assert_eq!(w.writes, 1, "an empty chunk would end the stream: not written");
+        let mut w = CountingWriter::default();
+        write_response_with(&mut w, 200, "application/json", true, |out| {
+            out.push_str("{\"ok\":true}")
+        })
+        .unwrap();
+        assert_eq!(w.writes, 1, "a rendered body leaves with its head");
+        let mut direct = CountingWriter::default();
+        write_response(&mut direct, 200, "application/json", b"{\"ok\":true}", true).unwrap();
+        assert_eq!(w.bytes, direct.bytes);
+    }
+
+    /// The room left for a head holds the longest one: any status, the
+    /// longest reason, the widest length.
+    #[test]
+    fn every_head_fits_its_room() {
+        for status in (0..=u16::MAX).step_by(7).chain([431, 505, u16::MAX]) {
+            for keep_alive in [false, true] {
+                let mut head = Vec::new();
+                write_head(&mut head, status, "", usize::MAX, keep_alive).unwrap();
+                assert!(head.len() <= HEAD_ROOM, "{}", String::from_utf8_lossy(&head));
+            }
+        }
     }
 
     /// A body longer than what arrived with the head is read in place:

@@ -40,6 +40,7 @@ use slade_compiler::{Isa, OptLevel};
 use slade_obs::export::PromText;
 use slade_serve::{Overloaded, RequestError, RequestHandle, ServeRuntime};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -164,13 +165,6 @@ impl Inner {
 #[derive(Serialize)]
 struct ErrorBody {
     error: String,
-}
-
-/// JSON success body for buffered (non-streaming) decompiles.
-#[derive(Serialize)]
-struct DecompileBody {
-    trace_id: u64,
-    candidates: Vec<String>,
 }
 
 /// JSON body for `GET /healthz`.
@@ -649,18 +643,20 @@ fn finish(
             if let Some(cap) = beam_cap {
                 candidates.truncate(cap);
             }
+            inner.metrics.bump_status(200);
             if stream {
                 inner.metrics.streamed.add(1);
-                inner.metrics.bump_status(200);
                 write_stream(&mut conn.stream, handle.trace_id(), &candidates, keep_alive)
                     .is_ok()
             } else {
-                let body = serde_json::to_string(&DecompileBody {
-                    trace_id: handle.trace_id(),
-                    candidates,
-                })
-                .expect("decompile body serializes");
-                respond(inner, &mut conn, 200, "application/json", body.as_bytes(), keep_alive)
+                http::write_response_with(
+                    &mut conn.stream,
+                    200,
+                    "application/json",
+                    keep_alive,
+                    |out| write_answer(out, handle.trace_id(), &candidates),
+                )
+                .is_ok()
             }
         }
         Err(RequestError::DeadlineExceeded) => {
@@ -677,6 +673,20 @@ fn finish(
     (wrote && keep_alive).then_some(conn)
 }
 
+/// The buffered decompile answer, `{"trace_id":N,"candidates":[…]}`,
+/// written as compact JSON without building a value tree.
+fn write_answer(out: &mut String, trace_id: u64, candidates: &[String]) {
+    write!(out, "{{\"trace_id\":{trace_id},\"candidates\":[")
+        .expect("a String takes any write");
+    for (i, candidate) in candidates.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        serde_json::write_str(out, candidate);
+    }
+    out.push_str("]}");
+}
+
 /// Streams candidates as chunked NDJSON: one `{"index","candidate"}`
 /// line per hypothesis as it is written, then a `{"done":true}` trailer
 /// with the count and trace id.
@@ -686,26 +696,17 @@ fn write_stream(
     candidates: &[String],
     keep_alive: bool,
 ) -> io::Result<()> {
-    #[derive(Serialize)]
-    struct Line {
-        index: usize,
-        candidate: String,
-    }
-    #[derive(Serialize)]
-    struct Trailer {
-        done: bool,
-        count: usize,
-        trace_id: u64,
-    }
     http::write_chunked_head(stream, 200, "application/x-ndjson", keep_alive)?;
+    let mut line = String::new();
     for (index, candidate) in candidates.iter().enumerate() {
-        let line = serde_json::to_string(&Line { index, candidate: candidate.clone() })
-            .expect("stream line serializes");
-        http::write_chunk(stream, format!("{line}\n").as_bytes())?;
+        line.clear();
+        write!(line, "{{\"index\":{index},\"candidate\":").expect("a String takes any write");
+        serde_json::write_str(&mut line, candidate);
+        line.push_str("}\n");
+        http::write_chunk(stream, line.as_bytes())?;
     }
     let trailer =
-        serde_json::to_string(&Trailer { done: true, count: candidates.len(), trace_id })
-            .expect("trailer serializes");
-    http::write_chunk(stream, format!("{trailer}\n").as_bytes())?;
+        format!("{{\"done\":true,\"count\":{},\"trace_id\":{trace_id}}}\n", candidates.len());
+    http::write_chunk(stream, trailer.as_bytes())?;
     http::finish_chunked(stream)
 }

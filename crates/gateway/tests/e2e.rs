@@ -6,7 +6,8 @@
 //! worker must be indistinguishable from decodes answered by the delivery
 //! pool, and shutdown must drain gracefully.
 
-use serde_json::Value;
+use serde::Serialize;
+use serde_json::{Value, MAX_DEPTH};
 use slade::Slade;
 use slade_compiler::{Isa, OptLevel};
 use slade_gateway::{http, quota::QuotaConfig, Gateway, GatewayConfig};
@@ -370,6 +371,36 @@ fn health_metrics_and_reject_routes() {
     Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
 }
 
+/// A body nested past the JSON parser's limit is a `400` like any other
+/// body that is not JSON, not a stack overflow that aborts the process: a
+/// 64 KiB body of `[` is refused, and the same gateway then decodes. A
+/// body exactly at the limit parses.
+#[test]
+fn a_body_nested_past_the_limit_is_a_400_and_the_gateway_goes_on() {
+    let slade = gw_slade();
+    let expected = slade.decompile(&asm(3));
+    let runtime =
+        Arc::new(ServeRuntime::start(Arc::clone(&slade), ServeConfig::with_shards(1)));
+    let gateway = Gateway::start(Arc::clone(&runtime), gw_config()).expect("bind");
+    let addr = gateway.local_addr().to_string();
+    let resp = post(&addr, &"[".repeat(64 * 1024));
+    assert_eq!(resp.status, 400);
+    assert!(resp.text().contains("body is not valid JSON"), "{}", resp.text());
+    // The object is one level, so `extra` nests MAX_DEPTH - 1 more at the
+    // limit: ignored like any unknown field. One more is not JSON.
+    let nested = |depth: usize| {
+        let extra = format!("{}{}", "[".repeat(depth - 1), "]".repeat(depth - 1));
+        format!("{{\"asm\":{},\"extra\":{extra}}}", Value::Str(asm(3)).render())
+    };
+    assert_eq!(post(&addr, &nested(MAX_DEPTH + 1)).status, 400);
+    assert_eq!(candidates(&post(&addr, &nested(MAX_DEPTH))), expected);
+    assert_eq!(candidates(&post(&addr, &decompile_body(&asm(3)))), expected);
+    assert_eq!(runtime.metrics().cache.hits, 1);
+    assert_edge_conservation(&gateway, 0);
+    gateway.shutdown();
+    Arc::try_unwrap(runtime).ok().expect("gateway dropped its handle").shutdown();
+}
+
 /// A narrower `beam` option truncates the candidate list client-side of
 /// the model's beam, without touching the runtime.
 #[test]
@@ -547,6 +578,20 @@ fn hits_honour_stream_and_beam() {
         .expect("write");
     let resp = http::read_response(&mut stream).expect("capped hit");
     assert_eq!(candidates(&resp), expected[..2].to_vec());
+    // The answer written directly is, byte for byte, the document a
+    // serialized struct renders.
+    #[derive(Serialize)]
+    struct DecompileBody {
+        trace_id: u64,
+        candidates: Vec<String>,
+    }
+    let trace_id =
+        match Value::parse(&resp.text()).unwrap().as_object().unwrap().get("trace_id") {
+            Some(Value::UInt(id)) => *id,
+            other => panic!("trace_id {other:?}"),
+        };
+    let want = DecompileBody { trace_id, candidates: expected[..2].to_vec() };
+    assert_eq!(resp.text(), serde_json::to_string(&want).unwrap());
     assert_edge_conservation(&gateway, 1);
     let gw = gateway.metrics();
     assert_eq!((gw.streamed, gw.connections), (1, 1));

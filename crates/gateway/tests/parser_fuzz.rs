@@ -5,8 +5,12 @@
 //! never panic, and never loop past the input. Readers are byte slices
 //! (EOF stands in for a closed socket), so every call is also trivially
 //! hang-free.
+//!
+//! Below the HTTP parser, the JSON body: the run-based string writer and
+//! parser are held to character-at-a-time oracles, and nesting is bounded.
 
 use proptest::prelude::*;
+use serde_json::{Value, MAX_DEPTH};
 use slade_gateway::http::{read_request, Limits, Outcome};
 
 /// Statuses the parser is allowed to reject with. On slice readers the
@@ -206,4 +210,182 @@ fn content_length_corruption_is_mapped() {
     let ok = "POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\nab";
     let (served, _) = drive(ok.as_bytes(), &Limits::default());
     assert_eq!(served, 1);
+}
+
+/// The string-literal writer [`serde_json::write_str`] replaced: one
+/// `char` at a time.
+fn oracle_render(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The string parser the run-based one replaced, as `Value::parse` runs it
+/// on a document that is one string: each run between escapes is checked
+/// with `from_utf8` and pushed, each escape decoded as it was. Its `\u`
+/// handling takes exactly four hex digits and a low surrogate in
+/// `dc00..e000`, as the parser now does; it used to let `\u+041` through
+/// and misread (or, in a debug build, overflow on) a bad low half.
+fn oracle_parse(text: &str) -> Result<String, String> {
+    let bytes = text.as_bytes();
+    let hex4 = |pos: usize| -> Result<u32, String> {
+        let hex = bytes.get(pos..pos + 4).ok_or("truncated \\u escape")?;
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err("bad \\u escape".into());
+        }
+        Ok(u32::from_str_radix(std::str::from_utf8(hex).unwrap(), 16).unwrap())
+    };
+    let mut pos = text.len() - text.trim_start().len();
+    if bytes.get(pos) != Some(&b'"') {
+        return Err("not a string".into());
+    }
+    pos += 1;
+    let mut out = String::new();
+    loop {
+        let start = pos;
+        while let Some(&b) = bytes.get(pos) {
+            if b == b'"' || b == b'\\' {
+                break;
+            }
+            pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&bytes[start..pos]).map_err(|e| e.to_string())?);
+        match bytes.get(pos) {
+            Some(b'"') => {
+                pos += 1;
+                break;
+            }
+            Some(b'\\') => {
+                let esc = *bytes.get(pos + 1).ok_or("unterminated escape")?;
+                pos += 2;
+                let c = match esc {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'/' => '/',
+                    b'n' => '\n',
+                    b'r' => '\r',
+                    b't' => '\t',
+                    b'b' => '\u{8}',
+                    b'f' => '\u{c}',
+                    b'u' => {
+                        let mut code = hex4(pos)?;
+                        pos += 4;
+                        if (0xd800..0xdc00).contains(&code) {
+                            if bytes.get(pos..pos + 2) != Some(b"\\u") {
+                                return Err("lone high surrogate".into());
+                            }
+                            let low = hex4(pos + 2)?;
+                            if !(0xdc00..0xe000).contains(&low) {
+                                return Err("bad surrogate".into());
+                            }
+                            pos += 6;
+                            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        }
+                        char::from_u32(code).ok_or("invalid \\u codepoint")?
+                    }
+                    _ => return Err("unknown escape".into()),
+                };
+                out.push(c);
+            }
+            _ => return Err("unterminated string".into()),
+        }
+    }
+    if !text[pos..].trim_start_matches([' ', '\t', '\n', '\r']).is_empty() {
+        return Err("trailing characters".into());
+    }
+    Ok(out)
+}
+
+/// Text pieces a JSON string holds: every control byte, quotes,
+/// backslashes, `/`, DEL, printable ASCII and 2-, 3- and 4-byte UTF-8.
+fn text_piece() -> impl Strategy<Value = String> {
+    let chars =
+        |lo: u32, hi: u32| (lo..hi).prop_map(|c| char::from_u32(c).unwrap().to_string());
+    prop_oneof![
+        2 => chars(0, 0x20),
+        2 => proptest::sample::select(vec!["\"", "\\", "/", "\u{7f}", "\\n", "\\\""])
+            .prop_map(str::to_string),
+        4 => chars(0x20, 0x7f),
+        1 => chars(0x80, 0x800),
+        1 => chars(0x800, 0xd800),
+        1 => chars(0xe000, 0x10000),
+        1 => chars(0x10000, 0x110000),
+        2 => "[a-z \\t]{1,12}",
+    ]
+}
+
+/// Pieces of JSON-ish string-literal text: the text pieces above raw, and
+/// escapes — short ones, `\uXXXX` of any code unit in either case, valid
+/// and broken surrogate pairs, truncated and non-hex `\u`, unknown ones.
+fn literal_piece() -> impl Strategy<Value = String> {
+    prop_oneof![
+        6 => text_piece(),
+        2 => proptest::sample::select(vec![
+            "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\x", "\\", "\\u",
+            "\\u12", "\\u12g4", "\\u+041", "\\ud83d\\ude00", "\\uD834\\uDD1E", "\\ud800",
+            "\\ud800\\u0041", "\\ud800\\ue000", "\\udc00",
+        ])
+        .prop_map(str::to_string),
+        2 => (0u32..0x10000).prop_map(|c| format!("\\u{c:04x}")),
+        1 => (0u32..0x10000).prop_map(|c| format!("\\u{c:04X}")),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// The run-based writer renders every string byte for byte as the
+    /// character loop did, and the parser reads it back unchanged.
+    #[test]
+    fn string_literals_render_as_the_char_loop_did(
+        pieces in proptest::collection::vec(text_piece(), 0..40),
+    ) {
+        let s: String = pieces.concat();
+        let mut rendered = String::new();
+        serde_json::write_str(&mut rendered, &s);
+        prop_assert_eq!(&rendered, &oracle_render(&s));
+        prop_assert_eq!(Value::Str(s.clone()).render(), rendered.clone());
+        prop_assert_eq!(Value::parse(&rendered), Ok(Value::Str(s)));
+    }
+
+    /// On JSON-ish text, the run-based parser and the oracle agree: the
+    /// same string, or both an error.
+    #[test]
+    fn string_literals_parse_as_the_oracle_does(
+        lead in proptest::sample::select(vec!["\"", " \"", "\"", "x"]),
+        pieces in proptest::collection::vec(literal_piece(), 0..24),
+        end in proptest::sample::select(vec!["\"", "\"", "\" \n", "", "\"x", "\\", "\"\""]),
+    ) {
+        let text = format!("{lead}{}{end}", pieces.concat());
+        let ours = Value::parse(&text);
+        match oracle_parse(&text) {
+            Ok(s) => prop_assert_eq!(ours, Ok(Value::Str(s)), "on {:?}", text),
+            Err(why) => prop_assert!(ours.is_err(), "{:?}: oracle says {}, got {:?}", text, why, ours),
+        }
+    }
+}
+
+/// Nesting up to [`MAX_DEPTH`] parses; one level more is an error, and so
+/// is a body of `[` far deeper — not a stack overflow.
+#[test]
+fn json_nesting_is_bounded() {
+    let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+    assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+    assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
+    let objects = |d: usize| format!("{}null{}", "{\"k\":".repeat(d), "}".repeat(d));
+    assert!(Value::parse(&objects(MAX_DEPTH)).is_ok());
+    assert!(Value::parse(&objects(MAX_DEPTH + 1)).is_err());
+    assert!(Value::parse(&"[".repeat(64 * 1024)).is_err());
+    assert!(Value::parse(&"[{\"a\":".repeat(32 * 1024)).is_err());
 }

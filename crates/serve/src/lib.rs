@@ -89,8 +89,8 @@ use slade_obs::{export::PromText, SpanRecord, Stage};
 use slade_tokenizer::special;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -270,6 +270,10 @@ impl SlotState {
 struct ResponseSlot {
     state: Mutex<SlotState>,
     ready: Condvar,
+    /// Threads blocked on `ready`, counted under `state`'s lock: a notify
+    /// costs a futex syscall even with nobody to wake, and a cache hit,
+    /// fulfilled before its handle is returned, never has a waiter.
+    waiters: AtomicUsize,
     claimed: AtomicBool,
 }
 
@@ -278,6 +282,7 @@ impl ResponseSlot {
         ResponseSlot {
             state: Mutex::new(SlotState::Pending(None)),
             ready: Condvar::new(),
+            waiters: AtomicUsize::new(0),
             claimed: AtomicBool::new(false),
         }
     }
@@ -291,15 +296,33 @@ impl ResponseSlot {
         self.claimed.load(Ordering::Acquire)
     }
 
-    /// Stores the outcome, wakes blocked waiters, then runs the hook —
-    /// after the slot's lock is released, so the hook may consume the
-    /// outcome it was told about.
+    /// Blocks on `ready`, at most `timeout`, counted among the waiters
+    /// `fulfill` wakes.
+    fn wait<'a>(
+        &self,
+        state: MutexGuard<'a, SlotState>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, SlotState> {
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        let state = match timeout {
+            None => self.ready.wait(state).expect("slot wait"),
+            Some(t) => self.ready.wait_timeout(state, t).expect("slot wait").0,
+        };
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        state
+    }
+
+    /// Stores the outcome, wakes blocked waiters if there are any, then
+    /// runs the hook — after the slot's lock is released, so the hook may
+    /// consume the outcome it was told about.
     fn fulfill(&self, outcome: Outcome) {
-        let prev = std::mem::replace(
-            &mut *self.state.lock().expect("slot lock"),
-            SlotState::Ready(outcome),
-        );
-        self.ready.notify_all();
+        let mut state = self.state.lock().expect("slot lock");
+        let prev = std::mem::replace(&mut *state, SlotState::Ready(outcome));
+        let waiting = self.waiters.load(Ordering::Relaxed) > 0;
+        drop(state);
+        if waiting {
+            self.ready.notify_all();
+        }
         if let SlotState::Pending(Some(hook)) = prev {
             hook();
         }
@@ -362,10 +385,8 @@ impl RequestHandle {
             }
             let now = Instant::now();
             state = match deadline {
-                None => slot.ready.wait(state).expect("slot wait"),
-                Some(t) if now < t => {
-                    slot.ready.wait_timeout(state, t - now).expect("slot wait").0
-                }
+                None => slot.wait(state, None),
+                Some(t) if now < t => slot.wait(state, Some(t - now)),
                 Some(_) => {
                     drop(state);
                     self.shared.expire(&self.req);

@@ -3,10 +3,11 @@
 # an ephemeral port, POSTs a decompile request, asserts a 200 with valid
 # JSON candidates, POSTs it twice more over one connection and asserts two
 # cache hits with the same candidates, spends the client's quota on a
-# fourth POST (429), scrapes /metrics through `slade-cli stats --url`,
-# greps the counter families, and diffs the scrape's families against
-# crates/obs/families.txt. Run from the repo root; pass a prebuilt
-# slade-cli path as $1 to skip the cargo build.
+# fourth POST (429), POSTs a 64 KiB body of `[` (400) and checks the same
+# server still answers /healthz and a decompile, scrapes /metrics through
+# `slade-cli stats --url`, greps the counter families, and diffs the
+# scrape's families against crates/obs/families.txt. Run from the repo
+# root; pass a prebuilt slade-cli path as $1 to skip the cargo build.
 set -euo pipefail
 
 CLI="${1:-}"
@@ -80,8 +81,23 @@ STATUS="$(curl -sS -o /dev/null -w '%{http_code}' \
 echo "POST /v1/decompile (quota spent) -> $STATUS"
 [[ "$STATUS" == "429" ]] || { cat "$SERVER_LOG"; exit 1; }
 
-# /healthz answers.
-curl -sS "http://$ADDR/healthz" | grep -q '"status":"ok"'
+# A body nested past the JSON parser's limit is a 400, not a crash: the
+# same server then answers /healthz and a decompile from another client.
+head -c 65536 /dev/zero | tr '\0' '[' >"$WORK/nested.json"
+STATUS="$(curl -sS -o "$WORK/nested.resp" -w '%{http_code}' \
+  -H 'content-type: application/json' -H 'x-slade-client: smoke-nested' \
+  --data-binary @"$WORK/nested.json" "http://$ADDR/v1/decompile")"
+echo "POST /v1/decompile (64 KiB of '[') -> $STATUS"
+[[ "$STATUS" == "400" ]] || { cat "$WORK/nested.resp"; cat "$SERVER_LOG"; exit 1; }
+STATUS="$(curl -sS -o "$WORK/health.json" -w '%{http_code}' "http://$ADDR/healthz")"
+echo "GET /healthz -> $STATUS"
+[[ "$STATUS" == "200" ]] || { cat "$SERVER_LOG"; exit 1; }
+grep -q '"status":"ok"' "$WORK/health.json"
+STATUS="$(curl -sS -o "$WORK/after.json" -w '%{http_code}' \
+  -H 'content-type: application/json' -H 'x-slade-client: smoke-nested' \
+  -d "$BODY" "http://$ADDR/v1/decompile")"
+echo "POST /v1/decompile (after the nested body) -> $STATUS"
+[[ "$STATUS" == "200" ]] || { cat "$WORK/after.json"; cat "$SERVER_LOG"; exit 1; }
 
 # The stats scrape mode validates the combined exposition.
 "$CLI" stats --url "http://$ADDR"
