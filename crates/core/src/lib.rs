@@ -218,13 +218,15 @@ impl SladeBuilder {
         self
     }
 
-    /// Sets the concurrent-lane budget of one [`Slade::decompile_batch`]
-    /// engine batch (clamped to ≥ 1; default [`Slade::MAX_BATCH_LANES`]).
-    /// The budget bounds the lanes one decode step runs, and with them
-    /// the cross memories a batch holds and the largest KV block pool it
-    /// can grow to; serving layers that shard requests across workers
-    /// size it to per-shard capacity instead of the single-process
-    /// default.
+    /// Sets the concurrent-lane budget of the decode session one
+    /// [`Slade::decompile_batch`] call opens (clamped to ≥ 1; default
+    /// [`Slade::MAX_BATCH_LANES`], two beam-5 requests, because a step's
+    /// per-lane cost is flat in the lane count at this model size). The
+    /// budget bounds the lanes one decode step runs, and with them the
+    /// cross memories the session holds and the largest KV block pool it
+    /// can grow to; serving layers divide it across their shards. A
+    /// model wide enough for its projections to gain from more lanes
+    /// per step is the reason to raise it.
     pub fn max_batch_lanes(mut self, lanes: usize) -> Self {
         self.max_batch_lanes = lanes.max(1);
         self
@@ -406,12 +408,16 @@ pub struct Slade {
 }
 
 impl Slade {
-    /// Upper bound on concurrent beam lanes per engine batch inside
-    /// [`Slade::decompile_batch`], regardless of corpus size. It bounds
-    /// the lanes one decode step runs, the cross memories one batch
-    /// holds and the worst-case KV block pool (which grows with the
-    /// blocks lanes take, up to a full `max_tgt_len` table per lane).
-    pub const MAX_BATCH_LANES: usize = 256;
+    /// Default bound on concurrent beam lanes in the one decode session of
+    /// [`Slade::decompile_batch`], regardless of corpus size: ten, two
+    /// beam-5 requests. It bounds the lanes one decode step runs, the
+    /// cross memories the session holds and the worst-case KV block pool
+    /// (which grows with the blocks lanes take, up to a full
+    /// `max_tgt_len` table per lane). At this model size a decode step
+    /// costs no less per lane at 80 lanes than at 5 — each lane's
+    /// attention over its own source dominates — so wider batches buy no
+    /// throughput and only hold more requests' cross K/V (DESIGN §9.1).
+    pub const MAX_BATCH_LANES: usize = 10;
 
     /// Assembles a decompiler from pre-built parts — the entry point for
     /// benchmarks and serving tests that need a `Slade` around a model
@@ -484,45 +490,39 @@ impl Slade {
     }
 
     /// Decompiles a batch of functions through the inference engine:
-    /// sources are encoded together and every live beam hypothesis of
-    /// every function shares each decode step's projection matmuls
+    /// every live beam hypothesis of every function in flight shares each
+    /// decode step's projection matmuls
     /// ([`slade_nn::InferenceEngine::decode_batch`]). This is the serving
     /// entry point — corpus evaluation and the beam ablation route
     /// through it — and returns, per input, up to `beam` hypotheses, best
     /// first.
     ///
-    /// Every request in a batch holds a cross memory and every beam lane
-    /// can grow its KV blocks to the token budget, so an unbounded corpus
-    /// would mean unbounded memory; inputs are therefore fed through in
-    /// chunks of at most [`Slade::max_batch_lanes`] concurrent lanes
-    /// (batching benefits saturate far below the default budget).
+    /// One call opens one decode session of [`Slade::max_batch_lanes`]
+    /// lanes and feeds the inputs through it in order: an input is
+    /// admitted when its beam fits the free lanes, so one that finishes
+    /// early hands its lanes to the next at the next step. Every input in
+    /// flight holds a cross memory and every lane can grow its KV blocks
+    /// to the token budget, so the lane budget, not the batch size,
+    /// bounds decode memory.
     pub fn decompile_batch(&self, asm_texts: &[&str]) -> Vec<Vec<String>> {
-        let beam = self.beam.max(1);
-        let per_chunk = (self.max_batch_lanes() / beam).max(1);
-        let engine = InferenceEngine::new(&self.model);
-        let mut out = Vec::with_capacity(asm_texts.len());
-        for chunk in asm_texts.chunks(per_chunk) {
-            let normalized: Vec<String> = chunk.iter().map(|asm| normalize_asm(asm)).collect();
-            let tok_timer = slade_obs::StageTimer::start(slade_obs::StageHist::Tokenize);
-            let requests: Vec<DecodeRequest> = normalized
-                .iter()
-                .map(|asm| DecodeRequest {
-                    src: self.tokenizer.encode(asm),
-                    bos: special::BOS,
-                    eos: special::EOS,
-                    max_len: self.max_tgt_len,
-                    beam: self.beam,
-                })
-                .collect();
-            drop(tok_timer);
-            out.extend(engine.decode_batch(&requests).into_iter().map(|beams| {
-                beams
-                    .into_iter()
-                    .map(|ids| self.tokenizer.decode(&ids))
-                    .collect::<Vec<String>>()
-            }));
-        }
-        out
+        let normalized: Vec<String> = asm_texts.iter().map(|asm| normalize_asm(asm)).collect();
+        let tok_timer = slade_obs::StageTimer::start(slade_obs::StageHist::Tokenize);
+        let requests: Vec<DecodeRequest> = normalized
+            .iter()
+            .map(|asm| DecodeRequest {
+                src: self.tokenizer.encode(asm),
+                bos: special::BOS,
+                eos: special::EOS,
+                max_len: self.max_tgt_len,
+                beam: self.beam,
+            })
+            .collect();
+        drop(tok_timer);
+        InferenceEngine::new(&self.model)
+            .decode_batch(&requests, self.max_batch_lanes())
+            .into_iter()
+            .map(|beams| beams.into_iter().map(|ids| self.tokenizer.decode(&ids)).collect())
+            .collect()
     }
 
     /// Decompiles and appends the type-inference header when the raw
@@ -651,7 +651,7 @@ mod tests {
         let slade = SladeBuilder::new(Isa::Arm64, OptLevel::O0)
             .profile(TrainProfile::tiny())
             .beam(3)
-            .max_batch_lanes(3) // one request per engine chunk
+            .max_batch_lanes(3) // one request in flight at a time
             .train(&items, 5);
         assert_eq!(slade.max_batch_lanes(), 3);
         assert_eq!(slade.isa(), Isa::Arm64);
@@ -661,7 +661,7 @@ mod tests {
         let tight = slade.decompile_batch(&asms);
         let mut wide = slade.clone();
         wide.set_max_batch_lanes(Slade::MAX_BATCH_LANES);
-        assert_eq!(tight, wide.decompile_batch(&asms), "chunking must not change results");
+        assert_eq!(tight, wide.decompile_batch(&asms), "the lane budget changed results");
         // Normalised text is a fixed point, so it decodes like its raw form.
         let normed: Vec<String> = asms.iter().map(|a| normalize_asm(a)).collect();
         let normed_refs: Vec<&str> = normed.iter().map(String::as_str).collect();
@@ -680,8 +680,8 @@ mod tests {
             .to_json()
             .replace("\"isa\":\"X86_64\",", "")
             .replace("\"opt\":\"O0\",", "")
-            .replace("\"max_batch_lanes\":256,", "")
-            .replace(",\"max_batch_lanes\":256", "");
+            .replace(&format!("\"max_batch_lanes\":{},", Slade::MAX_BATCH_LANES), "")
+            .replace(&format!(",\"max_batch_lanes\":{}", Slade::MAX_BATCH_LANES), "");
         assert!(!json.contains("max_batch_lanes"), "field not stripped: {json:.120}");
         let back = Slade::from_json(&json).unwrap();
         assert_eq!(back.isa(), Isa::X86_64);

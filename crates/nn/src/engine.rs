@@ -22,7 +22,7 @@
 //!   outscores (length-normalized) the k-th best finished one, instead
 //!   of breaking as soon as `k` hypotheses finish — a live hypothesis
 //!   that already outranks the finished set can no longer be masked by
-//!   weak short ones (see [`beam_converged`] for the heuristic's
+//!   weak short ones (see `beam_converged` for the heuristic's
 //!   remaining limit).
 
 use crate::math::{log_softmax_topk, log_softmax_topk_into};
@@ -124,7 +124,7 @@ impl<'m> InferenceEngine<'m> {
 
     /// Decodes one request on the batched path.
     pub fn decode(&self, request: &DecodeRequest) -> Vec<Vec<u32>> {
-        self.decode_batch(std::slice::from_ref(request)).pop().unwrap_or_default()
+        self.decode_batch(std::slice::from_ref(request), request.beam).pop().unwrap_or_default()
     }
 
     /// Opens a [`DecodeSession`] — the continuous-batching front-end:
@@ -153,38 +153,63 @@ impl<'m> InferenceEngine<'m> {
         }
     }
 
-    /// Decodes a set of independent requests as **one** interleaved batch:
-    /// sources are encoded at admission ([`Seq2Seq::encode_batch_in`]),
-    /// all live beam lanes step together through
-    /// [`Seq2Seq::decode_step_batch`], and each request applies its own
-    /// beam policy and stops
-    /// independently (its lanes are compacted out, shrinking the
-    /// batch). Returns, per request, up to `beam` hypotheses, best
-    /// first, without BOS/EOS.
-    ///
-    /// This is the admit-everything-up-front special case of a
-    /// [`DecodeSession`]; serving callers that want to feed new requests
-    /// into the running batch as lanes free up use the session directly.
-    pub fn decode_batch(&self, requests: &[DecodeRequest]) -> Vec<Vec<Vec<u32>>> {
+    /// Decodes a set of independent requests through **one**
+    /// [`DecodeSession`] of `cap_lanes` lanes (floored at the widest
+    /// beam, so every request fits): requests are admitted in order while
+    /// [`DecodeSession::can_admit`] says their beam fits, sources are
+    /// encoded at admission ([`Seq2Seq::encode_batch_in`]), all live beam
+    /// lanes step together through [`Seq2Seq::decode_step_batch`], and
+    /// each request applies its own beam policy and stops independently.
+    /// A request that finishes hands its lanes to the next waiting one at
+    /// the next step, so the session runs at most `cap_lanes` lanes and
+    /// packs the weights once, whatever the number of requests. Returns,
+    /// per request in request order, up to `beam` hypotheses, best first,
+    /// without BOS/EOS.
+    pub fn decode_batch(
+        &self,
+        requests: &[DecodeRequest],
+        cap_lanes: usize,
+    ) -> Vec<Vec<Vec<u32>>> {
+        self.decode_batch_inspect(requests, cap_lanes, |_| {})
+    }
+
+    /// [`InferenceEngine::decode_batch`], calling `inspect` on the session
+    /// after every step.
+    fn decode_batch_inspect(
+        &self,
+        requests: &[DecodeRequest],
+        cap_lanes: usize,
+        mut inspect: impl FnMut(&DecodeSession<'m>),
+    ) -> Vec<Vec<Vec<u32>>> {
         if requests.is_empty() {
             return Vec::new();
         }
-        let cap_lanes: usize = requests.iter().map(|r| r.beam.max(1)).sum();
+        let widest = requests.iter().map(|r| r.beam.max(1)).max().unwrap_or(1);
         let cap_pos = requests.iter().map(|r| r.max_len).max().unwrap_or(1);
-        let mut session = self.session(cap_lanes, cap_pos);
-        let refs: Vec<&DecodeRequest> = requests.iter().collect();
-        let tickets = session.admit_many(&refs);
-        let mut results: Vec<(u64, Vec<Vec<u32>>)> = Vec::with_capacity(requests.len());
-        while !session.is_idle() {
-            results.extend(session.step());
+        let mut session = self.session(cap_lanes.max(widest), cap_pos);
+        let mut results: Vec<Option<Vec<Vec<u32>>>> = vec![None; requests.len()];
+        // `(ticket, request index)` of the requests in flight.
+        let mut in_flight: Vec<(u64, usize)> = Vec::new();
+        let mut next = 0usize;
+        while next < requests.len() || !session.is_idle() {
+            let (mut end, mut lanes) = (next, 0usize);
+            while end < requests.len() && session.can_admit(lanes + requests[end].beam.max(1)) {
+                lanes += requests[end].beam.max(1);
+                end += 1;
+            }
+            if end > next {
+                let group: Vec<&DecodeRequest> = requests[next..end].iter().collect();
+                in_flight.extend(session.admit_many(&group).into_iter().zip(next..end));
+                next = end;
+            }
+            for (ticket, beams) in session.step() {
+                let at =
+                    in_flight.iter().position(|&(t, _)| t == ticket).expect("ticket in flight");
+                results[in_flight.swap_remove(at).1] = Some(beams);
+            }
+            inspect(&session);
         }
-        tickets
-            .into_iter()
-            .map(|t| {
-                let at = results.iter().position(|(rt, _)| *rt == t).expect("ticket resolved");
-                results.swap_remove(at).1
-            })
-            .collect()
+        results.into_iter().map(|r| r.expect("every request finishes")).collect()
     }
 
     /// Per-hypothesis reference decode: [`Seq2Seq::encode`] once, then
@@ -235,16 +260,16 @@ impl<'m> InferenceEngine<'m> {
 
 /// A continuous-batching decode session: the engine-side admission seam.
 ///
-/// Where [`InferenceEngine::decode_batch`] admits a fixed request set and
-/// runs it to completion, a session keeps one [`crate::BatchedDecoderState`]
-/// alive across request lifetimes: callers [`DecodeSession::admit`] work
-/// whenever [`DecodeSession::can_admit`] says a lane budget is free —
-/// including while other requests are mid-decode — call
-/// [`DecodeSession::step`] to advance every live lane one token, and
-/// collect finished requests from the step's return value. Lanes of a
-/// finished request are compacted out by the survivor reorder, its KV
-/// blocks return to the pool and its cross-memory slot is recycled, so a
-/// shard can serve an unbounded request stream at bounded memory.
+/// A session keeps one [`crate::BatchedDecoderState`] alive across
+/// request lifetimes: callers [`DecodeSession::admit`] work whenever
+/// [`DecodeSession::can_admit`] says a lane budget is free — including
+/// while other requests are mid-decode — call [`DecodeSession::step`] to
+/// advance every live lane one token, and collect finished requests from
+/// the step's return value. Lanes of a finished request are compacted out
+/// by the survivor reorder, its KV blocks return to the pool and its
+/// cross-memory slot is recycled, so a shard can serve an unbounded
+/// request stream at bounded memory. [`InferenceEngine::decode_batch`]
+/// drives one over a request list known up front.
 ///
 /// Results are **independent of batch composition**: every kernel on the
 /// step path computes each lane's row with the same summation order as
@@ -515,16 +540,66 @@ mod tests {
         .into_iter()
         .map(|(src, beam)| DecodeRequest { src, bos: 1, eos: 2, max_len: 9, beam })
         .collect();
-        let batched = engine.decode_batch(&reqs);
+        let batched = engine.decode_batch(&reqs, 11);
         for (req, got) in reqs.iter().zip(&batched) {
             assert_eq!(got, &engine.decode_reference(req), "src {:?}", req.src);
         }
     }
 
     #[test]
+    fn batch_wider_than_the_lane_budget_feeds_through_one_session() {
+        // Six beam-2 requests through four lanes: two decode at a time,
+        // and a request that finishes early hands its lanes to the next.
+        // Mixed budgets make them finish at different steps.
+        use crate::model::KV_BLOCK;
+        let m =
+            Seq2Seq::new(TransformerConfig { max_len: 40, ..TransformerConfig::tiny(16) }, 9);
+        let engine = InferenceEngine::new(&m);
+        let reqs: Vec<DecodeRequest> = [5usize, 30, 9, 21, 3, 14]
+            .into_iter()
+            .enumerate()
+            .map(|(i, max_len)| DecodeRequest {
+                src: vec![4 + i as u32, 5, 6],
+                bos: 1,
+                eos: 2,
+                max_len,
+                beam: 2,
+            })
+            .collect();
+        let budget = 4;
+        let full_table = 30usize.div_ceil(KV_BLOCK);
+        let (mut steps, mut peak_lanes) = (0usize, 0usize);
+        let got = engine.decode_batch_inspect(&reqs, budget, |session| {
+            steps += 1;
+            let lanes = session.live_lanes();
+            assert!(lanes <= budget, "step {steps}: {lanes} lanes");
+            peak_lanes = peak_lanes.max(lanes);
+            let (held, allocated) = session.kv_blocks();
+            assert!(held <= allocated, "step {steps}: {held} held of {allocated}");
+            assert!(allocated <= budget * full_table, "step {steps}: {allocated} blocks");
+        });
+        assert_eq!(peak_lanes, budget, "two requests never decoded together");
+        // Pairs decoded back to back would take the longer request's
+        // steps per pair; handing lanes over as requests finish beats that.
+        let steps_alone = |req: &DecodeRequest| {
+            let mut session = engine.session(req.beam, req.max_len);
+            session.admit(req);
+            (0..).take_while(|_| session.step().is_empty()).count() + 1
+        };
+        let back_to_back: usize =
+            reqs.chunks(2).map(|pair| pair.iter().map(steps_alone).max().unwrap()).sum();
+        assert!(steps < back_to_back, "{steps} steps, {back_to_back} in pairs");
+        assert_eq!(got.len(), reqs.len());
+        for (req, got) in reqs.iter().zip(&got) {
+            assert_eq!(got, &engine.decode_reference(req), "budget {}", req.max_len);
+        }
+        assert_eq!(engine.decode_batch(&reqs, budget), got);
+    }
+
+    #[test]
     fn empty_batch_is_empty() {
         let m = Seq2Seq::new(TransformerConfig::tiny(16), 1);
-        assert!(InferenceEngine::new(&m).decode_batch(&[]).is_empty());
+        assert!(InferenceEngine::new(&m).decode_batch(&[], 10).is_empty());
     }
 
     #[test]

@@ -444,7 +444,7 @@ pub mod scalar {
     }
 
     /// Lane-split `Σ exp(v - max)` (the log-softmax normalizer) — scalar
-    /// tier. Uses the shared polynomial [`super::exp_lane`] on every
+    /// tier. Uses the shared polynomial `super::exp_lane` on every
     /// tier, so the sum is bit-identical regardless of dispatch.
     pub fn sum_exp(row: &[f32], max: f32) -> f32 {
         let mut lanes = [0.0f32; 8];
@@ -457,7 +457,7 @@ pub mod scalar {
     /// Elementwise GELU over a buffer — scalar tier. Purely elementwise
     /// (no reduction), so no lane split is needed for cross-tier
     /// bit-identity: each output depends only on its own input through
-    /// the shared [`super::gelu_lane`] operation sequence.
+    /// the shared `super::gelu_lane` operation sequence.
     pub fn gelu_into(buf: &mut [f32]) {
         for v in buf {
             *v = super::gelu_lane(*v);
@@ -500,7 +500,7 @@ pub mod scalar {
     /// block [`super::Blocks`] names. A group's eight keys sit side by
     /// side, so lane accumulator `l` is a vertical `acc[l] += q[j] *
     /// K[j]` over `j = l, l + 8, …` (ascending, from `+0.0`) for all
-    /// eight keys at once, [`reduce8`]'s tree is seven vertical adds, and
+    /// eight keys at once, `reduce8`'s tree is seven vertical adds, and
     /// the scale multiply follows: per score the rounded operations of
     /// [`attn_scores_into`], in its order. The loops run over `[f32; 8]`
     /// so LLVM vectorizes them at any target's baseline.
@@ -541,7 +541,7 @@ pub mod scalar {
     }
 
     /// In-place softmax over one row — scalar tier: VMAXPS-semantics
-    /// max, the shared polynomial [`super::exp_lane`] per element, a
+    /// max, the shared polynomial `super::exp_lane` per element, a
     /// lane-split-by-8 sum, and a `1 / sum.max(1e-12)` normalize.
     /// `-inf` entries (masked attention slots) exp to exactly `+0.0`.
     pub fn softmax_into(row: &mut [f32]) {
@@ -1280,7 +1280,7 @@ pub mod avx2 {
 
     /// Query-tile weighted sum — AVX2 tier (see
     /// [`super::scalar::attn_weighted_sum_tile_into`]). The context rows of up to
-    /// [`WSUM_TILE`] queries stay in registers over the whole key loop,
+    /// `WSUM_TILE` queries stay in registers over the whole key loop,
     /// every block of it, and a V row the tile shares is loaded once for
     /// all of them. Per context element nothing changes
     /// — `si` ascending, a rounded multiply then a rounded add, zero
@@ -1652,7 +1652,7 @@ pub fn row_max(row: &[f32]) -> f32 {
 
 /// Dispatched `Σ exp(v - max)` — the normalizer pass of the fused
 /// log-softmax+top-k, lane-split by 8 like the matmuls. Every tier uses
-/// the shared polynomial `exp` ([`exp_lane`] and its AVX2 mirror), not
+/// the shared polynomial `exp` (`exp_lane` and its AVX2 mirror), not
 /// libm, so the sum is bit-identical across tiers. `max` must be the
 /// row's max (finite inputs, `v - max ≤ 0`).
 pub fn sum_exp(row: &[f32], max: f32) -> f32 {
@@ -1664,7 +1664,7 @@ pub fn sum_exp(row: &[f32], max: f32) -> f32 {
 }
 
 /// Dispatched elementwise GELU over a buffer (the FFN activation).
-/// Every tier evaluates the shared [`gelu_lane`] operation sequence —
+/// Every tier evaluates the shared `gelu_lane` operation sequence —
 /// polynomial `exp`, no libm — so results are bit-identical across
 /// tiers — the training forward and the decoder call this same kernel.
 pub fn gelu_into(buf: &mut [f32]) {
@@ -1763,7 +1763,7 @@ pub fn attn_scores_packed_tile_into(
 }
 
 /// Dispatched in-place softmax over one row: VMAXPS-semantics max, the
-/// shared polynomial exp ([`exp_lane`] / its AVX2 mirror — no libm),
+/// shared polynomial exp (`exp_lane` / its AVX2 mirror — no libm),
 /// a lane-split-by-8 sum, and a `1 / sum.max(1e-12)` normalize. `-inf`
 /// entries (masked attention slots) come out exactly `+0.0`, which the
 /// weighted-sum kernel then skips.

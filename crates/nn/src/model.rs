@@ -841,9 +841,9 @@ impl Seq2Seq {
     /// materialized at [`Seq2Seq::begin_decode_batch`] — what a decode
     /// session admits through. One sequence at a time: every projection
     /// is a matmul over that sequence's rows, and attention takes a tile
-    /// of [`ATTN_TILE`] consecutive query rows ([`attend_tile`]) against
+    /// of [`ATTN_TILE`] consecutive query rows (`attend_tile`) against
     /// the layer's keys and values, laid out per head once per layer
-    /// ([`KvRows`]) and read by every tile. Ragged lengths are exact
+    /// (`KvRows`) and read by every tile. Ragged lengths are exact
     /// without padding or masking. The activations live in a scratch of
     /// the call's own, sized once to its longest source and dropped on
     /// return: the session keeps no source-length buffer between
@@ -1012,8 +1012,8 @@ impl Seq2Seq {
     /// both FFN layers, and the vocabulary logits) runs as **one** matmul
     /// over all live lanes.
     /// Both attentions take a beam — the adjacent lanes of one request,
-    /// all at one position ([`beams`]) — as one query tile
-    /// ([`attend_tile`]): its lanes read the same cross memory, and the
+    /// all at one position (`beams`) — as one query tile
+    /// (`attend_tile`): its lanes read the same cross memory, and the
     /// blocks of self-attention history they still share.
     ///
     /// # Panics
@@ -1238,8 +1238,8 @@ impl Seq2Seq {
     /// registers it with the batched state, returning its handle for
     /// [`BatchedDecoderState::add_lane`]. Done once per request; lanes
     /// (beam hypotheses) of the same request share the projections. Both
-    /// are stored per head ([`KvRows`]): every lane of every step reads them. Slots
-    /// freed by
+    /// are stored per head (`KvRows`): every lane of every step reads
+    /// them. Slots freed by
     /// [`BatchedDecoderState::release_cross_memory`] are reused, so a
     /// long-running continuous-batching session does not grow its
     /// cross-memory table beyond its peak concurrency.
@@ -1576,7 +1576,7 @@ pub(crate) const KV_BLOCK: usize = 16;
 /// Decoder state for **all** live beam lanes of one decode batch, possibly
 /// spanning several independent requests (continuous-batching style).
 /// Per layer, self-attention keys/values live in one pool of
-/// [`KV_BLOCK`]-row blocks, each laid out per head ([`KvRows`]); a lane
+/// `KV_BLOCK`-row blocks, each laid out per head (`KvRows`); a lane
 /// is a table of block ids, one per `KV_BLOCK` positions of its history.
 /// Beam survivors that continue the same parent share its blocks by
 /// reference, so reordering after a beam step moves block ids, not

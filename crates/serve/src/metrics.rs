@@ -1,6 +1,6 @@
 //! Serving metrics: always-on counters, gauges and two wait-free latency
 //! histograms, each a `slade_obs` value that carries its own family.
-//! [`MetricsInner::expose`] writes them into the scrape's one document
+//! `MetricsInner::expose` writes them into the scrape's one document
 //! ([`crate::ServeRuntime::expose`]); [`MetricsSnapshot`] is the typed
 //! copy that tests, `slade-cli stats` and the benchmark read. Recording
 //! takes no lock and neither does a snapshot, so a scrape can never stall
