@@ -157,12 +157,13 @@ impl<'m> InferenceEngine<'m> {
     /// [`DecodeSession`] of `cap_lanes` lanes (floored at the widest
     /// beam, so every request fits): requests are admitted in order while
     /// [`DecodeSession::can_admit`] says their beam fits, sources are
-    /// encoded at admission ([`Seq2Seq::encode_batch_in`]), all live beam
+    /// encoded at admission ([`Seq2Seq::encode_batch`]), all live beam
     /// lanes step together through [`Seq2Seq::decode_step_batch`], and
     /// each request applies its own beam policy and stops independently.
     /// A request that finishes hands its lanes to the next waiting one at
-    /// the next step, so the session runs at most `cap_lanes` lanes and
-    /// packs the weights once, whatever the number of requests. Returns,
+    /// the next step, so the session runs at most `cap_lanes` lanes,
+    /// whatever the number of requests; every projection reads the
+    /// model's one weight pack, built by its first forward. Returns,
     /// per request in request order, up to `beam` hypotheses, best first,
     /// without BOS/EOS.
     pub fn decode_batch(
@@ -269,7 +270,9 @@ impl<'m> InferenceEngine<'m> {
 /// by the survivor reorder, its KV blocks return to the pool and its
 /// cross-memory slot is recycled, so a shard can serve an unbounded
 /// request stream at bounded memory. [`InferenceEngine::decode_batch`]
-/// drives one over a request list known up front.
+/// drives one over a request list known up front. A session borrows the
+/// model, so its weights — and the one pack its forwards read — cannot
+/// change while the session is open.
 ///
 /// Results are **independent of batch composition**: every kernel on the
 /// step path computes each lane's row with the same summation order as
@@ -313,11 +316,6 @@ impl<'m> DecodeSession<'m> {
         self.cap_lanes - self.reserved
     }
 
-    /// The session's lane budget.
-    pub fn lane_capacity(&self) -> usize {
-        self.cap_lanes
-    }
-
     /// Live beam lanes right now (≤ reserved; a request's live lanes lag
     /// its reservation until the beam fans out).
     pub fn live_lanes(&self) -> usize {
@@ -357,9 +355,9 @@ impl<'m> DecodeSession<'m> {
     /// Admits a group of requests — the grouped twin of
     /// [`DecodeSession::admit`] that serving callers use when draining an
     /// arrival queue: the group's lane reservation is checked as a whole,
-    /// its sources go through the session's encoder weights
-    /// ([`Seq2Seq::encode_batch_in`], whose activations live for this call
-    /// only), and every request gets its cross memory and first lane.
+    /// its sources go through one [`Seq2Seq::encode_batch`] (the model's
+    /// weight pack; activations that live for this call only), and every
+    /// request gets its cross memory and first lane.
     ///
     /// # Panics
     ///
@@ -378,7 +376,7 @@ impl<'m> DecodeSession<'m> {
         );
         let srcs: Vec<&[u32]> =
             requests.iter().map(|r| &r.src[..r.src.len().min(m.cfg.max_len)]).collect();
-        let mems = m.encode_batch_in(&mut self.state, &srcs);
+        let mems = m.encode_batch(&srcs);
         // The encoder pass timed itself (`Encode`); `Admit` is what
         // admission adds to it: cross-K/V projection, key packing and lane
         // set-up.

@@ -16,6 +16,7 @@ use crate::math::*;
 use crate::store::{PId, ParamStore};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Inference weight format. There is one: full-precision f32, packed
 /// for the inference kernels below the engine seam. The enum and
@@ -149,6 +150,14 @@ pub struct Seq2Seq {
     drop_seed: u64,
     #[serde(default)]
     drop_step: u64,
+    /// Every projection matrix in the layout the forwards read
+    /// ([`ProjWeight`]), indexed by [`PId`]: built by the first forward
+    /// after a weight change ([`Seq2Seq::packed`]) and dropped by the
+    /// only writers of weight data, [`Seq2Seq::adam_step`] and the
+    /// tests' `perturb_param`. One pack per model version, shared by
+    /// every forward, session and thread that reads the model.
+    #[serde(skip)]
+    pack: OnceLock<Vec<ProjWeight>>,
 }
 
 impl Seq2Seq {
@@ -227,6 +236,7 @@ impl Seq2Seq {
             dropout: 0.0,
             drop_seed: 0,
             drop_step: 0,
+            pack: OnceLock::new(),
         }
     }
 
@@ -279,6 +289,7 @@ impl Seq2Seq {
             self.store.scale_grads(1.0 / norm);
         }
         self.store.adam_step(lr, weight_decay, scale);
+        self.pack.take();
     }
 
     /// Floats held by gradients and Adam moments: none until the first
@@ -318,7 +329,7 @@ impl Seq2Seq {
 
     fn linear(&self, w: PId, b: PId, x: &[f32], t: usize, din: usize, dout: usize) -> Vec<f32> {
         let mut y = vec![0.0f32; t * dout];
-        self.proj_weight(w, dout, din).apply(x, Some(self.store.data(b)), &mut y, t, din, dout);
+        self.packed(w).apply(x, Some(self.store.data(b)), &mut y, t, din, dout);
         y
     }
 
@@ -327,7 +338,7 @@ impl Seq2Seq {
     fn tied_logits(&self, hn: &[f32], t: usize) -> Vec<f32> {
         let (d, v) = (self.cfg.d_model, self.cfg.vocab);
         let mut logits = vec![0.0f32; t * v];
-        self.proj_weight(self.embed, v, d).apply(hn, None, &mut logits, t, d, v);
+        self.packed(self.embed).apply(hn, None, &mut logits, t, d, v);
         logits
     }
 
@@ -799,13 +810,13 @@ impl Seq2Seq {
         }
     }
 
-    /// Writes `linear(x)` into a caller-provided buffer through an
-    /// inference weight materialized by [`Seq2Seq::proj_weight`]. The
-    /// batched paths reuse scratch across steps instead of allocating.
+    /// Writes `linear(x)` into a caller-provided buffer, counted in
+    /// `ProjCalls` / `ProjRows`. The batched paths reuse scratch across
+    /// steps instead of allocating.
     #[allow(clippy::too_many_arguments)]
     fn project_into(
         &self,
-        w: &ProjWeight,
+        w: PId,
         b: PId,
         x: &[f32],
         out: &mut [f32],
@@ -816,7 +827,7 @@ impl Seq2Seq {
         let o = slade_obs::obs();
         o.count(slade_obs::KernelCtr::ProjCalls, 1);
         o.count(slade_obs::KernelCtr::ProjRows, t as u64);
-        w.apply(x, Some(self.store.data(b)), out, t, din, dout);
+        self.packed(w).apply(x, Some(self.store.data(b)), out, t, din, dout);
     }
 
     /// Allocation-free [`Seq2Seq::layer_norm`] for inference (no
@@ -828,54 +839,32 @@ impl Seq2Seq {
         crate::kernels::layer_norm_into(&x[..t * d], gamma, beta, t, d, &mut out[..t * d]);
     }
 
-    /// Encoder forward of every sequence of `srcs` through the inference
-    /// weights: one encoder memory per input, bit-identical to
-    /// [`Seq2Seq::encode`] on each sequence. Sequences run one at a time
-    /// (see [`Seq2Seq::encode_batch_in`], which this is with the weights
-    /// packed for the call).
-    pub fn encode_batch(&self, srcs: &[&[u32]]) -> Vec<Vec<f32>> {
-        self.encode_seqs(&self.encoder_weights(), srcs)
-    }
-
-    /// [`Seq2Seq::encode_batch`] through the encoder weights `state`
-    /// materialized at [`Seq2Seq::begin_decode_batch`] — what a decode
-    /// session admits through. One sequence at a time: every projection
-    /// is a matmul over that sequence's rows, and attention takes a tile
-    /// of [`ATTN_TILE`] consecutive query rows (`attend_tile`) against
-    /// the layer's keys and values, laid out per head once per layer
+    /// Encoder forward of every sequence of `srcs` through the model's
+    /// weight pack — what a decode session admits through: one encoder
+    /// memory per input, bit-identical to [`Seq2Seq::encode`] on each
+    /// sequence. One sequence at a time: every projection is a matmul
+    /// over that sequence's rows, and attention takes a tile of
+    /// [`ATTN_TILE`] consecutive query rows (`attend_tile`) against the
+    /// layer's keys and values, laid out per head once per layer
     /// (`KvRows`) and read by every tile. Ragged lengths are exact
     /// without padding or masking. The activations live in a scratch of
     /// the call's own, sized once to its longest source and dropped on
-    /// return: the session keeps no source-length buffer between
+    /// return: a session keeps no source-length buffer between
     /// admissions.
-    pub fn encode_batch_in(
-        &self,
-        state: &mut BatchedDecoderState,
-        srcs: &[&[u32]],
-    ) -> Vec<Vec<f32>> {
-        self.encode_seqs(&state.enc_xposed, srcs)
-    }
-
-    fn encode_seqs(&self, weights: &[XposedEncLayer], srcs: &[&[u32]]) -> Vec<Vec<f32>> {
+    pub fn encode_batch(&self, srcs: &[&[u32]]) -> Vec<Vec<f32>> {
         let _timer = slade_obs::StageTimer::start(slade_obs::StageHist::Encode);
         let total: usize = srcs.iter().map(|s| s.len()).sum();
         slade_obs::obs().count(slade_obs::KernelCtr::EncodeRows, total as u64);
         let mut scratch = Scratch::default();
         let longest = srcs.iter().map(|s| s.len()).max().unwrap_or(0);
         scratch.ensure(longest, self.cfg.d_model, self.cfg.d_ff);
-        srcs.iter().map(|src| self.encode_seq(weights, &mut scratch, src)).collect()
+        srcs.iter().map(|src| self.encode_seq(&mut scratch, src)).collect()
     }
 
-    /// One sequence of [`Seq2Seq::encode_batch_in`], in a scratch with
-    /// room for its rows. Every buffer is cut to this sequence's rows
-    /// before use, so nothing a longer sequence left in the scratch is
-    /// read.
-    fn encode_seq(
-        &self,
-        weights: &[XposedEncLayer],
-        sc: &mut Scratch,
-        src: &[u32],
-    ) -> Vec<f32> {
+    /// One sequence of [`Seq2Seq::encode_batch`], in a scratch with room
+    /// for its rows. Every buffer is cut to this sequence's rows before
+    /// use, so nothing a longer sequence left in the scratch is read.
+    fn encode_seq(&self, sc: &mut Scratch, src: &[u32]) -> Vec<f32> {
         let d = self.cfg.d_model;
         let h = self.cfg.n_heads;
         let dh = d / h;
@@ -883,13 +872,13 @@ impl Seq2Seq {
         let t = src.len();
         let rows = t * d;
         self.embed_into(src, &mut sc.x[..rows]);
-        for (layer, xw) in self.enc.iter().zip(weights) {
+        for layer in &self.enc {
             self.layer_norm_into(&layer.ln1, &sc.x[..rows], t, &mut sc.ln[..rows]);
             let a = &layer.attn;
             let ln = &sc.ln[..rows];
-            self.project_into(&xw.wq, a.bq, ln, &mut sc.q[..rows], t, d, d);
-            self.project_into(&xw.wk, a.bk, ln, &mut sc.k[..rows], t, d, d);
-            self.project_into(&xw.wv, a.bv, ln, &mut sc.v[..rows], t, d, d);
+            self.project_into(a.wq, a.bq, ln, &mut sc.q[..rows], t, d, d);
+            self.project_into(a.wk, a.bk, ln, &mut sc.k[..rows], t, d, d);
+            self.project_into(a.wv, a.bv, ln, &mut sc.v[..rows], t, d, d);
             pack_heads(&sc.k[..rows], t, h, dh, &mut sc.kp);
             split_heads(&sc.v[..rows], t, h, dh, &mut sc.vp);
             let kv = KvRows::contiguous(&sc.kp, &sc.vp, t);
@@ -899,14 +888,14 @@ impl Seq2Seq {
                 attend_tile(qt, &kv, h, dh, &mut sc.scores, ct);
             }
             let proj = &mut sc.proj[..rows];
-            self.project_into(&xw.wo, a.bo, &sc.ctx[..rows], proj, t, d, d);
+            self.project_into(a.wo, a.bo, &sc.ctx[..rows], proj, t, d, d);
             add_into(&mut sc.x[..rows], proj);
             self.layer_norm_into(&layer.ln2, &sc.x[..rows], t, &mut sc.ln[..rows]);
             let hidden = &mut sc.hidden[..t * dff];
             let f = &layer.ffn;
-            self.project_into(&xw.ffn_w1, f.b1, &sc.ln[..rows], hidden, t, d, dff);
+            self.project_into(f.w1, f.b1, &sc.ln[..rows], hidden, t, d, dff);
             crate::kernels::gelu_into(hidden);
-            self.project_into(&xw.ffn_w2, f.b2, hidden, proj, t, dff, d);
+            self.project_into(f.w2, f.b2, hidden, proj, t, dff, d);
             add_into(&mut sc.x[..rows], proj);
         }
         let mut out = vec![0.0f32; rows];
@@ -914,75 +903,52 @@ impl Seq2Seq {
         out
     }
 
-    /// The encoder's weights in their inference format (see
-    /// [`Seq2Seq::proj_weight`]).
-    fn encoder_weights(&self) -> Vec<XposedEncLayer> {
-        let d = self.cfg.d_model;
-        let dff = self.cfg.d_ff;
-        self.enc
-            .iter()
-            .map(|layer| XposedEncLayer {
-                wq: self.proj_weight(layer.attn.wq, d, d),
-                wk: self.proj_weight(layer.attn.wk, d, d),
-                wv: self.proj_weight(layer.attn.wv, d, d),
-                wo: self.proj_weight(layer.attn.wo, d, d),
-                ffn_w1: self.proj_weight(layer.ffn.w1, dff, d),
-                ffn_w2: self.proj_weight(layer.ffn.w2, d, dff),
-            })
-            .collect()
+    /// The packed projection matrix `w` ([`Seq2Seq::pack`]), packing
+    /// every projection of the model on the first call after a weight
+    /// change.
+    fn packed(&self, w: PId) -> &ProjWeight {
+        &self.pack.get_or_init(|| self.pack())[w]
     }
 
-    /// Transposes one `[dout, din]` weight tensor into `[din, dout]`.
-    fn xposed(&self, w: PId, dout: usize, din: usize) -> Vec<f32> {
-        let mut t = vec![0.0f32; dout * din];
-        transpose_into(self.store.data(w), &mut t, dout, din);
-        t
-    }
-
-    /// Materializes one weight tensor in the one layout every forward
-    /// projects through: transposed and packed into j-block slabs. The
-    /// training forward packs per call (its weights change every step);
-    /// the inference paths pack once per session.
-    fn proj_weight(&self, w: PId, dout: usize, din: usize) -> ProjWeight {
-        ProjWeight(crate::kernels::pack_xposed_blocks(&self.xposed(w, dout, din), din, dout))
+    /// Materializes every projection matrix in the one layout every
+    /// forward projects through: each `[dout, din]` tensor transposed
+    /// and packed into j-block slabs, at its [`PId`]; other tensors get
+    /// an empty entry.
+    fn pack(&self) -> Vec<ProjWeight> {
+        let (d, dff) = (self.cfg.d_model, self.cfg.d_ff);
+        let attns = self.enc.iter().map(|l| &l.attn);
+        let attns = attns.chain(self.dec.iter().flat_map(|l| [&l.self_attn, &l.cross_attn]));
+        let ffns = self.enc.iter().map(|l| &l.ffn).chain(self.dec.iter().map(|l| &l.ffn));
+        let shapes = attns
+            .flat_map(|a| [a.wq, a.wk, a.wv, a.wo].map(|w| (w, d, d)))
+            .chain(ffns.flat_map(|f| [(f.w1, dff, d), (f.w2, d, dff)]))
+            .chain([(self.embed, self.cfg.vocab, d)]);
+        let mut pack = Vec::new();
+        for (w, dout, din) in shapes {
+            let mut t = vec![0.0f32; dout * din];
+            transpose_into(self.store.data(w), &mut t, dout, din);
+            if pack.len() <= w {
+                pack.resize_with(w + 1, ProjWeight::default);
+            }
+            pack[w] = ProjWeight(crate::kernels::pack_xposed_blocks(&t, din, dout));
+        }
+        pack
     }
 
     /// Creates an empty [`BatchedDecoderState`] with room for `cap_lanes`
     /// concurrent hypotheses of up to `cap_pos` decoded tokens each. The
     /// self-attention block pool starts empty and grows as lanes take
-    /// blocks, up to a full table per lane. The inference weights — the
-    /// decoder's for the batched step, the encoder's for
-    /// [`Seq2Seq::encode_batch_in`] — are materialized once here
-    /// (transposed and packed); the per-step decode path allocates nothing
-    /// once its scratch has grown to the most live lanes, the only rows it
-    /// holds. The state snapshots the weights, so it must not outlive
-    /// parameter updates.
+    /// blocks, up to a full table per lane. The state holds no weights:
+    /// every step projects through the model's one weight pack, and the
+    /// per-step decode path allocates nothing once its scratch has grown
+    /// to the most live lanes, the only rows it holds.
     pub fn begin_decode_batch(&self, cap_lanes: usize, cap_pos: usize) -> BatchedDecoderState {
         let layers = self.dec.len();
-        let d = self.cfg.d_model;
-        let dff = self.cfg.d_ff;
         let (cap_lanes, cap_pos) = (cap_lanes.max(1), cap_pos.max(1));
         let table_stride = cap_pos.div_ceil(KV_BLOCK);
         let tables = cap_lanes * table_stride;
-        let xposed = self
-            .dec
-            .iter()
-            .map(|layer| XposedDecLayer {
-                self_wq: self.proj_weight(layer.self_attn.wq, d, d),
-                self_wk: self.proj_weight(layer.self_attn.wk, d, d),
-                self_wv: self.proj_weight(layer.self_attn.wv, d, d),
-                self_wo: self.proj_weight(layer.self_attn.wo, d, d),
-                cross_wq: self.proj_weight(layer.cross_attn.wq, d, d),
-                cross_wk: self.proj_weight(layer.cross_attn.wk, d, d),
-                cross_wv: self.proj_weight(layer.cross_attn.wv, d, d),
-                cross_wo: self.proj_weight(layer.cross_attn.wo, d, d),
-                ffn_w1: self.proj_weight(layer.ffn.w1, dff, d),
-                ffn_w2: self.proj_weight(layer.ffn.w2, d, dff),
-            })
-            .collect();
-        let embed_t = self.proj_weight(self.embed, self.cfg.vocab, d);
         BatchedDecoderState {
-            d,
+            d: self.cfg.d_model,
             heads: self.cfg.n_heads,
             cap_pos,
             self_k: vec![Vec::new(); layers],
@@ -997,9 +963,6 @@ impl Seq2Seq {
             lane_pos: Vec::new(),
             lane_cross: Vec::new(),
             cap_lanes,
-            xposed,
-            enc_xposed: self.encoder_weights(),
-            embed_t,
             scratch: Scratch::default(),
         }
     }
@@ -1073,9 +1036,8 @@ impl Seq2Seq {
                 &mut st.scratch.ln[..n * d],
             );
             let a = &layer.self_attn;
-            let xw = &st.xposed[l];
             self.project_into(
-                &xw.self_wq,
+                a.wq,
                 a.bq,
                 &st.scratch.ln[..n * d],
                 &mut st.scratch.q[..n * d],
@@ -1084,7 +1046,7 @@ impl Seq2Seq {
                 d,
             );
             self.project_into(
-                &xw.self_wk,
+                a.wk,
                 a.bk,
                 &st.scratch.ln[..n * d],
                 &mut st.scratch.k[..n * d],
@@ -1093,7 +1055,7 @@ impl Seq2Seq {
                 d,
             );
             self.project_into(
-                &xw.self_wv,
+                a.wv,
                 a.bv,
                 &st.scratch.ln[..n * d],
                 &mut st.scratch.v[..n * d],
@@ -1136,7 +1098,7 @@ impl Seq2Seq {
                 );
             }
             self.project_into(
-                &xw.self_wo,
+                a.wo,
                 a.bo,
                 &st.scratch.ctx[..n * d],
                 &mut st.scratch.proj[..n * d],
@@ -1154,7 +1116,7 @@ impl Seq2Seq {
             );
             let c = &layer.cross_attn;
             self.project_into(
-                &xw.cross_wq,
+                c.wq,
                 c.bq,
                 &st.scratch.ln[..n * d],
                 &mut st.scratch.q[..n * d],
@@ -1175,7 +1137,7 @@ impl Seq2Seq {
                 );
             }
             self.project_into(
-                &xw.cross_wo,
+                c.wo,
                 c.bo,
                 &st.scratch.ctx[..n * d],
                 &mut st.scratch.proj[..n * d],
@@ -1192,7 +1154,7 @@ impl Seq2Seq {
                 &mut st.scratch.ln[..n * d],
             );
             self.project_into(
-                &xw.ffn_w1,
+                layer.ffn.w1,
                 layer.ffn.b1,
                 &st.scratch.ln[..n * d],
                 &mut st.scratch.hidden[..n * dff],
@@ -1202,7 +1164,7 @@ impl Seq2Seq {
             );
             crate::kernels::gelu_into(&mut st.scratch.hidden[..n * dff]);
             self.project_into(
-                &xw.ffn_w2,
+                layer.ffn.w2,
                 layer.ffn.b2,
                 &st.scratch.hidden[..n * dff],
                 &mut st.scratch.proj[..n * d],
@@ -1221,9 +1183,8 @@ impl Seq2Seq {
             n,
             &mut st.scratch.ln[..n * d],
         );
-        // Tied output head through the same materialized weight (no
-        // bias).
-        st.embed_t.apply(
+        // Tied output head through the packed embedding (no bias).
+        self.packed(self.embed).apply(
             &st.scratch.ln[..n * d],
             None,
             &mut st.scratch.logits[..n * vocab],
@@ -1256,15 +1217,15 @@ impl Seq2Seq {
         // only.
         let mut rows = vec![0.0f32; s * d];
         let mut slot = CrossMemory { s, ..Default::default() };
-        for (layer, xw) in self.dec.iter().zip(&st.xposed) {
+        for layer in &self.dec {
             // `apply`, not `project_into`: these rows were never in
             // `ProjRows`, a count the benchmark holds exact.
             let a = &layer.cross_attn;
-            xw.cross_wk.apply(mem, Some(self.store.data(a.bk)), &mut rows, s, d, d);
+            self.packed(a.wk).apply(mem, Some(self.store.data(a.bk)), &mut rows, s, d, d);
             let mut k = Vec::new();
             pack_heads(&rows, s, h, d / h, &mut k);
             slot.k.push(k);
-            xw.cross_wv.apply(mem, Some(self.store.data(a.bv)), &mut rows, s, d, d);
+            self.packed(a.wv).apply(mem, Some(self.store.data(a.bv)), &mut rows, s, d, d);
             let mut v = Vec::new();
             split_heads(&rows, s, h, d / h, &mut v);
             slot.v.push(v);
@@ -1278,9 +1239,11 @@ impl Seq2Seq {
         }
     }
 
-    /// Test hook: nudges one parameter scalar by `delta`.
+    /// Test hook: nudges one parameter scalar by `delta` (a new model
+    /// version: the pack is dropped).
     #[cfg(test)]
     fn perturb_param(&mut self, tensor: usize, index: usize, delta: f32) {
+        self.pack.take();
         let data = self.store.data_mut(tensor);
         if index < data.len() {
             data[index] += delta;
@@ -1454,11 +1417,10 @@ struct DecForward {
     out: LnCache,
 }
 
-/// One projection's weights, materialized by
-/// [`Seq2Seq::proj_weight`]: pre-transposed f32 weights packed into
-/// j-block slabs ([`crate::kernels::pack_xposed_blocks`]) — the layout
+/// One projection's weights as [`Seq2Seq::pack`] lays them out:
+/// pre-transposed f32 weights packed into j-block slabs — the layout
 /// [`crate::kernels::matmul_xpacked_into`] streams through sequentially.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ProjWeight(Vec<f32>);
 
 impl ProjWeight {
@@ -1484,32 +1446,6 @@ impl ProjWeight {
     }
 }
 
-/// Materialized decoder weights for one layer (see [`ProjWeight`]).
-#[derive(Debug, Clone)]
-struct XposedDecLayer {
-    self_wq: ProjWeight,
-    self_wk: ProjWeight,
-    self_wv: ProjWeight,
-    self_wo: ProjWeight,
-    cross_wq: ProjWeight,
-    cross_wk: ProjWeight,
-    cross_wv: ProjWeight,
-    cross_wo: ProjWeight,
-    ffn_w1: ProjWeight,
-    ffn_w2: ProjWeight,
-}
-
-/// Materialized encoder weights for one layer.
-#[derive(Debug, Clone)]
-struct XposedEncLayer {
-    wq: ProjWeight,
-    wk: ProjWeight,
-    wv: ProjWeight,
-    wo: ProjWeight,
-    ffn_w1: ProjWeight,
-    ffn_w2: ProjWeight,
-}
-
 /// Per-layer cross-attention projections of one request's encoder memory,
 /// shared by all of that request's beam lanes.
 #[derive(Debug, Clone, Default)]
@@ -1528,7 +1464,7 @@ struct CrossMemory {
 /// largest `n` asked for and reused. A decode session's scratch holds
 /// step rows, one per live lane, and so stops allocating once the lanes
 /// have peaked; an encoder call sizes a scratch of its own to its
-/// longest source and drops it on return ([`Seq2Seq::encode_batch_in`]).
+/// longest source and drops it on return ([`Seq2Seq::encode_batch`]).
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     x: Vec<f32>,
@@ -1585,7 +1521,8 @@ pub(crate) const KV_BLOCK: usize = 16;
 ///
 /// Built by [`Seq2Seq::begin_decode_batch`]; stepped by
 /// [`Seq2Seq::decode_step_batch`]; lanes are reshuffled with
-/// [`BatchedDecoderState::reorder`].
+/// [`BatchedDecoderState::reorder`]. It holds no weights: every step
+/// reads the model's one weight pack, so a state is never stale.
 #[derive(Debug, Clone)]
 pub struct BatchedDecoderState {
     d: usize,
@@ -1623,13 +1560,6 @@ pub struct BatchedDecoderState {
     lane_pos: Vec<usize>,
     /// Cross-memory handle, per lane.
     lane_cross: Vec<usize>,
-    /// Materialized decoder weights (snapshot at construction).
-    xposed: Vec<XposedDecLayer>,
-    /// Materialized encoder weights, same snapshot
-    /// ([`Seq2Seq::encode_batch_in`]).
-    enc_xposed: Vec<XposedEncLayer>,
-    /// Tied output embedding, transposed to `[d_model, vocab]` and packed.
-    embed_t: ProjWeight,
     /// The decode step's buffers: rows for the most lanes stepped at once
     /// (its attention scores span a beam's keys). No encoder activation
     /// passes through it.
@@ -2015,10 +1945,14 @@ mod tests {
             let _ = m.train_pair(&src, &dec_input, &labels);
             let analytic = m.grad_of(tensor, index);
             let eps = 2e-2f32;
+            // Each twin packs its weights before the nudge, which must
+            // drop the pack for the nudge to show.
             let mut mp = Seq2Seq::new(cfg, 42);
+            mp.encode(&src);
             mp.perturb_param(tensor, index, eps);
             let lp = mp.train_pair(&src, &dec_input, &labels);
             let mut mm = Seq2Seq::new(cfg, 42);
+            mm.encode(&src);
             mm.perturb_param(tensor, index, -eps);
             let lm = mm.train_pair(&src, &dec_input, &labels);
             let numeric = (lp - lm) / (2.0 * eps);
@@ -2057,6 +1991,29 @@ mod tests {
         }
         // Shortest round-trip floats: equal text is equal bits.
         assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+    }
+
+    /// The pack is one model version's: after an optimizer step, a model
+    /// that packed its old weights decodes bit for bit as a serde-loaded
+    /// twin, which has never packed anything.
+    #[test]
+    fn adam_step_drops_the_pack() {
+        let mut m = Seq2Seq::new(TransformerConfig::tiny(16), 4);
+        let src = [4u32, 5, 6];
+        for _ in 0..3 {
+            decode(&m, &src, 6, 3);
+            m.zero_grads();
+            m.train_pair(&src, &[1, 9, 10], &[9, 10, 2]);
+            m.adam_step(3e-2, 0.0, 1.0);
+        }
+        let twin: Seq2Seq = serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap();
+        assert!(twin.pack.get().is_none());
+        let (mem, prefix) = (twin.encode(&src), [1u32, 9, 10]);
+        let bits = |m: &Seq2Seq| -> Vec<u32> {
+            m.decode_last_logits(&mem, src.len(), &prefix).iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&m), bits(&twin));
+        assert_eq!(decode(&m, &src, 6, 3), decode(&twin, &src, 6, 3));
     }
 
     #[test]
@@ -2169,9 +2126,11 @@ mod tests {
             let analytic = m.grad_of(tensor, index);
             let eps = 2e-2f32;
             let mut mp = fresh(42);
+            mp.encode(&src);
             mp.perturb_param(tensor, index, eps);
             let lp = mp.train_pair(&src, &dec_input, &labels);
             let mut mm = fresh(42);
+            mm.encode(&src);
             mm.perturb_param(tensor, index, -eps);
             let lm = mm.train_pair(&src, &dec_input, &labels);
             let numeric = (lp - lm) / (2.0 * eps);

@@ -309,8 +309,10 @@ proptest! {
 /// and plus one, several groups, and 130 tokens (past `tiny`'s position
 /// table). Each length alone in a call, all in one call longest first (the
 /// scratch is sized by the first and must hand nothing of it — rows, packed
-/// K, score rows — to the shorter ones), and through one state's cached
-/// weights and scratch, longest first and then back up.
+/// K, score rows — to the shorter ones), and alone again right after two
+/// sessions' admissions encode it through the model's one weight pack,
+/// longest first and then back up — each admitted request decoding as the
+/// reference does from `encode`'s memory.
 ///
 /// Mutation that fails it (reverted): `pack_heads` growing `out` but never
 /// shrinking it, with `attend_tile` finding a head's keys at `keys.len() /
@@ -335,10 +337,18 @@ fn encode_batch_matches_encode_at_group_and_tile_edges() {
         for (i, mem) in m.encode_batch(&refs).iter().enumerate() {
             same(mem, i, "one call");
         }
-        let mut state = m.begin_decode_batch(1, 1);
-        for i in (0..lens.len()).chain((0..lens.len()).rev()) {
+        let engine = InferenceEngine::new(&m);
+        let mut sessions = [engine.session(1, 2), engine.session(1, 2)];
+        for (k, i) in (0..lens.len()).chain((0..lens.len()).rev()).enumerate() {
             same(&m.encode_batch(&refs[i..=i])[0], i, "alone");
-            same(&m.encode_batch_in(&mut state, &refs[i..=i])[0], i, "one state");
+            let request =
+                DecodeRequest { src: srcs[i].clone(), bos: 1, eos: 2, max_len: 2, beam: 1 };
+            let session = &mut sessions[k % 2];
+            let ticket = session.admit(&request);
+            same(&m.encode_batch(&refs[i..=i])[0], i, "after two sessions' admissions");
+            let done = std::iter::repeat_with(|| session.step()).find(|d| !d.is_empty());
+            let want = (ticket, engine.decode_reference(&request));
+            assert_eq!(done, Some(vec![want]), "len {}", lens[i]);
         }
     }
 }

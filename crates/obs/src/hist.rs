@@ -10,9 +10,7 @@
 //!
 //! Recording is **wait-free**: one relaxed `fetch_add` on the bucket plus
 //! two on the count/sum counters — no lock is ever taken, so a metrics
-//! scrape can never stall a decode worker. Snapshots are relaxed reads
-//! and histograms merge by bucket-wise addition, so per-shard instances
-//! can be aggregated without coordination.
+//! scrape can never stall a decode worker. Snapshots are relaxed reads.
 
 use crate::export::PromText;
 use serde::Serialize;
@@ -112,19 +110,6 @@ impl Histogram {
     /// Sum of recorded values (each clamped to the recordable range).
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Adds another histogram's contents into this one (bucket-wise; the
-    /// mergeability the per-shard aggregation relies on).
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
     }
 
     /// Point-in-time copy of the bucket counts.
@@ -264,18 +249,5 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count(), 1);
         assert!(h.quantile(1.0) >= MAX_VALUE);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let a = Histogram::new("t_seconds", "t");
-        let b = Histogram::new("t_seconds", "t");
-        for v in [5u64, 100, 10_000] {
-            a.record(v);
-            b.record(v * 2);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 6);
-        assert_eq!(a.sum(), 5 + 100 + 10_000 + 10 + 200 + 20_000);
     }
 }

@@ -21,82 +21,71 @@
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Pipeline stage a span measures. The numeric value is the wire
-/// encoding inside the ring; the name is the exporter/CLI label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-#[repr(u16)]
-pub enum Stage {
+/// Declares [`Stage`] from one table of variants and labels, so `ALL`,
+/// [`Stage::name`] and the ring's decoding read the same rows and a stage
+/// added later cannot decode to nothing.
+macro_rules! stages {
+    ($($(#[doc = $help:literal])+ $Variant:ident => $label:literal,)+) => {
+        /// Pipeline stage a span measures. The numeric value (the row's
+        /// place in the table) is the wire encoding inside the ring; the
+        /// name is the exporter/CLI label.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+        #[repr(u16)]
+        pub enum Stage {
+            $($(#[doc = $help])+ $Variant,)+
+        }
+
+        impl Stage {
+            /// All stages, in wire order.
+            const ALL: [Stage; [$($label),+].len()] = [$(Stage::$Variant),+];
+
+            /// Label per stage, in wire order.
+            const NAMES: [&'static str; Self::ALL.len()] = [$($label),+];
+        }
+    };
+}
+
+stages! {
     /// Whole request, submit → response (root span).
-    Request = 0,
+    Request => "request",
     /// Waiting in the admission queue.
-    Queue = 1,
+    Queue => "queue",
     /// Result-cache probe.
-    Cache = 2,
+    Cache => "cache",
     /// Tokenizing normalized assembly.
-    Tokenize = 3,
+    Tokenize => "tokenize",
     /// Encoder pass + cross-KV registration (engine admission).
-    Encode = 4,
+    Encode => "encode",
     /// Decode loop, admission → final token.
-    Decode = 5,
+    Decode => "decode",
     /// One batched decode step (all live lanes advance one token).
-    DecodeStep = 6,
+    DecodeStep => "decode_step",
     /// Beam scoring: log-softmax top-k + survivor selection.
-    Score = 7,
+    Score => "score",
     /// Type-inference header synthesis (eval).
-    TypeInf = 8,
+    TypeInf => "typeinf",
     /// Candidate repair pass (eval).
-    Repair = 9,
+    Repair => "repair",
     /// IO judging of one hypothesis set — the BTC verification stage.
-    Judge = 10,
+    Judge => "judge",
     /// Per-example root span in the eval harness.
-    Example = 11,
+    Example => "example",
     /// A duplicate in-flight submission attached to a running decode
     /// (one span per attached waiter, attach → fan-out delivery;
     /// `detail` carries the leader request's trace id).
-    Coalesce = 12,
+    Coalesce => "coalesce",
     /// A submission rejected by bounded admission (queue at capacity).
-    Shed = 13,
+    Shed => "shed",
 }
 
 impl Stage {
     /// Exporter / CLI label.
     pub fn name(self) -> &'static str {
-        match self {
-            Stage::Request => "request",
-            Stage::Queue => "queue",
-            Stage::Cache => "cache",
-            Stage::Tokenize => "tokenize",
-            Stage::Encode => "encode",
-            Stage::Decode => "decode",
-            Stage::DecodeStep => "decode_step",
-            Stage::Score => "score",
-            Stage::TypeInf => "typeinf",
-            Stage::Repair => "repair",
-            Stage::Judge => "judge",
-            Stage::Example => "example",
-            Stage::Coalesce => "coalesce",
-            Stage::Shed => "shed",
-        }
+        Self::NAMES[self as usize]
     }
 
     fn from_u16(v: u16) -> Option<Stage> {
-        Some(match v {
-            0 => Stage::Request,
-            1 => Stage::Queue,
-            2 => Stage::Cache,
-            3 => Stage::Tokenize,
-            4 => Stage::Encode,
-            5 => Stage::Decode,
-            6 => Stage::DecodeStep,
-            7 => Stage::Score,
-            8 => Stage::TypeInf,
-            9 => Stage::Repair,
-            10 => Stage::Judge,
-            11 => Stage::Example,
-            12 => Stage::Coalesce,
-            13 => Stage::Shed,
-            _ => return None,
-        })
+        Self::ALL.get(v as usize).copied()
     }
 }
 
@@ -330,6 +319,18 @@ mod tests {
             assert_eq!(s.trace_id, s.detail, "torn span: {s:?}");
         }
         assert_eq!(ring.recorded(), 8_000);
+    }
+
+    #[test]
+    fn every_stage_reads_back() {
+        let ring = TraceRing::new(2 * Stage::ALL.len());
+        for (i, &stage) in Stage::ALL.iter().enumerate() {
+            ring.record(span(1, i as u32 + 1, 0, stage, i as u64));
+        }
+        let got: Vec<Stage> = ring.snapshot().iter().map(|s| s.stage).collect();
+        assert_eq!(got, Stage::ALL);
+        let names: std::collections::HashSet<&str> = got.iter().map(|s| s.name()).collect();
+        assert_eq!(names.len(), Stage::ALL.len(), "one label per stage");
     }
 
     #[test]
