@@ -499,27 +499,27 @@ impl Slade {
     ///
     /// One call opens one decode session of [`Slade::max_batch_lanes`]
     /// lanes and feeds the inputs through it in order: an input is
-    /// admitted when its beam fits the free lanes, so one that finishes
-    /// early hands its lanes to the next at the next step. Every input in
-    /// flight holds a cross memory and every lane can grow its KV blocks
-    /// to the token budget, so the lane budget, not the batch size,
-    /// bounds decode memory.
+    /// normalized, tokenized and admitted when its beam fits the free
+    /// lanes, so one that finishes early hands its lanes to the next at
+    /// the next step. Every input in flight holds its tokens and a cross
+    /// memory and every lane can grow its KV blocks to the token budget,
+    /// so the lane budget, not the batch size, bounds a call's memory.
     pub fn decompile_batch(&self, asm_texts: &[&str]) -> Vec<Vec<String>> {
-        let normalized: Vec<String> = asm_texts.iter().map(|asm| normalize_asm(asm)).collect();
-        let tok_timer = slade_obs::StageTimer::start(slade_obs::StageHist::Tokenize);
-        let requests: Vec<DecodeRequest> = normalized
-            .iter()
-            .map(|asm| DecodeRequest {
-                src: self.tokenizer.encode(asm),
+        // Each input is normalized and tokenized when the session pulls
+        // it, so only the inputs in flight hold their tokens.
+        let requests = asm_texts.iter().map(|asm| {
+            let normalized = normalize_asm(asm);
+            let _tok = slade_obs::StageTimer::start(slade_obs::StageHist::Tokenize);
+            DecodeRequest {
+                src: self.tokenizer.encode(&normalized),
                 bos: special::BOS,
                 eos: special::EOS,
                 max_len: self.max_tgt_len,
                 beam: self.beam,
-            })
-            .collect();
-        drop(tok_timer);
+            }
+        });
         InferenceEngine::new(&self.model)
-            .decode_batch(&requests, self.max_batch_lanes())
+            .decode_batch(requests, self.max_batch_lanes())
             .into_iter()
             .map(|beams| beams.into_iter().map(|ids| self.tokenizer.decode(&ids)).collect())
             .collect()

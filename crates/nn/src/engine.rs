@@ -124,7 +124,7 @@ impl<'m> InferenceEngine<'m> {
 
     /// Decodes one request on the batched path.
     pub fn decode(&self, request: &DecodeRequest) -> Vec<Vec<u32>> {
-        self.decode_batch(std::slice::from_ref(request), request.beam).pop().unwrap_or_default()
+        self.decode_batch([request.clone()], request.beam).pop().unwrap_or_default()
     }
 
     /// Opens a [`DecodeSession`] — the continuous-batching front-end:
@@ -153,22 +153,25 @@ impl<'m> InferenceEngine<'m> {
         }
     }
 
-    /// Decodes a set of independent requests through **one**
-    /// [`DecodeSession`] of `cap_lanes` lanes (floored at the widest
-    /// beam, so every request fits): requests are admitted in order while
-    /// [`DecodeSession::can_admit`] says their beam fits, sources are
-    /// encoded at admission ([`Seq2Seq::encode_batch`]), all live beam
-    /// lanes step together through [`Seq2Seq::decode_step_batch`], and
-    /// each request applies its own beam policy and stops independently.
-    /// A request that finishes hands its lanes to the next waiting one at
-    /// the next step, so the session runs at most `cap_lanes` lanes,
-    /// whatever the number of requests; every projection reads the
-    /// model's one weight pack, built by its first forward. Returns,
-    /// per request in request order, up to `beam` hypotheses, best first,
-    /// without BOS/EOS.
+    /// Decodes a stream of independent requests through **one**
+    /// [`DecodeSession`] of `cap_lanes` lanes: requests are pulled and
+    /// admitted in order while [`DecodeSession::can_admit`] says their beam
+    /// fits, sources are encoded at admission ([`Seq2Seq::encode_batch`]),
+    /// all live beam lanes step together through
+    /// [`Seq2Seq::decode_step_batch`], and each request applies its own
+    /// beam policy and stops independently. A request that finishes hands
+    /// its lanes to the next waiting one at the next step, so the session
+    /// runs at most `cap_lanes` lanes, whatever the number of requests, and
+    /// holds at most one request it has pulled but not admitted: a caller
+    /// that builds each request as it is pulled holds the inputs in flight,
+    /// not the batch. A request wider than `cap_lanes` waits for the
+    /// session to drain and reopens it at its own width. Every projection
+    /// reads the model's one weight pack, built by its first forward.
+    /// Returns, per request in request order, up to `beam` hypotheses,
+    /// best first, without BOS/EOS.
     pub fn decode_batch(
         &self,
-        requests: &[DecodeRequest],
+        requests: impl IntoIterator<Item = DecodeRequest>,
         cap_lanes: usize,
     ) -> Vec<Vec<Vec<u32>>> {
         self.decode_batch_inspect(requests, cap_lanes, |_| {})
@@ -178,30 +181,42 @@ impl<'m> InferenceEngine<'m> {
     /// after every step.
     fn decode_batch_inspect(
         &self,
-        requests: &[DecodeRequest],
+        requests: impl IntoIterator<Item = DecodeRequest>,
         cap_lanes: usize,
         mut inspect: impl FnMut(&DecodeSession<'m>),
     ) -> Vec<Vec<Vec<u32>>> {
-        if requests.is_empty() {
+        let mut requests = requests.into_iter().peekable();
+        // Sessions open for the model's longest decode: a request's budget
+        // is its own `max_len` either way, and the block tables this sizes
+        // are a few bytes per lane and position.
+        let open = |beam: usize| self.session(cap_lanes.max(beam), self.model.cfg.max_len);
+        let Some(first) = requests.peek() else {
             return Vec::new();
-        }
-        let widest = requests.iter().map(|r| r.beam.max(1)).max().unwrap_or(1);
-        let cap_pos = requests.iter().map(|r| r.max_len).max().unwrap_or(1);
-        let mut session = self.session(cap_lanes.max(widest), cap_pos);
-        let mut results: Vec<Option<Vec<Vec<u32>>>> = vec![None; requests.len()];
+        };
+        let mut session = open(first.beam.max(1));
+        let mut results: Vec<Option<Vec<Vec<u32>>>> = Vec::new();
         // `(ticket, request index)` of the requests in flight.
         let mut in_flight: Vec<(u64, usize)> = Vec::new();
-        let mut next = 0usize;
-        while next < requests.len() || !session.is_idle() {
-            let (mut end, mut lanes) = (next, 0usize);
-            while end < requests.len() && session.can_admit(lanes + requests[end].beam.max(1)) {
-                lanes += requests[end].beam.max(1);
-                end += 1;
+        loop {
+            let mut group: Vec<DecodeRequest> = Vec::new();
+            let mut lanes = 0usize;
+            while let Some(r) = requests.next_if(|r| session.can_admit(lanes + r.beam.max(1))) {
+                lanes += r.beam.max(1);
+                group.push(r);
             }
-            if end > next {
-                let group: Vec<&DecodeRequest> = requests[next..end].iter().collect();
-                in_flight.extend(session.admit_many(&group).into_iter().zip(next..end));
-                next = end;
+            if !group.is_empty() {
+                let at = results.len();
+                results.resize(at + group.len(), None);
+                let refs: Vec<&DecodeRequest> = group.iter().collect();
+                in_flight.extend(session.admit_many(&refs).into_iter().zip(at..));
+            }
+            if session.is_idle() {
+                match requests.peek() {
+                    None => break,
+                    // Only a request wider than the session leaves it idle.
+                    Some(r) => session = open(r.beam.max(1)),
+                }
+                continue;
             }
             for (ticket, beams) in session.step() {
                 let at =
@@ -538,7 +553,7 @@ mod tests {
         .into_iter()
         .map(|(src, beam)| DecodeRequest { src, bos: 1, eos: 2, max_len: 9, beam })
         .collect();
-        let batched = engine.decode_batch(&reqs, 11);
+        let batched = engine.decode_batch(reqs.clone(), 11);
         for (req, got) in reqs.iter().zip(&batched) {
             assert_eq!(got, &engine.decode_reference(req), "src {:?}", req.src);
         }
@@ -567,7 +582,7 @@ mod tests {
         let budget = 4;
         let full_table = 30usize.div_ceil(KV_BLOCK);
         let (mut steps, mut peak_lanes) = (0usize, 0usize);
-        let got = engine.decode_batch_inspect(&reqs, budget, |session| {
+        let got = engine.decode_batch_inspect(reqs.clone(), budget, |session| {
             steps += 1;
             let lanes = session.live_lanes();
             assert!(lanes <= budget, "step {steps}: {lanes} lanes");
@@ -591,13 +606,63 @@ mod tests {
         for (req, got) in reqs.iter().zip(&got) {
             assert_eq!(got, &engine.decode_reference(req), "budget {}", req.max_len);
         }
-        assert_eq!(engine.decode_batch(&reqs, budget), got);
+        assert_eq!(engine.decode_batch(reqs.clone(), budget), got);
+    }
+
+    #[test]
+    fn decode_batch_pulls_requests_as_they_are_admitted() {
+        // Beam-2 requests through four lanes, each built as it is pulled:
+        // the engine holds at most the one it has pulled and not admitted,
+        // so a caller's inputs in flight follow the lane budget, not the
+        // batch. The beam-5 request is wider than the budget: it waits for
+        // the session to drain and reopens it at its own width.
+        let m =
+            Seq2Seq::new(TransformerConfig { max_len: 40, ..TransformerConfig::tiny(16) }, 9);
+        let engine = InferenceEngine::new(&m);
+        let reqs: Vec<DecodeRequest> =
+            [(5usize, 2usize), (30, 2), (9, 2), (21, 5), (3, 2), (14, 2)]
+                .into_iter()
+                .enumerate()
+                .map(|(i, (max_len, beam))| DecodeRequest {
+                    src: vec![4 + i as u32, 5, 6],
+                    bos: 1,
+                    eos: 2,
+                    max_len,
+                    beam,
+                })
+                .collect();
+        let pulled = std::cell::Cell::new(0usize);
+        let stream = reqs.iter().map(|r| {
+            pulled.set(pulled.get() + 1);
+            r.clone()
+        });
+        let (mut first_step, mut reopened) = (true, false);
+        let got = engine.decode_batch_inspect(stream, 4, |session| {
+            // The four-lane session admits requests 0..3; the beam-5
+            // request reopens it five lanes wide, and the rest join it.
+            reopened |= session.cap_lanes == 5;
+            let admitted = if reopened { 3 } else { 0 } + session.next_ticket as usize;
+            assert!(
+                pulled.get() <= admitted + 1,
+                "{} pulled, {admitted} admitted",
+                pulled.get()
+            );
+            if std::mem::take(&mut first_step) {
+                // Two admitted, the third waiting.
+                assert_eq!((pulled.get(), admitted), (3, 2));
+            }
+        });
+        assert!(reopened);
+        assert_eq!(pulled.get(), reqs.len());
+        for (req, got) in reqs.iter().zip(&got) {
+            assert_eq!(got, &engine.decode_reference(req), "budget {}", req.max_len);
+        }
     }
 
     #[test]
     fn empty_batch_is_empty() {
         let m = Seq2Seq::new(TransformerConfig::tiny(16), 1);
-        assert!(InferenceEngine::new(&m).decode_batch(&[], 10).is_empty());
+        assert!(InferenceEngine::new(&m).decode_batch([], 10).is_empty());
     }
 
     #[test]

@@ -195,10 +195,11 @@ pub fn set_tier(tier: IsaTier) -> IsaTier {
 pub const LANES: usize = 8;
 
 /// Query rows [`attn_scores_packed_tile_into`] holds in registers at once
-/// on AVX2 (`2 × 4` accumulators; a fifth row spills), and the tile the
-/// encoder cuts its queries into. A caller may pass a tile kernel any
-/// number of rows — it cuts them into register tiles itself — and sizes
-/// its score scratch by the rows it passes.
+/// on AVX2, and the tile the encoder cuts its queries into. A fifth row
+/// gains 2–7 % on a beam that shares its keys and loses 3–8 % on one that
+/// does not, so a beam of five scores as `4 + 1`. A caller may pass a tile
+/// kernel any number of rows — it cuts them into register tiles itself —
+/// and sizes its score scratch by the rows it passes.
 pub const ATTN_TILE: usize = 4;
 
 /// Where the rows of a query tile find their `n` keys (or values): in
@@ -777,22 +778,9 @@ pub mod avx2 {
 
     #[target_feature(enable = "avx2")]
     fn row_max_avx2(row: &[f32]) -> f32 {
-        let (chunks, tail) = row.as_chunks::<8>();
-        let floor = _mm256_set1_ps(f32::NEG_INFINITY);
-        let mut acc = floor;
-        for c in chunks {
-            acc = _mm256_max_ps(acc, load8(c));
-        }
-        if !tail.is_empty() {
-            let mask = tail_mask(tail.len());
-            // SAFETY: the mask keeps the load to `tail`'s own floats.
-            let t = unsafe { _mm256_maskload_ps(tail.as_ptr(), mask) };
-            // The lanes past the row read `-inf`, which `vmax` never
-            // prefers to what a lane holds.
-            let t = _mm256_blendv_ps(floor, t, _mm256_castsi256_ps(mask));
-            acc = _mm256_max_ps(acc, t);
-        }
-        vmax8(&spill(acc))
+        let mut max = [0.0f32; 8];
+        row_maxes_avx2::<1>(row, row.len(), &mut max);
+        max[0]
     }
 
     /// `Σ exp(v - max)` — AVX2 tier (see [`super::scalar::sum_exp`]).
@@ -1025,17 +1013,29 @@ pub mod avx2 {
         assert_avx2();
         // SAFETY: AVX2 is present (asserted); `scores` is `t` whole rows of
         // `blocks.n` and `blocks.block` holds whole key groups (both by
-        // `rows`), and the assert above bounds every `q` row the body reads.
-        unsafe { scores_packed_avx2(q, qstride, dh, kp, blocks, scale, scores) }
+        // `rows`), the assert above bounds every `q` row the body reads, and
+        // each instance's `DH` is zero or `dh`.
+        unsafe {
+            match dh {
+                8 => scores_packed_avx2::<8>(q, qstride, dh, kp, blocks, scale, scores),
+                16 => scores_packed_avx2::<16>(q, qstride, dh, kp, blocks, scale, scores),
+                _ => scores_packed_avx2::<0>(q, qstride, dh, kp, blocks, scale, scores),
+            }
+        }
     }
 
+    /// The score body for head width `DH` — 8 and 16, every configured
+    /// model's `d_model / n_heads` — or for the `dh` read at run time when
+    /// `DH = 0`. One source: a known width unrolls every loop over the
+    /// head, so a lane partial is straight-line code.
+    ///
     /// # Safety
     ///
-    /// Requires AVX2, `blocks.n > 0`, `dh > 0`, `scores.len() = t *
-    /// blocks.n`, `q.len() >= (t - 1) * qstride + dh` and a `blocks.block`
-    /// that is a multiple of 8 or at least `blocks.n`.
+    /// Requires AVX2, `DH` zero or `dh`, `blocks.n > 0`, `dh > 0`,
+    /// `scores.len() = t * blocks.n`, `q.len() >= (t - 1) * qstride + dh`
+    /// and a `blocks.block` that is a multiple of 8 or at least `blocks.n`.
     #[target_feature(enable = "avx2")]
-    unsafe fn scores_packed_avx2(
+    unsafe fn scores_packed_avx2<const DH: usize>(
         q: &[f32],
         qstride: usize,
         dh: usize,
@@ -1051,10 +1051,18 @@ pub mod avx2 {
             let qp = q.as_ptr().add(r * qstride);
             let sp = scores.as_mut_ptr().add(r * blocks.n);
             match rows {
-                1 => scores_packed_rows_avx2::<1>(qp, qstride, dh, kp, blocks, r, scale, sp),
-                2 => scores_packed_rows_avx2::<2>(qp, qstride, dh, kp, blocks, r, scale, sp),
-                3 => scores_packed_rows_avx2::<3>(qp, qstride, dh, kp, blocks, r, scale, sp),
-                _ => scores_packed_rows_avx2::<4>(qp, qstride, dh, kp, blocks, r, scale, sp),
+                1 => {
+                    scores_packed_rows_avx2::<1, DH>(qp, qstride, dh, kp, blocks, r, scale, sp)
+                }
+                2 => {
+                    scores_packed_rows_avx2::<2, DH>(qp, qstride, dh, kp, blocks, r, scale, sp)
+                }
+                3 => {
+                    scores_packed_rows_avx2::<3, DH>(qp, qstride, dh, kp, blocks, r, scale, sp)
+                }
+                _ => {
+                    scores_packed_rows_avx2::<4, DH>(qp, qstride, dh, kp, blocks, r, scale, sp)
+                }
             }
             r += rows;
         }
@@ -1066,11 +1074,11 @@ pub mod avx2 {
     ///
     /// # Safety
     ///
-    /// As [`scores_packed_avx2`], with `q` and `scores` at row `row0` and
-    /// `R` rows left from there.
+    /// As [`scores_packed_avx2`], with `q` and `scores` at row `row0`, `R`
+    /// rows left from there and `DH` zero or `dh`.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn scores_packed_rows_avx2<const R: usize>(
+    unsafe fn scores_packed_rows_avx2<const R: usize, const DH: usize>(
         q: *const f32,
         qstride: usize,
         dh: usize,
@@ -1086,29 +1094,28 @@ pub mod avx2 {
                 std::array::from_fn(|r| kp[blocks.start(row0 + r, i)..][..floats].as_ptr());
             let out = scores.add(at);
             if kb.iter().all(|&k| k == kb[0]) {
-                scores_block_avx2::<R, true>(q, qstride, dh, kb, len, scale, out, blocks.n);
+                scores_block_avx2::<R, DH, true>(q, qstride, dh, kb, len, scale, out, blocks.n);
             } else {
-                scores_block_avx2::<R, false>(q, qstride, dh, kb, len, scale, out, blocks.n);
+                scores_block_avx2::<R, DH, false>(
+                    q, qstride, dh, kb, len, scale, out, blocks.n,
+                );
             }
         }
     }
 
     /// The `len` scores of one block for `R` rows — row `r` against the
     /// packed keys at `kb[r]`, all the same block when `SHARED` — into
-    /// `scores[r * sstride..][..len]`. `reduce8`'s tree is evaluated one
-    /// `(l, l + 4)` accumulator pair at a time — `2 * R ≤ 8` accumulators
-    /// live, so four rows fit the 16 registers — in the order
-    /// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`.
+    /// `scores[r * sstride..][..len]`, a key group at a time.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 and, for `r < R`: `q[r * qstride..][..dh]`,
-    /// `scores[r * sstride..][..len]` and `kb[r][..len.div_ceil(8) * dh *
-    /// 8]` in bounds of their allocations.
+    /// Requires AVX2, `DH` zero or `dh` and, for `r < R`: `q[r *
+    /// qstride..][..dh]`, `scores[r * sstride..][..len]` and
+    /// `kb[r][..len.div_ceil(8) * dh * 8]` in bounds of their allocations.
     #[target_feature(enable = "avx2")]
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn scores_block_avx2<const R: usize, const SHARED: bool>(
+    unsafe fn scores_block_avx2<const R: usize, const DH: usize, const SHARED: bool>(
         q: *const f32,
         qstride: usize,
         dh: usize,
@@ -1118,22 +1125,15 @@ pub mod avx2 {
         scores: *mut f32,
         sstride: usize,
     ) {
+        let dh = if DH == 0 { dh } else { DH };
         let scalev = _mm256_set1_ps(scale);
         let mut si = 0usize;
         while si < len {
             // Group `si / 8` starts `si / 8 * dh * 8` floats in.
             let kg = kb.map(|k| k.add(si * dh));
-            let pair = |l| lane_pair_avx2::<R, SHARED>(q, qstride, dh, kg, l);
-            let mut even = pair(0);
-            for (e, p) in even.iter_mut().zip(pair(2)) {
-                *e = _mm256_add_ps(*e, p);
-            }
-            let mut odd = pair(1);
-            for (o, p) in odd.iter_mut().zip(pair(3)) {
-                *o = _mm256_add_ps(*o, p);
-            }
-            for (r, (e, o)) in even.into_iter().zip(odd).enumerate() {
-                let dots = _mm256_mul_ps(_mm256_add_ps(e, o), scalev);
+            let dots = group_dots_avx2::<R, DH, SHARED>(q, qstride, dh, kg);
+            for (r, d) in dots.into_iter().enumerate() {
+                let dots = _mm256_mul_ps(d, scalev);
                 let out = scores.add(r * sstride + si);
                 if si + 8 <= len {
                     _mm256_storeu_ps(out, dots);
@@ -1147,10 +1147,13 @@ pub mod avx2 {
         }
     }
 
-    /// `acc[l] + acc[l + 4]` of one key group per query, where `acc[l] =
-    /// Σ q[j] * K[j]` over `j = l, l + 8, …` ascending from `+0.0` (a lane
-    /// past `dh` stays `+0.0`, as in `dot8`). `SHARED`: every `kg` is the
-    /// same group, loaded once.
+    /// The unscaled dots of one key group per query, in `reduce8`'s tree.
+    /// Each lane partial `acc[l] = Σ q[j] * K[j]` over `j = l, l + 8, …`
+    /// (ascending from `+0.0`; a lane past `dh` stays `+0.0`, as in `dot8`)
+    /// is finished, then folded as soon as its partner exists — `a0 + a4`
+    /// and `a2 + a6` into the even half, `a1 + a5` and `a3 + a7` into the
+    /// odd — so a row holds at most three partials besides the one it is
+    /// summing. `SHARED`: every `kg` is the same group, loaded once.
     ///
     /// # Safety
     ///
@@ -1158,37 +1161,38 @@ pub mod avx2 {
     /// and `dh` at `q + r * qstride`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn lane_pair_avx2<const R: usize, const SHARED: bool>(
+    unsafe fn group_dots_avx2<const R: usize, const DH: usize, const SHARED: bool>(
         q: *const f32,
         qstride: usize,
         dh: usize,
         kg: [*const f32; R],
-        l: usize,
     ) -> [__m256; R] {
+        let dh = if DH == 0 { dh } else { DH };
         // `acc[r] += q_r[j] * K_r[j]`, element `j` of all eight keys.
-        let step = |acc: &mut [__m256; R], j: usize| {
-            let shared =
-                if SHARED { _mm256_loadu_ps(kg[0].add(j * 8)) } else { _mm256_setzero_ps() };
-            for (r, a) in acc.iter_mut().enumerate() {
-                let kv = if SHARED { shared } else { _mm256_loadu_ps(kg[r].add(j * 8)) };
-                let qv = _mm256_broadcast_ss(&*q.add(r * qstride + j));
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, kv));
+        let lane = |l: usize| {
+            let mut acc = [_mm256_setzero_ps(); R];
+            let mut j = l;
+            while j < dh {
+                let shared = if SHARED {
+                    _mm256_loadu_ps(kg[0].add(j * 8))
+                } else {
+                    _mm256_setzero_ps()
+                };
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let kv = if SHARED { shared } else { _mm256_loadu_ps(kg[r].add(j * 8)) };
+                    let qv = _mm256_broadcast_ss(&*q.add(r * qstride + j));
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, kv));
+                }
+                j += 8;
             }
+            acc
         };
-        let mut lo = [_mm256_setzero_ps(); R];
-        let mut hi = [_mm256_setzero_ps(); R];
-        let mut j = l;
-        while j < dh {
-            step(&mut lo, j);
-            if j + 4 < dh {
-                step(&mut hi, j + 4);
-            }
-            j += 8;
-        }
-        for (a, b) in lo.iter_mut().zip(hi) {
-            *a = _mm256_add_ps(*a, b);
-        }
-        lo
+        let fold = |a: [__m256; R], b: [__m256; R]| -> [__m256; R] {
+            std::array::from_fn(|r| _mm256_add_ps(a[r], b[r]))
+        };
+        let even = fold(fold(lane(0), lane(4)), fold(lane(2), lane(6)));
+        let odd = fold(fold(lane(1), lane(5)), fold(lane(3), lane(7)));
+        fold(even, odd)
     }
 
     /// In-place softmax over whole rows of `n` — AVX2 tier, each row
@@ -1217,9 +1221,17 @@ pub mod avx2 {
         let mut stat = [0.0f32; 8];
         let mut etail = [_mm256_setzero_ps(); 8];
         let mask = tail_mask(n % 8);
-        for tile in rows.chunks_mut(8 * n) {
-            for (row, max) in tile.chunks_exact(n).zip(&mut stat) {
-                *max = row_max_avx2(row);
+        let t = rows.len() / n;
+        for (at, tile) in rows.chunks_mut(8 * n).enumerate() {
+            match t - 8 * at {
+                1 => row_maxes_avx2::<1>(tile, n, &mut stat),
+                2 => row_maxes_avx2::<2>(tile, n, &mut stat),
+                3 => row_maxes_avx2::<3>(tile, n, &mut stat),
+                4 => row_maxes_avx2::<4>(tile, n, &mut stat),
+                5 => row_maxes_avx2::<5>(tile, n, &mut stat),
+                6 => row_maxes_avx2::<6>(tile, n, &mut stat),
+                7 => row_maxes_avx2::<7>(tile, n, &mut stat),
+                _ => row_maxes_avx2::<8>(tile, n, &mut stat),
             }
             for ((row, stat), etail) in tile.chunks_exact_mut(n).zip(&mut stat).zip(&mut etail)
             {
@@ -1252,6 +1264,46 @@ pub mod avx2 {
         }
     }
 
+    /// [`row_max_avx2`] of each of the `T` rows of `n` in `tile`, into
+    /// `maxes[..T]`: one loop runs the rows' `vmaxps` chains side by side,
+    /// each in its own order, so a row's chain no longer waits on the
+    /// latency of the one before. Out of line: one body per row count,
+    /// not eight inlined into the softmax.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tile` is `T` whole rows of `n`.
+    #[target_feature(enable = "avx2")]
+    #[inline(never)]
+    fn row_maxes_avx2<const T: usize>(tile: &[f32], n: usize, maxes: &mut [f32; 8]) {
+        assert_eq!(tile.len(), T * n, "{T} rows of {n}");
+        let p = tile.as_ptr();
+        let mut acc = [_mm256_set1_ps(f32::NEG_INFINITY); T];
+        let mut c = 0usize;
+        while c + 8 <= n {
+            for (r, a) in acc.iter_mut().enumerate() {
+                // SAFETY: row `r < T` spans `tile[r * n..][..n]` and `c + 8 <= n`.
+                *a = _mm256_max_ps(*a, unsafe { _mm256_loadu_ps(p.add(r * n + c)) });
+            }
+            c += 8;
+        }
+        if c < n {
+            let mask = tail_mask(n - c);
+            for (r, a) in acc.iter_mut().enumerate() {
+                // SAFETY: the mask keeps the load to row `r`'s last `n - c`
+                // floats.
+                let t = unsafe { _mm256_maskload_ps(p.add(r * n + c), mask) };
+                // Only the lanes the tail reaches change, as in the scalar
+                // tier: a lane past it keeps what it holds — a NaN too,
+                // which a max against padding would replace.
+                *a = _mm256_blendv_ps(*a, _mm256_max_ps(*a, t), _mm256_castsi256_ps(mask));
+            }
+        }
+        for (max, a) in maxes.iter_mut().zip(acc) {
+            *max = vmax8(&spill(a));
+        }
+    }
+
     /// Softmax-weighted V accumulation — AVX2 tier: the one-row case of
     /// [`attn_weighted_sum_tile_into`].
     pub fn attn_weighted_sum_into(
@@ -1274,8 +1326,7 @@ pub mod avx2 {
 
     /// Context rows [`attn_weighted_sum_tile_into`] holds in registers at
     /// once: a beam of five is one pass over its values, where `4 + 1` left
-    /// the fifth lane a chain of dependent adds (measured 8–20 % slower;
-    /// the score kernel's five-row body spills and is not kept).
+    /// the fifth lane a chain of dependent adds (measured 8–20 % slower).
     const WSUM_TILE: usize = 5;
 
     /// Query-tile weighted sum — AVX2 tier (see
@@ -1302,17 +1353,34 @@ pub mod avx2 {
         assert!(ctx.len() >= (t - 1) * cstride + dh);
         assert_avx2();
         // SAFETY: AVX2 is present (asserted); `probs` is `t` whole rows of
-        // `blocks.n` (by `rows`), and the assert above bounds every `ctx`
-        // row the body touches.
-        unsafe { weighted_sum_tile_avx2(probs, values, stride, blocks, ctx, cstride, dh) }
+        // `blocks.n` (by `rows`), the assert above bounds every `ctx` row the
+        // body touches, and each instance's `DH` is zero or `dh`.
+        unsafe {
+            match dh {
+                8 => {
+                    weighted_sum_tile_avx2::<8>(probs, values, stride, blocks, ctx, cstride, dh)
+                }
+                16 => weighted_sum_tile_avx2::<16>(
+                    probs, values, stride, blocks, ctx, cstride, dh,
+                ),
+                _ => {
+                    weighted_sum_tile_avx2::<0>(probs, values, stride, blocks, ctx, cstride, dh)
+                }
+            }
+        }
     }
 
+    /// The weighted-sum body for head width `DH` (as the score body's), or
+    /// for the `dh` read at run time when `DH = 0`. One source: a known
+    /// width fixes the column chunks at compile time and has no `dh % 8`
+    /// remainder.
+    ///
     /// # Safety
     ///
-    /// Requires AVX2, `blocks.n > 0`, `probs.len() = t * blocks.n` and
-    /// `ctx.len() >= (t - 1) * cstride + dh`.
+    /// Requires AVX2, `DH` zero or `dh`, `blocks.n > 0`, `probs.len() = t *
+    /// blocks.n` and `ctx.len() >= (t - 1) * cstride + dh`.
     #[target_feature(enable = "avx2")]
-    unsafe fn weighted_sum_tile_avx2(
+    unsafe fn weighted_sum_tile_avx2<const DH: usize>(
         probs: &[f32],
         values: &[f32],
         stride: usize,
@@ -1321,7 +1389,7 @@ pub mod avx2 {
         cstride: usize,
         dh: usize,
     ) {
-        let chunks = dh / 8;
+        let dh = if DH == 0 { dh } else { DH };
         let t = probs.len() / blocks.n;
         let mut r = 0usize;
         while r < t {
@@ -1329,25 +1397,25 @@ pub mod avx2 {
             let p = probs.as_ptr().add(r * blocks.n);
             let c = ctx.as_mut_ptr().add(r * cstride);
             match rows {
-                1 => weighted_sum_rows_avx2::<1>(
-                    p, values, stride, blocks, r, c, cstride, chunks,
+                1 => weighted_sum_rows_avx2::<1, DH>(
+                    p, values, stride, blocks, r, c, cstride, dh,
                 ),
-                2 => weighted_sum_rows_avx2::<2>(
-                    p, values, stride, blocks, r, c, cstride, chunks,
+                2 => weighted_sum_rows_avx2::<2, DH>(
+                    p, values, stride, blocks, r, c, cstride, dh,
                 ),
-                3 => weighted_sum_rows_avx2::<3>(
-                    p, values, stride, blocks, r, c, cstride, chunks,
+                3 => weighted_sum_rows_avx2::<3, DH>(
+                    p, values, stride, blocks, r, c, cstride, dh,
                 ),
-                4 => weighted_sum_rows_avx2::<4>(
-                    p, values, stride, blocks, r, c, cstride, chunks,
+                4 => weighted_sum_rows_avx2::<4, DH>(
+                    p, values, stride, blocks, r, c, cstride, dh,
                 ),
-                _ => weighted_sum_rows_avx2::<5>(
-                    p, values, stride, blocks, r, c, cstride, chunks,
+                _ => weighted_sum_rows_avx2::<5, DH>(
+                    p, values, stride, blocks, r, c, cstride, dh,
                 ),
             }
             r += rows;
         }
-        let base = chunks * 8;
+        let base = dh / 8 * 8;
         if base < dh {
             super::scalar::attn_weighted_sum_tile_into(
                 probs,
@@ -1368,10 +1436,10 @@ pub mod avx2 {
     /// # Safety
     ///
     /// As [`weighted_sum_tile_avx2`], with `probs` and `ctx` at row `row0`,
-    /// `R` rows left from there and `chunks * 8 <= dh`.
+    /// `R` rows left from there and `DH` zero or `dh`.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn weighted_sum_rows_avx2<const R: usize>(
+    unsafe fn weighted_sum_rows_avx2<const R: usize, const DH: usize>(
         probs: *const f32,
         values: &[f32],
         stride: usize,
@@ -1379,8 +1447,9 @@ pub mod avx2 {
         row0: usize,
         ctx: *mut f32,
         cstride: usize,
-        chunks: usize,
+        dh: usize,
     ) {
+        let chunks = if DH == 0 { dh / 8 } else { DH / 8 };
         let mut ch = 0usize;
         while ch + 2 <= chunks {
             let c = ctx.add(ch * 8);
@@ -1415,11 +1484,14 @@ pub mod avx2 {
     /// `col..col + 8 * C` — held in registers from the first key of the
     /// first block to the last of the last. Each block's value rows are
     /// cut out of `values` by a checked slice, so the pointers below
-    /// cannot leave it whatever the table holds.
+    /// cannot leave it whatever the table holds. A block whose weights
+    /// hold no exact zero in any row of the tile adds every key with no
+    /// test; one with a zero anywhere tests per row.
     ///
     /// # Safety
     ///
-    /// As [`weighted_sum_rows_avx2`], with `ctx` at column `col`.
+    /// As [`weighted_sum_rows_avx2`], with `ctx` at column `col` and `col +
+    /// 8 * C <= dh`.
     #[target_feature(enable = "avx2")]
     #[inline]
     #[allow(clippy::too_many_arguments)]
@@ -1444,11 +1516,20 @@ pub mod avx2 {
             let vb: [*const f32; R] = std::array::from_fn(|r| {
                 values[blocks.start(row0 + r, i)..][..floats].as_ptr().add(col)
             });
-            let p = probs.add(at);
-            if vb.iter().all(|&v| v == vb[0]) {
-                weighted_sum_keys_avx2::<R, C, true>(&mut acc, p, blocks.n, vb, stride, len);
-            } else {
-                weighted_sum_keys_avx2::<R, C, false>(&mut acc, p, blocks.n, vb, stride, len);
+            let (p, n, a) = (probs.add(at), blocks.n, &mut acc);
+            match (vb.iter().all(|&v| v == vb[0]), any_zero_weight::<R>(p, n, len)) {
+                (true, false) => {
+                    weighted_sum_keys_avx2::<R, C, true, false>(a, p, n, vb, stride, len)
+                }
+                (false, false) => {
+                    weighted_sum_keys_avx2::<R, C, false, false>(a, p, n, vb, stride, len)
+                }
+                (true, true) => {
+                    weighted_sum_keys_avx2::<R, C, true, true>(a, p, n, vb, stride, len)
+                }
+                (false, true) => {
+                    weighted_sum_keys_avx2::<R, C, false, true>(a, p, n, vb, stride, len)
+                }
             }
         }
         for (r, row) in acc.iter().enumerate() {
@@ -1458,12 +1539,50 @@ pub mod avx2 {
         }
     }
 
+    /// Whether a weight of the `len` at `probs[r * pstride..]`, `r < R`, is
+    /// `== 0.0` as the scalar tier tests it (true for `-0.0`, false for
+    /// NaN): one compare per eight weights, a chain per row.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `probs[r * pstride..][..len]` in bounds for `r < R`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn any_zero_weight<const R: usize>(
+        probs: *const f32,
+        pstride: usize,
+        len: usize,
+    ) -> bool {
+        let zero = _mm256_setzero_ps();
+        let mut hits = [zero; R];
+        let mut s = 0usize;
+        while s + 8 <= len {
+            for (r, h) in hits.iter_mut().enumerate() {
+                let wv = _mm256_loadu_ps(probs.add(r * pstride + s));
+                *h = _mm256_or_ps(*h, _mm256_cmp_ps::<_CMP_EQ_OQ>(wv, zero));
+            }
+            s += 8;
+        }
+        if s < len {
+            // The lanes past the weights load `+0.0`; the mask takes them
+            // out of the test again.
+            let mask = tail_mask(len - s);
+            for (r, h) in hits.iter_mut().enumerate() {
+                let wv = _mm256_maskload_ps(probs.add(r * pstride + s), mask);
+                let eq = _mm256_cmp_ps::<_CMP_EQ_OQ>(wv, zero);
+                *h = _mm256_or_ps(*h, _mm256_and_ps(eq, _mm256_castsi256_ps(mask)));
+            }
+        }
+        hits.iter().any(|&h| _mm256_movemask_ps(h) != 0)
+    }
+
     /// The `len` keys of one block of [`weighted_sum_block_avx2`]: row
     /// `r`'s weights at `probs[r * pstride..]`, its value rows at `vb[r]`
-    /// (all the same block when `SHARED`). Zero weights are looked for
-    /// eight keys at a time: a group without one adds every key with no
-    /// per-weight compare-and-branch, a group with one (and the `len % 8`
-    /// tail) tests each weight before its add.
+    /// (all the same block when `SHARED`). Without `ZEROS` the caller has
+    /// found no zero weight and every key is added untested. With it, zero
+    /// weights are looked for eight keys at a time: a group without one
+    /// adds every key with no per-weight compare-and-branch, a group with
+    /// one (and the `len % 8` tail) tests each weight before its add.
     ///
     /// # Safety
     ///
@@ -1472,7 +1591,12 @@ pub mod avx2 {
     /// allocations.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn weighted_sum_keys_avx2<const R: usize, const C: usize, const SHARED: bool>(
+    unsafe fn weighted_sum_keys_avx2<
+        const R: usize,
+        const C: usize,
+        const SHARED: bool,
+        const ZEROS: bool,
+    >(
         acc: &mut [[__m256; C]; R],
         probs: *const f32,
         pstride: usize,
@@ -1480,6 +1604,20 @@ pub mod avx2 {
         stride: usize,
         len: usize,
     ) {
+        let key = |acc: &mut [[__m256; C]; R], s: usize, skip_zeros: bool| {
+            let (w, v) = (probs.add(s), vb.map(|v| v.add(s * stride)));
+            if skip_zeros {
+                weighted_sum_key_avx2::<R, C, true, SHARED>(acc, w, pstride, v);
+            } else {
+                weighted_sum_key_avx2::<R, C, false, SHARED>(acc, w, pstride, v);
+            }
+        };
+        if !ZEROS {
+            for s in 0..len {
+                key(acc, s, false);
+            }
+            return;
+        }
         let mut si = 0usize;
         while si + 8 <= len {
             // `== 0.0` as the scalar tier tests it: true for `-0.0`,
@@ -1491,18 +1629,12 @@ pub mod avx2 {
                     _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(w, _mm256_setzero_ps()));
             }
             for s in si..si + 8 {
-                let (w, v) = (probs.add(s), vb.map(|v| v.add(s * stride)));
-                if zeros == 0 {
-                    weighted_sum_key_avx2::<R, C, false, SHARED>(acc, w, pstride, v);
-                } else {
-                    weighted_sum_key_avx2::<R, C, true, SHARED>(acc, w, pstride, v);
-                }
+                key(acc, s, zeros != 0);
             }
             si += 8;
         }
         for s in si..len {
-            let (w, v) = (probs.add(s), vb.map(|v| v.add(s * stride)));
-            weighted_sum_key_avx2::<R, C, true, SHARED>(acc, w, pstride, v);
+            key(acc, s, true);
         }
     }
 

@@ -353,6 +353,38 @@ fn encode_batch_matches_encode_at_group_and_tile_edges() {
     }
 }
 
+/// Sources at the paper's 1024-token cap, at the head width the benchmark
+/// runs: the `small` shape (head width 16) with its position table widened
+/// to 1026. 1024 tokens are whole key groups and whole query tiles; 1021
+/// end in a ragged key group and a ragged query tile. `encode_batch` must
+/// equal `encode` bit for bit, and a beam of five with a 3-token budget,
+/// both requests in one session of the product's ten lanes, must return
+/// the reference decode's hypotheses — every step's cross-attention over
+/// the long memory (a register tile of four beam rows and one of one).
+#[test]
+fn long_sources_at_head_width_16_match_reference() {
+    let m =
+        Seq2Seq::new(TransformerConfig { max_len: 1026, ..TransformerConfig::small(16) }, 29);
+    let srcs: Vec<Vec<u32>> =
+        [1024usize, 1021].iter().enumerate().map(|(i, &l)| source(l, i as u32)).collect();
+    let refs: Vec<&[u32]> = srcs.iter().map(|s| s.as_slice()).collect();
+    for (src, mem) in srcs.iter().zip(m.encode_batch(&refs)) {
+        let want = m.encode(src);
+        assert_eq!(mem.len(), want.len());
+        for (at, (a, b)) in mem.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "len {} at {at}: {a} vs {b}", src.len());
+        }
+    }
+    let engine = InferenceEngine::new(&m);
+    let reqs: Vec<DecodeRequest> = srcs
+        .iter()
+        .map(|src| DecodeRequest { src: src.clone(), bos: 1, eos: 2, max_len: 3, beam: 5 })
+        .collect();
+    for (req, got) in reqs.iter().zip(engine.decode_batch(reqs.clone(), 10)) {
+        assert_eq!(got, engine.decode_reference(req), "len {}", req.src.len());
+    }
+}
+
 /// Cross-attention over packed keys: sources of one key, one short of a
 /// key group, a whole group, one and nine past it, under beams of every
 /// width 1..=5, every step's logits equal to the reference forward's.

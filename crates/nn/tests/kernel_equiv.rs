@@ -240,21 +240,25 @@ fn avx2_attn_scores_is_bit_identical_to_scalar() {
 
 /// The packed-key score kernel — scalar-packed body, AVX2 body and the
 /// dispatched entry point — against the row-major scalar kernel, the
-/// definition: every `dh` shape (`dh < 8`, tails, several chunks) meets
-/// every group shape (`n = 0`, `n < 8`, whole groups, a ragged last one)
-/// and every tile height, through `d`-strided views at a head offset as
-/// the model passes them. The all-`-0.0` query makes every product
-/// `±0.0`: the dot is `+0.0` only if the first `0.0 + q·k` add is kept.
-/// `pack_keys` fills a NaN buffer, so the last group's padding lanes
-/// must be written, and as zeros.
+/// definition: every `dh` shape (`dh < 8`, tails, several chunks; the AVX2
+/// body's const-width instances at 8 and 16, its run-time one elsewhere)
+/// meets every group shape (`n = 0`, `n < 8`, whole groups, a ragged last
+/// one) and tiles of 1..=5 rows (five is a beam: a register tile of four
+/// and one of one), through `d`-strided views at a head offset as the
+/// model passes them. The all-`-0.0` query makes every product `±0.0`: the
+/// dot is `+0.0` only if the first `0.0 + q·k` add is kept. `pack_keys`
+/// fills a NaN buffer, so the last group's padding lanes must be written,
+/// and as zeros.
 ///
-/// Mutations that fail it (each reverted): `lane_pair_avx2` starting its
-/// accumulators at `-0.0`, which is the first `0.0 + q·k` add dropped
+/// Mutations that fail it (each reverted): `group_dots_avx2` starting its
+/// lane partials at `-0.0`, which is the first `0.0 + q·k` add dropped
 /// (the `-0.0` query only: `+0.0` wanted, `-0.0` got, from `dh 1 n 2`);
-/// the AVX2 tree adding pair `(1, 5)` where `(2, 6)` belongs (random
-/// queries); `scalar::attn_scores_packed_tile_into` accumulating into
-/// `acc[j & 3]` (random queries, one ulp, first at `dh 9`); `pack_keys`
-/// leaving the padding lanes untouched (the layout assert, at `dh 1 n 1`).
+/// its tree folding `a0 + a2` and `a4 + a6` where `a0 + a4` and `a2 + a6`
+/// belong (random queries, first at `dh 5`); dispatch running width 16 on
+/// the `DH = 8` instance (`dh 16 n 1`) or width 8 on `DH = 16` (`dh 8 n
+/// 3`); `scalar::attn_scores_packed_tile_into` accumulating into `acc[j &
+/// 3]` (random queries, one ulp, first at `dh 9`); `pack_keys` leaving the
+/// padding lanes untouched (the layout assert, at `dh 1 n 1`).
 #[test]
 fn packed_attn_scores_are_bit_identical_to_row_major_scalar() {
     const OFF: usize = 2;
@@ -274,7 +278,7 @@ fn packed_attn_scores_are_bit_identical_to_row_major_scalar() {
                 };
                 assert_eq!(v.to_bits(), want.to_bits(), "pack dh {dh} n {n} at {i}");
             }
-            for t in 1..=kernels::ATTN_TILE {
+            for t in 1..=kernels::ATTN_TILE + 1 {
                 let len = OFF + (t - 1) * qstride + dh;
                 for q in [seeded(seed ^ t as u64, len), vec![-0.0f32; len]] {
                     let mut want = vec![f32::NAN; t * n];
@@ -321,22 +325,24 @@ fn packed_attn_scores_are_bit_identical_to_row_major_scalar() {
 /// every column shape (odd and even chunk counts, tails) and key count.
 /// Weights are real softmax rows; V holds `-0.0` and huge values; the
 /// context is seeded with `-0.0`, which survives only if a zero weight
-/// skips the row instead of adding `0.0 * v`. The AVX2 body looks for
-/// zero weights eight keys at a time, so the exact zeros are placed five
-/// ways: (0) the first row of every register tile all zeros and `-inf`
-/// scores at row-dependent places in the others, which keeps every group
-/// on the per-weight test; (1) none at all, the only way through the
-/// path that tests nothing; and a single one, in the last row, at (2)
-/// the first key of a whole group, (3) the last key of a whole group,
-/// (4) the last key of the `n % 8` tail — under each of which V holds
-/// `+inf`, so a weight added instead of skipped shows as `0 · inf = NaN`.
+/// skips the row instead of adding `0.0 * v`. The AVX2 body tests a
+/// block's weights for zeros once, then, in a block that has one, eight
+/// keys at a time, so the exact zeros are placed five ways: (0) the first
+/// row of every register tile all zeros and `-inf` scores at row-dependent
+/// places in the others, which sends every block down the tested path and
+/// some of its groups past the per-weight test; (1) none at all, the only
+/// way through the loop that tests nothing; and a single one, in the last
+/// row, at (2) the first key of a whole group, (3) the last key of a whole
+/// group, (4) the last key of the `n % 8` tail — under each of which V
+/// holds `+inf`, so a weight added instead of skipped shows as `0 · inf =
+/// NaN`.
 ///
 /// Mutations that fail it (each reverted): the group's `zeros` mask taken
-/// from row 0 only (placement 2, `t 2`, NaN got) and the path that tests
-/// nothing stopping a key short, `si..si + 7` (placement 1) — both pass
-/// with placement 0 alone, which is all the test had; the mask cut to
-/// `0x7f` (placement 3) or `0xfe` (placement 2); the `n % 8` tail run with
-/// `SKIP_ZEROS = false` (placement 0 already, at `n 1`).
+/// from row 0 only (placement 2, `t 2`, NaN got); a group without a zero
+/// stopping a key short, `si..si + 7` (placement 0, `n 8 t 3`); the mask
+/// cut to `0x7f` (placement 3); the `n % 8` tail run untested (placement
+/// 0, at `n 1`); the block's test looking at row 0 only (placement 4, `t
+/// 2`) and the untested loop stopping a key short (placement 0, `n 1`).
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
@@ -427,6 +433,99 @@ fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
                 if lone_zero.is_some() {
                     let last = &cs[(t - 1) * cstride..][..dh];
                     assert!(last.iter().all(|c| c.is_finite()), "the zero weight skipped +inf");
+                }
+            }
+        }
+    }
+}
+
+/// The AVX2 weighted sum tests a register tile's weights for exact zeros
+/// once per block and runs the key loop untested when it finds none, so
+/// one row's zero must send the whole tile down the tested path without
+/// letting it choose any other row's. Each tile (1..=5 rows, one register
+/// tile; 6 and 7 add a ragged second) has exactly one exact zero, in one
+/// row, at the first key, inside the first or the second whole group, or
+/// in the last block's `n % 8` tail, as `0.0` or `-0.0`; the value row of
+/// that key holds `+inf` in every block, so a zero weight that is added
+/// instead of skipped shows as `0 · inf = NaN`, while the other rows add
+/// `+inf` through their real weights. Blocks are shared by every row and,
+/// in a second pass, each row's own; widths 8 and 16 (the const-width
+/// instances) and 12 (the run-time one with its scalar remainder).
+///
+/// Mutations that fail it (each reverted): `any_zero_weight` testing row 0
+/// only (`hits[..1]`; first at `dh 8 shared true rows 2 zero row 1`) or
+/// skipping the `n % 8` tail (`key 25`); the per-eight test of a block
+/// with a zero taking row 0's mask only (`rows 2 zero row 1`); the
+/// untested loop stopping a key short (`len - 1`; the first case). Its
+/// tail compare without the `and` with the mask fails nothing: a block
+/// then always takes the tested path, which is slower, not wrong.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_weighted_sum_finds_a_zero_in_any_row_of_the_tile() {
+    if !has_avx2() {
+        return;
+    }
+    const BLOCK: usize = 16;
+    let n = BLOCK + 12;
+    for dh in [8usize, 16, 12] {
+        let (vstride, cstride) = (dh + 3, dh + 2);
+        for (shared, t) in
+            [true, false].into_iter().flat_map(|s| (1usize..=7).map(move |t| (s, t)))
+        {
+            let nb = n.div_ceil(BLOCK);
+            let tables: Vec<u32> =
+                (0..t * nb).map(|e| if shared { (e % nb) as u32 } else { e as u32 }).collect();
+            let vblock = BLOCK * vstride;
+            let blocks =
+                Blocks { tables: &tables, tstride: nb, block: BLOCK, bstride: vblock, n };
+            for (zero_row, key, sign) in (0..t)
+                .flat_map(|r| [0usize, 5, 11, BLOCK + 9].map(|k| (r, k)))
+                .flat_map(|(r, k)| [0.0f32, -0.0].map(|z| (r, k, z)))
+            {
+                let seed = (dh * 131 + t * 17 + zero_row * 5 + key) as u64;
+                let mut pool = seeded(seed, tables.len() * vblock);
+                for b in 0..tables.len() {
+                    let at = key % BLOCK;
+                    if key / BLOCK == b % nb {
+                        pool[b * vblock + at * vstride..][..dh].fill(f32::INFINITY);
+                    }
+                }
+                // Contiguous rows of what each table names, for the spec.
+                let mut vrows = vec![0.0f32; t * n * dh];
+                for r in 0..t {
+                    for si in 0..n {
+                        let id = tables[r * nb + si / BLOCK] as usize;
+                        let from = &pool[id * vblock + si % BLOCK * vstride..][..dh];
+                        vrows[(r * n + si) * dh..][..dh].copy_from_slice(from);
+                    }
+                }
+                let mut probs = seeded(seed ^ 0x22, t * n);
+                for row in probs.chunks_exact_mut(n) {
+                    kernels::scalar::softmax_into(row);
+                    assert!(row.iter().all(|&p| p != 0.0));
+                }
+                probs[zero_row * n + key] = sign;
+                let seed_ctx: Vec<f32> = (0..t * cstride)
+                    .map(|i| if i % 3 == 0 { -0.0 } else { 0.25 * i as f32 })
+                    .collect();
+                let mut want = seed_ctx.clone();
+                for r in 0..t {
+                    scalar::attn_weighted_sum_into(
+                        &probs[r * n..(r + 1) * n],
+                        &vrows[r * n * dh..],
+                        dh,
+                        &mut want[r * cstride..r * cstride + dh],
+                    );
+                }
+                let mut got = seed_ctx;
+                kernels::avx2::attn_weighted_sum_tile_into(
+                    &probs, &pool, vstride, &blocks, &mut got, cstride, dh,
+                );
+                let case =
+                    format!("dh {dh} shared {shared} rows {t} zero row {zero_row} key {key}");
+                assert!(want[zero_row * cstride..][..dh].iter().all(|c| !c.is_nan()), "{case}");
+                for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(w.to_bits(), g.to_bits(), "{case}: ctx {i} {w} vs {g}");
                 }
             }
         }
@@ -626,8 +725,8 @@ fn block_walking_tile_kernels_match_scalar_rows_over_contiguous_keys() {
 /// — `+0.0` everywhere on every tier, not `NaN`. `sum_exp` also takes a
 /// `max` far above the row: a zero sum.
 ///
-/// Mutations that fail it (each reverted): the max pass's tail padded with
-/// `0.0` (the blend taking `_mm256_setzero_ps()` for `floor`; the
+/// Mutations that fail it (each reverted): the max pass taking the tail's
+/// max in every lane instead of blending it into the tail's own (the
 /// all-negative row at `n 1`); `exp_tail` without its `and` (`n 1`: the
 /// padding lanes' exponentials join the sum, 7.72 for 1); the normalise pass
 /// stopping at the whole vectors (`n 2`, the tail left unnormalised);
@@ -698,6 +797,63 @@ fn avx2_softmax_and_sum_exp_match_scalar_at_every_tail() {
                         g.to_bits(),
                         "softmax {name} n {n} rows {t} at {i}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// The AVX2 softmax runs the max chains of up to eight rows side by side,
+/// so each row of a tile must keep its own: tiles of 1..=8 rows (9 adds a
+/// second pass) whose rows differ — plain, with a NaN (first, inside or in
+/// the `n % 8` tail), with `-inf` slots, all `-inf`, all negative — against
+/// the scalar softmax of each row alone, at every length 1..=40.
+///
+/// Mutations that fail it (each reverted, and only this test fails the
+/// first): every row's max read from the first row (`p.add(c)` for
+/// `p.add(r * n + c)`; `n 8 rows 2`); the chains' operands swapped
+/// (`_mm256_max_ps(load, acc)`: a NaN resolves the other way; `n 12`, a
+/// NaN row); the tail's max taken in every lane, unblended (the
+/// all-negative row, `n 3`). The old tail — a `-inf` pad, then the max in
+/// every lane — fails it too: a lane past the tail that holds a NaN reads
+/// `-inf` after it, so the row's max moved (`n 12`).
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_softmax_keeps_each_rows_max_in_a_tile_of_unlike_rows() {
+    if !has_avx2() {
+        return;
+    }
+    for n in 1usize..=40 {
+        let kinds: Vec<Vec<f32>> = (0..6)
+            .map(|kind| {
+                let mut row = seeded((n * 7 + kind) as u64, n);
+                match kind {
+                    1 => row[0] = f32::NAN,
+                    2 => row[n / 2] = f32::NAN,
+                    3 => row.iter_mut().skip(1).step_by(3).for_each(|v| *v = f32::NEG_INFINITY),
+                    4 => row.fill(f32::NEG_INFINITY),
+                    5 => row.iter_mut().for_each(|v| *v = -2.0 - v.abs()),
+                    _ => row[n - 1] *= 30.0,
+                }
+                row
+            })
+            .collect();
+        for t in 1usize..=9 {
+            for shift in 0..kinds.len() {
+                let rows: Vec<&Vec<f32>> =
+                    (0..t).map(|r| &kinds[(r + shift) % kinds.len()]).collect();
+                let mut got: Vec<f32> = rows.iter().flat_map(|r| r.iter().copied()).collect();
+                kernels::avx2::softmax_rows_into(&mut got, n);
+                for (r, row) in rows.iter().enumerate() {
+                    let mut want = row.to_vec();
+                    scalar::softmax_into(&mut want);
+                    for (i, (w, g)) in want.iter().zip(&got[r * n..]).enumerate() {
+                        assert_eq!(
+                            w.to_bits(),
+                            g.to_bits(),
+                            "n {n} rows {t} shift {shift}: row {r} at {i}: {w} vs {g}"
+                        );
+                    }
                 }
             }
         }
