@@ -2,15 +2,14 @@
 //!
 //! Every hot kernel in this crate (`matmul_xpacked_into`, the
 //! projection of every forward, training's included; `gelu_into`; the
-//! fused log-softmax+top-k max and exp-sum passes; the attention core
-//! (`attn_scores_into` and its key-packed query-tile form
-//! `attn_scores_packed_tile_into`, `softmax_rows_into`,
-//! `attn_weighted_sum_into` and its query-tile form
-//! `attn_weighted_sum_tile_into`; the tile forms walk [`Blocks`]);
-//! and `layer_norm_into`) routes through this module. An ISA tier is
-//! selected once at startup — AVX2 on x86-64 hosts that have it, scalar
-//! otherwise (every other architecture: the scalar bodies are 8-lane
-//! loops the compiler vectorizes at the target's baseline) — and can be
+//! fused log-softmax+top-k max and exp-sum passes; the attention core of
+//! every forward, training's included — `attn_scores_packed_tile_into`
+//! over packed keys, `softmax_rows_into` and `attn_weighted_sum_tile_into`,
+//! the tile forms walking [`Blocks`]; and `layer_norm_into`) routes
+//! through this module. An ISA tier is selected once at startup — AVX2
+//! on x86-64 hosts that have it, scalar otherwise (every other
+//! architecture: the scalar bodies are 8-lane loops the compiler
+//! vectorizes at the target's baseline) — and can be
 //! overridden with the `SLADE_KERNEL_ISA` environment variable (`auto` |
 //! `scalar` | `avx2`; `avx2` on a host without it degrades to scalar
 //! with a one-line warning, and an unrecognized value warns and uses the
@@ -47,7 +46,10 @@
 //! so the training forward and the decoder it is the oracle for share
 //! one kernel. The scalar `transb` body (B rows contiguous over `k`, the
 //! weights as stored) remains only as the specification: the tests hold
-//! every tier's `xpacked` to it under `to_bits`.
+//! every tier's `xpacked` to it under `to_bits`. Attention is the same:
+//! the row-major `scalar::attn_scores_into`, `softmax_into` and
+//! `attn_weighted_sum_into` are the specification the tile kernels are
+//! held to, and `attn_scores_into` has no vector body.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -328,8 +330,10 @@ fn exp_lane(x: f32) -> f32 {
     if x < -87.0 || x.is_nan() {
         return 0.0;
     }
-    // n ∈ [-126, 0] here, so the biased exponent stays normal.
-    let scale = f32::from_bits(((n as i32 + 127) as u32) << 23);
+    // n ∈ [-126, 0] for the `x ≤ 0` this is for, so the biased exponent
+    // stays normal. A larger `x` (a `v - max` whose VMAXPS max passed
+    // over a NaN) wraps, as the vector tier's integer add does.
+    let scale = f32::from_bits(((n as i32).wrapping_add(127) as u32) << 23);
     p * scale
 }
 
@@ -881,115 +885,6 @@ pub mod avx2 {
         }
     }
 
-    /// QK^T score row — AVX2 tier (see [`super::scalar::attn_scores_into`]).
-    pub fn attn_scores_into(
-        q: &[f32],
-        keys: &[f32],
-        stride: usize,
-        scale: f32,
-        scores: &mut [f32],
-    ) {
-        let dh = q.len();
-        let n = scores.len();
-        assert!(n == 0 || keys.len() >= (n - 1) * stride + dh);
-        assert_avx2();
-        // SAFETY: AVX2 is present and every key row is in bounds (both
-        // asserted above).
-        unsafe { attn_scores_avx2(q, keys, stride, scale, scores) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 and, when `scores` is non-empty, `keys.len() >=
-    /// (scores.len() - 1) * stride + q.len()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn attn_scores_avx2(
-        q: &[f32],
-        keys: &[f32],
-        stride: usize,
-        scale: f32,
-        scores: &mut [f32],
-    ) {
-        let n = scores.len();
-        let kp = keys.as_ptr();
-        let mut si = 0usize;
-        while si + 8 <= n {
-            let rows: [*const f32; 8] = std::array::from_fn(|r| kp.add((si + r) * stride));
-            _mm256_storeu_ps(scores.as_mut_ptr().add(si), scores8_avx2(q, rows, scale));
-            si += 8;
-        }
-        if si < n {
-            // Rows past the end alias the last key row and their scores
-            // are dropped, so the ragged last group runs the same body.
-            let rows: [*const f32; 8] =
-                std::array::from_fn(|r| kp.add((si + r).min(n - 1) * stride));
-            let last = spill(scores8_avx2(q, rows, scale));
-            scores[si..].copy_from_slice(&last[..n - si]);
-        }
-    }
-
-    /// `[lo(a) + hi(a) | hi(b) + lo(b)]`: the first level of `reduce8`'s
-    /// tree for two lane accumulators at once.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn fold_halves(a: __m256, b: __m256) -> __m256 {
-        _mm256_add_ps(_mm256_blend_ps(a, b, 0xF0), _mm256_permute2f128_ps(a, b, 0x21))
-    }
-
-    /// Scaled dots of `q` with eight key rows, in row order: one lane
-    /// accumulator per row (the query chunk is loaded once; per-element
-    /// accumulation as in `dot8`), then `reduce8`'s tree on all eight in
-    /// registers, then one `* scale`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and `q.len()` readable floats behind every pointer
-    /// of `rows`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn scores8_avx2(q: &[f32], rows: [*const f32; 8], scale: f32) -> __m256 {
-        let dh = q.len();
-        let chunks = dh / 8;
-        let tail = dh % 8;
-        let qp = q.as_ptr();
-        let mut acc = [_mm256_setzero_ps(); 8];
-        for ch in 0..chunks {
-            let qv = _mm256_loadu_ps(qp.add(ch * 8));
-            for (a, k) in acc.iter_mut().zip(rows) {
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, _mm256_loadu_ps(k.add(ch * 8))));
-            }
-        }
-        if tail != 0 {
-            // A masked-off lane contributes `acc + (+0.0 * +0.0)`, which
-            // leaves `acc` unchanged: every accumulator starts at `+0.0`
-            // and a sum is `-0.0` only when both operands are, so no lane
-            // ever holds the one value (`-0.0`) that adding `+0.0` alters.
-            let mask = tail_mask(tail);
-            let qt = _mm256_maskload_ps(qp.add(chunks * 8), mask);
-            for (a, k) in acc.iter_mut().zip(rows) {
-                let kt = _mm256_maskload_ps(k.add(chunks * 8), mask);
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(qt, kt));
-            }
-        }
-        // Rows r and r+4 share a register from here on: per half
-        // (l0+l4, l1+l5, l2+l6, l3+l7) ...
-        let b0 = fold_halves(acc[0], acc[4]);
-        let b1 = fold_halves(acc[1], acc[5]);
-        let b2 = fold_halves(acc[2], acc[6]);
-        let b3 = fold_halves(acc[3], acc[7]);
-        // ... then ((l0+l4)+(l2+l6), (l1+l5)+(l3+l7)) for two rows per
-        // half ...
-        let c01 =
-            _mm256_add_ps(_mm256_shuffle_ps(b0, b1, 0x44), _mm256_shuffle_ps(b0, b1, 0xEE));
-        let c23 =
-            _mm256_add_ps(_mm256_shuffle_ps(b2, b3, 0x44), _mm256_shuffle_ps(b2, b3, 0xEE));
-        // ... then the root add: rows 0..4 in the low half, 4..8 in the
-        // high half.
-        let dots =
-            _mm256_add_ps(_mm256_shuffle_ps(c01, c23, 0x88), _mm256_shuffle_ps(c01, c23, 0xDD));
-        _mm256_mul_ps(dots, _mm256_set1_ps(scale))
-    }
-
     /// QK^T scores of a query tile against packed keys — AVX2 tier (see
     /// [`super::scalar::attn_scores_packed_tile_into`]). A key per SIMD lane
     /// makes every step of the scalar definition one vertical
@@ -1302,26 +1197,6 @@ pub mod avx2 {
         for (max, a) in maxes.iter_mut().zip(acc) {
             *max = vmax8(&spill(a));
         }
-    }
-
-    /// Softmax-weighted V accumulation — AVX2 tier: the one-row case of
-    /// [`attn_weighted_sum_tile_into`].
-    pub fn attn_weighted_sum_into(
-        probs: &[f32],
-        values: &[f32],
-        stride: usize,
-        ctx: &mut [f32],
-    ) {
-        let dh = ctx.len();
-        attn_weighted_sum_tile_into(
-            probs,
-            values,
-            stride,
-            &Blocks::one(probs.len()),
-            ctx,
-            dh,
-            dh,
-        )
     }
 
     /// Context rows [`attn_weighted_sum_tile_into`] holds in registers at
@@ -1807,11 +1682,12 @@ pub fn gelu_into(buf: &mut [f32]) {
     }
 }
 
-/// Dispatched QK^T score row: `scores[si] = (q · keys[si*stride..]) *
-/// scale` over `q.len()` elements per key row. The dot uses the shared
-/// lane-split-by-8 / mul-then-add / tree-reduce semantics, so tiers
-/// agree bit-for-bit; the `scale` multiply is one rounded op applied
-/// after the reduce on every tier.
+/// QK^T score row over row-major keys: `scores[si] = (q ·
+/// keys[si*stride..]) * scale` over `q.len()` elements per key row — the
+/// shared lane-split-by-8, mul-then-add, tree-reduce dot, then one rounded
+/// `scale` multiply. The scalar definition on every tier: attention scores
+/// packed keys ([`attn_scores_packed_tile_into`]), and only the per-layer
+/// probe calls this row form.
 pub fn attn_scores_into(
     q: &[f32],
     keys: &[f32],
@@ -1819,11 +1695,7 @@ pub fn attn_scores_into(
     scale: f32,
     scores: &mut [f32],
 ) {
-    match active_tier() {
-        #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 => avx2::attn_scores_into(q, keys, stride, scale, scores),
-        _ => scalar::attn_scores_into(q, keys, stride, scale, scores),
-    }
+    scalar::attn_scores_into(q, keys, stride, scale, scores)
 }
 
 /// Floats [`pack_keys`] writes for `n` keys of `dh` elements: whole
@@ -1898,7 +1770,9 @@ pub fn attn_scores_packed_tile_into(
 /// shared polynomial exp (`exp_lane` / its AVX2 mirror — no libm),
 /// a lane-split-by-8 sum, and a `1 / sum.max(1e-12)` normalize. `-inf`
 /// entries (masked attention slots) come out exactly `+0.0`, which the
-/// weighted-sum kernel then skips.
+/// weighted-sum kernel then skips. The one-row case of
+/// [`softmax_rows_into`], which attention calls; only the per-layer probe
+/// calls this form.
 pub fn softmax_into(row: &mut [f32]) {
     softmax_rows_into(row, row.len())
 }
@@ -1923,7 +1797,8 @@ pub fn softmax_rows_into(rows: &mut [f32], n: usize) {
 /// skipped on every tier. Elementwise over `j`, so tiers are
 /// bit-identical by construction. `ctx` is accumulated into (callers
 /// zero or seed it). The one-row, one-block case of
-/// [`attn_weighted_sum_tile_into`].
+/// [`attn_weighted_sum_tile_into`], which attention calls; only the
+/// per-layer probe calls this form.
 pub fn attn_weighted_sum_into(probs: &[f32], values: &[f32], stride: usize, ctx: &mut [f32]) {
     let dh = ctx.len();
     attn_weighted_sum_tile_into(probs, values, stride, &Blocks::one(probs.len()), ctx, dh, dh)

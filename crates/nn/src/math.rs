@@ -56,10 +56,10 @@ pub fn matmul_transa_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usiz
 
 /// In-place row-wise softmax over an `[rows, cols]` matrix.
 ///
-/// Uses libm `exp` — this is the training/logits softmax. Inference
-/// attention goes through [`crate::kernels::softmax_into`] instead,
-/// which uses the shared polynomial `exp` so all ISA tiers agree
-/// bit-for-bit.
+/// Uses libm `exp` — this is the training loss's softmax over logits.
+/// Attention, training's included, goes through
+/// [`crate::kernels::softmax_rows_into`] instead, which uses the shared
+/// polynomial `exp` so all ISA tiers agree bit-for-bit.
 pub fn softmax_rows(x: &mut [f32], rows: usize, cols: usize) {
     for r in 0..rows {
         let row = &mut x[r * cols..(r + 1) * cols];

@@ -84,7 +84,7 @@ impl TransformerConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Attn {
     wq: PId,
     bq: PId,
@@ -96,13 +96,13 @@ struct Attn {
     bo: PId,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Ln {
     gamma: PId,
     beta: PId,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Ffn {
     w1: PId,
     b1: PId,
@@ -110,7 +110,7 @@ struct Ffn {
     b2: PId,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct EncLayer {
     ln1: Ln,
     attn: Attn,
@@ -118,7 +118,7 @@ struct EncLayer {
     ffn: Ffn,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct DecLayer {
     ln1: Ln,
     self_attn: Attn,
@@ -368,41 +368,33 @@ impl Seq2Seq {
         let d = self.cfg.d_model;
         let h = self.cfg.n_heads;
         let dh = d / h;
-        let scale = 1.0 / (dh as f32).sqrt();
         let q = self.linear(a.wq, a.bq, x, t, d, d);
         let k = self.linear(a.wk, a.bk, kv, s, d, d);
         let v = self.linear(a.wv, a.bv, kv, s, d, d);
         let mut probs = vec![0.0f32; h * t * s];
         let mut ctx = vec![0.0f32; t * d];
-        for head in 0..h {
-            let off = head * dh;
-            let p = &mut probs[head * t * s..(head + 1) * t * s];
-            for ti in 0..t {
-                // Causal rows softmax the prefix only; the masked tail
-                // stays exactly 0.0 in the cached probs (same values the
-                // old `-inf`-then-softmax pass produced, since
-                // `exp(-inf) = +0.0` neither moves the row max nor the
-                // non-negative lane sums).
-                let limit = if causal { (ti + 1).min(s) } else { s };
-                let prow = &mut p[ti * s..(ti + 1) * s];
-                if limit == 0 {
+        if t > 0 && s > 0 {
+            // The inference path's layout and kernels: K packed and V
+            // split per head, one block of `s` rows. `q`, `k` and `v` stay
+            // row-major in the cache for the backward.
+            let (mut keys, mut values) = (Vec::new(), Vec::new());
+            pack_heads(&k, s, h, dh, &mut keys);
+            split_heads(&v, s, h, dh, &mut values);
+            let kv = KvRows::contiguous(&keys, &values, s);
+            for (head, p) in probs.chunks_exact_mut(t * s).enumerate() {
+                if !causal {
+                    attend_head(&q, kv, (h, dh), head, p, &mut ctx);
                     continue;
                 }
-                crate::kernels::attn_scores_into(
-                    &q[ti * d + off..ti * d + off + dh],
-                    &k[off..],
-                    d,
-                    scale,
-                    &mut prow[..limit],
-                );
-                crate::kernels::softmax_into(&mut prow[..limit]);
-                prow[limit..].fill(0.0);
-                crate::kernels::attn_weighted_sum_into(
-                    &prow[..limit],
-                    &v[off..],
-                    d,
-                    &mut ctx[ti * d + off..ti * d + off + dh],
-                );
+                // Causal rows attend over their prefix only; the masked
+                // tail stays exactly 0.0 in the cached probs (the values a
+                // `-inf` mask gives, since `exp(-inf) = +0.0` neither
+                // moves the row max nor the non-negative lane sums).
+                for (ti, prow) in p.chunks_exact_mut(s).enumerate() {
+                    let kv = KvRows { n: ti + 1, ..kv };
+                    let (q, ctx) = (&q[ti * d..], &mut ctx[ti * d..]);
+                    attend_head(q, kv, (h, dh), head, &mut prow[..=ti], ctx);
+                }
             }
         }
         let out = self.linear(a.wo, a.bo, &ctx, t, d, d);
@@ -507,7 +499,7 @@ impl Seq2Seq {
     fn layer_norm_bwd(&mut self, ln: &Ln, cache: &LnCache, dy: &[f32], t: usize) -> Vec<f32> {
         let LnCache { x, means, rstds, .. } = cache;
         let d = self.cfg.d_model;
-        let gamma = self.store.data(ln.gamma).to_vec();
+        let gamma = self.store.data(ln.gamma);
         let mut dgamma = vec![0.0f32; d];
         let mut dbeta = vec![0.0f32; d];
         let mut dx = vec![0.0f32; x.len()];
@@ -740,12 +732,11 @@ impl Seq2Seq {
         let mut de_out = vec![0.0f32; v * d];
         matmul_transa_into(&dlogits, hn, &mut de_out, t, v, d);
         self.store.add_grad(self.embed, &de_out);
-        let ln_dec_out = self.ln_dec_out.clone();
+        let ln_dec_out = self.ln_dec_out;
         let mut dh = self.layer_norm_bwd(&ln_dec_out, &dec.out, &dhn, t);
         let mut dmem_total = vec![0.0f32; mem.len()];
-        for ((layer, c), masks) in
-            self.dec.clone().iter().zip(&dec.layers).zip(&dec_masks).rev()
-        {
+        for (l, (c, masks)) in dec.layers.iter().zip(&dec_masks).enumerate().rev() {
+            let layer = self.dec[l];
             // FFN residual.
             let dff_out = masked(&dh, masks[2].as_deref());
             let dln3 = self.ffn_bwd(&layer.ffn, &c.ln3.y, &c.hidden, &dff_out, t);
@@ -782,11 +773,10 @@ impl Seq2Seq {
         // Decoder input embedding grads.
         self.accumulate_embed_grads(dec_input, &dh);
         // Through the encoder output LN into the encoder stack.
-        let ln_enc_out = self.ln_enc_out.clone();
+        let ln_enc_out = self.ln_enc_out;
         let mut dhe = self.layer_norm_bwd(&ln_enc_out, &enc.out, &dmem_total, s);
-        for ((layer, c), masks) in
-            self.enc.clone().iter().zip(&enc.layers).zip(&enc_masks).rev()
-        {
+        for (l, (c, masks)) in enc.layers.iter().zip(&enc_masks).enumerate().rev() {
+            let layer = self.enc[l];
             let dff_out = masked(&dhe, masks[1].as_deref());
             let dln2 = self.ffn_bwd(&layer.ffn, &c.ln2.y, &c.hidden, &dff_out, s);
             let dx1 = self.layer_norm_bwd(&layer.ln2, &c.ln2, &dln2, s);
@@ -1788,6 +1778,7 @@ impl BatchedDecoderState {
 /// of `n` rows that every query reads for an encoder layer or a request's
 /// cross memory ([`KvRows::contiguous`]), the [`KV_BLOCK`]-row blocks of a
 /// lane's table for decoder self-attention.
+#[derive(Clone, Copy)]
 struct KvRows<'a> {
     keys: &'a [f32],
     values: &'a [f32],
@@ -1812,9 +1803,10 @@ impl<'a> KvRows<'a> {
 /// query into `ctx` (zeroed here). Every attention on the inference path
 /// is this function: a tile of consecutive source positions in the
 /// encoder, the beam of one request in cross-attention and in decoder
-/// self-attention. Per head the phases run over the whole tile — all
-/// scores, then every softmax row, then all weighted sums — so no query's
-/// three phases wait on each other.
+/// self-attention; the training forward runs its per-head body,
+/// [`attend_head`], over the same layout. Per head the phases run over the
+/// whole tile — all scores, then every softmax row, then all weighted
+/// sums — so no query's three phases wait on each other.
 ///
 /// Each query's scores, softmax and context are computed exactly as for a
 /// tile of one over contiguous rows, so the result depends neither on how
@@ -1831,41 +1823,50 @@ fn attend_tile(
     scores: &mut Vec<f32>,
     ctx: &mut [f32],
 ) {
+    ctx.iter_mut().for_each(|c| *c = 0.0);
+    if kv.n == 0 {
+        // Degenerate empty memory: nothing to attend over, context is 0.
+        return;
+    }
+    let len = q.len() / (h * dh) * kv.n;
+    grow(scores, len);
+    for head in 0..h {
+        attend_head(q, *kv, (h, dh), head, &mut scores[..len], ctx);
+    }
+}
+
+/// Head `head` of multi-head attention for the `scores.len() / kv.n`
+/// query rows of `q` (`h * dh` floats apart): their scores against the
+/// head's keys into `scores`, softmaxed in place, then the weighted sum of
+/// its values added into the head's columns of the matching `ctx` rows.
+/// [`attend_tile`] runs it per head; the training forward per head over
+/// all its rows, or per row over a causal prefix.
+#[inline]
+fn attend_head(
+    q: &[f32],
+    kv: KvRows,
+    (h, dh): (usize, usize),
+    head: usize,
+    scores: &mut [f32],
+    ctx: &mut [f32],
+) {
     use crate::kernels::{
         attn_scores_packed_tile_into, attn_weighted_sum_tile_into, packed_keys_len,
         softmax_rows_into, Blocks,
     };
     let d = h * dh;
-    let &KvRows { keys, values, tables, tstride, block, n } = kv;
+    let KvRows { keys, values, tables, tstride, block, n } = kv;
     let scale = 1.0 / (dh as f32).sqrt();
-    ctx.iter_mut().for_each(|c| *c = 0.0);
-    if n == 0 {
-        // Degenerate empty memory: nothing to attend over, context is 0.
-        return;
-    }
-    let len = q.len() / d * n;
-    grow(scores, len);
-    let scores = &mut scores[..len];
     // One head of one block: `kp` packed floats of keys, `block * dh` of
     // values.
     let kp = packed_keys_len(block, dh);
     let kblocks = Blocks { tables, tstride, block, bstride: h * kp, n };
     let vblocks = Blocks { bstride: h * block * dh, ..kblocks };
-    for head in 0..h {
-        let off = head * dh;
-        attn_scores_packed_tile_into(
-            &q[off..],
-            d,
-            dh,
-            &keys[head * kp..],
-            &kblocks,
-            scale,
-            scores,
-        );
-        softmax_rows_into(scores, n);
-        let values = &values[head * block * dh..];
-        attn_weighted_sum_tile_into(scores, values, dh, &vblocks, &mut ctx[off..], d, dh);
-    }
+    let off = head * dh;
+    attn_scores_packed_tile_into(&q[off..], d, dh, &keys[head * kp..], &kblocks, scale, scores);
+    softmax_rows_into(scores, n);
+    let values = &values[head * block * dh..];
+    attn_weighted_sum_tile_into(scores, values, dh, &vblocks, &mut ctx[off..], d, dh);
 }
 
 #[cfg(test)]
@@ -1920,6 +1921,31 @@ mod tests {
             m.adam_step(3e-3, 0.0, 1.0);
         }
         assert_eq!(decode(&m, &src, 8, 1), [tgt], "memorization failed");
+    }
+
+    /// Teacher forcing is causal: row `i` of `decode_all_logits` equals
+    /// `decode_last_logits` of `prefix[..=i]` under `to_bits`, on one
+    /// decoder layer and on two (where a row also reads the rows below it
+    /// through the second layer). The engine is checked against
+    /// `decode_last_logits`, whose last row reads the whole prefix, so
+    /// only the teacher-forced rows show a wrong causal limit. Mutation
+    /// that fails it: causal row `ti` attending over `n = s` keys instead
+    /// of `ti + 1`.
+    #[test]
+    fn teacher_forced_rows_match_per_prefix_decoding() {
+        let tiny = TransformerConfig::tiny(16);
+        for cfg in [tiny, TransformerConfig { dec_layers: 2, ..tiny }] {
+            let m = Seq2Seq::new(cfg, 13);
+            let src = [4u32, 5, 6, 7];
+            let prefix = [1u32, 9, 3, 12, 8, 10];
+            let mem = m.encode(&src);
+            let all = m.decode_all_logits(&mem, src.len(), &prefix);
+            for (i, row) in all.chunks_exact(cfg.vocab).enumerate() {
+                let last = m.decode_last_logits(&mem, src.len(), &prefix[..=i]);
+                let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(row), bits(&last), "{} layers, row {i}", cfg.dec_layers);
+            }
+        }
     }
 
     #[test]

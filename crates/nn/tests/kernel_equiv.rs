@@ -205,39 +205,6 @@ proptest! {
     }
 }
 
-/// The AVX2 score body takes eight key rows per iteration and reduces
-/// their lane accumulators in registers; every `dh` shape (0-4 chunks,
-/// with and without a tail) meets every group shape (`n < 8`, exactly 8,
-/// `n % 8 != 0` past one and several groups, and `n = 0`).
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn avx2_attn_scores_is_bit_identical_to_scalar() {
-    if !has_avx2() {
-        return;
-    }
-    for dh in 1usize..=33 {
-        // `stride > dh` mirrors the model's head-offset slicing (key rows
-        // are d-strided, the query spans one head).
-        let stride = dh + 3;
-        let scale = 1.0 / (dh as f32).sqrt();
-        for n in 0usize..=70 {
-            let seed = (dh * 71 + n) as u64;
-            let keys = seeded(seed ^ 0x21, n * stride);
-            // An all `-0.0` query makes every product `±0.0`: the dot is
-            // `+0.0` only if the first `0.0 + q*k` add is kept.
-            for q in [seeded(seed, dh), vec![-0.0f32; dh]] {
-                let mut ss = vec![0.0f32; n];
-                let mut sv = vec![0.0f32; n];
-                scalar::attn_scores_into(&q, &keys, stride, scale, &mut ss);
-                kernels::avx2::attn_scores_into(&q, &keys, stride, scale, &mut sv);
-                for (si, (s, v)) in ss.iter().zip(&sv).enumerate() {
-                    assert_eq!(s.to_bits(), v.to_bits(), "dh {dh} n {n} key {si}");
-                }
-            }
-        }
-    }
-}
-
 /// The packed-key score kernel — scalar-packed body, AVX2 body and the
 /// dispatched entry point — against the row-major scalar kernel, the
 /// definition: every `dh` shape (`dh < 8`, tails, several chunks; the AVX2
@@ -978,7 +945,8 @@ proptest! {
         let mut cs = vec![0.0f32; dh];
         let mut cv = vec![0.0f32; dh];
         scalar::attn_weighted_sum_into(&probs, &values, stride, &mut cs);
-        kernels::avx2::attn_weighted_sum_into(&probs, &values, stride, &mut cv);
+        let one = Blocks::one(n);
+        kernels::avx2::attn_weighted_sum_tile_into(&probs, &values, stride, &one, &mut cv, dh, dh);
         for (s, v) in cs.iter().zip(&cv) {
             prop_assert_eq!(s.to_bits(), v.to_bits(), "dh {} n {}", dh, n);
         }
