@@ -36,29 +36,99 @@ fn seeded(seed: u64, len: usize) -> Vec<f32> {
         .collect()
 }
 
+/// IEEE specials planted by `kind` in `a` (`m x k`) and in the weights
+/// `w`, where output column `j`'s weight for input `p` is `w[j * js + p *
+/// ps]`: 0 none; 1 every seventh weight `-0.0`, and row `at % m` of `a`
+/// all `-0.0` against column `at % n`'s weights made positive, so that
+/// output's products are all `-0.0` and only the `+0.0` its lanes start
+/// from makes it `+0.0`; 2 a `+inf` and a `-inf` in each (an output that
+/// meets both is NaN); 3 one NaN in each.
+fn plant(
+    a: &mut [f32],
+    w: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    (js, ps): (usize, usize),
+    kind: u8,
+    at: usize,
+) {
+    match kind {
+        1 => {
+            a[at % m * k..][..k].fill(-0.0);
+            w.iter_mut().step_by(7).for_each(|x| *x = -0.0);
+            for p in 0..k {
+                let x = &mut w[at % n * js + p * ps];
+                *x = x.abs();
+            }
+        }
+        2 => {
+            for v in [a, w] {
+                let len = v.len();
+                v[at % len] = f32::INFINITY;
+                v[(at * 7 + 3) % len] = f32::NEG_INFINITY;
+            }
+        }
+        3 => {
+            a[at % a.len()] = f32::NAN;
+            w[(at * 3 + 1) % w.len()] = f32::NAN;
+        }
+        _ => {}
+    }
+}
+
+/// Bit equality, except that any NaN equals any NaN: which NaN payload an
+/// add of two NaNs keeps depends on the operand order LLVM picks, and no
+/// tier promises one.
+fn same_bits(x: f32, y: f32) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
 #[cfg(target_arch = "x86_64")]
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// The AVX2 projection body against the scalar spec at every register
+    /// tile remainder: `m` 1..=12 (row tiles of three and a rest of two or
+    /// one; 5 is a beam, 10 a decode step's lanes), `n` 1..=48 and 706
+    /// (block pairs, a single block left over, the tail columns `dot8`
+    /// takes, the tied logits' width), `k` 1..=136 (every `k % 8`, lanes of
+    /// up to 17 products), with specials planted in `a` and the weights.
+    ///
+    /// Mutations that fail it and the transb test below (each in a copy of
+    /// the crate, reverted): the lane pairs folded as `(0,4)+(1,5)` and
+    /// `(2,6)+(3,7)`, not `reduce8`'s tree (one ulp, `(2,8,34)`); a lane
+    /// pair's tail product added to lane `l + 4` instead of `l` (`(10,78,13)`);
+    /// the one-row remainder tile skipped (`(10,78,706)`) or the three-row
+    /// tile of the last odd block (`(10,78,13)`); both lane partials started
+    /// at `-0.0`, which is the first `0.0 + a·b` add dropped (`(2,8,34)`,
+    /// planted kind 1: `+0.0` wanted, `-0.0` got). Starting only the `l`
+    /// partial at `-0.0` is invisible: the `l + 4` partial it is folded
+    /// with is never `-0.0`.
     #[test]
     fn avx2_xposed_is_bit_identical_to_scalar(
-        m in 1usize..5,
-        k in 1usize..40,
-        n in 1usize..20,
+        m in 1usize..=12,
+        k in 1usize..=136,
+        n in 1usize..=48,
+        kind in 0u8..4,
         seed in 0u64..1_000,
     ) {
         if !has_avx2() {
             return Ok(());
         }
         // The transposed orientation exists as one kernel: the packed one.
-        let a = seeded(seed, m * k);
-        let bp = kernels::pack_xposed_blocks(&seeded(seed ^ 0xc, k * n), k, n);
-        let mut cs = vec![0.0f32; m * n];
-        let mut cv = vec![0.0f32; m * n];
-        scalar::matmul_xpacked_into(&a, &bp, &mut cs, m, k, n);
-        kernels::avx2::matmul_xpacked_into(&a, &bp, &mut cv, m, k, n);
-        for (s, v) in cs.iter().zip(&cv) {
-            prop_assert_eq!(s.to_bits(), v.to_bits(), "shape ({},{},{})", m, k, n);
+        for n in [n, 706] {
+            let (mut a, mut w) = (seeded(seed, m * k), seeded(seed ^ 0xc, k * n)); // w: k x n
+            plant(&mut a, &mut w, (m, k, n), (1, n), kind, seed as usize);
+            let bp = kernels::pack_xposed_blocks(&w, k, n);
+            let mut cs = vec![0.0f32; m * n];
+            let mut cv = vec![0.0f32; m * n];
+            scalar::matmul_xpacked_into(&a, &bp, &mut cs, m, k, n);
+            kernels::avx2::matmul_xpacked_into(&a, &bp, &mut cv, m, k, n);
+            for (at, (s, v)) in cs.iter().zip(&cv).enumerate() {
+                prop_assert!(
+                    same_bits(*s, *v),
+                    "shape ({},{},{}) kind {} at {}: {} vs {}", m, k, n, kind, at, s, v
+                );
+            }
         }
     }
 }
@@ -173,34 +243,42 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn transb_and_xposed_agree_bitwise(
-        m in 1usize..5,
-        k in 1usize..40,
-        n in 1usize..20,
+        m in 1usize..=12,
+        k in 1usize..=136,
+        n in 1usize..=48,
+        kind in 0u8..4,
         seed in 0u64..1_000,
     ) {
         // Cross-orientation identity, transb ≡ xpacked: every forward
         // projects through a transposed, packed copy of the weights, and
         // the scalar transb body over the weights as stored is its
         // independent spec. The packed side is the dispatched entry
-        // point, so whichever tier is active must uphold it.
-        let a = seeded(seed, m * k);
-        let w = seeded(seed ^ 0xf, n * k); // n x k
-        let mut wt = vec![0.0f32; k * n];
-        for r in 0..n {
-            for p in 0..k {
-                wt[p * n + r] = w[r * k + p];
+        // point, so whichever tier is active must uphold it, at the
+        // shapes and with the specials of the test above.
+        for n in [n, 706] {
+            let (mut a, mut w) = (seeded(seed, m * k), seeded(seed ^ 0xf, n * k)); // w: n x k
+            plant(&mut a, &mut w, (m, k, n), (k, 1), kind, seed as usize);
+            let mut wt = vec![0.0f32; k * n];
+            for r in 0..n {
+                for p in 0..k {
+                    wt[p * n + r] = w[r * k + p];
+                }
             }
-        }
-        let mut c1 = vec![0.0f32; m * n];
-        let mut c2 = vec![0.0f32; m * n];
-        scalar::matmul_transb_into(&a, &w, &mut c1, m, k, n);
-        kernels::matmul_xpacked_into(&a, &kernels::pack_xposed_blocks(&wt, k, n), &mut c2, m, k, n);
-        for (x, y) in c1.iter().zip(&c2) {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "shape ({},{},{})", m, k, n);
+            let mut c1 = vec![0.0f32; m * n];
+            let mut c2 = vec![0.0f32; m * n];
+            scalar::matmul_transb_into(&a, &w, &mut c1, m, k, n);
+            let bp = kernels::pack_xposed_blocks(&wt, k, n);
+            kernels::matmul_xpacked_into(&a, &bp, &mut c2, m, k, n);
+            for (at, (x, y)) in c1.iter().zip(&c2).enumerate() {
+                prop_assert!(
+                    same_bits(*x, *y),
+                    "shape ({},{},{}) kind {} at {}: {} vs {}", m, k, n, kind, at, x, y
+                );
+            }
         }
     }
 }
