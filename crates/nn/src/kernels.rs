@@ -5,12 +5,13 @@
 //! fused log-softmax+top-k max and exp-sum passes; the attention core of
 //! every forward, training's included — `attn_scores_packed_tile_into`
 //! over packed keys, `softmax_rows_into` and `attn_weighted_sum_tile_into`,
-//! the tile forms walking [`Blocks`]; and `layer_norm_into`) routes
-//! through this module. An ISA tier is selected once at startup — AVX2
-//! on x86-64 hosts that have it, scalar otherwise (every other
-//! architecture: the scalar bodies are 8-lane loops the compiler
-//! vectorizes at the target's baseline) — and can be
-//! overridden with the `SLADE_KERNEL_ISA` environment variable (`auto` |
+//! the tile forms walking [`Blocks`]; the backward's products but
+//! attention's `dA`, `dQ`, `dK`, also `attn_weighted_sum_tile_into`; and
+//! `layer_norm_into`) routes through this module. An ISA tier is selected
+//! once at startup — AVX2 on x86-64 hosts that have it, scalar otherwise
+//! (every other architecture: the scalar bodies are 8-lane loops the
+//! compiler vectorizes at the target's baseline) — and can be overridden
+//! with the `SLADE_KERNEL_ISA` environment variable (`auto` |
 //! `scalar` | `avx2`; `avx2` on a host without it degrades to scalar
 //! with a one-line warning, and an unrecognized value warns and uses the
 //! detected tier) or in-process via [`set_tier`] (used by tests to
@@ -50,6 +51,14 @@
 //! the row-major `scalar::attn_scores_into`, `softmax_into` and
 //! `attn_weighted_sum_into` are the specification the tile kernels are
 //! held to, and `attn_scores_into` has no vector body.
+//!
+//! The weighted sum is the one A·B over a row-major B: attention's P·V
+//! and the backward's products but attention's `dA`, `dQ`, `dK` (`dX =
+//! dY·W`, `dW = dYᵀ·X` over a transposed `dY`, attention's `dV =
+//! Pᵀ·dCtx`). Row `i` of C adds B's
+//! rows under the weights `A[i, ..]`: per element `p` ascending, a rounded
+//! multiply then a rounded add, zero weights skipped. That is elementwise
+//! over the columns, so it needs no lane split for the tiers to agree.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

@@ -1,58 +1,14 @@
 //! Dense math kernels used by the Transformer (single-threaded f32).
 //!
-//! Every forward projection and activation, training's included, goes
-//! through [`crate::kernels`]. What stays here is the backward pass's
-//! plain scalar code (the gradient matmuls, softmax, the GELU
+//! Every forward product and activation, and every backward product but
+//! attention's `dA` / `dQ` / `dK` loops in `model.rs`, go through
+//! [`crate::kernels`]. What stays here is the training path's
+//! plain scalar code (the loss softmax, the transpose, the GELU
 //! derivative) and the fused [`log_softmax_topk`], whose max and
 //! exp-sum passes dispatch to the best ISA tier the host supports
 //! (AVX2 / scalar), all tiers bit-identical.
 
 use crate::kernels;
-
-/// Writes `c[m,n] = a[m,k] @ b[k,n]` into a caller-provided buffer
-/// (accumulating into `c`'s zeroed contents; skips zero `a` entries,
-/// which dropout-masked activations make common).
-pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    c.fill(0.0);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += av * bv;
-            }
-        }
-    }
-}
-
-/// Writes `c[m,n] = a[k,m]ᵀ @ b[k,n]` — the weight-gradient shape —
-/// into a caller-provided buffer (zeroed first; skips zero `a` entries).
-pub fn matmul_transa_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    c.fill(0.0);
-    for p in 0..k {
-        let arow = &a[p * m..(p + 1) * m];
-        let brow = &b[p * n..(p + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let crow = &mut c[i * n..(i + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += av * bv;
-            }
-        }
-    }
-}
 
 /// In-place row-wise softmax over an `[rows, cols]` matrix.
 ///
@@ -197,15 +153,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn matmul_small_identity() {
-        let a = vec![1.0, 2.0, 3.0, 4.0]; // [2,2]
-        let i = vec![1.0, 0.0, 0.0, 1.0];
-        let mut c = vec![f32::NAN; 4];
-        matmul_into(&a, &i, &mut c, 2, 2, 2);
-        assert_eq!(c, a);
-    }
-
-    #[test]
     fn transb_matches_manual() {
         // a [1,3] @ b [2,3]^T = [1,2], through the scalar kernel spec.
         let a = vec![1.0, 2.0, 3.0];
@@ -213,16 +160,6 @@ mod tests {
         let mut c = vec![f32::NAN; 2];
         kernels::scalar::matmul_transb_into(&a, &b, &mut c, 1, 3, 2);
         assert_eq!(c, vec![4.0, 3.0]);
-    }
-
-    #[test]
-    fn transa_matches_manual() {
-        // a [2,1]^T @ b [2,2] = [1,2]
-        let a = vec![1.0, 2.0];
-        let b = vec![3.0, 4.0, 5.0, 6.0];
-        let mut c = vec![f32::NAN; 2];
-        matmul_transa_into(&a, &b, &mut c, 2, 1, 2);
-        assert_eq!(c, vec![13.0, 16.0]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! tape — the architecture is fixed, so this is less machinery, and every
 //! layer is finite-difference checked in the tests.
 
-use crate::kernels::ATTN_TILE;
+use crate::kernels::{self, Blocks, ATTN_TILE};
 use crate::math::*;
 use crate::store::{PId, ParamStore};
 use rand::SeedableRng;
@@ -401,8 +401,9 @@ impl Seq2Seq {
         (out, AttnCache { q, k, v, probs, ctx })
     }
 
-    /// Attention backward: accumulates parameter grads, returns
-    /// `(dx, dkv)`.
+    /// Attention backward: accumulates parameter grads, returns `(dx,
+    /// dkv)`, the gradients through the query path and through the key and
+    /// value paths. Self-attention's caller adds the two.
     #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
     fn attention_bwd(
         &mut self,
@@ -419,15 +420,13 @@ impl Seq2Seq {
         let dh = d / h;
         let scale = 1.0 / (dh as f32).sqrt();
         // Output projection backward.
-        let mut dctx = vec![0.0f32; t * d];
-        matmul_into(dout, self.store.data(a.wo), &mut dctx, t, d, d);
-        let mut dwo = vec![0.0f32; d * d];
-        matmul_transa_into(dout, &cache.ctx, &mut dwo, t, d, d);
-        self.store.add_grad(a.wo, &dwo);
+        let dctx = ab(dout, self.store.data(a.wo), t, d, d);
+        self.store.add_grad(a.wo, &atb(dout, &cache.ctx, t, d, d));
         self.store.add_grad(a.bo, &col_sums(dout, t, d));
         let mut dq = vec![0.0f32; t * d];
         let mut dk = vec![0.0f32; s * d];
         let mut dv = vec![0.0f32; s * d];
+        let mut pt = vec![0.0f32; s * t];
         for head in 0..h {
             let off = head * dh;
             let p = &cache.probs[head * t * s..(head + 1) * t * s];
@@ -453,46 +452,22 @@ impl Seq2Seq {
                         dk[si * d + off + j] += dscore * cache.q[ti * d + off + j] * scale;
                     }
                 }
-                // dV.
-                for si in 0..s {
-                    let w = row[si];
-                    if w == 0.0 {
-                        continue;
-                    }
-                    for j in 0..dh {
-                        dv[si * d + off + j] += w * dctx[ti * d + off + j];
-                    }
-                }
             }
+            // dV = Pᵀ·dCtx, this head's columns.
+            transpose_into(p, &mut pt, t, s);
+            let (dctx, dv) = (&dctx[off..], &mut dv[off..]);
+            kernels::attn_weighted_sum_tile_into(&pt, dctx, d, &Blocks::one(t), dv, d, dh);
         }
-        // Project back through the three input linears (scratch buffers
-        // reused for the weight grads).
-        let mut dw = vec![0.0f32; d * d];
-        let mut dx = vec![0.0f32; t * d];
-        matmul_into(&dq, self.store.data(a.wq), &mut dx, t, d, d);
-        matmul_transa_into(&dq, x, &mut dw, t, d, d);
-        self.store.add_grad(a.wq, &dw);
+        // Project back through the three input linears.
+        let dx = ab(&dq, self.store.data(a.wq), t, d, d);
+        self.store.add_grad(a.wq, &atb(&dq, x, t, d, d));
         self.store.add_grad(a.bq, &col_sums(&dq, t, d));
-        let mut dkv = vec![0.0f32; s * d];
-        matmul_into(&dk, self.store.data(a.wk), &mut dkv, s, d, d);
-        matmul_transa_into(&dk, kv, &mut dw, s, d, d);
-        self.store.add_grad(a.wk, &dw);
+        let mut dkv = ab(&dk, self.store.data(a.wk), s, d, d);
+        self.store.add_grad(a.wk, &atb(&dk, kv, s, d, d));
         self.store.add_grad(a.bk, &col_sums(&dk, s, d));
-        let mut dkv2 = vec![0.0f32; s * d];
-        matmul_into(&dv, self.store.data(a.wv), &mut dkv2, s, d, d);
-        matmul_transa_into(&dv, kv, &mut dw, s, d, d);
-        self.store.add_grad(a.wv, &dw);
+        add_into(&mut dkv, &ab(&dv, self.store.data(a.wv), s, d, d));
+        self.store.add_grad(a.wv, &atb(&dv, kv, s, d, d));
         self.store.add_grad(a.bv, &col_sums(&dv, s, d));
-        for (a_, b_) in dkv.iter_mut().zip(&dkv2) {
-            *a_ += b_;
-        }
-        // Self-attention: x and kv are the same tensor; caller merges.
-        if std::ptr::eq(x.as_ptr(), kv.as_ptr()) {
-            for (a_, b_) in dx.iter_mut().zip(&dkv) {
-                *a_ += b_;
-            }
-            dkv.iter_mut().for_each(|v| *v = 0.0);
-        }
         (dx, dkv)
     }
 
@@ -553,20 +528,14 @@ impl Seq2Seq {
         let dff = self.cfg.d_ff;
         let mut act = hidden.to_vec();
         crate::kernels::gelu_into(&mut act);
-        let mut dact = vec![0.0f32; t * dff];
-        matmul_into(dy, self.store.data(f.w2), &mut dact, t, d, dff);
-        let mut dw = vec![0.0f32; d * dff];
-        matmul_transa_into(dy, &act, &mut dw, t, d, dff);
-        self.store.add_grad(f.w2, &dw);
+        let mut dhidden = ab(dy, self.store.data(f.w2), t, d, dff);
+        self.store.add_grad(f.w2, &atb(dy, &act, t, d, dff));
         self.store.add_grad(f.b2, &col_sums(dy, t, d));
-        let mut dhidden = dact;
         for (dh, h) in dhidden.iter_mut().zip(hidden) {
             *dh *= gelu_grad(*h);
         }
-        let mut dx = vec![0.0f32; t * d];
-        matmul_into(&dhidden, self.store.data(f.w1), &mut dx, t, dff, d);
-        matmul_transa_into(&dhidden, x, &mut dw, t, dff, d);
-        self.store.add_grad(f.w1, &dw);
+        let dx = ab(&dhidden, self.store.data(f.w1), t, dff, d);
+        self.store.add_grad(f.w1, &atb(&dhidden, x, t, dff, d));
         self.store.add_grad(f.b1, &col_sums(&dhidden, t, dff));
         dx
     }
@@ -727,11 +696,8 @@ impl Seq2Seq {
         loss *= inv_t;
         // ---- backward ----
         // Tied output: dhn = dlogits @ E; dE += dlogits^T @ hn.
-        let mut dhn = vec![0.0f32; t * d];
-        matmul_into(&dlogits, self.store.data(self.embed), &mut dhn, t, v, d);
-        let mut de_out = vec![0.0f32; v * d];
-        matmul_transa_into(&dlogits, hn, &mut de_out, t, v, d);
-        self.store.add_grad(self.embed, &de_out);
+        let dhn = ab(&dlogits, self.store.data(self.embed), t, v, d);
+        self.store.add_grad(self.embed, &atb(&dlogits, hn, t, v, d));
         let ln_dec_out = self.ln_dec_out;
         let mut dh = self.layer_norm_bwd(&ln_dec_out, &dec.out, &dhn, t);
         let mut dmem_total = vec![0.0f32; mem.len()];
@@ -758,7 +724,7 @@ impl Seq2Seq {
             add_into(&mut dh, &dx1);
             // Self-attention residual.
             let datt = masked(&dh, masks[0].as_deref());
-            let (dln1, _) = self.attention_bwd(
+            let (mut dln1, dkv) = self.attention_bwd(
                 &layer.self_attn,
                 &c.self_attn,
                 &c.ln1.y,
@@ -767,6 +733,7 @@ impl Seq2Seq {
                 t,
                 &datt,
             );
+            add_into(&mut dln1, &dkv);
             let dx0 = self.layer_norm_bwd(&layer.ln1, &c.ln1, &dln1, t);
             add_into(&mut dh, &dx0);
         }
@@ -782,8 +749,9 @@ impl Seq2Seq {
             let dx1 = self.layer_norm_bwd(&layer.ln2, &c.ln2, &dln2, s);
             add_into(&mut dhe, &dx1);
             let datt = masked(&dhe, masks[0].as_deref());
-            let (dln1, _) =
+            let (mut dln1, dkv) =
                 self.attention_bwd(&layer.attn, &c.attn, &c.ln1.y, &c.ln1.y, s, s, &datt);
+            add_into(&mut dln1, &dkv);
             let dx0 = self.layer_norm_bwd(&layer.ln1, &c.ln1, &dln1, s);
             add_into(&mut dhe, &dx0);
         }
@@ -1245,6 +1213,25 @@ impl Seq2Seq {
     fn grad_of(&self, tensor: usize, index: usize) -> f32 {
         self.store.grad_at(tensor, index)
     }
+}
+
+/// `a[m,k] · b[k,n]` over a row-major `b`: row `i` is the attention
+/// weighted sum of `b`'s rows under the weights `a[i,..]`, so every element
+/// adds its products in ascending `p`, a rounded multiply then a rounded
+/// add from `+0.0`, zero weights skipped.
+fn ab(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    debug_assert_eq!((a.len(), b.len()), (m * k, k * n));
+    let mut c = vec![0.0f32; m * n];
+    kernels::attn_weighted_sum_tile_into(a, b, n, &Blocks::one(k), &mut c, n, n);
+    c
+}
+
+/// `a[k,m]ᵀ · b[k,n]`, the weight-gradient shape: [`ab`] over `a`
+/// transposed.
+fn atb(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Vec<f32> {
+    let mut at = vec![0.0f32; k * m];
+    transpose_into(a, &mut at, k, m);
+    ab(&at, b, m, k, n)
 }
 
 fn add_into(dst: &mut [f32], src: &[f32]) {
@@ -1878,6 +1865,21 @@ mod tests {
     fn decode(m: &Seq2Seq, src: &[u32], max_len: usize, beam: usize) -> Vec<Vec<u32>> {
         let request = DecodeRequest { src: src.to_vec(), bos: 1, eos: 2, max_len, beam };
         InferenceEngine::new(m).decode(&request)
+    }
+
+    #[test]
+    fn ab_small_identity() {
+        let a = vec![1.0, 2.0, 3.0, 4.0]; // [2,2]
+        let i = vec![1.0, 0.0, 0.0, 1.0];
+        assert_eq!(ab(&a, &i, 2, 2, 2), a);
+    }
+
+    #[test]
+    fn atb_matches_manual() {
+        // a [2,1]^T @ b [2,2] = [1,2]
+        let a = vec![1.0, 2.0];
+        let b = vec![3.0, 4.0, 5.0, 6.0];
+        assert_eq!(atb(&a, &b, 2, 1, 2), vec![13.0, 16.0]);
     }
 
     #[test]

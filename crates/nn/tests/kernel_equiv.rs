@@ -577,6 +577,89 @@ fn avx2_weighted_sum_finds_a_zero_in_any_row_of_the_tile() {
     }
 }
 
+/// The serial matmul the backward ran before its products went through
+/// the weighted sum, kept as the oracle: `c[m,n] = a[m,k] · b[k,n]` from a
+/// zeroed `c`, zero `a` entries skipped.
+fn matmul_oracle(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        let crow = &mut c[i * n..(i + 1) * n];
+        for (p, &av) in arow.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let brow = &b[p * n..(p + 1) * n];
+            for (cv, &bv) in crow.iter_mut().zip(brow) {
+                *cv += av * bv;
+            }
+        }
+    }
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The weighted sum is the matmul: `attn_weighted_sum_tile_into(a, b,
+    /// n, &Blocks::one(k), c, n, n)` on a zeroed `c` — every product of the
+    /// backward — against the serial oracle, on the scalar tier and on
+    /// AVX2 where the host has it. Shapes reach the backward's: `m` 1..=12
+    /// (two register tiles of five and a ragged rest), `k` 0..=136 and 700
+    /// (no keys, every `k % 8`, the vocabulary of the tied logits' `dE`),
+    /// `n` 1..=48, 64 and 128 (the model and FFN widths, through the AVX2
+    /// body's run-time width with its scalar remainder). Specials are
+    /// planted in `a` and `b`; under `±inf` and NaN one row of `a` also
+    /// holds a `0.0` or `-0.0` weight against each non-finite row of `b`,
+    /// so a zero weight that is added instead of skipped shows as `0 · inf`
+    /// or `0 · NaN = NaN`.
+    ///
+    /// Mutations that fail it (each in a copy of the crate, reverted), all
+    /// at the first case, `(12,74,33)` kind 3: the zero skip dropped from
+    /// the scalar per-row body, or `any_zero_weight` answering `false` so
+    /// the AVX2 body tests no weight (`NaN` got); a fused multiply-add,
+    /// `w.mul_add(v, *c)`, in the scalar body, or `p` walked in reverse
+    /// there (a few ulps).
+    #[test]
+    fn weighted_sum_is_the_serial_matmul(
+        m in 1usize..=12,
+        k in 0usize..=136,
+        n in 1usize..=48,
+        kind in 0u8..4,
+        seed in 0u64..1_000,
+    ) {
+        for (k, n) in [k, 700].into_iter().flat_map(|k| [n, 64, 128].map(|n| (k, n))) {
+            let (mut a, mut b) = (seeded(seed, m * k), seeded(seed ^ 0xb, k * n));
+            if k > 0 {
+                plant(&mut a, &mut b, (m, k, n), (1, n), kind, seed as usize);
+                let row = seed as usize % m;
+                for p in (0..k).filter(|&p| b[p * n..][..n].iter().any(|v| !v.is_finite())) {
+                    a[row * k + p] = if p % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            let want = matmul_oracle(&a, &b, m, k, n);
+            let blocks = Blocks::one(k);
+            let mut got = vec![0.0f32; m * n];
+            scalar::attn_weighted_sum_tile_into(&a, &b, n, &blocks, &mut got, n, n);
+            let mut tiers = vec![("scalar", got)];
+            #[cfg(target_arch = "x86_64")]
+            if has_avx2() {
+                let mut got = vec![0.0f32; m * n];
+                kernels::avx2::attn_weighted_sum_tile_into(&a, &b, n, &blocks, &mut got, n, n);
+                tiers.push(("avx2", got));
+            }
+            for (tier, got) in &tiers {
+                for (at, (w, g)) in want.iter().zip(got).enumerate() {
+                    prop_assert!(
+                        same_bits(*w, *g),
+                        "{} shape ({},{},{}) kind {} at {}: {} vs {}", tier, m, k, n, kind, at, w, g
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The block-walking tile kernels — scalar body, AVX2 body, dispatched
 /// entry point — against the per-row scalar kernels over the same keys and
 /// values laid out contiguously, which is their definition: every `dh`
