@@ -1,9 +1,11 @@
 //! Training is one loop (`slade::train_epoch`) with three callers; this
-//! pins the weights each caller ends with, bit for bit, to what the three
-//! hand-written loops produced before they were folded into one. A change
-//! to the order of RNG draws, of examples within a batch or of the Adam
-//! steps moves a digest. BTC's decode output over the same items is
-//! pinned too, so a change to its decode path shows as a moved digest.
+//! pins the weights each caller ends with, bit for bit, as the kernels'
+//! backward (attention's products through the score and weighted-sum
+//! tiles, the loss through the kernel softmax) leaves them, on every ISA
+//! tier. A change to the order of RNG draws, of examples within a batch,
+//! of the Adam steps or of a gradient's rounded operations moves a digest.
+//! BTC's decode output over the same items is pinned too, so a change to
+//! its decode path shows as a moved digest.
 //!
 //! `TrainProfile::tiny()` caps sources at 96 tokens, under every generated
 //! `-O0` function, so its digests pin weights no example reached; the
@@ -56,7 +58,7 @@ fn weights_after_training_are_bit_equal_to_the_three_loop_version() {
         SladeBuilder::new(Isa::Arm64, OptLevel::O3).profile(profile).train(&items, 7);
     assert_eq!(
         weight_digest(&pretrained.model),
-        0xe059_f14f_9cd7_3964,
+        0x3e89_1111_7a03_a315,
         "pretrain_denoising + train"
     );
 }
@@ -79,6 +81,6 @@ fn demo_profile_training_moves_the_weights() {
     let btc_initial = weight_digest(&Seq2Seq::new(btc.model.cfg, 42 ^ 0xb7c));
     let btc = weight_digest(&btc.model);
     assert_ne!(btc, btc_initial, "train_btc left the initial weights");
-    assert_eq!(slade, 0xffd2_1006_5f6d_7746, "SladeBuilder::train");
-    assert_eq!(btc, 0x1d04_ccdd_1964_91b7, "train_btc");
+    assert_eq!(slade, 0x7324_402d_bfd8_4e10, "SladeBuilder::train");
+    assert_eq!(btc, 0xa2e9_4212_8d5b_c452, "train_btc");
 }

@@ -1958,10 +1958,15 @@ pub fn layer_norm_stats_into(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn fill(seed: u64, len: usize) -> Vec<f32> {
+    /// Held by the crate's tests that [`set_tier`], so no two of them
+    /// switch the process-global tier under each other.
+    pub(crate) static TIER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Values in `[-1, 1)` from `seed` (splitmix-style).
+    pub(crate) fn fill(seed: u64, len: usize) -> Vec<f32> {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
         (0..len)
             .map(|_| {
@@ -1973,6 +1978,7 @@ mod tests {
 
     #[test]
     fn tier_knob_round_trips() {
+        let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = active_tier();
         for tier in [IsaTier::Scalar, IsaTier::Avx2] {
             // A request the host cannot execute clamps to scalar instead

@@ -9,8 +9,8 @@
 //! Layout:
 //! - [`kernels`] — runtime-dispatched SIMD kernel tiers (scalar / AVX2,
 //!   bit-identical);
-//! - [`math`] — the training path's scalar helpers (loss softmax,
-//!   transpose, GELU derivative) and the fused log-softmax + top-k, whose
+//! - [`math`] — the training path's scalar helpers (transpose, GELU
+//!   derivative) and the fused log-softmax + top-k, whose
 //!   max and exp-sum passes dispatch through [`kernels`];
 //! - [`store`] — flat parameter store; gradients and Adam moments exist
 //!   only once training touches them;

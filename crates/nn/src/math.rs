@@ -1,36 +1,14 @@
 //! Dense math kernels used by the Transformer (single-threaded f32).
 //!
-//! Every forward product and activation, and every backward product but
-//! attention's `dA` / `dQ` / `dK` loops in `model.rs`, go through
-//! [`crate::kernels`]. What stays here is the training path's
-//! plain scalar code (the loss softmax, the transpose, the GELU
-//! derivative) and the fused [`log_softmax_topk`], whose max and
-//! exp-sum passes dispatch to the best ISA tier the host supports
-//! (AVX2 / scalar), all tiers bit-identical.
+//! Every forward and backward product, every activation and every
+//! softmax, the training loss's included, go through [`crate::kernels`].
+//! What stays here is the training path's plain scalar code (the
+//! transpose, the GELU derivative), the libm [`log_softmax_rows`] the
+//! tests hold the kernels to, and the fused [`log_softmax_topk`],
+//! whose max and exp-sum passes dispatch to the best ISA tier the host
+//! supports (AVX2 / scalar), all tiers bit-identical.
 
 use crate::kernels;
-
-/// In-place row-wise softmax over an `[rows, cols]` matrix.
-///
-/// Uses libm `exp` — this is the training loss's softmax over logits.
-/// Attention, training's included, goes through
-/// [`crate::kernels::softmax_rows_into`] instead, which uses the shared
-/// polynomial `exp` so all ISA tiers agree bit-for-bit.
-pub fn softmax_rows(x: &mut [f32], rows: usize, cols: usize) {
-    for r in 0..rows {
-        let row = &mut x[r * cols..(r + 1) * cols];
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum.max(1e-12);
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
-    }
-}
 
 /// Transposes `src[rows, cols]` into `dst[cols, rows]`.
 pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
@@ -165,7 +143,7 @@ mod tests {
     #[test]
     fn softmax_rows_normalize() {
         let mut x = vec![0.0, 0.0, 1000.0, 1000.0];
-        softmax_rows(&mut x, 2, 2);
+        kernels::softmax_rows_into(&mut x, 2);
         assert!((x[0] - 0.5).abs() < 1e-6);
         assert!((x[2] - 0.5).abs() < 1e-6);
     }
@@ -176,7 +154,7 @@ mod tests {
         let mut a = logits.clone();
         log_softmax_rows(&mut a, 1, 6);
         let mut b = logits.clone();
-        softmax_rows(&mut b, 1, 6);
+        kernels::softmax_rows_into(&mut b, 6);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y.ln()).abs() < 1e-5, "{x} vs {}", y.ln());
         }

@@ -404,7 +404,7 @@ impl Seq2Seq {
     /// Attention backward: accumulates parameter grads, returns `(dx,
     /// dkv)`, the gradients through the query path and through the key and
     /// value paths. Self-attention's caller adds the two.
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[allow(clippy::too_many_arguments)]
     fn attention_bwd(
         &mut self,
         a: &Attn,
@@ -417,47 +417,11 @@ impl Seq2Seq {
     ) -> (Vec<f32>, Vec<f32>) {
         let d = self.cfg.d_model;
         let h = self.cfg.n_heads;
-        let dh = d / h;
-        let scale = 1.0 / (dh as f32).sqrt();
         // Output projection backward.
         let dctx = ab(dout, self.store.data(a.wo), t, d, d);
         self.store.add_grad(a.wo, &atb(dout, &cache.ctx, t, d, d));
         self.store.add_grad(a.bo, &col_sums(dout, t, d));
-        let mut dq = vec![0.0f32; t * d];
-        let mut dk = vec![0.0f32; s * d];
-        let mut dv = vec![0.0f32; s * d];
-        let mut pt = vec![0.0f32; s * t];
-        for head in 0..h {
-            let off = head * dh;
-            let p = &cache.probs[head * t * s..(head + 1) * t * s];
-            for ti in 0..t {
-                // dA and softmax backward for this row.
-                let mut da = vec![0.0f32; s];
-                for si in 0..s {
-                    let mut acc = 0.0f32;
-                    for j in 0..dh {
-                        acc += dctx[ti * d + off + j] * cache.v[si * d + off + j];
-                    }
-                    da[si] = acc;
-                }
-                let row = &p[ti * s..(ti + 1) * s];
-                let dot: f32 = row.iter().zip(&da).map(|(a, b)| a * b).sum();
-                for si in 0..s {
-                    let dscore = row[si] * (da[si] - dot);
-                    if dscore == 0.0 {
-                        continue;
-                    }
-                    for j in 0..dh {
-                        dq[ti * d + off + j] += dscore * cache.k[si * d + off + j] * scale;
-                        dk[si * d + off + j] += dscore * cache.q[ti * d + off + j] * scale;
-                    }
-                }
-            }
-            // dV = Pᵀ·dCtx, this head's columns.
-            transpose_into(p, &mut pt, t, s);
-            let (dctx, dv) = (&dctx[off..], &mut dv[off..]);
-            kernels::attn_weighted_sum_tile_into(&pt, dctx, d, &Blocks::one(t), dv, d, dh);
-        }
+        let [dq, dk, dv] = attention_grads(cache, &dctx, (t, s), (h, d / h));
         // Project back through the three input linears.
         let dx = ab(&dq, self.store.data(a.wq), t, d, d);
         self.store.add_grad(a.wq, &atb(&dq, x, t, d, d));
@@ -478,6 +442,8 @@ impl Seq2Seq {
         let mut dgamma = vec![0.0f32; d];
         let mut dbeta = vec![0.0f32; d];
         let mut dx = vec![0.0f32; x.len()];
+        let mut xhat = vec![0.0f32; d];
+        let mut dxhat = vec![0.0f32; d];
         for r in 0..t {
             let mean = means[r];
             let rstd = rstds[r];
@@ -485,8 +451,6 @@ impl Seq2Seq {
             let dyr = &dy[r * d..(r + 1) * d];
             let mut sum_dxhat = 0.0f32;
             let mut sum_dxhat_xhat = 0.0f32;
-            let mut xhat = vec![0.0f32; d];
-            let mut dxhat = vec![0.0f32; d];
             for j in 0..d {
                 xhat[j] = (xr[j] - mean) * rstd;
                 dgamma[j] += dyr[j] * xhat[j];
@@ -653,7 +617,7 @@ impl Seq2Seq {
             let argmax =
                 row.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i);
             hits += usize::from(argmax == Some(label as usize));
-            softmax_rows(row, 1, v);
+            kernels::softmax_rows_into(row, v);
             loss -= row[label as usize].max(1e-9).ln();
         }
         (loss / t as f32, hits as f64 / t as f64)
@@ -683,7 +647,7 @@ impl Seq2Seq {
         // ---- loss: tied-output softmax cross-entropy ----
         let v = self.cfg.vocab;
         let mut logits = self.tied_logits(hn, t);
-        softmax_rows(&mut logits, t, v);
+        kernels::softmax_rows_into(&mut logits, v);
         let mut loss = 0.0f32;
         let mut dlogits = logits; // becomes (p - onehot)/t
         for (ti, &label) in labels.iter().enumerate() {
@@ -1856,6 +1820,54 @@ fn attend_head(
     attn_weighted_sum_tile_into(scores, values, dh, &vblocks, &mut ctx[off..], d, dh);
 }
 
+/// The gradients `[dQ, dK, dV]` of multi-head attention's `t` query and
+/// `s` key/value rows from `dctx`, the gradient of its context, and the
+/// forward's `cache`. Every product runs the forward's kernels, per head
+/// over all `t` rows: `dA = dCtx·Vᵀ` is the packed score tile over V
+/// packed as keys (scale 1), and `dQ = dS·K`, `dK = dSᵀ·Q` and `dV =
+/// Pᵀ·dCtx` are weighted-sum tiles. The softmax backward folds the score
+/// scale into each weight, `dS = P ⊙ (dA − rowdot(P, dA)) · scale`. A
+/// causal row's masked probabilities are exactly `0.0`, so their `dS` is
+/// `±0` and the weighted sums skip them. With no query or no key row,
+/// every gradient is zero, as the forward's context is.
+fn attention_grads(
+    cache: &AttnCache,
+    dctx: &[f32],
+    (t, s): (usize, usize),
+    (h, dh): (usize, usize),
+) -> [Vec<f32>; 3] {
+    use crate::kernels::{attn_scores_packed_tile_into, attn_weighted_sum_tile_into};
+    let d = h * dh;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let (mut dq, mut dk, mut dv) = (vec![0.0f32; t * d], vec![0.0; s * d], vec![0.0; s * d]);
+    if t == 0 || s == 0 {
+        return [dq, dk, dv];
+    }
+    let mut vp = Vec::new();
+    pack_heads(&cache.v, s, h, dh, &mut vp);
+    let kp = kernels::packed_keys_len(s, dh);
+    let (mut ds, mut xt) = (vec![0.0f32; t * s], vec![0.0f32; s * t]);
+    let (rows, keys) = (Blocks::one(t), Blocks::one(s));
+    for head in 0..h {
+        let off = head * dh;
+        let (p, v) = (&cache.probs[head * t * s..][..t * s], &vp[head * kp..]);
+        attn_scores_packed_tile_into(&dctx[off..], d, dh, v, &keys, 1.0, &mut ds);
+        for (g, prow) in ds.chunks_exact_mut(s).zip(p.chunks_exact(s)) {
+            let dot: f32 = prow.iter().zip(&*g).map(|(a, b)| a * b).sum();
+            for (g, &p) in g.iter_mut().zip(prow) {
+                *g = p * (*g - dot) * scale;
+            }
+        }
+        let (dq, dk, dv) = (&mut dq[off..], &mut dk[off..], &mut dv[off..]);
+        attn_weighted_sum_tile_into(&ds, &cache.k[off..], d, &keys, dq, d, dh);
+        transpose_into(&ds, &mut xt, t, s);
+        attn_weighted_sum_tile_into(&xt, &cache.q[off..], d, &rows, dk, d, dh);
+        transpose_into(p, &mut xt, t, s);
+        attn_weighted_sum_tile_into(&xt, &dctx[off..], d, &rows, dv, d, dh);
+    }
+    [dq, dk, dv]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2072,6 +2084,16 @@ mod tests {
         );
     }
 
+    /// An empty source gives cross-attention nothing to attend over: the
+    /// step runs, and its loss is the forward's, bit for bit.
+    #[test]
+    fn train_pair_takes_an_empty_source() {
+        let mut m = Seq2Seq::new(TransformerConfig::tiny(16), 0);
+        let (fwd_only, _) = m.eval_pair(&[], &[1, 6], &[6, 2]);
+        m.zero_grads();
+        assert_eq!(m.train_pair(&[], &[1, 6], &[6, 2]).to_bits(), fwd_only.to_bits());
+    }
+
     #[test]
     fn dropout_zero_is_a_strict_noop() {
         let src = vec![5u32, 6, 7];
@@ -2168,6 +2190,137 @@ mod tests {
                 "tensor {tensor} idx {index}: analytic {analytic} vs numeric {numeric}"
             );
         }
+    }
+
+    /// `a[m,k] · b[k,n]` in f64.
+    fn ab64(a: &[f64], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f64> {
+        let mut c = vec![0.0f64; m * n];
+        for (crow, arow) in c.chunks_exact_mut(n).zip(a.chunks_exact(k).take(m)) {
+            for (&x, brow) in arow.iter().zip(b.chunks_exact(n)) {
+                crow.iter_mut().zip(brow).for_each(|(c, &w)| *c += x * w as f64);
+            }
+        }
+        c
+    }
+
+    /// `[dQ, dK, dV]` of [`attention_grads`] recomputed in f64 from the
+    /// cache's f32 values, straight from the definitions: `dA = dCtx·Vᵀ`,
+    /// `dS = P ⊙ (dA − rowdot(P, dA)) / √dh`, `dQ = dS·K`, `dK = dSᵀ·Q`,
+    /// `dV = Pᵀ·dCtx`, head by head.
+    fn attention_grads_f64(
+        c: &AttnCache,
+        dctx: &[f64],
+        (t, s): (usize, usize),
+        (h, dh): (usize, usize),
+    ) -> [Vec<f64>; 3] {
+        let d = h * dh;
+        let scale = 1.0 / (dh as f64).sqrt();
+        let (mut dq, mut dk, mut dv) = (vec![0.0; t * d], vec![0.0; s * d], vec![0.0; s * d]);
+        for head in 0..h {
+            let cols = head * dh..(head + 1) * dh;
+            for ti in 0..t {
+                let p = &c.probs[(head * t + ti) * s..][..s];
+                let g = &dctx[ti * d..][..d];
+                let da: Vec<f64> = (0..s)
+                    .map(|si| cols.clone().map(|e| g[e] * c.v[si * d + e] as f64).sum())
+                    .collect();
+                let dot: f64 = p.iter().zip(&da).map(|(&p, da)| p as f64 * da).sum();
+                for (si, (&p, da)) in p.iter().zip(&da).enumerate() {
+                    let ds = p as f64 * (da - dot) * scale;
+                    for e in cols.clone() {
+                        dq[ti * d + e] += ds * c.k[si * d + e] as f64;
+                        dk[si * d + e] += ds * c.q[ti * d + e] as f64;
+                        dv[si * d + e] += p as f64 * g[e];
+                    }
+                }
+            }
+        }
+        [dq, dk, dv]
+    }
+
+    /// Largest `|got − want|` over the largest `|want|`.
+    fn rel_err(got: &[f32], want: &[f64]) -> f64 {
+        assert_eq!(got.len(), want.len());
+        let err = got.iter().zip(want).map(|(&g, w)| (g as f64 - w).abs()).fold(0.0, f64::max);
+        let norm = want.iter().map(|w| w.abs()).fold(0.0, f64::max);
+        if norm == 0.0 {
+            err
+        } else {
+            err / norm
+        }
+    }
+
+    /// The kernels' attention backward against [`attention_grads_f64`]:
+    /// `dQ`, `dK`, `dV` and the returned `(dx, dkv)` each within
+    /// `1e-5` of the reference's largest magnitude — f32 rounding over
+    /// sums of at most 32 terms, four orders under the finite-difference
+    /// checks' 0.15 — on both tiers, which agree bit for bit. Weights
+    /// in `[-1, 1)` make the softmax rows peaked rather than uniform.
+    #[test]
+    fn attention_backward_matches_an_f64_reference() {
+        use crate::kernels::tests::{fill, TIER_LOCK};
+        let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = kernels::active_tier();
+        let shapes =
+            [(1, 1, false), (3, 7, false), (9, 17, false), (6, 6, true), (3, 0, false)];
+        for dh in [8usize, 16] {
+            let d = 2 * dh;
+            let cfg =
+                TransformerConfig { d_model: d, n_heads: 2, ..TransformerConfig::tiny(12) };
+            for (n, &(t, s, causal)) in shapes.iter().enumerate() {
+                let mut by_tier = Vec::new();
+                for tier in [kernels::IsaTier::Scalar, kernels::IsaTier::Avx2] {
+                    if kernels::set_tier(tier) != tier {
+                        continue;
+                    }
+                    let mut m = Seq2Seq::new(cfg, 3);
+                    let a = m.dec[0].self_attn;
+                    for (i, w) in
+                        [a.wq, a.bq, a.wk, a.bk, a.wv, a.bv, a.wo].into_iter().enumerate()
+                    {
+                        let len = m.store.data(w).len();
+                        m.store.data_mut(w).copy_from_slice(&fill(100 + i as u64, len));
+                    }
+                    let x = fill(7 + n as u64, t * d);
+                    let kv = if causal { x.clone() } else { fill(11 + n as u64, s * d) };
+                    let (_, cache) = m.attention(&a, &x, &kv, t, s, causal);
+                    let dout = fill(13 + n as u64, t * d);
+                    let what =
+                        format!("dh {dh}, (t, s) = ({t}, {s}), causal {causal}, {tier:?}");
+                    let check = |name: &str, got: &[f32], want: &[f64]| {
+                        let err = rel_err(got, want);
+                        assert!(err < 1e-5, "{name}: relative error {err:e} at {what}");
+                    };
+                    // dQ, dK, dV from the context gradient the backward
+                    // computes.
+                    let dctx = ab(&dout, m.store.data(a.wo), t, d, d);
+                    let got = attention_grads(&cache, &dctx, (t, s), (2, dh));
+                    let dctx64: Vec<f64> = dctx.iter().map(|&g| g as f64).collect();
+                    let want = attention_grads_f64(&cache, &dctx64, (t, s), (2, dh));
+                    for (name, (got, want)) in
+                        ["dQ", "dK", "dV"].iter().zip(got.iter().zip(&want))
+                    {
+                        check(name, got, want);
+                    }
+                    // The whole backward, `dout` to `(dx, dkv)`.
+                    let dout64: Vec<f64> = dout.iter().map(|&g| g as f64).collect();
+                    let dctx64 = ab64(&dout64, m.store.data(a.wo), t, d, d);
+                    let [dq, dk, dv] = attention_grads_f64(&cache, &dctx64, (t, s), (2, dh));
+                    let dx_want = ab64(&dq, m.store.data(a.wq), t, d, d);
+                    let mut dkv_want = ab64(&dk, m.store.data(a.wk), s, d, d);
+                    let dkv_v = ab64(&dv, m.store.data(a.wv), s, d, d);
+                    dkv_want.iter_mut().zip(dkv_v).for_each(|(a, b)| *a += b);
+                    m.zero_grads();
+                    let (dx, dkv) = m.attention_bwd(&a, &cache, &x, &kv, t, s, &dout);
+                    check("dx", &dx, &dx_want);
+                    check("dkv", &dkv, &dkv_want);
+                    let all = got.iter().chain([&dx, &dkv]).flatten();
+                    by_tier.push(all.map(|g| g.to_bits()).collect::<Vec<_>>());
+                }
+                assert!(by_tier.windows(2).all(|w| w[0] == w[1]), "tiers differ at {dh}, {n}");
+            }
+        }
+        kernels::set_tier(prev);
     }
 
     /// Reference beam search that re-runs the decoder over the whole prefix
