@@ -8,20 +8,29 @@
 //! the tile forms walking [`Blocks`]; the backward's products but
 //! attention's `dA`, `dQ`, `dK`, also `attn_weighted_sum_tile_into`; and
 //! `layer_norm_into`) routes through this module. An ISA tier is selected
-//! once at startup — AVX2 on x86-64 hosts that have it, scalar otherwise
-//! (every other architecture: the scalar bodies are 8-lane loops the
-//! compiler vectorizes at the target's baseline) — and can be overridden
-//! with the `SLADE_KERNEL_ISA` environment variable (`auto` |
-//! `scalar` | `avx2`; `avx2` on a host without it degrades to scalar
-//! with a one-line warning, and an unrecognized value warns and uses the
-//! detected tier) or in-process via [`set_tier`] (used by tests to
-//! compare tiers). [`tier_status`] reports the effective tier and a
-//! request that was not honoured, for stats and metrics.
+//! once at startup — on x86-64 AVX-512 where the host has AVX-512F, else
+//! AVX2 where it has that, scalar otherwise (every other architecture: the
+//! scalar bodies are 8-lane loops the compiler vectorizes at the target's
+//! baseline) — and can be overridden with the `SLADE_KERNEL_ISA`
+//! environment variable (`auto` | `scalar` | `avx2` | `avx512`; a tier the
+//! host lacks degrades to scalar with a one-line warning, and an
+//! unrecognized value warns and uses the detected tier) or in-process via
+//! [`set_tier`] (used by tests to compare tiers). [`tier_status`] reports
+//! the effective tier and a request that was not honoured, for stats and
+//! metrics.
 //!
-//! Each kernel has two sources: the [`scalar`] body, which is the
-//! specification `kernel_equiv` compares against, and one [`avx2`] body.
-//! A tier for another ISA comes with a CI job that executes it, or not
-//! at all.
+//! Each kernel has the [`scalar`] body, which is the specification
+//! `kernel_equiv` compares against, and one [`avx2`] body. The four
+//! hottest — the packed score tile, the softmax's exp/sum pass, the
+//! weighted-sum tile and the projection — also have one [`avx512`] body,
+//! which hands what does not fill a 16-lane register to the AVX2 instance
+//! (the weighted-sum tile's inner loops are one source for both tiers,
+//! generic over the register); every other kernel runs its AVX2 body on
+//! that tier.
+//! A tier comes with tests that execute it, or not at all: tier-1 runs
+//! every tier the host has (the AVX-512 one on any AVX-512F host), and CI
+//! forces each tier where its runner has it and warns, naming the tier,
+//! where it does not.
 //!
 //! # Bit-identity contract
 //!
@@ -72,20 +81,29 @@ pub enum IsaTier {
     Scalar = 0,
     /// Explicit 256-bit AVX2 intrinsics (x86-64).
     Avx2 = 1,
+    /// 512-bit AVX-512F bodies for the four hottest kernels (x86-64); every
+    /// other kernel runs its AVX2 body.
+    Avx512 = 2,
 }
 
 impl IsaTier {
+    /// Every tier, from the portable one to the widest: a loop over tiers
+    /// iterates this, so none can be left out of it.
+    pub const ALL: [IsaTier; 3] = [IsaTier::Scalar, IsaTier::Avx2, IsaTier::Avx512];
+
     /// Stable lowercase name for metrics and bench artifacts.
     pub fn name(self) -> &'static str {
         match self {
             IsaTier::Scalar => "scalar",
             IsaTier::Avx2 => "avx2",
+            IsaTier::Avx512 => "avx512",
         }
     }
 
     fn from_u8(v: u8) -> IsaTier {
         match v {
             1 => IsaTier::Avx2,
+            2 => IsaTier::Avx512,
             _ => IsaTier::Scalar,
         }
     }
@@ -99,11 +117,7 @@ static ACTIVE: AtomicU8 = AtomicU8::new(TIER_UNSET);
 
 /// The best tier `supported` admits.
 fn best_tier(supported: impl Fn(IsaTier) -> bool) -> IsaTier {
-    if supported(IsaTier::Avx2) {
-        IsaTier::Avx2
-    } else {
-        IsaTier::Scalar
-    }
+    IsaTier::ALL.into_iter().rev().find(|&t| supported(t)).unwrap_or(IsaTier::Scalar)
 }
 
 /// Whether this host can actually execute `tier`, by `std::arch` feature
@@ -115,6 +129,12 @@ pub fn tier_supported(tier: IsaTier) -> bool {
         match tier {
             IsaTier::Scalar => true,
             IsaTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            // The features `avx512`'s bodies enable, and the AVX2 bodies
+            // they fall through to.
+            IsaTier::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("avx512f")
+            }
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -127,7 +147,7 @@ pub fn tier_supported(tier: IsaTier) -> bool {
 /// the `SLADE_KERNEL_ISA` request: `requested avx2: unsupported`.
 static REQUEST_NOTE: OnceLock<String> = OnceLock::new();
 
-const VALID_TIERS: &str = "auto, scalar, avx2";
+const VALID_TIERS: &str = "auto, scalar, avx2, avx512";
 
 /// Resolve the startup tier from `SLADE_KERNEL_ISA` and feature
 /// detection (see [`tier_for_request`]). A request that is not honoured
@@ -161,6 +181,7 @@ fn tier_for_request(
         "" | "auto" => return (best_tier(supported), None),
         "scalar" => IsaTier::Scalar,
         "avx2" => IsaTier::Avx2,
+        "avx512" => IsaTier::Avx512,
         _ => return (best_tier(supported), Some(format!("requested {req}: unknown"))),
     };
     if supported(want) {
@@ -670,14 +691,14 @@ pub mod avx2 {
 
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn load8(c: &[f32; 8]) -> __m256 {
+    pub(super) fn load8(c: &[f32; 8]) -> __m256 {
         // SAFETY: `c` is 32 readable bytes and the load is unaligned.
         unsafe { _mm256_loadu_ps(c.as_ptr()) }
     }
 
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn store8(c: &mut [f32; 8], v: __m256) {
+    pub(super) fn store8(c: &mut [f32; 8], v: __m256) {
         // SAFETY: `c` is 32 writable bytes and the store is unaligned.
         unsafe { _mm256_storeu_ps(c.as_mut_ptr(), v) }
     }
@@ -685,7 +706,7 @@ pub mod avx2 {
     /// The 8 lane partials of `acc`, in lane order.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn spill(acc: __m256) -> [f32; 8] {
+    pub(super) fn spill(acc: __m256) -> [f32; 8] {
         let mut lanes = [0.0f32; 8];
         store8(&mut lanes, acc);
         lanes
@@ -712,7 +733,7 @@ pub mod avx2 {
     /// alone, the lanes past it; neither touches their memory.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn tail_mask(tail: usize) -> __m256i {
+    pub(super) fn tail_mask(tail: usize) -> __m256i {
         let from = &TAIL_MASK[8 - tail..][..8];
         // SAFETY: `from` is 32 readable bytes and the load is unaligned.
         unsafe { _mm256_loadu_si256(from.as_ptr() as *const __m256i) }
@@ -732,15 +753,23 @@ pub mod avx2 {
         assert_avx2();
         // SAFETY: AVX2 is present and `a`, `bp`, `c` hold the `m x k`,
         // `k x n` and `m x n` elements the body indexes (both asserted).
-        unsafe { xpacked_avx2(a, bp, c, m, k, n) }
+        unsafe { xpacked_avx2(a, bp, c, (m, k, n), 0) }
     }
 
+    /// The 8-column blocks from `first` on, and the tail columns.
+    ///
     /// # Safety
     ///
     /// Requires AVX2, `a.len() >= m * k`, `bp.len() >= k * n` and
     /// `c.len() >= m * n`.
     #[target_feature(enable = "avx2")]
-    unsafe fn xpacked_avx2(a: &[f32], bp: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    pub(super) unsafe fn xpacked_avx2(
+        a: &[f32],
+        bp: &[f32],
+        c: &mut [f32],
+        (m, k, n): (usize, usize, usize),
+        first: usize,
+    ) {
         let nblocks = n / 8;
         let (ap, out) = (a.as_ptr(), c.as_mut_ptr());
         // Block pairs outer: their two slabs (2 KiB each at `k = 64`) stay
@@ -749,7 +778,7 @@ pub mod avx2 {
         // fills the sixteen registers (it measured faster than 2 x 2, 4 x 1
         // and 5 x 1). The rows and the block left over run smaller
         // instances of the same body.
-        for jb in (0..nblocks).step_by(2) {
+        for jb in (first..nblocks).step_by(2) {
             let slab = bp.as_ptr().add(jb * k * 8);
             let blocks = (nblocks - jb).min(2);
             let mut i = 0;
@@ -863,7 +892,7 @@ pub mod avx2 {
     /// sequence per element, so each lane rounds exactly as the scalar
     /// tier does.
     #[target_feature(enable = "avx2")]
-    fn exp8(x: __m256) -> __m256 {
+    pub(super) fn exp8(x: __m256) -> __m256 {
         let y = _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E));
         let n = _mm256_round_ps(y, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
         let r = _mm256_mul_ps(_mm256_sub_ps(y, n), _mm256_set1_ps(std::f32::consts::LN_2));
@@ -892,7 +921,7 @@ pub mod avx2 {
     /// that adding `+0.0` would alter.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn exp_tail(tail: &[f32], maxv: __m256) -> __m256 {
+    pub(super) fn exp_tail(tail: &[f32], maxv: __m256) -> __m256 {
         let mask = tail_mask(tail.len());
         // SAFETY: the mask keeps the load to `tail`'s own floats.
         let t = unsafe { _mm256_maskload_ps(tail.as_ptr(), mask) };
@@ -1075,7 +1104,11 @@ pub mod avx2 {
     #[target_feature(enable = "avx2")]
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn scores_block_avx2<const R: usize, const DH: usize, const SHARED: bool>(
+    pub(super) unsafe fn scores_block_avx2<
+        const R: usize,
+        const DH: usize,
+        const SHARED: bool,
+    >(
         q: *const f32,
         qstride: usize,
         dh: usize,
@@ -1235,7 +1268,7 @@ pub mod avx2 {
     /// Panics unless `tile` is `T` whole rows of `n`.
     #[target_feature(enable = "avx2")]
     #[inline(never)]
-    fn row_maxes_avx2<const T: usize>(tile: &[f32], n: usize, maxes: &mut [f32; 8]) {
+    pub(super) fn row_maxes_avx2<const T: usize>(tile: &[f32], n: usize, maxes: &mut [f32; 8]) {
         assert_eq!(tile.len(), T * n, "{T} rows of {n}");
         let p = tile.as_ptr();
         let mut acc = [_mm256_set1_ps(f32::NEG_INFINITY); T];
@@ -1267,7 +1300,7 @@ pub mod avx2 {
     /// Context rows [`attn_weighted_sum_tile_into`] holds in registers at
     /// once: a beam of five is one pass over its values, where `4 + 1` left
     /// the fifth lane a chain of dependent adds (measured 8–20 % slower).
-    const WSUM_TILE: usize = 5;
+    pub(super) const WSUM_TILE: usize = 5;
 
     /// Query-tile weighted sum — AVX2 tier (see
     /// [`super::scalar::attn_weighted_sum_tile_into`]). The context rows of up to
@@ -1320,7 +1353,7 @@ pub mod avx2 {
     /// Requires AVX2, `DH` zero or `dh`, `blocks.n > 0`, `probs.len() = t *
     /// blocks.n` and `ctx.len() >= (t - 1) * cstride + dh`.
     #[target_feature(enable = "avx2")]
-    unsafe fn weighted_sum_tile_avx2<const DH: usize>(
+    pub(super) unsafe fn weighted_sum_tile_avx2<const DH: usize>(
         probs: &[f32],
         values: &[f32],
         stride: usize,
@@ -1378,6 +1411,7 @@ pub mod avx2 {
     /// As [`weighted_sum_tile_avx2`], with `probs` and `ctx` at row `row0`,
     /// `R` rows left from there and `DH` zero or `dh`.
     #[target_feature(enable = "avx2")]
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     unsafe fn weighted_sum_rows_avx2<const R: usize, const DH: usize>(
         probs: *const f32,
@@ -1393,7 +1427,7 @@ pub mod avx2 {
         let mut ch = 0usize;
         while ch + 2 <= chunks {
             let c = ctx.add(ch * 8);
-            weighted_sum_block_avx2::<R, 2>(
+            weighted_sum_block::<__m256, R, 2>(
                 probs,
                 values,
                 ch * 8,
@@ -1407,7 +1441,7 @@ pub mod avx2 {
         }
         if ch < chunks {
             let c = ctx.add(ch * 8);
-            weighted_sum_block_avx2::<R, 1>(
+            weighted_sum_block::<__m256, R, 1>(
                 probs,
                 values,
                 ch * 8,
@@ -1420,22 +1454,67 @@ pub mod avx2 {
         }
     }
 
-    /// One `R × C`-register block of [`weighted_sum_rows_avx2`] — columns
-    /// `col..col + 8 * C` — held in registers from the first key of the
-    /// first block to the last of the last. Each block's value rows are
-    /// cut out of `values` by a checked slice, so the pointers below
-    /// cannot leave it whatever the table holds. A block whose weights
-    /// hold no exact zero in any row of the tile adds every key with no
-    /// test; one with a zero anywhere tests per row.
+    /// A vector register of floats, as the weighted-sum tile asks of one:
+    /// one source of its inner loops ([`weighted_sum_block`]) serves the
+    /// AVX2 tier's 8 lanes and the AVX-512 tier's 16. Those bodies are
+    /// `#[inline(always)]` and carry no `target_feature`: they take on their
+    /// caller's, which must include the register's.
     ///
     /// # Safety
     ///
-    /// As [`weighted_sum_rows_avx2`], with `ctx` at column `col` and `col +
-    /// 8 * C <= dh`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
+    /// Every method requires the register's target features; `load` and
+    /// `store` `LANES` readable or writable floats at `p`.
+    pub(super) trait Reg: Copy {
+        /// Floats per register.
+        const LANES: usize;
+        unsafe fn zero() -> Self;
+        unsafe fn splat(x: f32) -> Self;
+        unsafe fn load(p: *const f32) -> Self;
+        unsafe fn store(self, p: *mut f32);
+        /// `self + w * v`: a rounded multiply, then a rounded add.
+        unsafe fn add_mul(self, w: Self, v: Self) -> Self;
+    }
+
+    impl Reg for __m256 {
+        const LANES: usize = 8;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn add_mul(self, w: Self, v: Self) -> Self {
+            _mm256_add_ps(self, _mm256_mul_ps(w, v))
+        }
+    }
+
+    /// One `R × C`-register block of a weighted-sum tile, the `C * V::LANES`
+    /// columns from `col` on, held in registers from the first key of the
+    /// first block to the last of the last. Each block's value rows are
+    /// cut out of `values` by a checked slice, so the pointers below cannot
+    /// leave it whatever the table holds. A block whose weights hold no
+    /// exact zero in any row of the tile adds every key with no test; one
+    /// with a zero anywhere tests per row.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `V`'s features; `probs` and `ctx` at row `row0` of
+    /// the tile, `R` rows left from there; `ctx` at column `col`, and `col +
+    /// C * V::LANES` at most the head width.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn weighted_sum_block_avx2<const R: usize, const C: usize>(
+    pub(super) unsafe fn weighted_sum_block<V: Reg, const R: usize, const C: usize>(
         probs: *const f32,
         values: &[f32],
         col: usize,
@@ -1445,36 +1524,36 @@ pub mod avx2 {
         ctx: *mut f32,
         cstride: usize,
     ) {
-        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        let mut acc = [[V::zero(); C]; R];
         for (r, row) in acc.iter_mut().enumerate() {
             for (j, a) in row.iter_mut().enumerate() {
-                *a = _mm256_loadu_ps(ctx.add(r * cstride + j * 8));
+                *a = V::load(ctx.add(r * cstride + j * V::LANES));
             }
         }
         for (i, (at, len)) in blocks.spans().enumerate() {
-            let floats = (len - 1) * stride + col + C * 8;
+            let floats = (len - 1) * stride + col + C * V::LANES;
             let vb: [*const f32; R] = std::array::from_fn(|r| {
                 values[blocks.start(row0 + r, i)..][..floats].as_ptr().add(col)
             });
             let (p, n, a) = (probs.add(at), blocks.n, &mut acc);
             match (vb.iter().all(|&v| v == vb[0]), any_zero_weight::<R>(p, n, len)) {
                 (true, false) => {
-                    weighted_sum_keys_avx2::<R, C, true, false>(a, p, n, vb, stride, len)
+                    weighted_sum_keys::<V, R, C, true, false>(a, p, n, vb, stride, len)
                 }
                 (false, false) => {
-                    weighted_sum_keys_avx2::<R, C, false, false>(a, p, n, vb, stride, len)
+                    weighted_sum_keys::<V, R, C, false, false>(a, p, n, vb, stride, len)
                 }
                 (true, true) => {
-                    weighted_sum_keys_avx2::<R, C, true, true>(a, p, n, vb, stride, len)
+                    weighted_sum_keys::<V, R, C, true, true>(a, p, n, vb, stride, len)
                 }
                 (false, true) => {
-                    weighted_sum_keys_avx2::<R, C, false, true>(a, p, n, vb, stride, len)
+                    weighted_sum_keys::<V, R, C, false, true>(a, p, n, vb, stride, len)
                 }
             }
         }
         for (r, row) in acc.iter().enumerate() {
             for (j, a) in row.iter().enumerate() {
-                _mm256_storeu_ps(ctx.add(r * cstride + j * 8), *a);
+                a.store(ctx.add(r * cstride + j * V::LANES));
             }
         }
     }
@@ -1488,7 +1567,7 @@ pub mod avx2 {
     /// Requires AVX2 and `probs[r * pstride..][..len]` in bounds for `r < R`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn any_zero_weight<const R: usize>(
+    pub(super) unsafe fn any_zero_weight<const R: usize>(
         probs: *const f32,
         pstride: usize,
         len: usize,
@@ -1516,45 +1595,38 @@ pub mod avx2 {
         hits.iter().any(|&h| _mm256_movemask_ps(h) != 0)
     }
 
-    /// The `len` keys of one block of [`weighted_sum_block_avx2`]: row
-    /// `r`'s weights at `probs[r * pstride..]`, its value rows at `vb[r]`
-    /// (all the same block when `SHARED`). Without `ZEROS` the caller has
-    /// found no zero weight and every key is added untested. With it, zero
-    /// weights are looked for eight keys at a time: a group without one
-    /// adds every key with no per-weight compare-and-branch, a group with
-    /// one (and the `len % 8` tail) tests each weight before its add.
+    /// The `len` keys of one block of [`weighted_sum_block`]: row `r`'s
+    /// weights at `probs[r * pstride..]`, its value rows at `vb[r]` (all the
+    /// same block when `SHARED`). Without `ZEROS` the caller has found no
+    /// zero weight and every key is added untested. With it, zero weights
+    /// are looked for eight keys at a time: a group without one adds every
+    /// key with no per-weight compare-and-branch, a group with one (and the
+    /// `len % 8` tail) tests each weight before its add.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 and, for `r < R`, `si < len`: `probs[r * pstride +
-    /// si]` and `vb[r][si * stride..][..C * 8]` in bounds of their
-    /// allocations.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn weighted_sum_keys_avx2<
+    /// Requires AVX2, `V`'s features and, for `r < R`, `si < len`:
+    /// `probs[r * pstride + si]` and `vb[r][si * stride..][..C * V::LANES]`
+    /// in bounds of their allocations.
+    #[inline(always)]
+    unsafe fn weighted_sum_keys<
+        V: Reg,
         const R: usize,
         const C: usize,
         const SHARED: bool,
         const ZEROS: bool,
     >(
-        acc: &mut [[__m256; C]; R],
+        acc: &mut [[V; C]; R],
         probs: *const f32,
         pstride: usize,
         vb: [*const f32; R],
         stride: usize,
         len: usize,
     ) {
-        let key = |acc: &mut [[__m256; C]; R], s: usize, skip_zeros: bool| {
-            let (w, v) = (probs.add(s), vb.map(|v| v.add(s * stride)));
-            if skip_zeros {
-                weighted_sum_key_avx2::<R, C, true, SHARED>(acc, w, pstride, v);
-            } else {
-                weighted_sum_key_avx2::<R, C, false, SHARED>(acc, w, pstride, v);
-            }
-        };
+        let v = |s: usize| vb.map(|v| v.add(s * stride));
         if !ZEROS {
             for s in 0..len {
-                key(acc, s, false);
+                weighted_sum_key::<V, R, C, false, SHARED>(acc, probs.add(s), pstride, v(s));
             }
             return;
         }
@@ -1569,42 +1641,47 @@ pub mod avx2 {
                     _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(w, _mm256_setzero_ps()));
             }
             for s in si..si + 8 {
-                key(acc, s, zeros != 0);
+                let w = probs.add(s);
+                if zeros != 0 {
+                    weighted_sum_key::<V, R, C, true, SHARED>(acc, w, pstride, v(s));
+                } else {
+                    weighted_sum_key::<V, R, C, false, SHARED>(acc, w, pstride, v(s));
+                }
             }
             si += 8;
         }
         for s in si..len {
-            key(acc, s, true);
+            weighted_sum_key::<V, R, C, true, SHARED>(acc, probs.add(s), pstride, v(s));
         }
     }
 
-    /// One key of [`weighted_sum_keys_avx2`]: `acc[r] += w[r * pstride] *
-    /// v[r][..C * 8]` for each row, the V chunks loaded once when
+    /// One key of [`weighted_sum_keys`]: `acc[r] += w[r * pstride] *
+    /// v[r][..C * V::LANES]` for each row, the V registers loaded once when
     /// `SHARED`. `SKIP_ZEROS` keeps the contract that a zero weight adds
     /// nothing; without it the caller has checked that no row's weight is
     /// zero.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 and, for `r < R`, `w[r * pstride]` and `v[r][..C *
-    /// 8]` in bounds of their allocations.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn weighted_sum_key_avx2<
+    /// Requires `V`'s features and, for `r < R`, `w[r * pstride]` and
+    /// `v[r][..C * V::LANES]` in bounds of their allocations.
+    #[inline(always)]
+    unsafe fn weighted_sum_key<
+        V: Reg,
         const R: usize,
         const C: usize,
         const SKIP_ZEROS: bool,
         const SHARED: bool,
     >(
-        acc: &mut [[__m256; C]; R],
+        acc: &mut [[V; C]; R],
         w: *const f32,
         pstride: usize,
         v: [*const f32; R],
     ) {
-        let mut shared = [_mm256_setzero_ps(); C];
+        let mut shared = [V::zero(); C];
         if SHARED {
             for (j, vj) in shared.iter_mut().enumerate() {
-                *vj = _mm256_loadu_ps(v[0].add(j * 8));
+                *vj = V::load(v[0].add(j * V::LANES));
             }
         }
         for (r, row) in acc.iter_mut().enumerate() {
@@ -1612,10 +1689,10 @@ pub mod avx2 {
             if SKIP_ZEROS && w == 0.0 {
                 continue;
             }
-            let wv = _mm256_set1_ps(w);
+            let wv = V::splat(w);
             for (j, a) in row.iter_mut().enumerate() {
-                let vj = if SHARED { shared[j] } else { _mm256_loadu_ps(v[r].add(j * 8)) };
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, vj));
+                let vj = if SHARED { shared[j] } else { V::load(v[r].add(j * V::LANES)) };
+                *a = a.add_mul(wv, vj);
             }
         }
     }
@@ -1669,6 +1746,630 @@ pub mod avx2 {
     }
 }
 
+/// AVX-512 tier: 512-bit bodies for the four hottest kernels — the packed
+/// score tile, the exp/sum pass of the softmax, the weighted-sum tile and
+/// the projection — each bit-identical to [`scalar`] on the layouts the
+/// AVX2 tier reads. A register holds two 8-lane groups side by side (two
+/// key groups, two column slabs, two halves of a 16-float row), each lane
+/// computing what its AVX2 lane does; an odd last group or slab, a head
+/// narrower than 16 and every tail run the [`avx2`] instance, and so does
+/// every other kernel. Safe wrappers assert the features before entering
+/// `target_feature` code.
+#[cfg(target_arch = "x86_64")]
+pub mod avx512 {
+    use super::{avx2, reduce8, Blocks};
+    use std::arch::x86_64::*;
+
+    #[inline]
+    fn assert_avx512() {
+        assert!(
+            super::tier_supported(super::IsaTier::Avx512),
+            "AVX-512 kernels called on a host without AVX-512F"
+        );
+    }
+
+    /// The 8 floats at `lo` in lanes `0..8` and the 8 at `hi` in `8..16`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F and 8 readable floats at `lo` and at `hi`.
+    #[target_feature(enable = "avx2,avx512f")]
+    #[inline]
+    unsafe fn load_halves(lo: *const f32, hi: *const f32) -> __m512 {
+        let lo = _mm512_castps_pd(_mm512_castps256_ps512(_mm256_loadu_ps(lo)));
+        let hi = _mm256_castps_pd(_mm256_loadu_ps(hi));
+        _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, hi))
+    }
+
+    #[target_feature(enable = "avx2,avx512f")]
+    #[inline]
+    fn load16(c: &[f32; 16]) -> __m512 {
+        // SAFETY: `c` is 64 readable bytes and the load is unaligned.
+        unsafe { _mm512_loadu_ps(c.as_ptr()) }
+    }
+
+    #[target_feature(enable = "avx2,avx512f")]
+    #[inline]
+    fn store16(c: &mut [f32; 16], v: __m512) {
+        // SAFETY: `c` is 64 writable bytes and the store is unaligned.
+        unsafe { _mm512_storeu_ps(c.as_mut_ptr(), v) }
+    }
+
+    /// Lanes `0..8` and `8..16` of `v`.
+    #[target_feature(enable = "avx2,avx512f")]
+    #[inline]
+    fn halves(v: __m512) -> (__m256, __m256) {
+        let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v));
+        (_mm512_castps512_ps256(v), _mm256_castpd_ps(hi))
+    }
+
+    /// Lanes `0..len` of a register, `len ≤ 16`.
+    #[inline]
+    fn first_lanes(len: usize) -> __mmask16 {
+        ((1u32 << len) - 1) as __mmask16
+    }
+
+    /// `C = A * B` with `bp` packed by [`super::pack_xposed_blocks`] —
+    /// AVX-512 tier (see [`super::scalar::matmul_xpacked_into`]).
+    pub fn matmul_xpacked_into(
+        a: &[f32],
+        bp: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        assert!(a.len() >= m * k && bp.len() >= k * n && c.len() >= m * n);
+        assert_avx512();
+        // SAFETY: AVX-512F and AVX2 are present and `a`, `bp`, `c` hold the
+        // `m x k`, `k x n` and `m x n` elements the body indexes (both
+        // asserted).
+        unsafe { xpacked_avx512(a, bp, c, m, k, n) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512F, AVX2, `a.len() >= m * k`, `bp.len() >= k * n`
+    /// and `c.len() >= m * n`.
+    #[target_feature(enable = "avx2,avx512f")]
+    unsafe fn xpacked_avx512(
+        a: &[f32],
+        bp: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        // A register is two slabs, so a pair of registers is four: the AVX2
+        // tile's block pairs outer, twice as wide, and a 4 x 2 tile's lane
+        // pairs are sixteen of the thirty-two registers.
+        let pairs = n / 16;
+        let (ap, out) = (a.as_ptr(), c.as_mut_ptr());
+        for jp in (0..pairs).step_by(2) {
+            let slab = bp.as_ptr().add(jp * 2 * k * 8);
+            let regs = (pairs - jp).min(2);
+            let mut i = 0;
+            while i < m {
+                let rows = (m - i).min(4);
+                let (a, c) = (ap.add(i * k), out.add(i * n + jp * 16));
+                match (rows, regs) {
+                    (4, 2) => xpacked_tile_avx512::<4, 2>(a, k, slab, c, n),
+                    (4, _) => xpacked_tile_avx512::<4, 1>(a, k, slab, c, n),
+                    (3, 2) => xpacked_tile_avx512::<3, 2>(a, k, slab, c, n),
+                    (3, _) => xpacked_tile_avx512::<3, 1>(a, k, slab, c, n),
+                    (2, 2) => xpacked_tile_avx512::<2, 2>(a, k, slab, c, n),
+                    (2, _) => xpacked_tile_avx512::<2, 1>(a, k, slab, c, n),
+                    (_, 2) => xpacked_tile_avx512::<1, 2>(a, k, slab, c, n),
+                    _ => xpacked_tile_avx512::<1, 1>(a, k, slab, c, n),
+                }
+                i += rows;
+            }
+        }
+        // The odd last slab and the tail columns.
+        avx2::xpacked_avx2(a, bp, c, (m, k, n), 2 * pairs);
+    }
+
+    /// [`avx2`]'s register tile, a register two slabs wide: `R` rows of `a`
+    /// against `C` consecutive slab pairs, lanes `0..8` of a register the
+    /// first slab of its pair and `8..16` the second. Per output the same
+    /// lane partials from `+0.0`, summed a pair `(l, l + 4)` at a time in
+    /// [`reduce8`]'s tree order.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F, AVX2 and, for `r < R` and `s < 2 * C`: `k`
+    /// readable floats at `a + r * k`, `k * 8` at `slab + s * k * 8` and 16
+    /// writable at `c + r * n + s * 8`.
+    #[target_feature(enable = "avx2,avx512f")]
+    #[inline]
+    unsafe fn xpacked_tile_avx512<const R: usize, const C: usize>(
+        a: *const f32,
+        k: usize,
+        slab: *const f32,
+        c: *mut f32,
+        n: usize,
+    ) {
+        type Tile<const R: usize, const C: usize> = [[__m512; C]; R];
+        let step = |acc: &mut Tile<R, C>, p: usize| {
+            let b: [__m512; C] = std::array::from_fn(|s| {
+                let at = slab.add(2 * s * k * 8 + p * 8);
+                load_halves(at, at.add(k * 8))
+            });
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a.add(r * k + p));
+                for (o, &bv) in row.iter_mut().zip(&b) {
+                    *o = _mm512_add_ps(*o, _mm512_mul_ps(av, bv));
+                }
+            }
+        };
+        let fold = |x: Tile<R, C>, y: Tile<R, C>| -> Tile<R, C> {
+            std::array::from_fn(|r| std::array::from_fn(|s| _mm512_add_ps(x[r][s], y[r][s])))
+        };
+        let pair = |l: usize| -> Tile<R, C> {
+            let mut lo = [[_mm512_setzero_ps(); C]; R];
+            let mut hi = [[_mm512_setzero_ps(); C]; R];
+            let mut p = l;
+            while p + 4 < k {
+                step(&mut lo, p);
+                step(&mut hi, p + 4);
+                p += 8;
+            }
+            if p < k {
+                step(&mut lo, p);
+            }
+            fold(lo, hi)
+        };
+        let even = fold(pair(0), pair(2));
+        let sum = fold(even, fold(pair(1), pair(3)));
+        for (r, row) in sum.iter().enumerate() {
+            for (s, &v) in row.iter().enumerate() {
+                _mm512_storeu_ps(c.add(r * n + s * 16), v);
+            }
+        }
+    }
+
+    /// QK^T scores of a query tile against packed keys — AVX-512 tier (see
+    /// [`super::scalar::attn_scores_packed_tile_into`]). A register holds
+    /// two adjacent key groups of the `[n / 8][dh][8]` pack, so one
+    /// vertical instruction steps sixteen keys; each key keeps its lane
+    /// partials and their tree, as on AVX2. Blocks of one group have no
+    /// pair to put in a register and take the AVX2 body, and so do blocks
+    /// the rows of a register tile do not share.
+    pub fn attn_scores_packed_tile_into(
+        q: &[f32],
+        qstride: usize,
+        dh: usize,
+        kp: &[f32],
+        blocks: &Blocks,
+        scale: f32,
+        scores: &mut [f32],
+    ) {
+        if blocks.block.min(blocks.n) <= 8 {
+            return avx2::attn_scores_packed_tile_into(
+                q, qstride, dh, kp, blocks, scale, scores,
+            );
+        }
+        let t = blocks.rows(scores.len());
+        if t == 0 {
+            return;
+        }
+        assert!(dh > 0 && q.len() >= (t - 1) * qstride + dh);
+        assert_avx512();
+        // SAFETY: as `avx2::attn_scores_packed_tile_into`, with AVX-512F
+        // present (asserted).
+        unsafe {
+            match dh {
+                8 => scores_packed_avx512::<8>(q, qstride, dh, kp, blocks, scale, scores),
+                16 => scores_packed_avx512::<16>(q, qstride, dh, kp, blocks, scale, scores),
+                _ => scores_packed_avx512::<0>(q, qstride, dh, kp, blocks, scale, scores),
+            }
+        }
+    }
+
+    /// The score body for head width `DH`, or `dh` when `DH = 0`.
+    ///
+    /// # Safety
+    ///
+    /// As `avx2::scores_packed_avx2`, with AVX-512F.
+    #[target_feature(enable = "avx2,avx512f")]
+    unsafe fn scores_packed_avx512<const DH: usize>(
+        q: &[f32],
+        qstride: usize,
+        dh: usize,
+        kp: &[f32],
+        blocks: &Blocks,
+        scale: f32,
+        scores: &mut [f32],
+    ) {
+        let t = scores.len() / blocks.n;
+        let mut r = 0usize;
+        while r < t {
+            let rows = (t - r).min(super::ATTN_TILE);
+            let (qp, sp) = (q.as_ptr().add(r * qstride), scores.as_mut_ptr().add(r * blocks.n));
+            let (k, b) = (kp, blocks);
+            match rows {
+                1 => scores_packed_rows_avx512::<1, DH>(qp, qstride, dh, k, b, r, scale, sp),
+                2 => scores_packed_rows_avx512::<2, DH>(qp, qstride, dh, k, b, r, scale, sp),
+                3 => scores_packed_rows_avx512::<3, DH>(qp, qstride, dh, k, b, r, scale, sp),
+                _ => scores_packed_rows_avx512::<4, DH>(qp, qstride, dh, k, b, r, scale, sp),
+            }
+            r += rows;
+        }
+    }
+
+    /// `R` score rows, one block after the other, each block cut out of
+    /// `kp` by a checked slice.
+    ///
+    /// # Safety
+    ///
+    /// As [`scores_packed_avx512`], with `q` and `scores` at row `row0`,
+    /// `R` rows left from there and `DH` zero or `dh`.
+    #[target_feature(enable = "avx2,avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn scores_packed_rows_avx512<const R: usize, const DH: usize>(
+        q: *const f32,
+        qstride: usize,
+        dh: usize,
+        kp: &[f32],
+        blocks: &Blocks,
+        row0: usize,
+        scale: f32,
+        scores: *mut f32,
+    ) {
+        for (i, (at, len)) in blocks.spans().enumerate() {
+            let floats = super::packed_keys_len(len, dh);
+            let kb: [*const f32; R] =
+                std::array::from_fn(|r| kp[blocks.start(row0 + r, i)..][..floats].as_ptr());
+            let (out, n) = (scores.add(at), blocks.n);
+            if kb.iter().all(|&k| k == kb[0]) {
+                scores_block_avx512::<R, DH>(q, qstride, dh, kb, len, scale, out, n);
+            } else {
+                // Rows with blocks of their own load a register of keys
+                // each, and joining its two groups is a shuffle per load:
+                // the AVX2 body measured faster.
+                avx2::scores_block_avx2::<R, DH, false>(q, qstride, dh, kb, len, scale, out, n);
+            }
+        }
+    }
+
+    /// The `len` scores of one block every row of the tile reads (`kb[0]`),
+    /// two key groups at a time; an odd last group runs the AVX2 body.
+    ///
+    /// # Safety
+    ///
+    /// As `avx2::scores_block_avx2`, with AVX-512F and every `kb[r] =
+    /// kb[0]`.
+    #[target_feature(enable = "avx2,avx512f")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn scores_block_avx512<const R: usize, const DH: usize>(
+        q: *const f32,
+        qstride: usize,
+        dh: usize,
+        kb: [*const f32; R],
+        len: usize,
+        scale: f32,
+        scores: *mut f32,
+        sstride: usize,
+    ) {
+        let dh = if DH == 0 { dh } else { DH };
+        let scalev = _mm512_set1_ps(scale);
+        let mut si = 0usize;
+        while si + 8 < len {
+            let dots = group_pair_dots_avx512::<R, DH>(q, qstride, dh, kb[0].add(si * dh));
+            for (r, d) in dots.into_iter().enumerate() {
+                let dots = _mm512_mul_ps(d, scalev);
+                let out = scores.add(r * sstride + si);
+                if si + 16 <= len {
+                    _mm512_storeu_ps(out, dots);
+                } else {
+                    _mm512_mask_storeu_ps(out, first_lanes(len - si), dots);
+                }
+            }
+            si += 16;
+        }
+        if si < len {
+            let (kg, rest, out) = (kb.map(|k| k.add(si * dh)), len - si, scores.add(si));
+            avx2::scores_block_avx2::<R, DH, true>(
+                q, qstride, dh, kg, rest, scale, out, sstride,
+            );
+        }
+    }
+
+    /// `avx2::group_dots_avx2` of a tile sharing its keys, for the two
+    /// groups at `kg` and `kg + dh * 8`, the first in lanes `0..8`: the same
+    /// lane partials `acc[l]` from `+0.0`, folded in the same tree.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F, AVX2, `2 * dh * 8` readable floats at `kg` and,
+    /// for `r < R`, `dh` at `q + r * qstride`.
+    #[target_feature(enable = "avx2,avx512f")]
+    #[inline]
+    unsafe fn group_pair_dots_avx512<const R: usize, const DH: usize>(
+        q: *const f32,
+        qstride: usize,
+        dh: usize,
+        kg: *const f32,
+    ) -> [__m512; R] {
+        let dh = if DH == 0 { dh } else { DH };
+        let lane = |l: usize| {
+            let mut acc = [_mm512_setzero_ps(); R];
+            let mut j = l;
+            while j < dh {
+                let kv = load_halves(kg.add(j * 8), kg.add((dh + j) * 8));
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let qv = _mm512_set1_ps(*q.add(r * qstride + j));
+                    *a = _mm512_add_ps(*a, _mm512_mul_ps(qv, kv));
+                }
+                j += 8;
+            }
+            acc
+        };
+        let fold = |a: [__m512; R], b: [__m512; R]| -> [__m512; R] {
+            std::array::from_fn(|r| _mm512_add_ps(a[r], b[r]))
+        };
+        let even = fold(fold(lane(0), lane(4)), fold(lane(2), lane(6)));
+        let odd = fold(fold(lane(1), lane(5)), fold(lane(3), lane(7)));
+        fold(even, odd)
+    }
+
+    /// Rows of at most this many scores take the AVX2 softmax, which
+    /// measured faster on them (the decoder's self-attention rows).
+    const SHORT_ROW: usize = 24;
+
+    /// In-place softmax over whole rows of `n` — AVX-512 tier, each row
+    /// bit-identical to [`super::scalar::softmax_into`]: the AVX2 max pass
+    /// (VMAXPS order decides `±0` and NaN, so it stays 8 lanes wide), then
+    /// sixteen exponentials per instruction, which join the 8-lane sum as
+    /// two halves in position order, and a 16-wide normalize.
+    pub fn softmax_rows_into(rows: &mut [f32], n: usize) {
+        assert!(super::whole_rows(rows.len(), n), "{} scores in rows of {n}", rows.len());
+        if n <= SHORT_ROW {
+            return avx2::softmax_rows_into(rows, n);
+        }
+        assert_avx512();
+        // SAFETY: AVX-512F and AVX2 are present (asserted).
+        unsafe { softmax_rows_avx512(rows, n) }
+    }
+
+    /// Vector mirror of [`super::exp_lane`], sixteen lanes at a time: the
+    /// operation sequence of `avx2::exp8` per lane.
+    #[target_feature(enable = "avx2,avx512f")]
+    fn exp16(x: __m512) -> __m512 {
+        let y = _mm512_mul_ps(x, _mm512_set1_ps(std::f32::consts::LOG2_E));
+        let n = _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(y);
+        let r = _mm512_mul_ps(_mm512_sub_ps(y, n), _mm512_set1_ps(std::f32::consts::LN_2));
+        let mut p = _mm512_set1_ps(1.0 / 720.0);
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.0 / 120.0));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.0 / 24.0));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.0 / 6.0));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(0.5));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.0));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.0));
+        let ni = _mm512_cvtps_epi32(n);
+        let scale = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(
+            ni,
+            _mm512_set1_epi32(127),
+        )));
+        let keep = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_set1_ps(-87.0));
+        _mm512_maskz_mov_ps(keep, _mm512_mul_ps(p, scale))
+    }
+
+    #[target_feature(enable = "avx2,avx512f")]
+    fn softmax_rows_avx512(rows: &mut [f32], n: usize) {
+        // As `avx2::softmax_rows_avx2`: a pass over every row of a tile of
+        // eight before the next pass, the `n % 8` tail's exponentials held
+        // in a register from the sum to the normalize.
+        let mut stat = [0.0f32; 8];
+        let mut etail = [_mm256_setzero_ps(); 8];
+        let mask = avx2::tail_mask(n % 8);
+        let t = rows.len() / n;
+        for (at, tile) in rows.chunks_mut(8 * n).enumerate() {
+            match t - 8 * at {
+                1 => avx2::row_maxes_avx2::<1>(tile, n, &mut stat),
+                2 => avx2::row_maxes_avx2::<2>(tile, n, &mut stat),
+                3 => avx2::row_maxes_avx2::<3>(tile, n, &mut stat),
+                4 => avx2::row_maxes_avx2::<4>(tile, n, &mut stat),
+                5 => avx2::row_maxes_avx2::<5>(tile, n, &mut stat),
+                6 => avx2::row_maxes_avx2::<6>(tile, n, &mut stat),
+                7 => avx2::row_maxes_avx2::<7>(tile, n, &mut stat),
+                _ => avx2::row_maxes_avx2::<8>(tile, n, &mut stat),
+            }
+            for ((row, stat), etail) in tile.chunks_exact_mut(n).zip(&mut stat).zip(&mut etail)
+            {
+                let (wide, rest) = row.as_chunks_mut::<16>();
+                let (eights, tail) = rest.as_chunks_mut::<8>();
+                let maxv = _mm512_set1_ps(*stat);
+                let max8 = _mm256_set1_ps(*stat);
+                let mut acc = _mm256_setzero_ps();
+                for c in wide {
+                    let e = exp16(_mm512_sub_ps(load16(c), maxv));
+                    store16(c, e);
+                    let (lo, hi) = halves(e);
+                    acc = _mm256_add_ps(_mm256_add_ps(acc, lo), hi);
+                }
+                for c in eights {
+                    let e = avx2::exp8(_mm256_sub_ps(avx2::load8(c), max8));
+                    avx2::store8(c, e);
+                    acc = _mm256_add_ps(acc, e);
+                }
+                if !tail.is_empty() {
+                    *etail = avx2::exp_tail(tail, max8);
+                    acc = _mm256_add_ps(acc, *etail);
+                }
+                *stat = reduce8(&avx2::spill(acc));
+            }
+            for ((row, sum), etail) in tile.chunks_exact_mut(n).zip(&stat).zip(&etail) {
+                let inv = 1.0 / sum.max(1e-12);
+                let (invv, inv8) = (_mm512_set1_ps(inv), _mm256_set1_ps(inv));
+                let (wide, rest) = row.as_chunks_mut::<16>();
+                let (eights, tail) = rest.as_chunks_mut::<8>();
+                for c in wide {
+                    store16(c, _mm512_mul_ps(load16(c), invv));
+                }
+                for c in eights {
+                    avx2::store8(c, _mm256_mul_ps(avx2::load8(c), inv8));
+                }
+                if !tail.is_empty() {
+                    let probs = _mm256_mul_ps(*etail, inv8);
+                    // SAFETY: the mask keeps the store to `tail`'s own floats.
+                    unsafe { _mm256_maskstore_ps(tail.as_mut_ptr(), mask, probs) };
+                }
+            }
+        }
+    }
+
+    /// Query-tile weighted sum — AVX-512 tier (see
+    /// [`super::scalar::attn_weighted_sum_tile_into`]). A register holds
+    /// sixteen context columns — a whole `dh = 16` row — each added over
+    /// `si` ascending, a rounded multiply then a rounded add, zero weights
+    /// skipped per row, as on AVX2; a head narrower than 16 and the columns
+    /// past the last 16 run the AVX2 body.
+    pub fn attn_weighted_sum_tile_into(
+        probs: &[f32],
+        values: &[f32],
+        stride: usize,
+        blocks: &Blocks,
+        ctx: &mut [f32],
+        cstride: usize,
+        dh: usize,
+    ) {
+        if dh < 16 {
+            return avx2::attn_weighted_sum_tile_into(
+                probs, values, stride, blocks, ctx, cstride, dh,
+            );
+        }
+        let t = blocks.rows(probs.len());
+        if t == 0 {
+            return;
+        }
+        assert!(ctx.len() >= (t - 1) * cstride + dh);
+        assert_avx512();
+        // SAFETY: as `avx2::attn_weighted_sum_tile_into`, with AVX-512F
+        // present (asserted).
+        unsafe {
+            match dh {
+                16 => weighted_sum_tile_avx512::<16>(
+                    probs, values, stride, blocks, ctx, cstride, dh,
+                ),
+                _ => weighted_sum_tile_avx512::<0>(
+                    probs, values, stride, blocks, ctx, cstride, dh,
+                ),
+            }
+        }
+    }
+
+    /// The weighted-sum body for `DH = 16`, or `dh` when `DH = 0`.
+    ///
+    /// # Safety
+    ///
+    /// As `avx2::weighted_sum_tile_avx2`, with AVX-512F.
+    #[target_feature(enable = "avx2,avx512f")]
+    unsafe fn weighted_sum_tile_avx512<const DH: usize>(
+        probs: &[f32],
+        values: &[f32],
+        stride: usize,
+        blocks: &Blocks,
+        ctx: &mut [f32],
+        cstride: usize,
+        dh: usize,
+    ) {
+        let dh = if DH == 0 { dh } else { DH };
+        let t = probs.len() / blocks.n;
+        let mut r = 0usize;
+        while r < t {
+            let rows = (t - r).min(avx2::WSUM_TILE);
+            let p = probs.as_ptr().add(r * blocks.n);
+            let c = ctx.as_mut_ptr().add(r * cstride);
+            let (v, b) = (values, blocks);
+            match rows {
+                1 => weighted_sum_rows_avx512::<1, DH>(p, v, stride, b, r, c, cstride, dh),
+                2 => weighted_sum_rows_avx512::<2, DH>(p, v, stride, b, r, c, cstride, dh),
+                3 => weighted_sum_rows_avx512::<3, DH>(p, v, stride, b, r, c, cstride, dh),
+                4 => weighted_sum_rows_avx512::<4, DH>(p, v, stride, b, r, c, cstride, dh),
+                _ => weighted_sum_rows_avx512::<5, DH>(p, v, stride, b, r, c, cstride, dh),
+            }
+            r += rows;
+        }
+        let base = dh / 16 * 16;
+        if base < dh {
+            avx2::weighted_sum_tile_avx2::<0>(
+                probs,
+                &values[base..],
+                stride,
+                blocks,
+                &mut ctx[base..],
+                cstride,
+                dh - base,
+            );
+        }
+    }
+
+    /// `R` context rows, two 16-column registers at a time (then an odd
+    /// last one).
+    ///
+    /// # Safety
+    ///
+    /// As [`weighted_sum_tile_avx512`], with `probs` and `ctx` at row
+    /// `row0`, `R` rows left from there and `DH` zero or `dh`.
+    #[target_feature(enable = "avx2,avx512f")]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn weighted_sum_rows_avx512<const R: usize, const DH: usize>(
+        probs: *const f32,
+        values: &[f32],
+        stride: usize,
+        blocks: &Blocks,
+        row0: usize,
+        ctx: *mut f32,
+        cstride: usize,
+        dh: usize,
+    ) {
+        let chunks = if DH == 0 { dh / 16 } else { DH / 16 };
+        let mut ch = 0usize;
+        while ch < chunks {
+            let (col, c) = (ch * 16, ctx.add(ch * 16));
+            let (v, b) = (values, blocks);
+            if ch + 2 <= chunks {
+                avx2::weighted_sum_block::<__m512, R, 2>(
+                    probs, v, col, stride, b, row0, c, cstride,
+                );
+                ch += 2;
+            } else {
+                avx2::weighted_sum_block::<__m512, R, 1>(
+                    probs, v, col, stride, b, row0, c, cstride,
+                );
+                ch += 1;
+            }
+        }
+    }
+
+    impl avx2::Reg for __m512 {
+        const LANES: usize = 16;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm512_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn add_mul(self, w: Self, v: Self) -> Self {
+            _mm512_add_ps(self, _mm512_mul_ps(w, v))
+        }
+    }
+}
+
 /// Packs a pre-transposed `k x n` matrix (`bt`, output columns
 /// contiguous) into the layout the `matmul_xpacked_into` kernels read:
 /// one sequential `k x 8` slab per full j-block (slab row `p` holds the
@@ -1704,6 +2405,8 @@ pub fn matmul_xpacked_into(a: &[f32], bp: &[f32], c: &mut [f32], m: usize, k: us
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 => avx2::matmul_xpacked_into(a, bp, c, m, k, n),
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx512 => avx512::matmul_xpacked_into(a, bp, c, m, k, n),
         _ => scalar::matmul_xpacked_into(a, bp, c, m, k, n),
     }
 }
@@ -1717,7 +2420,7 @@ pub fn row_max(row: &[f32]) -> f32 {
     }
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 => avx2::row_max(row),
+        IsaTier::Avx2 | IsaTier::Avx512 => avx2::row_max(row),
         _ => scalar::row_max(row),
     }
 }
@@ -1730,7 +2433,7 @@ pub fn row_max(row: &[f32]) -> f32 {
 pub fn sum_exp(row: &[f32], max: f32) -> f32 {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 => avx2::sum_exp(row, max),
+        IsaTier::Avx2 | IsaTier::Avx512 => avx2::sum_exp(row, max),
         _ => scalar::sum_exp(row, max),
     }
 }
@@ -1742,7 +2445,7 @@ pub fn sum_exp(row: &[f32], max: f32) -> f32 {
 pub fn gelu_into(buf: &mut [f32]) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 => avx2::gelu_into(buf),
+        IsaTier::Avx2 | IsaTier::Avx512 => avx2::gelu_into(buf),
         _ => scalar::gelu_into(buf),
     }
 }
@@ -1827,6 +2530,10 @@ pub fn attn_scores_packed_tile_into(
         IsaTier::Avx2 => {
             avx2::attn_scores_packed_tile_into(q, qstride, dh, kp, blocks, scale, scores)
         }
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx512 => {
+            avx512::attn_scores_packed_tile_into(q, qstride, dh, kp, blocks, scale, scores)
+        }
         _ => scalar::attn_scores_packed_tile_into(q, qstride, dh, kp, blocks, scale, scores),
     }
 }
@@ -1853,6 +2560,8 @@ pub fn softmax_rows_into(rows: &mut [f32], n: usize) {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2 => avx2::softmax_rows_into(rows, n),
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx512 => avx512::softmax_rows_into(rows, n),
         _ => rows.chunks_exact_mut(n.max(1)).for_each(scalar::softmax_into),
     }
 }
@@ -1895,6 +2604,10 @@ pub fn attn_weighted_sum_tile_into(
         IsaTier::Avx2 => {
             avx2::attn_weighted_sum_tile_into(probs, values, stride, blocks, ctx, cstride, dh)
         }
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx512 => {
+            avx512::attn_weighted_sum_tile_into(probs, values, stride, blocks, ctx, cstride, dh)
+        }
         _ => {
             scalar::attn_weighted_sum_tile_into(probs, values, stride, blocks, ctx, cstride, dh)
         }
@@ -1908,7 +2621,7 @@ type LnRowFn = fn(&[f32], &[f32], &[f32], &mut [f32]) -> (f32, f32);
 fn ln_row_fn() -> LnRowFn {
     match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        IsaTier::Avx2 => avx2::layer_norm_row_into,
+        IsaTier::Avx2 | IsaTier::Avx512 => avx2::layer_norm_row_into,
         _ => scalar::layer_norm_row_into,
     }
 }
@@ -1980,7 +2693,7 @@ pub(crate) mod tests {
     fn tier_knob_round_trips() {
         let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = active_tier();
-        for tier in [IsaTier::Scalar, IsaTier::Avx2] {
+        for tier in IsaTier::ALL {
             // A request the host cannot execute clamps to scalar instead
             // of crashing in the first kernel call.
             let want = if tier_supported(tier) { tier } else { IsaTier::Scalar };
@@ -1992,21 +2705,31 @@ pub(crate) mod tests {
 
     #[test]
     fn tier_request_resolves_against_what_the_host_supports() {
-        let with_avx2 = |_: IsaTier| true;
+        let every = |_: IsaTier| true;
+        let with_avx2 = |t: IsaTier| t != IsaTier::Avx512;
         let scalar_only = |t: IsaTier| t == IsaTier::Scalar;
         for (raw, supported, want) in [
-            ("", &with_avx2 as &dyn Fn(IsaTier) -> bool, (IsaTier::Avx2, None)),
+            ("", &every as &dyn Fn(IsaTier) -> bool, (IsaTier::Avx512, None)),
+            ("", &with_avx2, (IsaTier::Avx2, None)),
             (" Auto ", &with_avx2, (IsaTier::Avx2, None)),
             ("auto", &scalar_only, (IsaTier::Scalar, None)),
             ("scalar", &with_avx2, (IsaTier::Scalar, None)),
             ("avx2", &with_avx2, (IsaTier::Avx2, None)),
+            ("avx2", &every, (IsaTier::Avx2, None)),
             ("avx2", &scalar_only, (IsaTier::Scalar, Some("requested avx2: unsupported"))),
+            ("AVX512", &every, (IsaTier::Avx512, None)),
+            ("avx512", &with_avx2, (IsaTier::Scalar, Some("requested avx512: unsupported"))),
+            ("avx512", &scalar_only, (IsaTier::Scalar, Some("requested avx512: unsupported"))),
+            ("vnni", &every, (IsaTier::Avx512, Some("requested vnni: unknown"))),
             ("vnni", &with_avx2, (IsaTier::Avx2, Some("requested vnni: unknown"))),
             ("vnni", &scalar_only, (IsaTier::Scalar, Some("requested vnni: unknown"))),
-            ("AVX512", &with_avx2, (IsaTier::Avx2, Some("requested avx512: unknown"))),
         ] {
             let (tier, note) = tier_for_request(raw, supported);
             assert_eq!((tier, note.as_deref()), want, "{raw:?}");
+        }
+        // The warning names every tier a request may take.
+        for tier in IsaTier::ALL {
+            assert!(VALID_TIERS.split(", ").any(|v| v == tier.name()), "{}", tier.name());
         }
     }
 

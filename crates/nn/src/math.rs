@@ -10,13 +10,24 @@
 
 use crate::kernels;
 
-/// Transposes `src[rows, cols]` into `dst[cols, rows]`.
+/// Transposes `src[rows, cols]` into `dst[cols, rows]`, an 8 × 8 tile at
+/// a time: the tile's eight source rows stay in cache while each of its
+/// columns is written as a run of eight, where a whole column at a time
+/// strode across every row of the destination.
 pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(dst.len(), rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            dst[c * rows + r] = src[r * cols + c];
+    const T: usize = 8;
+    assert_eq!(src.len(), rows * cols);
+    assert_eq!(dst.len(), rows * cols);
+    for r0 in (0..rows).step_by(T) {
+        let tile_rows = T.min(rows - r0);
+        for c0 in (0..cols).step_by(T) {
+            let tile_cols = T.min(cols - c0);
+            for c in c0..c0 + tile_cols {
+                let out = &mut dst[c * rows + r0..][..tile_rows];
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = src[(r0 + i) * cols + c];
+                }
+            }
         }
     }
 }
@@ -138,6 +149,27 @@ mod tests {
         let mut c = vec![f32::NAN; 2];
         kernels::scalar::matmul_transb_into(&a, &b, &mut c, 1, 3, 2);
         assert_eq!(c, vec![4.0, 3.0]);
+    }
+
+    /// The tiled transpose moves every element where the plain double loop
+    /// puts it, at shapes with and without ragged last tiles.
+    #[test]
+    fn transpose_matches_the_naive_loop() {
+        for rows in [0usize, 1, 7, 9, 17] {
+            for cols in [1usize, 8, 120] {
+                let src: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
+                let mut want = vec![f32::NAN; rows * cols];
+                for r in 0..rows {
+                    for c in 0..cols {
+                        want[c * rows + r] = src[r * cols + c];
+                    }
+                }
+                let mut got = vec![f32::NAN; rows * cols];
+                transpose_into(&src, &mut got, rows, cols);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{rows} x {cols}");
+            }
+        }
     }
 
     #[test]

@@ -2254,7 +2254,7 @@ mod tests {
     /// `dQ`, `dK`, `dV` and the returned `(dx, dkv)` each within
     /// `1e-5` of the reference's largest magnitude — f32 rounding over
     /// sums of at most 32 terms, four orders under the finite-difference
-    /// checks' 0.15 — on both tiers, which agree bit for bit. Weights
+    /// checks' 0.15 — on every tier, which agree bit for bit. Weights
     /// in `[-1, 1)` make the softmax rows peaked rather than uniform.
     #[test]
     fn attention_backward_matches_an_f64_reference() {
@@ -2269,7 +2269,7 @@ mod tests {
                 TransformerConfig { d_model: d, n_heads: 2, ..TransformerConfig::tiny(12) };
             for (n, &(t, s, causal)) in shapes.iter().enumerate() {
                 let mut by_tier = Vec::new();
-                for tier in [kernels::IsaTier::Scalar, kernels::IsaTier::Avx2] {
+                for tier in kernels::IsaTier::ALL {
                     if kernels::set_tier(tier) != tier {
                         continue;
                     }

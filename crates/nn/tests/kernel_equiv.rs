@@ -2,9 +2,11 @@
 //! (satellite of the SIMD dispatch work; see `kernels` module docs).
 //!
 //! SIMD tiers are compared against the scalar reference by calling the
-//! per-tier entry points directly (`scalar::` vs `avx2::`), not via
-//! [`slade_nn::kernels::set_tier`] — the dispatch override is
+//! per-tier entry points directly (`scalar::`, `avx2::`, `avx512::`), not
+//! via [`slade_nn::kernels::set_tier`] — the dispatch override is
 //! process-global and these tests run on the harness's parallel threads.
+//! A test of a tier this host lacks passes without running it; CI runs
+//! each tier where its runner has it.
 //! Shapes deliberately cover the awkward cases: `k` not a multiple of
 //! the 8-lane width (tail path), `m = 1` / `n = 1` (degenerate tiles),
 //! and `n` not a multiple of 8 (the packed layout's column tail).
@@ -13,15 +15,61 @@
 //! recursive muncher and a combined block overflows the recursion limit.
 
 use proptest::prelude::*;
-use slade_nn::kernels::{self, scalar, Blocks};
+use slade_nn::kernels::{self, scalar, Blocks, IsaTier};
 
 fn mat(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-4.0f32..4.0, len)
 }
 
-#[cfg(target_arch = "x86_64")]
-fn has_avx2() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
+/// Whether this host executes `tier`'s bodies.
+fn has(tier: IsaTier) -> bool {
+    kernels::tier_supported(tier)
+}
+
+type ScoresFn = fn(&[f32], usize, usize, &[f32], &Blocks, f32, &mut [f32]);
+type WeightedSumFn = fn(&[f32], &[f32], usize, &Blocks, &mut [f32], usize, usize);
+type SoftmaxFn = fn(&mut [f32], usize);
+type MatmulFn = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// One tier's own bodies of the four kernels every tier but scalar has a
+/// vector body of (the AVX-512 tier's other kernels are AVX2's).
+#[derive(Clone, Copy)]
+struct Bodies {
+    scores: ScoresFn,
+    weighted_sum: WeightedSumFn,
+    softmax: SoftmaxFn,
+    matmul: MatmulFn,
+}
+
+/// `tier`'s bodies, called directly rather than through the dispatch.
+fn bodies(tier: IsaTier) -> Bodies {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx2 => Bodies {
+            scores: kernels::avx2::attn_scores_packed_tile_into,
+            weighted_sum: kernels::avx2::attn_weighted_sum_tile_into,
+            softmax: kernels::avx2::softmax_rows_into,
+            matmul: kernels::avx2::matmul_xpacked_into,
+        },
+        #[cfg(target_arch = "x86_64")]
+        IsaTier::Avx512 => Bodies {
+            scores: kernels::avx512::attn_scores_packed_tile_into,
+            weighted_sum: kernels::avx512::attn_weighted_sum_tile_into,
+            softmax: kernels::avx512::softmax_rows_into,
+            matmul: kernels::avx512::matmul_xpacked_into,
+        },
+        _ => Bodies {
+            scores: scalar::attn_scores_packed_tile_into,
+            weighted_sum: scalar::attn_weighted_sum_tile_into,
+            softmax: |rows, n| rows.chunks_exact_mut(n.max(1)).for_each(scalar::softmax_into),
+            matmul: scalar::matmul_xpacked_into,
+        },
+    }
+}
+
+/// Every tier of [`IsaTier::ALL`] this host executes, with its bodies.
+fn tiers() -> Vec<(IsaTier, Bodies)> {
+    IsaTier::ALL.into_iter().filter(|&t| has(t)).map(|t| (t, bodies(t))).collect()
 }
 
 /// Deterministic pseudo-random matrix (splitmix-style; no rand dep so
@@ -82,6 +130,33 @@ fn same_bits(x: f32, y: f32) -> bool {
     x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
 }
 
+/// `matmul`, a tier's projection body, against the scalar spec at `(m, k,
+/// n)` and at `(m, k, 706)`, with specials of `kind` planted in `a` and the
+/// weights.
+fn xposed_matches_scalar(
+    matmul: MatmulFn,
+    (m, k, n): (usize, usize, usize),
+    kind: u8,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    for n in [n, 706] {
+        let (mut a, mut w) = (seeded(seed, m * k), seeded(seed ^ 0xc, k * n)); // w: k x n
+        plant(&mut a, &mut w, (m, k, n), (1, n), kind, seed as usize);
+        let bp = kernels::pack_xposed_blocks(&w, k, n);
+        let mut cs = vec![0.0f32; m * n];
+        let mut cv = vec![0.0f32; m * n];
+        scalar::matmul_xpacked_into(&a, &bp, &mut cs, m, k, n);
+        matmul(&a, &bp, &mut cv, m, k, n);
+        for (at, (s, v)) in cs.iter().zip(&cv).enumerate() {
+            prop_assert!(
+                same_bits(*s, *v),
+                "shape ({m},{k},{n}) kind {kind} at {at}: {s} vs {v}"
+            );
+        }
+    }
+    Ok(())
+}
+
 #[cfg(target_arch = "x86_64")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -111,24 +186,38 @@ proptest! {
         kind in 0u8..4,
         seed in 0u64..1_000,
     ) {
-        if !has_avx2() {
-            return Ok(());
+        if has(IsaTier::Avx2) {
+            xposed_matches_scalar(bodies(IsaTier::Avx2).matmul, (m, k, n), kind, seed)?;
         }
-        // The transposed orientation exists as one kernel: the packed one.
-        for n in [n, 706] {
-            let (mut a, mut w) = (seeded(seed, m * k), seeded(seed ^ 0xc, k * n)); // w: k x n
-            plant(&mut a, &mut w, (m, k, n), (1, n), kind, seed as usize);
-            let bp = kernels::pack_xposed_blocks(&w, k, n);
-            let mut cs = vec![0.0f32; m * n];
-            let mut cv = vec![0.0f32; m * n];
-            scalar::matmul_xpacked_into(&a, &bp, &mut cs, m, k, n);
-            kernels::avx2::matmul_xpacked_into(&a, &bp, &mut cv, m, k, n);
-            for (at, (s, v)) in cs.iter().zip(&cv).enumerate() {
-                prop_assert!(
-                    same_bits(*s, *v),
-                    "shape ({},{},{}) kind {} at {}: {} vs {}", m, k, n, kind, at, s, v
-                );
-            }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The AVX-512 projection body, whose register is two adjacent slabs,
+    /// against the scalar spec at the AVX2 test's shapes: `n` 1..=48 and
+    /// 706 reach slab pairs two and one register wide, the odd last slab
+    /// and the tail columns the AVX2 instance takes; `m` 1..=12 every row
+    /// remainder of the 4-row tile.
+    ///
+    /// Mutations that fail it and the transb test below (each in a copy of
+    /// the crate, reverted): the two slabs of a register swapped
+    /// (`load_halves(at.add(k * 8), at)`; `(3,26,706)`); a fused
+    /// multiply-add, `_mm512_fmadd_ps(av, bv, *o)` (one ulp, `(3,26,706)`);
+    /// both lane partials started at `-0.0`, which is the first `0.0 + a·b`
+    /// add dropped (`(9,8,706)` planted kind 1: `+0.0` wanted, `-0.0` got).
+    #[test]
+    fn avx512_xposed_is_bit_identical_to_scalar(
+        m in 1usize..=12,
+        k in 1usize..=136,
+        n in 1usize..=48,
+        kind in 0u8..4,
+        seed in 0u64..1_000,
+    ) {
+        if has(IsaTier::Avx512) {
+            xposed_matches_scalar(bodies(IsaTier::Avx512).matmul, (m, k, n), kind, seed)?;
         }
     }
 }
@@ -139,7 +228,7 @@ proptest! {
 
     #[test]
     fn avx2_row_max_is_bit_identical_to_scalar(row in mat(57)) {
-        if !has_avx2() {
+        if !has(IsaTier::Avx2) {
             return Ok(());
         }
         for len in [1usize, 7, 8, 9, 31, 57] {
@@ -158,7 +247,7 @@ proptest! {
 
     #[test]
     fn avx2_sum_exp_is_bit_identical_to_scalar(row in mat(57)) {
-        if !has_avx2() {
+        if !has(IsaTier::Avx2) {
             return Ok(());
         }
         for len in [1usize, 7, 8, 9, 31, 57] {
@@ -203,7 +292,7 @@ proptest! {
 
     #[test]
     fn avx2_gelu_is_bit_identical_to_scalar(row in mat(57)) {
-        if !has_avx2() {
+        if !has(IsaTier::Avx2) {
             return Ok(());
         }
         for len in [1usize, 7, 8, 9, 31, 57] {
@@ -336,15 +425,9 @@ fn packed_attn_scores_are_bit_identical_to_row_major_scalar() {
                             &mut want[r * n..(r + 1) * n],
                         );
                     }
-                    type Kernel = fn(&[f32], usize, usize, &[f32], &Blocks, f32, &mut [f32]);
-                    let mut tiers: Vec<(&str, Kernel)> = vec![
-                        ("scalar", scalar::attn_scores_packed_tile_into),
-                        ("dispatch", kernels::attn_scores_packed_tile_into),
-                    ];
-                    #[cfg(target_arch = "x86_64")]
-                    if has_avx2() {
-                        tiers.push(("avx2", kernels::avx2::attn_scores_packed_tile_into));
-                    }
+                    let mut tiers: Vec<(&str, ScoresFn)> =
+                        tiers().into_iter().map(|(t, b)| (t.name(), b.scores)).collect();
+                    tiers.push(("dispatch", kernels::attn_scores_packed_tile_into));
                     for (tier, kernel) in tiers {
                         let mut got = vec![f32::NAN; t * n];
                         kernel(&q[OFF..], qstride, dh, &kp, &Blocks::one(n), scale, &mut got);
@@ -357,6 +440,131 @@ fn packed_attn_scores_are_bit_identical_to_row_major_scalar() {
                                 i % n
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The packed score tile of every tier against the row-major scalar spec,
+/// where a register of two key groups differs from one of one: key counts
+/// with an odd number of groups (8, 24, 40, 707) and every `n % 8` tail up
+/// to 48; head widths 8 and 16 (the const-width instances), 3 and 24 (the
+/// run-time one); one block every row reads, and per-row tables of blocks
+/// of 8 (each one group: the AVX2 body) and of 16 (the decoder
+/// self-attention's: one register); tiles of 1, 2, 4 and 5 rows; and the
+/// projection tests' specials planted in the queries and the keys: `-0.0`
+/// (a query row of `-0.0` against a key of positive values, whose score is
+/// `+0.0` only if the first `0.0 + q·k` add is kept), `±inf`, NaN.
+///
+/// Mutations that fail it (each in a copy of the crate, reverted): the two
+/// groups of an AVX-512 register swapped (`load_halves` of `(dh + j) * 8`
+/// before `j * 8`; `dh 3 n 9`); a fused multiply-add in
+/// `group_pair_dots_avx512` (`_mm512_fmadd_ps(qv, kv, *a)`; one ulp, `dh 16
+/// n 9`); its lane partials started at `-0.0`, which is the first `0.0 +
+/// q·k` add dropped (`dh 3 n 9 kind 1`: `+0.0` wanted, `-0.0` got). Each
+/// also fails the packed test, and the first two the block-walking one.
+#[test]
+fn packed_scores_keep_specials_at_every_group_count() {
+    for (dh, n) in [3usize, 8, 16, 24]
+        .into_iter()
+        .flat_map(|dh| (1usize..=48).chain([707]).map(move |n| (dh, n)))
+    {
+        let scale = 1.0 / (dh as f32).sqrt();
+        for (kind, t) in (0u8..4).flat_map(|kind| [1usize, 2, 4, 5].map(|t| (kind, t))) {
+            let seed = (dh * 1009 + n * 7 + t) as u64 * 4 + kind as u64;
+            let (mut q, mut keys) = (seeded(seed, t * dh), seeded(seed ^ 0x31, n * dh));
+            plant(&mut q, &mut keys, (t, dh, n), (dh, 1), kind, seed as usize);
+            let mut want = vec![f32::NAN; t * n];
+            for (r, row) in want.chunks_exact_mut(n).enumerate() {
+                scalar::attn_scores_into(&q[r * dh..][..dh], &keys, dh, scale, row);
+            }
+            for block in [n, 8, 16] {
+                // Every row its own copy of every block, at ids scattered
+                // over the pool by a stride of 3.
+                let nb = n.div_ceil(block);
+                let floats = kernels::packed_keys_len(block, dh);
+                let ids = t * nb + usize::from((t * nb).is_multiple_of(3));
+                let tables: Vec<u32> = (0..t * nb).map(|e| (e * 3 % ids) as u32).collect();
+                let mut pool = vec![f32::NAN; ids * floats];
+                for (e, &id) in tables.iter().enumerate() {
+                    let (i, at) = (e % nb, id as usize * floats);
+                    let len = block.min(n - i * block);
+                    let kb = &mut pool[at..][..kernels::packed_keys_len(len, dh)];
+                    kernels::pack_keys(&keys[i * block * dh..], dh, len, dh, kb);
+                }
+                let blocks = Blocks { tables: &tables, tstride: nb, block, bstride: floats, n };
+                for (tier, body) in tiers() {
+                    let mut got = vec![f32::NAN; t * n];
+                    (body.scores)(&q, dh, dh, &pool, &blocks, scale, &mut got);
+                    for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                        assert!(
+                            same_bits(*w, *g),
+                            "{}: dh {dh} n {n} kind {kind} rows {t} block {block} at {i}: {w} vs {g}",
+                            tier.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The softmax of every tier against the scalar one row by row, at every
+/// length 1..=100 — every `n % 16` tail of the AVX-512 body behind zero to
+/// five whole registers, and the short rows below its threshold that take
+/// the AVX2 body — and at 512, 707 and 1024. Tiles of 1, 2, 8 and 9 rows
+/// (the bodies take eight per pass) mix unlike rows: plain; all negative;
+/// widened into the flush-to-zero range; `-inf` slots; all `-inf` (a zero
+/// sum, `+0.0` everywhere); a NaN first, in the middle or last.
+///
+/// Mutations that fail it (each in a copy of the crate, reverted): the
+/// AVX-512 sum folded sixteen lanes wide — a 512-bit accumulator whose
+/// halves are added once at the end — instead of each register's two
+/// halves joining the 8-lane sum in position order (one ulp, `n 32`); the
+/// halves added high first (`n 32`).
+#[test]
+fn softmax_rows_match_scalar_at_every_sixteen_lane_tail() {
+    for n in (1usize..=100).chain([512, 707, 1024]) {
+        let kinds: Vec<Vec<f32>> = (0..9)
+            .map(|kind| {
+                let mut row = seeded((n * 11 + kind) as u64, n);
+                match kind {
+                    1 => row.iter_mut().for_each(|v| *v = -1.5 - v.abs()),
+                    2 => row.iter_mut().for_each(|v| *v *= 120.0),
+                    3 => row
+                        .iter_mut()
+                        .skip(n % 3)
+                        .step_by(3)
+                        .for_each(|v| *v = f32::NEG_INFINITY),
+                    4 => row.fill(f32::NEG_INFINITY),
+                    5 => row[0] = f32::NAN,
+                    6 => row[n / 2] = f32::NAN,
+                    7 => row[n - 1] = f32::NAN,
+                    _ => {}
+                }
+                row
+            })
+            .collect();
+        for (t, shift) in
+            [1usize, 2, 8, 9].into_iter().flat_map(|t| (0..9).map(move |s| (t, s)))
+        {
+            let rows: Vec<&Vec<f32>> =
+                (0..t).map(|r| &kinds[(r + shift) % kinds.len()]).collect();
+            let tile: Vec<f32> = rows.iter().flat_map(|r| r.iter().copied()).collect();
+            for (tier, body) in tiers() {
+                let mut got = tile.clone();
+                (body.softmax)(&mut got, n);
+                for (r, row) in rows.iter().enumerate() {
+                    let mut want = row.to_vec();
+                    scalar::softmax_into(&mut want);
+                    for (i, (w, g)) in want.iter().zip(&got[r * n..]).enumerate() {
+                        assert!(
+                            same_bits(*w, *g),
+                            "{}: n {n} rows {t} shift {shift}: row {r} at {i}: {w} vs {g}",
+                            tier.name()
+                        );
                     }
                 }
             }
@@ -391,7 +599,7 @@ fn packed_attn_scores_are_bit_identical_to_row_major_scalar() {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
-    if !has_avx2() {
+    if !has(IsaTier::Avx2) {
         return;
     }
     for dh in [4usize, 8, 12, 16, 24, 32] {
@@ -507,7 +715,7 @@ fn avx2_weighted_sum_tile_is_bit_identical_to_scalar_rows() {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn avx2_weighted_sum_finds_a_zero_in_any_row_of_the_tile() {
-    if !has_avx2() {
+    if !has(IsaTier::Avx2) {
         return;
     }
     const BLOCK: usize = 16;
@@ -603,23 +811,26 @@ proptest! {
 
     /// The weighted sum is the matmul: `attn_weighted_sum_tile_into(a, b,
     /// n, &Blocks::one(k), c, n, n)` on a zeroed `c` — every product of the
-    /// backward — against the serial oracle, on the scalar tier and on
-    /// AVX2 where the host has it. Shapes reach the backward's: `m` 1..=12
-    /// (two register tiles of five and a ragged rest), `k` 0..=136 and 700
-    /// (no keys, every `k % 8`, the vocabulary of the tied logits' `dE`),
-    /// `n` 1..=48, 64 and 128 (the model and FFN widths, through the AVX2
-    /// body's run-time width with its scalar remainder). Specials are
-    /// planted in `a` and `b`; under `±inf` and NaN one row of `a` also
-    /// holds a `0.0` or `-0.0` weight against each non-finite row of `b`,
-    /// so a zero weight that is added instead of skipped shows as `0 · inf`
-    /// or `0 · NaN = NaN`.
+    /// backward — against the serial oracle, on every tier the host has.
+    /// Shapes reach the backward's: `m` 1..=12 (two register tiles of five
+    /// and a ragged rest), `k` 0..=136 and 700 (no keys, every `k % 8`, the
+    /// vocabulary of the tied logits' `dE`), `n` 1..=48, 64, 128 and 706
+    /// (the model and FFN widths and the vocabulary, through the vector
+    /// bodies' run-time width: AVX-512's 16-column registers, one or two at
+    /// a time, then an AVX2 8-column chunk and the scalar remainder).
+    /// Specials are planted in `a` and `b`; under `±inf` and NaN one row of
+    /// `a` also holds a `0.0` or `-0.0` weight against each non-finite row
+    /// of `b`, so a zero weight that is added instead of skipped shows as
+    /// `0 · inf` or `0 · NaN = NaN`.
     ///
     /// Mutations that fail it (each in a copy of the crate, reverted), all
     /// at the first case, `(12,74,33)` kind 3: the zero skip dropped from
     /// the scalar per-row body, or `any_zero_weight` answering `false` so
     /// the AVX2 body tests no weight (`NaN` got); a fused multiply-add,
     /// `w.mul_add(v, *c)`, in the scalar body, or `p` walked in reverse
-    /// there (a few ulps).
+    /// there (a few ulps); the AVX-512 `add_mul` fused (a few ulps) or
+    /// `weighted_sum_key`'s zero skip dropped (NaN got), both at the first
+    /// case too.
     #[test]
     fn weighted_sum_is_the_serial_matmul(
         m in 1usize..=12,
@@ -628,7 +839,8 @@ proptest! {
         kind in 0u8..4,
         seed in 0u64..1_000,
     ) {
-        for (k, n) in [k, 700].into_iter().flat_map(|k| [n, 64, 128].map(|n| (k, n))) {
+        let widths = [k, 700].into_iter().flat_map(|k| [n, 64, 128].map(|n| (k, n)));
+        for (k, n) in widths.chain([(k, 706)]) {
             let (mut a, mut b) = (seeded(seed, m * k), seeded(seed ^ 0xb, k * n));
             if k > 0 {
                 plant(&mut a, &mut b, (m, k, n), (1, n), kind, seed as usize);
@@ -639,20 +851,14 @@ proptest! {
             }
             let want = matmul_oracle(&a, &b, m, k, n);
             let blocks = Blocks::one(k);
-            let mut got = vec![0.0f32; m * n];
-            scalar::attn_weighted_sum_tile_into(&a, &b, n, &blocks, &mut got, n, n);
-            let mut tiers = vec![("scalar", got)];
-            #[cfg(target_arch = "x86_64")]
-            if has_avx2() {
+            for (tier, body) in tiers() {
                 let mut got = vec![0.0f32; m * n];
-                kernels::avx2::attn_weighted_sum_tile_into(&a, &b, n, &blocks, &mut got, n, n);
-                tiers.push(("avx2", got));
-            }
-            for (tier, got) in &tiers {
-                for (at, (w, g)) in want.iter().zip(got).enumerate() {
+                (body.weighted_sum)(&a, &b, n, &blocks, &mut got, n, n);
+                for (at, (w, g)) in want.iter().zip(&got).enumerate() {
                     prop_assert!(
                         same_bits(*w, *g),
-                        "{} shape ({},{},{}) kind {} at {}: {} vs {}", tier, m, k, n, kind, at, w, g
+                        "{} shape ({},{},{}) kind {} at {}: {} vs {}",
+                        tier.name(), m, k, n, kind, at, w, g
                     );
                 }
             }
@@ -660,8 +866,8 @@ proptest! {
     }
 }
 
-/// The block-walking tile kernels — scalar body, AVX2 body, dispatched
-/// entry point — against the per-row scalar kernels over the same keys and
+/// The block-walking tile kernels — every tier's body, dispatched entry
+/// point — against the per-row scalar kernels over the same keys and
 /// values laid out contiguously, which is their definition: every `dh`
 /// shape × every fill of the last block × 1..=5 blocks × 1..=8 query rows
 /// (two register tiles of either kernel, the second ragged). Each row has a
@@ -676,7 +882,7 @@ proptest! {
 /// `SKIP_ZEROS` in shared and unshared blocks alike.
 ///
 /// Mutations that fail it (each reverted): `scores_packed_rows_avx2` and
-/// `weighted_sum_block_avx2` reading every row's block where row `row0`'s
+/// `weighted_sum_block` reading every row's block where row `row0`'s
 /// table says (`blocks.start(row0, i)`), and a tile counted as sharing a
 /// block when its first two rows do (`kb.iter().take(2)`) — both first at
 /// `dh 1 fill 1 blocks 1 rows 4`, whose third row has a block of its own;
@@ -687,11 +893,13 @@ proptest! {
 fn block_walking_tile_kernels_match_scalar_rows_over_contiguous_keys() {
     const BLOCK: usize = 16;
     const OFF: usize = 3;
-    let mut tiers: Vec<&str> = vec!["scalar", "dispatch"];
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        tiers.push("avx2");
-    }
+    let mut tiers: Vec<(&str, ScoresFn, WeightedSumFn)> =
+        tiers().into_iter().map(|(t, b)| (t.name(), b.scores, b.weighted_sum)).collect();
+    tiers.push((
+        "dispatch",
+        kernels::attn_scores_packed_tile_into,
+        kernels::attn_weighted_sum_tile_into,
+    ));
     for dh in 1usize..=33 {
         let scale = 1.0 / (dh as f32).sqrt();
         let (qstride, cstride, vstride) = (dh + 5, dh + 2, dh + 3);
@@ -780,56 +988,13 @@ fn block_walking_tile_kernels_match_scalar_rows_over_contiguous_keys() {
                 let kblocks =
                     Blocks { tables: &tables, tstride: nb, block: BLOCK, bstride: kstride, n };
                 let vblocks = Blocks { bstride: vblock, ..kblocks };
-                for &tier in &tiers {
+                for &(tier, scores, weighted_sum) in &tiers {
                     let mut got_scores = vec![f32::NAN; t * n];
                     let mut got_ctx = seed_ctx.clone();
                     let (kp, vp, qv) = (&kpool[OFF..], &vpool[OFF..], &q[OFF..]);
                     let ctx = &mut got_ctx[OFF..];
-                    match tier {
-                        "scalar" => {
-                            scalar::attn_scores_packed_tile_into(
-                                qv,
-                                qstride,
-                                dh,
-                                kp,
-                                &kblocks,
-                                scale,
-                                &mut got_scores,
-                            );
-                            scalar::attn_weighted_sum_tile_into(
-                                &probs, vp, vstride, &vblocks, ctx, cstride, dh,
-                            );
-                        }
-                        #[cfg(target_arch = "x86_64")]
-                        "avx2" => {
-                            kernels::avx2::attn_scores_packed_tile_into(
-                                qv,
-                                qstride,
-                                dh,
-                                kp,
-                                &kblocks,
-                                scale,
-                                &mut got_scores,
-                            );
-                            kernels::avx2::attn_weighted_sum_tile_into(
-                                &probs, vp, vstride, &vblocks, ctx, cstride, dh,
-                            );
-                        }
-                        _ => {
-                            kernels::attn_scores_packed_tile_into(
-                                qv,
-                                qstride,
-                                dh,
-                                kp,
-                                &kblocks,
-                                scale,
-                                &mut got_scores,
-                            );
-                            kernels::attn_weighted_sum_tile_into(
-                                &probs, vp, vstride, &vblocks, ctx, cstride, dh,
-                            );
-                        }
-                    }
+                    scores(qv, qstride, dh, kp, &kblocks, scale, &mut got_scores);
+                    weighted_sum(&probs, vp, vstride, &vblocks, ctx, cstride, dh);
                     let case = format!("{tier}: dh {dh} fill {fill} blocks {nb} rows {t}");
                     for (i, (w, g)) in want_scores.iter().zip(&got_scores).enumerate() {
                         assert_eq!(w.to_bits(), g.to_bits(), "{case}: score {i} {w} vs {g}");
@@ -863,7 +1028,7 @@ fn block_walking_tile_kernels_match_scalar_rows_over_contiguous_keys() {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn avx2_softmax_and_sum_exp_match_scalar_at_every_tail() {
-    if !has_avx2() {
+    if !has(IsaTier::Avx2) {
         return;
     }
     for n in 1usize..=70 {
@@ -948,7 +1113,7 @@ fn avx2_softmax_and_sum_exp_match_scalar_at_every_tail() {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn avx2_softmax_keeps_each_rows_max_in_a_tile_of_unlike_rows() {
-    if !has_avx2() {
+    if !has(IsaTier::Avx2) {
         return;
     }
     for n in 1usize..=40 {
@@ -992,29 +1157,35 @@ fn avx2_softmax_keeps_each_rows_max_in_a_tile_of_unlike_rows() {
 // the whole rows in it — none, for a buffer shorter than one — leaving the
 // rest, or all of it, stale. It panics on every tier, in release too.
 
-/// `kernel` over `len` scores in rows of 6.
-fn scores_with_len(tier: &str, len: usize) {
-    type Kernel = fn(&[f32], usize, usize, &[f32], &Blocks, f32, &mut [f32]);
-    let kernel: Kernel = match tier {
-        #[cfg(target_arch = "x86_64")]
-        "avx2" if has_avx2() => kernels::avx2::attn_scores_packed_tile_into,
-        "dispatch" => kernels::attn_scores_packed_tile_into,
-        _ => scalar::attn_scores_packed_tile_into,
-    };
-    let kp = vec![0.5f32; kernels::packed_keys_len(6, 4)];
-    kernel(&[1.0; 8], 4, 4, &kp, &Blocks::one(6), 1.0, &mut vec![0.0; len]);
+/// Keys per row and head width of the two helpers below: two key groups,
+/// so that every tier runs its own body.
+const ROW: usize = 16;
+
+/// The bodies of the tier named `tier`, or the scalar ones where this host
+/// lacks it.
+fn named(tier: &str) -> Bodies {
+    let tier = IsaTier::ALL.into_iter().find(|&t| t.name() == tier && has(t));
+    bodies(tier.unwrap_or(IsaTier::Scalar))
 }
 
-/// `kernel` over `len` weights in rows of 6.
-fn weighted_sum_with_len(tier: &str, len: usize) {
-    type Kernel = fn(&[f32], &[f32], usize, &Blocks, &mut [f32], usize, usize);
-    let kernel: Kernel = match tier {
-        #[cfg(target_arch = "x86_64")]
-        "avx2" if has_avx2() => kernels::avx2::attn_weighted_sum_tile_into,
-        "dispatch" => kernels::attn_weighted_sum_tile_into,
-        _ => scalar::attn_weighted_sum_tile_into,
+/// `kernel` over `len` scores in rows of [`ROW`].
+fn scores_with_len(tier: &str, len: usize) {
+    let kernel = match tier {
+        "dispatch" => kernels::attn_scores_packed_tile_into,
+        _ => named(tier).scores,
     };
-    kernel(&vec![0.1; len], &[0.5; 6 * 8], 8, &Blocks::one(6), &mut [0.0; 16], 8, 8);
+    let kp = vec![0.5f32; kernels::packed_keys_len(ROW, ROW)];
+    kernel(&[1.0; 2 * ROW], ROW, ROW, &kp, &Blocks::one(ROW), 1.0, &mut vec![0.0; len]);
+}
+
+/// `kernel` over `len` weights in rows of [`ROW`].
+fn weighted_sum_with_len(tier: &str, len: usize) {
+    let kernel = match tier {
+        "dispatch" => kernels::attn_weighted_sum_tile_into,
+        _ => named(tier).weighted_sum,
+    };
+    let (values, ctx) = (vec![0.5; ROW * ROW], &mut [0.0; 2 * ROW]);
+    kernel(&vec![0.1; len], &values, ROW, &Blocks::one(ROW), ctx, ROW, ROW);
 }
 
 #[test]
@@ -1031,14 +1202,20 @@ fn avx2_tile_scores_reject_a_buffer_shorter_than_a_row() {
 
 #[test]
 #[should_panic(expected = "not whole rows")]
+fn avx512_tile_scores_reject_a_buffer_shorter_than_a_row() {
+    scores_with_len("avx512", 5);
+}
+
+#[test]
+#[should_panic(expected = "not whole rows")]
 fn tile_scores_reject_a_ragged_last_row() {
-    scores_with_len("dispatch", 2 * 6 + 1);
+    scores_with_len("dispatch", 2 * ROW + 1);
 }
 
 #[test]
 #[should_panic(expected = "not whole rows")]
 fn scalar_tile_weighted_sum_rejects_a_ragged_last_row() {
-    weighted_sum_with_len("scalar", 6 + 5);
+    weighted_sum_with_len("scalar", ROW + 5);
 }
 
 #[test]
@@ -1047,12 +1224,18 @@ fn avx2_tile_weighted_sum_rejects_a_buffer_shorter_than_a_row() {
     weighted_sum_with_len("avx2", 5);
 }
 
+#[test]
+#[should_panic(expected = "not whole rows")]
+fn avx512_tile_weighted_sum_rejects_a_buffer_shorter_than_a_row() {
+    weighted_sum_with_len("avx512", 5);
+}
+
 /// Whole rows pass on every tier (the helpers above are not what panics).
 #[test]
 fn tile_kernels_take_whole_rows() {
-    for tier in ["scalar", "avx2", "dispatch"] {
-        scores_with_len(tier, 12);
-        weighted_sum_with_len(tier, 12);
+    for tier in IsaTier::ALL.map(IsaTier::name).into_iter().chain(["dispatch"]) {
+        scores_with_len(tier, 2 * ROW);
+        weighted_sum_with_len(tier, 2 * ROW);
     }
 }
 
@@ -1062,7 +1245,7 @@ proptest! {
 
     #[test]
     fn avx2_softmax_is_bit_identical_to_scalar(row in mat(57), widen in 0usize..2) {
-        if !has_avx2() {
+        if !has(IsaTier::Avx2) {
             return Ok(());
         }
         for len in [1usize, 7, 8, 9, 31, 57] {
@@ -1090,7 +1273,7 @@ proptest! {
         zero_every in 1usize..4,
         seed in 0u64..1_000,
     ) {
-        if !has_avx2() {
+        if !has(IsaTier::Avx2) {
             return Ok(());
         }
         let stride = dh + 5;
@@ -1120,7 +1303,7 @@ proptest! {
 
     #[test]
     fn avx2_layer_norm_row_is_bit_identical_to_scalar(row in mat(57), seed in 0u64..1_000) {
-        if !has_avx2() {
+        if !has(IsaTier::Avx2) {
             return Ok(());
         }
         for len in [1usize, 7, 8, 9, 31, 57] {

@@ -190,7 +190,7 @@ pub struct MetricsSnapshot {
     /// Tokens decoded so far across all shards (one per live lane per
     /// engine step; cache hits decode nothing and add nothing).
     pub decode_tokens: u64,
-    /// Kernel ISA tier the workers decode with ("scalar" / "avx2"),
+    /// Kernel ISA tier the workers decode with ("scalar" / "avx2" / "avx512"),
     /// resolved once at runtime start.
     pub kernel_isa: &'static str,
     /// Effective-vs-requested tier: equals `kernel_isa` when the

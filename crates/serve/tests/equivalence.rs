@@ -281,7 +281,7 @@ fn batch_of_one_matches_direct_engine_call() {
     }
     let snap = runtime.metrics();
     assert!(
-        ["scalar", "avx2"].contains(&snap.kernel_isa),
+        slade_nn::kernels::IsaTier::ALL.map(|t| t.name()).contains(&snap.kernel_isa),
         "unexpected tier {}",
         snap.kernel_isa
     );
